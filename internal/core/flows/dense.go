@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math/bits"
 	"net/netip"
+	"slices"
 
 	"iotmap/internal/isp"
 	"iotmap/internal/proto"
@@ -90,32 +91,40 @@ func (t *lineTab) clone() lineTab {
 	return out
 }
 
-// portTab interns (transport, port) pairs into local IDs.
+// portTab interns (transport, port) pairs into local IDs through a
+// lazily paged direct table — ingestDense resolves one per record, and
+// it is the window's read path too, so the lookup must not hash.
 type portTab struct {
-	ids  map[proto.PortKey]int32
-	keys []proto.PortKey
+	// pages maps [transport][port>>8] to a page of local ID+1 (0 = not
+	// interned), allocated on the first port in its range.
+	pages [2][256]*[256]int32
+	keys  []proto.PortKey
 }
 
 func (t *portTab) id(k proto.PortKey) int32 {
-	if id, ok := t.ids[k]; ok {
-		return id
+	pg := t.pages[k.Transport][k.Port>>8]
+	if pg == nil {
+		pg = new([256]int32)
+		t.pages[k.Transport][k.Port>>8] = pg
 	}
-	if t.ids == nil {
-		t.ids = map[proto.PortKey]int32{}
+	if id := pg[k.Port&0xff]; id != 0 {
+		return id - 1
 	}
 	id := int32(len(t.keys))
-	t.ids[k] = id
 	t.keys = append(t.keys, k)
+	pg[k.Port&0xff] = id + 1
 	return id
 }
 
 func (t *portTab) clone() portTab {
-	var out portTab
-	if t.ids != nil {
-		out.ids = maps.Clone(t.ids)
-	}
-	if t.keys != nil {
-		out.keys = append([]proto.PortKey(nil), t.keys...)
+	out := portTab{keys: slices.Clone(t.keys)}
+	for tr := range t.pages {
+		for i, pg := range t.pages[tr] {
+			if pg != nil {
+				cp := *pg
+				out.pages[tr][i] = &cp
+			}
+		}
 	}
 	return out
 }

@@ -520,6 +520,44 @@ func TestDenseCollectorMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestContinentVolumesDerivedFromBackends: Study() regroups per-backend
+// volumes into Figure 14's per-continent volumes instead of summing per
+// record. The result must equal the per-record sum exactly, and a
+// continent reached only by a zero-byte record still gets its key.
+func TestContinentVolumesDerivedFromBackends(t *testing.T) {
+	idx := NewBackendIndex()
+	backends := map[geo.Continent][]netip.Addr{
+		geo.Europe:       {netipMust("198.51.100.1"), netipMust("198.51.100.2")},
+		geo.NorthAmerica: {netipMust("198.51.100.3")},
+		geo.Africa:       {netipMust("198.51.100.4")},
+		geo.Oceania:      {netipMust("198.51.100.5")}, // never contacted
+	}
+	for cont, addrs := range backends {
+		for _, a := range addrs {
+			idx.Add(a, "T1", cont, "r", false)
+		}
+	}
+	days := []time.Time{time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC)}
+	col := NewCollector(idx, days, Options{SamplingRate: 100})
+	want := map[geo.Continent]float64{}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		cont := []geo.Continent{geo.Europe, geo.NorthAmerica, geo.Africa}[rng.Intn(3)]
+		bytes := uint64(rng.Intn(1 << 20))
+		if cont == geo.Africa {
+			bytes = 0
+		}
+		col.Ingest(netflow.Record{
+			Src: backends[cont][rng.Intn(len(backends[cont]))], Dst: isp.LineV4Addr(0, rng.Intn(50)),
+			SrcPort: 443, DstPort: 40000, Bytes: bytes, Start: days[0].Add(time.Duration(rng.Intn(24)) * time.Hour),
+		})
+		want[cont] += float64(bytes) * 100
+	}
+	if got := col.Study().contVol; !reflect.DeepEqual(got, want) {
+		t.Errorf("derived continent volumes %v, per-record sum %v", got, want)
+	}
+}
+
 // TestIndexRebuildInvalidatesAggregates: Adding to a BackendIndex
 // after an aggregate was built reassigns the dense ID space; producing
 // results from the stale aggregate must panic loudly instead of

@@ -390,11 +390,10 @@ type Collector struct {
 	lpKeys  []lpKey
 
 	// Per-backend traffic (the §3.4 traffic cross-check) with presence
-	// bits (a touched backend with zero bytes is still "active").
+	// bits (a touched backend with zero bytes is still "active"). Study()
+	// also derives the per-continent volumes (Figure 14) from these.
 	backendVol  []float64
 	backendSeen []uint64
-	// contVol stays a map: a handful of continents at most.
-	contVol map[geo.Continent]float64
 
 	// Focus series (Figures 15/16).
 	focusDownAll, focusDownRegion, focusDownEU    *analysis.Series
@@ -470,7 +469,6 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 		portSeen:     make([][]uint64, nAliases),
 		backendVol:   make([]float64, len(idx.addrs)),
 		backendSeen:  make([]uint64, idx.words),
-		contVol:      map[geo.Continent]float64{},
 	}
 	if c.rate <= 0 {
 		c.rate = 1
@@ -661,7 +659,6 @@ func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, 
 	// Continent bookkeeping.
 	cont := bi.cont
 	c.lineConts[line] |= contBit(cont)
-	c.contVol[cont] += bytes
 
 	// Outage focus.
 	if int32(a) == c.focusAliasID {

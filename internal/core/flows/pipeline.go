@@ -1,7 +1,6 @@
 package flows
 
 import (
-	"maps"
 	"math"
 	"net/netip"
 	"time"
@@ -127,9 +126,6 @@ func (c *Collector) Merge(o *Collector) {
 	forEachBit(o.backendSeen, func(b int) { c.backendVol[b] += o.backendVol[b] })
 	orBits(c.backendSeen, o.backendSeen)
 	orBits(c.coverBits, o.coverBits)
-	for cont, v := range o.contVol {
-		c.contVol[cont] += v
-	}
 
 	if c.focusAlias != "" && o.focusAlias == c.focusAlias {
 		addValues(c.focusDownAll, o.focusDownAll)
@@ -236,7 +232,6 @@ func (c *Collector) clone() *Collector {
 
 		backendVol:  cloneSlice(c.backendVol),
 		backendSeen: cloneSlice(c.backendSeen),
-		contVol:     maps.Clone(c.contVol),
 
 		focusDownAll:     cloneSeries(c.focusDownAll),
 		focusDownRegion:  cloneSeries(c.focusDownRegion),

@@ -1,41 +1,38 @@
 package flows
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
-
-	"iotmap/internal/analysis"
-	"iotmap/internal/geo"
-	"iotmap/internal/proto"
 )
 
-// Checkpoint/restore of the sliding window: the dense aggregation state
-// is snapshot-friendly by construction — every aggregate is a flat
-// slice, bitset, or small map, and line IDs are assigned in
-// first-contact order, so re-interning the stored addresses in ID order
-// on restore reproduces the line tables (plan arithmetic included)
-// exactly. The format is versioned, little-endian, and length-prefixed
-// throughout; a restored window continues ingesting as if the process
-// had never died, which the kill-resume acceptance test pins down to
-// byte-identical figures.
+// Checkpoint/restore of the sliding window. A window's whole state is
+// its header (geometry, newest hour, refusal/eviction counters) plus the
+// live hours' row logs, so the snapshot is exactly that: one canonical
+// line dictionary and each live hour's rows in a canonical order. The
+// format is versioned, little-endian, and count-prefixed throughout; a
+// restored window continues ingesting as if the process had never died,
+// which the kill-resume acceptance test pins down to byte-identical
+// figures.
 //
-// Safety: restore never trusts lengths blindly — every slice length is
-// validated against what the receiving aggregate's geometry implies
-// (line count × stride, index words, hour count), so a corrupt or
-// truncated checkpoint fails with an error instead of an OOM or a
-// silently skewed study. A fingerprint of the BackendIndex and Options
-// binds a checkpoint to the world and configuration that produced it.
+// Safety: restore never trusts a count — dictionary entries and rows are
+// read incrementally (rows in bounded chunks), so memory grows only with
+// bytes the stream actually delivered, and every ID, flag, volume and
+// ordering constraint is validated, so a corrupt or truncated checkpoint
+// fails with an error instead of an OOM or a silently skewed study. A
+// fingerprint of the BackendIndex and Options binds a checkpoint to the
+// world and configuration that produced it.
 
 // snapshotMagic / snapshotVersion identify a Window snapshot stream.
 const (
 	snapshotMagic   = "IWIN"
-	snapshotVersion = 1
+	snapshotVersion = 2
 )
 
 // wireTablesMagic / wireTablesVersion identify a WireTables snapshot.
@@ -44,9 +41,20 @@ const (
 	wireTablesVersion = 1
 )
 
-// maxSnapshotEntries bounds any count field read from a snapshot, so a
-// corrupt length cannot allocate unbounded memory before validation.
+// maxSnapshotEntries bounds any count field read from a snapshot.
 const maxSnapshotEntries = 1 << 26
+
+// maxSnapshotHours bounds the window length Restore will rebuild (its
+// rings are allocated before any row is read): wire batches carry hours
+// as 16-bit offsets from the stream epoch, so no feed can fill more.
+const maxSnapshotHours = 1 << 16
+
+// snapRowBytes is one encoded row: line u32, backend u32, port u16,
+// flags u8, bytes f64. snapRowChunk is how many Restore reads at a time.
+const (
+	snapRowBytes = 19
+	snapRowChunk = 4096
+)
 
 // --- codec helpers -------------------------------------------------------
 
@@ -78,41 +86,15 @@ func (s *snapWriter) u64(v uint64) {
 	binary.LittleEndian.PutUint64(s.buf[:8], v)
 	s.write(s.buf[:8])
 }
-func (s *snapWriter) i64(v int64)   { s.u64(uint64(v)) }
-func (s *snapWriter) f64(v float64) { s.u64(math.Float64bits(v)) }
-
-func (s *snapWriter) bytes(b []byte) {
-	s.u32(uint32(len(b)))
-	s.write(b)
-}
-
-func (s *snapWriter) str(v string) { s.bytes([]byte(v)) }
+func (s *snapWriter) i64(v int64) { s.u64(uint64(v)) }
 
 func (s *snapWriter) addr(a netip.Addr) {
 	b, err := a.MarshalBinary()
 	if err != nil && s.err == nil {
 		s.err = err
 	}
-	s.bytes(b)
-}
-
-func (s *snapWriter) u64s(v []uint64) {
-	s.u32(uint32(len(v)))
-	for _, x := range v {
-		s.u64(x)
-	}
-}
-
-func (s *snapWriter) f64s(v []float64) {
-	s.u32(uint32(len(v)))
-	for _, x := range v {
-		s.f64(x)
-	}
-}
-
-func (s *snapWriter) u8s(v []uint8) {
-	s.u32(uint32(len(v)))
-	s.write(v)
+	s.u32(uint32(len(b)))
+	s.write(b)
 }
 
 // snapReader mirrors snapWriter: little-endian reads with a latched
@@ -120,7 +102,7 @@ func (s *snapWriter) u8s(v []uint8) {
 type snapReader struct {
 	r   io.Reader
 	err error
-	buf [8]byte
+	buf [16]byte
 }
 
 func (s *snapReader) read(b []byte) {
@@ -143,8 +125,7 @@ func (s *snapReader) u64() uint64 {
 	s.read(s.buf[:8])
 	return binary.LittleEndian.Uint64(s.buf[:8])
 }
-func (s *snapReader) i64() int64   { return int64(s.u64()) }
-func (s *snapReader) f64() float64 { return math.Float64frombits(s.u64()) }
+func (s *snapReader) i64() int64 { return int64(s.u64()) }
 
 // count reads a length field and refuses implausible values.
 func (s *snapReader) count(what string) int {
@@ -155,62 +136,18 @@ func (s *snapReader) count(what string) int {
 	return int(n)
 }
 
-func (s *snapReader) bytes(what string) []byte {
-	n := s.count(what)
-	if s.err != nil {
-		return nil
-	}
-	b := make([]byte, n)
-	s.read(b)
-	return b
-}
-
-func (s *snapReader) str(what string) string { return string(s.bytes(what)) }
-
+// addr reads a length-prefixed IPv4 or IPv6 address.
 func (s *snapReader) addr(what string) netip.Addr {
-	b := s.bytes(what)
+	n := s.u32()
+	if s.err == nil && n != 4 && n != 16 {
+		s.err = fmt.Errorf("flows: snapshot %s has length %d, want 4 or 16", what, n)
+	}
 	if s.err != nil {
 		return netip.Addr{}
 	}
-	var a netip.Addr
-	if err := a.UnmarshalBinary(b); err != nil {
-		s.err = fmt.Errorf("flows: snapshot %s: %w", what, err)
-	}
+	s.read(s.buf[:n])
+	a, _ := netip.AddrFromSlice(s.buf[:n])
 	return a
-}
-
-func (s *snapReader) u64s(what string) []uint64 {
-	n := s.count(what)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = s.u64()
-	}
-	return v
-}
-
-func (s *snapReader) f64s(what string) []float64 {
-	n := s.count(what)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = s.f64()
-	}
-	return v
-}
-
-func (s *snapReader) u8s(what string) []uint8 {
-	n := s.count(what)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]uint8, n)
-	s.read(v)
-	return v
 }
 
 // --- fingerprints --------------------------------------------------------
@@ -250,23 +187,52 @@ func optionsFingerprint(o Options) uint64 {
 
 // --- Window snapshot -----------------------------------------------------
 
-// Snapshot writes a versioned binary checkpoint of the window — every
-// live hour's dense aggregation state — to dst. The window stays live;
+// snapRow is one row in the snapshot's canonical form: the line is a
+// dictionary ID, not a shard line ID.
+type snapRow struct {
+	line, backend uint32
+	port          uint16
+	flags         uint8
+	bytes         float64
+}
+
+// cmpSnapRow is the canonical row order. Volumes are non-negative and
+// never NaN, so the numeric order is total.
+func cmpSnapRow(a, b snapRow) int {
+	if c := cmp.Compare(a.line, b.line); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.backend, b.backend); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.port, b.port); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.flags, b.flags); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.bytes, b.bytes)
+}
+
+// Snapshot writes a versioned binary checkpoint of the window — the
+// header and every live hour's row log — to dst. The window stays live;
 // concurrent ingest is blocked only for the duration of the encode.
 // Restore with Restore against the same index and Options.
 //
-// The v1 format is unchanged from the per-bucket-Collector era: each
-// live hour is converted at the snapshot boundary into a transient
-// single-day ContactCounter+Collector pair and encoded with the
-// existing codecs. The conversion is canonical — lines and ports in
-// sorted order, slot tables in line-major order — so two windows whose
-// ring-columnar state is distributed differently across ingest shards
-// (an original and its restored twin, say) still serialize
-// byte-identically.
+// Layout (IWIN v2): magic, version, index and options fingerprints,
+// window hours, epoch, newest hour, the four WindowStats counters; the
+// line dictionary (count, then the addresses live rows reference,
+// strictly sorted); the live hour count, then per hour, ascending: the
+// hour, its kept-record count, its row count, and the rows sorted by
+// (line, backend, port, flags, bytes). The encoding is canonical: two
+// windows holding the same rows serialize byte-identically however the
+// rows are spread over ingest shards or ordered within them (an
+// original and its restored twin, say).
 func Snapshot(dst io.Writer, w *Window) error {
 	w.lockShards()
 	defer w.unlockShards()
 	end := w.endA.Load()
+	ws := w.startHour(end)
 	stats := w.Stats()
 	s := &snapWriter{w: dst}
 	s.write([]byte(snapshotMagic))
@@ -281,273 +247,87 @@ func Snapshot(dst io.Writer, w *Window) error {
 	s.u64(stats.EvictedHours)
 	s.u64(stats.EvictedRecords)
 
-	type liveHour struct {
-		ah   int64
-		refs []bucketRef
-	}
-	live := make([]liveHour, 0, w.hours)
-	for ah := w.startHour(end); ah <= end; ah++ {
-		slot := int(ah % int64(w.hours))
-		var refs []bucketRef
-		for _, sh := range w.shards {
-			if bk := sh.ring[slot]; bk != nil && bk.ah == ah {
-				refs = append(refs, bucketRef{sh: sh, bk: bk})
+	// The dictionary is the sorted set of addresses live rows reference;
+	// remap[shard][line ID] becomes the address's dictionary ID.
+	remap := make([][]int32, len(w.shards))
+	var dict []netip.Addr
+	for si, sh := range w.shards {
+		used := make([]int32, len(sh.lines.addrs))
+		for _, bk := range sh.ring {
+			if bk == nil || bk.ah < ws || bk.ah > end {
+				continue
+			}
+			for _, lid := range bk.line {
+				if used[lid] == 0 {
+					used[lid] = 1
+					dict = append(dict, sh.lines.addrs[lid])
+				}
 			}
 		}
-		if len(refs) > 0 {
-			live = append(live, liveHour{ah: ah, refs: refs})
+		remap[si] = used
+	}
+	slices.SortFunc(dict, netip.Addr.Compare)
+	dict = slices.Compact(dict)
+	var canon lineTab
+	s.u32(uint32(len(dict)))
+	for _, a := range dict {
+		canon.id(a)
+		s.addr(a)
+	}
+	for si, sh := range w.shards {
+		for lid, u := range remap[si] {
+			if u != 0 {
+				remap[si][lid] = canon.id(sh.lines.addrs[lid])
+			}
 		}
 	}
-	s.u32(uint32(len(live)))
-	for _, h := range live {
-		cc, col, records := w.hourAggregates(h.ah, h.refs)
-		s.i64(h.ah)
-		s.u64(records)
-		snapshotCounter(s, cc)
-		snapshotCollector(s, col)
+
+	// The frame ledger already lists the live hours, ascending, with
+	// their record totals across shards.
+	hours := w.BucketStats()
+	s.u32(uint32(len(hours)))
+	var rows []snapRow
+	var enc []byte
+	for _, h := range hours {
+		slot := int(h.Hour % int64(w.hours))
+		rows = rows[:0]
+		for si, sh := range w.shards {
+			bk := sh.ring[slot]
+			if bk == nil || bk.ah != h.Hour {
+				continue
+			}
+			for i, lid := range bk.line {
+				rows = append(rows, snapRow{
+					line:    uint32(remap[si][lid]),
+					backend: uint32(bk.backend[i]),
+					port:    bk.port[i],
+					flags:   bk.flags[i],
+					bytes:   bk.bytes[i],
+				})
+			}
+		}
+		slices.SortFunc(rows, cmpSnapRow)
+		s.i64(h.Hour)
+		s.u64(h.Records)
+		s.u32(uint32(len(rows)))
+		enc = enc[:0]
+		for _, r := range rows {
+			enc = binary.LittleEndian.AppendUint32(enc, r.line)
+			enc = binary.LittleEndian.AppendUint32(enc, r.backend)
+			enc = binary.LittleEndian.AppendUint16(enc, r.port)
+			enc = append(enc, r.flags)
+			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(r.bytes))
+		}
+		s.write(enc)
 	}
 	return s.err
 }
 
-// bucketRef pairs a live bucket with the shard whose intern tables its
-// IDs resolve through.
-type bucketRef struct {
-	sh *winShard
-	bk *winBucket
-}
-
-// hourAggregates converts one live hour's shard buckets into a
-// transient canonical single-day ContactCounter+Collector (the exact
-// shape the per-bucket-Collector snapshot format encoded). Lines
-// intern in sorted address order, ports in sorted (transport, port)
-// order, and the la/lp slot tables fill line-major, so the encoding is
-// independent of how rows were distributed across shards. Caller holds
-// all shard locks.
-func (w *Window) hourAggregates(ah int64, refs []bucketRef) (*ContactCounter, *Collector, uint64) {
-	cc := NewContactCounter(w.idx)
-	col := NewCollector(w.idx, []time.Time{w.epoch.Add(time.Duration(ah) * time.Hour)}, w.opts)
-	var records uint64
-
-	// Gather every row by address, across shards.
-	type rowAt struct{ ref, row int }
-	rows := map[netip.Addr][]rowAt{}
-	addrs := []netip.Addr{}
-	for ri, ref := range refs {
-		records += ref.bk.records
-		for r := 0; r < ref.bk.nRows; r++ {
-			a := ref.sh.lines.addrs[ref.bk.lineIDs[r]]
-			if _, ok := rows[a]; !ok {
-				addrs = append(addrs, a)
-			}
-			rows[a] = append(rows[a], rowAt{ri, r})
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-
-	// Canonical port table: the union of per-alias seen ports (which
-	// covers the row port slots — a slot only ever carries a port a
-	// scatter also marked in portSeenA), in sorted key order.
-	pset := map[proto.PortKey]struct{}{}
-	for _, ref := range refs {
-		for a := 0; a < w.nA; a++ {
-			forEachBit(ref.bk.portSeenA[a*ref.sh.pw:(a+1)*ref.sh.pw], func(p int) {
-				pset[ref.sh.ports.keys[p]] = struct{}{}
-			})
-		}
-	}
-	portKeys := make([]proto.PortKey, 0, len(pset))
-	for k := range pset {
-		portKeys = append(portKeys, k)
-	}
-	sort.Slice(portKeys, func(i, j int) bool {
-		if portKeys[i].Transport != portKeys[j].Transport {
-			return portKeys[i].Transport < portKeys[j].Transport
-		}
-		return portKeys[i].Port < portKeys[j].Port
-	})
-	for _, k := range portKeys {
-		col.ports.id(k)
-	}
-	// Per-ref shard-port → canonical-port remap (-1 = not in this hour).
-	pmaps := make([][]int32, len(refs))
-	for ri, ref := range refs {
-		pm := make([]int32, len(ref.sh.ports.keys))
-		for i := range pm {
-			pm[i] = -1
-		}
-		for i, k := range portKeys {
-			if id, ok := ref.sh.ports.ids[k]; ok && int(id) < len(pm) {
-				pm[id] = int32(i)
-			}
-		}
-		pmaps[ri] = pm
-	}
-
-	mergedAlias := make([]uint64, w.aw)
-	mergedCert := make([]uint64, w.aw)
-	mergedDownA := make([]uint64, w.aw)
-	laVol := make([]float64, w.nA)
-	lpSeen := make([]uint64, (len(portKeys)+63)/64+1)
-	lpVol := make([]float64, len(portKeys))
-	for _, a := range addrs {
-		cid := cc.lineID(a)
-		dst := cc.bits[int(cid)*cc.words : (int(cid)+1)*cc.words]
-		hasCol := false
-		for _, ra := range rows[a] {
-			bk := refs[ra.ref].bk
-			forEachBit(bk.rowU64[ra.row*bk.bw:(ra.row+1)*bk.bw], func(lb int) {
-				setBit(dst, int(bk.beIDs[lb]))
-			})
-			if bk.rowU8[ra.row*bk.uw+bk.asl] != 0 {
-				hasCol = true
-			}
-		}
-		if !hasCol {
-			continue // contact evidence only — no Collector line existed
-		}
-		t := int(col.lineID(a))
-		clearBits(mergedAlias)
-		clearBits(mergedCert)
-		clearBits(mergedDownA)
-		var downV, upV float64
-		var conts, fb uint8
-		for _, ra := range rows[a] {
-			bk := refs[ra.ref].bk
-			fr := bk.rowF64[ra.row*bk.fw : (ra.row+1)*bk.fw]
-			downV += fr[0]
-			upV += fr[1]
-			conts |= bk.rowU8[ra.row*bk.uw+bk.asl]
-			fb |= bk.rowU8[ra.row*bk.uw+bk.asl+1]
-			for i := 0; i < bk.asl; i++ {
-				id := bk.rowI32[ra.row*bk.iw+i]
-				if id == 0 {
-					break
-				}
-				al := int(id) - 1
-				fl := bk.rowU8[ra.row*bk.uw+i]
-				setBit(mergedAlias, al)
-				if fl&afCert != 0 {
-					setBit(mergedCert, al)
-				}
-				if fl&afDown != 0 {
-					setBit(mergedDownA, al)
-					laVol[al] += fr[2+i]
-				}
-			}
-			for i := 0; i < bk.psl; i++ {
-				id := bk.rowI32[ra.row*bk.iw+bk.asl+i]
-				if id == 0 {
-					break
-				}
-				cp := int(pmaps[ra.ref][int(id)-1])
-				setBit(lpSeen, cp)
-				lpVol[cp] += fr[2+bk.asl+i]
-			}
-		}
-		col.lineDaily[t*2] = downV
-		col.lineDaily[t*2+1] = upV
-		col.lineConts[t] = conts
-		copy(col.lineAliasBits[t*w.aw:(t+1)*w.aw], mergedAlias)
-		copy(col.lineCertBits[t*w.aw:(t+1)*w.aw], mergedCert)
-		forEachBit(mergedAlias, func(al int) {
-			lh := grown(col.lineHours[al], (t+1)*col.hw)
-			col.lineHours[al] = lh
-			setBit(lh[t*col.hw:], 0)
-		})
-		forEachBit(mergedDownA, func(al int) {
-			col.laDaily[col.laSlotBase(t, al)] += laVol[al]
-			laVol[al] = 0
-		})
-		forEachBit(lpSeen, func(cp int) {
-			col.lpDaily[col.lpSlotBase(t, cp)] += lpVol[cp]
-			lpVol[cp] = 0
-		})
-		clearBits(lpSeen)
-		if fb&1 != 0 {
-			col.focusHoursAll = grown(col.focusHoursAll, (t+1)*col.hw)
-			setBit(col.focusHoursAll[t*col.hw:], 0)
-		}
-		if fb&2 != 0 {
-			col.focusHoursRegion = grown(col.focusHoursRegion, (t+1)*col.hw)
-			setBit(col.focusHoursRegion[t*col.hw:], 0)
-		}
-		if fb&4 != 0 {
-			col.focusHoursEU = grown(col.focusHoursEU, (t+1)*col.hw)
-			setBit(col.focusHoursEU[t*col.hw:], 0)
-		}
-	}
-
-	for a := 0; a < w.nA; a++ {
-		var downSum, upSum float64
-		var downSeen, upSeen bool
-		for _, ref := range refs {
-			if hasBit(ref.bk.aliasSeen[:w.aw], a) {
-				downSeen = true
-				downSum += ref.bk.aliasVol[2*a]
-			}
-			if hasBit(ref.bk.aliasSeen[w.aw:], a) {
-				upSeen = true
-				upSum += ref.bk.aliasVol[2*a+1]
-			}
-		}
-		if downSeen {
-			s := analysis.NewSeries(w.idx.aliasNames[a], col.hours)
-			s.Values[0] = downSum
-			col.downHour[a] = s
-		}
-		if upSeen {
-			s := analysis.NewSeries(w.idx.aliasNames[a], col.hours)
-			s.Values[0] = upSum
-			col.upHour[a] = s
-		}
-		for ri, ref := range refs {
-			sh := ref.sh
-			forEachBit(ref.bk.portSeenA[a*sh.pw:(a+1)*sh.pw], func(p int) {
-				cp := int(pmaps[ri][p])
-				pv := grown(col.portVol[a], cp+1)
-				col.portVol[a] = pv
-				pv[cp] += ref.bk.portVolA[a*sh.pcap+p]
-				ps := grown(col.portSeen[a], cp>>6+1)
-				col.portSeen[a] = ps
-				setBit(ps, cp)
-			})
-		}
-	}
-
-	for _, ref := range refs {
-		bk := ref.bk
-		forEachBit(bk.backendSeen, func(lb int) {
-			b := int(bk.beIDs[lb])
-			bi := &w.idx.infos[b]
-			v := bk.backendVol[lb]
-			col.backendVol[b] += v
-			vs := col.visible[bi.aliasID]
-			if vs == nil {
-				vs = make([]uint64, w.idx.words)
-				col.visible[bi.aliasID] = vs
-			}
-			setBit(vs, b)
-			col.contVol[bi.cont] += v
-			setBit(col.backendSeen, b)
-		})
-		if bk.covered {
-			setBit(col.coverBits, 0)
-		}
-	}
-	if col.focusDownAll != nil {
-		for _, ref := range refs {
-			col.focusDownAll.Values[0] += ref.bk.focusAllV
-			col.focusDownRegion.Values[0] += ref.bk.focusRegionV
-			col.focusDownEU.Values[0] += ref.bk.focusEUV
-		}
-	}
-	return cc, col, records
-}
-
-// Restore reads a Snapshot-written checkpoint and rebuilds the window.
-// idx and opts must match the snapshotting process's (enforced via
-// fingerprints): dense IDs are deterministic for one built index, so
-// the restored buckets continue exactly where the snapshot stopped.
+// Restore reads a Snapshot-written checkpoint and rebuilds the window
+// (every row lands on ingest shard 0). idx and opts must match the
+// snapshotting process's, enforced via fingerprints: dense backend IDs
+// are deterministic for one built index, so the restored rows mean what
+// they meant. Anything Restore accepts re-snapshots byte-identically.
 func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 	s := &snapReader{r: src}
 	magic := make([]byte, len(snapshotMagic))
@@ -556,7 +336,7 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 		return nil, fmt.Errorf("flows: not a window snapshot (magic %q)", magic)
 	}
 	if v := s.u16(); s.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("flows: window snapshot version %d (want %d)", v, snapshotVersion)
+		return nil, fmt.Errorf("flows: window snapshot is IWIN version %d, this build reads only version %d", v, snapshotVersion)
 	}
 	idxFP := s.u64()
 	optFP := s.u64()
@@ -566,7 +346,7 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 	if s.err == nil && optFP != optionsFingerprint(opts) {
 		return nil, fmt.Errorf("flows: snapshot was taken under different aggregation options")
 	}
-	hours := int(s.u32())
+	hours := s.u32()
 	epoch := time.Unix(0, s.i64()).UTC()
 	end := s.i64()
 	var stats WindowStats
@@ -577,7 +357,15 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	w, err := NewWindow(idx, epoch, hours, opts)
+	if hours > maxSnapshotHours {
+		return nil, fmt.Errorf("flows: snapshot window of %d hours exceeds limit %d", hours, maxSnapshotHours)
+	}
+	// Hours become time.Durations since the epoch (BucketStat.Start,
+	// Span), which bounds them well below where hour arithmetic wraps.
+	if end < -1 || end > math.MaxInt64/int64(time.Hour) {
+		return nil, fmt.Errorf("flows: snapshot newest hour %d is invalid", end)
+	}
+	w, err := NewWindow(idx, epoch, int(hours), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -587,506 +375,115 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 	w.late.Store(stats.LateRecords)
 	w.evictedHours = stats.EvictedHours
 	w.evictedRecords = stats.EvictedRecords
+	sh := w.shards[0]
 
-	n := s.count("bucket")
-	for i := 0; i < n && s.err == nil; i++ {
-		ah := s.i64()
-		records := s.u64()
+	// Strictly sorted addresses are distinct, so entry i interns as
+	// shard line ID i.
+	nLines := s.count("line")
+	var prev netip.Addr
+	for i := 0; i < nLines && s.err == nil; i++ {
+		a := s.addr("line address")
 		if s.err != nil {
 			break
 		}
-		if ah < 0 || ah > end || end-ah >= int64(hours) {
-			return nil, fmt.Errorf("flows: snapshot bucket hour %d outside window ending at %d", ah, end)
+		if i > 0 && a.Compare(prev) <= 0 {
+			return nil, fmt.Errorf("flows: snapshot line dictionary is not strictly sorted at entry %d", i)
 		}
-		cc := restoreCounter(s, idx)
-		col := restoreCollector(s, idx, epoch.Add(time.Duration(ah)*time.Hour), opts)
-		if s.err != nil {
-			break
-		}
-		if err := w.restoreBucket(ah, records, cc, col); err != nil {
-			return nil, err
-		}
+		prev = a
+		sh.lines.id(a)
 	}
 	if s.err != nil {
 		return nil, s.err
 	}
+	referenced := make([]bool, nLines)
+	unreferenced := nLines
+
+	nHours := s.count("hour")
+	if s.err == nil && nHours > int(hours) {
+		return nil, fmt.Errorf("flows: snapshot has %d live hours in a %d-hour window", nHours, hours)
+	}
+	var chunk []byte
+	lastHour := int64(-1)
+	for i := 0; i < nHours && s.err == nil; i++ {
+		ah := s.i64()
+		records := s.u64()
+		nRows := s.count("row")
+		if s.err != nil {
+			break
+		}
+		if ah <= lastHour {
+			return nil, fmt.Errorf("flows: snapshot hour %d does not follow hour %d", ah, lastHour)
+		}
+		if ah > end || end-ah >= int64(hours) {
+			return nil, fmt.Errorf("flows: snapshot hour %d outside window ending at %d", ah, end)
+		}
+		if records > uint64(nRows) {
+			return nil, fmt.Errorf("flows: snapshot hour %d claims %d records in %d rows", ah, records, nRows)
+		}
+		lastHour = ah
+		bk := sh.takeBucket(ah)
+		slot := int(ah % int64(hours))
+		sh.ring[slot] = bk
+		var last snapRow
+		for left := nRows; left > 0; {
+			n := min(left, snapRowChunk)
+			left -= n
+			chunk = slices.Grow(chunk[:0], n*snapRowBytes)[:n*snapRowBytes]
+			s.read(chunk)
+			if s.err != nil {
+				return nil, s.err
+			}
+			for b := chunk; len(b) > 0; b = b[snapRowBytes:] {
+				r := snapRow{
+					line:    binary.LittleEndian.Uint32(b),
+					backend: binary.LittleEndian.Uint32(b[4:]),
+					port:    binary.LittleEndian.Uint16(b[8:]),
+					flags:   b[10],
+				}
+				vol := binary.LittleEndian.Uint64(b[11:])
+				r.bytes = math.Float64frombits(vol)
+				switch {
+				case int(r.line) >= nLines:
+					return nil, fmt.Errorf("flows: snapshot row references line %d of %d", r.line, nLines)
+				case int(r.backend) >= len(idx.addrs):
+					return nil, fmt.Errorf("flows: snapshot row references backend %d of %d", r.backend, len(idx.addrs))
+				case r.flags&^rowFlagMask != 0:
+					return nil, fmt.Errorf("flows: snapshot row has unknown flag bits %#x", r.flags)
+				case vol >= math.Float64bits(math.Inf(1)):
+					// One unsigned compare rejects NaN, ±Inf and every
+					// negative value, -0 included.
+					return nil, fmt.Errorf("flows: snapshot row volume %v is not a finite non-negative number", r.bytes)
+				case cmpSnapRow(last, r) > 0:
+					return nil, fmt.Errorf("flows: snapshot hour %d rows are not sorted", ah)
+				}
+				last = r
+				if !referenced[r.line] {
+					referenced[r.line] = true
+					unreferenced--
+				}
+				if r.flags&rowKept != 0 {
+					bk.records++
+				}
+				bk.add(int32(r.line), int32(r.backend), r.port, r.flags, r.bytes)
+			}
+		}
+		if bk.records != records {
+			return nil, fmt.Errorf("flows: snapshot hour %d claims %d records, its rows keep %d", ah, records, bk.records)
+		}
+		sh.rowHint = max(sh.rowHint, nRows)
+		w.hourLive[slot] = true
+		w.hourRecs[slot] = records
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	if unreferenced != 0 {
+		return nil, fmt.Errorf("flows: snapshot line dictionary has %d entries no row references", unreferenced)
+	}
+	if n, _ := io.ReadFull(src, s.buf[:1]); n != 0 {
+		return nil, fmt.Errorf("flows: trailing bytes after window snapshot")
+	}
 	return w, nil
-}
-
-// restoreBucket converts one decoded hour's ContactCounter+Collector
-// pair into a ring-columnar bucket on shard 0. The stored collector
-// must be hour-confined (data only at bucket-local hour 0), which the
-// live window guaranteed by construction; anything else is a corrupt
-// or hand-edited checkpoint.
-func (w *Window) restoreBucket(ah int64, records uint64, cc *ContactCounter, col *Collector) error {
-	if err := validateHourConfinement(col); err != nil {
-		return err
-	}
-	sh := w.shards[0]
-	slot := int(ah % int64(w.hours))
-	if old := sh.ring[slot]; old != nil {
-		sh.recycle(old)
-	}
-	bk := sh.takeBucket(ah)
-	sh.ring[slot] = bk
-	bk.records = records
-
-	// Intern the stored port table first: growPorts restrides the live
-	// ring, and bk is already in it.
-	pmap := make([]int32, len(col.ports.keys))
-	for i, k := range col.ports.keys {
-		pmap[i] = int32(sh.portID(k))
-	}
-
-	for i, a := range cc.lines.addrs {
-		row := sh.rowFor(bk, sh.lines.id(a))
-		forEachBit(cc.bits[i*cc.words:(i+1)*cc.words], func(b int) {
-			sh.ccSet(bk, row, int32(b))
-		})
-	}
-
-	colRow := make([]int, len(col.lines.addrs))
-	for i, a := range col.lines.addrs {
-		row := sh.rowFor(bk, sh.lines.id(a))
-		colRow[i] = row
-		bk.rowF64[row*bk.fw] = col.lineDaily[2*i]
-		bk.rowF64[row*bk.fw+1] = col.lineDaily[2*i+1]
-		bk.rowU8[row*bk.uw+bk.asl] = col.lineConts[i]
-		forEachBit(col.lineAliasBits[i*w.aw:(i+1)*w.aw], func(al int) {
-			si := sh.aliasSlot(bk, row, al)
-			if hasBit(col.lineCertBits[i*w.aw:(i+1)*w.aw], al) {
-				bk.rowU8[row*bk.uw+si] |= afCert
-			}
-		})
-		var fb uint8
-		if hourZeroBit(col.focusHoursAll, i) {
-			fb |= 1
-		}
-		if hourZeroBit(col.focusHoursRegion, i) {
-			fb |= 2
-		}
-		if hourZeroBit(col.focusHoursEU, i) {
-			fb |= 4
-		}
-		bk.rowU8[row*bk.uw+bk.asl+1] = fb
-	}
-	for s, k := range col.laKeys {
-		row := colRow[k.line]
-		si := sh.aliasSlot(bk, row, int(k.alias))
-		bk.rowU8[row*bk.uw+si] |= afDown
-		bk.rowF64[row*bk.fw+2+si] = col.laDaily[s]
-	}
-	for s, k := range col.lpKeys {
-		row := colRow[k.line]
-		pi := sh.portSlot(bk, row, int(pmap[k.port]))
-		bk.rowF64[row*bk.fw+2+bk.asl+pi] = col.lpDaily[s]
-	}
-
-	for a := 0; a < w.nA; a++ {
-		if ser := col.downHour[a]; ser != nil {
-			setBit(bk.aliasSeen, a)
-			bk.aliasVol[2*a] = ser.Values[0]
-		}
-		if ser := col.upHour[a]; ser != nil {
-			setBit(bk.aliasSeen[w.aw:], a)
-			bk.aliasVol[2*a+1] = ser.Values[0]
-		}
-		forEachBit(col.portSeen[a], func(p int) {
-			cp := int(pmap[p])
-			if p < len(col.portVol[a]) {
-				bk.portVolA[a*sh.pcap+cp] = col.portVol[a][p]
-			}
-			setBit(bk.portSeenA[a*sh.pw:], cp)
-		})
-	}
-
-	forEachBit(col.backendSeen, func(b int) {
-		lb := sh.beLocal(bk, int32(b))
-		bk.backendVol = grown(bk.backendVol, lb+1)
-		bk.backendVol[lb] = col.backendVol[b]
-		setBit(bk.backendSeen, lb)
-	})
-	bk.covered = len(col.coverBits) > 0 && col.coverBits[0]&1 != 0
-	if col.focusDownAll != nil {
-		bk.focusAllV = col.focusDownAll.Values[0]
-		bk.focusRegionV = col.focusDownRegion.Values[0]
-		bk.focusEUV = col.focusDownEU.Values[0]
-	}
-
-	w.hourLive[slot] = true
-	w.hourRecs[slot] = records
-	return nil
-}
-
-// validateHourConfinement rejects a stored hour-bucket collector with
-// data outside bucket-local hour 0 — the single-hour invariant every
-// live bucket maintains, and the only shape restoreBucket can place
-// into an hour column.
-func validateHourConfinement(c *Collector) error {
-	bad := false
-	if len(c.coverBits) > 0 && c.coverBits[0]&^1 != 0 {
-		bad = true
-	}
-	for _, w := range c.coverBits[1:] {
-		if w != 0 {
-			bad = true
-		}
-	}
-	checkHours := func(rows []uint64) {
-		for i, w := range rows {
-			if i%c.hw == 0 {
-				w &^= 1
-			}
-			if w != 0 {
-				bad = true
-			}
-		}
-	}
-	checkSeries := func(ser *analysis.Series) {
-		if ser == nil {
-			return
-		}
-		for _, v := range ser.Values[1:] {
-			if v != 0 {
-				bad = true
-			}
-		}
-	}
-	for a := 0; a < c.nAliases; a++ {
-		checkHours(c.lineHours[a])
-		checkSeries(c.downHour[a])
-		checkSeries(c.upHour[a])
-	}
-	checkHours(c.focusHoursAll)
-	checkHours(c.focusHoursRegion)
-	checkHours(c.focusHoursEU)
-	checkSeries(c.focusDownAll)
-	checkSeries(c.focusDownRegion)
-	checkSeries(c.focusDownEU)
-	if bad {
-		return fmt.Errorf("flows: snapshot hour bucket has data outside its hour")
-	}
-	return nil
-}
-
-// hourZeroBit reports whether a stored per-line hour bitset (stride 1
-// for a single-day bucket) has line's hour-0 bit set.
-func hourZeroBit(rows []uint64, line int) bool {
-	return line < len(rows) && rows[line]&1 != 0
-}
-
-// snapshotCounter encodes a ContactCounter: line addresses in ID order
-// plus the backend bitset arena.
-func snapshotCounter(s *snapWriter, cc *ContactCounter) {
-	s.u32(uint32(len(cc.lines.addrs)))
-	for _, a := range cc.lines.addrs {
-		s.addr(a)
-	}
-	s.u64s(cc.bits)
-}
-
-// restoreCounter rebuilds a ContactCounter by re-interning the stored
-// addresses in ID order (reproducing the line table exactly) and
-// adopting the bitset arena.
-func restoreCounter(s *snapReader, idx *BackendIndex) *ContactCounter {
-	cc := NewContactCounter(idx)
-	n := s.count("counter line")
-	for i := 0; i < n && s.err == nil; i++ {
-		a := s.addr("counter line addr")
-		if s.err != nil {
-			break
-		}
-		if id := cc.lineID(a); int(id) != i {
-			s.err = fmt.Errorf("flows: snapshot counter line %d re-interned as %d (duplicate address?)", i, id)
-		}
-	}
-	bits := s.u64s("counter bits")
-	if s.err == nil && len(bits) != n*cc.words {
-		s.err = fmt.Errorf("flows: snapshot counter bits length %d, want %d", len(bits), n*cc.words)
-	}
-	if s.err != nil {
-		return nil
-	}
-	cc.bits = bits
-	return cc
-}
-
-// snapshotCollector encodes one hour bucket's Collector. The donor is
-// always a single-day frame (ds=1, 24 hours), which the decoder
-// re-derives from the bucket hour — only data goes on the wire.
-func snapshotCollector(s *snapWriter, c *Collector) {
-	s.u32(uint32(len(c.lines.addrs)))
-	for _, a := range c.lines.addrs {
-		s.addr(a)
-	}
-	s.u32(uint32(len(c.ports.keys)))
-	for _, k := range c.ports.keys {
-		s.u8(uint8(k.Transport))
-		s.u16(k.Port)
-	}
-	s.u64s(c.coverBits)
-	s.f64s(c.lineDaily)
-	s.u8s(c.lineConts)
-	s.u64s(c.lineAliasBits)
-	s.u64s(c.lineCertBits)
-
-	for a := 0; a < c.nAliases; a++ {
-		s.u64s(c.visible[a])
-		s.u64s(c.lineHours[a])
-		snapshotSeries(s, c.downHour[a])
-		snapshotSeries(s, c.upHour[a])
-		s.f64s(c.portVol[a])
-		s.u64s(c.portSeen[a])
-	}
-
-	s.f64s(c.laDaily)
-	s.u32(uint32(len(c.laKeys)))
-	for _, k := range c.laKeys {
-		s.u32(uint32(k.line))
-		s.u32(uint32(k.alias))
-	}
-	s.f64s(c.lpDaily)
-	s.u32(uint32(len(c.lpKeys)))
-	for _, k := range c.lpKeys {
-		s.u32(uint32(k.line))
-		s.u32(uint32(k.port))
-	}
-
-	// Backend volumes are sparse: presence bits plus the set values.
-	s.u64s(c.backendSeen)
-	forEachBit(c.backendSeen, func(b int) { s.f64(c.backendVol[b]) })
-
-	conts := make([]string, 0, len(c.contVol))
-	for cont := range c.contVol {
-		conts = append(conts, string(cont))
-	}
-	sort.Strings(conts)
-	s.u32(uint32(len(conts)))
-	for _, cont := range conts {
-		s.str(cont)
-		s.f64(c.contVol[geo.Continent(cont)])
-	}
-
-	if c.focusAlias != "" {
-		s.u8(1)
-		snapshotSeries(s, c.focusDownAll)
-		snapshotSeries(s, c.focusDownRegion)
-		snapshotSeries(s, c.focusDownEU)
-		s.u64s(c.focusHoursAll)
-		s.u64s(c.focusHoursRegion)
-		s.u64s(c.focusHoursEU)
-	} else {
-		s.u8(0)
-	}
-}
-
-func snapshotSeries(s *snapWriter, ser *analysis.Series) {
-	if ser == nil {
-		s.u8(0)
-		return
-	}
-	s.u8(1)
-	s.f64s(ser.Values)
-}
-
-// restoreCollector rebuilds one hour bucket's Collector at the given
-// bucket day. Line addresses re-intern in ID order (lineID grows every
-// per-line aggregate to its exact snapshot length), then each stored
-// slice replaces the grown one after a length check.
-func restoreCollector(s *snapReader, idx *BackendIndex, day time.Time, opts Options) *Collector {
-	c := NewCollector(idx, []time.Time{day}, opts)
-	nLines := s.count("collector line")
-	for i := 0; i < nLines && s.err == nil; i++ {
-		a := s.addr("collector line addr")
-		if s.err != nil {
-			break
-		}
-		if id := c.lineID(a); int(id) != i {
-			s.err = fmt.Errorf("flows: snapshot collector line %d re-interned as %d (duplicate address?)", i, id)
-		}
-	}
-	nPorts := s.count("collector port")
-	for i := 0; i < nPorts && s.err == nil; i++ {
-		k := proto.PortKey{Transport: proto.Transport(s.u8()), Port: s.u16()}
-		if id := c.ports.id(k); s.err == nil && int(id) != i {
-			s.err = fmt.Errorf("flows: snapshot collector port %d re-interned as %d (duplicate key?)", i, id)
-		}
-	}
-	c.coverBits = s.fixedU64s("coverBits", len(c.coverBits))
-	c.lineDaily = s.fixedF64s("lineDaily", nLines*2*c.ds)
-	c.lineConts = s.fixedU8s("lineConts", nLines)
-	c.lineAliasBits = s.fixedU64s("lineAliasBits", nLines*c.aw)
-	c.lineCertBits = s.fixedU64s("lineCertBits", nLines*c.aw)
-
-	for a := 0; a < c.nAliases && s.err == nil; a++ {
-		c.visible[a] = s.maybeFixedU64s("visible", idx.words)
-		c.lineHours[a] = s.boundedU64s("lineHours", nLines*c.hw)
-		c.downHour[a] = restoreSeries(s, idx.aliasNames[a], c.hours)
-		c.upHour[a] = restoreSeries(s, idx.aliasNames[a], c.hours)
-		c.portVol[a] = s.boundedF64s("portVol", nPorts)
-		c.portSeen[a] = s.boundedU64s("portSeen", (nPorts+63)/64)
-	}
-
-	c.laDaily = s.f64s("laDaily")
-	nla := s.count("laKeys")
-	if s.err == nil && len(c.laDaily) != nla*c.ds {
-		s.err = fmt.Errorf("flows: snapshot laDaily length %d, want %d", len(c.laDaily), nla*c.ds)
-	}
-	c.laKeys = make([]laKey, 0, nla)
-	for i := 0; i < nla && s.err == nil; i++ {
-		k := laKey{line: int32(s.u32()), alias: int32(s.u32())}
-		if int(k.line) >= nLines || int(k.alias) >= c.nAliases {
-			s.err = fmt.Errorf("flows: snapshot laKey (%d,%d) out of range", k.line, k.alias)
-			break
-		}
-		c.laKeys = append(c.laKeys, k)
-		c.laIdx[int(k.line)*c.nAliases+int(k.alias)] = int32(i) + 1
-	}
-
-	c.lpDaily = s.f64s("lpDaily")
-	nlp := s.count("lpKeys")
-	if s.err == nil && len(c.lpDaily) != nlp*c.ds {
-		s.err = fmt.Errorf("flows: snapshot lpDaily length %d, want %d", len(c.lpDaily), nlp*c.ds)
-	}
-	c.lpKeys = make([]lpKey, 0, nlp)
-	for i := 0; i < nlp && s.err == nil; i++ {
-		k := lpKey{line: int32(s.u32()), port: int32(s.u32())}
-		if int(k.line) >= nLines || int(k.port) >= nPorts {
-			s.err = fmt.Errorf("flows: snapshot lpKey (%d,%d) out of range", k.line, k.port)
-			break
-		}
-		c.lpKeys = append(c.lpKeys, k)
-		for len(c.lpIdx) <= int(k.port) {
-			c.lpIdx = append(c.lpIdx, nil)
-		}
-		arr := grown(c.lpIdx[k.port], int(k.line)+1)
-		c.lpIdx[k.port] = arr
-		arr[k.line] = int32(i) + 1
-	}
-
-	c.backendSeen = s.fixedU64s("backendSeen", idx.words)
-	if s.err == nil {
-		forEachBit(c.backendSeen, func(b int) { c.backendVol[b] = s.f64() })
-	}
-
-	nc := s.count("contVol")
-	for i := 0; i < nc && s.err == nil; i++ {
-		cont := s.str("continent")
-		v := s.f64()
-		if s.err == nil {
-			c.contVol[geo.Continent(cont)] = v
-		}
-	}
-
-	if s.u8() == 1 {
-		if s.err == nil && c.focusAlias == "" {
-			s.err = fmt.Errorf("flows: snapshot has focus series but options have no focus alias")
-			return nil
-		}
-		c.focusDownAll = restoreSeriesInto(s, c.focusDownAll)
-		c.focusDownRegion = restoreSeriesInto(s, c.focusDownRegion)
-		c.focusDownEU = restoreSeriesInto(s, c.focusDownEU)
-		c.focusHoursAll = s.boundedU64s("focusHoursAll", nLines*c.hw)
-		c.focusHoursRegion = s.boundedU64s("focusHoursRegion", nLines*c.hw)
-		c.focusHoursEU = s.boundedU64s("focusHoursEU", nLines*c.hw)
-	}
-	if s.err != nil {
-		return nil
-	}
-	return c
-}
-
-// fixedU64s reads a slice that must have exactly n elements.
-func (s *snapReader) fixedU64s(what string, n int) []uint64 {
-	v := s.u64s(what)
-	if s.err == nil && len(v) != n {
-		s.err = fmt.Errorf("flows: snapshot %s length %d, want %d", what, len(v), n)
-	}
-	return v
-}
-
-func (s *snapReader) fixedF64s(what string, n int) []float64 {
-	v := s.f64s(what)
-	if s.err == nil && len(v) != n {
-		s.err = fmt.Errorf("flows: snapshot %s length %d, want %d", what, len(v), n)
-	}
-	return v
-}
-
-func (s *snapReader) fixedU8s(what string, n int) []uint8 {
-	v := s.u8s(what)
-	if s.err == nil && len(v) != n {
-		s.err = fmt.Errorf("flows: snapshot %s length %d, want %d", what, len(v), n)
-	}
-	return v
-}
-
-// maybeFixedU64s reads a slice that is either empty (stored nil) or
-// exactly n elements.
-func (s *snapReader) maybeFixedU64s(what string, n int) []uint64 {
-	v := s.u64s(what)
-	if len(v) == 0 {
-		return nil
-	}
-	if s.err == nil && len(v) != n {
-		s.err = fmt.Errorf("flows: snapshot %s length %d, want %d", what, len(v), n)
-	}
-	return v
-}
-
-// boundedU64s reads a slice that may be any length up to max (grown
-// slices stop at the highest touched ID).
-func (s *snapReader) boundedU64s(what string, max int) []uint64 {
-	v := s.u64s(what)
-	if len(v) == 0 {
-		return nil
-	}
-	if s.err == nil && len(v) > max {
-		s.err = fmt.Errorf("flows: snapshot %s length %d exceeds %d", what, len(v), max)
-	}
-	return v
-}
-
-func (s *snapReader) boundedF64s(what string, max int) []float64 {
-	v := s.f64s(what)
-	if len(v) == 0 {
-		return nil
-	}
-	if s.err == nil && len(v) > max {
-		s.err = fmt.Errorf("flows: snapshot %s length %d exceeds %d", what, len(v), max)
-	}
-	return v
-}
-
-func restoreSeries(s *snapReader, label string, hours int) *analysis.Series {
-	if s.u8() == 0 {
-		return nil
-	}
-	vals := s.f64s("series")
-	if s.err == nil && len(vals) != hours {
-		s.err = fmt.Errorf("flows: snapshot series length %d, want %d", len(vals), hours)
-	}
-	if s.err != nil {
-		return nil
-	}
-	return &analysis.Series{Label: label, Values: vals}
-}
-
-// restoreSeriesInto fills an already-allocated series (the focus series
-// NewCollector creates) with the stored values.
-func restoreSeriesInto(s *snapReader, ser *analysis.Series) *analysis.Series {
-	if s.u8() == 0 {
-		return ser
-	}
-	vals := s.f64s("focus series")
-	if s.err == nil && len(vals) != len(ser.Values) {
-		s.err = fmt.Errorf("flows: snapshot focus series length %d, want %d", len(vals), len(ser.Values))
-	}
-	if s.err != nil {
-		return ser
-	}
-	ser.Values = vals
-	return ser
 }
 
 // --- WireTables snapshot -------------------------------------------------

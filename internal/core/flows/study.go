@@ -1,7 +1,6 @@
 package flows
 
 import (
-	"maps"
 	"net/netip"
 	"sort"
 
@@ -57,7 +56,7 @@ func (c *Collector) Study() *Study {
 		lineAliases:    map[lineAliasKey]struct{}{},
 		lineCertSeen:   map[lineAliasKey]struct{}{},
 		lineConts:      map[netip.Addr]uint8{},
-		contVol:        maps.Clone(c.contVol),
+		contVol:        map[geo.Continent]float64{},
 		backendVol:     map[netip.Addr]float64{},
 	}
 
@@ -107,7 +106,13 @@ func (c *Collector) Study() *Study {
 		key := linePortKey{line: c.lines.addrs[k.line], port: c.ports.keys[k.port]}
 		s.linePortDaily[key] = append([]float64(nil), c.lpDaily[slot*c.ds:(slot+1)*c.ds]...)
 	}
-	forEachBit(c.backendSeen, func(b int) { s.backendVol[idx.addrs[b]] = c.backendVol[b] })
+	// Continent volumes are the per-backend volumes regrouped: exact,
+	// because volumes are integer-valued (see Collector.Merge), and a
+	// zero-byte backend still creates its continent's key.
+	forEachBit(c.backendSeen, func(b int) {
+		s.backendVol[idx.addrs[b]] = c.backendVol[b]
+		s.contVol[idx.infos[b].cont] += c.backendVol[b]
+	})
 
 	if c.focusAlias != "" {
 		s.FocusDownAll = cloneSeries(c.focusDownAll)

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"iotmap/internal/analysis"
-	"iotmap/internal/geo"
 	"iotmap/internal/netflow"
 	"iotmap/internal/proto"
 )
@@ -20,38 +18,27 @@ import (
 // shape — it ingests endless feeds and must answer "figures for the
 // trailing N hours" at any moment.
 //
-// The window core is ring-columnar. Each ingest shard owns a ring of
-// hour buckets (absolute hour mod window hours), and a bucket is not a
-// private ContactCounter+Collector pair anymore: it is a stride-packed
-// arena over the rows the hour actually touched. Line and port
-// interning is hoisted out of the buckets into shard-owned tables
-// (lineTab/portTab), so a bucket never re-interns a netip.Addr — it
-// indexes rows by dense shard line ID through a rowOf indirection, and
-// all additive state for one row lives in four parallel slabs:
-//
-//	rowU64  (stride bw):      contact bits over the bucket-local
-//	                          backend ID space (beOf/beIDs)
-//	rowF64  (stride 2+asl+psl): [down, up, per-alias-slot down vol,
-//	                          per-port-slot down vol]
-//	rowI32  (stride asl+psl): [alias slots | port slots] (ID+1, 0=empty)
-//	rowU8   (stride asl+2):   [alias-slot af* flags | continent mask,
-//	                          focus-membership bits]
-//
-// plus per-bucket per-alias/per-backend totals (aliasVol/aliasSeen,
-// portVolA/portSeenA, backendVol/backendSeen) and the focus scalars.
-// Eviction recycles a bucket's arenas onto the shard's free list
-// (zeroed via the ledger of what was touched), so steady-state
-// eviction allocates nothing.
+// The window keeps no aggregates of its own. Each ingest shard owns a
+// ring of hour buckets (absolute hour mod window hours), and a bucket is
+// an append-only columnar row log: five parallel columns — shard line
+// ID, dense backend ID, backend-side port, row flags (kept, down, udp)
+// and the already-scaled byte volume — one row per routed record.
+// Ingest classifies each flush interval's lines against the scanner
+// threshold and appends; eviction truncates the columns and parks them
+// on the shard's free list, so steady-state eviction allocates nothing.
 //
 // Study()/Merged() fold the live buckets into a full-frame
-// ContactCounter+Collector. The fold is incremental: the last fold
-// over [ws, end) is cached and revalidated against per-bucket write
-// versions; an unchanged frame costs one clone plus a re-fold of the
-// newest hour's buckets. Because every aggregate's fold is
-// order-independent and exact (integer-valued float64 volumes, see
-// Collector.Merge), a window that never evicted is byte-identical to
-// a batch run over the same feed, and an evicted window matches a
-// batch run over only the surviving hours' flushes
+// ContactCounter+Collector by replaying rows: every row sets its
+// contact bit, kept rows go through Collector.ingestDense — the batch
+// engine's own ingest core — at hour offset (bucket hour − frame start).
+// The fold is incremental: the last fold over [ws, end) is cached and
+// revalidated against per-bucket write versions; an unchanged frame
+// costs one clone plus a re-fold of the newest hour's buckets. Because
+// the window and the batch pipeline share one aggregation core and
+// every aggregate is order-independent and exact (integer-valued
+// float64 volumes, see Collector.Merge), a window that never evicted is
+// byte-identical to a batch run over the same feed, and an evicted
+// window matches a batch run over only the surviving hours' flushes
 // (TestWindowEvictionMatchesBatch).
 //
 // Eviction granularity caveat: scanner classification stays per-flush,
@@ -119,14 +106,6 @@ type Window struct {
 	rate      float64
 	excluded  map[netip.Addr]struct{}
 
-	// Focus configuration resolved to dense IDs (Figures 15/16).
-	focusAliasID int32
-	focusRegion  string
-
-	// Dense geometry: words/aw are the backend/alias bitset widths, nA
-	// the alias count.
-	words, aw, nA int
-
 	// endA mirrors end for lock-free reads on the ingest fast path and
 	// the End()/Span() accessors.
 	endA atomic.Int64
@@ -159,31 +138,21 @@ type Window struct {
 	study  *winStudyCache
 }
 
-// winShard is one ingest shard: its own line/port intern tables, its
-// own ring of hour buckets, a free list of retired bucket arenas, and
-// the per-flush classification scratch. All fields are guarded by mu.
+// winShard is one ingest shard: its own line intern table, its own ring
+// of hour buckets, a free list of retired buckets, and the per-flush
+// classification scratch. All fields are guarded by mu.
 type winShard struct {
 	w  *Window
 	mu sync.Mutex
 
 	lines lineTab
-	ports portTab
-	// pcap/pw are the shard's current port capacity and port-bitset
-	// width for the per-bucket (alias, port) matrices. Growing the port
-	// space re-packs those matrices on the live ring; row port slots
-	// store port IDs directly and never restride.
-	pcap, pw int
 
 	ring []*winBucket
 	free []*winBucket
-	// rowHint/beHint/aslHint/pslHint are high-water marks across the
-	// shard's buckets — row count, local-backend count, and alias/port
-	// slot strides — used to presize fresh buckets so steady-state row
-	// growth neither reallocates nor restrides.
+	// rowHint is the row high-water mark across the shard's buckets;
+	// fresh buckets presize their columns from it so a chronological
+	// feed's row appends stay inside capacity.
 	rowHint int
-	beHint  int
-	aslHint int
-	pslHint int
 	// touched lists the buckets the in-progress flush wrote to.
 	touched []*winBucket
 
@@ -193,68 +162,40 @@ type winShard struct {
 	entOf map[netip.Addr]int32
 }
 
-// Alias-slot flag bits (rowU8 alias-flag lanes).
+// Row flag bits (winBucket.flags, and the IWIN row encoding).
 const (
-	afCert = 1 // a cert-found backend of this alias touched the row
-	afDown = 2 // the row saw downstream volume toward this alias
+	rowKept     = 1 << iota // reaches the Collector; otherwise contact evidence only
+	rowDown                 // the backend is the source
+	rowUDP                  // transport of the backend-side port
+	rowFlagMask = rowKept | rowDown | rowUDP
 )
 
-// winBucket is one live hour's arena. Rows are allocated in
-// first-touch order; rowOf maps shard line ID → row+1. Row state is
-// slot-packed rather than dense: a typical row touches one or two
-// aliases, ports, and backends out of hundreds, so each row carries a
-// few find-or-create slots (growing the whole bucket's stride in the
-// rare wide-row case) and a contact bitset over a bucket-local backend
-// ID space that covers only the backends this hour actually saw.
+// winBucket is one live hour's row log: parallel columns, one row per
+// routed record in arrival order.
 type winBucket struct {
-	ah      int64
+	ah int64
+	// records counts the bucket's kept rows.
 	records uint64
 	// ver is the writeVer of the last flush that touched the bucket;
 	// mark/inFlush track the in-progress flush for the frame ledger.
 	ver     uint64
 	mark    uint64
 	inFlush bool
-	covered bool
 
-	// Bucket-local strides: bw is the contact-bitset width over the
-	// local backend space, asl/psl the alias/port slots per row, and
-	// fw/iw/uw the derived rowF64 (2+asl+psl), rowI32 (asl+psl) and
-	// rowU8 (asl+2) strides.
-	bw, asl, psl, fw, iw, uw int
+	line    []int32 // shard line ID
+	backend []int32 // dense backend ID
+	port    []uint16
+	flags   []uint8
+	bytes   []float64 // scaled volume
+}
 
-	// Local backend interning: beOf maps global backend ID → local+1,
-	// beIDs is the reverse table (its length is the local space size).
-	beOf  []int32
-	beIDs []int32
-
-	nRows   int
-	lineIDs []int32
-	rowOf   []int32
-	// rowU64 is the per-row contact bitset (stride bw, local backend
-	// IDs). rowF64 is [down, up, aliasVol[asl], portVol[psl]] (stride
-	// fw). rowI32 packs the alias slots (alias ID+1, 0 = empty, filled
-	// left to right) then the port slots (shard port ID+1), stride iw.
-	// rowU8 packs the per-alias-slot af* flags then [conts, focusBits],
-	// stride uw.
-	rowU64 []uint64
-	rowF64 []float64
-	rowI32 []int32
-	rowU8  []uint8
-
-	// Per-alias hour totals: aliasVol[2a]/[2a+1] down/up volume,
-	// aliasSeen down bits then up bits (stride aw each).
-	aliasVol  []float64
-	aliasSeen []uint64
-	// Per-(alias, port) volume and presence, shard port IDs.
-	portVolA  []float64
-	portSeenA []uint64
-
-	// Per-backend volume and presence in the local backend space
-	// (scattered records only; contact-only backends stay zero/unset).
-	backendVol  []float64
-	backendSeen []uint64
-
-	focusAllV, focusRegionV, focusEUV float64
+// add appends one row.
+func (bk *winBucket) add(line, backend int32, port uint16, flags uint8, bytes float64) {
+	bk.line = append(bk.line, line)
+	bk.backend = append(bk.backend, backend)
+	bk.port = append(bk.port, port)
+	bk.flags = append(bk.flags, flags)
+	bk.bytes = append(bk.bytes, bytes)
 }
 
 // WindowStats counts what the window refused or retired.
@@ -301,51 +242,33 @@ func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Wi
 	if rate <= 0 {
 		rate = 1
 	}
-	focusAliasID := int32(-1)
-	if opts.FocusAlias != "" {
-		for i, name := range idx.aliasNames {
-			if name == opts.FocusAlias {
-				focusAliasID = int32(i)
-			}
-		}
-	}
-	nA := len(idx.aliasNames)
 	w := &Window{
-		idx:          idx,
-		opts:         opts,
-		epoch:        epoch,
-		hours:        hours,
-		threshold:    threshold,
-		rate:         rate,
-		excluded:     opts.Excluded,
-		focusAliasID: focusAliasID,
-		focusRegion:  opts.FocusRegion,
-		words:        idx.words,
-		aw:           idx.aliasWords,
-		nA:           nA,
-		end:          -1,
-		hourLive:     make([]bool, hours),
-		hourRecs:     make([]uint64, hours),
+		idx:       idx,
+		opts:      opts,
+		epoch:     epoch,
+		hours:     hours,
+		threshold: threshold,
+		rate:      rate,
+		excluded:  opts.Excluded,
+		end:       -1,
+		hourLive:  make([]bool, hours),
+		hourRecs:  make([]uint64, hours),
 	}
 	w.endA.Store(-1)
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > maxWindowShards {
-		n = maxWindowShards
-	}
+	w.setShards(min(max(runtime.GOMAXPROCS(0), 1), maxWindowShards))
+	return w, nil
+}
+
+// setShards builds the window's n empty ingest shards.
+func (w *Window) setShards(n int) {
 	w.shards = make([]*winShard, n)
 	for i := range w.shards {
 		w.shards[i] = &winShard{
 			w:     w,
-			pcap:  8,
-			pw:    1,
-			ring:  make([]*winBucket, hours),
+			ring:  make([]*winBucket, w.hours),
 			entOf: map[netip.Addr]int32{},
 		}
 	}
-	return w, nil
 }
 
 // Epoch returns the wall-clock anchor of absolute hour 0.
@@ -512,6 +435,9 @@ func (sh *winShard) endFlush() {
 		}
 		bk.inFlush = false
 		bk.ver = ver
+		if n := len(bk.line); n > sh.rowHint {
+			sh.rowHint = n
+		}
 		delta := bk.records - bk.mark
 		if w.end-bk.ah < int64(w.hours) {
 			slot := int(bk.ah % int64(w.hours))
@@ -525,62 +451,35 @@ func (sh *winShard) endFlush() {
 	sh.touched = sh.touched[:0]
 }
 
-// takeBucket pops (or allocates) a bucket arena for hour ah, presized
-// to the shard's row high-water mark. All slices are managed by grown,
-// so recycled capacity re-exposes zeroed memory.
+// takeBucket pops a retired bucket (its columns keep their capacity) or
+// allocates one presized past the shard's row high-water mark: bucket
+// fills creep, and a hint that lags by one row would re-grow every
+// column on every bucket.
 func (sh *winShard) takeBucket(ah int64) *winBucket {
-	w := sh.w
-	var bk *winBucket
 	if n := len(sh.free); n > 0 {
-		bk = sh.free[n-1]
+		bk := sh.free[n-1]
 		sh.free[n-1] = nil
 		sh.free = sh.free[:n-1]
-	} else {
-		bk = &winBucket{}
+		bk.ah = ah
+		return bk
 	}
-	bk.ah = ah
-	// Presize past the high-water marks: bucket fills creep, and a hint
-	// that lags by one row would re-grow every slab on every bucket.
-	beHint := sh.beHint + sh.beHint/4 + 16
-	if beHint < 128 {
-		beHint = 128
+	// The cold-start floor covers feeds that are not hour-ordered
+	// (per-line simulation, replays): they open every ring hour before
+	// any high-water mark is learned.
+	n := max(sh.rowHint+sh.rowHint/4+16, 256)
+	return &winBucket{
+		ah:      ah,
+		line:    make([]int32, 0, n),
+		backend: make([]int32, 0, n),
+		port:    make([]uint16, 0, n),
+		flags:   make([]uint8, 0, n),
+		bytes:   make([]float64, 0, n),
 	}
-	bk.bw = (beHint + 63) / 64
-	bk.asl, bk.psl = 4, 4
-	if bk.asl < sh.aslHint {
-		bk.asl = sh.aslHint
-	}
-	if bk.psl < sh.pslHint {
-		bk.psl = sh.pslHint
-	}
-	bk.fw = 2 + bk.asl + bk.psl
-	bk.iw = bk.asl + bk.psl
-	bk.uw = bk.asl + 2
-	hint := sh.capRows()
-	bk.lineIDs = grown(bk.lineIDs, hint)[:0]
-	bk.rowU64 = grown(bk.rowU64, hint*bk.bw)[:0]
-	bk.rowF64 = grown(bk.rowF64, hint*bk.fw)[:0]
-	bk.rowI32 = grown(bk.rowI32, hint*bk.iw)[:0]
-	bk.rowU8 = grown(bk.rowU8, hint*bk.uw)[:0]
-	// Line IDs keep interning while the bucket is live, so give rowOf
-	// headroom beyond the current table or every bucket re-grows it.
-	lcap := len(sh.lines.addrs)
-	bk.rowOf = grown(bk.rowOf, lcap+lcap/4+64)
-	bk.beOf = grown(bk.beOf, len(w.idx.addrs))
-	bk.beIDs = grown(bk.beIDs, beHint)[:0]
-	bk.aliasVol = grown(bk.aliasVol, 2*w.nA)
-	bk.aliasSeen = grown(bk.aliasSeen, 2*w.aw)
-	bk.portVolA = grown(bk.portVolA, w.nA*sh.pcap)
-	bk.portSeenA = grown(bk.portSeenA, w.nA*sh.pw)
-	bk.backendVol = grown(bk.backendVol, beHint)[:0]
-	bk.backendSeen = grown(bk.backendSeen, bk.bw)
-	return bk
 }
 
-// recycle zeroes exactly what the bucket touched and parks its arenas
-// on the shard free list. If the bucket is mid-flush its un-ledgered
-// records are credited to EvictedRecords (the flush jumped the window
-// past its own hour).
+// recycle empties the bucket and parks it on the shard free list. If
+// the bucket is mid-flush its un-ledgered records are credited to
+// EvictedRecords (the flush jumped the window past its own hour).
 func (sh *winShard) recycle(bk *winBucket) {
 	if bk.inFlush {
 		w := sh.w
@@ -589,296 +488,20 @@ func (sh *winShard) recycle(bk *winBucket) {
 		w.frameMu.Unlock()
 		bk.inFlush = false
 	}
-	if bk.nRows > sh.rowHint {
-		sh.rowHint = bk.nRows
-	}
-	for r := 0; r < bk.nRows; r++ {
-		bk.rowOf[bk.lineIDs[r]] = 0
-	}
-	for _, g := range bk.beIDs {
-		bk.beOf[g] = 0
-	}
-	bk.beIDs = bk.beIDs[:0]
-	clear(bk.rowU64)
-	clear(bk.rowF64)
-	clear(bk.rowI32)
-	clear(bk.rowU8)
-	bk.rowU64 = bk.rowU64[:0]
-	bk.rowF64 = bk.rowF64[:0]
-	bk.rowI32 = bk.rowI32[:0]
-	bk.rowU8 = bk.rowU8[:0]
-	bk.lineIDs = bk.lineIDs[:0]
-	bk.nRows = 0
-	clear(bk.aliasVol)
-	clearBits(bk.aliasSeen)
-	clear(bk.portVolA)
-	clearBits(bk.portSeenA)
-	clear(bk.backendVol)
-	bk.backendVol = bk.backendVol[:0]
-	clearBits(bk.backendSeen)
-	bk.backendSeen = bk.backendSeen[:0]
-	bk.focusAllV, bk.focusRegionV, bk.focusEUV = 0, 0, 0
-	bk.covered = false
+	bk.line = bk.line[:0]
+	bk.backend = bk.backend[:0]
+	bk.port = bk.port[:0]
+	bk.flags = bk.flags[:0]
+	bk.bytes = bk.bytes[:0]
 	bk.records, bk.mark, bk.ver = 0, 0, 0
 	sh.free = append(sh.free, bk)
-}
-
-// capRows is the row capacity fresh slabs (and restrides) allocate
-// for: the shard high-water plus creep headroom, so steady-state row
-// appends stay inside capacity.
-func (sh *winShard) capRows() int {
-	n := sh.rowHint + sh.rowHint/4 + 16
-	// The cold-start floor is deliberately generous: a feed that is not
-	// hour-ordered (per-line simulation, replays) touches every ring
-	// hour before any high-water mark is learned, and a low floor makes
-	// each of those buckets climb the doubling ladder from scratch.
-	if n < 256 {
-		n = 256
-	}
-	return n
-}
-
-// rowFor finds or creates the bucket row of shard line ID lid.
-func (sh *winShard) rowFor(bk *winBucket, lid int32) int {
-	bk.rowOf = grown(bk.rowOf, int(lid)+1)
-	if r := bk.rowOf[lid]; r != 0 {
-		return int(r) - 1
-	}
-	r := bk.nRows
-	bk.nRows++
-	if bk.nRows > sh.rowHint {
-		sh.rowHint = bk.nRows
-	}
-	bk.rowOf[lid] = int32(r) + 1
-	bk.lineIDs = grown(bk.lineIDs, r+1)
-	bk.lineIDs[r] = lid
-	bk.rowU64 = grown(bk.rowU64, (r+1)*bk.bw)
-	bk.rowF64 = grown(bk.rowF64, (r+1)*bk.fw)
-	bk.rowI32 = grown(bk.rowI32, (r+1)*bk.iw)
-	bk.rowU8 = grown(bk.rowU8, (r+1)*bk.uw)
-	return r
-}
-
-// portID interns a port key, growing the shard's (alias, port)
-// matrices when the ID space outgrows pcap.
-func (sh *winShard) portID(k proto.PortKey) int {
-	p := int(sh.ports.id(k))
-	if p >= sh.pcap {
-		sh.growPorts(p + 1)
-	}
-	return p
-}
-
-// growPorts doubles the shard's port capacity to cover need and
-// re-packs every live ring bucket's per-alias port matrices. Row port
-// slots store port IDs directly and are unaffected. Free-list buckets
-// are all-zero, so their stride is meaningless until takeBucket
-// resizes them.
-func (sh *winShard) growPorts(need int) {
-	w := sh.w
-	opcap, opw := sh.pcap, sh.pw
-	npcap := 2 * sh.pcap
-	if npcap < 32 {
-		npcap = 32
-	}
-	for npcap < need {
-		npcap *= 2
-	}
-	sh.pcap = npcap
-	sh.pw = (npcap + 63) / 64
-	for _, bk := range sh.ring {
-		if bk == nil {
-			continue
-		}
-		npv := make([]float64, w.nA*sh.pcap)
-		nps := make([]uint64, w.nA*sh.pw)
-		for a := 0; a < w.nA; a++ {
-			copy(npv[a*sh.pcap:a*sh.pcap+opcap], bk.portVolA[a*opcap:(a+1)*opcap])
-			copy(nps[a*sh.pw:a*sh.pw+opw], bk.portSeenA[a*opw:(a+1)*opw])
-		}
-		bk.portVolA = npv
-		bk.portSeenA = nps
-	}
-}
-
-// beLocal interns global backend ID be into the bucket's local space,
-// widening the contact-bitset stride when the space outgrows it.
-func (sh *winShard) beLocal(bk *winBucket, be int32) int {
-	if lb := bk.beOf[be]; lb != 0 {
-		return int(lb) - 1
-	}
-	n := len(bk.beIDs)
-	if n >= bk.bw*64 {
-		obw := bk.bw
-		bk.bw = 2 * obw
-		cr := sh.capRows()
-		if cr < bk.nRows {
-			cr = bk.nRows
-		}
-		nu := make([]uint64, bk.nRows*bk.bw, cr*bk.bw)
-		for r := 0; r < bk.nRows; r++ {
-			copy(nu[r*bk.bw:r*bk.bw+obw], bk.rowU64[r*obw:(r+1)*obw])
-		}
-		bk.rowU64 = nu
-		bk.backendSeen = grown(bk.backendSeen, bk.bw)
-	}
-	bk.beIDs = append(bk.beIDs, be)
-	if n+1 > sh.beHint {
-		sh.beHint = n + 1
-	}
-	bk.beOf[be] = int32(n) + 1
-	return n
-}
-
-// ccSet records contact evidence (line row → backend) in the row's
-// local-space contact bitset and returns the backend's local ID.
-func (sh *winShard) ccSet(bk *winBucket, row int, be int32) int {
-	lb := sh.beLocal(bk, be)
-	setBit(bk.rowU64[row*bk.bw:], lb)
-	return lb
-}
-
-// aliasSlot finds or creates the row's slot for alias a. Slots fill
-// left to right; a full row doubles the bucket's alias stride.
-func (sh *winShard) aliasSlot(bk *winBucket, row, a int) int {
-	base := row * bk.iw
-	for i := 0; i < bk.asl; i++ {
-		switch bk.rowI32[base+i] {
-		case int32(a) + 1:
-			return i
-		case 0:
-			bk.rowI32[base+i] = int32(a) + 1
-			return i
-		}
-	}
-	i := bk.asl
-	sh.restrideRows(bk, 2*bk.asl, bk.psl)
-	bk.rowI32[row*bk.iw+i] = int32(a) + 1
-	return i
-}
-
-// portSlot finds or creates the row's slot for shard port ID pid.
-func (sh *winShard) portSlot(bk *winBucket, row, pid int) int {
-	base := row*bk.iw + bk.asl
-	for i := 0; i < bk.psl; i++ {
-		switch bk.rowI32[base+i] {
-		case int32(pid) + 1:
-			return i
-		case 0:
-			bk.rowI32[base+i] = int32(pid) + 1
-			return i
-		}
-	}
-	i := bk.psl
-	sh.restrideRows(bk, bk.asl, 2*bk.psl)
-	bk.rowI32[row*bk.iw+bk.asl+i] = int32(pid) + 1
-	return i
-}
-
-// restrideRows re-packs the row slabs to wider alias/port slot strides
-// (the rare row that outgrows its slots pays for the whole bucket).
-// New slabs carry capRows of spare capacity so later row appends stay
-// amortized, and the shard slot hints rise so future buckets start at
-// the wider stride instead of restriding again.
-func (sh *winShard) restrideRows(bk *winBucket, nasl, npsl int) {
-	oasl, opsl, ofw, oiw, ouw := bk.asl, bk.psl, bk.fw, bk.iw, bk.uw
-	fw := 2 + nasl + npsl
-	iw := nasl + npsl
-	uw := nasl + 2
-	cr := sh.capRows()
-	if cr < bk.nRows {
-		cr = bk.nRows
-	}
-	nf := make([]float64, bk.nRows*fw, cr*fw)
-	for r := 0; r < bk.nRows; r++ {
-		of := bk.rowF64[r*ofw : (r+1)*ofw]
-		nfr := nf[r*fw : (r+1)*fw]
-		nfr[0], nfr[1] = of[0], of[1]
-		copy(nfr[2:2+oasl], of[2:2+oasl])
-		copy(nfr[2+nasl:2+nasl+opsl], of[2+oasl:2+oasl+opsl])
-	}
-	bk.rowF64 = nf
-	ni := make([]int32, bk.nRows*iw, cr*iw)
-	for r := 0; r < bk.nRows; r++ {
-		copy(ni[r*iw:r*iw+oasl], bk.rowI32[r*oiw:r*oiw+oasl])
-		copy(ni[r*iw+nasl:r*iw+nasl+opsl], bk.rowI32[r*oiw+oasl:(r+1)*oiw])
-	}
-	bk.rowI32 = ni
-	if nasl != oasl {
-		nu := make([]uint8, bk.nRows*uw, cr*uw)
-		for r := 0; r < bk.nRows; r++ {
-			copy(nu[r*uw:r*uw+oasl], bk.rowU8[r*ouw:r*ouw+oasl])
-			nu[r*uw+nasl] = bk.rowU8[r*ouw+oasl]
-			nu[r*uw+nasl+1] = bk.rowU8[r*ouw+oasl+1]
-		}
-		bk.rowU8 = nu
-	}
-	bk.asl, bk.psl, bk.fw, bk.iw, bk.uw = nasl, npsl, fw, iw, uw
-	if nasl > sh.aslHint {
-		sh.aslHint = nasl
-	}
-	if npsl > sh.pslHint {
-		sh.pslHint = npsl
-	}
-}
-
-// scatter folds one kept, non-excluded record into a bucket row — the
-// ring-columnar equivalent of Collector.ingestDense at bucket-local
-// hour 0. lb is the record backend's local ID (from ccSet).
-func (sh *winShard) scatter(bk *winBucket, row int, backendID int32, lb int, down bool, pid int, bytes float64) {
-	w := sh.w
-	bi := &w.idx.infos[backendID]
-	a := int(bi.aliasID)
-	bk.covered = true
-	si := sh.aliasSlot(bk, row, a)
-	if bi.certFound {
-		bk.rowU8[row*bk.uw+si] |= afCert
-	}
-	if down {
-		pi := sh.portSlot(bk, row, pid)
-		f := bk.rowF64[row*bk.fw:]
-		f[0] += bytes
-		bk.rowU8[row*bk.uw+si] |= afDown
-		f[2+si] += bytes
-		f[2+bk.asl+pi] += bytes
-		bk.aliasVol[2*a] += bytes
-		setBit(bk.aliasSeen, a)
-	} else {
-		bk.rowF64[row*bk.fw+1] += bytes
-		bk.aliasVol[2*a+1] += bytes
-		setBit(bk.aliasSeen[w.aw:], a)
-	}
-	bk.portVolA[a*sh.pcap+pid] += bytes
-	setBit(bk.portSeenA[a*sh.pw:], pid)
-	bk.backendVol = grown(bk.backendVol, lb+1)
-	bk.backendVol[lb] += bytes
-	setBit(bk.backendSeen, lb)
-	bk.rowU8[row*bk.uw+bk.asl] |= contBit(bi.cont)
-	if int32(a) == w.focusAliasID {
-		fb := uint8(1)
-		if down {
-			bk.focusAllV += bytes
-		}
-		switch {
-		case bi.region == w.focusRegion:
-			fb |= 2
-			if down {
-				bk.focusRegionV += bytes
-			}
-		case bi.cont == geo.Europe:
-			fb |= 4
-			if down {
-				bk.focusEUV += bytes
-			}
-		}
-		bk.rowU8[row*bk.uw+bk.asl+1] |= fb
-	}
 }
 
 // IngestFlush implements Sink for the record path: classification
 // evidence is pooled over the whole flush (exactly like
 // ShardPartial.EndLine — a scanner's contacts count no matter which
-// hour they land in), then each record folds into its own hour bucket.
+// hour they land in), then each record is appended to its own hour
+// bucket.
 func (w *Window) IngestFlush(recs []netflow.Record) {
 	if len(recs) == 0 {
 		return
@@ -886,7 +509,7 @@ func (w *Window) IngestFlush(recs []netflow.Record) {
 	sh := w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	words := w.words
+	words := w.idx.words
 	sh.sides = sh.sides[:0]
 	ents := sh.ents[:0]
 	for _, r := range recs {
@@ -905,7 +528,8 @@ func (w *Window) IngestFlush(recs []netflow.Record) {
 		sh.sides = append(sh.sides, recSide{backendID: backendID, entry: e, down: down})
 	}
 	for i := range ents {
-		ents[i].over = popcount(ents[i].bits) > w.threshold
+		_, skip := w.excluded[ents[i].addr]
+		ents[i].over = skip || popcount(ents[i].bits) > w.threshold
 	}
 	for i, r := range recs {
 		s := sh.sides[i]
@@ -918,22 +542,19 @@ func (w *Window) IngestFlush(recs []netflow.Record) {
 			continue
 		}
 		ent := &ents[s.entry]
-		row := sh.rowFor(bk, sh.lines.id(ent.addr))
-		lb := sh.ccSet(bk, row, s.backendID)
-		if ent.over {
-			continue
+		// The backend-side port identifies the service.
+		port, flags := r.DstPort, uint8(0)
+		if s.down {
+			port, flags = r.SrcPort, rowDown
 		}
-		if _, skip := w.excluded[ent.addr]; !skip {
-			port := proto.PortKey{Port: r.SrcPort}
-			if !s.down {
-				port = proto.PortKey{Port: r.DstPort}
-			}
-			if r.Proto == netflow.ProtoUDP {
-				port.Transport = proto.UDP
-			}
-			sh.scatter(bk, row, s.backendID, lb, s.down, sh.portID(port), float64(r.Bytes)*w.rate)
+		if r.Proto == netflow.ProtoUDP {
+			flags |= rowUDP
 		}
-		bk.records++
+		if !ent.over {
+			flags |= rowKept
+			bk.records++
+		}
+		bk.add(sh.lines.id(ent.addr), s.backendID, port, flags, float64(r.Bytes)*w.rate)
 	}
 	sh.ents = ents
 	clear(sh.entOf)
@@ -967,7 +588,7 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	words := w.words
+	words := w.idx.words
 	ents := sh.ents[:0]
 
 	// Pass 1: per-line contact evidence for this flush interval.
@@ -988,12 +609,13 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	}
 	for _, li := range t.touched {
 		ent := &ents[t.entSlot[li]-1]
-		ent.over = popcount(ent.bits) > w.threshold
+		ent.over = t.lines[li].excluded || popcount(ent.bits) > w.threshold
 	}
 
-	// Pass 2: route every row to its hour bucket — contact evidence
-	// always, scatter only for kept rows of non-excluded lines. Line
-	// IDs are shard-table IDs memoized on the tables (winID).
+	// Pass 2: append every row to its hour bucket — all of them are
+	// contact evidence, rows of kept, non-excluded lines also reach the
+	// Collector at fold time. Line IDs are shard-table IDs memoized on
+	// the tables (winID).
 	for i := 0; i < n; i++ {
 		be := t.backends[b.Backend[i]]
 		if be < 0 {
@@ -1011,17 +633,18 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 			lid = sh.lines.id(ln.addr)
 			ln.winID = lid + 1
 		}
-		row := sh.rowFor(bk, lid)
-		lb := sh.ccSet(bk, row, be)
-		if ents[t.entSlot[li]-1].over || ln.excluded {
-			continue
+		var flags uint8
+		if b.Down[i] {
+			flags = rowDown
 		}
-		port := proto.PortKey{Port: b.Port[i]}
 		if b.Proto[i] == netflow.ProtoUDP {
-			port.Transport = proto.UDP
+			flags |= rowUDP
 		}
-		sh.scatter(bk, row, be, lb, b.Down[i], sh.portID(port), float64(b.Bytes[i])*w.rate)
-		bk.records++
+		if !ents[t.entSlot[li]-1].over {
+			flags |= rowKept
+			bk.records++
+		}
+		bk.add(lid, be, b.Port[i], flags, float64(b.Bytes[i])*w.rate)
 	}
 
 	for _, li := range t.touched {
@@ -1059,8 +682,8 @@ func appendEnt(ents []endEnt, addr netip.Addr, words int) []endEnt {
 // --- Incremental fold ----------------------------------------------------
 
 // windowFold is one materialized trailing-frame fold: the full-frame
-// ContactCounter+Collector plus the per-shard ID remap memos that let
-// later buckets fold in without rescanning the intern tables.
+// ContactCounter+Collector plus the per-shard line ID remap memos that
+// let later buckets fold in without re-interning addresses.
 type windowFold struct {
 	ws, end int64
 	// ver is the writeVer the fold is current to (only meaningful on
@@ -1068,8 +691,8 @@ type windowFold struct {
 	ver uint64
 	cc  *ContactCounter
 	col *Collector
-	// Per-shard memos: shard line/port ID → fold ID+1 (0 = unmapped).
-	ccRemap, colRemap, portRemap [][]int32
+	// Per-shard memos: shard line ID → fold line ID+1 (0 = unmapped).
+	ccRemap, colRemap [][]int32
 }
 
 // winStudyCache memoizes the last Study() result for an unchanged
@@ -1090,13 +713,12 @@ func (w *Window) newFoldFrame(ws, end int64) *windowFold {
 	}
 	n := len(w.shards)
 	return &windowFold{
-		ws:        ws,
-		end:       end,
-		cc:        NewContactCounter(w.idx),
-		col:       NewCollector(w.idx, days, w.opts),
-		ccRemap:   make([][]int32, n),
-		colRemap:  make([][]int32, n),
-		portRemap: make([][]int32, n),
+		ws:       ws,
+		end:      end,
+		cc:       NewContactCounter(w.idx),
+		col:      NewCollector(w.idx, days, w.opts),
+		ccRemap:  make([][]int32, n),
+		colRemap: make([][]int32, n),
 	}
 }
 
@@ -1104,14 +726,13 @@ func (w *Window) newFoldFrame(ws, end int64) *windowFold {
 // mutating (or keeping) the returned aggregates.
 func cloneFold(f *windowFold) *windowFold {
 	return &windowFold{
-		ws:        f.ws,
-		end:       f.end,
-		ver:       f.ver,
-		cc:        f.cc.clone(),
-		col:       f.col.clone(),
-		ccRemap:   cloneNested(f.ccRemap),
-		colRemap:  cloneNested(f.colRemap),
-		portRemap: cloneNested(f.portRemap),
+		ws:       f.ws,
+		end:      f.end,
+		ver:      f.ver,
+		cc:       f.cc.clone(),
+		col:      f.col.clone(),
+		ccRemap:  cloneNested(f.ccRemap),
+		colRemap: cloneNested(f.colRemap),
 	}
 }
 
@@ -1140,145 +761,39 @@ func (w *Window) foldRange(f *windowFold, lo, hi int64) {
 	}
 }
 
-// foldBucketInto adds one bucket's full state to the fold at hour
-// offset bk.ah-f.ws. The field enumeration mirrors ingestDense; the
-// window≡batch identity tests pin the equivalence.
+// foldBucketInto replays one bucket's rows into the fold at hour offset
+// bk.ah-f.ws: every row is contact evidence, kept rows go through the
+// batch engine's ingest core.
 func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBucket) {
 	hourOff := int(bk.ah - f.ws)
-	dayOff := hourOff / 24
 	cc, col := f.cc, f.col
-
 	f.ccRemap[si] = grown(f.ccRemap[si], len(sh.lines.addrs))
 	f.colRemap[si] = grown(f.colRemap[si], len(sh.lines.addrs))
-	f.portRemap[si] = grown(f.portRemap[si], len(sh.ports.keys))
-	ccRemap, colRemap, portRemap := f.ccRemap[si], f.colRemap[si], f.portRemap[si]
-	port := func(p int) int {
-		cp := portRemap[p]
-		if cp == 0 {
-			cp = col.ports.id(sh.ports.keys[p]) + 1
-			portRemap[p] = cp
-		}
-		return int(cp) - 1
-	}
+	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
 
-	for r := 0; r < bk.nRows; r++ {
-		lid := bk.lineIDs[r]
-
+	for i, lid := range bk.line {
+		be := bk.backend[i]
 		cid := ccRemap[lid]
 		if cid == 0 {
 			cid = cc.lineID(sh.lines.addrs[lid]) + 1
 			ccRemap[lid] = cid
 		}
-		dst := cc.bits[int(cid-1)*cc.words : int(cid)*cc.words]
-		forEachBit(bk.rowU64[r*bk.bw:(r+1)*bk.bw], func(lb int) {
-			setBit(dst, int(bk.beIDs[lb]))
-		})
+		setBit(cc.bits[int(cid-1)*cc.words:], int(be))
 
-		conts := bk.rowU8[r*bk.uw+bk.asl]
-		if conts == 0 {
-			continue // contact evidence only: scanner or excluded line
+		fl := bk.flags[i]
+		if fl&rowKept == 0 {
+			continue // scanner or excluded line
 		}
 		tid := colRemap[lid]
 		if tid == 0 {
 			tid = col.lineID(sh.lines.addrs[lid]) + 1
 			colRemap[lid] = tid
 		}
-		t := int(tid) - 1
-		fr := bk.rowF64[r*bk.fw : (r+1)*bk.fw]
-
-		col.lineDaily[t*2*col.ds+2*dayOff] += fr[0]
-		col.lineDaily[t*2*col.ds+2*dayOff+1] += fr[1]
-		col.lineConts[t] |= conts
-		for i := 0; i < bk.asl; i++ {
-			id := bk.rowI32[r*bk.iw+i]
-			if id == 0 {
-				break
-			}
-			a := int(id) - 1
-			fl := bk.rowU8[r*bk.uw+i]
-			setBit(col.lineAliasBits[t*col.aw:], a)
-			if fl&afCert != 0 {
-				setBit(col.lineCertBits[t*col.aw:], a)
-			}
-			lh := grown(col.lineHours[a], (t+1)*col.hw)
-			col.lineHours[a] = lh
-			setBit(lh[t*col.hw:], hourOff)
-			if fl&afDown != 0 {
-				col.laDaily[col.laSlotBase(t, a)+dayOff] += fr[2+i]
-			}
+		port := proto.PortKey{Port: bk.port[i]}
+		if fl&rowUDP != 0 {
+			port.Transport = proto.UDP
 		}
-		for i := 0; i < bk.psl; i++ {
-			id := bk.rowI32[r*bk.iw+bk.asl+i]
-			if id == 0 {
-				break
-			}
-			col.lpDaily[col.lpSlotBase(t, port(int(id)-1))+dayOff] += fr[2+bk.asl+i]
-		}
-		if fb := bk.rowU8[r*bk.uw+bk.asl+1]; fb != 0 {
-			if fb&1 != 0 {
-				col.focusHoursAll = grown(col.focusHoursAll, (t+1)*col.hw)
-				setBit(col.focusHoursAll[t*col.hw:], hourOff)
-			}
-			if fb&2 != 0 {
-				col.focusHoursRegion = grown(col.focusHoursRegion, (t+1)*col.hw)
-				setBit(col.focusHoursRegion[t*col.hw:], hourOff)
-			}
-			if fb&4 != 0 {
-				col.focusHoursEU = grown(col.focusHoursEU, (t+1)*col.hw)
-				setBit(col.focusHoursEU[t*col.hw:], hourOff)
-			}
-		}
-	}
-
-	forEachBit(bk.aliasSeen[:w.aw], func(a int) {
-		s := col.downHour[a]
-		if s == nil {
-			s = analysis.NewSeries(w.idx.aliasNames[a], col.hours)
-			col.downHour[a] = s
-		}
-		s.Values[hourOff] += bk.aliasVol[2*a]
-	})
-	forEachBit(bk.aliasSeen[w.aw:], func(a int) {
-		s := col.upHour[a]
-		if s == nil {
-			s = analysis.NewSeries(w.idx.aliasNames[a], col.hours)
-			col.upHour[a] = s
-		}
-		s.Values[hourOff] += bk.aliasVol[2*a+1]
-	})
-	for a := 0; a < w.nA; a++ {
-		forEachBit(bk.portSeenA[a*sh.pw:(a+1)*sh.pw], func(p int) {
-			cp := port(p)
-			pv := grown(col.portVol[a], cp+1)
-			col.portVol[a] = pv
-			pv[cp] += bk.portVolA[a*sh.pcap+p]
-			ps := grown(col.portSeen[a], cp>>6+1)
-			col.portSeen[a] = ps
-			setBit(ps, cp)
-		})
-	}
-
-	forEachBit(bk.backendSeen, func(lb int) {
-		b := int(bk.beIDs[lb])
-		bi := &w.idx.infos[b]
-		v := bk.backendVol[lb]
-		col.backendVol[b] += v
-		vs := col.visible[bi.aliasID]
-		if vs == nil {
-			vs = make([]uint64, w.idx.words)
-			col.visible[bi.aliasID] = vs
-		}
-		setBit(vs, b)
-		col.contVol[bi.cont] += v
-		setBit(col.backendSeen, b)
-	})
-	if bk.covered {
-		setBit(col.coverBits, hourOff)
-	}
-	if col.focusDownAll != nil {
-		col.focusDownAll.Values[hourOff] += bk.focusAllV
-		col.focusDownRegion.Values[hourOff] += bk.focusRegionV
-		col.focusDownEU.Values[hourOff] += bk.focusEUV
+		col.ingestDense(int(tid)-1, be, fl&rowDown != 0, hourOff, port, bk.bytes[i])
 	}
 }
 

@@ -153,13 +153,48 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 
 // TestWindowBatchPathMatchesRecordPath: the columnar wire path
 // (dictionary tables + RecordBatch) folds into a window exactly like
-// the equivalent record flushes.
+// the equivalent record flushes — figures, per-hour fill, and the
+// eviction ledger. A third of the lines are pre-excluded: their rows
+// are contact evidence on both paths and records on neither.
 func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	f := buildDenseFixture(7)
 	opts := f.opts
 	opts.ScannerThreshold = 3
+	opts.Excluded = map[netip.Addr]struct{}{}
 	const windowHours = 48
 	epoch := f.days[0]
+	f.idx.Build()
+
+	// Build the stream dictionaries the exporter would have negotiated.
+	lineID := map[netip.Addr]uint32{}
+	backID := map[netip.Addr]uint32{}
+	var lineAddrs, backAddrs []netip.Addr
+	excludedRows := 0
+	for _, r := range f.recs {
+		line, beID, _, ok := f.idx.lineSide(r)
+		if !ok {
+			continue
+		}
+		if _, seen := lineID[line]; !seen {
+			lineID[line] = uint32(len(lineAddrs))
+			lineAddrs = append(lineAddrs, line)
+			if len(lineAddrs)%3 == 0 {
+				opts.Excluded[line] = struct{}{}
+			}
+		}
+		if _, skip := opts.Excluded[line]; skip {
+			excludedRows++
+		}
+		be := f.idx.addrs[beID]
+		if _, seen := backID[be]; !seen {
+			backID[be] = uint32(len(backAddrs))
+			backAddrs = append(backAddrs, be)
+		}
+	}
+	if excludedRows == 0 {
+		t.Fatal("fixture has no rows on excluded lines")
+	}
+
 	winRec, err := NewWindow(f.idx, epoch, windowHours, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -169,26 +204,6 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables := winBatch.NewWireTables()
-
-	// Build the stream dictionaries the exporter would have negotiated.
-	lineID := map[netip.Addr]uint32{}
-	backID := map[netip.Addr]uint32{}
-	var lineAddrs, backAddrs []netip.Addr
-	for _, r := range f.recs {
-		line, beID, _, ok := f.idx.lineSide(r)
-		if !ok {
-			continue
-		}
-		if _, seen := lineID[line]; !seen {
-			lineID[line] = uint32(len(lineAddrs))
-			lineAddrs = append(lineAddrs, line)
-		}
-		be := f.idx.addrs[beID]
-		if _, seen := backID[be]; !seen {
-			backID[be] = uint32(len(backAddrs))
-			backAddrs = append(backAddrs, be)
-		}
-	}
 	if err := tables.AddLines(0, lineAddrs); err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +240,12 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ccB.contactSets(), ccR.contactSets()) {
 		t.Error("batch-path window contact sets differ from record-path window")
+	}
+	if !reflect.DeepEqual(winRec.BucketStats(), winBatch.BucketStats()) {
+		t.Error("per-hour record counts differ between the record and batch paths")
+	}
+	if st := winRec.Stats(); st.EvictedHours == 0 || st.EvictedRecords == 0 {
+		t.Fatalf("5-day feed through a 2-day window must evict, got %+v", st)
 	}
 	if winRec.Stats() != winBatch.Stats() {
 		t.Errorf("stats differ: record %+v batch %+v", winRec.Stats(), winBatch.Stats())

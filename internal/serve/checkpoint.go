@@ -28,19 +28,16 @@ import (
 // The per-section CRC32 (IEEE, over the section body only) is the
 // torn-write detector: a checkpoint that lost its tail in a crash — or
 // had a sector go bad underneath it — fails closed at restore instead
-// of resurrecting a half-window. Version 1 ("IOTCKPT1") containers lack
-// the CRC field and are still readable (trusted as-is, as they always
-// were); writers only emit version 2.
+// of resurrecting a half-window.
 //
 // The dictionary bundle is itself length-prefixed per entry: source
 // label, exporter epoch, advertised rate, the per-entry address
 // families, and the flows.WireTables snapshot. Everything is
 // little-endian, matching the flows snapshot codec.
 const (
-	checkpointMagic   = "IOTCKPT2"
-	checkpointMagicV1 = "IOTCKPT1"
-	sectionWindow     = "WIN0"
-	sectionDicts      = "DCT0"
+	checkpointMagic = "IOTCKPT2"
+	sectionWindow   = "WIN0"
+	sectionDicts    = "DCT0"
 	// maxSectionBytes bounds one section (and any length field inside
 	// the dictionary bundle) against a corrupt header allocating GBs.
 	maxSectionBytes = 1 << 31
@@ -176,9 +173,8 @@ func encodeDicts(dst *bytes.Buffer, dicts map[string]*collector.DictState) error
 
 // loadCheckpoint restores a checkpoint container against the given
 // index and window options: the window section is mandatory, the
-// dictionary section optional (old or dict-less checkpoints), and
-// unknown section tags are skipped. Version 2 sections are CRC32-
-// verified; version 1 containers (no CRC field) restore as before.
+// dictionary section optional (dict-less checkpoints), and unknown
+// section tags are skipped. Every section is CRC32-verified.
 func loadCheckpoint(path string, idx *flows.BackendIndex, winOpts flows.Options) (*flows.Window, map[string]*collector.DictState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -187,20 +183,11 @@ func loadCheckpoint(path string, idx *flows.BackendIndex, winOpts flows.Options)
 	if len(data) < len(checkpointMagic) {
 		return nil, nil, fmt.Errorf("serve: %s is not a checkpoint (too short)", path)
 	}
-	var withCRC bool
-	switch string(data[:len(checkpointMagic)]) {
-	case checkpointMagic:
-		withCRC = true
-	case checkpointMagicV1:
-		withCRC = false
-	default:
-		return nil, nil, fmt.Errorf("serve: %s is not a checkpoint (bad magic)", path)
+	if magic := string(data[:len(checkpointMagic)]); magic != checkpointMagic {
+		return nil, nil, fmt.Errorf("serve: %s is not a checkpoint this build reads (magic %q, want %q)", path, magic, checkpointMagic)
 	}
 	rest := data[len(checkpointMagic):]
-	hdrLen := 8
-	if withCRC {
-		hdrLen = 12
-	}
+	const hdrLen = 12
 	var win *flows.Window
 	var winBuf []byte
 	var dictBuf []byte
@@ -214,11 +201,9 @@ func loadCheckpoint(path string, idx *flows.BackendIndex, winOpts flows.Options)
 			return nil, nil, fmt.Errorf("serve: section %q claims %d bytes, %d remain", tag, ln, len(rest)-hdrLen)
 		}
 		body := rest[hdrLen : hdrLen+int(ln)]
-		if withCRC {
-			want := binary.LittleEndian.Uint32(rest[8:12])
-			if got := crc32.ChecksumIEEE(body); got != want {
-				return nil, nil, fmt.Errorf("serve: section %q CRC mismatch (got %08x, want %08x)", tag, got, want)
-			}
+		want := binary.LittleEndian.Uint32(rest[8:12])
+		if got := crc32.ChecksumIEEE(body); got != want {
+			return nil, nil, fmt.Errorf("serve: section %q CRC mismatch (got %08x, want %08x)", tag, got, want)
 		}
 		rest = rest[hdrLen+int(ln):]
 		switch tag {

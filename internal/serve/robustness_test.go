@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"iotmap/internal/collector"
-	"iotmap/internal/core/flows"
 	"iotmap/internal/faultwire"
 	"iotmap/internal/isp"
 	"iotmap/internal/world"
@@ -150,57 +150,78 @@ func TestCheckpointCRCFallback(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1ReadCompat: a version-1 container ("IOTCKPT1",
-// 8-byte section headers, no CRC) still restores — the format bump is
-// backward compatible one version out.
-func TestCheckpointV1ReadCompat(t *testing.T) {
+// TestCheckpointOldWindowFormat: an IWIN v1 window body — what every
+// checkpoint written before the row-log window holds — is refused with
+// an error that names the version, and like any bad newest checkpoint it
+// falls back to the ".prev" keep when that one is readable.
+func TestCheckpointOldWindowFormat(t *testing.T) {
 	f := buildFixture(t)
 	dir := t.TempDir()
 	feed := filepath.Join(dir, "feed.nf")
 	if err := os.WriteFile(feed, f.rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s1 := f.service(t, filepath.Join(dir, "unused"))
+	ckpt := filepath.Join(dir, "ckpt")
+	s1 := f.service(t, ckpt)
 	srv := httptest.NewServer(s1.Handler())
 	attachFileHTTP(t, srv, feed, "feed", "isp-a")
 	waitSettled(t, srv)
 	figs := get(t, srv, "/figures")
+	postCheckpoint(t, srv)
 	srv.Close()
 
-	// Hand-write the v1 container from the live state.
-	var buf bytes.Buffer
-	buf.WriteString(checkpointMagicV1)
-	putV1 := func(tag string, body []byte) {
-		buf.WriteString(tag)
-		var ln [4]byte
-		binary.LittleEndian.PutUint32(ln[:], uint32(len(body)))
-		buf.Write(ln[:])
-		buf.Write(body)
-	}
-	var sec bytes.Buffer
-	if err := flows.Snapshot(&sec, s1.win); err != nil {
-		t.Fatal(err)
-	}
-	putV1(sectionWindow, sec.Bytes())
-	sec.Reset()
-	if err := encodeDicts(&sec, s1.col.DictStates()); err != nil {
-		t.Fatal(err)
-	}
-	putV1(sectionDicts, sec.Bytes())
-	ckpt := filepath.Join(dir, "ckpt-v1")
-	if err := os.WriteFile(ckpt, buf.Bytes(), 0o644); err != nil {
+	// A well-formed IOTCKPT2 container (CRC and all) around a v1 body.
+	var v1 bytes.Buffer
+	v1.WriteString(checkpointMagic)
+	body := binary.LittleEndian.AppendUint16([]byte("IWIN"), 1)
+	body = append(body, make([]byte, 64)...)
+	if err := putSection(func(b []byte) error { _, err := v1.Write(b); return err }, sectionWindow, body); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := f.service(t, ckpt)
-	if !s2.Restored || s2.CheckpointFallbacks != 0 || s2.RestoredFrom != ckpt {
-		t.Fatalf("v1 restore wrong: restored=%v fallbacks=%d from=%q",
-			s2.Restored, s2.CheckpointFallbacks, s2.RestoredFrom)
+	old := filepath.Join(dir, "old")
+	if err := os.WriteFile(old, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{
+		Index: f.idx, Days: f.days, Opts: f.opts,
+		Policy: collector.DropFrame, CheckpointPath: old,
+		RenderFigures: renderFigures,
+	})
+	if err == nil || !strings.Contains(err.Error(), "IWIN version 1") {
+		t.Fatalf("v1 window body without a keep: got error %v, want one naming IWIN version 1", err)
+	}
+
+	if err := os.Rename(ckpt, ckpt+prevSuffix); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warning string
+	s2, err := New(Config{
+		Index: f.idx, Days: f.days, Opts: f.opts,
+		Policy: collector.DropFrame, CheckpointPath: ckpt,
+		RenderFigures: renderFigures,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "WARNING") {
+				warning = fmt.Sprintf(format, args...)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("v1 window body with an intact .prev: %v", err)
+	}
+	if !s2.Restored || s2.CheckpointFallbacks != 1 || s2.RestoredFrom != ckpt+prevSuffix {
+		t.Fatalf("fallback wrong: restored=%v fallbacks=%d from=%q", s2.Restored, s2.CheckpointFallbacks, s2.RestoredFrom)
+	}
+	if !strings.Contains(warning, "IWIN version 1") {
+		t.Fatalf("fallback warning %q does not name the window format version", warning)
 	}
 	srv2 := httptest.NewServer(s2.Handler())
 	defer srv2.Close()
 	if got := get(t, srv2, "/figures"); got != figs {
-		t.Fatalf("v1 restore figures differ:\n--- v2 service\n%s\n--- v1 restore\n%s", figs, got)
+		t.Fatalf("fallback figures differ:\n--- before\n%s\n--- after\n%s", figs, got)
 	}
 }
 
