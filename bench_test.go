@@ -383,13 +383,6 @@ func benchStageWireWeek(b *testing.B, format isp.WireFormat) {
 // must cost no more than 10%.
 func BenchmarkStageWireWeek(b *testing.B) { benchStageWireWeek(b, isp.WireDict) }
 
-// BenchmarkStageWireWeekDict pins the columnar dictionary format by
-// name so the CI gate keeps tracking it even if the pipeline default
-// ever changes. (The legacy v5 encoding's cost stays on record in
-// BENCH_PR6.json and under StageWireWeekFaulty, which deliberately
-// keeps the v5 framing for its richer resync semantics.)
-func BenchmarkStageWireWeekDict(b *testing.B) { benchStageWireWeek(b, isp.WireDict) }
-
 // BenchmarkStageWindowWeek is the service-mode week: the same columnar
 // dictionary streams as StageWireWeek, but folding into one shared
 // sliding flows.Window (hour buckets, per-flush routing) instead of
@@ -477,20 +470,20 @@ func BenchmarkWindowSteadyState(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf := make([]netflow.Record, 0, 2048)
+		// One producer: records resolve to rows, flushed every 2048.
+		tables := win.NewWireTables()
+		var batch netflow.RecordBatch
 		sink := func(r netflow.Record) {
-			buf = append(buf, r)
-			if len(buf) == cap(buf) {
-				win.IngestFlush(buf)
-				buf = buf[:0]
+			tables.AppendRecord(&batch, r)
+			if batch.Len() == 2048 {
+				win.IngestBatch(tables, &batch)
+				batch.Reset()
 			}
 		}
 		for day := range days {
 			net.SimulateDay(day, sink)
 		}
-		if len(buf) > 0 {
-			win.IngestFlush(buf)
-		}
+		win.IngestBatch(tables, &batch)
 		st := win.Stats()
 		if st.EvictedHours == 0 {
 			b.Fatal("steady-state bench never evicted: window not advancing")

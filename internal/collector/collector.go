@@ -2,7 +2,7 @@
 // consumes the framed NetFlow streams exported by
 // isp.SimulateLinesToWire (or raw v5 datagrams from any exporter),
 // decodes and validates every packet, restores the sampling scale each
-// stream's v5 headers advertise (netflow.Sampler.Scale — the paper's
+// stream's v5 headers advertise (sampled counters × rate — the paper's
 // "estimate the exchanged traffic considering the sampling rate",
 // Section 5.6), and folds each stream into its own worker-local
 // flows.ShardPartial. Partials merge order-independently, so a 1-, 4-,
@@ -14,7 +14,7 @@
 // records stay within one stream; flush frames mark line-batch
 // boundaries so scanner classification stays incremental. Streams
 // without flush markers are still correct — EOF acts as one final flush
-// over everything buffered, trading memory for protocol simplicity.
+// over every pending row, trading memory for protocol simplicity.
 package collector
 
 import (
@@ -168,8 +168,8 @@ type Stats struct {
 	RateMismatches uint64
 	// BadPackets counts datagrams dropped in tolerant (UDP) mode.
 	BadPackets uint64
-	// ScaledBytes is the total estimated byte volume after
-	// Sampler.Scale restored the sampling rate.
+	// ScaledBytes is the total estimated byte volume after the sampling
+	// rate was restored.
 	ScaledBytes uint64
 	// DroppedFrames counts frames discarded under DropFrame: payloads
 	// that failed decoding, and truncated stream tails.
@@ -225,7 +225,7 @@ type StreamStat struct {
 	// anonymous readers.
 	Source string
 	// HoursCovered/HoursTotal are the stream's feed-liveness window:
-	// study hours with at least one buffered record. A healthy stream
+	// study hours with at least one decoded record. A healthy stream
 	// covers (its share of) the week; one that died Wednesday doesn't.
 	HoursCovered int
 	HoursTotal   int
@@ -243,8 +243,8 @@ type StreamStat struct {
 type Collector struct {
 	cfg Config
 	// partialOpts is cfg.Opts with SamplingRate forced to 1: the wire
-	// path scales counters back to estimates at the stream boundary
-	// (Sampler.Scale), so the analysis must not scale again. Estimates
+	// path scales counters back to estimates at the stream boundary, so
+	// the analysis must not scale again. Estimates
 	// are integer-valued either way, so wire and in-memory aggregation
 	// agree bit for bit.
 	partialOpts flows.Options
@@ -307,10 +307,8 @@ type stream struct {
 	index  int
 	source string
 	// rate is the stream's advertised sampling rate (0 = none seen yet).
-	rate    uint32
-	sampler *netflow.Sampler
-	buf     []netflow.Record
-	stats   Stats
+	rate  uint32
+	stats Stats
 	// live marks a ServeUDP stream, whose datagram counters already
 	// folded into the collector totals as they arrived; finish must not
 	// add them twice.
@@ -320,7 +318,7 @@ type stream struct {
 	// disagrees is a rate mismatch worth counting.
 	fallbackUsed uint32
 	// Per-stream feed-liveness: start anchors the study clock, hourBits
-	// marks study hours with at least one buffered record.
+	// marks study hours with at least one decoded record.
 	start    time.Time
 	hours    int
 	hourBits []uint64
@@ -338,6 +336,16 @@ type stream struct {
 	batch  netflow.RecordBatch
 	lineV4 []bool
 	backV4 []bool
+	// Record-decoder state (v5, v6, v9/IPFIX): each decoded packet's
+	// records resolve through recTables (made on the first one) into
+	// recBatch, the flush interval's pending rows — still sampled
+	// counters, because the rate is only fixed at flush. pending and
+	// pendingBytes count every decoded record since the last flush,
+	// rows or not, for the fallback-rate rule and Stats.ScaledBytes.
+	recTables    *flows.WireTables
+	recBatch     netflow.RecordBatch
+	pending      int
+	pendingBytes uint64
 	// scratch/dictAddrs are decode buffers reused across frames and
 	// datagrams.
 	scratch   []netflow.Record
@@ -484,7 +492,7 @@ func (st *stream) observeRate(rate uint32) {
 	}
 }
 
-// ingestV5 buffers one decoded v5 packet's records.
+// ingestV5 counts and resolves one decoded v5 packet's records.
 func (st *stream) ingestV5(h netflow.V5Header, recs []netflow.Record) {
 	st.observeRate(h.SamplingRate())
 	st.stats.V5Packets++
@@ -497,40 +505,49 @@ func (st *stream) ingestV5(h netflow.V5Header, recs []netflow.Record) {
 			st.stats.SaturatedCounters++
 		}
 	}
-	st.buf = append(st.buf, recs...)
+	st.addRecords(recs)
 }
 
-// flush completes the buffered line batch in the stream's sink (the
-// scanner-classification point). Columnar rows fold through IngestBatch
-// (already rebased and scaled at decode); legacy record-path rows are
-// scaled here and fold through IngestFlush.
+// addRecords resolves one decoded packet's records into the flush
+// interval's pending rows.
+func (st *stream) addRecords(recs []netflow.Record) {
+	if st.recTables == nil {
+		st.recTables = st.sink.NewWireTables()
+	}
+	st.pending += len(recs)
+	for _, r := range recs {
+		st.pendingBytes += r.Bytes
+		st.recTables.AppendRecord(&st.recBatch, r)
+	}
+}
+
+// flush completes the pending flush interval in the stream's sink (the
+// scanner-classification point). Dictionary rows were rebased and
+// scaled at decode; record rows are scaled here, by the header rate or,
+// before any v5 header, the fallback.
 func (st *stream) flush(fallbackRate uint32) {
 	if st.batch.Len() > 0 {
 		st.sink.IngestBatch(st.tables, &st.batch)
 		st.batch.Reset()
 	}
-	if len(st.buf) == 0 {
-		st.sink.IngestFlush(nil)
+	if st.pending == 0 {
 		return
 	}
-	rate := st.rate
+	rate := uint64(st.rate)
 	if rate == 0 {
-		rate = fallbackRate
-		if rate == 0 {
-			rate = 1
+		rate = uint64(max(fallbackRate, 1))
+		st.fallbackUsed = uint32(rate)
+	}
+	if rate > 1 {
+		for i := range st.recBatch.Bytes {
+			st.recBatch.Bytes[i] *= rate
+			st.recBatch.Packets[i] *= rate
 		}
-		st.fallbackUsed = rate
 	}
-	if st.sampler == nil || st.sampler.Rate != rate {
-		st.sampler = netflow.NewSampler(rate, 0)
-	}
-	for i := range st.buf {
-		st.buf[i].Bytes = st.sampler.Scale(st.buf[i].Bytes)
-		st.buf[i].Packets = st.sampler.Scale(st.buf[i].Packets)
-		st.stats.ScaledBytes += st.buf[i].Bytes
-	}
-	st.sink.IngestFlush(st.buf)
-	st.buf = st.buf[:0]
+	st.stats.ScaledBytes += st.pendingBytes * rate
+	st.sink.IngestBatch(st.recTables, &st.recBatch)
+	st.recBatch.Reset()
+	st.pending, st.pendingBytes = 0, 0
 }
 
 // IngestStream consumes one framed NetFlow stream (the
@@ -680,7 +697,7 @@ func (c *Collector) ingestFrames(st *stream, raw io.Reader, fr frameSource) erro
 			st.scratch = recs
 			st.stats.V6Records += uint64(len(recs))
 			st.cover(recs)
-			st.buf = append(st.buf, recs...)
+			st.addRecords(recs)
 		case netflow.FrameHello:
 			rate, epoch, derr := netflow.DecodeHelloPayload(f.Payload)
 			if derr != nil {
@@ -771,7 +788,7 @@ func syncFams(fams []bool, base int, addrs []netip.Addr) []bool {
 // from the exporter's epoch to study hours (negative = outside the
 // study window), counters scale back to estimates, and the wire/
 // liveness counters fold as the rows stream past. The actual analysis
-// fold (IngestBatch) happens at the flush boundary, like EndLine.
+// fold (IngestBatch) happens at the flush boundary.
 func (st *stream) batchFrame(f netflow.Frame) error {
 	if st.tables == nil {
 		return fmt.Errorf("%w: batch frame before hello", netflow.ErrBadPayload)
@@ -836,7 +853,8 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// ingestTemplated buffers one decoded v9/IPFIX datagram's records.
+// ingestTemplated counts and resolves one decoded v9/IPFIX datagram's
+// records.
 func (st *stream) ingestTemplated(recs []netflow.Record) {
 	st.stats.TemplatePackets++
 	st.stats.TemplateRecords += uint64(len(recs))
@@ -848,7 +866,7 @@ func (st *stream) ingestTemplated(recs []netflow.Record) {
 		}
 	}
 	st.cover(recs)
-	st.buf = append(st.buf, recs...)
+	st.addRecords(recs)
 }
 
 // quarantine discards the stream's entire analysis contribution —
@@ -857,9 +875,11 @@ func (st *stream) ingestTemplated(recs []netflow.Record) {
 // behind it completes normally.
 func (c *Collector) quarantine(st *stream, raw io.Reader) error {
 	st.stats.QuarantinedStreams = 1
-	st.buf = nil
 	st.batch.Reset()
 	st.tables = nil
+	st.recBatch.Reset()
+	st.recTables = nil
+	st.pending, st.pendingBytes = 0, 0
 	for i := range st.hourBits {
 		st.hourBits[i] = 0
 	}
@@ -1042,8 +1062,8 @@ func (c *Collector) ingestFileAt(idx int, path string) error {
 // Each message's 16-bit length field delimits it, so an undecodable
 // message body is dropped in place under DropFrame; a header that does
 // not parse loses delimitation and ends the stream per policy. Flow
-// records buffer until EOF (IPFIX has no flush markers), then classify
-// as one batch; counters scale by the configured fallback sampling
+// rows pend until EOF (IPFIX has no flush markers), then classify as
+// one batch; counters scale by the configured fallback sampling
 // rate, since IPFIX messages advertise none.
 func (c *Collector) IngestIPFIX(name string, r io.Reader) error {
 	st := c.newStream(name)
@@ -1431,7 +1451,7 @@ func (c *Collector) ServeUDP(pc net.PacketConn) error {
 			}
 			c.mu.Unlock()
 			st.observeRate(h.SamplingRate())
-			st.buf = append(st.buf, recs...)
+			st.addRecords(recs)
 		case 9, 10:
 			if st.templ == nil {
 				st.templ = netflow.NewTemplateCache()
@@ -1461,7 +1481,7 @@ func (c *Collector) ServeUDP(pc net.PacketConn) error {
 				}
 			}
 			c.mu.Unlock()
-			st.buf = append(st.buf, recs...)
+			st.addRecords(recs)
 		default:
 			c.mu.Lock()
 			c.stats.BadPackets++

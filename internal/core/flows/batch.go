@@ -3,19 +3,19 @@ package flows
 import (
 	"fmt"
 	"net/netip"
+	"time"
 
 	"iotmap/internal/netflow"
 	"iotmap/internal/proto"
 )
 
-// Columnar wire ingest: the dictionary-negotiating wire format ships
-// addresses once (dictionary frames) and dense uint32 IDs thereafter
-// (batch frames), so the collector's hot loop never materializes a
-// netip.Addr. WireTables is the per-stream receiver state — the
-// line/backend dictionaries resolved against this partial's index and
-// collector — and ShardPartial.IngestBatch is the batch counterpart of
-// the Ingest/EndLine pair: one call folds a whole flush interval's
-// RecordBatch with strided slice/bitset updates.
+// The one ingest shape: a flush interval crosses into a Sink as a
+// netflow.RecordBatch of dense IDs resolved through the producer's
+// WireTables. The dictionary wire format ships addresses once
+// (dictionary frames → AddLines/AddBackends) and IDs thereafter, so
+// the collector's hot loop never materializes a netip.Addr; producers
+// that hold netflow.Records (the in-memory simulation, the v5/v6 and
+// v9/IPFIX decoders) turn each record into a row with AppendRecord.
 
 // maxWireDictEntries bounds a stream's dictionary size. The address
 // plan tops out at 2^22 lines per vantage; the slack above that guards
@@ -29,8 +29,8 @@ const maxWireDictEntries = 1 << 24
 const lostBackend int32 = -2
 
 // unknownBackend marks a dictionary entry whose address is not in the
-// BackendIndex. Rows referencing it are skipped, mirroring the memory
-// path where lineSide misses ignore the record.
+// BackendIndex. Rows referencing it are skipped, exactly as
+// AppendRecord makes no row for a record without an indexed endpoint.
 const unknownBackend int32 = -1
 
 // wireLineEnt is one line-dictionary entry: the address plus its lazily
@@ -44,17 +44,20 @@ type wireLineEnt struct {
 	valid    bool  // false for gap-filled (lost) entries
 }
 
-// WireTables is one wire stream's dictionary state, bound to the index
-// and exclusion set of the Sink the stream feeds (a ShardPartial or a
-// Window). Dictionary frames append entries (AddLines/AddBackends);
-// batch frames validate against the tables (Validate) and fold via the
-// sink's IngestBatch. Owned by one stream; no locking.
+// WireTables is one producer's ID tables, bound to the index, exclusion
+// set and study start of the Sink it feeds (a ShardPartial or a
+// Window). They fill one of two ways, never both: dictionary frames
+// append entries (AddLines/AddBackends) and batch frames validate
+// against them (Validate), or AppendRecord interns the lines of the
+// records it resolves. Either way the rows fold via the sink's
+// IngestBatch. Owned by one producer; no locking.
 type WireTables struct {
 	idx      *BackendIndex
 	excluded map[netip.Addr]struct{}
+	// start is hour 0 of the rows AppendRecord makes.
+	start time.Time
 	// shard is the window ingest shard the tables are bound to (nil for
-	// ShardPartial-fed tables and until Window.IngestBatch binds one);
-	// winID memos are IDs in this shard's line table.
+	// ShardPartial-fed tables); winID memos are IDs in its line table.
 	shard    *winShard
 	lines    []wireLineEnt
 	backends []int32 // dense backend ID, unknownBackend, or lostBackend
@@ -62,12 +65,18 @@ type WireTables struct {
 	// assignment (index+1 into the sink's recycled ents; 0 = none).
 	entSlot []int32
 	touched []int32
+	// recIDs interns the line addresses AppendRecord sees (its IDs index
+	// lines); lastLine/lastID memo the previous record's, since a
+	// producer emits a line's records back to back.
+	recIDs   lineTab
+	lastLine netip.Addr
+	lastID   uint32
 }
 
-// NewWireTables implements Sink: empty dictionary tables feeding p. A
+// NewWireTables implements Sink: empty tables feeding p. A dictionary
 // stream (re)starts with fresh tables on every hello frame.
 func (p *ShardPartial) NewWireTables() *WireTables {
-	return &WireTables{idx: p.idx, excluded: p.col.excluded}
+	return &WireTables{idx: p.idx, excluded: p.col.excluded, start: p.col.days[0]}
 }
 
 // Lines returns the line-dictionary size (lost entries included).
@@ -102,11 +111,16 @@ func (t *WireTables) AddLines(base uint32, addrs []netip.Addr) error {
 		t.lines = append(t.lines, wireLineEnt{ccID: -1, colID: -1})
 	}
 	for _, a := range addrs {
-		_, excluded := t.excluded[a]
-		t.lines = append(t.lines, wireLineEnt{addr: a, ccID: -1, colID: -1, excluded: excluded, valid: true})
+		t.addLine(a)
 	}
 	t.entSlot = grown(t.entSlot, len(t.lines))
 	return nil
+}
+
+// addLine appends one valid line entry; the caller regrows entSlot.
+func (t *WireTables) addLine(a netip.Addr) {
+	_, excluded := t.excluded[a]
+	t.lines = append(t.lines, wireLineEnt{addr: a, ccID: -1, colID: -1, excluded: excluded, valid: true})
 }
 
 // AddBackends appends one backend-dictionary frame's addresses at base,
@@ -149,67 +163,125 @@ func (t *WireTables) Validate(b *netflow.RecordBatch, from int) error {
 	return nil
 }
 
-// IngestBatch folds one flush interval's validated RecordBatch into the
-// partial — the batch counterpart of Ingest-per-record plus EndLine.
-// Rows must have passed t.Validate; Hour is in study hours (negative =
-// before the study window) and Bytes/Packets are already scaled.
-//
-// Semantics match the record path exactly: every row with an indexed
-// backend contributes contact evidence (Figure 5 counts scanners'
-// contacts too), per-line exclusion applies at flush granularity with
-// this batch's distinct-backend evidence, and only rows from kept,
-// non-excluded lines with in-window hours reach the Collector.
-func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
-	n := b.Len()
-	if n == 0 {
+// AppendRecord resolves one flow record into a row of b; a record with
+// no indexed endpoint makes none. The backend column carries the dense
+// backend ID itself (the tables' backend dictionary becomes the index's
+// identity table), the line column an ID interned here in first-seen
+// order, and Hour is whole hours since the sink's study start (-1 for
+// any earlier record).
+// Bytes/Packets are copied as they are; a producer whose counters are
+// sampled scales the columns before IngestBatch.
+func (t *WireTables) AppendRecord(b *netflow.RecordBatch, r netflow.Record) {
+	line, be, down, ok := t.idx.lineSide(r)
+	if !ok {
 		return
 	}
-	words := p.idx.words
-	ents := p.ents[:0]
+	li := t.lastID
+	if line != t.lastLine || len(t.lines) == 0 {
+		t.backends = t.idx.identity
+		li = uint32(t.recIDs.id(line))
+		if int(li) == len(t.lines) {
+			t.addLine(line)
+			t.entSlot = grown(t.entSlot, len(t.lines))
+		}
+		t.lastLine, t.lastID = line, li
+	}
+	hour := int32(-1)
+	if since := r.Start.Sub(t.start); since >= 0 {
+		hour = int32(since / time.Hour)
+	}
+	// The backend-side port identifies the service.
+	port := r.DstPort
+	if down {
+		port = r.SrcPort
+	}
+	b.Append(li, uint32(be), down, hour, port, r.Proto, r.Bytes, r.Packets)
+}
 
-	// Pass 1: per-line contact evidence for this flush interval.
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
+// classifyFlush is the §5.2 per-flush scanner verdict, shared by both
+// sinks' IngestBatch: it pools each line's distinct-backend evidence
+// over every row of b with an indexed backend into ents (recycled from
+// the caller; t.entSlot maps a line to its entry, t.touched lists the
+// lines that got one) and marks a line over when it is pre-excluded or
+// its evidence exceeds threshold. The caller folds the rows, then
+// calls t.releaseEnts.
+func classifyFlush(t *WireTables, b *netflow.RecordBatch, ents []endEnt, threshold int) []endEnt {
+	words := t.idx.words
+	for i, bid := range b.Backend {
+		be := t.backends[bid]
 		if be < 0 {
 			continue
 		}
 		li := b.Line[i]
 		e := t.entSlot[li]
 		if e == 0 {
-			if cap(ents) > len(ents) {
-				ents = ents[:len(ents)+1]
-				ent := &ents[len(ents)-1]
-				ent.addr = t.lines[li].addr
-				if len(ent.bits) != words {
-					ent.bits = make([]uint64, words)
-				} else {
-					clearBits(ent.bits)
-				}
-			} else {
-				ents = append(ents, endEnt{addr: t.lines[li].addr, bits: make([]uint64, words)})
-			}
+			ents = appendEnt(ents, words)
 			e = int32(len(ents))
 			t.entSlot[li] = e
 			t.touched = append(t.touched, int32(li))
 		}
 		setBit(ents[e-1].bits, int(be))
 	}
-
-	// Classify each touched line against the scanner threshold and fold
-	// its evidence into the shard's ContactCounter.
 	for _, li := range t.touched {
 		ent := &ents[t.entSlot[li]-1]
+		ent.over = t.lines[li].excluded || popcount(ent.bits) > threshold
+	}
+	return ents
+}
+
+// releaseEnts clears the per-flush line → entry assignment.
+func (t *WireTables) releaseEnts() {
+	for _, li := range t.touched {
+		t.entSlot[li] = 0
+	}
+	t.touched = t.touched[:0]
+}
+
+// endEnt is one line address's per-flush contact evidence.
+type endEnt struct {
+	bits []uint64
+	over bool
+}
+
+// appendEnt reuses (or allocates) the next per-flush line entry.
+func appendEnt(ents []endEnt, words int) []endEnt {
+	if cap(ents) > len(ents) {
+		ents = ents[:len(ents)+1]
+		ent := &ents[len(ents)-1]
+		if len(ent.bits) != words {
+			ent.bits = make([]uint64, words)
+		} else {
+			clearBits(ent.bits)
+		}
+		return ents
+	}
+	return append(ents, endEnt{bits: make([]uint64, words)})
+}
+
+// IngestBatch implements Sink: fold one flush interval's RecordBatch
+// into the partial. Rows must have passed t.Validate or come from
+// t.AppendRecord; Hour is in study hours (negative = before the study
+// window) and Bytes is scaled by the partial's Options.SamplingRate.
+//
+// Every row with an indexed backend contributes contact evidence
+// (Figure 5 counts scanners' contacts too), per-line exclusion applies
+// at flush granularity with this batch's distinct-backend evidence, and
+// only rows from kept lines with in-window hours reach the Collector.
+func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
+	if b.Len() == 0 {
+		return
+	}
+	ents := classifyFlush(t, b, p.ents[:0], p.threshold)
+	for _, li := range t.touched {
 		ln := &t.lines[li]
 		if ln.ccID < 0 {
 			ln.ccID = p.cc.lineID(ln.addr)
 		}
-		orBits(p.cc.bits[int(ln.ccID)*p.cc.words:(int(ln.ccID)+1)*p.cc.words], ent.bits)
-		ent.over = popcount(ent.bits) > p.threshold
+		orBits(p.cc.lineBits(int(ln.ccID)), ents[t.entSlot[li]-1].bits)
 	}
 
-	// Pass 2: fold kept rows into the Collector.
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
+	for i, bid := range b.Backend {
+		be := t.backends[bid]
 		if be < 0 {
 			continue
 		}
@@ -217,14 +289,11 @@ func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		if ents[t.entSlot[li]-1].over {
 			continue
 		}
-		ln := &t.lines[li]
-		if ln.excluded {
-			continue
-		}
 		h := int(b.Hour[i])
 		if h < 0 || h >= p.col.hours {
 			continue
 		}
+		ln := &t.lines[li]
 		if ln.colID < 0 {
 			ln.colID = p.col.lineID(ln.addr)
 		}
@@ -235,9 +304,6 @@ func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		p.col.ingestDense(int(ln.colID), be, b.Down[i], h, port, float64(b.Bytes[i])*p.col.rate)
 	}
 
-	for _, li := range t.touched {
-		t.entSlot[li] = 0
-	}
-	t.touched = t.touched[:0]
+	t.releaseEnts()
 	p.ents = ents
 }

@@ -83,6 +83,9 @@ type BackendIndex struct {
 	// addrs and infos are the ID→address and ID→info reverse tables.
 	addrs []netip.Addr
 	infos []backendInfo
+	// identity[i] == i: the backend dictionary of tables whose rows
+	// already carry dense IDs (WireTables.AppendRecord).
+	identity []int32
 	// words is the backend-bitset width in uint64 words.
 	words int
 	// v4Mask marks the IDs of IPv4 (and 4-in-6) addresses; totalV4 is
@@ -162,6 +165,7 @@ func (b *BackendIndex) build() {
 
 	b.addrs = addrs
 	b.infos = make([]backendInfo, len(addrs))
+	b.identity = make([]int32, len(addrs))
 	b.words = (len(addrs) + 63) / 64
 	b.v4Mask = make([]uint64, b.words)
 	b.aliasNames = names
@@ -173,6 +177,7 @@ func (b *BackendIndex) build() {
 		bi.aliasID = aliasID[bi.alias]
 		b.info[a] = bi
 		b.infos[i] = bi
+		b.identity[i] = int32(i)
 		if a.Is4() || a.Is4In6() {
 			setBit(b.v4Mask, i)
 			b.aliasTotals[bi.aliasID][0]++
@@ -516,13 +521,39 @@ func contBit(c geo.Continent) uint8 {
 	}
 }
 
-// Ingest processes one sampled record.
+// Ingest processes one sampled record — the sequential reference the
+// sharded and wire pipelines are compared against.
 func (c *Collector) Ingest(r netflow.Record) {
-	line, backendID, down, ok := c.idx.lineSide(r)
+	lineAddr, backendID, down, ok := c.idx.lineSide(r)
 	if !ok {
 		return
 	}
-	c.ingestClassified(r, line, backendID, down)
+	if _, skip := c.excluded[lineAddr]; skip {
+		return
+	}
+	// Integer nanosecond division: the old float64 Hours() path could
+	// round a record sitting nanoseconds before a bucket edge up into
+	// the next hour. Pre-study records are rejected before dividing —
+	// truncation toward zero would otherwise bucket the final sub-hour
+	// window before days[0] into hour 0.
+	sinceStart := r.Start.Sub(c.days[0])
+	if sinceStart < 0 {
+		return
+	}
+	hour := int(sinceStart / time.Hour)
+	if hour >= c.hours {
+		return
+	}
+	// Port mix: the backend-side port identifies the service.
+	port := proto.PortKey{Port: r.SrcPort}
+	if !down {
+		port = proto.PortKey{Port: r.DstPort}
+	}
+	if r.Proto == netflow.ProtoUDP {
+		port.Transport = proto.UDP
+	}
+	line := int(c.lineID(lineAddr))
+	c.ingestDense(line, backendID, down, hour, port, float64(r.Bytes)*c.rate)
 }
 
 // laSlotBase finds or creates the lineAliasDaily slot for (line, alias)
@@ -557,42 +588,10 @@ func (c *Collector) lpSlotBase(line, port int) int {
 	return (int(slot) - 1) * c.ds
 }
 
-// ingestClassified is Ingest after endpoint classification — the
-// pipeline's ShardPartial calls it directly with the classification it
-// already computed for scanner exclusion.
-func (c *Collector) ingestClassified(r netflow.Record, lineAddr netip.Addr, backendID int32, down bool) {
-	if _, skip := c.excluded[lineAddr]; skip {
-		return
-	}
-	// Integer nanosecond division: the old float64 Hours() path could
-	// round a record sitting nanoseconds before a bucket edge up into
-	// the next hour. Pre-study records are rejected before dividing —
-	// truncation toward zero would otherwise bucket the final sub-hour
-	// window before days[0] into hour 0.
-	sinceStart := r.Start.Sub(c.days[0])
-	if sinceStart < 0 {
-		return
-	}
-	hour := int(sinceStart / time.Hour)
-	if hour >= c.hours {
-		return
-	}
-	// Port mix: the backend-side port identifies the service.
-	port := proto.PortKey{Port: r.SrcPort}
-	if !down {
-		port = proto.PortKey{Port: r.DstPort}
-	}
-	if r.Proto == netflow.ProtoUDP {
-		port.Transport = proto.UDP
-	}
-	line := int(c.lineID(lineAddr))
-	c.ingestDense(line, backendID, down, hour, port, float64(r.Bytes)*c.rate)
-}
-
 // ingestDense is the fully resolved ingest core: line already interned,
-// hour already in-window, bytes already scaled. Both the record path
-// (ingestClassified) and the columnar wire path (ShardPartial.
-// IngestBatch) land here, so the two produce byte-identical aggregates.
+// hour already in-window, bytes already scaled. The sequential Ingest,
+// ShardPartial.IngestBatch and the window's fold all land here, so
+// they produce byte-identical aggregates.
 func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, port proto.PortKey, bytes float64) {
 	setBit(c.coverBits, hour)
 	day := hour / 24

@@ -27,13 +27,6 @@ func (b *BackendIndex) lineSide(r netflow.Record) (line netip.Addr, backendID in
 	return line, -1, false, false
 }
 
-// addContacts ORs one line address's contacted-backend bitset (stride
-// idx.words) into the counter.
-func (c *ContactCounter) addContacts(line netip.Addr, backends []uint64) {
-	id := c.lineID(line)
-	orBits(c.bits[int(id)*c.words:(int(id)+1)*c.words], backends)
-}
-
 // Merge folds another counter's contact sets into c, remapping the
 // donor's line IDs through its reverse table. Merging shard partials in
 // any order yields the same counter as a sequential pass over the
@@ -42,7 +35,7 @@ func (c *ContactCounter) Merge(o *ContactCounter) {
 	c.idx.checkGen(c.gen)
 	c.idx.checkGen(o.gen)
 	for i, a := range o.lines.addrs {
-		c.addContacts(a, o.lineBits(i))
+		orBits(c.lineBits(int(c.lineID(a))), o.lineBits(i))
 	}
 }
 
@@ -276,13 +269,14 @@ func cloneSeriesSlice(s []*analysis.Series) []*analysis.Series {
 	return out
 }
 
-// ShardPartial is the aggregation half of one simulation worker in the
-// single-pass pipeline: it buffers the line currently being simulated
-// (one line-week, a few hundred records — never the whole feed), and on
-// EndLine classifies each of the line's addresses against the scanner
-// threshold, folds the contact bitsets into the shard's ContactCounter,
-// and forwards only non-scanner addresses' records into the shard's
-// Collector. A partial is owned by exactly one worker; no locking.
+// ShardPartial is the aggregation half of one producer — a simulation
+// worker or a wire stream — in the single-pass pipeline: each flush
+// interval (one line-week, a few hundred rows — never the whole feed)
+// arrives as a RecordBatch, and IngestBatch classifies each of its line
+// addresses against the scanner threshold, folds the contact bitsets
+// into the shard's ContactCounter, and forwards only non-scanner
+// addresses' rows into the shard's Collector. A partial is owned by
+// exactly one producer; no locking.
 type ShardPartial struct {
 	// Vantage is the vantage-point label the partial's records were
 	// observed at (Options.Vantage); FederatedMerge groups partials by
@@ -293,31 +287,14 @@ type ShardPartial struct {
 	threshold int
 	cc        *ContactCounter
 	col       *Collector
-	buf       []netflow.Record
-	// sides caches each buffered record's endpoint classification
-	// (entry < 0 for non-backend records), so the whole EndLine flow —
-	// contact counting, exclusion, Collector ingest — probes the index
-	// once per record.
-	sides []recSide
-	// ents/entOf are the per-EndLine line entries (usually one V4 and
-	// maybe one V6 address per flushed line); their bitsets are recycled
-	// across EndLine calls.
-	ents  []endEnt
-	entOf map[netip.Addr]int32
-}
-
-// recSide is one buffered record's cached classification.
-type recSide struct {
-	backendID int32
-	entry     int32
-	down      bool
-}
-
-// endEnt is one line address's per-EndLine contact evidence.
-type endEnt struct {
-	addr netip.Addr
-	bits []uint64
-	over bool
+	// ents are the per-flush line entries (usually one V4 and maybe one
+	// V6 address per flushed line); their bitsets are recycled across
+	// IngestBatch calls.
+	ents []endEnt
+	// rec/recBatch are the Ingest/EndLine drive's own tables and pending
+	// flush interval.
+	rec      *WireTables
+	recBatch netflow.RecordBatch
 }
 
 // NewShardPartial builds one worker-local partial over idx — exactly
@@ -333,20 +310,21 @@ func NewShardPartial(idx *BackendIndex, days []time.Time, opts Options) *ShardPa
 		// nothing (a 0 threshold would otherwise drop every active line).
 		threshold = math.MaxInt
 	}
-	return &ShardPartial{
+	p := &ShardPartial{
 		Vantage:   opts.Vantage,
 		idx:       idx,
 		threshold: threshold,
 		cc:        NewContactCounter(idx),
 		col:       NewCollector(idx, days, opts),
-		entOf:     map[netip.Addr]int32{},
 	}
+	p.rec = p.NewWireTables()
+	return p
 }
 
 // MergePartials folds the partials, in slice order, into one
 // ContactCounter and Collector. All partials must share idx, days, and
-// Options, and every buffered line must have been completed with
-// EndLine. The fold consumes the partials (donor aggregates may be
+// Options, and every line given to Ingest must have been completed
+// with EndLine. The fold consumes the partials (donor aggregates may be
 // adopted by reference); both merges are order-independent, so any
 // stable partition of the feed yields byte-identical results. parts
 // must be non-empty.
@@ -359,62 +337,17 @@ func MergePartials(parts []*ShardPartial) (*ContactCounter, *Collector) {
 	return cc, col
 }
 
-// Ingest buffers one record of the line currently being simulated.
-func (p *ShardPartial) Ingest(r netflow.Record) { p.buf = append(p.buf, r) }
+// Ingest resolves one record of the line currently being simulated
+// into the pending flush interval.
+func (p *ShardPartial) Ingest(r netflow.Record) { p.rec.AppendRecord(&p.recBatch, r) }
 
-// EndLine consumes the buffered line-week: Figure 5 contact counting
+// EndLine completes the pending line-week: Figure 5 contact counting
 // always sees the line, the Collector only when the address stays at or
 // below the scanner threshold (the Richter-style exclusion, applied the
 // moment the per-line evidence is complete).
 func (p *ShardPartial) EndLine() {
-	if len(p.buf) == 0 {
-		return
-	}
-	words := p.idx.words
-	// A line emits from its V4 and (optionally) V6 address; exclusion is
-	// per address, exactly like the threshold sweep over a ContactCounter.
-	p.sides = p.sides[:0]
-	ents := p.ents[:0]
-	for _, r := range p.buf {
-		line, backendID, down, ok := p.idx.lineSide(r)
-		if !ok {
-			p.sides = append(p.sides, recSide{entry: -1})
-			continue
-		}
-		e, found := p.entOf[line]
-		if !found {
-			e = int32(len(ents))
-			if cap(ents) > len(ents) {
-				ents = ents[:len(ents)+1]
-				ent := &ents[e]
-				ent.addr = line
-				if len(ent.bits) != words {
-					ent.bits = make([]uint64, words)
-				} else {
-					clearBits(ent.bits)
-				}
-			} else {
-				ents = append(ents, endEnt{addr: line, bits: make([]uint64, words)})
-			}
-			p.entOf[line] = e
-		}
-		setBit(ents[e].bits, int(backendID))
-		p.sides = append(p.sides, recSide{backendID: backendID, entry: e, down: down})
-	}
-	for i := range ents {
-		p.cc.addContacts(ents[i].addr, ents[i].bits)
-		ents[i].over = popcount(ents[i].bits) > p.threshold
-	}
-	for i, r := range p.buf {
-		s := p.sides[i]
-		if s.entry < 0 || ents[s.entry].over {
-			continue
-		}
-		p.col.ingestClassified(r, ents[s.entry].addr, s.backendID, s.down)
-	}
-	p.buf = p.buf[:0]
-	p.ents = ents
-	clear(p.entOf)
+	p.IngestBatch(p.rec, &p.recBatch)
+	p.recBatch.Reset()
 }
 
 // ShardedAggregator drives the analysis side of the single-pass

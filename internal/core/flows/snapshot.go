@@ -531,25 +531,22 @@ func RestoreWireTables(src io.Reader, sink Sink) (*WireTables, error) {
 	if s.err == nil && nl > maxWireDictEntries {
 		return nil, fmt.Errorf("flows: wire-tables snapshot has %d lines (limit %d)", nl, maxWireDictEntries)
 	}
-	t.lines = make([]wireLineEnt, 0, nl)
+	// Both tables grow with the entries actually read: a claimed count
+	// allocates nothing until the bytes behind it arrive.
 	for i := 0; i < nl && s.err == nil; i++ {
 		if s.u8() == 0 {
 			t.lines = append(t.lines, wireLineEnt{ccID: -1, colID: -1})
 			continue
 		}
-		a := s.addr("wire line addr")
-		if s.err != nil {
-			break
+		if a := s.addr("wire line addr"); s.err == nil {
+			t.addLine(a)
 		}
-		_, excluded := t.excluded[a]
-		t.lines = append(t.lines, wireLineEnt{addr: a, ccID: -1, colID: -1, excluded: excluded, valid: true})
 	}
 	t.entSlot = grown(t.entSlot, len(t.lines))
 	nb := s.count("wire backend")
 	if s.err == nil && nb > maxWireDictEntries {
 		return nil, fmt.Errorf("flows: wire-tables snapshot has %d backends (limit %d)", nb, maxWireDictEntries)
 	}
-	t.backends = make([]int32, 0, nb)
 	for i := 0; i < nb && s.err == nil; i++ {
 		id := s.i64()
 		if s.err == nil && (id < int64(lostBackend) || id >= int64(len(t.idx.addrs))) {

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func fedWindow(t testing.TB, f denseFixture, opts Options, shards, upto int) *Wi
 		upto = len(flushes)
 	}
 	for _, flush := range flushes[:upto] {
-		win.IngestFlush(flush)
+		flushRecords(win, flush)
 	}
 	return win
 }
@@ -229,8 +230,9 @@ func TestWindowRestoreRejects(t *testing.T) {
 }
 
 // TestWindowRestoreBoundedAllocation: a count field is a claim, not a
-// budget — streams that promise 2^26 rows or lines and deliver a few
-// bytes fail without allocating for the promise.
+// budget — streams that promise 2^26 rows or lines (IWIN) or 2^24
+// dictionary entries (IWTB) and deliver a few bytes fail without
+// allocating for the promise.
 func TestWindowRestoreBoundedAllocation(t *testing.T) {
 	f := buildDenseFixture(23)
 	opts := f.opts
@@ -240,16 +242,41 @@ func TestWindowRestoreBoundedAllocation(t *testing.T) {
 	lines := validSnapDoc().encode(f.idx, opts)
 	// The line count follows the 74-byte header.
 	binary.LittleEndian.PutUint32(lines[74:], maxSnapshotEntries)
-	for name, data := range map[string][]byte{"rows": rows.encode(f.idx, opts), "lines": lines} {
+	// IWTB: magic, version, line count [, backend count].
+	wireHead := binary.LittleEndian.AppendUint16([]byte(wireTablesMagic), wireTablesVersion)
+	wireLines := binary.LittleEndian.AppendUint32(slices.Clone(wireHead), maxWireDictEntries)
+	wireBacks := binary.LittleEndian.AppendUint32(slices.Clone(wireHead), 0)
+	wireBacks = binary.LittleEndian.AppendUint32(wireBacks, maxWireDictEntries)
+	win, err := NewWindow(f.idx, f.days[0], 48, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := func(data []byte) error {
+		_, err := Restore(bytes.NewReader(data), f.idx, opts)
+		return err
+	}
+	tables := func(data []byte) error {
+		_, err := RestoreWireTables(bytes.NewReader(data), win)
+		return err
+	}
+	for name, c := range map[string]struct {
+		data    []byte
+		restore func([]byte) error
+	}{
+		"rows":          {rows.encode(f.idx, opts), window},
+		"lines":         {lines, window},
+		"wire lines":    {wireLines, tables},
+		"wire backends": {wireBacks, tables},
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := Restore(bytes.NewReader(data), f.idx, opts)
+		err := c.restore(c.data)
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Errorf("%s: stream claiming %d entries restored", name, maxSnapshotEntries)
+			t.Errorf("%s: %d-byte stream claiming millions of entries restored", name, len(c.data))
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Errorf("%s: restore of a %d-byte stream allocated %d bytes", name, len(data), got)
+			t.Errorf("%s: restore of a %d-byte stream allocated %d bytes", name, len(c.data), got)
 		}
 	}
 }
@@ -274,7 +301,51 @@ func FuzzWindowRestore(f *testing.F) {
 		if again := snapshotBytes(t, win); !bytes.Equal(again, data) {
 			t.Fatalf("accepted a %d-byte stream that re-snapshots to %d different bytes", len(data), len(again))
 		}
-		win.IngestFlush([]netflow.Record{fx.recs[0]})
+		flushRecords(win, []netflow.Record{fx.recs[0]})
 		win.Study()
+	})
+}
+
+// FuzzWireTablesRestore: RestoreWireTables never panics on arbitrary
+// bytes, and whatever it accepts snapshots and restores again to equal
+// tables.
+func FuzzWireTablesRestore(f *testing.F) {
+	fx := buildDenseFixture(17)
+	opts := fx.opts
+	opts.Excluded = map[netip.Addr]struct{}{isp.LineV4Addr(0, 7): {}}
+	win, err := NewWindow(fx.idx, fx.days[0], 48, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap := func(t *WireTables) []byte {
+		var buf bytes.Buffer
+		if err := t.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	tables := win.NewWireTables()
+	f.Add(snap(tables))
+	// Bases past the table ends leave lost entries of both kinds.
+	if err := tables.AddLines(2, []netip.Addr{isp.LineV4Addr(0, 7), isp.LineV6Addr(1, 9), netip.MustParseAddr("10.1.2.3")}); err != nil {
+		f.Fatal(err)
+	}
+	if err := tables.AddBackends(1, append([]netip.Addr{netip.MustParseAddr("203.0.113.9")}, fx.idx.addrs[:5]...)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap(tables))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := RestoreWireTables(bytes.NewReader(data), win)
+		if err != nil {
+			return
+		}
+		again, err := RestoreWireTables(bytes.NewReader(snap(got)), win)
+		if err != nil {
+			t.Fatalf("accepted a %d-byte stream whose re-snapshot is refused: %v", len(data), err)
+		}
+		if !reflect.DeepEqual(again.lines, got.lines) || !reflect.DeepEqual(again.backends, got.backends) {
+			t.Fatalf("accepted a %d-byte stream that does not round-trip:\n%+v %v\n%+v %v",
+				len(data), got.lines, got.backends, again.lines, again.backends)
+		}
 	})
 }

@@ -3,7 +3,6 @@ package flows
 import (
 	"fmt"
 	"math"
-	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,8 +41,8 @@ import (
 // (TestWindowEvictionMatchesBatch).
 //
 // Eviction granularity caveat: scanner classification stays per-flush,
-// exactly like the live wire pipeline (ShardPartial.EndLine/
-// IngestBatch), but a bucket can only retire what landed in its hour.
+// exactly like the batch pipeline (ShardPartial.IngestBatch shares
+// classifyFlush), but a bucket can only retire what landed in its hour.
 // A flush whose records span multiple hours is split across buckets
 // while its classification evidence was pooled, so eviction is exact
 // for feeds whose flush intervals respect hour boundaries (the natural
@@ -55,37 +54,26 @@ import (
 // increment unless an earlier flush already landed there; hour-pure
 // feeds never hit the case.
 
-// Sink is where a wire stream's flush intervals land: either a
-// per-stream ShardPartial (the batch collector) or a shared Window (the
-// long-lived service). Both consume whole flush intervals, because
-// scanner classification is a per-flush decision.
+// Sink is where a producer's flush intervals land: either its own
+// ShardPartial (the batch pipeline) or a shared Window (the long-lived
+// service). Both consume whole flush intervals, because scanner
+// classification is a per-flush decision.
 type Sink interface {
-	// IngestFlush consumes one flush interval's records (bytes already
-	// scaled to volume estimates): classify each line address against
-	// the scanner threshold using this flush's distinct-backend
-	// evidence, count every record's contact, aggregate the kept ones.
-	// An empty flush is a no-op.
-	IngestFlush(recs []netflow.Record)
-	// IngestBatch is IngestFlush for the columnar wire path: one flush
-	// interval's validated RecordBatch, resolved through the stream's
-	// dictionary tables.
-	IngestBatch(t *WireTables, b *netflow.RecordBatch)
-	// NewWireTables returns empty per-stream dictionary tables bound to
-	// this sink's index and exclusion set.
+	// NewWireTables returns empty ID tables bound to this sink's index,
+	// exclusion set and study start.
 	NewWireTables() *WireTables
+	// IngestBatch consumes one flush interval's rows, resolved through t
+	// (which must come from this sink): classify each line address
+	// against the scanner threshold using this flush's distinct-backend
+	// evidence, count every row's contact, aggregate the kept ones. An
+	// empty batch is a no-op.
+	IngestBatch(t *WireTables, b *netflow.RecordBatch)
 }
 
 var (
 	_ Sink = (*ShardPartial)(nil)
 	_ Sink = (*Window)(nil)
 )
-
-// IngestFlush implements Sink: buffer the flush interval's records and
-// complete it, classifying its lines with EndLine's per-flush evidence.
-func (p *ShardPartial) IngestFlush(recs []netflow.Record) {
-	p.buf = append(p.buf, recs...)
-	p.EndLine()
-}
 
 // maxWindowShards caps the ingest shard fan-out; past a handful of
 // shards the fold/snapshot cost of walking every shard's ring dominates
@@ -104,7 +92,6 @@ type Window struct {
 	hours     int
 	threshold int
 	rate      float64
-	excluded  map[netip.Addr]struct{}
 
 	// endA mirrors end for lock-free reads on the ingest fast path and
 	// the End()/Span() accessors.
@@ -129,7 +116,7 @@ type Window struct {
 	evictedRecords uint64
 
 	shards []*winShard
-	// rr round-robins streams/flushes onto shards.
+	// rr round-robins producers' tables onto shards.
 	rr atomic.Uint32
 
 	// foldMu serializes Merged/Study and guards the fold caches.
@@ -139,8 +126,8 @@ type Window struct {
 }
 
 // winShard is one ingest shard: its own line intern table, its own ring
-// of hour buckets, a free list of retired buckets, and the per-flush
-// classification scratch. All fields are guarded by mu.
+// of hour buckets, a free list of retired buckets, and the recycled
+// per-flush line entries. All fields are guarded by mu.
 type winShard struct {
 	w  *Window
 	mu sync.Mutex
@@ -156,10 +143,8 @@ type winShard struct {
 	// touched lists the buckets the in-progress flush wrote to.
 	touched []*winBucket
 
-	// Per-flush classification scratch, recycled across calls.
-	sides []recSide
-	ents  []endEnt
-	entOf map[netip.Addr]int32
+	// ents are classifyFlush's line entries, recycled across calls.
+	ents []endEnt
 }
 
 // Row flag bits (winBucket.flags, and the IWIN row encoding).
@@ -249,7 +234,6 @@ func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Wi
 		hours:     hours,
 		threshold: threshold,
 		rate:      rate,
-		excluded:  opts.Excluded,
 		end:       -1,
 		hourLive:  make([]bool, hours),
 		hourRecs:  make([]uint64, hours),
@@ -263,11 +247,7 @@ func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Wi
 func (w *Window) setShards(n int) {
 	w.shards = make([]*winShard, n)
 	for i := range w.shards {
-		w.shards[i] = &winShard{
-			w:     w,
-			ring:  make([]*winBucket, w.hours),
-			entOf: map[netip.Addr]int32{},
-		}
+		w.shards[i] = &winShard{w: w, ring: make([]*winBucket, w.hours)}
 	}
 }
 
@@ -379,12 +359,12 @@ func (w *Window) advanceTo(ah int64) {
 	w.endA.Store(ah)
 }
 
-// route resolves one record's absolute hour to this shard's live
-// bucket, advancing (and evicting) as needed. nil means the record was
-// refused (pre-epoch or older than the trailing window) and counted.
-func (sh *winShard) route(ah int64, pre bool) *winBucket {
+// route resolves one row's absolute hour to this shard's live bucket,
+// advancing (and evicting) as needed. nil means the row was refused
+// (pre-epoch — negative — or older than the trailing window) and counted.
+func (sh *winShard) route(ah int64) *winBucket {
 	w := sh.w
-	if pre {
+	if ah < 0 {
 		w.preWindow.Add(1)
 		return nil
 	}
@@ -497,132 +477,30 @@ func (sh *winShard) recycle(bk *winBucket) {
 	sh.free = append(sh.free, bk)
 }
 
-// IngestFlush implements Sink for the record path: classification
-// evidence is pooled over the whole flush (exactly like
-// ShardPartial.EndLine — a scanner's contacts count no matter which
-// hour they land in), then each record is appended to its own hour
-// bucket.
-func (w *Window) IngestFlush(recs []netflow.Record) {
-	if len(recs) == 0 {
-		return
-	}
-	sh := w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	words := w.idx.words
-	sh.sides = sh.sides[:0]
-	ents := sh.ents[:0]
-	for _, r := range recs {
-		line, backendID, down, ok := w.idx.lineSide(r)
-		if !ok {
-			sh.sides = append(sh.sides, recSide{entry: -1})
-			continue
-		}
-		e, found := sh.entOf[line]
-		if !found {
-			e = int32(len(ents))
-			ents = appendEnt(ents, line, words)
-			sh.entOf[line] = e
-		}
-		setBit(ents[e].bits, int(backendID))
-		sh.sides = append(sh.sides, recSide{backendID: backendID, entry: e, down: down})
-	}
-	for i := range ents {
-		_, skip := w.excluded[ents[i].addr]
-		ents[i].over = skip || popcount(ents[i].bits) > w.threshold
-	}
-	for i, r := range recs {
-		s := sh.sides[i]
-		if s.entry < 0 {
-			continue
-		}
-		since := r.Start.Sub(w.epoch)
-		bk := sh.route(int64(since/time.Hour), since < 0)
-		if bk == nil {
-			continue
-		}
-		ent := &ents[s.entry]
-		// The backend-side port identifies the service.
-		port, flags := r.DstPort, uint8(0)
-		if s.down {
-			port, flags = r.SrcPort, rowDown
-		}
-		if r.Proto == netflow.ProtoUDP {
-			flags |= rowUDP
-		}
-		if !ent.over {
-			flags |= rowKept
-			bk.records++
-		}
-		bk.add(sh.lines.id(ent.addr), s.backendID, port, flags, float64(r.Bytes)*w.rate)
-	}
-	sh.ents = ents
-	clear(sh.entOf)
-	sh.endFlush()
-}
-
-// IngestBatch implements Sink for the columnar wire path. Row hours are
-// epoch-relative study hours exactly as the wire collector rebases them
+// IngestBatch implements Sink. Row hours are epoch-relative study hours
 // (negative = before the epoch); rows beyond the newest hour advance
-// the window. Classification mirrors ShardPartial.IngestBatch:
-// per-flush evidence over every row with an indexed backend, exclusion
-// per line address, contacts counted regardless of the scanner verdict.
-// The tables stay bound to one ingest shard (their winID memos are
-// shard line IDs), which is the per-stream parallelism unit.
+// the window. Classification evidence is pooled over the whole flush,
+// exactly like ShardPartial.IngestBatch — a scanner's contacts count no
+// matter which hour they land in — then every row with an indexed
+// backend is appended to its own hour bucket: all of them are contact
+// evidence, rows of kept lines also reach the Collector at fold time.
+// The tables stay bound to one ingest shard (their winID memos are its
+// line IDs), which is the per-stream parallelism unit.
 func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
-	n := b.Len()
-	if n == 0 {
+	if b.Len() == 0 {
 		return
 	}
 	sh := t.shard
-	if sh == nil || sh.w != w {
-		if sh != nil {
-			// Tables previously bound to another window: the memoized
-			// line IDs are meaningless here.
-			for i := range t.lines {
-				t.lines[i].winID = 0
-			}
-		}
-		sh = w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
-		t.shard = sh
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	words := w.idx.words
-	ents := sh.ents[:0]
+	ents := classifyFlush(t, b, sh.ents[:0], w.threshold)
 
-	// Pass 1: per-line contact evidence for this flush interval.
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
+	for i, bid := range b.Backend {
+		be := t.backends[bid]
 		if be < 0 {
 			continue
 		}
-		li := b.Line[i]
-		e := t.entSlot[li]
-		if e == 0 {
-			ents = appendEnt(ents, t.lines[li].addr, words)
-			e = int32(len(ents))
-			t.entSlot[li] = e
-			t.touched = append(t.touched, int32(li))
-		}
-		setBit(ents[e-1].bits, int(be))
-	}
-	for _, li := range t.touched {
-		ent := &ents[t.entSlot[li]-1]
-		ent.over = t.lines[li].excluded || popcount(ent.bits) > w.threshold
-	}
-
-	// Pass 2: append every row to its hour bucket — all of them are
-	// contact evidence, rows of kept, non-excluded lines also reach the
-	// Collector at fold time. Line IDs are shard-table IDs memoized on
-	// the tables (winID).
-	for i := 0; i < n; i++ {
-		be := t.backends[b.Backend[i]]
-		if be < 0 {
-			continue
-		}
-		h := int64(b.Hour[i])
-		bk := sh.route(h, h < 0)
+		bk := sh.route(int64(b.Hour[i]))
 		if bk == nil {
 			continue
 		}
@@ -647,36 +525,17 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		bk.add(lid, be, b.Port[i], flags, float64(b.Bytes[i])*w.rate)
 	}
 
-	for _, li := range t.touched {
-		t.entSlot[li] = 0
-	}
-	t.touched = t.touched[:0]
+	t.releaseEnts()
 	sh.ents = ents
 	sh.endFlush()
 }
 
-// NewWireTables implements Sink: fresh dictionary tables resolved
-// against the window's index and exclusion set, bound round-robin to
-// one ingest shard.
+// NewWireTables implements Sink: fresh tables resolved against the
+// window's index, exclusion set and epoch, bound round-robin to one
+// ingest shard.
 func (w *Window) NewWireTables() *WireTables {
 	sh := w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
-	return &WireTables{idx: w.idx, excluded: w.excluded, shard: sh}
-}
-
-// appendEnt reuses (or allocates) the next per-flush line entry.
-func appendEnt(ents []endEnt, addr netip.Addr, words int) []endEnt {
-	if cap(ents) > len(ents) {
-		ents = ents[:len(ents)+1]
-		ent := &ents[len(ents)-1]
-		ent.addr = addr
-		if len(ent.bits) != words {
-			ent.bits = make([]uint64, words)
-		} else {
-			clearBits(ent.bits)
-		}
-		return ents
-	}
-	return append(ents, endEnt{addr: addr, bits: make([]uint64, words)})
+	return &WireTables{idx: w.idx, excluded: w.opts.Excluded, start: w.epoch, shard: sh}
 }
 
 // --- Incremental fold ----------------------------------------------------

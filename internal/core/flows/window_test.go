@@ -38,6 +38,19 @@ func assertWindowEquals(t *testing.T, win *Window, refCC *ContactCounter, refCol
 	}
 }
 
+// flushRecords feeds sink one flush interval of records the way a
+// record producer does, as rows resolved through AppendRecord. Tables
+// are fresh per flush, so successive flushes into a Window land on
+// successive ingest shards.
+func flushRecords(sink Sink, recs []netflow.Record) {
+	t := sink.NewWireTables()
+	var b netflow.RecordBatch
+	for _, r := range recs {
+		t.AppendRecord(&b, r)
+	}
+	sink.IngestBatch(t, &b)
+}
+
 // TestWindowWeekMatchesBatch: a whole-week window fed the same
 // per-line-week flushes as the sharded batch pipeline produces the
 // identical study — the no-eviction identity that makes the service's
@@ -61,7 +74,7 @@ func TestWindowWeekMatchesBatch(t *testing.T) {
 			return func(r netflow.Record) { bufs[shard] = append(bufs[shard], r) }
 		},
 		func(shard int, _ *isp.Line) {
-			win.IngestFlush(bufs[shard])
+			flushRecords(win, bufs[shard])
 			bufs[shard] = bufs[shard][:0]
 		},
 	)
@@ -123,7 +136,7 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 		flushes := hourFlushes(f.recs, epoch)
 		end := flushHour(flushes[len(flushes)-1], epoch)
 		for _, flush := range flushes {
-			win.IngestFlush(flush)
+			flushRecords(win, flush)
 		}
 		st := win.Stats()
 		if st.EvictedHours == 0 {
@@ -143,7 +156,7 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 		ref := NewShardPartial(f.idx, days, opts)
 		for _, flush := range flushes {
 			if h := flushHour(flush, epoch); h >= ws && h <= end {
-				ref.IngestFlush(flush)
+				flushRecords(ref, flush)
 			}
 		}
 		refCC, refCol := MergePartials([]*ShardPartial{ref})
@@ -151,11 +164,14 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestWindowBatchPathMatchesRecordPath: the columnar wire path
-// (dictionary tables + RecordBatch) folds into a window exactly like
-// the equivalent record flushes — figures, per-hour fill, and the
-// eviction ledger. A third of the lines are pre-excluded: their rows
-// are contact evidence on both paths and records on neither.
+// TestWindowBatchPathMatchesRecordPath: WireTables.AppendRecord makes,
+// record for record, the rows a dictionary exporter would have sent —
+// pinned against a hand-built record→batch conversion over hand-built
+// dictionaries — and the two feeds leave identical windows: figures,
+// per-hour fill, and the eviction ledger. A third of the lines are
+// pre-excluded (contact evidence on both feeds, records on neither);
+// records with no indexed endpoint make no row, records before the
+// epoch make an hour -1 row.
 func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	f := buildDenseFixture(7)
 	opts := f.opts
@@ -210,19 +226,27 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	if err := tables.AddBackends(0, backAddrs); err != nil {
 		t.Fatal(err)
 	}
+	recTables := winRec.NewWireTables()
 
+	unindexed, preEpoch := 0, 0
 	for _, flush := range hourFlushes(f.recs, epoch) {
-		winRec.IngestFlush(flush)
-		var b netflow.RecordBatch
+		var b, rb netflow.RecordBatch
 		for _, r := range flush {
 			line, beID, down, ok := f.idx.lineSide(r)
+			before := rb.Len()
+			recTables.AppendRecord(&rb, r)
+			if made := rb.Len() > before; made != ok {
+				t.Fatalf("AppendRecord made a row = %v for %+v, indexed endpoint = %v", made, r, ok)
+			}
 			if !ok {
+				unindexed++
 				continue
 			}
 			since := r.Start.Sub(epoch)
 			h := int32(since / time.Hour)
 			if since < 0 {
 				h = -1
+				preEpoch++
 			}
 			port := r.SrcPort
 			if !down {
@@ -230,25 +254,43 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 			}
 			b.Append(lineID[line], backID[f.idx.addrs[beID]], down, h, port, r.Proto, r.Bytes, r.Packets)
 		}
+		if rb.Len() != b.Len() {
+			t.Fatalf("resolver made %d rows, the reference conversion %d", rb.Len(), b.Len())
+		}
+		for i := 0; i < b.Len(); i++ {
+			if recTables.lines[rb.Line[i]].addr != lineAddrs[b.Line[i]] ||
+				recTables.backends[rb.Backend[i]] != tables.backends[b.Backend[i]] {
+				t.Fatalf("row %d resolves to another line or backend than the reference", i)
+			}
+		}
+		// IDs aside, the columns must be equal.
+		noIDs := func(x netflow.RecordBatch) netflow.RecordBatch { x.Line, x.Backend = nil, nil; return x }
+		if !reflect.DeepEqual(noIDs(rb), noIDs(b)) {
+			t.Fatalf("resolver rows differ from the reference conversion:\n%+v\n%+v", rb, b)
+		}
+		winRec.IngestBatch(recTables, &rb)
 		winBatch.IngestBatch(tables, &b)
+	}
+	if unindexed == 0 || preEpoch == 0 {
+		t.Fatalf("fixture must carry unindexed (%d) and pre-epoch (%d) records", unindexed, preEpoch)
 	}
 
 	ccR, colR := winRec.Merged()
 	ccB, colB := winBatch.Merged()
 	if !reflect.DeepEqual(colB.Study(), colR.Study()) {
-		t.Error("batch-path window study differs from record-path window")
+		t.Error("resolver-fed window study differs from the reference batches' window")
 	}
 	if !reflect.DeepEqual(ccB.contactSets(), ccR.contactSets()) {
-		t.Error("batch-path window contact sets differ from record-path window")
+		t.Error("resolver-fed window contact sets differ from the reference batches' window")
 	}
 	if !reflect.DeepEqual(winRec.BucketStats(), winBatch.BucketStats()) {
-		t.Error("per-hour record counts differ between the record and batch paths")
+		t.Error("per-hour record counts differ between the resolver and the reference batches")
 	}
-	if st := winRec.Stats(); st.EvictedHours == 0 || st.EvictedRecords == 0 {
-		t.Fatalf("5-day feed through a 2-day window must evict, got %+v", st)
+	if st := winRec.Stats(); st.EvictedHours == 0 || st.EvictedRecords == 0 || st.PreWindowRecords == 0 {
+		t.Fatalf("5-day feed through a 2-day window must evict and refuse pre-epoch rows, got %+v", st)
 	}
 	if winRec.Stats() != winBatch.Stats() {
-		t.Errorf("stats differ: record %+v batch %+v", winRec.Stats(), winBatch.Stats())
+		t.Errorf("stats differ: resolver %+v reference %+v", winRec.Stats(), winBatch.Stats())
 	}
 }
 
@@ -275,7 +317,7 @@ func TestWindowConcurrentIngest(t *testing.T) {
 	}
 	flushes := hourFlushes(f.recs, epoch)
 	for _, fl := range flushes {
-		seq.IngestFlush(fl)
+		flushRecords(seq, fl)
 	}
 	refCC, refCol := seq.Merged()
 
@@ -318,7 +360,7 @@ func TestWindowConcurrentIngest(t *testing.T) {
 		go func(wk int) {
 			defer writers.Done()
 			for i := wk; i < len(flushes); i += workers {
-				con.IngestFlush(flushes[i])
+				flushRecords(con, flushes[i])
 			}
 		}(wk)
 	}
@@ -351,7 +393,7 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	flushes := hourFlushes(f.recs, epoch)
 	half := len(flushes) / 2
 	for _, flush := range flushes[:half] {
-		win.IngestFlush(flush)
+		flushRecords(win, flush)
 	}
 
 	var buf bytes.Buffer
@@ -368,8 +410,8 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	}
 
 	for _, flush := range flushes[half:] {
-		win.IngestFlush(flush)
-		restored.IngestFlush(flush)
+		flushRecords(win, flush)
+		flushRecords(restored, flush)
 	}
 	ccA, colA := win.Merged()
 	ccB, colB := restored.Merged()
@@ -400,7 +442,7 @@ func TestWindowSnapshotRefusesMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win.IngestFlush(f.recs[:100])
+	flushRecords(win, f.recs[:100])
 	var buf bytes.Buffer
 	if err := Snapshot(&buf, win); err != nil {
 		t.Fatal(err)

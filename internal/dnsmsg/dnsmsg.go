@@ -4,8 +4,8 @@
 //
 // The active-measurement part of the methodology (Section 3.3) performs
 // daily DNS resolutions from three vantage points; this package is the wire
-// substrate beneath internal/resolver (client) and internal/dnszone
-// (authoritative server). Parsing follows the gopacket discipline: decode
+// substrate beneath internal/dnszone (the authoritative server) and the
+// record types the DNS datasets carry. Parsing follows the gopacket discipline: decode
 // into caller-owned structs, never retain the input buffer.
 package dnsmsg
 

@@ -317,8 +317,7 @@ func (s *Server) handle(wire []byte) []byte {
 	}
 	if len(out) > maxUDPPayload {
 		// Truncate: strip answers, set TC, and let the client retry
-		// (our stub resolver treats TC as an error; zones are sized to
-		// avoid this in practice).
+		// (zones are sized to avoid this in practice).
 		resp.Answers = nil
 		resp.Authority = nil
 		resp.Header.Truncated = true
