@@ -86,9 +86,22 @@ type Impact struct {
 }
 
 // CheckImpact returns every event that covers a monitored backend IP
-// (prefix events) or a hosting AS (outage events).
+// (prefix events) or a hosting AS (outage events). The table is static,
+// so each address's origin is resolved once into the set of hosting ASes
+// and every outage event is one probe of that set — the same answer as
+// CheckImpactAt(addrs, TableOrigin(table)) without a trie walk per
+// (event, address).
 func (f *Feed) CheckImpact(addrs []netip.Addr, table *asdb.Table) []Impact {
-	return f.CheckImpactAt(addrs, TableOrigin(table))
+	hosting := map[asdb.ASN]struct{}{}
+	for _, a := range addrs {
+		if asn, ok := table.Origin(a); ok {
+			hosting[asn] = struct{}{}
+		}
+	}
+	return f.checkImpact(addrs, func(e Event) bool {
+		_, hit := hosting[e.ASN]
+		return hit
+	})
 }
 
 // OriginAt resolves a monitored address's hosting AS as of a point in
@@ -111,6 +124,20 @@ func TableOrigin(table *asdb.Table) OriginAt {
 // (leaks, hijacks) match on address containment, which migration does
 // not change.
 func (f *Feed) CheckImpactAt(addrs []netip.Addr, origin OriginAt) []Impact {
+	return f.checkImpact(addrs, func(e Event) bool {
+		for _, a := range addrs {
+			if asn, ok := origin(a, e.At); ok && asn == e.ASN {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// checkImpact walks the feed in event order: prefix events match every
+// contained address, an outage event matches once when hostsMonitored
+// says its AS hosts a monitored address.
+func (f *Feed) checkImpact(addrs []netip.Addr, hostsMonitored func(Event) bool) []Impact {
 	var out []Impact
 	for _, e := range f.events {
 		switch e.Kind {
@@ -121,11 +148,8 @@ func (f *Feed) CheckImpactAt(addrs []netip.Addr, origin OriginAt) []Impact {
 				}
 			}
 		case ASOutage:
-			for _, a := range addrs {
-				if asn, ok := origin(a, e.At); ok && asn == e.ASN {
-					out = append(out, Impact{Event: e, ASN: e.ASN})
-					break
-				}
+			if hostsMonitored(e) {
+				out = append(out, Impact{Event: e, ASN: e.ASN})
 			}
 		}
 	}

@@ -93,6 +93,57 @@ func TestASOutageImpact(t *testing.T) {
 	}
 }
 
+// TestCheckImpactMatchesCheckImpactAt: the static-table path resolves
+// origins once into an AS set; it must report exactly what the per-event
+// time-aware path reports over the same table — background events,
+// outages of hosted ASes (one Impact each, in event order), outages of
+// foreign ASes (none) and a prefix event.
+func TestCheckImpactMatchesCheckImpactAt(t *testing.T) {
+	w, err := world.Build(world.Config{Seed: 2, Scale: 0.03})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed, err := Generate(PaperWeek(days()), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []netip.Addr
+	hosted := map[asdb.ASN]struct{}{}
+	for _, s := range w.AllServers() {
+		addrs = append(addrs, s.Addr)
+		hosted[s.ASN] = struct{}{}
+	}
+	events := feed.Events()
+	injected := 0
+	for asn := range hosted {
+		events = append(events,
+			Event{Kind: ASOutage, ASN: asn, At: days()[injected%len(days())].Add(time.Duration(injected) * time.Minute)})
+		injected++
+	}
+	foreign := asdb.ASN(64999)
+	if _, clash := hosted[foreign]; clash {
+		t.Fatalf("AS%d hosts a backend; pick another foreign AS", foreign)
+	}
+	events = append(events,
+		Event{Kind: ASOutage, ASN: foreign, At: days()[1]},
+		WhatIfHijack(netip.PrefixFrom(addrs[0], addrs[0].BitLen()), days()[2]))
+	feed = NewFeed(events)
+
+	got := feed.CheckImpact(addrs, w.AS)
+	want := feed.CheckImpactAt(addrs, TableOrigin(w.AS))
+	if len(got) != injected+1 {
+		t.Fatalf("impacts = %d, want %d hosted outages + 1 hijack", len(got), injected)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("CheckImpact found %d impacts, CheckImpactAt %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("impact %d differs: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if Leak.String() != "bgp-leak" || Hijack.String() != "possible-hijack" ||
 		ASOutage.String() != "as-outage" || Kind(9).String() != "unknown" {

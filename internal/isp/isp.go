@@ -17,13 +17,24 @@
 // week-sized record buffers — and report per-line completion so the
 // aggregation layer (core/flows) can classify scanner lines and fold
 // partial aggregates as lines finish. Simulate is the sequential
-// reference with identical per-line output; SimulateDay remains as a
-// day-granular compatibility path for the NetFlow wire-export bench.
+// reference with identical per-line output; SimulateDay remains as the
+// day-granular path for chronological feeds (the window benches, the
+// repository benchmark's daemon-live feed).
+//
+// NewNetwork resolves everything that does not depend on the line-day:
+// the population, and per (provider, continent) pair in it a shared
+// read-only device class — the traffic profile and a homing table of
+// the servers eligible on each study day (see eligibleServers). The
+// world is immutable after world.Build, so the tables are too, and
+// concurrent shards and vantages read them without a lock. Per line-day
+// the simulator derives RNG streams only; a daily re-resolution is one
+// draw indexing the device's table.
 package isp
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -95,9 +106,31 @@ type Device struct {
 	Provider  string
 	Continent geo.Continent
 	Heavy     bool
+	// class is what NewNetwork resolved for (Provider, Continent): the
+	// traffic profile and the per-day homing table.
+	class *deviceClass
 	// cur is the device's current backend server (daily re-resolution
 	// may move it).
 	cur *world.Server
+}
+
+// deviceClass is everything the devices of one (provider, continent)
+// pair share. NewNetwork builds one per pair its population contains and
+// nothing writes to it afterwards, so parallel line shards — and several
+// Networks over one World — read it without a lock.
+type deviceClass struct {
+	prof *traffic.Profile
+	// days[d] is where a device of this class may home on study day d.
+	days []homingCell
+}
+
+// homingCell is one day of a class's homing table.
+type homingCell struct {
+	// servers are the eligible backends (see eligibleServers).
+	servers []*world.Server
+	// weights is the profile's RegionBias column over servers; nil when
+	// the profile has no bias and the pick is uniform.
+	weights []float64
 }
 
 // Line is one subscriber line.
@@ -117,12 +150,9 @@ func (l *Line) HasV6() bool { return l.V6.IsValid() }
 
 // Network is the built ISP model.
 type Network struct {
-	Cfg      Config
-	World    *world.World
-	Lines    []*Line
-	profiles map[string]traffic.Profile
-	// lineAddrs marks subscriber addresses for direction inference.
-	lineAddrs map[netip.Addr]*Line
+	Cfg   Config
+	World *world.World
+	Lines []*Line
 	// backendV4 is the flat list of scan targets for scanner lines.
 	backendV4 []netip.Addr
 	// Modifier, when set, adjusts or suppresses flows (outage injection).
@@ -187,12 +217,7 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 	if cfg.VantageID < 0 || cfg.VantageID > maxVantageID {
 		return nil, fmt.Errorf("isp: vantage ID %d outside [0, %d] (the per-vantage /8 address plan)", cfg.VantageID, maxVantageID)
 	}
-	n := &Network{
-		Cfg:       cfg,
-		World:     w,
-		profiles:  traffic.Profiles(),
-		lineAddrs: map[netip.Addr]*Line{},
-	}
+	n := &Network{Cfg: cfg, World: w}
 	for _, s := range w.AllServers() {
 		if !s.IsV6() {
 			n.backendV4 = append(n.backendV4, s.Addr)
@@ -201,10 +226,19 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 	sort.Slice(n.backendV4, func(i, j int) bool { return n.backendV4[i].Less(n.backendV4[j]) })
 
 	ids := traffic.ProviderIDs()
+	profiles := traffic.Profiles()
+	profs := make([]*traffic.Profile, len(ids))
 	shareWeights := make([]float64, len(ids))
 	for i, id := range ids {
-		shareWeights[i] = n.profiles[id].LineShare
+		prof := profiles[id]
+		profs[i] = &prof
+		shareWeights[i] = prof.LineShare
 	}
+	type classKey struct {
+		provider int
+		cont     geo.Continent
+	}
+	classes := map[classKey]*deviceClass{}
 
 	rng := simrand.Derive(cfg.Seed, "isp")
 	for i := 0; i < cfg.Lines; i++ {
@@ -218,13 +252,18 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 		if rng.Bool(cfg.IoTPenetration) {
 			nDev := 1 + rng.Zipf(1.6, 4) // 1..4, mostly 1
 			for d := 0; d < nDev; d++ {
-				id := ids[rng.WeightedChoice(shareWeights)]
-				prof := n.profiles[id]
+				pi := rng.WeightedChoice(shareWeights)
+				prof := profs[pi]
 				dev := Device{
-					Provider:  id,
+					Provider:  ids[pi],
 					Continent: prof.PickContinentBiased(rng, cfg.ContinentBias),
 					Heavy:     prof.HeavyFrac > 0 && rng.Bool(prof.HeavyFrac),
 				}
+				key := classKey{pi, dev.Continent}
+				if classes[key] == nil {
+					classes[key] = newDeviceClass(w, prof, dev.Continent)
+				}
+				dev.class = classes[key]
 				line.Devices = append(line.Devices, dev)
 			}
 		}
@@ -236,10 +275,6 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 			line.ScanBreadth = b
 		}
 		n.Lines = append(n.Lines, line)
-		n.lineAddrs[line.V4] = line
-		if line.HasV6() {
-			n.lineAddrs[line.V6] = line
-		}
 	}
 	if len(n.Lines) == 0 {
 		return nil, fmt.Errorf("isp: no lines")
@@ -247,10 +282,20 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 	return n, nil
 }
 
-// LineByAddr resolves a subscriber address to its line.
+// LineByAddr resolves a subscriber address to its line. The address
+// plan is arithmetic (plan.go), so this is LineSlot plus the checks that
+// the slot belongs to this Network: its vantage, a line it built, and —
+// for a v6 slot — a line that holds a v6 prefix.
 func (n *Network) LineByAddr(a netip.Addr) (*Line, bool) {
-	l, ok := n.lineAddrs[a]
-	return l, ok
+	vantage, slot, ok := LineSlot(a)
+	if !ok || vantage != n.Cfg.VantageID || int(slot>>1) >= len(n.Lines) {
+		return nil, false
+	}
+	l := n.Lines[slot>>1]
+	if slot&1 == 1 && !l.HasV6() {
+		return nil, false
+	}
+	return l, true
 }
 
 // IoTLines counts lines hosting at least one device.
@@ -264,17 +309,42 @@ func (n *Network) IoTLines() int {
 	return c
 }
 
+// newDeviceClass resolves the homing table of prof's devices homed to
+// cont: one cell per study day.
+func newDeviceClass(w *world.World, prof *traffic.Profile, cont geo.Continent) *deviceClass {
+	c := &deviceClass{prof: prof, days: make([]homingCell, len(w.Days))}
+	p := w.Providers[prof.ProviderID]
+	if p == nil {
+		return c // no such fleet: every cell stays empty, devices never home
+	}
+	var scratch []*world.Server
+	for day := range c.days {
+		scratch = eligibleServers(p, prof, cont, day, scratch)
+		cell := &c.days[day]
+		cell.servers = slices.Clone(scratch)
+		if len(prof.RegionBias) == 0 {
+			continue
+		}
+		cell.weights = make([]float64, len(scratch))
+		for i, s := range scratch {
+			wt := prof.RegionBias[s.Region.Region]
+			if wt <= 0 {
+				wt = 1
+			}
+			cell.weights[i] = wt
+		}
+	}
+	return c
+}
+
 // eligibleServers returns the device-reachable backend servers of a
 // provider in a continent on a day: the active servers of that
 // continent, trimmed to the profile's ServerSpread (the part of the
 // fleet that ever serves this ISP — Figure 6's visibility ceiling).
-// scratch, when non-nil, is reused as the result's backing storage.
-func (n *Network) eligibleServers(providerID string, cont geo.Continent, day int, scratch []*world.Server) []*world.Server {
-	prof := n.profiles[providerID]
-	p := n.World.Providers[providerID]
-	if p == nil {
-		return nil
-	}
+// scratch is reused as the result's backing storage. It is the one scan
+// of a provider's fleet; the simulator only ever reads its results out
+// of the homing tables.
+func eligibleServers(p *world.Provider, prof *traffic.Profile, cont geo.Continent, day int, scratch []*world.Server) []*world.Server {
 	inCont := scratch[:0]
 	for _, s := range p.Servers {
 		if s.ActiveOn(day) && s.Region.Continent == cont {
@@ -304,27 +374,6 @@ func (n *Network) eligibleServers(providerID string, cont geo.Continent, day int
 	return inCont[:k]
 }
 
-// pickServer homes a device onto an eligible server, honoring region
-// bias.
-func (n *Network) pickServer(st *simState, prof traffic.Profile, eligible []*world.Server, rng *simrand.Source) *world.Server {
-	if len(eligible) == 0 {
-		return nil
-	}
-	if len(prof.RegionBias) == 0 {
-		return eligible[rng.Intn(len(eligible))]
-	}
-	weights := st.weightScratch[:0]
-	for _, s := range eligible {
-		w := prof.RegionBias[s.Region.Region]
-		if w <= 0 {
-			w = 1
-		}
-		weights = append(weights, w)
-	}
-	st.weightScratch = weights[:0]
-	return eligible[rng.WeightedChoice(weights)]
-}
-
 // simState is one worker's reusable randomness for the line-major
 // loops: every per-(line, day) stream the simulation derives is Reset
 // in place instead of allocated, so a whole simulated week costs a
@@ -337,9 +386,6 @@ type simState struct {
 	modRng  simrand.Source
 	homeRng simrand.Source
 	scanRng simrand.Source
-	// srvScratch/weightScratch back eligibleServers/pickServer.
-	srvScratch    []*world.Server
-	weightScratch []float64
 }
 
 // SimulateDay generates one study day of sampled flow records into
@@ -442,25 +488,34 @@ func (n *Network) lineDay(st *simState, line *Line, day int, dayStart time.Time,
 	}
 }
 
-// resolveDevice performs the device's daily DNS re-resolution.
+// resolveDevice performs the device's daily DNS re-resolution: a lookup
+// in its class's homing table, drawn from the per-(line, device, day)
+// homing stream.
 func (n *Network) resolveDevice(st *simState, dev *Device, line *Line, devIdx, day int) {
-	prof := n.profiles[dev.Provider]
+	prof := dev.class.prof
 	rng := &st.homeRng
 	rng.Reset(simrand.SeedN(n.Cfg.Seed, "homing", int64(line.ID), int64(devIdx), int64(day)))
 	needsNew := dev.cur == nil || !dev.cur.ActiveOn(day)
 	if !needsNew && prof.RemapDaily > 0 && rng.Bool(prof.RemapDaily) {
 		needsNew = true
 	}
-	if needsNew {
-		eligible := n.eligibleServers(dev.Provider, dev.Continent, day, st.srvScratch[:0])
-		st.srvScratch = eligible[:0]
-		dev.cur = n.pickServer(st, prof, eligible, rng)
+	if !needsNew {
+		return
+	}
+	cell := &dev.class.days[day]
+	switch {
+	case len(cell.servers) == 0:
+		dev.cur = nil
+	case cell.weights == nil:
+		dev.cur = cell.servers[rng.Intn(len(cell.servers))]
+	default:
+		dev.cur = cell.servers[rng.WeightedChoice(cell.weights)]
 	}
 }
 
 // deviceDay emits the device's hourly exchanges for one day.
 func (n *Network) deviceDay(line *Line, dev *Device, devIdx, day int, dayStart time.Time, rng, modRng *simrand.Source, sampler *netflow.Sampler, sink func(netflow.Record)) {
-	prof := n.profiles[dev.Provider]
+	prof := dev.class.prof
 	srv := dev.cur
 	lineAddr := line.V4
 	if srv.IsV6() {

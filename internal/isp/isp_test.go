@@ -1,6 +1,8 @@
 package isp
 
 import (
+	"net/netip"
+	"slices"
 	"testing"
 
 	"iotmap/internal/geo"
@@ -257,11 +259,15 @@ func TestModifierSuppressesFlows(t *testing.T) {
 }
 
 func TestEligibleServersSpread(t *testing.T) {
-	w, n := testNetwork(t)
+	w, _ := testNetwork(t)
+	profs := traffic.Profiles()
+	eligible := func(id string, cont geo.Continent) []*world.Server {
+		prof := profs[id]
+		return eligibleServers(w.Providers[id], &prof, cont, 0, nil)
+	}
 	// Google spread=1: all EU servers eligible.
-	prof := traffic.Profiles()["google"]
-	if prof.ServerSpread != 1.0 {
-		t.Fatalf("google spread = %f", prof.ServerSpread)
+	if spread := profs["google"].ServerSpread; spread != 1.0 {
+		t.Fatalf("google spread = %f", spread)
 	}
 	euAll := 0
 	for _, s := range w.Providers["google"].ActiveServers(0) {
@@ -269,7 +275,7 @@ func TestEligibleServersSpread(t *testing.T) {
 			euAll++
 		}
 	}
-	got := n.eligibleServers("google", geo.Europe, 0, nil)
+	got := eligible("google", geo.Europe)
 	if len(got) != euAll {
 		t.Fatalf("google EU eligible = %d, want %d", len(got), euAll)
 	}
@@ -280,15 +286,188 @@ func TestEligibleServersSpread(t *testing.T) {
 			sapAll++
 		}
 	}
-	sapGot := n.eligibleServers("sap", geo.Europe, 0, nil)
+	sapGot := eligible("sap", geo.Europe)
 	if sapAll > 10 && len(sapGot) >= sapAll {
 		t.Fatalf("sap eligible %d not trimmed from %d", len(sapGot), sapAll)
 	}
 	// Continent without presence falls back to the whole fleet.
-	fallback := n.eligibleServers("bosch", geo.Asia, 0, nil)
+	fallback := eligible("bosch", geo.Asia)
 	if len(fallback) == 0 {
 		t.Fatal("no fallback homing for bosch in Asia")
 	}
+}
+
+// scanCell is the reference the homing tables are checked against: the
+// eligible servers and RegionBias weights of one (provider, continent,
+// day), derived from scratch the way every re-home used to.
+func scanCell(p *world.Provider, prof traffic.Profile, cont geo.Continent, day int) ([]*world.Server, []float64) {
+	var inCont, anywhere []*world.Server
+	for _, s := range p.Servers {
+		if day < s.FirstDay || day > s.LastDay {
+			continue
+		}
+		anywhere = append(anywhere, s)
+		if s.Region.Continent == cont {
+			inCont = append(inCont, s)
+		}
+	}
+	if len(inCont) == 0 {
+		inCont = anywhere
+	}
+	spread := prof.ServerSpread
+	if spread <= 0 || spread > 1 {
+		spread = 1
+	}
+	k := max(int(float64(len(inCont))*spread+0.999), 1)
+	inCont = inCont[:min(k, len(inCont))]
+	if len(prof.RegionBias) == 0 {
+		return inCont, nil
+	}
+	weights := make([]float64, len(inCont))
+	for i, s := range inCont {
+		weights[i] = 1
+		if w := prof.RegionBias[s.Region.Region]; w > 0 {
+			weights[i] = w
+		}
+	}
+	return inCont, weights
+}
+
+// TestHomingTablesMatchScan: every cell of every device class — the ones
+// the population points at, plus a continent the provider has no
+// presence on — equals an independent scan of the fleet for that day,
+// in a world whose servers retire and appear mid-week.
+func TestHomingTablesMatchScan(t *testing.T) {
+	w, n := testNetwork(t)
+	profs := traffic.Profiles()
+
+	type pair struct {
+		provider string
+		cont     geo.Continent
+	}
+	classes := map[pair]*deviceClass{}
+	for _, l := range n.Lines {
+		for _, d := range l.Devices {
+			key := pair{d.Provider, d.Continent}
+			if d.class == nil || d.class.prof.ProviderID != d.Provider {
+				t.Fatalf("line %d: %s device carries class %+v", l.ID, d.Provider, d.class)
+			}
+			if c, ok := classes[key]; ok && c != d.class {
+				t.Fatalf("%v resolved twice", key)
+			}
+			classes[key] = d.class
+		}
+	}
+	if len(classes) < 10 {
+		t.Fatalf("population spans %d classes, want a real spread", len(classes))
+	}
+	// bosch lives in Europe only: an Asian bosch class must fall back to
+	// the whole fleet.
+	noPresence := pair{"bosch", geo.Asia}
+	for _, s := range w.Providers["bosch"].Servers {
+		if s.Region.Continent == geo.Asia {
+			t.Fatal("bosch gained an Asian server; pick another no-presence pair")
+		}
+	}
+	bosch := profs["bosch"]
+	classes[noPresence] = newDeviceClass(w, &bosch, geo.Asia)
+
+	retiring, appearing, biased := false, false, false
+	for key, c := range classes {
+		p := w.Providers[key.provider]
+		for _, s := range p.Servers {
+			retiring = retiring || s.LastDay < len(w.Days)-1
+			appearing = appearing || s.FirstDay > 0
+		}
+		if len(c.days) != len(w.Days) {
+			t.Fatalf("%v: %d cells for %d study days", key, len(c.days), len(w.Days))
+		}
+		for day, cell := range c.days {
+			servers, weights := scanCell(p, profs[key.provider], key.cont, day)
+			if len(servers) == 0 {
+				t.Fatalf("%v day %d: reference scan found nothing", key, day)
+			}
+			if !slices.Equal(cell.servers, servers) {
+				t.Fatalf("%v day %d: table holds %d servers, scan %d (or another order)", key, day, len(cell.servers), len(servers))
+			}
+			if !slices.Equal(cell.weights, weights) || (cell.weights == nil) != (weights == nil) {
+				t.Fatalf("%v day %d: weights %v, scan %v", key, day, cell.weights, weights)
+			}
+			biased = biased || weights != nil
+		}
+	}
+	if !retiring || !appearing {
+		t.Fatalf("world has no mid-week churn (retiring=%v appearing=%v): the tables' day axis is untested", retiring, appearing)
+	}
+	if !biased {
+		t.Fatal("no class carried RegionBias weights")
+	}
+	if got, all := len(classes[noPresence].days[0].servers), len(w.Providers["bosch"].ActiveServers(0)); got == 0 || got > all {
+		t.Fatalf("bosch/Asia fallback homes to %d of %d servers", got, all)
+	}
+}
+
+// TestLineByAddrRejections: LineByAddr answers from the address plan, so
+// it must refuse what the old per-Network map simply never held —
+// another vantage's block, a line index past the population, and the v6
+// slot of a v4-only line — and still resolve every address it built.
+func TestLineByAddrRejections(t *testing.T) {
+	_, n := testNetwork(t)
+	var v4Only *Line
+	for _, l := range n.Lines {
+		if got, ok := n.LineByAddr(l.V4); !ok || got != l {
+			t.Fatalf("line %d: v4 %v resolved to %v, %v", l.ID, l.V4, got, ok)
+		}
+		if l.HasV6() {
+			if got, ok := n.LineByAddr(l.V6); !ok || got != l {
+				t.Fatalf("line %d: v6 %v resolved to %v, %v", l.ID, l.V6, got, ok)
+			}
+		} else if v4Only == nil {
+			v4Only = l
+		}
+	}
+	if v4Only == nil {
+		t.Fatal("no v4-only line in the population")
+	}
+	for name, a := range map[string]netip.Addr{
+		"another vantage's v4 block": LineV4Addr(n.Cfg.VantageID+1, 0),
+		"another vantage's v6 block": LineV6Addr(n.Cfg.VantageID+1, 0),
+		"line index past the end":    LineV4Addr(n.Cfg.VantageID, len(n.Lines)),
+		"v6 index past the end":      LineV6Addr(n.Cfg.VantageID, len(n.Lines)),
+		"v6 slot of a v4-only line":  LineV6Addr(n.Cfg.VantageID, v4Only.ID),
+		"backend address":            n.backendV4[0],
+	} {
+		if l, ok := n.LineByAddr(a); ok {
+			t.Errorf("%s: %v resolved to line %d", name, a, l.ID)
+		}
+	}
+}
+
+// BenchmarkSimulateWeek is layer (a) of the ledger (ROADMAP item 1):
+// the simulator alone — SimulateLines at one worker on a pre-built
+// Network, into a sink that only counts.
+func BenchmarkSimulateWeek(b *testing.B) {
+	w, err := world.Build(world.Config{Seed: 11, Scale: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := NewNetwork(Config{Seed: 11, Lines: 20000}, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := 0
+	sinkFor := func(int) func(netflow.Record) { return func(netflow.Record) { records++ } }
+	lineDone := func(int, *Line) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.SimulateLines(1, sinkFor, lineDone)
+	}
+	if records == 0 {
+		b.Fatal("simulated week emitted nothing")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }
 
 func TestV6DevicesNeedV6Lines(t *testing.T) {

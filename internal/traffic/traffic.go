@@ -217,12 +217,12 @@ func ProviderIDs() []string {
 }
 
 // ActiveThisHour decides whether a device emits traffic at local hour h.
-func (p Profile) ActiveThisHour(rng *simrand.Source, hour int) bool {
+func (p *Profile) ActiveThisHour(rng *simrand.Source, hour int) bool {
 	return rng.Bool(p.ActiveHourProb * p.Shape.HourWeight(hour))
 }
 
 // DrawHourVolumes draws the down/up byte volumes of one active hour.
-func (p Profile) DrawHourVolumes(rng *simrand.Source) (down, up uint64) {
+func (p *Profile) DrawHourVolumes(rng *simrand.Source) (down, up uint64) {
 	mu := lnMedian(p.DownMedian)
 	d := rng.LogNormal(mu, p.Sigma)
 	ratio := p.DownUpRatio
@@ -234,7 +234,7 @@ func (p Profile) DrawHourVolumes(rng *simrand.Source) (down, up uint64) {
 }
 
 // DrawHeavyDaily draws the daily bulk volume of a heavy line.
-func (p Profile) DrawHeavyDaily(rng *simrand.Source) uint64 {
+func (p *Profile) DrawHeavyDaily(rng *simrand.Source) uint64 {
 	if p.HeavyDailyBytes <= 0 {
 		return 0
 	}
@@ -244,7 +244,7 @@ func (p Profile) DrawHeavyDaily(rng *simrand.Source) uint64 {
 // PickPort draws a port from the provider's mix. The weighted walk is
 // inlined over p.Ports (bit-identical draws to WeightedChoice over the
 // weight column) so the per-record hot path allocates nothing.
-func (p Profile) PickPort(rng *simrand.Source) proto.PortKey {
+func (p *Profile) PickPort(rng *simrand.Source) proto.PortKey {
 	total := 0.0
 	for _, pw := range p.Ports {
 		if pw.Weight > 0 {
@@ -273,7 +273,7 @@ func (p Profile) PickPort(rng *simrand.Source) proto.PortKey {
 var continentOrder = []geo.Continent{geo.Europe, geo.NorthAmerica, geo.Asia, geo.SouthAmerica, geo.Oceania, geo.Africa}
 
 // PickContinent draws the continent a device homes to.
-func (p Profile) PickContinent(rng *simrand.Source) geo.Continent {
+func (p *Profile) PickContinent(rng *simrand.Source) geo.Continent {
 	return p.PickContinentBiased(rng, nil)
 }
 
@@ -283,7 +283,7 @@ func (p Profile) PickContinent(rng *simrand.Source) geo.Continent {
 // identical draws to PickContinent); continents absent from the map
 // keep weight 1, and a bias that zeroes the whole mix falls back to
 // the unbiased profile.
-func (p Profile) PickContinentBiased(rng *simrand.Source, bias map[geo.Continent]float64) geo.Continent {
+func (p *Profile) PickContinentBiased(rng *simrand.Source, bias map[geo.Continent]float64) geo.Continent {
 	conts := make([]geo.Continent, 0, len(p.Continents))
 	weights := make([]float64, 0, len(p.Continents))
 	for _, c := range continentOrder {
