@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,4 +97,41 @@ func TestSearchCertsAnchoredEmptyAnchors(t *testing.T) {
 			t.Fatalf("provider %s: nil-anchor fallback diverged", p.ProviderID())
 		}
 	}
+}
+
+// TestCatalogDayViewsSearchedConcurrently is the shape discovery uses:
+// several day subsets of one catalog, each searched from its own
+// goroutine, all filling the catalog's shared match verdicts. Every view
+// must equal a standalone snapshot of its own records, full scan.
+func TestCatalogDayViewsSearchedConcurrently(t *testing.T) {
+	cat := randomSnapshot(7, 400).cat
+	pats := patterns.All()
+	var wg sync.WaitGroup
+	for d := 0; d < 4; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			date := day.Add(time.Duration(d) * 24 * time.Hour)
+			active := func(i int) bool { return (i+d)%3 != 0 }
+			view := cat.Snapshot(date, active)
+			var subset []Record
+			for i, r := range cat.Records() {
+				if active(i) {
+					subset = append(subset, r)
+				}
+			}
+			want := NewSnapshot(date, subset)
+			if !reflect.DeepEqual(view.Records(), want.Records()) {
+				t.Errorf("day %d: view records differ from the standalone snapshot", d)
+			}
+			for _, p := range pats {
+				naive := want.SearchCerts(p.Regex)
+				if got := view.SearchCertsAnchored(p.Regex, p.Anchors()); !reflect.DeepEqual(got, naive) {
+					t.Errorf("day %d provider %s: view found %d records, standalone full scan %d",
+						d, p.ProviderID(), len(got), len(naive))
+				}
+			}
+		}(d)
+	}
+	wg.Wait()
 }

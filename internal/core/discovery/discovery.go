@@ -5,6 +5,17 @@
 // every DNSDB-identified name from three vantage points. Each discovered
 // address carries its source tags, the raw material of Figure 3 and of
 // the per-source ablations in DESIGN.md.
+//
+// Computed once per study period: the IPv6 scan, each pattern's compiled
+// passive-DNS query and whole-period name set, and active resolution —
+// every distinct (view, name, type, RRset version) of the week makes one
+// Pack -> HandleWire -> Unpack round trip, so every answer set the week
+// contains still crosses the dnsmsg wire codec, and nothing is learned
+// about an active-DNS answer any other way. Computed per day, on the
+// worker pool: the certificate search over the day's snapshot (the regex
+// verdicts themselves are the scan catalog's, shared by all days), the
+// passive-DNS day query, and the fusion of the day's sources from the
+// decoded answers.
 package discovery
 
 import (
@@ -15,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iotmap/internal/censys"
@@ -118,9 +130,12 @@ func (d *DayResult) info(a netip.Addr) *AddrInfo {
 }
 
 // All returns the discovered addresses sorted.
-func (d *DayResult) All() []netip.Addr {
-	out := make([]netip.Addr, 0, len(d.Addrs))
-	for a := range d.Addrs {
+func (d *DayResult) All() []netip.Addr { return SortedAddrs(d.Addrs) }
+
+// SortedAddrs returns the keys of an address set in address order.
+func SortedAddrs(set map[netip.Addr]*AddrInfo) []netip.Addr {
+	out := make([]netip.Addr, 0, len(set))
+	for a := range set {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
@@ -170,16 +185,10 @@ func (r *Result) Union() map[netip.Addr]*AddrInfo {
 	return out
 }
 
-// UnionAddrs returns the sorted union address list.
-func (r *Result) UnionAddrs() []netip.Addr {
-	u := r.Union()
-	out := make([]netip.Addr, 0, len(u))
-	for a := range u {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
+// UnionAddrs returns the sorted union address list. A caller that
+// already holds Union() should sort that with SortedAddrs instead: the
+// union is the expensive part.
+func (r *Result) UnionAddrs() []netip.Addr { return SortedAddrs(r.Union()) }
 
 // Inputs wires the observation channels into the pipeline.
 type Inputs struct {
@@ -190,8 +199,11 @@ type Inputs struct {
 	// to skip it.
 	Hitlist *hitlist.Hitlist
 	Fabric  zgrab.Dialer
-	// Zones builds the authoritative view for one study day (active
-	// resolution). Nil skips active DNS.
+	// Zones returns the authoritative store of one study day (active
+	// resolution); Run asks once per day. Between stores related through
+	// dnszone.Store.Derive an unchanged RRset is resolved once for the
+	// whole period; unrelated stores are resolved in full, day by day.
+	// Nil skips active DNS.
 	Zones func(dayIdx int) *dnszone.Store
 	// Views are the vantage-point view names (first one is the
 	// single-VP baseline for the gain metric).
@@ -241,26 +253,19 @@ func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 		return nil, err
 	}
 
-	cps := make([]*compiled, len(in.Patterns))
-	for i, p := range in.Patterns {
-		cp := &compiled{p: p}
-		if in.PDNS != nil {
-			if len(p.Doc.FixedFQDNs) == 0 {
-				cp.q, err = dnsdb.CompileQuery(p.Regex.String(), p.Anchors()...)
-				if err != nil {
-					return nil, err
-				}
-			}
-			// Active resolution targets every name DNSDB has ever seen
-			// for the provider, not just one day's sightings.
-			whole := queryPDNS(in.PDNS, cp, dnsdb.TimeRange{})
-			set := map[string]struct{}{}
-			for _, o := range whole {
-				set[o.RRName] = struct{}{}
-			}
-			cp.wholeNames = sortedNames(set)
+	cps, err := compileAll(in)
+	if err != nil {
+		return nil, err
+	}
+
+	// Active resolution for the whole study period: each distinct answer
+	// set crosses the wire once, and the days read the decoded answers.
+	var active *activeDNS
+	if in.Zones != nil && len(in.Views) > 0 {
+		active, err = resolveWeek(ctx, in, cps)
+		if err != nil {
+			return nil, err
 		}
-		cps[i] = cp
 	}
 
 	outs := make([]dayOutput, len(in.Days))
@@ -279,7 +284,7 @@ func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 		go func() {
 			defer wg.Done()
 			for di := range dayCh {
-				outs[di] = runDay(runCtx, in, cps, v6ByProvider, di)
+				outs[di] = runDay(runCtx, in, cps, v6ByProvider, active, di)
 				if outs[di].err != nil {
 					cancel()
 				}
@@ -324,28 +329,40 @@ func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 	return results, nil
 }
 
+// compileAll precomputes the per-pattern state of a run.
+func compileAll(in Inputs) ([]*compiled, error) {
+	cps := make([]*compiled, len(in.Patterns))
+	for i, p := range in.Patterns {
+		cp := &compiled{p: p}
+		if in.PDNS != nil {
+			if len(p.Doc.FixedFQDNs) == 0 {
+				var err error
+				cp.q, err = dnsdb.CompileQuery(p.Regex.String(), p.Anchors()...)
+				if err != nil {
+					return nil, err
+				}
+			}
+			// Active resolution targets every name DNSDB has ever seen
+			// for the provider, not just one day's sightings.
+			whole := queryPDNS(in.PDNS, cp, dnsdb.TimeRange{})
+			set := map[string]struct{}{}
+			for _, o := range whole {
+				set[o.RRName] = struct{}{}
+			}
+			cp.wholeNames = sortedNames(set)
+		}
+		cps[i] = cp
+	}
+	return cps, nil
+}
+
 // runDay performs one study day's discovery across every pattern.
-func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[string][]v6Hit, di int) dayOutput {
+func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[string][]v6Hit, active *activeDNS, di int) dayOutput {
 	day := in.Days[di]
 	out := dayOutput{drs: make([]*DayResult, len(cps)), gains: make([]float64, len(cps))}
 	if err := ctx.Err(); err != nil {
 		out.err = err
 		return out
-	}
-
-	// Build the day's authoritative servers once, shared across
-	// providers.
-	var zoneSrvs []*dnszone.Server
-	if in.Zones != nil {
-		store := in.Zones(di)
-		for _, view := range in.Views {
-			zoneSrvs = append(zoneSrvs, dnszone.NewLocalServer(store, view))
-		}
-		defer func() {
-			for _, s := range zoneSrvs {
-				_ = s.Close()
-			}
-		}()
 	}
 	var snap *censys.Snapshot
 	if in.Censys != nil {
@@ -390,41 +407,45 @@ func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[st
 			}
 		}
 		// (3) Passive DNS.
-		names := map[string]struct{}{}
 		if in.PDNS != nil {
 			tr := dnsdb.TimeRange{From: day, To: day.Add(24 * time.Hour)}
 			for _, o := range queryPDNS(in.PDNS, cp, tr) {
-				names[o.RRName] = struct{}{}
 				if a, ok := o.Addr(); ok {
 					ai := dr.info(a)
 					ai.Sources |= SrcPDNS
 					ai.addName(o.RRName)
 				}
 			}
-			for _, n := range cp.wholeNames {
-				names[n] = struct{}{}
-			}
 		}
-		// (4) Daily active resolution from every vantage point.
-		if len(zoneSrvs) > 0 && len(names) > 0 {
-			perVP := resolveAll(zoneSrvs, in.Views, sortedNames(names), in.Seed+int64(di))
-			firstVP := map[netip.Addr]struct{}{}
-			allVP := map[netip.Addr]struct{}{}
-			for vi, view := range in.Views {
-				for name, addrs := range perVP[view] {
-					for _, a := range addrs {
-						ai := dr.info(a)
-						ai.Sources |= SrcActive
-						ai.addName(name)
-						allVP[a] = struct{}{}
-						if vi == 0 {
-							firstVP[a] = struct{}{}
+		// (4) Daily active resolution from every vantage point. The
+		// targets are cp.wholeNames: the day's own sightings are a subset
+		// of the unbounded query by TimeRange's definition.
+		if active != nil && len(cp.wholeNames) > 0 {
+			slots := active.slots[di][pi]
+			firstVP, allVP := 0, 0
+			for vi := range in.Views {
+				for ni, name := range cp.wholeNames {
+					k := (vi*len(cp.wholeNames) + ni) * len(addrTypes)
+					for _, t := range slots[k : k+len(addrTypes)] {
+						for _, a := range active.answers[t] {
+							ai := dr.info(a)
+							if !ai.Sources.Has(SrcActive) {
+								// First sighting by any vantage point;
+								// view 0 goes first, so its share of
+								// these is the single-VP baseline.
+								ai.Sources |= SrcActive
+								allVP++
+							}
+							ai.addName(name)
 						}
 					}
 				}
+				if vi == 0 {
+					firstVP = allVP
+				}
 			}
-			if len(firstVP) > 0 {
-				gain := float64(len(allVP))/float64(len(firstVP)) - 1
+			if firstVP > 0 {
+				gain := float64(allVP)/float64(firstVP) - 1
 				// Contribution to the mean daily gain.
 				out.gains[pi] = gain / float64(len(in.Days))
 			}
@@ -456,47 +477,151 @@ func sortedNames(set map[string]struct{}) []string {
 	return out
 }
 
-// resolveAll resolves names through each vantage point's authoritative
-// view, exercising the full DNS wire codec via HandleWire.
-func resolveAll(srvs []*dnszone.Server, views []string, names []string, seed int64) map[string]map[string][]netip.Addr {
-	out := map[string]map[string][]netip.Addr{}
-	id := uint16(seed)
-	for vi, view := range views {
-		perName := map[string][]netip.Addr{}
-		srv := srvs[vi]
-		for _, name := range names {
-			var addrs []netip.Addr
-			for _, typ := range []dnsmsg.Type{dnsmsg.TypeA, dnsmsg.TypeAAAA} {
-				id++
-				q := &dnsmsg.Message{
-					Header:    dnsmsg.Header{ID: id, RecursionDesired: true},
-					Questions: []dnsmsg.Question{{Name: name, Type: typ, Class: dnsmsg.ClassIN}},
-				}
-				wire, err := q.Pack()
-				if err != nil {
-					continue
-				}
-				resp := srv.HandleWire(wire)
-				if resp == nil {
-					continue
-				}
-				m, err := dnsmsg.Unpack(resp)
-				if err != nil || m.Header.RCode != dnsmsg.RCodeSuccess {
-					continue
-				}
-				for _, rr := range m.Answers {
-					if rr.Type == dnsmsg.TypeA || rr.Type == dnsmsg.TypeAAAA {
-						addrs = append(addrs, rr.Addr)
+// addrTypes are the record types active resolution asks for, per name.
+var addrTypes = [...]dnsmsg.Type{dnsmsg.TypeA, dnsmsg.TypeAAAA}
+
+// activeDNS is the study period's active resolution, done once: the
+// decoded answer of every wire round trip, and for each day which round
+// trip answers each question.
+type activeDNS struct {
+	// answers[t] is the address list round trip t decoded.
+	answers [][]netip.Addr
+	// slots[day][pattern] maps a question to its round trip; the question
+	// (view vi, name ni of the pattern's wholeNames, type ti) sits at
+	// (vi*len(wholeNames)+ni)*len(addrTypes)+ti.
+	slots [][][]int32
+	// roundTrips counts the HandleWire calls made.
+	roundTrips atomic.Int64
+}
+
+// wireQuery is one question to put to one day's authoritative server.
+type wireQuery struct {
+	srv  *dnszone.Server
+	name string
+	typ  dnsmsg.Type
+}
+
+// resolveWeek resolves every pattern's names from every vantage point
+// for every study day, exercising the full DNS wire codec via HandleWire.
+// Answer sets mostly survive from one day to the next, and the zone
+// stores say so (dnszone.Store.AnswerID): a question whose answer set is
+// one already asked for is not asked again, so each distinct (view, name,
+// type, RRset) of the week makes exactly one Pack -> HandleWire -> Unpack
+// round trip. Which round trips happen is planned serially from the
+// stores alone; only their execution is spread over the workers.
+func resolveWeek(ctx context.Context, in Inputs, cps []*compiled) (*activeDNS, error) {
+	stores := make([]*dnszone.Store, len(in.Days))
+	srvs := make([][]*dnszone.Server, len(in.Days))
+	for di := range in.Days {
+		stores[di] = in.Zones(di)
+		for _, view := range in.Views {
+			srvs[di] = append(srvs[di], dnszone.NewLocalServer(stores[di], view))
+		}
+	}
+
+	act := &activeDNS{slots: make([][][]int32, len(in.Days))}
+	for di := range act.slots {
+		act.slots[di] = make([][]int32, len(cps))
+	}
+	type version struct {
+		id dnszone.SetID
+		t  int32
+	}
+	var queries []wireQuery
+	var seen []version
+	for pi, cp := range cps {
+		for di := range in.Days {
+			act.slots[di][pi] = make([]int32, len(in.Views)*len(cp.wholeNames)*len(addrTypes))
+		}
+		k := 0
+		for vi, view := range in.Views {
+			for _, name := range cp.wholeNames {
+				for _, typ := range addrTypes {
+					seen = seen[:0]
+					for di := range in.Days {
+						id, stable := stores[di].AnswerID(view, name, typ)
+						t := int32(-1)
+						for _, v := range seen {
+							if stable && v.id == id {
+								t = v.t
+								break
+							}
+						}
+						if t < 0 {
+							t = int32(len(queries))
+							queries = append(queries, wireQuery{srv: srvs[di][vi], name: name, typ: typ})
+							if stable {
+								seen = append(seen, version{id, t})
+							}
+						}
+						act.slots[di][pi][k] = t
 					}
+					k++
 				}
-			}
-			if len(addrs) > 0 {
-				perName[name] = addrs
 			}
 		}
-		out[view] = perName
 	}
-	return out
+
+	act.answers = make([][]netip.Addr, len(queries))
+	workers := runtime.GOMAXPROCS(0)
+	const chunk = 64 // queries a worker claims at a time
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := dnsmsg.Message{
+				Header:    dnsmsg.Header{RecursionDesired: true},
+				Questions: make([]dnsmsg.Question, 1),
+			}
+			var buf []byte
+			trips := 0
+			defer func() { act.roundTrips.Add(int64(trips)) }()
+			for ctx.Err() == nil {
+				lo := int(next.Add(chunk)) - chunk
+				if lo >= len(queries) {
+					return
+				}
+				for t := lo; t < min(lo+chunk, len(queries)); t++ {
+					wq := queries[t]
+					q.Header.ID = uint16(in.Seed) + uint16(t)
+					q.Questions[0] = dnsmsg.Question{Name: wq.name, Type: wq.typ, Class: dnsmsg.ClassIN}
+					wire, err := q.Append(buf[:0])
+					if err != nil {
+						continue
+					}
+					buf = wire
+					trips++
+					act.answers[t] = decodeAddrs(wq.srv.HandleWire(wire))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return act, nil
+}
+
+// decodeAddrs unpacks one response datagram and returns the addresses of
+// a successful answer; a dropped query or a failure yields none.
+func decodeAddrs(resp []byte) []netip.Addr {
+	if resp == nil {
+		return nil
+	}
+	m, err := dnsmsg.Unpack(resp)
+	if err != nil || m.Header.RCode != dnsmsg.RCodeSuccess {
+		return nil
+	}
+	var addrs []netip.Addr
+	for _, rr := range m.Answers {
+		if rr.Type == dnsmsg.TypeA || rr.Type == dnsmsg.TypeAAAA {
+			addrs = append(addrs, rr.Addr)
+		}
+	}
+	return addrs
 }
 
 // v6Hit is one IPv6 scan discovery.

@@ -12,8 +12,10 @@ package dnszone
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,12 +33,23 @@ type rrsetKey struct {
 	typ  dnsmsg.Type
 }
 
+// rrset is one stored RRset. It is immutable once a store holds it —
+// every change installs a new one — so Derive can share it between
+// stores, and its address is its identity (SetID).
+type rrset struct{ rrs []dnsmsg.RR }
+
+// SetID identifies an RRset across a family of derived stores: two
+// stores answering a question from sets with equal SetIDs give the same
+// answer. The zero SetID means "no such set". IDs are comparable and
+// only meaningful between stores related through Derive.
+type SetID struct{ set *rrset }
+
 // Store holds authoritative data. It is safe for concurrent use: reads
 // dominate once the world is built.
 type Store struct {
 	mu sync.RWMutex
 	// views maps view name -> rrset key -> records.
-	views map[string]map[rrsetKey][]dnsmsg.RR
+	views map[string]map[rrsetKey]*rrset
 	// names tracks which canonical names exist in any view/type, for the
 	// NXDOMAIN vs NODATA distinction.
 	names map[string]struct{}
@@ -48,10 +61,27 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		views:  map[string]map[rrsetKey][]dnsmsg.RR{},
+		views:  map[string]map[rrsetKey]*rrset{},
 		names:  map[string]struct{}{},
 		apexes: map[string]dnsmsg.SOAData{},
 	}
+}
+
+// Derive returns a store with the same content that shares every RRset
+// with s, SetIDs included. Changing either store afterwards leaves the
+// other untouched: a day's zone is its predecessor plus the day's churn.
+func (s *Store) Derive() *Store {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	d := &Store{
+		views:  make(map[string]map[rrsetKey]*rrset, len(s.views)),
+		names:  maps.Clone(s.names),
+		apexes: maps.Clone(s.apexes),
+	}
+	for view, vm := range s.views {
+		d.views[view] = maps.Clone(vm)
+	}
+	return d
 }
 
 // AddZone declares an authoritative apex with its SOA.
@@ -92,15 +122,69 @@ func (s *Store) AddRR(view string, rr dnsmsg.RR) {
 	if rr.Class == 0 {
 		rr.Class = dnsmsg.ClassIN
 	}
-	vm, ok := s.views[view]
-	if !ok {
-		vm = map[rrsetKey][]dnsmsg.RR{}
-		s.views[view] = vm
-	}
+	vm := s.viewLocked(view)
 	k := rrsetKey{name: rr.Name, typ: rr.Type}
-	vm[k] = append(vm[k], rr)
+	var old []dnsmsg.RR
+	if set := vm[k]; set != nil {
+		old = set.rrs
+	}
+	// A grown copy, never an append in place: a derived store may share
+	// the old set.
+	vm[k] = &rrset{rrs: append(old[:len(old):len(old)], rr)}
 	s.names[rr.Name] = struct{}{}
 }
+
+func (s *Store) viewLocked(view string) map[rrsetKey]*rrset {
+	vm, ok := s.views[view]
+	if !ok {
+		vm = map[rrsetKey]*rrset{}
+		s.views[view] = vm
+	}
+	return vm
+}
+
+// SetAddrs makes addrs, in order, the whole A and AAAA answer of name
+// under view (split by address family), replacing what the view held for
+// the name. It is AddAddr for a complete answer set: one new RRset per
+// family instead of one per address, and a family whose records come out
+// as they already were keeps its set and SetID.
+func (s *Store) SetAddrs(view, name string, addrs []netip.Addr, ttl uint32) {
+	name = dnsmsg.CanonicalName(name)
+	var v4, v6 []dnsmsg.RR
+	for _, a := range addrs {
+		rr := dnsmsg.RR{Name: name, Class: dnsmsg.ClassIN, TTL: ttl}
+		if u := a.Unmap(); u.Is4() {
+			rr.Type, rr.Addr = dnsmsg.TypeA, u
+			v4 = append(v4, rr)
+		} else {
+			rr.Type, rr.Addr = dnsmsg.TypeAAAA, a
+			v6 = append(v6, rr)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vm := s.viewLocked(view)
+	for _, fam := range []struct {
+		typ dnsmsg.Type
+		rrs []dnsmsg.RR
+	}{{dnsmsg.TypeA, v4}, {dnsmsg.TypeAAAA, v6}} {
+		k := rrsetKey{name: name, typ: fam.typ}
+		if len(fam.rrs) == 0 {
+			delete(vm, k)
+			continue
+		}
+		if old := vm[k]; old == nil || !slices.EqualFunc(old.rrs, fam.rrs, sameAddrRR) {
+			vm[k] = &rrset{rrs: fam.rrs}
+		}
+	}
+	if len(addrs) > 0 {
+		s.names[name] = struct{}{}
+	}
+}
+
+// sameAddrRR compares two address records of one RRset (same owner, type
+// and class by construction).
+func sameAddrRR(a, b dnsmsg.RR) bool { return a.Addr == b.Addr && a.TTL == b.TTL }
 
 // RemoveName deletes every record for name in every view; used by the
 // churn model when backends are decommissioned.
@@ -158,15 +242,15 @@ func (s *Store) Lookup(view, name string, typ dnsmsg.Type) ([]dnsmsg.RR, dnsmsg.
 	var answers []dnsmsg.RR
 	cur := dnsmsg.CanonicalName(name)
 	for hop := 0; hop < 8; hop++ {
-		if rrs := s.lookupLocked(view, cur, typ); len(rrs) > 0 {
-			answers = append(answers, rrs...)
+		if set := s.lookupLocked(view, cur, typ); set != nil {
+			answers = append(answers, set.rrs...)
 			return answers, dnsmsg.RCodeSuccess
 		}
 		// Try CNAME indirection unless the caller asked for the CNAME.
 		if typ != dnsmsg.TypeCNAME {
-			if cn := s.lookupLocked(view, cur, dnsmsg.TypeCNAME); len(cn) > 0 {
-				answers = append(answers, cn...)
-				cur = cn[0].Target
+			if cn := s.lookupLocked(view, cur, dnsmsg.TypeCNAME); cn != nil {
+				answers = append(answers, cn.rrs...)
+				cur = cn.rrs[0].Target
 				continue
 			}
 		}
@@ -180,20 +264,33 @@ func (s *Store) Lookup(view, name string, typ dnsmsg.Type) ([]dnsmsg.RR, dnsmsg.
 }
 
 // lookupLocked fetches the view-specific RRset, falling back to the
-// default view.
-func (s *Store) lookupLocked(view, name string, typ dnsmsg.Type) []dnsmsg.RR {
+// default view. Stored sets are never empty.
+func (s *Store) lookupLocked(view, name string, typ dnsmsg.Type) *rrset {
 	k := rrsetKey{name: name, typ: typ}
-	if vm, ok := s.views[view]; ok {
-		if rrs, ok := vm[k]; ok && len(rrs) > 0 {
-			return rrs
-		}
+	if set := s.views[view][k]; set != nil {
+		return set
 	}
 	if view != DefaultView {
-		if vm, ok := s.views[DefaultView]; ok {
-			return vm[k]
-		}
+		return s.views[DefaultView][k]
 	}
 	return nil
+}
+
+// AnswerID returns the identity of the RRset a query for (view, name,
+// typ) is answered from: the view's own set, else the default view's,
+// else the zero SetID (NODATA or NXDOMAIN). Between stores related
+// through Derive, equal IDs mean equal answers, so a resolver that has
+// taken one across the wire need not ask again. stable is false when the
+// answer goes through a CNAME: it then depends on the target's sets too,
+// and must not be reused on the strength of this ID.
+func (s *Store) AnswerID(view, name string, typ dnsmsg.Type) (id SetID, stable bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	name = dnsmsg.CanonicalName(name)
+	if set := s.lookupLocked(view, name, typ); set != nil {
+		return SetID{set}, true
+	}
+	return SetID{}, typ == dnsmsg.TypeCNAME || s.lookupLocked(view, name, dnsmsg.TypeCNAME) == nil
 }
 
 // Server answers DNS queries over UDP for one view of a Store.

@@ -85,16 +85,14 @@ func NewDB(locs []Location) (*DB, error) {
 		db.byCity[strings.ToLower(l.City)] = l
 		db.all = append(db.all, l)
 	}
+	sort.Slice(db.all, func(i, j int) bool { return db.all[i].Region < db.all[j].Region })
 	return db, nil
 }
 
-// All returns every registered location, sorted by region code.
-func (db *DB) All() []Location {
-	out := make([]Location, len(db.all))
-	copy(out, db.all)
-	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
-	return out
-}
+// All returns every registered location, sorted by region code. The
+// slice is the registry's own table, sorted once at registration:
+// callers must not mutate it.
+func (db *DB) All() []Location { return db.all }
 
 // ByRegion resolves a cloud region code.
 func (db *DB) ByRegion(code string) (Location, bool) {

@@ -1,6 +1,8 @@
 package geo
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -167,6 +169,29 @@ func TestContinentCoverage(t *testing.T) {
 	for _, c := range []Continent{Europe, NorthAmerica, Asia} {
 		if byCont[c] < 5 {
 			t.Fatalf("continent %s underpopulated: %d", c, byCont[c])
+		}
+	}
+}
+
+// All() hands out the registry's own table: it must come back sorted by
+// region code whatever the registration order, and be the same on every
+// call.
+func TestAllSortedAndStable(t *testing.T) {
+	db, err := NewDB([]Location{
+		{City: "Virginia", Country: "US", Continent: NorthAmerica, Airport: "IAD", Region: "us-east-1"},
+		{City: "Frankfurt", Country: "DE", Continent: Europe, Airport: "FRA", Region: "eu-central-1"},
+		{City: "Shanghai", Country: "CN", Continent: Asia, Airport: "PVG", Region: "cn-shanghai"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*DB{db, World()} {
+		first := d.All()
+		if !sort.SliceIsSorted(first, func(i, j int) bool { return first[i].Region < first[j].Region }) {
+			t.Fatalf("All() not sorted by region code: %v", first)
+		}
+		if again := d.All(); !reflect.DeepEqual(first, again) {
+			t.Fatal("All() changed between calls")
 		}
 	}
 }

@@ -3,6 +3,7 @@ package world
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"iotmap/internal/censys"
@@ -50,41 +51,59 @@ func (w *World) certSpecFor(s *Server) certmodel.Spec {
 // BuildCensys synthesizes the daily IPv4 scan snapshots. Endpoint
 // semantics follow Section 3.3: SNI-required and client-cert-required
 // endpoints yield no certificate; plaintext services yield banners only.
+//
+// What a scan sees of a server (its endpoints, its certificate, the scan
+// provider's geolocation opinion) is the same on every day the server is
+// up, so the records of the whole study period are built and indexed
+// once, as one catalog; a day's snapshot is its ActiveOn(day) subset.
 func (w *World) BuildCensys() *censys.Service {
-	svc := censys.NewService()
-	for di, day := range w.Days {
-		var records []censys.Record
-		for _, id := range w.Order {
-			p := w.Providers[id]
-			for _, s := range p.Servers {
-				if !s.ActiveOn(di) || s.IsV6() {
-					continue
+	var records []censys.Record
+	for _, id := range w.Order {
+		for _, s := range w.Providers[id].Servers {
+			if s.IsV6() {
+				continue
+			}
+			loc := w.censysLocation(s)
+			var cert *certmodel.Spec
+			for _, ep := range s.Class.Endpoints {
+				rec := censys.Record{
+					Addr:      s.Addr,
+					Port:      ep.Port,
+					Transport: ep.Transport,
+					Protocol:  ep.Protocol,
+					Location:  loc,
 				}
-				loc := w.censysLocation(s)
-				for _, ep := range s.Class.Endpoints {
-					rec := censys.Record{
-						Addr:      s.Addr,
-						Port:      ep.Port,
-						Transport: ep.Transport,
-						Protocol:  ep.Protocol,
-						Location:  loc,
-					}
-					switch {
-					case ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert:
+				switch {
+				case ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert:
+					if cert == nil {
 						spec := w.certSpecFor(s)
-						rec.Cert = &spec
-						rec.Banner = "tls"
-					case ep.Protocol.TLSCapable():
-						// Port open, handshake failed: no certificate.
-						rec.Banner = ""
-					default:
-						rec.Banner = plaintextBanner(ep)
+						cert = &spec
 					}
-					records = append(records, rec)
+					rec.Cert = cert
+					rec.Banner = "tls"
+				case ep.Protocol.TLSCapable():
+					// Port open, handshake failed: no certificate.
+					rec.Banner = ""
+				default:
+					rec.Banner = plaintextBanner(ep)
 				}
+				records = append(records, rec)
 			}
 		}
-		svc.Put(censys.NewSnapshot(day, records))
+	}
+	cat := censys.NewCatalog(records)
+	sorted := cat.Records()
+	owner := make([]*Server, len(sorted))
+	for i := range sorted {
+		if i > 0 && sorted[i].Addr == sorted[i-1].Addr {
+			owner[i] = owner[i-1]
+			continue
+		}
+		owner[i] = w.byAddr[sorted[i].Addr]
+	}
+	svc := censys.NewService()
+	for di, day := range w.Days {
+		svc.Put(cat.Snapshot(day, func(i int) bool { return owner[i].ActiveOn(di) }))
 	}
 	return svc
 }
@@ -219,65 +238,121 @@ func vpContinent(view string) geo.Continent {
 // maxDNSAnswers bounds one response's address count (rotation window).
 const maxDNSAnswers = 13
 
-// ZoneStore builds the authoritative DNS content for one study day.
+// zoneName is one FQDN's state while the study period's zone stores are
+// derived: who may ever answer for it, and the answer window each view
+// was last given.
+type zoneName struct {
+	cname   string
+	servers []*Server
+	geoDNS  bool
+	ttl     uint32
+	// windows[vi] is the server window published under zoneViews[vi] on
+	// the previous day; all nil while the name is out of the zone.
+	windows [][]*Server
+}
+
+// ZoneStores builds the authoritative DNS content of every study day.
 // Geo-DNS providers answer per-view with their nearest-continent servers;
 // every answer set is a rotating window so daily re-resolution discovers
 // additional addresses (the mechanism behind the paper's +17% from three
 // vantage points and the value of daily resolutions).
+//
+// Day 0 is built in full; each later day is derived from its predecessor
+// (dnszone.Store.Derive) and republishes only the answer sets that the
+// churn schedule or the rotation window moved. An unchanged RRset is
+// therefore the same set, with the same dnszone.SetID, in every store
+// that serves it, which is what lets a resolver skip re-asking.
+func (w *World) ZoneStores() []*dnszone.Store { return w.zoneStores(len(w.Days)) }
+
+// ZoneStore returns the authoritative DNS content for one study day,
+// derived from day 0 like ZoneStores. Stores from separate calls share
+// no RRset identities.
 func (w *World) ZoneStore(dayIdx int) *dnszone.Store {
-	store := dnszone.NewStore()
+	return w.zoneStores(dayIdx + 1)[dayIdx]
+}
+
+func (w *World) zoneStores(days int) []*dnszone.Store {
+	// The default view comes last; its rotation offset differs.
+	zoneViews := append(append([]string(nil), VantagePointViews...), dnszone.DefaultView)
+	var names []*zoneName
 	for _, id := range w.Order {
 		p := w.Providers[id]
-		store.AddZone(p.Spec.SLD, dnsmsg.SOAData{
-			MName: "ns1." + p.Spec.SLD + ".", RName: "hostmaster." + p.Spec.SLD + ".",
-			Serial: uint32(2022022800 + dayIdx), Minimum: 300,
-		})
+		ttl := uint32(300)
+		if p.Spec.GeoDNS {
+			ttl = 60
+		}
 		for _, name := range p.Names() {
-			// Canonicalize once per name: AddAddr canonicalizes every
-			// record, and a per-day rebuild multiplies that by servers ×
-			// views. A pre-canonical name takes the no-alloc fast path.
-			cname := dnsmsg.CanonicalName(name)
-			var active []*Server
-			for _, s := range p.names[name] {
-				if s.ActiveOn(dayIdx) {
+			names = append(names, &zoneName{
+				cname:   dnsmsg.CanonicalName(name),
+				servers: p.names[name],
+				geoDNS:  p.Spec.GeoDNS,
+				ttl:     ttl,
+				windows: make([][]*Server, len(zoneViews)),
+			})
+		}
+	}
+
+	stores := make([]*dnszone.Store, days)
+	var active, near []*Server
+	var addrs []netip.Addr
+	for d := range stores {
+		store := dnszone.NewStore()
+		if d > 0 {
+			store = stores[d-1].Derive()
+		}
+		stores[d] = store
+		for _, id := range w.Order {
+			sld := w.Providers[id].Spec.SLD
+			store.AddZone(sld, dnsmsg.SOAData{
+				MName: "ns1." + sld + ".", RName: "hostmaster." + sld + ".",
+				Serial: uint32(2022022800 + d), Minimum: 300,
+			})
+		}
+		for _, zn := range names {
+			active = active[:0]
+			for _, s := range zn.servers {
+				if s.ActiveOn(d) {
 					active = append(active, s)
 				}
 			}
 			if len(active) == 0 {
+				if zn.windows[0] != nil {
+					store.RemoveName(zn.cname)
+					clear(zn.windows)
+				}
 				continue
 			}
-			if p.Spec.GeoDNS {
-				for vi, view := range VantagePointViews {
-					cont := vpContinent(view)
-					var near []*Server
-					for _, s := range active {
-						if s.Region.Continent == cont {
-							near = append(near, s)
+			for vi, view := range zoneViews {
+				pool, offset := active, d
+				if view != dnszone.DefaultView {
+					offset = d*3 + vi
+					if zn.geoDNS {
+						cont := vpContinent(view)
+						near = near[:0]
+						for _, s := range active {
+							if s.Region.Continent == cont {
+								near = append(near, s)
+							}
+						}
+						if len(near) > 0 {
+							pool = near
 						}
 					}
-					if len(near) == 0 {
-						near = active
-					}
-					for _, s := range rotate(near, dayIdx*3+vi) {
-						store.AddAddr(view, cname, s.Addr, 60)
-					}
 				}
-				for _, s := range rotate(active, dayIdx) {
-					store.AddAddr(dnszone.DefaultView, cname, s.Addr, 60)
+				window := rotate(pool, offset)
+				if slices.Equal(window, zn.windows[vi]) {
+					continue // same servers in the same order: same RRsets
 				}
-			} else {
-				for vi, view := range VantagePointViews {
-					for _, s := range rotate(active, dayIdx*3+vi) {
-						store.AddAddr(view, cname, s.Addr, 300)
-					}
+				zn.windows[vi] = append(zn.windows[vi][:0], window...)
+				addrs = addrs[:0]
+				for _, s := range window {
+					addrs = append(addrs, s.Addr)
 				}
-				for _, s := range rotate(active, dayIdx) {
-					store.AddAddr(dnszone.DefaultView, cname, s.Addr, 300)
-				}
+				store.SetAddrs(view, zn.cname, addrs, zn.ttl)
 			}
 		}
 	}
-	return store
+	return stores
 }
 
 // rotate returns a deterministic window of up to maxDNSAnswers servers.

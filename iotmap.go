@@ -280,6 +280,9 @@ type System struct {
 	Located    map[string]map[netip.Addr]footprint.Located
 	Rows       map[string]footprint.Row
 	Validation Validation
+	// prefixAddrs keeps the sorted discovered addresses of each
+	// prefix-disclosing provider for trafficCrossCheck.
+	prefixAddrs map[string][]netip.Addr
 
 	// TrafficStudy outputs.
 	Net      *isp.Network
@@ -363,11 +366,14 @@ func (s *System) Close() {
 
 // Discover runs the Section 3.3 source fusion.
 func (s *System) Discover(ctx context.Context) error {
+	// The scan catalog and the week of zone stores live for this call
+	// only: discovery.Run reads them, s.Discovery keeps none of it.
+	zones := s.World.ZoneStores()
 	in := discovery.Inputs{
 		Patterns: s.Patterns,
 		Censys:   s.World.BuildCensys(),
 		PDNS:     s.World.BuildDNSDB(),
-		Zones:    func(d int) *dnszone.Store { return s.World.ZoneStore(d) },
+		Zones:    func(d int) *dnszone.Store { return zones[d] },
 		Views:    world.VantagePointViews,
 		Days:     s.World.Days,
 		Seed:     s.Cfg.Seed,
@@ -408,12 +414,13 @@ func (s *System) ValidateAndLocate() error {
 		Prefixes: map[string]validate.PrefixReport{},
 		Traffic:  map[string]validate.TrafficReport{},
 	}
+	s.prefixAddrs = map[string][]netip.Addr{}
 	period := dnsdb.TimeRange{From: s.World.Days[0], To: s.World.Days[len(s.World.Days)-1].Add(24 * time.Hour)}
 	for _, p := range s.Patterns {
 		id := p.ProviderID()
 		res := s.Discovery[id]
 		union := res.Union()
-		addrs := res.UnionAddrs()
+		addrs := discovery.SortedAddrs(union)
 		ded, shared, _ := validate.FilterShared(addrs, s.Patterns, s.PDNS, period, s.Cfg.SharedThreshold)
 		s.Dedicated[id] = ded
 		s.Shared[id] = shared
@@ -434,6 +441,7 @@ func (s *System) ValidateAndLocate() error {
 		}
 		if prefixes := s.World.DisclosedPrefixes(id); prefixes != nil {
 			s.Validation.Prefixes[id] = validate.AgainstPrefixes(addrs, prefixes)
+			s.prefixAddrs[id] = addrs
 		}
 	}
 	return nil
@@ -494,7 +502,7 @@ func (s *System) trafficCrossCheck(volumes map[netip.Addr]float64) {
 				perProvider[a] = v
 			}
 		}
-		s.Validation.Traffic[id] = validate.AgainstTraffic(s.Discovery[id].UnionAddrs(), perProvider)
+		s.Validation.Traffic[id] = validate.AgainstTraffic(s.prefixAddrs[id], perProvider)
 	}
 }
 
