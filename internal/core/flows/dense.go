@@ -26,9 +26,10 @@ import (
 //   - port IDs are local to each Collector (portTab), remapped on merge
 //     like line IDs.
 //
-// Everything converts back to addresses and names only at Study()/
-// finalization, which keeps the figure outputs byte-identical to the
-// historical map-keyed aggregation.
+// Nothing converts back wholesale: the Study accessors resolve the one
+// alias or port they are asked about and read the columns by ID, which
+// keeps the figure outputs byte-identical to the historical map-keyed
+// aggregation.
 
 // planTabCap bounds the flat per-vantage plan tables a lineTab grows: a
 // hostile or recorded feed carrying a plan-shaped address with a huge

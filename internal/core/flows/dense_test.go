@@ -307,10 +307,10 @@ func refSetsToSeries(label string, sets []map[netip.Addr]struct{}) *analysis.Ser
 	return ser
 }
 
-// study materializes the reference aggregates in the Study shape the
-// dense collector must reproduce exactly.
-func (c *refCollector) study(idx *BackendIndex) *Study {
-	s := &Study{
+// study materializes the reference aggregates in the canonical form the
+// dense collector's Study must reproduce exactly.
+func (c *refCollector) study(idx *BackendIndex) *namedStudy {
+	s := &namedStudy{
 		idx:            idx,
 		days:           len(c.days),
 		hours:          c.hours,
@@ -514,7 +514,7 @@ func TestDenseCollectorMatchesMapReference(t *testing.T) {
 			col.Ingest(r)
 			ref.ingest(r)
 		}
-		if !reflect.DeepEqual(col.Study(), ref.study(f.idx)) {
+		if !reflect.DeepEqual(named(col.Study()), ref.study(f.idx)) {
 			t.Fatalf("seed %d: dense study diverges from the map reference", seed)
 		}
 	}
@@ -553,7 +553,7 @@ func TestContinentVolumesDerivedFromBackends(t *testing.T) {
 		})
 		want[cont] += float64(bytes) * 100
 	}
-	if got := col.Study().contVol; !reflect.DeepEqual(got, want) {
+	if got := col.Study().continentVolumes(); !reflect.DeepEqual(got, want) {
 		t.Errorf("derived continent volumes %v, per-record sum %v", got, want)
 	}
 }
@@ -619,10 +619,10 @@ func TestDenseMergeMatchesMapReference(t *testing.T) {
 		merged.Merge(parts[i])
 		mergedCC.Merge(ccParts[i])
 	}
-	if !reflect.DeepEqual(merged.Study(), ref.study(f.idx)) {
+	if !reflect.DeepEqual(named(merged.Study()), ref.study(f.idx)) {
 		t.Fatal("merged dense study diverges from the sequential map reference")
 	}
-	if !reflect.DeepEqual(merged.Study(), seqCol.Study()) {
+	if !reflect.DeepEqual(named(merged.Study()), named(seqCol.Study())) {
 		t.Fatal("merged dense study diverges from the sequential dense collector")
 	}
 	if !reflect.DeepEqual(mergedCC.contactSets(), refCC.contacts) {

@@ -93,14 +93,14 @@ func TestFederatedMergeOrderInvariance(t *testing.T) {
 			if !reflect.DeepEqual(got.CC[v].contactSets(), ref.CC[v].contactSets()) {
 				t.Errorf("%s: vantage %s contact counter differs", name, v)
 			}
-			if !reflect.DeepEqual(got.Col[v].Study(), ref.Col[v].Study()) {
+			if !reflect.DeepEqual(named(got.Col[v].Study()), named(ref.Col[v].Study())) {
 				t.Errorf("%s: vantage %s study differs", name, v)
 			}
 		}
 		if !reflect.DeepEqual(got.UnionCC.contactSets(), ref.UnionCC.contactSets()) {
 			t.Errorf("%s: union contact counter differs", name)
 		}
-		if !reflect.DeepEqual(got.UnionCol.Study(), ref.UnionCol.Study()) {
+		if !reflect.DeepEqual(named(got.UnionCol.Study()), named(ref.UnionCol.Study())) {
 			t.Errorf("%s: union study differs", name)
 		}
 		if !reflect.DeepEqual(got.Coverage(), ref.Coverage()) {
@@ -242,10 +242,10 @@ func TestFederatedSingleVantageTransparent(t *testing.T) {
 	if !reflect.DeepEqual(fed.CC["solo"].contactSets(), pipeCC.contactSets()) {
 		t.Error("single-vantage federation contact counter differs from the plain pipeline")
 	}
-	if !reflect.DeepEqual(fed.Col["solo"].Study(), pipeStudy) {
+	if !reflect.DeepEqual(named(fed.Col["solo"].Study()), named(pipeStudy)) {
 		t.Error("single-vantage federation study differs from the plain pipeline")
 	}
-	if !reflect.DeepEqual(fed.UnionCol.Study(), pipeStudy) {
+	if !reflect.DeepEqual(named(fed.UnionCol.Study()), named(pipeStudy)) {
 		t.Error("single-vantage union differs from its only vantage")
 	}
 	if !reflect.DeepEqual(fed.UnionCC.contactSets(), pipeCC.contactSets()) {
@@ -274,7 +274,7 @@ func TestCollectorCloneComplete(t *testing.T) {
 	// originals behind the clones must not move.
 	colClone.Merge(col.clone())
 	ccClone.Merge(cc.clone())
-	if !reflect.DeepEqual(col.Study(), pipeStudy) {
+	if !reflect.DeepEqual(named(col.Study()), named(pipeStudy)) {
 		t.Error("merging a clone mutated the original collector (aliased aggregate)")
 	}
 	if !reflect.DeepEqual(cc.contactSets(), pipeCC.contactSets()) {

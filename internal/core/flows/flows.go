@@ -15,9 +15,13 @@
 // time, subscriber addresses intern to per-aggregate line IDs via the
 // arithmetic isp address plan (map fallback for foreign addresses), and
 // ContactCounter/Collector keep bitsets and stride-packed slices
-// instead of nested address-keyed maps — see dense.go. Addresses and
-// names reappear only at Study()/finalization, so every figure is
-// byte-identical to the historical map-keyed implementation.
+// instead of nested address-keyed maps — see dense.go. Study()
+// materializes nothing: it finalizes the collector (no ingest or merge
+// afterwards) and hands out a read-only view over the same columns,
+// whose accessors each resolve the one alias or port they are asked
+// about. Nothing a figure prints depends on line- or port-ID order, so
+// every figure is byte-identical to the historical map-keyed
+// implementation.
 //
 // Both ContactCounter and Collector are shard-mergeable: every
 // aggregate is a sum, set, or series whose merge is order-independent
@@ -269,19 +273,6 @@ func (c *ContactCounter) Scanners(threshold int) map[netip.Addr]struct{} {
 	return out
 }
 
-// contactSets materializes the per-line contacted-backend sets in the
-// historical map-keyed shape (tests compare counters through it).
-func (c *ContactCounter) contactSets() map[netip.Addr]map[netip.Addr]struct{} {
-	c.idx.checkGen(c.gen)
-	out := make(map[netip.Addr]map[netip.Addr]struct{}, len(c.lines.addrs))
-	for i, a := range c.lines.addrs {
-		set := map[netip.Addr]struct{}{}
-		forEachBit(c.lineBits(i), func(b int) { set[c.idx.addrs[b]] = struct{}{} })
-		out[a] = set
-	}
-	return out
-}
-
 // CurvePoint is one x-position of Figure 5.
 type CurvePoint struct {
 	Threshold int
@@ -342,9 +333,9 @@ func (c *ContactCounter) Curve(thresholds []int) []CurvePoint {
 // --- Pass 2: full aggregation -------------------------------------------
 
 // Collector aggregates everything the figures need, with scanner lines
-// excluded up front. Internally every aggregate is a slice or bitset
-// indexed by line/backend/alias/port ID (see dense.go); Study()
-// converts back to the address-keyed result shape.
+// excluded up front. Every aggregate is a slice or bitset indexed by
+// line/backend/alias/port ID (see dense.go); Study() finalizes the
+// collector into a read-only view over them.
 type Collector struct {
 	idx      *BackendIndex
 	gen      int
@@ -395,8 +386,8 @@ type Collector struct {
 	lpKeys  []lpKey
 
 	// Per-backend traffic (the §3.4 traffic cross-check) with presence
-	// bits (a touched backend with zero bytes is still "active"). Study()
-	// also derives the per-continent volumes (Figure 14) from these.
+	// bits (a touched backend with zero bytes is still "active"). The
+	// per-continent volumes (Figure 14) are derived from these on demand.
 	backendVol  []float64
 	backendSeen []uint64
 
@@ -408,16 +399,6 @@ type Collector struct {
 type laKey struct{ line, alias int32 }
 
 type lpKey struct{ line, port int32 }
-
-type lineAliasKey struct {
-	line  netip.Addr
-	alias string
-}
-
-type linePortKey struct {
-	line netip.Addr
-	port proto.PortKey
-}
 
 // Options tune a Collector (and the ShardedAggregator wrapping one).
 type Options struct {

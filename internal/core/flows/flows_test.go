@@ -351,7 +351,7 @@ func TestPipelineMatchesSequentialTwoPass(t *testing.T) {
 	if !reflect.DeepEqual(cc.contactSets(), pipeCC.contactSets()) {
 		t.Error("pipeline contact counter differs from sequential pass")
 	}
-	if !reflect.DeepEqual(col.Study(), pipeStudy) {
+	if !reflect.DeepEqual(named(col.Study()), named(pipeStudy)) {
 		t.Error("pipeline study differs from sequential two-pass reference")
 	}
 }
@@ -363,7 +363,7 @@ func TestShardCountInvariance(t *testing.T) {
 	if !reflect.DeepEqual(cc1.contactSets(), pipeCC.contactSets()) {
 		t.Error("1-shard contacts differ from multi-shard")
 	}
-	if !reflect.DeepEqual(col1.Study(), pipeStudy) {
+	if !reflect.DeepEqual(named(col1.Study()), named(pipeStudy)) {
 		t.Error("1-shard study differs from multi-shard")
 	}
 }
@@ -399,7 +399,7 @@ func TestCollectorMergeEquivalence(t *testing.T) {
 	for _, p := range parts[1:] {
 		merged.Merge(p)
 	}
-	if !reflect.DeepEqual(merged.Study(), seq.Study()) {
+	if !reflect.DeepEqual(named(merged.Study()), named(seq.Study())) {
 		t.Error("merged round-robin shards differ from sequential collector")
 	}
 }

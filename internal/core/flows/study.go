@@ -1,7 +1,9 @@
 package flows
 
 import (
+	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"iotmap/internal/analysis"
@@ -9,115 +11,98 @@ import (
 	"iotmap/internal/proto"
 )
 
-// Study is the finalized traffic analysis. Study() is the dense→named
-// conversion boundary: the collector's ID-indexed slices and bitsets
-// are materialized back into the historical address- and alias-keyed
-// shape here, once, so every figure renders byte-identically to the
-// map-keyed implementation while the hot path stays dense.
+// Study is the finalized traffic analysis: a read-only view over the
+// finalized collector's dense columns. Nothing is materialized into
+// address- or name-keyed maps; every accessor resolves the alias or port
+// it is asked about to its dense ID and answers from the columns in one
+// pass. Nothing the figures print depends on line- or port-ID order
+// (ECDFs sort their samples, shares and counts are order-free, volumes
+// are exact integer-valued sums), so every figure renders
+// byte-identically to the historical map-keyed implementation.
+//
+// A Study shares storage with the collector it came from (see
+// Collector.Study) and keeps no lazy state: it is safe for any number of
+// concurrent readers, and the series it returns (Downstream, Upstream,
+// ActiveLines, the Focus fields) are shared and read-only.
 type Study struct {
 	idx   *BackendIndex
 	days  int
 	hours int
+	aw    int
 
-	visible        map[string]map[netip.Addr]struct{}
-	activeLines    map[string]*analysis.Series
-	downHour       map[string]*analysis.Series
-	upHour         map[string]*analysis.Series
-	portVol        map[string]map[proto.PortKey]float64
-	lineDaily      map[netip.Addr][][2]float64
-	lineAliasDaily map[lineAliasKey][]float64
-	linePortDaily  map[linePortKey][]float64
-	lineAliases    map[lineAliasKey]struct{}
-	lineCertSeen   map[lineAliasKey]struct{}
-	lineConts      map[netip.Addr]uint8
-	contVol        map[geo.Continent]float64
-	backendVol     map[netip.Addr]float64
+	// Per-line columns, by line ID (strides as in Collector).
+	lineAddrs     []netip.Addr
+	lineDaily     []float64
+	lineConts     []uint8
+	lineAliasBits []uint64
+	lineCertBits  []uint64
+
+	// (line, alias) and (line, port) daily slot arenas.
+	laKeys  []laKey
+	laDaily []float64
+	lpKeys  []lpKey
+	lpDaily []float64
+
+	// Per-alias columns, by alias ID. activeLines is the one derived
+	// aggregate; it is nil for an alias without traffic.
+	visible     [][]uint64
+	activeLines []*analysis.Series
+	downHour    []*analysis.Series
+	upHour      []*analysis.Series
+	portVol     [][]float64
+	portSeen    [][]uint64
+	// portKeys is the port ID → (transport, port) table.
+	portKeys []proto.PortKey
+
+	backendVol  []float64
+	backendSeen []uint64
 
 	FocusDownAll, FocusDownRegion, FocusDownEU    *analysis.Series
 	FocusLinesAll, FocusLinesRegion, FocusLinesEU *analysis.Series
 }
 
-// Study finalizes the collector.
+// Study finalizes the collector. The returned Study adopts the
+// collector's aggregate columns by reference and copies none of them; it
+// derives only the active-line series. So the collector must not be
+// ingested into or merged afterwards: the same rule Merge documents for
+// its donor. The fold-only tables (per-line hour bitsets, slot indexes,
+// line and port intern tables) are not retained and die with the
+// collector.
 func (c *Collector) Study() *Study {
 	c.idx.checkGen(c.gen)
-	idx := c.idx
 	s := &Study{
-		idx:            idx,
-		days:           c.ds,
-		hours:          c.hours,
-		visible:        map[string]map[netip.Addr]struct{}{},
-		activeLines:    map[string]*analysis.Series{},
-		downHour:       map[string]*analysis.Series{},
-		upHour:         map[string]*analysis.Series{},
-		portVol:        map[string]map[proto.PortKey]float64{},
-		lineDaily:      map[netip.Addr][][2]float64{},
-		lineAliasDaily: map[lineAliasKey][]float64{},
-		linePortDaily:  map[linePortKey][]float64{},
-		lineAliases:    map[lineAliasKey]struct{}{},
-		lineCertSeen:   map[lineAliasKey]struct{}{},
-		lineConts:      map[netip.Addr]uint8{},
-		contVol:        map[geo.Continent]float64{},
-		backendVol:     map[netip.Addr]float64{},
+		idx:           c.idx,
+		days:          c.ds,
+		hours:         c.hours,
+		aw:            c.aw,
+		lineAddrs:     c.lines.addrs,
+		lineDaily:     c.lineDaily,
+		lineConts:     c.lineConts,
+		lineAliasBits: c.lineAliasBits,
+		lineCertBits:  c.lineCertBits,
+		laKeys:        c.laKeys,
+		laDaily:       c.laDaily,
+		lpKeys:        c.lpKeys,
+		lpDaily:       c.lpDaily,
+		visible:       c.visible,
+		activeLines:   make([]*analysis.Series, c.nAliases),
+		downHour:      c.downHour,
+		upHour:        c.upHour,
+		portVol:       c.portVol,
+		portSeen:      c.portSeen,
+		portKeys:      c.ports.keys,
+		backendVol:    c.backendVol,
+		backendSeen:   c.backendSeen,
 	}
-
-	for a := 0; a < c.nAliases; a++ {
-		name := idx.aliasNames[a]
-		if vs := c.visible[a]; vs != nil {
-			set := map[netip.Addr]struct{}{}
-			forEachBit(vs, func(b int) { set[idx.addrs[b]] = struct{}{} })
-			s.visible[name] = set
-		}
-		if lh := c.lineHours[a]; lh != nil {
-			s.activeLines[name] = hoursToSeries(name, lh, c.hw, c.hours)
-		}
-		if ser := c.downHour[a]; ser != nil {
-			s.downHour[name] = cloneSeries(ser)
-		}
-		if ser := c.upHour[a]; ser != nil {
-			s.upHour[name] = cloneSeries(ser)
-		}
-		if pv := c.portVol[a]; pv != nil {
-			m := map[proto.PortKey]float64{}
-			forEachBit(c.portSeen[a], func(pid int) { m[c.ports.keys[pid]] = pv[pid] })
-			s.portVol[name] = m
+	for a, lh := range c.lineHours {
+		if lh != nil {
+			s.activeLines[a] = hoursToSeries(c.idx.aliasNames[a], lh, c.hw, c.hours)
 		}
 	}
-
-	ds2 := 2 * c.ds
-	for i, addr := range c.lines.addrs {
-		days := make([][2]float64, c.ds)
-		for d := 0; d < c.ds; d++ {
-			days[d] = [2]float64{c.lineDaily[i*ds2+2*d], c.lineDaily[i*ds2+2*d+1]}
-		}
-		s.lineDaily[addr] = days
-		s.lineConts[addr] = c.lineConts[i]
-		forEachBit(c.lineAliasBits[i*c.aw:(i+1)*c.aw], func(a int) {
-			s.lineAliases[lineAliasKey{line: addr, alias: idx.aliasNames[a]}] = struct{}{}
-		})
-		forEachBit(c.lineCertBits[i*c.aw:(i+1)*c.aw], func(a int) {
-			s.lineCertSeen[lineAliasKey{line: addr, alias: idx.aliasNames[a]}] = struct{}{}
-		})
-	}
-	for slot, k := range c.laKeys {
-		key := lineAliasKey{line: c.lines.addrs[k.line], alias: idx.aliasNames[k.alias]}
-		s.lineAliasDaily[key] = append([]float64(nil), c.laDaily[slot*c.ds:(slot+1)*c.ds]...)
-	}
-	for slot, k := range c.lpKeys {
-		key := linePortKey{line: c.lines.addrs[k.line], port: c.ports.keys[k.port]}
-		s.linePortDaily[key] = append([]float64(nil), c.lpDaily[slot*c.ds:(slot+1)*c.ds]...)
-	}
-	// Continent volumes are the per-backend volumes regrouped: exact,
-	// because volumes are integer-valued (see Collector.Merge), and a
-	// zero-byte backend still creates its continent's key.
-	forEachBit(c.backendSeen, func(b int) {
-		s.backendVol[idx.addrs[b]] = c.backendVol[b]
-		s.contVol[idx.infos[b].cont] += c.backendVol[b]
-	})
-
 	if c.focusAlias != "" {
-		s.FocusDownAll = cloneSeries(c.focusDownAll)
-		s.FocusDownRegion = cloneSeries(c.focusDownRegion)
-		s.FocusDownEU = cloneSeries(c.focusDownEU)
+		s.FocusDownAll = c.focusDownAll
+		s.FocusDownRegion = c.focusDownRegion
+		s.FocusDownEU = c.focusDownEU
 		s.FocusLinesAll = hoursToSeries(c.focusAlias+": All lines", c.focusHoursAll, c.hw, c.hours)
 		s.FocusLinesRegion = hoursToSeries(c.focusAlias+": region lines", c.focusHoursRegion, c.hw, c.hours)
 		s.FocusLinesEU = hoursToSeries(c.focusAlias+": EU lines", c.focusHoursEU, c.hw, c.hours)
@@ -128,23 +113,29 @@ func (c *Collector) Study() *Study {
 // hoursToSeries counts, per hour, the lines whose hour bit is set.
 func hoursToSeries(label string, lineHours []uint64, hw, hours int) *analysis.Series {
 	ser := analysis.NewSeries(label, hours)
-	counts := make([]int, hours)
-	for i := 0; i < len(lineHours)/hw; i++ {
-		forEachBit(lineHours[i*hw:(i+1)*hw], func(h int) { counts[h]++ })
-	}
-	for h, n := range counts {
-		ser.Add(h, float64(n))
+	for i := 0; i+hw <= len(lineHours); i += hw {
+		forEachBit(lineHours[i:i+hw], func(h int) { ser.Values[h]++ })
 	}
 	return ser
+}
+
+// aliasID resolves an alias to its dense ID, -1 when the index has no
+// such alias.
+func (s *Study) aliasID(alias string) int {
+	if a, ok := slices.BinarySearch(s.idx.aliasNames, alias); ok {
+		return a
+	}
+	return -1
 }
 
 // Aliases returns aliases with any observed traffic, sorted.
 func (s *Study) Aliases() []string {
 	out := make([]string, 0, len(s.activeLines))
-	for a := range s.activeLines {
-		out = append(out, a)
+	for a, ser := range s.activeLines {
+		if ser != nil {
+			out = append(out, s.idx.aliasNames[a])
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -154,31 +145,36 @@ func (s *Study) Hours() int { return s.hours }
 // Visibility returns the visible share of an alias's identified servers
 // per address family (Figure 6).
 func (s *Study) Visibility(alias string) (v4Pct, v6Pct float64) {
-	totals := s.idx.TotalPerAlias()[alias]
-	var v4, v6 int
-	for b := range s.visible[alias] {
-		if b.Is4() || b.Is4In6() {
-			v4++
-		} else {
-			v6++
-		}
+	a := s.aliasID(alias)
+	if a < 0 {
+		return 0, 0
 	}
+	var v4, all int
+	for k, w := range s.visible[a] {
+		v4 += bits.OnesCount64(w & s.idx.v4Mask[k])
+		all += bits.OnesCount64(w)
+	}
+	totals := s.idx.aliasTotals[a]
 	if totals[0] > 0 {
 		v4Pct = 100 * float64(v4) / float64(totals[0])
 	}
 	if totals[1] > 0 {
-		v6Pct = 100 * float64(v6) / float64(totals[1])
+		v6Pct = 100 * float64(all-v4) / float64(totals[1])
 	}
 	return v4Pct, v6Pct
 }
 
-// LineCount returns the distinct lines with traffic to alias, per family.
-func (s *Study) LineCount(alias string) (v4, v6 int) {
-	for k := range s.lineAliases {
-		if k.alias != alias {
+// countLines counts, per address family, the lines whose bit for alias
+// ID a is set in a stride-aw alias bit column.
+func (s *Study) countLines(col []uint64, a int) (v4, v6 int) {
+	if a < 0 {
+		return 0, 0
+	}
+	for i, addr := range s.lineAddrs {
+		if !hasBit(col[i*s.aw:], a) {
 			continue
 		}
-		if k.line.Is4() || k.line.Is4In6() {
+		if addr.Is4() || addr.Is4In6() {
 			v4++
 		} else {
 			v6++
@@ -187,29 +183,18 @@ func (s *Study) LineCount(alias string) (v4, v6 int) {
 	return v4, v6
 }
 
+// LineCount returns the distinct lines with traffic to alias, per family.
+func (s *Study) LineCount(alias string) (v4, v6 int) {
+	return s.countLines(s.lineAliasBits, s.aliasID(alias))
+}
+
 // CertOnlyDecrease is Figure 7: the share of an alias's lines that
 // become invisible when only TLS-certificate-discovered backends are
 // considered.
 func (s *Study) CertOnlyDecrease(alias string) (v4Pct, v6Pct float64) {
-	var total4, total6, seen4, seen6 int
-	for k := range s.lineAliases {
-		if k.alias != alias {
-			continue
-		}
-		v4 := k.line.Is4() || k.line.Is4In6()
-		if v4 {
-			total4++
-		} else {
-			total6++
-		}
-		if _, ok := s.lineCertSeen[k]; ok {
-			if v4 {
-				seen4++
-			} else {
-				seen6++
-			}
-		}
-	}
+	a := s.aliasID(alias)
+	total4, total6 := s.countLines(s.lineAliasBits, a)
+	seen4, seen6 := s.countLines(s.lineCertBits, a)
 	if total4 > 0 {
 		v4Pct = 100 * float64(total4-seen4) / float64(total4)
 	}
@@ -219,28 +204,28 @@ func (s *Study) CertOnlyDecrease(alias string) (v4Pct, v6Pct float64) {
 	return v4Pct, v6Pct
 }
 
-// ActiveLines returns the hourly active-line series (Figure 8).
-func (s *Study) ActiveLines(alias string) *analysis.Series {
-	if ser, ok := s.activeLines[alias]; ok {
-		return ser
+// seriesOr returns col[alias's ID], or an empty series when the alias
+// is unknown or has no such traffic.
+func (s *Study) seriesOr(col []*analysis.Series, alias string) *analysis.Series {
+	if a := s.aliasID(alias); a >= 0 && col[a] != nil {
+		return col[a]
 	}
 	return analysis.NewSeries(alias, s.hours)
+}
+
+// ActiveLines returns the hourly active-line series (Figure 8).
+func (s *Study) ActiveLines(alias string) *analysis.Series {
+	return s.seriesOr(s.activeLines, alias)
 }
 
 // Downstream returns the hourly downstream volume series (Figure 9).
 func (s *Study) Downstream(alias string) *analysis.Series {
-	if ser, ok := s.downHour[alias]; ok {
-		return ser
-	}
-	return analysis.NewSeries(alias, s.hours)
+	return s.seriesOr(s.downHour, alias)
 }
 
 // Upstream returns the hourly upstream volume series.
 func (s *Study) Upstream(alias string) *analysis.Series {
-	if ser, ok := s.upHour[alias]; ok {
-		return ser
-	}
-	return analysis.NewSeries(alias, s.hours)
+	return s.seriesOr(s.upHour, alias)
 }
 
 // RatioSeries returns the hourly downstream/upstream ratio (Figure 10).
@@ -270,74 +255,84 @@ type PortShare struct {
 	Share float64
 }
 
-// PortShares returns an alias's normalized port mix, descending.
-func (s *Study) PortShares(alias string) []PortShare {
-	vols := s.portVol[alias]
-	total := 0.0
-	for _, v := range vols {
-		total += v
-	}
-	out := make([]PortShare, 0, len(vols))
-	for p, v := range vols {
-		share := 0.0
-		if total > 0 {
-			share = v / total
-		}
-		out = append(out, PortShare{Port: p, Share: share})
-	}
+// sortPortShares orders by value descending, ties by the port's name.
+func sortPortShares(out []PortShare) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Share != out[j].Share {
 			return out[i].Share > out[j].Share
 		}
 		return out[i].Port.String() < out[j].Port.String()
 	})
+}
+
+// PortShares returns an alias's normalized port mix, descending.
+func (s *Study) PortShares(alias string) []PortShare {
+	var vols []float64
+	var seen []uint64
+	if a := s.aliasID(alias); a >= 0 {
+		vols, seen = s.portVol[a], s.portSeen[a]
+	}
+	total := 0.0
+	for _, v := range vols {
+		total += v
+	}
+	out := make([]PortShare, 0, popcount(seen))
+	forEachBit(seen, func(pid int) {
+		share := 0.0
+		if total > 0 {
+			share = vols[pid] / total
+		}
+		out = append(out, PortShare{Port: s.portKeys[pid], Share: share})
+	})
+	sortPortShares(out)
 	return out
 }
 
 // TopPorts returns the ports carrying the most total traffic.
 func (s *Study) TopPorts(n int) []proto.PortKey {
-	agg := map[proto.PortKey]float64{}
+	// The port table is the key set: ingestDense and Merge intern a port
+	// and mark its presence together, so every port ID was seen under
+	// some alias. Share holds the port's absolute volume here.
+	all := make([]PortShare, len(s.portKeys))
+	for pid, k := range s.portKeys {
+		all[pid].Port = k
+	}
 	for _, vols := range s.portVol {
-		for p, v := range vols {
-			agg[p] += v
+		for pid, v := range vols {
+			all[pid].Share += v
 		}
 	}
-	type pv struct {
-		p proto.PortKey
-		v float64
-	}
-	all := make([]pv, 0, len(agg))
-	for p, v := range agg {
-		all = append(all, pv{p, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
-		}
-		return all[i].p.String() < all[j].p.String()
-	})
+	sortPortShares(all)
 	if n > len(all) {
 		n = len(all)
 	}
 	out := make([]proto.PortKey, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].p
+	for i := range out {
+		out[i] = all[i].Port
 	}
 	return out
+}
+
+// positives appends the values above zero to dst.
+func positives(dst, vals []float64) []float64 {
+	for _, v := range vals {
+		if v > 0 {
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }
 
 // DailyECDFs returns the per-line-day total volume distributions
 // (Figure 12a): one sample per (line, day) with any traffic.
 func (s *Study) DailyECDFs() (down, up *analysis.ECDF) {
 	var d, u []float64
-	for _, days := range s.lineDaily {
-		for _, v := range days {
-			if v[0] > 0 {
-				d = append(d, v[0])
-			}
-			if v[1] > 0 {
-				u = append(u, v[1])
-			}
+	for i := 0; i+1 < len(s.lineDaily); i += 2 {
+		if v := s.lineDaily[i]; v > 0 {
+			d = append(d, v)
+		}
+		if v := s.lineDaily[i+1]; v > 0 {
+			u = append(u, v)
 		}
 	}
 	return analysis.NewECDF(d), analysis.NewECDF(u)
@@ -347,14 +342,10 @@ func (s *Study) DailyECDFs() (down, up *analysis.ECDF) {
 // one alias (Figure 12b).
 func (s *Study) AliasDailyECDF(alias string) *analysis.ECDF {
 	var samples []float64
-	for k, days := range s.lineAliasDaily {
-		if k.alias != alias {
-			continue
-		}
-		for _, v := range days {
-			if v > 0 {
-				samples = append(samples, v)
-			}
+	a := int32(s.aliasID(alias))
+	for slot, k := range s.laKeys {
+		if k.alias == a {
+			samples = positives(samples, s.laDaily[slot*s.days:(slot+1)*s.days])
 		}
 	}
 	return analysis.NewECDF(samples)
@@ -364,14 +355,10 @@ func (s *Study) AliasDailyECDF(alias string) *analysis.ECDF {
 // port (Figure 12c).
 func (s *Study) PortDailyECDF(port proto.PortKey) *analysis.ECDF {
 	var samples []float64
-	for k, days := range s.linePortDaily {
-		if k.port != port {
-			continue
-		}
-		for _, v := range days {
-			if v > 0 {
-				samples = append(samples, v)
-			}
+	pid := int32(slices.Index(s.portKeys, port)) // -1: never seen
+	for slot, k := range s.lpKeys {
+		if k.port == pid {
+			samples = positives(samples, s.lpDaily[slot*s.days:(slot+1)*s.days])
 		}
 	}
 	return analysis.NewECDF(samples)
@@ -381,10 +368,8 @@ func (s *Study) PortDailyECDF(port proto.PortKey) *analysis.ECDF {
 // backend address — the §3.4 traffic cross-check input ("we only
 // identify 52 IPs that are active").
 func (s *Study) BackendVolumes() map[netip.Addr]float64 {
-	out := make(map[netip.Addr]float64, len(s.backendVol))
-	for a, v := range s.backendVol {
-		out[a] = v
-	}
+	out := make(map[netip.Addr]float64, popcount(s.backendSeen))
+	forEachBit(s.backendSeen, func(b int) { out[s.idx.addrs[b]] = s.backendVol[b] })
 	return out
 }
 
@@ -432,8 +417,17 @@ func (s *Study) ServerContinentShares() map[geo.Continent]float64 {
 	return analysis.Shares(counts)
 }
 
+// continentVolumes regroups the per-backend volumes by server continent:
+// exact, because volumes are integer-valued (see Collector.Merge), and a
+// zero-byte backend still creates its continent's key.
+func (s *Study) continentVolumes() map[geo.Continent]float64 {
+	out := map[geo.Continent]float64{}
+	forEachBit(s.backendSeen, func(b int) { out[s.idx.infos[b].cont] += s.backendVol[b] })
+	return out
+}
+
 // TrafficContinentShares distributes exchanged volume per server
 // continent (Figure 14).
 func (s *Study) TrafficContinentShares() map[geo.Continent]float64 {
-	return analysis.Shares(s.contVol)
+	return analysis.Shares(s.continentVolumes())
 }

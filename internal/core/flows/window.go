@@ -705,10 +705,13 @@ func (w *Window) Merged() (*ContactCounter, *Collector) {
 }
 
 // Study returns the finalized trailing-window analysis: the merged
-// ContactCounter (Figure 5's evidence) and the named Study over the
-// surviving hours. The result is cached until the next completed
-// flush, so a serving endpoint polling an idle window pays nothing;
-// callers must treat the returned values as read-only.
+// ContactCounter (Figure 5's evidence) and the Study over the surviving
+// hours, a view over a private fold's columns (the fold's collector is
+// finalized here and never written again). The result is cached until
+// the next completed flush and handed to every caller, so a serving
+// endpoint polling an idle window pays nothing; the Study keeps no lazy
+// state and is safe for concurrent readers, who must treat the returned
+// values, and the series the accessors return, as read-only.
 func (w *Window) Study() (*ContactCounter, *Study) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()

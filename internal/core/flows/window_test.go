@@ -24,7 +24,7 @@ var windowThresholds = []int{10, 50, 100, 500, 1000}
 func assertWindowEquals(t *testing.T, win *Window, refCC *ContactCounter, refCol *Collector, threshold int) {
 	t.Helper()
 	cc, col := win.Merged()
-	if !reflect.DeepEqual(col.Study(), refCol.Study()) {
+	if !reflect.DeepEqual(named(col.Study()), named(refCol.Study())) {
 		t.Error("window study differs from batch reference")
 	}
 	if !reflect.DeepEqual(cc.contactSets(), refCC.contactSets()) {
@@ -277,7 +277,7 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 
 	ccR, colR := winRec.Merged()
 	ccB, colB := winBatch.Merged()
-	if !reflect.DeepEqual(colB.Study(), colR.Study()) {
+	if !reflect.DeepEqual(named(colB.Study()), named(colR.Study())) {
 		t.Error("resolver-fed window study differs from the reference batches' window")
 	}
 	if !reflect.DeepEqual(ccB.contactSets(), ccR.contactSets()) {
@@ -415,7 +415,7 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	}
 	ccA, colA := win.Merged()
 	ccB, colB := restored.Merged()
-	if !reflect.DeepEqual(colB.Study(), colA.Study()) {
+	if !reflect.DeepEqual(named(colB.Study()), named(colA.Study())) {
 		t.Error("restored window study diverged after continued ingest")
 	}
 	if !reflect.DeepEqual(ccB.contactSets(), ccA.contactSets()) {

@@ -283,6 +283,9 @@ type System struct {
 	// prefixAddrs keeps the sorted discovered addresses of each
 	// prefix-disclosing provider for trafficCrossCheck.
 	prefixAddrs map[string][]netip.Addr
+	// certDedicated keeps, per provider, the dedicated addresses the
+	// TLS-certificate channel found, for backendIndex.
+	certDedicated map[string]map[netip.Addr]struct{}
 
 	// TrafficStudy outputs.
 	Net      *isp.Network
@@ -415,6 +418,7 @@ func (s *System) ValidateAndLocate() error {
 		Traffic:  map[string]validate.TrafficReport{},
 	}
 	s.prefixAddrs = map[string][]netip.Addr{}
+	s.certDedicated = map[string]map[netip.Addr]struct{}{}
 	period := dnsdb.TimeRange{From: s.World.Days[0], To: s.World.Days[len(s.World.Days)-1].Add(24 * time.Hour)}
 	for _, p := range s.Patterns {
 		id := p.ProviderID()
@@ -430,9 +434,15 @@ func (s *System) ValidateAndLocate() error {
 		// Characterize over the dedicated set only (Section 5 uses only
 		// exclusively-IoT infrastructure).
 		dedUnion := map[netip.Addr]*discovery.AddrInfo{}
+		certDed := map[netip.Addr]struct{}{}
 		for _, a := range ded {
-			dedUnion[a] = union[a]
+			info := union[a]
+			dedUnion[a] = info
+			if info != nil && info.Sources.Has(discovery.SrcCert) {
+				certDed[a] = struct{}{}
+			}
 		}
+		s.certDedicated[id] = certDed
 		s.Rows[id] = footprint.Characterize(id, dedUnion, located, s.World.AS)
 
 		// Ground truth.
@@ -536,21 +546,28 @@ func (s *System) backendIndex() (*flows.BackendIndex, error) {
 		return nil, fmt.Errorf("iotmap: ValidateAndLocate must run first")
 	}
 	idx := flows.NewBackendIndex()
-	for _, p := range s.Patterns {
-		id := p.ProviderID()
-		alias := s.World.AliasOf(id)
-		union := s.Discovery[id].Union()
-		located := s.Located[id]
-		for _, a := range s.Dedicated[id] {
-			loc := located[a]
-			certFound := union[a] != nil && union[a].Sources.Has(discovery.SrcCert)
-			idx.Add(a, alias, loc.Location.Continent, loc.Location.Region, certFound)
-		}
-	}
+	s.eachBackend(idx.Add)
 	// Freeze the dense ID assignment before the pipelines (possibly many
 	// concurrent vantage worlds) start classifying against it.
 	idx.Build()
 	return idx, nil
+}
+
+// eachBackend calls add, in provider order, with every validated
+// dedicated address as the collector indexes it: owner alias, location,
+// and whether the TLS-certificate channel alone would have found it.
+func (s *System) eachBackend(add func(addr netip.Addr, alias string, cont geo.Continent, region string, certFound bool)) {
+	for _, p := range s.Patterns {
+		id := p.ProviderID()
+		alias := s.World.AliasOf(id)
+		located := s.Located[id]
+		certDed := s.certDedicated[id]
+		for _, a := range s.Dedicated[id] {
+			loc := located[a]
+			_, certFound := certDed[a]
+			add(a, alias, loc.Location.Continent, loc.Location.Region, certFound)
+		}
+	}
 }
 
 // pipelineRun is one vantage world pushed through the configured
