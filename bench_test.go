@@ -332,13 +332,14 @@ func BenchmarkStageTrafficWeek(b *testing.B) {
 	}
 }
 
-// benchStageWireWeek is the wire twin of StageTrafficWeek: the same
-// study week, but every line shard is framed into packet streams,
+// BenchmarkStageWireWeek is the wire twin of StageTrafficWeek: the same
+// study week, but every line shard is framed into a dictionary stream,
 // piped, decoded, validated, rescaled, and folded back into the
 // analysis by internal/collector. The delta over StageTrafficWeek is
 // the full cost of making the figures come from packets instead of
-// memory.
-func benchStageWireWeek(b *testing.B, format isp.WireFormat) {
+// memory; the headline contract is StageWireWeek ≤ 1.10×
+// StageTrafficWeek.
+func BenchmarkStageWireWeek(b *testing.B) {
 	w, err := world.Build(world.Config{Seed: 5, Scale: 0.05})
 	if err != nil {
 		b.Fatal(err)
@@ -361,7 +362,7 @@ func benchStageWireWeek(b *testing.B, format isp.WireFormat) {
 			b.Fatal(err)
 		}
 		writers, wait := col.IngestPipes(streams)
-		if _, err := net.SimulateLinesToWireFormat(writers, 0, format); err != nil {
+		if _, err := net.SimulateLinesToWire(writers, 0); err != nil {
 			b.Fatal(err)
 		}
 		if err := wait(); err != nil {
@@ -376,12 +377,6 @@ func benchStageWireWeek(b *testing.B, format isp.WireFormat) {
 		}
 	}
 }
-
-// BenchmarkStageWireWeek tracks the pipeline's default wire encoding —
-// columnar dictionary batches since PR 7. Its headline contract is
-// StageWireWeek ≤ 1.10× StageTrafficWeek: packets-instead-of-memory
-// must cost no more than 10%.
-func BenchmarkStageWireWeek(b *testing.B) { benchStageWireWeek(b, isp.WireDict) }
 
 // BenchmarkStageWindowWeek is the service-mode week: the same columnar
 // dictionary streams as StageWireWeek, but folding into one shared
@@ -418,7 +413,7 @@ func BenchmarkStageWindowWeek(b *testing.B) {
 			b.Fatal(err)
 		}
 		writers, wait := col.IngestPipes(streams)
-		if _, err := net.SimulateLinesToWireFormat(writers, 0, isp.WireDict); err != nil {
+		if _, err := net.SimulateLinesToWire(writers, 0); err != nil {
 			b.Fatal(err)
 		}
 		if err := wait(); err != nil {
@@ -499,12 +494,12 @@ func BenchmarkWindowSteadyState(b *testing.B) {
 
 // BenchmarkStageWireWeekFaulty is the wire week under fire: a seeded
 // 1% frame corruption injected into every stream, ingested with the
-// DropFrame self-healing policy. It deliberately keeps the legacy v5
-// framing (SimulateLinesToWire): small per-packet frames give the
-// richest resync workload, and the figures stay comparable with the
-// BENCH_PR6.json recording. The delta over a clean v5 run is the price
-// of surviving a lossy feed — resync scans, dropped frames, and
-// early-ended streams included.
+// DropFrame self-healing policy. The delta over StageWireWeek is the
+// price of surviving a lossy feed — resync scans, dropped frames, and
+// early-ended streams included. A corrupted dictionary delta invalidates
+// every later batch that references the lost IDs, so the scanner lines,
+// which touch the most backends, can drop out entirely; the bench checks
+// that a study survives and that the collector healed.
 func BenchmarkStageWireWeekFaulty(b *testing.B) {
 	w, err := world.Build(world.Config{Seed: 5, Scale: 0.05})
 	if err != nil {
@@ -542,12 +537,11 @@ func BenchmarkStageWireWeekFaulty(b *testing.B) {
 		if err := wait(); err != nil {
 			b.Fatal(err)
 		}
-		cc, fcol := col.Finalize()
-		if len(cc.Scanners(100)) == 0 {
-			b.Fatal("no scanners classified")
-		}
-		if fcol.Study().Hours() == 0 {
+		if _, fcol := col.Finalize(); fcol.Study().Hours() == 0 {
 			b.Fatal("empty study")
+		}
+		if st := col.Stats(); st.DroppedFrames+st.ResyncEvents == 0 {
+			b.Fatal("the collector healed nothing")
 		}
 	}
 	b.StopTimer()

@@ -13,60 +13,56 @@ import (
 // TestGoldenWirePolicyIdentity: the graceful error policies on a CLEAN
 // wire feed are pure insurance — DropFrame and QuarantineStream must
 // reproduce every Section 5 golden byte-identically, with every
-// degradation counter at zero, in both the columnar dictionary and the
-// legacy v5 encodings. (Abort is the policy the goldens already run
-// under in TestGoldenWireFigures.)
+// degradation counter at zero. (Abort is the policy the goldens already
+// run under in TestGoldenWireFigures.)
 func TestGoldenWirePolicyIdentity(t *testing.T) {
 	for _, pol := range []iotmap.ErrorPolicy{iotmap.WireDropFrame, iotmap.WireQuarantineStream} {
-		for _, format := range []string{iotmap.WireFormatDict, iotmap.WireFormatV5} {
-			pol, format := pol, format
-			t.Run(pol.String()+"/"+format, func(t *testing.T) {
-				sys, err := iotmap.New(iotmap.Config{
-					Seed: 71, Scale: 0.05, Lines: 5000,
-					TrafficMode: iotmap.TrafficModeWire, WireStreams: 4,
-					WirePolicy: pol, WireFormat: format,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Close()
-				if err := sys.Discover(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.ValidateAndLocate(); err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.TrafficStudy(); err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.Disrupt(); err != nil {
-					t.Fatal(err)
-				}
-				st := sys.WireIngest
-				if st.DroppedFrames != 0 || st.ResyncEvents != 0 || st.StallTimeouts != 0 ||
-					st.Reconnects != 0 || st.QuarantinedStreams != 0 {
-					t.Fatalf("%s: clean feed reported degradation: %+v", pol, st)
-				}
-				for name, render := range goldenSection5 {
-					checkGolden(t, name, render(sys))
-				}
+		t.Run(pol.String()+"/dict", func(t *testing.T) {
+			sys, err := iotmap.New(iotmap.Config{
+				Seed: 71, Scale: 0.05, Lines: 5000,
+				TrafficMode: iotmap.TrafficModeWire, WireStreams: 4,
+				WirePolicy: pol,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if err := sys.Discover(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.ValidateAndLocate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.TrafficStudy(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Disrupt(); err != nil {
+				t.Fatal(err)
+			}
+			st := sys.WireIngest
+			if st.DroppedFrames != 0 || st.ResyncEvents != 0 || st.StallTimeouts != 0 ||
+				st.Reconnects != 0 || st.QuarantinedStreams != 0 {
+				t.Fatalf("%s: clean feed reported degradation: %+v", pol, st)
+			}
+			for name, render := range goldenSection5 {
+				checkGolden(t, name, render(sys))
+			}
+		})
 	}
 }
 
 // chaosScenario is the acceptance fault schedule: a seeded 1% frame
 // corruption across every stream, while isp-b's links additionally melt
-// down — heavy bit-flip corruption until study-hour 120 (length-field
-// flips force strict-decode drops, magic/type flips force resync scans)
-// and total frame loss from hour 120 on, blanking whole hours at that
-// vantage while its siblings keep covering them.
+// down — a bit flip in every other row run until study-hour 120
+// (length-field flips force strict-decode drops, magic/type flips force
+// resync scans) and total row loss from hour 120 on, blanking whole
+// hours at that vantage while its siblings keep covering them.
 func chaosScenario(seed int64) *iotmap.FaultScenario {
 	return &iotmap.FaultScenario{
 		Seed: seed,
 		Rules: []iotmap.FaultRule{
 			{Stream: -1, Faults: iotmap.Faults{CorruptProb: 0.01}},
-			{Stream: -1, Vantage: "isp-b", ToHour: 120, Faults: iotmap.Faults{CorruptProb: 0.25}},
+			{Stream: -1, Vantage: "isp-b", ToHour: 120, Faults: iotmap.Faults{CorruptProb: 0.5}},
 			{Stream: -1, Vantage: "isp-b", FromHour: 120, Faults: iotmap.Faults{DropProb: 1}},
 		},
 	}
@@ -77,13 +73,6 @@ func runChaosFederation(t *testing.T) *iotmap.System {
 	cfg := federationConfig(iotmap.TrafficModeWire)
 	cfg.WirePolicy = iotmap.WireDropFrame
 	cfg.WireFaults = chaosScenario(12)
-	// Hour-windowed fault rules clock the study hour from v5 frame
-	// headers; a dictionary batch frame carries a whole line's week, so
-	// "until hour 120" has no frame-granularity meaning there. The chaos
-	// schedule therefore pins the legacy v5 encoding (dict-mode fault
-	// composition is covered by TestGoldenWirePolicyIdentity and the
-	// collector's own fault tests).
-	cfg.WireFormat = iotmap.WireFormatV5
 	sys, err := iotmap.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 // Command iotcollect is the standalone NetFlow collector frontend: it
 // rebuilds the study's backend index (discovery + validation at a given
 // seed), then ingests the ISP's sampled NetFlow feed from the wire —
-// framed streams (columnar dictionary batches or legacy v5) over TCP,
-// raw v5/v9/IPFIX datagrams over UDP, recorded stream files (replayed
-// zero-copy via mmap), or an in-process demo export — and prints the
-// Section 5 analysis computed entirely from packets.
+// framed streams (dictionary batches, or foreign v5/v6 frames) over
+// TCP, raw v5/v9/IPFIX datagrams over UDP, recorded stream files
+// (replayed zero-copy via mmap), or an in-process demo export — and
+// prints the Section 5 analysis computed entirely from packets.
 //
 // The exporter and collector must agree on the world (same -seed,
 // -scale, -lines), exactly like the paper's collector had to know which
@@ -16,7 +16,7 @@
 //	iotcollect -export streams/          # record framed streams to stream-N.nf files
 //	iotcollect streams/stream-*.nf       # re-ingest recorded streams
 //	iotcollect -listen 127.0.0.1:2055    # accept -streams TCP feeds, then report
-//	iotcollect -udp 127.0.0.1:2055       # raw v5 datagrams until Ctrl-C
+//	iotcollect -udp 127.0.0.1:2055       # raw v5/v9/IPFIX datagrams until Ctrl-C
 //
 // With -serve the collector becomes a long-lived daemon instead of a
 // batch run: feeds attach and detach at runtime (inbound TCP on
@@ -60,13 +60,12 @@ func main() {
 	threshold := flag.Int("threshold", 100, "scanner exclusion threshold (Figure 5)")
 	streams := flag.Int("streams", 4, "concurrent streams to export / accept")
 	exportDir := flag.String("export", "", "export framed streams into this directory instead of collecting")
-	listen := flag.String("listen", "", "accept framed v5 streams on this TCP address")
-	udp := flag.String("udp", "", "ingest raw v5 datagrams on this UDP address until interrupted")
+	listen := flag.String("listen", "", "accept framed streams on this TCP address")
+	udp := flag.String("udp", "", "ingest raw v5/v9/IPFIX datagrams on this UDP address until interrupted")
 	demo := flag.Bool("demo", false, "run the exporter in-process over a TCP loopback")
 	vantage := flag.String("vantage", "", "vantage label attributed to every ingested feed (per-stream stats, federation merges)")
 	policy := flag.String("policy", "abort", "stream-fault policy: abort, drop (drop bad frames, resync), quarantine (discard faulty streams)")
 	stall := flag.Duration("stall", 0, "per-stream read-stall timeout (0 disables the watchdog)")
-	format := flag.String("format", "dict", "wire encoding for -export and -demo: dict (columnar dictionary batches) or v5 (legacy framed NetFlow v5)")
 	serveAddr := flag.String("serve", "", "run as a daemon: HTTP API on this address (file args preload as feeds)")
 	feedListen := flag.String("feed-listen", "", "with -serve: accept inbound framed exporter streams on this TCP address")
 	windowHours := flag.Int("window", 0, "with -serve: trailing window span in hours, a multiple of 24 (0 = whole study)")
@@ -74,16 +73,6 @@ func main() {
 	checkpointEvery := flag.Duration("checkpoint-every", 0, "with -serve: periodic checkpoint interval (0 = only on shutdown/demand)")
 	pprofFlag := flag.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/ on the API address")
 	flag.Parse()
-
-	var wf isp.WireFormat
-	switch *format {
-	case "dict":
-		wf = isp.WireDict
-	case "v5":
-		wf = isp.WireV5
-	default:
-		log.Fatalf("iotcollect: unknown -format %q (want dict or v5)", *format)
-	}
 
 	var pol collector.ErrorPolicy
 	switch *policy {
@@ -124,7 +113,7 @@ func main() {
 	}
 
 	if *exportDir != "" {
-		exportStreams(ispNet, *exportDir, *streams, wf)
+		exportStreams(ispNet, *exportDir, *streams)
 		return
 	}
 
@@ -174,7 +163,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("iotcollect: ingesting raw v5 datagrams on %s (Ctrl-C to analyze)", pc.LocalAddr())
+		log.Printf("iotcollect: ingesting raw v5/v9/IPFIX datagrams on %s (Ctrl-C to analyze)", pc.LocalAddr())
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		go func() {
 			<-ctx.Done()
@@ -185,7 +174,7 @@ func main() {
 		}
 		stop()
 	case *demo:
-		if err := demoLoopback(ispNet, col, *streams, wf); err != nil {
+		if err := demoLoopback(ispNet, col, *streams); err != nil {
 			log.Fatal(err)
 		}
 	case flag.NArg() > 0:
@@ -203,7 +192,7 @@ func main() {
 }
 
 // exportStreams records the framed feed to stream-N.nf files.
-func exportStreams(ispNet *isp.Network, dir string, streams int, wf isp.WireFormat) {
+func exportStreams(ispNet *isp.Network, dir string, streams int) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
@@ -217,7 +206,7 @@ func exportStreams(ispNet *isp.Network, dir string, streams int, wf isp.WireForm
 		files[i] = f
 		writers[i] = f
 	}
-	stats, err := ispNet.SimulateLinesToWireFormat(writers, 0, wf)
+	stats, err := ispNet.SimulateLinesToWire(writers, 0)
 	for _, f := range files {
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -226,13 +215,13 @@ func exportStreams(ispNet *isp.Network, dir string, streams int, wf isp.WireForm
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("exported %d streams: %d frames, %d v5 packets, %d batch frames, %d dict entries, %d v4 + %d v6 records, %d flushes, %d clamped counters\n",
-		stats.Streams, stats.Frames, stats.V5Packets, stats.BatchFrames, stats.DictEntries, stats.V4Records, stats.V6Records, stats.Flushes, stats.Clamped)
+	fmt.Printf("exported %d streams: %d frames, %d batch frames, %d dict entries, %d v4 + %d v6 records, %d flushes\n",
+		stats.Streams, stats.Frames, stats.BatchFrames, stats.DictEntries, stats.V4Records, stats.V6Records, stats.Flushes)
 }
 
 // demoLoopback runs exporter and collector in one process over real
 // TCP connections.
-func demoLoopback(ispNet *isp.Network, col *collector.Collector, streams int, wf isp.WireFormat) error {
+func demoLoopback(ispNet *isp.Network, col *collector.Collector, streams int) error {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -249,7 +238,7 @@ func demoLoopback(ispNet *isp.Network, col *collector.Collector, streams int, wf
 		defer c.Close()
 		conns[i] = c
 	}
-	stats, err := ispNet.SimulateLinesToWireFormat(conns, 0, wf)
+	stats, err := ispNet.SimulateLinesToWire(conns, 0)
 	if err != nil {
 		return err
 	}
@@ -259,8 +248,8 @@ func demoLoopback(ispNet *isp.Network, col *collector.Collector, streams int, wf
 	if err := <-done; err != nil {
 		return err
 	}
-	fmt.Printf("loopback export: %d streams, %d frames, %d v5 packets, %d v4 + %d v6 records\n",
-		stats.Streams, stats.Frames, stats.V5Packets, stats.V4Records, stats.V6Records)
+	fmt.Printf("loopback export: %d streams, %d frames, %d batch frames, %d v4 + %d v6 records\n",
+		stats.Streams, stats.Frames, stats.BatchFrames, stats.V4Records, stats.V6Records)
 	return nil
 }
 

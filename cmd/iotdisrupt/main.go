@@ -84,9 +84,6 @@ func main() {
 
 // scenarioSuite runs a named preset suite from the declarative scenario
 // engine over the same 3-vantage wire-mode federation -federate uses.
-// The wire format is pinned to v5: the hour-windowed fault rules a
-// suite compiles (feed death mid-week) read the study clock from v5
-// frame headers, which dictionary-format streams don't carry per frame.
 func scenarioSuite(sys *iotmap.System, seed int64, lines int, name string) error {
 	presets := scenario.Presets(seed)
 	suite, ok := presets[name]
@@ -96,7 +93,6 @@ func scenarioSuite(sys *iotmap.System, seed int64, lines int, name string) error
 
 	sys.Cfg.Outage = nil
 	sys.Cfg.TrafficMode = iotmap.TrafficModeWire
-	sys.Cfg.WireFormat = iotmap.WireFormatV5
 	sys.Cfg.WireStreams = 3
 	sys.Cfg.WirePolicy = iotmap.WireDropFrame
 	sys.Cfg.Vantages = []iotmap.VantageSpec{

@@ -1,9 +1,8 @@
 // Command iotgen synthesizes framed NetFlow feeds at line rate — a
 // corpus generator for load-testing the collector's ingest path
-// without building a world. It speaks every encoding the collector
-// accepts: columnar dictionary batches (the default wire format),
-// legacy framed v5, and raw IPFIX message streams, over a line space
-// of up to 2^22 subscriber addresses drawn from the ISP plan.
+// without building a world. It speaks the exporter's dictionary stream
+// (the default) and raw IPFIX message streams, over a line space of up
+// to 2^22 subscriber addresses drawn from the ISP plan.
 //
 // Two modes:
 //
@@ -134,31 +133,6 @@ func (g *gen) emitDict(dictID, line int, register bool) error {
 	return nil
 }
 
-// emitV5 appends one line's legacy framed v5 packets plus a flush.
-func (g *gen) emitV5() error {
-	interval, err := netflow.PackSamplingInterval(g.cfg.rate)
-	if err != nil {
-		return err
-	}
-	for off := 0; off < len(g.recs); off += netflow.V5MaxRecords {
-		end := off + netflow.V5MaxRecords
-		if end > len(g.recs) {
-			end = len(g.recs)
-		}
-		h := netflow.V5Header{
-			UnixSecs:         uint32(g.recs[off].Start.Unix()),
-			FlowSequence:     g.seq,
-			SamplingInterval: interval,
-		}
-		g.seq += uint32(end - off)
-		if g.buf, _, err = netflow.AppendV5Frame(g.buf, h, g.recs[off:end]); err != nil {
-			return err
-		}
-	}
-	g.buf = netflow.AppendFlushFrame(g.buf)
-	return nil
-}
-
 // emitIPFIX appends one line's records as a raw IPFIX message (no
 // framing — the collector's IngestIPFIX walks message lengths).
 func (g *gen) emitIPFIX(stream int, withTemplates bool) error {
@@ -202,8 +176,6 @@ func (g *gen) run(w io.Writer, stream int, loop bool, stop func() bool) (int64, 
 		switch g.cfg.format {
 		case "dict":
 			err = g.emitDict(slot, line, ord < perStream)
-		case "v5":
-			err = g.emitV5()
 		case "ipfix":
 			err = g.emitIPFIX(stream, ord == 0)
 		}
@@ -220,7 +192,7 @@ func (g *gen) run(w io.Writer, stream int, loop bool, stop func() bool) (int64, 
 
 func main() {
 	cfg := genConfig{}
-	flag.StringVar(&cfg.format, "format", "dict", "feed encoding: dict (columnar dictionary batches), v5 (legacy framed NetFlow v5), ipfix (raw IPFIX message stream)")
+	flag.StringVar(&cfg.format, "format", "dict", "feed encoding: dict (columnar dictionary batches), ipfix (raw IPFIX message stream)")
 	flag.IntVar(&cfg.streams, "streams", 4, "concurrent streams to generate")
 	flag.IntVar(&cfg.lines, "lines", 1<<16, "subscriber line space (max 2^22)")
 	flag.IntVar(&cfg.records, "records", 16, "flow records per line flush")
@@ -238,9 +210,9 @@ func main() {
 	cfg.rate = uint32(*rate)
 
 	switch cfg.format {
-	case "dict", "v5", "ipfix":
+	case "dict", "ipfix":
 	default:
-		log.Fatalf("iotgen: unknown -format %q (want dict, v5, or ipfix)", cfg.format)
+		log.Fatalf("iotgen: unknown -format %q (want dict or ipfix)", cfg.format)
 	}
 	if cfg.lines <= 0 || cfg.lines > maxLines {
 		log.Fatalf("iotgen: -lines %d out of range (1..%d)", cfg.lines, maxLines)

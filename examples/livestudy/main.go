@@ -52,7 +52,7 @@ func buildStudy() (*study, [][]byte, error) {
 		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
 	}
 	var rec0, rec1 bytes.Buffer
-	if _, err := n.SimulateLinesToWireFormat([]io.Writer{&rec0, &rec1}, 0, isp.WireDict); err != nil {
+	if _, err := n.SimulateLinesToWire([]io.Writer{&rec0, &rec1}, 0); err != nil {
 		return nil, nil, err
 	}
 	return &study{idx: idx, days: w.Days, opts: flows.Options{

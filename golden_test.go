@@ -82,58 +82,45 @@ func TestGoldenScannerCurve(t *testing.T) {
 }
 
 // TestGoldenWireFigures is the wire path's headline property: running
-// TrafficStudy in wire mode — every line shard exported as framed
-// NetFlow v5 packet streams, decoded, validated, and rescaled by
-// internal/collector — reproduces every Section 5 figure, the
-// validation report, and the scanner curve byte-identical to the
-// golden_pr2 baseline, whether the feed crosses the wire as 1, 4, or 8
-// concurrent streams, and whether it is encoded as columnar dictionary
-// batches (the default) or legacy framed NetFlow v5. The figures are
-// computed from packets, not memory.
+// TrafficStudy in wire mode — every line shard exported as a dictionary
+// stream, decoded, validated, and rescaled by internal/collector —
+// reproduces every Section 5 figure, the validation report, and the
+// scanner curve byte-identical to the golden_pr2 baseline, whether the
+// feed crosses the wire as 1, 4, or 8 concurrent streams. The figures
+// are computed from packets, not memory.
 func TestGoldenWireFigures(t *testing.T) {
 	sys := wireSystem(t)
-	for _, format := range []string{iotmap.WireFormatDict, iotmap.WireFormatV5} {
-		for _, streams := range []int{1, 4, 8} {
-			format, streams := format, streams
-			t.Run(fmt.Sprintf("%s/streams-%d", format, streams), func(t *testing.T) {
-				sys.Cfg.WireFormat = format
-				sys.Cfg.WireStreams = streams
-				if err := sys.TrafficStudy(); err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.Disrupt(); err != nil {
-					t.Fatal(err)
-				}
-				if sys.WireExport == nil || sys.WireIngest == nil {
-					t.Fatal("wire mode left no transfer stats")
-				}
-				if sys.WireExport.Streams != streams {
-					t.Fatalf("exported %d streams, want %d", sys.WireExport.Streams, streams)
-				}
-				if got, want := sys.WireIngest.V4Records+sys.WireIngest.V6Records,
-					sys.WireExport.V4Records+sys.WireExport.V6Records; got != want {
-					t.Fatalf("collector decoded %d records, exporter framed %d", got, want)
-				}
-				if sys.WireExport.Clamped != 0 || sys.WireIngest.SaturatedCounters != 0 {
-					t.Fatalf("saturated counters on the wire: export=%+v ingest=%+v", sys.WireExport, sys.WireIngest)
-				}
-				if format == iotmap.WireFormatDict {
-					if sys.WireExport.BatchFrames == 0 || sys.WireIngest.BatchRecords == 0 {
-						t.Fatalf("dict format sent no batches: export=%+v ingest=%+v", sys.WireExport, sys.WireIngest)
-					}
-				} else if sys.WireExport.V5Packets == 0 || sys.WireIngest.BatchFrames != 0 {
-					t.Fatalf("v5 format stats off: export=%+v ingest=%+v", sys.WireExport, sys.WireIngest)
-				}
-				for name, render := range goldenSection5 {
-					checkGolden(t, name, render(sys))
-				}
-				got := ""
-				for _, pt := range sys.Contacts.Curve([]int{10, 20, 50, 100, 200, 500, 1000}) {
-					got += fmt.Sprintf("%d %d %.6f\n", pt.Threshold, pt.Scanners, pt.CoveragePct)
-				}
-				checkGolden(t, "curve71.txt", got)
-			})
-		}
+	for _, streams := range []int{1, 4, 8} {
+		t.Run(fmt.Sprintf("dict/streams-%d", streams), func(t *testing.T) {
+			sys.Cfg.WireStreams = streams
+			if err := sys.TrafficStudy(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Disrupt(); err != nil {
+				t.Fatal(err)
+			}
+			if sys.WireExport == nil || sys.WireIngest == nil {
+				t.Fatal("wire mode left no transfer stats")
+			}
+			if sys.WireExport.Streams != streams {
+				t.Fatalf("exported %d streams, want %d", sys.WireExport.Streams, streams)
+			}
+			if got, want := sys.WireIngest.V4Records+sys.WireIngest.V6Records,
+				sys.WireExport.V4Records+sys.WireExport.V6Records; got != want {
+				t.Fatalf("collector decoded %d records, exporter framed %d", got, want)
+			}
+			if sys.WireExport.BatchFrames == 0 || sys.WireIngest.BatchRecords == 0 {
+				t.Fatalf("no batches crossed the wire: export=%+v ingest=%+v", sys.WireExport, sys.WireIngest)
+			}
+			for name, render := range goldenSection5 {
+				checkGolden(t, name, render(sys))
+			}
+			got := ""
+			for _, pt := range sys.Contacts.Curve([]int{10, 20, 50, 100, 200, 500, 1000}) {
+				got += fmt.Sprintf("%d %d %.6f\n", pt.Threshold, pt.Scanners, pt.CoveragePct)
+			}
+			checkGolden(t, "curve71.txt", got)
+		})
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package collector is the wire half of the ISP ingestion path: it
-// consumes the framed NetFlow streams exported by
-// isp.SimulateLinesToWire (or raw v5 datagrams from any exporter),
-// decodes and validates every packet, restores the sampling scale each
-// stream's v5 headers advertise (sampled counters × rate — the paper's
-// "estimate the exchanged traffic considering the sampling rate",
-// Section 5.6), and folds each stream into its own worker-local
-// flows.ShardPartial. Partials merge order-independently, so a 1-, 4-,
-// or 8-stream ingest of the same feed produces byte-identical figures —
-// the wire is a transparent seam in the simulate→aggregate pipeline.
+// consumes the dictionary streams exported by isp.SimulateLinesToWire
+// (or foreign v5/v9/IPFIX feeds, framed or as UDP datagrams), decodes
+// and validates every packet, restores the sampling scale each stream
+// advertises (sampled counters × rate — the paper's "estimate the
+// exchanged traffic considering the sampling rate", Section 5.6), and
+// folds each stream into its own worker-local flows.ShardPartial.
+// Partials merge order-independently, so a 1-, 4-, or 8-stream ingest
+// of the same feed produces byte-identical figures — the wire is a
+// transparent seam in the simulate→aggregate pipeline.
 //
 // Stream model: one io.Reader (or one TCP connection, or one UDP source
 // address) is one shard. The exporter guarantees any subscriber line's
@@ -140,8 +140,8 @@ type DictState struct {
 type Stats struct {
 	// Streams completed ingestion (including failed ones).
 	Streams uint64
-	// Frames, V5Packets, V4Records, V6Records, Flushes mirror the
-	// exporter's WireStats for cross-checking.
+	// Frames, V4Records, V6Records, Flushes mirror the exporter's
+	// WireStats for cross-checking; V5Packets counts foreign v5 packets.
 	Frames    uint64
 	V5Packets uint64
 	V4Records uint64
@@ -1451,6 +1451,7 @@ func (c *Collector) ServeUDP(pc net.PacketConn) error {
 			}
 			c.mu.Unlock()
 			st.observeRate(h.SamplingRate())
+			st.cover(recs)
 			st.addRecords(recs)
 		case 9, 10:
 			if st.templ == nil {
@@ -1481,6 +1482,7 @@ func (c *Collector) ServeUDP(pc net.PacketConn) error {
 				}
 			}
 			c.mu.Unlock()
+			st.cover(recs)
 			st.addRecords(recs)
 		default:
 			c.mu.Lock()

@@ -142,7 +142,7 @@ func TestWireMatchesMemoryAcrossStreamCounts(t *testing.T) {
 			t.Fatalf("unexpected wire damage: %+v", stats)
 		}
 		if stats.ScaledBytes == 0 {
-			t.Fatal("no scaled volume — Sampler.Scale never ran")
+			t.Fatal("no scaled volume — the sampling rate was never restored")
 		}
 	}
 }

@@ -12,75 +12,34 @@ import (
 	"testing"
 	"time"
 
-	"iotmap/internal/core/flows"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 	"iotmap/internal/world"
 )
 
-// wireRunFormat exports under the given encoding and ingests the
-// recorded streams — the format-parametrized twin of wireRun.
-func (f *fixture) wireRunFormat(t testing.TB, streams int, format isp.WireFormat) (*flows.ContactCounter, *flows.Collector, Stats) {
-	t.Helper()
-	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := make([]*bytes.Buffer, streams)
-	writers := make([]io.Writer, streams)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-		writers[i] = bufs[i]
-	}
-	if _, err := f.net.SimulateLinesToWireFormat(writers, 0, format); err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]io.Reader, streams)
-	for i := range bufs {
-		readers[i] = bufs[i]
-	}
-	if err := col.IngestStreams(readers); err != nil {
-		t.Fatal(err)
-	}
-	cc, fc := col.Finalize()
-	return cc, fc, col.Stats()
-}
-
 // TestDictMatchesMemoryAcrossStreamCounts is the columnar headline
 // property: the dictionary wire encoding — dense IDs on the wire, batch
 // folds in the collector, no netip.Addr on the hot path — reproduces
-// the in-memory aggregation exactly at 1, 4, and 8 streams, and the
-// legacy v5 encoding of the same world agrees record for record.
+// the in-memory aggregation exactly at 1, 4, and 8 streams.
 func TestDictMatchesMemoryAcrossStreamCounts(t *testing.T) {
 	f := buildFixture(t, 400)
 	ccRef, colRef := f.memoryRun(4)
 	for _, streams := range []int{1, 4, 8} {
 		f2 := buildFixture(t, 400)
-		ccD, colD, stD := f2.wireRunFormat(t, streams, isp.WireDict)
+		ccD, colD, stD := f2.wireRun(t, streams)
 		assertSameAnalysis(t, "dict-vs-memory", ccRef, ccD, colRef, colD)
 		if stD.BatchFrames == 0 || stD.DictEntries == 0 {
 			t.Fatalf("streams=%d: dict stream carried no batches: %+v", streams, stD)
 		}
 		if stD.V5Packets != 0 {
-			t.Fatalf("streams=%d: dict stream fell back to v5: %+v", streams, stD)
-		}
-
-		f3 := buildFixture(t, 400)
-		ccV, colV, stV := f3.wireRunFormat(t, streams, isp.WireV5)
-		assertSameAnalysis(t, "v5-vs-memory", ccRef, ccV, colRef, colV)
-		if stV.BatchFrames != 0 || stV.V5Packets == 0 {
-			t.Fatalf("streams=%d: v5 stream shape off: %+v", streams, stV)
-		}
-		if stD.ScaledBytes != stV.ScaledBytes ||
-			stD.V4Records+stD.V6Records != stV.V4Records+stV.V6Records {
-			t.Fatalf("streams=%d: dict and v5 disagree on volume: %+v vs %+v", streams, stD, stV)
+			t.Fatalf("streams=%d: dict stream carried v5 packets: %+v", streams, stD)
 		}
 	}
 }
 
 // exportToFiles records the wire feed into stream-N.nf files under a
 // fresh temp dir and returns their paths.
-func (f *fixture) exportToFiles(t *testing.T, streams int, format isp.WireFormat) []string {
+func (f *fixture) exportToFiles(t *testing.T, streams int) []string {
 	t.Helper()
 	dir := t.TempDir()
 	paths := make([]string, streams)
@@ -95,7 +54,7 @@ func (f *fixture) exportToFiles(t *testing.T, streams int, format isp.WireFormat
 		files[i] = fl
 		writers[i] = fl
 	}
-	if _, err := f.net.SimulateLinesToWireFormat(writers, 0, format); err != nil {
+	if _, err := f.net.SimulateLinesToWire(writers, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, fl := range files {
@@ -108,30 +67,27 @@ func (f *fixture) exportToFiles(t *testing.T, streams int, format isp.WireFormat
 
 // TestReplayFilesMatchesMemory: recorded files replayed through the
 // mapped zero-copy path (IngestFiles → mmap on linux) reproduce the
-// in-memory analysis for both encodings — so PR 3–6 recordings stay
-// readable and new dictionary recordings fold identically.
+// in-memory analysis.
 func TestReplayFilesMatchesMemory(t *testing.T) {
 	f := buildFixture(t, 300)
 	ccRef, colRef := f.memoryRun(3)
-	for _, format := range []isp.WireFormat{isp.WireDict, isp.WireV5} {
-		f2 := buildFixture(t, 300)
-		paths := f2.exportToFiles(t, 3, format)
-		col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := col.IngestFiles(paths); err != nil {
-			t.Fatal(err)
-		}
-		cc, fc := col.Finalize()
-		assertSameAnalysis(t, "file-replay", ccRef, cc, colRef, fc)
-		if col.Stats().Streams != 3 {
-			t.Fatalf("streams = %d", col.Stats().Streams)
-		}
+	f2 := buildFixture(t, 300)
+	paths := f2.exportToFiles(t, 3)
+	col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.IngestFiles(paths); err != nil {
+		t.Fatal(err)
+	}
+	cc, fc := col.Finalize()
+	assertSameAnalysis(t, "file-replay", ccRef, cc, colRef, fc)
+	if col.Stats().Streams != 3 {
+		t.Fatalf("streams = %d", col.Stats().Streams)
 	}
 
 	// Replay of a missing file fails loudly, naming the file.
-	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
+	col, err = New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +267,7 @@ func corruptNthFrame(t *testing.T, data []byte, typ byte, n int) []byte {
 func TestDictFaultPoliciesCompose(t *testing.T) {
 	f := buildFixture(t, 200)
 	var clean bytes.Buffer
-	if _, err := f.net.SimulateLinesToWireFormat([]io.Writer{&clean}, 0, isp.WireDict); err != nil {
+	if _, err := f.net.SimulateLinesToWire([]io.Writer{&clean}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the SECOND line-dict frame: the stream establishes state,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"iotmap/internal/core/flows"
-	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 )
 
@@ -18,10 +17,10 @@ func (f *fixture) windowOpts() flows.Options {
 	return o
 }
 
-// windowRun exports under the given encoding and ingests the recorded
-// streams into a window-mode collector whose window spans the whole
+// windowRun exports and ingests the recorded streams into a
+// window-mode collector whose window spans the whole
 // study — so its trailing view must equal the batch study exactly.
-func (f *fixture) windowRun(t testing.TB, streams int, format isp.WireFormat) (*flows.ContactCounter, *flows.Collector, *Collector) {
+func (f *fixture) windowRun(t testing.TB, streams int) (*flows.ContactCounter, *flows.Collector, *Collector) {
 	t.Helper()
 	win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
 	if err != nil {
@@ -37,7 +36,7 @@ func (f *fixture) windowRun(t testing.TB, streams int, format isp.WireFormat) (*
 		bufs[i] = &bytes.Buffer{}
 		writers[i] = bufs[i]
 	}
-	if _, err := f.net.SimulateLinesToWireFormat(writers, 0, format); err != nil {
+	if _, err := f.net.SimulateLinesToWire(writers, 0); err != nil {
 		t.Fatal(err)
 	}
 	readers := make([]io.Reader, streams)
@@ -53,26 +52,20 @@ func (f *fixture) windowRun(t testing.TB, streams int, format isp.WireFormat) (*
 
 // TestWindowModeMatchesBatchWire: the service-mode headline property —
 // streams folding into a shared study-spanning flows.Window reproduce
-// the per-stream-partial batch aggregation exactly, for both the legacy
-// v5 record path and the columnar dictionary path, across stream
+// the per-stream-partial batch aggregation exactly, across stream
 // counts.
 func TestWindowModeMatchesBatchWire(t *testing.T) {
 	f := buildFixture(t, 400)
 	ccRef, colRef := f.memoryRun(4)
-	for _, format := range []isp.WireFormat{isp.WireV5, isp.WireDict} {
-		for _, streams := range []int{1, 4} {
-			f2 := buildFixture(t, 400)
-			ccW, colW, col := f2.windowRun(t, streams, format)
-			assertSameAnalysis(t, "window-vs-memory", ccRef, ccW, colRef, colW)
-			if format == isp.WireDict && len(col.DictStates()) != streams {
-				t.Fatalf("DictStates retained %d entries, want %d", len(col.DictStates()), streams)
-			}
-			if format == isp.WireV5 && len(col.DictStates()) != 0 {
-				t.Fatalf("DictStates retained %d entries for a non-dict feed", len(col.DictStates()))
-			}
-			if col.Partials() != nil {
-				t.Fatal("window mode handed over partials")
-			}
+	for _, streams := range []int{1, 4} {
+		f2 := buildFixture(t, 400)
+		ccW, colW, col := f2.windowRun(t, streams)
+		assertSameAnalysis(t, "window-vs-memory", ccRef, ccW, colRef, colW)
+		if len(col.DictStates()) != streams {
+			t.Fatalf("DictStates retained %d entries, want %d", len(col.DictStates()), streams)
+		}
+		if col.Partials() != nil {
+			t.Fatal("window mode handed over partials")
 		}
 	}
 }
@@ -165,7 +158,7 @@ func splitAtFlush(t testing.TB, data []byte) (partA, partB []byte) {
 func TestWindowCheckpointResume(t *testing.T) {
 	f := buildFixture(t, 300)
 	var rec bytes.Buffer
-	if _, err := f.net.SimulateLinesToWireFormat([]io.Writer{&rec}, 0, isp.WireDict); err != nil {
+	if _, err := f.net.SimulateLinesToWire([]io.Writer{&rec}, 0); err != nil {
 		t.Fatal(err)
 	}
 	partA, partB := splitAtFlush(t, rec.Bytes())

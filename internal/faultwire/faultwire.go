@@ -1,10 +1,17 @@
 // Package faultwire is the deterministic chaos harness for the framed
-// NetFlow wire path: seeded io.Reader/io.Writer wrappers that damage a
-// clean frame stream the way production feeds are damaged — corrupted
-// bytes, dropped and duplicated frames, frames cut short mid-payload,
-// reads that dribble or stall, and transports that die mid-week — plus
-// a Scenario type that schedules which faults hit which stream during
+// NetFlow wire path: a seeded io.Reader wrapper that damages a clean
+// frame stream the way production feeds are damaged — corrupted bytes,
+// dropped and duplicated frames, frames cut short mid-payload, reads
+// that dribble or stall, and transports that die mid-week — plus a
+// Scenario type that schedules which faults hit which stream during
 // which study hours ("vantage B's feed dies Wednesday 14:00").
+//
+// Hour windows act on dictionary rows. A stream's FrameHello sets the
+// epoch its batch rows' hour column counts from; when a stream's rules
+// include an hour window, every batch frame is cut into runs of rows
+// under the same active rules, and each run is damaged as a frame of
+// its own. Frames without rows (hello, dictionary, flush, and foreign
+// v5/v6/templated frames) see only the rules that have no hour window.
 //
 // Every byte-altering decision draws from a simrand stream derived from
 // (Scenario.Seed, vantage, stream index) at frame granularity, so the
@@ -19,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -52,9 +60,10 @@ type Faults struct {
 	// frame; content-neutral.
 	StallEvery int
 	StallFor   time.Duration
-	// Kill hard-stops the stream at the first frame inside the rule's
-	// window: the transport dies with ErrInjectedDisconnect (or a clean
-	// EOF when KillClean is set) and nothing more is delivered.
+	// Kill hard-stops the stream at the first frame the rule is active
+	// for (with an hour window, the first row inside it): the transport
+	// dies with ErrInjectedDisconnect (or a clean EOF when KillClean is
+	// set) and nothing more is delivered.
 	Kill      bool
 	KillClean bool
 }
@@ -68,19 +77,27 @@ type Rule struct {
 	Vantage string
 	// FromHour/ToHour bound the active study-hour window (inclusive
 	// start, exclusive end). ToHour <= 0 leaves the window open-ended,
-	// so the zero value is "always active".
+	// so the zero value is "always active". A window applies to
+	// dictionary rows only (see the package comment).
 	FromHour, ToHour int
 	Faults           Faults
 }
 
-// active reports whether the rule applies at the given study hour.
-// Stream/vantage matching has already happened by the time a rule is
-// attached to an injector.
+// noHour is the hour of a frame that carries no rows.
+const noHour = math.MinInt
+
+// timed reports whether the rule has an hour window.
+func (r Rule) timed() bool { return r.FromHour > 0 || r.ToHour > 0 }
+
+// active reports whether the rule applies at the given study hour: an
+// untimed rule everywhere, a timed one only inside its window (never at
+// noHour). Stream/vantage matching has already happened by the time a
+// rule is attached to an injector.
 func (r Rule) active(hour int) bool {
-	if hour < r.FromHour {
-		return false
+	if !r.timed() {
+		return true
 	}
-	return r.ToHour <= 0 || hour < r.ToHour
+	return hour >= r.FromHour && (r.ToHour <= 0 || hour < r.ToHour)
 }
 
 // matches reports whether the rule could ever apply to the stream,
@@ -109,8 +126,9 @@ func (c *Counts) add(o Counts) {
 }
 
 // Scenario is a reproducible chaos schedule over a federation's wire
-// streams. Start anchors the study-hour clock (the hour of a frame is
-// read from its v5 header's UnixSecs); Seed drives every fault draw.
+// streams. Start anchors study hour 0: a row's study hour is its
+// stream's hello epoch plus its hour column, counted from Start (a zero
+// Start counts from the epoch). Seed drives every fault draw.
 type Scenario struct {
 	Seed  int64
 	Start time.Time
@@ -177,77 +195,111 @@ func (s *Scenario) Wrap(stream int, vantage string, r io.Reader) io.Reader {
 	}
 }
 
-// WrapWriter is Wrap for the exporter side: frames written through it
-// arrive damaged. Frames may be split across Write calls; the wrapper
-// reassembles them before applying faults.
-func (s *Scenario) WrapWriter(stream int, vantage string, w io.Writer) io.Writer {
-	rules := s.rulesFor(stream, vantage)
-	if rules == nil {
-		return w
-	}
-	return &Writer{w: w, inj: s.newInjector(vantage, stream, rules), sc: s}
-}
-
 func (s *Scenario) newInjector(vantage string, stream int, rules []Rule) *injector {
-	return &injector{
+	in := &injector{
 		rng:       simrand.New(simrand.SeedN(s.Seed, "faultwire/"+vantage, int64(stream))),
 		rules:     rules,
 		startUnix: s.Start.Unix(),
 		haveStart: !s.Start.IsZero(),
 	}
+	for _, r := range rules {
+		in.timed = in.timed || r.timed()
+	}
+	return in
 }
 
-// injector is the shared per-stream fault engine: it sees the clean
-// stream one frame at a time, in order, and decides each frame's fate
-// with draws from its seeded rng — so the damage is independent of how
-// the bytes are chunked by the transport around it.
+// injector is the per-stream fault engine: it sees the clean stream one
+// frame at a time, in order, and decides each frame's fate with draws
+// from its seeded rng — so the damage is independent of how the bytes
+// are chunked by the transport around it.
 type injector struct {
 	rng   *simrand.Source
 	rules []Rule
-	// startUnix anchors study hour 0; haveStart gates the hour clock
-	// (without a Start, hour stays 0 and only rules whose window covers
-	// hour 0 ever fire).
+	// timed is set when some rule has an hour window; batch frames are
+	// then cut into runs (see frame).
+	timed bool
+	// startUnix anchors study hour 0 when haveStart is set. off is the
+	// study hour of the current hello epoch, hour the newest run's.
 	startUnix int64
 	haveStart bool
-	hour      int
+	off, hour int
 	frames    int64
 	counts    Counts
-	killErr   error
+	// buf holds the frame being damaged, batch a timed stream's decoded
+	// batch frame.
+	buf   []byte
+	batch netflow.RecordBatch
 }
 
-// clockFrom updates the study-hour clock from a v5 frame's header.
-// v6 and flush frames inherit the last observed hour.
-func (in *injector) clockFrom(typ byte, payload []byte) {
-	if !in.haveStart || typ != netflow.FrameV5 || len(payload) < 12 {
-		return
+// frame damages one clean frame onto dst. A hello sets the epoch row
+// hours count from. In a timed stream a batch frame is cut into maximal
+// runs of consecutive rows under the same set of active rules; each run
+// is re-encoded as its own batch frame and damaged at its first row's
+// hour, so a kill still delivers the runs before it. Every other frame,
+// and every frame of an untimed stream, passes through whole at noHour.
+func (in *injector) frame(dst []byte, f netflow.Frame) ([]byte, error) {
+	if f.Type == netflow.FrameHello && in.haveStart {
+		if _, epoch, err := netflow.DecodeHelloPayload(f.Payload); err == nil {
+			in.off = int((epoch - in.startUnix) / 3600)
+		}
 	}
-	unix := int64(binary.BigEndian.Uint32(payload[8:12]))
-	if h := (unix - in.startUnix) / 3600; h >= 0 {
-		in.hour = int(h)
+	b := &in.batch
+	b.Reset()
+	if !in.timed || f.Type != netflow.FrameBatch || netflow.DecodeBatchPayload(f.Payload, b) != nil || b.Len() == 0 {
+		in.buf = appendEnvelope(in.buf[:0], f.Type, f.Payload)
+		return in.process(dst, in.buf, noHour)
 	}
+	for lo := 0; lo < b.Len(); {
+		hour := in.off + int(b.Hour[lo])
+		hi := lo + 1
+		for hi < b.Len() && in.sameRules(hour, in.off+int(b.Hour[hi])) {
+			hi++
+		}
+		run := netflow.RecordBatch{
+			Line: b.Line[lo:hi], Backend: b.Backend[lo:hi], Down: b.Down[lo:hi], Hour: b.Hour[lo:hi],
+			Port: b.Port[lo:hi], Proto: b.Proto[lo:hi], Bytes: b.Bytes[lo:hi], Packets: b.Packets[lo:hi],
+		}
+		// Decoded hours fit the wire column, so re-encoding cannot fail.
+		in.buf, _, _ = netflow.AppendBatchFrames(in.buf[:0], &run)
+		in.hour = hour
+		var err error
+		if dst, err = in.process(dst, in.buf, hour); err != nil {
+			return dst, err
+		}
+		lo = hi
+	}
+	return dst, nil
 }
 
-// process applies the schedule to one clean frame (envelope+payload as
-// raw bytes; process may mutate it) and appends the damaged output to
-// dst. It returns the extended buffer, the stall to apply before
-// delivery, and the kill error once the stream is scheduled dead.
-func (in *injector) process(dst []byte, typ byte, frame []byte) ([]byte, time.Duration, error) {
+// sameRules reports whether the same rules are active at hours a and b.
+func (in *injector) sameRules(a, b int) bool {
+	for _, r := range in.rules {
+		if r.active(a) != r.active(b) {
+			return false
+		}
+	}
+	return true
+}
+
+// process applies the rules active at hour to one clean frame
+// (envelope+payload as raw bytes; process may mutate it), sleeps any
+// scheduled stall, and appends the damaged output to dst. It returns
+// the kill error once the stream is scheduled dead.
+func (in *injector) process(dst []byte, frame []byte, hour int) ([]byte, error) {
 	in.frames++
-	in.clockFrom(typ, frame[7:])
 	var stall time.Duration
 	drop, dup, truncAt := false, false, -1
 	for _, r := range in.rules {
-		if !r.active(in.hour) {
+		if !r.active(hour) {
 			continue
 		}
 		f := r.Faults
 		if f.Kill {
 			in.counts.Killed = true
-			in.killErr = ErrInjectedDisconnect
 			if f.KillClean {
-				in.killErr = io.EOF
+				return dst, io.EOF
 			}
-			return dst, 0, in.killErr
+			return dst, ErrInjectedDisconnect
 		}
 		if f.DropProb > 0 && in.rng.Bool(f.DropProb) {
 			drop = true
@@ -274,6 +326,9 @@ func (in *injector) process(dst []byte, typ byte, frame []byte) ([]byte, time.Du
 			in.counts.Stalls++
 		}
 	}
+	if stall > 0 {
+		time.Sleep(stall)
+	}
 	switch {
 	case drop:
 		in.counts.Dropped++
@@ -287,7 +342,7 @@ func (in *injector) process(dst []byte, typ byte, frame []byte) ([]byte, time.Du
 			dst = append(dst, frame...)
 		}
 	}
-	return dst, stall, nil
+	return dst, nil
 }
 
 // shortReads reports whether any rule currently dribbles reads.
@@ -305,14 +360,13 @@ func (in *injector) shortReads() bool {
 // and hands the bytes out through Read — possibly a dribble at a time
 // when short reads are scheduled.
 type Reader struct {
-	inner    *netflow.FrameReader
-	inj      *injector
-	io       *simrand.Source
-	sc       *Scenario
-	frameBuf []byte
-	out      []byte
-	err      error
-	done     bool
+	inner *netflow.FrameReader
+	inj   *injector
+	io    *simrand.Source
+	sc    *Scenario
+	out   []byte
+	err   error
+	done  bool
 }
 
 // Read implements io.Reader over the damaged stream.
@@ -328,16 +382,8 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.err = err
 			continue
 		}
-		r.frameBuf = appendEnvelope(r.frameBuf[:0], f.Type, f.Payload)
-		out, stall, kerr := r.inj.process(r.out[:0], f.Type, r.frameBuf)
-		r.out = out
-		if stall > 0 {
-			time.Sleep(stall)
-		}
-		if kerr != nil {
-			r.err = kerr
-			r.out = nil
-		}
+		// On a kill, the runs damaged before it are still delivered.
+		r.out, r.err = r.inj.frame(r.out[:0], f)
 	}
 	n := len(p)
 	if r.inj.shortReads() {
@@ -364,101 +410,6 @@ func (r *Reader) finish() {
 	}
 	r.done = true
 	r.sc.record(r.inj.counts)
-}
-
-// Writer is the exporter-side wrapper: bytes written through it arrive
-// at the underlying writer with the schedule's damage applied. Partial
-// frames are buffered until complete.
-type Writer struct {
-	w    io.Writer
-	inj  *injector
-	sc   *Scenario
-	pend []byte
-	out  []byte
-	dead bool
-	done bool
-}
-
-// Write implements io.Writer. Once the schedule kills the stream, every
-// further Write fails with the kill error (unless the kill was clean,
-// in which case writes are silently discarded — the transport is gone
-// but the exporter is not to be crashed for it).
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.dead {
-		if w.inj.killErr == io.EOF {
-			return len(p), nil
-		}
-		return 0, w.inj.killErr
-	}
-	w.pend = append(w.pend, p...)
-	w.out = w.out[:0]
-	for {
-		frame, rest, ok := splitFrame(w.pend)
-		if !ok {
-			break
-		}
-		out, stall, kerr := w.inj.process(w.out, frame[2], frame)
-		w.out = out
-		w.pend = rest
-		if stall > 0 {
-			time.Sleep(stall)
-		}
-		if kerr != nil {
-			w.dead = true
-			w.finish()
-			if len(w.out) > 0 {
-				w.w.Write(w.out) //nolint:errcheck // best-effort final flush
-			}
-			if kerr == io.EOF {
-				return len(p), nil
-			}
-			return 0, kerr
-		}
-	}
-	if len(w.out) > 0 {
-		if _, err := w.w.Write(w.out); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
-}
-
-// Counts returns the faults this stream has suffered so far.
-func (w *Writer) Counts() Counts { return w.inj.counts }
-
-// Close folds the stream's fault counts into the scenario totals and
-// closes the underlying writer when it is an io.Closer. Unlike the
-// Reader — which ends itself at EOF — a Writer only learns the feed is
-// over from Close.
-func (w *Writer) Close() error {
-	w.finish()
-	if c, ok := w.w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// finish folds the stream's fault counts into the scenario totals once.
-func (w *Writer) finish() {
-	if w.done {
-		return
-	}
-	w.done = true
-	w.sc.record(w.inj.counts)
-}
-
-// splitFrame splits one complete frame off the front of b. It trusts
-// the exporter side to write well-formed frames (the wrapper damages
-// them *after* this split).
-func splitFrame(b []byte) (frame, rest []byte, ok bool) {
-	if len(b) < 7 {
-		return nil, b, false
-	}
-	n := int(binary.BigEndian.Uint32(b[3:7]))
-	if len(b) < 7+n {
-		return nil, b, false
-	}
-	return b[:7+n], b[7+n:], true
 }
 
 // appendEnvelope re-frames a parsed frame back into raw bytes.

@@ -19,7 +19,9 @@
 // partial aggregates as lines finish. Simulate is the sequential
 // reference with identical per-line output; SimulateDay remains as the
 // day-granular path for chronological feeds (the window benches, the
-// repository benchmark's daemon-live feed).
+// repository benchmark's daemon-live feed). SimulateLinesToWire exports
+// the week as dictionary streams, the one format the border routers
+// write.
 //
 // NewNetwork resolves everything that does not depend on the line-day:
 // the population, and per (provider, continent) pair in it a shared
@@ -379,9 +381,9 @@ func eligibleServers(p *world.Provider, prof *traffic.Profile, cont geo.Continen
 // in place instead of allocated, so a whole simulated week costs a
 // handful of RNG allocations per worker rather than several per
 // line-day. Resetting yields bit-identical streams to the historical
-// DeriveN/NewSampler calls (see simrand.Source.Reset).
+// DeriveN calls (see simrand.Source.Reset).
 type simState struct {
-	sampler netflow.Sampler
+	sampler packetSampler
 	lineRng simrand.Source
 	modRng  simrand.Source
 	homeRng simrand.Source
@@ -514,7 +516,7 @@ func (n *Network) resolveDevice(st *simState, dev *Device, line *Line, devIdx, d
 }
 
 // deviceDay emits the device's hourly exchanges for one day.
-func (n *Network) deviceDay(line *Line, dev *Device, devIdx, day int, dayStart time.Time, rng, modRng *simrand.Source, sampler *netflow.Sampler, sink func(netflow.Record)) {
+func (n *Network) deviceDay(line *Line, dev *Device, devIdx, day int, dayStart time.Time, rng, modRng *simrand.Source, sampler *packetSampler, sink func(netflow.Record)) {
 	prof := dev.class.prof
 	srv := dev.cur
 	lineAddr := line.V4
@@ -577,7 +579,7 @@ func (n *Network) deviceDay(line *Line, dev *Device, devIdx, day int, dayStart t
 }
 
 // scannerDay spreads a scanner's probes across the week.
-func (n *Network) scannerDay(st *simState, line *Line, day int, dayStart time.Time, rng *simrand.Source, sampler *netflow.Sampler, sink func(netflow.Record)) {
+func (n *Network) scannerDay(st *simState, line *Line, day int, dayStart time.Time, rng *simrand.Source, sampler *packetSampler, sink func(netflow.Record)) {
 	days := len(n.World.Days)
 	perDay := line.ScanBreadth / days
 	if rem := line.ScanBreadth % days; day < rem {
@@ -619,7 +621,7 @@ func (n *Network) Simulate(sink func(netflow.Record)) {
 	}
 }
 
-func emitSampled(sink func(netflow.Record), s *netflow.Sampler, r netflow.Record) {
+func emitSampled(sink func(netflow.Record), s *packetSampler, r netflow.Record) {
 	sb, sp, ok := s.Sample(r.Bytes, r.Packets)
 	if !ok {
 		return

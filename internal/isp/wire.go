@@ -11,27 +11,27 @@ import (
 
 // Wire export: SimulateLinesToWire is SimulateLines with the in-process
 // sink replaced by the border-router export path — every line shard
-// serializes its week as framed NetFlow v5 packets (IPv6 flows ride in
-// v6 extension frames, since v5 cannot express them) onto its own byte
-// stream. The streams are what internal/collector ingests; together
+// serializes its week as a dictionary stream (docs/wire-format.md): a
+// hello frame, incremental line/backend dictionary deltas, columnar
+// batch frames of dense-ID rows with full 64-bit counters, and a flush
+// per line. The streams are what internal/collector ingests; together
 // they make the wire a transparent seam in the simulate→aggregate
 // pipeline.
 //
 // Determinism: per stream, lines are emitted in line order and each
-// line's records in simulation order, family runs are batched in order,
-// v5 FlowSequence counts the stream's records, and header timestamps
-// come from the records themselves — so stream s of an S-stream export
-// is a pure function of (seed, config, S, s), byte for byte.
+// line's rows in simulation order, and dictionary IDs are assigned in
+// first-use order — so stream s of an S-stream export is a pure function
+// of (seed, config, S, s), byte for byte.
 //
 // Buffering: each shard encodes a whole line batch's frames into one
-// reusable flush buffer (netflow.AppendV5Frame and friends — no
-// intermediate per-frame allocations) and hands the filled buffer to
-// its writer goroutine, which issues a single Write per batch and
-// recycles the buffer through a fixed pool. The pool bounds memory: a
-// slow collector exhausts the free buffers and throttles the simulation
-// instead of growing an unbounded backlog. A write error stops the
-// stream's output but lets the simulation drain to completion;
-// SimulateLinesToWire reports the first error per stream.
+// reusable flush buffer (the netflow.Append* family — no intermediate
+// per-frame allocations) and hands the filled buffer to its writer
+// goroutine, which issues a single Write per batch and recycles the
+// buffer through a fixed pool. The pool bounds memory: a slow collector
+// exhausts the free buffers and throttles the simulation instead of
+// growing an unbounded backlog. A write error stops the stream's output
+// but lets the simulation drain to completion; SimulateLinesToWire
+// reports the first error per stream.
 
 // WireBufferBatches is the default per-stream buffer pool size: how
 // many coalesced flush buffers (each ≥ wireSendBytes of encoded line
@@ -44,50 +44,25 @@ const WireBufferBatches = 16
 // crosses this size (frames are never split across sends).
 const wireSendBytes = 32 << 10
 
-// WireFormat selects the on-wire encoding of an export run.
-type WireFormat int
-
-const (
-	// WireV5 is the legacy encoding: framed NetFlow v5 packets plus v6
-	// extension frames, addresses in every record. Recorded PR 3-6 files
-	// are this format.
-	WireV5 WireFormat = iota
-	// WireDict is the columnar dictionary encoding: a hello frame, then
-	// incremental line/backend dictionary deltas and struct-of-arrays
-	// batch frames carrying dense uint32 IDs — the collector's zero-copy
-	// hot path. Counters ride at full 64-bit width (never clamped) and
-	// the sampling rate travels in the hello, so SamplingInterval's
-	// 14-bit packing limit does not apply.
-	WireDict
-)
-
 // WireStats summarizes one export run.
 type WireStats struct {
 	// Streams is the number of exported streams (== len(writers)).
 	Streams int
-	// Frames counts all frames, V5Packets only the v5-carrying ones.
-	Frames    uint64
-	V5Packets uint64
+	// Frames counts all frames.
+	Frames uint64
 	// V4Records/V6Records count exported flow records per family.
 	V4Records uint64
 	V6Records uint64
 	// Flushes counts line-batch markers.
 	Flushes uint64
-	// Clamped counts 64-bit counters saturated into v5's 32-bit fields
-	// (see netflow.EncodeV5Clamped); non-zero means the wire lost volume.
-	// Always zero in dictionary mode (64-bit counters on the wire).
-	Clamped uint64
-	// DictEntries/BatchFrames are dictionary-mode counters: dictionary
-	// addresses shipped and batch frames emitted. Zero in v5 mode.
+	// DictEntries/BatchFrames count dictionary addresses shipped and
+	// batch frames emitted.
 	DictEntries uint64
 	BatchFrames uint64
 }
 
 // wireShard is one stream's encoder state, owned by one worker.
 type wireShard struct {
-	si  uint16 // packed sampling interval for every header
-	id  uint8  // engine ID: the shard index
-	seq uint32 // running v5 record count (FlowSequence)
 	buf []netflow.Record
 	// out is the flush buffer the current line batch's frames append
 	// into; filled buffers go to the writer over ch and come back
@@ -97,9 +72,8 @@ type wireShard struct {
 	pool chan []byte
 	err  error // first encode error; the shard goes quiet after
 
-	// Dictionary-mode state (WireDict only): the hello parameters, the
-	// per-stream address dictionaries with their not-yet-shipped tails,
-	// and the reused column batch.
+	// The hello parameters, the per-stream address dictionaries with
+	// their not-yet-shipped tails, and the reused column batch.
 	epoch      int64
 	rate       uint32
 	helloSent  bool
@@ -113,64 +87,6 @@ type wireShard struct {
 }
 
 func (ws *wireShard) sink(r netflow.Record) { ws.buf = append(ws.buf, r) }
-
-// endLine frames the buffered line batch: consecutive same-family runs
-// become v5 packets (up to 30 records each) or v6 extension frames,
-// preserving record order, then a flush marks the batch boundary. The
-// whole batch lands in one flush buffer and crosses to the writer as a
-// single send.
-func (ws *wireShard) endLine() {
-	defer func() { ws.buf = ws.buf[:0] }()
-	if ws.err != nil {
-		return
-	}
-	recs := ws.buf
-	out := ws.out
-	var err error
-	for i := 0; i < len(recs); {
-		j := i
-		v4 := recs[i].IsV4()
-		for j < len(recs) && recs[j].IsV4() == v4 {
-			j++
-		}
-		if v4 {
-			for off := i; off < j; off += netflow.V5MaxRecords {
-				end := min(off+netflow.V5MaxRecords, j)
-				chunk := recs[off:end]
-				h := netflow.V5Header{
-					UnixSecs:         uint32(chunk[0].Start.Unix()),
-					FlowSequence:     ws.seq,
-					EngineID:         ws.id,
-					SamplingInterval: ws.si,
-				}
-				var clamped int
-				out, clamped, err = netflow.AppendV5Frame(out, h, chunk)
-				if err != nil {
-					ws.err = err
-					return
-				}
-				ws.Clamped += uint64(clamped)
-				ws.seq += uint32(len(chunk))
-				ws.Frames++
-				ws.V5Packets++
-				ws.V4Records += uint64(len(chunk))
-			}
-		} else {
-			if out, err = netflow.AppendV6Frame(out, recs[i:j]); err != nil {
-				ws.err = err
-				return
-			}
-			ws.Frames++
-			ws.V6Records += uint64(j - i)
-		}
-		i = j
-	}
-	out = netflow.AppendFlushFrame(out)
-	ws.Frames++
-	ws.Flushes++
-	ws.out = out
-	ws.maybeSend()
-}
 
 // maybeSend hands the accumulated flush buffer to the writer once it
 // crosses the coalescing threshold, taking a recycled buffer back.
@@ -211,16 +127,16 @@ func (ws *wireShard) backendDictID(a netip.Addr) uint32 {
 	return id
 }
 
-// endLineDict is endLine for WireDict: the buffered line batch becomes
-// (on first flush) a hello frame, then dictionary deltas for any
-// addresses making their stream debut, the rows as columnar batch
-// frames, and the flush marker — one flush buffer, one writer send.
+// endLine frames the buffered line batch: (on first flush) a hello
+// frame, then dictionary deltas for any addresses making their stream
+// debut, the rows as columnar batch frames, and the flush marker — one
+// flush buffer, one writer send.
 //
 // Endpoint classification is exporter-side: the address plan (LineSlot)
 // decides which end is the subscriber line, and because plan addresses
 // are disjoint from every backend pool this matches the collector-side
 // lineSide classification record for record.
-func (ws *wireShard) endLineDict() {
+func (ws *wireShard) endLine() {
 	defer func() { ws.buf = ws.buf[:0] }()
 	if ws.err != nil {
 		return
@@ -310,35 +226,15 @@ func (ws *wireShard) endLineDict() {
 }
 
 // SimulateLinesToWire exports the whole study period as len(writers)
-// concurrent framed NetFlow streams, one contiguous line shard per
-// writer — the wire twin of SimulateLines. buffer is the per-stream
-// in-flight line-batch pool before backpressure (<=0 means
-// WireBufferBatches). It returns aggregate export stats and the first
-// error any stream hit (encode or write); writers are not closed — the
-// caller owns their lifecycle, and must close them for collectors
-// reading until EOF.
+// concurrent dictionary streams, one contiguous line shard per writer —
+// the wire twin of SimulateLines. buffer is the per-stream in-flight
+// line-batch pool before backpressure (<=0 means WireBufferBatches). It
+// returns aggregate export stats and the first error any stream hit
+// (encode or write); writers are not closed — the caller owns their
+// lifecycle, and must close them for collectors reading until EOF.
 func (n *Network) SimulateLinesToWire(writers []io.Writer, buffer int) (WireStats, error) {
-	return n.SimulateLinesToWireFormat(writers, buffer, WireV5)
-}
-
-// SimulateLinesToWireFormat is SimulateLinesToWire with the on-wire
-// encoding selectable: WireV5 for the legacy framed v5 streams, WireDict
-// for the columnar dictionary streams. Stream determinism holds for both
-// (for a fixed format, stream s is a pure function of seed, config, and
-// stream count).
-func (n *Network) SimulateLinesToWireFormat(writers []io.Writer, buffer int, format WireFormat) (WireStats, error) {
 	if len(writers) == 0 {
 		return WireStats{}, fmt.Errorf("isp: no writers")
-	}
-	if format != WireV5 && format != WireDict {
-		return WireStats{}, fmt.Errorf("isp: unknown wire format %d", format)
-	}
-	var si uint16
-	if format == WireV5 {
-		var err error
-		if si, err = netflow.PackSamplingInterval(n.Cfg.SamplingRate); err != nil {
-			return WireStats{}, err
-		}
 	}
 	if buffer <= 0 {
 		buffer = WireBufferBatches
@@ -349,20 +245,16 @@ func (n *Network) SimulateLinesToWireFormat(writers []io.Writer, buffer int, for
 	var wg sync.WaitGroup
 	for i, w := range writers {
 		ws := &wireShard{
-			si: si,
-			id: uint8(i),
 			ch: make(chan []byte, buffer),
 			// One slot of headroom: the end-of-run flush of a partial
 			// coalescing buffer sends without taking a replacement, so
 			// the writer recycles one more buffer than the pool was
 			// seeded with — without the slack it would block forever.
-			pool: make(chan []byte, buffer+1),
-		}
-		if format == WireDict {
-			ws.epoch = n.World.Days[0].Unix()
-			ws.rate = n.Cfg.SamplingRate
-			ws.lineIDs = map[netip.Addr]uint32{}
-			ws.backendIDs = map[netip.Addr]uint32{}
+			pool:       make(chan []byte, buffer+1),
+			epoch:      n.World.Days[0].Unix(),
+			rate:       n.Cfg.SamplingRate,
+			lineIDs:    map[netip.Addr]uint32{},
+			backendIDs: map[netip.Addr]uint32{},
 		}
 		// One buffer in the encoder's hand, `buffer` more in the pool,
 		// each sized for the coalescing threshold plus one line batch
@@ -386,13 +278,9 @@ func (n *Network) SimulateLinesToWireFormat(writers []io.Writer, buffer int, for
 		}(w, ws, &writeErrs[i])
 	}
 
-	endLine := func(shard int, _ *Line) { shards[shard].endLine() }
-	if format == WireDict {
-		endLine = func(shard int, _ *Line) { shards[shard].endLineDict() }
-	}
 	n.SimulateLines(len(writers),
 		func(shard int) func(netflow.Record) { return shards[shard].sink },
-		endLine,
+		func(shard int, _ *Line) { shards[shard].endLine() },
 	)
 	for _, ws := range shards {
 		// Flush the partial coalescing buffer before ending the stream.
@@ -408,11 +296,9 @@ func (n *Network) SimulateLinesToWireFormat(writers []io.Writer, buffer int, for
 	var firstErr error
 	for i, ws := range shards {
 		stats.Frames += ws.Frames
-		stats.V5Packets += ws.V5Packets
 		stats.V4Records += ws.V4Records
 		stats.V6Records += ws.V6Records
 		stats.Flushes += ws.Flushes
-		stats.Clamped += ws.Clamped
 		stats.DictEntries += ws.DictEntries
 		stats.BatchFrames += ws.BatchFrames
 		if firstErr == nil && ws.err != nil {
@@ -423,4 +309,21 @@ func (n *Network) SimulateLinesToWireFormat(writers []io.Writer, buffer int, for
 		}
 	}
 	return stats, firstErr
+}
+
+// WireFormat names an export encoding. WireDict, the dictionary stream,
+// is the only one.
+type WireFormat int
+
+// WireDict is the encoding SimulateLinesToWire emits.
+const WireDict WireFormat = 0
+
+// SimulateLinesToWireFormat is SimulateLinesToWire behind a format
+// argument that must be WireDict. It exists for the benchmark module,
+// which pins this signature.
+func (n *Network) SimulateLinesToWireFormat(writers []io.Writer, buffer int, format WireFormat) (WireStats, error) {
+	if format != WireDict {
+		return WireStats{}, fmt.Errorf("isp: unknown wire format %d", format)
+	}
+	return n.SimulateLinesToWire(writers, buffer)
 }

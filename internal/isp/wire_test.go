@@ -3,7 +3,9 @@ package isp
 import (
 	"bytes"
 	"io"
+	"net/netip"
 	"testing"
+	"time"
 
 	"iotmap/internal/netflow"
 	"iotmap/internal/world"
@@ -58,25 +60,42 @@ func TestWireExportDeterministic(t *testing.T) {
 	if astats.V4Records == 0 || astats.V6Records == 0 {
 		t.Fatalf("missing a family on the wire: %+v", astats)
 	}
-	if astats.Clamped != 0 {
-		t.Fatalf("sampled counters should never clamp at this scale: %+v", astats)
+}
+
+// wireRow is one record as a dictionary stream carries it: addresses
+// resolved, the subscriber line told apart from the backend, and only
+// the backend-side port kept.
+type wireRow struct {
+	line, backend netip.Addr
+	down          bool
+	start         time.Time
+	port          uint16
+	proto         uint8
+	bytes, pkts   uint64
+}
+
+func rowOf(r netflow.Record) wireRow {
+	if _, _, ok := LineSlot(r.Dst); ok {
+		return wireRow{r.Dst, r.Src, true, r.Start, r.SrcPort, r.Proto, r.Bytes, r.Packets}
 	}
+	return wireRow{r.Src, r.Dst, false, r.Start, r.DstPort, r.Proto, r.Bytes, r.Packets}
 }
 
 // TestWireRoundTripMatchesSimulate: decoding every stream in shard
-// order reproduces the sequential Simulate feed exactly — same records,
-// same order, nothing lost or reordered inside a shard.
+// order reproduces the sequential Simulate feed exactly — same rows,
+// same order, nothing lost or reordered inside a shard — and each
+// stream's hello advertises the sampling rate and study epoch.
 func TestWireRoundTripMatchesSimulate(t *testing.T) {
 	n := wireNetwork(t, 300)
-	var want []netflow.Record
-	n.Simulate(func(r netflow.Record) { want = append(want, r) })
+	var want []wireRow
+	n.Simulate(func(r netflow.Record) { want = append(want, rowOf(r)) })
 
 	bufs, stats := exportStreams(t, n, 4)
-	var got []netflow.Record
-	var seqs []uint32
+	var got []wireRow
 	for _, buf := range bufs {
 		fr := netflow.NewFrameReader(buf)
-		var streamRecords uint32
+		var epoch int64
+		var lines, backs []netip.Addr
 		for {
 			f, err := fr.Next()
 			if err == io.EOF {
@@ -86,28 +105,36 @@ func TestWireRoundTripMatchesSimulate(t *testing.T) {
 				t.Fatal(err)
 			}
 			switch f.Type {
-			case netflow.FrameV5:
-				h, recs, err := netflow.DecodeV5Strict(f.Payload)
-				if err != nil {
+			case netflow.FrameHello:
+				var rate uint32
+				if rate, epoch, err = netflow.DecodeHelloPayload(f.Payload); err != nil {
 					t.Fatal(err)
 				}
-				if h.FlowSequence != streamRecords {
-					t.Fatalf("flow sequence = %d, want %d", h.FlowSequence, streamRecords)
+				if rate != n.Cfg.SamplingRate || epoch != n.World.Days[0].Unix() {
+					t.Fatalf("hello advertises rate %d epoch %d", rate, epoch)
 				}
-				if h.SamplingRate() != n.Cfg.SamplingRate {
-					t.Fatalf("advertised rate = %d, want %d", h.SamplingRate(), n.Cfg.SamplingRate)
-				}
-				streamRecords += uint32(len(recs))
-				got = append(got, recs...)
-			case netflow.FrameV6:
-				recs, err := netflow.DecodeV6Payload(f.Payload)
-				if err != nil {
+			case netflow.FrameLineDict:
+				if _, lines, err = netflow.DecodeDictPayload(f.Payload, lines); err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, recs...)
+			case netflow.FrameBackendDict:
+				if _, backs, err = netflow.DecodeDictPayload(f.Payload, backs); err != nil {
+					t.Fatal(err)
+				}
+			case netflow.FrameBatch:
+				var b netflow.RecordBatch
+				if err := netflow.DecodeBatchPayload(f.Payload, &b); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < b.Len(); i++ {
+					got = append(got, wireRow{
+						lines[b.Line[i]], backs[b.Backend[i]], b.Down[i],
+						time.Unix(epoch+int64(b.Hour[i])*3600, 0).UTC(),
+						b.Port[i], b.Proto[i], b.Bytes[i], b.Packets[i],
+					})
+				}
 			}
 		}
-		seqs = append(seqs, streamRecords)
 	}
 	if uint64(len(got)) != stats.V4Records+stats.V6Records {
 		t.Fatalf("decoded %d records, stats say %d", len(got), stats.V4Records+stats.V6Records)
@@ -119,13 +146,6 @@ func TestWireRoundTripMatchesSimulate(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d drifted over the wire:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
-	}
-	var v5Total uint32
-	for _, s := range seqs {
-		v5Total += s
-	}
-	if uint64(v5Total) != stats.V4Records {
-		t.Fatalf("v5 record totals: %d vs %d", v5Total, stats.V4Records)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"net/netip"
 )
 
-// Columnar dictionary transport: the frame types below carry the same
-// flow feed as FrameV5/FrameV6, but with every address replaced by a
-// dense per-stream dictionary ID so the collector's hot loop never
-// materializes a netip.Addr. A dictionary-mode stream is:
+// Columnar dictionary transport: the frame types below carry a flow
+// feed with every address replaced by a dense per-stream dictionary ID,
+// so the collector's hot loop never materializes a netip.Addr. It is
+// the only encoding the simulated ISP exports. A dictionary stream is:
 //
 //	FrameHello        once, first: protocol version, the stream's
 //	                  sampling rate, and the hour epoch every batch
@@ -29,9 +29,8 @@ import (
 //	                  stream transports and fault policies.
 //
 // FrameFlush keeps its meaning: one subscriber line's batch is
-// complete. Legacy FrameV5/FrameV6 streams remain fully decodable; a
-// stream may in principle carry both encodings, though the exporter
-// never mixes them.
+// complete. Foreign FrameV5/FrameV6 frames may share a stream with
+// dictionary frames; the collector decodes both.
 const (
 	FrameHello       = 0x01
 	FrameLineDict    = 0x02

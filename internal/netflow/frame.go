@@ -1,7 +1,6 @@
 package netflow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,19 +10,19 @@ import (
 )
 
 // The collector ingestion path moves NetFlow over byte streams (TCP
-// connections, pipes, recorded files), where v5's datagram framing does
-// not exist: packets need explicit delimitation, IPv6 flows need a
-// carrier v5 cannot provide, and the single-pass aggregation needs to
-// know when one subscriber line's batch is complete. A frame is the
-// smallest unit of all three:
+// connections, pipes, recorded files), where datagram framing does not
+// exist: packets need explicit delimitation, and the single-pass
+// aggregation needs to know when one subscriber line's batch is
+// complete. A frame is the smallest unit of both:
 //
 //	"NF" | type (1 byte) | payload length (uint32 BE) | payload
 //
-// Frame types:
+// Frame types (the dictionary types are in batch.go):
 //
-//	FrameV5    payload is one verbatim NetFlow v5 packet (IPv4 flows).
-//	FrameV6    payload is StreamWriter-encoded records (the IPv6 share
-//	           of the feed, which v5 cannot express).
+//	FrameV5    payload is one verbatim NetFlow v5 packet (IPv4 flows);
+//	           foreign input only.
+//	FrameV6    payload is mixed-family records (appendRecord), the IPv6
+//	           carrier v5 lacks; foreign input only.
 //	FrameFlush empty payload; the exporter emits one after each
 //	           subscriber line's batch, letting the collector classify
 //	           scanner lines incrementally instead of buffering the
@@ -121,16 +120,13 @@ func (fw *FrameWriter) WriteFrame(typ byte, payload []byte) error {
 // WriteV5 frames one encoded v5 packet.
 func (fw *FrameWriter) WriteV5(pkt []byte) error { return fw.WriteFrame(FrameV5, pkt) }
 
-// WriteV6 frames a batch of records in the mixed-family stream encoding.
+// WriteV6 frames a batch of records in the mixed-family encoding.
 func (fw *FrameWriter) WriteV6(records []Record) error {
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	for _, r := range records {
-		if err := sw.Write(r); err != nil {
-			return err
-		}
+	frame, err := AppendV6Frame(nil, records)
+	if err != nil {
+		return err
 	}
-	return fw.WriteFrame(FrameV6, buf.Bytes())
+	return fw.WriteFrame(FrameV6, frame[frameHeader:])
 }
 
 // WriteFlush marks the end of one subscriber line's batch.
@@ -138,14 +134,11 @@ func (fw *FrameWriter) WriteFlush() error { return fw.WriteFrame(FrameFlush, nil
 
 // --- Append-based frame encoding ---------------------------------------
 
-// The FrameWriter path materializes each payload (one v5 packet, one v6
-// batch) as its own allocation and hands the writer two Write calls per
-// frame. The Append* family below is the zero-intermediate alternative
-// the ISP's wire exporter uses: frames are appended directly onto one
-// reusable flush buffer — envelope, payload, everything — so a whole
-// subscriber-line batch becomes a single contiguous byte run that can be
-// handed to an io.Writer (or a channel) in one piece. Byte output is
-// identical to the FrameWriter path.
+// The Append* family appends frames directly onto one reusable buffer —
+// envelope, payload, everything — so a whole subscriber-line batch
+// becomes a single contiguous byte run that can be handed to an
+// io.Writer (or a channel) in one piece. Byte output is identical to
+// the FrameWriter path.
 
 // beginFrame appends a frame envelope with a zero length field and
 // returns the offset where the payload starts; endFrame patches the
@@ -185,7 +178,7 @@ func AppendV5Frame(dst []byte, h V5Header, records []Record) (out []byte, clampe
 	return out, clamped, err
 }
 
-// AppendV6Frame appends a FrameV6 envelope and stream-encodes the
+// AppendV6Frame appends a FrameV6 envelope and encodes the
 // records directly into it.
 func AppendV6Frame(dst []byte, records []Record) ([]byte, error) {
 	dst, start := beginFrame(dst, FrameV6)

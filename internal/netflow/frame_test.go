@@ -122,18 +122,19 @@ func TestDecodeV5StrictRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestStreamReaderCorpus: the StreamReader corpus of truncated, corrupt,
-// and count-lying inputs. Every error is descriptive, truncations wrap
-// io.ErrUnexpectedEOF, and a record is either read whole or not at all.
+// TestStreamReaderCorpus: the mixed-family record stream (FrameV6
+// payloads, decoded by DecodeV6Payload) against a corpus of truncated,
+// corrupt, and count-lying inputs. Every error is descriptive,
+// truncations wrap io.ErrUnexpectedEOF, and a record is either read
+// whole or not at all.
 func TestStreamReaderCorpus(t *testing.T) {
-	var whole bytes.Buffer
-	sw := NewStreamWriter(&whole)
-	if err := sw.Write(rec("95.0.0.1", "52.0.0.2", 1000, 8883, 999, 7)); err != nil {
+	frame, err := AppendV6Frame(nil, []Record{rec("95.0.0.1", "52.0.0.2", 1000, 8883, 999, 7)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := whole.Bytes()
+	full := frame[frameHeader:]
 	for cut := 1; cut < len(full); cut++ {
-		_, err := NewStreamReader(bytes.NewReader(full[:cut])).Next()
+		_, err := DecodeV6Payload(full[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d/%d accepted (silent short read)", cut, len(full))
 		}
@@ -147,13 +148,13 @@ func TestStreamReaderCorpus(t *testing.T) {
 	// Corrupt family byte.
 	bad := append([]byte{}, full...)
 	bad[0] = 0x77
-	if _, err := NewStreamReader(bytes.NewReader(bad)).Next(); err == nil || !strings.Contains(err.Error(), "bad family") {
+	if _, err := DecodeV6Payload(bad); err == nil || !strings.Contains(err.Error(), "bad family") {
 		t.Fatalf("bad family: err = %v", err)
 	}
 	// A v6 family byte followed by a v4-sized body: the advertised size
-	// exceeds what the stream carries.
+	// exceeds what the payload carries.
 	lied := append([]byte{famV6}, full[1:]...)
-	_, err := NewStreamReader(bytes.NewReader(lied)).Next()
+	_, err = DecodeV6Payload(lied)
 	if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("oversized-count body: err = %v", err)
 	}

@@ -1,20 +1,16 @@
 // Package netflow implements the flow-export substrate of the ISP vantage
-// point (Section 5.1): a faithful NetFlow v5 binary codec for IPv4 flows,
-// a compact length-delimited encoding for mixed IPv4/IPv6 flow streams,
-// and the deterministic packet sampler that gives the analysis its
-// "estimate the exchanged traffic considering the sampling rate"
-// semantics (Section 5.6).
+// point (Section 5.1): the framed stream transport and its columnar
+// dictionary encoding (what the simulated ISP exports), plus decoders
+// for the formats real routers send — NetFlow v5, v9 and IPFIX — and a
+// compact mixed IPv4/IPv6 record encoding for framed foreign feeds.
 package netflow
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 	"time"
-
-	"iotmap/internal/simrand"
 )
 
 // IP protocol numbers used by the study.
@@ -206,44 +202,19 @@ func clamp32(v uint64) uint32 {
 	return uint32(v)
 }
 
-// --- Mixed-family stream encoding -------------------------------------
+// --- Mixed-family record encoding -------------------------------------
 
-// The simulation's border routers also carry IPv6 flows, which v5 cannot
-// express; StreamWriter/StreamReader implement a compact v9-inspired
-// length-delimited record stream for the full mix.
+// FrameV6 payloads carry records v5 cannot express (IPv6 flows, 64-bit
+// counters) in a compact length-delimited encoding: a family byte, both
+// addresses, ports, protocol, and 64-bit bytes/packets/start.
+// AppendV6Frame writes it; DecodeV6PayloadInto reads it.
 
 const (
 	famV4 = 4
 	famV6 = 6
 )
 
-// StreamWriter serializes records to an io.Writer.
-type StreamWriter struct {
-	w   io.Writer
-	buf []byte
-	// N counts records written.
-	N uint64
-}
-
-// NewStreamWriter returns a writer.
-func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{w: w, buf: make([]byte, 0, 64)}
-}
-
-// Write serializes one record.
-func (sw *StreamWriter) Write(r Record) error {
-	b := appendRecord(sw.buf[:0], r)
-	sw.buf = b
-	if _, err := sw.w.Write(b); err != nil {
-		return err
-	}
-	sw.N++
-	return nil
-}
-
-// appendRecord appends one record in the mixed-family stream encoding —
-// the core of StreamWriter.Write, also used to encode straight into
-// frame buffers.
+// appendRecord appends one record in the mixed-family encoding.
 func appendRecord(b []byte, r Record) []byte {
 	if r.IsV4() {
 		b = append(b, famV4)
@@ -265,111 +236,4 @@ func appendRecord(b []byte, r Record) []byte {
 	b = binary.BigEndian.AppendUint64(b, r.Packets)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Start.Unix()))
 	return b
-}
-
-// StreamReader parses records written by StreamWriter.
-type StreamReader struct {
-	r io.Reader
-}
-
-// NewStreamReader returns a reader.
-func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
-
-// Next reads one record; io.EOF signals a clean end.
-func (sr *StreamReader) Next() (Record, error) {
-	var fam [1]byte
-	if _, err := io.ReadFull(sr.r, fam[:]); err != nil {
-		return Record{}, err
-	}
-	var alen int
-	switch fam[0] {
-	case famV4:
-		alen = 4
-	case famV6:
-		alen = 16
-	default:
-		return Record{}, fmt.Errorf("%w: %d", ErrBadFamily, fam[0])
-	}
-	body := make([]byte, 2*alen+2+2+1+8+8+8)
-	if n, err := io.ReadFull(sr.r, body); err != nil {
-		// Never a silent short read: a record that starts must be whole,
-		// and the error says exactly how much of it the stream carried.
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, fmt.Errorf("netflow: stream record truncated: family %d requires a %d-byte body but the stream carries %d: %w",
-				fam[0], len(body), n, io.ErrUnexpectedEOF)
-		}
-		return Record{}, err
-	}
-	var r Record
-	if alen == 4 {
-		r.Src = netip.AddrFrom4([4]byte(body[0:4]))
-		r.Dst = netip.AddrFrom4([4]byte(body[4:8]))
-	} else {
-		r.Src = netip.AddrFrom16([16]byte(body[0:16]))
-		r.Dst = netip.AddrFrom16([16]byte(body[16:32]))
-	}
-	p := 2 * alen
-	be := binary.BigEndian
-	r.SrcPort = be.Uint16(body[p:])
-	r.DstPort = be.Uint16(body[p+2:])
-	r.Proto = body[p+4]
-	r.Bytes = be.Uint64(body[p+5:])
-	r.Packets = be.Uint64(body[p+13:])
-	r.Start = time.Unix(int64(be.Uint64(body[p+21:])), 0).UTC()
-	return r, nil
-}
-
-// --- Packet sampling ---------------------------------------------------
-
-// Sampler models router packet sampling at rate 1:Rate. Flows whose
-// sampled packet count draws zero are invisible to the collector —
-// exactly how low-volume subscriber lines drop out of the analysis
-// during the outage (Section 6.1).
-type Sampler struct {
-	Rate uint32
-	rng  simrand.Source
-}
-
-// NewSampler builds a sampler; rate 0 or 1 means no sampling.
-func NewSampler(rate uint32, seed int64) *Sampler {
-	s := &Sampler{}
-	s.Reset(rate, seed)
-	return s
-}
-
-// Reset re-seeds the sampler in place, allocation-free — a Sampler
-// after Reset(rate, seed) draws exactly like NewSampler(rate, seed).
-// The per-(line, day) simulation loops keep one Sampler per worker and
-// Reset it instead of allocating.
-func (s *Sampler) Reset(rate uint32, seed int64) {
-	s.Rate = rate
-	s.rng.Reset(simrand.SeedN(seed, "netflow-sampler"))
-}
-
-// Sample converts true flow counters into sampled counters; ok is false
-// when the flow is unobserved.
-func (s *Sampler) Sample(bytes, packets uint64) (sb, sp uint64, ok bool) {
-	if s.Rate <= 1 {
-		return bytes, packets, true
-	}
-	lambda := float64(packets) / float64(s.Rate)
-	n := s.rng.Poisson(lambda)
-	if n == 0 {
-		return 0, 0, false
-	}
-	sp = uint64(n)
-	perPkt := float64(bytes) / float64(packets)
-	sb = uint64(perPkt * float64(n))
-	if sb == 0 {
-		sb = 1
-	}
-	return sb, sp, true
-}
-
-// Scale expands a sampled byte count back to an estimate.
-func (s *Sampler) Scale(sampled uint64) uint64 {
-	if s.Rate <= 1 {
-		return sampled
-	}
-	return sampled * uint64(s.Rate)
 }

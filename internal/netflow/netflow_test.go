@@ -1,9 +1,7 @@
 package netflow
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"net/netip"
 	"strings"
 	"testing"
@@ -104,6 +102,8 @@ func TestV5CounterClamp(t *testing.T) {
 	}
 }
 
+// TestStreamRoundTripMixedFamilies: the mixed-family record encoding
+// (FrameV6 payloads) round-trips IPv4 and IPv6 records in order.
 func TestStreamRoundTripMixedFamilies(t *testing.T) {
 	records := []Record{
 		rec("95.1.2.3", "52.0.0.9", 40123, 8883, 5000, 12),
@@ -118,44 +118,36 @@ func TestStreamRoundTripMixedFamilies(t *testing.T) {
 			Start: time.Date(2022, 3, 2, 23, 0, 0, 0, time.UTC),
 		},
 	}
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	for _, r := range records {
-		if err := sw.Write(r); err != nil {
-			t.Fatal(err)
-		}
+	frame, err := AppendV6Frame(nil, records)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sw.N != 3 {
-		t.Fatalf("N = %d", sw.N)
+	got, err := DecodeV6Payload(frame[frameHeader:])
+	if err != nil {
+		t.Fatal(err)
 	}
-	sr := NewStreamReader(&buf)
+	if len(got) != len(records) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(records))
+	}
 	for i := range records {
-		got, err := sr.Next()
-		if err != nil {
-			t.Fatal(err)
+		if got[i] != records[i] {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got[i], records[i])
 		}
-		if got != records[i] {
-			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got, records[i])
-		}
-	}
-	if _, err := sr.Next(); err != io.EOF {
-		t.Fatalf("end err = %v", err)
 	}
 }
 
 func TestStreamReaderErrors(t *testing.T) {
 	// Bad family byte.
-	if _, err := NewStreamReader(bytes.NewReader([]byte{9})).Next(); err == nil {
+	if _, err := DecodeV6Payload([]byte{9}); err == nil {
 		t.Fatal("bad family accepted")
 	}
 	// Truncated body.
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	if err := sw.Write(rec("1.1.1.1", "2.2.2.2", 1, 2, 3, 4)); err != nil {
+	frame, err := AppendV6Frame(nil, []Record{rec("1.1.1.1", "2.2.2.2", 1, 2, 3, 4)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:10]
-	if _, err := NewStreamReader(bytes.NewReader(trunc)).Next(); err == nil {
+	trunc := frame[frameHeader : frameHeader+10]
+	if _, err := DecodeV6Payload(trunc); err == nil {
 		t.Fatal("truncated body accepted")
 	}
 }
@@ -173,67 +165,15 @@ func TestPropertyStreamRoundTrip(t *testing.T) {
 			r.Src = netip.MustParseAddr("2001:db8::1")
 			r.Dst = netip.MustParseAddr("2001:db8::2")
 		}
-		var buf bytes.Buffer
-		sw := NewStreamWriter(&buf)
-		if err := sw.Write(r); err != nil {
+		frame, err := AppendV6Frame(nil, []Record{r})
+		if err != nil {
 			return false
 		}
-		got, err := NewStreamReader(&buf).Next()
-		return err == nil && got == r
+		got, err := DecodeV6Payload(frame[frameHeader:])
+		return err == nil && len(got) == 1 && got[0] == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSamplerNoSampling(t *testing.T) {
-	s := NewSampler(1, 1)
-	b, p, ok := s.Sample(1000, 10)
-	if !ok || b != 1000 || p != 10 {
-		t.Fatalf("identity sampling = %d,%d,%v", b, p, ok)
-	}
-	if s.Scale(7) != 7 {
-		t.Fatal("identity scale")
-	}
-}
-
-func TestSamplerStatistics(t *testing.T) {
-	s := NewSampler(100, 42)
-	var estTotal, trueTotal uint64
-	misses := 0
-	const flows = 3000
-	for i := 0; i < flows; i++ {
-		trueBytes := uint64(200_000)
-		truePkts := uint64(200)
-		trueTotal += trueBytes
-		sb, _, ok := s.Sample(trueBytes, truePkts)
-		if !ok {
-			misses++
-			continue
-		}
-		estTotal += s.Scale(sb)
-	}
-	// λ=2 per flow → ~13.5% of flows invisible, but volume estimate
-	// should be within a few percent.
-	if misses == 0 || misses > flows/4 {
-		t.Fatalf("misses = %d", misses)
-	}
-	ratio := float64(estTotal) / float64(trueTotal)
-	if ratio < 0.93 || ratio > 1.07 {
-		t.Fatalf("volume estimate off: ratio = %f", ratio)
-	}
-}
-
-func TestSamplerTinyFlowsVanish(t *testing.T) {
-	s := NewSampler(1000, 7)
-	vanished := 0
-	for i := 0; i < 500; i++ {
-		if _, _, ok := s.Sample(60, 1); !ok {
-			vanished++
-		}
-	}
-	if vanished < 450 {
-		t.Fatalf("tiny flows should mostly vanish at 1:1000, got %d/500", vanished)
 	}
 }
 
@@ -245,17 +185,6 @@ func BenchmarkV5Encode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := EncodeV5(V5Header{}, records); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStreamWrite(b *testing.B) {
-	sw := NewStreamWriter(io.Discard)
-	r := rec("95.1.2.3", "52.0.0.9", 40123, 8883, 5000, 12)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := sw.Write(r); err != nil {
 			b.Fatal(err)
 		}
 	}

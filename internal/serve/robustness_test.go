@@ -15,8 +15,6 @@ import (
 
 	"iotmap/internal/collector"
 	"iotmap/internal/faultwire"
-	"iotmap/internal/isp"
-	"iotmap/internal/world"
 )
 
 // attachFileHTTP attaches a recorded file feed over the API.
@@ -230,38 +228,24 @@ func TestCheckpointOldWindowFormat(t *testing.T) {
 // vantage covered — the daemon-side twin of the federation coverage
 // report's degraded annotation.
 func TestWindowVantageDegraded(t *testing.T) {
-	// The hour-coverage comparison needs the v5 encoding: fault rules
-	// and liveness both clock hours from v5 frame headers.
-	w, err := world.Build(world.Config{Seed: 23, Scale: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := isp.NewNetwork(isp.Config{Seed: 23, Lines: 300}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := buildFixture(t)
-	var rec5 bytes.Buffer
-	if _, err := n.SimulateLinesToWireFormat([]io.Writer{&rec5}, 0, isp.WireV5); err != nil {
-		t.Fatal(err)
-	}
 	// isp-b's copy of the feed dies cleanly at hour 96 — the exporter
 	// sat inside the blast radius.
-	sc := &faultwire.Scenario{Seed: 1, Start: w.Days[0], Rules: []faultwire.Rule{
+	sc := &faultwire.Scenario{Seed: 1, Start: f.days[0], Rules: []faultwire.Rule{
 		{Stream: -1, FromHour: 96, Faults: faultwire.Faults{Kill: true, KillClean: true}},
 	}}
-	dead, err := io.ReadAll(sc.Wrap(0, "isp-b", bytes.NewReader(rec5.Bytes())))
+	dead, err := io.ReadAll(sc.Wrap(0, "isp-b", bytes.NewReader(f.rec)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dead) == 0 || len(dead) >= rec5.Len() {
-		t.Fatalf("feed death produced %d of %d bytes", len(dead), rec5.Len())
+	if len(dead) == 0 || len(dead) >= len(f.rec) {
+		t.Fatalf("feed death produced %d of %d bytes", len(dead), len(f.rec))
 	}
 
 	dir := t.TempDir()
 	healthy := filepath.Join(dir, "healthy.nf")
 	truncated := filepath.Join(dir, "dead.nf")
-	if err := os.WriteFile(healthy, rec5.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(healthy, f.rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(truncated, dead, 0o644); err != nil {

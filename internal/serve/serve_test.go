@@ -46,7 +46,7 @@ func buildFixture(t testing.TB) *fixture {
 		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
 	}
 	var rec bytes.Buffer
-	if _, err := n.SimulateLinesToWireFormat([]io.Writer{&rec}, 0, isp.WireDict); err != nil {
+	if _, err := n.SimulateLinesToWire([]io.Writer{&rec}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{idx: idx, days: w.Days, rec: rec.Bytes(), opts: flows.Options{

@@ -97,8 +97,8 @@ type Config struct {
 	SkipLiveScan bool
 	// TrafficMode selects TrafficStudy's data path: TrafficModeMemory
 	// (default) hands aggregators in-memory records; TrafficModeWire
-	// exports every line shard as framed NetFlow v5 packet streams and
-	// re-ingests them through internal/collector — the production-shaped
+	// exports every line shard as a framed dictionary stream and
+	// re-ingests it through internal/collector — the production-shaped
 	// path, byte-identical in output.
 	TrafficMode string
 	// WireStreams is the concurrent stream count in wire mode
@@ -129,12 +129,6 @@ type Config struct {
 	// WireStallTimeout arms the collector's per-stream read-stall
 	// watchdog in wire mode; zero disables it.
 	WireStallTimeout time.Duration
-	// WireFormat selects the wire-mode on-wire encoding: WireFormatDict
-	// (default) ships per-stream address dictionaries and columnar batch
-	// frames — the zero-copy hot path; WireFormatV5 keeps the legacy
-	// framed NetFlow v5 encoding (what PR 3-6 recorded files use).
-	// Figures are byte-identical across both. Ignored in memory mode.
-	WireFormat string
 	// VantageModifiers, when set, supplies a per-vantage traffic-plane
 	// modifier for FederationStudy — the seam the scenario engine uses
 	// for vantage-dependent disruptions (a hijack only some vantages'
@@ -210,26 +204,6 @@ const (
 	// figures are computed from packets, not memory.
 	TrafficModeWire = "wire"
 )
-
-// Wire-mode encodings (Config.WireFormat).
-const (
-	// WireFormatDict is the columnar dictionary encoding (default).
-	WireFormatDict = "dict"
-	// WireFormatV5 is the legacy framed NetFlow v5 encoding.
-	WireFormatV5 = "v5"
-)
-
-// wireFormat maps Config.WireFormat to the exporter's enum.
-func (c Config) wireFormat() (isp.WireFormat, error) {
-	switch c.WireFormat {
-	case WireFormatDict, "":
-		return isp.WireDict, nil
-	case WireFormatV5:
-		return isp.WireV5, nil
-	default:
-		return 0, fmt.Errorf("iotmap: unknown WireFormat %q", c.WireFormat)
-	}
-}
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
@@ -583,8 +557,8 @@ type pipelineRun struct {
 // runPipeline drives one network through the Config.TrafficMode data
 // path into shard partials — the single pipeline seam TrafficStudy and
 // FederationStudy share. Memory mode simulates straight into a sharded
-// aggregator; wire mode exports every line shard as a framed NetFlow v5
-// stream over an in-process pipe (synchronous — collector backpressure
+// aggregator; wire mode exports every line shard as a dictionary stream
+// over an in-process pipe (synchronous — collector backpressure
 // throttles the exporter) and decodes, validates, and rescales it back.
 // Merging the partials yields byte-identical results either way.
 func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flows.Options) (pipelineRun, error) {
@@ -601,10 +575,6 @@ func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flo
 		}
 		return pipelineRun{parts: parts}, nil
 	case TrafficModeWire:
-		format, err := s.Cfg.wireFormat()
-		if err != nil {
-			return pipelineRun{}, err
-		}
 		streams := s.Cfg.WireStreams
 		if streams <= 0 {
 			streams = runtime.GOMAXPROCS(0)
@@ -625,7 +595,7 @@ func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flo
 			return pipelineRun{}, err
 		}
 		writers, wait := col.IngestPipes(streams)
-		wireStats, exportErr := net.SimulateLinesToWireFormat(writers, 0, format)
+		wireStats, exportErr := net.SimulateLinesToWire(writers, 0)
 		if err := wait(); err != nil {
 			return pipelineRun{}, err
 		}

@@ -14,16 +14,12 @@ import (
 )
 
 // suiteFederation builds the three-vantage federation the scenario
-// suites run over, in wire mode with the v5 encoding pinned: the
-// hour-windowed fault rules a suite compiles (feed death mid-week)
-// clock the study hour from v5 frame headers, which dictionary batches
-// don't carry per frame.
+// suites run over, in wire mode.
 func suiteFederation(t *testing.T) *iotmap.System {
 	t.Helper()
 	cfg := federationConfig(iotmap.TrafficModeWire)
 	cfg.Days = iotmap.OutageStudyDays()
 	cfg.WirePolicy = iotmap.WireDropFrame
-	cfg.WireFormat = iotmap.WireFormatV5
 	sys, err := iotmap.New(cfg)
 	if err != nil {
 		t.Fatal(err)
