@@ -318,10 +318,7 @@ func BenchmarkStageTrafficWeek(b *testing.B) {
 			ScannerThreshold: 100,
 			SamplingRate:     100,
 		}, runtime.GOMAXPROCS(0))
-		net.SimulateLines(agg.Shards(),
-			func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-			func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-		)
+		agg.Simulate(net)
 		cc, col := agg.Merge()
 		if len(cc.Scanners(100)) == 0 {
 			b.Fatal("no scanners classified")
@@ -594,10 +591,7 @@ func BenchmarkStageFederation(b *testing.B) {
 				SamplingRate:     v.net.Cfg.SamplingRate,
 				Vantage:          v.name,
 			}, runtime.GOMAXPROCS(0))
-			v.net.SimulateLines(agg.Shards(),
-				func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-				func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-			)
+			agg.Simulate(v.net)
 			for k := 0; k < agg.Shards(); k++ {
 				parts = append(parts, agg.Shard(k))
 			}
@@ -659,10 +653,7 @@ func BenchmarkStageFederationParallel(b *testing.B) {
 					SamplingRate:     v.net.Cfg.SamplingRate,
 					Vantage:          v.name,
 				}, runtime.GOMAXPROCS(0))
-				v.net.SimulateLines(agg.Shards(),
-					func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-					func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-				)
+				agg.Simulate(v.net)
 				parts := make([]*flows.ShardPartial, agg.Shards())
 				for k := range parts {
 					parts[k] = agg.Shard(k)

@@ -13,9 +13,10 @@ import (
 // netflow.RecordBatch of dense IDs resolved through the producer's
 // WireTables. The dictionary wire format ships addresses once
 // (dictionary frames → AddLines/AddBackends) and IDs thereafter, so
-// the collector's hot loop never materializes a netip.Addr; producers
-// that hold netflow.Records (the in-memory simulation, the v5/v6 and
-// v9/IPFIX decoders) turn each record into a row with AppendRecord.
+// the collector's hot loop never materializes a netip.Addr. The
+// in-memory simulation emits rows itself (IngestLine); producers that
+// hold netflow.Records (the v5/v6 and v9/IPFIX decoders) turn each
+// record into a row with AppendRecord.
 
 // maxWireDictEntries bounds a stream's dictionary size. The address
 // plan tops out at 2^22 lines per vantage; the slack above that guards
@@ -46,10 +47,11 @@ type wireLineEnt struct {
 
 // WireTables is one producer's ID tables, bound to the index, exclusion
 // set and study start of the Sink it feeds (a ShardPartial or a
-// Window). They fill one of two ways, never both: dictionary frames
-// append entries (AddLines/AddBackends) and batch frames validate
-// against them (Validate), or AppendRecord interns the lines of the
-// records it resolves. Either way the rows fold via the sink's
+// Window). They fill one of two ways, never both: dictionary entries
+// are appended (AddLines/AddBackends from dictionary frames, which batch
+// frames Validate against, or IngestLine from the simulator, whose rows
+// need no check), or AppendRecord interns the lines of the records it
+// resolves. Either way the rows fold via the sink's
 // IngestBatch. Owned by one producer; no locking.
 type WireTables struct {
 	idx      *BackendIndex
@@ -268,6 +270,7 @@ func appendEnt(ents []endEnt, words int) []endEnt {
 // at flush granularity with this batch's distinct-backend evidence, and
 // only rows from kept lines with in-window hours reach the Collector.
 func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
+	p.col.checkWritable()
 	if b.Len() == 0 {
 		return
 	}
@@ -306,4 +309,29 @@ func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 
 	t.releaseEnts()
 	p.ents = ents
+}
+
+// IngestLine is memory mode's drive, the dictionary stream without the
+// bytes: it folds one line's rows from a producer that numbers backends
+// by a fixed table of its own (isp.Network.EmitLines: server ordinals).
+// backends is that table, bound by AddBackends on the first call; the
+// line column indexes addrs and is rewritten to the tables' IDs.
+func (p *ShardPartial) IngestLine(backends, addrs []netip.Addr, b *netflow.RecordBatch) {
+	if b.Len() == 0 {
+		return
+	}
+	if p.rows == nil {
+		p.rows = p.NewWireTables()
+		if err := p.rows.AddBackends(0, backends); err != nil {
+			panic(err) // past maxWireDictEntries backends
+		}
+	}
+	base := uint32(len(p.rows.lines))
+	if err := p.rows.AddLines(base, addrs); err != nil {
+		panic(err) // past maxWireDictEntries lines
+	}
+	for i := range b.Line {
+		b.Line[i] += base
+	}
+	p.IngestBatch(p.rows, b)
 }

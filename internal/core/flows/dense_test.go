@@ -588,6 +588,43 @@ func TestIndexRebuildInvalidatesAggregates(t *testing.T) {
 	mustPanic("Merge", func() { col.Merge(NewCollector(f.idx, f.days, f.opts)) })
 }
 
+// TestFinalizedCollectorRejectsWrites: Study() hands out a view over the
+// collector's columns, so every write path — the ingest core, a merge
+// into or from it, and a partial's IngestBatch — must panic afterwards
+// instead of changing a Study already in use.
+func TestFinalizedCollectorRejectsWrites(t *testing.T) {
+	f := buildDenseFixture(13)
+	col := NewCollector(f.idx, f.days, f.opts)
+	for _, r := range f.recs[:100] {
+		col.Ingest(r)
+	}
+	col.Study()
+	col.Study() // reading twice is fine
+	part := NewShardPartial(f.idx, f.days, f.opts)
+	for _, r := range f.recs[:100] {
+		part.Ingest(r)
+	}
+	part.EndLine()
+	_, partCol := MergePartials([]*ShardPartial{part})
+	partCol.Study()
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s after Study() did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("ingestDense", func() { col.Ingest(f.recs[0]) })
+	mustPanic("Merge into", func() { col.Merge(NewCollector(f.idx, f.days, f.opts)) })
+	mustPanic("Merge from", func() { NewCollector(f.idx, f.days, f.opts).Merge(col) })
+	mustPanic("IngestBatch", func() {
+		part.Ingest(f.recs[0])
+		part.EndLine()
+	})
+}
+
 // TestDenseMergeMatchesMapReference: a round-robin partition of the
 // randomized stream over several dense collectors (deliberately
 // splitting lines across shards, including cross-"vantage" /8 plans)

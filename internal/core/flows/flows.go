@@ -394,6 +394,15 @@ type Collector struct {
 	// Focus series (Figures 15/16).
 	focusDownAll, focusDownRegion, focusDownEU    *analysis.Series
 	focusHoursAll, focusHoursRegion, focusHoursEU []uint64 // per line, stride hw
+
+	finalized bool // by Study(), whose view shares the columns above
+}
+
+// checkWritable panics on a write that would change a handed-out Study.
+func (c *Collector) checkWritable() {
+	if c.finalized {
+		panic("flows: write to a Collector after Study() finalized it")
+	}
 }
 
 type laKey struct{ line, alias int32 }
@@ -574,6 +583,7 @@ func (c *Collector) lpSlotBase(line, port int) int {
 // ShardPartial.IngestBatch and the window's fold all land here, so
 // they produce byte-identical aggregates.
 func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, port proto.PortKey, bytes float64) {
+	c.checkWritable()
 	setBit(c.coverBits, hour)
 	day := hour / 24
 	bi := &c.idx.infos[backendID]

@@ -47,19 +47,49 @@ func buildStudy(t *testing.T) (*world.World, *Study, *ContactCounter) {
 	return w, cachedStudy, cc
 }
 
-// runPipeline drives the single-pass pipeline with a fixed shard count.
+// runPipeline drives the single-pass pipeline with a fixed shard count,
+// as memory mode does (ShardedAggregator.Simulate).
 func runPipeline(net *isp.Network, idx *BackendIndex, w *world.World, shards int) (*ContactCounter, *Collector) {
-	agg := NewShardedAggregator(idx, w.Days, Options{
-		ScannerThreshold: 100,
-		SamplingRate:     net.Cfg.SamplingRate,
-		FocusAlias:       "T1",
-		FocusRegion:      "us-east-1",
-	}, shards)
+	agg := pipelineAggregator(net, idx, w, shards)
+	agg.Simulate(net)
+	return agg.Merge()
+}
+
+// runRecordPipeline is runPipeline through the record adapters: the
+// simulator's records into Ingest/EndLine.
+func runRecordPipeline(net *isp.Network, idx *BackendIndex, w *world.World, shards int) (*ContactCounter, *Collector) {
+	agg := pipelineAggregator(net, idx, w, shards)
 	net.SimulateLines(agg.Shards(),
 		func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
 		func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
 	)
 	return agg.Merge()
+}
+
+func pipelineAggregator(net *isp.Network, idx *BackendIndex, w *world.World, shards int) *ShardedAggregator {
+	return NewShardedAggregator(idx, w.Days, Options{
+		ScannerThreshold: 100,
+		SamplingRate:     net.Cfg.SamplingRate,
+		FocusAlias:       "T1",
+		FocusRegion:      "us-east-1",
+	}, shards)
+}
+
+// TestIngestLineMatchesRecordPath: memory mode's row drive and the
+// record adapters fold the same week into the same contacts and study,
+// at one shard and at several.
+func TestIngestLineMatchesRecordPath(t *testing.T) {
+	w, _, _ := buildStudy(t)
+	for _, shards := range []int{1, testShards} {
+		rowCC, rowCol := runPipeline(cachedNet, cachedIdx, w, shards)
+		recCC, recCol := runRecordPipeline(cachedNet, cachedIdx, w, shards)
+		if !reflect.DeepEqual(rowCC.contactSets(), recCC.contactSets()) {
+			t.Fatalf("%d shards: contact sets differ between the row and record drives", shards)
+		}
+		if !reflect.DeepEqual(named(rowCol.Study()), named(recCol.Study())) {
+			t.Fatalf("%d shards: studies differ between the row and record drives", shards)
+		}
+	}
 }
 
 func TestScannerCurveShape(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"iotmap/internal/analysis"
+	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 )
 
@@ -59,6 +60,8 @@ func (c *ContactCounter) Merge(o *ContactCounter) {
 func (c *Collector) Merge(o *Collector) {
 	c.idx.checkGen(c.gen)
 	c.idx.checkGen(o.gen)
+	c.checkWritable()
+	o.checkWritable()
 	// Remap donor line/port IDs into c's spaces (interning as needed).
 	remap := make([]int32, len(o.lines.addrs))
 	for i, a := range o.lines.addrs {
@@ -292,9 +295,10 @@ type ShardPartial struct {
 	// IngestBatch calls.
 	ents []endEnt
 	// rec/recBatch are the Ingest/EndLine drive's own tables and pending
-	// flush interval.
+	// flush interval; rows are IngestLine's tables.
 	rec      *WireTables
 	recBatch netflow.RecordBatch
+	rows     *WireTables
 }
 
 // NewShardPartial builds one worker-local partial over idx — exactly
@@ -338,7 +342,8 @@ func MergePartials(parts []*ShardPartial) (*ContactCounter, *Collector) {
 }
 
 // Ingest resolves one record of the line currently being simulated
-// into the pending flush interval.
+// into the pending flush interval. Ingest and EndLine, the record
+// adapter over IngestBatch, stay for the benchmark module's pin.
 func (p *ShardPartial) Ingest(r netflow.Record) { p.rec.AppendRecord(&p.recBatch, r) }
 
 // EndLine completes the pending line-week: Figure 5 contact counting
@@ -382,8 +387,17 @@ func NewShardedAggregator(idx *BackendIndex, days []time.Time, opts Options, sha
 }
 
 // Shards returns the shard count; drive the simulation with exactly
-// this many workers (isp.SimulateLines(a.Shards(), ...)).
+// this many workers (isp.Network.EmitLines(a.Shards(), ...)).
 func (a *ShardedAggregator) Shards() int { return len(a.parts) }
+
+// Simulate folds net's week into the shards, one simulation worker per
+// shard: memory mode's drive, the simulator's rows into IngestLine.
+func (a *ShardedAggregator) Simulate(net *isp.Network) {
+	backends := net.BackendAddrs()
+	net.EmitLines(len(a.parts), func(shard int, line *isp.Line, rows *netflow.RecordBatch) {
+		a.parts[shard].IngestLine(backends, line.Addrs(), rows)
+	})
+}
 
 // Shard returns worker i's partial.
 func (a *ShardedAggregator) Shard(i int) *ShardPartial { return a.parts[i] }

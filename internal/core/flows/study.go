@@ -65,11 +65,13 @@ type Study struct {
 // collector's aggregate columns by reference and copies none of them; it
 // derives only the active-line series. So the collector must not be
 // ingested into or merged afterwards: the same rule Merge documents for
-// its donor. The fold-only tables (per-line hour bitsets, slot indexes,
+// its donor, which ingestDense, Merge and IngestBatch enforce with a
+// panic. The fold-only tables (per-line hour bitsets, slot indexes,
 // line and port intern tables) are not retained and die with the
 // collector.
 func (c *Collector) Study() *Study {
 	c.idx.checkGen(c.gen)
+	c.finalized = true
 	s := &Study{
 		idx:           c.idx,
 		days:          c.ds,

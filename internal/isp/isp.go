@@ -11,32 +11,26 @@
 // PII handling (Section 3.7).
 //
 // Simulation is line-major: every line's week is a deterministic
-// function of (seed, line) alone, so SimulateLines hands contiguous
-// line shards to parallel workers that each replay all study days for
-// their lines straight into a worker-local sink — one pass, no
-// week-sized record buffers — and report per-line completion so the
-// aggregation layer (core/flows) can classify scanner lines and fold
-// partial aggregates as lines finish. Simulate is the sequential
-// reference with identical per-line output; SimulateDay remains as the
-// day-granular path for chronological feeds (the window benches, the
-// repository benchmark's daemon-live feed). SimulateLinesToWire exports
-// the week as dictionary streams, the one format the border routers
-// write.
+// function of (seed, line) alone, so EmitLines hands contiguous line
+// shards to parallel workers, each handing over a line's week as rows
+// (a netflow.RecordBatch naming backends by server ordinal) for the
+// aggregation layer (core/flows) to fold. SimulateLinesToWire exports
+// the rows as dictionary streams, the one format the border routers
+// write; SimulateLines, Simulate and SimulateDay are record adapters.
 //
 // NewNetwork resolves everything that does not depend on the line-day:
-// the population, and per (provider, continent) pair in it a shared
-// read-only device class — the traffic profile and a homing table of
-// the servers eligible on each study day (see eligibleServers). The
-// world is immutable after world.Build, so the tables are too, and
-// concurrent shards and vantages read them without a lock. Per line-day
-// the simulator derives RNG streams only; a daily re-resolution is one
-// draw indexing the device's table.
+// the population, the server table, the stream labels, the sampler's
+// exp(-λ) table, and per (provider, continent) pair a shared read-only
+// device class — the traffic profile and a homing table of the servers
+// eligible on each study day (see eligibleServers). All of it is
+// immutable, so concurrent shards and vantages read it without a lock.
+// Per line-day the simulator derives RNG streams only, and none for a
+// silent line; a daily re-resolution is one draw indexing a table.
 package isp
 
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -111,9 +105,9 @@ type Device struct {
 	// class is what NewNetwork resolved for (Provider, Continent): the
 	// traffic profile and the per-day homing table.
 	class *deviceClass
-	// cur is the device's current backend server (daily re-resolution
-	// may move it).
-	cur *world.Server
+	// cur is the ordinal+1 of the device's current backend server, 0
+	// while it is not homed (daily re-resolution may move it).
+	cur uint32
 }
 
 // deviceClass is everything the devices of one (provider, continent)
@@ -128,8 +122,9 @@ type deviceClass struct {
 
 // homingCell is one day of a class's homing table.
 type homingCell struct {
-	// servers are the eligible backends (see eligibleServers).
-	servers []*world.Server
+	// servers are the ordinals of the eligible backends (see
+	// eligibleServers).
+	servers []uint32
 	// weights is the profile's RegionBias column over servers; nil when
 	// the profile has no bias and the pick is uniform.
 	weights []float64
@@ -150,15 +145,33 @@ type Line struct {
 // HasV6 reports whether the line holds an IPv6 prefix.
 func (l *Line) HasV6() bool { return l.V6.IsValid() }
 
+// Addrs returns the addresses an EmitLines row's line column indexes:
+// V4, then V6 when the line holds one.
+func (l *Line) Addrs() []netip.Addr {
+	if l.HasV6() {
+		return []netip.Addr{l.V4, l.V6}
+	}
+	return []netip.Addr{l.V4}
+}
+
 // Network is the built ISP model.
 type Network struct {
 	Cfg   Config
 	World *world.World
 	Lines []*Line
-	// backendV4 is the flat list of scan targets for scanner lines.
-	backendV4 []netip.Addr
 	// Modifier, when set, adjusts or suppresses flows (outage injection).
 	Modifier FlowModifier
+
+	// servers is the server table (World.AllServers): rows name a
+	// backend by its index, its ordinal. addrs are their addresses, and
+	// scanTargets the v4 ordinals in address order, which scanners walk.
+	servers     []*world.Server
+	addrs       []netip.Addr
+	scanTargets []uint32
+	// labels are the per-(line, day) stream labels, hashed once; exp is
+	// the sampler's table (expTable).
+	labels struct{ samplerLine, line, modifier, homing, scanOrder simrand.Label }
+	exp    []float64
 }
 
 // FlowModifier rewrites one device-hour's volumes; returning emit=false
@@ -219,13 +232,19 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 	if cfg.VantageID < 0 || cfg.VantageID > maxVantageID {
 		return nil, fmt.Errorf("isp: vantage ID %d outside [0, %d] (the per-vantage /8 address plan)", cfg.VantageID, maxVantageID)
 	}
-	n := &Network{Cfg: cfg, World: w}
-	for _, s := range w.AllServers() {
+	n := &Network{Cfg: cfg, World: w, servers: w.AllServers(), exp: expTable(cfg.SamplingRate)}
+	l := func(label string) simrand.Label { return simrand.NewLabel(cfg.Seed, label) }
+	n.labels.samplerLine, n.labels.line, n.labels.modifier, n.labels.homing, n.labels.scanOrder = l("sampler-line"), l("line"), l("modifier"), l("homing"), l("scan-order")
+	n.addrs = make([]netip.Addr, len(n.servers))
+	ordOf := make(map[*world.Server]uint32, len(n.servers))
+	for i, s := range n.servers {
+		n.addrs[i] = s.Addr
+		ordOf[s] = uint32(i)
 		if !s.IsV6() {
-			n.backendV4 = append(n.backendV4, s.Addr)
+			n.scanTargets = append(n.scanTargets, uint32(i))
 		}
 	}
-	sort.Slice(n.backendV4, func(i, j int) bool { return n.backendV4[i].Less(n.backendV4[j]) })
+	sort.Slice(n.scanTargets, func(i, j int) bool { return n.addrs[n.scanTargets[i]].Less(n.addrs[n.scanTargets[j]]) })
 
 	ids := traffic.ProviderIDs()
 	profiles := traffic.Profiles()
@@ -263,7 +282,7 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 				}
 				key := classKey{pi, dev.Continent}
 				if classes[key] == nil {
-					classes[key] = newDeviceClass(w, prof, dev.Continent)
+					classes[key] = newDeviceClass(w, ordOf, prof, dev.Continent)
 				}
 				dev.class = classes[key]
 				line.Devices = append(line.Devices, dev)
@@ -271,8 +290,8 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 		}
 		if rng.Bool(cfg.ScannerFraction) {
 			b := int(rng.Pareto(10, 0.8))
-			if b > len(n.backendV4) {
-				b = len(n.backendV4)
+			if b > len(n.scanTargets) {
+				b = len(n.scanTargets)
 			}
 			line.ScanBreadth = b
 		}
@@ -311,9 +330,14 @@ func (n *Network) IoTLines() int {
 	return c
 }
 
+// BackendAddrs is the server table's addresses: the backend column of
+// an EmitLines row indexes it. Callers must not modify it.
+func (n *Network) BackendAddrs() []netip.Addr { return n.addrs }
+
 // newDeviceClass resolves the homing table of prof's devices homed to
-// cont: one cell per study day.
-func newDeviceClass(w *world.World, prof *traffic.Profile, cont geo.Continent) *deviceClass {
+// cont: one cell per study day, naming servers by their ordinal in
+// ordOf.
+func newDeviceClass(w *world.World, ordOf map[*world.Server]uint32, prof *traffic.Profile, cont geo.Continent) *deviceClass {
 	c := &deviceClass{prof: prof, days: make([]homingCell, len(w.Days))}
 	p := w.Providers[prof.ProviderID]
 	if p == nil {
@@ -323,17 +347,18 @@ func newDeviceClass(w *world.World, prof *traffic.Profile, cont geo.Continent) *
 	for day := range c.days {
 		scratch = eligibleServers(p, prof, cont, day, scratch)
 		cell := &c.days[day]
-		cell.servers = slices.Clone(scratch)
-		if len(prof.RegionBias) == 0 {
-			continue
+		cell.servers = make([]uint32, len(scratch))
+		if len(prof.RegionBias) > 0 {
+			cell.weights = make([]float64, len(scratch))
 		}
-		cell.weights = make([]float64, len(scratch))
 		for i, s := range scratch {
-			wt := prof.RegionBias[s.Region.Region]
-			if wt <= 0 {
-				wt = 1
+			cell.servers[i] = ordOf[s]
+			if cell.weights != nil {
+				cell.weights[i] = prof.RegionBias[s.Region.Region]
+				if cell.weights[i] <= 0 {
+					cell.weights[i] = 1
+				}
 			}
-			cell.weights[i] = wt
 		}
 	}
 	return c
@@ -376,117 +401,154 @@ func eligibleServers(p *world.Provider, prof *traffic.Profile, cont geo.Continen
 	return inCont[:k]
 }
 
-// simState is one worker's reusable randomness for the line-major
-// loops: every per-(line, day) stream the simulation derives is Reset
-// in place instead of allocated, so a whole simulated week costs a
-// handful of RNG allocations per worker rather than several per
-// line-day. Resetting yields bit-identical streams to the historical
-// DeriveN calls (see simrand.Source.Reset).
+// simState is one worker's reusable state for the line-major loops:
+// every per-(line, day) stream is Reset in place instead of allocated
+// (bit-identical to the historical DeriveN calls, see
+// simrand.Source.Reset), and every line's rows reuse one batch.
 type simState struct {
 	sampler packetSampler
 	lineRng simrand.Source
 	modRng  simrand.Source
 	homeRng simrand.Source
 	scanRng simrand.Source
+	// rows is the line being emitted; client, its subscriber-side ports,
+	// is read only by the record adapter.
+	rows   netflow.RecordBatch
+	client []uint16
 }
 
-// SimulateDay generates one study day of sampled flow records into
-// sink, sequentially in line order. It is the thin compatibility path
-// for day-granular consumers (the NetFlow wire-export bench); the study
-// pipeline uses SimulateLines instead. Device homing state carries over
-// between consecutive days, so callers wanting day d must have replayed
-// days 0..d-1 on the same Network (or accept fresh homing).
-func (n *Network) SimulateDay(day int, sink func(netflow.Record)) {
-	st := &simState{}
-	dayStart := n.World.Days[day]
-	for _, line := range n.Lines {
-		n.lineDay(st, line, day, dayStart, sink)
-	}
+func (n *Network) newSimState() *simState {
+	return &simState{sampler: packetSampler{rate: n.Cfg.SamplingRate, exp: n.exp}}
 }
 
-// lineWeek replays every study day of one line, in day order, into
-// sink. Homing state is reset first, so the emitted week depends on
-// (seed, line) alone — every call, on any worker, yields the same
-// records.
-func (n *Network) lineWeek(st *simState, line *Line, sink func(netflow.Record)) {
-	for di := range line.Devices {
-		line.Devices[di].cur = nil
-	}
-	for day, dayStart := range n.World.Days {
-		n.lineDay(st, line, day, dayStart, sink)
-	}
+// EmitLines is the simulator: `workers` workers each take a contiguous
+// shard of lines and hand lineDone every line's week as rows, one per
+// sampled exchange: Line indexes Line.Addrs, Backend BackendAddrs, Hour
+// counts whole hours since World.Days[0], Port is the backend side's.
+// lineDone may rewrite rows but not keep them. Only cross-shard
+// interleaving varies between runs, so callers keep per-shard state
+// and merge it order-independently.
+func (n *Network) EmitLines(workers int, lineDone func(shard int, line *Line, rows *netflow.RecordBatch)) {
+	n.run(workers, func(shard int) func(*simState, *Line) {
+		return func(st *simState, line *Line) { lineDone(shard, line, &st.rows) }
+	})
 }
 
-// SimulateLines runs the line-major single-pass pipeline over the whole
-// study period: the line population splits into `workers` contiguous
-// shards, and each shard's worker simulates all study days for each of
-// its lines before moving to the next line. Records flow straight into
-// the worker's own sink — there are no week-sized replay buffers — and
-// after a line's final day the worker calls lineDone, at which point the
-// sink has seen that line's complete week (scanner classification is a
-// per-line property, so the caller can classify and fold the line's
-// contribution immediately).
-//
-// sinkFor(shard) is called once per worker, before its first line.
-// Per-line record order and the line order within a shard are identical
-// to a sequential run; only cross-shard interleaving varies, so callers
-// must keep per-shard state and merge it order-independently (or in
-// shard index order) for deterministic results.
-func (n *Network) SimulateLines(workers int, sinkFor func(shard int) func(netflow.Record), lineDone func(shard int, line *Line)) {
-	if workers > len(n.Lines) {
-		workers = len(n.Lines)
-	}
-	if workers <= 1 {
-		st := &simState{}
-		sink := sinkFor(0)
-		for _, line := range n.Lines {
-			n.lineWeek(st, line, sink)
-			lineDone(0, line)
+// run drives the shards: worker(shard) is called once per worker,
+// before its first line, and returns what it does with each line. Shard
+// 0 runs on the calling goroutine.
+func (n *Network) run(workers int, worker func(shard int) func(*simState, *Line)) {
+	workers = max(min(workers, len(n.Lines)), 1)
+	per := (len(n.Lines) + workers - 1) / workers
+	shard := func(w int) {
+		st := n.newSimState()
+		done := worker(w)
+		for _, line := range n.Lines[w*per : min((w+1)*per, len(n.Lines))] {
+			n.lineWeek(st, line)
+			done(st, line)
 		}
-		return
 	}
 	var wg sync.WaitGroup
-	per := (len(n.Lines) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, len(n.Lines))
-		if lo >= hi {
-			break
-		}
+	for w := 1; w*per < len(n.Lines); w++ {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			st := &simState{}
-			sink := sinkFor(w)
-			for _, line := range n.Lines[lo:hi] {
-				n.lineWeek(st, line, sink)
-				lineDone(w, line)
-			}
-		}(w, lo, hi)
+			shard(w)
+		}()
 	}
+	shard(0)
 	wg.Wait()
 }
 
+// SimulateLines is EmitLines with every row materialized as the
+// netflow.Record it stands for: a record adapter, kept for the
+// benchmark module's pin and the tests.
+func (n *Network) SimulateLines(workers int, sinkFor func(shard int) func(netflow.Record), lineDone func(shard int, line *Line)) {
+	n.run(workers, func(shard int) func(*simState, *Line) {
+		sink := sinkFor(shard)
+		return func(st *simState, line *Line) {
+			n.records(st, line, sink)
+			lineDone(shard, line)
+		}
+	})
+}
+
+// Simulate is the sequential SimulateLines, a record adapter for the
+// tests; repeated calls emit identical streams.
+func (n *Network) Simulate(sink func(netflow.Record)) {
+	n.SimulateLines(1, func(int) func(netflow.Record) { return sink }, func(int, *Line) {})
+}
+
+// SimulateDay generates one study day of records into sink, in line
+// order: a record adapter kept for the benchmark module's pin (its
+// daemon-live feed) and the window benches. Homing state carries over
+// between days, so day d follows days 0..d-1 on the same Network.
+func (n *Network) SimulateDay(day int, sink func(netflow.Record)) {
+	st := n.newSimState()
+	for _, line := range n.Lines {
+		st.rows.Reset()
+		st.client = st.client[:0]
+		n.lineDay(st, line, day)
+		n.records(st, line, sink)
+	}
+}
+
+// records materializes line's rows in st as netflow.Records.
+func (n *Network) records(st *simState, line *Line, sink func(netflow.Record)) {
+	b, addrs := &st.rows, line.Addrs()
+	for i, slot := range b.Line {
+		lineAddr, srv := addrs[slot], n.addrs[b.Backend[i]]
+		r := netflow.Record{
+			Src: lineAddr, Dst: srv,
+			SrcPort: st.client[i], DstPort: b.Port[i],
+			Proto: b.Proto[i], Bytes: b.Bytes[i], Packets: b.Packets[i],
+			Start: n.World.Days[0].Add(time.Duration(b.Hour[i]) * time.Hour),
+		}
+		if b.Down[i] {
+			r.Src, r.Dst, r.SrcPort, r.DstPort = srv, lineAddr, b.Port[i], st.client[i]
+		}
+		sink(r)
+	}
+}
+
+// lineWeek replays every study day of one line into st.rows. Homing
+// state is reset first, so the rows depend on (seed, line) alone.
+func (n *Network) lineWeek(st *simState, line *Line) {
+	st.rows.Reset()
+	st.client = st.client[:0]
+	for di := range line.Devices {
+		line.Devices[di].cur = 0
+	}
+	for day := range n.World.Days {
+		n.lineDay(st, line, day)
+	}
+}
+
 // lineDay simulates one line's devices and scanning for one day.
-func (n *Network) lineDay(st *simState, line *Line, day int, dayStart time.Time, sink func(netflow.Record)) {
-	st.sampler.Reset(n.Cfg.SamplingRate,
-		simrand.SeedN(n.Cfg.Seed, "sampler-line", int64(line.ID), int64(day)))
-	st.lineRng.Reset(simrand.SeedN(n.Cfg.Seed, "line", int64(line.ID), int64(day)))
+func (n *Network) lineDay(st *simState, line *Line, day int) {
+	if len(line.Devices) == 0 && line.ScanBreadth == 0 {
+		// A silent line draws nothing, and every stream below is Reset
+		// per line-day, so not seeding them moves no draw.
+		return
+	}
+	id, d, hour0 := int64(line.ID), int64(day), int32(n.World.Days[day].Sub(n.World.Days[0])/time.Hour)
+	st.sampler.Reset(n.labels.samplerLine.SeedN(id, d))
+	st.lineRng.Reset(n.labels.line.SeedN(id, d))
 	var modRng *simrand.Source
 	if n.Modifier != nil {
-		st.modRng.Reset(simrand.SeedN(n.Cfg.Seed, "modifier", int64(line.ID), int64(day)))
+		st.modRng.Reset(n.labels.modifier.SeedN(id, d))
 		modRng = &st.modRng
 	}
 	for di := range line.Devices {
 		dev := &line.Devices[di]
 		n.resolveDevice(st, dev, line, di, day)
-		if dev.cur == nil {
+		if dev.cur == 0 {
 			continue
 		}
-		n.deviceDay(line, dev, di, day, dayStart, &st.lineRng, modRng, &st.sampler, sink)
+		n.deviceDay(st, line, dev, di, day, hour0, modRng)
 	}
 	if line.ScanBreadth > 0 {
-		n.scannerDay(st, line, day, dayStart, &st.lineRng, &st.sampler, sink)
+		n.scannerDay(st, line, day, hour0)
 	}
 }
 
@@ -496,8 +558,8 @@ func (n *Network) lineDay(st *simState, line *Line, day int, dayStart time.Time,
 func (n *Network) resolveDevice(st *simState, dev *Device, line *Line, devIdx, day int) {
 	prof := dev.class.prof
 	rng := &st.homeRng
-	rng.Reset(simrand.SeedN(n.Cfg.Seed, "homing", int64(line.ID), int64(devIdx), int64(day)))
-	needsNew := dev.cur == nil || !dev.cur.ActiveOn(day)
+	rng.Reset(n.labels.homing.SeedN(int64(line.ID), int64(devIdx), int64(day)))
+	needsNew := dev.cur == 0 || !n.servers[dev.cur-1].ActiveOn(day)
 	if !needsNew && prof.RemapDaily > 0 && rng.Bool(prof.RemapDaily) {
 		needsNew = true
 	}
@@ -507,25 +569,27 @@ func (n *Network) resolveDevice(st *simState, dev *Device, line *Line, devIdx, d
 	cell := &dev.class.days[day]
 	switch {
 	case len(cell.servers) == 0:
-		dev.cur = nil
+		dev.cur = 0
 	case cell.weights == nil:
-		dev.cur = cell.servers[rng.Intn(len(cell.servers))]
+		dev.cur = cell.servers[rng.Intn(len(cell.servers))] + 1
 	default:
-		dev.cur = cell.servers[rng.WeightedChoice(cell.weights)]
+		dev.cur = cell.servers[rng.WeightedChoice(cell.weights)] + 1
 	}
 }
 
 // deviceDay emits the device's hourly exchanges for one day.
-func (n *Network) deviceDay(line *Line, dev *Device, devIdx, day int, dayStart time.Time, rng, modRng *simrand.Source, sampler *packetSampler, sink func(netflow.Record)) {
+func (n *Network) deviceDay(st *simState, line *Line, dev *Device, devIdx, day int, hour0 int32, modRng *simrand.Source) {
 	prof := dev.class.prof
-	srv := dev.cur
-	lineAddr := line.V4
+	ord := dev.cur - 1
+	srv := n.servers[ord]
+	var slot uint32 // the line's V4 address
 	if srv.IsV6() {
 		if !line.HasV6() {
 			return // v6-only backend unreachable from a v4-only line
 		}
-		lineAddr = line.V6
+		slot = 1
 	}
+	rng := &st.lineRng
 	var heavyHours [24]bool
 	if dev.Heavy {
 		for k := 0; k < 4; k++ {
@@ -557,29 +621,19 @@ func (n *Network) deviceDay(line *Line, dev *Device, devIdx, day int, dayStart t
 				continue
 			}
 		}
-		at := dayStart.Add(time.Duration(hour) * time.Hour)
-		ephemeral := uint16(40000 + (line.ID*7+devIdx*13+hour)%20000)
+		h := hour0 + int32(hour)
+		client := uint16(40000 + (line.ID*7+devIdx*13+hour)%20000)
 		transport := uint8(netflow.ProtoTCP)
 		if port.Transport == 1 { // proto.UDP
 			transport = netflow.ProtoUDP
 		}
-		emitSampled(sink, sampler, netflow.Record{
-			Src: srv.Addr, Dst: lineAddr,
-			SrcPort: port.Port, DstPort: ephemeral,
-			Proto: transport, Bytes: down, Packets: pktCount(down),
-			Start: at,
-		})
-		emitSampled(sink, sampler, netflow.Record{
-			Src: lineAddr, Dst: srv.Addr,
-			SrcPort: ephemeral, DstPort: port.Port,
-			Proto: transport, Bytes: up, Packets: pktCount(up),
-			Start: at,
-		})
+		st.emit(slot, ord, true, h, port.Port, client, transport, down, pktCount(down))
+		st.emit(slot, ord, false, h, port.Port, client, transport, up, pktCount(up))
 	}
 }
 
 // scannerDay spreads a scanner's probes across the week.
-func (n *Network) scannerDay(st *simState, line *Line, day int, dayStart time.Time, rng *simrand.Source, sampler *packetSampler, sink func(netflow.Record)) {
+func (n *Network) scannerDay(st *simState, line *Line, day int, hour0 int32) {
 	days := len(n.World.Days)
 	perDay := line.ScanBreadth / days
 	if rem := line.ScanBreadth % days; day < rem {
@@ -589,8 +643,8 @@ func (n *Network) scannerDay(st *simState, line *Line, day int, dayStart time.Ti
 		return
 	}
 	// Deterministic disjoint slices of the target list per day.
-	st.scanRng.Reset(simrand.SeedN(n.Cfg.Seed, "scan-order", int64(line.ID)))
-	start := st.scanRng.Intn(max(len(n.backendV4), 1))
+	st.scanRng.Reset(n.labels.scanOrder.SeedN(int64(line.ID)))
+	start := st.scanRng.Intn(max(len(n.scanTargets), 1))
 	offset := (line.ScanBreadth / days) * day
 	if rem := line.ScanBreadth % days; day < rem {
 		offset += day
@@ -598,36 +652,22 @@ func (n *Network) scannerDay(st *simState, line *Line, day int, dayStart time.Ti
 		offset += rem
 	}
 	for i := 0; i < perDay; i++ {
-		target := n.backendV4[(start+offset+i)%len(n.backendV4)]
-		at := dayStart.Add(time.Duration(rng.Intn(24)) * time.Hour)
+		target := n.scanTargets[(start+offset+i)%len(n.scanTargets)]
+		h := hour0 + int32(st.lineRng.Intn(24))
 		// Aggressive re-probing: enough packets to survive sampling.
-		bytes := uint64(250 * 60)
-		emitSampled(sink, sampler, netflow.Record{
-			Src: line.V4, Dst: target,
-			SrcPort: uint16(50000 + i%10000), DstPort: 8883,
-			Proto: netflow.ProtoTCP, Bytes: bytes, Packets: 250,
-			Start: at,
-		})
+		st.emit(0, target, false, h, 8883, uint16(50000+i%10000), netflow.ProtoTCP, 250*60, 250)
 	}
 }
 
-// Simulate replays every line's complete week into sink, line-major —
-// the sequential reference for SimulateLines. Homing state resets per
-// line, so repeated calls on the same Network emit identical streams.
-func (n *Network) Simulate(sink func(netflow.Record)) {
-	st := &simState{}
-	for _, line := range n.Lines {
-		n.lineWeek(st, line, sink)
-	}
-}
-
-func emitSampled(sink func(netflow.Record), s *packetSampler, r netflow.Record) {
-	sb, sp, ok := s.Sample(r.Bytes, r.Packets)
+// emit appends one exchange to the line's rows if the sampler observes
+// it, with its sampled counters; client is the subscriber-side port.
+func (st *simState) emit(slot, ord uint32, down bool, hour int32, port, client uint16, proto uint8, bytes, packets uint64) {
+	sb, sp, ok := st.sampler.Sample(bytes, packets)
 	if !ok {
 		return
 	}
-	r.Bytes, r.Packets = sb, sp
-	sink(r)
+	st.rows.Append(slot, ord, down, hour, port, proto, sb, sp)
+	st.client = append(st.client, client)
 }
 
 // pktCount estimates the packet count of a byte volume (≈900B payload

@@ -370,7 +370,11 @@ func TestHomingTablesMatchScan(t *testing.T) {
 		}
 	}
 	bosch := profs["bosch"]
-	classes[noPresence] = newDeviceClass(w, &bosch, geo.Asia)
+	ordOf := map[*world.Server]uint32{}
+	for i, s := range n.servers {
+		ordOf[s] = uint32(i)
+	}
+	classes[noPresence] = newDeviceClass(w, ordOf, &bosch, geo.Asia)
 
 	retiring, appearing, biased := false, false, false
 	for key, c := range classes {
@@ -387,7 +391,11 @@ func TestHomingTablesMatchScan(t *testing.T) {
 			if len(servers) == 0 {
 				t.Fatalf("%v day %d: reference scan found nothing", key, day)
 			}
-			if !slices.Equal(cell.servers, servers) {
+			got := make([]*world.Server, len(cell.servers))
+			for i, ord := range cell.servers {
+				got[i] = n.servers[ord]
+			}
+			if !slices.Equal(got, servers) {
 				t.Fatalf("%v day %d: table holds %d servers, scan %d (or another order)", key, day, len(cell.servers), len(servers))
 			}
 			if !slices.Equal(cell.weights, weights) || (cell.weights == nil) != (weights == nil) {
@@ -435,7 +443,7 @@ func TestLineByAddrRejections(t *testing.T) {
 		"line index past the end":    LineV4Addr(n.Cfg.VantageID, len(n.Lines)),
 		"v6 index past the end":      LineV6Addr(n.Cfg.VantageID, len(n.Lines)),
 		"v6 slot of a v4-only line":  LineV6Addr(n.Cfg.VantageID, v4Only.ID),
-		"backend address":            n.backendV4[0],
+		"backend address":            n.addrs[n.scanTargets[0]],
 	} {
 		if l, ok := n.LineByAddr(a); ok {
 			t.Errorf("%s: %v resolved to line %d", name, a, l.ID)
@@ -443,9 +451,11 @@ func TestLineByAddrRejections(t *testing.T) {
 	}
 }
 
-// BenchmarkSimulateWeek is layer (a) of the ledger (ROADMAP item 1):
-// the simulator alone — SimulateLines at one worker on a pre-built
-// Network, into a sink that only counts.
+// BenchmarkSimulateWeek is the simulator layer alone: EmitLines at one
+// worker on a pre-built Network, into a lineDone that only counts rows.
+// The records sub-benchmark times the record adapter (SimulateLines into
+// a counting sink) over the same week, so the cost of building
+// netflow.Records stays visible.
 func BenchmarkSimulateWeek(b *testing.B) {
 	w, err := world.Build(world.Config{Seed: 11, Scale: 0.05})
 	if err != nil {
@@ -455,19 +465,30 @@ func BenchmarkSimulateWeek(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	records := 0
-	sinkFor := func(int) func(netflow.Record) { return func(netflow.Record) { records++ } }
-	lineDone := func(int, *Line) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.SimulateLines(1, sinkFor, lineDone)
+	report := func(b *testing.B, rows int) {
+		if rows == 0 {
+			b.Fatal("simulated week emitted nothing")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/record")
+		b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "records/s")
 	}
-	if records == 0 {
-		b.Fatal("simulated week emitted nothing")
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
-	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+	b.Run("rows", func(b *testing.B) {
+		rows := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n.EmitLines(1, func(_ int, _ *Line, r *netflow.RecordBatch) { rows += r.Len() })
+		}
+		report(b, rows)
+	})
+	b.Run("records", func(b *testing.B) {
+		records := 0
+		sinkFor := func(int) func(netflow.Record) { return func(netflow.Record) { records++ } }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n.SimulateLines(1, sinkFor, func(int, *Line) {})
+		}
+		report(b, records)
+	})
 }
 
 func TestV6DevicesNeedV6Lines(t *testing.T) {

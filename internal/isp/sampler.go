@@ -1,6 +1,10 @@
 package isp
 
-import "iotmap/internal/simrand"
+import (
+	"math"
+
+	"iotmap/internal/simrand"
+)
 
 // packetSampler models router packet sampling at rate 1:rate. Flows whose
 // sampled packet count draws zero are invisible to the collector —
@@ -8,15 +12,33 @@ import "iotmap/internal/simrand"
 // during the outage (Section 6.1). The simulation keeps one per worker
 // and Resets it per (line, day) instead of allocating.
 type packetSampler struct {
-	rate uint32
+	rate uint32    // 0 or 1: no sampling
+	exp  []float64 // the Network's expTable for rate, shared read-only
 	rng  simrand.Source
 }
 
-// Reset re-seeds the sampler in place; rate 0 or 1 means no sampling.
-// The "netflow-sampler" label predates the type's move into this
-// package and is kept so every seeded record stays bit-identical.
-func (s *packetSampler) Reset(rate uint32, seed int64) {
-	s.rate = rate
+// maxExpTable caps expTable, so a 1:10⁶ vantage does not tabulate
+// 64·10⁶ entries; larger packet counts take the untabulated Poisson.
+const maxExpTable = 1 << 16
+
+// expTable tabulates exp(-p/rate) for every packet count p whose mean
+// p/rate is in Poisson's Knuth range (≤ 64), turning the sampler's
+// per-flow math.Exp into an index.
+func expTable(rate uint32) []float64 {
+	if rate <= 1 {
+		return nil
+	}
+	tab := make([]float64, min(64*uint64(rate)+1, maxExpTable))
+	for p := range tab {
+		tab[p] = math.Exp(-(float64(p) / float64(rate)))
+	}
+	return tab
+}
+
+// Reset re-seeds the sampler in place. The "netflow-sampler" label
+// predates the type's move into this package and is kept so every
+// seeded record stays bit-identical.
+func (s *packetSampler) Reset(seed int64) {
 	s.rng.Reset(simrand.SeedN(seed, "netflow-sampler"))
 }
 
@@ -26,8 +48,12 @@ func (s *packetSampler) Sample(bytes, packets uint64) (sb, sp uint64, ok bool) {
 	if s.rate <= 1 {
 		return bytes, packets, true
 	}
-	lambda := float64(packets) / float64(s.rate)
-	n := s.rng.Poisson(lambda)
+	var n int
+	if packets > 0 && packets < uint64(len(s.exp)) {
+		n = s.rng.PoissonExp(s.exp[packets])
+	} else {
+		n = s.rng.Poisson(float64(packets) / float64(s.rate))
+	}
 	if n == 0 {
 		return 0, 0, false
 	}

@@ -9,9 +9,9 @@ import (
 	"iotmap/internal/netflow"
 )
 
-// Wire export: SimulateLinesToWire is SimulateLines with the in-process
-// sink replaced by the border-router export path — every line shard
-// serializes its week as a dictionary stream (docs/wire-format.md): a
+// Wire export: SimulateLinesToWire is EmitLines with the in-process
+// fold replaced by the border-router export path — every line shard
+// serializes its rows as a dictionary stream (docs/wire-format.md): a
 // hello frame, incremental line/backend dictionary deltas, columnar
 // batch frames of dense-ID rows with full 64-bit counters, and a flush
 // per line. The streams are what internal/collector ingests; together
@@ -63,7 +63,6 @@ type WireStats struct {
 
 // wireShard is one stream's encoder state, owned by one worker.
 type wireShard struct {
-	buf []netflow.Record
 	// out is the flush buffer the current line batch's frames append
 	// into; filled buffers go to the writer over ch and come back
 	// empty over pool.
@@ -72,21 +71,21 @@ type wireShard struct {
 	pool chan []byte
 	err  error // first encode error; the shard goes quiet after
 
-	// The hello parameters, the per-stream address dictionaries with
-	// their not-yet-shipped tails, and the reused column batch.
-	epoch      int64
-	rate       uint32
-	helloSent  bool
-	lineIDs    map[netip.Addr]uint32
-	backendIDs map[netip.Addr]uint32
-	pendLines  []netip.Addr
-	pendBacks  []netip.Addr
-	batch      netflow.RecordBatch
+	// The hello parameters, then the dictionaries: entries shipped,
+	// backIDs[ord] = server ord's backend ID+1 (0 = not yet), and the
+	// entries the next dictionary frames ship.
+	epoch     int64
+	rate      uint32
+	helloSent bool
+	addrs     []netip.Addr // the Network's server table
+	lines     uint32
+	backs     uint32
+	backIDs   []uint32
+	pendLines []netip.Addr
+	pendBacks []netip.Addr
 
 	WireStats
 }
-
-func (ws *wireShard) sink(r netflow.Record) { ws.buf = append(ws.buf, r) }
 
 // maybeSend hands the accumulated flush buffer to the writer once it
 // crosses the coalescing threshold, taking a recycled buffer back.
@@ -104,40 +103,16 @@ func (ws *wireShard) maybeSend() {
 	ws.out = <-ws.pool
 }
 
-// lineDictID interns a line address into the stream dictionary, queuing
-// new entries for the next dictionary frame.
-func (ws *wireShard) lineDictID(a netip.Addr) uint32 {
-	id, ok := ws.lineIDs[a]
-	if !ok {
-		id = uint32(len(ws.lineIDs))
-		ws.lineIDs[a] = id
-		ws.pendLines = append(ws.pendLines, a)
-	}
-	return id
-}
-
-// backendDictID is lineDictID for the backend-side dictionary.
-func (ws *wireShard) backendDictID(a netip.Addr) uint32 {
-	id, ok := ws.backendIDs[a]
-	if !ok {
-		id = uint32(len(ws.backendIDs))
-		ws.backendIDs[a] = id
-		ws.pendBacks = append(ws.pendBacks, a)
-	}
-	return id
-}
-
-// endLine frames the buffered line batch: (on first flush) a hello
-// frame, then dictionary deltas for any addresses making their stream
-// debut, the rows as columnar batch frames, and the flush marker — one
-// flush buffer, one writer send.
+// endLine frames one line's rows (EmitLines' shape, rewritten in place
+// to stream IDs): on first flush a hello frame, then dictionary deltas
+// for any addresses making their stream debut, the rows as columnar
+// batch frames, and the flush marker — one flush buffer, one writer
+// send.
 //
-// Endpoint classification is exporter-side: the address plan (LineSlot)
-// decides which end is the subscriber line, and because plan addresses
-// are disjoint from every backend pool this matches the collector-side
-// lineSide classification record for record.
-func (ws *wireShard) endLine() {
-	defer func() { ws.buf = ws.buf[:0] }()
+// Dictionary IDs are assigned in first-use order. A line's addresses
+// appear in its own rows only, so the line dictionary is a two-entry
+// memo per line; the backend dictionary is indexed by server ordinal.
+func (ws *wireShard) endLine(line *Line, b *netflow.RecordBatch) {
 	if ws.err != nil {
 		return
 	}
@@ -147,44 +122,25 @@ func (ws *wireShard) endLine() {
 		ws.helloSent = true
 		ws.Frames++
 	}
-	b := &ws.batch
-	b.Reset()
-	// One line flushes from at most one V4 and one V6 address, and
-	// backend pools cluster, so memoize the last lookup per column.
-	var memoLineAddr, memoBackAddr netip.Addr
-	var memoLineID, memoBackID uint32
-	var memoLineV4, memoBackV4 bool
-	for _, r := range ws.buf {
-		var lineAddr, backAddr netip.Addr
-		var down bool
-		if _, _, ok := LineSlot(r.Dst); ok {
-			lineAddr, backAddr, down = r.Dst, r.Src, true
-		} else if _, _, ok := LineSlot(r.Src); ok {
-			lineAddr, backAddr, down = r.Src, r.Dst, false
-		} else {
-			ws.err = fmt.Errorf("isp: wire record %v -> %v has no plan-side subscriber", r.Src, r.Dst)
-			return
+	var lineIDs [2]uint32 // ID+1 per line column; 0 = not shipped
+	addrs := line.Addrs()
+	for i, slot := range b.Line {
+		if lineIDs[slot] == 0 {
+			ws.pendLines = append(ws.pendLines, addrs[slot])
+			ws.lines++
+			lineIDs[slot] = ws.lines
 		}
-		sec := r.Start.Unix() - ws.epoch
-		if sec < 0 || sec%3600 != 0 || sec/3600 > 0xFFFF {
-			ws.err = fmt.Errorf("isp: wire record start %v is not hour-aligned within the epoch window", r.Start)
-			return
+		b.Line[i] = lineIDs[slot] - 1
+		ord := b.Backend[i]
+		if ws.backIDs[ord] == 0 {
+			ws.pendBacks = append(ws.pendBacks, ws.addrs[ord])
+			ws.backs++
+			ws.backIDs[ord] = ws.backs
 		}
-		if lineAddr != memoLineAddr {
-			memoLineAddr, memoLineID = lineAddr, ws.lineDictID(lineAddr)
-			memoLineV4 = lineAddr.Is4() || lineAddr.Is4In6()
-		}
-		if backAddr != memoBackAddr {
-			memoBackAddr, memoBackID = backAddr, ws.backendDictID(backAddr)
-			memoBackV4 = backAddr.Is4() || backAddr.Is4In6()
-		}
-		port := r.SrcPort
-		if !down {
-			port = r.DstPort
-		}
-		b.Append(memoLineID, memoBackID, down, int32(sec/3600), port, r.Proto, r.Bytes, r.Packets)
-		// Record.IsV4 under the memo: both memoized endpoint families.
-		if memoLineV4 && memoBackV4 {
+		b.Backend[i] = ws.backIDs[ord] - 1
+		// A row's two ends share a family: a v6 server pairs with the
+		// line's V6 address, and scanners probe v4 targets from V4.
+		if slot == 0 {
 			ws.V4Records++
 		} else {
 			ws.V6Records++
@@ -192,7 +148,7 @@ func (ws *wireShard) endLine() {
 	}
 	var err error
 	if len(ws.pendLines) > 0 {
-		base := uint32(len(ws.lineIDs) - len(ws.pendLines))
+		base := ws.lines - uint32(len(ws.pendLines))
 		if out, err = netflow.AppendDictFrame(out, netflow.FrameLineDict, base, ws.pendLines); err != nil {
 			ws.err = err
 			return
@@ -202,7 +158,7 @@ func (ws *wireShard) endLine() {
 		ws.pendLines = ws.pendLines[:0]
 	}
 	if len(ws.pendBacks) > 0 {
-		base := uint32(len(ws.backendIDs) - len(ws.pendBacks))
+		base := ws.backs - uint32(len(ws.pendBacks))
 		if out, err = netflow.AppendDictFrame(out, netflow.FrameBackendDict, base, ws.pendBacks); err != nil {
 			ws.err = err
 			return
@@ -250,11 +206,11 @@ func (n *Network) SimulateLinesToWire(writers []io.Writer, buffer int) (WireStat
 			// coalescing buffer sends without taking a replacement, so
 			// the writer recycles one more buffer than the pool was
 			// seeded with — without the slack it would block forever.
-			pool:       make(chan []byte, buffer+1),
-			epoch:      n.World.Days[0].Unix(),
-			rate:       n.Cfg.SamplingRate,
-			lineIDs:    map[netip.Addr]uint32{},
-			backendIDs: map[netip.Addr]uint32{},
+			pool:    make(chan []byte, buffer+1),
+			epoch:   n.World.Days[0].Unix(),
+			rate:    n.Cfg.SamplingRate,
+			addrs:   n.addrs,
+			backIDs: make([]uint32, len(n.addrs)),
 		}
 		// One buffer in the encoder's hand, `buffer` more in the pool,
 		// each sized for the coalescing threshold plus one line batch
@@ -278,10 +234,9 @@ func (n *Network) SimulateLinesToWire(writers []io.Writer, buffer int) (WireStat
 		}(w, ws, &writeErrs[i])
 	}
 
-	n.SimulateLines(len(writers),
-		func(shard int) func(netflow.Record) { return shards[shard].sink },
-		func(shard int, _ *Line) { shards[shard].endLine() },
-	)
+	n.EmitLines(len(writers), func(shard int, line *Line, rows *netflow.RecordBatch) {
+		shards[shard].endLine(line, rows)
+	})
 	for _, ws := range shards {
 		// Flush the partial coalescing buffer before ending the stream.
 		if len(ws.out) > 0 {
@@ -319,8 +274,8 @@ type WireFormat int
 const WireDict WireFormat = 0
 
 // SimulateLinesToWireFormat is SimulateLinesToWire behind a format
-// argument that must be WireDict. It exists for the benchmark module,
-// which pins this signature.
+// argument that must be WireDict: an adapter that exists because the
+// benchmark module pins this signature.
 func (n *Network) SimulateLinesToWireFormat(writers []io.Writer, buffer int, format WireFormat) (WireStats, error) {
 	if format != WireDict {
 		return WireStats{}, fmt.Errorf("isp: unknown wire format %d", format)

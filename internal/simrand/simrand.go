@@ -118,6 +118,25 @@ func SeedN(seed int64, label string, nums ...int64) int64 {
 	return int64(h)
 }
 
+// Label is a (seed, label) pair hashed once, for hot loops that derive
+// a stream per (line, day) from it: NewLabel(seed, label).SeedN(nums...)
+// == SeedN(seed, label, nums...).
+type Label uint64
+
+// NewLabel hashes seed and label.
+func NewLabel(seed int64, label string) Label {
+	return Label(fnvString(fnvByte(fnvU64(fnvOffset64, uint64(seed)), 0), label))
+}
+
+// SeedN is SeedN(seed, label, nums...).
+func (l Label) SeedN(nums ...int64) int64 {
+	h := uint64(l)
+	for _, n := range nums {
+		h = fnvU64(fnvByte(h, 0), uint64(n))
+	}
+	return int64(h)
+}
+
 // DeriveN is Derive with integer qualifiers: DeriveN(seed, "line", id, day)
 // replaces Derive(seed, "line", fmt.Sprint(id), fmt.Sprint(day)) without
 // the string formatting. Same label+numbers always yield the same stream.
@@ -193,12 +212,17 @@ func (s *Source) Poisson(lambda float64) int {
 		}
 		return int(v + 0.5)
 	}
-	l := math.Exp(-lambda)
+	return s.PoissonExp(math.Exp(-lambda))
+}
+
+// PoissonExp(math.Exp(-lambda)) draws what Poisson(lambda) does for
+// 0 < lambda <= 64, for a caller that tabulates exp(-lambda).
+func (s *Source) PoissonExp(expNegLambda float64) int {
 	k := 0
 	p := 1.0
 	for {
 		p *= s.r.Float64()
-		if p <= l {
+		if p <= expNegLambda {
 			return k
 		}
 		k++

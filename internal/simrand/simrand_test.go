@@ -42,6 +42,40 @@ func TestDeriveStable(t *testing.T) {
 	}
 }
 
+// TestLabelMatchesSeedN: a pre-hashed label derives exactly the seeds
+// SeedN does, for every qualifier count the simulator uses.
+func TestLabelMatchesSeedN(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 211, math.MaxInt64} {
+		for _, label := range []string{"", "line", "sampler-line", "homing"} {
+			l := NewLabel(seed, label)
+			if got, want := l.SeedN(), SeedN(seed, label); got != want {
+				t.Fatalf("(%d, %q) no qualifiers: %d, SeedN %d", seed, label, got, want)
+			}
+			if got, want := l.SeedN(3), SeedN(seed, label, 3); got != want {
+				t.Fatalf("(%d, %q, 3): %d, SeedN %d", seed, label, got, want)
+			}
+			if got, want := l.SeedN(41, -1, 6), SeedN(seed, label, 41, -1, 6); got != want {
+				t.Fatalf("(%d, %q, 41, -1, 6): %d, SeedN %d", seed, label, got, want)
+			}
+		}
+	}
+}
+
+// TestPoissonExpMatchesPoisson: handing the Knuth loop a precomputed
+// exp(-λ) draws the same variates, consuming the same stream, as Poisson.
+func TestPoissonExpMatchesPoisson(t *testing.T) {
+	a, b := New(9), New(9)
+	for i := 1; i <= 6400; i++ {
+		lambda := float64(i) / 100
+		if x, y := a.Poisson(lambda), b.PoissonExp(math.Exp(-lambda)); x != y {
+			t.Fatalf("λ=%g: Poisson %d, PoissonExp %d", lambda, x, y)
+		}
+	}
+	if a.Int63() != b.Int63() {
+		t.Fatal("the two entry points consumed different amounts of the stream")
+	}
+}
+
 func TestRange(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 1000; i++ {

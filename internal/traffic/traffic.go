@@ -27,6 +27,9 @@ type PortWeight struct {
 }
 
 // Profile is the workload model of one provider's IoT application fleet.
+// Only Profiles() builds a usable value: it fills the draw constants
+// derived from the exported fields, so a Profile built or edited field
+// by field draws from stale or zero constants.
 type Profile struct {
 	ProviderID string
 	// LineShare is the relative probability that an IoT device belongs
@@ -63,6 +66,11 @@ type Profile struct {
 	// RemapDaily is the probability a device lands on a different
 	// eligible server after its daily re-resolution.
 	RemapDaily float64
+
+	// Profiles precomputes ActiveHourProb × Shape.HourWeight(h) per local
+	// hour and the log-normal mus of DownMedian and HeavyDailyBytes.
+	hourProb        [24]float64
+	lnDown, lnHeavy float64
 }
 
 func tcp(port uint16) proto.PortKey { return proto.PortKey{Transport: proto.TCP, Port: port} }
@@ -193,6 +201,10 @@ func Profiles() map[string]Profile {
 	}
 	out := make(map[string]Profile, len(list))
 	for _, p := range list {
+		for h := range p.hourProb {
+			p.hourProb[h] = p.ActiveHourProb * p.Shape.HourWeight(h)
+		}
+		p.lnDown, p.lnHeavy = lnMedian(p.DownMedian), lnMedian(p.HeavyDailyBytes)
 		out[p.ProviderID] = p
 	}
 	return out
@@ -218,13 +230,12 @@ func ProviderIDs() []string {
 
 // ActiveThisHour decides whether a device emits traffic at local hour h.
 func (p *Profile) ActiveThisHour(rng *simrand.Source, hour int) bool {
-	return rng.Bool(p.ActiveHourProb * p.Shape.HourWeight(hour))
+	return rng.Bool(p.hourProb[((hour%24)+24)%24])
 }
 
 // DrawHourVolumes draws the down/up byte volumes of one active hour.
 func (p *Profile) DrawHourVolumes(rng *simrand.Source) (down, up uint64) {
-	mu := lnMedian(p.DownMedian)
-	d := rng.LogNormal(mu, p.Sigma)
+	d := rng.LogNormal(p.lnDown, p.Sigma)
 	ratio := p.DownUpRatio
 	if ratio <= 0 {
 		ratio = 1
@@ -238,7 +249,7 @@ func (p *Profile) DrawHeavyDaily(rng *simrand.Source) uint64 {
 	if p.HeavyDailyBytes <= 0 {
 		return 0
 	}
-	return clampVol(rng.LogNormal(lnMedian(p.HeavyDailyBytes), 0.5))
+	return clampVol(rng.LogNormal(p.lnHeavy, 0.5))
 }
 
 // PickPort draws a port from the provider's mix. The weighted walk is

@@ -80,6 +80,36 @@ func TestActiveThisHourFollowsShape(t *testing.T) {
 	}
 }
 
+// TestProfileConstantsMatchFormulas: the per-profile hour table and logs
+// are exactly what the draws used to compute per call, so every draw
+// stays bit-identical.
+func TestProfileConstantsMatchFormulas(t *testing.T) {
+	for id, p := range Profiles() {
+		for h := 0; h < 24; h++ {
+			if got, want := p.hourProb[h], p.ActiveHourProb*p.Shape.HourWeight(h); got != want {
+				t.Errorf("%s hour %d: table %v, formula %v", id, h, got, want)
+			}
+		}
+		if p.lnDown != lnMedian(p.DownMedian) || p.lnHeavy != lnMedian(p.HeavyDailyBytes) {
+			t.Errorf("%s: logs %v/%v, formula %v/%v", id, p.lnDown, p.lnHeavy, lnMedian(p.DownMedian), lnMedian(p.HeavyDailyBytes))
+		}
+	}
+}
+
+// TestActiveThisHourWrapsHours: any hour, negative or past 23, draws as
+// the formula does at that hour (HourWeight wraps it into 0-23).
+func TestActiveThisHourWrapsHours(t *testing.T) {
+	p := Profiles()["amazon"]
+	got, want := simrand.New(9), simrand.New(9)
+	for _, h := range []int{-49, -25, -1, 0, 23, 24, 47, 100} {
+		for i := 0; i < 50; i++ {
+			if g, w := p.ActiveThisHour(got, h), want.Bool(p.ActiveHourProb*p.Shape.HourWeight(h)); g != w {
+				t.Fatalf("hour %d draw %d: %v, formula %v", h, i, g, w)
+			}
+		}
+	}
+}
+
 func TestDrawHourVolumesRatio(t *testing.T) {
 	p := Profiles()["microsoft"] // down-heavy, ratio 2.6
 	rng := simrand.New(4)

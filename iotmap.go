@@ -42,7 +42,6 @@ import (
 	"iotmap/internal/faultwire"
 	"iotmap/internal/geo"
 	"iotmap/internal/isp"
-	"iotmap/internal/netflow"
 	"iotmap/internal/outage"
 	"iotmap/internal/scenario"
 	"iotmap/internal/simrand"
@@ -556,19 +555,16 @@ type pipelineRun struct {
 
 // runPipeline drives one network through the Config.TrafficMode data
 // path into shard partials — the single pipeline seam TrafficStudy and
-// FederationStudy share. Memory mode simulates straight into a sharded
-// aggregator; wire mode exports every line shard as a dictionary stream
-// over an in-process pipe (synchronous — collector backpressure
-// throttles the exporter) and decodes, validates, and rescales it back.
+// FederationStudy share. Memory mode folds the simulator's rows into
+// them; wire mode exports every line shard as a dictionary stream over
+// an in-process pipe (synchronous — collector backpressure throttles
+// the exporter) and decodes, validates, and rescales it back.
 // Merging the partials yields byte-identical results either way.
 func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flows.Options) (pipelineRun, error) {
 	switch s.Cfg.TrafficMode {
 	case TrafficModeMemory, "":
 		agg := flows.NewShardedAggregator(idx, s.World.Days, opts, runtime.GOMAXPROCS(0))
-		net.SimulateLines(agg.Shards(),
-			func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-			func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-		)
+		agg.Simulate(net)
 		parts := make([]*flows.ShardPartial, agg.Shards())
 		for i := range parts {
 			parts[i] = agg.Shard(i)
