@@ -3,21 +3,19 @@
 // traffic and subscriber-line views (Figures 15-16) and the potential-
 // disruption checks (Section 6.2).
 //
-// With -federate it additionally runs the disruption what-if suite over
-// a multi-vantage federation: the clean baseline, the backend-side
-// outage, and a wire-side chaos scenario (one vantage's feed corrupting
-// and dying mid-week), reporting per-vantage and union deltas plus the
-// degraded-vantage coverage annotations.
-//
-// With -suite NAME it runs a named preset scenario suite from the
-// declarative engine (internal/scenario) over the same federation:
-// per-step and cumulative deltas vs the clean baseline, wire-fault
-// ledgers, and the suite's BGP what-if impact check. -suite list
-// prints the library.
+// With -suite NAME it additionally runs a named preset scenario suite
+// from the declarative engine (internal/scenario) over a three-vantage
+// wire-mode federation (isp-a, isp-b, ixp): the clean baseline coverage,
+// per-step and cumulative deltas vs that baseline with wire-fault
+// ledgers, the suite's BGP what-if impact check, and the last
+// scenario's coverage with its degraded-vantage annotations. -suite
+// outage-wire-chaos, for one, runs the AWS outage, isp-b's feeds
+// corrupting and dying mid-week, and both at once. -suite list prints
+// the library.
 //
 // Usage:
 //
-//	iotdisrupt [-seed N] [-scale F] [-lines N] [-federate] [-suite NAME]
+//	iotdisrupt [-seed N] [-scale F] [-lines N] [-suite NAME]
 package main
 
 import (
@@ -36,7 +34,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "world seed")
 	scale := flag.Float64("scale", 0.1, "deployment scale (1.0 = paper-sized)")
 	lines := flag.Int("lines", 10000, "simulated subscriber lines")
-	federate := flag.Bool("federate", false, "run the federated disruption what-if suite (outage + wire chaos)")
 	suite := flag.String("suite", "", "run a preset scenario suite over the federation ('list' prints the library): "+
 		strings.Join(scenario.PresetNames(), ", "))
 	flag.Parse()
@@ -69,12 +66,6 @@ func main() {
 	fmt.Println(figures.Cascade(sys))
 	fmt.Println(figures.Section62(sys))
 
-	if *federate {
-		if err := federatedSuite(sys, *seed, *lines); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	if *suite != "" {
 		if err := scenarioSuite(sys, *seed, *lines, *suite); err != nil {
 			log.Fatal(err)
@@ -83,7 +74,7 @@ func main() {
 }
 
 // scenarioSuite runs a named preset suite from the declarative scenario
-// engine over the same 3-vantage wire-mode federation -federate uses.
+// engine over a 3-vantage wire-mode federation.
 func scenarioSuite(sys *iotmap.System, seed int64, lines int, name string) error {
 	presets := scenario.Presets(seed)
 	suite, ok := presets[name]
@@ -91,6 +82,8 @@ func scenarioSuite(sys *iotmap.System, seed int64, lines int, name string) error
 		return fmt.Errorf("unknown suite %q (have: %s)", name, strings.Join(scenario.PresetNames(), ", "))
 	}
 
+	// The suite's baseline is the clean week: outages are steps of the
+	// suite, not part of the federation every scenario composes over.
 	sys.Cfg.Outage = nil
 	sys.Cfg.TrafficMode = iotmap.TrafficModeWire
 	sys.Cfg.WireStreams = 3
@@ -105,60 +98,10 @@ func scenarioSuite(sys *iotmap.System, seed int64, lines int, name string) error
 	if err != nil {
 		return err
 	}
-	fmt.Println(figures.FederationCoverage(sys))
+	fmt.Println(figures.FederationCoverage(res.Baseline))
 	fmt.Println(figures.SuiteDeltas(res))
 	// The final (cumulative when multi-step) scenario's coverage view,
 	// degraded annotations included.
-	last := res.Scenarios[len(res.Scenarios)-1]
-	tmp := *sys
-	tmp.Federation = last.Federation
-	fmt.Println(figures.FederationCoverage(&tmp))
-	return nil
-}
-
-// federatedSuite runs DisruptionStudy over a 3-vantage wire-mode
-// federation: a clean baseline, the AWS outage alone, and the outage
-// compounded by wire chaos against the second ISP vantage.
-func federatedSuite(sys *iotmap.System, seed int64, lines int) error {
-	// The baseline federation must be clean: drop the single-run outage
-	// before federating.
-	sys.Cfg.Outage = nil
-	sys.Cfg.TrafficMode = iotmap.TrafficModeWire
-	sys.Cfg.WireStreams = 3
-	sys.Cfg.WirePolicy = iotmap.WireDropFrame
-	sys.Cfg.Vantages = []iotmap.VantageSpec{
-		{Name: "isp-a"},
-		{Name: "isp-b", Lines: lines / 2},
-		{Name: "ixp", SamplingRate: 1024, ScannerFraction: -1},
-	}
-
-	scenarios := []iotmap.DisruptionScenario{
-		{Name: "aws-outage", Outage: iotmap.AWSOutageScenario()},
-		{
-			Name:   "outage+wire-chaos",
-			Outage: iotmap.AWSOutageScenario(),
-			Faults: &iotmap.FaultScenario{
-				Seed: seed,
-				Rules: []iotmap.FaultRule{
-					// isp-b's feeds corrupt all week...
-					{Stream: -1, Vantage: "isp-b", Faults: iotmap.Faults{CorruptProb: 0.01}},
-					// ...and die outright Wednesday 14:00.
-					{Stream: -1, Vantage: "isp-b", FromHour: 2*24 + 14, Faults: iotmap.Faults{Kill: true}},
-				},
-			},
-		},
-	}
-	res, err := sys.DisruptionStudy(scenarios)
-	if err != nil {
-		return err
-	}
-	fmt.Println(figures.FederationCoverage(sys))
-	fmt.Println(figures.DisruptionDeltas(res))
-	// The chaos scenario's own coverage view, degraded annotations
-	// included.
-	chaos := res.Scenarios[len(res.Scenarios)-1]
-	tmp := *sys
-	tmp.Federation = chaos.Federation
-	fmt.Println(figures.FederationCoverage(&tmp))
+	fmt.Println(figures.FederationCoverage(res.Scenarios[len(res.Scenarios)-1].Federation))
 	return nil
 }

@@ -56,7 +56,7 @@ func main() {
 			analysis.HumanBytes(vr.Study.Downstream("T1").Total()))
 	}
 	fmt.Println()
-	fmt.Println(figures.FederationCoverage(sys))
+	fmt.Println(figures.FederationCoverage(fed))
 
 	// The union is an exact merge: per-alias volumes add bit for bit.
 	sum := 0.0

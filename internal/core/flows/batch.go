@@ -84,9 +84,6 @@ func (p *ShardPartial) NewWireTables() *WireTables {
 // Lines returns the line-dictionary size (lost entries included).
 func (t *WireTables) Lines() int { return len(t.lines) }
 
-// Backends returns the backend-dictionary size (lost entries included).
-func (t *WireTables) Backends() int { return len(t.backends) }
-
 // dictGap validates a dictionary frame's base against the current table
 // size and returns the number of entries to gap-fill as lost. A base
 // below the current size would rewrite history (the exporter only ever

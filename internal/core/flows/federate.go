@@ -74,12 +74,6 @@ func FederatedMerge(parts []*ShardPartial) *Federation {
 	return f
 }
 
-// HourCoverage reports how many study hours this collector saw at
-// least one analyzed record for, out of the study total.
-func (c *Collector) HourCoverage() (covered, total int) {
-	return popcount(c.coverBits), c.hours
-}
-
 // VantageCoverage is one vantage's slice of the cross-vantage backend
 // comparison.
 type VantageCoverage struct {

@@ -500,13 +500,12 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // FederationCoverage renders the cross-vantage coverage comparison of a
-// FederationStudy run: backends and providers visible per vantage, each
-// vantage's exclusive contribution, and the union — the paper's
-// which-vantage-sees-what angle, quantified.
-func FederationCoverage(sys *iotmap.System) string {
+// federated run (a FederationStudy or one suite scenario): backends and
+// providers visible per vantage, each vantage's exclusive contribution,
+// and the union — the paper's which-vantage-sees-what angle, quantified.
+func FederationCoverage(fed *iotmap.FederationResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Federation: backend visibility per vantage point\n")
-	fed := sys.Federation
 	if fed == nil || fed.Coverage == nil {
 		return b.String() + "  (run FederationStudy first)\n"
 	}
@@ -539,15 +538,17 @@ func FederationCoverage(sys *iotmap.System) string {
 	return b.String()
 }
 
-// DisruptionDeltas renders a DisruptionStudy's per-scenario impact
-// table: per-vantage and union changes in visible backends, downstream
-// volume, and feed-hour coverage versus the clean baseline.
-func DisruptionDeltas(res *iotmap.DisruptionStudyResult) string {
+// SuiteDeltas renders a scenario suite's full outcome: the per-step
+// (and cumulative) impact tables — per-vantage and union changes in
+// visible backends, downstream volume, and feed-hour coverage versus the
+// clean baseline — with their fault ledgers, followed by the suite's
+// control-plane view: every injected BGP event and which of them touched
+// a monitored backend under migration-aware AS origin resolution (the
+// §6.2 what-if answered for the suite).
+func SuiteDeltas(res *iotmap.SuiteStudyResult) string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "Scenario suite %q\n", res.Suite)
 	fmt.Fprintf(&b, "Disruption study: federation deltas vs clean baseline\n")
-	if res == nil {
-		return b.String() + "  (run DisruptionStudy first)\n"
-	}
 	for _, sc := range res.Scenarios {
 		fmt.Fprintf(&b, "scenario %s:\n", sc.Name)
 		fmt.Fprintf(&b, "  %-12s %9s %10s %10s %10s\n", "Vantage", "Backends", "ΔBackends", "ΔDown%", "HoursLost")
@@ -566,18 +567,6 @@ func DisruptionDeltas(res *iotmap.DisruptionStudyResult) string {
 				ft.Corrupted, ft.Dropped, ft.Duplicated, ft.Truncated, ft.Stalls, ft.Killed)
 		}
 	}
-	return b.String()
-}
-
-// SuiteDeltas renders a scenario suite's full outcome: the per-step
-// (and cumulative) delta tables with their fault ledgers, followed by
-// the suite's control-plane view — every injected BGP event and which
-// of them touched a monitored backend under migration-aware AS origin
-// resolution (the §6.2 what-if answered for the suite).
-func SuiteDeltas(res *iotmap.SuiteStudyResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scenario suite %q\n", res.Suite)
-	b.WriteString(DisruptionDeltas(res.DisruptionStudyResult))
 	if len(res.Events) > 0 {
 		fmt.Fprintf(&b, "injected BGP events: %d\n", len(res.Events))
 		fmt.Fprintf(&b, "backend impacts (time-aware origins): %d\n", len(res.Impacts))

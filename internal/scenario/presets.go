@@ -3,6 +3,7 @@ package scenario
 import (
 	"sort"
 
+	"iotmap/internal/faultwire"
 	"iotmap/internal/outage"
 )
 
@@ -23,6 +24,10 @@ const (
 	// PresetPaperWeek runs all three steps: per-step deltas plus the
 	// cumulative everything-at-once scenario.
 	PresetPaperWeek = "paper-week"
+	// PresetOutageWireChaos separates the two planes of a bad week: the
+	// AWS us-east-1 outage alone, isp-b's feeds corrupting and dying
+	// mid-week alone, and both at once (the cumulative scenario).
+	PresetOutageWireChaos = "outage-wire-chaos"
 )
 
 // MigrationTargetASN is the presets' destination AS for fleet moves: a
@@ -47,15 +52,25 @@ func presetHijack() Step {
 	}
 }
 
+// awsOutage is the Dec 7 2021 AWS us-east-1 outage on day 4 of the
+// study clock.
+func awsOutage() *outage.Scenario {
+	sc := outage.AWSUSEast1(4)
+	return &sc
+}
+
+// killFeed is a wire rule under which the vantage's feeds die at hour.
+func killFeed(vantage string, hour int) faultwire.Rule {
+	return faultwire.Rule{Stream: -1, Vantage: vantage, FromHour: hour, Faults: faultwire.Faults{Kill: true}}
+}
+
 func presetOutageFeedLoss() Step {
 	return Step{
-		Name: "outage-feedloss",
-		Outage: &RegionalOutage{
-			Outage:          outage.AWSUSEast1(4),
-			KillFeedVantage: "isp-b",
-			// One hour into the outage window (day 4, 16:00).
-			KillAtHour: 4*24 + 16,
-		},
+		Name:   "outage-feedloss",
+		Outage: awsOutage(),
+		// isp-b's exporter sat in the failing region: its feed dies one
+		// hour into the outage window (day 4, 16:00).
+		Wire: []faultwire.Rule{killFeed("isp-b", 4*24+16)},
 	}
 }
 
@@ -71,6 +86,20 @@ func presetMigration() Step {
 	}
 }
 
+func presetWireChaos() Step {
+	return Step{
+		Name: "wire-chaos",
+		Wire: []faultwire.Rule{
+			// isp-b's feeds corrupt all week: one frame in five, since a
+			// batch frame carries a whole line's rows and only a few dozen
+			// frames reach the wire before the kill...
+			{Stream: -1, Vantage: "isp-b", Faults: faultwire.Faults{CorruptProb: 0.2}},
+			// ...and die outright Wednesday 14:00.
+			killFeed("isp-b", 2*24+14),
+		},
+	}
+}
+
 // Presets returns the paper-grounded suite library, keyed by name.
 // Every preset assumes an 8-day study period (world.StudyDays or
 // world.OutageDays) and the iotdisrupt federation's vantage names.
@@ -82,13 +111,17 @@ func Presets(seed int64) map[string]Suite {
 		PresetPaperWeek: {Name: PresetPaperWeek, Seed: seed, Steps: []Step{
 			presetHijack(), presetOutageFeedLoss(), presetMigration(),
 		}},
+		PresetOutageWireChaos: {Name: PresetOutageWireChaos, Seed: seed, Steps: []Step{
+			{Name: "aws-outage", Outage: awsOutage()}, presetWireChaos(),
+		}},
 	}
 }
 
 // PresetNames lists the preset suites in stable order.
 func PresetNames() []string {
-	names := make([]string, 0, 4)
-	for name := range Presets(1) {
+	presets := Presets(1)
+	names := make([]string, 0, len(presets))
+	for name := range presets {
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -1,16 +1,16 @@
 // Package scenario is the declarative disruption-suite engine: it
-// composes the repo's dormant disruption stack — internal/bgpstream
-// events, internal/outage blast radii, internal/faultwire feed chaos —
-// into named, seeded, timed federation-wide what-ifs. A Suite is a list
-// of Steps scheduled on the study-hour clock; Compile lowers each step
-// (and the whole suite cumulatively) into the primitives the federated
+// composes the repo's disruption stack — internal/bgpstream events,
+// internal/outage blast radii, internal/faultwire feed chaos — into
+// named, seeded, timed federation-wide what-ifs. A Suite is a list of
+// Steps scheduled on the study-hour clock; Compile lowers each step (and
+// the whole suite cumulatively) into the primitives the federated
 // pipeline already understands: per-vantage flow modifiers for the
-// traffic plane, a faultwire schedule for the wire plane, and a
-// bgpstream event list plus time-aware origin resolution for the
-// Section 6.2 impact check. Every draw derives from the suite seed via
-// simrand, so a rerun of any suite is byte-identical.
+// traffic plane and a faultwire schedule for the wire plane. Events and
+// OriginAt give the Section 6.2 impact check its bgpstream event list
+// and time-aware origin resolution. Every draw derives from the suite
+// seed via simrand, so a rerun of any suite is byte-identical.
 //
-// The three step shapes mirror the paper's Section 6 questions scaled
+// A step's four members mirror the paper's Section 6 questions scaled
 // to a federation (Saidi et al., IMC '22) and Tagliaro et al. 2024's
 // framing of provider infrastructure — not addresses — as the unit
 // that fails:
@@ -18,13 +18,14 @@
 //   - Hijack: a prefix hijack of one provider's announcements,
 //     blackholing or degrading its traffic at a configurable subset of
 //     vantages (route visibility is vantage-dependent).
-//   - RegionalOutage: an outage.Scenario whose blast radius also kills
-//     one vantage's wire feed mid-week (the collector's reconnect,
-//     resync, and degraded-vantage machinery under real load).
+//   - Outage: an outage.Scenario, visible from every vantage.
 //   - Migration: a provider's fleet moves between ASes at a cutover
 //     hour. Addresses do not change, so Federation.Coverage() must
 //     report the infrastructure identically before and after; only the
 //     time-aware AS origin (and any transient cutover blip) differs.
+//   - Wire: faultwire rules for feeds corrupting, stalling or dying on
+//     the way to the collector (the collector's resync and
+//     degraded-vantage machinery under real load).
 package scenario
 
 import (
@@ -52,7 +53,7 @@ type Suite struct {
 	Steps []Step
 }
 
-// Step is one what-if. Exactly the non-nil members apply; a step may
+// Step is one what-if. Exactly the non-empty members apply; a step may
 // combine them (an outage during a hijack), though the presets keep one
 // failure mode per step so the deltas read cleanly.
 type Step struct {
@@ -60,10 +61,15 @@ type Step struct {
 	Name string
 	// Hijack is a prefix hijack of one provider (nil: none).
 	Hijack *Hijack
-	// Outage is a regional outage with optional feed loss (nil: none).
-	Outage *RegionalOutage
+	// Outage is a backend-side outage, visible from every vantage (nil:
+	// none).
+	Outage *outage.Scenario
 	// Migration is a provider AS migration (nil: none).
 	Migration *Migration
+	// Wire is the step's wire-plane fault schedule on the study-hour
+	// clock (empty: clean wire). Compile gives it the scenario's derived
+	// fault seed.
+	Wire []faultwire.Rule
 }
 
 // Hijack blackholes or degrades one provider's traffic at the vantages
@@ -85,19 +91,6 @@ type Hijack struct {
 	// DegradeFactor is the surviving volume fraction when not
 	// blackholing (default 0.25).
 	DegradeFactor float64
-}
-
-// RegionalOutage is a backend-side outage whose blast radius can also
-// take a vantage's wire feed down with it (the exporter sat in the
-// failing region too).
-type RegionalOutage struct {
-	// Outage is the traffic-plane scenario, visible from every vantage.
-	Outage outage.Scenario
-	// KillFeedVantage names the vantage whose wire feed dies (empty:
-	// feeds stay up).
-	KillFeedVantage string
-	// KillAtHour is the study hour the feed dies at.
-	KillAtHour int
 }
 
 // Migration moves one provider's backend fleet to a new AS at a
@@ -122,8 +115,7 @@ type Migration struct {
 
 // Compiled is one lowered scenario, ready for the federated pipeline:
 // everything the traffic plane needs is in ModifierFor, everything the
-// wire plane needs in Faults, and the control-plane view in Events and
-// Migrations.
+// wire plane needs in Faults.
 type Compiled struct {
 	// Name is "<suite>/<step>" (or "<suite>/cumulative").
 	Name string
@@ -133,16 +125,11 @@ type Compiled struct {
 	// ModifierFor returns the vantage's composed traffic-plane
 	// modifier (nil: this vantage is untouched).
 	ModifierFor func(vantage string) isp.FlowModifier
-	// Events are the scenario's BGP feed entries (hijack
-	// announcements), for the Section 6.2 impact check.
-	Events []bgpstream.Event
-	// Migrations are the control-plane AS moves in effect.
-	Migrations []Migration
 }
 
 // validate checks one step against the world.
 func (st Step) validate(w *world.World, hours int) error {
-	if st.Hijack == nil && st.Outage == nil && st.Migration == nil {
+	if st.Hijack == nil && st.Outage == nil && st.Migration == nil && len(st.Wire) == 0 {
 		return fmt.Errorf("scenario: step %q is empty", st.Name)
 	}
 	check := func(provider string) error {
@@ -164,12 +151,12 @@ func (st Step) validate(w *world.World, hours int) error {
 			return fmt.Errorf("scenario: step %q: hijack window [%d,%d) is empty", st.Name, h.FromHour, h.ToHour)
 		}
 	}
-	if o := st.Outage; o != nil {
-		if o.Outage.Day < 0 || o.Outage.Day*24 >= hours {
-			return fmt.Errorf("scenario: step %q: outage day %d outside study", st.Name, o.Outage.Day)
-		}
-		if o.KillFeedVantage != "" && (o.KillAtHour < 0 || o.KillAtHour >= hours) {
-			return fmt.Errorf("scenario: step %q: feed death hour %d outside study (%d hours)", st.Name, o.KillAtHour, hours)
+	if o := st.Outage; o != nil && (o.Day < 0 || o.Day*24 >= hours) {
+		return fmt.Errorf("scenario: step %q: outage day %d outside study", st.Name, o.Day)
+	}
+	for _, r := range st.Wire {
+		if r.FromHour < 0 || r.FromHour >= hours || r.ToHour < 0 || r.ToHour > hours {
+			return fmt.Errorf("scenario: step %q: wire rule hours [%d,%d) outside study (%d hours)", st.Name, r.FromHour, r.ToHour, hours)
 		}
 	}
 	if m := st.Migration; m != nil {
@@ -298,22 +285,12 @@ func (s Suite) compileSteps(w *world.World, name, label string, steps []Step) (C
 		}
 		if h := st.Hijack; h != nil {
 			hijacks = append(hijacks, *h)
-			at := w.Days[0].Add(time.Duration(h.FromHour) * time.Hour)
-			for _, p := range hijackPrefixes(w, h.Provider) {
-				c.Events = append(c.Events, bgpstream.WhatIfHijack(p, at))
-			}
 		}
 		if o := st.Outage; o != nil {
-			global = append(global, o.Outage.Modifier())
-			if o.KillFeedVantage != "" {
-				rules = append(rules, faultwire.Rule{
-					Stream: -1, Vantage: o.KillFeedVantage,
-					FromHour: o.KillAtHour, Faults: faultwire.Faults{Kill: true},
-				})
-			}
+			global = append(global, o.Modifier())
 		}
+		rules = append(rules, st.Wire...)
 		if m := st.Migration; m != nil {
-			c.Migrations = append(c.Migrations, *m)
 			global = append(global, m.modifier())
 		}
 	}

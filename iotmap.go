@@ -128,14 +128,6 @@ type Config struct {
 	// WireStallTimeout arms the collector's per-stream read-stall
 	// watchdog in wire mode; zero disables it.
 	WireStallTimeout time.Duration
-	// VantageModifiers, when set, supplies a per-vantage traffic-plane
-	// modifier for FederationStudy — the seam the scenario engine uses
-	// for vantage-dependent disruptions (a hijack only some vantages'
-	// upstreams accepted). It is composed after Config.Outage's
-	// modifier via isp.ChainModifiers; returning nil for a vantage
-	// leaves that vantage untouched. Ignored by the single-vantage
-	// TrafficStudy.
-	VantageModifiers func(vantage string) isp.FlowModifier
 }
 
 // ErrorPolicy re-exports the collector's stream-fault policy.
@@ -446,7 +438,7 @@ func (s *System) TrafficStudy() error {
 	s.Net = net
 	s.Index = idx
 	s.WireExport, s.WireIngest, s.WireStreams = nil, nil, nil
-	s.anchorFaultClock()
+	s.anchorFaultClock(s.Cfg.WireFaults)
 
 	focusAlias, focusRegion := "T1", "us-east-1"
 	if s.Cfg.Outage != nil {
@@ -458,7 +450,7 @@ func (s *System) TrafficStudy() error {
 		FocusAlias:       focusAlias,
 		FocusRegion:      focusRegion,
 	}
-	run, err := s.runPipeline(net, idx, opts)
+	run, err := s.runPipeline(net, idx, opts, s.Cfg.WireFaults)
 	if err != nil {
 		return err
 	}
@@ -555,12 +547,13 @@ type pipelineRun struct {
 
 // runPipeline drives one network through the Config.TrafficMode data
 // path into shard partials — the single pipeline seam TrafficStudy and
-// FederationStudy share. Memory mode folds the simulator's rows into
+// the federation share. Memory mode folds the simulator's rows into
 // them; wire mode exports every line shard as a dictionary stream over
 // an in-process pipe (synchronous — collector backpressure throttles
-// the exporter) and decodes, validates, and rescales it back.
+// the exporter), splices faults (nil: clean wire) into every stream,
+// and decodes, validates, and rescales it back.
 // Merging the partials yields byte-identical results either way.
-func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flows.Options) (pipelineRun, error) {
+func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flows.Options, faults *faultwire.Scenario) (pipelineRun, error) {
 	switch s.Cfg.TrafficMode {
 	case TrafficModeMemory, "":
 		agg := flows.NewShardedAggregator(idx, s.World.Days, opts, runtime.GOMAXPROCS(0))
@@ -580,10 +573,10 @@ func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flo
 			Policy:       s.Cfg.WirePolicy,
 			StallTimeout: s.Cfg.WireStallTimeout,
 		}
-		if sc := s.Cfg.WireFaults; sc != nil {
+		if faults != nil {
 			vantage := opts.Vantage
 			ccfg.Tap = func(stream int, _ string, r io.Reader) io.Reader {
-				return sc.Wrap(stream, vantage, r)
+				return faults.Wrap(stream, vantage, r)
 			}
 		}
 		col, err := collector.New(ccfg)
@@ -660,15 +653,32 @@ func (s *System) vantageSpecs() ([]VantageSpec, error) {
 // configured it runs one default vantage whose study is byte-identical
 // to TrafficStudy's. Requires ValidateAndLocate.
 func (s *System) FederationStudy() error {
-	specs, err := s.vantageSpecs()
+	fed, err := s.federate(s.Cfg.WireFaults, nil)
 	if err != nil {
 		return err
+	}
+	s.Federation = fed
+	// §3.4 traffic cross-check over the federated union — with one
+	// vantage this is exactly TrafficStudy's per-backend evidence.
+	s.trafficCrossCheck(fed.Union.BackendVolumes())
+	return nil
+}
+
+// federate runs the configured federation with the given wire-fault
+// schedule (nil: clean wire) and per-vantage traffic modifiers (nil:
+// none), and returns the result without storing anything in the System.
+// FederationStudy and every DisruptionSuite scenario run go through it,
+// so a scenario differs from its baseline only by what it passes here.
+func (s *System) federate(faults *faultwire.Scenario, modifierFor func(vantage string) isp.FlowModifier) (*FederationResult, error) {
+	specs, err := s.vantageSpecs()
+	if err != nil {
+		return nil, err
 	}
 	idx, err := s.backendIndex()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.anchorFaultClock()
+	s.anchorFaultClock(faults)
 
 	focusAlias, focusRegion := "T1", "us-east-1"
 	if s.Cfg.Outage != nil {
@@ -704,15 +714,15 @@ func (s *System) FederationStudy() error {
 				return
 			}
 			// A backend-side outage is visible from every vantage; the
-			// scenario engine's per-vantage modifiers compose after it
-			// (first drop wins, so unaffected flows stay bit-identical
-			// to a modifier-less baseline).
+			// per-vantage modifiers compose after it (first drop wins,
+			// so unaffected flows stay bit-identical to a modifier-less
+			// baseline).
 			var mods []isp.FlowModifier
 			if s.Cfg.Outage != nil {
 				mods = append(mods, s.Cfg.Outage.Modifier())
 			}
-			if s.Cfg.VantageModifiers != nil {
-				mods = append(mods, s.Cfg.VantageModifiers(sp.Name))
+			if modifierFor != nil {
+				mods = append(mods, modifierFor(sp.Name))
 			}
 			net.Modifier = isp.ChainModifiers(mods...)
 			opts := flows.Options{
@@ -722,7 +732,7 @@ func (s *System) FederationStudy() error {
 				FocusRegion:      focusRegion,
 				Vantage:          sp.Name,
 			}
-			run, err := s.runPipeline(net, idx, opts)
+			run, err := s.runPipeline(net, idx, opts, faults)
 			if err != nil {
 				errs[i] = fmt.Errorf("iotmap: vantage %q: %w", sp.Name, err)
 				return
@@ -740,7 +750,7 @@ func (s *System) FederationStudy() error {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	var parts []*flows.ShardPartial
@@ -753,52 +763,28 @@ func (s *System) FederationStudy() error {
 		vr.Contacts = fed.CC[vr.Spec.Name]
 		vr.Study = fed.Col[vr.Spec.Name].Study()
 	}
-	union := fed.UnionCol.Study()
-	s.Federation = &FederationResult{
+	return &FederationResult{
 		Vantages:      results,
-		Union:         union,
+		Union:         fed.UnionCol.Study(),
 		UnionContacts: fed.UnionCC,
 		Coverage:      fed.Coverage(),
-	}
-
-	// §3.4 traffic cross-check over the federated union — with one
-	// vantage this is exactly TrafficStudy's per-backend evidence.
-	s.trafficCrossCheck(union.BackendVolumes())
-	return nil
+	}, nil
 }
 
-// anchorFaultClock aligns a configured fault scenario's hour clock with
-// the study period. Idempotent and single-threaded (called before any
-// pipeline goroutine starts), so repeated studies stay deterministic.
-func (s *System) anchorFaultClock() {
-	if s.Cfg.WireFaults != nil && s.Cfg.WireFaults.Start.IsZero() {
-		s.Cfg.WireFaults.Start = s.World.Days[0]
+// anchorFaultClock aligns a fault scenario's hour clock with the study
+// period. Idempotent and single-threaded (called before any pipeline
+// goroutine starts), so repeated studies stay deterministic.
+func (s *System) anchorFaultClock(sc *faultwire.Scenario) {
+	if sc != nil && sc.Start.IsZero() {
+		sc.Start = s.World.Days[0]
 	}
-}
-
-// DisruptionScenario is one what-if of a DisruptionStudy: a named
-// combination of a backend-side outage (simulated into the traffic
-// itself, visible from every vantage) and/or a wire-side fault schedule
-// (feeds corrupting or dying on the way to the collector).
-type DisruptionScenario struct {
-	Name string
-	// Outage replaces Config.Outage for this run (nil: no outage).
-	Outage *outage.Scenario
-	// Faults replaces Config.WireFaults for this run (nil: clean wire).
-	// Wire faults need TrafficModeWire and a non-Abort WirePolicy to
-	// produce a degraded-but-complete study.
-	Faults *faultwire.Scenario
-	// ModifierFor replaces Config.VantageModifiers for this run (nil:
-	// no per-vantage traffic effects) — the scenario engine's compiled
-	// hijack/outage/blip modifiers arrive here.
-	ModifierFor func(vantage string) isp.FlowModifier
 }
 
 // FaultCounts re-exports the chaos harness's fault ledger.
 type FaultCounts = faultwire.Counts
 
 // VantageDelta compares one vantage between the baseline federation and
-// a disruption scenario.
+// a suite scenario.
 type VantageDelta struct {
 	Vantage string
 	// Backends / BaselineBackends are the vantage's visible-backend
@@ -832,15 +818,6 @@ type ScenarioResult struct {
 	FaultTotals *FaultCounts
 }
 
-// DisruptionStudyResult is DisruptionStudy's output.
-type DisruptionStudyResult struct {
-	// Baseline is the clean federated study every scenario is compared
-	// against.
-	Baseline *FederationResult
-	// Scenarios holds one result per input scenario, in order.
-	Scenarios []ScenarioResult
-}
-
 // studyDownTotal sums a study's downstream volume across aliases.
 func studyDownTotal(st *flows.Study) float64 {
 	total := 0.0
@@ -861,15 +838,48 @@ func pctDelta(base, got float64) float64 {
 	return (got - base) / base * 100
 }
 
-// DisruptionStudy drives outage and wire-fault what-ifs through the
-// federated pipeline: it runs (or reuses) the clean FederationStudy as
-// the baseline, then re-runs the same federation once per scenario with
-// the scenario's outage modifier and fault schedule installed, and
-// reports per-vantage and union deltas — visible backends, downstream
-// volume, hours of feed coverage lost, and which vantages ended
-// degraded. The System itself keeps its baseline results; scenario runs
-// happen on throwaway copies. Requires ValidateAndLocate.
-func (s *System) DisruptionStudy(scenarios []DisruptionScenario) (*DisruptionStudyResult, error) {
+// SuiteStudyResult is DisruptionSuite's output: the per-step (and
+// cumulative) scenario runs against one clean baseline, plus the suite's
+// control-plane view — the BGP events it injected and which of them
+// touched a monitored backend, resolved with migration-aware AS origins.
+type SuiteStudyResult struct {
+	// Suite is the suite's name.
+	Suite string
+	// Baseline is the federated study every scenario is compared
+	// against: the System's own FederationStudy.
+	Baseline *FederationResult
+	// Scenarios holds one result per compiled scenario, in order.
+	Scenarios []ScenarioResult
+	// Events are the suite's injected BGP feed entries.
+	Events []bgpstream.Event
+	// Impacts are the Section 6.2 what-if hits: suite events covering a
+	// validated backend address or its (time-aware) hosting AS.
+	Impacts []bgpstream.Impact
+}
+
+// DisruptionSuite is the what-if entry: it compiles a declarative
+// scenario suite against the run's world, runs (or reuses) the
+// FederationStudy as the baseline, and re-runs the same federation once
+// per step plus — for multi-step suites — once with every step active.
+// Each run composes its step over the configured Config.Outage exactly as
+// the baseline does, and reports per-vantage and union deltas (visible
+// backends, downstream volume, feed hours lost, degraded vantages) with
+// its wire-fault ledger. The System keeps its baseline results. The
+// control-plane side runs alongside: the suite's hijack announcements
+// are checked against the validated backend sets with
+// bgpstream.CheckImpactAt, using migration-aware AS origin resolution,
+// so an AS outage of an abandoned AS stops matching after cutover. Every
+// draw derives from the suite seed; reruns are byte-identical. A step's
+// fault schedule carries its own derived seed, so Config.WireFaults must
+// be unset. Requires ValidateAndLocate.
+func (s *System) DisruptionSuite(suite scenario.Suite) (*SuiteStudyResult, error) {
+	if s.Cfg.WireFaults != nil {
+		return nil, fmt.Errorf("iotmap: DisruptionSuite: Config.WireFaults is set; suite steps carry their own fault schedules and seeds")
+	}
+	compiled, err := suite.Compile(s.World)
+	if err != nil {
+		return nil, err
+	}
 	if s.Federation == nil {
 		if err := s.FederationStudy(); err != nil {
 			return nil, err
@@ -886,21 +896,13 @@ func (s *System) DisruptionStudy(scenarios []DisruptionScenario) (*DisruptionStu
 	}
 	baseUnionDown := studyDownTotal(base.Union)
 
-	out := &DisruptionStudyResult{Baseline: base}
-	for _, sc := range scenarios {
-		tmp := *s
-		tmp.Cfg.Outage = sc.Outage
-		tmp.Cfg.WireFaults = sc.Faults
-		tmp.Cfg.VantageModifiers = sc.ModifierFor
-		tmp.Federation = nil
-		// trafficCrossCheck writes into Validation.Traffic; give the
-		// throwaway run its own map so the baseline stays untouched.
-		tmp.Validation.Traffic = map[string]validate.TrafficReport{}
-		if err := tmp.FederationStudy(); err != nil {
-			return nil, fmt.Errorf("iotmap: scenario %q: %w", sc.Name, err)
+	out := &SuiteStudyResult{Suite: suite.Name, Baseline: base}
+	for _, c := range compiled {
+		fed, err := s.federate(c.Faults, c.ModifierFor)
+		if err != nil {
+			return nil, fmt.Errorf("iotmap: scenario %q: %w", c.Name, err)
 		}
-		fed := tmp.Federation
-		res := ScenarioResult{Name: sc.Name, Federation: fed}
+		res := ScenarioResult{Name: c.Name, Federation: fed}
 		scenDown := map[string]float64{}
 		for _, vr := range fed.Vantages {
 			scenDown[vr.Spec.Name] = studyDownTotal(vr.Study)
@@ -918,58 +920,12 @@ func (s *System) DisruptionStudy(scenarios []DisruptionScenario) (*DisruptionStu
 		}
 		res.UnionBackendsDelta = fed.Coverage.Union - base.Coverage.Union
 		res.UnionDownDeltaPct = pctDelta(baseUnionDown, studyDownTotal(fed.Union))
-		if sc.Faults != nil {
-			totals := sc.Faults.Totals()
+		if c.Faults != nil {
+			totals := c.Faults.Totals()
 			res.FaultTotals = &totals
 		}
 		out.Scenarios = append(out.Scenarios, res)
 	}
-	return out, nil
-}
-
-// SuiteStudyResult is DisruptionSuite's output: the per-step (and
-// cumulative) disruption study plus the suite's control-plane view —
-// the BGP events it injected and which of them touched a monitored
-// backend, resolved with migration-aware AS origins.
-type SuiteStudyResult struct {
-	*DisruptionStudyResult
-	// Suite is the suite's name.
-	Suite string
-	// Events are the suite's injected BGP feed entries.
-	Events []bgpstream.Event
-	// Impacts are the Section 6.2 what-if hits: suite events covering a
-	// validated backend address or its (time-aware) hosting AS.
-	Impacts []bgpstream.Impact
-}
-
-// DisruptionSuite compiles a declarative scenario suite against the
-// run's world and drives it through DisruptionStudy: one scenario per
-// step (per-step deltas vs the clean baseline) plus — for multi-step
-// suites — a cumulative everything-at-once scenario, each carrying its
-// wire-fault ledger. The control-plane side runs alongside: the
-// suite's hijack announcements are checked against the validated
-// backend sets with bgpstream.CheckImpactAt, using migration-aware AS
-// origin resolution, so an AS outage of an abandoned AS would stop
-// matching after cutover. Every draw derives from the suite seed;
-// reruns are byte-identical. Requires ValidateAndLocate.
-func (s *System) DisruptionSuite(suite scenario.Suite) (*SuiteStudyResult, error) {
-	compiled, err := suite.Compile(s.World)
-	if err != nil {
-		return nil, err
-	}
-	scenarios := make([]DisruptionScenario, len(compiled))
-	for i, c := range compiled {
-		scenarios[i] = DisruptionScenario{
-			Name:        c.Name,
-			Faults:      c.Faults,
-			ModifierFor: c.ModifierFor,
-		}
-	}
-	study, err := s.DisruptionStudy(scenarios)
-	if err != nil {
-		return nil, err
-	}
-	out := &SuiteStudyResult{DisruptionStudyResult: study, Suite: suite.Name}
 	out.Events = suite.Events(s.World)
 	if len(out.Events) > 0 {
 		var addrs []netip.Addr

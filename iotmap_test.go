@@ -151,7 +151,7 @@ func TestFederationStudyMultiVantage(t *testing.T) {
 			}
 		}
 	}
-	if figures.FederationCoverage(mem) != figures.FederationCoverage(wire) {
+	if figures.FederationCoverage(mem.Federation) != figures.FederationCoverage(wire.Federation) {
 		t.Fatal("coverage report differs between memory and wire federation")
 	}
 }
@@ -222,7 +222,7 @@ func TestFederationStudyParallelMatchesSequential(t *testing.T) {
 			t.Fatal("concurrent drive changed the union study")
 		}
 	}
-	if figures.FederationCoverage(seq) != figures.FederationCoverage(par) {
+	if figures.FederationCoverage(seq.Federation) != figures.FederationCoverage(par.Federation) {
 		t.Fatal("concurrent drive changed the coverage report")
 	}
 }

@@ -2,7 +2,10 @@ package iotmap_test
 
 import (
 	"context"
+	"maps"
 	"net/netip"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,8 +21,15 @@ import (
 func suiteFederation(t *testing.T) *iotmap.System {
 	t.Helper()
 	cfg := federationConfig(iotmap.TrafficModeWire)
-	cfg.Days = iotmap.OutageStudyDays()
 	cfg.WirePolicy = iotmap.WireDropFrame
+	return validatedOutageWeek(t, cfg)
+}
+
+// validatedOutageWeek builds cfg's system over the outage week, through
+// discovery and validation.
+func validatedOutageWeek(t *testing.T, cfg iotmap.Config) *iotmap.System {
+	t.Helper()
+	cfg.Days = iotmap.OutageStudyDays()
 	sys, err := iotmap.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +44,16 @@ func suiteFederation(t *testing.T) *iotmap.System {
 	return sys
 }
 
-// coverageOf renders the federation-coverage figure for one scenario's
-// federation without disturbing the baseline system.
-func coverageOf(sys *iotmap.System, fed *iotmap.FederationResult) string {
-	tmp := *sys
-	tmp.Federation = fed
-	return figures.FederationCoverage(&tmp)
+// deltaFor returns the named vantage's delta row of one scenario.
+func deltaFor(t *testing.T, sc iotmap.ScenarioResult, vantage string) iotmap.VantageDelta {
+	t.Helper()
+	for _, vd := range sc.Vantages {
+		if vd.Vantage == vantage {
+			return vd
+		}
+	}
+	t.Fatalf("vantage %s missing from scenario %s", vantage, sc.Name)
+	return iotmap.VantageDelta{}
 }
 
 // TestEmptySuiteMatchesBaseline: a suite with no steps is the identity
@@ -88,7 +102,7 @@ func TestEmptySuiteMatchesBaseline(t *testing.T) {
 	if len(res.Events) != 0 || len(res.Impacts) != 0 {
 		t.Fatalf("empty suite injected events (%d) or impacts (%d)", len(res.Events), len(res.Impacts))
 	}
-	if a, b := figures.FederationCoverage(clean), figures.FederationCoverage(sys); a != b {
+	if a, b := figures.FederationCoverage(clean.Federation), figures.FederationCoverage(sys.Federation); a != b {
 		t.Fatalf("empty-suite baseline diverged from a clean FederationStudy:\n--- clean:\n%s\n--- suite:\n%s", a, b)
 	}
 }
@@ -114,16 +128,6 @@ func TestScenarioSuite(t *testing.T) {
 			t.Fatalf("scenarios = %d, want 1", len(res.Scenarios))
 		}
 		return sys, res
-	}
-	deltaFor := func(t *testing.T, sc iotmap.ScenarioResult, vantage string) iotmap.VantageDelta {
-		t.Helper()
-		for _, vd := range sc.Vantages {
-			if vd.Vantage == vantage {
-				return vd
-			}
-		}
-		t.Fatalf("vantage %s missing from scenario %s", vantage, sc.Name)
-		return iotmap.VantageDelta{}
 	}
 
 	t.Run("hijack", func(t *testing.T) {
@@ -212,33 +216,174 @@ func TestScenarioSuite(t *testing.T) {
 		if sc.FaultTotals != nil {
 			t.Fatal("migration scenario carries a wire-fault ledger")
 		}
-		if a, b := figures.FederationCoverage(sys), coverageOf(sys, sc.Federation); a != b {
+		if a, b := figures.FederationCoverage(sys.Federation), figures.FederationCoverage(sc.Federation); a != b {
 			t.Fatalf("migration changed the coverage report:\n--- baseline:\n%s\n--- scenario:\n%s", a, b)
 		}
 	})
+}
+
+// TestDisruptionSuiteOutageOnly: an outage-only one-step suite reuses
+// the system's own federation as its baseline and leaves it untouched,
+// and reports per-vantage and union deltas. An outage removes traffic
+// without blanking feed hours, so nobody is marked degraded.
+func TestDisruptionSuiteOutageOnly(t *testing.T) {
+	sys := validatedOutageWeek(t, federationConfig(iotmap.TrafficModeMemory))
+	if err := sys.FederationStudy(); err != nil {
+		t.Fatal(err)
+	}
+	baseline := sys.Federation
+	baselineCov := figures.FederationCoverage(baseline)
+	baselineTraffic := maps.Clone(sys.Validation.Traffic)
+	res, err := sys.DisruptionSuite(scenario.Suite{Name: "aws", Seed: 5, Steps: []scenario.Step{
+		{Name: "aws-outage", Outage: iotmap.AWSOutageScenario()},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Baseline != baseline || sys.Federation != baseline {
+		t.Fatal("baseline is not the system's own federation")
+	}
+	if len(res.Scenarios) != 1 {
+		t.Fatalf("scenarios = %d", len(res.Scenarios))
+	}
+	sc := res.Scenarios[0]
+	if sc.Federation == nil || sc.Federation == baseline {
+		t.Fatal("scenario federation missing or aliased to the baseline")
+	}
+	if len(sc.Vantages) != 3 {
+		t.Fatalf("vantage deltas = %d", len(sc.Vantages))
+	}
+	for _, vd := range sc.Vantages {
+		if vd.HoursLost != 0 || vd.Degraded {
+			t.Fatalf("outage-only scenario blanked feed hours at %s: %+v", vd.Vantage, vd)
+		}
+		if vd.DownDeltaPct > 0 {
+			t.Fatalf("%s gained traffic from an outage: %+v", vd.Vantage, vd)
+		}
+	}
+	if sc.UnionDownDeltaPct >= 0 {
+		t.Fatalf("union down delta = %.2f%%, want negative", sc.UnionDownDeltaPct)
+	}
+	// Running the scenario must not have touched the baseline system.
+	if got := figures.FederationCoverage(sys.Federation); got != baselineCov {
+		t.Fatal("DisruptionSuite mutated the baseline coverage")
+	}
+	if !reflect.DeepEqual(sys.Validation.Traffic, baselineTraffic) {
+		t.Fatal("DisruptionSuite rewrote the baseline's traffic cross-check")
+	}
+}
+
+// TestSuiteComposesOverConfiguredOutage: scenario runs compose their
+// step over Config.Outage exactly as the baseline does, so a pure
+// control-plane migration on a system with an outage configured still
+// reports zero deltas at every vantage and in the union.
+func TestSuiteComposesOverConfiguredOutage(t *testing.T) {
+	cfg := federationConfig(iotmap.TrafficModeMemory)
+	cfg.Outage = iotmap.AWSOutageScenario()
+	sys := validatedOutageWeek(t, cfg)
+	res, err := sys.DisruptionSuite(scenario.Presets(5)[scenario.PresetMigrationD1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := res.Scenarios[0]
+	for _, vd := range sc.Vantages {
+		if vd.DownDeltaPct != 0 || vd.HoursLost != 0 || vd.Backends != vd.BaselineBackends {
+			t.Fatalf("migration over a configured outage moved the traffic plane at %s: %+v", vd.Vantage, vd)
+		}
+	}
+	if sc.UnionBackendsDelta != 0 || sc.UnionDownDeltaPct != 0 {
+		t.Fatalf("union deltas nonzero under a pure migration: %+v", sc)
+	}
+}
+
+// TestSuiteRefusesConfiguredWireFaults: a step's fault schedule has its
+// own derived seed, so a suite over a system with Config.WireFaults set
+// is refused before any study runs.
+func TestSuiteRefusesConfiguredWireFaults(t *testing.T) {
+	cfg := federationConfig(iotmap.TrafficModeWire)
+	cfg.WireFaults = chaosScenario(12)
+	sys, err := iotmap.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	_, err = sys.DisruptionSuite(scenario.Presets(5)[scenario.PresetMigrationD1])
+	if err == nil || !strings.Contains(err.Error(), "Config.WireFaults") {
+		t.Fatalf("err = %v, want a refusal naming Config.WireFaults", err)
+	}
+	if sys.Federation != nil {
+		t.Fatal("a refused suite ran the baseline")
+	}
+}
+
+// TestOutageWireChaosSuite: the two-plane preset separates the outage
+// from isp-b's feed chaos. The outage step degrades nobody and carries
+// no fault ledger; the wire step and the cumulative run leave isp-b
+// degraded with corruptions and a kill on the ledger; and wire faults
+// on isp-b's streams leave the other vantages exactly as the outage
+// alone left them.
+func TestOutageWireChaosSuite(t *testing.T) {
+	sys := suiteFederation(t)
+	res, err := sys.DisruptionSuite(scenario.Presets(5)[scenario.PresetOutageWireChaos])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sc := range res.Scenarios {
+		names = append(names, sc.Name)
+	}
+	want := []string{"outage-wire-chaos/aws-outage", "outage-wire-chaos/wire-chaos", "outage-wire-chaos/cumulative"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("scenarios = %v, want %v", names, want)
+	}
+	outage, chaos, cumulative := res.Scenarios[0], res.Scenarios[1], res.Scenarios[2]
+	if outage.FaultTotals != nil {
+		t.Fatalf("outage step carries a fault ledger: %+v", *outage.FaultTotals)
+	}
+	for _, vd := range outage.Vantages {
+		if vd.Degraded || vd.HoursLost != 0 || vd.DownDeltaPct > 0 {
+			t.Fatalf("outage step at %s: %+v", vd.Vantage, vd)
+		}
+	}
+	for _, sc := range []iotmap.ScenarioResult{chaos, cumulative} {
+		if vd := deltaFor(t, sc, "isp-b"); !vd.Degraded || vd.HoursLost == 0 {
+			t.Fatalf("%s: isp-b not degraded: %+v", sc.Name, vd)
+		}
+		if ft := sc.FaultTotals; ft == nil || ft.Corrupted == 0 || !ft.Killed {
+			t.Fatalf("%s: fault ledger %+v, want corruptions and a kill", sc.Name, ft)
+		}
+	}
+	for _, name := range []string{"isp-a", "ixp"} {
+		if a, b := deltaFor(t, outage, name), deltaFor(t, cumulative, name); a != b {
+			t.Fatalf("%s: isp-b's wire chaos moved another vantage:\n outage     %+v\n cumulative %+v", name, a, b)
+		}
+		if vd := deltaFor(t, chaos, name); vd.DownDeltaPct != 0 || vd.Degraded {
+			t.Fatalf("%s moved under isp-b's wire chaos: %+v", name, vd)
+		}
+	}
 }
 
 // TestSuiteRerunByteIdentical: the reproducibility contract — the same
 // suite over a fresh world with the same seeds reproduces every
 // figure, coverage report, and fault ledger byte for byte.
 func TestSuiteRerunByteIdentical(t *testing.T) {
-	run := func() (*iotmap.System, *iotmap.SuiteStudyResult) {
+	run := func() *iotmap.SuiteStudyResult {
 		sys := suiteFederation(t)
 		res, err := sys.DisruptionSuite(scenario.Presets(5)[scenario.PresetOutageFeedLoss])
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys, res
+		return res
 	}
-	sys1, res1 := run()
-	sys2, res2 := run()
+	res1 := run()
+	res2 := run()
 
 	if a, b := figures.SuiteDeltas(res1), figures.SuiteDeltas(res2); a != b {
 		t.Fatalf("suite deltas not reproducible:\n--- run 1:\n%s\n--- run 2:\n%s", a, b)
 	}
 	for i := range res1.Scenarios {
-		a := coverageOf(sys1, res1.Scenarios[i].Federation)
-		b := coverageOf(sys2, res2.Scenarios[i].Federation)
+		a := figures.FederationCoverage(res1.Scenarios[i].Federation)
+		b := figures.FederationCoverage(res2.Scenarios[i].Federation)
 		if a != b {
 			t.Fatalf("scenario %s coverage not reproducible:\n--- run 1:\n%s\n--- run 2:\n%s",
 				res1.Scenarios[i].Name, a, b)
