@@ -61,6 +61,26 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
+// TestGoldenDiscoveryFigures: the outputs of discovery and validation at
+// seed 71 — Table 1, Figures 3-4, the vantage-point gain and §6.2 — are
+// byte-identical to their recorded baseline.
+func TestGoldenDiscoveryFigures(t *testing.T) {
+	sys := mainSystem(t)
+	for name, render := range goldenSections3to4 {
+		checkGolden(t, name, render(sys))
+	}
+}
+
+// goldenSections3to4 are the artifacts discovery (§3.3), validation
+// (§3.4) and the §6.2 check over the validated sets render.
+var goldenSections3to4 = map[string]func(*iotmap.System) string{
+	"table1.txt":    figures.Table1,
+	"figure3.txt":   figures.Figure3,
+	"figure4.txt":   figures.Figure4,
+	"vpgain.txt":    figures.VantagePointGain,
+	"section62.txt": figures.Section62,
+}
+
 // TestGoldenOutageFigures: the outage deep-dive series (Figures 15/16)
 // survive the pipeline refactor too.
 func TestGoldenOutageFigures(t *testing.T) {
