@@ -270,6 +270,34 @@ func BenchmarkStageDiscovery(b *testing.B) {
 	}
 }
 
+// BenchmarkValidateWeek is the validation layer on its own: discovery
+// runs once outside the timer, ValidateAndLocate (the §3.4 shared-IP
+// filter, geolocation, Table 1 characterization and the ground-truth
+// checks, one provider per pool job) inside it. us/candidate is the cost
+// per discovered address the layer classifies.
+func BenchmarkValidateWeek(b *testing.B) {
+	sys, err := iotmap.New(iotmap.Config{Seed: 47, Scale: 0.1, SkipLiveScan: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Discover(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	candidates := 0
+	for _, res := range sys.Discovery {
+		candidates += len(res.Union())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.ValidateAndLocate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(candidates), "us/candidate")
+}
+
 // BenchmarkStageTrafficDay measures one simulated ISP day through the
 // collector.
 func BenchmarkStageTrafficDay(b *testing.B) {
@@ -733,7 +761,7 @@ func BenchmarkAblationSources(b *testing.B) {
 		{"pdns-only", discovery.Inputs{Patterns: patterns.All(), PDNS: pdns, Days: w.Days, Seed: 5}},
 		{"fusion", discovery.Inputs{
 			Patterns: patterns.All(), Censys: censysSvc, PDNS: pdns,
-			Zones: w.ZoneStore, Views: world.VantagePointViews, Days: w.Days, Seed: 5,
+			Zones: w.ZoneStores(), Views: world.VantagePointViews, Days: w.Days, Seed: 5,
 		}},
 	}
 	for _, c := range cases {

@@ -1,9 +1,11 @@
 package iotmap_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -79,6 +81,43 @@ var goldenSections3to4 = map[string]func(*iotmap.System) string{
 	"figure4.txt":   figures.Figure4,
 	"vpgain.txt":    figures.VantagePointGain,
 	"section62.txt": figures.Section62,
+}
+
+// TestPaperReportIndependentOfProcs: scheduling cannot leak into the
+// report. Discovery, validation and Figure 12 fan out over GOMAXPROCS;
+// one small System taken through RunAll at 1, 2 and 8 procs renders
+// every table and figure cmd/paper prints byte-identically.
+func TestPaperReportIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		sys, err := iotmap.New(iotmap.Config{Seed: 5, Scale: 0.02, Lines: 900, SkipLiveScan: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, render := range []func(*iotmap.System) string{
+			figures.Table1, func(*iotmap.System) string { return figures.Table2() },
+			figures.Figure3, figures.Figure4, figures.VantagePointGain, figures.ValidationReport,
+			figures.Figure5, figures.Figure6, figures.Figure7, figures.Figure8, figures.Figure9,
+			figures.Figure10, figures.Figure11, figures.Figure12, figures.Figure13, figures.Figure14,
+			figures.Section62, figures.Figure15, figures.Figure16,
+		} {
+			b.WriteString(render(sys))
+		}
+		sys.Close()
+		if procs == 1 {
+			first = b.String()
+			continue
+		}
+		if b.String() != first {
+			t.Fatalf("GOMAXPROCS=%d renders a different report than GOMAXPROCS=1", procs)
+		}
+	}
 }
 
 // TestGoldenOutageFigures: the outage deep-dive series (Figures 15/16)

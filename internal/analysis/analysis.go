@@ -1,14 +1,39 @@
 // Package analysis provides the statistical helpers the figure
 // reproductions share: empirical CDFs (Figure 12), hourly time series
 // (Figures 8-10, 15-16), share normalization (Figures 13-14), and
-// set-comparison utilities (Figure 4's stability bars).
+// set-comparison utilities (Figure 4's stability bars) — plus ForEach,
+// the ordered worker pool the measurement stages fan out on.
 package analysis
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
+
+// ForEach calls f(i) for every i in [0, n) on GOMAXPROCS workers and
+// returns when every call has. Each call writes only its own result
+// slot, so callers read results in index order whatever the scheduling;
+// with GOMAXPROCS=1 the single worker runs i = 0, 1, ... in order.
+func ForEach(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
 
 // ECDF is an empirical cumulative distribution function over float64
 // samples.
@@ -18,9 +43,63 @@ type ECDF struct {
 
 // NewECDF builds an ECDF; the input is copied.
 func NewECDF(samples []float64) *ECDF {
-	cp := append([]float64(nil), samples...)
-	sort.Float64s(cp)
-	return &ECDF{sorted: cp}
+	return &ECDF{sorted: sortedCopy(samples)}
+}
+
+// radixCutover is the sample count below which sortedCopy leaves the
+// work to sort.Float64s: eight counting passes cost more than a small
+// comparison sort.
+const radixCutover = 256
+
+// sortedCopy returns samples sorted ascending, element for element the
+// slice sort.Float64s makes (-0 and +0, which it treats as equal, may
+// trade places). It is an LSD radix sort, one byte per pass, over keys
+// that order like the floats: the bits of a non-negative float with the
+// sign bit set, the complement of a negative one's. A key lives in a
+// float64 slot as its bit pattern, so the sort needs only one scratch
+// slice. NaN has no place in that order; an input with one goes to
+// sort.Float64s, which puts NaNs first.
+func sortedCopy(samples []float64) []float64 {
+	n := len(samples)
+	keys := make([]float64, n)
+	if n < radixCutover || slices.ContainsFunc(samples, math.IsNaN) {
+		copy(keys, samples)
+		sort.Float64s(keys)
+		return keys
+	}
+	var counts [8][256]int
+	for i, f := range samples {
+		k := math.Float64bits(f)
+		k ^= -(k >> 63) | 1<<63 // negative: complement; else set the sign bit
+		keys[i] = math.Float64frombits(k)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	buf := make([]float64, n)
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(math.Float64bits(keys[0])>>(8*d))] == n {
+			continue // every key has this byte: the pass would move nothing
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
+		}
+		for _, f := range keys {
+			b := byte(math.Float64bits(f) >> (8 * d))
+			buf[c[b]] = f
+			c[b]++
+		}
+		keys, buf = buf, keys
+	}
+	for i, f := range keys {
+		k := math.Float64bits(f)
+		k ^= (k>>63 - 1) | 1<<63 // undo the key transform
+		keys[i] = math.Float64frombits(k)
+	}
+	return keys
 }
 
 // Len returns the sample count.

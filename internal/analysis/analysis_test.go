@@ -1,7 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -152,6 +156,95 @@ func TestHumanBytes(t *testing.T) {
 	for v, want := range cases {
 		if got := HumanBytes(v); got != want {
 			t.Fatalf("HumanBytes(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestNewECDFMatchesFloat64s is the radix kernel's oracle: NewECDF's
+// sorted slice equals sort.Float64s's element for element (== for the
+// zeros, which that sort treats as equal; NaN matches NaN) on random
+// inputs with the awkward values mixed in, across the small-input
+// cutover, and on the NaN fallback path.
+func TestNewECDFMatchesFloat64s(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 25))
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, -0x1p-1030, 0x1.8p-1025, -0x1.8p-1025, // subnormals, both mantissa halves
+		math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	draw := func(n int, dups bool) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			switch r := rng.IntN(10); {
+			case r == 0:
+				out[i] = special[rng.IntN(len(special))]
+			case r == 1 && dups && i > 0:
+				out[i] = out[rng.IntN(i)]
+			case r < 5:
+				out[i] = math.Float64frombits(rng.Uint64()) // any bit pattern
+			default:
+				out[i] = rng.ExpFloat64() * 1e6 // the daily-volume shape
+			}
+			if math.IsNaN(out[i]) {
+				out[i] = 1.5
+			}
+		}
+		return out
+	}
+	check := func(name string, in []float64) {
+		t.Helper()
+		want := append([]float64(nil), in...)
+		sort.Float64s(want)
+		orig := append([]float64(nil), in...)
+		got := NewECDF(in).sorted
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d samples sorted to %d", name, len(want), len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("%s: [%d] = %v, sort.Float64s has %v", name, i, got[i], want[i])
+			}
+		}
+		for i := range in {
+			if math.Float64bits(in[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("%s: NewECDF modified its input", name)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 2, radixCutover - 1, radixCutover, radixCutover + 1, 1000, 40000} {
+		check(fmt.Sprintf("random/n=%d", n), draw(n, false))
+		check(fmt.Sprintf("dups/n=%d", n), draw(n, true))
+		equal := make([]float64, n)
+		for i := range equal {
+			equal[i] = 3.25
+		}
+		check(fmt.Sprintf("all-equal/n=%d", n), equal)
+		if n > 0 {
+			withNaN := draw(n, true)
+			withNaN[rng.IntN(n)] = math.NaN()
+			check(fmt.Sprintf("nan/n=%d", n), withNaN)
+		}
+	}
+	check("specials", append(append([]float64(nil), special...), special...))
+	check("specials-above-cutover", func() []float64 {
+		var out []float64
+		for len(out) < 2*radixCutover {
+			out = append(out, special...)
+		}
+		return out
+	}())
+}
+
+// TestForEach: every index runs exactly once, at any worker count.
+func TestForEach(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 100} {
+		hits := make([]atomic.Int32, n)
+		ForEach(n, func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, h)
+			}
 		}
 	}
 }

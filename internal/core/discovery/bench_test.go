@@ -11,16 +11,25 @@ import (
 	"iotmap/internal/world"
 )
 
+// unrelatedStores builds each study day's zone store on its own, so no
+// RRset identity links two days and Run resolves every day in full.
+func unrelatedStores(w *world.World) []*dnszone.Store {
+	out := make([]*dnszone.Store, len(w.Days))
+	for d := range out {
+		out[d] = w.ZoneStore(d)
+	}
+	return out
+}
+
 // weekInputs builds the observation channels System.Discover hands to
 // Run when the live scan is off: the scan catalog, passive DNS and the
 // week of zone stores.
 func weekInputs(w *world.World, seed int64) Inputs {
-	zones := w.ZoneStores()
 	return Inputs{
 		Patterns: patterns.All(),
 		Censys:   w.BuildCensys(),
 		PDNS:     w.BuildDNSDB(),
-		Zones:    func(d int) *dnszone.Store { return zones[d] },
+		Zones:    w.ZoneStores(),
 		Views:    world.VantagePointViews,
 		Days:     w.Days,
 		Seed:     seed,

@@ -9,7 +9,6 @@ import (
 
 	"iotmap/internal/censys"
 	"iotmap/internal/core/patterns"
-	"iotmap/internal/dnszone"
 	"iotmap/internal/world"
 )
 
@@ -24,7 +23,7 @@ func TestRunDeterministic(t *testing.T) {
 		Patterns: patterns.All(),
 		Censys:   w.BuildCensys(),
 		PDNS:     w.BuildDNSDB(),
-		Zones:    func(d int) *dnszone.Store { return w.ZoneStore(d) },
+		Zones:    unrelatedStores(w),
 		Views:    world.VantagePointViews,
 		Days:     w.Days,
 		Seed:     33,

@@ -6,15 +6,17 @@
 // address carries its source tags, the raw material of Figure 3 and of
 // the per-source ablations in DESIGN.md.
 //
-// Computed once per study period: the IPv6 scan, each pattern's compiled
-// passive-DNS query and whole-period name set, and active resolution —
-// every distinct (view, name, type, RRset version) of the week makes one
-// Pack -> HandleWire -> Unpack round trip, so every answer set the week
-// contains still crosses the dnsmsg wire codec, and nothing is learned
-// about an active-DNS answer any other way. Computed per day, on the
-// worker pool: the certificate search over the day's snapshot (the regex
-// verdicts themselves are the scan catalog's, shared by all days), the
-// passive-DNS day query, and the fusion of the day's sources from the
+// Computed once per study period: the IPv6 scan, each pattern's
+// passive-DNS query (its observations and whole-period name set), and
+// active resolution — every distinct (view, name, type, RRset version) of
+// the week makes one Pack -> HandleWire -> Unpack round trip, so every
+// answer set the week contains still crosses the dnsmsg wire codec, and
+// nothing is learned about an active-DNS answer any other way. Computed
+// per day, on the worker pool: the certificate search over the day's
+// snapshot (the regex verdicts themselves are the scan catalog's, shared
+// by all days; each certificate's names are canonicalized once), the
+// day's passive-DNS sightings (the whole-period observations whose
+// window overlaps the day), and the fusion of the day's sources from the
 // decoded answers.
 package discovery
 
@@ -29,7 +31,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"iotmap/internal/analysis"
 	"iotmap/internal/censys"
+	"iotmap/internal/certmodel"
 	"iotmap/internal/core/patterns"
 	"iotmap/internal/dnsdb"
 	"iotmap/internal/dnsmsg"
@@ -199,12 +203,12 @@ type Inputs struct {
 	// to skip it.
 	Hitlist *hitlist.Hitlist
 	Fabric  zgrab.Dialer
-	// Zones returns the authoritative store of one study day (active
-	// resolution); Run asks once per day. Between stores related through
+	// Zones holds the authoritative store of each study day (active
+	// resolution), parallel to Days. Between stores related through
 	// dnszone.Store.Derive an unchanged RRset is resolved once for the
 	// whole period; unrelated stores are resolved in full, day by day.
 	// Nil skips active DNS.
-	Zones func(dayIdx int) *dnszone.Store
+	Zones []*dnszone.Store
 	// Views are the vantage-point view names (first one is the
 	// single-VP baseline for the gain metric).
 	Views []string
@@ -213,13 +217,19 @@ type Inputs struct {
 }
 
 // compiled carries the per-pattern state Run precomputes once instead of
-// per day: the precompiled (anchored) PDNS query and the full-period name
-// set active resolution always targets.
+// per day: the precompiled (anchored) PDNS query, its whole-period
+// address observations and the full-period name set active resolution
+// always targets.
 type compiled struct {
 	p *patterns.Pattern
 	// q is the precompiled Flexible Search handle; nil for fixed-FQDN
 	// providers, which use Basic Search.
 	q *dnsdb.Query
+	// sightings are the whole-period query's address observations, in
+	// query order, with their parsed addresses in sightingAddrs. A day's
+	// query returns exactly those whose window overlaps the day.
+	sightings     []dnsdb.Observation
+	sightingAddrs []netip.Addr
 	// wholeNames is every rrname DNSDB has ever seen for the provider
 	// (day-independent, so queried once for the whole study period).
 	wholeNames []string
@@ -241,6 +251,9 @@ type dayOutput struct {
 func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 	if len(in.Days) == 0 {
 		return nil, fmt.Errorf("discovery: no study days")
+	}
+	if in.Zones != nil && len(in.Zones) != len(in.Days) {
+		return nil, fmt.Errorf("discovery: %d zone stores for %d study days", len(in.Zones), len(in.Days))
 	}
 	results := map[string]*Result{}
 	for _, p := range in.Patterns {
@@ -269,33 +282,16 @@ func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 	}
 
 	outs := make([]dayOutput, len(in.Days))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(in.Days) {
-		workers = len(in.Days)
-	}
 	// The first failing day cancels the rest of the pool, so an error on
 	// day 0 of a long study does not pay for the remaining days.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	dayCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for di := range dayCh {
-				outs[di] = runDay(runCtx, in, cps, v6ByProvider, active, di)
-				if outs[di].err != nil {
-					cancel()
-				}
-			}
-		}()
-	}
-	for di := range in.Days {
-		dayCh <- di
-	}
-	close(dayCh)
-	wg.Wait()
+	analysis.ForEach(len(in.Days), func(di int) {
+		outs[di] = runDay(runCtx, in, cps, v6ByProvider, active, di)
+		if outs[di].err != nil {
+			cancel()
+		}
+	})
 
 	// Prefer the first real failure in day order; cancellation errors in
 	// other days are just the pool shutting down behind it.
@@ -348,6 +344,10 @@ func compileAll(in Inputs) ([]*compiled, error) {
 			set := map[string]struct{}{}
 			for _, o := range whole {
 				set[o.RRName] = struct{}{}
+				if a, ok := o.Addr(); ok {
+					cp.sightings = append(cp.sightings, o)
+					cp.sightingAddrs = append(cp.sightingAddrs, a)
+				}
 			}
 			cp.wholeNames = sortedNames(set)
 		}
@@ -373,6 +373,9 @@ func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[st
 			return out
 		}
 	}
+	// A server's endpoints share one certificate (and a certificate may
+	// match several patterns): canonicalize its names once per day.
+	certNames := map[*certmodel.Spec][]string{}
 	for pi, cp := range cps {
 		if err := ctx.Err(); err != nil {
 			out.err = err
@@ -387,8 +390,15 @@ func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[st
 				ai := dr.info(rec.Addr)
 				ai.Sources |= SrcCert
 				ai.addPort(proto.PortKey{Transport: rec.Transport, Port: rec.Port}, rec.Protocol)
-				for _, n := range rec.Cert.AllNames() {
-					ai.addName(dnsmsg.CanonicalName(n))
+				names, ok := certNames[rec.Cert]
+				if !ok {
+					for _, n := range rec.Cert.AllNames() {
+						names = append(names, dnsmsg.CanonicalName(n))
+					}
+					certNames[rec.Cert] = names
+				}
+				for _, n := range names {
+					ai.addName(n)
 				}
 				// Harvest co-located open ports for the protocol
 				// column (the scan saw the whole endpoint).
@@ -406,15 +416,14 @@ func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[st
 				ai.addName(n)
 			}
 		}
-		// (3) Passive DNS.
-		if in.PDNS != nil {
-			tr := dnsdb.TimeRange{From: day, To: day.Add(24 * time.Hour)}
-			for _, o := range queryPDNS(in.PDNS, cp, tr) {
-				if a, ok := o.Addr(); ok {
-					ai := dr.info(a)
-					ai.Sources |= SrcPDNS
-					ai.addName(o.RRName)
-				}
+		// (3) Passive DNS: the day's query, as a filter over the
+		// whole-period one.
+		tr := dnsdb.TimeRange{From: day, To: day.Add(24 * time.Hour)}
+		for i := range cp.sightings {
+			if o := &cp.sightings[i]; tr.Contains(o) {
+				ai := dr.info(cp.sightingAddrs[i])
+				ai.Sources |= SrcPDNS
+				ai.addName(o.RRName)
 			}
 		}
 		// (4) Daily active resolution from every vantage point. The
@@ -510,10 +519,9 @@ type wireQuery struct {
 // round trip. Which round trips happen is planned serially from the
 // stores alone; only their execution is spread over the workers.
 func resolveWeek(ctx context.Context, in Inputs, cps []*compiled) (*activeDNS, error) {
-	stores := make([]*dnszone.Store, len(in.Days))
+	stores := in.Zones
 	srvs := make([][]*dnszone.Server, len(in.Days))
 	for di := range in.Days {
-		stores[di] = in.Zones(di)
 		for _, view := range in.Views {
 			srvs[di] = append(srvs[di], dnszone.NewLocalServer(stores[di], view))
 		}

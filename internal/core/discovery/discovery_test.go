@@ -6,7 +6,6 @@ import (
 
 	"iotmap/internal/certmodel"
 	"iotmap/internal/core/patterns"
-	"iotmap/internal/dnszone"
 	"iotmap/internal/vnet"
 	"iotmap/internal/world"
 )
@@ -41,7 +40,7 @@ func runPipeline(t *testing.T) (*world.World, map[string]*Result) {
 		PDNS:     w.BuildDNSDB(),
 		Hitlist:  w.BuildHitlist(0.8),
 		Fabric:   fabric,
-		Zones:    func(d int) *dnszone.Store { return w.ZoneStore(d) },
+		Zones:    unrelatedStores(w),
 		Views:    world.VantagePointViews,
 		Days:     w.Days,
 		Seed:     21,

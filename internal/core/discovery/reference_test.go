@@ -33,7 +33,7 @@ func referenceRun(t *testing.T, in Inputs) (results map[string]*Result, wireTrip
 		t.Fatal(err)
 	}
 	for di, day := range in.Days {
-		store := in.Zones(di)
+		store := in.Zones[di]
 		var srvs []*dnszone.Server
 		for _, view := range in.Views {
 			srvs = append(srvs, dnszone.NewLocalServer(store, view))
@@ -133,7 +133,7 @@ func TestRunMatchesUnmemoizedReference(t *testing.T) {
 	distinct := map[version]struct{}{}
 	changedAfterDay0 := 0
 	for di := range in.Days {
-		store := in.Zones(di)
+		store := in.Zones[di]
 		for _, cp := range cps {
 			for _, view := range in.Views {
 				for _, name := range cp.wholeNames {

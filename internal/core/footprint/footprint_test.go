@@ -7,7 +7,6 @@ import (
 
 	"iotmap/internal/core/discovery"
 	"iotmap/internal/core/patterns"
-	"iotmap/internal/dnszone"
 	"iotmap/internal/geo"
 	"iotmap/internal/world"
 )
@@ -30,7 +29,7 @@ func pipeline(t *testing.T) (*world.World, map[string]*discovery.Result) {
 		Patterns: patterns.All(),
 		Censys:   w.BuildCensys(),
 		PDNS:     w.BuildDNSDB(),
-		Zones:    func(d int) *dnszone.Store { return w.ZoneStore(d) },
+		Zones:    w.ZoneStores(),
 		Views:    world.VantagePointViews,
 		Days:     w.Days,
 		Seed:     31,

@@ -29,21 +29,28 @@ type Classification struct {
 // FilterShared classifies candidate addresses for one provider. The
 // reverse index is the passive-DNS database: every name that resolves to
 // the IP and matches no IoT pattern counts against it (the method of
-// Saidi et al. and Iordanou et al. the paper adopts).
+// Saidi et al. and Iordanou et al. the paper adopts). Whether a name
+// matches any pattern is decided once per distinct name per call, trying
+// the pattern that matched last first: the candidates of one provider
+// mostly carry that provider's names.
 func FilterShared(addrs []netip.Addr, allPatterns []*patterns.Pattern, pdns *dnsdb.DB, tr dnsdb.TimeRange, threshold int) (dedicated []netip.Addr, shared []netip.Addr, detail []Classification) {
 	if threshold <= 0 {
 		threshold = DefaultSharedThreshold
 	}
+	isIoT := map[string]bool{}
+	last := 0
 	for _, a := range addrs {
-		names := pdns.NamesForAddr(a, tr)
 		nonIoT := 0
-		for _, n := range names {
-			matched := false
-			for _, p := range allPatterns {
-				if p.MatchFQDN(n) {
-					matched = true
-					break
+		for _, n := range pdns.NamesForAddr(a, tr) {
+			matched, seen := isIoT[n]
+			if !seen {
+				matched = len(allPatterns) > 0 && allPatterns[last].MatchFQDN(n)
+				for i := 0; i < len(allPatterns) && !matched; i++ {
+					if i != last && allPatterns[i].MatchFQDN(n) {
+						matched, last = true, i
+					}
 				}
+				isIoT[n] = matched
 			}
 			if !matched {
 				nonIoT++

@@ -1,12 +1,15 @@
 package validate
 
 import (
+	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"iotmap/internal/core/patterns"
 	"iotmap/internal/dnsdb"
+	"iotmap/internal/world"
 )
 
 func t0() time.Time { return time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC) }
@@ -38,6 +41,73 @@ func TestFilterShared(t *testing.T) {
 		if c.Addr == dedicated && c.NonIoTNames != 1 {
 			t.Fatalf("dedicated count = %d", c.NonIoTNames)
 		}
+	}
+}
+
+// filterSharedReference is FilterShared as it was before the per-name
+// memo: every pattern tried against every (address, name) pair. It is
+// the oracle FilterShared must equal.
+func filterSharedReference(addrs []netip.Addr, allPatterns []*patterns.Pattern, pdns *dnsdb.DB, tr dnsdb.TimeRange, threshold int) (dedicated []netip.Addr, shared []netip.Addr, detail []Classification) {
+	if threshold <= 0 {
+		threshold = DefaultSharedThreshold
+	}
+	for _, a := range addrs {
+		names := pdns.NamesForAddr(a, tr)
+		nonIoT := 0
+		for _, n := range names {
+			matched := false
+			for _, p := range allPatterns {
+				if p.MatchFQDN(n) {
+					matched = true
+					break
+				}
+			}
+			if !matched {
+				nonIoT++
+			}
+		}
+		c := Classification{Addr: a, NonIoTNames: nonIoT, Shared: nonIoT > threshold}
+		detail = append(detail, c)
+		if c.Shared {
+			shared = append(shared, a)
+		} else {
+			dedicated = append(dedicated, a)
+		}
+	}
+	return dedicated, shared, detail
+}
+
+// TestFilterSharedMatchesReference: on a built world's candidate sets
+// (every server of each provider, shared frontends included) the
+// memoized filter's three outputs equal the reference loop's at every
+// threshold, the default and the shared-name count among them.
+func TestFilterSharedMatchesReference(t *testing.T) {
+	w, err := world.Build(world.Config{Seed: 25, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdns := w.BuildDNSDB()
+	period := dnsdb.TimeRange{From: w.Days[0], To: w.Days[len(w.Days)-1].Add(24 * time.Hour)}
+	all := patterns.All()
+	sharedSeen := 0
+	for _, threshold := range []int{0, 1, 5, 12} {
+		for _, id := range w.Order {
+			var addrs []netip.Addr
+			for _, s := range w.Providers[id].Servers {
+				addrs = append(addrs, s.Addr)
+			}
+			name := fmt.Sprintf("%s/threshold=%d", id, threshold)
+			ded, sh, detail := FilterShared(addrs, all, pdns, period, threshold)
+			wantDed, wantSh, wantDetail := filterSharedReference(addrs, all, pdns, period, threshold)
+			if !reflect.DeepEqual(ded, wantDed) || !reflect.DeepEqual(sh, wantSh) || !reflect.DeepEqual(detail, wantDetail) {
+				t.Fatalf("%s: FilterShared differs from the reference (%d/%d dedicated, %d/%d shared)",
+					name, len(ded), len(wantDed), len(sh), len(wantSh))
+			}
+			sharedSeen += len(sh)
+		}
+	}
+	if sharedSeen == 0 {
+		t.Fatal("no candidate was ever shared: the comparison is vacuous")
 	}
 }
 

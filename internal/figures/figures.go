@@ -328,10 +328,26 @@ func Figure11(sys *iotmap.System) string {
 	return b.String()
 }
 
-// Figure12 renders the three daily-volume ECDFs.
+// Figure12 renders the three daily-volume ECDFs. The ECDFs are
+// independent reads of the Study, so they are built on a worker pool:
+// the two daily ones first (the largest job), then one per alias and one
+// per top port.
 func Figure12(sys *iotmap.System) string {
+	aliases, ports := sys.Study.Aliases(), sys.Study.TopPorts(7)
+	var down, up *analysis.ECDF
+	ecdfs := make([]*analysis.ECDF, len(aliases)+len(ports))
+	analysis.ForEach(1+len(ecdfs), func(job int) {
+		switch i := job - 1; {
+		case job == 0:
+			down, up = sys.Study.DailyECDFs()
+		case i < len(aliases):
+			ecdfs[i] = sys.Study.AliasDailyECDF(aliases[i])
+		default:
+			ecdfs[i] = sys.Study.PortDailyECDF(ports[i-len(aliases)])
+		}
+	})
+
 	var b strings.Builder
-	down, up := sys.Study.DailyECDFs()
 	fmt.Fprintf(&b, "Figure 12a: per-line daily volume ECDF (all backends)\n")
 	fmt.Fprintf(&b, "  downstream: n=%d  P(<=1MB)=%.2f  P(<=10MB)=%.2f  p99=%s\n",
 		down.Len(), down.At(1e6), down.At(10e6), analysis.HumanBytes(down.Quantile(0.99)))
@@ -339,8 +355,8 @@ func Figure12(sys *iotmap.System) string {
 		up.Len(), up.At(1e6), up.At(10e6), analysis.HumanBytes(up.Quantile(0.99)))
 
 	fmt.Fprintf(&b, "Figure 12b: per-line daily downstream per platform\n")
-	for _, alias := range sys.Study.Aliases() {
-		e := sys.Study.AliasDailyECDF(alias)
+	for i, alias := range aliases {
+		e := ecdfs[i]
 		if e.Len() == 0 {
 			continue
 		}
@@ -349,8 +365,8 @@ func Figure12(sys *iotmap.System) string {
 	}
 
 	fmt.Fprintf(&b, "Figure 12c: per-line daily downstream per port\n")
-	for _, p := range sys.Study.TopPorts(7) {
-		e := sys.Study.PortDailyECDF(p)
+	for i, p := range ports {
+		e := ecdfs[len(aliases)+i]
 		if e.Len() == 0 {
 			continue
 		}

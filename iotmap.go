@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"iotmap/internal/analysis"
 	"iotmap/internal/asdb"
 	"iotmap/internal/bgpstream"
 	"iotmap/internal/blocklist"
@@ -38,7 +39,6 @@ import (
 	"iotmap/internal/core/patterns"
 	"iotmap/internal/core/validate"
 	"iotmap/internal/dnsdb"
-	"iotmap/internal/dnszone"
 	"iotmap/internal/faultwire"
 	"iotmap/internal/geo"
 	"iotmap/internal/isp"
@@ -335,17 +335,25 @@ func (s *System) Close() {
 // Discover runs the Section 3.3 source fusion.
 func (s *System) Discover(ctx context.Context) error {
 	// The scan catalog and the week of zone stores live for this call
-	// only: discovery.Run reads them, s.Discovery keeps none of it.
-	zones := s.World.ZoneStores()
+	// only: discovery.Run reads them, s.Discovery keeps none of it. The
+	// three are independent read-only passes over the World, so they are
+	// built concurrently.
 	in := discovery.Inputs{
 		Patterns: s.Patterns,
-		Censys:   s.World.BuildCensys(),
-		PDNS:     s.World.BuildDNSDB(),
-		Zones:    func(d int) *dnszone.Store { return zones[d] },
 		Views:    world.VantagePointViews,
 		Days:     s.World.Days,
 		Seed:     s.Cfg.Seed,
 	}
+	analysis.ForEach(3, func(i int) {
+		switch i {
+		case 0:
+			in.Zones = s.World.ZoneStores()
+		case 1:
+			in.Censys = s.World.BuildCensys()
+		case 2:
+			in.PDNS = s.World.BuildDNSDB()
+		}
+	})
 	s.PDNS = in.PDNS
 	if !s.Cfg.SkipLiveScan {
 		s.fabric = vnet.New()
@@ -367,8 +375,51 @@ func (s *System) Discover(ctx context.Context) error {
 	return nil
 }
 
+// providerValidation is one provider's share of ValidateAndLocate.
+type providerValidation struct {
+	addrs, ded, shared []netip.Addr
+	located            map[netip.Addr]footprint.Located
+	certDed            map[netip.Addr]struct{}
+	row                footprint.Row
+	ips                *validate.IPReport
+	prefixes           *validate.PrefixReport
+}
+
+// validateProvider runs the Section 3.4 filter, the Section 4 geolocation
+// and characterization, and the ground-truth checks for one provider.
+func (s *System) validateProvider(p *patterns.Pattern, period dnsdb.TimeRange) providerValidation {
+	id := p.ProviderID()
+	union := s.Discovery[id].Union()
+	v := providerValidation{addrs: discovery.SortedAddrs(union)}
+	v.ded, v.shared, _ = validate.FilterShared(v.addrs, s.Patterns, s.PDNS, period, s.Cfg.SharedThreshold)
+	v.located = footprint.Geolocate(p, union, s.World.Geo, s.World.GeoVotes)
+	// Characterize over the dedicated set only (Section 5 uses only
+	// exclusively-IoT infrastructure).
+	dedUnion := map[netip.Addr]*discovery.AddrInfo{}
+	v.certDed = map[netip.Addr]struct{}{}
+	for _, a := range v.ded {
+		info := union[a]
+		dedUnion[a] = info
+		if info != nil && info.Sources.Has(discovery.SrcCert) {
+			v.certDed[a] = struct{}{}
+		}
+	}
+	v.row = footprint.Characterize(id, dedUnion, v.located, s.World.AS)
+	if disclosed := s.World.DisclosedIPs(id); disclosed != nil {
+		rep := validate.AgainstIPs(v.addrs, disclosed)
+		v.ips = &rep
+	}
+	if prefixes := s.World.DisclosedPrefixes(id); prefixes != nil {
+		rep := validate.AgainstPrefixes(v.addrs, prefixes)
+		v.prefixes = &rep
+	}
+	return v
+}
+
 // ValidateAndLocate runs the Section 3.4 filters, the Section 4
 // geolocation and characterization, and the ground-truth validation.
+// Providers are independent, so they run on a worker pool; the System's
+// maps are written afterwards, in provider order.
 func (s *System) ValidateAndLocate() error {
 	if s.Discovery == nil {
 		return fmt.Errorf("iotmap: Discover must run first")
@@ -385,38 +436,21 @@ func (s *System) ValidateAndLocate() error {
 	s.prefixAddrs = map[string][]netip.Addr{}
 	s.certDedicated = map[string]map[netip.Addr]struct{}{}
 	period := dnsdb.TimeRange{From: s.World.Days[0], To: s.World.Days[len(s.World.Days)-1].Add(24 * time.Hour)}
-	for _, p := range s.Patterns {
-		id := p.ProviderID()
-		res := s.Discovery[id]
-		union := res.Union()
-		addrs := discovery.SortedAddrs(union)
-		ded, shared, _ := validate.FilterShared(addrs, s.Patterns, s.PDNS, period, s.Cfg.SharedThreshold)
-		s.Dedicated[id] = ded
-		s.Shared[id] = shared
-
-		located := footprint.Geolocate(p, union, s.World.Geo, s.World.GeoVotes)
-		s.Located[id] = located
-		// Characterize over the dedicated set only (Section 5 uses only
-		// exclusively-IoT infrastructure).
-		dedUnion := map[netip.Addr]*discovery.AddrInfo{}
-		certDed := map[netip.Addr]struct{}{}
-		for _, a := range ded {
-			info := union[a]
-			dedUnion[a] = info
-			if info != nil && info.Sources.Has(discovery.SrcCert) {
-				certDed[a] = struct{}{}
-			}
+	vals := make([]providerValidation, len(s.Patterns))
+	analysis.ForEach(len(s.Patterns), func(i int) { vals[i] = s.validateProvider(s.Patterns[i], period) })
+	for i, p := range s.Patterns {
+		id, v := p.ProviderID(), vals[i]
+		s.Dedicated[id] = v.ded
+		s.Shared[id] = v.shared
+		s.Located[id] = v.located
+		s.certDedicated[id] = v.certDed
+		s.Rows[id] = v.row
+		if v.ips != nil {
+			s.Validation.IPs[id] = *v.ips
 		}
-		s.certDedicated[id] = certDed
-		s.Rows[id] = footprint.Characterize(id, dedUnion, located, s.World.AS)
-
-		// Ground truth.
-		if disclosed := s.World.DisclosedIPs(id); disclosed != nil {
-			s.Validation.IPs[id] = validate.AgainstIPs(addrs, disclosed)
-		}
-		if prefixes := s.World.DisclosedPrefixes(id); prefixes != nil {
-			s.Validation.Prefixes[id] = validate.AgainstPrefixes(addrs, prefixes)
-			s.prefixAddrs[id] = addrs
+		if v.prefixes != nil {
+			s.Validation.Prefixes[id] = *v.prefixes
+			s.prefixAddrs[id] = v.addrs
 		}
 	}
 	return nil
