@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -234,47 +235,166 @@ func TestQuarantineStreamDiscardsContribution(t *testing.T) {
 	}
 }
 
-// TestStallWatchdog: a feed that goes silent mid-week is cut by the
-// watchdog; under DropFrame the stream ends early with its contribution
-// intact and the stall is counted.
-func TestStallWatchdog(t *testing.T) {
-	f := buildFixture(t, 50)
-	backend := v4Backend(t, f.w)
-	col, err := New(Config{
-		Index: f.idx, Days: f.w.Days, Opts: f.opts,
-		Policy: DropFrame, StallTimeout: 25 * time.Millisecond,
-	})
+// ipfixMessage builds one raw IPFIX message carrying a single
+// classifiable record; withTemplate prepends the template set.
+func ipfixMessage(t *testing.T, f *fixture, backend *world.Server, line string, vol uint64, hour int, seq uint32, withTemplate bool) []byte {
+	t.Helper()
+	msg, err := netflow.AppendIPFIXMessage(nil, 7, seq, withTemplate, []netflow.Record{{
+		Src: backend.Addr, Dst: netip.MustParseAddr(line),
+		SrcPort: 8883, DstPort: 40000, Proto: netflow.ProtoTCP,
+		Bytes: vol, Packets: 3, Start: f.w.Days[0].Add(time.Duration(hour) * time.Hour),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, pw := io.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- col.IngestStream(pr) }()
+	return msg
+}
 
+// TestStallWatchdog: a feed that goes silent mid-week is cut by the
+// watchdog, framed or raw IPFIX alike; under DropFrame the stream ends
+// early with its contribution intact and the stall is counted.
+func TestStallWatchdog(t *testing.T) {
+	f := buildFixture(t, 50)
+	backend := v4Backend(t, f.w)
 	var frame bytes.Buffer
 	fw := netflow.NewFrameWriter(&frame)
 	if err := fw.WriteV5(v5Packet(t, f, backend, "95.0.0.1", 500, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pw.Write(frame.Bytes()); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		ingest func(*Collector, io.Reader) error
+		first  []byte
+	}{
+		{"framed", (*Collector).IngestStream, frame.Bytes()},
+		{"ipfix", func(c *Collector, r io.Reader) error { return c.IngestIPFIX("ipfix", r) },
+			ipfixMessage(t, f, backend, "95.0.0.1", 500, 2, 0, true)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col, err := New(Config{
+				Index: f.idx, Days: f.w.Days, Opts: f.opts,
+				Policy: DropFrame, StallTimeout: 25 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, pw := io.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- tc.ingest(col, pr) }()
+			if _, err := pw.Write(tc.first); err != nil {
+				t.Fatal(err)
+			}
+			// ... and then the exporter hangs forever. Never close pw.
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("stalled stream aborted the study: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("watchdog never fired")
+			}
+			st := col.Stats()
+			if st.StallTimeouts != 1 {
+				t.Fatalf("stall timeouts = %d, want 1: %+v", st.StallTimeouts, st)
+			}
+			_, fc := col.Finalize()
+			if got := fc.Study().Downstream(f.w.AliasOf(backend.Provider)).Total(); got != 500*100 {
+				t.Fatalf("pre-stall data lost: downstream = %v", got)
+			}
+		})
 	}
-	// ... and then the exporter hangs forever. Never close pw.
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("stalled stream aborted the study: %v", err)
+}
+
+// TestIPFIXFaultPolicy pins every fault site of a raw IPFIX stream
+// under each policy: the error class, the wire counters (totals and
+// the stream's own row) and what reaches the study. Two clean messages
+// (hours 2 and 3) precede the damage; the undecodable body is followed
+// by a third clean message (hour 5), which only DropFrame reaches.
+func TestIPFIXFaultPolicy(t *testing.T) {
+	f := buildFixture(t, 50)
+	backend := v4Backend(t, f.w)
+	alias := f.w.AliasOf(backend.Provider)
+	m0 := ipfixMessage(t, f, backend, "95.0.0.1", 500, 2, 0, true)
+	m1 := ipfixMessage(t, f, backend, "95.0.0.2", 700, 3, 1, false)
+	m2 := ipfixMessage(t, f, backend, "95.0.0.3", 1100, 5, 2, false)
+	// A length-delimited message whose only set carries a reserved ID.
+	undecodable := []byte{0, 10, 0, 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 1, 0, 4}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	type want struct {
+		err     error // class; nil means ingestion succeeds
+		frames  uint64
+		records uint64
+		dropped uint64
+		quar    uint64
+		scaled  uint64
+		hours   int
+	}
+	sites := []struct {
+		name  string
+		feed  []byte
+		abort error
+		// drop is what DropFrame keeps: frames and records decoded.
+		dropFrames, dropRecords uint64
+	}{
+		{"header-cut", cat(m0, m1, m2[:2]), io.ErrUnexpectedEOF, 2, 2},
+		{"bad-header", cat(m0, m1, []byte{0, 9, 0, 20}, m2), netflow.ErrBadPayload, 2, 2},
+		{"body-truncated", cat(m0, m1, m2[:len(m2)-3]), io.ErrUnexpectedEOF, 2, 2},
+		{"undecodable-body", cat(m0, m1, undecodable, m2), netflow.ErrTemplated, 4, 3},
+	}
+	for _, site := range sites {
+		// Abort stops at the damage; the undecodable message still
+		// counts as a frame.
+		abortFrames := uint64(2)
+		if site.name == "undecodable-body" {
+			abortFrames = 3
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never fired")
-	}
-	st := col.Stats()
-	if st.StallTimeouts != 1 {
-		t.Fatalf("stall timeouts = %d, want 1: %+v", st.StallTimeouts, st)
-	}
-	_, fc := col.Finalize()
-	if got := fc.Study().Downstream(f.w.AliasOf(backend.Provider)).Total(); got != 500*100 {
-		t.Fatalf("pre-stall data lost: downstream = %v", got)
+		dropVol := uint64(500 + 700)
+		dropHours := 2
+		if site.dropRecords == 3 {
+			dropVol += 1100
+			dropHours = 3
+		}
+		for _, tc := range []struct {
+			pol  ErrorPolicy
+			want want
+		}{
+			// IPFIX rows pend until EOF, so an aborted stream folds nothing.
+			{Abort, want{err: site.abort, frames: abortFrames, records: 2, hours: 2}},
+			{DropFrame, want{frames: site.dropFrames, records: site.dropRecords, dropped: 1, scaled: dropVol * 100, hours: dropHours}},
+			{QuarantineStream, want{frames: abortFrames, records: 2, quar: 1}},
+		} {
+			t.Run(site.name+"/"+tc.pol.String(), func(t *testing.T) {
+				col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: tc.pol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = col.IngestIPFIX("ipfix-feed", bytes.NewReader(site.feed))
+				switch {
+				case tc.want.err == nil && err != nil:
+					t.Fatalf("ingest failed: %v", err)
+				case tc.want.err != nil && !errors.Is(err, tc.want.err):
+					t.Fatalf("err = %v, want class %v", err, tc.want.err)
+				}
+				w := tc.want
+				wantStats := Stats{
+					Streams: 1, Frames: w.frames,
+					TemplatePackets: w.records, TemplateRecords: w.records, V4Records: w.records,
+					DroppedFrames: w.dropped, QuarantinedStreams: w.quar, ScaledBytes: w.scaled,
+				}
+				if st := col.Stats(); st != wantStats {
+					t.Fatalf("stats = %+v\nwant    %+v", st, wantStats)
+				}
+				per := col.StreamStats()
+				if len(per) != 1 || per[0].Stats != wantStats || per[0].Source != "ipfix-feed" || per[0].HoursCovered != w.hours {
+					t.Fatalf("stream stats = %+v, want %+v over %d hours", per, wantStats, w.hours)
+				}
+				_, fc := col.Finalize()
+				if got := fc.Study().Downstream(alias).Total(); got != float64(w.scaled) {
+					t.Fatalf("downstream = %v, want %d", got, w.scaled)
+				}
+			})
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,9 +135,11 @@ type DictState struct {
 }
 
 // Stats counts what crossed the wire. All counters are totals across
-// streams; read them via Stats() after ingestion completes.
+// streams, and they move while streams are open: each stream publishes
+// its counters once per frame, datagram or IPFIX message.
 type Stats struct {
-	// Streams completed ingestion (including failed ones).
+	// Streams completed ingestion (including failed ones); an open
+	// stream counts 0 here until it ends.
 	Streams uint64
 	// Frames, V4Records, V6Records, Flushes mirror the exporter's
 	// WireStats for cross-checking; V5Packets counts foreign v5 packets.
@@ -209,9 +210,10 @@ func (s *Stats) add(o Stats) {
 	s.QuarantinedStreams += o.QuarantinedStreams
 }
 
-// StreamStat is one completed stream's counters with its attribution —
-// enough to point at the source feeding a corrupt or mis-rated stream
-// instead of only knowing "somewhere in the sum".
+// StreamStat is one stream's counters with its attribution — enough to
+// point at the source feeding a corrupt or mis-rated stream instead of
+// only knowing "somewhere in the sum". Streams is 0 while the stream
+// is open and 1 once it has ended.
 type StreamStat struct {
 	// Stream is the stream's index: the reader's position in the slice
 	// handed to a batch entry point (IngestStreams, IngestPipes), or
@@ -232,7 +234,8 @@ type StreamStat struct {
 	// HourBits is the covered-hours bitset itself (bit h set: study
 	// hour h saw records), so cross-stream coverage algebra — which
 	// hours did THIS feed miss that a sibling covered — doesn't have to
-	// re-derive it from counts.
+	// re-derive it from counts. Its top set bit is the newest hour the
+	// stream has seen.
 	HourBits []uint64
 	Stats
 }
@@ -249,10 +252,11 @@ type Collector struct {
 	// agree bit for bit.
 	partialOpts flows.Options
 
-	mu         sync.Mutex
-	parts      []*flows.ShardPartial
-	stats      Stats
-	perStream  []StreamStat
+	mu    sync.Mutex
+	parts []*flows.ShardPartial
+	// streams holds every stream by index from its creation on; Stats
+	// and StreamStats read their published counters.
+	streams    []*stream
 	nextStream int
 	// restored holds Config.RestoredDicts entries not yet claimed by a
 	// stream; dicts retains completed streams' dictionary state for
@@ -309,14 +313,11 @@ type stream struct {
 	// rate is the stream's advertised sampling rate (0 = none seen yet).
 	rate  uint32
 	stats Stats
-	// live marks a ServeUDP stream, whose datagram counters already
-	// folded into the collector totals as they arrived; finish must not
-	// add them twice.
-	live bool
-	// fallbackUsed is the configured rate a flush actually applied
-	// before any v5 header had advertised one; a later header that
-	// disagrees is a rate mismatch worth counting.
-	fallbackUsed uint32
+	// fallback is the configured rate (Config.Opts.SamplingRate) a flush
+	// applies before any v5 header has advertised one; fallbackUsed is
+	// that rate once a flush actually applied it, so a later header
+	// that disagrees is a rate mismatch worth counting.
+	fallback, fallbackUsed uint32
 	// Per-stream feed-liveness: start anchors the study clock, hourBits
 	// marks study hours with at least one decoded record.
 	start    time.Time
@@ -325,6 +326,11 @@ type stream struct {
 	// stalled is set by the read-stall watchdog just before it aborts
 	// the raw reader.
 	stalled atomic.Bool
+	// mu guards pub and pubBits: stats and hourBits as of the stream's
+	// last publish, which is what Stats and StreamStats read.
+	mu      sync.Mutex
+	pub     Stats
+	pubBits []uint64
 
 	// Dictionary-mode state, armed by the stream's hello frame: the
 	// exporter's hour epoch, the dictionary tables bound to this
@@ -379,6 +385,9 @@ func (c *Collector) reserveStreams(n int) int {
 	for len(c.parts) < c.nextStream {
 		c.parts = append(c.parts, nil)
 	}
+	for len(c.streams) < c.nextStream {
+		c.streams = append(c.streams, nil)
+	}
 	c.mu.Unlock()
 	return base
 }
@@ -387,6 +396,8 @@ func (c *Collector) newStream(source string) *stream {
 	return c.newStreamAt(c.reserveStreams(1), source)
 }
 
+// newStreamAt creates the stream at a reserved index and registers it,
+// so its (still zero) counters are visible from the start.
 func (c *Collector) newStreamAt(idx int, source string) *stream {
 	if source == "" {
 		source = fmt.Sprintf("stream-%d", idx)
@@ -394,32 +405,64 @@ func (c *Collector) newStreamAt(idx int, source string) *stream {
 	hours := len(c.cfg.Days) * 24
 	st := &stream{
 		index: idx, source: source,
-		start: c.cfg.Days[0], hours: hours,
+		fallback: c.cfg.Opts.SamplingRate,
+		start:    c.cfg.Days[0], hours: hours,
 		hourBits: make([]uint64, (hours+63)/64),
+		pubBits:  make([]uint64, (hours+63)/64),
 	}
 	if c.cfg.Window != nil {
 		st.sink = c.cfg.Window
-		// Resume a checkpointed feed's dictionary state so its tail
-		// decodes without waiting for a hello frame it will never see.
-		c.mu.Lock()
-		if ds, ok := c.restored[source]; ok {
-			delete(c.restored, source)
-			st.tables = ds.Tables
-			st.epoch = ds.Epoch
-			st.rate = ds.Rate
-			st.lineV4 = ds.LineV4
-			st.backV4 = ds.BackV4
-		}
-		c.mu.Unlock()
-		return st
+	} else {
+		st.part = flows.NewShardPartial(c.cfg.Index, c.cfg.Days, c.partialOpts)
+		st.sink = st.part
 	}
-	part := flows.NewShardPartial(c.cfg.Index, c.cfg.Days, c.partialOpts)
 	c.mu.Lock()
-	c.parts[idx] = part
-	c.mu.Unlock()
-	st.part = part
-	st.sink = part
+	defer c.mu.Unlock()
+	c.streams[idx] = st
+	if st.part != nil {
+		c.parts[idx] = st.part
+	}
+	// Resume a checkpointed feed's dictionary state (window mode only)
+	// so its tail decodes without waiting for a hello frame it will
+	// never see.
+	if ds, ok := c.restored[source]; ok {
+		delete(c.restored, source)
+		st.tables = ds.Tables
+		st.epoch = ds.Epoch
+		st.rate = ds.Rate
+		st.lineV4 = ds.LineV4
+		st.backV4 = ds.BackV4
+	}
 	return st
+}
+
+// publish makes the stream's counters and covered hours visible to
+// Stats and StreamStats. Decode loops call it once per frame, datagram
+// or message, never per row.
+func (st *stream) publish() {
+	st.mu.Lock()
+	st.pub = st.stats
+	copy(st.pubBits, st.hourBits)
+	st.mu.Unlock()
+}
+
+// stat is the stream's StreamStats row as of its last publish.
+func (st *stream) stat(vantage string) StreamStat {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	covered := 0
+	for _, w := range st.pubBits {
+		covered += bits.OnesCount64(w)
+	}
+	return StreamStat{
+		Stream:       st.index,
+		Vantage:      vantage,
+		Source:       st.source,
+		HoursCovered: covered,
+		HoursTotal:   st.hours,
+		HourBits:     append([]uint64(nil), st.pubBits...),
+		Stats:        st.pub,
+	}
 }
 
 // cover marks the study hours the records fall into.
@@ -437,43 +480,20 @@ func (st *stream) cover(recs []netflow.Record) {
 	}
 }
 
-// finish folds the stream's stats into the collector totals and records
-// the per-stream breakdown.
+// finish marks the stream ended and publishes its final counters.
 func (c *Collector) finish(st *stream) {
-	st.stats.Streams = 1
-	covered := 0
-	for _, w := range st.hourBits {
-		covered += bits.OnesCount64(w)
-	}
-	c.mu.Lock()
-	if st.live {
-		// ServeUDP already folded the datagram counters in on arrival;
-		// only the close-time counters remain.
-		c.stats.Streams++
-		c.stats.RateMismatches += st.stats.RateMismatches
-		c.stats.ScaledBytes += st.stats.ScaledBytes
-		c.stats.QuarantinedStreams += st.stats.QuarantinedStreams
-	} else {
-		c.stats.add(st.stats)
-	}
 	if c.cfg.Window != nil && st.tables != nil {
 		// Retain the completed stream's dictionary state so a checkpoint
 		// can persist it and its tail can resume after a restart.
+		c.mu.Lock()
 		c.dicts[st.source] = &DictState{
 			Source: st.source, Epoch: st.epoch, Rate: st.rate,
 			Tables: st.tables, LineV4: st.lineV4, BackV4: st.backV4,
 		}
+		c.mu.Unlock()
 	}
-	c.perStream = append(c.perStream, StreamStat{
-		Stream:       st.index,
-		Vantage:      c.cfg.Opts.Vantage,
-		Source:       st.source,
-		HoursCovered: covered,
-		HoursTotal:   st.hours,
-		HourBits:     append([]uint64(nil), st.hourBits...),
-		Stats:        st.stats,
-	})
-	c.mu.Unlock()
+	st.stats.Streams = 1
+	st.publish()
 }
 
 // observeRate adopts the first header-advertised rate and counts
@@ -525,7 +545,7 @@ func (st *stream) addRecords(recs []netflow.Record) {
 // scanner-classification point). Dictionary rows were rebased and
 // scaled at decode; record rows are scaled here, by the header rate or,
 // before any v5 header, the fallback.
-func (st *stream) flush(fallbackRate uint32) {
+func (st *stream) flush() {
 	if st.batch.Len() > 0 {
 		st.sink.IngestBatch(st.tables, &st.batch)
 		st.batch.Reset()
@@ -535,7 +555,7 @@ func (st *stream) flush(fallbackRate uint32) {
 	}
 	rate := uint64(st.rate)
 	if rate == 0 {
-		rate = uint64(max(fallbackRate, 1))
+		rate = uint64(max(st.fallback, 1))
 		st.fallbackUsed = uint32(rate)
 	}
 	if rate > 1 {
@@ -571,28 +591,11 @@ func (c *Collector) IngestNamedStream(name string, r io.Reader) error {
 
 // ingestIndexed runs one stream's full ingest under a pre-reserved
 // stream index.
-func (c *Collector) ingestIndexed(idx int, name string, r io.Reader) error {
+func (c *Collector) ingestIndexed(idx int, name string, raw io.Reader) error {
 	st := c.newStreamAt(idx, name)
 	defer c.finish(st)
-	raw := r
-	if c.cfg.Tap != nil {
-		r = c.cfg.Tap(st.index, st.source, r)
-	}
-	if c.cfg.StallTimeout > 0 {
-		pr := &progressReader{r: r}
-		r = pr
-		stop := make(chan struct{})
-		defer close(stop)
-		go watchStall(pr, raw, st, c.cfg.StallTimeout, stop)
-	}
-	return c.ingest(st, raw, r)
-}
-
-// ingest is the framed-stream decode loop over an io.Reader transport.
-// raw is the transport-level reader (what abort/drain must act on); r
-// is the possibly tapped and watchdogged view the frames are decoded
-// from.
-func (c *Collector) ingest(st *stream, raw io.Reader, r io.Reader) error {
+	r, stop := c.tapAndWatch(st, raw)
+	defer stop()
 	return c.ingestFrames(st, raw, netflow.NewFrameReader(r))
 }
 
@@ -622,128 +625,149 @@ func (c *Collector) payloadFault(st *stream, raw io.Reader, derr error) (bool, e
 	}
 }
 
-// ingestFrames is the decode loop shared by every framed transport.
+// endStream applies the fault policy to an error that ends a stream's
+// decode loop: a dead transport (disconnect, stall abort), a tail cut
+// mid-frame, a header that lost delimitation, a failed resync. A stall
+// the watchdog caused is counted first. Abort returns err and
+// QuarantineStream discards the stream. DropFrame ends the stream early
+// with its contribution intact — counting the frame the error cost in
+// DroppedFrames when dropped is set — and drains raw so a still-live
+// exporter behind a pipe is not deadlocked.
+func (c *Collector) endStream(st *stream, raw io.Reader, err error, dropped bool) error {
+	if st.stalled.Load() {
+		st.stats.StallTimeouts++
+	}
+	switch c.cfg.Policy {
+	case QuarantineStream:
+		return c.quarantine(st, raw)
+	case DropFrame:
+		if dropped {
+			st.stats.DroppedFrames++
+		}
+		st.flush()
+		drainReader(raw)
+		return nil
+	default:
+		return err
+	}
+}
+
+// ingestFrames is the decode loop shared by every framed transport. raw
+// is the transport-level reader abort and drain act on (nil for a
+// mapped file); fr decodes from its tapped, watchdogged view.
 func (c *Collector) ingestFrames(st *stream, raw io.Reader, fr frameSource) error {
-	fallback := c.cfg.Opts.SamplingRate
 	for {
 		f, err := fr.Next()
-		if err == io.EOF {
-			st.flush(fallback) // implicit final flush
+		switch {
+		case err == nil:
+			st.stats.Frames++
+			if derr := st.frame(f); derr != nil {
+				if cont, err := c.payloadFault(st, raw, derr); !cont {
+					return err
+				}
+			}
+		case err == io.EOF:
+			st.flush() // implicit final flush
 			return nil
+		case c.cfg.Policy == DropFrame && netflow.IsCorruptFrame(err):
+			// Bad envelope: scan forward to the next plausible frame
+			// boundary and resume.
+			st.stats.ResyncEvents++
+			if _, rerr := fr.Resync(); rerr != nil {
+				return c.endStream(st, raw, rerr, false)
+			}
+		default:
+			// A tail cut mid-frame costs that frame; a dead transport
+			// costs none.
+			return c.endStream(st, raw, err, netflow.IsTruncation(err))
 		}
-		if err != nil {
-			if st.stalled.Load() {
-				st.stats.StallTimeouts++
-			}
-			switch c.cfg.Policy {
-			case QuarantineStream:
-				return c.quarantine(st, raw)
-			case DropFrame:
-				switch {
-				case netflow.IsCorruptFrame(err):
-					// Bad envelope: scan forward to the next plausible
-					// frame boundary and resume.
-					st.stats.ResyncEvents++
-					if _, rerr := fr.Resync(); rerr != nil {
-						st.flush(fallback)
-						if rerr != io.EOF {
-							drainReader(raw)
-						}
-						return nil
-					}
-					continue
-				case netflow.IsTruncation(err):
-					// Feed ended mid-frame: drop the tail, keep the week
-					// ingested so far.
-					st.stats.DroppedFrames++
-					st.flush(fallback)
-					return nil
-				default:
-					// Dead transport (disconnect, stall abort): end the
-					// stream early with its contribution intact, and
-					// drain the raw reader so a still-live exporter
-					// behind a pipe is not deadlocked.
-					st.flush(fallback)
-					drainReader(raw)
-					return nil
-				}
-			default:
-				return err
-			}
-		}
-		st.stats.Frames++
-		switch f.Type {
-		case netflow.FrameV5:
-			h, recs, derr := netflow.DecodeV5StrictInto(f.Payload, st.scratch[:0])
-			if derr != nil {
-				cont, err := c.payloadFault(st, raw, derr)
-				if !cont {
-					return err
-				}
-				continue
-			}
-			st.scratch = recs
-			st.cover(recs)
-			st.ingestV5(h, recs)
-		case netflow.FrameV6:
-			recs, derr := netflow.DecodeV6PayloadInto(f.Payload, st.scratch[:0])
-			if derr != nil {
-				cont, err := c.payloadFault(st, raw, derr)
-				if !cont {
-					return err
-				}
-				continue
-			}
-			st.scratch = recs
-			st.stats.V6Records += uint64(len(recs))
-			st.cover(recs)
-			st.addRecords(recs)
-		case netflow.FrameHello:
-			rate, epoch, derr := netflow.DecodeHelloPayload(f.Payload)
-			if derr != nil {
-				cont, err := c.payloadFault(st, raw, derr)
-				if !cont {
-					return err
-				}
-				continue
-			}
-			st.observeRate(rate)
-			st.resetDict(epoch)
-		case netflow.FrameLineDict, netflow.FrameBackendDict:
-			if derr := st.dictFrame(f); derr != nil {
-				cont, err := c.payloadFault(st, raw, derr)
-				if !cont {
-					return err
-				}
-				continue
-			}
-		case netflow.FrameBatch:
-			if derr := st.batchFrame(f); derr != nil {
-				cont, err := c.payloadFault(st, raw, derr)
-				if !cont {
-					return err
-				}
-				continue
-			}
-		case netflow.FrameTempl:
-			if st.templ == nil {
-				st.templ = netflow.NewTemplateCache()
-			}
-			recs, derr := st.templ.Decode(f.Payload, st.scratch[:0])
-			if derr != nil {
-				cont, err := c.payloadFault(st, raw, derr)
-				if !cont {
-					return err
-				}
-				continue
-			}
-			st.scratch = recs
-			st.ingestTemplated(recs)
-		case netflow.FrameFlush:
-			st.stats.Flushes++
-			st.flush(fallback)
-		}
+		st.publish()
 	}
+}
+
+// frame decodes one intact frame into the stream; an error is a payload
+// fault for the caller's policy.
+func (st *stream) frame(f netflow.Frame) error {
+	switch f.Type {
+	case netflow.FrameV5:
+		return st.v5(f.Payload)
+	case netflow.FrameV6:
+		recs, err := netflow.DecodeV6PayloadInto(f.Payload, st.scratch[:0])
+		if err != nil {
+			return err
+		}
+		st.scratch = recs
+		st.stats.V6Records += uint64(len(recs))
+		st.cover(recs)
+		st.addRecords(recs)
+	case netflow.FrameHello:
+		rate, epoch, err := netflow.DecodeHelloPayload(f.Payload)
+		if err != nil {
+			return err
+		}
+		st.observeRate(rate)
+		st.resetDict(epoch)
+	case netflow.FrameLineDict, netflow.FrameBackendDict:
+		return st.dictFrame(f)
+	case netflow.FrameBatch:
+		return st.batchFrame(f)
+	case netflow.FrameTempl:
+		return st.templated(f.Payload)
+	case netflow.FrameFlush:
+		st.stats.Flushes++
+		st.flush()
+	}
+	return nil
+}
+
+// datagram decodes one raw UDP datagram, picking the codec by its
+// version word: 5 decodes as classic v5, 9 and 10 as templated
+// v9/IPFIX. Only a decoded datagram counts as a frame.
+func (st *stream) datagram(pkt []byte) error {
+	var ver uint16
+	if len(pkt) >= 2 {
+		ver = binary.BigEndian.Uint16(pkt)
+	}
+	var err error
+	switch ver {
+	case 5:
+		err = st.v5(pkt)
+	case 9, 10:
+		err = st.templated(pkt)
+	default:
+		err = fmt.Errorf("%w: datagram version %d", netflow.ErrBadPayload, ver)
+	}
+	if err == nil {
+		st.stats.Frames++
+	}
+	return err
+}
+
+// v5 decodes one v5 packet into the stream.
+func (st *stream) v5(pkt []byte) error {
+	h, recs, err := netflow.DecodeV5StrictInto(pkt, st.scratch[:0])
+	if err != nil {
+		return err
+	}
+	st.scratch = recs
+	st.cover(recs)
+	st.ingestV5(h, recs)
+	return nil
+}
+
+// templated decodes one NetFlow v9 or IPFIX message into the stream
+// against its template cache, created on first use.
+func (st *stream) templated(pkt []byte) error {
+	if st.templ == nil {
+		st.templ = netflow.NewTemplateCache()
+	}
+	recs, err := st.templ.Decode(pkt, st.scratch[:0])
+	if err != nil {
+		return err
+	}
+	st.scratch = recs
+	st.ingestTemplated(recs)
+	return nil
 }
 
 // dictFrame applies one dictionary-delta frame to the stream's tables.
@@ -918,6 +942,23 @@ func (p *progressReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// tapAndWatch wraps a stream's transport for decoding: the Tap seam
+// first, then — with a StallTimeout — a progress counter the stall
+// watchdog aborts raw against. stop disarms the watchdog.
+func (c *Collector) tapAndWatch(st *stream, raw io.Reader) (r io.Reader, stop func()) {
+	r = raw
+	if c.cfg.Tap != nil {
+		r = c.cfg.Tap(st.index, st.source, r)
+	}
+	if c.cfg.StallTimeout <= 0 {
+		return r, func() {}
+	}
+	pr := &progressReader{r: r}
+	done := make(chan struct{})
+	go watchStall(pr, raw, st, c.cfg.StallTimeout, done)
+	return pr, func() { close(done) }
+}
+
 // watchStall aborts raw once pr makes no progress for a full interval.
 // The abort surfaces in the decode loop as a transport error with
 // st.stalled set, which is then handled per policy.
@@ -1065,86 +1106,53 @@ func (c *Collector) ingestFileAt(idx int, path string) error {
 // rows pend until EOF (IPFIX has no flush markers), then classify as
 // one batch; counters scale by the configured fallback sampling
 // rate, since IPFIX messages advertise none.
-func (c *Collector) IngestIPFIX(name string, r io.Reader) error {
+func (c *Collector) IngestIPFIX(name string, raw io.Reader) error {
 	st := c.newStream(name)
 	defer c.finish(st)
-	raw := r
-	if c.cfg.Tap != nil {
-		r = c.cfg.Tap(st.index, st.source, r)
-	}
-	st.templ = netflow.NewTemplateCache()
-	fallback := c.cfg.Opts.SamplingRate
-	var hdr [4]byte
+	r, stop := c.tapAndWatch(st, raw)
+	defer stop()
 	var msg []byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		var err error
+		if msg, err = nextIPFIX(r, msg); err != nil {
 			if err == io.EOF {
-				st.flush(fallback)
+				st.flush()
 				return nil
 			}
-			// Mid-header death: the tail is lost either way.
-			switch c.cfg.Policy {
-			case DropFrame:
-				st.stats.DroppedFrames++
-				st.flush(fallback)
-				drainReader(raw)
-				return nil
-			case QuarantineStream:
-				return c.quarantine(st, raw)
-			default:
-				return err
-			}
-		}
-		ver := binary.BigEndian.Uint16(hdr[:])
-		msgLen := int(binary.BigEndian.Uint16(hdr[2:]))
-		if ver != 10 || msgLen < 16 {
-			// Without the length field there is no next-message boundary
-			// to recover to.
-			derr := fmt.Errorf("%w: IPFIX header version %d length %d", netflow.ErrBadPayload, ver, msgLen)
-			switch c.cfg.Policy {
-			case DropFrame:
-				st.stats.DroppedFrames++
-				st.flush(fallback)
-				drainReader(raw)
-				return nil
-			case QuarantineStream:
-				return c.quarantine(st, raw)
-			default:
-				return derr
-			}
-		}
-		if cap(msg) < msgLen {
-			msg = make([]byte, msgLen)
-		}
-		msg = msg[:msgLen]
-		copy(msg, hdr[:])
-		if _, err := io.ReadFull(r, msg[4:]); err != nil {
-			switch c.cfg.Policy {
-			case DropFrame:
-				st.stats.DroppedFrames++
-				st.flush(fallback)
-				drainReader(raw)
-				return nil
-			case QuarantineStream:
-				return c.quarantine(st, raw)
-			default:
-				return fmt.Errorf("collector: IPFIX message truncated: %w", err)
-			}
+			// The message is lost either way.
+			return c.endStream(st, raw, err, true)
 		}
 		st.stats.Frames++
-		recs, derr := st.templ.Decode(msg, st.scratch[:0])
-		if derr != nil {
+		if derr := st.templated(msg); derr != nil {
 			// The length field already delimited the message, so the
 			// stream stays aligned: drop just this message.
-			cont, err := c.payloadFault(st, raw, derr)
-			if !cont {
+			if cont, err := c.payloadFault(st, raw, derr); !cont {
 				return err
 			}
-			continue
 		}
-		st.scratch = recs
-		st.ingestTemplated(recs)
+		st.publish()
 	}
+}
+
+// nextIPFIX reads one IPFIX message into buf's storage. io.EOF is a
+// clean end between messages; any other error cost the message, and
+// after a header that does not parse there is no next-message boundary
+// to recover to.
+func nextIPFIX(r io.Reader, buf []byte) ([]byte, error) {
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	ver := binary.BigEndian.Uint16(buf)
+	msgLen := int(binary.BigEndian.Uint16(buf[2:]))
+	if ver != 10 || msgLen < 16 {
+		return buf, fmt.Errorf("%w: IPFIX header version %d length %d", netflow.ErrBadPayload, ver, msgLen)
+	}
+	buf = append(buf, make([]byte, msgLen-4)...)
+	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		return buf, fmt.Errorf("collector: IPFIX message truncated: %w", err)
+	}
+	return buf, nil
 }
 
 // IngestPipes opens `streams` in-process pipe streams on c, for
@@ -1236,23 +1244,14 @@ func (c *Collector) IngestReconnecting(name string, dial func(attempt int) (io.R
 			st.stats.Reconnects++
 		},
 	}
-	r := io.Reader(rr)
-	if c.cfg.Tap != nil {
-		r = c.cfg.Tap(st.index, st.source, r)
-	}
-	if c.cfg.StallTimeout > 0 {
-		// Same watchdog ingestIndexed arms: a reconnecting feed that
-		// redials forever against a half-dead exporter (connects, then
-		// never sends a frame) must degrade the vantage, not hang the
-		// stream. The abort target is the reconnectReader itself — its
-		// Close stops further redials as well as the live transport.
-		pr := &progressReader{r: r}
-		r = pr
-		stop := make(chan struct{})
-		defer close(stop)
-		go watchStall(pr, rr, st, c.cfg.StallTimeout, stop)
-	}
-	return c.ingest(st, rr, r)
+	// A reconnecting feed that redials forever against a half-dead
+	// exporter (connects, then never sends a frame) must degrade the
+	// vantage, not hang the stream: the stall watchdog's abort target
+	// is the reconnectReader itself, whose Close stops further redials
+	// as well as the live transport.
+	r, stop := c.tapAndWatch(st, rr)
+	defer stop()
+	return c.ingestFrames(st, rr, netflow.NewFrameReader(r))
 }
 
 // reconnectReader is an io.Reader over a redialable transport.
@@ -1384,7 +1383,8 @@ func (c *Collector) ListenTCP(l net.Listener, streams int) error {
 // as templated v9/IPFIX against a per-source template cache. Each
 // source address is one shard with its own reused decode scratch;
 // undecodable datagrams are counted in Stats.BadPackets and dropped,
-// since UDP feeds lose and corrupt packets as a matter of course.
+// since UDP feeds lose and corrupt packets as a matter of course. Each
+// source publishes its counters per datagram, like any other stream.
 // Classification happens at close (one implicit flush per source), so
 // this mode buffers each source's feed — size it accordingly.
 func (c *Collector) ServeUDP(pc net.PacketConn) error {
@@ -1392,7 +1392,7 @@ func (c *Collector) ServeUDP(pc net.PacketConn) error {
 	streams := map[string]*stream{}
 	defer func() {
 		for _, st := range streams {
-			st.flush(c.cfg.Opts.SamplingRate)
+			st.flush()
 			c.finish(st)
 		}
 	}()
@@ -1408,88 +1408,12 @@ func (c *Collector) ServeUDP(pc net.PacketConn) error {
 		st, ok := streams[key]
 		if !ok {
 			st = c.newStream(key)
-			st.live = true
 			streams[key] = st
 		}
-		pkt := buf[:n]
-		var ver uint16
-		if n >= 2 {
-			ver = binary.BigEndian.Uint16(pkt)
-		}
-		// Datagram counters fold into the totals immediately (not at
-		// close) so a live feed is observable through Stats() while it
-		// runs, and are mirrored into the stream's own counters for the
-		// per-source breakdown; only the flush-time counters wait for
-		// close (finish knows a live stream's arrival counters are
-		// already in the totals).
-		switch ver {
-		case 5:
-			h, recs, derr := netflow.DecodeV5StrictInto(pkt, st.scratch[:0])
-			c.mu.Lock()
-			if derr != nil {
-				c.stats.BadPackets++
-				st.stats.BadPackets++
-				c.mu.Unlock()
-				continue
-			}
-			st.scratch = recs
-			c.stats.Frames++
-			c.stats.V5Packets++
-			c.stats.V4Records += uint64(len(recs))
-			st.stats.Frames++
-			st.stats.V5Packets++
-			st.stats.V4Records += uint64(len(recs))
-			for _, r := range recs {
-				if r.Bytes == 0xFFFFFFFF {
-					c.stats.SaturatedCounters++
-					st.stats.SaturatedCounters++
-				}
-				if r.Packets == 0xFFFFFFFF {
-					c.stats.SaturatedCounters++
-					st.stats.SaturatedCounters++
-				}
-			}
-			c.mu.Unlock()
-			st.observeRate(h.SamplingRate())
-			st.cover(recs)
-			st.addRecords(recs)
-		case 9, 10:
-			if st.templ == nil {
-				st.templ = netflow.NewTemplateCache()
-			}
-			recs, derr := st.templ.Decode(pkt, st.scratch[:0])
-			c.mu.Lock()
-			if derr != nil {
-				c.stats.BadPackets++
-				st.stats.BadPackets++
-				c.mu.Unlock()
-				continue
-			}
-			st.scratch = recs
-			c.stats.Frames++
-			c.stats.TemplatePackets++
-			c.stats.TemplateRecords += uint64(len(recs))
-			st.stats.Frames++
-			st.stats.TemplatePackets++
-			st.stats.TemplateRecords += uint64(len(recs))
-			for _, r := range recs {
-				if r.IsV4() {
-					c.stats.V4Records++
-					st.stats.V4Records++
-				} else {
-					c.stats.V6Records++
-					st.stats.V6Records++
-				}
-			}
-			c.mu.Unlock()
-			st.cover(recs)
-			st.addRecords(recs)
-		default:
-			c.mu.Lock()
-			c.stats.BadPackets++
+		if st.datagram(buf[:n]) != nil {
 			st.stats.BadPackets++
-			c.mu.Unlock()
 		}
+		st.publish()
 	}
 }
 
@@ -1552,21 +1476,34 @@ func (c *Collector) DictStates() map[string]*DictState {
 	return out
 }
 
-// Stats returns a snapshot of the wire counters.
+// Stats returns the wire counters summed over every stream, open or
+// ended, as each last published them.
 func (c *Collector) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	var s Stats
+	for _, st := range c.streams {
+		if st != nil {
+			st.mu.Lock()
+			s.add(st.pub)
+			st.mu.Unlock()
+		}
+	}
+	return s
 }
 
-// StreamStats returns the per-stream breakdown of completed streams
-// ordered by stream index, so anomalies in the totals (bad packets,
-// rate mismatches, saturated counters) can be attributed to the feed
-// that produced them.
+// StreamStats returns the per-stream breakdown ordered by stream index,
+// open streams included, so anomalies in the totals (bad packets, rate
+// mismatches, saturated counters) can be attributed to the feed that
+// produced them while it runs.
 func (c *Collector) StreamStats() []StreamStat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := append([]StreamStat(nil), c.perStream...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Stream < out[j].Stream })
+	var out []StreamStat
+	for _, st := range c.streams {
+		if st != nil {
+			out = append(out, st.stat(c.cfg.Opts.Vantage))
+		}
+	}
 	return out
 }

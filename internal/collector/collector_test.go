@@ -2,10 +2,13 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/netip"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -501,9 +504,144 @@ func TestIngestCorruptStream(t *testing.T) {
 	}
 }
 
+// TestLiveCountersOpenStream: a stream publishes its counters while it
+// is still open. Once the exporter's bytes are read, the open stream's
+// row already shows every decoded frame, batch row and covered hour —
+// with Streams still 0, here and in the totals — and closing the feed
+// only settles it: the final counters equal a one-shot ingest of the
+// same bytes.
+func TestLiveCountersOpenStream(t *testing.T) {
+	f := buildFixture(t, 50)
+	var buf bytes.Buffer
+	if _, err := f.net.SimulateLinesToWire([]io.Writer{&buf}, 0); err != nil {
+		t.Fatal(err)
+	}
+	feed := buf.Bytes()
+	ref, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.IngestStream(bytes.NewReader(feed)); err != nil {
+		t.Fatal(err)
+	}
+	refStats, refRow := ref.Stats(), ref.StreamStats()[0]
+	if refStats.DictEntries == 0 || refStats.BatchFrames == 0 || refStats.Flushes == 0 {
+		t.Fatalf("feed lacks dictionary, batch or flush frames: %+v", refStats)
+	}
+
+	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writers, wait := col.IngestPipes(1)
+	if _, err := writers[0].Write(feed); err != nil {
+		t.Fatal(err)
+	}
+	// The pipe stays open: the stream has read everything and waits.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		per := col.StreamStats()
+		if len(per) == 1 && per[0].Frames == refStats.Frames {
+			row := per[0]
+			if row.BatchRecords == 0 || row.HourBits[len(row.HourBits)-1]|row.HourBits[0] == 0 {
+				t.Fatalf("open stream shows no rows or hours: %+v", row)
+			}
+			if row.Streams != 0 || col.Stats().Streams != 0 {
+				t.Fatalf("open stream counted as ended: row %d, total %d", row.Streams, col.Stats().Streams)
+			}
+			live := refRow.Stats
+			live.Streams = 0
+			if row.Stats != live || row.HoursCovered != refRow.HoursCovered {
+				t.Fatalf("open stream row %+v (%d hours)\nwant %+v (%d hours)", row.Stats, row.HoursCovered, live, refRow.HoursCovered)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("open stream never published its counters: %+v", per)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	row := col.StreamStats()[0]
+	if row.Streams != 1 || col.Stats() != refStats || row.Stats != refRow.Stats {
+		t.Fatalf("settled stream %+v, totals %+v\nwant %+v", row.Stats, col.Stats(), refStats)
+	}
+}
+
+// statsLE reports whether every counter of a is at most b's.
+func statsLE(a, b Stats) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Uint() > vb.Field(i).Uint() {
+			return false
+		}
+	}
+	return true
+}
+
+// spinReaders polls Stats and StreamStats from two goroutines until
+// stop is called. Counters only grow, so each reading must lie between
+// the one before it and the one after: the per-stream sum read first
+// is at most the totals read next, which are at most the next sum.
+func spinReaders(t *testing.T, col *Collector) (stop func()) {
+	t.Helper()
+	done := make(chan struct{})
+	errs := make(chan string, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var prev Stats
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var sum Stats
+				for _, ss := range col.StreamStats() {
+					sum.add(ss.Stats)
+				}
+				total := col.Stats()
+				if !statsLE(prev, sum) || !statsLE(sum, total) {
+					errs <- fmt.Sprintf("counters went backwards: %+v, then sum %+v, then totals %+v", prev, sum, total)
+					return
+				}
+				prev = total
+			}
+		}()
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+		select {
+		case e := <-errs:
+			t.Fatal(e)
+		default:
+		}
+	}
+}
+
+// assertBreakdownSums checks that the settled per-stream rows add up to
+// the totals.
+func assertBreakdownSums(t *testing.T, col *Collector) {
+	t.Helper()
+	var sum Stats
+	for _, ss := range col.StreamStats() {
+		sum.add(ss.Stats)
+	}
+	if total := col.Stats(); sum != total {
+		t.Fatalf("per-stream sum %+v != totals %+v", sum, total)
+	}
+}
+
 // TestStreamStatsBreakdown: the per-stream Stats breakdown must sum to
 // the global counters and attribute every feed to its vantage and
-// source label — the "which feed is corrupt" satellite.
+// source label — the "which feed is corrupt" satellite. Readers spin
+// on Stats and StreamStats throughout a 4-stream ingest and a UDP feed.
 func TestStreamStatsBreakdown(t *testing.T) {
 	f := buildFixture(t, 600)
 	f.opts.Vantage = "isp-test"
@@ -511,7 +649,7 @@ func TestStreamStatsBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const streams = 3
+	const streams = 4
 	bufs := make([]*bytes.Buffer, streams)
 	writers := make([]io.Writer, streams)
 	for i := range bufs {
@@ -521,19 +659,20 @@ func TestStreamStatsBreakdown(t *testing.T) {
 	if _, err := f.net.SimulateLinesToWire(writers, 0); err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"feed-a", "feed-b", "feed-c"}
+	names := []string{"feed-a", "feed-b", "feed-c", "feed-d"}
 	readers := make([]io.Reader, streams)
 	for i := range bufs {
 		readers[i] = bufs[i]
 	}
+	stop := spinReaders(t, col)
 	if err := col.IngestNamedStreams(names, readers); err != nil {
 		t.Fatal(err)
 	}
+	stop()
 	per := col.StreamStats()
 	if len(per) != streams {
 		t.Fatalf("stream stats = %d entries, want %d", len(per), streams)
 	}
-	var sum Stats
 	seen := map[string]bool{}
 	for i, ss := range per {
 		if ss.Stream != i {
@@ -546,16 +685,59 @@ func TestStreamStatsBreakdown(t *testing.T) {
 		if ss.Streams != 1 || ss.Frames == 0 || ss.V4Records == 0 {
 			t.Fatalf("stream %d stats degenerate: %+v", ss.Stream, ss.Stats)
 		}
-		sum.add(ss.Stats)
 	}
 	for _, name := range names {
 		if !seen[name] {
 			t.Fatalf("source %q missing from breakdown %v", name, per)
 		}
 	}
-	if total := col.Stats(); sum != total {
-		t.Fatalf("per-stream sum %+v != totals %+v", sum, total)
+	assertBreakdownSums(t, col)
+
+	// A UDP feed's sources publish per datagram the same way.
+	udp, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
+	if err != nil {
+		t.Fatal(err)
 	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- udp.ServeUDP(pc) }()
+	stop = spinReaders(t, udp)
+	backend := v4Backend(t, f.w)
+	const datagrams = 40
+	for s := 0; s < 2; s++ {
+		src, err := net.Dial("udp", pc.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		for i := 0; i < datagrams; i++ {
+			pkt := v5Packet(t, f, backend, fmt.Sprintf("95.0.%d.%d", s, i), 500, i%100)
+			if i%10 == 9 {
+				pkt = pkt[:5] // undecodable
+			}
+			if _, err := src.Write(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// UDP may drop datagrams on a busy box: wait for all of them, but
+	// settle for what arrived once the deadline passes.
+	deadline := time.Now().Add(5 * time.Second)
+	for st := udp.Stats(); st.V5Packets+st.BadPackets < 2*datagrams && time.Now().Before(deadline); st = udp.Stats() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	pc.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if st := udp.Stats(); st.Streams != 2 || st.V4Records == 0 || st.BadPackets == 0 {
+		t.Fatalf("udp stats = %+v", st)
+	}
+	assertBreakdownSums(t, udp)
 
 	// A corrupt feed is attributable: a fresh collector fed one good and
 	// one truncated stream reports the error stream's partial counters

@@ -489,10 +489,11 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStreams(w http.ResponseWriter, r *http.Request) {
+	// Copy the feeds under the lock: settle rewrites their status.
 	s.mu.Lock()
-	feeds := make([]*Feed, 0, len(s.feeds))
+	feeds := make([]Feed, 0, len(s.feeds))
 	for _, f := range s.feeds {
-		feeds = append(feeds, f)
+		feeds = append(feeds, *f)
 	}
 	s.mu.Unlock()
 	sort.Slice(feeds, func(i, j int) bool { return feeds[i].ID < feeds[j].ID })
@@ -532,8 +533,8 @@ type vantageWindow struct {
 // label and runs the cross-vantage hour-coverage comparison: a feed
 // that died mid-week leaves its vantage short of hours its siblings
 // covered, which is exactly what "degraded" means federation-wide.
-// Feeds still running have no settled liveness bitset yet and are
-// counted once they finish.
+// Feeds still running (Streams == 0) have no settled liveness bitset
+// yet and are counted once they finish.
 func (s *Service) vantageCoverage() []vantageWindow {
 	vantageOf := map[string]string{}
 	s.mu.Lock()
@@ -557,6 +558,9 @@ func (s *Service) vantageCoverage() []vantageWindow {
 		}
 	}
 	for _, ss := range s.col.StreamStats() {
+		if ss.Streams == 0 {
+			continue
+		}
 		v := vantageOf[ss.Source]
 		if v == "" {
 			v = ss.Vantage
