@@ -18,21 +18,17 @@
 package collector
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
-	"net"
 	"net/netip"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"iotmap/internal/core/flows"
 	"iotmap/internal/netflow"
-	"iotmap/internal/simrand"
 )
 
 // ErrorPolicy decides what a framed-stream fault (corrupt envelope,
@@ -68,9 +64,6 @@ func (p ErrorPolicy) String() string {
 		return "abort"
 	}
 }
-
-// errStallTimeout marks a stream aborted by the read-stall watchdog.
-var errStallTimeout = errors.New("collector: read stall timeout")
 
 // Config sizes a collector.
 type Config struct {
@@ -361,17 +354,6 @@ type stream struct {
 	templ *netflow.TemplateCache
 }
 
-// resetDict (re)initializes the dictionary state on a hello frame. A
-// reconnected or restarted exporter re-sends hello and rebuilds its
-// dictionaries from ID zero, so arriving mid-stream is self-healing.
-func (st *stream) resetDict(epoch int64) {
-	st.epoch = epoch
-	st.tables = st.sink.NewWireTables()
-	st.batch.Reset()
-	st.lineV4 = st.lineV4[:0]
-	st.backV4 = st.backV4[:0]
-}
-
 // reserveStreams claims n consecutive stream indices and returns the
 // first. Multi-stream entry points reserve their whole batch before
 // spawning ingest goroutines and bind reader i to stream base+i, so a
@@ -465,21 +447,6 @@ func (st *stream) stat(vantage string) StreamStat {
 	}
 }
 
-// cover marks the study hours the records fall into.
-func (st *stream) cover(recs []netflow.Record) {
-	for _, r := range recs {
-		since := r.Start.Sub(st.start)
-		if since < 0 {
-			continue
-		}
-		hour := int(since / time.Hour)
-		if hour >= st.hours {
-			continue
-		}
-		st.hourBits[hour>>6] |= 1 << (hour & 63)
-	}
-}
-
 // finish marks the stream ended and publishes its final counters.
 func (c *Collector) finish(st *stream) {
 	if c.cfg.Window != nil && st.tables != nil {
@@ -494,927 +461,6 @@ func (c *Collector) finish(st *stream) {
 	}
 	st.stats.Streams = 1
 	st.publish()
-}
-
-// observeRate adopts the first header-advertised rate and counts
-// disagreements afterwards — including with a fallback rate an earlier
-// header-less flush already applied.
-func (st *stream) observeRate(rate uint32) {
-	if st.rate == 0 {
-		st.rate = rate
-		if st.fallbackUsed != 0 && st.fallbackUsed != rate {
-			st.stats.RateMismatches++
-		}
-		return
-	}
-	if st.rate != rate {
-		st.stats.RateMismatches++
-	}
-}
-
-// ingestV5 counts and resolves one decoded v5 packet's records.
-func (st *stream) ingestV5(h netflow.V5Header, recs []netflow.Record) {
-	st.observeRate(h.SamplingRate())
-	st.stats.V5Packets++
-	st.stats.V4Records += uint64(len(recs))
-	for _, r := range recs {
-		if r.Bytes == 0xFFFFFFFF {
-			st.stats.SaturatedCounters++
-		}
-		if r.Packets == 0xFFFFFFFF {
-			st.stats.SaturatedCounters++
-		}
-	}
-	st.addRecords(recs)
-}
-
-// addRecords resolves one decoded packet's records into the flush
-// interval's pending rows.
-func (st *stream) addRecords(recs []netflow.Record) {
-	if st.recTables == nil {
-		st.recTables = st.sink.NewWireTables()
-	}
-	st.pending += len(recs)
-	for _, r := range recs {
-		st.pendingBytes += r.Bytes
-		st.recTables.AppendRecord(&st.recBatch, r)
-	}
-}
-
-// flush completes the pending flush interval in the stream's sink (the
-// scanner-classification point). Dictionary rows were rebased and
-// scaled at decode; record rows are scaled here, by the header rate or,
-// before any v5 header, the fallback.
-func (st *stream) flush() {
-	if st.batch.Len() > 0 {
-		st.sink.IngestBatch(st.tables, &st.batch)
-		st.batch.Reset()
-	}
-	if st.pending == 0 {
-		return
-	}
-	rate := uint64(st.rate)
-	if rate == 0 {
-		rate = uint64(max(st.fallback, 1))
-		st.fallbackUsed = uint32(rate)
-	}
-	if rate > 1 {
-		for i := range st.recBatch.Bytes {
-			st.recBatch.Bytes[i] *= rate
-			st.recBatch.Packets[i] *= rate
-		}
-	}
-	st.stats.ScaledBytes += st.pendingBytes * rate
-	st.sink.IngestBatch(st.recTables, &st.recBatch)
-	st.recBatch.Reset()
-	st.pending, st.pendingBytes = 0, 0
-}
-
-// IngestStream consumes one framed NetFlow stream (the
-// isp.SimulateLinesToWire format) until EOF. It may be called from N
-// goroutines, one per stream; each call owns its own shard partial.
-// Under the default Abort policy, framing and decode errors are fatal
-// for the stream — a corrupt feed fails loudly rather than aggregating
-// a partial week silently (everything ingested up to the error stays
-// counted); DropFrame and QuarantineStream degrade gracefully instead.
-func (c *Collector) IngestStream(r io.Reader) error {
-	return c.IngestNamedStream("", r)
-}
-
-// IngestNamedStream is IngestStream with a source label for the
-// per-stream Stats breakdown (a file path, a peer address — whatever
-// identifies the feed to an operator). An empty name falls back to the
-// accept-order "stream-N" label.
-func (c *Collector) IngestNamedStream(name string, r io.Reader) error {
-	return c.ingestIndexed(c.reserveStreams(1), name, r)
-}
-
-// ingestIndexed runs one stream's full ingest under a pre-reserved
-// stream index.
-func (c *Collector) ingestIndexed(idx int, name string, raw io.Reader) error {
-	st := c.newStreamAt(idx, name)
-	defer c.finish(st)
-	r, stop := c.tapAndWatch(st, raw)
-	defer stop()
-	return c.ingestFrames(st, raw, netflow.NewFrameReader(r))
-}
-
-// frameSource is a stream of frames with resynchronization — the
-// abstraction ingestFrames decodes from, satisfied by both the
-// io.Reader-backed netflow.FrameReader and the zero-copy
-// netflow.BytesFrameReader over a mapped file.
-type frameSource interface {
-	Next() (netflow.Frame, error)
-	Resync() (int64, error)
-}
-
-// payloadFault applies the fault policy to an intact-envelope payload
-// error. The bool reports whether the decode loop should continue
-// (DropFrame: the reader is still frame-aligned, drop just this frame);
-// false means the stream ends with the returned error (nil under
-// quarantine).
-func (c *Collector) payloadFault(st *stream, raw io.Reader, derr error) (bool, error) {
-	switch c.cfg.Policy {
-	case DropFrame:
-		st.stats.DroppedFrames++
-		return true, nil
-	case QuarantineStream:
-		return false, c.quarantine(st, raw)
-	default:
-		return false, derr
-	}
-}
-
-// endStream applies the fault policy to an error that ends a stream's
-// decode loop: a dead transport (disconnect, stall abort), a tail cut
-// mid-frame, a header that lost delimitation, a failed resync. A stall
-// the watchdog caused is counted first. Abort returns err and
-// QuarantineStream discards the stream. DropFrame ends the stream early
-// with its contribution intact — counting the frame the error cost in
-// DroppedFrames when dropped is set — and drains raw so a still-live
-// exporter behind a pipe is not deadlocked.
-func (c *Collector) endStream(st *stream, raw io.Reader, err error, dropped bool) error {
-	if st.stalled.Load() {
-		st.stats.StallTimeouts++
-	}
-	switch c.cfg.Policy {
-	case QuarantineStream:
-		return c.quarantine(st, raw)
-	case DropFrame:
-		if dropped {
-			st.stats.DroppedFrames++
-		}
-		st.flush()
-		drainReader(raw)
-		return nil
-	default:
-		return err
-	}
-}
-
-// ingestFrames is the decode loop shared by every framed transport. raw
-// is the transport-level reader abort and drain act on (nil for a
-// mapped file); fr decodes from its tapped, watchdogged view.
-func (c *Collector) ingestFrames(st *stream, raw io.Reader, fr frameSource) error {
-	for {
-		f, err := fr.Next()
-		switch {
-		case err == nil:
-			st.stats.Frames++
-			if derr := st.frame(f); derr != nil {
-				if cont, err := c.payloadFault(st, raw, derr); !cont {
-					return err
-				}
-			}
-		case err == io.EOF:
-			st.flush() // implicit final flush
-			return nil
-		case c.cfg.Policy == DropFrame && netflow.IsCorruptFrame(err):
-			// Bad envelope: scan forward to the next plausible frame
-			// boundary and resume.
-			st.stats.ResyncEvents++
-			if _, rerr := fr.Resync(); rerr != nil {
-				return c.endStream(st, raw, rerr, false)
-			}
-		default:
-			// A tail cut mid-frame costs that frame; a dead transport
-			// costs none.
-			return c.endStream(st, raw, err, netflow.IsTruncation(err))
-		}
-		st.publish()
-	}
-}
-
-// frame decodes one intact frame into the stream; an error is a payload
-// fault for the caller's policy.
-func (st *stream) frame(f netflow.Frame) error {
-	switch f.Type {
-	case netflow.FrameV5:
-		return st.v5(f.Payload)
-	case netflow.FrameV6:
-		recs, err := netflow.DecodeV6PayloadInto(f.Payload, st.scratch[:0])
-		if err != nil {
-			return err
-		}
-		st.scratch = recs
-		st.stats.V6Records += uint64(len(recs))
-		st.cover(recs)
-		st.addRecords(recs)
-	case netflow.FrameHello:
-		rate, epoch, err := netflow.DecodeHelloPayload(f.Payload)
-		if err != nil {
-			return err
-		}
-		st.observeRate(rate)
-		st.resetDict(epoch)
-	case netflow.FrameLineDict, netflow.FrameBackendDict:
-		return st.dictFrame(f)
-	case netflow.FrameBatch:
-		return st.batchFrame(f)
-	case netflow.FrameTempl:
-		return st.templated(f.Payload)
-	case netflow.FrameFlush:
-		st.stats.Flushes++
-		st.flush()
-	}
-	return nil
-}
-
-// datagram decodes one raw UDP datagram, picking the codec by its
-// version word: 5 decodes as classic v5, 9 and 10 as templated
-// v9/IPFIX. Only a decoded datagram counts as a frame.
-func (st *stream) datagram(pkt []byte) error {
-	var ver uint16
-	if len(pkt) >= 2 {
-		ver = binary.BigEndian.Uint16(pkt)
-	}
-	var err error
-	switch ver {
-	case 5:
-		err = st.v5(pkt)
-	case 9, 10:
-		err = st.templated(pkt)
-	default:
-		err = fmt.Errorf("%w: datagram version %d", netflow.ErrBadPayload, ver)
-	}
-	if err == nil {
-		st.stats.Frames++
-	}
-	return err
-}
-
-// v5 decodes one v5 packet into the stream.
-func (st *stream) v5(pkt []byte) error {
-	h, recs, err := netflow.DecodeV5StrictInto(pkt, st.scratch[:0])
-	if err != nil {
-		return err
-	}
-	st.scratch = recs
-	st.cover(recs)
-	st.ingestV5(h, recs)
-	return nil
-}
-
-// templated decodes one NetFlow v9 or IPFIX message into the stream
-// against its template cache, created on first use.
-func (st *stream) templated(pkt []byte) error {
-	if st.templ == nil {
-		st.templ = netflow.NewTemplateCache()
-	}
-	recs, err := st.templ.Decode(pkt, st.scratch[:0])
-	if err != nil {
-		return err
-	}
-	st.scratch = recs
-	st.ingestTemplated(recs)
-	return nil
-}
-
-// dictFrame applies one dictionary-delta frame to the stream's tables.
-func (st *stream) dictFrame(f netflow.Frame) error {
-	if st.tables == nil {
-		return fmt.Errorf("%w: dictionary frame before hello", netflow.ErrBadPayload)
-	}
-	base, addrs, err := netflow.DecodeDictPayload(f.Payload, st.dictAddrs[:0])
-	if err != nil {
-		return err
-	}
-	st.dictAddrs = addrs
-	if f.Type == netflow.FrameLineDict {
-		if err := st.tables.AddLines(base, addrs); err != nil {
-			return fmt.Errorf("%w: %v", netflow.ErrBadPayload, err)
-		}
-		st.lineV4 = syncFams(st.lineV4, int(base), addrs)
-	} else {
-		if err := st.tables.AddBackends(base, addrs); err != nil {
-			return fmt.Errorf("%w: %v", netflow.ErrBadPayload, err)
-		}
-		st.backV4 = syncFams(st.backV4, int(base), addrs)
-	}
-	st.stats.DictEntries += uint64(len(addrs))
-	return nil
-}
-
-// syncFams mirrors new dictionary entries' address families (true =
-// IPv4) at their IDs, gap-filling dropped ranges.
-func syncFams(fams []bool, base int, addrs []netip.Addr) []bool {
-	for len(fams) < base {
-		fams = append(fams, false)
-	}
-	for _, a := range addrs {
-		fams = append(fams, a.Is4() || a.Is4In6())
-	}
-	return fams
-}
-
-// batchFrame decodes one columnar batch frame into the stream's reused
-// RecordBatch and normalizes the rows in place: the hour column rebases
-// from the exporter's epoch to study hours (negative = outside the
-// study window), counters scale back to estimates, and the wire/
-// liveness counters fold as the rows stream past. The actual analysis
-// fold (IngestBatch) happens at the flush boundary.
-func (st *stream) batchFrame(f netflow.Frame) error {
-	if st.tables == nil {
-		return fmt.Errorf("%w: batch frame before hello", netflow.ErrBadPayload)
-	}
-	from := st.batch.Len()
-	if err := netflow.DecodeBatchPayload(f.Payload, &st.batch); err != nil {
-		return err
-	}
-	if err := st.tables.Validate(&st.batch, from); err != nil {
-		st.batch.Truncate(from)
-		return fmt.Errorf("%w: %v", netflow.ErrBadPayload, err)
-	}
-	n := st.batch.Len() - from
-	rate := uint64(st.rate)
-	if rate == 0 {
-		rate = 1
-	}
-	offSec := st.epoch - st.start.Unix()
-	aligned := offSec%3600 == 0
-	hourOff := offSec / 3600
-	for i := from; i < st.batch.Len(); i++ {
-		var sh int64
-		if aligned {
-			sh = hourOff + int64(st.batch.Hour[i])
-		} else {
-			sh = floorDiv(offSec+int64(st.batch.Hour[i])*3600, 3600)
-		}
-		switch {
-		case sh < 0:
-			st.batch.Hour[i] = -1
-		case sh >= int64(st.hours):
-			// Past the study window: keep the (positive) hour so
-			// IngestBatch's range check drops the row, like the record
-			// path's hour rejection.
-			st.batch.Hour[i] = int32(min(sh, int64(1<<31-1)))
-		default:
-			st.batch.Hour[i] = int32(sh)
-			st.hourBits[sh>>6] |= 1 << (sh & 63)
-		}
-		if rate > 1 {
-			st.batch.Bytes[i] *= rate
-			st.batch.Packets[i] *= rate
-		}
-		st.stats.ScaledBytes += st.batch.Bytes[i]
-		if st.lineV4[st.batch.Line[i]] && st.backV4[st.batch.Backend[i]] {
-			st.stats.V4Records++
-		} else {
-			st.stats.V6Records++
-		}
-	}
-	st.stats.BatchFrames++
-	st.stats.BatchRecords += uint64(n)
-	return nil
-}
-
-// floorDiv is integer division rounding toward negative infinity.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-// ingestTemplated counts and resolves one decoded v9/IPFIX datagram's
-// records.
-func (st *stream) ingestTemplated(recs []netflow.Record) {
-	st.stats.TemplatePackets++
-	st.stats.TemplateRecords += uint64(len(recs))
-	for _, r := range recs {
-		if r.IsV4() {
-			st.stats.V4Records++
-		} else {
-			st.stats.V6Records++
-		}
-	}
-	st.cover(recs)
-	st.addRecords(recs)
-}
-
-// quarantine discards the stream's entire analysis contribution —
-// its shard partial is replaced with a fresh empty one — while keeping
-// the wire counters for diagnosis, then drains the feed so the exporter
-// behind it completes normally.
-func (c *Collector) quarantine(st *stream, raw io.Reader) error {
-	st.stats.QuarantinedStreams = 1
-	st.batch.Reset()
-	st.tables = nil
-	st.recBatch.Reset()
-	st.recTables = nil
-	st.pending, st.pendingBytes = 0, 0
-	for i := range st.hourBits {
-		st.hourBits[i] = 0
-	}
-	part := flows.NewShardPartial(c.cfg.Index, c.cfg.Days, c.partialOpts)
-	c.mu.Lock()
-	c.parts[st.index] = part
-	c.mu.Unlock()
-	st.part = part
-	st.sink = part
-	drainReader(raw)
-	return nil
-}
-
-// drainReader consumes a reader to EOF so the exporter feeding it can
-// complete. Unlike abortReader it must NOT close pipes with an error:
-// under a graceful policy the exporter's writes should keep succeeding
-// even though nobody analyzes them anymore. A nil reader (mapped-file
-// replay: no transport to drain) is a no-op.
-func drainReader(r io.Reader) {
-	if r == nil {
-		return
-	}
-	io.Copy(io.Discard, r) //nolint:errcheck // best-effort drain
-}
-
-// progressReader counts Read returns so the stall watchdog can tell a
-// slow stream from a dead one.
-type progressReader struct {
-	r io.Reader
-	n atomic.Uint64
-}
-
-func (p *progressReader) Read(b []byte) (int, error) {
-	n, err := p.r.Read(b)
-	p.n.Add(1)
-	return n, err
-}
-
-// tapAndWatch wraps a stream's transport for decoding: the Tap seam
-// first, then — with a StallTimeout — a progress counter the stall
-// watchdog aborts raw against. stop disarms the watchdog.
-func (c *Collector) tapAndWatch(st *stream, raw io.Reader) (r io.Reader, stop func()) {
-	r = raw
-	if c.cfg.Tap != nil {
-		r = c.cfg.Tap(st.index, st.source, r)
-	}
-	if c.cfg.StallTimeout <= 0 {
-		return r, func() {}
-	}
-	pr := &progressReader{r: r}
-	done := make(chan struct{})
-	go watchStall(pr, raw, st, c.cfg.StallTimeout, done)
-	return pr, func() { close(done) }
-}
-
-// watchStall aborts raw once pr makes no progress for a full interval.
-// The abort surfaces in the decode loop as a transport error with
-// st.stalled set, which is then handled per policy.
-func watchStall(pr *progressReader, raw io.Reader, st *stream, interval time.Duration, stop chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	last := pr.n.Load()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			cur := pr.n.Load()
-			if cur == last {
-				st.stalled.Store(true)
-				abortReader(raw, errStallTimeout)
-				return
-			}
-			last = cur
-		}
-	}
-}
-
-// abortReader unblocks whoever is feeding a stream the collector has
-// given up on: a pipe fails its writer, a connection closes, and
-// anything else is drained to EOF. Without this, a live exporter would
-// back-pressure forever into a stream nobody reads (and stall its
-// sibling streams with it).
-func abortReader(r io.Reader, cause error) {
-	if r == nil {
-		return
-	}
-	switch v := r.(type) {
-	case *io.PipeReader:
-		v.CloseWithError(cause)
-	case io.Closer:
-		v.Close()
-	default:
-		io.Copy(io.Discard, r) //nolint:errcheck // best-effort drain
-	}
-}
-
-// IngestStreams ingests every reader concurrently and returns the first
-// stream error. A failed stream's reader is aborted (closed or drained)
-// so the exporter behind it unblocks and the healthy streams still run
-// to completion.
-func (c *Collector) IngestStreams(readers []io.Reader) error {
-	return c.ingestStreams(nil, readers)
-}
-
-// IngestNamedStreams is IngestStreams with per-reader source labels for
-// the Stats breakdown; names and readers must be the same length.
-func (c *Collector) IngestNamedStreams(names []string, readers []io.Reader) error {
-	if len(names) != len(readers) {
-		return fmt.Errorf("collector: %d names for %d readers", len(names), len(readers))
-	}
-	return c.ingestStreams(names, readers)
-}
-
-func (c *Collector) ingestStreams(names []string, readers []io.Reader) error {
-	errs := make([]error, len(readers))
-	base := c.reserveStreams(len(readers))
-	var wg sync.WaitGroup
-	for i, r := range readers {
-		name := ""
-		if names != nil {
-			name = names[i]
-		}
-		wg.Add(1)
-		go func(i int, name string, r io.Reader) {
-			defer wg.Done()
-			if err := c.ingestIndexed(base+i, name, r); err != nil {
-				errs[i] = err
-				abortReader(r, err)
-			}
-		}(i, name, r)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("collector: stream %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// IngestFile replays one recorded framed stream from disk. The file is
-// memory-mapped (on linux; read whole elsewhere) and frames decode
-// zero-copy from the mapped bytes. When a Tap or stall watchdog is
-// configured the file takes the streaming path instead — those seams
-// wrap io.Readers.
-func (c *Collector) IngestFile(path string) error {
-	return c.ingestFileAt(c.reserveStreams(1), path)
-}
-
-// IngestFiles replays the recorded streams concurrently, one stream per
-// file in slice order, and returns the first error.
-func (c *Collector) IngestFiles(paths []string) error {
-	base := c.reserveStreams(len(paths))
-	errs := make([]error, len(paths))
-	var wg sync.WaitGroup
-	for i, p := range paths {
-		wg.Add(1)
-		go func(i int, p string) {
-			defer wg.Done()
-			errs[i] = c.ingestFileAt(base+i, p)
-		}(i, p)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("collector: file %s: %w", paths[i], err)
-		}
-	}
-	return nil
-}
-
-// ingestFileAt replays one file under a pre-reserved stream index.
-func (c *Collector) ingestFileAt(idx int, path string) error {
-	if c.cfg.Tap != nil || c.cfg.StallTimeout > 0 {
-		f, err := os.Open(path)
-		if err != nil {
-			c.finish(c.newStreamAt(idx, path)) // keep the slot accounted
-			return err
-		}
-		defer f.Close()
-		return c.ingestIndexed(idx, path, f)
-	}
-	st := c.newStreamAt(idx, path)
-	defer c.finish(st)
-	data, done, err := mapFile(path)
-	if err != nil {
-		return err
-	}
-	defer done()
-	return c.ingestFrames(st, nil, netflow.NewBytesFrameReader(data))
-}
-
-// IngestIPFIX consumes one stream of raw, self-delimiting NetFlow
-// v9-in-IPFIX-framing messages — concatenated IPFIX messages as
-// exporters write them to disk or TCP, no frame envelope — until EOF.
-// Each message's 16-bit length field delimits it, so an undecodable
-// message body is dropped in place under DropFrame; a header that does
-// not parse loses delimitation and ends the stream per policy. Flow
-// rows pend until EOF (IPFIX has no flush markers), then classify as
-// one batch; counters scale by the configured fallback sampling
-// rate, since IPFIX messages advertise none.
-func (c *Collector) IngestIPFIX(name string, raw io.Reader) error {
-	st := c.newStream(name)
-	defer c.finish(st)
-	r, stop := c.tapAndWatch(st, raw)
-	defer stop()
-	var msg []byte
-	for {
-		var err error
-		if msg, err = nextIPFIX(r, msg); err != nil {
-			if err == io.EOF {
-				st.flush()
-				return nil
-			}
-			// The message is lost either way.
-			return c.endStream(st, raw, err, true)
-		}
-		st.stats.Frames++
-		if derr := st.templated(msg); derr != nil {
-			// The length field already delimited the message, so the
-			// stream stays aligned: drop just this message.
-			if cont, err := c.payloadFault(st, raw, derr); !cont {
-				return err
-			}
-		}
-		st.publish()
-	}
-}
-
-// nextIPFIX reads one IPFIX message into buf's storage. io.EOF is a
-// clean end between messages; any other error cost the message, and
-// after a header that does not parse there is no next-message boundary
-// to recover to.
-func nextIPFIX(r io.Reader, buf []byte) ([]byte, error) {
-	buf = append(buf[:0], 0, 0, 0, 0)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, err
-	}
-	ver := binary.BigEndian.Uint16(buf)
-	msgLen := int(binary.BigEndian.Uint16(buf[2:]))
-	if ver != 10 || msgLen < 16 {
-		return buf, fmt.Errorf("%w: IPFIX header version %d length %d", netflow.ErrBadPayload, ver, msgLen)
-	}
-	buf = append(buf, make([]byte, msgLen-4)...)
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return buf, fmt.Errorf("collector: IPFIX message truncated: %w", err)
-	}
-	return buf, nil
-}
-
-// IngestPipes opens `streams` in-process pipe streams on c, for
-// exporters that write rather than hand over readers (the wire-mode
-// TrafficStudy, benchmarks). Write into the returned writers — they
-// block under collector backpressure — then call wait, which closes
-// them (EOF for the ingesters) and returns the first stream error.
-// A stream that fails mid-feed rejects further writes with its error
-// instead of deadlocking the writer.
-func (c *Collector) IngestPipes(streams int) (writers []io.Writer, wait func() error) {
-	writers = make([]io.Writer, streams)
-	pipeWs := make([]*io.PipeWriter, streams)
-	errs := make([]error, streams)
-	base := c.reserveStreams(streams)
-	var wg sync.WaitGroup
-	for i := 0; i < streams; i++ {
-		pr, pw := io.Pipe()
-		writers[i], pipeWs[i] = pw, pw
-		wg.Add(1)
-		go func(i int, pr *io.PipeReader) {
-			defer wg.Done()
-			if err := c.ingestIndexed(base+i, fmt.Sprintf("pipe-%d", i), pr); err != nil {
-				errs[i] = err
-				pr.CloseWithError(err)
-			}
-		}(i, pr)
-	}
-	wait = func() error {
-		for _, pw := range pipeWs {
-			pw.Close()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("collector: stream %d: %w", i, err)
-			}
-		}
-		return nil
-	}
-	return writers, wait
-}
-
-// ReconnectConfig tunes IngestReconnecting's redial behavior.
-type ReconnectConfig struct {
-	// MaxAttempts caps redials after the initial connect; <= 0 means 5.
-	MaxAttempts int
-	// BaseDelay is the first backoff step (default 100ms); each further
-	// attempt doubles it, capped at MaxDelay (default 30s). Every delay
-	// is jittered by a seeded factor in [0.5, 1.5) so a fleet of
-	// reconnecting collectors does not thunder back in lockstep —
-	// seeded, so a replayed study reconnects identically.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed drives the jitter draws.
-	Seed int64
-	// Sleep replaces time.Sleep in tests; nil means time.Sleep.
-	Sleep func(time.Duration)
-}
-
-// IngestReconnecting ingests one stream whose transport can die and
-// come back: dial opens (or reopens) the feed, and any mid-stream
-// transport error triggers a redial with capped exponential backoff +
-// jitter instead of ending the stream. Successful redials count in
-// Stats.Reconnects. A clean EOF ends the stream normally; exhausting
-// MaxAttempts surfaces the last error to the usual policy handling.
-// Frame desync across a reconnect boundary is healed by the DropFrame
-// resync path, so pair this with a non-Abort policy for long-lived
-// feeds.
-func (c *Collector) IngestReconnecting(name string, dial func(attempt int) (io.Reader, error), rc ReconnectConfig) error {
-	if rc.MaxAttempts <= 0 {
-		rc.MaxAttempts = 5
-	}
-	if rc.BaseDelay <= 0 {
-		rc.BaseDelay = 100 * time.Millisecond
-	}
-	if rc.MaxDelay <= 0 {
-		rc.MaxDelay = 30 * time.Second
-	}
-	if rc.Sleep == nil {
-		rc.Sleep = time.Sleep
-	}
-	st := c.newStream(name)
-	defer c.finish(st)
-	rr := &reconnectReader{
-		dial: dial,
-		rc:   rc,
-		rng:  simrand.New(simrand.SeedN(rc.Seed, "collector/reconnect", int64(st.index))),
-		onReconnect: func() {
-			st.stats.Reconnects++
-		},
-	}
-	// A reconnecting feed that redials forever against a half-dead
-	// exporter (connects, then never sends a frame) must degrade the
-	// vantage, not hang the stream: the stall watchdog's abort target
-	// is the reconnectReader itself, whose Close stops further redials
-	// as well as the live transport.
-	r, stop := c.tapAndWatch(st, rr)
-	defer stop()
-	return c.ingestFrames(st, rr, netflow.NewFrameReader(r))
-}
-
-// reconnectReader is an io.Reader over a redialable transport.
-type reconnectReader struct {
-	dial        func(attempt int) (io.Reader, error)
-	rc          ReconnectConfig
-	rng         *simrand.Source
-	onReconnect func()
-	cur         io.Reader
-	attempt     int // dials performed
-	retries     int // backoffs taken
-	err         error
-	closed      atomic.Bool
-}
-
-func (r *reconnectReader) Read(p []byte) (int, error) {
-	for {
-		if r.err != nil {
-			return 0, r.err
-		}
-		if r.closed.Load() {
-			r.err = net.ErrClosed
-			return 0, r.err
-		}
-		if r.cur == nil {
-			cur, err := r.dial(r.attempt)
-			r.attempt++
-			if err != nil {
-				if !r.backoff(err) {
-					return 0, r.err
-				}
-				continue
-			}
-			if r.attempt > 1 && r.onReconnect != nil {
-				r.onReconnect()
-			}
-			r.cur = cur
-		}
-		n, err := r.cur.Read(p)
-		if err == nil {
-			return n, nil
-		}
-		if err == io.EOF {
-			r.err = io.EOF
-			return n, nil // deliver the tail; EOF on the next call
-		}
-		// Transport death: drop the connection and redial after backoff.
-		if cl, ok := r.cur.(io.Closer); ok {
-			cl.Close()
-		}
-		r.cur = nil
-		if !r.backoff(err) {
-			return n, nil // surface r.err on the next call
-		}
-		if n > 0 {
-			return n, nil
-		}
-	}
-}
-
-// backoff sleeps the next capped-exponential jittered delay, or records
-// cause as the sticky error once MaxAttempts is exhausted.
-func (r *reconnectReader) backoff(cause error) bool {
-	if r.retries >= r.rc.MaxAttempts {
-		r.err = cause
-		return false
-	}
-	d := r.rc.BaseDelay << r.retries
-	if d > r.rc.MaxDelay || d <= 0 {
-		d = r.rc.MaxDelay
-	}
-	jitter := 0.5 + r.rng.Float64()
-	r.rc.Sleep(time.Duration(float64(d) * jitter))
-	r.retries++
-	return true
-}
-
-// Close stops the reader: the current transport is closed and no
-// further redials happen (the stall watchdog's abort path).
-func (r *reconnectReader) Close() error {
-	r.closed.Store(true)
-	if cl, ok := r.cur.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
-}
-
-// ListenTCP accepts connections from l and ingests each as one framed
-// stream as it arrives. With streams > 0 it stops accepting after that
-// many connections; with streams <= 0 it accepts until the listener is
-// closed. Either way it returns once every in-flight stream has
-// drained (first stream error wins) — closing l from another goroutine
-// is the graceful-shutdown path: accepting stops, in-flight streams
-// run to completion. The caller keeps ownership of l.
-func (c *Collector) ListenTCP(l net.Listener, streams int) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for accepted := 0; streams <= 0 || accepted < streams; accepted++ {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				break // graceful shutdown: drain what's in flight
-			}
-			wg.Wait()
-			return err
-		}
-		wg.Add(1)
-		go func(stream int, conn net.Conn) {
-			defer wg.Done()
-			defer conn.Close()
-			if err := c.IngestNamedStream(conn.RemoteAddr().String(), conn); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("collector: stream %d: %w", stream, err)
-				}
-				mu.Unlock()
-				abortReader(conn, err)
-			}
-		}(accepted, conn)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// ServeUDP ingests raw NetFlow datagrams (real-router interop: no frame
-// envelope, no flush markers) from pc until it is closed. The version
-// field picks the codec per datagram: 5 decodes as classic v5, 9 and 10
-// as templated v9/IPFIX against a per-source template cache. Each
-// source address is one shard with its own reused decode scratch;
-// undecodable datagrams are counted in Stats.BadPackets and dropped,
-// since UDP feeds lose and corrupt packets as a matter of course. Each
-// source publishes its counters per datagram, like any other stream.
-// Classification happens at close (one implicit flush per source), so
-// this mode buffers each source's feed — size it accordingly.
-func (c *Collector) ServeUDP(pc net.PacketConn) error {
-	buf := make([]byte, 65535)
-	streams := map[string]*stream{}
-	defer func() {
-		for _, st := range streams {
-			st.flush()
-			c.finish(st)
-		}
-	}()
-	for {
-		n, addr, err := pc.ReadFrom(buf)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		key := addr.String()
-		st, ok := streams[key]
-		if !ok {
-			st = c.newStream(key)
-			streams[key] = st
-		}
-		if st.datagram(buf[:n]) != nil {
-			st.stats.BadPackets++
-		}
-		st.publish()
-	}
 }
 
 // Finalize merges every stream's partial into the study aggregates —
