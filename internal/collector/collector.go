@@ -420,7 +420,8 @@ func (c *Collector) newStreamAt(idx int, source string) *stream {
 
 // publish makes the stream's counters and covered hours visible to
 // Stats and StreamStats. Decode loops call it once per frame, datagram
-// or message, never per row.
+// or message, never per row, and before draining a feed they gave up
+// on.
 func (st *stream) publish() {
 	st.mu.Lock()
 	st.pub = st.stats

@@ -53,6 +53,7 @@ func (c *Collector) endStream(st *stream, raw io.Reader, err error, dropped bool
 			st.stats.DroppedFrames++
 		}
 		st.flush()
+		st.publish() // the drain can last as long as the exporter
 		drainReader(raw)
 		return nil
 	default:
@@ -80,6 +81,7 @@ func (c *Collector) quarantine(st *stream, raw io.Reader) error {
 	c.mu.Unlock()
 	st.part = part
 	st.sink = part
+	st.publish()
 	drainReader(raw)
 	return nil
 }

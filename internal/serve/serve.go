@@ -338,17 +338,17 @@ func (s *Service) Detach(id int64) error {
 	return nil
 }
 
-// detachAll stops every feed (shutdown path).
-func (s *Service) detachAll() {
+// feedList copies the registry in ID order. The copies are taken under
+// the lock because settle rewrites a feed's status.
+func (s *Service) feedList() []Feed {
 	s.mu.Lock()
-	feeds := make([]*Feed, 0, len(s.feeds))
+	feeds := make([]Feed, 0, len(s.feeds))
 	for _, f := range s.feeds {
-		feeds = append(feeds, f)
+		feeds = append(feeds, *f)
 	}
 	s.mu.Unlock()
-	for _, f := range feeds {
-		f.stop()
-	}
+	sort.Slice(feeds, func(i, j int) bool { return feeds[i].ID < feeds[j].ID })
+	return feeds
 }
 
 // ServeFeeds accepts inbound exporter connections on ln, one framed
@@ -414,7 +414,9 @@ func (s *Service) Run(ctx context.Context, httpLn net.Listener, feedLn net.Liste
 			if feedLn != nil {
 				feedLn.Close()
 			}
-			s.detachAll()
+			for _, f := range s.feedList() {
+				f.stop()
+			}
 			s.wg.Wait()
 			var err error
 			if s.cfg.CheckpointPath != "" {
@@ -489,16 +491,8 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStreams(w http.ResponseWriter, r *http.Request) {
-	// Copy the feeds under the lock: settle rewrites their status.
-	s.mu.Lock()
-	feeds := make([]Feed, 0, len(s.feeds))
-	for _, f := range s.feeds {
-		feeds = append(feeds, *f)
-	}
-	s.mu.Unlock()
-	sort.Slice(feeds, func(i, j int) bool { return feeds[i].ID < feeds[j].ID })
 	writeJSON(w, map[string]any{
-		"feeds":   feeds,
+		"feeds":   s.feedList(),
 		"streams": s.col.StreamStats(),
 	})
 }
@@ -537,11 +531,9 @@ type vantageWindow struct {
 // yet and are counted once they finish.
 func (s *Service) vantageCoverage() []vantageWindow {
 	vantageOf := map[string]string{}
-	s.mu.Lock()
-	for _, f := range s.feeds {
+	for _, f := range s.feedList() {
 		vantageOf[f.Name] = f.Vantage
 	}
-	s.mu.Unlock()
 	type agg struct {
 		bits    []uint64
 		streams int
