@@ -333,37 +333,34 @@ func TestIPFIXFaultPolicy(t *testing.T) {
 	sites := []struct {
 		name  string
 		feed  []byte
-		abort error
-		// drop is what DropFrame keeps: frames and records decoded.
-		dropFrames, dropRecords uint64
+		abort error // the class of Abort's error
+		// resumes marks damage confined to one delimited message, which
+		// DropFrame drops (a decoded frame) before going on to m2.
+		resumes bool
 	}{
-		{"header-cut", cat(m0, m1, m2[:2]), io.ErrUnexpectedEOF, 2, 2},
-		{"bad-header", cat(m0, m1, []byte{0, 9, 0, 20}, m2), netflow.ErrBadPayload, 2, 2},
-		{"body-truncated", cat(m0, m1, m2[:len(m2)-3]), io.ErrUnexpectedEOF, 2, 2},
-		{"undecodable-body", cat(m0, m1, undecodable, m2), netflow.ErrTemplated, 4, 3},
+		{"header-cut", cat(m0, m1, m2[:2]), io.ErrUnexpectedEOF, false},
+		{"bad-header", cat(m0, m1, []byte{0, 9, 0, 20}, m2), netflow.ErrBadPayload, false},
+		{"body-truncated", cat(m0, m1, m2[:len(m2)-3]), io.ErrUnexpectedEOF, false},
+		{"undecodable-body", cat(m0, m1, undecodable, m2), netflow.ErrTemplated, true},
 	}
 	for _, site := range sites {
-		// Abort stops at the damage; the undecodable message still
-		// counts as a frame.
-		abortFrames := uint64(2)
-		if site.name == "undecodable-body" {
-			abortFrames = 3
+		// Up to the damage every policy has decoded m0 and m1. IPFIX rows
+		// pend until EOF, so an aborted stream folds nothing.
+		seen := want{frames: 2, records: 2, hours: 2}
+		kept := seen
+		kept.dropped, kept.scaled = 1, (500+700)*100
+		if site.resumes {
+			seen.frames++
+			kept.frames, kept.records, kept.hours = 4, 3, 3
+			kept.scaled += 1100 * 100
 		}
-		dropVol := uint64(500 + 700)
-		dropHours := 2
-		if site.dropRecords == 3 {
-			dropVol += 1100
-			dropHours = 3
-		}
+		abort, quar := seen, seen
+		abort.err = site.abort
+		quar.quar, quar.hours = 1, 0
 		for _, tc := range []struct {
 			pol  ErrorPolicy
 			want want
-		}{
-			// IPFIX rows pend until EOF, so an aborted stream folds nothing.
-			{Abort, want{err: site.abort, frames: abortFrames, records: 2, hours: 2}},
-			{DropFrame, want{frames: site.dropFrames, records: site.dropRecords, dropped: 1, scaled: dropVol * 100, hours: dropHours}},
-			{QuarantineStream, want{frames: abortFrames, records: 2, quar: 1}},
-		} {
+		}{{Abort, abort}, {DropFrame, kept}, {QuarantineStream, quar}} {
 			t.Run(site.name+"/"+tc.pol.String(), func(t *testing.T) {
 				col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: tc.pol})
 				if err != nil {
