@@ -14,7 +14,9 @@
 // records stay within one stream; flush frames mark line-batch
 // boundaries so scanner classification stays incremental. Streams
 // without flush markers are still correct — EOF acts as one final flush
-// over every pending row, trading memory for protocol simplicity.
+// over every pending row, trading memory for protocol simplicity. Each
+// stream decodes on its ingest goroutine and folds on one of its own
+// (fold.go), so one stream can keep two cores busy.
 package collector
 
 import (
@@ -129,7 +131,11 @@ type DictState struct {
 
 // Stats counts what crossed the wire. All counters are totals across
 // streams, and they move while streams are open: each stream publishes
-// its counters once per frame, datagram or IPFIX message.
+// its counters once per frame, datagram or IPFIX message. They are the
+// decoder's, so an open stream's counters may lead what its fold has
+// put into the sink by the rows its fold ring holds: the chunk being
+// folded, one queued and the one being filled, each a few thousand
+// rows (see fold.go). Once the stream has ended they match the sink.
 type Stats struct {
 	// Streams completed ingestion (including failed ones); an open
 	// stream counts 0 here until it ends.
@@ -256,6 +262,9 @@ type Collector struct {
 	// checkpointing (window mode only).
 	restored map[string]*DictState
 	dicts    map[string]*DictState
+	// newFolder starts each stream's fold: newPipe, or a serial
+	// folder a test substitutes as its oracle.
+	newFolder func() folder
 }
 
 // New builds a collector.
@@ -289,7 +298,7 @@ func New(cfg Config) (*Collector, error) {
 	for src, ds := range cfg.RestoredDicts {
 		restored[src] = ds
 	}
-	return &Collector{cfg: cfg, partialOpts: po, restored: restored, dicts: map[string]*DictState{}}, nil
+	return &Collector{cfg: cfg, partialOpts: po, restored: restored, dicts: map[string]*DictState{}, newFolder: newPipe}, nil
 }
 
 // stream is one shard's decode state.
@@ -299,6 +308,12 @@ type stream struct {
 	// shared Window.
 	sink flows.Sink
 	part *flows.ShardPartial
+	// folder makes the IngestBatch calls the decoder closes into cur,
+	// the chunk being filled; rowsFrom/recsFrom are where the open flush
+	// interval starts in cur.rows/cur.recs.
+	folder             folder
+	cur                *chunk
+	rowsFrom, recsFrom int
 	// index is the stream's reserved index (see reserveStreams); source
 	// its endpoint label.
 	index  int
@@ -327,22 +342,20 @@ type stream struct {
 
 	// Dictionary-mode state, armed by the stream's hello frame: the
 	// exporter's hour epoch, the dictionary tables bound to this
-	// stream's partial, the reused column batch the flush interval's
-	// rows accumulate in, and the per-entry address families (for the
-	// V4/V6 record counters).
+	// stream's sink, and the per-entry address families (for the V4/V6
+	// record counters). The flush interval's rows accumulate in
+	// cur.rows.
 	epoch  int64
 	tables *flows.WireTables
-	batch  netflow.RecordBatch
 	lineV4 []bool
 	backV4 []bool
 	// Record-decoder state (v5, v6, v9/IPFIX): each decoded packet's
 	// records resolve through recTables (made on the first one) into
-	// recBatch, the flush interval's pending rows — still sampled
+	// cur.recs, the flush interval's pending rows — still sampled
 	// counters, because the rate is only fixed at flush. pending and
 	// pendingBytes count every decoded record since the last flush,
 	// rows or not, for the fallback-rate rule and Stats.ScaledBytes.
 	recTables    *flows.WireTables
-	recBatch     netflow.RecordBatch
 	pending      int
 	pendingBytes uint64
 	// scratch/dictAddrs are decode buffers reused across frames and
@@ -391,6 +404,8 @@ func (c *Collector) newStreamAt(idx int, source string) *stream {
 		start:    c.cfg.Days[0], hours: hours,
 		hourBits: make([]uint64, (hours+63)/64),
 		pubBits:  make([]uint64, (hours+63)/64),
+		folder:   c.newFolder(),
+		cur:      new(chunk),
 	}
 	if c.cfg.Window != nil {
 		st.sink = c.cfg.Window
@@ -448,8 +463,14 @@ func (st *stream) stat(vantage string) StreamStat {
 	}
 }
 
-// finish marks the stream ended and publishes its final counters.
+// finish folds what the stream closed, stops its fold, marks it ended
+// and publishes its final counters.
 func (c *Collector) finish(st *stream) {
+	st.join()
+	st.folder.close()
+	// Ended streams stay registered for StreamStats; their chunk
+	// buffers need not.
+	st.folder, st.cur = nil, nil
 	if c.cfg.Window != nil && st.tables != nil {
 		// Retain the completed stream's dictionary state so a checkpoint
 		// can persist it and its tail can resume after a restart.

@@ -97,6 +97,40 @@ func TestReplayFilesMatchesMemory(t *testing.T) {
 	col.Finalize() // the failed slot must not wedge finalization
 }
 
+// ipfixFeed exports the fixture week as raw IPFIX messages, one run of
+// messages per line, into one byte stream per shard.
+func (f *fixture) ipfixFeed(t testing.TB, streams int) [][]byte {
+	t.Helper()
+	bufs := make([][]byte, streams)
+	var encErr error
+	lineRecs := make([][]netflow.Record, streams)
+	seqs := make([]uint32, streams)
+	f.net.SimulateLines(streams,
+		func(shard int) func(netflow.Record) {
+			return func(r netflow.Record) { lineRecs[shard] = append(lineRecs[shard], r) }
+		},
+		func(shard int, _ *isp.Line) {
+			recs := lineRecs[shard]
+			// Chunk to stay inside the 16-bit message length field.
+			for off := 0; off < len(recs); off += 500 {
+				end := min(off+500, len(recs))
+				out, err := netflow.AppendIPFIXMessage(bufs[shard], uint32(shard), seqs[shard], seqs[shard] == 0, recs[off:end])
+				if err != nil {
+					encErr = errors.Join(encErr, err)
+					continue
+				}
+				bufs[shard] = out
+				seqs[shard] += uint32(end - off)
+			}
+			lineRecs[shard] = recs[:0]
+		},
+	)
+	if encErr != nil {
+		t.Fatal(encErr)
+	}
+	return bufs
+}
+
 // TestIPFIXRoundTripMatchesMemory: the simulated week exported as raw
 // IPFIX messages (our own templated encoder, one message run per line)
 // and re-ingested through IngestIPFIX matches the memory-mode figures —
@@ -106,46 +140,14 @@ func TestIPFIXRoundTripMatchesMemory(t *testing.T) {
 	ccRef, colRef := f.memoryRun(2)
 
 	f2 := buildFixture(t, 300)
-	const streams = 2
-	bufs := make([]*bytes.Buffer, streams)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-	}
-	var encErr error
-	lineRecs := make([][]netflow.Record, streams)
-	seqs := make([]uint32, streams)
-	f2.net.SimulateLines(streams,
-		func(shard int) func(netflow.Record) {
-			return func(r netflow.Record) { lineRecs[shard] = append(lineRecs[shard], r) }
-		},
-		func(shard int, _ *isp.Line) {
-			recs := lineRecs[shard]
-			// Chunk to stay inside the 16-bit message length field.
-			for off := 0; off < len(recs); off += 500 {
-				end := off + 500
-				if end > len(recs) {
-					end = len(recs)
-				}
-				out, err := netflow.AppendIPFIXMessage(nil, uint32(shard), seqs[shard], seqs[shard] == 0, recs[off:end])
-				if err != nil && encErr == nil {
-					encErr = err
-				}
-				seqs[shard] += uint32(end - off)
-				bufs[shard].Write(out)
-			}
-			lineRecs[shard] = recs[:0]
-		},
-	)
-	if encErr != nil {
-		t.Fatal(encErr)
-	}
+	feeds := f2.ipfixFeed(t, 2)
 
 	col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, buf := range bufs {
-		if err := col.IngestIPFIX("ipfix-"+string(rune('0'+i)), buf); err != nil {
+	for i, feed := range feeds {
+		if err := col.IngestIPFIX("ipfix-"+string(rune('0'+i)), bytes.NewReader(feed)); err != nil {
 			t.Fatal(err)
 		}
 	}

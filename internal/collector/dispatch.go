@@ -20,7 +20,7 @@ import (
 func (st *stream) resetDict(epoch int64) {
 	st.epoch = epoch
 	st.tables = st.sink.NewWireTables()
-	st.batch.Reset()
+	st.cur.rows.Truncate(st.rowsFrom)
 	st.lineV4 = st.lineV4[:0]
 	st.backV4 = st.backV4[:0]
 }
@@ -81,37 +81,51 @@ func (st *stream) addRecords(recs []netflow.Record) {
 	st.pending += len(recs)
 	for _, r := range recs {
 		st.pendingBytes += r.Bytes
-		st.recTables.AppendRecord(&st.recBatch, r)
+		st.recTables.AppendRecord(&st.cur.recs, r)
 	}
 }
 
-// flush completes the pending flush interval in the stream's sink (the
-// scanner-classification point). Dictionary rows were rebased and
-// scaled at decode; record rows are scaled here, by the header rate or,
-// before any v5 header, the fallback.
+// flush completes the pending flush interval (the scanner-
+// classification point): its rows close into the IngestBatch calls the
+// stream's folder makes, dictionary rows first. Dictionary rows were
+// rebased and scaled at decode; record rows are scaled here, by the
+// header rate or, before any v5 header, the fallback.
 func (st *stream) flush() {
-	if st.batch.Len() > 0 {
-		st.sink.IngestBatch(st.tables, &st.batch)
-		st.batch.Reset()
+	ch := st.cur
+	if n := ch.rows.Len(); n > st.rowsFrom {
+		ch.calls = append(ch.calls, foldCall{sink: st.sink, view: st.tables.View(), lo: st.rowsFrom, hi: n})
 	}
-	if st.pending == 0 {
-		return
-	}
-	rate := uint64(st.rate)
-	if rate == 0 {
-		rate = uint64(max(st.fallback, 1))
-		st.fallbackUsed = uint32(rate)
-	}
-	if rate > 1 {
-		for i := range st.recBatch.Bytes {
-			st.recBatch.Bytes[i] *= rate
-			st.recBatch.Packets[i] *= rate
+	if st.pending > 0 {
+		rate := uint64(st.rate)
+		if rate == 0 {
+			rate = uint64(max(st.fallback, 1))
+			st.fallbackUsed = uint32(rate)
 		}
+		if rate > 1 {
+			for i := st.recsFrom; i < ch.recs.Len(); i++ {
+				ch.recs.Bytes[i] *= rate
+				ch.recs.Packets[i] *= rate
+			}
+		}
+		st.stats.ScaledBytes += st.pendingBytes * rate
+		ch.calls = append(ch.calls, foldCall{sink: st.sink, view: st.recTables.View(), recs: true, lo: st.recsFrom, hi: ch.recs.Len()})
+		st.pending, st.pendingBytes = 0, 0
 	}
-	st.stats.ScaledBytes += st.pendingBytes * rate
-	st.sink.IngestBatch(st.recTables, &st.recBatch)
-	st.recBatch.Reset()
-	st.pending, st.pendingBytes = 0, 0
+	st.fill(st.folder.flushed(ch))
+}
+
+// join hands every closed flush interval to the fold and waits until
+// it is in the sink; the open interval is discarded. Every point that
+// ends a stream or swaps its sink joins first.
+func (st *stream) join() {
+	st.fill(st.folder.join(st.cur))
+}
+
+// fill makes ch the chunk being filled; whatever ch already holds is
+// closed, so the open interval starts at its end.
+func (st *stream) fill(ch *chunk) {
+	st.cur = ch
+	st.rowsFrom, st.recsFrom = ch.rows.Len(), ch.recs.Len()
 }
 
 // frameSource is a stream of frames with resynchronization — the
@@ -278,8 +292,8 @@ func syncFams(fams []bool, base int, addrs []netip.Addr) []bool {
 	return fams
 }
 
-// batchFrame decodes one columnar batch frame into the stream's reused
-// RecordBatch and normalizes the rows in place: the hour column rebases
+// batchFrame decodes one columnar batch frame into the chunk being
+// filled and normalizes the rows in place: the hour column rebases
 // from the exporter's epoch to study hours (negative = outside the
 // study window), counters scale back to estimates, and the wire/
 // liveness counters fold as the rows stream past. The actual analysis
@@ -288,15 +302,16 @@ func (st *stream) batchFrame(f netflow.Frame) error {
 	if st.tables == nil {
 		return fmt.Errorf("%w: batch frame before hello", netflow.ErrBadPayload)
 	}
-	from := st.batch.Len()
-	if err := netflow.DecodeBatchPayload(f.Payload, &st.batch); err != nil {
+	b := &st.cur.rows
+	from := b.Len()
+	if err := netflow.DecodeBatchPayload(f.Payload, b); err != nil {
 		return err
 	}
-	if err := st.tables.Validate(&st.batch, from); err != nil {
-		st.batch.Truncate(from)
+	if err := st.tables.Validate(b, from); err != nil {
+		b.Truncate(from)
 		return fmt.Errorf("%w: %v", netflow.ErrBadPayload, err)
 	}
-	n := st.batch.Len() - from
+	n := b.Len() - from
 	rate := uint64(st.rate)
 	if rate == 0 {
 		rate = 1
@@ -304,31 +319,31 @@ func (st *stream) batchFrame(f netflow.Frame) error {
 	offSec := st.epoch - st.start.Unix()
 	aligned := offSec%3600 == 0
 	hourOff := offSec / 3600
-	for i := from; i < st.batch.Len(); i++ {
+	for i := from; i < b.Len(); i++ {
 		var sh int64
 		if aligned {
-			sh = hourOff + int64(st.batch.Hour[i])
+			sh = hourOff + int64(b.Hour[i])
 		} else {
-			sh = floorDiv(offSec+int64(st.batch.Hour[i])*3600, 3600)
+			sh = floorDiv(offSec+int64(b.Hour[i])*3600, 3600)
 		}
 		switch {
 		case sh < 0:
-			st.batch.Hour[i] = -1
+			b.Hour[i] = -1
 		case sh >= int64(st.hours):
 			// Past the study window: keep the (positive) hour so
 			// IngestBatch's range check drops the row, like the record
 			// path's hour rejection.
-			st.batch.Hour[i] = int32(min(sh, int64(1<<31-1)))
+			b.Hour[i] = int32(min(sh, int64(1<<31-1)))
 		default:
-			st.batch.Hour[i] = int32(sh)
+			b.Hour[i] = int32(sh)
 			st.hourBits[sh>>6] |= 1 << (sh & 63)
 		}
 		if rate > 1 {
-			st.batch.Bytes[i] *= rate
-			st.batch.Packets[i] *= rate
+			b.Bytes[i] *= rate
+			b.Packets[i] *= rate
 		}
-		st.stats.ScaledBytes += st.batch.Bytes[i]
-		if st.lineV4[st.batch.Line[i]] && st.backV4[st.batch.Backend[i]] {
+		st.stats.ScaledBytes += b.Bytes[i]
+		if st.lineV4[b.Line[i]] && st.backV4[b.Backend[i]] {
 			st.stats.V4Records++
 		} else {
 			st.stats.V6Records++

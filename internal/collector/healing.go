@@ -53,10 +53,12 @@ func (c *Collector) endStream(st *stream, raw io.Reader, err error, dropped bool
 			st.stats.DroppedFrames++
 		}
 		st.flush()
+		st.join()
 		st.publish() // the drain can last as long as the exporter
 		drainReader(raw)
 		return nil
 	default:
+		st.join()
 		return err
 	}
 }
@@ -66,10 +68,9 @@ func (c *Collector) endStream(st *stream, raw io.Reader, err error, dropped bool
 // the wire counters for diagnosis, then drains the feed so the exporter
 // behind it completes normally.
 func (c *Collector) quarantine(st *stream, raw io.Reader) error {
+	st.join() // the fold must be done with the partial before it goes
 	st.stats.QuarantinedStreams = 1
-	st.batch.Reset()
 	st.tables = nil
-	st.recBatch.Reset()
 	st.recTables = nil
 	st.pending, st.pendingBytes = 0, 0
 	for i := range st.hourBits {

@@ -34,15 +34,20 @@ const lostBackend int32 = -2
 // AppendRecord makes no row for a record without an indexed endpoint.
 const unknownBackend int32 = -1
 
-// wireLineEnt is one line-dictionary entry: the address plus its lazily
-// interned IDs in the partial's ContactCounter and Collector.
+// wireLineEnt is one line-dictionary entry. Entries are written once,
+// when the decoder appends them, and never rewritten.
 type wireLineEnt struct {
 	addr     netip.Addr
-	ccID     int32 // interned on first contact evidence; -1 until then
-	colID    int32 // interned on first kept record; -1 until then
-	winID    int32 // window-shard line ID+1; 0 until first routed row
-	excluded bool  // pre-seeded scanner (Options.Excluded)
-	valid    bool  // false for gap-filled (lost) entries
+	excluded bool // pre-seeded scanner (Options.Excluded)
+	valid    bool // false for gap-filled (lost) entries
+}
+
+// lineMemo is one line entry's lazily interned sink IDs, each stored
+// +1 so the zero value means "not interned yet".
+type lineMemo struct {
+	cc  int32 // ContactCounter line ID+1, set on first contact evidence
+	col int32 // Collector line ID+1, set on first kept record
+	win int32 // window-shard line ID+1, set on first routed row
 }
 
 // WireTables is one producer's ID tables, bound to the index, exclusion
@@ -51,28 +56,71 @@ type wireLineEnt struct {
 // are appended (AddLines/AddBackends from dictionary frames, which batch
 // frames Validate against, or IngestLine from the simulator, whose rows
 // need no check), or AppendRecord interns the lines of the records it
-// resolves. Either way the rows fold via the sink's
-// IngestBatch. Owned by one producer; no locking.
+// resolves. Either way the rows fold via the sink's IngestBatch.
+//
+// Ownership is split between the two halves of a stream, so decode and
+// fold may run on different goroutines. The dictionaries (lines,
+// backends, and AppendRecord's interning) are append-only and written
+// only by the producer. The fold memos (memo, entSlot, touched) are
+// written only inside IngestBatch, which grows them to the dictionary
+// length it is handed. One goroutine may do both; a fold on another
+// goroutine reads the dictionaries through a WireView instead. No
+// locking either way.
 type WireTables struct {
 	idx      *BackendIndex
 	excluded map[netip.Addr]struct{}
 	// start is hour 0 of the rows AppendRecord makes.
 	start time.Time
 	// shard is the window ingest shard the tables are bound to (nil for
-	// ShardPartial-fed tables); winID memos are IDs in its line table.
+	// ShardPartial-fed tables); memo.win IDs are IDs in its line table.
 	shard    *winShard
 	lines    []wireLineEnt
 	backends []int32 // dense backend ID, unknownBackend, or lostBackend
-	// entSlot/touched scratch one IngestBatch call's per-line ent
-	// assignment (index+1 into the sink's recycled ents; 0 = none).
-	entSlot []int32
-	touched []int32
 	// recIDs interns the line addresses AppendRecord sees (its IDs index
 	// lines); lastLine/lastID memo the previous record's, since a
 	// producer emits a line's records back to back.
 	recIDs   lineTab
 	lastLine netip.Addr
 	lastID   uint32
+	// fold is the fold-side twin every View hands out (made on the
+	// first View).
+	fold *WireTables
+	// memo holds each line's sink IDs; entSlot/touched scratch one
+	// IngestBatch call's per-line ent assignment (index+1 into the
+	// sink's recycled ents; 0 = none).
+	memo    []lineMemo
+	entSlot []int32
+	touched []int32
+}
+
+// WireView is a producer's WireTables as a fold on another goroutine
+// may read them: the dictionaries as of the View call, and the
+// fold-side tables that keep the fold memos. Dictionary entries are
+// never rewritten, so the prefix a view holds stays valid while the
+// producer keeps appending past it.
+type WireView struct {
+	fold     *WireTables
+	lines    []wireLineEnt
+	backends []int32
+}
+
+// View captures t's dictionaries for a fold running on another
+// goroutine. Call it on the producer's goroutine, after the rows it
+// covers were validated or appended; every view of t shares one set of
+// fold-side tables.
+func (t *WireTables) View() WireView {
+	if t.fold == nil {
+		t.fold = &WireTables{idx: t.idx, excluded: t.excluded, start: t.start, shard: t.shard}
+	}
+	return WireView{fold: t.fold, lines: t.lines, backends: t.backends}
+}
+
+// Tables returns the fold-side tables reading v's dictionaries, to pass
+// to the sink's IngestBatch. Call it on the fold's goroutine, in the
+// order the views were taken.
+func (v WireView) Tables() *WireTables {
+	v.fold.lines, v.fold.backends = v.lines, v.backends
+	return v.fold
 }
 
 // NewWireTables implements Sink: empty tables feeding p. A dictionary
@@ -107,19 +155,18 @@ func (t *WireTables) AddLines(base uint32, addrs []netip.Addr) error {
 		return err
 	}
 	for i := 0; i < gap; i++ {
-		t.lines = append(t.lines, wireLineEnt{ccID: -1, colID: -1})
+		t.lines = append(t.lines, wireLineEnt{})
 	}
 	for _, a := range addrs {
 		t.addLine(a)
 	}
-	t.entSlot = grown(t.entSlot, len(t.lines))
 	return nil
 }
 
-// addLine appends one valid line entry; the caller regrows entSlot.
+// addLine appends one valid line entry.
 func (t *WireTables) addLine(a netip.Addr) {
 	_, excluded := t.excluded[a]
-	t.lines = append(t.lines, wireLineEnt{addr: a, ccID: -1, colID: -1, excluded: excluded, valid: true})
+	t.lines = append(t.lines, wireLineEnt{addr: a, excluded: excluded, valid: true})
 }
 
 // AddBackends appends one backend-dictionary frame's addresses at base,
@@ -181,7 +228,6 @@ func (t *WireTables) AppendRecord(b *netflow.RecordBatch, r netflow.Record) {
 		li = uint32(t.recIDs.id(line))
 		if int(li) == len(t.lines) {
 			t.addLine(line)
-			t.entSlot = grown(t.entSlot, len(t.lines))
 		}
 		t.lastLine, t.lastID = line, li
 	}
@@ -198,13 +244,17 @@ func (t *WireTables) AppendRecord(b *netflow.RecordBatch, r netflow.Record) {
 }
 
 // classifyFlush is the §5.2 per-flush scanner verdict, shared by both
-// sinks' IngestBatch: it pools each line's distinct-backend evidence
-// over every row of b with an indexed backend into ents (recycled from
-// the caller; t.entSlot maps a line to its entry, t.touched lists the
-// lines that got one) and marks a line over when it is pre-excluded or
-// its evidence exceeds threshold. The caller folds the rows, then
-// calls t.releaseEnts.
+// sinks' IngestBatch: it grows the fold memos to the dictionary, pools
+// each line's distinct-backend evidence over every row of b with an
+// indexed backend into ents (recycled from the caller; t.entSlot maps a
+// line to its entry, t.touched lists the lines that got one) and marks
+// a line over when it is pre-excluded or its evidence exceeds
+// threshold. The caller folds the rows, then calls t.releaseEnts.
 func classifyFlush(t *WireTables, b *netflow.RecordBatch, ents []endEnt, threshold int) []endEnt {
+	if n := len(t.lines); len(t.memo) < n {
+		t.memo = grown(t.memo, n)
+		t.entSlot = grown(t.entSlot, n)
+	}
 	words := t.idx.words
 	for i, bid := range b.Backend {
 		be := t.backends[bid]
@@ -273,11 +323,11 @@ func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	}
 	ents := classifyFlush(t, b, p.ents[:0], p.threshold)
 	for _, li := range t.touched {
-		ln := &t.lines[li]
-		if ln.ccID < 0 {
-			ln.ccID = p.cc.lineID(ln.addr)
+		m := &t.memo[li]
+		if m.cc == 0 {
+			m.cc = p.cc.lineID(t.lines[li].addr) + 1
 		}
-		orBits(p.cc.lineBits(int(ln.ccID)), ents[t.entSlot[li]-1].bits)
+		orBits(p.cc.lineBits(int(m.cc-1)), ents[t.entSlot[li]-1].bits)
 	}
 
 	for i, bid := range b.Backend {
@@ -293,15 +343,15 @@ func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		if h < 0 || h >= p.col.hours {
 			continue
 		}
-		ln := &t.lines[li]
-		if ln.colID < 0 {
-			ln.colID = p.col.lineID(ln.addr)
+		m := &t.memo[li]
+		if m.col == 0 {
+			m.col = p.col.lineID(t.lines[li].addr) + 1
 		}
 		port := proto.PortKey{Port: b.Port[i]}
 		if b.Proto[i] == netflow.ProtoUDP {
 			port.Transport = proto.UDP
 		}
-		p.col.ingestDense(int(ln.colID), be, b.Down[i], h, port, float64(b.Bytes[i])*p.col.rate)
+		p.col.ingestDense(int(m.col-1), be, b.Down[i], h, port, float64(b.Bytes[i])*p.col.rate)
 	}
 
 	t.releaseEnts()

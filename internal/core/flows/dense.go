@@ -134,7 +134,7 @@ func (t *portTab) clone() portTab {
 // tail; growth doubles capacity so repeated one-slot extensions stay
 // amortized O(1). Slices managed by grown are only ever extended, so
 // re-slicing within capacity re-exposes zeroed memory.
-func grown[T int32 | uint8 | uint64 | float64](s []T, n int) []T {
+func grown[T any](s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}

@@ -535,14 +535,13 @@ func RestoreWireTables(src io.Reader, sink Sink) (*WireTables, error) {
 	// allocates nothing until the bytes behind it arrive.
 	for i := 0; i < nl && s.err == nil; i++ {
 		if s.u8() == 0 {
-			t.lines = append(t.lines, wireLineEnt{ccID: -1, colID: -1})
+			t.lines = append(t.lines, wireLineEnt{})
 			continue
 		}
 		if a := s.addr("wire line addr"); s.err == nil {
 			t.addLine(a)
 		}
 	}
-	t.entSlot = grown(t.entSlot, len(t.lines))
 	nb := s.count("wire backend")
 	if s.err == nil && nb > maxWireDictEntries {
 		return nil, fmt.Errorf("flows: wire-tables snapshot has %d backends (limit %d)", nb, maxWireDictEntries)

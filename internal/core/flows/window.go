@@ -484,7 +484,7 @@ func (sh *winShard) recycle(bk *winBucket) {
 // matter which hour they land in — then every row with an indexed
 // backend is appended to its own hour bucket: all of them are contact
 // evidence, rows of kept lines also reach the Collector at fold time.
-// The tables stay bound to one ingest shard (their winID memos are its
+// The tables stay bound to one ingest shard (their window memos are its
 // line IDs), which is the per-stream parallelism unit.
 func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	if b.Len() == 0 {
@@ -505,11 +505,11 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 			continue
 		}
 		li := b.Line[i]
-		ln := &t.lines[li]
-		lid := ln.winID - 1
+		m := &t.memo[li]
+		lid := m.win - 1
 		if lid < 0 {
-			lid = sh.lines.id(ln.addr)
-			ln.winID = lid + 1
+			lid = sh.lines.id(t.lines[li].addr)
+			m.win = lid + 1
 		}
 		var flags uint8
 		if b.Down[i] {

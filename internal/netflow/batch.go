@@ -104,6 +104,21 @@ func (b *RecordBatch) Truncate(n int) {
 	b.Packets = b.Packets[:n]
 }
 
+// Slice returns rows [lo, hi) as a batch sharing b's columns, capped
+// so an append to it cannot overwrite b's later rows.
+func (b *RecordBatch) Slice(lo, hi int) RecordBatch {
+	return RecordBatch{
+		Line:    b.Line[lo:hi:hi],
+		Backend: b.Backend[lo:hi:hi],
+		Down:    b.Down[lo:hi:hi],
+		Hour:    b.Hour[lo:hi:hi],
+		Port:    b.Port[lo:hi:hi],
+		Proto:   b.Proto[lo:hi:hi],
+		Bytes:   b.Bytes[lo:hi:hi],
+		Packets: b.Packets[lo:hi:hi],
+	}
+}
+
 // Append adds one row.
 func (b *RecordBatch) Append(line, backend uint32, down bool, hour int32, port uint16, proto uint8, bytes, packets uint64) {
 	b.Line = append(b.Line, line)

@@ -338,3 +338,52 @@ func TestAttachDialReconnects(t *testing.T) {
 		t.Fatalf("reconnected feed ingested nothing: %+v", stats.Wire)
 	}
 }
+
+// TestAttachResponseRace: POST /streams/file and /streams/dial answer
+// with the feed as registered, not with the live registry entry the
+// feed's goroutine settles. Both feeds here end at once — an empty
+// file, an exporter that hangs up on accept — so settle runs beside
+// the response's encoding on every iteration; run it under -race.
+func TestAttachResponseRace(t *testing.T) {
+	f := buildFixture(t)
+	empty := filepath.Join(t.TempDir(), "empty.nf")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+
+	s := f.service(t, "")
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for i := 0; i < 20; i++ {
+		for path, body := range map[string]string{
+			"/streams/file": `{"path":` + jsonStr(empty) + `}`,
+			"/streams/dial": `{"addr":` + jsonStr(ln.Addr().String()) + `}`,
+		} {
+			resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fd Feed
+			err = json.NewDecoder(resp.Body).Decode(&fd)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 || fd.ID == 0 {
+				t.Fatalf("POST %s: status %d, feed %+v, err %v", path, resp.StatusCode, fd, err)
+			}
+		}
+	}
+	waitSettled(t, srv)
+}

@@ -227,16 +227,18 @@ func (s *Service) Window() *flows.Window { return s.win }
 // Collector exposes the underlying collector (stats, finalize).
 func (s *Service) Collector() *collector.Collector { return s.col }
 
-// register adds a feed under the next ID.
-func (s *Service) register(f *Feed) *Feed {
+// register adds a feed under the next ID and returns a copy of the
+// registered entry, taken under the lock like feedList's: once the
+// feed's goroutine starts, settle may rewrite f at any time.
+func (s *Service) register(f *Feed) Feed {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextID++
 	f.ID = s.nextID
 	f.Attached = time.Now()
 	f.Status = "running"
 	s.feeds[f.ID] = f
-	s.mu.Unlock()
-	return f
+	return *f
 }
 
 // settle records a feed's terminal state.
@@ -255,37 +257,40 @@ func (s *Service) settle(f *Feed, err error) {
 // AttachFile ingests a recorded framed stream from disk under the
 // given source name (empty name defaults to the path — reuse the same
 // name across restarts so checkpointed dictionary state re-attaches).
-// It returns immediately; the feed runs until EOF or fault.
-func (s *Service) AttachFile(path, name, vantage string) (*Feed, error) {
+// It returns immediately with the feed as registered; the feed runs
+// until EOF or fault, and /streams reports how it ended.
+func (s *Service) AttachFile(path, name, vantage string) (Feed, error) {
 	if name == "" {
 		name = path
 	}
 	fh, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return Feed{}, err
 	}
-	f := s.register(&Feed{Kind: "file", Target: path, Name: name, Vantage: vantage,
-		stop: func() { fh.Close() }})
+	f := &Feed{Kind: "file", Target: path, Name: name, Vantage: vantage,
+		stop: func() { fh.Close() }}
+	reg := s.register(f)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer fh.Close()
 		s.settle(f, s.col.IngestNamedStream(name, fh))
 	}()
-	return f, nil
+	return reg, nil
 }
 
 // AttachDial connects out to a framed-stream exporter and ingests with
 // reconnect-on-failure (collector.IngestReconnecting): transport deaths
-// redial with backoff instead of ending the feed.
-func (s *Service) AttachDial(addr, name, vantage string) (*Feed, error) {
+// redial with backoff instead of ending the feed. Like AttachFile, it
+// returns the feed as registered.
+func (s *Service) AttachDial(addr, name, vantage string) (Feed, error) {
 	if name == "" {
 		name = addr
 	}
 	var fmu sync.Mutex
 	var cur net.Conn
 	stopped := false
-	f := s.register(&Feed{Kind: "dial", Target: addr, Name: name, Vantage: vantage,
+	f := &Feed{Kind: "dial", Target: addr, Name: name, Vantage: vantage,
 		stop: func() {
 			fmu.Lock()
 			stopped = true
@@ -293,7 +298,8 @@ func (s *Service) AttachDial(addr, name, vantage string) (*Feed, error) {
 				cur.Close()
 			}
 			fmu.Unlock()
-		}})
+		}}
+	reg := s.register(f)
 	dial := func(attempt int) (io.Reader, error) {
 		fmu.Lock()
 		dead := stopped
@@ -322,7 +328,7 @@ func (s *Service) AttachDial(addr, name, vantage string) (*Feed, error) {
 			Seed: s.cfg.ReconnectSeed,
 		}))
 	}()
-	return f, nil
+	return reg, nil
 }
 
 // Detach stops a feed: its transport is closed and the ingest stream
@@ -361,8 +367,9 @@ func (s *Service) ServeFeeds(ln net.Listener) {
 			return
 		}
 		remote := conn.RemoteAddr().String()
-		f := s.register(&Feed{Kind: "conn", Target: remote, Name: remote,
-			stop: func() { conn.Close() }})
+		f := &Feed{Kind: "conn", Target: remote, Name: remote,
+			stop: func() { conn.Close() }}
+		s.register(f)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
