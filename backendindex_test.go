@@ -3,9 +3,11 @@ package iotmap
 import (
 	"context"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"iotmap/internal/core/discovery"
+	"iotmap/internal/core/flows"
 	"iotmap/internal/geo"
 )
 
@@ -34,10 +36,11 @@ func eachBackendFromUnion(s *System, add func(netip.Addr, string, geo.Continent,
 	}
 }
 
-// TestBackendIndexMatchesUnionOracle: the index built from the
-// certificate bits ValidateAndLocate recorded is the index the
-// Union()-based builder makes — same size, and for every address the
-// same alias, continent, region and certFound.
+// TestBackendIndexMatchesUnionOracle: the index ValidateAndLocate built
+// from the certificate bits it recorded is the index the Union()-based
+// builder makes. The index exports only Owner and Size, so the
+// comparison is a deep one: the same address → (alias, continent,
+// region, certFound) entries and the same dense ID assignment.
 func TestBackendIndexMatchesUnionOracle(t *testing.T) {
 	for _, seed := range []int64{3, 47} {
 		sys, err := New(Config{Seed: seed, Scale: 0.05, Lines: 500, SkipLiveScan: true})
@@ -51,34 +54,29 @@ func TestBackendIndexMatchesUnionOracle(t *testing.T) {
 		if err := sys.ValidateAndLocate(); err != nil {
 			t.Fatal(err)
 		}
-		collect := func(each func(func(netip.Addr, string, geo.Continent, string, bool))) map[netip.Addr]backendEntry {
-			out := map[netip.Addr]backendEntry{}
-			each(func(a netip.Addr, alias string, cont geo.Continent, region string, certFound bool) {
-				out[a] = backendEntry{alias, cont, region, certFound}
-			})
-			return out
-		}
-		got := collect(sys.eachBackend)
-		want := collect(func(add func(netip.Addr, string, geo.Continent, string, bool)) { eachBackendFromUnion(sys, add) })
+		want := map[netip.Addr]backendEntry{}
+		oracle := flows.NewBackendIndex()
+		eachBackendFromUnion(sys, func(a netip.Addr, alias string, cont geo.Continent, region string, certFound bool) {
+			want[a] = backendEntry{alias, cont, region, certFound}
+			oracle.Add(a, alias, cont, region, certFound)
+		})
+		oracle.Build()
 
-		idx, err := sys.backendIndex()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx.Size() != len(want) || len(got) != len(want) {
-			t.Fatalf("seed %d: index holds %d addresses, eachBackend %d, the oracle %d", seed, idx.Size(), len(got), len(want))
+		idx := sys.Index
+		if idx.Size() != len(want) {
+			t.Fatalf("seed %d: index holds %d addresses, the oracle %d", seed, idx.Size(), len(want))
 		}
 		cert := 0
 		for a, w := range want {
-			if got[a] != w {
-				t.Errorf("seed %d: %v indexed as %+v, the oracle says %+v", seed, a, got[a], w)
-			}
 			if idx.Owner(a) != w.alias {
 				t.Errorf("seed %d: %v owned by %q in the index, the oracle says %q", seed, a, idx.Owner(a), w.alias)
 			}
 			if w.certFound {
 				cert++
 			}
+		}
+		if !reflect.DeepEqual(idx, oracle) {
+			t.Errorf("seed %d: the index's continent, region or certFound columns differ from the oracle's", seed)
 		}
 		if cert == 0 || cert == len(want) {
 			t.Fatalf("seed %d: %d of %d addresses certificate-found; the comparison needs both kinds", seed, cert, len(want))

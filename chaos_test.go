@@ -8,6 +8,7 @@ import (
 	"iotmap"
 	"iotmap/internal/core/flows"
 	"iotmap/internal/figures"
+	"iotmap/internal/scenario"
 )
 
 // TestGoldenWirePolicyIdentity: the graceful error policies on a CLEAN
@@ -51,28 +52,30 @@ func TestGoldenWirePolicyIdentity(t *testing.T) {
 	}
 }
 
-// chaosScenario is the acceptance fault schedule: a seeded 1% frame
-// corruption across every stream, while isp-b's links additionally melt
-// down — a bit flip in every other row run until study-hour 120
-// (length-field flips force strict-decode drops, magic/type flips force
-// resync scans) and total row loss from hour 120 on, blanking whole
-// hours at that vantage while its siblings keep covering them.
-func chaosScenario(seed int64) *iotmap.FaultScenario {
-	return &iotmap.FaultScenario{
-		Seed: seed,
-		Rules: []iotmap.FaultRule{
+// chaosSuite is the acceptance fault schedule as a one-step suite: a
+// 1% frame corruption across every stream, while isp-b's links
+// additionally melt down — a bit flip in every other row run until
+// study-hour 120 (length-field flips force strict-decode drops,
+// magic/type flips force resync scans) and total row loss from hour 120
+// on, blanking whole hours at that vantage while its siblings keep
+// covering them. The suite seed derives the schedule's fault seed.
+func chaosSuite() scenario.Suite {
+	return scenario.Suite{Name: "chaos", Seed: 1, Steps: []scenario.Step{{
+		Name: "isp-b-meltdown",
+		Wire: []iotmap.FaultRule{
 			{Stream: -1, Faults: iotmap.Faults{CorruptProb: 0.01}},
 			{Stream: -1, Vantage: "isp-b", ToHour: 120, Faults: iotmap.Faults{CorruptProb: 0.5}},
 			{Stream: -1, Vantage: "isp-b", FromHour: 120, Faults: iotmap.Faults{DropProb: 1}},
 		},
-	}
+	}}}
 }
 
-func runChaosFederation(t *testing.T) *iotmap.System {
+// runChaosSuite runs chaosSuite over the wire-mode three-vantage
+// federation under DropFrame and returns its one scenario.
+func runChaosSuite(t *testing.T) iotmap.ScenarioResult {
 	t.Helper()
 	cfg := federationConfig(iotmap.TrafficModeWire)
 	cfg.WirePolicy = iotmap.WireDropFrame
-	cfg.WireFaults = chaosScenario(12)
 	sys, err := iotmap.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -84,23 +87,28 @@ func runChaosFederation(t *testing.T) *iotmap.System {
 	if err := sys.ValidateAndLocate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.FederationStudy(); err != nil {
-		t.Fatalf("chaos federation aborted under DropFrame: %v", err)
+	res, err := sys.DisruptionSuite(chaosSuite())
+	if err != nil {
+		t.Fatalf("chaos suite aborted under DropFrame: %v", err)
 	}
-	return sys
+	if len(res.Scenarios) != 1 {
+		t.Fatalf("scenarios = %d, want 1", len(res.Scenarios))
+	}
+	return res.Scenarios[0]
 }
 
-// TestChaosFederationAcceptance is the issue's acceptance criterion:
-// with ErrorPolicy DropFrame and a seeded faultwire feed, the
+// TestChaosFederationAcceptance is the degraded-study acceptance
+// criterion: with ErrorPolicy DropFrame and a seeded faultwire feed, the
 // three-vantage federation study completes without aborting, every
 // isp-b stream reports dropped frames AND resync scans, the coverage
-// report flags isp-b as degraded, and a rerun with the same fault seed
-// reproduces the figures and wire stats byte for byte.
+// report flags isp-b as degraded, and a rerun with the same suite seed
+// reproduces the figures, wire stats and fault ledger byte for byte.
 func TestChaosFederationAcceptance(t *testing.T) {
-	sys := runChaosFederation(t)
+	sc := runChaosSuite(t)
+	fed := sc.Federation
 
 	var ispB *iotmap.VantageResult
-	for _, vr := range sys.Federation.Vantages {
+	for _, vr := range fed.Vantages {
 		if vr.Spec.Name == "isp-b" {
 			ispB = vr
 		}
@@ -122,9 +130,9 @@ func TestChaosFederationAcceptance(t *testing.T) {
 	}
 
 	var bCov *flows.VantageCoverage
-	for i, vc := range sys.Federation.Coverage.Vantages {
+	for i, vc := range fed.Coverage.Vantages {
 		if vc.Vantage == "isp-b" {
-			bCov = &sys.Federation.Coverage.Vantages[i]
+			bCov = &fed.Coverage.Vantages[i]
 		}
 	}
 	if bCov == nil {
@@ -136,17 +144,16 @@ func TestChaosFederationAcceptance(t *testing.T) {
 	if bCov.HoursCovered >= bCov.HoursTotal {
 		t.Fatalf("isp-b hours %d/%d — degraded flag without hour loss", bCov.HoursCovered, bCov.HoursTotal)
 	}
-	totals := sys.Cfg.WireFaults.Totals()
-	if totals.Corrupted == 0 || totals.Dropped == 0 {
-		t.Fatalf("scenario injected nothing: %+v", totals)
+	if sc.FaultTotals == nil || sc.FaultTotals.Corrupted == 0 || sc.FaultTotals.Dropped == 0 {
+		t.Fatalf("scenario injected nothing: %+v", sc.FaultTotals)
 	}
 
 	// Same seed, fresh world: byte-identical figures and stats.
-	again := runChaosFederation(t)
-	if a, b := figures.FederationCoverage(sys.Federation), figures.FederationCoverage(again.Federation); a != b {
+	again := runChaosSuite(t)
+	if a, b := figures.FederationCoverage(fed), figures.FederationCoverage(again.Federation); a != b {
 		t.Fatalf("coverage figure not reproducible:\n--- run 1:\n%s\n--- run 2:\n%s", a, b)
 	}
-	for i, vr := range sys.Federation.Vantages {
+	for i, vr := range fed.Vantages {
 		vr2 := again.Federation.Vantages[i]
 		if !reflect.DeepEqual(vr.WireIngest, vr2.WireIngest) {
 			t.Fatalf("vantage %s ingest stats diverged:\n%+v\n%+v", vr.Spec.Name, *vr.WireIngest, *vr2.WireIngest)
@@ -155,7 +162,7 @@ func TestChaosFederationAcceptance(t *testing.T) {
 			t.Fatalf("vantage %s stream stats diverged", vr.Spec.Name)
 		}
 	}
-	if a, b := sys.Cfg.WireFaults.Totals(), again.Cfg.WireFaults.Totals(); a != b {
+	if a, b := *sc.FaultTotals, *again.FaultTotals; a != b {
 		t.Fatalf("fault totals diverged: %+v vs %+v", a, b)
 	}
 }

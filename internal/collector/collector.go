@@ -25,6 +25,7 @@ import (
 	"io"
 	"math/bits"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -421,14 +422,16 @@ func (c *Collector) newStreamAt(idx int, source string) *stream {
 	}
 	// Resume a checkpointed feed's dictionary state (window mode only)
 	// so its tail decodes without waiting for a hello frame it will
-	// never see.
+	// never see. The stream adopts a copy: a checkpoint may still be
+	// encoding the entry an earlier DictStates call returned, so the
+	// entry is never written again.
 	if ds, ok := c.restored[source]; ok {
 		delete(c.restored, source)
-		st.tables = ds.Tables
+		st.tables = ds.Tables.Clone()
 		st.epoch = ds.Epoch
 		st.rate = ds.Rate
-		st.lineV4 = ds.LineV4
-		st.backV4 = ds.BackV4
+		st.lineV4 = slices.Clone(ds.LineV4)
+		st.backV4 = slices.Clone(ds.BackV4)
 	}
 	return st
 }
@@ -529,8 +532,9 @@ func (c *Collector) Partials() []*flows.ShardPartial {
 // checkpoints so recorded feeds can resume mid-stream after a restart.
 // Unclaimed RestoredDicts entries are included, so state survives a
 // restart even if the matching feed never reattached. The returned map
-// is a copy; the DictState values are live (checkpoint them only while
-// no stream is ingesting under the same source).
+// is a copy, and no DictState in it is written afterwards: completed
+// streams' state is final, and a stream that claims a restored entry
+// adopts a copy of it. Safe to encode while streams ingest.
 func (c *Collector) DictStates() map[string]*DictState {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -129,6 +129,20 @@ func (p *ShardPartial) NewWireTables() *WireTables {
 	return &WireTables{idx: p.idx, excluded: p.col.excluded, start: p.col.days[0]}
 }
 
+// Clone returns a copy of t's dictionaries bound to the same sink, for
+// a producer that must keep appending while t is read elsewhere (a
+// checkpoint still encoding it). The fold memos start empty, as on
+// restored tables.
+func (t *WireTables) Clone() *WireTables {
+	return &WireTables{
+		idx: t.idx, excluded: t.excluded, start: t.start, shard: t.shard,
+		lines:    append([]wireLineEnt(nil), t.lines...),
+		backends: append([]int32(nil), t.backends...),
+		recIDs:   t.recIDs.clone(),
+		lastLine: t.lastLine, lastID: t.lastID,
+	}
+}
+
 // Lines returns the line-dictionary size (lost entries included).
 func (t *WireTables) Lines() int { return len(t.lines) }
 

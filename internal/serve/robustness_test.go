@@ -387,3 +387,69 @@ func TestAttachResponseRace(t *testing.T) {
 	}
 	waitSettled(t, srv)
 }
+
+// TestCheckpointRacesRestoredFeed is the crash-recovery runbook with
+// periodic checkpoints: a service restored from a checkpoint taken after
+// a feed's first half keeps checkpointing while the feed's second half
+// re-attaches under the same name. A checkpoint may still be encoding
+// the restored dictionary state when the resumed stream claims it, so
+// the stream must never append to those tables; run it under -race. The
+// resumed figures are still the uninterrupted run's.
+func TestCheckpointRacesRestoredFeed(t *testing.T) {
+	f := buildFixture(t)
+	dir := t.TempDir()
+	partA, partB := splitAtFlush(t, f.rec)
+	full, pa, pb := filepath.Join(dir, "full.nf"), filepath.Join(dir, "a.nf"), filepath.Join(dir, "b.nf")
+	for path, data := range map[string][]byte{full: f.rec, pa: partA, pb: partB} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt := filepath.Join(dir, "ckpt")
+	// ingest attaches a file under one source name, waits for it to
+	// settle, and returns the service's figures.
+	ingest := func(s *Service, path string) string {
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		if _, err := s.AttachFile(path, "feed", ""); err != nil {
+			t.Fatal(err)
+		}
+		waitSettled(t, srv)
+		return renderFigures(s.col.Finalize())
+	}
+	ref := ingest(f.service(t, ""), full)
+
+	first := f.service(t, ckpt)
+	ingest(first, pa)
+	if _, err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := f.service(t, ckpt)
+	if !s.Restored {
+		t.Fatal("service did not restore the checkpoint")
+	}
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := s.Checkpoint(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	resumed := ingest(s, pb)
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if resumed != ref {
+		t.Fatalf("resumed figures differ from the uninterrupted run:\n--- uninterrupted\n%s\n--- resumed\n%s", ref, resumed)
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"io"
 	"net/netip"
 	"runtime"
-	"sync"
 	"time"
 
 	"iotmap/internal/analysis"
@@ -82,12 +81,8 @@ type Config struct {
 	Lines int
 	// Days is the study period (default Feb 28 - Mar 7, 2022).
 	Days []time.Time
-	// HitlistCoverage is the IPv6 hitlist's fraction of the v6 estate.
-	HitlistCoverage float64
 	// ScannerThreshold is Figure 5's exclusion threshold (default 100).
 	ScannerThreshold int
-	// SharedThreshold is the Section 3.4 non-IoT domain threshold.
-	SharedThreshold int
 	// Outage, when non-nil, injects the scenario into the traffic
 	// simulation (use world.OutageDays() as Days for the paper's week).
 	Outage *outage.Scenario
@@ -109,25 +104,9 @@ type Config struct {
 	// default vantage, which makes FederationStudy produce exactly
 	// TrafficStudy's single-ISP results.
 	Vantages []VantageSpec
-	// FederationWorkers caps how many vantage pipelines FederationStudy
-	// runs concurrently (each vantage produces independent shard
-	// partials, so the worlds build and simulate in parallel and only
-	// the final FederatedMerge joins them). 0 means GOMAXPROCS; 1 runs
-	// the vantage loop sequentially.
-	FederationWorkers int
-	// WireFaults, when non-nil, splices the deterministic chaos harness
-	// (internal/faultwire) into every wire-mode stream: each collector
-	// read tap is wrapped per the scenario's schedule, keyed by stream
-	// index and vantage name. A zero Start is filled with the study's
-	// first day so scenario hours align with study hours. Ignored in
-	// memory mode.
-	WireFaults *faultwire.Scenario
 	// WirePolicy picks the collector's stream-fault response in wire
 	// mode; the zero value Abort preserves fail-loudly behavior.
 	WirePolicy ErrorPolicy
-	// WireStallTimeout arms the collector's per-stream read-stall
-	// watchdog in wire mode; zero disables it.
-	WireStallTimeout time.Duration
 }
 
 // ErrorPolicy re-exports the collector's stream-fault policy.
@@ -140,13 +119,11 @@ const (
 	WireQuarantineStream = collector.QuarantineStream
 )
 
-// Fault-injection re-exports, so chaos studies rarely need the
-// internal import.
+// Fault-injection re-exports, so suite steps (scenario.Step.Wire)
+// rarely need the internal import.
 type (
-	// FaultScenario schedules deterministic wire faults by stream,
-	// vantage, and study hour.
-	FaultScenario = faultwire.Scenario
-	// FaultRule is one scheduled fault mix within a scenario.
+	// FaultRule is one scheduled fault mix: which streams and vantage,
+	// which study hours.
 	FaultRule = faultwire.Rule
 	// Faults is a rule's fault mix.
 	Faults = faultwire.Faults
@@ -206,14 +183,8 @@ func (c Config) withDefaults() Config {
 	if c.Lines <= 0 {
 		c.Lines = 6000
 	}
-	if c.HitlistCoverage <= 0 {
-		c.HitlistCoverage = 0.8
-	}
 	if c.ScannerThreshold <= 0 {
 		c.ScannerThreshold = 100
-	}
-	if c.SharedThreshold <= 0 {
-		c.SharedThreshold = validate.DefaultSharedThreshold
 	}
 	return c
 }
@@ -224,8 +195,8 @@ type Validation struct {
 	IPs map[string]validate.IPReport
 	// Prefixes holds the prefix-level report (Microsoft).
 	Prefixes map[string]validate.PrefixReport
-	// Traffic holds the active-traffic cross-check (set by Disrupt or
-	// TrafficStudy when traffic data exists).
+	// Traffic holds the active-traffic cross-check (set by TrafficStudy
+	// and FederationStudy).
 	Traffic map[string]validate.TrafficReport
 }
 
@@ -245,17 +216,18 @@ type System struct {
 	Located    map[string]map[netip.Addr]footprint.Located
 	Rows       map[string]footprint.Row
 	Validation Validation
+	// Index is the collector's backend index over the dedicated sets,
+	// built once: TrafficStudy, TrafficInputs and every vantage of a
+	// federated run classify against it (discovery is global; only the
+	// observation points differ).
+	Index *flows.BackendIndex
 	// prefixAddrs keeps the sorted discovered addresses of each
 	// prefix-disclosing provider for trafficCrossCheck.
 	prefixAddrs map[string][]netip.Addr
-	// certDedicated keeps, per provider, the dedicated addresses the
-	// TLS-certificate channel found, for backendIndex.
-	certDedicated map[string]map[netip.Addr]struct{}
 
 	// TrafficStudy outputs.
 	Net      *isp.Network
 	Contacts *flows.ContactCounter
-	Index    *flows.BackendIndex
 	Study    *flows.Study
 	// WireExport/WireIngest are the wire-mode transfer counters (nil in
 	// memory mode): what the border routers framed onto the streams, and
@@ -365,7 +337,7 @@ func (s *System) Discover(ctx context.Context) error {
 			return err
 		}
 		in.Fabric = s.fabric
-		in.Hitlist = s.World.BuildHitlist(s.Cfg.HitlistCoverage)
+		in.Hitlist = s.World.BuildHitlist(hitlistCoverage)
 	}
 	res, err := discovery.Run(ctx, in)
 	if err != nil {
@@ -375,14 +347,18 @@ func (s *System) Discover(ctx context.Context) error {
 	return nil
 }
 
+// hitlistCoverage is the IPv6 hitlist's fraction of the v6 estate.
+const hitlistCoverage = 0.8
+
 // providerValidation is one provider's share of ValidateAndLocate.
 type providerValidation struct {
 	addrs, ded, shared []netip.Addr
-	located            map[netip.Addr]footprint.Located
-	certDed            map[netip.Addr]struct{}
-	row                footprint.Row
-	ips                *validate.IPReport
-	prefixes           *validate.PrefixReport
+	// certFound[i] says whether the TLS-certificate channel found ded[i].
+	certFound []bool
+	located   map[netip.Addr]footprint.Located
+	row       footprint.Row
+	ips       *validate.IPReport
+	prefixes  *validate.PrefixReport
 }
 
 // validateProvider runs the Section 3.4 filter, the Section 4 geolocation
@@ -391,18 +367,16 @@ func (s *System) validateProvider(p *patterns.Pattern, period dnsdb.TimeRange) p
 	id := p.ProviderID()
 	union := s.Discovery[id].Union()
 	v := providerValidation{addrs: discovery.SortedAddrs(union)}
-	v.ded, v.shared, _ = validate.FilterShared(v.addrs, s.Patterns, s.PDNS, period, s.Cfg.SharedThreshold)
+	v.ded, v.shared, _ = validate.FilterShared(v.addrs, s.Patterns, s.PDNS, period, validate.DefaultSharedThreshold)
 	v.located = footprint.Geolocate(p, union, s.World.Geo, s.World.GeoVotes)
 	// Characterize over the dedicated set only (Section 5 uses only
 	// exclusively-IoT infrastructure).
 	dedUnion := map[netip.Addr]*discovery.AddrInfo{}
-	v.certDed = map[netip.Addr]struct{}{}
-	for _, a := range v.ded {
+	v.certFound = make([]bool, len(v.ded))
+	for i, a := range v.ded {
 		info := union[a]
 		dedUnion[a] = info
-		if info != nil && info.Sources.Has(discovery.SrcCert) {
-			v.certDed[a] = struct{}{}
-		}
+		v.certFound[i] = info != nil && info.Sources.Has(discovery.SrcCert)
 	}
 	v.row = footprint.Characterize(id, dedUnion, v.located, s.World.AS)
 	if disclosed := s.World.DisclosedIPs(id); disclosed != nil {
@@ -417,9 +391,10 @@ func (s *System) validateProvider(p *patterns.Pattern, period dnsdb.TimeRange) p
 }
 
 // ValidateAndLocate runs the Section 3.4 filters, the Section 4
-// geolocation and characterization, and the ground-truth validation.
-// Providers are independent, so they run on a worker pool; the System's
-// maps are written afterwards, in provider order.
+// geolocation and characterization, and the ground-truth validation,
+// and builds the backend Index. Providers are independent, so they run
+// on a worker pool; the System's maps are written afterwards, in
+// provider order.
 func (s *System) ValidateAndLocate() error {
 	if s.Discovery == nil {
 		return fmt.Errorf("iotmap: Discover must run first")
@@ -434,7 +409,7 @@ func (s *System) ValidateAndLocate() error {
 		Traffic:  map[string]validate.TrafficReport{},
 	}
 	s.prefixAddrs = map[string][]netip.Addr{}
-	s.certDedicated = map[string]map[netip.Addr]struct{}{}
+	idx := flows.NewBackendIndex()
 	period := dnsdb.TimeRange{From: s.World.Days[0], To: s.World.Days[len(s.World.Days)-1].Add(24 * time.Hour)}
 	vals := make([]providerValidation, len(s.Patterns))
 	analysis.ForEach(len(s.Patterns), func(i int) { vals[i] = s.validateProvider(s.Patterns[i], period) })
@@ -443,7 +418,6 @@ func (s *System) ValidateAndLocate() error {
 		s.Dedicated[id] = v.ded
 		s.Shared[id] = v.shared
 		s.Located[id] = v.located
-		s.certDedicated[id] = v.certDed
 		s.Rows[id] = v.row
 		if v.ips != nil {
 			s.Validation.IPs[id] = *v.ips
@@ -452,7 +426,16 @@ func (s *System) ValidateAndLocate() error {
 			s.Validation.Prefixes[id] = *v.prefixes
 			s.prefixAddrs[id] = v.addrs
 		}
+		alias := s.World.AliasOf(id)
+		for j, a := range v.ded {
+			loc := v.located[a].Location
+			idx.Add(a, alias, loc.Continent, loc.Region, v.certFound[j])
+		}
 	}
+	// Freeze the dense ID assignment before the pipelines (possibly many
+	// concurrent vantage worlds) start classifying against it.
+	idx.Build()
+	s.Index = idx
 	return nil
 }
 
@@ -463,31 +446,16 @@ func (s *System) ValidateAndLocate() error {
 // (Section 5.2's Richter-style exclusion), and the shard partials merge
 // order-independently into the Figure 5 contact curve and the full
 // Section 5 traffic study — one simulation pass for both analyses, as
-// the paper runs both over the same recorded NetFlow feed.
+// the paper runs both over the same recorded NetFlow feed. The network
+// is the run's own vantage: Config.Seed and Config.Lines with the ISP
+// model defaults.
 func (s *System) TrafficStudy() error {
-	net, idx, err := s.TrafficInputs()
-	if err != nil {
-		return err
-	}
-	s.Net = net
-	s.Index = idx
 	s.WireExport, s.WireIngest, s.WireStreams = nil, nil, nil
-	s.anchorFaultClock(s.Cfg.WireFaults)
-
-	focusAlias, focusRegion := "T1", "us-east-1"
-	if s.Cfg.Outage != nil {
-		focusRegion = s.Cfg.Outage.Region
-	}
-	opts := flows.Options{
-		ScannerThreshold: s.Cfg.ScannerThreshold,
-		SamplingRate:     net.Cfg.SamplingRate,
-		FocusAlias:       focusAlias,
-		FocusRegion:      focusRegion,
-	}
-	run, err := s.runPipeline(net, idx, opts, s.Cfg.WireFaults)
+	run, err := s.vantage(0, VantageSpec{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, nil, nil)
 	if err != nil {
 		return err
 	}
+	s.Net = run.net
 	cc, col := flows.MergePartials(run.parts)
 	s.Contacts = cc
 	s.Study = col.Study()
@@ -515,64 +483,83 @@ func (s *System) trafficCrossCheck(volumes map[netip.Addr]float64) {
 	}
 }
 
-// TrafficInputs builds the traffic stage's raw material — the ISP
-// subscriber model (with any configured outage modifier installed) and
-// the backend index over the validated dedicated sets — without running
-// an analysis. TrafficStudy uses it internally; standalone
+// TrafficInputs returns the traffic stage's raw material — the network
+// TrafficStudy simulates (with any configured outage modifier installed)
+// and the backend Index — without running an analysis. Standalone
 // exporter/collector frontends (cmd/iotcollect) use it to drive the
 // wire path by hand. Requires ValidateAndLocate.
 func (s *System) TrafficInputs() (*isp.Network, *flows.BackendIndex, error) {
-	idx, err := s.backendIndex()
+	net, err := s.vantageNetwork(0, VantageSpec{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	net, err := isp.NewNetwork(isp.Config{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, s.World)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.Cfg.Outage != nil {
-		net.Modifier = s.Cfg.Outage.Modifier()
-	}
-	return net, idx, nil
+	return net, s.Index, nil
 }
 
-// backendIndex builds the collector's backend index over the validated
-// dedicated sets — the single source of truth every vantage of a
-// federated run shares (discovery is global; only the observation
-// points differ). Requires ValidateAndLocate.
-func (s *System) backendIndex() (*flows.BackendIndex, error) {
-	if s.Rows == nil {
+// vantageNetwork builds vantage i's subscriber world from its spec. A
+// backend-side outage (Config.Outage) is visible from every vantage, so
+// it comes first and the vantage's own modifier (modifierFor, nil: none)
+// after it: first drop wins, so flows the vantage modifier leaves alone
+// stay bit-identical to a modifier-less baseline. Requires
+// ValidateAndLocate.
+func (s *System) vantageNetwork(i int, sp VantageSpec, modifierFor func(vantage string) isp.FlowModifier) (*isp.Network, error) {
+	if s.Index == nil {
 		return nil, fmt.Errorf("iotmap: ValidateAndLocate must run first")
 	}
-	idx := flows.NewBackendIndex()
-	s.eachBackend(idx.Add)
-	// Freeze the dense ID assignment before the pipelines (possibly many
-	// concurrent vantage worlds) start classifying against it.
-	idx.Build()
-	return idx, nil
+	net, err := isp.NewNetwork(isp.Config{
+		Seed:            sp.Seed,
+		Lines:           sp.Lines,
+		SamplingRate:    sp.SamplingRate,
+		ScannerFraction: sp.ScannerFraction,
+		IoTPenetration:  sp.IoTPenetration,
+		V6Fraction:      sp.V6Fraction,
+		VantageID:       i,
+		ContinentBias:   sp.ContinentMix,
+	}, s.World)
+	if err != nil {
+		return nil, err
+	}
+	var mods []isp.FlowModifier
+	if s.Cfg.Outage != nil {
+		mods = append(mods, s.Cfg.Outage.Modifier())
+	}
+	if modifierFor != nil {
+		mods = append(mods, modifierFor(sp.Name))
+	}
+	net.Modifier = isp.ChainModifiers(mods...)
+	return net, nil
 }
 
-// eachBackend calls add, in provider order, with every validated
-// dedicated address as the collector indexes it: owner alias, location,
-// and whether the TLS-certificate channel alone would have found it.
-func (s *System) eachBackend(add func(addr netip.Addr, alias string, cont geo.Continent, region string, certFound bool)) {
-	for _, p := range s.Patterns {
-		id := p.ProviderID()
-		alias := s.World.AliasOf(id)
-		located := s.Located[id]
-		certDed := s.certDedicated[id]
-		for _, a := range s.Dedicated[id] {
-			loc := located[a]
-			_, certFound := certDed[a]
-			add(a, alias, loc.Location.Continent, loc.Location.Region, certFound)
-		}
+// vantage builds vantage i's world and drives it through the
+// Config.TrafficMode data path, splicing faults (nil: clean wire) into
+// every wire stream. It is the one per-vantage path: TrafficStudy runs
+// it once for the run's own network, the federation once per spec.
+func (s *System) vantage(i int, sp VantageSpec, modifierFor func(vantage string) isp.FlowModifier, faults *faultwire.Scenario) (pipelineRun, error) {
+	net, err := s.vantageNetwork(i, sp, modifierFor)
+	if err != nil {
+		return pipelineRun{}, err
 	}
+	focusRegion := "us-east-1"
+	if s.Cfg.Outage != nil {
+		focusRegion = s.Cfg.Outage.Region
+	}
+	run, err := s.runPipeline(net, flows.Options{
+		ScannerThreshold: s.Cfg.ScannerThreshold,
+		SamplingRate:     net.Cfg.SamplingRate,
+		FocusAlias:       "T1",
+		FocusRegion:      focusRegion,
+		Vantage:          sp.Name,
+	}, faults)
+	run.net = net
+	return run, err
 }
 
 // pipelineRun is one vantage world pushed through the configured
-// traffic data path: its vantage-tagged shard partials, plus the wire
-// transfer stats when the feed crossed the wire (nil in memory mode).
+// traffic data path: the network, its vantage-tagged shard partials,
+// plus the wire transfer stats when the feed crossed the wire (nil in
+// memory mode).
 type pipelineRun struct {
+	net         *isp.Network
 	parts       []*flows.ShardPartial
 	wireExport  *isp.WireStats
 	wireIngest  *collector.Stats
@@ -580,17 +567,16 @@ type pipelineRun struct {
 }
 
 // runPipeline drives one network through the Config.TrafficMode data
-// path into shard partials — the single pipeline seam TrafficStudy and
-// the federation share. Memory mode folds the simulator's rows into
+// path into shard partials. Memory mode folds the simulator's rows into
 // them; wire mode exports every line shard as a dictionary stream over
 // an in-process pipe (synchronous — collector backpressure throttles
 // the exporter), splices faults (nil: clean wire) into every stream,
 // and decodes, validates, and rescales it back.
 // Merging the partials yields byte-identical results either way.
-func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flows.Options, faults *faultwire.Scenario) (pipelineRun, error) {
+func (s *System) runPipeline(net *isp.Network, opts flows.Options, faults *faultwire.Scenario) (pipelineRun, error) {
 	switch s.Cfg.TrafficMode {
 	case TrafficModeMemory, "":
-		agg := flows.NewShardedAggregator(idx, s.World.Days, opts, runtime.GOMAXPROCS(0))
+		agg := flows.NewShardedAggregator(s.Index, s.World.Days, opts, runtime.GOMAXPROCS(0))
 		agg.Simulate(net)
 		parts := make([]*flows.ShardPartial, agg.Shards())
 		for i := range parts {
@@ -602,11 +588,7 @@ func (s *System) runPipeline(net *isp.Network, idx *flows.BackendIndex, opts flo
 		if streams <= 0 {
 			streams = runtime.GOMAXPROCS(0)
 		}
-		ccfg := collector.Config{
-			Index: idx, Days: s.World.Days, Opts: opts,
-			Policy:       s.Cfg.WirePolicy,
-			StallTimeout: s.Cfg.WireStallTimeout,
-		}
+		ccfg := collector.Config{Index: s.Index, Days: s.World.Days, Opts: opts, Policy: s.Cfg.WirePolicy}
 		if faults != nil {
 			vantage := opts.Vantage
 			ccfg.Tap = func(stream int, _ string, r io.Reader) io.Reader {
@@ -680,14 +662,14 @@ func (s *System) vantageSpecs() ([]VantageSpec, error) {
 // flows.FederatedMerge into per-vantage studies, an exact union study,
 // and the cross-vantage coverage report (which backends are visible
 // from which vantage — the paper's ISP-versus-IXP comparison angle).
-// The vantage worlds are independent until the merge, so they run
-// concurrently (Config.FederationWorkers, default GOMAXPROCS); partials
-// are collected in spec order and the merge is order-independent, so
-// the result is identical to a sequential drive. With no Vantages
-// configured it runs one default vantage whose study is byte-identical
-// to TrafficStudy's. Requires ValidateAndLocate.
+// The vantage worlds are independent until the merge, so they run on
+// the GOMAXPROCS worker pool; partials are collected in spec order and
+// the merge is order-independent, so the result is identical to a
+// sequential drive. With no Vantages configured it runs one default
+// vantage whose study is byte-identical to TrafficStudy's. Requires
+// ValidateAndLocate.
 func (s *System) FederationStudy() error {
-	fed, err := s.federate(s.Cfg.WireFaults, nil)
+	fed, err := s.federate(nil, nil)
 	if err != nil {
 		return err
 	}
@@ -708,94 +690,36 @@ func (s *System) federate(faults *faultwire.Scenario, modifierFor func(vantage s
 	if err != nil {
 		return nil, err
 	}
-	idx, err := s.backendIndex()
-	if err != nil {
-		return nil, err
-	}
-	s.anchorFaultClock(faults)
-
-	focusAlias, focusRegion := "T1", "us-east-1"
-	if s.Cfg.Outage != nil {
-		focusRegion = s.Cfg.Outage.Region
-	}
-	workers := s.Cfg.FederationWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// Align the fault schedule's hour clock with the study period before
+	// any pipeline starts, so repeated runs stay deterministic.
+	if faults != nil && faults.Start.IsZero() {
+		faults.Start = s.World.Days[0]
 	}
 	runs := make([]pipelineRun, len(specs))
 	errs := make([]error, len(specs))
-	results := make([]*VantageResult, len(specs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, sp := range specs {
-		wg.Add(1)
-		go func(i int, sp VantageSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			net, err := isp.NewNetwork(isp.Config{
-				Seed:            sp.Seed,
-				Lines:           sp.Lines,
-				SamplingRate:    sp.SamplingRate,
-				ScannerFraction: sp.ScannerFraction,
-				IoTPenetration:  sp.IoTPenetration,
-				V6Fraction:      sp.V6Fraction,
-				VantageID:       i,
-				ContinentBias:   sp.ContinentMix,
-			}, s.World)
-			if err != nil {
-				errs[i] = fmt.Errorf("iotmap: vantage %q: %w", sp.Name, err)
-				return
-			}
-			// A backend-side outage is visible from every vantage; the
-			// per-vantage modifiers compose after it (first drop wins,
-			// so unaffected flows stay bit-identical to a modifier-less
-			// baseline).
-			var mods []isp.FlowModifier
-			if s.Cfg.Outage != nil {
-				mods = append(mods, s.Cfg.Outage.Modifier())
-			}
-			if modifierFor != nil {
-				mods = append(mods, modifierFor(sp.Name))
-			}
-			net.Modifier = isp.ChainModifiers(mods...)
-			opts := flows.Options{
-				ScannerThreshold: s.Cfg.ScannerThreshold,
-				SamplingRate:     net.Cfg.SamplingRate,
-				FocusAlias:       focusAlias,
-				FocusRegion:      focusRegion,
-				Vantage:          sp.Name,
-			}
-			run, err := s.runPipeline(net, idx, opts, faults)
-			if err != nil {
-				errs[i] = fmt.Errorf("iotmap: vantage %q: %w", sp.Name, err)
-				return
-			}
-			runs[i] = run
-			results[i] = &VantageResult{
-				Spec:        sp,
-				Net:         net,
-				WireExport:  run.wireExport,
-				WireIngest:  run.wireIngest,
-				WireStreams: run.streamStats,
-			}
-		}(i, sp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	analysis.ForEach(len(specs), func(i int) {
+		runs[i], errs[i] = s.vantage(i, specs[i], modifierFor, faults)
+	})
 	var parts []*flows.ShardPartial
-	for i := range runs {
+	for i, sp := range specs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("iotmap: vantage %q: %w", sp.Name, errs[i])
+		}
 		parts = append(parts, runs[i].parts...)
 	}
 
 	fed := flows.FederatedMerge(parts)
-	for _, vr := range results {
-		vr.Contacts = fed.CC[vr.Spec.Name]
-		vr.Study = fed.Col[vr.Spec.Name].Study()
+	results := make([]*VantageResult, len(specs))
+	for i, sp := range specs {
+		results[i] = &VantageResult{
+			Spec:        sp,
+			Net:         runs[i].net,
+			Contacts:    fed.CC[sp.Name],
+			Study:       fed.Col[sp.Name].Study(),
+			WireExport:  runs[i].wireExport,
+			WireIngest:  runs[i].wireIngest,
+			WireStreams: runs[i].streamStats,
+		}
 	}
 	return &FederationResult{
 		Vantages:      results,
@@ -803,15 +727,6 @@ func (s *System) federate(faults *faultwire.Scenario, modifierFor func(vantage s
 		UnionContacts: fed.UnionCC,
 		Coverage:      fed.Coverage(),
 	}, nil
-}
-
-// anchorFaultClock aligns a fault scenario's hour clock with the study
-// period. Idempotent and single-threaded (called before any pipeline
-// goroutine starts), so repeated studies stay deterministic.
-func (s *System) anchorFaultClock(sc *faultwire.Scenario) {
-	if sc != nil && sc.Start.IsZero() {
-		sc.Start = s.World.Days[0]
-	}
 }
 
 // FaultCounts re-exports the chaos harness's fault ledger.
@@ -904,12 +819,10 @@ type SuiteStudyResult struct {
 // bgpstream.CheckImpactAt, using migration-aware AS origin resolution,
 // so an AS outage of an abandoned AS stops matching after cutover. Every
 // draw derives from the suite seed; reruns are byte-identical. A step's
-// fault schedule carries its own derived seed, so Config.WireFaults must
-// be unset. Requires ValidateAndLocate.
+// Wire rules are the one way to inject wire faults: each compiled
+// scenario's fault schedule carries its own derived seed. Requires
+// ValidateAndLocate.
 func (s *System) DisruptionSuite(suite scenario.Suite) (*SuiteStudyResult, error) {
-	if s.Cfg.WireFaults != nil {
-		return nil, fmt.Errorf("iotmap: DisruptionSuite: Config.WireFaults is set; suite steps carry their own fault schedules and seeds")
-	}
 	compiled, err := suite.Compile(s.World)
 	if err != nil {
 		return nil, err

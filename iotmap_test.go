@@ -3,6 +3,7 @@ package iotmap_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"iotmap"
@@ -156,15 +157,17 @@ func TestFederationStudyMultiVantage(t *testing.T) {
 	}
 }
 
-// TestFederationStudyParallelMatchesSequential: FederationStudy now
-// drives its vantage worlds concurrently (Config.FederationWorkers);
-// under -race this pins both that the concurrent drive is race-free and
-// that it reproduces the sequential drive vantage-for-vantage — same
-// figures, same scanner curves, same coverage report, same union.
+// TestFederationStudyParallelMatchesSequential: FederationStudy drives
+// its vantage worlds on the GOMAXPROCS worker pool; under -race this
+// pins both that the concurrent drive is race-free and that it
+// reproduces the one-worker drive (GOMAXPROCS=1) vantage-for-vantage —
+// same figures, same scanner curves, same coverage report, same union.
 func TestFederationStudyParallelMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := runtime.GOMAXPROCS(0)
 	build := func(workers int) *iotmap.System {
+		runtime.GOMAXPROCS(workers)
 		cfg := federationConfig(iotmap.TrafficModeMemory)
-		cfg.FederationWorkers = workers
 		sys, err := iotmap.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +185,7 @@ func TestFederationStudyParallelMatchesSequential(t *testing.T) {
 		return sys
 	}
 	seq := build(1)
-	par := build(0) // default: concurrent vantage pipelines
+	par := build(max(procs, 2)) // the default, and never a single worker
 
 	if len(seq.Federation.Vantages) != len(par.Federation.Vantages) {
 		t.Fatalf("vantage counts differ: %d vs %d", len(seq.Federation.Vantages), len(par.Federation.Vantages))

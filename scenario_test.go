@@ -5,7 +5,6 @@ import (
 	"maps"
 	"net/netip"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -293,26 +292,6 @@ func TestSuiteComposesOverConfiguredOutage(t *testing.T) {
 	}
 	if sc.UnionBackendsDelta != 0 || sc.UnionDownDeltaPct != 0 {
 		t.Fatalf("union deltas nonzero under a pure migration: %+v", sc)
-	}
-}
-
-// TestSuiteRefusesConfiguredWireFaults: a step's fault schedule has its
-// own derived seed, so a suite over a system with Config.WireFaults set
-// is refused before any study runs.
-func TestSuiteRefusesConfiguredWireFaults(t *testing.T) {
-	cfg := federationConfig(iotmap.TrafficModeWire)
-	cfg.WireFaults = chaosScenario(12)
-	sys, err := iotmap.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	_, err = sys.DisruptionSuite(scenario.Presets(5)[scenario.PresetMigrationD1])
-	if err == nil || !strings.Contains(err.Error(), "Config.WireFaults") {
-		t.Fatalf("err = %v, want a refusal naming Config.WireFaults", err)
-	}
-	if sys.Federation != nil {
-		t.Fatal("a refused suite ran the baseline")
 	}
 }
 
