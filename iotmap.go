@@ -19,17 +19,9 @@ package iotmap
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/netip"
-	"runtime"
 	"time"
 
-	"iotmap/internal/analysis"
-	"iotmap/internal/asdb"
-	"iotmap/internal/bgpstream"
-	"iotmap/internal/blocklist"
-	"iotmap/internal/certmodel"
 	"iotmap/internal/collector"
 	"iotmap/internal/core/discovery"
 	"iotmap/internal/core/disrupt"
@@ -42,8 +34,6 @@ import (
 	"iotmap/internal/geo"
 	"iotmap/internal/isp"
 	"iotmap/internal/outage"
-	"iotmap/internal/scenario"
-	"iotmap/internal/simrand"
 	"iotmap/internal/vnet"
 	"iotmap/internal/world"
 )
@@ -249,39 +239,6 @@ type System struct {
 	fabric *vnet.Fabric
 }
 
-// VantageResult is one vantage's slice of a federated run.
-type VantageResult struct {
-	// Spec is the normalized spec the vantage ran with.
-	Spec VantageSpec
-	// Net is the vantage's subscriber world.
-	Net *isp.Network
-	// Contacts and Study are the vantage's own Figure 5 counter and
-	// Section 5 analysis — exactly what a single-vantage TrafficStudy
-	// over this world would produce.
-	Contacts *flows.ContactCounter
-	Study    *flows.Study
-	// WireExport/WireIngest/WireStreams are the wire-mode transfer
-	// counters (nil/empty in memory mode); WireStreams breaks the
-	// ingest down per stream with vantage attribution.
-	WireExport  *isp.WireStats
-	WireIngest  *collector.Stats
-	WireStreams []collector.StreamStat
-}
-
-// FederationResult is FederationStudy's output: per-vantage studies,
-// their exact union, and the cross-vantage coverage comparison.
-type FederationResult struct {
-	// Vantages holds one result per configured spec, in Config order.
-	Vantages []*VantageResult
-	// Union merges every vantage's analysis exactly (volumes add, sets
-	// union; vantage address plans are disjoint so lines never alias).
-	Union *flows.Study
-	// UnionContacts is the merged Figure 5 counter.
-	UnionContacts *flows.ContactCounter
-	// Coverage is the backends/providers-per-vantage comparison.
-	Coverage *flows.CoverageReport
-}
-
 // New builds the synthetic world for a run.
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
@@ -302,625 +259,6 @@ func (s *System) Close() {
 		s.fabric.Close()
 		s.fabric = nil
 	}
-}
-
-// Discover runs the Section 3.3 source fusion.
-func (s *System) Discover(ctx context.Context) error {
-	// The scan catalog and the week of zone stores live for this call
-	// only: discovery.Run reads them, s.Discovery keeps none of it. The
-	// three are independent read-only passes over the World, so they are
-	// built concurrently.
-	in := discovery.Inputs{
-		Patterns: s.Patterns,
-		Views:    world.VantagePointViews,
-		Days:     s.World.Days,
-		Seed:     s.Cfg.Seed,
-	}
-	analysis.ForEach(3, func(i int) {
-		switch i {
-		case 0:
-			in.Zones = s.World.ZoneStores()
-		case 1:
-			in.Censys = s.World.BuildCensys()
-		case 2:
-			in.PDNS = s.World.BuildDNSDB()
-		}
-	})
-	s.PDNS = in.PDNS
-	if !s.Cfg.SkipLiveScan {
-		s.fabric = vnet.New()
-		ca, err := certmodel.NewCA("IoT Backend Study CA")
-		if err != nil {
-			return err
-		}
-		if err := s.World.DeployServers(s.fabric, ca, s.World.V6Servers()); err != nil {
-			return err
-		}
-		in.Fabric = s.fabric
-		in.Hitlist = s.World.BuildHitlist(hitlistCoverage)
-	}
-	res, err := discovery.Run(ctx, in)
-	if err != nil {
-		return err
-	}
-	s.Discovery = res
-	return nil
-}
-
-// hitlistCoverage is the IPv6 hitlist's fraction of the v6 estate.
-const hitlistCoverage = 0.8
-
-// providerValidation is one provider's share of ValidateAndLocate.
-type providerValidation struct {
-	addrs, ded, shared []netip.Addr
-	// certFound[i] says whether the TLS-certificate channel found ded[i].
-	certFound []bool
-	located   map[netip.Addr]footprint.Located
-	row       footprint.Row
-	ips       *validate.IPReport
-	prefixes  *validate.PrefixReport
-}
-
-// validateProvider runs the Section 3.4 filter, the Section 4 geolocation
-// and characterization, and the ground-truth checks for one provider.
-func (s *System) validateProvider(p *patterns.Pattern, period dnsdb.TimeRange) providerValidation {
-	id := p.ProviderID()
-	union := s.Discovery[id].Union()
-	v := providerValidation{addrs: discovery.SortedAddrs(union)}
-	v.ded, v.shared, _ = validate.FilterShared(v.addrs, s.Patterns, s.PDNS, period, validate.DefaultSharedThreshold)
-	v.located = footprint.Geolocate(p, union, s.World.Geo, s.World.GeoVotes)
-	// Characterize over the dedicated set only (Section 5 uses only
-	// exclusively-IoT infrastructure).
-	dedUnion := map[netip.Addr]*discovery.AddrInfo{}
-	v.certFound = make([]bool, len(v.ded))
-	for i, a := range v.ded {
-		info := union[a]
-		dedUnion[a] = info
-		v.certFound[i] = info != nil && info.Sources.Has(discovery.SrcCert)
-	}
-	v.row = footprint.Characterize(id, dedUnion, v.located, s.World.AS)
-	if disclosed := s.World.DisclosedIPs(id); disclosed != nil {
-		rep := validate.AgainstIPs(v.addrs, disclosed)
-		v.ips = &rep
-	}
-	if prefixes := s.World.DisclosedPrefixes(id); prefixes != nil {
-		rep := validate.AgainstPrefixes(v.addrs, prefixes)
-		v.prefixes = &rep
-	}
-	return v
-}
-
-// ValidateAndLocate runs the Section 3.4 filters, the Section 4
-// geolocation and characterization, and the ground-truth validation,
-// and builds the backend Index. Providers are independent, so they run
-// on a worker pool; the System's maps are written afterwards, in
-// provider order.
-func (s *System) ValidateAndLocate() error {
-	if s.Discovery == nil {
-		return fmt.Errorf("iotmap: Discover must run first")
-	}
-	s.Dedicated = map[string][]netip.Addr{}
-	s.Shared = map[string][]netip.Addr{}
-	s.Located = map[string]map[netip.Addr]footprint.Located{}
-	s.Rows = map[string]footprint.Row{}
-	s.Validation = Validation{
-		IPs:      map[string]validate.IPReport{},
-		Prefixes: map[string]validate.PrefixReport{},
-		Traffic:  map[string]validate.TrafficReport{},
-	}
-	s.prefixAddrs = map[string][]netip.Addr{}
-	idx := flows.NewBackendIndex()
-	period := dnsdb.TimeRange{From: s.World.Days[0], To: s.World.Days[len(s.World.Days)-1].Add(24 * time.Hour)}
-	vals := make([]providerValidation, len(s.Patterns))
-	analysis.ForEach(len(s.Patterns), func(i int) { vals[i] = s.validateProvider(s.Patterns[i], period) })
-	for i, p := range s.Patterns {
-		id, v := p.ProviderID(), vals[i]
-		s.Dedicated[id] = v.ded
-		s.Shared[id] = v.shared
-		s.Located[id] = v.located
-		s.Rows[id] = v.row
-		if v.ips != nil {
-			s.Validation.IPs[id] = *v.ips
-		}
-		if v.prefixes != nil {
-			s.Validation.Prefixes[id] = *v.prefixes
-			s.prefixAddrs[id] = v.addrs
-		}
-		alias := s.World.AliasOf(id)
-		for j, a := range v.ded {
-			loc := v.located[a].Location
-			idx.Add(a, alias, loc.Continent, loc.Region, v.certFound[j])
-		}
-	}
-	// Freeze the dense ID assignment before the pipelines (possibly many
-	// concurrent vantage worlds) start classifying against it.
-	idx.Build()
-	s.Index = idx
-	return nil
-}
-
-// TrafficStudy runs the single-pass sharded simulate→aggregate pipeline
-// over the validated backend sets: line-major workers each simulate
-// their lines' whole week straight into a worker-local aggregate,
-// scanner lines are classified the moment their week completes
-// (Section 5.2's Richter-style exclusion), and the shard partials merge
-// order-independently into the Figure 5 contact curve and the full
-// Section 5 traffic study — one simulation pass for both analyses, as
-// the paper runs both over the same recorded NetFlow feed. The network
-// is the run's own vantage: Config.Seed and Config.Lines with the ISP
-// model defaults.
-func (s *System) TrafficStudy() error {
-	s.WireExport, s.WireIngest, s.WireStreams = nil, nil, nil
-	run, err := s.vantage(0, VantageSpec{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, nil, nil)
-	if err != nil {
-		return err
-	}
-	s.Net = run.net
-	cc, col := flows.MergePartials(run.parts)
-	s.Contacts = cc
-	s.Study = col.Study()
-	s.WireExport = run.wireExport
-	s.WireIngest = run.wireIngest
-	s.WireStreams = run.streamStats
-
-	// Traffic cross-check for the prefix-disclosing providers
-	// (Section 3.4's "52 active IPs, 4 missed, <1% volume").
-	s.trafficCrossCheck(s.Study.BackendVolumes())
-	return nil
-}
-
-// trafficCrossCheck fills the §3.4 active-traffic validation from the
-// per-backend volume evidence of a completed study.
-func (s *System) trafficCrossCheck(volumes map[netip.Addr]float64) {
-	for id := range s.Validation.Prefixes {
-		perProvider := map[netip.Addr]float64{}
-		for a, v := range volumes {
-			if srv, ok := s.World.ServerAt(a); ok && srv.Provider == id {
-				perProvider[a] = v
-			}
-		}
-		s.Validation.Traffic[id] = validate.AgainstTraffic(s.prefixAddrs[id], perProvider)
-	}
-}
-
-// TrafficInputs returns the traffic stage's raw material — the network
-// TrafficStudy simulates (with any configured outage modifier installed)
-// and the backend Index — without running an analysis. Standalone
-// exporter/collector frontends (cmd/iotcollect) use it to drive the
-// wire path by hand. Requires ValidateAndLocate.
-func (s *System) TrafficInputs() (*isp.Network, *flows.BackendIndex, error) {
-	net, err := s.vantageNetwork(0, VantageSpec{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, s.Index, nil
-}
-
-// vantageNetwork builds vantage i's subscriber world from its spec. A
-// backend-side outage (Config.Outage) is visible from every vantage, so
-// it comes first and the vantage's own modifier (modifierFor, nil: none)
-// after it: first drop wins, so flows the vantage modifier leaves alone
-// stay bit-identical to a modifier-less baseline. Requires
-// ValidateAndLocate.
-func (s *System) vantageNetwork(i int, sp VantageSpec, modifierFor func(vantage string) isp.FlowModifier) (*isp.Network, error) {
-	if s.Index == nil {
-		return nil, fmt.Errorf("iotmap: ValidateAndLocate must run first")
-	}
-	net, err := isp.NewNetwork(isp.Config{
-		Seed:            sp.Seed,
-		Lines:           sp.Lines,
-		SamplingRate:    sp.SamplingRate,
-		ScannerFraction: sp.ScannerFraction,
-		IoTPenetration:  sp.IoTPenetration,
-		V6Fraction:      sp.V6Fraction,
-		VantageID:       i,
-		ContinentBias:   sp.ContinentMix,
-	}, s.World)
-	if err != nil {
-		return nil, err
-	}
-	var mods []isp.FlowModifier
-	if s.Cfg.Outage != nil {
-		mods = append(mods, s.Cfg.Outage.Modifier())
-	}
-	if modifierFor != nil {
-		mods = append(mods, modifierFor(sp.Name))
-	}
-	net.Modifier = isp.ChainModifiers(mods...)
-	return net, nil
-}
-
-// vantage builds vantage i's world and drives it through the
-// Config.TrafficMode data path, splicing faults (nil: clean wire) into
-// every wire stream. It is the one per-vantage path: TrafficStudy runs
-// it once for the run's own network, the federation once per spec.
-func (s *System) vantage(i int, sp VantageSpec, modifierFor func(vantage string) isp.FlowModifier, faults *faultwire.Scenario) (pipelineRun, error) {
-	net, err := s.vantageNetwork(i, sp, modifierFor)
-	if err != nil {
-		return pipelineRun{}, err
-	}
-	focusRegion := "us-east-1"
-	if s.Cfg.Outage != nil {
-		focusRegion = s.Cfg.Outage.Region
-	}
-	run, err := s.runPipeline(net, flows.Options{
-		ScannerThreshold: s.Cfg.ScannerThreshold,
-		SamplingRate:     net.Cfg.SamplingRate,
-		FocusAlias:       "T1",
-		FocusRegion:      focusRegion,
-		Vantage:          sp.Name,
-	}, faults)
-	run.net = net
-	return run, err
-}
-
-// pipelineRun is one vantage world pushed through the configured
-// traffic data path: the network, its vantage-tagged shard partials,
-// plus the wire transfer stats when the feed crossed the wire (nil in
-// memory mode).
-type pipelineRun struct {
-	net         *isp.Network
-	parts       []*flows.ShardPartial
-	wireExport  *isp.WireStats
-	wireIngest  *collector.Stats
-	streamStats []collector.StreamStat
-}
-
-// runPipeline drives one network through the Config.TrafficMode data
-// path into shard partials. Memory mode folds the simulator's rows into
-// them; wire mode exports every line shard as a dictionary stream over
-// an in-process pipe (synchronous — collector backpressure throttles
-// the exporter), splices faults (nil: clean wire) into every stream,
-// and decodes, validates, and rescales it back.
-// Merging the partials yields byte-identical results either way.
-func (s *System) runPipeline(net *isp.Network, opts flows.Options, faults *faultwire.Scenario) (pipelineRun, error) {
-	switch s.Cfg.TrafficMode {
-	case TrafficModeMemory, "":
-		agg := flows.NewShardedAggregator(s.Index, s.World.Days, opts, runtime.GOMAXPROCS(0))
-		agg.Simulate(net)
-		parts := make([]*flows.ShardPartial, agg.Shards())
-		for i := range parts {
-			parts[i] = agg.Shard(i)
-		}
-		return pipelineRun{parts: parts}, nil
-	case TrafficModeWire:
-		streams := s.Cfg.WireStreams
-		if streams <= 0 {
-			streams = runtime.GOMAXPROCS(0)
-		}
-		ccfg := collector.Config{Index: s.Index, Days: s.World.Days, Opts: opts, Policy: s.Cfg.WirePolicy}
-		if faults != nil {
-			vantage := opts.Vantage
-			ccfg.Tap = func(stream int, _ string, r io.Reader) io.Reader {
-				return faults.Wrap(stream, vantage, r)
-			}
-		}
-		col, err := collector.New(ccfg)
-		if err != nil {
-			return pipelineRun{}, err
-		}
-		writers, wait := col.IngestPipes(streams)
-		wireStats, exportErr := net.SimulateLinesToWire(writers, 0)
-		if err := wait(); err != nil {
-			return pipelineRun{}, err
-		}
-		if exportErr != nil {
-			return pipelineRun{}, exportErr
-		}
-		ingestStats := col.Stats()
-		return pipelineRun{
-			parts:       col.Partials(),
-			wireExport:  &wireStats,
-			wireIngest:  &ingestStats,
-			streamStats: col.StreamStats(),
-		}, nil
-	default:
-		return pipelineRun{}, fmt.Errorf("iotmap: unknown TrafficMode %q", s.Cfg.TrafficMode)
-	}
-}
-
-// vantageSpecs normalizes Config.Vantages: an empty list becomes one
-// default vantage, zero-valued fields inherit the run Config, and the
-// first vantage's zero seed inherits Config.Seed itself so the default
-// federation is TrafficStudy under another name.
-func (s *System) vantageSpecs() ([]VantageSpec, error) {
-	specs := s.Cfg.Vantages
-	if len(specs) == 0 {
-		specs = []VantageSpec{{}}
-	}
-	out := make([]VantageSpec, len(specs))
-	seen := map[string]struct{}{}
-	for i, sp := range specs {
-		if sp.Name == "" {
-			sp.Name = fmt.Sprintf("vp%d", i)
-		}
-		if _, dup := seen[sp.Name]; dup {
-			return nil, fmt.Errorf("iotmap: duplicate vantage name %q", sp.Name)
-		}
-		seen[sp.Name] = struct{}{}
-		if sp.Lines <= 0 {
-			sp.Lines = s.Cfg.Lines
-		}
-		if sp.Seed == 0 {
-			if i == 0 {
-				sp.Seed = s.Cfg.Seed
-			} else {
-				sp.Seed = simrand.SeedN(s.Cfg.Seed, "vantage", int64(i))
-			}
-		}
-		out[i] = sp
-	}
-	return out, nil
-}
-
-// FederationStudy is the multi-vantage TrafficStudy: one isp.Network
-// per configured VantageSpec (each with its own seed, sampling rate,
-// and disjoint subscriber address plan), every world streamed through
-// the single-pass sharded pipeline — in-memory or over framed NetFlow
-// streams per Config.TrafficMode, with per-feed vantage attribution in
-// the collector stats — and the vantage-tagged shard partials folded by
-// flows.FederatedMerge into per-vantage studies, an exact union study,
-// and the cross-vantage coverage report (which backends are visible
-// from which vantage — the paper's ISP-versus-IXP comparison angle).
-// The vantage worlds are independent until the merge, so they run on
-// the GOMAXPROCS worker pool; partials are collected in spec order and
-// the merge is order-independent, so the result is identical to a
-// sequential drive. With no Vantages configured it runs one default
-// vantage whose study is byte-identical to TrafficStudy's. Requires
-// ValidateAndLocate.
-func (s *System) FederationStudy() error {
-	fed, err := s.federate(nil, nil)
-	if err != nil {
-		return err
-	}
-	s.Federation = fed
-	// §3.4 traffic cross-check over the federated union — with one
-	// vantage this is exactly TrafficStudy's per-backend evidence.
-	s.trafficCrossCheck(fed.Union.BackendVolumes())
-	return nil
-}
-
-// federate runs the configured federation with the given wire-fault
-// schedule (nil: clean wire) and per-vantage traffic modifiers (nil:
-// none), and returns the result without storing anything in the System.
-// FederationStudy and every DisruptionSuite scenario run go through it,
-// so a scenario differs from its baseline only by what it passes here.
-func (s *System) federate(faults *faultwire.Scenario, modifierFor func(vantage string) isp.FlowModifier) (*FederationResult, error) {
-	specs, err := s.vantageSpecs()
-	if err != nil {
-		return nil, err
-	}
-	// Align the fault schedule's hour clock with the study period before
-	// any pipeline starts, so repeated runs stay deterministic.
-	if faults != nil && faults.Start.IsZero() {
-		faults.Start = s.World.Days[0]
-	}
-	runs := make([]pipelineRun, len(specs))
-	errs := make([]error, len(specs))
-	analysis.ForEach(len(specs), func(i int) {
-		runs[i], errs[i] = s.vantage(i, specs[i], modifierFor, faults)
-	})
-	var parts []*flows.ShardPartial
-	for i, sp := range specs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("iotmap: vantage %q: %w", sp.Name, errs[i])
-		}
-		parts = append(parts, runs[i].parts...)
-	}
-
-	fed := flows.FederatedMerge(parts)
-	results := make([]*VantageResult, len(specs))
-	for i, sp := range specs {
-		results[i] = &VantageResult{
-			Spec:        sp,
-			Net:         runs[i].net,
-			Contacts:    fed.CC[sp.Name],
-			Study:       fed.Col[sp.Name].Study(),
-			WireExport:  runs[i].wireExport,
-			WireIngest:  runs[i].wireIngest,
-			WireStreams: runs[i].streamStats,
-		}
-	}
-	return &FederationResult{
-		Vantages:      results,
-		Union:         fed.UnionCol.Study(),
-		UnionContacts: fed.UnionCC,
-		Coverage:      fed.Coverage(),
-	}, nil
-}
-
-// FaultCounts re-exports the chaos harness's fault ledger.
-type FaultCounts = faultwire.Counts
-
-// VantageDelta compares one vantage between the baseline federation and
-// a suite scenario.
-type VantageDelta struct {
-	Vantage string
-	// Backends / BaselineBackends are the vantage's visible-backend
-	// counts in the scenario and baseline runs.
-	Backends, BaselineBackends int
-	// HoursLost counts study hours the vantage covered in the baseline
-	// but not under the scenario.
-	HoursLost int
-	// Degraded mirrors the scenario coverage report's flag.
-	Degraded bool
-	// DownDeltaPct is the downstream-volume change vs baseline, in
-	// percent (negative: the scenario lost traffic).
-	DownDeltaPct float64
-}
-
-// ScenarioResult is one scenario's full federated outcome plus the
-// deltas against the baseline.
-type ScenarioResult struct {
-	Name string
-	// Federation is the scenario's complete federated study.
-	Federation *FederationResult
-	// Vantages holds per-vantage deltas, in coverage-report order.
-	Vantages []VantageDelta
-	// UnionBackendsDelta is the union visible-backend change.
-	UnionBackendsDelta int
-	// UnionDownDeltaPct is the union downstream-volume change (%).
-	UnionDownDeltaPct float64
-	// FaultTotals is the scenario's reproducible wire-fault ledger
-	// (nil when the scenario injected no wire faults): what the chaos
-	// harness actually did to the feeds during this run.
-	FaultTotals *FaultCounts
-}
-
-// studyDownTotal sums a study's downstream volume across aliases.
-func studyDownTotal(st *flows.Study) float64 {
-	total := 0.0
-	for _, alias := range st.Aliases() {
-		if s := st.Downstream(alias); s != nil {
-			for _, v := range s.Values {
-				total += v
-			}
-		}
-	}
-	return total
-}
-
-func pctDelta(base, got float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (got - base) / base * 100
-}
-
-// SuiteStudyResult is DisruptionSuite's output: the per-step (and
-// cumulative) scenario runs against one clean baseline, plus the suite's
-// control-plane view — the BGP events it injected and which of them
-// touched a monitored backend, resolved with migration-aware AS origins.
-type SuiteStudyResult struct {
-	// Suite is the suite's name.
-	Suite string
-	// Baseline is the federated study every scenario is compared
-	// against: the System's own FederationStudy.
-	Baseline *FederationResult
-	// Scenarios holds one result per compiled scenario, in order.
-	Scenarios []ScenarioResult
-	// Events are the suite's injected BGP feed entries.
-	Events []bgpstream.Event
-	// Impacts are the Section 6.2 what-if hits: suite events covering a
-	// validated backend address or its (time-aware) hosting AS.
-	Impacts []bgpstream.Impact
-}
-
-// DisruptionSuite is the what-if entry: it compiles a declarative
-// scenario suite against the run's world, runs (or reuses) the
-// FederationStudy as the baseline, and re-runs the same federation once
-// per step plus — for multi-step suites — once with every step active.
-// Each run composes its step over the configured Config.Outage exactly as
-// the baseline does, and reports per-vantage and union deltas (visible
-// backends, downstream volume, feed hours lost, degraded vantages) with
-// its wire-fault ledger. The System keeps its baseline results. The
-// control-plane side runs alongside: the suite's hijack announcements
-// are checked against the validated backend sets with
-// bgpstream.CheckImpactAt, using migration-aware AS origin resolution,
-// so an AS outage of an abandoned AS stops matching after cutover. Every
-// draw derives from the suite seed; reruns are byte-identical. A step's
-// Wire rules are the one way to inject wire faults: each compiled
-// scenario's fault schedule carries its own derived seed. Requires
-// ValidateAndLocate.
-func (s *System) DisruptionSuite(suite scenario.Suite) (*SuiteStudyResult, error) {
-	compiled, err := suite.Compile(s.World)
-	if err != nil {
-		return nil, err
-	}
-	if s.Federation == nil {
-		if err := s.FederationStudy(); err != nil {
-			return nil, err
-		}
-	}
-	base := s.Federation
-	baseCov := map[string]flows.VantageCoverage{}
-	for _, vc := range base.Coverage.Vantages {
-		baseCov[vc.Vantage] = vc
-	}
-	baseDown := map[string]float64{}
-	for _, vr := range base.Vantages {
-		baseDown[vr.Spec.Name] = studyDownTotal(vr.Study)
-	}
-	baseUnionDown := studyDownTotal(base.Union)
-
-	out := &SuiteStudyResult{Suite: suite.Name, Baseline: base}
-	for _, c := range compiled {
-		fed, err := s.federate(c.Faults, c.ModifierFor)
-		if err != nil {
-			return nil, fmt.Errorf("iotmap: scenario %q: %w", c.Name, err)
-		}
-		res := ScenarioResult{Name: c.Name, Federation: fed}
-		scenDown := map[string]float64{}
-		for _, vr := range fed.Vantages {
-			scenDown[vr.Spec.Name] = studyDownTotal(vr.Study)
-		}
-		for _, vc := range fed.Coverage.Vantages {
-			bc := baseCov[vc.Vantage]
-			res.Vantages = append(res.Vantages, VantageDelta{
-				Vantage:          vc.Vantage,
-				Backends:         vc.Backends,
-				BaselineBackends: bc.Backends,
-				HoursLost:        bc.HoursCovered - vc.HoursCovered,
-				Degraded:         vc.Degraded,
-				DownDeltaPct:     pctDelta(baseDown[vc.Vantage], scenDown[vc.Vantage]),
-			})
-		}
-		res.UnionBackendsDelta = fed.Coverage.Union - base.Coverage.Union
-		res.UnionDownDeltaPct = pctDelta(baseUnionDown, studyDownTotal(fed.Union))
-		if c.Faults != nil {
-			totals := c.Faults.Totals()
-			res.FaultTotals = &totals
-		}
-		out.Scenarios = append(out.Scenarios, res)
-	}
-	out.Events = suite.Events(s.World)
-	if len(out.Events) > 0 {
-		var addrs []netip.Addr
-		for _, id := range s.World.Order {
-			addrs = append(addrs, s.Dedicated[id]...)
-		}
-		feed := bgpstream.NewFeed(out.Events)
-		out.Impacts = feed.CheckImpactAt(addrs, suite.OriginAt(s.World))
-	}
-	return out, nil
-}
-
-// Disrupt runs the Section 6 analyses: the outage report when the run
-// was configured with a scenario, and the BGP/blocklist checks.
-func (s *System) Disrupt() error {
-	if s.Study == nil {
-		return fmt.Errorf("iotmap: TrafficStudy must run first")
-	}
-	if s.Cfg.Outage != nil {
-		rep, err := disrupt.AnalyzeOutage(s.Study, *s.Cfg.Outage, s.World.Days)
-		if err != nil {
-			return err
-		}
-		s.OutageReport = &rep
-		s.Cascade = disrupt.AnalyzeCascade(s.Study, *s.Cfg.Outage)
-	}
-	avoid := map[asdb.ASN]struct{}{}
-	for _, as := range s.World.AS.ASes() {
-		avoid[as.Number] = struct{}{}
-	}
-	cfg := bgpstream.PaperWeek(s.World.Days)
-	cfg.AvoidASNs = avoid
-	feed, err := bgpstream.Generate(cfg, s.Cfg.Seed)
-	if err != nil {
-		return err
-	}
-	agg := blocklist.BuildFireHOL(s.World, s.Cfg.Seed)
-	var addrs []netip.Addr
-	owners := map[netip.Addr]string{}
-	for id, ded := range s.Dedicated {
-		for _, a := range ded {
-			addrs = append(addrs, a)
-			owners[a] = id
-		}
-	}
-	rep := disrupt.Analyze(feed, agg, addrs, s.World.AS, func(a netip.Addr) string { return owners[a] })
-	s.Disruptions = &rep
-	return nil
 }
 
 // RunAll executes every stage.
