@@ -162,7 +162,7 @@ func TestChaosFederationAcceptance(t *testing.T) {
 			t.Fatalf("vantage %s stream stats diverged", vr.Spec.Name)
 		}
 	}
-	if a, b := *sc.FaultTotals, *again.FaultTotals; a != b {
+	if a, b := sc.FaultTotals, again.FaultTotals; b == nil || *a != *b {
 		t.Fatalf("fault totals diverged: %+v vs %+v", a, b)
 	}
 }
