@@ -309,7 +309,7 @@ type stream struct {
 	// shared Window.
 	sink flows.Sink
 	part *flows.ShardPartial
-	// folder makes the IngestBatch calls the decoder closes into cur,
+	// folder makes the fold calls the decoder closes into cur,
 	// the chunk being filled; rowsFrom/recsFrom are where the open flush
 	// interval starts in cur.rows/cur.recs.
 	folder             folder

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -22,17 +23,24 @@ import (
 // folds in the collector, no netip.Addr on the hot path — reproduces
 // the in-memory aggregation exactly at 1, 4, and 8 streams.
 func TestDictMatchesMemoryAcrossStreamCounts(t *testing.T) {
-	f := buildFixture(t, 400)
-	ccRef, colRef := f.memoryRun(4)
-	for _, streams := range []int{1, 4, 8} {
-		f2 := buildFixture(t, 400)
-		ccD, colD, stD := f2.wireRun(t, streams)
-		assertSameAnalysis(t, "dict-vs-memory", ccRef, ccD, colRef, colD)
-		if stD.BatchFrames == 0 || stD.DictEntries == 0 {
-			t.Fatalf("streams=%d: dict stream carried no batches: %+v", streams, stD)
-		}
-		if stD.V5Packets != 0 {
-			t.Fatalf("streams=%d: dict stream carried v5 packets: %+v", streams, stD)
+	// At threshold 5 most lines are scanner suspects and many are
+	// excluded, so a batch stream's decode half drops rows before its
+	// fold; at 100 nearly every row is kept.
+	for _, threshold := range []int{100, 5} {
+		f := buildFixture(t, 400)
+		f.opts.ScannerThreshold = threshold
+		ccRef, colRef := f.memoryRun(4)
+		for _, streams := range []int{1, 4, 8} {
+			f2 := buildFixture(t, 400)
+			f2.opts.ScannerThreshold = threshold
+			ccD, colD, stD := f2.wireRun(t, streams)
+			assertSameAnalysis(t, fmt.Sprintf("dict-vs-memory/threshold-%d", threshold), ccRef, ccD, colRef, colD)
+			if stD.BatchFrames == 0 || stD.DictEntries == 0 {
+				t.Fatalf("streams=%d: dict stream carried no batches: %+v", streams, stD)
+			}
+			if stD.V5Packets != 0 {
+				t.Fatalf("streams=%d: dict stream carried v5 packets: %+v", streams, stD)
+			}
 		}
 	}
 }

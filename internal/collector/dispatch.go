@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"time"
 
+	"iotmap/internal/core/flows"
 	"iotmap/internal/netflow"
 )
 
@@ -86,14 +87,14 @@ func (st *stream) addRecords(recs []netflow.Record) {
 }
 
 // flush completes the pending flush interval (the scanner-
-// classification point): its rows close into the IngestBatch calls the
+// classification point): its rows close into the fold calls the
 // stream's folder makes, dictionary rows first. Dictionary rows were
 // rebased and scaled at decode; record rows are scaled here, by the
 // header rate or, before any v5 header, the fallback.
 func (st *stream) flush() {
 	ch := st.cur
-	if n := ch.rows.Len(); n > st.rowsFrom {
-		ch.calls = append(ch.calls, foldCall{sink: st.sink, view: st.tables.View(), lo: st.rowsFrom, hi: n})
+	if ch.rows.Len() > st.rowsFrom {
+		st.closeRows(&ch.rows, st.rowsFrom, st.tables, false)
 	}
 	if st.pending > 0 {
 		rate := uint64(st.rate)
@@ -108,10 +109,33 @@ func (st *stream) flush() {
 			}
 		}
 		st.stats.ScaledBytes += st.pendingBytes * rate
-		ch.calls = append(ch.calls, foldCall{sink: st.sink, view: st.recTables.View(), recs: true, lo: st.recsFrom, hi: ch.recs.Len()})
+		st.closeRows(&ch.recs, st.recsFrom, st.recTables, true)
 		st.pending, st.pendingBytes = 0, 0
 	}
 	st.fill(st.folder.flushed(ch))
+}
+
+// closeRows closes rows [from, b.Len()) of the chunk being filled,
+// resolved through t, into one fold call. A batch stream classifies
+// them here, on the decode goroutine: its ShardPartial's decode half
+// counts their contacts and compacts them to the rows its fold half
+// takes, so the fold goroutine only aggregates. A window stream leaves
+// the whole flush to Window.IngestBatch on the fold goroutine, which
+// classifies under the shard lock: the window has no ingest-time
+// ContactCounter to feed here, and a live daemon's decoder is already
+// as busy as its fold, so moving the classifier over would only make
+// the decoder the bottleneck.
+func (st *stream) closeRows(b *netflow.RecordBatch, from int, t *flows.WireTables, recs bool) {
+	call := foldCall{sink: st.sink, view: t.View(), recs: recs, lo: from}
+	if st.part != nil {
+		rows := b.Slice(from, b.Len())
+		st.part.Classify(t, &rows)
+		b.Truncate(from + rows.Len())
+		call.part = st.part
+	}
+	if call.hi = b.Len(); call.hi > from {
+		st.cur.calls = append(st.cur.calls, call)
+	}
 }
 
 // join hands every closed flush interval to the fold and waits until
@@ -296,8 +320,8 @@ func syncFams(fams []bool, base int, addrs []netip.Addr) []bool {
 // filled and normalizes the rows in place: the hour column rebases
 // from the exporter's epoch to study hours (negative = outside the
 // study window), counters scale back to estimates, and the wire/
-// liveness counters fold as the rows stream past. The actual analysis
-// fold (IngestBatch) happens at the flush boundary.
+// liveness counters fold as the rows stream past. Classification and
+// the analysis fold start at the flush boundary.
 func (st *stream) batchFrame(f netflow.Frame) error {
 	if st.tables == nil {
 		return fmt.Errorf("%w: batch frame before hello", netflow.ErrBadPayload)

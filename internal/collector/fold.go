@@ -1,8 +1,10 @@
 // Fold hand-off: each stream decodes on its ingest goroutine and folds
 // on a goroutine of its own. The decoder fills a chunk with whole flush
-// intervals, each closed into the IngestBatch calls it makes, and passes
-// full chunks through a small ring of reused buffers; the fold
-// goroutine makes those calls in order and hands the buffer back.
+// intervals, each closed into the fold calls it makes, and passes full
+// chunks through a small ring of reused buffers; the fold goroutine
+// makes those calls in order and hands the buffer back. A batch
+// stream's intervals arrive classified (see stream.closeRows), so its
+// fold goroutine runs only the ShardPartial's fold half.
 
 package collector
 
@@ -26,18 +28,20 @@ const chunkRows = netflow.MaxBatchRecords / 2
 
 // chunk is one hand-off from a stream's decoder to its fold: the rows of
 // whole flush intervals, dictionary-mode and record-decoder rows apart,
-// and the IngestBatch calls they close into, in order. Rows past the
-// last call belong to the open interval, which never leaves the
-// decoder.
+// and the fold calls they close into, in order. Rows past the last call
+// belong to the open interval, which never leaves the decoder.
 type chunk struct {
 	rows, recs netflow.RecordBatch
 	calls      []foldCall
 }
 
-// foldCall is one Sink.IngestBatch call: rows [lo, hi) of the chunk's
-// rows (recs: of its recs), resolved through view's dictionaries.
+// foldCall is one fold of rows [lo, hi) of the chunk's rows (recs: of
+// its recs), resolved through view's dictionaries: the fold half of
+// part, whose decode half already classified them, or else
+// sink.IngestBatch.
 type foldCall struct {
 	sink   flows.Sink
+	part   *flows.ShardPartial
 	view   flows.WireView
 	recs   bool
 	lo, hi int
@@ -53,7 +57,11 @@ func (ch *chunk) fold(view *netflow.RecordBatch) {
 			src = &ch.recs
 		}
 		*view = src.Slice(c.lo, c.hi)
-		c.sink.IngestBatch(c.view.Tables(), view)
+		if c.part != nil {
+			c.part.FoldKept(c.view.Tables(), view)
+		} else {
+			c.sink.IngestBatch(c.view.Tables(), view)
+		}
 	}
 	ch.rows.Reset()
 	ch.recs.Reset()
@@ -61,8 +69,8 @@ func (ch *chunk) fold(view *netflow.RecordBatch) {
 	ch.calls = ch.calls[:0]
 }
 
-// folder runs a stream's IngestBatch calls. The decoder hands it the
-// chunk it is filling and gets back the chunk to fill next.
+// folder runs a stream's fold calls. The decoder hands it the chunk
+// it is filling and gets back the chunk to fill next.
 type folder interface {
 	// flushed is called each time a flush interval closes in ch.
 	flushed(ch *chunk) *chunk
@@ -96,8 +104,8 @@ func newPipe() folder {
 	return p
 }
 
-// run is the fold goroutine: the only caller of Sink.IngestBatch. It
-// exits when close closes full.
+// run is the fold goroutine: the only caller of Sink.IngestBatch and
+// ShardPartial.FoldKept. It exits when close closes full.
 func (p *pipe) run() {
 	defer close(p.done)
 	var view netflow.RecordBatch

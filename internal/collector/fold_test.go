@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,17 +17,22 @@ import (
 
 	"iotmap/internal/core/flows"
 	"iotmap/internal/faultwire"
+	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 )
 
 // BenchmarkIngestFile is the collector layer on its own: one recorded
-// dictionary week replayed from a temp file through IngestFile, decode
-// and fold included, into a batch sink (one ShardPartial) or a window
-// sink (one full-study Window).
+// dictionary week replayed from a temp file through IngestFile, decode,
+// classification and fold included, into a batch sink (one
+// ShardPartial) or a window sink (one full-study Window). The week is
+// recorded two ways: line-major, as the product's exporter writes it
+// (one flush per line-week), and hour-major, as a live exporter feeds a
+// daemon (one flush per study hour, holding hundreds of lines).
 func BenchmarkIngestFile(b *testing.B) {
 	f := buildFixture(b, 18000)
-	path := filepath.Join(b.TempDir(), "week.nf")
-	out, err := os.Create(path)
+	dir := b.TempDir()
+	lineMajor := filepath.Join(dir, "line-major.nf")
+	out, err := os.Create(lineMajor)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,36 +43,115 @@ func BenchmarkIngestFile(b *testing.B) {
 	if err := out.Close(); err != nil {
 		b.Fatal(err)
 	}
-	records := float64(ws.V4Records + ws.V6Records)
-	for _, sink := range []string{"batch", "window"} {
-		b.Run(sink, func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				cfg := Config{Index: f.idx, Days: f.w.Days, Opts: f.opts}
-				if sink == "window" {
-					win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
+	hourMajor := filepath.Join(dir, "hour-major.nf")
+	feed, hourRecords := hourMajorFeed(b, f)
+	if err := os.WriteFile(hourMajor, feed, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	feeds := []struct {
+		name    string
+		path    string
+		records float64
+	}{
+		{"line-major", lineMajor, float64(ws.V4Records + ws.V6Records)},
+		{"hour-major", hourMajor, float64(hourRecords)},
+	}
+	for _, fd := range feeds {
+		for _, sink := range []string{"batch", "window"} {
+			b.Run(fd.name+"/"+sink, func(b *testing.B) {
+				b.ReportAllocs()
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					cfg := Config{Index: f.idx, Days: f.w.Days, Opts: f.opts}
+					if sink == "window" {
+						win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
+						if err != nil {
+							b.Fatal(err)
+						}
+						cfg.Window = win
+					}
+					col, err := New(cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg.Window = win
+					if err := col.IngestFile(fd.path); err != nil {
+						b.Fatal(err)
+					}
+					if got := col.Stats().BatchRecords; float64(got) != fd.records {
+						b.Fatalf("folded %d records of %v", got, fd.records)
+					}
 				}
-				col, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := col.IngestFile(path); err != nil {
-					b.Fatal(err)
-				}
-				if got := col.Stats().BatchRecords; float64(got) != records {
-					b.Fatalf("folded %d records of %v", got, records)
-				}
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(b.N) / records
-			b.ReportMetric(ns, "ns/record")
-			b.ReportMetric(1e9/ns, "records/s")
-		})
+				ns := float64(time.Since(start).Nanoseconds()) / float64(b.N) / fd.records
+				b.ReportMetric(ns, "ns/record")
+				b.ReportMetric(1e9/ns, "records/s")
+			})
+		}
 	}
+}
+
+// hourMajorFeed records the fixture's week as a live exporter sends it:
+// study hours in order, each one flush of every line's rows in that
+// hour, with dictionary deltas for the addresses making their debut. It
+// returns the stream and its record count.
+func hourMajorFeed(tb testing.TB, f *fixture) ([]byte, int) {
+	tb.Helper()
+	hours := len(f.w.Days) * 24
+	// byHour[h] holds hour h's rows, Line indexing lines.
+	byHour := make([]netflow.RecordBatch, hours)
+	var lines []netip.Addr
+	f.net.EmitLines(1, func(_ int, line *isp.Line, rows *netflow.RecordBatch) {
+		base := uint32(len(lines))
+		lines = append(lines, line.Addrs()...)
+		for i, h := range rows.Hour {
+			if h >= 0 && int(h) < hours {
+				byHour[h].Append(base+rows.Line[i], rows.Backend[i], rows.Down[i], h, rows.Port[i], rows.Proto[i], rows.Bytes[i], rows.Packets[i])
+			}
+		}
+	})
+	backends := f.net.BackendAddrs()
+	out := netflow.AppendHelloFrame(nil, f.net.Cfg.SamplingRate, f.w.Days[0].Unix())
+	lineIDs := map[uint32]uint32{}
+	backIDs := map[uint32]uint32{}
+	records := 0
+	for h := range byHour {
+		b := &byHour[h]
+		if b.Len() == 0 {
+			continue
+		}
+		var newLines, newBacks []netip.Addr
+		for i := range b.Line {
+			id, ok := lineIDs[b.Line[i]]
+			if !ok {
+				id = uint32(len(lineIDs))
+				lineIDs[b.Line[i]] = id
+				newLines = append(newLines, lines[b.Line[i]])
+			}
+			b.Line[i] = id
+			if id, ok = backIDs[b.Backend[i]]; !ok {
+				id = uint32(len(backIDs))
+				backIDs[b.Backend[i]] = id
+				newBacks = append(newBacks, backends[b.Backend[i]])
+			}
+			b.Backend[i] = id
+		}
+		var err error
+		if len(newLines) > 0 {
+			if out, err = netflow.AppendDictFrame(out, netflow.FrameLineDict, uint32(len(lineIDs)-len(newLines)), newLines); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if len(newBacks) > 0 {
+			if out, err = netflow.AppendDictFrame(out, netflow.FrameBackendDict, uint32(len(backIDs)-len(newBacks)), newBacks); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if out, _, err = netflow.AppendBatchFrames(out, b); err != nil {
+			tb.Fatal(err)
+		}
+		out = netflow.AppendFlushFrame(out)
+		records += b.Len()
+	}
+	return out, records
 }
 
 // serialFold is the builder the pipelined fold replaced, kept as its

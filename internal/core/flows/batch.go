@@ -42,14 +42,6 @@ type wireLineEnt struct {
 	valid    bool // false for gap-filled (lost) entries
 }
 
-// lineMemo is one line entry's lazily interned sink IDs, each stored
-// +1 so the zero value means "not interned yet".
-type lineMemo struct {
-	cc  int32 // ContactCounter line ID+1, set on first contact evidence
-	col int32 // Collector line ID+1, set on first kept record
-	win int32 // window-shard line ID+1, set on first routed row
-}
-
 // WireTables is one producer's ID tables, bound to the index, exclusion
 // set and study start of the Sink it feeds (a ShardPartial or a
 // Window). They fill one of two ways, never both: dictionary entries
@@ -61,11 +53,20 @@ type lineMemo struct {
 // Ownership is split between the two halves of a stream, so decode and
 // fold may run on different goroutines. The dictionaries (lines,
 // backends, and AppendRecord's interning) are append-only and written
-// only by the producer. The fold memos (memo, entSlot, touched) are
-// written only inside IngestBatch, which grows them to the dictionary
-// length it is handed. One goroutine may do both; a fold on another
-// goroutine reads the dictionaries through a WireView instead. No
-// locking either way.
+// only by the producer. The per-line memos and the classifier's scratch
+// belong to whichever side writes them, and each is grown to the
+// dictionary length its writer is handed:
+//   - a ShardPartial's decode half (Classify) classifies on the
+//     producer's tables, writing entSlot, touched, ents and ccID;
+//   - its fold half (FoldKept) interns Collector lines into colID,
+//     through a WireView's fold-side tables when it runs on another
+//     goroutine;
+//   - a Window's IngestBatch classifies and interns on the tables it is
+//     handed (the fold side, in a collector), writing entSlot, touched,
+//     ents and winID.
+//
+// One goroutine may do all of it on one set of tables. No locking
+// either way.
 type WireTables struct {
 	idx      *BackendIndex
 	excluded map[netip.Addr]struct{}
@@ -85,12 +86,19 @@ type WireTables struct {
 	// fold is the fold-side twin every View hands out (made on the
 	// first View).
 	fold *WireTables
-	// memo holds each line's sink IDs; entSlot/touched scratch one
-	// IngestBatch call's per-line ent assignment (index+1 into the
-	// sink's recycled ents; 0 = none).
-	memo    []lineMemo
+	// ccID, colID and winID are each line's lazily interned sink IDs
+	// (ContactCounter, Collector, window-shard line table), stored +1 so
+	// 0 means "not interned yet".
+	ccID, colID, winID []int32
+	// entSlot/touched/ents scratch one classifyFlush call: a line's
+	// indexed row count, then its light verdict (slotKept, slotExcluded)
+	// or -(index+1) of its evidence entry in ents, one entry per line
+	// heavy enough to be a scanner suspect; touched lists the counted
+	// lines in first-appearance order. The entries' bitsets are recycled
+	// across flushes.
 	entSlot []int32
 	touched []int32
+	ents    []endEnt
 }
 
 // WireView is a producer's WireTables as a fold on another goroutine
@@ -257,50 +265,78 @@ func (t *WireTables) AppendRecord(b *netflow.RecordBatch, r netflow.Record) {
 	b.Append(li, uint32(be), down, hour, port, r.Proto, r.Bytes, r.Packets)
 }
 
+// Light lines' entSlot values once classifyFlush has counted them.
+const (
+	slotKept     int32 = 1
+	slotExcluded int32 = 2
+)
+
 // classifyFlush is the §5.2 per-flush scanner verdict, shared by both
-// sinks' IngestBatch: it grows the fold memos to the dictionary, pools
-// each line's distinct-backend evidence over every row of b with an
-// indexed backend into ents (recycled from the caller; t.entSlot maps a
-// line to its entry, t.touched lists the lines that got one) and marks
-// a line over when it is pre-excluded or its evidence exceeds
-// threshold. The caller folds the rows, then calls t.releaseEnts.
-func classifyFlush(t *WireTables, b *netflow.RecordBatch, ents []endEnt, threshold int) []endEnt {
-	if n := len(t.lines); len(t.memo) < n {
-		t.memo = grown(t.memo, n)
-		t.entSlot = grown(t.entSlot, n)
-	}
-	words := t.idx.words
+// sinks: a line is over when it is pre-excluded or its distinct
+// backends among the flush's indexed rows exceed threshold. It counts
+// each line's indexed rows into t.entSlot (t.touched lists the lines
+// counted). A line's distinct backends never outnumber its rows, so
+// only a line with more rows than threshold can cross it: that line
+// alone, unless pre-excluded, pools its evidence into an entry of
+// t.ents and gets a popcount. Every other line's verdict is its
+// pre-exclusion, which its entSlot then holds. Read verdicts with
+// t.over; the caller folds the rows, then calls t.releaseEnts.
+func classifyFlush(t *WireTables, b *netflow.RecordBatch, threshold int) {
+	t.entSlot = grown(t.entSlot, len(t.lines))
 	for i, bid := range b.Backend {
-		be := t.backends[bid]
-		if be < 0 {
+		if t.backends[bid] < 0 {
 			continue
 		}
 		li := b.Line[i]
-		e := t.entSlot[li]
-		if e == 0 {
-			ents = appendEnt(ents, words)
-			e = int32(len(ents))
-			t.entSlot[li] = e
+		if t.entSlot[li] == 0 {
 			t.touched = append(t.touched, int32(li))
 		}
-		setBit(ents[e-1].bits, int(be))
+		t.entSlot[li]++
 	}
+	words := t.idx.words
+	ents := t.ents[:0]
 	for _, li := range t.touched {
-		ent := &ents[t.entSlot[li]-1]
-		ent.over = t.lines[li].excluded || popcount(ent.bits) > threshold
+		switch {
+		case t.lines[li].excluded:
+			t.entSlot[li] = slotExcluded
+		case int(t.entSlot[li]) > threshold:
+			ents = appendEnt(ents, words)
+			t.entSlot[li] = -int32(len(ents))
+		default:
+			t.entSlot[li] = slotKept
+		}
 	}
-	return ents
+	t.ents = ents
+	if len(ents) == 0 {
+		return
+	}
+	for i, bid := range b.Backend {
+		be := t.backends[bid]
+		if e := t.entSlot[b.Line[i]]; e < 0 && be >= 0 {
+			setBit(ents[-e-1].bits, int(be))
+		}
+	}
+	for i := range ents {
+		ents[i].over = popcount(ents[i].bits) > threshold
+	}
 }
 
-// releaseEnts clears the per-flush line → entry assignment.
+// over is line li's verdict from the classifyFlush in progress on t.
+func (t *WireTables) over(li uint32) bool {
+	e := t.entSlot[li]
+	return e == slotExcluded || e < 0 && t.ents[-e-1].over
+}
+
+// releaseEnts clears the per-flush line counts and entry assignment.
 func (t *WireTables) releaseEnts() {
 	for _, li := range t.touched {
 		t.entSlot[li] = 0
 	}
 	t.touched = t.touched[:0]
+	t.ents = t.ents[:0]
 }
 
-// endEnt is one line address's per-flush contact evidence.
+// endEnt is one heavy line's per-flush contact evidence.
 type endEnt struct {
 	bits []uint64
 	over bool
@@ -325,58 +361,110 @@ func appendEnt(ents []endEnt, words int) []endEnt {
 // into the partial. Rows must have passed t.Validate or come from
 // t.AppendRecord; Hour is in study hours (negative = before the study
 // window) and Bytes is scaled by the partial's Options.SamplingRate.
+// b is left as it is.
 //
 // Every row with an indexed backend contributes contact evidence
 // (Figure 5 counts scanners' contacts too), per-line exclusion applies
 // at flush granularity with this batch's distinct-backend evidence, and
 // only rows from kept lines with in-window hours reach the Collector.
 func (p *ShardPartial) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
-	p.col.checkWritable()
+	p.kept.Reset()
+	p.kept.AppendBatch(b)
+	p.ingest(t, &p.kept)
+}
+
+// ingest is IngestBatch on a batch the partial may rewrite: the two
+// halves a collector stream runs on two goroutines, Classify and
+// FoldKept, in sequence.
+func (p *ShardPartial) ingest(t *WireTables, b *netflow.RecordBatch) {
+	p.Classify(t, b)
+	p.FoldKept(t, b)
+}
+
+// Classify is IngestBatch's decode half: it classifies the flush
+// interval b, counts every indexed row's contact into the partial's
+// ContactCounter, and compacts b in place to the rows FoldKept takes —
+// kept lines' rows with an indexed backend and an in-window hour — with
+// the backend column rewritten to dense backend IDs. It writes the
+// ContactCounter and t's classifier state and memo, and neither reads
+// nor writes the Collector, so it may run on the producer's goroutine
+// while FoldKept runs on another.
+func (p *ShardPartial) Classify(t *WireTables, b *netflow.RecordBatch) {
 	if b.Len() == 0 {
 		return
 	}
-	ents := classifyFlush(t, b, p.ents[:0], p.threshold)
+	classifyFlush(t, b, p.threshold)
+	cc := p.cc
+	t.ccID = grown(t.ccID, len(t.lines))
 	for _, li := range t.touched {
-		m := &t.memo[li]
-		if m.cc == 0 {
-			m.cc = p.cc.lineID(t.lines[li].addr) + 1
+		id := t.ccID[li] - 1
+		if id < 0 {
+			id = cc.lineID(t.lines[li].addr)
+			t.ccID[li] = id + 1
 		}
-		orBits(p.cc.lineBits(int(m.cc-1)), ents[t.entSlot[li]-1].bits)
+		if e := t.entSlot[li]; e < 0 {
+			orBits(cc.lineBits(int(id)), t.ents[-e-1].bits)
+		}
 	}
 
+	hours := p.hours
+	k := 0
 	for i, bid := range b.Backend {
 		be := t.backends[bid]
 		if be < 0 {
 			continue
 		}
 		li := b.Line[i]
-		if ents[t.entSlot[li]-1].over {
+		if t.entSlot[li] > 0 {
+			// A light line pooled no evidence: it goes in row by row.
+			setBit(cc.bits[int(t.ccID[li]-1)*cc.words:], int(be))
+		}
+		if t.over(li) {
 			continue
 		}
-		h := int(b.Hour[i])
-		if h < 0 || h >= p.col.hours {
+		h := b.Hour[i]
+		if h < 0 || int(h) >= hours {
 			continue
 		}
-		m := &t.memo[li]
-		if m.col == 0 {
-			m.col = p.col.lineID(t.lines[li].addr) + 1
+		if k < i {
+			b.Line[k], b.Down[k], b.Hour[k] = li, b.Down[i], h
+			b.Port[k], b.Proto[k], b.Bytes[k], b.Packets[k] = b.Port[i], b.Proto[i], b.Bytes[i], b.Packets[i]
+		}
+		b.Backend[k] = uint32(be)
+		k++
+	}
+	b.Truncate(k)
+	t.releaseEnts()
+}
+
+// FoldKept is IngestBatch's fold half: it folds rows Classify kept into
+// the partial's Collector, interning their lines through t's Collector
+// memo. t is the tables Classify ran on, or the fold side of a WireView
+// of them taken after it.
+func (p *ShardPartial) FoldKept(t *WireTables, b *netflow.RecordBatch) {
+	col := p.col
+	col.checkWritable()
+	t.colID = grown(t.colID, len(t.lines))
+	for i, li := range b.Line {
+		id := t.colID[li] - 1
+		if id < 0 {
+			id = col.lineID(t.lines[li].addr)
+			t.colID[li] = id + 1
 		}
 		port := proto.PortKey{Port: b.Port[i]}
 		if b.Proto[i] == netflow.ProtoUDP {
 			port.Transport = proto.UDP
 		}
-		p.col.ingestDense(int(m.col-1), be, b.Down[i], h, port, float64(b.Bytes[i])*p.col.rate)
+		col.ingestDense(int(id), int32(b.Backend[i]), b.Down[i], int(b.Hour[i]), port, float64(b.Bytes[i])*col.rate)
 	}
-
-	t.releaseEnts()
-	p.ents = ents
 }
 
 // IngestLine is memory mode's drive, the dictionary stream without the
 // bytes: it folds one line's rows from a producer that numbers backends
 // by a fixed table of its own (isp.Network.EmitLines: server ordinals).
 // backends is that table, bound by AddBackends on the first call; the
-// line column indexes addrs and is rewritten to the tables' IDs.
+// line column indexes addrs. b is rewritten in place: its line column
+// to the tables' IDs, then its rows to the ones Classify keeps.
 func (p *ShardPartial) IngestLine(backends, addrs []netip.Addr, b *netflow.RecordBatch) {
 	if b.Len() == 0 {
 		return
@@ -394,5 +482,5 @@ func (p *ShardPartial) IngestLine(backends, addrs []netip.Addr, b *netflow.Recor
 	for i := range b.Line {
 		b.Line[i] += base
 	}
-	p.IngestBatch(p.rows, b)
+	p.ingest(p.rows, b)
 }

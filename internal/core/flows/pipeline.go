@@ -276,10 +276,13 @@ func cloneSeriesSlice(s []*analysis.Series) []*analysis.Series {
 // worker or a wire stream — in the single-pass pipeline: each flush
 // interval (one line-week, a few hundred rows — never the whole feed)
 // arrives as a RecordBatch, and IngestBatch classifies each of its line
-// addresses against the scanner threshold, folds the contact bitsets
+// addresses against the scanner threshold, folds the contact evidence
 // into the shard's ContactCounter, and forwards only non-scanner
 // addresses' rows into the shard's Collector. A partial is owned by
-// exactly one producer; no locking.
+// exactly one producer; no locking. Its two aggregates have one writer
+// each, so the producer may run the decode half (Classify: the
+// ContactCounter) on its own goroutine and the fold half (FoldKept: the
+// Collector) on another.
 type ShardPartial struct {
 	// Vantage is the vantage-point label the partial's records were
 	// observed at (Options.Vantage); FederatedMerge groups partials by
@@ -288,12 +291,16 @@ type ShardPartial struct {
 
 	idx       *BackendIndex
 	threshold int
-	cc        *ContactCounter
-	col       *Collector
-	// ents are the per-flush line entries (usually one V4 and maybe one
-	// V6 address per flushed line); their bitsets are recycled across
-	// IngestBatch calls.
-	ents []endEnt
+	// hours is the Collector's study length, copied so the decode half
+	// never reads the Collector while the fold half writes it: sharing
+	// those cache lines between two cores cost more than the split
+	// saved.
+	hours int
+	cc    *ContactCounter
+	col   *Collector
+	// kept is IngestBatch's copy of the caller's batch, which Classify
+	// compacts in place.
+	kept netflow.RecordBatch
 	// rec/recBatch are the Ingest/EndLine drive's own tables and pending
 	// flush interval; rows are IngestLine's tables.
 	rec      *WireTables
@@ -318,6 +325,7 @@ func NewShardPartial(idx *BackendIndex, days []time.Time, opts Options) *ShardPa
 		Vantage:   opts.Vantage,
 		idx:       idx,
 		threshold: threshold,
+		hours:     len(days) * 24,
 		cc:        NewContactCounter(idx),
 		col:       NewCollector(idx, days, opts),
 	}
@@ -343,7 +351,8 @@ func MergePartials(parts []*ShardPartial) (*ContactCounter, *Collector) {
 
 // Ingest resolves one record of the line currently being simulated
 // into the pending flush interval. Ingest and EndLine, the record
-// adapter over IngestBatch, stay for the benchmark module's pin.
+// adapter over the partial's two halves, stay for the benchmark
+// module's pin.
 func (p *ShardPartial) Ingest(r netflow.Record) { p.rec.AppendRecord(&p.recBatch, r) }
 
 // EndLine completes the pending line-week: Figure 5 contact counting
@@ -351,7 +360,7 @@ func (p *ShardPartial) Ingest(r netflow.Record) { p.rec.AppendRecord(&p.recBatch
 // below the scanner threshold (the Richter-style exclusion, applied the
 // moment the per-line evidence is complete).
 func (p *ShardPartial) EndLine() {
-	p.IngestBatch(p.rec, &p.recBatch)
+	p.ingest(p.rec, &p.recBatch)
 	p.recBatch.Reset()
 }
 

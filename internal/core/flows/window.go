@@ -65,8 +65,8 @@ type Sink interface {
 	// IngestBatch consumes one flush interval's rows, resolved through t
 	// (which must come from this sink): classify each line address
 	// against the scanner threshold using this flush's distinct-backend
-	// evidence, count every row's contact, aggregate the kept ones. An
-	// empty batch is a no-op.
+	// evidence, count every row's contact, aggregate the kept ones. b is
+	// left as it is; an empty batch is a no-op.
 	IngestBatch(t *WireTables, b *netflow.RecordBatch)
 }
 
@@ -142,9 +142,6 @@ type winShard struct {
 	rowHint int
 	// touched lists the buckets the in-progress flush wrote to.
 	touched []*winBucket
-
-	// ents are classifyFlush's line entries, recycled across calls.
-	ents []endEnt
 }
 
 // Row flag bits (winBucket.flags, and the IWIN row encoding).
@@ -493,7 +490,8 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	sh := t.shard
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ents := classifyFlush(t, b, sh.ents[:0], w.threshold)
+	classifyFlush(t, b, w.threshold)
+	t.winID = grown(t.winID, len(t.lines))
 
 	for i, bid := range b.Backend {
 		be := t.backends[bid]
@@ -505,11 +503,10 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 			continue
 		}
 		li := b.Line[i]
-		m := &t.memo[li]
-		lid := m.win - 1
+		lid := t.winID[li] - 1
 		if lid < 0 {
 			lid = sh.lines.id(t.lines[li].addr)
-			m.win = lid + 1
+			t.winID[li] = lid + 1
 		}
 		var flags uint8
 		if b.Down[i] {
@@ -518,7 +515,7 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		if b.Proto[i] == netflow.ProtoUDP {
 			flags |= rowUDP
 		}
-		if !ents[t.entSlot[li]-1].over {
+		if !t.over(li) {
 			flags |= rowKept
 			bk.records++
 		}
@@ -526,7 +523,6 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	}
 
 	t.releaseEnts()
-	sh.ents = ents
 	sh.endFlush()
 }
 

@@ -131,6 +131,18 @@ func (b *RecordBatch) Append(line, backend uint32, down bool, hour int32, port u
 	b.Packets = append(b.Packets, packets)
 }
 
+// AppendBatch appends src's rows.
+func (b *RecordBatch) AppendBatch(src *RecordBatch) {
+	b.Line = append(b.Line, src.Line...)
+	b.Backend = append(b.Backend, src.Backend...)
+	b.Down = append(b.Down, src.Down...)
+	b.Hour = append(b.Hour, src.Hour...)
+	b.Port = append(b.Port, src.Port...)
+	b.Proto = append(b.Proto, src.Proto...)
+	b.Bytes = append(b.Bytes, src.Bytes...)
+	b.Packets = append(b.Packets, src.Packets...)
+}
+
 // grow extends every column by n zero rows and returns the first new
 // row's index.
 func (b *RecordBatch) grow(n int) int {
