@@ -152,19 +152,10 @@ func (st *stream) fill(ch *chunk) {
 	st.rowsFrom, st.recsFrom = ch.rows.Len(), ch.recs.Len()
 }
 
-// frameSource is a stream of frames with resynchronization — the
-// abstraction ingestFrames decodes from, satisfied by both the
-// io.Reader-backed netflow.FrameReader and the zero-copy
-// netflow.BytesFrameReader over a mapped file.
-type frameSource interface {
-	Next() (netflow.Frame, error)
-	Resync() (int64, error)
-}
-
 // ingestFrames is the decode loop shared by every framed transport. raw
 // is the transport-level reader abort and drain act on (nil for a
 // mapped file); fr decodes from its tapped, watchdogged view.
-func (c *Collector) ingestFrames(st *stream, raw io.Reader, fr frameSource) error {
+func (c *Collector) ingestFrames(st *stream, raw io.Reader, fr *netflow.FrameReader) error {
 	for {
 		f, err := fr.Next()
 		switch {

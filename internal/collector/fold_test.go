@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"net"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -87,6 +88,60 @@ func BenchmarkIngestFile(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkIngestStream is the daemon's catch-up shape: a writer
+// goroutine sends the hour-major week over a loopback TCP connection
+// into a window-mode collector (ListenTCP), which decodes, classifies
+// and folds it as it arrives. 4000 lines give hour flushes of about 450
+// rows, near the daemon benchmark's (300 000 records over 720 hours).
+func BenchmarkIngestStream(b *testing.B) {
+	f := buildFixture(b, 4000)
+	feed, records := hourMajorFeed(b, f)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.Run("hour-major/window", func(b *testing.B) {
+		b.ReportAllocs()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
+			if err != nil {
+				b.Fatal(err)
+			}
+			col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Window: win})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sent := make(chan error, 1)
+			go func() {
+				conn, err := net.Dial("tcp", l.Addr().String())
+				if err != nil {
+					sent <- err
+					return
+				}
+				_, err = conn.Write(feed)
+				if cerr := conn.Close(); err == nil {
+					err = cerr
+				}
+				sent <- err
+			}()
+			if err := col.ListenTCP(l, 1); err != nil {
+				b.Fatal(err)
+			}
+			if err := <-sent; err != nil {
+				b.Fatal(err)
+			}
+			if got := col.Stats().BatchRecords; got != uint64(records) {
+				b.Fatalf("folded %d records of %d", got, records)
+			}
+		}
+		ns := float64(time.Since(start).Nanoseconds()) / float64(b.N) / float64(records)
+		b.ReportMetric(ns, "ns/record")
+		b.ReportMetric(1e9/ns, "records/s")
+	})
 }
 
 // hourMajorFeed records the fixture's week as a live exporter sends it:
@@ -336,5 +391,58 @@ func TestPipelinedIngestMatchesSerial(t *testing.T) {
 				assertSameAnalysis(t, label, want.cc, got.cc, want.col, got.col)
 			}
 		})
+	}
+}
+
+// countingReader counts the Read calls made on r.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestStreamReadsPerBuffer: a framed stream costs one Read per buffer
+// of bytes, not one or two per frame. The hour-major feed (about 490
+// frames) replays through IngestStream behind a counting reader. The
+// bound is one Read per 64 KiB window, one more per frame larger than
+// the window, and a slack of two: the Read that returns EOF, and the
+// partial frame each refill carries to the window's front (frames here
+// are at most a tenth of the window, so a dozen refills lose less than
+// one window).
+func TestStreamReadsPerBuffer(t *testing.T) {
+	f := buildFixture(t, 1000)
+	feed, records := hourMajorFeed(t, f)
+	const window = 64 << 10 // the netflow stream reader's buffer
+	big := 0
+	for fr := netflow.NewBytesFrameReader(feed); ; {
+		fme, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if 7+len(fme.Payload) > window {
+			big++
+		}
+	}
+	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := &countingReader{r: bytes.NewReader(feed)}
+	if err := col.IngestStream(cr); err != nil {
+		t.Fatal(err)
+	}
+	st := col.Stats()
+	if st.BatchRecords != uint64(records) {
+		t.Fatalf("folded %d of %d records", st.BatchRecords, records)
+	}
+	if limit := (len(feed)+window-1)/window + big + 2; cr.reads > limit {
+		t.Fatalf("%d Reads for %d bytes in %d frames, want at most %d", cr.reads, len(feed), st.Frames, limit)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/netip"
+	"slices"
 )
 
 // Columnar dictionary transport: the frame types below carry a flow
@@ -143,18 +143,18 @@ func (b *RecordBatch) AppendBatch(src *RecordBatch) {
 	b.Packets = append(b.Packets, src.Packets...)
 }
 
-// grow extends every column by n zero rows and returns the first new
-// row's index.
+// grow extends every column by n rows and returns the first new row's
+// index. The new rows are not zeroed: the caller writes every one.
 func (b *RecordBatch) grow(n int) int {
 	at := len(b.Line)
-	b.Line = append(b.Line, make([]uint32, n)...)
-	b.Backend = append(b.Backend, make([]uint32, n)...)
-	b.Down = append(b.Down, make([]bool, n)...)
-	b.Hour = append(b.Hour, make([]int32, n)...)
-	b.Port = append(b.Port, make([]uint16, n)...)
-	b.Proto = append(b.Proto, make([]uint8, n)...)
-	b.Bytes = append(b.Bytes, make([]uint64, n)...)
-	b.Packets = append(b.Packets, make([]uint64, n)...)
+	b.Line = slices.Grow(b.Line, n)[:at+n]
+	b.Backend = slices.Grow(b.Backend, n)[:at+n]
+	b.Down = slices.Grow(b.Down, n)[:at+n]
+	b.Hour = slices.Grow(b.Hour, n)[:at+n]
+	b.Port = slices.Grow(b.Port, n)[:at+n]
+	b.Proto = slices.Grow(b.Proto, n)[:at+n]
+	b.Bytes = slices.Grow(b.Bytes, n)[:at+n]
+	b.Packets = slices.Grow(b.Packets, n)[:at+n]
 	return at
 }
 
@@ -352,83 +352,4 @@ func DecodeBatchPayload(p []byte, b *RecordBatch) error {
 		b.Packets[at+i] = binary.BigEndian.Uint64(p[i*8:])
 	}
 	return nil
-}
-
-// --- Zero-copy frame source --------------------------------------------
-
-// BytesFrameReader parses frames from an in-memory byte slice — the
-// mmap replay path. Frame payloads alias the underlying data (zero
-// copies); error and Resync semantics mirror FrameReader's, so the
-// collector's fault policies compose identically over mapped files.
-type BytesFrameReader struct {
-	data []byte
-	off  int
-}
-
-// NewBytesFrameReader returns a reader over data.
-func NewBytesFrameReader(data []byte) *BytesFrameReader {
-	return &BytesFrameReader{data: data}
-}
-
-// Next parses one frame; io.EOF signals a clean end on a frame
-// boundary. The returned payload aliases the reader's data. After a
-// corrupt-envelope error the reader sits one byte past the bad header's
-// start (mirroring FrameReader's stash discipline), so Resync cannot
-// re-find the rejected candidate.
-func (r *BytesFrameReader) Next() (Frame, error) {
-	rem := len(r.data) - r.off
-	if rem == 0 {
-		return Frame{}, io.EOF
-	}
-	if rem < frameHeader {
-		r.off = len(r.data)
-		return Frame{}, fmt.Errorf("netflow: frame header truncated: %w", io.ErrUnexpectedEOF)
-	}
-	hdr := r.data[r.off : r.off+frameHeader]
-	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		r.off++
-		return Frame{}, fmt.Errorf("%w: %02x%02x", ErrBadFrameMagic, hdr[0], hdr[1])
-	}
-	typ := hdr[2]
-	if !knownFrameType(typ) {
-		r.off++
-		return Frame{}, fmt.Errorf("%w: 0x%02x", ErrBadFrameType, typ)
-	}
-	n := binary.BigEndian.Uint32(hdr[3:])
-	if n > MaxFramePayload {
-		r.off++
-		return Frame{}, fmt.Errorf("%w: header advertises %d bytes (limit %d)", ErrFrameTooBig, n, MaxFramePayload)
-	}
-	if rem < frameHeader+int(n) {
-		got := rem - frameHeader
-		r.off = len(r.data)
-		return Frame{}, fmt.Errorf("netflow: frame payload truncated: type 0x%02x advertises %d bytes but the data carries %d: %w",
-			typ, n, got, io.ErrUnexpectedEOF)
-	}
-	payload := r.data[r.off+frameHeader : r.off+frameHeader+int(n)]
-	r.off += frameHeader + int(n)
-	return Frame{Type: typ, Payload: payload}, nil
-}
-
-// Resync scans forward for the next plausible frame header, positioning
-// the reader on it and returning the bytes discarded. io.EOF means no
-// further candidate exists.
-func (r *BytesFrameReader) Resync() (skipped int64, err error) {
-	for i := r.off; i+frameHeader <= len(r.data); i++ {
-		if r.data[i] != frameMagic0 || r.data[i+1] != frameMagic1 {
-			continue
-		}
-		if !knownFrameType(r.data[i+2]) {
-			continue
-		}
-		if binary.BigEndian.Uint32(r.data[i+3:]) > MaxFramePayload {
-			continue
-		}
-		skipped = int64(i - r.off)
-		r.off = i
-		return skipped, nil
-	}
-	skipped = int64(len(r.data) - r.off)
-	r.off = len(r.data)
-	return skipped, io.EOF
 }

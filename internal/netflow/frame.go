@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -79,7 +80,7 @@ func IsCorruptFrame(err error) bool {
 func IsTruncation(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }
 
 // Frame is one decoded frame envelope. Payload aliases the reader's
-// scratch buffer and is only valid until the next call.
+// window; FrameReader says how long it stays valid.
 type Frame struct {
 	Type    byte
 	Payload []byte
@@ -194,140 +195,139 @@ func AppendFlushFrame(dst []byte) []byte {
 	return dst
 }
 
-// FrameReader parses frames from an io.Reader.
+// FrameReader parses frames in place from a byte window, buf[off:end].
+// Over an io.Reader (NewFrameReader) the window is a frameBuf-byte
+// buffer that refills with one Read only when the frame being parsed is
+// incomplete, so Next never waits for bytes past the current frame: a
+// live exporter that goes quiet after a flush still has that flush
+// delivered. Over a byte slice (NewBytesFrameReader, the mmap replay
+// path) the window is the whole slice and never refills.
 //
-// After a corrupt-envelope error (IsCorruptFrame), the reader holds the
-// already-consumed bytes that might still contain a frame start; Resync
-// scans them — and the stream beyond — for the next plausible "NF"
-// header, letting a self-healing collector skip damage instead of
-// aborting. On a clean stream the pending buffer stays empty and Next
-// reads exactly as it always has.
+// A payload aliases the window: over a stream it is valid until the
+// next Next or Resync, over a slice for as long as the slice.
+//
+// After a corrupt-envelope error (IsCorruptFrame) the reader sits one
+// byte past the rejected header's start, so Resync — which scans for the
+// next plausible "NF" header — cannot re-find the rejected candidate,
+// and a self-healing collector skips damage instead of aborting.
 type FrameReader struct {
-	r   io.Reader
-	buf []byte
-	// pend holds bytes read from r but not yet consumed: the tail of a
-	// rejected header, or the candidate frame a Resync scan located.
-	pend []byte
-	// hdr and scan are reused read buffers. As locals they would escape
-	// to the heap through the io.Reader interface on every call — one
-	// allocation per frame on the ingest hot loop.
-	hdr  [frameHeader]byte
-	scan [256]byte
+	r        io.Reader // nil over a byte slice
+	buf      []byte
+	off, end int
+	err      error // a Read error held back until the window runs dry
 }
 
-// NewFrameReader returns a reader.
-func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+// frameBuf is a stream reader's window size; a frame larger than it
+// grows the window to fit.
+const frameBuf = 64 << 10
 
-// readFull fills p from the pending buffer first, then the stream,
-// with io.ReadFull semantics over the combination.
-func (fr *FrameReader) readFull(p []byte) (int, error) {
-	n := 0
-	if len(fr.pend) > 0 {
-		n = copy(p, fr.pend)
-		fr.pend = fr.pend[n:]
-		if n == len(p) {
-			return n, nil
+// NewFrameReader returns a reader over a stream.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r, buf: make([]byte, frameBuf)}
+}
+
+// NewBytesFrameReader returns a reader over data; payloads alias it.
+func NewBytesFrameReader(data []byte) *FrameReader {
+	return &FrameReader{buf: data, end: len(data)}
+}
+
+// fill makes the window hold at least need bytes, reading only while it
+// holds fewer. Each refill first moves the unread tail to the front, so
+// one Read can fill the rest of the buffer. A byte slice has nothing
+// more to give: io.EOF.
+func (fr *FrameReader) fill(need int) error {
+	for fr.end-fr.off < need {
+		if fr.r == nil {
+			return io.EOF
 		}
+		if err := fr.err; err != nil {
+			fr.err = nil
+			return err
+		}
+		if fr.off > 0 {
+			fr.end = copy(fr.buf, fr.buf[fr.off:fr.end])
+			fr.off = 0
+		}
+		if need > len(fr.buf) {
+			b := slices.Grow(fr.buf[:fr.end], need-fr.end)
+			fr.buf = b[:cap(b)]
+		}
+		n, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += n
+		fr.err = err
 	}
-	m, err := io.ReadFull(fr.r, p[n:])
-	return n + m, err
+	return nil
 }
 
-// Next reads one frame; io.EOF signals a clean end on a frame boundary.
-// A stream that ends mid-frame yields a descriptive error wrapping
+// Next parses one frame; io.EOF signals a clean end on a frame boundary.
+// A source that ends mid-frame yields a descriptive error wrapping
 // io.ErrUnexpectedEOF — never a silent short read.
 func (fr *FrameReader) Next() (Frame, error) {
-	hdr := &fr.hdr
-	if n, err := fr.readFull(hdr[:]); err != nil {
-		if err == io.EOF && n == 0 {
+	if err := fr.fill(frameHeader); err != nil {
+		if err == io.EOF && fr.off == fr.end {
 			return Frame{}, io.EOF
 		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Frame{}, fmt.Errorf("netflow: frame header truncated: %w", io.ErrUnexpectedEOF)
-		}
-		return Frame{}, err
+		return Frame{}, fr.truncated(err, "netflow: frame header truncated")
 	}
+	hdr := fr.buf[fr.off : fr.off+frameHeader]
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		fr.stash(hdr[1:])
+		fr.off++
 		return Frame{}, fmt.Errorf("%w: %02x%02x", ErrBadFrameMagic, hdr[0], hdr[1])
 	}
 	typ := hdr[2]
 	if !knownFrameType(typ) {
-		fr.stash(hdr[1:])
+		fr.off++
 		return Frame{}, fmt.Errorf("%w: 0x%02x", ErrBadFrameType, typ)
 	}
 	n := binary.BigEndian.Uint32(hdr[3:])
 	if n > MaxFramePayload {
-		fr.stash(hdr[1:])
+		fr.off++
 		return Frame{}, fmt.Errorf("%w: header advertises %d bytes (limit %d)", ErrFrameTooBig, n, MaxFramePayload)
 	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
+	size := frameHeader + int(n)
+	if err := fr.fill(size); err != nil {
+		return Frame{}, fr.truncated(err, fmt.Sprintf("netflow: frame payload truncated: type 0x%02x advertises %d bytes but the stream carries %d",
+			typ, n, fr.end-fr.off-frameHeader))
 	}
-	payload := fr.buf[:n]
-	if got, err := fr.readFull(payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Frame{}, fmt.Errorf("netflow: frame payload truncated: type 0x%02x advertises %d bytes but the stream carries %d: %w",
-				typ, n, got, io.ErrUnexpectedEOF)
-		}
-		return Frame{}, err
-	}
+	payload := fr.buf[fr.off+frameHeader : fr.off+size : fr.off+size]
+	fr.off += size
 	return Frame{Type: typ, Payload: payload}, nil
 }
 
-// stash pushes rejected header bytes back for a Resync scan. The first
-// header byte is deliberately NOT kept: a "NF" that just failed type or
-// length validation must not be re-found, or resync would loop on it.
-func (fr *FrameReader) stash(b []byte) {
-	if len(fr.pend) == 0 {
-		fr.pend = append(fr.pend[:0], b...)
-		return
+// truncated reports a frame the source ended inside, discarding its
+// bytes; any other error passes through as the transport's.
+func (fr *FrameReader) truncated(err error, what string) error {
+	if err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
 	}
-	fr.pend = append(append(make([]byte, 0, len(b)+len(fr.pend)), b...), fr.pend...)
+	fr.off = fr.end
+	return fmt.Errorf("%s: %w", what, io.ErrUnexpectedEOF)
 }
 
-// Resync scans forward — through the bytes a rejected header left
-// pending, then the stream — for the next plausible frame start: "NF",
-// a known frame type, and an in-range payload length. It positions the
+// Resync scans forward for the next plausible frame start: "NF", a
+// known frame type, and an in-range payload length. It positions the
 // reader so the following Next parses from that candidate, and returns
-// the byte count discarded by the scan. io.EOF means the stream ended
+// the byte count discarded by the scan. io.EOF means the source ended
 // with no further plausible frame; the candidate itself is NOT
 // validated beyond its header, so a fake "NF" inside payload garbage
 // simply fails the next Next/decode and can be resynced past again —
 // each round discards at least one byte, so the scan always terminates.
 func (fr *FrameReader) Resync() (skipped int64, err error) {
-	w := fr.pend
-	fr.pend = nil
-	chunk := &fr.scan
 	for {
-		limit := len(w) - frameHeader
-		for i := 0; i <= limit; i++ {
-			if w[i] != frameMagic0 || w[i+1] != frameMagic1 {
-				continue
+		for ; fr.end-fr.off >= frameHeader; fr.off++ {
+			w := fr.buf[fr.off:]
+			if w[0] == frameMagic0 && w[1] == frameMagic1 && knownFrameType(w[2]) &&
+				binary.BigEndian.Uint32(w[3:]) <= MaxFramePayload {
+				return skipped, nil
 			}
-			if !knownFrameType(w[i+2]) {
-				continue
-			}
-			if binary.BigEndian.Uint32(w[i+3:]) > MaxFramePayload {
-				continue
-			}
-			skipped += int64(i)
-			fr.pend = append(fr.pend, w[i:]...)
-			return skipped, nil
+			skipped++
 		}
-		// No full candidate; keep only the tail that could still start
-		// one (frameHeader-1 bytes) and refill the window.
-		if drop := len(w) - (frameHeader - 1); drop > 0 {
-			skipped += int64(drop)
-			w = append(w[:0], w[drop:]...)
-		}
-		n, rerr := fr.r.Read(chunk[:])
-		w = append(w, chunk[:n]...)
-		if n == 0 && rerr != nil {
-			if rerr == io.EOF {
-				return skipped + int64(len(w)), io.EOF
+		if err := fr.fill(frameHeader); err != nil {
+			if err == io.EOF {
+				skipped += int64(fr.end - fr.off)
+				fr.off = fr.end
 			}
-			return skipped, rerr
+			return skipped, err
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"strings"
@@ -277,5 +278,82 @@ func TestAppendFramesMatchFrameWriter(t *testing.T) {
 	}
 	if _, err := AppendFrame(nil, FrameV6, make([]byte, MaxFramePayload+1)); err == nil {
 		t.Fatal("oversized payload accepted")
+	}
+}
+
+// TestFrameReaderNoReadAhead: a live exporter goes quiet after each
+// hour's flush, and that flush must reach the fold at once, so Next
+// never waits for a byte past the frame it parses. The writer here
+// sends each hour in two writes that split a frame, then blocks until
+// the reader has seen the hour's flush; a reader that reads ahead
+// waits for bytes that never come, and the test times out.
+func TestFrameReaderNoReadAhead(t *testing.T) {
+	const hours = 4
+	pr, pw := io.Pipe()
+	seen := make(chan int)
+	go func() {
+		for h := range hours {
+			var hour []byte
+			if h == 0 {
+				hour = AppendHelloFrame(hour, 50, 1646006400)
+			}
+			hour, err := AppendDictFrame(hour, FrameLineDict, uint32(h), []netip.Addr{netip.AddrFrom4([4]byte{95, 1, 2, byte(h)})})
+			if err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+			var b RecordBatch
+			b.Append(uint32(h), 0, false, int32(h), 8883, ProtoTCP, 10, 1)
+			if hour, _, err = AppendBatchFrames(hour, &b); err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+			hour = AppendFlushFrame(hour)
+			half := len(hour) / 2
+			if _, err := pw.Write(hour[:half]); err != nil {
+				return
+			}
+			if _, err := pw.Write(hour[half:]); err != nil {
+				return
+			}
+			if <-seen != h+1 {
+				pw.CloseWithError(errors.New("flush count out of step"))
+				return
+			}
+		}
+		pw.Close()
+	}()
+	done := make(chan error, 1)
+	go func() {
+		fr := NewFrameReader(pr)
+		flushes := 0
+		for {
+			f, err := fr.Next()
+			switch {
+			case err == io.EOF:
+				if flushes != hours {
+					err = fmt.Errorf("stream ended after %d of %d flushes", flushes, hours)
+				} else {
+					err = nil
+				}
+				done <- err
+				return
+			case err != nil:
+				done <- err
+				return
+			case f.Type == FrameFlush:
+				flushes++
+				seen <- flushes
+			}
+		}
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		pr.CloseWithError(errors.New("timed out"))
+		t.Fatal("Next waited for bytes past an hour's flush the writer had not sent")
 	}
 }

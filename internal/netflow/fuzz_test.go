@@ -3,8 +3,11 @@ package netflow
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzDecodeV5 drives the v5 decoder (and its strict framed variant)
@@ -63,9 +66,11 @@ func FuzzDecodeV5(f *testing.F) {
 }
 
 // FuzzFrameReader feeds arbitrary bytes through the frame layer and the
-// per-type payload decoders — the full collector parse path. Clean
-// errors only; a fuzz-found panic here would be a collector crash on a
-// hostile feed.
+// per-type payload decoders — the full collector parse path — three
+// ways: a stream dribbled one byte per Read, a stream read in whole
+// buffers, and the byte-slice reader. All three must give the same
+// frames, error classes and Resync skip counts. Clean errors only; a
+// fuzz-found panic here would be a collector crash on a hostile feed.
 func FuzzFrameReader(f *testing.F) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
@@ -94,33 +99,77 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(append(nested[:len(nested)-4], clean...)) // outer frame truncated mid-decoy
 	f.Add(append([]byte{'N', 'F', 0xEE, 0, 0, 0, 1}, clean...))
 	f.Add(bytes.Repeat([]byte("NF"), 64))
+	// A stream longer than the reader's window: frames straddle refills,
+	// one frame outgrows the window, and garbage sits past it.
+	long := bytes.Repeat(clean, 2000)
+	long = append(long, frame(FrameV6, bytes.Repeat([]byte{famV4}, frameBuf+100))...)
+	long = append(append(long, "junk"...), clean...)
+	f.Add(long)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data))
-		for {
-			fme, err := fr.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				if !IsCorruptFrame(err) {
-					return // truncation or transport: stream over
-				}
-				// The self-healing collector path: scan for the next
-				// plausible frame and keep parsing. Termination is part
-				// of the contract under fuzz (go test's per-exec timeout
-				// catches a scan that stops progressing).
-				if _, rerr := fr.Resync(); rerr != nil {
-					return
-				}
-				continue
-			}
-			switch fme.Type {
-			case FrameV5:
-				_, _, _ = DecodeV5Strict(fme.Payload)
-			case FrameV6:
-				_, _ = DecodeV6Payload(fme.Payload)
+		want := frameTrace(NewBytesFrameReader(data), true)
+		for _, src := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"one byte per Read", iotest.OneByteReader(bytes.NewReader(data))},
+			{"whole buffers", bytes.NewReader(data)},
+		} {
+			if got := frameTrace(NewFrameReader(src.r), false); !slices.Equal(got, want) {
+				t.Fatalf("stream reader (%s) disagrees with the byte-slice reader:\n%q\nwant\n%q", src.name, got, want)
 			}
 		}
 	})
+}
+
+// frameTrace reads fr to its end the way the self-healing collector
+// does, resyncing past every corrupt envelope, and records each frame
+// (type and payload), each error class and each Resync's skip count.
+// With decode it also runs every payload through its decoder.
+func frameTrace(fr *FrameReader, decode bool) []string {
+	var out []string
+	var rows RecordBatch
+	for {
+		fme, err := fr.Next()
+		switch {
+		case err == nil:
+			out = append(out, fmt.Sprintf("frame %#x %x", fme.Type, fme.Payload))
+			if decode {
+				decodePayload(fme, &rows)
+			}
+			continue
+		case err == io.EOF:
+			return append(out, "eof")
+		case IsTruncation(err):
+			// A cut frame ends the stream: the next Next is a clean EOF.
+			_, err = fr.Next()
+			return append(out, fmt.Sprintf("truncated, then %v", err))
+		case !IsCorruptFrame(err):
+			return append(out, "error "+err.Error())
+		}
+		// Termination is part of the contract under fuzz (go test's
+		// per-exec timeout catches a scan that stops progressing).
+		skipped, rerr := fr.Resync()
+		out = append(out, fmt.Sprintf("corrupt, resync skipped %d: %v", skipped, rerr))
+		if rerr != nil {
+			return out
+		}
+	}
+}
+
+// decodePayload runs one frame's payload through its type's decoder.
+func decodePayload(fme Frame, rows *RecordBatch) {
+	switch fme.Type {
+	case FrameV5:
+		_, _, _ = DecodeV5Strict(fme.Payload)
+	case FrameV6:
+		_, _ = DecodeV6Payload(fme.Payload)
+	case FrameHello:
+		_, _, _ = DecodeHelloPayload(fme.Payload)
+	case FrameLineDict, FrameBackendDict:
+		_, _, _ = DecodeDictPayload(fme.Payload, nil)
+	case FrameBatch:
+		rows.Reset()
+		_ = DecodeBatchPayload(fme.Payload, rows)
+	}
 }
