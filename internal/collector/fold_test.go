@@ -93,7 +93,7 @@ func BenchmarkIngestFile(b *testing.B) {
 // BenchmarkIngestStream is the daemon's catch-up shape: a writer
 // goroutine sends the hour-major week over a loopback TCP connection
 // into a window-mode collector (ListenTCP), which decodes, classifies
-// and folds it as it arrives. 4000 lines give hour flushes of about 450
+// and folds it as it arrives. 4000 lines give hour flushes of about 400
 // rows, near the daemon benchmark's (300 000 records over 720 hours).
 func BenchmarkIngestStream(b *testing.B) {
 	f := buildFixture(b, 4000)
