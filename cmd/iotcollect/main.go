@@ -1,10 +1,10 @@
 // Command iotcollect is the standalone NetFlow collector frontend: it
 // rebuilds the study's backend index (discovery + validation at a given
 // seed), then ingests the ISP's sampled NetFlow feed from the wire —
-// framed streams (dictionary batches, or foreign v5/v6 frames) over
-// TCP, raw v5/v9/IPFIX datagrams over UDP, recorded stream files
-// (replayed zero-copy via mmap), or an in-process demo export — and
-// prints the Section 5 analysis computed entirely from packets.
+// framed dictionary streams over TCP, raw v5/v9/IPFIX datagrams over
+// UDP, recorded stream files (replayed zero-copy via mmap), or an
+// in-process demo export — and prints the Section 5 analysis computed
+// entirely from packets.
 //
 // The exporter and collector must agree on the world (same -seed,
 // -scale, -lines), exactly like the paper's collector had to know which

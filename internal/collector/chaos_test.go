@@ -2,10 +2,12 @@ package collector
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +95,35 @@ func v5Packet(t *testing.T, f *fixture, backend *world.Server, line string, vol 
 	return pkt
 }
 
+// dictHead starts a hand-built dictionary feed: a hello advertising
+// rate 100 with the study start as its epoch, then backend as backend
+// ID 0.
+func dictHead(t *testing.T, f *fixture, backend *world.Server) []byte {
+	t.Helper()
+	out := netflow.AppendHelloFrame(nil, 100, f.w.Days[0].Unix())
+	out, err := netflow.AppendDictFrame(out, netflow.FrameBackendDict, 0, []netip.Addr{backend.Addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// dictLine appends line as line ID id, then a one-row batch: vol
+// sampled bytes from backend ID 0 down to it at study hour hour.
+func dictLine(t *testing.T, dst []byte, id uint32, line string, vol uint64, hour int) []byte {
+	t.Helper()
+	dst, err := netflow.AppendDictFrame(dst, netflow.FrameLineDict, id, []netip.Addr{netip.MustParseAddr(line)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b netflow.RecordBatch
+	b.Append(id, 0, true, int32(hour), 8883, netflow.ProtoTCP, vol, 3)
+	if dst, _, err = netflow.AppendBatchFrames(dst, &b); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 // TestDropFrameResyncAndDecodeDrop: under DropFrame, envelope garbage
 // triggers a resync scan to the next real frame and a broken payload in
 // an intact envelope is dropped in place — in both cases every healthy
@@ -101,34 +132,23 @@ func TestDropFrameResyncAndDecodeDrop(t *testing.T) {
 	f := buildFixture(t, 50)
 	backend := v4Backend(t, f.w)
 
-	var feed bytes.Buffer
-	fw := netflow.NewFrameWriter(&feed)
-	if err := fw.WriteV5(v5Packet(t, f, backend, "95.0.0.1", 500, 2)); err != nil {
-		t.Fatal(err)
-	}
+	feed := dictHead(t, f, backend)
+	feed = dictLine(t, feed, 0, "95.0.0.1", 500, 2)
 	// Envelope garbage between frames: forces a resync scan.
-	feed.WriteString("!! exporter restart banner, definitely not a frame !!")
-	if err := fw.WriteV5(v5Packet(t, f, backend, "95.0.0.2", 700, 3)); err != nil {
-		t.Fatal(err)
-	}
-	// Intact envelope, broken payload: version byte says v9.
-	broken := v5Packet(t, f, backend, "95.0.0.3", 900, 4)
-	broken[1] = 9
-	if err := fw.WriteV5(broken); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteV5(v5Packet(t, f, backend, "95.0.0.4", 1100, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteFlush(); err != nil {
-		t.Fatal(err)
-	}
+	feed = append(feed, "!! exporter restart banner, definitely not a frame !!"...)
+	feed = dictLine(t, feed, 1, "95.0.0.2", 700, 3)
+	// Intact envelope, broken payload: the batch's row count, just ahead
+	// of its one 30-byte row, claims two rows.
+	feed = dictLine(t, feed, 2, "95.0.0.3", 900, 4)
+	binary.BigEndian.PutUint32(feed[len(feed)-30-4:], 2)
+	feed = dictLine(t, feed, 3, "95.0.0.4", 1100, 5)
+	feed = netflow.AppendFlushFrame(feed)
 
 	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: DropFrame})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.IngestStream(&feed); err != nil {
+	if err := col.IngestStream(bytes.NewReader(feed)); err != nil {
 		t.Fatalf("DropFrame ingest aborted: %v", err)
 	}
 	st := col.Stats()
@@ -136,11 +156,11 @@ func TestDropFrameResyncAndDecodeDrop(t *testing.T) {
 		t.Fatalf("no resync recorded: %+v", st)
 	}
 	if st.DroppedFrames != 1 {
-		t.Fatalf("dropped = %d, want 1 (the v9 payload): %+v", st.DroppedFrames, st)
+		t.Fatalf("dropped = %d, want 1 (the overrun batch): %+v", st.DroppedFrames, st)
 	}
 	_, fc := col.Finalize()
 	alias := f.w.AliasOf(backend.Provider)
-	want := uint64(500+700+1100) * 100 // the v9 record must be gone
+	want := uint64(500+700+1100) * 100 // the overrun batch's row must be gone
 	if got := fc.Study().Downstream(alias).Total(); got != float64(want) {
 		t.Fatalf("downstream = %v, want %d", got, want)
 	}
@@ -155,15 +175,9 @@ func TestDropFrameResyncAndDecodeDrop(t *testing.T) {
 func TestDropFrameTruncatedTail(t *testing.T) {
 	f := buildFixture(t, 50)
 	backend := v4Backend(t, f.w)
-	var feed bytes.Buffer
-	fw := netflow.NewFrameWriter(&feed)
-	if err := fw.WriteV5(v5Packet(t, f, backend, "95.0.0.1", 500, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteV5(v5Packet(t, f, backend, "95.0.0.2", 700, 3)); err != nil {
-		t.Fatal(err)
-	}
-	cut := feed.Bytes()[:feed.Len()-5] // lose the second frame's tail
+	feed := dictLine(t, dictHead(t, f, backend), 0, "95.0.0.1", 500, 2)
+	feed = dictLine(t, feed, 1, "95.0.0.2", 700, 3)
+	cut := feed[:len(feed)-5] // lose the second batch's tail
 
 	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: DropFrame})
 	if err != nil {
@@ -179,6 +193,60 @@ func TestDropFrameTruncatedTail(t *testing.T) {
 	_, fc := col.Finalize()
 	if got := fc.Study().Downstream(f.w.AliasOf(backend.Provider)).Total(); got != 500*100 {
 		t.Fatalf("downstream = %v, want %d", got, 500*100)
+	}
+}
+
+// TestDropFrameFlushLengthFlip: a bit flip in a flush frame's length
+// field costs that flush and nothing else. A flush carries no payload,
+// so any nonzero length is over its type's limit: the reader resyncs
+// once, onto the next frame, instead of reading the bogus length's
+// worth of the stream as payload (or waiting for it past the end). Each
+// of the 32 length bits of the feed's 4th flush is flipped in turn;
+// losing a flush only merges two line batches, so the analysis equals
+// the clean run's.
+func TestDropFrameFlushLengthFlip(t *testing.T) {
+	f := buildFixture(t, 50)
+	var buf bytes.Buffer
+	if _, err := f.net.SimulateLinesToWire([]io.Writer{&buf}, 0); err != nil {
+		t.Fatal(err)
+	}
+	feed := buf.Bytes()
+	run := func(feed []byte) (*flows.ContactCounter, *flows.Collector, Stats) {
+		col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: DropFrame})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.IngestStream(bytes.NewReader(feed)); err != nil {
+			t.Fatal(err)
+		}
+		cc, fc := col.Finalize()
+		return cc, fc, col.Stats()
+	}
+	refCC, refCol, ref := run(feed)
+
+	// Find the 4th flush frame's offset.
+	at, flushes := -1, 0
+	for off, fr := 0, netflow.NewBytesFrameReader(feed); at < 0; {
+		fme, err := fr.Next()
+		if err != nil {
+			t.Fatalf("feed has %d flush frames: %v", flushes, err)
+		}
+		if fme.Type == netflow.FrameFlush {
+			if flushes++; flushes == 4 {
+				at = off
+			}
+		}
+		off += 7 + len(fme.Payload)
+	}
+	for bit := 0; bit < 32; bit++ {
+		damaged := slices.Clone(feed)
+		damaged[at+3+bit/8] ^= 0x80 >> (bit % 8)
+		cc, fc, st := run(damaged)
+		label := fmt.Sprintf("length bit %d", bit)
+		assertSameAnalysis(t, label, refCC, cc, refCol, fc)
+		if st.ResyncEvents != 1 || st.DroppedFrames != 0 || st.BatchRecords != ref.BatchRecords || st.Flushes != ref.Flushes-1 {
+			t.Fatalf("%s: stats %+v\nclean %+v", label, st, ref)
+		}
 	}
 }
 
@@ -256,17 +324,12 @@ func ipfixMessage(t *testing.T, f *fixture, backend *world.Server, line string, 
 func TestStallWatchdog(t *testing.T) {
 	f := buildFixture(t, 50)
 	backend := v4Backend(t, f.w)
-	var frame bytes.Buffer
-	fw := netflow.NewFrameWriter(&frame)
-	if err := fw.WriteV5(v5Packet(t, f, backend, "95.0.0.1", 500, 2)); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name   string
 		ingest func(*Collector, io.Reader) error
 		first  []byte
 	}{
-		{"framed", (*Collector).IngestStream, frame.Bytes()},
+		{"framed", (*Collector).IngestStream, dictLine(t, dictHead(t, f, backend), 0, "95.0.0.1", 500, 2)},
 		{"ipfix", func(c *Collector, r io.Reader) error { return c.IngestIPFIX("ipfix", r) },
 			ipfixMessage(t, f, backend, "95.0.0.1", 500, 2, 0, true)},
 	} {

@@ -1,10 +1,11 @@
 // Package collector is the wire half of the ISP ingestion path: it
 // consumes the dictionary streams exported by isp.SimulateLinesToWire
-// (or foreign v5/v9/IPFIX feeds, framed or as UDP datagrams), decodes
-// and validates every packet, restores the sampling scale each stream
-// advertises (sampled counters × rate — the paper's "estimate the
-// exchanged traffic considering the sampling rate", Section 5.6), and
-// folds each stream into its own worker-local flows.ShardPartial.
+// (or real routers' v5/v9/IPFIX datagrams over UDP and IPFIX message
+// streams), decodes and validates every packet, restores the sampling
+// scale each stream advertises (sampled counters × rate — the paper's
+// "estimate the exchanged traffic considering the sampling rate",
+// Section 5.6), and folds each stream into its own worker-local
+// flows.ShardPartial.
 // Partials merge order-independently, so a 1-, 4-, or 8-stream ingest
 // of the same feed produces byte-identical figures — the wire is a
 // transparent seam in the simulate→aggregate pipeline.
@@ -75,12 +76,10 @@ type Config struct {
 	// Days is the study period (required).
 	Days []time.Time
 	// Opts configures the analysis exactly like the in-memory pipeline's
-	// NewShardedAggregator. Opts.SamplingRate is the *fallback* scale,
-	// applied to any line batch flushed before the stream's first v5
-	// header (e.g. an IPv6-only prefix, or a wholly v6 stream); once a
-	// header advertises a rate it wins for the rest of the stream, and a
-	// disagreement with an already-applied fallback is counted in
-	// Stats.RateMismatches.
+	// NewShardedAggregator. Opts.SamplingRate is the *fallback* scale for
+	// record rows: an IPFIX stream's, or a UDP source's that sent no v5
+	// datagram, whose headers advertise no rate. Dictionary streams carry
+	// their rate in the hello frame.
 	Opts flows.Options
 	// Policy picks the stream-fault response; zero value is Abort.
 	Policy ErrorPolicy
@@ -142,7 +141,7 @@ type Stats struct {
 	// stream counts 0 here until it ends.
 	Streams uint64
 	// Frames, V4Records, V6Records, Flushes mirror the exporter's
-	// WireStats for cross-checking; V5Packets counts foreign v5 packets.
+	// WireStats for cross-checking; V5Packets counts v5 datagrams.
 	Frames    uint64
 	V5Packets uint64
 	V4Records uint64
@@ -154,9 +153,8 @@ type Stats struct {
 	BatchFrames  uint64
 	BatchRecords uint64
 	DictEntries  uint64
-	// TemplatePackets/TemplateRecords count embedded NetFlow v9/IPFIX
-	// datagrams (FrameTempl, IngestIPFIX, UDP) and the flow records they
-	// decoded to.
+	// TemplatePackets/TemplateRecords count NetFlow v9/IPFIX messages
+	// (IngestIPFIX, UDP) and the flow records they decoded to.
 	TemplatePackets uint64
 	TemplateRecords uint64
 	// SaturatedCounters counts decoded Bytes/Packets fields at v5's
@@ -323,10 +321,8 @@ type stream struct {
 	rate  uint32
 	stats Stats
 	// fallback is the configured rate (Config.Opts.SamplingRate) a flush
-	// applies before any v5 header has advertised one; fallbackUsed is
-	// that rate once a flush actually applied it, so a later header
-	// that disagrees is a rate mismatch worth counting.
-	fallback, fallbackUsed uint32
+	// applies to record rows when no v5 header has advertised one.
+	fallback uint32
 	// Per-stream feed-liveness: start anchors the study clock, hourBits
 	// marks study hours with at least one decoded record.
 	start    time.Time
@@ -350,12 +346,12 @@ type stream struct {
 	tables *flows.WireTables
 	lineV4 []bool
 	backV4 []bool
-	// Record-decoder state (v5, v6, v9/IPFIX): each decoded packet's
+	// Record-decoder state (v5, v9/IPFIX): each decoded packet's
 	// records resolve through recTables (made on the first one) into
 	// cur.recs, the flush interval's pending rows — still sampled
 	// counters, because the rate is only fixed at flush. pending and
 	// pendingBytes count every decoded record since the last flush,
-	// rows or not, for the fallback-rate rule and Stats.ScaledBytes.
+	// rows or not, for Stats.ScaledBytes.
 	recTables    *flows.WireTables
 	pending      int
 	pendingBytes uint64
@@ -364,7 +360,7 @@ type stream struct {
 	scratch   []netflow.Record
 	dictAddrs []netip.Addr
 	// templ caches NetFlow v9/IPFIX templates for this stream's
-	// embedded foreign datagrams; created on first use.
+	// messages; created on first use.
 	templ *netflow.TemplateCache
 }
 

@@ -151,9 +151,9 @@ func TestWireMatchesMemoryAcrossStreamCounts(t *testing.T) {
 	}
 }
 
-// TestStreamWithoutFlushMarkers: a feed from a foreign exporter with no
-// line-batch markers classifies at EOF and still reproduces the same
-// analysis (each line's records must just stay within one stream).
+// TestStreamWithoutFlushMarkers: a feed with no line-batch markers
+// classifies at EOF and still reproduces the same analysis (each line's
+// records must just stay within one stream).
 func TestStreamWithoutFlushMarkers(t *testing.T) {
 	f := buildFixture(t, 300)
 	ccRef, colRef := f.memoryRun(2)
@@ -168,11 +168,10 @@ func TestStreamWithoutFlushMarkers(t *testing.T) {
 	if _, err := f2.net.SimulateLinesToWire(writers, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Strip every flush frame, as a plain v5 relay would.
+	// Strip every flush frame.
 	readers := make([]io.Reader, 2)
 	for i, buf := range bufs {
-		var stripped bytes.Buffer
-		fw := netflow.NewFrameWriter(&stripped)
+		var stripped []byte
 		fr := netflow.NewFrameReader(buf)
 		for {
 			fme, err := fr.Next()
@@ -185,11 +184,11 @@ func TestStreamWithoutFlushMarkers(t *testing.T) {
 			if fme.Type == netflow.FrameFlush {
 				continue
 			}
-			if err := fw.WriteFrame(fme.Type, fme.Payload); err != nil {
+			if stripped, err = netflow.AppendFrame(stripped, fme.Type, fme.Payload); err != nil {
 				t.Fatal(err)
 			}
 		}
-		readers[i] = &stripped
+		readers[i] = bytes.NewReader(stripped)
 	}
 	col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
 	if err != nil {
@@ -407,77 +406,6 @@ func TestServeUDP(t *testing.T) {
 	}
 }
 
-// TestFallbackRateThenHeaderMismatch: a line batch flushed before any
-// v5 header scales with the configured fallback; a later header that
-// disagrees is surfaced as a rate mismatch rather than silently
-// rewriting history.
-func TestFallbackRateThenHeaderMismatch(t *testing.T) {
-	f := buildFixture(t, 50)
-	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts}) // fallback rate 100
-	if err != nil {
-		t.Fatal(err)
-	}
-	var backend *world.Server
-	for _, s := range f.w.AllServers() {
-		if s.IsV6() {
-			backend = s
-			break
-		}
-	}
-	if backend == nil {
-		t.Fatal("no v6 backend in fixture")
-	}
-	var buf bytes.Buffer
-	fw := netflow.NewFrameWriter(&buf)
-	// Line 1: IPv6-only, flushed before any header advertises a rate.
-	if err := fw.WriteV6([]netflow.Record{{
-		Src: backend.Addr, Dst: netip.MustParseAddr("2003::100:1"),
-		SrcPort: 8883, DstPort: 40000, Proto: netflow.ProtoTCP,
-		Bytes: 10, Packets: 2, Start: f.w.Days[0].Add(time.Hour),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteFlush(); err != nil {
-		t.Fatal(err)
-	}
-	// Line 2: a v5 packet advertising a different rate (1:50).
-	si, err := netflow.PackSamplingInterval(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v4backend *world.Server
-	for _, s := range f.w.AllServers() {
-		if !s.IsV6() {
-			v4backend = s
-			break
-		}
-	}
-	pkt, err := netflow.EncodeV5(netflow.V5Header{SamplingInterval: si}, []netflow.Record{{
-		Src: v4backend.Addr, Dst: netip.MustParseAddr("95.0.0.7"),
-		SrcPort: 443, DstPort: 40001, Proto: netflow.ProtoTCP,
-		Bytes: 20, Packets: 2, Start: f.w.Days[0].Add(time.Hour),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteV5(pkt); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteFlush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.IngestStream(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st := col.Stats()
-	if st.RateMismatches != 1 {
-		t.Fatalf("rate mismatches = %d, want 1 (fallback 100 vs advertised 50)", st.RateMismatches)
-	}
-	if want := uint64(10*100 + 20*50); st.ScaledBytes != want {
-		t.Fatalf("scaled bytes = %d, want %d (fallback then header rate)", st.ScaledBytes, want)
-	}
-}
-
 // TestIngestCorruptStream: framing damage fails loudly.
 func TestIngestCorruptStream(t *testing.T) {
 	f := buildFixture(t, 50)
@@ -489,16 +417,7 @@ func TestIngestCorruptStream(t *testing.T) {
 		t.Fatal("garbage stream accepted")
 	}
 	// A truncated but well-started stream also errors descriptively.
-	var buf bytes.Buffer
-	fw := netflow.NewFrameWriter(&buf)
-	pkt, err := netflow.EncodeV5(netflow.V5Header{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteV5(pkt); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := dictLine(t, dictHead(t, f, v4Backend(t, f.w)), 0, "95.0.0.1", 500, 2)
 	err = col.IngestStream(bytes.NewReader(full[:len(full)-3]))
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated stream err = %v", err)

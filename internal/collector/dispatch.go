@@ -42,17 +42,11 @@ func (st *stream) cover(recs []netflow.Record) {
 }
 
 // observeRate adopts the first header-advertised rate and counts
-// disagreements afterwards — including with a fallback rate an earlier
-// header-less flush already applied.
+// disagreements afterwards.
 func (st *stream) observeRate(rate uint32) {
 	if st.rate == 0 {
 		st.rate = rate
-		if st.fallbackUsed != 0 && st.fallbackUsed != rate {
-			st.stats.RateMismatches++
-		}
-		return
-	}
-	if st.rate != rate {
+	} else if st.rate != rate {
 		st.stats.RateMismatches++
 	}
 }
@@ -89,8 +83,9 @@ func (st *stream) addRecords(recs []netflow.Record) {
 // flush completes the pending flush interval (the scanner-
 // classification point): its rows close into the fold calls the
 // stream's folder makes, dictionary rows first. Dictionary rows were
-// rebased and scaled at decode; record rows are scaled here, by the
-// header rate or, before any v5 header, the fallback.
+// rebased and scaled at decode. Record rows — a UDP source's or an
+// IPFIX stream's, which flush once, at their end — are scaled here, by
+// the rate a v5 header advertised or else the fallback.
 func (st *stream) flush() {
 	ch := st.cur
 	if ch.rows.Len() > st.rowsFrom {
@@ -100,7 +95,6 @@ func (st *stream) flush() {
 		rate := uint64(st.rate)
 		if rate == 0 {
 			rate = uint64(max(st.fallback, 1))
-			st.fallbackUsed = uint32(rate)
 		}
 		if rate > 1 {
 			for i := st.recsFrom; i < ch.recs.Len(); i++ {
@@ -189,17 +183,6 @@ func (c *Collector) ingestFrames(st *stream, raw io.Reader, fr *netflow.FrameRea
 // fault for the caller's policy.
 func (st *stream) frame(f netflow.Frame) error {
 	switch f.Type {
-	case netflow.FrameV5:
-		return st.v5(f.Payload)
-	case netflow.FrameV6:
-		recs, err := netflow.DecodeV6PayloadInto(f.Payload, st.scratch[:0])
-		if err != nil {
-			return err
-		}
-		st.scratch = recs
-		st.stats.V6Records += uint64(len(recs))
-		st.cover(recs)
-		st.addRecords(recs)
 	case netflow.FrameHello:
 		rate, epoch, err := netflow.DecodeHelloPayload(f.Payload)
 		if err != nil {
@@ -211,8 +194,6 @@ func (st *stream) frame(f netflow.Frame) error {
 		return st.dictFrame(f)
 	case netflow.FrameBatch:
 		return st.batchFrame(f)
-	case netflow.FrameTempl:
-		return st.templated(f.Payload)
 	case netflow.FrameFlush:
 		st.stats.Flushes++
 		st.flush()
@@ -243,7 +224,7 @@ func (st *stream) datagram(pkt []byte) error {
 	return err
 }
 
-// v5 decodes one v5 packet into the stream.
+// v5 decodes one v5 datagram into the stream.
 func (st *stream) v5(pkt []byte) error {
 	h, recs, err := netflow.DecodeV5StrictInto(pkt, st.scratch[:0])
 	if err != nil {

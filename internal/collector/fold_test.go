@@ -231,7 +231,7 @@ type pipeRun struct {
 
 // pipeCase is one cell of the pipelined-versus-serial matrix.
 type pipeCase struct {
-	feed   string // "dict", "v5" or "ipfix"
+	feed   string // "dict" or "ipfix"
 	window bool
 	policy ErrorPolicy
 	fault  string // "clean", "cut", "restart", "corrupt", "truncate" or "kill"
@@ -318,10 +318,10 @@ func (c pipeCase) run(t *testing.T, f *fixture, feeds [][]byte, serial bool) pip
 
 // TestPipelinedIngestMatchesSerial: the pipelined fold leaves exactly
 // what folding each flush interval inline did — the study, every
-// counter and the retained dictionary state — for dictionary, framed v5
-// and IPFIX feeds, into batch and window sinks, under every fault
-// policy and faultwire corruption, truncation and kill rules, with
-// counter readers spinning, at two procs and at one.
+// counter and the retained dictionary state — for dictionary and IPFIX
+// feeds (IPFIX is the record-path leg), into batch and window sinks,
+// under every fault policy and faultwire corruption, truncation and
+// kill rules, with counter readers spinning, at two procs and at one.
 func TestPipelinedIngestMatchesSerial(t *testing.T) {
 	f := buildFixture(t, 150)
 	feeds := map[string][][]byte{"ipfix": f.ipfixFeed(t, 2)}
@@ -330,26 +330,16 @@ func TestPipelinedIngestMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	feeds["dict"] = [][]byte{bufs[0].Bytes(), bufs[1].Bytes()}
-	for _, r := range f.v5Feed(t, 2) {
-		b, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feeds["v5"] = append(feeds["v5"], b)
-	}
 
 	var cases []pipeCase
-	for _, feed := range []string{"dict", "v5", "ipfix"} {
+	for _, feed := range []string{"dict", "ipfix"} {
 		// faultwire frames its input, so it cannot damage a raw IPFIX
 		// stream, and its kill rules act at a dictionary row's hour;
 		// every feed can be cut mid-message. A restarted framed
 		// exporter replays its feed from the start, hello included.
 		faults := []string{"clean", "cut"}
-		switch feed {
-		case "dict":
+		if feed == "dict" {
 			faults = append(faults, "restart", "corrupt", "truncate", "kill")
-		case "v5":
-			faults = append(faults, "restart", "corrupt", "truncate")
 		}
 		for _, window := range []bool{false, true} {
 			for _, pol := range []ErrorPolicy{Abort, DropFrame, QuarantineStream} {

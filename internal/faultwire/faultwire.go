@@ -10,8 +10,8 @@
 // epoch its batch rows' hour column counts from; when a stream's rules
 // include an hour window, every batch frame is cut into runs of rows
 // under the same active rules, and each run is damaged as a frame of
-// its own. Frames without rows (hello, dictionary, flush, and foreign
-// v5/v6/templated frames) see only the rules that have no hour window.
+// its own. Frames without rows (hello, dictionary and flush frames) see
+// only the rules that have no hour window.
 //
 // Every byte-altering decision draws from a simrand stream derived from
 // (Scenario.Seed, vantage, stream index) at frame granularity, so the
@@ -23,7 +23,6 @@
 package faultwire
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -246,7 +245,8 @@ func (in *injector) frame(dst []byte, f netflow.Frame) ([]byte, error) {
 	b := &in.batch
 	b.Reset()
 	if !in.timed || f.Type != netflow.FrameBatch || netflow.DecodeBatchPayload(f.Payload, b) != nil || b.Len() == 0 {
-		in.buf = appendEnvelope(in.buf[:0], f.Type, f.Payload)
+		// The reader accepted the frame, so re-framing it cannot fail.
+		in.buf, _ = netflow.AppendFrame(in.buf[:0], f.Type, f.Payload)
 		return in.process(dst, in.buf, noHour)
 	}
 	for lo := 0; lo < b.Len(); {
@@ -410,11 +410,4 @@ func (r *Reader) finish() {
 	}
 	r.done = true
 	r.sc.record(r.inj.counts)
-}
-
-// appendEnvelope re-frames a parsed frame back into raw bytes.
-func appendEnvelope(dst []byte, typ byte, payload []byte) []byte {
-	dst = append(dst, 'N', 'F', typ, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-4:], uint32(len(payload)))
-	return append(dst, payload...)
 }

@@ -24,48 +24,58 @@ import (
 //	                  dictionary IDs, relative hours, and full-width
 //	                  64-bit counters (nothing is clamped to v5's 32-bit
 //	                  fields, so dictionary streams never saturate).
-//	FrameTempl        one verbatim NetFlow v9 or IPFIX datagram, so
-//	                  foreign templated feeds can ride the same framed
-//	                  stream transports and fault policies.
 //
-// FrameFlush keeps its meaning: one subscriber line's batch is
-// complete. Foreign FrameV5/FrameV6 frames may share a stream with
-// dictionary frames; the collector decodes both.
+// FrameFlush (frame.go) marks one subscriber line's batch complete.
 const (
 	FrameHello       = 0x01
 	FrameLineDict    = 0x02
 	FrameBackendDict = 0x03
 	FrameBatch       = 0x04
-	FrameTempl       = 0x09
 )
 
-// helloVersion is the dictionary-protocol version FrameHello carries.
-const helloVersion = 1
+// helloVersion is the dictionary-protocol version FrameHello carries;
+// helloLen is a hello payload's fixed size: version (1) + rate (4) +
+// epoch (8).
+const (
+	helloVersion = 1
+	helloLen     = 13
+)
+
+// Dictionary entries tag each address with its family.
+const (
+	famV4 = 4
+	famV6 = 6
+)
 
 // batchRowLen is one FrameBatch row's wire size: line ID (4) + backend
 // ID (4) + flags (1) + hour (2) + port (2) + proto (1) + bytes (8) +
 // packets (8).
 const batchRowLen = 30
 
-// MaxBatchRecords is the row count AppendBatchFrames splits at — well
-// under MaxFramePayload so a single damaged frame loses a bounded run.
+// MaxBatchRecords is the row count AppendBatchFrames splits at, so a
+// single damaged frame loses a bounded run.
 const MaxBatchRecords = 8192
 
 // ErrBadPayload marks a frame whose envelope was intact but whose
-// payload does not parse as its type demands. Like a failed v5 decode,
-// it is a per-frame fault: DropFrame policies discard the frame without
-// a resync scan.
+// payload does not parse as its type demands. It is a per-frame fault:
+// DropFrame policies discard the frame without a resync scan.
 var ErrBadPayload = errors.New("netflow: malformed frame payload")
 
-// knownFrameType reports whether t is a frame type this package can
-// decode — the whitelist Next and Resync validate candidate headers
-// against.
-func knownFrameType(t byte) bool {
+// frameLimit returns the largest payload a frame of type t may carry,
+// and false for a type this package does not decode — the one check
+// Next, Resync and the encoders apply to a frame header.
+func frameLimit(t byte) (uint32, bool) {
 	switch t {
-	case FrameV5, FrameV6, FrameFlush, FrameHello, FrameLineDict, FrameBackendDict, FrameBatch, FrameTempl:
-		return true
+	case FrameFlush:
+		return 0, true
+	case FrameHello:
+		return helloLen, true
+	case FrameBatch:
+		return 4 + MaxBatchRecords*batchRowLen, true
+	case FrameLineDict, FrameBackendDict:
+		return MaxFramePayload, true
 	}
-	return false
+	return 0, false
 }
 
 // RecordBatch is a struct-of-arrays run of flow rows — the decoded form
@@ -171,7 +181,7 @@ func AppendHelloFrame(dst []byte, rate uint32, epoch int64) []byte {
 	dst = append(dst, helloVersion)
 	dst = binary.BigEndian.AppendUint32(dst, rate)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(epoch))
-	dst, _ = endFrame(dst, start) // fixed 13-byte payload, never oversize
+	dst, _ = endFrame(dst, start) // fixed helloLen payload, never oversize
 	return dst
 }
 
@@ -256,8 +266,8 @@ func appendBatchFrame(dst []byte, b *RecordBatch, lo, hi int) ([]byte, error) {
 
 // DecodeHelloPayload parses a FrameHello payload.
 func DecodeHelloPayload(p []byte) (rate uint32, epoch int64, err error) {
-	if len(p) != 13 {
-		return 0, 0, fmt.Errorf("%w: hello payload is %d bytes, want 13", ErrBadPayload, len(p))
+	if len(p) != helloLen {
+		return 0, 0, fmt.Errorf("%w: hello payload is %d bytes, want %d", ErrBadPayload, len(p), helloLen)
 	}
 	if p[0] != helloVersion {
 		return 0, 0, fmt.Errorf("%w: hello version %d, want %d", ErrBadPayload, p[0], helloVersion)

@@ -277,7 +277,7 @@ func TestBytesFrameReaderResync(t *testing.T) {
 
 // TestBytesFrameReaderZeroCopy: payloads alias the backing buffer.
 func TestBytesFrameReaderZeroCopy(t *testing.T) {
-	data := frame(FrameV6, []byte{1, 2, 3, 4})
+	data := frame(FrameLineDict, []byte{1, 2, 3, 4})
 	br := NewBytesFrameReader(data)
 	f, err := br.Next()
 	if err != nil {

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/netip"
 	"slices"
-	"time"
 )
 
 // The collector ingestion path moves NetFlow over byte streams (TCP
@@ -18,33 +16,27 @@ import (
 //
 //	"NF" | type (1 byte) | payload length (uint32 BE) | payload
 //
-// Frame types (the dictionary types are in batch.go):
+// A framed stream carries the dictionary frames of batch.go and:
 //
-//	FrameV5    payload is one verbatim NetFlow v5 packet (IPv4 flows);
-//	           foreign input only.
-//	FrameV6    payload is mixed-family records (appendRecord), the IPv6
-//	           carrier v5 lacks; foreign input only.
 //	FrameFlush empty payload; the exporter emits one after each
 //	           subscriber line's batch, letting the collector classify
 //	           scanner lines incrementally instead of buffering the
 //	           whole week. A stream without flush frames is still valid:
 //	           EOF is an implicit final flush.
 //
-// Over UDP, raw v5 datagrams (no frame envelope) remain the interop
-// format; framing is only for stream transports.
-const (
-	FrameV5    = 0x05
-	FrameV6    = 0x06
-	FrameFlush = 0x0F
-)
+// Each type has a payload limit (frameLimit); a header over it is a
+// corrupt envelope. Over UDP, raw v5, v9 and IPFIX datagrams (no frame
+// envelope) are the interop format; framing is only for stream
+// transports.
+const FrameFlush = 0x0F
 
 const (
 	frameMagic0 = 'N'
 	frameMagic1 = 'F'
 	frameHeader = 7
-	// MaxFramePayload bounds one frame so corrupt length fields cannot
-	// drive huge allocations. A v5 payload is at most 1464 bytes; v6
-	// frames carry one subscriber line's batch, far below this.
+	// MaxFramePayload is the dictionary frames' payload limit, so
+	// corrupt length fields cannot drive huge allocations; the other
+	// types have tighter ones (frameLimit).
 	MaxFramePayload = 1 << 20
 )
 
@@ -86,60 +78,10 @@ type Frame struct {
 	Payload []byte
 }
 
-// FrameWriter emits frames onto an io.Writer.
-type FrameWriter struct {
-	w   io.Writer
-	hdr [frameHeader]byte
-	// Frames counts frames written, per type.
-	Frames map[byte]uint64
-}
-
-// NewFrameWriter returns a writer.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: w, Frames: map[byte]uint64{}}
-}
-
-// WriteFrame emits one frame.
-func (fw *FrameWriter) WriteFrame(typ byte, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(payload))
-	}
-	fw.hdr[0], fw.hdr[1], fw.hdr[2] = frameMagic0, frameMagic1, typ
-	binary.BigEndian.PutUint32(fw.hdr[3:], uint32(len(payload)))
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := fw.w.Write(payload); err != nil {
-			return err
-		}
-	}
-	fw.Frames[typ]++
-	return nil
-}
-
-// WriteV5 frames one encoded v5 packet.
-func (fw *FrameWriter) WriteV5(pkt []byte) error { return fw.WriteFrame(FrameV5, pkt) }
-
-// WriteV6 frames a batch of records in the mixed-family encoding.
-func (fw *FrameWriter) WriteV6(records []Record) error {
-	frame, err := AppendV6Frame(nil, records)
-	if err != nil {
-		return err
-	}
-	return fw.WriteFrame(FrameV6, frame[frameHeader:])
-}
-
-// WriteFlush marks the end of one subscriber line's batch.
-func (fw *FrameWriter) WriteFlush() error { return fw.WriteFrame(FrameFlush, nil) }
-
-// --- Append-based frame encoding ---------------------------------------
-
-// The Append* family appends frames directly onto one reusable buffer —
-// envelope, payload, everything — so a whole subscriber-line batch
-// becomes a single contiguous byte run that can be handed to an
-// io.Writer (or a channel) in one piece. Byte output is identical to
-// the FrameWriter path.
+// The Append* family is the one frame encoder: it appends frames
+// directly onto one reusable buffer — envelope, payload, everything — so
+// a whole subscriber-line batch becomes a single contiguous byte run
+// that can be handed to an io.Writer (or a channel) in one piece.
 
 // beginFrame appends a frame envelope with a zero length field and
 // returns the offset where the payload starts; endFrame patches the
@@ -149,12 +91,19 @@ func beginFrame(dst []byte, typ byte) ([]byte, int) {
 	return dst, len(dst)
 }
 
-// endFrame validates the in-place payload and patches the envelope's
-// length field. payloadStart must come from the matching beginFrame.
+// endFrame checks the in-place payload against its type's limit and
+// patches the envelope's length field, so the encoder never writes a
+// frame the reader would reject. payloadStart must come from the
+// matching beginFrame.
 func endFrame(dst []byte, payloadStart int) ([]byte, error) {
+	typ := dst[payloadStart-5]
+	limit, ok := frameLimit(typ)
+	if !ok {
+		return nil, fmt.Errorf("%w: 0x%02x", ErrBadFrameType, typ)
+	}
 	n := len(dst) - payloadStart
-	if n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+	if n > int(limit) {
+		return nil, fmt.Errorf("%w: type 0x%02x carries %d bytes (limit %d)", ErrFrameTooBig, typ, n, limit)
 	}
 	binary.BigEndian.PutUint32(dst[payloadStart-4:], uint32(n))
 	return dst, nil
@@ -164,29 +113,6 @@ func endFrame(dst []byte, payloadStart int) ([]byte, error) {
 func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
 	dst, start := beginFrame(dst, typ)
 	return endFrame(append(dst, payload...), start)
-}
-
-// AppendV5Frame appends a FrameV5 envelope and encodes the records'
-// v5 packet directly into it — no intermediate packet buffer. clamped
-// counts 32-bit counter saturations exactly like EncodeV5Clamped.
-func AppendV5Frame(dst []byte, h V5Header, records []Record) (out []byte, clamped int, err error) {
-	dst, start := beginFrame(dst, FrameV5)
-	dst, clamped, err = appendV5(dst, h, records)
-	if err != nil {
-		return nil, clamped, err
-	}
-	out, err = endFrame(dst, start)
-	return out, clamped, err
-}
-
-// AppendV6Frame appends a FrameV6 envelope and encodes the
-// records directly into it.
-func AppendV6Frame(dst []byte, records []Record) ([]byte, error) {
-	dst, start := beginFrame(dst, FrameV6)
-	for _, r := range records {
-		dst = appendRecord(dst, r)
-	}
-	return endFrame(dst, start)
 }
 
 // AppendFlushFrame appends a line-batch boundary marker.
@@ -275,14 +201,15 @@ func (fr *FrameReader) Next() (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %02x%02x", ErrBadFrameMagic, hdr[0], hdr[1])
 	}
 	typ := hdr[2]
-	if !knownFrameType(typ) {
+	limit, ok := frameLimit(typ)
+	if !ok {
 		fr.off++
 		return Frame{}, fmt.Errorf("%w: 0x%02x", ErrBadFrameType, typ)
 	}
 	n := binary.BigEndian.Uint32(hdr[3:])
-	if n > MaxFramePayload {
+	if n > limit {
 		fr.off++
-		return Frame{}, fmt.Errorf("%w: header advertises %d bytes (limit %d)", ErrFrameTooBig, n, MaxFramePayload)
+		return Frame{}, fmt.Errorf("%w: type 0x%02x header advertises %d bytes (limit %d)", ErrFrameTooBig, typ, n, limit)
 	}
 	size := frameHeader + int(n)
 	if err := fr.fill(size); err != nil {
@@ -305,7 +232,8 @@ func (fr *FrameReader) truncated(err error, what string) error {
 }
 
 // Resync scans forward for the next plausible frame start: "NF", a
-// known frame type, and an in-range payload length. It positions the
+// known frame type, and a payload length within that type's limit. It
+// positions the
 // reader so the following Next parses from that candidate, and returns
 // the byte count discarded by the scan. io.EOF means the source ended
 // with no further plausible frame; the candidate itself is NOT
@@ -316,9 +244,10 @@ func (fr *FrameReader) Resync() (skipped int64, err error) {
 	for {
 		for ; fr.end-fr.off >= frameHeader; fr.off++ {
 			w := fr.buf[fr.off:]
-			if w[0] == frameMagic0 && w[1] == frameMagic1 && knownFrameType(w[2]) &&
-				binary.BigEndian.Uint32(w[3:]) <= MaxFramePayload {
-				return skipped, nil
+			if w[0] == frameMagic0 && w[1] == frameMagic1 {
+				if limit, ok := frameLimit(w[2]); ok && binary.BigEndian.Uint32(w[3:]) <= limit {
+					return skipped, nil
+				}
 			}
 			skipped++
 		}
@@ -332,9 +261,9 @@ func (fr *FrameReader) Resync() (skipped int64, err error) {
 	}
 }
 
-// DecodeV5Strict is DecodeV5 for framed transport, where the envelope
+// DecodeV5Strict is DecodeV5 for UDP datagrams, where the datagram
 // already delimits the packet: trailing bytes beyond the advertised
-// record count are corruption, not the next datagram, and are rejected
+// record count are corruption, not the next packet, and are rejected
 // with a descriptive error.
 func DecodeV5Strict(pkt []byte) (V5Header, []Record, error) {
 	return DecodeV5StrictInto(pkt, nil)
@@ -349,57 +278,10 @@ func DecodeV5StrictInto(pkt []byte, dst []Record) (V5Header, []Record, error) {
 		return h, records, err
 	}
 	if want := v5HeaderLen + (len(records)-base)*v5RecordLen; len(pkt) != want {
-		return V5Header{}, nil, fmt.Errorf("%w: header advertises %d records (%d bytes) but frame carries %d bytes",
+		return V5Header{}, nil, fmt.Errorf("%w: header advertises %d records (%d bytes) but the datagram carries %d bytes",
 			ErrV5Trailing, len(records)-base, want, len(pkt))
 	}
 	return h, records, nil
-}
-
-// DecodeV6Payload parses a FrameV6 payload back into records.
-func DecodeV6Payload(payload []byte) ([]Record, error) {
-	return DecodeV6PayloadInto(payload, nil)
-}
-
-// DecodeV6PayloadInto parses a FrameV6 payload appending onto dst,
-// walking the bytes directly — no intermediate readers, no per-frame
-// slice allocation when dst recycles.
-func DecodeV6PayloadInto(payload []byte, dst []Record) ([]Record, error) {
-	be := binary.BigEndian
-	for len(payload) > 0 {
-		var alen int
-		switch payload[0] {
-		case famV4:
-			alen = 4
-		case famV6:
-			alen = 16
-		default:
-			return nil, fmt.Errorf("%w: %d", ErrBadFamily, payload[0])
-		}
-		bodyLen := 2*alen + 2 + 2 + 1 + 8 + 8 + 8
-		if len(payload) < 1+bodyLen {
-			return nil, fmt.Errorf("netflow: stream record truncated: family %d requires a %d-byte body but the stream carries %d: %w",
-				payload[0], bodyLen, len(payload)-1, io.ErrUnexpectedEOF)
-		}
-		body := payload[1 : 1+bodyLen]
-		var r Record
-		if alen == 4 {
-			r.Src = netip.AddrFrom4([4]byte(body[0:4]))
-			r.Dst = netip.AddrFrom4([4]byte(body[4:8]))
-		} else {
-			r.Src = netip.AddrFrom16([16]byte(body[0:16]))
-			r.Dst = netip.AddrFrom16([16]byte(body[16:32]))
-		}
-		p := 2 * alen
-		r.SrcPort = be.Uint16(body[p:])
-		r.DstPort = be.Uint16(body[p+2:])
-		r.Proto = body[p+4]
-		r.Bytes = be.Uint64(body[p+5:])
-		r.Packets = be.Uint64(body[p+13:])
-		r.Start = time.Unix(int64(be.Uint64(body[p+21:])), 0).UTC()
-		dst = append(dst, r)
-		payload = payload[1+bodyLen:]
-	}
-	return dst, nil
 }
 
 // --- Sampling-rate advertisement ---------------------------------------

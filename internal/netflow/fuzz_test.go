@@ -5,12 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net/netip"
 	"slices"
 	"testing"
 	"testing/iotest"
 )
 
-// FuzzDecodeV5 drives the v5 decoder (and its strict framed variant)
+// FuzzDecodeV5 drives the v5 decoder (and its strict datagram variant)
 // with arbitrary bytes: it must never panic, never return records on
 // error, and on success return exactly the advertised record count with
 // the packet long enough to have carried it.
@@ -72,37 +73,39 @@ func FuzzDecodeV5(f *testing.F) {
 // frames, error classes and Resync skip counts. Clean errors only; a
 // fuzz-found panic here would be a collector crash on a hostile feed.
 func FuzzFrameReader(f *testing.F) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	pkt, err := EncodeV5(V5Header{}, []Record{rec("95.1.2.3", "52.0.0.9", 40123, 8883, 5000, 12)})
+	lines := []netip.Addr{netip.MustParseAddr("95.1.2.3"), netip.MustParseAddr("2003::1")}
+	clean := AppendHelloFrame(nil, 100, 1646006400)
+	clean, err := AppendDictFrame(clean, FrameLineDict, 0, lines)
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := fw.WriteV5(pkt); err != nil {
+	if clean, err = AppendDictFrame(clean, FrameBackendDict, 0, lines[:1]); err != nil {
 		f.Fatal(err)
 	}
-	if err := fw.WriteFlush(); err != nil {
+	var rows RecordBatch
+	rows.Append(1, 0, true, 17, 8883, ProtoTCP, 5000, 12)
+	if clean, _, err = AppendBatchFrames(clean, &rows); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:5])
+	clean = AppendFlushFrame(clean)
+	f.Add(clean)
+	f.Add(clean[:5])
 	f.Add([]byte("NF"))
 	f.Add([]byte{})
 	// Resync-adversarial seeds: fake "NF" magics planted inside payload
 	// garbage, so the post-corruption scan locks onto decoys and must
 	// still make forward progress.
-	clean := append([]byte{}, buf.Bytes()...)
 	f.Add(append([]byte("noise NF noise"), clean...))
-	fakeV5 := []byte{'N', 'F', FrameV5, 0, 0, 0, 9} // envelope eating 9 bytes of what follows
-	f.Add(append(append([]byte{0xFF}, fakeV5...), clean...))
-	nested := frame(FrameV5, append(fakeV5, []byte("payload carrying a frame-shaped decoy")...))
+	fakeDict := []byte{'N', 'F', FrameLineDict, 0, 0, 0, 9} // envelope eating 9 bytes of what follows
+	f.Add(append(append([]byte{0xFF}, fakeDict...), clean...))
+	nested := frame(FrameLineDict, append(fakeDict, []byte("payload carrying a frame-shaped decoy")...))
 	f.Add(append(nested[:len(nested)-4], clean...)) // outer frame truncated mid-decoy
 	f.Add(append([]byte{'N', 'F', 0xEE, 0, 0, 0, 1}, clean...))
 	f.Add(bytes.Repeat([]byte("NF"), 64))
 	// A stream longer than the reader's window: frames straddle refills,
 	// one frame outgrows the window, and garbage sits past it.
-	long := bytes.Repeat(clean, 2000)
-	long = append(long, frame(FrameV6, bytes.Repeat([]byte{famV4}, frameBuf+100))...)
+	long := bytes.Repeat(clean, 800)
+	long = append(long, frame(FrameLineDict, bytes.Repeat([]byte{famV4}, frameBuf+100))...)
 	long = append(append(long, "junk"...), clean...)
 	f.Add(long)
 
@@ -135,7 +138,8 @@ func frameTrace(fr *FrameReader, decode bool) []string {
 		case err == nil:
 			out = append(out, fmt.Sprintf("frame %#x %x", fme.Type, fme.Payload))
 			if decode {
-				decodePayload(fme, &rows)
+				rows.Reset()
+				_ = decodePayload(fme, &rows)
 			}
 			continue
 		case err == io.EOF:
@@ -158,18 +162,15 @@ func frameTrace(fr *FrameReader, decode bool) []string {
 }
 
 // decodePayload runs one frame's payload through its type's decoder.
-func decodePayload(fme Frame, rows *RecordBatch) {
+func decodePayload(fme Frame, rows *RecordBatch) error {
+	var err error
 	switch fme.Type {
-	case FrameV5:
-		_, _, _ = DecodeV5Strict(fme.Payload)
-	case FrameV6:
-		_, _ = DecodeV6Payload(fme.Payload)
 	case FrameHello:
-		_, _, _ = DecodeHelloPayload(fme.Payload)
+		_, _, err = DecodeHelloPayload(fme.Payload)
 	case FrameLineDict, FrameBackendDict:
-		_, _, _ = DecodeDictPayload(fme.Payload, nil)
+		_, _, err = DecodeDictPayload(fme.Payload, nil)
 	case FrameBatch:
-		rows.Reset()
-		_ = DecodeBatchPayload(fme.Payload, rows)
+		err = DecodeBatchPayload(fme.Payload, rows)
 	}
+	return err
 }

@@ -1,8 +1,7 @@
 // Package netflow implements the flow-export substrate of the ISP vantage
 // point (Section 5.1): the framed stream transport and its columnar
 // dictionary encoding (what the simulated ISP exports), plus decoders
-// for the formats real routers send — NetFlow v5, v9 and IPFIX — and a
-// compact mixed IPv4/IPv6 record encoding for framed foreign feeds.
+// for the formats real routers send — NetFlow v5, v9 and IPFIX.
 package netflow
 
 import (
@@ -53,12 +52,9 @@ var (
 	ErrV5TooMany   = errors.New("netflow: more than 30 records per v5 packet")
 	ErrV5Truncated = errors.New("netflow: truncated v5 packet")
 	ErrV5NeedsV4   = errors.New("netflow: v5 can only carry IPv4 flows")
-	// ErrV5Trailing marks a framed v5 payload longer than its record
-	// count advertises — corruption under strict (framed) decoding.
-	ErrV5Trailing = errors.New("netflow: v5 frame length mismatch")
-	// ErrBadFamily marks a mixed-family stream record whose family byte
-	// is neither 4 nor 6 — corruption, not truncation.
-	ErrBadFamily = errors.New("netflow: bad family")
+	// ErrV5Trailing marks a v5 datagram longer than its record count
+	// advertises — corruption under strict decoding.
+	ErrV5Trailing = errors.New("netflow: v5 datagram length mismatch")
 )
 
 // V5Header is the exported packet header.
@@ -83,22 +79,12 @@ func EncodeV5(h V5Header, records []Record) ([]byte, error) {
 // were saturated to 0xFFFFFFFF. Exporters accumulate it so the collector
 // side can report how much of the feed rode on saturated counters.
 func EncodeV5Clamped(h V5Header, records []Record) (pkt []byte, clamped int, err error) {
-	return appendV5(make([]byte, 0, v5HeaderLen+len(records)*v5RecordLen), h, records)
-}
-
-// appendV5 serializes the packet onto dst — the allocation-free core of
-// EncodeV5Clamped, also used to encode straight into frame buffers.
-func appendV5(dst []byte, h V5Header, records []Record) (out []byte, clamped int, err error) {
 	if len(records) > V5MaxRecords {
 		return nil, 0, ErrV5TooMany
 	}
-	base := len(dst)
-	// Append from a static zero run: the codec only writes the non-zero
-	// fields and relies on the rest (nexthop, ifindexes, AS numbers,
-	// masks, padding) being zeroed — reusing a recycled buffer's stale
-	// capacity directly would leak old bytes into them.
-	dst = append(dst, v5Zero[:v5HeaderLen+len(records)*v5RecordLen]...)
-	buf := dst[base:]
+	// The codec only writes the non-zero fields and relies on make to
+	// zero the rest (nexthop, ifindexes, AS numbers, masks, padding).
+	buf := make([]byte, v5HeaderLen+len(records)*v5RecordLen)
 	be := binary.BigEndian
 	be.PutUint16(buf[0:], v5Version)
 	be.PutUint16(buf[2:], uint16(len(records)))
@@ -137,7 +123,7 @@ func appendV5(dst []byte, h V5Header, records []Record) (out []byte, clamped int
 		buf[off+38] = r.Proto
 		// tos, src_as, dst_as, masks, pad: zero.
 	}
-	return dst, clamped, nil
+	return buf, clamped, nil
 }
 
 // DecodeV5 parses one v5 packet.
@@ -192,48 +178,9 @@ func DecodeV5Into(pkt []byte, dst []Record) (V5Header, []Record, error) {
 	return h, dst, nil
 }
 
-// v5Zero is the zero-fill source for appendV5 (one max-size packet).
-var v5Zero [v5HeaderLen + V5MaxRecords*v5RecordLen]byte
-
 func clamp32(v uint64) uint32 {
 	if v > 0xFFFFFFFF {
 		return 0xFFFFFFFF
 	}
 	return uint32(v)
-}
-
-// --- Mixed-family record encoding -------------------------------------
-
-// FrameV6 payloads carry records v5 cannot express (IPv6 flows, 64-bit
-// counters) in a compact length-delimited encoding: a family byte, both
-// addresses, ports, protocol, and 64-bit bytes/packets/start.
-// AppendV6Frame writes it; DecodeV6PayloadInto reads it.
-
-const (
-	famV4 = 4
-	famV6 = 6
-)
-
-// appendRecord appends one record in the mixed-family encoding.
-func appendRecord(b []byte, r Record) []byte {
-	if r.IsV4() {
-		b = append(b, famV4)
-		s := r.Src.Unmap().As4()
-		d := r.Dst.Unmap().As4()
-		b = append(b, s[:]...)
-		b = append(b, d[:]...)
-	} else {
-		b = append(b, famV6)
-		s := r.Src.As16()
-		d := r.Dst.As16()
-		b = append(b, s[:]...)
-		b = append(b, d[:]...)
-	}
-	b = binary.BigEndian.AppendUint16(b, r.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, r.DstPort)
-	b = append(b, r.Proto)
-	b = binary.BigEndian.AppendUint64(b, r.Bytes)
-	b = binary.BigEndian.AppendUint64(b, r.Packets)
-	b = binary.BigEndian.AppendUint64(b, uint64(r.Start.Unix()))
-	return b
 }

@@ -3,6 +3,7 @@ package netflow
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
@@ -24,7 +25,7 @@ func nextErr(t *testing.T, fr *FrameReader) error {
 // next real frame parses intact, with the skip distance reported.
 func TestResyncSkipsGarbage(t *testing.T) {
 	junk := []byte("a burst of line noise with no frame in it")
-	real := frame(FrameV5, bytes.Repeat([]byte{0xAB}, 40))
+	real := frame(FrameBatch, bytes.Repeat([]byte{0xAB}, 40))
 	feed := append(append([]byte{}, junk...), real...)
 
 	fr := NewFrameReader(bytes.NewReader(feed))
@@ -42,7 +43,7 @@ func TestResyncSkipsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Next after resync: %v", err)
 	}
-	if f.Type != FrameV5 || len(f.Payload) != 40 || f.Payload[0] != 0xAB {
+	if f.Type != FrameBatch || len(f.Payload) != 40 || f.Payload[0] != 0xAB {
 		t.Fatalf("recovered frame mangled: type 0x%02x, %d bytes", f.Type, len(f.Payload))
 	}
 	if _, err := fr.Next(); err != io.EOF {
@@ -58,13 +59,13 @@ func TestResyncSkipsGarbage(t *testing.T) {
 // adversarial loop the resync contract promises terminates.
 func TestResyncFakeMagicNeedsSecondPass(t *testing.T) {
 	fake := make([]byte, frameHeader)
-	fake[0], fake[1], fake[2] = 'N', 'F', FrameV5
+	fake[0], fake[1], fake[2] = 'N', 'F', FrameLineDict
 	binary.BigEndian.PutUint32(fake[3:], 5) // eats 5 bytes of what follows
 	feed := []byte{'x', 'x'}
 	feed = append(feed, fake...)
-	feed = append(feed, "AB"...)                      // 2 of the fake's 5 payload bytes...
-	feed = append(feed, frame(FrameFlush, nil)...)    // ...the next 3 eat this frame's magic
-	feed = append(feed, frame(FrameV6, []byte{9})...) // the recoverable survivor
+	feed = append(feed, "AB"...)                         // 2 of the fake's 5 payload bytes...
+	feed = append(feed, frame(FrameFlush, nil)...)       // ...the next 3 eat this frame's magic
+	feed = append(feed, frame(FrameBatch, []byte{9})...) // the recoverable survivor
 
 	fr := NewFrameReader(bytes.NewReader(feed))
 	nextErr(t, fr) // "xx" + fake header tail
@@ -76,20 +77,20 @@ func TestResyncFakeMagicNeedsSecondPass(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fake candidate should deliver an envelope: %v", err)
 	}
-	if f.Type != FrameV5 || len(f.Payload) != 5 {
+	if f.Type != FrameLineDict || len(f.Payload) != 5 {
 		t.Fatalf("fake frame: type 0x%02x, %d bytes", f.Type, len(f.Payload))
 	}
-	if _, _, derr := DecodeV5Strict(f.Payload); derr == nil {
+	if _, _, derr := DecodeDictPayload(f.Payload, nil); derr == nil {
 		t.Fatal("garbage payload decoded cleanly")
 	}
 	// The flush frame it half-ate now reads as corruption; one more
-	// resync reaches the surviving v6 frame.
+	// resync reaches the surviving batch frame.
 	nextErr(t, fr)
 	if _, err := fr.Resync(); err != nil {
 		t.Fatalf("second Resync: %v", err)
 	}
 	f, err = fr.Next()
-	if err != nil || f.Type != FrameV6 || !bytes.Equal(f.Payload, []byte{9}) {
+	if err != nil || f.Type != FrameBatch || !bytes.Equal(f.Payload, []byte{9}) {
 		t.Fatalf("survivor frame: %+v, %v", f, err)
 	}
 	if _, err := fr.Next(); err != io.EOF {
@@ -102,9 +103,9 @@ func TestResyncFakeMagicNeedsSecondPass(t *testing.T) {
 // would loop on it forever.
 func TestResyncRejectedHeaderNotRefound(t *testing.T) {
 	over := make([]byte, frameHeader)
-	over[0], over[1], over[2] = 'N', 'F', FrameV6
+	over[0], over[1], over[2] = 'N', 'F', FrameLineDict
 	binary.BigEndian.PutUint32(over[3:], MaxFramePayload+1)
-	real := frame(FrameV6, []byte{0xCD})
+	real := frame(FrameLineDict, []byte{0xCD})
 	feed := append(append([]byte{}, over...), real...)
 
 	fr := NewFrameReader(bytes.NewReader(feed))
@@ -119,7 +120,7 @@ func TestResyncRejectedHeaderNotRefound(t *testing.T) {
 		t.Fatalf("skipped = %d, want %d", skipped, frameHeader-1)
 	}
 	f, err := fr.Next()
-	if err != nil || f.Type != FrameV6 || !bytes.Equal(f.Payload, []byte{0xCD}) {
+	if err != nil || f.Type != FrameLineDict || !bytes.Equal(f.Payload, []byte{0xCD}) {
 		t.Fatalf("frame after oversize header: %+v, %v", f, err)
 	}
 }
@@ -145,7 +146,7 @@ func TestResyncEOF(t *testing.T) {
 // boundary is still found whole.
 func TestResyncLongGarbageRun(t *testing.T) {
 	junk := bytes.Repeat([]byte{0x4E}, 4096) // 'N's everywhere, never "NF"
-	real := frame(FrameV5, bytes.Repeat([]byte{1}, 200))
+	real := frame(FrameBatch, bytes.Repeat([]byte{1}, 200))
 	feed := append(append([]byte{}, junk...), real...)
 
 	fr := NewFrameReader(bytes.NewReader(feed))
@@ -154,7 +155,38 @@ func TestResyncLongGarbageRun(t *testing.T) {
 		t.Fatalf("Resync: %v", err)
 	}
 	f, err := fr.Next()
-	if err != nil || f.Type != FrameV5 || len(f.Payload) != 200 {
+	if err != nil || f.Type != FrameBatch || len(f.Payload) != 200 {
 		t.Fatalf("frame after long garbage: %+v, %v", f, err)
+	}
+}
+
+// TestResyncHonoursPayloadLimits: each frame type's payload limit holds
+// for Next and Resync alike. A header one byte over its type's limit —
+// a flush or hello whose length field took a bit flip, say — is a
+// corrupt envelope that Resync does not re-find, so the scan lands on
+// the next real frame instead of reading the bogus length's worth of
+// the stream as payload. A header at its limit is a candidate.
+func TestResyncHonoursPayloadLimits(t *testing.T) {
+	real := AppendFlushFrame(nil)
+	for _, l := range typeLimits {
+		typ, limit := l.typ, l.limit
+		feed := append(header(typ, limit+1), real...)
+		fr := NewBytesFrameReader(feed)
+		if err := nextErr(t, fr); !errors.Is(err, ErrFrameTooBig) {
+			t.Fatalf("type 0x%02x over its limit: err = %v", typ, err)
+		}
+		if skipped, err := fr.Resync(); err != nil || skipped != frameHeader-1 {
+			t.Fatalf("type 0x%02x: Resync skipped %d, %v; want %d", typ, skipped, err, frameHeader-1)
+		}
+		if f, err := fr.Next(); err != nil || f.Type != FrameFlush {
+			t.Fatalf("type 0x%02x: frame after the rejected header: %+v, %v", typ, f, err)
+		}
+
+		// At its limit the header is a candidate: Resync stops on it.
+		fr = NewBytesFrameReader(append([]byte("xx"), header(typ, limit)...))
+		nextErr(t, fr)
+		if skipped, err := fr.Resync(); err != nil || skipped != 1 {
+			t.Fatalf("type 0x%02x at its limit: Resync skipped %d, %v; want 1", typ, skipped, err)
+		}
 	}
 }

@@ -314,8 +314,6 @@ func splitAtFlush(t testing.TB, data []byte) (partA, partB []byte) {
 	if total < 2 {
 		t.Fatalf("stream has %d flush frames; cannot split", total)
 	}
-	var a, b bytes.Buffer
-	wa, wb := netflow.NewFrameWriter(&a), netflow.NewFrameWriter(&b)
 	seen := 0
 	fr = netflow.NewFrameReader(bytes.NewReader(data))
 	for {
@@ -326,18 +324,19 @@ func splitAtFlush(t testing.TB, data []byte) (partA, partB []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := wa
-		if seen >= total/2 {
-			w = wb
+		if seen < total/2 {
+			partA, err = netflow.AppendFrame(partA, fme.Type, fme.Payload)
+		} else {
+			partB, err = netflow.AppendFrame(partB, fme.Type, fme.Payload)
 		}
-		if err := w.WriteFrame(fme.Type, fme.Payload); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		if fme.Type == netflow.FrameFlush {
 			seen++
 		}
 	}
-	return a.Bytes(), b.Bytes()
+	return partA, partB
 }
 
 // TestServiceKillResume is the daemon-level acceptance property: a feed
