@@ -76,6 +76,29 @@ func (t *lineTab) id(a netip.Addr) int32 {
 	return id
 }
 
+// drop removes the addresses whose remap entry is -1 and renumbers the
+// others to their entries, which ascend, so the reverse table compacts
+// in place.
+func (t *lineTab) drop(remap []int32) {
+	n := 0
+	for l, a := range t.addrs {
+		id := remap[l]
+		switch v, slot, ok := isp.LineSlot(a); {
+		case ok && slot < planTabCap:
+			t.plan[v][slot] = id + 1
+		case id < 0:
+			delete(t.other, a)
+		default:
+			t.other[a] = id
+		}
+		if id >= 0 {
+			t.addrs[id] = a
+			n = int(id) + 1
+		}
+	}
+	t.addrs = truncZero(t.addrs, n)
+}
+
 func (t *lineTab) clone() lineTab {
 	var out lineTab
 	for v, s := range t.plan {
@@ -153,6 +176,8 @@ func grown[T any](s []T, n int) []T {
 // --- bitset helpers ------------------------------------------------------
 
 func setBit(s []uint64, i int) { s[i>>6] |= 1 << (uint(i) & 63) }
+
+func clearBit(s []uint64, i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
 
 func hasBit(s []uint64, i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 

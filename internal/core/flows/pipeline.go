@@ -1,13 +1,16 @@
 package flows
 
 import (
+	"cmp"
 	"math"
 	"net/netip"
+	"slices"
 	"time"
 
 	"iotmap/internal/analysis"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
+	"iotmap/internal/proto"
 )
 
 // lineSide splits a record into its subscriber address and backend
@@ -270,6 +273,416 @@ func cloneSeriesSlice(s []*analysis.Series) []*analysis.Series {
 		out[i] = cloneSeries(ser)
 	}
 	return out
+}
+
+// --- Sliding a fold -----------------------------------------------------
+//
+// A Window's cached fold slides to a later frame instead of being
+// re-folded: the rows of the hours it leaves are subtracted, and every
+// hour-indexed column shifts. Volumes subtract exactly for the reason
+// Merge adds exactly. Set members cannot be subtracted, so rowCounts
+// counts the rows behind every member, and a member leaves its set when
+// its count reaches zero. Like clone, these helpers enumerate the
+// Collector's aggregates, so they live here.
+
+// rowCounts counts the rows behind every set member of a fold.
+type rowCounts struct {
+	// contacts is, per counter line, the backends the line's rows
+	// reach in ascending order, with the rows and the kept rows of
+	// each: the ContactCounter's bits, and the kept ones behind the
+	// Collector's per-line alias, cert and continent sets. It is sparse
+	// because a line reaches few backends, where a dense (line,
+	// backend) count would cost megabytes.
+	contacts [][]pairCount
+
+	backend   []int32   // per backend ID: visible, backendSeen
+	aliasDir  []int32   // per (alias, up), stride 2: downHour, upHour
+	aliasPort [][]int32 // per alias, per port ID: portSeen
+	laSlot    []int32   // per lineAliasDaily slot (down rows)
+	lpSlot    []int32   // per linePortDaily slot (down rows)
+}
+
+type pairCount struct{ backend, rows, kept int32 }
+
+func cmpPair(p pairCount, backend int32) int { return cmp.Compare(p.backend, backend) }
+
+// countContact records one row of counter line l with the backend.
+func (n *rowCounts) countContact(l int, backend int32, kept bool) {
+	n.contacts = grown(n.contacts, l+1)
+	ps := n.contacts[l]
+	i, ok := slices.BinarySearchFunc(ps, backend, cmpPair)
+	if !ok {
+		ps = slices.Insert(ps, i, pairCount{backend: backend})
+		n.contacts[l] = ps
+	}
+	ps[i].rows++
+	if kept {
+		ps[i].kept++
+	}
+}
+
+// uncountContact removes one row of counter line l with the backend and
+// reports whether it was the pair's last row, and its last kept row.
+func (n *rowCounts) uncountContact(l int, backend int32, kept bool) (lastRow, lastKept bool) {
+	ps := n.contacts[l]
+	i, _ := slices.BinarySearchFunc(ps, backend, cmpPair)
+	if kept {
+		ps[i].kept--
+		lastKept = ps[i].kept == 0
+	}
+	if ps[i].rows--; ps[i].rows > 0 {
+		return false, lastKept
+	}
+	n.contacts[l] = slices.Delete(ps, i, i+1)
+	return true, lastKept
+}
+
+func newRowCounts(c *Collector) *rowCounts {
+	return &rowCounts{
+		backend:   make([]int32, len(c.idx.addrs)),
+		aliasDir:  make([]int32, 2*c.nAliases),
+		aliasPort: make([][]int32, c.nAliases),
+	}
+}
+
+// count records one kept row that ingestDense has just folded into c.
+func (n *rowCounts) count(c *Collector, line int, backendID int32, down bool, port proto.PortKey) {
+	bi := &c.idx.infos[backendID]
+	a := int(bi.aliasID)
+	la := line*c.nAliases + a
+	n.backend[backendID]++
+	pid := int(c.ports.id(port))
+	n.aliasPort[a] = grown(n.aliasPort[a], pid+1)
+	n.aliasPort[a][pid]++
+	if !down {
+		n.aliasDir[2*a+1]++
+		return
+	}
+	n.aliasDir[2*a]++
+	s := int(c.laIdx[la])
+	n.laSlot = grown(n.laSlot, s)
+	n.laSlot[s-1]++
+	s = int(c.lpIdx[pid][line])
+	n.lpSlot = grown(n.lpSlot, s)
+	n.lpSlot[s-1]++
+}
+
+// subtract removes one kept row, folded into day `day`, from c: the
+// inverse of ingestDense for every aggregate not indexed by hour
+// (shiftHours drops those) or by line (relink re-derives those). A set
+// member whose count reaches zero leaves its set; a slot, port, line or
+// alias left empty stays until compact drops it.
+func (c *Collector) subtract(n *rowCounts, line int, backendID int32, down bool, day int, port proto.PortKey, bytes float64) {
+	c.checkWritable()
+	bi := &c.idx.infos[backendID]
+	a := int(bi.aliasID)
+	la := line*c.nAliases + a
+	pid := int(c.ports.id(port))
+	c.portVol[a][pid] -= bytes
+	c.backendVol[backendID] -= bytes
+	if n.backend[backendID]--; n.backend[backendID] == 0 {
+		clearBit(c.visible[a], int(backendID))
+		clearBit(c.backendSeen, int(backendID))
+	}
+	if n.aliasPort[a][pid]--; n.aliasPort[a][pid] == 0 {
+		clearBit(c.portSeen[a], pid)
+	}
+	base := line*2*c.ds + 2*day
+	if !down {
+		c.lineDaily[base+1] -= bytes
+		n.aliasDir[2*a+1]--
+		return
+	}
+	c.lineDaily[base] -= bytes
+	n.aliasDir[2*a]--
+	s := int(c.laIdx[la]) - 1
+	c.laDaily[s*c.ds+day] -= bytes
+	n.laSlot[s]--
+	s = int(c.lpIdx[pid][line]) - 1
+	c.lpDaily[s*c.ds+day] -= bytes
+	n.lpSlot[s]--
+}
+
+// relink re-derives line's alias, cert and continent sets from the
+// backends its kept rows still reach (the line's contacts with kept
+// rows), after one of them lost its last kept row.
+func (c *Collector) relink(line int, contacts []pairCount) {
+	aliases := c.lineAliasBits[line*c.aw : (line+1)*c.aw]
+	certs := c.lineCertBits[line*c.aw : (line+1)*c.aw]
+	clearBits(aliases)
+	clearBits(certs)
+	c.lineConts[line] = 0
+	for _, p := range contacts {
+		if p.kept == 0 {
+			continue
+		}
+		bi := &c.idx.infos[p.backend]
+		setBit(aliases, int(bi.aliasID))
+		if bi.certFound {
+			setBit(certs, int(bi.aliasID))
+		}
+		c.lineConts[line] |= contBit(bi.cont)
+	}
+}
+
+// moveDay moves one kept row's volume from day `from` to day `to` of
+// c's per-day columns.
+func (c *Collector) moveDay(line int, backendID int32, down bool, port proto.PortKey, from, to int, bytes float64) {
+	c.checkWritable()
+	base := line * 2 * c.ds
+	if !down {
+		c.lineDaily[base+2*from+1] -= bytes
+		c.lineDaily[base+2*to+1] += bytes
+		return
+	}
+	c.lineDaily[base+2*from] -= bytes
+	c.lineDaily[base+2*to] += bytes
+	a := int(c.idx.infos[backendID].aliasID)
+	s := (int(c.laIdx[line*c.nAliases+a]) - 1) * c.ds
+	c.laDaily[s+from] -= bytes
+	c.laDaily[s+to] += bytes
+	s = (int(c.lpIdx[c.ports.id(port)][line]) - 1) * c.ds
+	c.lpDaily[s+from] -= bytes
+	c.lpDaily[s+to] += bytes
+}
+
+// shiftHours moves every hour-indexed column k hours earlier, dropping
+// hours [0, k), and re-anchors the collector on days.
+func (c *Collector) shiftHours(k int, days []time.Time) {
+	c.checkWritable()
+	c.days = days
+	shiftBits(c.coverBits, k)
+	for a := range c.lineHours {
+		shiftLineBits(c.lineHours[a], c.hw, k)
+		shiftSeries(c.downHour[a], k)
+		shiftSeries(c.upHour[a], k)
+	}
+	for _, s := range []*analysis.Series{c.focusDownAll, c.focusDownRegion, c.focusDownEU} {
+		shiftSeries(s, k)
+	}
+	for _, lh := range [][]uint64{c.focusHoursAll, c.focusHoursRegion, c.focusHoursEU} {
+		shiftLineBits(lh, c.hw, k)
+	}
+}
+
+// shiftBits moves every bit of s k places down: bit i+k becomes bit i.
+func shiftBits(s []uint64, k int) {
+	q, r := k>>6, uint(k&63)
+	for i := range s {
+		var v uint64
+		if j := i + q; j < len(s) {
+			v = s[j] >> r
+			if j+1 < len(s) && r > 0 {
+				v |= s[j+1] << (64 - r)
+			}
+		}
+		s[i] = v
+	}
+}
+
+// shiftLineBits applies shiftBits to each stride-hw bitset of s.
+func shiftLineBits(s []uint64, hw, k int) {
+	for i := 0; i+hw <= len(s); i += hw {
+		shiftBits(s[i:i+hw], k)
+	}
+}
+
+func shiftSeries(s *analysis.Series, k int) {
+	if s == nil {
+		return
+	}
+	n := copy(s.Values, s.Values[k:])
+	clear(s.Values[n:])
+}
+
+// compact drops every line, slot, port and per-alias aggregate whose
+// kept rows n counts none of, renumbering what stays in order (and n's
+// slot and port counts with it), so c holds exactly what a fold of the
+// surviving rows would. It returns the line renumbering (old ID → new
+// ID, -1 dropped), nil when no line was dropped.
+func (c *Collector) compact(n *rowCounts) []int32 {
+	c.checkWritable()
+	for a := 0; a < c.nAliases; a++ {
+		down, up := n.aliasDir[2*a], n.aliasDir[2*a+1]
+		if down == 0 {
+			c.downHour[a] = nil
+		}
+		if up == 0 {
+			c.upHour[a] = nil
+		}
+		if down+up == 0 {
+			c.visible[a], c.lineHours[a], c.portVol[a], c.portSeen[a] = nil, nil, nil, nil
+		}
+	}
+	c.dropSlots(n)
+	c.dropPorts(n)
+	return c.dropLines()
+}
+
+// dropSlots drops the daily slots no row is left in.
+func (c *Collector) dropSlots(n *rowCounts) {
+	remap, j := make([]int32, len(c.laKeys)), int32(0)
+	for s, k := range c.laKeys {
+		si := int(k.line)*c.nAliases + int(k.alias)
+		if remap[s] = -1; n.laSlot[s] > 0 {
+			remap[s], c.laKeys[j] = j, k
+			j++
+		}
+		c.laIdx[si] = remap[s] + 1
+	}
+	c.laKeys = c.laKeys[:j]
+	c.laDaily = compactStride(c.laDaily, c.ds, remap)
+	n.laSlot = compactStride(n.laSlot, 1, remap)
+
+	remap, j = make([]int32, len(c.lpKeys)), 0
+	for s, k := range c.lpKeys {
+		if remap[s] = -1; n.lpSlot[s] > 0 {
+			remap[s], c.lpKeys[j] = j, k
+			j++
+		}
+		c.lpIdx[k.port][k.line] = remap[s] + 1
+	}
+	c.lpKeys = c.lpKeys[:j]
+	c.lpDaily = compactStride(c.lpDaily, c.ds, remap)
+	n.lpSlot = compactStride(n.lpSlot, 1, remap)
+}
+
+// dropPorts drops the ports no alias has a row on, renumbering the rest
+// in order. Run after dropSlots: a dropped port has no slot left.
+func (c *Collector) dropPorts(n *rowCounts) {
+	remap := make([]int32, len(c.ports.keys))
+	var ports portTab
+	for pid, k := range c.ports.keys {
+		remap[pid] = -1
+		for _, counts := range n.aliasPort {
+			if pid < len(counts) && counts[pid] > 0 {
+				remap[pid] = ports.id(k)
+				break
+			}
+		}
+	}
+	if len(ports.keys) == len(c.ports.keys) {
+		return
+	}
+	c.ports = ports
+	for a, seen := range c.portSeen {
+		if seen == nil {
+			continue
+		}
+		vol := make([]float64, len(ports.keys))
+		live := make([]uint64, (len(ports.keys)+63)/64)
+		forEachBit(seen, func(pid int) {
+			vol[remap[pid]] = c.portVol[a][pid]
+			setBit(live, int(remap[pid]))
+		})
+		c.portVol[a], c.portSeen[a] = vol, live
+	}
+	for a, counts := range n.aliasPort {
+		if counts != nil {
+			n.aliasPort[a] = compactStride(counts, 1, remap)
+		}
+	}
+	lpIdx := make([][]int32, 0, len(ports.keys))
+	for pid, arr := range c.lpIdx {
+		if remap[pid] >= 0 {
+			lpIdx = grown(lpIdx, int(remap[pid])+1)
+			lpIdx[remap[pid]] = arr
+		}
+	}
+	c.lpIdx = lpIdx
+	for s := range c.lpKeys {
+		c.lpKeys[s].port = remap[c.lpKeys[s].port]
+	}
+}
+
+// dropLines drops the lines with no kept row left (no alias bit set),
+// renumbering the rest in order, and returns the renumbering (nil when
+// every line stays). Run after dropSlots: a dropped line has no slot
+// left.
+func (c *Collector) dropLines() []int32 {
+	remap, live := make([]int32, len(c.lines.addrs)), int32(0)
+	for l := range remap {
+		remap[l] = -1
+		for _, w := range c.lineAliasBits[l*c.aw : (l+1)*c.aw] {
+			if w != 0 {
+				remap[l] = live
+				live++
+				break
+			}
+		}
+	}
+	if int(live) == len(remap) {
+		return nil
+	}
+	c.lines.drop(remap)
+	c.lineDaily = compactStride(c.lineDaily, 2*c.ds, remap)
+	c.lineConts = compactStride(c.lineConts, 1, remap)
+	c.lineAliasBits = compactStride(c.lineAliasBits, c.aw, remap)
+	c.lineCertBits = compactStride(c.lineCertBits, c.aw, remap)
+	c.laIdx = compactStride(c.laIdx, c.nAliases, remap)
+	for a := range c.lineHours {
+		c.lineHours[a] = compactStride(c.lineHours[a], c.hw, remap)
+	}
+	c.focusHoursAll = compactStride(c.focusHoursAll, c.hw, remap)
+	c.focusHoursRegion = compactStride(c.focusHoursRegion, c.hw, remap)
+	c.focusHoursEU = compactStride(c.focusHoursEU, c.hw, remap)
+	for p := range c.lpIdx {
+		c.lpIdx[p] = compactStride(c.lpIdx[p], 1, remap)
+	}
+	for s := range c.laKeys {
+		c.laKeys[s].line = remap[c.laKeys[s].line]
+	}
+	for s := range c.lpKeys {
+		c.lpKeys[s].line = remap[c.lpKeys[s].line]
+	}
+	return remap
+}
+
+// compactStride moves each stride-wide block l of s to block remap[l]
+// (remap numbers the kept blocks in order; -1 drops a block), one copy
+// per run of kept blocks, and cuts s after the last kept block, zeroing
+// the cut tail so a later grown re-exposes zeros.
+func compactStride[T any](s []T, stride int, remap []int32) []T {
+	n, blocks := 0, len(s)/stride
+	for l := 0; l < blocks; {
+		if remap[l] < 0 {
+			l++
+			continue
+		}
+		r := l + 1
+		for r < blocks && remap[r] >= 0 {
+			r++
+		}
+		n += copy(s[n:], s[l*stride:r*stride])
+		l = r
+	}
+	return truncZero(s, n)
+}
+
+// truncZero cuts s to n elements, zeroing the cut tail (see grown).
+func truncZero[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
+}
+
+// compact drops the lines whose contact set is empty (their rows all
+// left a sliding fold), renumbering the rest in order, and returns the
+// renumbering (old ID → new ID, -1 dropped), nil when every line stays.
+func (c *ContactCounter) compact() []int32 {
+	remap, live := make([]int32, len(c.lines.addrs)), int32(0)
+	for l := range remap {
+		remap[l] = -1
+		if popcount(c.lineBits(l)) > 0 {
+			remap[l] = live
+			live++
+		}
+	}
+	if int(live) == len(remap) {
+		return nil
+	}
+	c.bits = compactStride(c.bits, c.words, remap)
+	c.lines.drop(remap)
+	return remap
 }
 
 // ShardPartial is the aggregation half of one producer — a simulation

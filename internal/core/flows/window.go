@@ -24,15 +24,21 @@ import (
 // and the already-scaled byte volume — one row per routed record.
 // Ingest classifies each flush interval's lines against the scanner
 // threshold and appends; eviction truncates the columns and parks them
-// on the shard's free list, so steady-state eviction allocates nothing.
+// on the shard's free list (or, while the cached fold still holds their
+// hour, on a retired list until the next read), so steady-state
+// eviction allocates nothing.
 //
 // Study()/Merged() fold the live buckets into a full-frame
 // ContactCounter+Collector by replaying rows: every row sets its
 // contact bit, kept rows go through Collector.ingestDense — the batch
 // engine's own ingest core — at hour offset (bucket hour − frame start).
 // The fold is incremental: the last fold over [ws, end) is cached and
-// revalidated against per-bucket write versions; an unchanged frame
-// costs one clone plus a re-fold of the newest hour's buckets. Because
+// revalidated against per-bucket write versions. An unchanged frame
+// costs one copy plus a re-fold of the newest hour's buckets; a frame
+// that moved less than a day slides the cached fold instead of
+// re-folding it, subtracting the rows of the hours it left (exact, as
+// volumes are integer-valued and set members are row-counted), so a
+// read after an hour boundary folds only a few thousand rows. Because
 // the window and the batch pipeline share one aggregation core and
 // every aggregate is order-independent and exact (integer-valued
 // float64 volumes, see Collector.Merge), a window that never evicted is
@@ -119,10 +125,16 @@ type Window struct {
 	// rr round-robins producers' tables onto shards.
 	rr atomic.Uint32
 
-	// foldMu serializes Merged/Study and guards the fold caches.
+	// foldMu serializes Merged/Study and guards the fold caches. stable
+	// is written only under foldMu plus every shard lock, so recycle may
+	// read it under its one shard lock.
 	foldMu sync.Mutex
 	stable *windowFold
 	study  *winStudyCache
+	// foldStale bars the stable fold from sliding: a shard recycled a
+	// bucket the fold holds without keeping its rows for the next read.
+	foldStale              atomic.Bool
+	hits, slides, rebuilds atomic.Uint64
 }
 
 // winShard is one ingest shard: its own line intern table, its own ring
@@ -136,6 +148,9 @@ type winShard struct {
 
 	ring []*winBucket
 	free []*winBucket
+	// retired holds recycled buckets whose hour the stable fold still
+	// holds, rows intact, until a read subtracts them from the fold.
+	retired []*winBucket
 	// rowHint is the row high-water mark across the shard's buckets;
 	// fresh buckets presize their columns from it so a chronological
 	// feed's row appends stay inside capacity.
@@ -192,6 +207,19 @@ type WindowStats struct {
 	EvictedHours uint64
 	// EvictedRecords counts the aggregated records those buckets held.
 	EvictedRecords uint64
+}
+
+// FoldStats counts how Merged and Study reached their fold of the
+// trailing frame; a Study served from its own cache counts nothing.
+type FoldStats struct {
+	// Hits reused the cached fold as it was.
+	Hits uint64 `json:"hits"`
+	// Slides advanced the cached fold in place to a later frame.
+	Slides uint64 `json:"slides"`
+	// Rebuilds folded the whole frame afresh: the first read, rows that
+	// landed below the newest hour after a read, or a read a day or more
+	// behind the previous one.
+	Rebuilds uint64 `json:"rebuilds"`
 }
 
 // BucketStat is one live hour bucket's fill, for the service's /window
@@ -290,6 +318,11 @@ func (w *Window) Stats() WindowStats {
 		EvictedHours:     w.evictedHours,
 		EvictedRecords:   w.evictedRecords,
 	}
+}
+
+// FoldStats returns the fold-path counts.
+func (w *Window) FoldStats() FoldStats {
+	return FoldStats{Hits: w.hits.Load(), Slides: w.slides.Load(), Rebuilds: w.rebuilds.Load()}
 }
 
 // BucketStats returns the live hours' fill, oldest first.
@@ -454,17 +487,45 @@ func (sh *winShard) takeBucket(ah int64) *winBucket {
 	}
 }
 
-// recycle empties the bucket and parks it on the shard free list. If
-// the bucket is mid-flush its un-ledgered records are credited to
-// EvictedRecords (the flush jumped the window past its own hour).
+// recycle takes a bucket whose ring slot a later hour claims. If the
+// bucket is mid-flush its un-ledgered records are credited to
+// EvictedRecords (the flush jumped the window past its own hour). A
+// bucket whose hour the stable fold holds is parked on the retired list
+// for the next read to subtract; one the fold cannot slide past (rows
+// newer than the fold, or an hour a day or more past its start) marks
+// the fold stale instead, which also caps the retired list at a day.
+// Every other bucket goes to the free list.
 func (sh *winShard) recycle(bk *winBucket) {
-	if bk.inFlush {
-		w := sh.w
+	w := sh.w
+	midFlush := bk.inFlush
+	if midFlush {
 		w.frameMu.Lock()
 		w.evictedRecords += bk.records - bk.mark
 		w.frameMu.Unlock()
 		bk.inFlush = false
 	}
+	if st := w.stable; st != nil && bk.ah >= st.ws && bk.ah < st.end {
+		if !midFlush && bk.ah-st.ws < slideReach && !w.foldStale.Load() {
+			sh.retired = append(sh.retired, bk)
+			return
+		}
+		w.foldStale.Store(true)
+		sh.releaseRetired()
+	}
+	sh.release(bk)
+}
+
+// releaseRetired empties the retired list onto the free list.
+func (sh *winShard) releaseRetired() {
+	for i, bk := range sh.retired {
+		sh.release(bk)
+		sh.retired[i] = nil
+	}
+	sh.retired = sh.retired[:0]
+}
+
+// release empties the bucket and parks it on the shard free list.
+func (sh *winShard) release(bk *winBucket) {
 	bk.line = bk.line[:0]
 	bk.backend = bk.backend[:0]
 	bk.port = bk.port[:0]
@@ -536,6 +597,11 @@ func (w *Window) NewWireTables() *WireTables {
 
 // --- Incremental fold ----------------------------------------------------
 
+// slideReach bounds how far the stable fold slides in one read: a read
+// whose frame starts slideReach or more hours after the fold's rebuilds,
+// so each shard parks at most a day of retired buckets.
+const slideReach = 24
+
 // windowFold is one materialized trailing-frame fold: the full-frame
 // ContactCounter+Collector plus the per-shard line ID remap memos that
 // let later buckets fold in without re-interning addresses.
@@ -546,6 +612,9 @@ type windowFold struct {
 	ver uint64
 	cc  *ContactCounter
 	col *Collector
+	// cnt counts the rows behind the fold's set members; nil until the
+	// stable fold first slides its start.
+	cnt *rowCounts
 	// Per-shard memos: shard line ID → fold line ID+1 (0 = unmapped).
 	ccRemap, colRemap [][]int32
 }
@@ -559,19 +628,24 @@ type winStudyCache struct {
 	st  *Study
 }
 
-// newFoldFrame builds an empty fold over the frame [ws, ws+hours).
-func (w *Window) newFoldFrame(ws, end int64) *windowFold {
+// frameDays returns the day starts of the frame beginning at hour ws.
+func (w *Window) frameDays(ws int64) []time.Time {
 	days := make([]time.Time, w.hours/24)
 	start := w.epoch.Add(time.Duration(ws) * time.Hour)
 	for i := range days {
 		days[i] = start.Add(time.Duration(i) * 24 * time.Hour)
 	}
+	return days
+}
+
+// newFoldFrame builds an empty fold over the frame [ws, ws+hours).
+func (w *Window) newFoldFrame(ws, end int64) *windowFold {
 	n := len(w.shards)
 	return &windowFold{
 		ws:       ws,
 		end:      end,
 		cc:       NewContactCounter(w.idx),
-		col:      NewCollector(w.idx, days, w.opts),
+		col:      NewCollector(w.idx, w.frameDays(ws), w.opts),
 		ccRemap:  make([][]int32, n),
 		colRemap: make([][]int32, n),
 	}
@@ -591,37 +665,49 @@ func cloneFold(f *windowFold) *windowFold {
 	}
 }
 
-// dirtySince reports whether any live bucket with hour in [lo, hi) was
-// flushed into after write version ver. Caller holds all shard locks.
-func (w *Window) dirtySince(lo, hi int64, ver uint64) bool {
-	for _, sh := range w.shards {
-		for _, bk := range sh.ring {
-			if bk != nil && bk.ah >= lo && bk.ah < hi && bk.ver > ver {
-				return true
+// eachBucket calls fn with every bucket, in the rings or on the retired
+// lists, whose hour is in [lo, hi). Caller holds all shard locks.
+func (w *Window) eachBucket(lo, hi int64, fn func(si int, sh *winShard, bk *winBucket)) {
+	for si, sh := range w.shards {
+		for _, bks := range [][]*winBucket{sh.ring, sh.retired} {
+			for _, bk := range bks {
+				if bk != nil && bk.ah >= lo && bk.ah < hi {
+					fn(si, sh, bk)
+				}
 			}
 		}
 	}
-	return false
 }
 
-// foldRange folds every live bucket with hour in [lo, hi) into f.
-// Caller holds all shard locks.
+// dirtySince reports whether any bucket with hour in [lo, hi) was
+// flushed into after write version ver. Caller holds all shard locks.
+func (w *Window) dirtySince(lo, hi int64, ver uint64) bool {
+	dirty := false
+	w.eachBucket(lo, hi, func(_ int, _ *winShard, bk *winBucket) { dirty = dirty || bk.ver > ver })
+	return dirty
+}
+
+// foldRange folds every bucket with hour in [lo, hi) into f. Caller
+// holds all shard locks.
 func (w *Window) foldRange(f *windowFold, lo, hi int64) {
-	for si, sh := range w.shards {
-		for _, bk := range sh.ring {
-			if bk != nil && bk.ah >= lo && bk.ah < hi {
-				w.foldBucketInto(f, si, sh, bk)
-			}
-		}
+	w.eachBucket(lo, hi, func(si int, sh *winShard, bk *winBucket) { w.foldBucketInto(f, si, sh, bk) })
+}
+
+// rowPort is a row's backend-side port key.
+func rowPort(flags uint8, port uint16) proto.PortKey {
+	k := proto.PortKey{Port: port}
+	if flags&rowUDP != 0 {
+		k.Transport = proto.UDP
 	}
+	return k
 }
 
 // foldBucketInto replays one bucket's rows into the fold at hour offset
 // bk.ah-f.ws: every row is contact evidence, kept rows go through the
-// batch engine's ingest core.
+// batch engine's ingest core. A fold that keeps row counts counts them.
 func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBucket) {
 	hourOff := int(bk.ah - f.ws)
-	cc, col := f.cc, f.col
+	cc, col, cnt := f.cc, f.col, f.cnt
 	f.ccRemap[si] = grown(f.ccRemap[si], len(sh.lines.addrs))
 	f.colRemap[si] = grown(f.colRemap[si], len(sh.lines.addrs))
 	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
@@ -636,6 +722,9 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 		setBit(cc.bits[int(cid-1)*cc.words:], int(be))
 
 		fl := bk.flags[i]
+		if cnt != nil {
+			cnt.countContact(int(cid-1), be, fl&rowKept != 0)
+		}
 		if fl&rowKept == 0 {
 			continue // scanner or excluded line
 		}
@@ -644,39 +733,150 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 			tid = col.lineID(sh.lines.addrs[lid]) + 1
 			colRemap[lid] = tid
 		}
-		port := proto.PortKey{Port: bk.port[i]}
-		if fl&rowUDP != 0 {
-			port.Transport = proto.UDP
-		}
+		port := rowPort(fl, bk.port[i])
 		col.ingestDense(int(tid)-1, be, fl&rowDown != 0, hourOff, port, bk.bytes[i])
+		if cnt != nil {
+			cnt.count(col, int(tid)-1, be, fl&rowDown != 0, port)
+		}
+	}
+}
+
+// countBucket counts the rows of a bucket already folded into f.
+func countBucket(f *windowFold, si int, bk *winBucket) {
+	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
+	for i, lid := range bk.line {
+		fl := bk.flags[i]
+		f.cnt.countContact(int(ccRemap[lid])-1, bk.backend[i], fl&rowKept != 0)
+		if fl&rowKept != 0 {
+			f.cnt.count(f.col, int(colRemap[lid])-1, bk.backend[i], fl&rowDown != 0, rowPort(fl, bk.port[i]))
+		}
+	}
+}
+
+// slideBucket applies a move of f's start to ws to one bucket f holds:
+// an hour below ws leaves the fold, an hour whose frame day changes
+// moves its daily volumes. The hour-indexed columns shift separately.
+func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
+	from, to := int(bk.ah-f.ws)/24, -1
+	if bk.ah >= ws {
+		if to = int(bk.ah-ws) / 24; to == from {
+			return
+		}
+	}
+	cc, col := f.cc, f.col
+	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
+	for i, lid := range bk.line {
+		be, fl := bk.backend[i], bk.flags[i]
+		kept := fl&rowKept != 0
+		line, down, port := int(colRemap[lid])-1, fl&rowDown != 0, rowPort(fl, bk.port[i])
+		if to >= 0 {
+			if kept {
+				col.moveDay(line, be, down, port, from, to, bk.bytes[i])
+			}
+			continue
+		}
+		cid := int(ccRemap[lid]) - 1
+		lastRow, lastKept := f.cnt.uncountContact(cid, be, kept)
+		if lastRow {
+			clearBit(cc.bits[cid*cc.words:], int(be))
+		}
+		if kept {
+			col.subtract(f.cnt, line, be, down, from, port, bk.bytes[i])
+		}
+		if lastKept {
+			col.relink(line, f.cnt.contacts[cid])
+		}
+	}
+}
+
+// slide advances the stable fold st from [st.ws, st.end) to [ws, end)
+// in place. The rows of hours below ws are subtracted at their old day
+// (they sit in ring buckets not yet reclaimed or on the retired lists),
+// in-frame hours whose frame day changes move their daily volumes,
+// hour-indexed columns shift left, the hours from st.end (or ws, if
+// later) on fold in, and what the slide emptied is dropped. Row counts
+// are taken on the first slide after a rebuild, so a fold that never
+// slides never pays for them. Caller holds foldMu and all shard locks,
+// and has checked that no bucket the fold holds changed since it was
+// built.
+func (w *Window) slide(st *windowFold, ws, end int64) {
+	k := int(ws - st.ws)
+	if k > 0 {
+		if st.cnt == nil {
+			st.cnt = newRowCounts(st.col)
+			w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { countBucket(st, si, bk) })
+		}
+		w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { slideBucket(st, si, bk, ws) })
+		st.col.shiftHours(k, w.frameDays(ws))
+		st.ws = ws
+		for _, sh := range w.shards {
+			sh.releaseRetired()
+		}
+	}
+	w.foldRange(st, max(st.end, ws), end)
+	st.end = end
+	if k > 0 {
+		st.compact()
+	}
+}
+
+// compact drops the lines, slots, ports and per-alias aggregates a
+// slide left without rows, so the fold holds exactly what a rebuild of
+// its frame would, and renumbers the line memos (a dropped line's
+// address re-interns if its rows come back).
+func (f *windowFold) compact() {
+	if remap := f.cc.compact(); remap != nil {
+		f.cnt.contacts = compactStride(f.cnt.contacts, 1, remap)
+		remapMemos(f.ccRemap, remap)
+	}
+	if remap := f.col.compact(f.cnt); remap != nil {
+		remapMemos(f.colRemap, remap)
+	}
+}
+
+// remapMemos renumbers per-shard line memos (fold line ID+1, 0 =
+// unmapped) through a compaction's renumbering.
+func remapMemos(memos [][]int32, remap []int32) {
+	for _, m := range memos {
+		for lid, id := range m {
+			if id != 0 {
+				m[lid] = remap[id-1] + 1
+			}
+		}
 	}
 }
 
 // currentFoldLocked returns a private fold of the current trailing
-// frame. The stable cache covers [ws, end) — it is reused untouched
-// when nothing below the newest hour changed, extended in place while
-// the frame start is pinned at the epoch, and rebuilt otherwise; the
-// newest (still-hot) hour is overlaid onto a clone every call. Caller
-// holds foldMu and all shard locks.
+// frame. The stable cache covers [ws, end): it is reused untouched when
+// nothing below the newest hour changed, slid in place when the frame
+// moved less than slideReach hours and the hours it keeps are
+// unchanged, and rebuilt otherwise; the newest (still-hot) hour is
+// overlaid onto a copy every call. Caller holds foldMu and all shard
+// locks.
 func (w *Window) currentFoldLocked() *windowFold {
 	end := w.endA.Load()
 	ws := w.startHour(end)
 	ver := w.writeVer.Load()
 	st := w.stable
 	switch {
-	case st != nil && st.ws == ws && st.end == end && !w.dirtySince(ws, end, st.ver):
-		// Cache hit: nothing below the newest hour changed.
-	case st != nil && st.ws == ws && st.end < end && !w.dirtySince(ws, st.end, st.ver):
-		// Frame start unchanged (pre-fill): fold in the hours the end
-		// passed since, including the previously-hot st.end hour.
-		w.foldRange(st, st.end, end)
-		st.end = end
-		st.ver = ver
-	default:
+	case st == nil || w.foldStale.Load() || ws-st.ws >= slideReach || w.dirtySince(st.ws, st.end, st.ver):
+		// Cold start, rows that landed below the newest hour since the
+		// last read, or a read too far behind the last one.
 		st = w.newFoldFrame(ws, end)
 		w.foldRange(st, ws, end)
 		st.ver = ver
 		w.stable = st
+		w.foldStale.Store(false)
+		for _, sh := range w.shards {
+			sh.releaseRetired()
+		}
+		w.rebuilds.Add(1)
+	case st.ws == ws && st.end == end:
+		w.hits.Add(1)
+	default:
+		w.slide(st, ws, end)
+		st.ver = ver
+		w.slides.Add(1)
 	}
 	out := cloneFold(st)
 	if end >= 0 {
@@ -688,9 +888,10 @@ func (w *Window) currentFoldLocked() *windowFold {
 // Merged folds the surviving hour buckets into one ContactCounter and
 // Collector over the current trailing frame (the last `hours` hours —
 // anchored at the epoch until the window has filled once). The fold is
-// served from the incremental cache plus a re-fold of the newest
-// hour's buckets; the returned aggregates are private copies, so the
-// window stays live and repeated calls are independent.
+// served from the incremental cache — reused, or slid forward past the
+// hours the frame left — plus a re-fold of the newest hour's buckets;
+// the returned aggregates are private copies, so the window stays live
+// and repeated calls are independent.
 func (w *Window) Merged() (*ContactCounter, *Collector) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()

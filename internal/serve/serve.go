@@ -512,6 +512,7 @@ func (s *Service) handleWindow(w http.ResponseWriter, r *http.Request) {
 		"start":    start,
 		"end":      end,
 		"stats":    s.win.Stats(),
+		"fold":     s.win.FoldStats(),
 		"buckets":  s.win.BucketStats(),
 		"vantages": s.vantageCoverage(),
 	})

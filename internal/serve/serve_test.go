@@ -434,3 +434,60 @@ func TestServiceKillResume(t *testing.T) {
 		t.Fatalf("resumed figures differ from uninterrupted run:\n--- uninterrupted\n%s\n--- resumed\n%s", ref, resumed)
 	}
 }
+
+// TestWindowFoldStats: GET /window reports how reads reached the fold.
+// A chronological feed polled on /figures once per hour after a 24-hour
+// window has filled rebuilds once and slides on every later poll.
+func TestWindowFoldStats(t *testing.T) {
+	w, err := world.Build(world.Config{Seed: 23, Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := isp.NewNetwork(isp.Config{Seed: 23, Lines: 300}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := buildFixture(t)
+	s, err := New(Config{
+		Index: f.idx, Days: f.days, Opts: f.opts, WindowHours: 24,
+		Policy: collector.DropFrame, RenderFigures: renderFigures,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	hourly := make([][]netflow.Record, len(f.days)*24)
+	for day := range f.days {
+		n.SimulateDay(day, func(r netflow.Record) {
+			if h := int(r.Start.Sub(f.days[0]) / time.Hour); h >= 0 && h < len(hourly) {
+				hourly[h] = append(hourly[h], r)
+			}
+		})
+	}
+	win := s.Window()
+	tables := win.NewWireTables()
+	var batch netflow.RecordBatch
+	polls := 0
+	for h, recs := range hourly {
+		batch.Reset()
+		for _, r := range recs {
+			tables.AppendRecord(&batch, r)
+		}
+		win.IngestBatch(tables, &batch)
+		if h >= 24 {
+			get(t, srv, "/figures")
+			polls++
+		}
+	}
+	var out struct {
+		Fold flows.FoldStats `json:"fold"`
+	}
+	if err := json.Unmarshal([]byte(get(t, srv, "/window")), &out); err != nil {
+		t.Fatal(err)
+	}
+	if fs := out.Fold; fs.Rebuilds != 1 || fs.Slides != uint64(polls-1) {
+		t.Fatalf("%d hourly polls: fold %+v, want 1 rebuild and %d slides", polls, fs, polls-1)
+	}
+}
