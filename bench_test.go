@@ -298,8 +298,9 @@ func BenchmarkValidateWeek(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(candidates), "us/candidate")
 }
 
-// BenchmarkStageTrafficDay measures one simulated ISP day through the
-// collector.
+// BenchmarkStageTrafficDay measures one simulated ISP day through a
+// shard partial: the day's records resolve into rows and fold as one
+// flush interval.
 func BenchmarkStageTrafficDay(b *testing.B) {
 	w, err := world.Build(world.Config{Seed: 5, Scale: 0.05})
 	if err != nil {
@@ -316,16 +317,16 @@ func BenchmarkStageTrafficDay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := flows.NewCollector(idx, w.Days, flows.Options{SamplingRate: 100})
-		net.SimulateDay(0, col.Ingest)
+		p := flows.NewShardPartial(idx, w.Days, flows.Options{SamplingRate: 100})
+		net.SimulateDay(0, p.Ingest)
+		p.EndLine()
 	}
 }
 
 // BenchmarkStageTrafficWeek measures the full single-pass sharded
 // simulate→aggregate pipeline over the study week: line-major workers,
 // per-line scanner classification, and the shard merge — everything
-// TrafficStudy does after the backend index exists. Compare against
-// 2 × StageTrafficDay × days to see the second pass gone.
+// TrafficStudy does after the backend index exists.
 func BenchmarkStageTrafficWeek(b *testing.B) {
 	w, err := world.Build(world.Config{Seed: 5, Scale: 0.05})
 	if err != nil {
@@ -831,7 +832,9 @@ func validateFilter(addrs []netip.Addr, pdns *dnsdb.DB, tr dnsdb.TimeRange, thre
 // outage with feed death, AS migration) and driving its per-step plus
 // cumulative what-ifs through the federated pipeline against a clean
 // baseline. Memory-mode federation: the suite's cost is the repeated
-// federation studies, not wire framing.
+// federation studies, not wire framing. Memory mode has no stream for
+// the preset's feed-kill rule to fault, so the bench drops it, as
+// DisruptionSuite requires.
 func BenchmarkStageDisruptionSuite(b *testing.B) {
 	sys, err := iotmap.New(iotmap.Config{
 		Seed: 3, Scale: 0.02, Lines: 900, SkipLiveScan: true,
@@ -854,6 +857,9 @@ func BenchmarkStageDisruptionSuite(b *testing.B) {
 		b.Fatal(err)
 	}
 	suite := scenario.Presets(5)[scenario.PresetPaperWeek]
+	for i := range suite.Steps {
+		suite.Steps[i].Wire = nil
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

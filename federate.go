@@ -248,12 +248,20 @@ type SuiteStudyResult struct {
 // so an AS outage of an abandoned AS stops matching after cutover. Every
 // draw derives from the suite seed; reruns are byte-identical. A step's
 // Wire rules are the one way to inject wire faults: each compiled
-// scenario's fault schedule carries its own derived seed. Requires
-// ValidateAndLocate.
+// scenario's fault schedule carries its own derived seed. Wire rules
+// act on the exported streams, so a suite with any is refused unless
+// Config.TrafficMode is TrafficModeWire. Requires ValidateAndLocate.
 func (s *System) DisruptionSuite(suite scenario.Suite) (*SuiteStudyResult, error) {
 	compiled, err := suite.Compile(s.World)
 	if err != nil {
 		return nil, err
+	}
+	if s.Cfg.TrafficMode != TrafficModeWire {
+		for _, c := range compiled {
+			if c.Faults != nil {
+				return nil, fmt.Errorf("iotmap: scenario %q has wire rules, which need TrafficMode %q", c.Name, TrafficModeWire)
+			}
+		}
 	}
 	if s.Federation == nil {
 		if err := s.FederationStudy(); err != nil {

@@ -308,11 +308,11 @@ type stream struct {
 	sink flows.Sink
 	part *flows.ShardPartial
 	// folder makes the fold calls the decoder closes into cur,
-	// the chunk being filled; rowsFrom/recsFrom are where the open flush
-	// interval starts in cur.rows/cur.recs.
-	folder             folder
-	cur                *chunk
-	rowsFrom, recsFrom int
+	// the chunk being filled; rowsFrom is where the open flush interval
+	// starts in cur.rows.
+	folder   folder
+	cur      *chunk
+	rowsFrom int
 	// index is the stream's reserved index (see reserveStreams); source
 	// its endpoint label.
 	index  int
@@ -348,8 +348,10 @@ type stream struct {
 	backV4 []bool
 	// Record-decoder state (v5, v9/IPFIX): each decoded packet's
 	// records resolve through recTables (made on the first one) into
-	// cur.recs, the flush interval's pending rows — still sampled
-	// counters, because the rate is only fixed at flush. pending and
+	// cur.rows, the flush interval's pending rows — still sampled
+	// counters, because the rate is only fixed at flush. Only framed
+	// streams carry dictionary frames and only datagram and IPFIX
+	// sources carry records, so a stream fills one of the two. pending and
 	// pendingBytes count every decoded record since the last flush,
 	// rows or not, for Stats.ScaledBytes.
 	recTables    *flows.WireTables

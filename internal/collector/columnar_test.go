@@ -148,18 +148,7 @@ func TestIPFIXRoundTripMatchesMemory(t *testing.T) {
 	ccRef, colRef := f.memoryRun(2)
 
 	f2 := buildFixture(t, 300)
-	feeds := f2.ipfixFeed(t, 2)
-
-	col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, feed := range feeds {
-		if err := col.IngestIPFIX("ipfix-"+string(rune('0'+i)), bytes.NewReader(feed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cc, fc := col.Finalize()
+	cc, fc, col := ingestIPFIXFeeds(t, Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts}, f2.ipfixFeed(t, 2))
 	assertSameAnalysis(t, "ipfix", ccRef, cc, colRef, fc)
 	st := col.Stats()
 	if st.TemplatePackets == 0 || st.TemplateRecords == 0 {

@@ -76,40 +76,40 @@ func (st *stream) addRecords(recs []netflow.Record) {
 	st.pending += len(recs)
 	for _, r := range recs {
 		st.pendingBytes += r.Bytes
-		st.recTables.AppendRecord(&st.cur.recs, r)
+		st.recTables.AppendRecord(&st.cur.rows, r)
 	}
 }
 
 // flush completes the pending flush interval (the scanner-
 // classification point): its rows close into the fold calls the
-// stream's folder makes, dictionary rows first. Dictionary rows were
-// rebased and scaled at decode. Record rows — a UDP source's or an
-// IPFIX stream's, which flush once, at their end — are scaled here, by
-// the rate a v5 header advertised or else the fallback.
+// stream's folder makes. Dictionary rows were rebased and scaled at
+// decode. Record rows — a UDP source's or an IPFIX stream's, which
+// flush once, at their end — are scaled here, by the rate a v5 header
+// advertised or else the fallback, and resolve through recTables.
 func (st *stream) flush() {
-	ch := st.cur
-	if ch.rows.Len() > st.rowsFrom {
-		st.closeRows(&ch.rows, st.rowsFrom, st.tables, false)
-	}
+	ch, t := st.cur, st.tables
 	if st.pending > 0 {
 		rate := uint64(st.rate)
 		if rate == 0 {
 			rate = uint64(max(st.fallback, 1))
 		}
 		if rate > 1 {
-			for i := st.recsFrom; i < ch.recs.Len(); i++ {
-				ch.recs.Bytes[i] *= rate
-				ch.recs.Packets[i] *= rate
+			for i := st.rowsFrom; i < ch.rows.Len(); i++ {
+				ch.rows.Bytes[i] *= rate
+				ch.rows.Packets[i] *= rate
 			}
 		}
 		st.stats.ScaledBytes += st.pendingBytes * rate
-		st.closeRows(&ch.recs, st.recsFrom, st.recTables, true)
 		st.pending, st.pendingBytes = 0, 0
+		t = st.recTables
+	}
+	if ch.rows.Len() > st.rowsFrom {
+		st.closeRows(t)
 	}
 	st.fill(st.folder.flushed(ch))
 }
 
-// closeRows closes rows [from, b.Len()) of the chunk being filled,
+// closeRows closes the open interval's rows of the chunk being filled,
 // resolved through t, into one fold call. A batch stream classifies
 // them here, on the decode goroutine: its ShardPartial's decode half
 // counts their contacts and compacts them to the rows its fold half
@@ -119,8 +119,9 @@ func (st *stream) flush() {
 // ContactCounter to feed here, and a live daemon's decoder is already
 // as busy as its fold, so moving the classifier over would only make
 // the decoder the bottleneck.
-func (st *stream) closeRows(b *netflow.RecordBatch, from int, t *flows.WireTables, recs bool) {
-	call := foldCall{sink: st.sink, view: t.View(), recs: recs, lo: from}
+func (st *stream) closeRows(t *flows.WireTables) {
+	b, from := &st.cur.rows, st.rowsFrom
+	call := foldCall{sink: st.sink, view: t.View(), lo: from}
 	if st.part != nil {
 		rows := b.Slice(from, b.Len())
 		st.part.Classify(t, &rows)
@@ -143,7 +144,7 @@ func (st *stream) join() {
 // closed, so the open interval starts at its end.
 func (st *stream) fill(ch *chunk) {
 	st.cur = ch
-	st.rowsFrom, st.recsFrom = ch.rows.Len(), ch.recs.Len()
+	st.rowsFrom = ch.rows.Len()
 }
 
 // ingestFrames is the decode loop shared by every framed transport. raw

@@ -27,23 +27,22 @@ const foldRing = 3
 const chunkRows = netflow.MaxBatchRecords / 2
 
 // chunk is one hand-off from a stream's decoder to its fold: the rows of
-// whole flush intervals, dictionary-mode and record-decoder rows apart,
-// and the fold calls they close into, in order. Rows past the last call
-// belong to the open interval, which never leaves the decoder.
+// whole flush intervals and the fold calls they close into, in order.
+// A stream's rows all come one way, from batch frames or from decoded
+// records. Rows past the last call belong to the open interval, which
+// never leaves the decoder.
 type chunk struct {
-	rows, recs netflow.RecordBatch
-	calls      []foldCall
+	rows  netflow.RecordBatch
+	calls []foldCall
 }
 
-// foldCall is one fold of rows [lo, hi) of the chunk's rows (recs: of
-// its recs), resolved through view's dictionaries: the fold half of
-// part, whose decode half already classified them, or else
-// sink.IngestBatch.
+// foldCall is one fold of rows [lo, hi) of the chunk, resolved through
+// view's dictionaries: the fold half of part, whose decode half already
+// classified them, or else sink.IngestBatch.
 type foldCall struct {
 	sink   flows.Sink
 	part   *flows.ShardPartial
 	view   flows.WireView
-	recs   bool
 	lo, hi int
 }
 
@@ -52,11 +51,7 @@ type foldCall struct {
 func (ch *chunk) fold(view *netflow.RecordBatch) {
 	for i := range ch.calls {
 		c := &ch.calls[i]
-		src := &ch.rows
-		if c.recs {
-			src = &ch.recs
-		}
-		*view = src.Slice(c.lo, c.hi)
+		*view = ch.rows.Slice(c.lo, c.hi)
 		if c.part != nil {
 			c.part.FoldKept(c.view.Tables(), view)
 		} else {
@@ -64,7 +59,6 @@ func (ch *chunk) fold(view *netflow.RecordBatch) {
 		}
 	}
 	ch.rows.Reset()
-	ch.recs.Reset()
 	clear(ch.calls)
 	ch.calls = ch.calls[:0]
 }
@@ -118,7 +112,7 @@ func (p *pipe) run() {
 // flushed ships ch once it holds chunkRows rows, or as soon as nothing
 // is queued for the fold.
 func (p *pipe) flushed(ch *chunk) *chunk {
-	if len(ch.calls) == 0 || (ch.rows.Len()+ch.recs.Len() < chunkRows && len(p.full) != 0) {
+	if len(ch.calls) == 0 || (ch.rows.Len() < chunkRows && len(p.full) != 0) {
 		return ch
 	}
 	p.full <- ch

@@ -378,6 +378,9 @@ func TestPipelinedIngestMatchesSerial(t *testing.T) {
 				if !maps.Equal(got.dicts, want.dicts) {
 					t.Fatalf("%s: retained dictionaries differ from serial", label)
 				}
+				if c.feed == "ipfix" && len(got.dicts) != 0 {
+					t.Fatalf("%s: record streams retained %d dictionary states", label, len(got.dicts))
+				}
 				assertSameAnalysis(t, label, want.cc, got.cc, want.col, got.col)
 			}
 		})

@@ -40,22 +40,26 @@ func runOutageStudy(t *testing.T) (*world.World, OutageReport) {
 	for _, s := range w.AllServers() {
 		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
 	}
-	cc := flows.NewContactCounter(idx)
-	net.Simulate(cc.Ingest)
-	col := flows.NewCollector(idx, w.Days, flows.Options{
-		Excluded:     cc.Scanners(100),
-		SamplingRate: net.Cfg.SamplingRate,
-		FocusAlias:   "T1",
-		FocusRegion:  "us-east-1",
-	})
-	net.Simulate(col.Ingest)
-	rep, err := AnalyzeOutage(col.Study(), sc, w.Days)
+	rep, err := AnalyzeOutage(simulateStudy(net, idx, w, flows.Options{
+		ScannerThreshold: 100,
+		SamplingRate:     net.Cfg.SamplingRate,
+		FocusAlias:       "T1",
+		FocusRegion:      "us-east-1",
+	}), sc, w.Days)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cachedWorld = w
 	cachedReport = &rep
 	return w, rep
+}
+
+// simulateStudy folds net's week through a one-shard pipeline.
+func simulateStudy(net *isp.Network, idx *flows.BackendIndex, w *world.World, opts flows.Options) *flows.Study {
+	agg := flows.NewShardedAggregator(idx, w.Days, opts, 1)
+	agg.Simulate(net)
+	_, col := agg.Merge()
+	return col.Study()
 }
 
 // Figure 15's shape: the affected region's downstream falls well below
@@ -198,9 +202,7 @@ func TestCascadeWhatIfEUOutage(t *testing.T) {
 	for _, s := range w.AllServers() {
 		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
 	}
-	col := flows.NewCollector(idx, w.Days, flows.Options{SamplingRate: net.Cfg.SamplingRate})
-	net.Simulate(col.Ingest)
-	entries := AnalyzeCascade(col.Study(), sc)
+	entries := AnalyzeCascade(simulateStudy(net, idx, w, flows.Options{SamplingRate: net.Cfg.SamplingRate}), sc)
 	affected := map[string]bool{}
 	for _, e := range entries {
 		affected[e.Alias] = e.Affected
@@ -224,7 +226,5 @@ func cachedStudyForCascade(t *testing.T) *flows.Study {
 	for _, s := range w.AllServers() {
 		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
 	}
-	col := flows.NewCollector(idx, w.Days, flows.Options{SamplingRate: net.Cfg.SamplingRate})
-	net.Simulate(col.Ingest)
-	return col.Study()
+	return simulateStudy(net, idx, w, flows.Options{SamplingRate: net.Cfg.SamplingRate})
 }

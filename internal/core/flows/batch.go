@@ -37,17 +37,16 @@ const unknownBackend int32 = -1
 // wireLineEnt is one line-dictionary entry. Entries are written once,
 // when the decoder appends them, and never rewritten.
 type wireLineEnt struct {
-	addr     netip.Addr
-	excluded bool // pre-seeded scanner (Options.Excluded)
-	valid    bool // false for gap-filled (lost) entries
+	addr  netip.Addr
+	valid bool // false for gap-filled (lost) entries
 }
 
-// WireTables is one producer's ID tables, bound to the index, exclusion
-// set and study start of the Sink it feeds (a ShardPartial or a
-// Window). They fill one of two ways, never both: dictionary entries
-// are appended (AddLines/AddBackends from dictionary frames, which batch
-// frames Validate against, or IngestLine from the simulator, whose rows
-// need no check), or AppendRecord interns the lines of the records it
+// WireTables is one producer's ID tables, bound to the index and study
+// start of the Sink it feeds (a ShardPartial or a Window). They fill one
+// of two ways, never both: dictionary entries are appended
+// (AddLines/AddBackends from dictionary frames, which batch frames
+// Validate against, or IngestLine from the simulator, whose rows need
+// no check), or AppendRecord interns the lines of the records it
 // resolves. Either way the rows fold via the sink's IngestBatch.
 //
 // Ownership is split between the two halves of a stream, so decode and
@@ -68,8 +67,7 @@ type wireLineEnt struct {
 // One goroutine may do all of it on one set of tables. No locking
 // either way.
 type WireTables struct {
-	idx      *BackendIndex
-	excluded map[netip.Addr]struct{}
+	idx *BackendIndex
 	// start is hour 0 of the rows AppendRecord makes.
 	start time.Time
 	// shard is the window ingest shard the tables are bound to (nil for
@@ -91,11 +89,11 @@ type WireTables struct {
 	// 0 means "not interned yet".
 	ccID, colID, winID []int32
 	// entSlot/touched/ents scratch one classifyFlush call: a line's
-	// indexed row count, then its light verdict (slotKept, slotExcluded)
-	// or -(index+1) of its evidence entry in ents, one entry per line
-	// heavy enough to be a scanner suspect; touched lists the counted
-	// lines in first-appearance order. The entries' bitsets are recycled
-	// across flushes.
+	// indexed row count, then slotKept for a light line or -(index+1) of
+	// its evidence entry in ents, one entry per line heavy enough to be
+	// a scanner suspect; touched lists the counted lines in
+	// first-appearance order. The entries' bitsets are recycled across
+	// flushes.
 	entSlot []int32
 	touched []int32
 	ents    []endEnt
@@ -118,7 +116,7 @@ type WireView struct {
 // fold-side tables.
 func (t *WireTables) View() WireView {
 	if t.fold == nil {
-		t.fold = &WireTables{idx: t.idx, excluded: t.excluded, start: t.start, shard: t.shard}
+		t.fold = &WireTables{idx: t.idx, start: t.start, shard: t.shard}
 	}
 	return WireView{fold: t.fold, lines: t.lines, backends: t.backends}
 }
@@ -134,7 +132,7 @@ func (v WireView) Tables() *WireTables {
 // NewWireTables implements Sink: empty tables feeding p. A dictionary
 // stream (re)starts with fresh tables on every hello frame.
 func (p *ShardPartial) NewWireTables() *WireTables {
-	return &WireTables{idx: p.idx, excluded: p.col.excluded, start: p.col.days[0]}
+	return &WireTables{idx: p.idx, start: p.col.days[0]}
 }
 
 // Clone returns a copy of t's dictionaries bound to the same sink, for
@@ -143,7 +141,7 @@ func (p *ShardPartial) NewWireTables() *WireTables {
 // restored tables.
 func (t *WireTables) Clone() *WireTables {
 	return &WireTables{
-		idx: t.idx, excluded: t.excluded, start: t.start, shard: t.shard,
+		idx: t.idx, start: t.start, shard: t.shard,
 		lines:    append([]wireLineEnt(nil), t.lines...),
 		backends: append([]int32(nil), t.backends...),
 		recIDs:   t.recIDs.clone(),
@@ -187,8 +185,7 @@ func (t *WireTables) AddLines(base uint32, addrs []netip.Addr) error {
 
 // addLine appends one valid line entry.
 func (t *WireTables) addLine(a netip.Addr) {
-	_, excluded := t.excluded[a]
-	t.lines = append(t.lines, wireLineEnt{addr: a, excluded: excluded, valid: true})
+	t.lines = append(t.lines, wireLineEnt{addr: a, valid: true})
 }
 
 // AddBackends appends one backend-dictionary frame's addresses at base,
@@ -265,22 +262,19 @@ func (t *WireTables) AppendRecord(b *netflow.RecordBatch, r netflow.Record) {
 	b.Append(li, uint32(be), down, hour, port, r.Proto, r.Bytes, r.Packets)
 }
 
-// Light lines' entSlot values once classifyFlush has counted them.
-const (
-	slotKept     int32 = 1
-	slotExcluded int32 = 2
-)
+// slotKept is a light line's entSlot once classifyFlush has counted it.
+const slotKept int32 = 1
 
 // classifyFlush is the §5.2 per-flush scanner verdict, shared by both
-// sinks: a line is over when it is pre-excluded or its distinct
-// backends among the flush's indexed rows exceed threshold. It counts
-// each line's indexed rows into t.entSlot (t.touched lists the lines
-// counted). A line's distinct backends never outnumber its rows, so
-// only a line with more rows than threshold can cross it: that line
-// alone, unless pre-excluded, pools its evidence into an entry of
-// t.ents and gets a popcount. Every other line's verdict is its
-// pre-exclusion, which its entSlot then holds. Read verdicts with
-// t.over; the caller folds the rows, then calls t.releaseEnts.
+// sinks and the only place a line is excluded: a line is over when its
+// distinct backends among the flush's indexed rows exceed threshold.
+// It counts each line's indexed rows into t.entSlot (t.touched lists
+// the lines counted). A line's distinct backends never outnumber its
+// rows, so only a line with more rows than threshold can cross it:
+// that line alone pools its evidence into an entry of t.ents and gets a
+// popcount. Every other line is kept, which its entSlot then says. Read
+// verdicts with t.over; the caller folds the rows, then calls
+// t.releaseEnts.
 func classifyFlush(t *WireTables, b *netflow.RecordBatch, threshold int) {
 	t.entSlot = grown(t.entSlot, len(t.lines))
 	for i, bid := range b.Backend {
@@ -296,13 +290,10 @@ func classifyFlush(t *WireTables, b *netflow.RecordBatch, threshold int) {
 	words := t.idx.words
 	ents := t.ents[:0]
 	for _, li := range t.touched {
-		switch {
-		case t.lines[li].excluded:
-			t.entSlot[li] = slotExcluded
-		case int(t.entSlot[li]) > threshold:
+		if int(t.entSlot[li]) > threshold {
 			ents = appendEnt(ents, words)
 			t.entSlot[li] = -int32(len(ents))
-		default:
+		} else {
 			t.entSlot[li] = slotKept
 		}
 	}
@@ -324,7 +315,7 @@ func classifyFlush(t *WireTables, b *netflow.RecordBatch, threshold int) {
 // over is line li's verdict from the classifyFlush in progress on t.
 func (t *WireTables) over(li uint32) bool {
 	e := t.entSlot[li]
-	return e == slotExcluded || e < 0 && t.ents[-e-1].over
+	return e < 0 && t.ents[-e-1].over
 }
 
 // releaseEnts clears the per-flush line counts and entry assignment.

@@ -14,8 +14,8 @@ import (
 
 // oracleClassifyFlush is the classifier before light lines stopped
 // pooling evidence, kept as the oracle: every line with an indexed row
-// in the flush gets a full backend bitset, and its verdict is its
-// pre-exclusion or that bitset's popcount over threshold. touched lists
+// in the flush gets a full backend bitset, and its verdict is that
+// bitset's popcount over threshold. touched lists
 // the lines in first-appearance order; slot maps a line to its entry
 // (index+1 into ents).
 func oracleClassifyFlush(t *WireTables, b *netflow.RecordBatch, threshold int) (touched []int32, ents []endEnt, slot []int32) {
@@ -38,7 +38,7 @@ func oracleClassifyFlush(t *WireTables, b *netflow.RecordBatch, threshold int) (
 	}
 	for _, li := range touched {
 		ent := &ents[slot[li]-1]
-		ent.over = t.lines[li].excluded || popcount(ent.bits) > threshold
+		ent.over = popcount(ent.bits) > threshold
 	}
 	return touched, ents, slot
 }
@@ -62,13 +62,12 @@ func oracleKept(t *WireTables, b *netflow.RecordBatch, ents []endEnt, slot []int
 
 // classifyFixture is a small index and a dictionary shaped like a
 // damaged stream's: a lost line range, unknown backend entries and a
-// lost backend range, and pre-excluded lines.
+// lost backend range.
 type classifyFixture struct {
-	idx      *BackendIndex
-	days     []time.Time
-	lines    []netip.Addr // line dictionary addresses, IDs from lineBase
-	backs    []netip.Addr // indexed backends
-	excluded map[netip.Addr]struct{}
+	idx   *BackendIndex
+	days  []time.Time
+	lines []netip.Addr // line dictionary addresses, IDs from lineBase
+	backs []netip.Addr // indexed backends
 }
 
 // lineBase is where the fixture's line dictionary starts: IDs below it
@@ -77,7 +76,7 @@ const lineBase = 3
 
 func buildClassifyFixture(seed int64) *classifyFixture {
 	rng := rand.New(rand.NewSource(seed))
-	f := &classifyFixture{idx: NewBackendIndex(), excluded: map[netip.Addr]struct{}{}}
+	f := &classifyFixture{idx: NewBackendIndex()}
 	aliases := []string{"T1", "T2", "D3"}
 	for i := 0; i < 64; i++ {
 		a := netip.AddrFrom4([4]byte{byte(20 + i%8), byte(rng.Intn(256)), byte(i), 1})
@@ -91,9 +90,6 @@ func buildClassifyFixture(seed int64) *classifyFixture {
 			a = isp.LineV6Addr(0, i)
 		}
 		f.lines = append(f.lines, a)
-		if i%41 == 7 {
-			f.excluded[a] = struct{}{}
-		}
 	}
 	start := time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC)
 	for d := 0; d < 3; d++ {
@@ -104,7 +100,7 @@ func buildClassifyFixture(seed int64) *classifyFixture {
 
 // partial returns a fresh partial at threshold (≤ 0 disables it).
 func (f *classifyFixture) partial(threshold int) *ShardPartial {
-	return NewShardPartial(f.idx, f.days, Options{ScannerThreshold: threshold, SamplingRate: 7, Excluded: f.excluded})
+	return NewShardPartial(f.idx, f.days, Options{ScannerThreshold: threshold, SamplingRate: 7})
 }
 
 // tables returns p's dictionary tables: the lines after lineBase lost
@@ -203,8 +199,7 @@ func randomShapes(rng *rand.Rand, f *classifyFixture, n, threshold int) []lineSh
 	return out
 }
 
-// classifyCases are the flush shapes both classifier tests run. Fixture
-// lines 7 and 48 are pre-excluded (i%41 == 7).
+// classifyCases are the flush shapes both classifier tests run.
 func classifyCases() []struct {
 	name      string
 	threshold int
@@ -222,7 +217,6 @@ func classifyCases() []struct {
 		{"rows-equal-threshold", th, one(lineShape{line: 1, rows: th, distinct: th})},
 		{"heavy-by-rows-duplicate-backends", th, one(lineShape{line: 1, rows: th + 1, distinct: th}, lineShape{line: 2, rows: 4 * th, distinct: th})},
 		{"heavy-and-over", th, one(lineShape{line: 1, rows: th + 1, distinct: th + 1}, lineShape{line: 2, rows: 2})},
-		{"pre-excluded", th, one(lineShape{line: 7, rows: 2}, lineShape{line: 48, rows: 3 * th, distinct: th + 3}, lineShape{line: 3, rows: 1})},
 		{"threshold-disabled", 0, one(lineShape{line: 1, rows: 200}, lineShape{line: 7, rows: 3}, lineShape{line: 9, rows: 1})},
 		{"unknown-and-lost-entries", th, one(lineShape{line: 4, rows: 3 * th}, lineShape{line: 5, rows: th + 2})},
 		{"one-line", th, func(rng *rand.Rand, f *classifyFixture) [][]lineShape {
@@ -285,7 +279,7 @@ func TestClassifyFlushMatchesOracle(t *testing.T) {
 				heavy := 0
 				for _, li := range touched {
 					n := rows[uint32(li)]
-					if wantHeavy := n > p.threshold && !wt.lines[li].excluded; wantHeavy != (wt.entSlot[li] < 0) {
+					if wantHeavy := n > p.threshold; wantHeavy != (wt.entSlot[li] < 0) {
 						t.Errorf("flush %d: line %v with %d indexed rows: evidence entry %v, want %v", fi, wt.lines[li].addr, n, !wantHeavy, wantHeavy)
 					}
 					if wt.entSlot[li] < 0 {

@@ -61,6 +61,58 @@ func (c *refCounter) ingest(r netflow.Record) {
 	set[backend] = struct{}{}
 }
 
+// The record references the sharded and wire pipelines are compared
+// against. The product turns records into rows once, in
+// WireTables.AppendRecord; these fold one record straight into a
+// ContactCounter or Collector, the sequential two-pass drive.
+
+// countRecord counts r's contact into c.
+func countRecord(c *ContactCounter, r netflow.Record) {
+	line, backendID, _, ok := c.idx.lineSide(r)
+	if !ok {
+		return
+	}
+	id := c.lineID(line)
+	setBit(c.bits[int(id)*c.words:], int(backendID))
+}
+
+// ingestRecord folds r into c unless its line is in skip (a prior
+// countRecord pass's scanners) or it falls outside the study hours.
+func ingestRecord(c *Collector, r netflow.Record, skip map[netip.Addr]struct{}) {
+	lineAddr, backendID, down, ok := c.idx.lineSide(r)
+	if !ok {
+		return
+	}
+	if _, s := skip[lineAddr]; s {
+		return
+	}
+	// Integer nanosecond division, and pre-study records rejected
+	// before dividing: truncation toward zero would bucket the sub-hour
+	// before days[0] into hour 0.
+	sinceStart := r.Start.Sub(c.days[0])
+	if sinceStart < 0 {
+		return
+	}
+	hour := int(sinceStart / time.Hour)
+	if hour >= c.hours {
+		return
+	}
+	// The backend-side port identifies the service.
+	port := proto.PortKey{Port: r.SrcPort}
+	if !down {
+		port = proto.PortKey{Port: r.DstPort}
+	}
+	if r.Proto == netflow.ProtoUDP {
+		port.Transport = proto.UDP
+	}
+	c.ingestDense(int(c.lineID(lineAddr)), backendID, down, hour, port, float64(r.Bytes)*c.rate)
+}
+
+// simulate feeds net's week into sink as records, one worker.
+func simulate(net *isp.Network, sink func(netflow.Record)) {
+	net.SimulateLines(1, func(int) func(netflow.Record) { return sink }, func(int, *isp.Line) {})
+}
+
 func (c *refCounter) scanners(threshold int) map[netip.Addr]struct{} {
 	out := map[netip.Addr]struct{}{}
 	for line, set := range c.contacts {
@@ -109,7 +161,6 @@ type refCollector struct {
 	hours int
 	rate  float64
 
-	excluded    map[netip.Addr]struct{}
 	focusAlias  string
 	focusRegion string
 
@@ -146,7 +197,6 @@ func newRefCollector(infos map[netip.Addr]refInfo, days []time.Time, opts Option
 		days:           days,
 		hours:          hours,
 		rate:           float64(opts.SamplingRate),
-		excluded:       opts.Excluded,
 		focusAlias:     opts.FocusAlias,
 		focusRegion:    opts.FocusRegion,
 		visible:        map[string]map[netip.Addr]struct{}{},
@@ -183,9 +233,6 @@ func (c *refCollector) ingest(r netflow.Record) {
 		return
 	}
 	downstream := backend == r.Src
-	if _, skip := c.excluded[line]; skip {
-		return
-	}
 	alias := bi.alias
 	sinceStart := r.Start.Sub(c.days[0])
 	if sinceStart < 0 {
@@ -477,7 +524,7 @@ func TestDenseCounterMatchesMapReference(t *testing.T) {
 		cc := NewContactCounter(f.idx)
 		ref := &refCounter{infos: f.infos, contacts: map[netip.Addr]map[netip.Addr]struct{}{}}
 		for _, r := range f.recs {
-			cc.Ingest(r)
+			countRecord(cc, r)
 			ref.ingest(r)
 		}
 		if !reflect.DeepEqual(cc.contactSets(), ref.contacts) {
@@ -502,16 +549,10 @@ func TestDenseCounterMatchesMapReference(t *testing.T) {
 func TestDenseCollectorMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		f := buildDenseFixture(seed)
-		// Exclude a couple of line addresses to exercise the excluded-set
-		// guard in both implementations.
-		f.opts.Excluded = map[netip.Addr]struct{}{
-			isp.LineV4Addr(0, 1): {},
-			f.recs[0].Dst:        {},
-		}
 		col := NewCollector(f.idx, f.days, f.opts)
 		ref := newRefCollector(f.infos, f.days, f.opts)
 		for _, r := range f.recs {
-			col.Ingest(r)
+			ingestRecord(col, r, nil)
 			ref.ingest(r)
 		}
 		if !reflect.DeepEqual(named(col.Study()), ref.study(f.idx)) {
@@ -547,10 +588,10 @@ func TestContinentVolumesDerivedFromBackends(t *testing.T) {
 		if cont == geo.Africa {
 			bytes = 0
 		}
-		col.Ingest(netflow.Record{
+		ingestRecord(col, netflow.Record{
 			Src: backends[cont][rng.Intn(len(backends[cont]))], Dst: isp.LineV4Addr(0, rng.Intn(50)),
 			SrcPort: 443, DstPort: 40000, Bytes: bytes, Start: days[0].Add(time.Duration(rng.Intn(24)) * time.Hour),
-		})
+		}, nil)
 		want[cont] += float64(bytes) * 100
 	}
 	if got := col.Study().continentVolumes(); !reflect.DeepEqual(got, want) {
@@ -567,8 +608,8 @@ func TestIndexRebuildInvalidatesAggregates(t *testing.T) {
 	cc := NewContactCounter(f.idx)
 	col := NewCollector(f.idx, f.days, f.opts)
 	for _, r := range f.recs[:100] {
-		cc.Ingest(r)
-		col.Ingest(r)
+		countRecord(cc, r)
+		ingestRecord(col, r, nil)
 	}
 	// Invalidate: a late Add followed by anything that rebuilds.
 	f.idx.Add(netip.MustParseAddr("16.0.0.99"), "T9", geo.Asia, "ap-south-1", false)
@@ -596,7 +637,7 @@ func TestFinalizedCollectorRejectsWrites(t *testing.T) {
 	f := buildDenseFixture(13)
 	col := NewCollector(f.idx, f.days, f.opts)
 	for _, r := range f.recs[:100] {
-		col.Ingest(r)
+		ingestRecord(col, r, nil)
 	}
 	col.Study()
 	col.Study() // reading twice is fine
@@ -616,7 +657,7 @@ func TestFinalizedCollectorRejectsWrites(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("ingestDense", func() { col.Ingest(f.recs[0]) })
+	mustPanic("ingestDense", func() { ingestRecord(col, f.recs[0], nil) })
 	mustPanic("Merge into", func() { col.Merge(NewCollector(f.idx, f.days, f.opts)) })
 	mustPanic("Merge from", func() { NewCollector(f.idx, f.days, f.opts).Merge(col) })
 	mustPanic("IngestBatch", func() {
@@ -644,9 +685,9 @@ func TestDenseMergeMatchesMapReference(t *testing.T) {
 	ref := newRefCollector(f.infos, f.days, f.opts)
 	refCC := &refCounter{infos: f.infos, contacts: map[netip.Addr]map[netip.Addr]struct{}{}}
 	for i, r := range f.recs {
-		parts[i%shards].Ingest(r)
-		ccParts[i%shards].Ingest(r)
-		seqCol.Ingest(r)
+		ingestRecord(parts[i%shards], r, nil)
+		countRecord(ccParts[i%shards], r)
+		ingestRecord(seqCol, r, nil)
 		ref.ingest(r)
 		refCC.ingest(r)
 	}

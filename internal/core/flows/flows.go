@@ -27,10 +27,7 @@
 // aggregate is a sum, set, or series whose merge is order-independent
 // (volumes are integer-valued float64s well under 2^53, so addition is
 // exact), and finalization sorts wherever order could leak — a merged
-// N-shard run is byte-identical to a sequential one. The legacy
-// explicit two-pass drive (ContactCounter over the feed, then a
-// Collector with Options.Excluded) remains supported for callers that
-// already hold a recorded stream.
+// N-shard run is byte-identical to a sequential one.
 //
 // Provider identities are anonymized to their aliases (T1..T4, D1..D6,
 // O1..O6) before anything enters the collector, mirroring the paper's
@@ -46,7 +43,6 @@ import (
 
 	"iotmap/internal/analysis"
 	"iotmap/internal/geo"
-	"iotmap/internal/netflow"
 	"iotmap/internal/proto"
 )
 
@@ -216,7 +212,7 @@ func (b *BackendIndex) TotalPerAlias() map[string][2]int {
 	return out
 }
 
-// --- Pass 1: scanner identification ------------------------------------
+// --- Scanner identification --------------------------------------------
 
 // ContactCounter tallies how many distinct backend IPs each subscriber
 // line contacts (the Richter et al. scanner heuristic of Section 5.2):
@@ -244,16 +240,6 @@ func (c *ContactCounter) lineID(a netip.Addr) int32 {
 	id := c.lines.id(a)
 	c.bits = grown(c.bits, (int(id)+1)*c.words)
 	return id
-}
-
-// Ingest processes one record.
-func (c *ContactCounter) Ingest(r netflow.Record) {
-	line, backendID, _, ok := c.idx.lineSide(r)
-	if !ok {
-		return
-	}
-	id := c.lineID(line)
-	setBit(c.bits[int(id)*c.words:], int(backendID))
 }
 
 // lineBits returns line ID i's backend bitset.
@@ -330,19 +316,18 @@ func (c *ContactCounter) Curve(thresholds []int) []CurvePoint {
 	return out
 }
 
-// --- Pass 2: full aggregation -------------------------------------------
+// --- Full aggregation ----------------------------------------------------
 
-// Collector aggregates everything the figures need, with scanner lines
-// excluded up front. Every aggregate is a slice or bitset indexed by
-// line/backend/alias/port ID (see dense.go); Study() finalizes the
-// collector into a read-only view over them.
+// Collector aggregates everything the figures need over the rows of
+// kept (non-scanner) lines. Every aggregate is a slice or bitset
+// indexed by line/backend/alias/port ID (see dense.go); Study()
+// finalizes the collector into a read-only view over them.
 type Collector struct {
-	idx      *BackendIndex
-	gen      int
-	days     []time.Time
-	hours    int
-	rate     float64
-	excluded map[netip.Addr]struct{}
+	idx   *BackendIndex
+	gen   int
+	days  []time.Time
+	hours int
+	rate  float64
 	// focusAlias drives the regional outage series (Figures 15/16).
 	focusAlias   string
 	focusRegion  string
@@ -411,15 +396,10 @@ type lpKey struct{ line, port int32 }
 
 // Options tune a Collector (and the ShardedAggregator wrapping one).
 type Options struct {
-	// Excluded lines: scanner addresses found by a prior ContactCounter
-	// pass. The single-pass pipeline classifies lines on the fly instead
-	// and leaves this empty.
-	Excluded map[netip.Addr]struct{}
-	// ScannerThreshold is the distinct-backend count above which the
-	// pipeline excludes a line address (Figure 5's x-axis). Only read by
-	// NewShardedAggregator; zero or negative disables on-the-fly
-	// classification (no line is excluded), matching the zero value's
-	// meaning under the legacy Excluded-set drive.
+	// ScannerThreshold is the distinct-backend count above which a
+	// sink (ShardPartial, Window) excludes a line address from a flush
+	// interval (Figure 5's x-axis). Zero or negative disables the
+	// classification: no line is excluded.
 	ScannerThreshold int
 	// SamplingRate scales sampled bytes back to estimates.
 	SamplingRate uint32
@@ -447,7 +427,6 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 		days:         days,
 		hours:        hours,
 		rate:         float64(opts.SamplingRate),
-		excluded:     opts.Excluded,
 		focusAlias:   opts.FocusAlias,
 		focusRegion:  opts.FocusRegion,
 		focusAliasID: -1,
@@ -511,41 +490,6 @@ func contBit(c geo.Continent) uint8 {
 	}
 }
 
-// Ingest processes one sampled record — the sequential reference the
-// sharded and wire pipelines are compared against.
-func (c *Collector) Ingest(r netflow.Record) {
-	lineAddr, backendID, down, ok := c.idx.lineSide(r)
-	if !ok {
-		return
-	}
-	if _, skip := c.excluded[lineAddr]; skip {
-		return
-	}
-	// Integer nanosecond division: the old float64 Hours() path could
-	// round a record sitting nanoseconds before a bucket edge up into
-	// the next hour. Pre-study records are rejected before dividing —
-	// truncation toward zero would otherwise bucket the final sub-hour
-	// window before days[0] into hour 0.
-	sinceStart := r.Start.Sub(c.days[0])
-	if sinceStart < 0 {
-		return
-	}
-	hour := int(sinceStart / time.Hour)
-	if hour >= c.hours {
-		return
-	}
-	// Port mix: the backend-side port identifies the service.
-	port := proto.PortKey{Port: r.SrcPort}
-	if !down {
-		port = proto.PortKey{Port: r.DstPort}
-	}
-	if r.Proto == netflow.ProtoUDP {
-		port.Transport = proto.UDP
-	}
-	line := int(c.lineID(lineAddr))
-	c.ingestDense(line, backendID, down, hour, port, float64(r.Bytes)*c.rate)
-}
-
 // laSlotBase finds or creates the lineAliasDaily slot for (line, alias)
 // and returns its base offset into laDaily.
 func (c *Collector) laSlotBase(line, alias int) int {
@@ -579,9 +523,9 @@ func (c *Collector) lpSlotBase(line, port int) int {
 }
 
 // ingestDense is the fully resolved ingest core: line already interned,
-// hour already in-window, bytes already scaled. The sequential Ingest,
-// ShardPartial.IngestBatch and the window's fold all land here, so
-// they produce byte-identical aggregates.
+// hour already in-window, bytes already scaled. ShardPartial.FoldKept
+// and the window's fold both land here, so they produce byte-identical
+// aggregates.
 func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, port proto.PortKey, bytes float64) {
 	c.checkWritable()
 	setBit(c.coverBits, hour)

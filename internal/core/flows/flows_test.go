@@ -364,19 +364,19 @@ func TestPipelineMatchesSequentialTwoPass(t *testing.T) {
 	net := cachedNet
 
 	var recs []netflow.Record
-	net.Simulate(func(r netflow.Record) { recs = append(recs, r) })
+	simulate(net, func(r netflow.Record) { recs = append(recs, r) })
 	cc := NewContactCounter(cachedIdx)
 	for _, r := range recs {
-		cc.Ingest(r)
+		countRecord(cc, r)
 	}
 	col := NewCollector(cachedIdx, w.Days, Options{
-		Excluded:     cc.Scanners(100),
 		SamplingRate: net.Cfg.SamplingRate,
 		FocusAlias:   "T1",
 		FocusRegion:  "us-east-1",
 	})
+	scanners := cc.Scanners(100)
 	for _, r := range recs {
-		col.Ingest(r)
+		ingestRecord(col, r, scanners)
 	}
 	if !reflect.DeepEqual(cc.contactSets(), pipeCC.contactSets()) {
 		t.Error("pipeline contact counter differs from sequential pass")
@@ -420,9 +420,9 @@ func TestCollectorMergeEquivalence(t *testing.T) {
 		parts[i] = mk()
 	}
 	i := 0
-	net.Simulate(func(r netflow.Record) {
-		seq.Ingest(r)
-		parts[i%shards].Ingest(r)
+	simulate(net, func(r netflow.Record) {
+		ingestRecord(seq, r, nil)
+		ingestRecord(parts[i%shards], r, nil)
 		i++
 	})
 	merged := parts[0]
@@ -441,12 +441,12 @@ func TestContactCounterMerge(t *testing.T) {
 	seq := NewContactCounter(cachedIdx)
 	a, b := NewContactCounter(cachedIdx), NewContactCounter(cachedIdx)
 	i := 0
-	cachedNet.Simulate(func(r netflow.Record) {
-		seq.Ingest(r)
+	simulate(cachedNet, func(r netflow.Record) {
+		countRecord(seq, r)
 		if i%2 == 0 {
-			a.Ingest(r)
+			countRecord(a, r)
 		} else {
-			b.Ingest(r)
+			countRecord(b, r)
 		}
 		i++
 	})

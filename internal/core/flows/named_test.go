@@ -213,17 +213,6 @@ func (s *namedStudy) series(m map[string]*analysis.Series, alias string) *analys
 	return analysis.NewSeries(alias, s.hours)
 }
 
-func (s *namedStudy) RatioSeries(alias string) *analysis.Series {
-	down, up := s.series(s.downHour, alias), s.series(s.upHour, alias)
-	out := analysis.NewSeries(alias, s.hours)
-	for h := 0; h < s.hours; h++ {
-		if up.Values[h] > 0 {
-			out.Add(h, down.Values[h]/up.Values[h])
-		}
-	}
-	return out
-}
-
 func (s *namedStudy) OverallRatio(alias string) float64 {
 	up := s.series(s.upHour, alias).Total()
 	if up == 0 {

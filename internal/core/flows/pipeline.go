@@ -188,8 +188,8 @@ func (c *ContactCounter) clone() *ContactCounter {
 	}
 }
 
-// clone deep-copies every aggregate; the index, study days, and the
-// excluded set are immutable after construction and stay shared.
+// clone deep-copies every aggregate; the index and study days are
+// immutable after construction and stay shared.
 func (c *Collector) clone() *Collector {
 	out := &Collector{
 		idx:          c.idx,
@@ -197,7 +197,6 @@ func (c *Collector) clone() *Collector {
 		days:         c.days,
 		hours:        c.hours,
 		rate:         c.rate,
-		excluded:     c.excluded,
 		focusAlias:   c.focusAlias,
 		focusRegion:  c.focusRegion,
 		focusAliasID: c.focusAliasID,
@@ -795,8 +794,7 @@ type ShardedAggregator struct {
 
 // NewShardedAggregator builds `shards` worker-local partials over idx.
 // opts applies to every partial's Collector; opts.ScannerThreshold
-// controls the per-line exclusion (opts.Excluded is additionally
-// honoured, for callers pre-seeding known scanners).
+// controls the per-line exclusion.
 func NewShardedAggregator(idx *BackendIndex, days []time.Time, opts Options, shards int) *ShardedAggregator {
 	if shards < 1 {
 		shards = 1

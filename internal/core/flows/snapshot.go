@@ -169,20 +169,13 @@ func (b *BackendIndex) fingerprint() uint64 {
 }
 
 // optionsFingerprint hashes the Options fields that shape aggregation.
-// The excluded set folds in order-independently (map iteration order
-// must not change the hash).
 func optionsFingerprint(o Options) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "t=%d r=%d fa=%q fr=%q v=%q n=%d", o.ScannerThreshold, o.SamplingRate, o.FocusAlias, o.FocusRegion, o.Vantage, len(o.Excluded))
-	var ex uint64
-	for a := range o.Excluded {
-		eh := fnv.New64a()
-		raw, _ := a.MarshalBinary()
-		eh.Write(raw)
-		ex ^= eh.Sum64()
-	}
-	sum := h.Sum64()
-	return sum ^ ex
+	// "n=0" is the size of a pre-seeded exclusion set Options once
+	// carried. Every snapshot ever written had an empty one, so the
+	// text stays and existing snapshots keep their fingerprint.
+	fmt.Fprintf(h, "t=%d r=%d fa=%q fr=%q v=%q n=0", o.ScannerThreshold, o.SamplingRate, o.FocusAlias, o.FocusRegion, o.Vantage)
+	return h.Sum64()
 }
 
 // --- Window snapshot -----------------------------------------------------
@@ -514,8 +507,7 @@ func (t *WireTables) Snapshot(dst io.Writer) error {
 }
 
 // RestoreWireTables decodes a WireTables snapshot into fresh tables
-// bound to sink (exclusion is recomputed against the sink's current
-// exclusion set, exactly as AddLines would).
+// bound to sink.
 func RestoreWireTables(src io.Reader, sink Sink) (*WireTables, error) {
 	t := sink.NewWireTables()
 	s := &snapReader{r: src}

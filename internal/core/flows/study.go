@@ -230,18 +230,6 @@ func (s *Study) Upstream(alias string) *analysis.Series {
 	return s.seriesOr(s.upHour, alias)
 }
 
-// RatioSeries returns the hourly downstream/upstream ratio (Figure 10).
-func (s *Study) RatioSeries(alias string) *analysis.Series {
-	down, up := s.Downstream(alias), s.Upstream(alias)
-	out := analysis.NewSeries(alias, s.hours)
-	for h := 0; h < s.hours; h++ {
-		if up.Values[h] > 0 {
-			out.Add(h, down.Values[h]/up.Values[h])
-		}
-	}
-	return out
-}
-
 // OverallRatio is the whole-week down/up ratio.
 func (s *Study) OverallRatio(alias string) float64 {
 	up := s.Upstream(alias).Total()

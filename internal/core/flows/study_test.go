@@ -49,7 +49,7 @@ func TestStudyAccessorsMatchReference(t *testing.T) {
 	for i, feed := range feeds {
 		parts[i] = NewCollector(f.idx, f.days, f.opts)
 		for _, r := range feed {
-			parts[i].Ingest(r)
+			ingestRecord(parts[i], r, nil)
 		}
 	}
 	merged := parts[2]
@@ -78,7 +78,6 @@ func TestStudyAccessorsMatchReference(t *testing.T) {
 		eq(alias+" ActiveLines", got.ActiveLines(alias), want.series(want.activeLines, alias))
 		eq(alias+" Downstream", got.Downstream(alias), want.series(want.downHour, alias))
 		eq(alias+" Upstream", got.Upstream(alias), want.series(want.upHour, alias))
-		eq(alias+" RatioSeries", got.RatioSeries(alias), want.RatioSeries(alias))
 		eq(alias+" OverallRatio", got.OverallRatio(alias), want.OverallRatio(alias))
 		eq(alias+" PortShares", got.PortShares(alias), want.PortShares(alias))
 		eq(alias+" AliasDailyECDF", got.AliasDailyECDF(alias), want.AliasDailyECDF(alias))
@@ -124,11 +123,11 @@ func syntheticCollector(f denseFixture, lines int) *Collector {
 	col := NewCollector(f.idx, f.days, f.opts)
 	for i := 0; i < lines; i++ {
 		for k := 0; k < 4; k++ {
-			col.Ingest(netflow.Record{
+			ingestRecord(col, netflow.Record{
 				Src: f.idx.addrs[rng.Intn(len(f.idx.addrs))], Dst: isp.LineV4Addr(0, i),
 				SrcPort: uint16(440 + rng.Intn(5)), DstPort: 40000, Bytes: uint64(1 + rng.Intn(1<<16)),
 				Start: f.days[0].Add(time.Duration(rng.Intn(len(f.days)*24)) * time.Hour),
-			})
+			}, nil)
 		}
 	}
 	return col
@@ -169,7 +168,7 @@ func readStudy(s *Study) float64 {
 		l4, l6 := s.LineCount(alias)
 		sum += v4 + v6 + c4 + c6 + float64(l4+l6)
 		sum += s.ActiveLines(alias).Max() + s.Downstream(alias).Total() + s.Upstream(alias).Total()
-		sum += s.OverallRatio(alias) + s.RatioSeries(alias).Max()
+		sum += s.OverallRatio(alias)
 		sum += float64(len(s.PortShares(alias)))
 		sum += float64(s.AliasDailyECDF(alias).Len())
 	}

@@ -65,8 +65,8 @@ import (
 // service). Both consume whole flush intervals, because scanner
 // classification is a per-flush decision.
 type Sink interface {
-	// NewWireTables returns empty ID tables bound to this sink's index,
-	// exclusion set and study start.
+	// NewWireTables returns empty ID tables bound to this sink's index
+	// and study start.
 	NewWireTables() *WireTables
 	// IngestBatch consumes one flush interval's rows, resolved through t
 	// (which must come from this sink): classify each line address
@@ -588,11 +588,10 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 }
 
 // NewWireTables implements Sink: fresh tables resolved against the
-// window's index, exclusion set and epoch, bound round-robin to one
-// ingest shard.
+// window's index and epoch, bound round-robin to one ingest shard.
 func (w *Window) NewWireTables() *WireTables {
 	sh := w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
-	return &WireTables{idx: w.idx, excluded: w.opts.Excluded, start: w.epoch, shard: sh}
+	return &WireTables{idx: w.idx, start: w.epoch, shard: sh}
 }
 
 // --- Incremental fold ----------------------------------------------------
@@ -726,7 +725,7 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 			cnt.countContact(int(cid-1), be, fl&rowKept != 0)
 		}
 		if fl&rowKept == 0 {
-			continue // scanner or excluded line
+			continue // scanner line
 		}
 		tid := colRemap[lid]
 		if tid == 0 {
@@ -905,8 +904,9 @@ func (w *Window) Merged() (*ContactCounter, *Collector) {
 // ContactCounter (Figure 5's evidence) and the Study over the surviving
 // hours, a view over a private fold's columns (the fold's collector is
 // finalized here and never written again). The result is cached until
-// the next completed flush and handed to every caller, so a serving
-// endpoint polling an idle window pays nothing; the Study keeps no lazy
+// the next completed flush and handed to every caller, so repeated
+// calls on an idle window cost nothing. (The daemon's /figures reads
+// Merged, which copies the fold per call.) The Study keeps no lazy
 // state and is safe for concurrent readers, who must treat the returned
 // values, and the series the accessors return, as read-only.
 func (w *Window) Study() (*ContactCounter, *Study) {

@@ -168,15 +168,14 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 // record for record, the rows a dictionary exporter would have sent —
 // pinned against a hand-built record→batch conversion over hand-built
 // dictionaries — and the two feeds leave identical windows: figures,
-// per-hour fill, and the eviction ledger. A third of the lines are
-// pre-excluded (contact evidence on both feeds, records on neither);
-// records with no indexed endpoint make no row, records before the
-// epoch make an hour -1 row.
+// per-hour fill, and the eviction ledger. Some lines cross the scanner
+// threshold in some flushes (contact evidence on both feeds, records on
+// neither) and the rest are kept; records with no indexed endpoint make
+// no row, records before the epoch make an hour -1 row.
 func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	f := buildDenseFixture(7)
 	opts := f.opts
 	opts.ScannerThreshold = 3
-	opts.Excluded = map[netip.Addr]struct{}{}
 	const windowHours = 48
 	epoch := f.days[0]
 	f.idx.Build()
@@ -185,7 +184,6 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	lineID := map[netip.Addr]uint32{}
 	backID := map[netip.Addr]uint32{}
 	var lineAddrs, backAddrs []netip.Addr
-	excludedRows := 0
 	for _, r := range f.recs {
 		line, beID, _, ok := f.idx.lineSide(r)
 		if !ok {
@@ -194,12 +192,6 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 		if _, seen := lineID[line]; !seen {
 			lineID[line] = uint32(len(lineAddrs))
 			lineAddrs = append(lineAddrs, line)
-			if len(lineAddrs)%3 == 0 {
-				opts.Excluded[line] = struct{}{}
-			}
-		}
-		if _, skip := opts.Excluded[line]; skip {
-			excludedRows++
 		}
 		be := f.idx.addrs[beID]
 		if _, seen := backID[be]; !seen {
@@ -207,10 +199,6 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 			backAddrs = append(backAddrs, be)
 		}
 	}
-	if excludedRows == 0 {
-		t.Fatal("fixture has no rows on excluded lines")
-	}
-
 	winRec, err := NewWindow(f.idx, epoch, windowHours, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +216,10 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	}
 	recTables := winRec.NewWireTables()
 
-	unindexed, preEpoch := 0, 0
+	unindexed, preEpoch, overRows, rows := 0, 0, 0, 0
 	for _, flush := range hourFlushes(f.recs, epoch) {
 		var b, rb netflow.RecordBatch
+		contacts := map[netip.Addr]map[int32]int{} // line → backend → rows
 		for _, r := range flush {
 			line, beID, down, ok := f.idx.lineSide(r)
 			before := rb.Len()
@@ -253,6 +242,19 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 				port = r.DstPort
 			}
 			b.Append(lineID[line], backID[f.idx.addrs[beID]], down, h, port, r.Proto, r.Bytes, r.Packets)
+			if contacts[line] == nil {
+				contacts[line] = map[int32]int{}
+			}
+			contacts[line][beID]++
+		}
+		for _, backs := range contacts {
+			n := 0
+			for _, c := range backs {
+				n += c
+			}
+			if rows += n; len(backs) > opts.ScannerThreshold {
+				overRows += n
+			}
 		}
 		if rb.Len() != b.Len() {
 			t.Fatalf("resolver made %d rows, the reference conversion %d", rb.Len(), b.Len())
@@ -273,6 +275,9 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 	}
 	if unindexed == 0 || preEpoch == 0 {
 		t.Fatalf("fixture must carry unindexed (%d) and pre-epoch (%d) records", unindexed, preEpoch)
+	}
+	if overRows == 0 || overRows == rows {
+		t.Fatalf("fixture must mix kept and over lines: %d of %d indexed rows are on over lines", overRows, rows)
 	}
 
 	ccR, colR := winRec.Merged()
@@ -467,13 +472,10 @@ func TestWindowSnapshotRefusesMismatch(t *testing.T) {
 }
 
 // TestWireTablesSnapshotRoundTrip: dictionary state survives a
-// checkpoint, including gap-filled (lost) entries and exclusion
-// recomputation.
+// checkpoint, including gap-filled (lost) entries.
 func TestWireTablesSnapshotRoundTrip(t *testing.T) {
 	f := buildDenseFixture(17)
-	opts := f.opts
-	opts.Excluded = map[netip.Addr]struct{}{isp.LineV4Addr(0, 7): {}}
-	win, err := NewWindow(f.idx, f.days[0], 48, opts)
+	win, err := NewWindow(f.idx, f.days[0], 48, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

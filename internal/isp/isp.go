@@ -16,7 +16,7 @@
 // (a netflow.RecordBatch naming backends by server ordinal) for the
 // aggregation layer (core/flows) to fold. SimulateLinesToWire exports
 // the rows as dictionary streams, the one format the border routers
-// write; SimulateLines, Simulate and SimulateDay are record adapters.
+// write; SimulateLines and SimulateDay are record adapters.
 //
 // NewNetwork resolves everything that does not depend on the line-day:
 // the population, the server table, the stream labels, the sampler's
@@ -471,12 +471,6 @@ func (n *Network) SimulateLines(workers int, sinkFor func(shard int) func(netflo
 			lineDone(shard, line)
 		}
 	})
-}
-
-// Simulate is the sequential SimulateLines, a record adapter for the
-// tests; repeated calls emit identical streams.
-func (n *Network) Simulate(sink func(netflow.Record)) {
-	n.SimulateLines(1, func(int) func(netflow.Record) { return sink }, func(int, *Line) {})
 }
 
 // SimulateDay generates one study day of records into sink, in line

@@ -122,8 +122,7 @@ func TestNewNetworkLineLimit(t *testing.T) {
 // and every line must complete exactly once.
 func TestSimulateLinesMatchesSequential(t *testing.T) {
 	_, n := testNetwork(t)
-	var seq []netflow.Record
-	n.Simulate(func(r netflow.Record) { seq = append(seq, r) })
+	seq := recordFeed(n)
 
 	const workers = 3
 	shardRecs := make([][]netflow.Record, workers)
@@ -163,14 +162,22 @@ func TestSimulateLinesMatchesSequential(t *testing.T) {
 	}
 }
 
+// recordFeed is the one-worker SimulateLines feed: every line's records
+// in line order.
+func recordFeed(n *Network) []netflow.Record {
+	var out []netflow.Record
+	n.SimulateLines(1, func(int) func(netflow.Record) {
+		return func(r netflow.Record) { out = append(out, r) }
+	}, func(int, *Line) {})
+	return out
+}
+
 // TestSimulateIdempotent: homing state resets per line, so back-to-back
-// Simulate calls on one Network emit identical streams (the paper's
+// simulations on one Network emit identical streams (the paper's
 // analyses all read one recorded feed).
 func TestSimulateIdempotent(t *testing.T) {
 	_, n := testNetwork(t)
-	var a, b []netflow.Record
-	n.Simulate(func(r netflow.Record) { a = append(a, r) })
-	n.Simulate(func(r netflow.Record) { b = append(b, r) })
+	a, b := recordFeed(n), recordFeed(n)
 	if len(a) != len(b) {
 		t.Fatalf("replay lengths differ: %d vs %d", len(a), len(b))
 	}

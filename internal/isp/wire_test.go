@@ -82,13 +82,15 @@ func rowOf(r netflow.Record) wireRow {
 }
 
 // TestWireRoundTripMatchesSimulate: decoding every stream in shard
-// order reproduces the sequential Simulate feed exactly — same rows,
+// order reproduces the one-worker record feed exactly — same rows,
 // same order, nothing lost or reordered inside a shard — and each
 // stream's hello advertises the sampling rate and study epoch.
 func TestWireRoundTripMatchesSimulate(t *testing.T) {
 	n := wireNetwork(t, 300)
 	var want []wireRow
-	n.Simulate(func(r netflow.Record) { want = append(want, rowOf(r)) })
+	for _, r := range recordFeed(n) {
+		want = append(want, rowOf(r))
+	}
 
 	bufs, stats := exportStreams(t, n, 4)
 	var got []wireRow
@@ -140,7 +142,7 @@ func TestWireRoundTripMatchesSimulate(t *testing.T) {
 		t.Fatalf("decoded %d records, stats say %d", len(got), stats.V4Records+stats.V6Records)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("decoded %d records, Simulate emitted %d", len(got), len(want))
+		t.Fatalf("decoded %d records, the record feed has %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {

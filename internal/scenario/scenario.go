@@ -68,7 +68,8 @@ type Step struct {
 	Migration *Migration
 	// Wire is the step's wire-plane fault schedule on the study-hour
 	// clock (empty: clean wire). Compile gives it the scenario's derived
-	// fault seed.
+	// fault seed. Wire rules fault exported streams, so a suite with any
+	// runs only on a wire-mode System (iotmap.TrafficModeWire).
 	Wire []faultwire.Rule
 }
 

@@ -80,10 +80,11 @@ type Config struct {
 	// the IPv6 estate (faster; discovery falls back to DNS channels).
 	SkipLiveScan bool
 	// TrafficMode selects TrafficStudy's data path: TrafficModeMemory
-	// (default) hands aggregators in-memory records; TrafficModeWire
+	// (default) hands aggregators the simulator's rows; TrafficModeWire
 	// exports every line shard as a framed dictionary stream and
 	// re-ingests it through internal/collector — the production-shaped
-	// path, byte-identical in output.
+	// path, byte-identical in output. A DisruptionSuite step's Wire
+	// rules need TrafficModeWire: memory mode has no stream to fault.
 	TrafficMode string
 	// WireStreams is the concurrent stream count in wire mode
 	// (default GOMAXPROCS).

@@ -272,6 +272,20 @@ func TestDisruptionSuiteOutageOnly(t *testing.T) {
 	}
 }
 
+// TestDisruptionSuiteMemoryModeRejectsWireRules: memory mode exports no
+// stream for a wire rule to fault, so a suite with wire rules is refused
+// before the baseline runs instead of reporting a clean wire.
+func TestDisruptionSuiteMemoryModeRejectsWireRules(t *testing.T) {
+	sys := validatedOutageWeek(t, federationConfig(iotmap.TrafficModeMemory))
+	res, err := sys.DisruptionSuite(scenario.Presets(5)[scenario.PresetOutageWireChaos])
+	if err == nil {
+		t.Fatalf("memory-mode suite with wire rules ran: %d scenarios", len(res.Scenarios))
+	}
+	if sys.Federation != nil {
+		t.Fatal("the baseline ran before the wire rules were refused")
+	}
+}
+
 // TestSuiteComposesOverConfiguredOutage: scenario runs compose their
 // step over Config.Outage exactly as the baseline does, so a pure
 // control-plane migration on a system with an outage configured still
