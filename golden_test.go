@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"iotmap"
@@ -52,6 +53,81 @@ func checkGolden(t *testing.T, name, got string) {
 		}
 	}
 	t.Errorf("%s drifted from the single-feed two-pass baseline (len got=%d want=%d)", name, len(got), len(want))
+}
+
+// fixture is a seed-71 System the goldens render from, built once per
+// test binary. A failed build panics inside the Once, so the first test
+// to ask reports it and later ones fail on the missing System.
+type fixture struct {
+	once sync.Once
+	sys  *iotmap.System
+}
+
+func (f *fixture) get(t testing.TB, cfg iotmap.Config, through func(*iotmap.System) error) *iotmap.System {
+	t.Helper()
+	f.once.Do(func() {
+		sys, err := iotmap.New(cfg)
+		if err != nil {
+			panic(err)
+		}
+		if err := through(sys); err != nil {
+			panic(err)
+		}
+		f.sys = sys
+	})
+	if f.sys == nil {
+		t.Fatal("seed-71 fixture failed to build (see the first test's panic)")
+	}
+	return f.sys
+}
+
+var mainFixture, outageFixture, wireFixture, wireOutageFixture fixture
+
+// runAll drives every stage; throughValidate stops after
+// ValidateAndLocate so the wire goldens can drive TrafficStudy
+// themselves to vary the stream count.
+func runAll(sys *iotmap.System) error { return sys.RunAll(context.Background()) }
+
+func throughValidate(sys *iotmap.System) error {
+	if err := sys.Discover(context.Background()); err != nil {
+		return err
+	}
+	return sys.ValidateAndLocate()
+}
+
+func mainSystem(t testing.TB) *iotmap.System {
+	t.Helper()
+	return mainFixture.get(t, iotmap.Config{Seed: 71, Scale: 0.05, Lines: 5000}, runAll)
+}
+
+func outageSystem(t testing.TB) *iotmap.System {
+	t.Helper()
+	return outageFixture.get(t, iotmap.Config{
+		Seed: 71, Scale: 0.05, Lines: 5000,
+		Days:   iotmap.OutageStudyDays(),
+		Outage: iotmap.AWSOutageScenario(),
+	}, runAll)
+}
+
+// wireSystem is the seed-71 fixture in wire mode, prepared through
+// ValidateAndLocate.
+func wireSystem(t testing.TB) *iotmap.System {
+	t.Helper()
+	return wireFixture.get(t, iotmap.Config{
+		Seed: 71, Scale: 0.05, Lines: 5000,
+		TrafficMode: iotmap.TrafficModeWire,
+	}, throughValidate)
+}
+
+// wireOutageSystem is the outage-week twin of wireSystem.
+func wireOutageSystem(t testing.TB) *iotmap.System {
+	t.Helper()
+	return wireOutageFixture.get(t, iotmap.Config{
+		Seed: 71, Scale: 0.05, Lines: 5000,
+		Days:        iotmap.OutageStudyDays(),
+		Outage:      iotmap.AWSOutageScenario(),
+		TrafficMode: iotmap.TrafficModeWire,
+	}, throughValidate)
 }
 
 // TestGoldenFigures: every Section 5 artifact at seed 71 is byte-identical
