@@ -38,7 +38,7 @@ func eachBackendFromUnion(s *System, add func(netip.Addr, string, geo.Continent,
 
 // TestBackendIndexMatchesUnionOracle: the index ValidateAndLocate built
 // from the certificate bits it recorded is the index the Union()-based
-// builder makes. The index exports only Owner and Size, so the
+// builder makes. The index exports little beyond Size, so the
 // comparison is a deep one: the same address → (alias, continent,
 // region, certFound) entries and the same dense ID assignment.
 func TestBackendIndexMatchesUnionOracle(t *testing.T) {
@@ -67,16 +67,13 @@ func TestBackendIndexMatchesUnionOracle(t *testing.T) {
 			t.Fatalf("seed %d: index holds %d addresses, the oracle %d", seed, idx.Size(), len(want))
 		}
 		cert := 0
-		for a, w := range want {
-			if idx.Owner(a) != w.alias {
-				t.Errorf("seed %d: %v owned by %q in the index, the oracle says %q", seed, a, idx.Owner(a), w.alias)
-			}
+		for _, w := range want {
 			if w.certFound {
 				cert++
 			}
 		}
 		if !reflect.DeepEqual(idx, oracle) {
-			t.Errorf("seed %d: the index's continent, region or certFound columns differ from the oracle's", seed)
+			t.Errorf("seed %d: the index's alias, continent, region or certFound columns differ from the oracle's", seed)
 		}
 		if cert == 0 || cert == len(want) {
 			t.Fatalf("seed %d: %d of %d addresses certificate-found; the comparison needs both kinds", seed, cert, len(want))

@@ -201,8 +201,9 @@ func BenchmarkStageWireWeekFaulty(b *testing.B) {
 	}
 	opts := flows.Options{ScannerThreshold: 100, SamplingRate: 100}
 	streams := runtime.GOMAXPROCS(0)
-	sc := faultwire.Uniform(5, 0.01)
-	sc.Start = w.Days[0]
+	sc := &faultwire.Scenario{Seed: 5, Start: w.Days[0], Rules: []faultwire.Rule{
+		{Stream: -1, Faults: faultwire.Faults{CorruptProb: 0.01}},
+	}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,12 +17,9 @@ import (
 // ProtoID distinguishes the three AMQP 1.0 bootstrap variants.
 type ProtoID byte
 
-// Protocol IDs (AMQP 1.0 §2.2).
-const (
-	ProtoAMQP ProtoID = 0
-	ProtoTLS  ProtoID = 2
-	ProtoSASL ProtoID = 3
-)
+// ProtoAMQP is the plain AMQP protocol ID (AMQP 1.0 §2.2); TLS is 2 and
+// SASL 3.
+const ProtoAMQP ProtoID = 0
 
 // Header is the 8-byte AMQP protocol header: "AMQP" + id + version.
 type Header struct {
@@ -62,12 +59,6 @@ func ParseHeader(b []byte) (Header, error) {
 
 // FrameType is the frame type octet.
 type FrameType byte
-
-// Frame types.
-const (
-	FrameAMQP FrameType = 0
-	FrameSASL FrameType = 1
-)
 
 // Frame is one AMQP frame: an 8-byte envelope plus opaque body (the
 // performative encoding itself is out of scope; the simulation only

@@ -148,3 +148,13 @@ func BenchmarkFrameRead(b *testing.B) {
 		}
 	}
 }
+
+// The bootstrap variants and frame types the tests exercise beside
+// plain AMQP (AMQP 1.0 §2.2, §2.3).
+const (
+	ProtoTLS  ProtoID = 2
+	ProtoSASL ProtoID = 3
+
+	FrameAMQP FrameType = 0
+	FrameSASL FrameType = 1
+)

@@ -132,24 +132,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 // Between returns P(lo < X <= hi).
 func (e *ECDF) Between(lo, hi float64) float64 { return e.At(hi) - e.At(lo) }
 
-// Points samples the ECDF at logarithmically spaced xs for plotting.
-func (e *ECDF) Points(lo, hi float64, n int) []Point {
-	if n < 2 || lo <= 0 || hi <= lo {
-		return nil
-	}
-	out := make([]Point, n)
-	ratio := math.Pow(hi/lo, 1/float64(n-1))
-	x := lo
-	for i := 0; i < n; i++ {
-		out[i] = Point{X: x, Y: e.At(x)}
-		x *= ratio
-	}
-	return out
-}
-
-// Point is one (x, y) plot sample.
-type Point struct{ X, Y float64 }
-
 // Series is an hour-indexed time series.
 type Series struct {
 	Label string
@@ -218,17 +200,6 @@ func (s *Series) Sum(lo, hi int) float64 {
 
 // Total sums the whole series.
 func (s *Series) Total() float64 { return s.Sum(0, len(s.Values)) }
-
-// Normalize scales the series so its maximum is 1 (no-op when empty).
-func (s *Series) Normalize() {
-	m := s.Max()
-	if m <= 0 {
-		return
-	}
-	for i := range s.Values {
-		s.Values[i] /= m
-	}
-}
 
 // Shares normalizes a weighted map into fractions summing to 1.
 func Shares[K comparable](weights map[K]float64) map[K]float64 {

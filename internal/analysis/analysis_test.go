@@ -47,31 +47,6 @@ func TestECDFEmpty(t *testing.T) {
 	if e.At(5) != 0 || e.Quantile(0.5) != 0 {
 		t.Fatal("empty ECDF should be zero")
 	}
-	if pts := e.Points(1, 10, 5); len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-}
-
-func TestECDFPointsLogSpaced(t *testing.T) {
-	e := NewECDF([]float64{10, 100, 1000})
-	pts := e.Points(1, 1e4, 9)
-	if len(pts) != 9 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].X != 1 {
-		t.Fatalf("first x = %v", pts[0].X)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X <= pts[i-1].X {
-			t.Fatal("xs not increasing")
-		}
-		if pts[i].Y < pts[i-1].Y {
-			t.Fatal("ECDF not monotone")
-		}
-	}
-	if last := pts[len(pts)-1]; math.Abs(last.X-1e4) > 1 || last.Y != 1 {
-		t.Fatalf("last point = %+v", last)
-	}
 }
 
 func TestPropertyECDFMonotone(t *testing.T) {
@@ -107,12 +82,7 @@ func TestSeries(t *testing.T) {
 	if s.Sum(0, 1) != 5 {
 		t.Fatalf("sum = %v", s.Sum(0, 1))
 	}
-	s.Normalize()
-	if s.Max() != 1 {
-		t.Fatalf("normalized max = %v", s.Max())
-	}
 	empty := NewSeries("x", 3)
-	empty.Normalize() // must not panic or NaN
 	if empty.Min(0, 3) != 0 {
 		t.Fatal("empty min")
 	}

@@ -5,13 +5,10 @@
 package asdb
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net/netip"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // ASN is an autonomous system number.
@@ -38,8 +35,8 @@ type Announcement struct {
 
 // Table is a longest-prefix-match routing table for IPv4 and IPv6,
 // implemented as two binary tries. Lookups walk at most 32 or 128 nodes,
-// the classic unibit-trie bound; a micro-benchmark against linear scan
-// lives in the package benchmarks (DESIGN.md ablation list).
+// the classic unibit-trie bound. asdb_test.go keeps a linear-scan
+// matcher as the trie's reference oracle and benchmarks the two.
 type Table struct {
 	v4, v6   *trieNode
 	ases     map[ASN]AS
@@ -107,31 +104,6 @@ func (t *Table) Announce(pfx netip.Prefix, origin ASN) error {
 	return nil
 }
 
-// Withdraw removes the announcement for exactly pfx, reporting whether an
-// entry existed. Interior nodes are not pruned; tables in this simulation
-// are built once and queried many times.
-func (t *Table) Withdraw(pfx netip.Prefix) bool {
-	pfx = pfx.Masked()
-	root := t.v6
-	if pfx.Addr().Is4() {
-		root = t.v4
-	}
-	n := root
-	addr := pfx.Addr().AsSlice()
-	for i := 0; i < pfx.Bits(); i++ {
-		n = n.child[bit(addr, i)]
-		if n == nil {
-			return false
-		}
-	}
-	if n.ann == nil {
-		return false
-	}
-	n.ann = nil
-	t.prefixes--
-	return true
-}
-
 // Lookup returns the longest matching announcement for addr.
 func (t *Table) Lookup(addr netip.Addr) (Announcement, bool) {
 	if !addr.IsValid() {
@@ -168,133 +140,6 @@ func (t *Table) Lookup(addr netip.Addr) (Announcement, bool) {
 func (t *Table) Origin(addr netip.Addr) (ASN, bool) {
 	ann, ok := t.Lookup(addr)
 	return ann.Origin, ok
-}
-
-// Announcements returns every installed announcement, sorted by prefix
-// string. Intended for dumps and tests, not hot paths.
-func (t *Table) Announcements() []Announcement {
-	var out []Announcement
-	var walk func(n *trieNode)
-	walk = func(n *trieNode) {
-		if n == nil {
-			return
-		}
-		if n.ann != nil {
-			out = append(out, *n.ann)
-		}
-		walk(n.child[0])
-		walk(n.child[1])
-	}
-	walk(t.v4)
-	walk(t.v6)
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.String() < out[j].Prefix.String() })
-	return out
-}
-
-// DistinctOrigins returns the set of origin ASNs covering addrs — the
-// paper's network-diversity metric ("typically more than one AS").
-func (t *Table) DistinctOrigins(addrs []netip.Addr) []ASN {
-	seen := map[ASN]struct{}{}
-	for _, a := range addrs {
-		if asn, ok := t.Origin(a); ok {
-			seen[asn] = struct{}{}
-		}
-	}
-	out := make([]ASN, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// DistinctPrefixes returns the distinct announced prefixes covering addrs.
-func (t *Table) DistinctPrefixes(addrs []netip.Addr) []netip.Prefix {
-	seen := map[netip.Prefix]struct{}{}
-	for _, a := range addrs {
-		if ann, ok := t.Lookup(a); ok {
-			seen[ann.Prefix] = struct{}{}
-		}
-	}
-	out := make([]netip.Prefix, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// WriteDump serializes the table in the two-column "prefix origin" text
-// format RouteViews-style tools exchange.
-func (t *Table) WriteDump(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, ann := range t.Announcements() {
-		if _, err := fmt.Fprintf(bw, "%s %d\n", ann.Prefix, ann.Origin); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadDump parses the format written by WriteDump into a fresh table.
-func ReadDump(r io.Reader) (*Table, error) {
-	t := NewTable()
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("asdb: dump line %d: want 2 fields, got %d", line, len(fields))
-		}
-		pfx, err := netip.ParsePrefix(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("asdb: dump line %d: %v", line, err)
-		}
-		origin, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("asdb: dump line %d: %v", line, err)
-		}
-		if err := t.Announce(pfx, ASN(origin)); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// LinearTable is the naive O(n) matcher used only as an ablation baseline
-// for the trie (see bench in this package).
-type LinearTable struct {
-	anns []Announcement
-}
-
-// NewLinearTable builds a LinearTable from announcements.
-func NewLinearTable(anns []Announcement) *LinearTable {
-	cp := make([]Announcement, len(anns))
-	copy(cp, anns)
-	return &LinearTable{anns: cp}
-}
-
-// Lookup scans every announcement for the longest match.
-func (l *LinearTable) Lookup(addr netip.Addr) (Announcement, bool) {
-	best := Announcement{}
-	found := false
-	for _, ann := range l.anns {
-		if ann.Prefix.Contains(addr) {
-			if !found || ann.Prefix.Bits() > best.Prefix.Bits() {
-				best = ann
-				found = true
-			}
-		}
-	}
-	return best, found
 }
 
 // bit extracts bit i (MSB first) from a byte slice.

@@ -1,9 +1,7 @@
 package asdb
 
 import (
-	"bytes"
 	"net/netip"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -68,24 +66,6 @@ func TestAnnounceReplacesOrigin(t *testing.T) {
 	}
 }
 
-func TestWithdraw(t *testing.T) {
-	tbl := NewTable()
-	must(t, tbl.Announce(netip.MustParsePrefix("10.0.0.0/8"), 1))
-	must(t, tbl.Announce(netip.MustParsePrefix("10.1.0.0/16"), 2))
-	if !tbl.Withdraw(netip.MustParsePrefix("10.1.0.0/16")) {
-		t.Fatal("withdraw existing failed")
-	}
-	if tbl.Withdraw(netip.MustParsePrefix("10.2.0.0/16")) {
-		t.Fatal("withdraw of absent prefix succeeded")
-	}
-	if asn, _ := tbl.Origin(netip.MustParseAddr("10.1.0.1")); asn != 1 {
-		t.Fatalf("after withdraw, origin = %d, want fallback 1", asn)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("Len = %d", tbl.Len())
-	}
-}
-
 func TestInvalidInputs(t *testing.T) {
 	tbl := NewTable()
 	if err := tbl.Announce(netip.Prefix{}, 1); err == nil {
@@ -113,63 +93,6 @@ func TestASRegistry(t *testing.T) {
 	}
 	if ASN(65000).String() != "AS65000" {
 		t.Fatal("ASN.String format")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	tbl := NewTable()
-	must(t, tbl.Announce(netip.MustParsePrefix("10.0.0.0/24"), 1))
-	must(t, tbl.Announce(netip.MustParsePrefix("10.0.1.0/24"), 1))
-	must(t, tbl.Announce(netip.MustParsePrefix("10.0.2.0/24"), 2))
-	addrs := []netip.Addr{
-		netip.MustParseAddr("10.0.0.5"),
-		netip.MustParseAddr("10.0.1.5"),
-		netip.MustParseAddr("10.0.2.5"),
-		netip.MustParseAddr("192.0.2.1"), // unrouted
-	}
-	if got := tbl.DistinctOrigins(addrs); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("DistinctOrigins = %v", got)
-	}
-	if got := tbl.DistinctPrefixes(addrs); len(got) != 3 {
-		t.Fatalf("DistinctPrefixes = %v", got)
-	}
-}
-
-func TestDumpRoundTrip(t *testing.T) {
-	tbl := NewTable()
-	must(t, tbl.Announce(netip.MustParsePrefix("10.0.0.0/8"), 100))
-	must(t, tbl.Announce(netip.MustParsePrefix("2001:db8::/32"), 64500))
-	var buf bytes.Buffer
-	if err := tbl.WriteDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("round-trip Len = %d", got.Len())
-	}
-	if asn, _ := got.Origin(netip.MustParseAddr("10.1.1.1")); asn != 100 {
-		t.Fatalf("round-trip v4 origin = %d", asn)
-	}
-}
-
-func TestReadDumpErrors(t *testing.T) {
-	cases := []string{
-		"10.0.0.0/8",            // missing origin
-		"not-a-prefix 100",      // bad prefix
-		"10.0.0.0/8 not-an-asn", // bad asn
-	}
-	for _, c := range cases {
-		if _, err := ReadDump(strings.NewReader(c)); err == nil {
-			t.Fatalf("ReadDump(%q) accepted", c)
-		}
-	}
-	// Comments and blank lines are fine.
-	tbl, err := ReadDump(strings.NewReader("# comment\n\n10.0.0.0/8 5\n"))
-	if err != nil || tbl.Len() != 1 {
-		t.Fatalf("ReadDump with comments: %v len=%d", err, tbl.Len())
 	}
 }
 
@@ -213,7 +136,7 @@ func TestPropertyTrieMatchesLinear(t *testing.T) {
 				anns = append(anns, Announcement{Prefix: pfx, Origin: origin})
 			}
 		}
-		lin := NewLinearTable(anns)
+		lin := newLinearTable(anns)
 		for _, p := range probes {
 			var b [4]byte
 			b[0] = byte(p >> 24)
@@ -264,11 +187,38 @@ func BenchmarkLinearLookup(b *testing.B) {
 		a := netip.AddrFrom4([4]byte{byte(i >> 2), byte(i << 6), 0, 0})
 		anns = append(anns, Announcement{Prefix: netip.PrefixFrom(a, 10+i%15).Masked(), Origin: ASN(i)})
 	}
-	lin := NewLinearTable(anns)
+	lin := newLinearTable(anns)
 	addr := netip.MustParseAddr("63.64.1.2")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lin.Lookup(addr)
 	}
+}
+
+// linearTable is the naive O(n) matcher the trie is checked and
+// benchmarked against.
+type linearTable struct {
+	anns []Announcement
+}
+
+func newLinearTable(anns []Announcement) *linearTable {
+	cp := make([]Announcement, len(anns))
+	copy(cp, anns)
+	return &linearTable{anns: cp}
+}
+
+// Lookup scans every announcement for the longest match.
+func (l *linearTable) Lookup(addr netip.Addr) (Announcement, bool) {
+	best := Announcement{}
+	found := false
+	for _, ann := range l.anns {
+		if ann.Prefix.Contains(addr) {
+			if !found || ann.Prefix.Bits() > best.Prefix.Bits() {
+				best = ann
+				found = true
+			}
+		}
+	}
+	return best, found
 }

@@ -89,7 +89,7 @@ type Impact struct {
 // (prefix events) or a hosting AS (outage events). The table is static,
 // so each address's origin is resolved once into the set of hosting ASes
 // and every outage event is one probe of that set — the same answer as
-// CheckImpactAt(addrs, TableOrigin(table)) without a trie walk per
+// CheckImpactAt with the table as its origin, without a trie walk per
 // (event, address).
 func (f *Feed) CheckImpact(addrs []netip.Addr, table *asdb.Table) []Impact {
 	hosting := map[asdb.ASN]struct{}{}
@@ -105,17 +105,10 @@ func (f *Feed) CheckImpact(addrs []netip.Addr, table *asdb.Table) []Impact {
 }
 
 // OriginAt resolves a monitored address's hosting AS as of a point in
-// time. A static routing table ignores `at` (TableOrigin); a scenario
+// time. A static routing table ignores `at`; a scenario
 // with an AS migration answers differently before and after cutover, so
 // an outage of the abandoned AS stops matching the fleet that left it.
 type OriginAt func(a netip.Addr, at time.Time) (asdb.ASN, bool)
-
-// TableOrigin adapts a static asdb table to the time-aware interface.
-func TableOrigin(table *asdb.Table) OriginAt {
-	return func(a netip.Addr, _ time.Time) (asdb.ASN, bool) {
-		return table.Origin(a)
-	}
-}
 
 // CheckImpactAt is CheckImpact with time-aware origin resolution: each
 // event's hosting-AS match is evaluated at the event's own timestamp,

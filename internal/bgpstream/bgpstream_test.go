@@ -130,7 +130,7 @@ func TestCheckImpactMatchesCheckImpactAt(t *testing.T) {
 	feed = NewFeed(events)
 
 	got := feed.CheckImpact(addrs, w.AS)
-	want := feed.CheckImpactAt(addrs, TableOrigin(w.AS))
+	want := feed.CheckImpactAt(addrs, tableOrigin(w.AS))
 	if len(got) != injected+1 {
 		t.Fatalf("impacts = %d, want %d hosted outages + 1 hijack", len(got), injected)
 	}
@@ -148,5 +148,12 @@ func TestKindString(t *testing.T) {
 	if Leak.String() != "bgp-leak" || Hijack.String() != "possible-hijack" ||
 		ASOutage.String() != "as-outage" || Kind(9).String() != "unknown" {
 		t.Fatal("Kind.String mismatch")
+	}
+}
+
+// tableOrigin adapts a static asdb table to the time-aware interface.
+func tableOrigin(table *asdb.Table) OriginAt {
+	return func(a netip.Addr, _ time.Time) (asdb.ASN, bool) {
+		return table.Origin(a)
 	}
 }

@@ -78,15 +78,6 @@ func (a *Aggregate) Match(addrs []netip.Addr, ownerOf func(netip.Addr) string) [
 	return out
 }
 
-// PerProvider tallies hits by provider.
-func PerProvider(hits []Hit) map[string]int {
-	out := map[string]int{}
-	for _, h := range hits {
-		out[h.Provider]++
-	}
-	return out
-}
-
 // paperListings is the §6.2 per-provider listing count at Scale=1:
 // "Baidu (5 IPs), Microsoft (4 IPs), SAP (4 IPs), Google (3 IPs),
 // Amazon (2 IPs), and Alibaba (1 IP)" — 19 listings over 16 distinct

@@ -214,11 +214,6 @@ type Snapshot struct {
 	n      int
 }
 
-// NewSnapshot builds a standalone snapshot for date from records.
-func NewSnapshot(date time.Time, records []Record) *Snapshot {
-	return NewCatalog(records).Snapshot(date, nil)
-}
-
 func (s *Snapshot) has(i int32) bool { return s.active == nil || s.active[i] }
 
 // Len returns the record count.

@@ -28,7 +28,7 @@ func sampleSnapshot() *Snapshot {
 		{Addr: netip.MustParseAddr("52.0.0.1"), Port: 8883, Protocol: proto.MQTTS}, // open, no cert
 		{Addr: netip.MustParseAddr("20.0.0.1"), Port: 443, Protocol: proto.HTTPS, Cert: spec("hub.azure-devices.net")},
 	}
-	return NewSnapshot(day, records)
+	return newSnapshot(day, records)
 }
 
 func TestSnapshotOrderingAndIndex(t *testing.T) {
@@ -71,7 +71,7 @@ func TestSearchCerts(t *testing.T) {
 func TestSearchCertsSkipsExpired(t *testing.T) {
 	expired := spec("x.iot.us-east-1.amazonaws.com")
 	expired.NotAfter = day.Add(-time.Hour)
-	s := NewSnapshot(day, []Record{
+	s := newSnapshot(day, []Record{
 		{Addr: netip.MustParseAddr("52.0.0.9"), Port: 443, Protocol: proto.HTTPS, Cert: expired},
 	})
 	re := regexp.MustCompile(`amazonaws\.com\.$`)
@@ -83,7 +83,7 @@ func TestSearchCertsSkipsExpired(t *testing.T) {
 func TestServiceDays(t *testing.T) {
 	svc := NewService()
 	d2 := day.AddDate(0, 0, 1)
-	svc.Put(NewSnapshot(d2, nil))
+	svc.Put(newSnapshot(d2, nil))
 	svc.Put(sampleSnapshot())
 	days := svc.Days()
 	if len(days) != 2 || !days[0].Equal(day) {
@@ -103,4 +103,9 @@ func TestRecordEndpoint(t *testing.T) {
 	if r.Endpoint().String() != "1.2.3.4:8883" {
 		t.Fatalf("endpoint = %v", r.Endpoint())
 	}
+}
+
+// newSnapshot builds a standalone snapshot for date from records.
+func newSnapshot(date time.Time, records []Record) *Snapshot {
+	return NewCatalog(records).Snapshot(date, nil)
 }

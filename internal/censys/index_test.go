@@ -40,7 +40,7 @@ func randomSnapshot(seed int64, n int) *Snapshot {
 		}
 		records = append(records, rec)
 	}
-	return NewSnapshot(day, records)
+	return newSnapshot(day, records)
 }
 
 func randomName(rng *simrand.Source, docs []patterns.Doc) string {
@@ -120,7 +120,7 @@ func TestCatalogDayViewsSearchedConcurrently(t *testing.T) {
 					subset = append(subset, r)
 				}
 			}
-			want := NewSnapshot(date, subset)
+			want := newSnapshot(date, subset)
 			if !reflect.DeepEqual(view.Records(), want.Records()) {
 				t.Errorf("day %d: view records differ from the standalone snapshot", d)
 			}

@@ -1,8 +1,9 @@
-// Package coap implements the RFC 7252 CoAP message codec plus a minimal
-// UDP client/server pair. Several providers in Table 1 expose CoAP
-// endpoints, frequently on non-standard ports (5682, 5684, 5686) — the
-// port-usage analysis in Section 5.5 depends on exercising those paths,
-// and the scanner uses a GET /.well-known/core probe to fingerprint them.
+// Package coap implements the RFC 7252 CoAP message codec and the
+// discovery responder the simulated servers answer with. Several
+// providers in Table 1 expose CoAP endpoints, frequently on non-standard
+// ports (5682, 5684, 5686) — the port-usage analysis in Section 5.5
+// depends on exercising those paths, and the scanner uses a GET
+// /.well-known/core probe to fingerprint them.
 package coap
 
 import (
@@ -30,15 +31,9 @@ func MakeCode(class, detail uint8) Code { return Code(class<<5 | detail&0x1F) }
 
 // Request and response codes used by the simulation.
 var (
-	CodeEmpty      = MakeCode(0, 0)
-	CodeGET        = MakeCode(0, 1)
-	CodePOST       = MakeCode(0, 2)
-	CodePUT        = MakeCode(0, 3)
-	CodeDELETE     = MakeCode(0, 4)
-	CodeContent    = MakeCode(2, 5)
-	CodeChanged    = MakeCode(2, 4)
-	CodeNotFound   = MakeCode(4, 4)
-	CodeBadRequest = MakeCode(4, 0)
+	CodeGET      = MakeCode(0, 1)
+	CodeContent  = MakeCode(2, 5)
+	CodeNotFound = MakeCode(4, 4)
 )
 
 // String renders the dotted form, e.g. "2.05".
@@ -46,11 +41,8 @@ func (c Code) String() string { return fmt.Sprintf("%d.%02d", c>>5, c&0x1F) }
 
 // Option numbers used by the study's probes.
 const (
-	OptUriHost       = 3
-	OptUriPort       = 7
 	OptUriPath       = 11
 	OptContentFormat = 12
-	OptUriQuery      = 15
 )
 
 // Option is one CoAP option instance.

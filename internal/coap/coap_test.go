@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCodeString(t *testing.T) {
@@ -26,9 +25,9 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		MessageID: 0xBEEF,
 		Token:     []byte{1, 2, 3, 4},
 	}
-	m.Options = append(m.Options, Option{Number: OptUriHost, Value: []byte("iot.example")})
+	m.Options = append(m.Options, Option{Number: 3 /* Uri-Host */, Value: []byte("iot.example")})
 	m.SetPath("/.well-known/core")
-	m.Options = append(m.Options, Option{Number: OptUriQuery, Value: []byte("rt=core.ps")})
+	m.Options = append(m.Options, Option{Number: 15 /* Uri-Query */, Value: []byte("rt=core.ps")})
 	m.Payload = []byte("hello")
 
 	wire, err := m.Marshal()
@@ -59,7 +58,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 func TestOptionDeltaExtensions(t *testing.T) {
 	// Option numbers straddling the 13/14 extension encodings, plus a
 	// long value (>268 bytes) to exercise length nibble 14.
-	m := &Message{Type: NonConfirmable, Code: CodePOST, MessageID: 9}
+	m := &Message{Type: NonConfirmable, Code: MakeCode(0, 2) /* POST */, MessageID: 9}
 	m.Options = []Option{
 		{Number: 1, Value: []byte("a")},
 		{Number: 20, Value: []byte("b")},         // delta 19 → ext 13
@@ -156,15 +155,10 @@ func TestPropertyRoundTrip(t *testing.T) {
 }
 
 func TestDiscoveryExchange(t *testing.T) {
-	srv, err := NewServer(DiscoveryHandler([]string{"/iot/telemetry", "/iot/config"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	h := DiscoveryHandler([]string{"/iot/telemetry", "/iot/config"})
 	req := &Message{Type: Confirmable, Code: CodeGET, MessageID: 77, Token: []byte{0xAB}}
 	req.SetPath(WellKnownCore)
-	resp, err := Exchange(srv.Addr(), req, time.Second)
+	resp, err := exchange(h, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,20 +174,33 @@ func TestDiscoveryExchange(t *testing.T) {
 }
 
 func TestDiscoveryNotFound(t *testing.T) {
-	srv, err := NewServer(DiscoveryHandler(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	h := DiscoveryHandler(nil)
 	req := &Message{Type: Confirmable, Code: CodeGET, MessageID: 5}
 	req.SetPath("/secret")
-	resp, err := Exchange(srv.Addr(), req, time.Second)
+	resp, err := exchange(h, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Code != CodeNotFound {
 		t.Fatalf("code = %v", resp.Code)
 	}
+}
+
+// exchange carries req to h and the response back through the wire
+// codec, as a server reading datagrams would.
+func exchange(h Handler, req *Message) (*Message, error) {
+	wire, err := req.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	got, err := Unmarshal(wire)
+	if err != nil {
+		return nil, err
+	}
+	if wire, err = h(got).Marshal(); err != nil {
+		return nil, err
+	}
+	return Unmarshal(wire)
 }
 
 func BenchmarkUnmarshal(b *testing.B) {

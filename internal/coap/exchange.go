@@ -2,8 +2,6 @@ package coap
 
 import (
 	"fmt"
-	"net"
-	"time"
 )
 
 // WellKnownCore is the discovery resource scanners GET to fingerprint a
@@ -43,84 +41,4 @@ func DiscoveryHandler(resources []string) Handler {
 		resp.Code = CodeNotFound
 		return resp
 	}
-}
-
-// Server is a minimal CoAP-over-UDP responder.
-type Server struct {
-	conn    *net.UDPConn
-	handler Handler
-	done    chan struct{}
-}
-
-// NewServer starts a server on a fresh loopback UDP socket.
-func NewServer(handler Handler) (*Server, error) {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{conn: conn, handler: handler, done: make(chan struct{})}
-	go s.serve()
-	return s, nil
-}
-
-// Addr returns the server's UDP address.
-func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
-
-// Close stops the server.
-func (s *Server) Close() error {
-	err := s.conn.Close()
-	<-s.done
-	return err
-}
-
-func (s *Server) serve() {
-	defer close(s.done)
-	buf := make([]byte, 2048)
-	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		req, err := Unmarshal(buf[:n])
-		if err != nil {
-			continue // silently drop malformed datagrams, like real stacks
-		}
-		resp := s.handler(req)
-		if resp == nil {
-			continue
-		}
-		wire, err := resp.Marshal()
-		if err != nil {
-			continue
-		}
-		_, _ = s.conn.WriteToUDP(wire, raddr)
-	}
-}
-
-// Exchange sends req to addr and waits for one response.
-func Exchange(addr *net.UDPAddr, req *Message, timeout time.Duration) (*Message, error) {
-	conn, err := net.DialUDP("udp", nil, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	wire, err := req.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(wire); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 2048)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(buf[:n])
 }

@@ -77,11 +77,8 @@ func v4Backend(t *testing.T, w *world.World) *world.Server {
 // v5Packet builds one classifiable single-record v5 packet.
 func v5Packet(t *testing.T, f *fixture, backend *world.Server, line string, vol uint64, hour int) []byte {
 	t.Helper()
-	si, err := netflow.PackSamplingInterval(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt, err := netflow.EncodeV5(netflow.V5Header{
+	const si = 1<<14 | 100 // sampled 1:100
+	pkt, _, err := netflow.EncodeV5Clamped(netflow.V5Header{
 		SamplingInterval: si,
 		UnixSecs:         uint32(f.w.Days[0].Add(time.Duration(hour) * time.Hour).Unix()),
 	}, []netflow.Record{{

@@ -213,8 +213,8 @@ func (s *Stats) add(o Stats) {
 // only knowing "somewhere in the sum". Streams is 0 while the stream
 // is open and 1 once it has ended.
 type StreamStat struct {
-	// Stream is the stream's index: the reader's position in the slice
-	// handed to a batch entry point (IngestStreams, IngestPipes), or
+	// Stream is the stream's index: its position in a batch entry
+	// point's order (IngestPipes' writers, IngestFiles' paths), or
 	// accept order for streams that arrive one at a time (TCP conns,
 	// UDP sources).
 	Stream int
@@ -239,7 +239,7 @@ type StreamStat struct {
 }
 
 // Collector ingests N concurrent NetFlow streams into one merged
-// traffic study. Safe for concurrent IngestStream calls; Finalize once
+// traffic study. Safe for concurrent IngestNamedStream calls; Finalize once
 // ingestion is done.
 type Collector struct {
 	cfg Config

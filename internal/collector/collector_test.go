@@ -337,12 +337,9 @@ func TestServeUDP(t *testing.T) {
 	if backend == nil {
 		t.Fatal("no v4 backend in fixture")
 	}
-	si, err := netflow.PackSamplingInterval(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const si = 1<<14 | 100 // sampled 1:100
 	mk := func(line string, bytes uint64) []byte {
-		pkt, err := netflow.EncodeV5(netflow.V5Header{SamplingInterval: si}, []netflow.Record{{
+		pkt, _, err := netflow.EncodeV5Clamped(netflow.V5Header{SamplingInterval: si}, []netflow.Record{{
 			Src: backend.Addr, Dst: netip.MustParseAddr(line),
 			SrcPort: 8883, DstPort: 40000, Proto: netflow.ProtoTCP,
 			Bytes: bytes, Packets: 3, Start: f.w.Days[0].Add(2 * time.Hour),
@@ -714,4 +711,51 @@ func TestPartialsHandoff(t *testing.T) {
 	if len(emptyCC.Scanners(0)) != 0 || len(emptyCol.Study().Aliases()) != 0 {
 		t.Fatal("drained collector finalized non-empty aggregates")
 	}
+}
+
+// IngestStream is IngestNamedStream with the accept-order label.
+func (c *Collector) IngestStream(r io.Reader) error {
+	return c.IngestNamedStream("", r)
+}
+
+// IngestStreams ingests every reader concurrently and returns the first
+// stream error. A failed stream's reader is aborted (closed or drained)
+// so the exporter behind it unblocks and the healthy streams still run
+// to completion.
+func (c *Collector) IngestStreams(readers []io.Reader) error {
+	return c.IngestNamedStreams(make([]string, len(readers)), readers)
+}
+
+// IngestNamedStreams is IngestStreams with per-reader source labels for
+// the Stats breakdown; names and readers must be the same length.
+func (c *Collector) IngestNamedStreams(names []string, readers []io.Reader) error {
+	if len(names) != len(readers) {
+		return fmt.Errorf("collector: %d names for %d readers", len(names), len(readers))
+	}
+	errs := make([]error, len(readers))
+	base := c.reserveStreams(len(readers))
+	var wg sync.WaitGroup
+	for i, r := range readers {
+		wg.Add(1)
+		go func(i int, r io.Reader) {
+			defer wg.Done()
+			if err := c.ingestIndexed(base+i, names[i], r); err != nil {
+				errs[i] = err
+				abortReader(r, err)
+			}
+		}(i, r)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("collector: stream %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// IngestFile replays one recorded framed stream from disk, as
+// IngestFiles does for each of its paths.
+func (c *Collector) IngestFile(path string) error {
+	return c.ingestFileAt(c.reserveStreams(1), path)
 }

@@ -34,7 +34,7 @@ func TestServeUDPMarksHours(t *testing.T) {
 			Bytes: 500, Packets: 3, Start: f.w.Days[0].Add(time.Duration(hour) * time.Hour),
 		}
 	}
-	v5, err := netflow.EncodeV5(netflow.V5Header{}, []netflow.Record{at(2), at(5)})
+	v5, _, err := netflow.EncodeV5Clamped(netflow.V5Header{}, []netflow.Record{at(2), at(5)})
 	if err != nil {
 		t.Fatal(err)
 	}

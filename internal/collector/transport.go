@@ -20,21 +20,16 @@ import (
 	"iotmap/internal/simrand"
 )
 
-// IngestStream consumes one framed NetFlow stream (the
-// isp.SimulateLinesToWire format) until EOF. It may be called from N
-// goroutines, one per stream; each call owns its own shard partial.
-// Under the default Abort policy, framing and decode errors are fatal
-// for the stream — a corrupt feed fails loudly rather than aggregating
-// a partial week silently (everything ingested up to the error stays
-// counted); DropFrame and QuarantineStream degrade gracefully instead.
-func (c *Collector) IngestStream(r io.Reader) error {
-	return c.IngestNamedStream("", r)
-}
-
-// IngestNamedStream is IngestStream with a source label for the
+// IngestNamedStream consumes one framed NetFlow stream (the
+// isp.SimulateLinesToWire format) until EOF, labelled name in the
 // per-stream Stats breakdown (a file path, a peer address — whatever
 // identifies the feed to an operator). An empty name falls back to the
-// accept-order "stream-N" label.
+// accept-order "stream-N" label. It may be called from N goroutines,
+// one per stream; each call owns its own shard partial. Under the
+// default Abort policy, framing and decode errors are fatal for the
+// stream — a corrupt feed fails loudly rather than aggregating a
+// partial week silently (everything ingested up to the error stays
+// counted); DropFrame and QuarantineStream degrade gracefully instead.
 func (c *Collector) IngestNamedStream(name string, r io.Reader) error {
 	return c.ingestIndexed(c.reserveStreams(1), name, r)
 }
@@ -49,61 +44,12 @@ func (c *Collector) ingestIndexed(idx int, name string, raw io.Reader) error {
 	return c.ingestFrames(st, raw, netflow.NewFrameReader(r))
 }
 
-// IngestStreams ingests every reader concurrently and returns the first
-// stream error. A failed stream's reader is aborted (closed or drained)
-// so the exporter behind it unblocks and the healthy streams still run
-// to completion.
-func (c *Collector) IngestStreams(readers []io.Reader) error {
-	return c.ingestStreams(nil, readers)
-}
-
-// IngestNamedStreams is IngestStreams with per-reader source labels for
-// the Stats breakdown; names and readers must be the same length.
-func (c *Collector) IngestNamedStreams(names []string, readers []io.Reader) error {
-	if len(names) != len(readers) {
-		return fmt.Errorf("collector: %d names for %d readers", len(names), len(readers))
-	}
-	return c.ingestStreams(names, readers)
-}
-
-func (c *Collector) ingestStreams(names []string, readers []io.Reader) error {
-	errs := make([]error, len(readers))
-	base := c.reserveStreams(len(readers))
-	var wg sync.WaitGroup
-	for i, r := range readers {
-		name := ""
-		if names != nil {
-			name = names[i]
-		}
-		wg.Add(1)
-		go func(i int, name string, r io.Reader) {
-			defer wg.Done()
-			if err := c.ingestIndexed(base+i, name, r); err != nil {
-				errs[i] = err
-				abortReader(r, err)
-			}
-		}(i, name, r)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("collector: stream %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// IngestFile replays one recorded framed stream from disk. The file is
+// IngestFiles replays the recorded streams concurrently, one stream per
+// file in slice order, and returns the first error. Each file is
 // memory-mapped (on linux; read whole elsewhere) and frames decode
 // zero-copy from the mapped bytes. When a Tap or stall watchdog is
-// configured the file takes the streaming path instead — those seams
+// configured the files take the streaming path instead — those seams
 // wrap io.Readers.
-func (c *Collector) IngestFile(path string) error {
-	return c.ingestFileAt(c.reserveStreams(1), path)
-}
-
-// IngestFiles replays the recorded streams concurrently, one stream per
-// file in slice order, and returns the first error.
 func (c *Collector) IngestFiles(paths []string) error {
 	base := c.reserveStreams(len(paths))
 	errs := make([]error, len(paths))

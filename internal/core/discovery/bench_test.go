@@ -16,7 +16,7 @@ import (
 func unrelatedStores(w *world.World) []*dnszone.Store {
 	out := make([]*dnszone.Store, len(w.Days))
 	for d := range out {
-		out[d] = w.ZoneStore(d)
+		out[d] = w.ZoneStores()[d]
 	}
 	return out
 }

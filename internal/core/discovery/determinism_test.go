@@ -44,7 +44,7 @@ func TestRunDeterministic(t *testing.T) {
 	// Sanity: the pipeline actually discovered something.
 	total := 0
 	for _, r := range first {
-		total += len(r.UnionAddrs())
+		total += len(r.Union())
 	}
 	if total == 0 {
 		t.Fatal("discovery found nothing; determinism test is vacuous")

@@ -3,8 +3,9 @@
 // snapshots, the custom ZGrab IPv6 scan over the hitlists, passive DNS
 // queries with the provider regexes, and daily active DNS resolution of
 // every DNSDB-identified name from three vantage points. Each discovered
-// address carries its source tags, the raw material of Figure 3 and of
-// the per-source ablations in DESIGN.md.
+// address carries its source tags, the raw material of Figure 3; the
+// root package's TestFigure3FusionFindsMore checks that the fused
+// sources find more addresses than any single one.
 //
 // Computed once per study period: the IPv6 scan, each pattern's
 // passive-DNS query (its observations and whole-period name set), and
@@ -146,18 +147,6 @@ func SortedAddrs(set map[netip.Addr]*AddrInfo) []netip.Addr {
 	return out
 }
 
-// WithSource returns the addresses carrying source s.
-func (d *DayResult) WithSource(s Source) []netip.Addr {
-	var out []netip.Addr
-	for a, ai := range d.Addrs {
-		if ai.Sources.Has(s) {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
 // Result is one provider's discovery across the whole study period.
 type Result struct {
 	Provider string
@@ -188,11 +177,6 @@ func (r *Result) Union() map[netip.Addr]*AddrInfo {
 	}
 	return out
 }
-
-// UnionAddrs returns the sorted union address list. A caller that
-// already holds Union() should sort that with SortedAddrs instead: the
-// union is the expensive part.
-func (r *Result) UnionAddrs() []netip.Addr { return SortedAddrs(r.Union()) }
 
 // Inputs wires the observation channels into the pipeline.
 type Inputs struct {

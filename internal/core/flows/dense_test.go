@@ -470,7 +470,7 @@ func buildDenseFixture(seed int64) denseFixture {
 		backend := backends[rng.Intn(len(backends))]
 		// Offsets range past both window edges; a few land exactly on
 		// bucket boundaries.
-		off := time.Duration(rng.Int63n(int64(hours+5)*int64(time.Hour))) - 2*time.Hour
+		off := time.Duration(rng.Intn((hours+5)*int(time.Hour))) - 2*time.Hour
 		if rng.Intn(20) == 0 {
 			off = off.Truncate(time.Hour)
 		}

@@ -94,7 +94,7 @@ type BackendIndex struct {
 	totalV4 int
 	// aliasNames is the sorted alias list (aliasID → name) and
 	// aliasTotals the per-alias [v4, v6] address counts — the caches
-	// behind Aliases()/TotalPerAlias().
+	// behind Aliases() and Study.Visibility.
 	aliasNames  []string
 	aliasTotals [][2]int
 	// aliasWords is the alias-bitset width in uint64 words.
@@ -188,9 +188,6 @@ func (b *BackendIndex) build() {
 	b.totalV4 = popcount(b.v4Mask)
 }
 
-// Owner returns the alias owning addr ("" if unknown).
-func (b *BackendIndex) Owner(addr netip.Addr) string { return b.info[addr].alias }
-
 // Size returns the number of indexed addresses.
 func (b *BackendIndex) Size() int { return len(b.info) }
 
@@ -199,17 +196,6 @@ func (b *BackendIndex) Size() int { return len(b.info) }
 func (b *BackendIndex) Aliases() []string {
 	b.ensureBuilt()
 	return append([]string(nil), b.aliasNames...)
-}
-
-// TotalPerAlias counts indexed addresses per alias, split by family
-// (cached at Build, not rescanned per call).
-func (b *BackendIndex) TotalPerAlias() map[string][2]int {
-	b.ensureBuilt()
-	out := make(map[string][2]int, len(b.aliasNames))
-	for i, name := range b.aliasNames {
-		out[name] = b.aliasTotals[i]
-	}
-	return out
 }
 
 // --- Scanner identification --------------------------------------------

@@ -467,10 +467,10 @@ func TestBackendIndexHelpers(t *testing.T) {
 	a6 := netipMust("2001:db8::1")
 	idx.Add(a4, "T1", geo.Europe, "eu-central-1", true)
 	idx.Add(a6, "T1", geo.Europe, "eu-central-1", false)
-	if idx.Size() != 2 || idx.Owner(a4) != "T1" {
+	if idx.Size() != 2 || idx.info[a4].alias != "T1" {
 		t.Fatal("index basics broken")
 	}
-	totals := idx.TotalPerAlias()["T1"]
+	totals := aliasTotals(idx, "T1")
 	if totals[0] != 1 || totals[1] != 1 {
 		t.Fatalf("totals = %v", totals)
 	}

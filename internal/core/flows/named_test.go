@@ -144,8 +144,24 @@ func (s *namedStudy) Aliases() []string {
 	return out
 }
 
+// aliasTotals counts alias's indexed addresses by family, [v4, v6],
+// from the address map rather than Build's cached column.
+func aliasTotals(idx *BackendIndex, alias string) (totals [2]int) {
+	for a, bi := range idx.info {
+		if bi.alias != alias {
+			continue
+		}
+		if a.Is4() || a.Is4In6() {
+			totals[0]++
+		} else {
+			totals[1]++
+		}
+	}
+	return totals
+}
+
 func (s *namedStudy) Visibility(alias string) (v4Pct, v6Pct float64) {
-	totals := s.idx.TotalPerAlias()[alias]
+	totals := aliasTotals(s.idx, alias)
 	var v4, v6 int
 	for b := range s.visible[alias] {
 		if b.Is4() || b.Is4In6() {

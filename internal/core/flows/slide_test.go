@@ -2,6 +2,7 @@ package flows
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -128,10 +129,18 @@ type slideStep struct {
 	want    string
 }
 
-// slideSchedule drives a 48-hour window through every way its frame
-// can move between two reads.
-func slideSchedule(sf *slideFeed) []slideStep {
+// slideSchedule drives a window of the given span through every way
+// its frame can move between two reads; the hour numbers are laid out
+// for a 48-hour window. A jump between reads rebuilds when it moves the
+// frame start slideReach or more hours, and slides otherwise.
+func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	var steps []slideStep
+	jump := func(from, to int64) string {
+		if max(0, to-hours+1)-max(0, from-hours+1) >= slideReach {
+			return "rebuild"
+		}
+		return "slide"
+	}
 	hourly := func(from, to int64, want string) {
 		for h := from; h <= to; h++ {
 			fl := [][]netflow.Record{sf.hour(h)}
@@ -169,11 +178,11 @@ func slideSchedule(sf *slideFeed) []slideStep {
 	// recycles its own in-flush bucket, which the fold holds.
 	steps = append(steps, slideStep{name: "recycled in-flush bucket", flushes: [][]netflow.Record{append(sf.hour(50), sf.hour(98)...)}, want: "rebuild"})
 	hourly(99, 101, "slide")
-	steps = append(steps, slideStep{name: "jump 30", flushes: [][]netflow.Record{sf.hour(131)}, want: "rebuild"})
+	steps = append(steps, slideStep{name: "jump 30", flushes: [][]netflow.Record{sf.hour(131)}, want: jump(101, 131)})
 	hourly(132, 133, "slide")
 	// Thirty-five hours with nobody reading.
 	hourly(134, 167, "")
-	steps = append(steps, slideStep{name: "read gap", flushes: [][]netflow.Record{sf.hour(168)}, want: "rebuild"})
+	steps = append(steps, slideStep{name: "read gap", flushes: [][]netflow.Record{sf.hour(168)}, want: jump(133, 168)})
 	hourly(169, 230, "slide")
 	return steps
 }
@@ -228,33 +237,41 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 // slides of 1, 2 and 23 hours, hours some shard got no rows in, late
 // rows, a flush recycling its own bucket, long jumps, a read gap, a line
 // that leaves the frame and comes back, and a snapshot restored midway.
-// The fold-path counts pin which reads slide and which rebuild.
+// The fold-path counts pin which reads slide and which rebuild. The
+// 48-hour window keeps each hour bitset in one word; the 168-hour one,
+// the daemon's whole-study default, spans three, so its slides carry
+// bits across words.
 func TestWindowSlideMatchesRebuild(t *testing.T) {
-	for _, shards := range []int{1, 3} {
+	for _, c := range []struct {
+		hours  int64
+		shards int
+	}{{48, 1}, {48, 3}, {168, 1}} {
+		shards := c.shards
+		cell := fmt.Sprintf("%d hours, %d shards", c.hours, shards)
 		f := buildDenseFixture(41)
 		opts := f.opts
 		opts.ScannerThreshold = 3
-		win, err := NewWindow(f.idx, f.days[0], 48, opts)
+		win, err := NewWindow(f.idx, f.days[0], int(c.hours), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		win.setShards(shards)
 		sf := newSlideFeed(f, int64(shards))
-		for _, step := range slideSchedule(sf) {
+		for _, step := range slideSchedule(sf, c.hours) {
 			for _, fl := range step.flushes {
 				flushRecords(win, fl)
 			}
 			for si, sh := range win.shards {
 				if len(sh.retired) > slideReach {
-					t.Fatalf("%d shards, %s: shard %d parks %d retired buckets", shards, step.name, si, len(sh.retired))
+					t.Fatalf("%s, %s: shard %d parks %d retired buckets", cell, step.name, si, len(sh.retired))
 				}
 			}
 			if step.want != "" {
-				checkSlideRead(t, win, step.name, step.want)
+				checkSlideRead(t, win, cell+", "+step.name, step.want)
 			}
 		}
 		if st := win.Stats(); st.EvictedHours == 0 || st.LateRecords != 0 {
-			t.Fatalf("%d shards: schedule stats %+v, want evictions and no late rows", shards, st)
+			t.Fatalf("%s: schedule stats %+v, want evictions and no late rows", cell, st)
 		}
 
 		// Restore a snapshot and keep sliding the restored window.
@@ -272,7 +289,7 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 			if h == 231 {
 				want = "rebuild"
 			}
-			checkSlideRead(t, restored, "restored", want)
+			checkSlideRead(t, restored, cell+", restored", want)
 		}
 	}
 

@@ -176,11 +176,3 @@ func Stability(res *discovery.Result, refDay, cmpDay int) (analysis.SetDiff, err
 	}
 	return analysis.Compare(ref, cur), nil
 }
-
-// ContinentOf buckets a located address for the cross-region analyses.
-func ContinentOf(located map[netip.Addr]Located, a netip.Addr) geo.Continent {
-	if l, ok := located[a]; ok && l.Source != LocUnknown {
-		return l.Location.Continent
-	}
-	return geo.Unknown
-}

@@ -188,3 +188,11 @@ func TestContinentOf(t *testing.T) {
 		t.Fatalf("unknown continent = %v", c)
 	}
 }
+
+// ContinentOf buckets a located address for the cross-region analyses.
+func ContinentOf(located map[netip.Addr]Located, a netip.Addr) geo.Continent {
+	if l, ok := located[a]; ok && l.Source != LocUnknown {
+		return l.Location.Continent
+	}
+	return geo.Unknown
+}

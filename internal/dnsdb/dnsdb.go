@@ -162,19 +162,6 @@ func CompileQuery(pattern string, anchors ...string) (*Query, error) {
 // String returns the query's regular expression source.
 func (q *Query) String() string { return q.re.String() }
 
-// FlexibleSearch returns observations whose rrname matches the regular
-// expression, optionally restricted by rrtype (0 = any) and time range.
-// This is the DNSDB Flexible Search API the paper's regexes target. The
-// pattern is compiled per call; hot paths should precompile with
-// CompileQuery and use FlexibleSearchQuery.
-func (db *DB) FlexibleSearch(pattern string, typ RRType, tr TimeRange) ([]Observation, error) {
-	q, err := CompileQuery(pattern)
-	if err != nil {
-		return nil, err
-	}
-	return db.FlexibleSearchQuery(q, typ, tr), nil
-}
-
 // FlexibleSearchQuery runs a precompiled query. Anchored queries scan only
 // the names bucketed under the anchor registered domains; since an
 // anchored regex cannot match a name outside its anchor buckets, the

@@ -193,3 +193,13 @@ func BenchmarkFlexibleSearch(b *testing.B) {
 		}
 	}
 }
+
+// FlexibleSearch compiles pattern and runs it as a Flexible Search,
+// optionally restricted by rrtype (0 = any) and time range.
+func (db *DB) FlexibleSearch(pattern string, typ RRType, tr TimeRange) ([]Observation, error) {
+	q, err := CompileQuery(pattern)
+	if err != nil {
+		return nil, err
+	}
+	return db.FlexibleSearchQuery(q, typ, tr), nil
+}

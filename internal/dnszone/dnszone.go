@@ -1,7 +1,7 @@
 // Package dnszone implements an in-memory authoritative DNS server for the
 // synthetic Internet. Provider zones (Section 3.2's
 // <subdomain>.<region>.<second-level-domain> namespaces) are loaded into a
-// Store; a Server answers RFC 1035 queries over UDP.
+// Store; a Server answers RFC 1035 query datagrams.
 //
 // The store is view-aware: providers that steer clients by resolver
 // location (geo-DNS) publish different answer sets per view. The paper
@@ -11,9 +11,7 @@
 package dnszone
 
 import (
-	"fmt"
 	"maps"
-	"net"
 	"net/netip"
 	"slices"
 	"sort"
@@ -103,14 +101,6 @@ func (s *Store) AddAddr(view, name string, addr netip.Addr, ttl uint32) {
 	}
 	s.AddRR(view, dnsmsg.RR{
 		Name: name, Type: typ, Class: dnsmsg.ClassIN, TTL: ttl, Addr: addr,
-	})
-}
-
-// AddCNAME registers a CNAME from name to target under view.
-func (s *Store) AddCNAME(view, name, target string, ttl uint32) {
-	s.AddRR(view, dnsmsg.RR{
-		Name: name, Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: ttl,
-		Target: dnsmsg.CanonicalName(target),
 	})
 }
 
@@ -293,82 +283,26 @@ func (s *Store) AnswerID(view, name string, typ dnsmsg.Type) (id SetID, stable b
 	return SetID{}, typ == dnsmsg.TypeCNAME || s.lookupLocked(view, name, dnsmsg.TypeCNAME) == nil
 }
 
-// Server answers DNS queries over UDP for one view of a Store.
+// Server answers DNS queries for one view of a Store, one wire
+// datagram at a time.
 type Server struct {
 	store *Store
 	view  string
-	conn  *net.UDPConn
-
-	mu     sync.Mutex
-	closed bool
-	done   chan struct{}
 }
 
-// NewServer starts an authoritative server for view on a fresh loopback
-// UDP socket. Callers must Close it.
-func NewServer(store *Store, view string) (*Server, error) {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, fmt.Errorf("dnszone: listen: %w", err)
-	}
-	srv := &Server{store: store, view: view, conn: conn, done: make(chan struct{})}
-	go srv.serve()
-	return srv, nil
-}
-
-// NewLocalServer returns a socket-less server usable only through
-// HandleWire. Large measurement campaigns use it to keep the full wire
-// codec in the loop without paying per-query UDP scheduling.
+// NewLocalServer returns a server answering through HandleWire. Large
+// measurement campaigns use it to keep the full wire codec in the loop
+// without paying per-query UDP scheduling.
 func NewLocalServer(store *Store, view string) *Server {
-	done := make(chan struct{})
-	close(done)
-	return &Server{store: store, view: view, done: done, closed: true}
-}
-
-// Addr returns the UDP address the server listens on.
-func (s *Server) Addr() netip.AddrPort {
-	return s.conn.LocalAddr().(*net.UDPAddr).AddrPort()
-}
-
-// View returns the view this server answers for.
-func (s *Server) View() string { return s.view }
-
-// Close shuts the server down and waits for the serve loop to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.conn.Close()
-	<-s.done
-	return err
+	return &Server{store: store, view: view}
 }
 
 // maxUDPPayload is the conventional EDNS-safe response budget.
 const maxUDPPayload = 1232
 
-func (s *Server) serve() {
-	defer close(s.done)
-	buf := make([]byte, 4096)
-	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // closed
-		}
-		resp := s.handle(buf[:n])
-		if resp == nil {
-			continue
-		}
-		_, _ = s.conn.WriteToUDP(resp, raddr)
-	}
-}
-
-// handle builds the wire response for one wire query. Exposed through
-// HandleWire for in-process tests that bypass UDP.
-func (s *Server) handle(wire []byte) []byte {
+// HandleWire processes one query datagram and returns the response
+// datagram (nil when the query is dropped).
+func (s *Server) HandleWire(wire []byte) []byte {
 	q, err := dnsmsg.Unpack(wire)
 	if err != nil || q.Header.Response || len(q.Questions) != 1 {
 		// Unparseable datagrams are dropped; malformed-but-parseable get
@@ -425,8 +359,3 @@ func (s *Server) handle(wire []byte) []byte {
 	}
 	return out
 }
-
-// HandleWire processes one query datagram and returns the response
-// datagram (nil when the query is dropped). It exists for tests and for
-// in-process resolution without sockets.
-func (s *Server) HandleWire(wire []byte) []byte { return s.handle(wire) }

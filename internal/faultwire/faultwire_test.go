@@ -337,3 +337,17 @@ func TestShortReadsContentNeutral(t *testing.T) {
 		t.Fatalf("short read returned %d bytes", n)
 	}
 }
+
+// Uniform is the workhorse scenario: corrupt every stream's frames with
+// probability p for the whole study.
+func Uniform(seed int64, p float64) *Scenario {
+	return &Scenario{Seed: seed, Rules: []Rule{{Stream: -1, Faults: Faults{CorruptProb: p}}}}
+}
+
+// FeedDeath returns a scheduled-disconnect scenario: the named
+// vantage's feed dies at the given study hour.
+func FeedDeath(seed int64, vantage string, hour int, start time.Time) *Scenario {
+	return &Scenario{Seed: seed, Start: start, Rules: []Rule{
+		{Stream: -1, Vantage: vantage, FromHour: hour, Faults: Faults{Kill: true}},
+	}}
+}

@@ -100,18 +100,6 @@ func (db *DB) ByRegion(code string) (Location, bool) {
 	return l, ok
 }
 
-// ByAirport resolves an IATA airport code (case-insensitive).
-func (db *DB) ByAirport(code string) (Location, bool) {
-	l, ok := db.byAirport[strings.ToLower(code)]
-	return l, ok
-}
-
-// ByCity resolves a city name (case-insensitive).
-func (db *DB) ByCity(name string) (Location, bool) {
-	l, ok := db.byCity[strings.ToLower(name)]
-	return l, ok
-}
-
 // FromHint resolves any of the hint styles providers embed in hostnames:
 // full region codes ("eu-central-1", "cn-shanghai"), airport codes
 // ("fra", "iad"), or city names. It tries the most specific format first.
@@ -177,22 +165,6 @@ func MajorityVote(votes []Vote) (Location, bool) {
 		return keys[i].city < keys[j].city
 	})
 	return locs[keys[0]], true
-}
-
-// Disagreement reports the fraction of votes not matching the winning
-// location; the paper observes < 7% overall.
-func Disagreement(votes []Vote) float64 {
-	winner, ok := MajorityVote(votes)
-	if !ok || len(votes) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range votes {
-		if v.Location.City != winner.City || v.Location.Country != winner.Country {
-			n++
-		}
-	}
-	return float64(n) / float64(len(votes))
 }
 
 // World returns the built-in location registry used by the synthetic

@@ -35,17 +35,13 @@ func TestLookups(t *testing.T) {
 	if !ok || l.City != "Frankfurt" {
 		t.Fatalf("ByRegion(eu-central-1) = %v, %v", l, ok)
 	}
-	l, ok = db.ByAirport("iad")
+	l, ok = db.FromHint("IAD")
 	if !ok || l.City != "Ashburn" {
-		t.Fatalf("ByAirport(iad) = %v, %v", l, ok)
+		t.Fatalf("FromHint(IAD) = %v, %v; airport hints are case-insensitive", l, ok)
 	}
-	l, ok = db.ByAirport("IAD")
-	if !ok {
-		t.Fatal("airport lookup should be case-insensitive")
-	}
-	l, ok = db.ByCity("tokyo")
+	l, ok = db.FromHint("tokyo")
 	if !ok || l.Country != "JP" {
-		t.Fatalf("ByCity(tokyo) = %v, %v", l, ok)
+		t.Fatalf("FromHint(tokyo) = %v, %v", l, ok)
 	}
 }
 
@@ -104,18 +100,6 @@ func TestMajorityVoteEmptyAndInvalid(t *testing.T) {
 	}
 	if _, ok := MajorityVote([]Vote{{Location: Location{}}}); ok {
 		t.Fatal("invalid-only vote set produced a winner")
-	}
-}
-
-func TestDisagreement(t *testing.T) {
-	fra := Location{City: "Frankfurt", Country: "DE"}
-	iad := Location{City: "Ashburn", Country: "US"}
-	votes := []Vote{{Location: fra}, {Location: fra}, {Location: fra}, {Location: iad}}
-	if d := Disagreement(votes); d != 0.25 {
-		t.Fatalf("disagreement = %f, want 0.25", d)
-	}
-	if d := Disagreement(nil); d != 0 {
-		t.Fatalf("empty disagreement = %f", d)
 	}
 }
 

@@ -29,9 +29,6 @@ func NewPool(supernet netip.Prefix) *Pool {
 	return &Pool{supernet: supernet.Masked()}
 }
 
-// Supernet reports the pool's covering prefix.
-func (p *Pool) Supernet() netip.Prefix { return p.supernet }
-
 // AllocPrefix carves the next unused sub-prefix with the given length.
 // It returns an error when the pool is exhausted or bits is shorter than
 // the supernet length.
@@ -101,20 +98,6 @@ func (h *HostSeq) Next() netip.Addr {
 	return addr
 }
 
-// Remaining reports how many host addresses are still available, capped at
-// 1<<62 for very large (IPv6) prefixes.
-func (h *HostSeq) Remaining() uint64 {
-	span := h.prefix.Addr().BitLen() - h.prefix.Bits()
-	if span >= 63 {
-		return 1 << 62
-	}
-	total := uint64(1) << uint(span)
-	if h.next >= total {
-		return 0
-	}
-	return total - h.next
-}
-
 // AggregateKey maps an address to the aggregation prefix the paper uses:
 // /24 for IPv4 and /56 for IPv6 (Table 1's "# IPv4 /24 (IPv6 /56)").
 func AggregateKey(a netip.Addr) netip.Prefix {
@@ -175,75 +158,6 @@ func SortAddrs(addrs []netip.Addr) []netip.Addr {
 		prev = a
 	}
 	return out
-}
-
-// Set is an address set with the usual operations. The zero value is
-// ready to use after make via NewSet.
-type Set map[netip.Addr]struct{}
-
-// NewSet returns a Set preloaded with addrs.
-func NewSet(addrs ...netip.Addr) Set {
-	s := make(Set, len(addrs))
-	for _, a := range addrs {
-		s.Add(a)
-	}
-	return s
-}
-
-// Add inserts a into the set.
-func (s Set) Add(a netip.Addr) { s[a] = struct{}{} }
-
-// Has reports membership.
-func (s Set) Has(a netip.Addr) bool { _, ok := s[a]; return ok }
-
-// Len returns the set size.
-func (s Set) Len() int { return len(s) }
-
-// Union returns a new set with all members of s and t.
-func (s Set) Union(t Set) Set {
-	u := make(Set, len(s)+len(t))
-	for a := range s {
-		u.Add(a)
-	}
-	for a := range t {
-		u.Add(a)
-	}
-	return u
-}
-
-// Intersect returns members present in both sets.
-func (s Set) Intersect(t Set) Set {
-	small, large := s, t
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	u := make(Set)
-	for a := range small {
-		if large.Has(a) {
-			u.Add(a)
-		}
-	}
-	return u
-}
-
-// Diff returns members of s not in t.
-func (s Set) Diff(t Set) Set {
-	u := make(Set)
-	for a := range s {
-		if !t.Has(a) {
-			u.Add(a)
-		}
-	}
-	return u
-}
-
-// Slice returns the members sorted.
-func (s Set) Slice() []netip.Addr {
-	out := make([]netip.Addr, 0, len(s))
-	for a := range s {
-		out = append(out, a)
-	}
-	return SortAddrs(out)
 }
 
 func addrToBig(a netip.Addr) *big.Int {

@@ -191,20 +191,6 @@ func TestSortAddrsDedup(t *testing.T) {
 	}
 }
 
-func TestSetOps(t *testing.T) {
-	a := NewSet(netip.MustParseAddr("1.1.1.1"), netip.MustParseAddr("2.2.2.2"))
-	b := NewSet(netip.MustParseAddr("2.2.2.2"), netip.MustParseAddr("3.3.3.3"))
-	if u := a.Union(b); u.Len() != 3 {
-		t.Fatalf("union size = %d", u.Len())
-	}
-	if i := a.Intersect(b); i.Len() != 1 || !i.Has(netip.MustParseAddr("2.2.2.2")) {
-		t.Fatalf("intersect = %v", i.Slice())
-	}
-	if d := a.Diff(b); d.Len() != 1 || !d.Has(netip.MustParseAddr("1.1.1.1")) {
-		t.Fatalf("diff = %v", d.Slice())
-	}
-}
-
 // Property: every address yielded by HostSeq is inside the prefix and
 // unique; AggregateKey always contains the address it aggregates.
 func TestPropertyAggregateContains(t *testing.T) {
@@ -250,4 +236,18 @@ func TestPropertyPoolAllocationsNested(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Remaining reports how many host addresses are still available, capped at
+// 1<<62 for very large (IPv6) prefixes.
+func (h *HostSeq) Remaining() uint64 {
+	span := h.prefix.Addr().BitLen() - h.prefix.Bits()
+	if span >= 63 {
+		return 1 << 62
+	}
+	total := uint64(1) << uint(span)
+	if h.next >= total {
+		return 0
+	}
+	return total - h.next
 }

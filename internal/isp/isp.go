@@ -303,22 +303,6 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 	return n, nil
 }
 
-// LineByAddr resolves a subscriber address to its line. The address
-// plan is arithmetic (plan.go), so this is LineSlot plus the checks that
-// the slot belongs to this Network: its vantage, a line it built, and —
-// for a v6 slot — a line that holds a v6 prefix.
-func (n *Network) LineByAddr(a netip.Addr) (*Line, bool) {
-	vantage, slot, ok := LineSlot(a)
-	if !ok || vantage != n.Cfg.VantageID || int(slot>>1) >= len(n.Lines) {
-		return nil, false
-	}
-	l := n.Lines[slot>>1]
-	if slot&1 == 1 && !l.HasV6() {
-		return nil, false
-	}
-	return l, true
-}
-
 // IoTLines counts lines hosting at least one device.
 func (n *Network) IoTLines() int {
 	c := 0

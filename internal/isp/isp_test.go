@@ -599,3 +599,19 @@ func TestContinentBias(t *testing.T) {
 		}
 	}
 }
+
+// LineByAddr resolves a subscriber address to its line. The address
+// plan is arithmetic (plan.go), so this is LineSlot plus the checks that
+// the slot belongs to this Network: its vantage, a line it built, and —
+// for a v6 slot — a line that holds a v6 prefix.
+func (n *Network) LineByAddr(a netip.Addr) (*Line, bool) {
+	vantage, slot, ok := LineSlot(a)
+	if !ok || vantage != n.Cfg.VantageID || int(slot>>1) >= len(n.Lines) {
+		return nil, false
+	}
+	l := n.Lines[slot>>1]
+	if slot&1 == 1 && !l.HasV6() {
+		return nil, false
+	}
+	return l, true
+}

@@ -278,14 +278,8 @@ func (s *Suback) Append(b []byte) ([]byte, error) {
 	return appendPacket(b, SUBACK, 0, body)
 }
 
-// AppendPingreq serializes a PINGREQ packet.
-func AppendPingreq(b []byte) []byte { return append(b, byte(PINGREQ)<<4, 0) }
-
 // AppendPingresp serializes a PINGRESP packet.
 func AppendPingresp(b []byte) []byte { return append(b, byte(PINGRESP)<<4, 0) }
-
-// AppendDisconnect serializes a DISCONNECT packet.
-func AppendDisconnect(b []byte) []byte { return append(b, byte(DISCONNECT)<<4, 0) }
 
 func appendPacket(b []byte, t PacketType, flags byte, body []byte) ([]byte, error) {
 	b = append(b, byte(t)<<4|flags&0x0F)
@@ -493,20 +487,6 @@ func DecodeSubscribe(raw Raw) (*Subscribe, error) {
 		return nil, ErrMalformed
 	}
 	return s, nil
-}
-
-// DecodeSuback parses a SUBACK body.
-func DecodeSuback(raw Raw) (*Suback, error) {
-	if raw.Header.Type != SUBACK {
-		return nil, ErrWrongPacketType
-	}
-	if len(raw.Body) < 3 {
-		return nil, ErrMalformed
-	}
-	return &Suback{
-		PacketID: uint16(raw.Body[0])<<8 | uint16(raw.Body[1]),
-		Codes:    append([]byte(nil), raw.Body[2:]...),
-	}, nil
 }
 
 func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }

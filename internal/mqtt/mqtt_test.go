@@ -335,3 +335,26 @@ func BenchmarkConnectDecode(b *testing.B) {
 		}
 	}
 }
+
+// The client side of the packets the broker answers: the tests drive
+// Echo and the decoders with them.
+
+// AppendPingreq serializes a PINGREQ packet.
+func AppendPingreq(b []byte) []byte { return append(b, byte(PINGREQ)<<4, 0) }
+
+// AppendDisconnect serializes a DISCONNECT packet.
+func AppendDisconnect(b []byte) []byte { return append(b, byte(DISCONNECT)<<4, 0) }
+
+// DecodeSuback parses a SUBACK body.
+func DecodeSuback(raw Raw) (*Suback, error) {
+	if raw.Header.Type != SUBACK {
+		return nil, ErrWrongPacketType
+	}
+	if len(raw.Body) < 3 {
+		return nil, ErrMalformed
+	}
+	return &Suback{
+		PacketID: uint16(raw.Body[0])<<8 | uint16(raw.Body[1]),
+		Codes:    append([]byte(nil), raw.Body[2:]...),
+	}, nil
+}

@@ -52,13 +52,6 @@ var (
 	ErrFrameTooBig   = errors.New("netflow: frame payload exceeds limit")
 )
 
-// Operator-facing aliases for the framing sentinels, matching the names
-// collector logs and docs use.
-var (
-	ErrBadMagic      = ErrBadFrameMagic
-	ErrOversizeFrame = ErrFrameTooBig
-)
-
 // IsCorruptFrame reports whether err marks a corrupt frame envelope —
 // bytes that are not a frame at all — which a resync scan can skip
 // past. Truncation (io.ErrUnexpectedEOF) and transport errors are not
@@ -261,16 +254,11 @@ func (fr *FrameReader) Resync() (skipped int64, err error) {
 	}
 }
 
-// DecodeV5Strict is DecodeV5 for UDP datagrams, where the datagram
-// already delimits the packet: trailing bytes beyond the advertised
-// record count are corruption, not the next packet, and are rejected
-// with a descriptive error.
-func DecodeV5Strict(pkt []byte) (V5Header, []Record, error) {
-	return DecodeV5StrictInto(pkt, nil)
-}
-
-// DecodeV5StrictInto is DecodeV5Strict appending onto a recycled
-// scratch slice, allocation-free on the hot path.
+// DecodeV5StrictInto is DecodeV5Into for UDP datagrams, where the
+// datagram already delimits the packet: trailing bytes beyond the
+// advertised record count are corruption, not the next packet, and are
+// rejected with a descriptive error. It appends onto a recycled scratch
+// slice, allocation-free on the hot path.
 func DecodeV5StrictInto(pkt []byte, dst []Record) (V5Header, []Record, error) {
 	base := len(dst)
 	h, records, err := DecodeV5Into(pkt, dst)
@@ -288,25 +276,12 @@ func DecodeV5StrictInto(pkt []byte, dst []Record) (V5Header, []Record, error) {
 
 // v5 carries the sampling configuration in a 16-bit field: the top two
 // bits are the mode (01 = packet sampling) and the low 14 bits the
-// interval. PackSamplingInterval/SamplingRate convert between that field
-// and the simulation's 1:N rate so the collector can restore volume
-// estimates from the wire alone.
+// interval. SamplingRate reads the simulation's 1:N rate from that field
+// so the collector can restore volume estimates from the wire alone.
 
 // MaxSamplingRate is the largest rate the 14-bit interval field can
 // advertise.
 const MaxSamplingRate = 1<<14 - 1
-
-// PackSamplingInterval encodes rate for a V5Header. Rates 0 and 1 (no
-// sampling) encode as 0.
-func PackSamplingInterval(rate uint32) (uint16, error) {
-	if rate <= 1 {
-		return 0, nil
-	}
-	if rate > MaxSamplingRate {
-		return 0, fmt.Errorf("netflow: sampling rate 1:%d exceeds v5's 14-bit interval field (max 1:%d)", rate, MaxSamplingRate)
-	}
-	return uint16(1<<14 | rate), nil
-}
 
 // SamplingRate decodes the header's advertised rate (1 = unsampled).
 func (h V5Header) SamplingRate() uint32 {

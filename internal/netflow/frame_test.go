@@ -249,3 +249,20 @@ func TestFrameReaderNoReadAhead(t *testing.T) {
 		t.Fatal("Next waited for bytes past an hour's flush the writer had not sent")
 	}
 }
+
+// DecodeV5Strict is DecodeV5StrictInto onto a fresh slice.
+func DecodeV5Strict(pkt []byte) (V5Header, []Record, error) {
+	return DecodeV5StrictInto(pkt, nil)
+}
+
+// PackSamplingInterval encodes rate for a V5Header. Rates 0 and 1 (no
+// sampling) encode as 0.
+func PackSamplingInterval(rate uint32) (uint16, error) {
+	if rate <= 1 {
+		return 0, nil
+	}
+	if rate > MaxSamplingRate {
+		return 0, fmt.Errorf("netflow: sampling rate 1:%d exceeds v5's 14-bit interval field (max 1:%d)", rate, MaxSamplingRate)
+	}
+	return uint16(1<<14 | rate), nil
+}

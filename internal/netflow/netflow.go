@@ -68,16 +68,9 @@ type V5Header struct {
 	SamplingInterval uint16 // low 14 bits; top 2 bits are the mode
 }
 
-// EncodeV5 serializes records into one v5 packet.
-func EncodeV5(h V5Header, records []Record) ([]byte, error) {
-	pkt, _, err := EncodeV5Clamped(h, records)
-	return pkt, err
-}
-
-// EncodeV5Clamped is EncodeV5 with the lossiness made visible: clamped
-// counts the Bytes/Packets counters that exceeded v5's 32-bit fields and
-// were saturated to 0xFFFFFFFF. Exporters accumulate it so the collector
-// side can report how much of the feed rode on saturated counters.
+// EncodeV5Clamped serializes records into one v5 packet, with the
+// lossiness made visible: clamped counts the Bytes/Packets counters that
+// exceeded v5's 32-bit fields and were saturated to 0xFFFFFFFF.
 func EncodeV5Clamped(h V5Header, records []Record) (pkt []byte, clamped int, err error) {
 	if len(records) > V5MaxRecords {
 		return nil, 0, ErrV5TooMany
@@ -126,12 +119,7 @@ func EncodeV5Clamped(h V5Header, records []Record) (pkt []byte, clamped int, err
 	return buf, clamped, nil
 }
 
-// DecodeV5 parses one v5 packet.
-func DecodeV5(pkt []byte) (V5Header, []Record, error) {
-	return DecodeV5Into(pkt, nil)
-}
-
-// DecodeV5Into is DecodeV5 appending onto dst — pass a recycled
+// DecodeV5Into parses one v5 packet, appending onto dst — pass a recycled
 // scratch slice (dst[:0]) and the per-packet record allocation
 // disappears from the hot ingest loop.
 func DecodeV5Into(pkt []byte, dst []Record) (V5Header, []Record, error) {

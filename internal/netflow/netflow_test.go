@@ -301,3 +301,14 @@ func BenchmarkV5Encode(b *testing.B) {
 		}
 	}
 }
+
+// EncodeV5 serializes records into one v5 packet.
+func EncodeV5(h V5Header, records []Record) ([]byte, error) {
+	pkt, _, err := EncodeV5Clamped(h, records)
+	return pkt, err
+}
+
+// DecodeV5 parses one v5 packet.
+func DecodeV5(pkt []byte) (V5Header, []Record, error) {
+	return DecodeV5Into(pkt, nil)
+}

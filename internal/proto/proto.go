@@ -103,15 +103,13 @@ func (p Protocol) DefaultTransport() Transport {
 
 // Well-known IANA assignments referenced throughout the paper.
 const (
-	PortHTTP     = 80
-	PortHTTPS    = 443
-	PortMQTT     = 1883
-	PortMQTTS    = 8883
-	PortAMQPS    = 5671
-	PortCoAP     = 5683
-	PortCoAPS    = 5684
-	PortHTTPSAlt = 8443
-	PortActiveMQ = 61616
+	PortHTTP  = 80
+	PortHTTPS = 443
+	PortMQTT  = 1883
+	PortMQTTS = 8883
+	PortAMQPS = 5671
+	PortCoAP  = 5683
+	PortCoAPS = 5684
 )
 
 // IANAName labels a PortKey the way Figure 11's y-axis does, e.g.

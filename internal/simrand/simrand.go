@@ -144,14 +144,8 @@ func DeriveN(seed int64, label string, nums ...int64) *Source {
 	return New(SeedN(seed, label, nums...))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int64() }
-
 // Intn returns an int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.r.IntN(n) }
-
-// Int63n returns an int64 in [0, n).
-func (s *Source) Int63n(n int64) int64 { return s.r.Int64N(n) }
 
 // Float64 returns a float64 in [0, 1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
@@ -167,18 +161,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
-
-// Range returns an int uniformly drawn from [lo, hi] inclusive.
-// It panics if hi < lo.
-func (s *Source) Range(lo, hi int) int {
-	if hi < lo {
-		panic("simrand: Range with hi < lo")
-	}
-	if hi == lo {
-		return lo
-	}
-	return lo + s.r.IntN(hi-lo+1)
-}
 
 // LogNormal returns a log-normal variate with the given location mu and
 // scale sigma (parameters of the underlying normal). Daily per-device IoT

@@ -228,3 +228,18 @@ func TestZipfPanicsOnInvalidSkew(t *testing.T) {
 	}()
 	New(1).Zipf(1.0, 10)
 }
+
+// Int63 returns a non-negative 63-bit integer.
+func (s *Source) Int63() int64 { return s.r.Int64() }
+
+// Range returns an int uniformly drawn from [lo, hi] inclusive.
+// It panics if hi < lo.
+func (s *Source) Range(lo, hi int) int {
+	if hi < lo {
+		panic("simrand: Range with hi < lo")
+	}
+	if hi == lo {
+		return lo
+	}
+	return lo + s.r.IntN(hi-lo+1)
+}

@@ -281,7 +281,7 @@ func (p *Profile) PickPort(rng *simrand.Source) proto.PortKey {
 // continentOrder fixes the draw order for continent weighting; both
 // the plain and biased picks must walk it identically or same-seed
 // worlds would consume RNG draws differently.
-var continentOrder = []geo.Continent{geo.Europe, geo.NorthAmerica, geo.Asia, geo.SouthAmerica, geo.Oceania, geo.Africa}
+var continentOrder = [...]geo.Continent{geo.Europe, geo.NorthAmerica, geo.Asia, geo.SouthAmerica, geo.Oceania, geo.Africa}
 
 // PickContinent draws the continent a device homes to.
 func (p *Profile) PickContinent(rng *simrand.Source) geo.Continent {
@@ -295,8 +295,11 @@ func (p *Profile) PickContinent(rng *simrand.Source) geo.Continent {
 // keep weight 1, and a bias that zeroes the whole mix falls back to
 // the unbiased profile.
 func (p *Profile) PickContinentBiased(rng *simrand.Source, bias map[geo.Continent]float64) geo.Continent {
-	conts := make([]geo.Continent, 0, len(p.Continents))
-	weights := make([]float64, 0, len(p.Continents))
+	// Fixed-size scratch over continentOrder keeps a device draw
+	// allocation-free.
+	var conts [len(continentOrder)]geo.Continent
+	var weights [len(continentOrder)]float64
+	n := 0
 	for _, c := range continentOrder {
 		w := p.Continents[c]
 		if w <= 0 {
@@ -306,17 +309,17 @@ func (p *Profile) PickContinentBiased(rng *simrand.Source, bias map[geo.Continen
 			w *= b
 		}
 		if w > 0 {
-			conts = append(conts, c)
-			weights = append(weights, w)
+			conts[n], weights[n] = c, w
+			n++
 		}
 	}
-	if len(conts) == 0 {
+	if n == 0 {
 		if bias != nil {
 			return p.PickContinent(rng)
 		}
 		return geo.Europe
 	}
-	return conts[rng.WeightedChoice(weights)]
+	return conts[rng.WeightedChoice(weights[:n])]
 }
 
 // lnMedian converts a median to the log-normal mu parameter.

@@ -5,8 +5,7 @@
 // scanner all operate unmodified on top.
 //
 // The fabric injects connect latency and refusals so scan code exercises
-// its timeout and error paths, and counts per-endpoint connection
-// attempts — the hook the ethics-minded rate-limit tests use.
+// its timeout and error paths.
 package vnet
 
 import (
@@ -36,7 +35,6 @@ type Fabric struct {
 	mu        sync.RWMutex
 	closed    bool
 	listeners map[netip.AddrPort]Handler
-	attempts  map[netip.AddrPort]int
 	// ConnectLatency is applied to every successful or refused dial,
 	// standing in for propagation delay.
 	ConnectLatency time.Duration
@@ -48,7 +46,6 @@ type Fabric struct {
 func New() *Fabric {
 	return &Fabric{
 		listeners: map[netip.AddrPort]Handler{},
-		attempts:  map[netip.AddrPort]int{},
 	}
 }
 
@@ -69,13 +66,6 @@ func (f *Fabric) Listen(ep netip.AddrPort, h Handler) error {
 	return nil
 }
 
-// Unlisten removes a binding; missing bindings are ignored.
-func (f *Fabric) Unlisten(ep netip.AddrPort) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.listeners, ep)
-}
-
 // Endpoints returns all bound endpoints, sorted, for ground-truth
 // enumeration in tests.
 func (f *Fabric) Endpoints() []netip.AddrPort {
@@ -92,13 +82,6 @@ func (f *Fabric) Endpoints() []netip.AddrPort {
 		return out[i].Port() < out[j].Port()
 	})
 	return out
-}
-
-// Attempts reports how many dials targeted ep (successful or refused).
-func (f *Fabric) Attempts(ep netip.AddrPort) int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.attempts[ep]
 }
 
 // DialContext implements the dialer contract used by net/http, crypto/tls
@@ -127,7 +110,6 @@ func (f *Fabric) DialContext(ctx context.Context, network, address string) (net.
 		f.mu.Unlock()
 		return nil, ErrClosed
 	}
-	f.attempts[ep]++
 	h, ok := f.listeners[ep]
 	if !ok {
 		f.mu.Unlock()

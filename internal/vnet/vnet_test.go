@@ -104,30 +104,6 @@ func TestEndpointsSorted(t *testing.T) {
 	}
 }
 
-func TestAttemptsCounter(t *testing.T) {
-	f := New()
-	defer f.Close()
-	target := ep("10.0.0.9:1883")
-	if err := f.Listen(target, echoHandler); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		c, err := f.DialContext(context.Background(), "tcp", target.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-	}
-	// Refused attempts count too.
-	_, _ = f.DialContext(context.Background(), "tcp", "10.0.0.9:1884")
-	if got := f.Attempts(target); got != 3 {
-		t.Fatalf("attempts = %d", got)
-	}
-	if got := f.Attempts(ep("10.0.0.9:1884")); got != 1 {
-		t.Fatalf("refused attempts = %d", got)
-	}
-}
-
 func TestConnectLatencyAndContext(t *testing.T) {
 	f := New()
 	defer f.Close()
@@ -240,4 +216,11 @@ func TestTLSOverFabric(t *testing.T) {
 	if string(buf) != "hello" {
 		t.Fatalf("echo through TLS = %q", buf)
 	}
+}
+
+// Unlisten removes a binding; missing bindings are ignored.
+func (f *Fabric) Unlisten(ep netip.AddrPort) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.listeners, ep)
 }

@@ -84,9 +84,6 @@ func (p *Provider) Names() []string {
 	return out
 }
 
-// ServersForName returns the servers behind one FQDN.
-func (p *Provider) ServersForName(name string) []*Server { return p.names[name] }
-
 // ActiveServers returns the servers alive on day d.
 func (p *Provider) ActiveServers(d int) []*Server {
 	var out []*Server
@@ -131,16 +128,6 @@ func (w *World) AllServers() []*Server {
 		out = append(out, w.Providers[id].Servers...)
 	}
 	return out
-}
-
-// DayIndex maps a time to its day index, or -1.
-func (w *World) DayIndex(t time.Time) int {
-	for i, d := range w.Days {
-		if t.Year() == d.Year() && t.YearDay() == d.YearDay() {
-			return i
-		}
-	}
-	return -1
 }
 
 // cloudASNs fixes the hosting clouds' AS numbers (each large cloud

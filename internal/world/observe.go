@@ -262,16 +262,8 @@ type zoneName struct {
 // churn schedule or the rotation window moved. An unchanged RRset is
 // therefore the same set, with the same dnszone.SetID, in every store
 // that serves it, which is what lets a resolver skip re-asking.
-func (w *World) ZoneStores() []*dnszone.Store { return w.zoneStores(len(w.Days)) }
-
-// ZoneStore returns the authoritative DNS content for one study day,
-// derived from day 0 like ZoneStores. Stores from separate calls share
-// no RRset identities.
-func (w *World) ZoneStore(dayIdx int) *dnszone.Store {
-	return w.zoneStores(dayIdx + 1)[dayIdx]
-}
-
-func (w *World) zoneStores(days int) []*dnszone.Store {
+func (w *World) ZoneStores() []*dnszone.Store {
+	days := len(w.Days)
 	// The default view comes last; its rotation offset differs.
 	zoneViews := append(append([]string(nil), VantagePointViews...), dnszone.DefaultView)
 	var names []*zoneName
@@ -481,14 +473,4 @@ func (w *World) AliasOf(id string) string {
 		return p.Spec.Alias
 	}
 	return ""
-}
-
-// ByAlias finds a provider by anonymized label.
-func (w *World) ByAlias(alias string) (*Provider, bool) {
-	for _, id := range w.Order {
-		if w.Providers[id].Spec.Alias == alias {
-			return w.Providers[id], true
-		}
-	}
-	return nil, false
 }

@@ -53,9 +53,8 @@ func censysRecordsFromScratch(w *World, di int) []censys.Record {
 	return records
 }
 
-// zoneStoreFromScratch builds one day's authoritative content the way
-// ZoneStore used to: every active server of every name, one AddAddr per
-// view.
+// zoneStoreFromScratch builds one day's authoritative content from
+// scratch: every active server of every name, one AddAddr per view.
 func zoneStoreFromScratch(w *World, dayIdx int) *dnszone.Store {
 	store := dnszone.NewStore()
 	for _, id := range w.Order {
@@ -120,12 +119,12 @@ func churnedWorld(t *testing.T) (w *World, emptied, revived string) {
 		t.Fatal("sap has too few names to edit")
 	}
 	emptied, revived = names[0], names[1]
-	for _, s := range w.Providers["sap"].ServersForName(emptied) {
+	for _, s := range w.Providers["sap"].names[emptied] {
 		if s.LastDay > 3 {
 			s.LastDay = 3
 		}
 	}
-	for i, s := range w.Providers["sap"].ServersForName(revived) {
+	for i, s := range w.Providers["sap"].names[revived] {
 		// Gone on days 2–4: the first server returns on day 5 (as a
 		// server that started late would), the rest retire for good.
 		if i == 0 {
@@ -147,7 +146,7 @@ func TestCensysCatalogMatchesFromScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := censys.NewSnapshot(day, censysRecordsFromScratch(w, di))
+		want := censys.NewCatalog(censysRecordsFromScratch(w, di)).Snapshot(day, nil)
 		if di > 0 && want.Len() != 0 {
 			prev, _ := svc.Get(w.Days[di-1])
 			changed = changed || !reflect.DeepEqual(prev.Records(), snap.Records())
@@ -196,10 +195,10 @@ func TestZoneStoresMatchFromScratch(t *testing.T) {
 	for _, id := range w.Order {
 		p := w.Providers[id]
 		for _, name := range p.Names() {
-			if p.Spec.GeoDNS && len(p.ServersForName(name)) > 1 {
+			if p.Spec.GeoDNS && len(p.names[name]) > 1 {
 				sawGeo = true
 			}
-			if len(p.ServersForName(name)) > maxDNSAnswers {
+			if len(p.names[name]) > maxDNSAnswers {
 				sawRotation = true
 			}
 		}
@@ -270,20 +269,6 @@ func TestZoneStoresMatchFromScratch(t *testing.T) {
 	a55, _ := stores[5].Lookup("eu-1", revived, dnsmsg.TypeAAAA)
 	if len(a5)+len(a55) == 0 {
 		t.Fatalf("%s did not come back on day 5", revived)
-	}
-
-	// ZoneStore(d) is the same derivation cut short.
-	for _, di := range []int{0, 3, len(w.Days) - 1} {
-		one := w.ZoneStore(di)
-		for _, name := range one.Names() {
-			for _, typ := range types[:2] {
-				ga, _ := one.Lookup("us-1", name, typ)
-				wa, _ := stores[di].Lookup("us-1", name, typ)
-				if !reflect.DeepEqual(ga, wa) {
-					t.Fatalf("ZoneStore(%d) and ZoneStores()[%d] disagree on %s", di, di, name)
-				}
-			}
-		}
 	}
 }
 

@@ -93,11 +93,10 @@ type Footprint struct {
 // Disclosure is the ground-truth publication level (Section 3.4).
 type Disclosure uint8
 
-// Disclosure levels.
+// Disclosure levels; the zero Disclosure publishes nothing.
 const (
-	DiscloseNone     Disclosure = iota
-	DiscloseIPs                 // full IP list (Cisco, Siemens)
-	DisclosePrefixes            // network prefixes only (Microsoft)
+	DiscloseIPs      Disclosure = iota + 1 // full IP list (Cisco, Siemens)
+	DisclosePrefixes                       // network prefixes only (Microsoft)
 )
 
 // NameScheme selects how FQDNs are minted (Section 3.2's
@@ -447,14 +446,4 @@ func Specs() []Spec {
 			PDNSNameFrac: 0.3, PDNSAddrFrac: 0.5, ChurnDaily: 0.004,
 		},
 	}
-}
-
-// SpecByID returns the spec with the given ID.
-func SpecByID(id string) (Spec, bool) {
-	for _, s := range Specs() {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return Spec{}, false
 }

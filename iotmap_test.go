@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"iotmap"
+	"iotmap/internal/core/discovery"
 	"iotmap/internal/core/flows"
 	"iotmap/internal/figures"
 	"iotmap/internal/geo"
@@ -293,7 +294,7 @@ func TestDeterministicRuns(t *testing.T) {
 	b := run()
 	defer b.Close()
 	for _, id := range a.ProviderIDs() {
-		ua, ub := a.Discovery[id].UnionAddrs(), b.Discovery[id].UnionAddrs()
+		ua, ub := discovery.SortedAddrs(a.Discovery[id].Union()), discovery.SortedAddrs(b.Discovery[id].Union())
 		if len(ua) != len(ub) {
 			t.Fatalf("%s: union sizes differ (%d vs %d)", id, len(ua), len(ub))
 		}
@@ -342,7 +343,7 @@ func TestSkipLiveScanStillDiscoversV6(t *testing.T) {
 	}
 	v6 := 0
 	for _, id := range sys.ProviderIDs() {
-		for _, a := range sys.Discovery[id].UnionAddrs() {
+		for a := range sys.Discovery[id].Union() {
 			if a.Is6() && !a.Is4In6() {
 				v6++
 			}
