@@ -17,44 +17,24 @@ import (
 	"iotmap/internal/world"
 )
 
-// wireRunPolicy is wireRun with a configurable error policy.
-func (f *fixture) wireRunPolicy(t testing.TB, streams int, pol ErrorPolicy) (*flows.ContactCounter, *flows.Collector, Stats) {
-	t.Helper()
-	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := make([]*bytes.Buffer, streams)
-	writers := make([]io.Writer, streams)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-		writers[i] = bufs[i]
-	}
-	if _, err := f.net.SimulateLinesToWire(writers, 0); err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]io.Reader, streams)
-	for i := range bufs {
-		readers[i] = bufs[i]
-	}
-	if err := col.IngestStreams(readers); err != nil {
-		t.Fatal(err)
-	}
-	cc, fc := col.Finalize()
-	return cc, fc, col.Stats()
-}
-
 // TestPolicyCleanFeedIdentity: on a clean feed the graceful policies
 // are pure insurance — DropFrame and QuarantineStream must reproduce
 // the Abort-mode analysis exactly, with every degradation counter zero.
 func TestPolicyCleanFeedIdentity(t *testing.T) {
-	ref := buildFixture(t, 400)
-	refCC, refCol := ref.memoryRun(3)
+	f := buildFixture(t, 400)
+	refCC, refCol := f.memoryRun(3)
+	feeds := f.wireFeed(t, 3)
 	for _, pol := range []ErrorPolicy{Abort, DropFrame, QuarantineStream} {
-		f := buildFixture(t, 400)
-		cc, fc, stats := f.wireRunPolicy(t, 3, pol)
+		col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.IngestStreams(feedReaders(feeds)); err != nil {
+			t.Fatal(err)
+		}
+		cc, fc := col.Finalize()
 		assertSameAnalysis(t, pol.String(), refCC, cc, refCol, fc)
-		if stats.DroppedFrames != 0 || stats.ResyncEvents != 0 ||
+		if stats := col.Stats(); stats.DroppedFrames != 0 || stats.ResyncEvents != 0 ||
 			stats.StallTimeouts != 0 || stats.Reconnects != 0 ||
 			stats.QuarantinedStreams != 0 {
 			t.Fatalf("%s: clean feed reported degradation: %+v", pol, stats)
@@ -203,11 +183,7 @@ func TestDropFrameTruncatedTail(t *testing.T) {
 // the clean run's.
 func TestDropFrameFlushLengthFlip(t *testing.T) {
 	f := buildFixture(t, 50)
-	var buf bytes.Buffer
-	if _, err := f.net.SimulateLinesToWire([]io.Writer{&buf}, 0); err != nil {
-		t.Fatal(err)
-	}
-	feed := buf.Bytes()
+	feed := f.wireFeed(t, 1)[0]
 	run := func(feed []byte) (*flows.ContactCounter, *flows.Collector, Stats) {
 		col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: DropFrame})
 		if err != nil {
@@ -252,36 +228,27 @@ func TestDropFrameFlushLengthFlip(t *testing.T) {
 // never saw that stream at all, while the wire counters still record
 // what arrived before the fault.
 func TestQuarantineStreamDiscardsContribution(t *testing.T) {
-	export := func(t *testing.T) []*bytes.Buffer {
-		f := buildFixture(t, 300)
-		bufs := []*bytes.Buffer{{}, {}}
-		if _, err := f.net.SimulateLinesToWire([]io.Writer{bufs[0], bufs[1]}, 0); err != nil {
-			t.Fatal(err)
-		}
-		return bufs
-	}
+	f := buildFixture(t, 300)
+	feeds := f.wireFeed(t, 2)
 
 	// Reference: stream 0 only.
-	fRef := buildFixture(t, 300)
-	colRef, err := New(Config{Index: fRef.idx, Days: fRef.w.Days, Opts: fRef.opts})
+	colRef, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := colRef.IngestStream(export(t)[0]); err != nil {
+	if err := colRef.IngestStream(bytes.NewReader(feeds[0])); err != nil {
 		t.Fatal(err)
 	}
 	refCC, refCol := colRef.Finalize()
 
 	// Quarantine run: stream 1 carries the full healthy feed and THEN
 	// turns to garbage — its entire week must still be discarded.
-	f := buildFixture(t, 300)
 	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Policy: QuarantineStream})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := export(t)
-	bufs[1].WriteString("NF\xffgarbage after a healthy week")
-	if err := col.IngestStreams([]io.Reader{bufs[0], bufs[1]}); err != nil {
+	feeds[1] = append(feeds[1], "NF\xffgarbage after a healthy week"...)
+	if err := col.IngestStreams(feedReaders(feeds)); err != nil {
 		t.Fatalf("quarantine run errored: %v", err)
 	}
 	st := col.Stats()
@@ -490,14 +457,9 @@ func splitFrames(t *testing.T, feed []byte, k int) (head, tail []byte) {
 // the redial is counted.
 func TestIngestReconnecting(t *testing.T) {
 	f := buildFixture(t, 200)
-	var buf bytes.Buffer
-	if _, err := f.net.SimulateLinesToWire([]io.Writer{&buf}, 0); err != nil {
-		t.Fatal(err)
-	}
-	feed := append([]byte(nil), buf.Bytes()...)
+	feed := f.wireFeed(t, 1)[0]
 
-	fRef := buildFixture(t, 200)
-	colRef, err := New(Config{Index: fRef.idx, Days: fRef.w.Days, Opts: fRef.opts})
+	colRef, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,8 +469,7 @@ func TestIngestReconnecting(t *testing.T) {
 	refCC, refCol := colRef.Finalize()
 
 	head, tail := splitFrames(t, feed, 40)
-	f2 := buildFixture(t, 200)
-	col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
+	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,14 @@ package collector
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -48,23 +51,19 @@ func buildFixture(t testing.TB, lines int) *fixture {
 	}}
 }
 
-// memoryRun is the in-memory reference pipeline.
+// memoryRun is memory mode's pipeline, the simulator's rows folded
+// into sharded partials as the traffic study does
+// (ShardedAggregator.Simulate): the reference every transport matches.
 func (f *fixture) memoryRun(shards int) (*flows.ContactCounter, *flows.Collector) {
 	agg := flows.NewShardedAggregator(f.idx, f.w.Days, f.opts, shards)
-	f.net.SimulateLines(agg.Shards(),
-		func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
-		func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
-	)
+	agg.Simulate(f.net)
 	return agg.Merge()
 }
 
-// wireRun exports over in-memory pipes into a collector.
-func (f *fixture) wireRun(t testing.TB, streams int) (*flows.ContactCounter, *flows.Collector, Stats) {
+// wireFeed exports the fixture's week as framed dictionary streams, one
+// per exporter shard.
+func (f *fixture) wireFeed(t testing.TB, streams int) [][]byte {
 	t.Helper()
-	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bufs := make([]*bytes.Buffer, streams)
 	writers := make([]io.Writer, streams)
 	for i := range bufs {
@@ -74,79 +73,205 @@ func (f *fixture) wireRun(t testing.TB, streams int) (*flows.ContactCounter, *fl
 	if _, err := f.net.SimulateLinesToWire(writers, 0); err != nil {
 		t.Fatal(err)
 	}
-	readers := make([]io.Reader, streams)
-	for i := range bufs {
-		readers[i] = bufs[i]
+	feeds := make([][]byte, streams)
+	for i, b := range bufs {
+		feeds[i] = b.Bytes()
 	}
-	if err := col.IngestStreams(readers); err != nil {
+	return feeds
+}
+
+// feedReaders opens a reader on each feed.
+func feedReaders(feeds [][]byte) []io.Reader {
+	rs := make([]io.Reader, len(feeds))
+	for i, feed := range feeds {
+		rs[i] = bytes.NewReader(feed)
+	}
+	return rs
+}
+
+// curveThresholds is the Figure 5 sweep, plus the scanner thresholds
+// the tests configure.
+var curveThresholds = []int{5, 10, 50, 100, 500}
+
+// assertSameAnalysis compares two analyses on everything the figures
+// read: the Figure 5 curve, the scanner set at each threshold of its
+// sweep, and every Study accessor at full precision (studyText).
+func assertSameAnalysis(t *testing.T, label string, ccA, ccB *flows.ContactCounter, colA, colB *flows.Collector) {
+	t.Helper()
+	if a, b := ccA.Curve(curveThresholds), ccB.Curve(curveThresholds); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: scanner curve %+v vs %+v", label, a, b)
+	}
+	for _, th := range curveThresholds {
+		if !maps.Equal(ccA.Scanners(th), ccB.Scanners(th)) {
+			t.Fatalf("%s: scanner sets differ at threshold %d", label, th)
+		}
+	}
+	if a, b := studyText(colA.Study()), studyText(colB.Study()); a != b {
+		al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+		i := 0
+		for i < len(al) && i < len(bl) && al[i] == bl[i] {
+			i++
+		}
+		t.Fatalf("%s: studies differ from line %d of their text:\n%.400s\nvs\n%.400s",
+			label, i, strings.Join(al[i:], "\n"), strings.Join(bl[i:], "\n"))
+	}
+}
+
+// studyText renders every Study accessor, keyed by alias and port name,
+// so two studies whose line and port IDs were interned in different
+// orders render equal exactly when every figure reads them equal.
+func studyText(s *flows.Study) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, s.Hours(), s.Aliases())
+	for _, a := range s.Aliases() {
+		v4, v6 := s.Visibility(a)
+		l4, l6 := s.LineCount(a)
+		c4, c6 := s.CertOnlyDecrease(a)
+		fmt.Fprintln(&b, a, v4, v6, l4, l6, c4, c6, s.OverallRatio(a), s.PortShares(a))
+		fmt.Fprintln(&b, s.ActiveLines(a), s.Downstream(a), s.Upstream(a), s.AliasDailyECDF(a))
+	}
+	for _, p := range s.TopPorts(1 << 20) {
+		fmt.Fprintln(&b, p, s.PortDailyECDF(p))
+	}
+	down, up := s.DailyECDFs()
+	fmt.Fprintln(&b, down, up, s.BackendVolumes())
+	fmt.Fprintln(&b, s.LineContinentShares(), s.ServerContinentShares(), s.TrafficContinentShares())
+	fmt.Fprintln(&b, s.FocusDownAll, s.FocusDownRegion, s.FocusDownEU)
+	fmt.Fprintln(&b, s.FocusLinesAll, s.FocusLinesRegion, s.FocusLinesEU)
+	return b.String()
+}
+
+// matrixCell is one transport of the determinism matrix: how the
+// fixture's week reaches the analysis, over how many streams (exporter
+// or aggregator shards), and whether a whole-study window aggregates it.
+type matrixCell struct {
+	feed    string // "records", "dict", "files" or "ipfix"
+	streams int
+	window  bool
+}
+
+func (c matrixCell) String() string {
+	s := fmt.Sprintf("%s-%d", c.feed, c.streams)
+	if c.window {
+		s += "-window"
+	}
+	return s
+}
+
+// run delivers the fixture's week through the cell's transport. The
+// record drive, memory mode's record adapters (Ingest/EndLine), has no
+// collector and returns nil for it.
+func (c matrixCell) run(t *testing.T, f *fixture) (*flows.ContactCounter, *flows.Collector, *Collector) {
+	t.Helper()
+	if c.feed == "records" {
+		agg := flows.NewShardedAggregator(f.idx, f.w.Days, f.opts, c.streams)
+		f.net.SimulateLines(agg.Shards(),
+			func(shard int) func(netflow.Record) { return agg.Shard(shard).Ingest },
+			func(shard int, _ *isp.Line) { agg.Shard(shard).EndLine() },
+		)
+		cc, fc := agg.Merge()
+		return cc, fc, nil
+	}
+	cfg := Config{Index: f.idx, Days: f.w.Days, Opts: f.opts}
+	if c.window {
+		win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Window = win
+	}
+	col, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch c.feed {
+	case "dict":
+		err = col.IngestStreams(feedReaders(f.wireFeed(t, c.streams)))
+	case "files":
+		err = col.IngestFiles(f.exportToFiles(t, c.streams))
+	case "ipfix":
+		for i, feed := range f.ipfixFeed(t, c.streams) {
+			err = errors.Join(err, col.IngestIPFIX(fmt.Sprintf("ipfix-%d", i), bytes.NewReader(feed)))
+		}
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	cc, fc := col.Finalize()
-	return cc, fc, col.Stats()
+	return cc, fc, col
 }
 
-// assertSameAnalysis compares the analyses that feed the figures.
-func assertSameAnalysis(t *testing.T, label string, ccA, ccB *flows.ContactCounter, colA, colB *flows.Collector) {
+// check asserts the counters and retained state the cell's transport
+// owes on a clean feed.
+func (c matrixCell) check(t *testing.T, col *Collector) {
 	t.Helper()
-	curveA := ccA.Curve([]int{10, 50, 100, 500})
-	curveB := ccB.Curve([]int{10, 50, 100, 500})
-	for i := range curveA {
-		if curveA[i] != curveB[i] {
-			t.Fatalf("%s: scanner curve drifted at %d: %+v vs %+v", label, i, curveA[i], curveB[i])
+	st := col.Stats()
+	if st.Streams != uint64(c.streams) {
+		t.Fatalf("streams = %d, want %d", st.Streams, c.streams)
+	}
+	if st.V4Records == 0 || st.V6Records == 0 || st.ScaledBytes == 0 {
+		t.Fatalf("records or scaled volume missing (the sampling rate was never restored?): %+v", st)
+	}
+	if st.V5Packets+st.SaturatedCounters+st.RateMismatches+st.BadPackets+st.DroppedFrames+
+		st.ResyncEvents+st.StallTimeouts+st.Reconnects+st.QuarantinedStreams != 0 {
+		t.Fatalf("clean feed reported v5 packets or damage: %+v", st)
+	}
+	dicts := 0
+	if c.feed == "ipfix" {
+		if st.TemplatePackets == 0 || st.TemplateRecords == 0 {
+			t.Fatalf("no templated traffic counted: %+v", st)
+		}
+	} else {
+		if st.BatchFrames == 0 || st.DictEntries == 0 || st.Flushes == 0 {
+			t.Fatalf("framed streams carried no dictionary batches or flushes: %+v", st)
+		}
+		if c.window {
+			dicts = c.streams
 		}
 	}
-	sA, sB := colA.Study(), colB.Study()
-	aliasesA, aliasesB := sA.Aliases(), sB.Aliases()
-	if strings.Join(aliasesA, ",") != strings.Join(aliasesB, ",") {
-		t.Fatalf("%s: aliases %v vs %v", label, aliasesA, aliasesB)
+	if n := len(col.DictStates()); n != dicts {
+		t.Fatalf("retained %d dictionary states, want %d", n, dicts)
 	}
-	for _, alias := range aliasesA {
-		if a, b := sA.Downstream(alias).Total(), sB.Downstream(alias).Total(); a != b {
-			t.Fatalf("%s: %s downstream %v vs %v", label, alias, a, b)
-		}
-		if a, b := sA.Upstream(alias).Total(), sB.Upstream(alias).Total(); a != b {
-			t.Fatalf("%s: %s upstream %v vs %v", label, alias, a, b)
-		}
-		if a, b := sA.ActiveLines(alias).Total(), sB.ActiveLines(alias).Total(); a != b {
-			t.Fatalf("%s: %s active lines %v vs %v", label, alias, a, b)
-		}
-		a4, a6 := sA.Visibility(alias)
-		b4, b6 := sB.Visibility(alias)
-		if a4 != b4 || a6 != b6 {
-			t.Fatalf("%s: %s visibility (%v,%v) vs (%v,%v)", label, alias, a4, a6, b4, b6)
-		}
-	}
-	da, ua := sA.DailyECDFs()
-	db, ub := sB.DailyECDFs()
-	if da.Len() != db.Len() || ua.Len() != ub.Len() {
-		t.Fatalf("%s: daily ECDF sizes differ", label)
-	}
-	if sA.FocusDownAll.Total() != sB.FocusDownAll.Total() {
-		t.Fatalf("%s: focus series differ", label)
+	if c.window && col.Partials() != nil {
+		t.Fatal("window mode handed over partials")
 	}
 }
 
-// TestWireMatchesMemoryAcrossStreamCounts: the headline property at
-// package level — ingesting the exported packet streams reproduces the
-// in-memory aggregation exactly, for 1, 3, and 8 concurrent streams.
-func TestWireMatchesMemoryAcrossStreamCounts(t *testing.T) {
-	f := buildFixture(t, 500)
-	ccRef, colRef := f.memoryRun(4)
-	for _, streams := range []int{1, 3, 8} {
-		f2 := buildFixture(t, 500)
-		ccW, colW, stats := f2.wireRun(t, streams)
-		assertSameAnalysis(t, "streams", ccRef, ccW, colRef, colW)
-		if stats.Streams != uint64(streams) {
-			t.Fatalf("streams = %d, want %d", stats.Streams, streams)
-		}
-		if stats.V4Records == 0 || stats.V6Records == 0 || stats.Flushes == 0 {
-			t.Fatalf("stats incomplete: %+v", stats)
-		}
-		if stats.SaturatedCounters != 0 || stats.RateMismatches != 0 || stats.BadPackets != 0 {
-			t.Fatalf("unexpected wire damage: %+v", stats)
-		}
-		if stats.ScaledBytes == 0 {
-			t.Fatal("no scaled volume — the sampling rate was never restored")
+// TestDeterminismMatrix: every transport into the collector reproduces
+// memory mode's analysis exactly — the record drive, dictionary pipes at
+// 1, 3 and 8 streams, mmap replay files, IPFIX streams, and a
+// whole-study window fed dictionary or IPFIX streams — at scanner
+// thresholds 100 and 5 (at 5 most lines are suspects, so a batch
+// stream's decode half drops rows before its fold) and at two procs and
+// one. Each cell also checks its transport's counters and retained
+// state.
+func TestDeterminismMatrix(t *testing.T) {
+	cells := []matrixCell{
+		{feed: "records", streams: 2},
+		{feed: "dict", streams: 1},
+		{feed: "dict", streams: 3},
+		{feed: "dict", streams: 8},
+		{feed: "files", streams: 3},
+		{feed: "ipfix", streams: 2},
+		{feed: "dict", streams: 1, window: true},
+		{feed: "dict", streams: 4, window: true},
+		{feed: "ipfix", streams: 2, window: true},
+	}
+	for _, threshold := range []int{100, 5} {
+		f := buildFixture(t, 400)
+		f.opts.ScannerThreshold = threshold
+		refCC, refCol := f.memoryRun(4)
+		for _, procs := range []int{2, 1} {
+			for _, c := range cells {
+				t.Run(fmt.Sprintf("threshold=%d/procs=%d/%s", threshold, procs, c), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					cc, fc, col := c.run(t, f)
+					assertSameAnalysis(t, c.String(), refCC, cc, refCol, fc)
+					if col != nil {
+						c.check(t, col)
+					}
+				})
+			}
 		}
 	}
 }
@@ -158,21 +283,11 @@ func TestStreamWithoutFlushMarkers(t *testing.T) {
 	f := buildFixture(t, 300)
 	ccRef, colRef := f.memoryRun(2)
 
-	f2 := buildFixture(t, 300)
-	bufs := make([]*bytes.Buffer, 2)
-	writers := make([]io.Writer, 2)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-		writers[i] = bufs[i]
-	}
-	if _, err := f2.net.SimulateLinesToWire(writers, 0); err != nil {
-		t.Fatal(err)
-	}
 	// Strip every flush frame.
-	readers := make([]io.Reader, 2)
-	for i, buf := range bufs {
+	feeds := f.wireFeed(t, 2)
+	for i, feed := range feeds {
 		var stripped []byte
-		fr := netflow.NewFrameReader(buf)
+		fr := netflow.NewBytesFrameReader(feed)
 		for {
 			fme, err := fr.Next()
 			if err == io.EOF {
@@ -188,13 +303,13 @@ func TestStreamWithoutFlushMarkers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		readers[i] = bytes.NewReader(stripped)
+		feeds[i] = stripped
 	}
-	col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
+	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.IngestStreams(readers); err != nil {
+	if err := col.IngestStreams(feedReaders(feeds)); err != nil {
 		t.Fatal(err)
 	}
 	ccW, colW := col.Finalize()
@@ -209,8 +324,7 @@ func TestListenTCP(t *testing.T) {
 	f := buildFixture(t, 300)
 	ccRef, colRef := f.memoryRun(2)
 
-	f2 := buildFixture(t, 300)
-	col, err := New(Config{Index: f2.idx, Days: f2.w.Days, Opts: f2.opts})
+	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +346,7 @@ func TestListenTCP(t *testing.T) {
 		defer c.Close()
 		conns[i] = c
 	}
-	if _, err := f2.net.SimulateLinesToWire(conns, 0); err != nil {
+	if _, err := f.net.SimulateLinesToWire(conns, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range conns {
@@ -429,11 +543,7 @@ func TestIngestCorruptStream(t *testing.T) {
 // same bytes.
 func TestLiveCountersOpenStream(t *testing.T) {
 	f := buildFixture(t, 50)
-	var buf bytes.Buffer
-	if _, err := f.net.SimulateLinesToWire([]io.Writer{&buf}, 0); err != nil {
-		t.Fatal(err)
-	}
-	feed := buf.Bytes()
+	feed := f.wireFeed(t, 1)[0]
 	ref, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		t.Fatal(err)
@@ -527,6 +637,12 @@ func spinReaders(t *testing.T, col *Collector) (stop func()) {
 					errs <- fmt.Sprintf("counters went backwards: %+v, then sum %+v, then totals %+v", prev, sum, total)
 					return
 				}
+				// On one proc a reader spinning on counters that cannot move
+				// holds the P for its whole time slice; once a poll shows no
+				// progress it sleeps instead, so the ingest can run.
+				if total == prev && runtime.GOMAXPROCS(0) == 1 {
+					time.Sleep(20 * time.Microsecond)
+				}
 				prev = total
 			}
 		}()
@@ -567,22 +683,9 @@ func TestStreamStatsBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	const streams = 4
-	bufs := make([]*bytes.Buffer, streams)
-	writers := make([]io.Writer, streams)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-		writers[i] = bufs[i]
-	}
-	if _, err := f.net.SimulateLinesToWire(writers, 0); err != nil {
-		t.Fatal(err)
-	}
 	names := []string{"feed-a", "feed-b", "feed-c", "feed-d"}
-	readers := make([]io.Reader, streams)
-	for i := range bufs {
-		readers[i] = bufs[i]
-	}
 	stop := spinReaders(t, col)
-	if err := col.IngestNamedStreams(names, readers); err != nil {
+	if err := col.IngestNamedStreams(names, feedReaders(f.wireFeed(t, streams))); err != nil {
 		t.Fatal(err)
 	}
 	stop()
@@ -663,14 +766,10 @@ func TestStreamStatsBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := &bytes.Buffer{}
-	if _, err := f.net.SimulateLinesToWire([]io.Writer{good}, 0); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := bytes.NewReader(good.Bytes()[:good.Len()/2])
+	good := f.wireFeed(t, 1)[0]
 	if err := col2.IngestNamedStreams(
 		[]string{"good", "corrupt"},
-		[]io.Reader{bytes.NewReader(good.Bytes()), corrupt},
+		feedReaders([][]byte{good, good[:len(good)/2]}),
 	); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
@@ -693,11 +792,7 @@ func TestPartialsHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := &bytes.Buffer{}
-	if _, err := f.net.SimulateLinesToWire([]io.Writer{buf}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.IngestStream(buf); err != nil {
+	if err := col.IngestStream(bytes.NewReader(f.wireFeed(t, 1)[0])); err != nil {
 		t.Fatal(err)
 	}
 	parts := col.Partials()

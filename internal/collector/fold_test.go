@@ -324,12 +324,7 @@ func (c pipeCase) run(t *testing.T, f *fixture, feeds [][]byte, serial bool) pip
 // kill rules, with counter readers spinning, at two procs and at one.
 func TestPipelinedIngestMatchesSerial(t *testing.T) {
 	f := buildFixture(t, 150)
-	feeds := map[string][][]byte{"ipfix": f.ipfixFeed(t, 2)}
-	bufs := []*bytes.Buffer{{}, {}}
-	if _, err := f.net.SimulateLinesToWire([]io.Writer{bufs[0], bufs[1]}, 0); err != nil {
-		t.Fatal(err)
-	}
-	feeds["dict"] = [][]byte{bufs[0].Bytes(), bufs[1].Bytes()}
+	feeds := map[string][][]byte{"ipfix": f.ipfixFeed(t, 2), "dict": f.wireFeed(t, 2)}
 
 	var cases []pipeCase
 	for _, feed := range []string{"dict", "ipfix"} {

@@ -2,9 +2,7 @@ package collector
 
 import (
 	"bytes"
-	"fmt"
 	"io"
-	"strings"
 	"testing"
 
 	"iotmap/internal/core/flows"
@@ -17,116 +15,6 @@ func (f *fixture) windowOpts() flows.Options {
 	o := f.opts
 	o.SamplingRate = 1
 	return o
-}
-
-// windowRun exports and ingests the recorded streams into a
-// window-mode collector whose window spans the whole
-// study — so its trailing view must equal the batch study exactly.
-func (f *fixture) windowRun(t testing.TB, streams int) (*flows.ContactCounter, *flows.Collector, *Collector) {
-	t.Helper()
-	win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Window: win})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := make([]*bytes.Buffer, streams)
-	writers := make([]io.Writer, streams)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-		writers[i] = bufs[i]
-	}
-	if _, err := f.net.SimulateLinesToWire(writers, 0); err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]io.Reader, streams)
-	for i := range bufs {
-		readers[i] = bufs[i]
-	}
-	if err := col.IngestStreams(readers); err != nil {
-		t.Fatal(err)
-	}
-	cc, fc := col.Finalize()
-	return cc, fc, col
-}
-
-// studyText renders every Study accessor, keyed by alias and port name,
-// so two studies whose line and port IDs were interned in different
-// orders render equal exactly when every figure reads them equal.
-func studyText(s *flows.Study) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, s.Hours(), s.Aliases())
-	for _, a := range s.Aliases() {
-		v4, v6 := s.Visibility(a)
-		l4, l6 := s.LineCount(a)
-		c4, c6 := s.CertOnlyDecrease(a)
-		fmt.Fprintln(&b, a, v4, v6, l4, l6, c4, c6, s.OverallRatio(a), s.PortShares(a))
-		fmt.Fprintln(&b, s.ActiveLines(a), s.Downstream(a), s.Upstream(a), s.AliasDailyECDF(a))
-	}
-	for _, p := range s.TopPorts(1 << 20) {
-		fmt.Fprintln(&b, p, s.PortDailyECDF(p))
-	}
-	down, up := s.DailyECDFs()
-	fmt.Fprintln(&b, down, up, s.BackendVolumes())
-	fmt.Fprintln(&b, s.LineContinentShares(), s.ServerContinentShares(), s.TrafficContinentShares())
-	fmt.Fprintln(&b, s.FocusDownAll, s.FocusDownRegion, s.FocusDownEU)
-	fmt.Fprintln(&b, s.FocusLinesAll, s.FocusLinesRegion, s.FocusLinesEU)
-	return b.String()
-}
-
-// ingestIPFIXFeeds replays IPFIX feeds through a collector with cfg and
-// returns it finalized.
-func ingestIPFIXFeeds(t *testing.T, cfg Config, feeds [][]byte) (*flows.ContactCounter, *flows.Collector, *Collector) {
-	t.Helper()
-	col, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, feed := range feeds {
-		if err := col.IngestIPFIX(fmt.Sprintf("ipfix-%d", i), bytes.NewReader(feed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cc, fc := col.Finalize()
-	return cc, fc, col
-}
-
-// TestWindowModeMatchesBatchWire: the service-mode headline property —
-// streams folding into a shared study-spanning flows.Window reproduce
-// the per-stream-partial batch aggregation exactly, across stream
-// counts, for dictionary streams and for record streams (IPFIX), which
-// retain no dictionary state.
-func TestWindowModeMatchesBatchWire(t *testing.T) {
-	f := buildFixture(t, 400)
-	ccRef, colRef := f.memoryRun(4)
-	for _, streams := range []int{1, 4} {
-		f2 := buildFixture(t, 400)
-		ccW, colW, col := f2.windowRun(t, streams)
-		assertSameAnalysis(t, "window-vs-memory", ccRef, ccW, colRef, colW)
-		if len(col.DictStates()) != streams {
-			t.Fatalf("DictStates retained %d entries, want %d", len(col.DictStates()), streams)
-		}
-		if col.Partials() != nil {
-			t.Fatal("window mode handed over partials")
-		}
-	}
-
-	feeds := f.ipfixFeed(t, 2)
-	ccB, colB, _ := ingestIPFIXFeeds(t, Config{Index: f.idx, Days: f.w.Days, Opts: f.opts}, feeds)
-	win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccW, colW, col := ingestIPFIXFeeds(t, Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Window: win}, feeds)
-	assertSameAnalysis(t, "ipfix window-vs-batch", ccB, ccW, colB, colW)
-	if studyText(colW.Study()) != studyText(colB.Study()) {
-		t.Fatal("IPFIX feeds into a whole-study window differ from batch mode")
-	}
-	if n := len(col.DictStates()); n != 0 {
-		t.Fatalf("IPFIX streams retained %d dictionary states, want none", n)
-	}
 }
 
 // TestWindowModeConfigValidation: the Config combinations window mode
@@ -215,11 +103,8 @@ func splitAtFlush(t testing.TB, data []byte) (partA, partB []byte) {
 // snapshot itself.
 func TestWindowCheckpointResume(t *testing.T) {
 	f := buildFixture(t, 300)
-	var rec bytes.Buffer
-	if _, err := f.net.SimulateLinesToWire([]io.Writer{&rec}, 0); err != nil {
-		t.Fatal(err)
-	}
-	partA, partB := splitAtFlush(t, rec.Bytes())
+	rec := f.wireFeed(t, 1)[0]
+	partA, partB := splitAtFlush(t, rec)
 
 	run := func(win *flows.Window, restored map[string]*DictState, feeds ...[]byte) *Collector {
 		col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Window: win, RestoredDicts: restored})
@@ -239,7 +124,7 @@ func TestWindowCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	colRef := run(winRef, nil, rec.Bytes())
+	colRef := run(winRef, nil, rec)
 	ccRef, fcRef := colRef.Finalize()
 
 	// Service 1: first half, then checkpoint window + dictionaries.

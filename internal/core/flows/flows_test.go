@@ -67,28 +67,16 @@ func runRecordPipeline(net *isp.Network, idx *BackendIndex, w *world.World, shar
 }
 
 func pipelineAggregator(net *isp.Network, idx *BackendIndex, w *world.World, shards int) *ShardedAggregator {
-	return NewShardedAggregator(idx, w.Days, Options{
+	return NewShardedAggregator(idx, w.Days, studyOpts(net), shards)
+}
+
+// studyOpts is the analysis configuration of the cached study.
+func studyOpts(net *isp.Network) Options {
+	return Options{
 		ScannerThreshold: 100,
 		SamplingRate:     net.Cfg.SamplingRate,
 		FocusAlias:       "T1",
 		FocusRegion:      "us-east-1",
-	}, shards)
-}
-
-// TestIngestLineMatchesRecordPath: memory mode's row drive and the
-// record adapters fold the same week into the same contacts and study,
-// at one shard and at several.
-func TestIngestLineMatchesRecordPath(t *testing.T) {
-	w, _, _ := buildStudy(t)
-	for _, shards := range []int{1, testShards} {
-		rowCC, rowCol := runPipeline(cachedNet, cachedIdx, w, shards)
-		recCC, recCol := runRecordPipeline(cachedNet, cachedIdx, w, shards)
-		if !reflect.DeepEqual(rowCC.contactSets(), recCC.contactSets()) {
-			t.Fatalf("%d shards: contact sets differ between the row and record drives", shards)
-		}
-		if !reflect.DeepEqual(named(rowCol.Study()), named(recCol.Study())) {
-			t.Fatalf("%d shards: studies differ between the row and record drives", shards)
-		}
 	}
 }
 
@@ -354,47 +342,67 @@ func TestFocusSeriesPresent(t *testing.T) {
 	}
 }
 
-// TestPipelineMatchesSequentialTwoPass: the sharded single-pass pipeline
-// must equal the explicit two-pass reference — a ContactCounter over the
-// recorded feed, then a Collector with the counter's over-threshold
-// addresses excluded, over the same feed. Exact equality, not tolerance:
-// every aggregate is sets or integer-valued sums.
+// TestPipelineMatchesSequentialTwoPass: every drive of the week into
+// the aggregates equals the explicit two-pass reference — a
+// ContactCounter over the recorded feed, then a Collector with the
+// counter's over-threshold addresses excluded, over the same feed.
+// Exact equality, not tolerance: every aggregate is sets or
+// integer-valued sums. The drives are memory mode's rows and the record
+// adapters (Ingest/EndLine), each at one shard and at testShards, and a
+// whole-week Window fed the same per-line-week flushes as the sharded
+// pipeline — the no-eviction identity that makes the service's
+// trailing-week figures trustworthy.
 func TestPipelineMatchesSequentialTwoPass(t *testing.T) {
-	w, pipeStudy, pipeCC := buildStudy(t)
-	net := cachedNet
+	w, _, _ := buildStudy(t)
+	net, idx := cachedNet, cachedIdx
 
 	var recs []netflow.Record
 	simulate(net, func(r netflow.Record) { recs = append(recs, r) })
-	cc := NewContactCounter(cachedIdx)
+	refCC := NewContactCounter(idx)
 	for _, r := range recs {
-		countRecord(cc, r)
+		countRecord(refCC, r)
 	}
-	col := NewCollector(cachedIdx, w.Days, Options{
-		SamplingRate: net.Cfg.SamplingRate,
-		FocusAlias:   "T1",
-		FocusRegion:  "us-east-1",
-	})
-	scanners := cc.Scanners(100)
+	refCol := NewCollector(idx, w.Days, studyOpts(net))
+	scanners := refCC.Scanners(100)
 	for _, r := range recs {
-		ingestRecord(col, r, scanners)
+		ingestRecord(refCol, r, scanners)
 	}
-	if !reflect.DeepEqual(cc.contactSets(), pipeCC.contactSets()) {
-		t.Error("pipeline contact counter differs from sequential pass")
-	}
-	if !reflect.DeepEqual(named(col.Study()), named(pipeStudy)) {
-		t.Error("pipeline study differs from sequential two-pass reference")
-	}
-}
 
-// TestShardCountInvariance: 1-shard and N-shard pipelines agree exactly.
-func TestShardCountInvariance(t *testing.T) {
-	w, pipeStudy, pipeCC := buildStudy(t)
-	cc1, col1 := runPipeline(cachedNet, cachedIdx, w, 1)
-	if !reflect.DeepEqual(cc1.contactSets(), pipeCC.contactSets()) {
-		t.Error("1-shard contacts differ from multi-shard")
+	window := func(t *testing.T) (*ContactCounter, *Collector) {
+		win, err := NewWindow(idx, w.Days[0], len(w.Days)*24, studyOpts(net))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs := make([][]netflow.Record, testShards)
+		net.SimulateLines(testShards,
+			func(shard int) func(netflow.Record) {
+				return func(r netflow.Record) { bufs[shard] = append(bufs[shard], r) }
+			},
+			func(shard int, _ *isp.Line) {
+				flushRecords(win, bufs[shard])
+				bufs[shard] = bufs[shard][:0]
+			},
+		)
+		if st := win.Stats(); st.EvictedHours != 0 || st.LateRecords != 0 || st.PreWindowRecords != 0 {
+			t.Fatalf("whole-week feed should fit the window, got stats %+v", st)
+		}
+		return win.Merged()
 	}
-	if !reflect.DeepEqual(named(col1.Study()), named(pipeStudy)) {
-		t.Error("1-shard study differs from multi-shard")
+	drives := []struct {
+		name string
+		run  func(t *testing.T) (*ContactCounter, *Collector)
+	}{
+		{"rows-1", func(*testing.T) (*ContactCounter, *Collector) { return runPipeline(net, idx, w, 1) }},
+		{"rows-sharded", func(*testing.T) (*ContactCounter, *Collector) { return runPipeline(net, idx, w, testShards) }},
+		{"records-1", func(*testing.T) (*ContactCounter, *Collector) { return runRecordPipeline(net, idx, w, 1) }},
+		{"records-sharded", func(*testing.T) (*ContactCounter, *Collector) { return runRecordPipeline(net, idx, w, testShards) }},
+		{"window", window},
+	}
+	for _, d := range drives {
+		t.Run(d.name, func(t *testing.T) {
+			cc, col := d.run(t)
+			assertWindowEquals(t, cc, col, refCC, refCol, 100)
+		})
 	}
 }
 
@@ -407,13 +415,7 @@ func TestCollectorMergeEquivalence(t *testing.T) {
 	net := cachedNet
 
 	const shards = 5
-	mk := func() *Collector {
-		return NewCollector(cachedIdx, w.Days, Options{
-			SamplingRate: net.Cfg.SamplingRate,
-			FocusAlias:   "T1",
-			FocusRegion:  "us-east-1",
-		})
-	}
+	mk := func() *Collector { return NewCollector(cachedIdx, w.Days, studyOpts(net)) }
 	seq := mk()
 	parts := make([]*Collector, shards)
 	for i := range parts {

@@ -208,6 +208,9 @@ func serveHTTP(conn net.Conn, hostnames []string) {
 		len(body), body)
 }
 
+// coapDiscovery only reads its links, so every connection shares it.
+var coapDiscovery = coap.DiscoveryHandler([]string{"/iot/telemetry", "/iot/cmd"})
+
 // serveCoAPStream runs one CoAP request/response over a stream transport
 // (the fabric's stand-in for a UDP datagram exchange).
 func serveCoAPStream(conn net.Conn) {
@@ -220,11 +223,7 @@ func serveCoAPStream(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	resp := coap.DiscoveryHandler([]string{"/iot/telemetry", "/iot/cmd"})(req)
-	if resp == nil {
-		return
-	}
-	wire, err := resp.Marshal()
+	wire, err := coapDiscovery(req).Marshal()
 	if err != nil {
 		return
 	}

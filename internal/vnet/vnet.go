@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 )
@@ -64,24 +63,6 @@ func (f *Fabric) Listen(ep netip.AddrPort, h Handler) error {
 	}
 	f.listeners[ep] = h
 	return nil
-}
-
-// Endpoints returns all bound endpoints, sorted, for ground-truth
-// enumeration in tests.
-func (f *Fabric) Endpoints() []netip.AddrPort {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]netip.AddrPort, 0, len(f.listeners))
-	for ep := range f.listeners {
-		out = append(out, ep)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr() != out[j].Addr() {
-			return out[i].Addr().Less(out[j].Addr())
-		}
-		return out[i].Port() < out[j].Port()
-	})
-	return out
 }
 
 // DialContext implements the dialer contract used by net/http, crypto/tls

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +89,18 @@ func TestListenConflictAndUnlisten(t *testing.T) {
 	if err := f.Listen(ep("10.0.0.1:444"), nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
+}
+
+// Endpoints returns all bound endpoints, sorted.
+func (f *Fabric) Endpoints() []netip.AddrPort {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	out := make([]netip.AddrPort, 0, len(f.listeners))
+	for a := range f.listeners {
+		out = append(out, a)
+	}
+	slices.SortFunc(out, netip.AddrPort.Compare)
+	return out
 }
 
 func TestEndpointsSorted(t *testing.T) {
