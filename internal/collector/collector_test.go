@@ -237,36 +237,39 @@ func (c matrixCell) check(t *testing.T, col *Collector) {
 	}
 }
 
-// TestDeterminismMatrix: every transport into the collector reproduces
-// memory mode's analysis exactly — the record drive, dictionary pipes at
-// 1, 3 and 8 streams, mmap replay files, IPFIX streams, and a
-// whole-study window fed dictionary or IPFIX streams — at scanner
-// thresholds 100 and 5 (at 5 most lines are suspects, so a batch
-// stream's decode half drops rows before its fold) and at two procs and
-// one. Each cell also checks its transport's counters and retained
-// state.
-func TestDeterminismMatrix(t *testing.T) {
-	cells := []matrixCell{
-		{feed: "records", streams: 2},
-		{feed: "dict", streams: 1},
-		{feed: "dict", streams: 3},
-		{feed: "dict", streams: 8},
-		{feed: "files", streams: 3},
-		{feed: "ipfix", streams: 2},
-		{feed: "dict", streams: 1, window: true},
-		{feed: "dict", streams: 4, window: true},
-		{feed: "ipfix", streams: 2, window: true},
-	}
-	for _, threshold := range []int{100, 5} {
-		f := buildFixture(t, 400)
-		f.opts.ScannerThreshold = threshold
-		refCC, refCol := f.memoryRun(4)
+// matrixRef is one scanner threshold's fixture and memory mode's
+// analysis of it, the reference its matrix cells match.
+type matrixRef struct {
+	f   *fixture
+	cc  *flows.ContactCounter
+	col *flows.Collector
+}
+
+// matrixRefs holds each threshold's reference, built once per test
+// binary and shared by every row of the matrix.
+var matrixRefs = map[int]*matrixRef{}
+
+// runMatrix runs cells of the determinism matrix: each cell's transport
+// reproduces memory mode's analysis exactly, at each scanner threshold
+// (at 5 most lines are suspects, so a batch stream's decode half drops
+// rows before its fold) and at two procs and one, and owes its
+// transport's counters and retained state.
+func runMatrix(t *testing.T, thresholds []int, cells ...matrixCell) {
+	for _, threshold := range thresholds {
+		ref := matrixRefs[threshold]
+		if ref == nil {
+			f := buildFixture(t, 400)
+			f.opts.ScannerThreshold = threshold
+			cc, col := f.memoryRun(4)
+			ref = &matrixRef{f, cc, col}
+			matrixRefs[threshold] = ref
+		}
 		for _, procs := range []int{2, 1} {
 			for _, c := range cells {
 				t.Run(fmt.Sprintf("threshold=%d/procs=%d/%s", threshold, procs, c), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					cc, fc, col := c.run(t, f)
-					assertSameAnalysis(t, c.String(), refCC, cc, refCol, fc)
+					cc, fc, col := c.run(t, ref.f)
+					assertSameAnalysis(t, c.String(), ref.cc, cc, ref.col, fc)
 					if col != nil {
 						c.check(t, col)
 					}
@@ -274,6 +277,47 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The matrix's rows. Between them every transport into the collector
+// meets memory mode: the record drive, dictionary pipes at 1, 3 and 8
+// streams, mmap replay files, IPFIX streams, and a whole-study window
+// fed dictionary or IPFIX streams.
+
+// TestDeterminismMatrix: memory mode's record drive and mmap replay
+// files at 3 streams.
+func TestDeterminismMatrix(t *testing.T) {
+	runMatrix(t, []int{100, 5}, matrixCell{feed: "records", streams: 2}, matrixCell{feed: "files", streams: 3})
+}
+
+// dictCells are the dictionary pipes at 1, 3 and 8 streams.
+var dictCells = []matrixCell{{feed: "dict", streams: 1}, {feed: "dict", streams: 3}, {feed: "dict", streams: 8}}
+
+// TestWireMatchesMemoryAcrossStreamCounts: dictionary pipes at 1, 3 and
+// 8 streams, at the study's scanner threshold.
+func TestWireMatchesMemoryAcrossStreamCounts(t *testing.T) {
+	runMatrix(t, []int{100}, dictCells...)
+}
+
+// TestDictMatchesMemoryAcrossStreamCounts: the same pipes at threshold
+// 5, where the decode half drops most lines' rows before the fold.
+func TestDictMatchesMemoryAcrossStreamCounts(t *testing.T) {
+	runMatrix(t, []int{5}, dictCells...)
+}
+
+// TestIPFIXRoundTripMatchesMemory: templated IPFIX at 2 streams.
+func TestIPFIXRoundTripMatchesMemory(t *testing.T) {
+	runMatrix(t, []int{100, 5}, matrixCell{feed: "ipfix", streams: 2})
+}
+
+// TestWindowModeMatchesBatchWire: a whole-study window fed 1 and 4
+// dictionary streams and 2 IPFIX streams.
+func TestWindowModeMatchesBatchWire(t *testing.T) {
+	runMatrix(t, []int{100, 5},
+		matrixCell{feed: "dict", streams: 1, window: true},
+		matrixCell{feed: "dict", streams: 4, window: true},
+		matrixCell{feed: "ipfix", streams: 2, window: true},
+	)
 }
 
 // TestStreamWithoutFlushMarkers: a feed with no line-batch markers

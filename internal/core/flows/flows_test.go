@@ -18,6 +18,9 @@ var (
 	cachedCC    *ContactCounter
 	cachedWorld *world.World
 	cachedNet   *isp.Network
+
+	cachedRefCC  *ContactCounter
+	cachedRefCol *Collector
 )
 
 // testShards forces a multi-shard pipeline even on single-core test
@@ -342,65 +345,58 @@ func TestFocusSeriesPresent(t *testing.T) {
 	}
 }
 
-// TestPipelineMatchesSequentialTwoPass: every drive of the week into
-// the aggregates equals the explicit two-pass reference — a
-// ContactCounter over the recorded feed, then a Collector with the
-// counter's over-threshold addresses excluded, over the same feed.
-// Exact equality, not tolerance: every aggregate is sets or
-// integer-valued sums. The drives are memory mode's rows and the record
-// adapters (Ingest/EndLine), each at one shard and at testShards, and a
-// whole-week Window fed the same per-line-week flushes as the sharded
-// pipeline — the no-eviction identity that makes the service's
-// trailing-week figures trustworthy.
-func TestPipelineMatchesSequentialTwoPass(t *testing.T) {
+// twoPass is the explicit two-pass reference every drive of the week
+// must equal — a ContactCounter over the recorded feed, then a Collector
+// with the counter's over-threshold addresses excluded, over the same
+// feed — built once per test binary.
+func twoPass(t *testing.T) (*world.World, *ContactCounter, *Collector) {
+	t.Helper()
 	w, _, _ := buildStudy(t)
-	net, idx := cachedNet, cachedIdx
-
-	var recs []netflow.Record
-	simulate(net, func(r netflow.Record) { recs = append(recs, r) })
-	refCC := NewContactCounter(idx)
-	for _, r := range recs {
-		countRecord(refCC, r)
-	}
-	refCol := NewCollector(idx, w.Days, studyOpts(net))
-	scanners := refCC.Scanners(100)
-	for _, r := range recs {
-		ingestRecord(refCol, r, scanners)
-	}
-
-	window := func(t *testing.T) (*ContactCounter, *Collector) {
-		win, err := NewWindow(idx, w.Days[0], len(w.Days)*24, studyOpts(net))
-		if err != nil {
-			t.Fatal(err)
+	if cachedRefCC == nil {
+		var recs []netflow.Record
+		simulate(cachedNet, func(r netflow.Record) { recs = append(recs, r) })
+		cc := NewContactCounter(cachedIdx)
+		for _, r := range recs {
+			countRecord(cc, r)
 		}
-		bufs := make([][]netflow.Record, testShards)
-		net.SimulateLines(testShards,
-			func(shard int) func(netflow.Record) {
-				return func(r netflow.Record) { bufs[shard] = append(bufs[shard], r) }
-			},
-			func(shard int, _ *isp.Line) {
-				flushRecords(win, bufs[shard])
-				bufs[shard] = bufs[shard][:0]
-			},
-		)
-		if st := win.Stats(); st.EvictedHours != 0 || st.LateRecords != 0 || st.PreWindowRecords != 0 {
-			t.Fatalf("whole-week feed should fit the window, got stats %+v", st)
+		col := NewCollector(cachedIdx, w.Days, studyOpts(cachedNet))
+		scanners := cc.Scanners(100)
+		for _, r := range recs {
+			ingestRecord(col, r, scanners)
 		}
-		return win.Merged()
+		cachedRefCC, cachedRefCol = cc, col
 	}
-	drives := []struct {
-		name string
-		run  func(t *testing.T) (*ContactCounter, *Collector)
-	}{
-		{"rows-1", func(*testing.T) (*ContactCounter, *Collector) { return runPipeline(net, idx, w, 1) }},
-		{"rows-sharded", func(*testing.T) (*ContactCounter, *Collector) { return runPipeline(net, idx, w, testShards) }},
-		{"records-1", func(*testing.T) (*ContactCounter, *Collector) { return runRecordPipeline(net, idx, w, 1) }},
-		{"records-sharded", func(*testing.T) (*ContactCounter, *Collector) { return runRecordPipeline(net, idx, w, testShards) }},
-		{"window", window},
-	}
-	for _, d := range drives {
-		t.Run(d.name, func(t *testing.T) {
-			cc, col := d.run(t)
+	return w, cachedRefCC, cachedRefCol
+}
+
+// Each drive of the week into the aggregates below (and the whole-week
+// window in window_test.go) equals the two-pass reference exactly, not
+// within a tolerance: every aggregate is sets or integer-valued sums.
+
+// TestPipelineMatchesSequentialTwoPass: memory mode's sharded
+// single-pass pipeline equals the two-pass reference.
+func TestPipelineMatchesSequentialTwoPass(t *testing.T) {
+	w, refCC, refCol := twoPass(t)
+	cc, col := runPipeline(cachedNet, cachedIdx, w, testShards)
+	assertWindowEquals(t, cc, col, refCC, refCol, 100)
+}
+
+// TestShardCountInvariance: the one-shard pipeline equals the same
+// reference as the sharded one.
+func TestShardCountInvariance(t *testing.T) {
+	w, refCC, refCol := twoPass(t)
+	cc, col := runPipeline(cachedNet, cachedIdx, w, 1)
+	assertWindowEquals(t, cc, col, refCC, refCol, 100)
+}
+
+// TestIngestLineMatchesRecordPath: the record adapters (Ingest/EndLine)
+// fold the week into the same contacts and study as the rows, at one
+// shard and at several.
+func TestIngestLineMatchesRecordPath(t *testing.T) {
+	w, refCC, refCol := twoPass(t)
+	for name, shards := range map[string]int{"records-1": 1, "records-sharded": testShards} {
+		t.Run(name, func(t *testing.T) {
+			cc, col := runRecordPipeline(cachedNet, cachedIdx, w, shards)
 			assertWindowEquals(t, cc, col, refCC, refCol, 100)
 		})
 	}

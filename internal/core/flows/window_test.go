@@ -84,6 +84,33 @@ func flushHour(flush []netflow.Record, epoch time.Time) int64 {
 	return int64(since / time.Hour)
 }
 
+// TestWindowWeekMatchesBatch: a whole-week window fed the same
+// per-line-week flushes as the sharded pipeline equals the two-pass
+// reference — the no-eviction identity that makes the service's
+// trailing-week figures trustworthy.
+func TestWindowWeekMatchesBatch(t *testing.T) {
+	w, refCC, refCol := twoPass(t)
+	win, err := NewWindow(cachedIdx, w.Days[0], len(w.Days)*24, studyOpts(cachedNet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([][]netflow.Record, testShards)
+	cachedNet.SimulateLines(testShards,
+		func(shard int) func(netflow.Record) {
+			return func(r netflow.Record) { bufs[shard] = append(bufs[shard], r) }
+		},
+		func(shard int, _ *isp.Line) {
+			flushRecords(win, bufs[shard])
+			bufs[shard] = bufs[shard][:0]
+		},
+	)
+	if st := win.Stats(); st.EvictedHours != 0 || st.LateRecords != 0 || st.PreWindowRecords != 0 {
+		t.Fatalf("whole-week feed should fit the window, got stats %+v", st)
+	}
+	cc, col := win.Merged()
+	assertWindowEquals(t, cc, col, refCC, refCol, 100)
+}
+
 // TestWindowEvictionMatchesBatch: the core eviction property — after a
 // 5-day hour-aligned feed slid through a 2-day window, the window's
 // state is byte-identical to a batch run that never saw the evicted
