@@ -99,6 +99,15 @@ func (t *lineTab) drop(remap []int32) {
 	t.addrs = truncZero(t.addrs, n)
 }
 
+// reserve makes room for n addresses and for every plan slot like's
+// tables reach.
+func (t *lineTab) reserve(n int, like *lineTab) {
+	t.addrs = reserve(t.addrs, n)
+	for v, s := range like.plan {
+		t.plan[v] = reserve(t.plan[v], len(s))
+	}
+}
+
 func (t *lineTab) clone() lineTab {
 	var out lineTab
 	for v, s := range t.plan {
@@ -169,6 +178,18 @@ func grown[T any](s []T, n int) []T {
 		c = n
 	}
 	ns := make([]T, n, c)
+	copy(ns, s)
+	return ns
+}
+
+// reserve returns s with capacity for at least n elements, its length
+// and contents kept and the tail zeroed, so a column whose final size
+// is known grows by grown within capacity instead of doubling.
+func reserve[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	ns := make([]T, len(s), n)
 	copy(ns, s)
 	return ns
 }

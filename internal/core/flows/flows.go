@@ -228,6 +228,12 @@ func (c *ContactCounter) lineID(a netip.Addr) int32 {
 	return id
 }
 
+// reserveLines makes room for n lines, interned from like's addresses.
+func (c *ContactCounter) reserveLines(n int, like *lineTab) {
+	c.lines.reserve(n, like)
+	c.bits = reserve(c.bits, n*c.words)
+}
+
 // lineBits returns line ID i's backend bitset.
 func (c *ContactCounter) lineBits(i int) []uint64 {
 	return c.bits[i*c.words : (i+1)*c.words]
@@ -321,6 +327,9 @@ type Collector struct {
 
 	// Stride bookkeeping: ds = len(days), hw/aw = hour/alias bitset words.
 	ds, hw, aw, nAliases int
+	// lineHint is the line count reserveLines expects (0: none): a
+	// per-alias or focus hour bitset is sized for it when it appears.
+	lineHint int
 
 	// coverBits (stride hw) marks study hours with at least one analyzed
 	// record — the feed-liveness signal behind degraded-vantage
@@ -463,6 +472,28 @@ func (c *Collector) lineID(a netip.Addr) int32 {
 	return id
 }
 
+// reserveLines makes room for n lines, interned from like's addresses,
+// in every column lineID grows, and in the hour bitset columns ingest
+// creates from now on.
+func (c *Collector) reserveLines(n int, like *lineTab) {
+	c.lines.reserve(n, like)
+	c.lineDaily = reserve(c.lineDaily, n*2*c.ds)
+	c.lineConts = reserve(c.lineConts, n)
+	c.lineAliasBits = reserve(c.lineAliasBits, n*c.aw)
+	c.lineCertBits = reserve(c.lineCertBits, n*c.aw)
+	c.laIdx = reserve(c.laIdx, n*c.nAliases)
+	c.lineHint = max(c.lineHint, n)
+}
+
+// hoursCol returns a per-line hour bitset column, sized for lineHint
+// lines when it is about to be created.
+func (c *Collector) hoursCol(s []uint64) []uint64 {
+	if s == nil && c.lineHint > 0 {
+		return make([]uint64, 0, c.lineHint*c.hw)
+	}
+	return s
+}
+
 func contBit(c geo.Continent) uint8 {
 	switch c {
 	case geo.Europe:
@@ -528,7 +559,7 @@ func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, 
 	setBit(vs, int(backendID))
 
 	// Hourly activity.
-	lh := grown(c.lineHours[a], (line+1)*c.hw)
+	lh := grown(c.hoursCol(c.lineHours[a]), (line+1)*c.hw)
 	c.lineHours[a] = lh
 	setBit(lh[line*c.hw:], hour)
 
@@ -585,20 +616,20 @@ func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, 
 		if down {
 			c.focusDownAll.Add(hour, bytes)
 		}
-		c.focusHoursAll = grown(c.focusHoursAll, (line+1)*c.hw)
+		c.focusHoursAll = grown(c.hoursCol(c.focusHoursAll), (line+1)*c.hw)
 		setBit(c.focusHoursAll[line*c.hw:], hour)
 		switch {
 		case bi.region == c.focusRegion:
 			if down {
 				c.focusDownRegion.Add(hour, bytes)
 			}
-			c.focusHoursRegion = grown(c.focusHoursRegion, (line+1)*c.hw)
+			c.focusHoursRegion = grown(c.hoursCol(c.focusHoursRegion), (line+1)*c.hw)
 			setBit(c.focusHoursRegion[line*c.hw:], hour)
 		case cont == geo.Europe:
 			if down {
 				c.focusDownEU.Add(hour, bytes)
 			}
-			c.focusHoursEU = grown(c.focusHoursEU, (line+1)*c.hw)
+			c.focusHoursEU = grown(c.hoursCol(c.focusHoursEU), (line+1)*c.hw)
 			setBit(c.focusHoursEU[line*c.hw:], hour)
 		}
 	}

@@ -17,8 +17,9 @@ import (
 	"iotmap/internal/world"
 )
 
-// rebuiltFold folds the current frame from scratch, as a cold read
-// does, without touching the window's fold cache: the slide's oracle.
+// rebuiltFold folds the current frame from scratch, hour-major through
+// foldRange, without touching the window's fold cache: the oracle of
+// both the slide and the line-ordered rebuild a cold read takes.
 func (w *Window) rebuiltFold() (*ContactCounter, *Collector) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()
@@ -184,8 +185,19 @@ func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	hourly(134, 167, "")
 	steps = append(steps, slideStep{name: "read gap", flushes: [][]netflow.Record{sf.hour(168)}, want: jump(133, 168)})
 	hourly(169, 230, "slide")
+	// Late rows into the frame's oldest hour, then the next hour on
+	// every shard: whichever shard took the late rows retires its bucket
+	// for that hour, so the rebuild finds it on the retired list, at any
+	// window length.
+	last := int64(slideScheduleEnd)
+	steps = append(steps, slideStep{name: "late rows, then the hour that retires them", flushes: [][]netflow.Record{
+		sf.hour(last - hours), sf.hour(last), sf.hour(last), sf.hour(last),
+	}, want: "rebuild"})
 	return steps
 }
+
+// slideScheduleEnd is the last hour slideSchedule feeds.
+const slideScheduleEnd = 231
 
 // checkSlideRead reads win through the cache and checks the fold path
 // taken and the result against a rebuild of the same frame.
@@ -232,20 +244,21 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 	}
 }
 
-// TestWindowSlideMatchesRebuild: a fold slid hour by hour equals a fold
-// rebuilt from the surviving rows on every comparison surface, through
-// slides of 1, 2 and 23 hours, hours some shard got no rows in, late
-// rows, a flush recycling its own bucket, long jumps, a read gap, a line
-// that leaves the frame and comes back, and a snapshot restored midway.
-// The fold-path counts pin which reads slide and which rebuild. The
-// 48-hour window keeps each hour bitset in one word; the 168-hour one,
-// the daemon's whole-study default, spans three, so its slides carry
-// bits across words.
+// TestWindowSlideMatchesRebuild: every read, slid or rebuilt line by
+// line, equals the hour-major fold of the surviving rows (rebuiltFold)
+// on every comparison surface, through slides of 1, 2 and 23 hours,
+// hours some shard got no rows in, late rows, a flush recycling its own
+// bucket, long jumps, a read gap, a line that leaves the frame and comes
+// back, and a snapshot restored midway. The fold-path counts pin which
+// reads slide and which rebuild, and every cell rebuilds at least once
+// while a shard parks retired buckets. The 48-hour window keeps each
+// hour bitset in one word; the 168-hour one, the daemon's whole-study
+// default, spans three, so its slides carry bits across words.
 func TestWindowSlideMatchesRebuild(t *testing.T) {
 	for _, c := range []struct {
 		hours  int64
 		shards int
-	}{{48, 1}, {48, 3}, {168, 1}} {
+	}{{48, 1}, {48, 3}, {168, 1}, {168, 3}} {
 		shards := c.shards
 		cell := fmt.Sprintf("%d hours, %d shards", c.hours, shards)
 		f := buildDenseFixture(41)
@@ -257,14 +270,20 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		}
 		win.setShards(shards)
 		sf := newSlideFeed(f, int64(shards))
+		retiredRebuilds := 0
 		for _, step := range slideSchedule(sf, c.hours) {
 			for _, fl := range step.flushes {
 				flushRecords(win, fl)
 			}
+			retired := 0
 			for si, sh := range win.shards {
 				if len(sh.retired) > slideReach {
 					t.Fatalf("%s, %s: shard %d parks %d retired buckets", cell, step.name, si, len(sh.retired))
 				}
+				retired += len(sh.retired)
+			}
+			if step.want == "rebuild" && retired > 0 {
+				retiredRebuilds++
 			}
 			if step.want != "" {
 				checkSlideRead(t, win, cell+", "+step.name, step.want)
@@ -272,6 +291,9 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		}
 		if st := win.Stats(); st.EvictedHours == 0 || st.LateRecords != 0 {
 			t.Fatalf("%s: schedule stats %+v, want evictions and no late rows", cell, st)
+		}
+		if retiredRebuilds == 0 {
+			t.Fatalf("%s: no rebuild read found a retired bucket", cell)
 		}
 
 		// Restore a snapshot and keep sliding the restored window.
@@ -283,15 +305,55 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for h := int64(231); h <= 235; h++ {
+		for h := int64(slideScheduleEnd + 1); h <= slideScheduleEnd+5; h++ {
 			flushRecords(restored, sf.hour(h))
 			want := "slide"
-			if h == 231 {
+			if h == slideScheduleEnd+1 {
 				want = "rebuild"
 			}
 			checkSlideRead(t, restored, cell+", restored", want)
 		}
 	}
+
+	t.Run("one line under several shard IDs", func(t *testing.T) {
+		// Two shards meet the same two lines in opposite order, so each
+		// address has a different line ID in each shard, and the rebuild
+		// folds both shards' runs of a line into one fold line.
+		f := buildDenseFixture(53)
+		opts := f.opts
+		opts.ScannerThreshold = 3
+		win, err := NewWindow(f.idx, f.days[0], 48, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.setShards(2)
+		sf := newSlideFeed(f, 53)
+		a, b := sf.lines[2], sf.lines[3]
+		flush := func(h int64, first, second netip.Addr) {
+			var recs []netflow.Record
+			for _, line := range []netip.Addr{first, first, second, second} {
+				recs = append(recs, sf.record(line, h))
+			}
+			flushRecords(win, append(recs, sf.hour(h)...))
+		}
+		for h := int64(0); h < 60; h++ {
+			flush(h, a, b) // shard 0
+			flush(h, b, a) // shard 1
+			switch h {
+			case 0:
+				if s0, s1 := win.shards[0].lines.addrs, win.shards[1].lines.addrs; s0[0] != a || s1[0] != b {
+					t.Fatalf("first line IDs %v / %v, want %v / %v", s0[0], s1[0], a, b)
+				}
+				checkSlideRead(t, win, "first read", "rebuild")
+			case 30:
+				flush(20, a, b) // late rows in both shards
+				flush(20, b, a)
+				checkSlideRead(t, win, "late rows", "rebuild")
+			default:
+				checkSlideRead(t, win, "hourly read", "slide")
+			}
+		}
+	})
 
 	t.Run("departed lines", func(t *testing.T) {
 		// Lines that left the frame leave the cached fold too: replacing
@@ -439,4 +501,47 @@ func BenchmarkWindowSlide(b *testing.B) {
 			b.ReportMetric(float64(readTime.Nanoseconds())/float64(reads), "ns/read")
 		})
 	}
+}
+
+// BenchmarkWindowRebuild is a cold read of a full week in isolation: a
+// line-major week (seed 11, 20 000 lines, one flush per line, as the
+// simulator emits it) in a 7-day window on one shard, then Merged()
+// with the cache marked stale, so every read rebuilds the frame.
+// ns/row is per row the read folds.
+func BenchmarkWindowRebuild(b *testing.B) {
+	w, err := world.Build(world.Config{Seed: 11, Scale: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := isp.NewNetwork(isp.Config{Seed: 11, Lines: 20000}, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := NewBackendIndex()
+	for _, s := range w.AllServers() {
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+	}
+	win, err := NewWindow(idx, w.Days[0], len(w.Days)*24, studyOpts(net))
+	if err != nil {
+		b.Fatal(err)
+	}
+	win.setShards(1)
+	tables := win.NewWireTables()
+	var batch netflow.RecordBatch
+	net.SimulateLines(1,
+		func(int) func(netflow.Record) { return func(r netflow.Record) { tables.AppendRecord(&batch, r) } },
+		func(int, *isp.Line) { win.IngestBatch(tables, &batch); batch.Reset() },
+	)
+	rows := 0
+	win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) { rows += len(bk.line) })
+	if rows == 0 {
+		b.Fatal("simulated week routed no row")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		win.foldStale.Store(true)
+		win.Merged()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }

@@ -32,6 +32,10 @@ import (
 // ContactCounter+Collector by replaying rows: every row sets its
 // contact bit, kept rows go through Collector.ingestDense — the batch
 // engine's own ingest core — at hour offset (bucket hour − frame start).
+// A fold of the whole frame (a rebuild) replays line by line: it
+// counting-sorts each shard's rows by line first, so a line's aggregates
+// are loaded once for the frame instead of once per hour it appears in;
+// slides and the newest hour replay bucket by bucket (foldRange).
 // The fold is incremental: the last fold over [ws, end) is cached and
 // revalidated against per-bucket write versions. An unchanged frame
 // costs one copy plus a re-fold of the newest hour's buckets; a frame
@@ -740,6 +744,152 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 	}
 }
 
+// rebuild folds the frame [ws, end) afresh, line by line: each shard's
+// rows in the frame are counting-sorted by shard line ID into scratch
+// columns, so every line's aggregates are loaded once for all its hours
+// instead of once per hour. A line's rows keep their hour-major order
+// and every aggregate is an exact sum or a set union, so the result
+// equals foldRange's. Caller holds all shard locks.
+func (w *Window) rebuild(ws, end int64) *windowFold {
+	f := w.newFoldFrame(ws, end)
+	parts := make([]shardRows, len(w.shards))
+	w.eachBucket(ws, end, func(si int, _ *winShard, bk *winBucket) { parts[si].bks = append(parts[si].bks, bk) })
+	lines, rows := 0, 0
+	for si, sh := range w.shards {
+		if p := &parts[si]; len(p.bks) > 0 {
+			p.count(len(sh.lines.addrs))
+			lines += p.lines
+			rows = max(rows, p.pos[len(p.pos)-1])
+		}
+	}
+	cols := getRowCols(rows)
+	defer rowColsPool.Put(cols)
+	for si, sh := range w.shards {
+		if p := &parts[si]; len(p.bks) > 0 {
+			// lines bounds the fold's lines (a line two shards share
+			// counts twice); later shards can only lengthen plan tables.
+			f.cc.reserveLines(lines, &sh.lines)
+			f.col.reserveLines(lines, &sh.lines)
+			p.fold(f, si, sh, cols)
+		}
+	}
+	return f
+}
+
+// shardRows is one shard's share of a rebuild: its buckets in the frame
+// and the scratch offset of each shard line ID's rows.
+type shardRows struct {
+	bks []*winBucket
+	// pos[l] is where line l's rows start, until the scatter advances it
+	// to where they end; pos[n] is the row count.
+	pos []int
+	// lines counts the line IDs with rows.
+	lines int
+}
+
+// count counts the rows of each of the shard's n line IDs and takes the
+// prefix sums.
+func (p *shardRows) count(n int) {
+	pos := make([]int, n+1)
+	for _, bk := range p.bks {
+		for _, lid := range bk.line {
+			pos[lid+1]++
+		}
+	}
+	for l := 1; l <= n; l++ {
+		if pos[l] != 0 {
+			p.lines++
+		}
+		pos[l] += pos[l-1]
+	}
+	p.pos = pos
+}
+
+// rowCols are the scratch columns a shard's rows are scattered into,
+// sized for the largest shard. A row's volume, backend and hour share
+// one 16-byte element, so the scatter writes three cache lines a row,
+// not five; port and flags keep columns of their own, so a row takes
+// 19 bytes, not a padded 24.
+type rowCols struct {
+	row   []lineRow
+	port  []uint16
+	flags []uint8
+}
+
+type lineRow struct {
+	bytes   float64
+	backend int32
+	// hour is the row's offset from the frame start, which is below
+	// both the row's absolute hour (an int32 at ingest) and the window
+	// length (at most 2^16 on Restore), so it fits any window.
+	hour int32
+}
+
+// rowColsPool recycles the scratch between rebuilds: a process that
+// rebuilds again before two garbage collections have passed (a replay,
+// catch-up, a feed whose late rows force a rebuild on every read)
+// reuses it instead of allocating 19 bytes a row afresh.
+var rowColsPool sync.Pool
+
+// getRowCols returns scratch columns for n rows, pooled or new.
+func getRowCols(n int) *rowCols {
+	if c, _ := rowColsPool.Get().(*rowCols); c != nil && cap(c.row) >= n {
+		c.row, c.port, c.flags = c.row[:n], c.port[:n], c.flags[:n]
+		return c
+	}
+	return &rowCols{row: make([]lineRow, n), port: make([]uint16, n), flags: make([]uint8, n)}
+}
+
+// fold scatters the shard's rows into cols by line ID and folds each
+// line's run into f: every row is contact evidence, kept rows go through
+// the batch engine's ingest core.
+func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
+	pos := p.pos
+	rows, port, flags := cols.row, cols.port, cols.flags
+	for _, bk := range p.bks {
+		h := int32(bk.ah - f.ws)
+		n := len(bk.line)
+		bb, bp, bf, by := bk.backend[:n], bk.port[:n], bk.flags[:n], bk.bytes[:n]
+		for i, lid := range bk.line {
+			r := pos[lid]
+			pos[lid] = r + 1
+			rows[r] = lineRow{bytes: by[i], backend: bb[i], hour: h}
+			port[r], flags[r] = bp[i], bf[i]
+		}
+	}
+
+	cc, col := f.cc, f.col
+	n := len(pos) - 1
+	ccRemap, colRemap := grown(f.ccRemap[si], n), grown(f.colRemap[si], n)
+	f.ccRemap[si], f.colRemap[si] = ccRemap, colRemap
+	lo := 0
+	for lid, hi := range pos[:n] {
+		if lo == hi {
+			continue
+		}
+		addr := sh.lines.addrs[lid]
+		cid := cc.lineID(addr)
+		ccRemap[lid] = cid + 1
+		bits := cc.lineBits(int(cid))
+		tid := int32(-1)
+		run := rows[lo:hi]
+		fls, prs := flags[lo:hi], port[lo:hi]
+		for i, r := range run {
+			setBit(bits, int(r.backend))
+			fl := fls[i]
+			if fl&rowKept == 0 {
+				continue // scanner row
+			}
+			if tid < 0 {
+				tid = col.lineID(addr)
+			}
+			col.ingestDense(int(tid), r.backend, fl&rowDown != 0, int(r.hour), rowPort(fl, prs[i]), r.bytes)
+		}
+		colRemap[lid] = tid + 1
+		lo = hi
+	}
+}
+
 // countBucket counts the rows of a bucket already folded into f.
 func countBucket(f *windowFold, si int, bk *winBucket) {
 	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
@@ -861,8 +1011,7 @@ func (w *Window) currentFoldLocked() *windowFold {
 	case st == nil || w.foldStale.Load() || ws-st.ws >= slideReach || w.dirtySince(st.ws, st.end, st.ver):
 		// Cold start, rows that landed below the newest hour since the
 		// last read, or a read too far behind the last one.
-		st = w.newFoldFrame(ws, end)
-		w.foldRange(st, ws, end)
+		st = w.rebuild(ws, end)
 		st.ver = ver
 		w.stable = st
 		w.foldStale.Store(false)
