@@ -41,7 +41,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -304,14 +303,12 @@ type serveConfig struct {
 // runServe hosts the long-lived collector service until SIGINT/SIGTERM,
 // then drains feeds, writes a final checkpoint, and exits.
 func runServe(sys *iotmap.System, idx *flows.BackendIndex, opts flows.Options, sc serveConfig) {
-	// The figures package renders from the System, which is not safe for
-	// concurrent mutation — serialize /figures requests over it.
-	var figMu sync.Mutex
+	// The figures package renders from the System. The service never
+	// overlaps two renders, and lends the fold for one call only, so the
+	// System lets go of it before returning.
 	render := func(cc *flows.ContactCounter, fcol *flows.Collector) string {
-		figMu.Lock()
-		defer figMu.Unlock()
-		sys.Contacts = cc
-		sys.Study = fcol.Study()
+		sys.Contacts, sys.Study = cc, fcol.Study()
+		defer func() { sys.Contacts, sys.Study = nil, nil }()
 		return strings.Join([]string{
 			figures.Figure5(sys), figures.Figure8(sys),
 			figures.Figure9(sys), figures.Figure11(sys),

@@ -17,18 +17,20 @@ import (
 	"iotmap/internal/world"
 )
 
-// rebuiltFold folds the current frame from scratch, hour-major through
-// foldRange, without touching the window's fold cache: the oracle of
-// both the slide and the line-ordered rebuild a cold read takes.
+// rebuiltFold folds every row of the current frame from scratch,
+// hour-major and bucket by bucket, without touching the window's fold
+// cache or the buckets' folded marks: the oracle of the slide, the
+// catch-up of rows that arrived since a read, and the line-ordered
+// rebuild a cold read takes.
 func (w *Window) rebuiltFold() (*ContactCounter, *Collector) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()
 	w.lockShards()
 	defer w.unlockShards()
-	end := w.endA.Load()
-	ws := w.startHour(end)
+	end := w.endA.Load() + 1
+	ws := w.startHour(end - 1)
 	f := w.newFoldFrame(ws, end)
-	w.foldRange(f, ws, end+1)
+	w.eachBucket(ws, end, func(si int, sh *winShard, bk *winBucket) { w.foldBucketInto(f, si, sh, bk, 0) })
 	return f.cc, f.col
 }
 
@@ -131,9 +133,11 @@ type slideStep struct {
 }
 
 // slideSchedule drives a window of the given span through every way
-// its frame can move between two reads; the hour numbers are laid out
-// for a 48-hour window. A jump between reads rebuilds when it moves the
-// frame start slideReach or more hours, and slides otherwise.
+// its frame can move between two reads, and rows that land in it while
+// it stands still; the hour numbers are laid out for a 48-hour window.
+// A jump between reads rebuilds when it moves the frame start
+// slideReach or more hours, and slides otherwise; a frame that did not
+// move hits, whatever rows arrived.
 func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	var steps []slideStep
 	jump := func(from, to int64) string {
@@ -171,13 +175,16 @@ func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	steps = append(steps, slideStep{name: "slide 2", flushes: [][]netflow.Record{sf.hour(62)}, want: "slide"})
 	hourly(63, 63, "slide") // the wanderer comes back
 	steps = append(steps, slideStep{name: "slide 23", flushes: [][]netflow.Record{sf.hour(86)}, want: "slide"})
-	steps = append(steps, slideStep{name: "late rows", flushes: [][]netflow.Record{sf.hour(70)}, want: "rebuild"})
+	// The frame stands still while rows arrive.
+	steps = append(steps, slideStep{name: "rows in the newest hour", flushes: [][]netflow.Record{sf.hour(86)}, want: "hit"})
+	steps = append(steps, slideStep{name: "late rows", flushes: [][]netflow.Record{sf.hour(70)}, want: "hit"})
+	steps = append(steps, slideStep{name: "rows in an in-frame and the newest hour", flushes: [][]netflow.Record{sf.hour(75), sf.hour(86)}, want: "hit"})
 	hourly(87, 88, "slide")
 	// Late rows into the oldest hour, which the next read retires.
-	steps = append(steps, slideStep{name: "late rows in a leaving hour", flushes: [][]netflow.Record{sf.hour(41), sf.hour(89)}, want: "rebuild"})
+	steps = append(steps, slideStep{name: "late rows in a leaving hour", flushes: [][]netflow.Record{sf.hour(41), sf.hour(89)}, want: "slide"})
 	// A flush into a sealed in-frame hour that then jumps a lap ahead
 	// recycles its own in-flush bucket, which the fold holds.
-	steps = append(steps, slideStep{name: "recycled in-flush bucket", flushes: [][]netflow.Record{append(sf.hour(50), sf.hour(98)...)}, want: "rebuild"})
+	steps = append(steps, slideStep{name: "recycled in-flush bucket", flushes: [][]netflow.Record{append(sf.hour(50), sf.hour(98)...)}, want: "slide"})
 	hourly(99, 101, "slide")
 	steps = append(steps, slideStep{name: "jump 30", flushes: [][]netflow.Record{sf.hour(131)}, want: jump(101, 131)})
 	hourly(132, 133, "slide")
@@ -185,19 +192,28 @@ func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	hourly(134, 167, "")
 	steps = append(steps, slideStep{name: "read gap", flushes: [][]netflow.Record{sf.hour(168)}, want: jump(133, 168)})
 	hourly(169, 230, "slide")
+	// Thirty more hours with nobody reading, over a frame whose every hour
+	// has rows at 48 hours: the retired lists keep only the first day.
+	hourly(231, 259, "")
+	steps = append(steps, slideStep{name: "read gap over a full frame", flushes: [][]netflow.Record{sf.hour(260)}, want: jump(230, 260)})
 	// Late rows into the frame's oldest hour, then the next hour on
 	// every shard: whichever shard took the late rows retires its bucket
-	// for that hour, so the rebuild finds it on the retired list, at any
-	// window length.
-	last := int64(slideScheduleEnd)
+	// for that hour, and the slide subtracts it from the retired list.
+	last := int64(261)
 	steps = append(steps, slideStep{name: "late rows, then the hour that retires them", flushes: [][]netflow.Record{
 		sf.hour(last - hours), sf.hour(last), sf.hour(last), sf.hour(last),
+	}, want: "slide"})
+	// The same into the next oldest hour, read once, then a jump of a
+	// day: the rebuild finds the retired bucket, at any window length.
+	steps = append(steps, slideStep{name: "late rows in the oldest hour", flushes: [][]netflow.Record{sf.hour(last + 1 - hours)}, want: "hit"})
+	steps = append(steps, slideStep{name: "retiring hour, then a day's jump", flushes: [][]netflow.Record{
+		sf.hour(last + 1), sf.hour(last + 1), sf.hour(last + 1), sf.hour(slideScheduleEnd),
 	}, want: "rebuild"})
 	return steps
 }
 
 // slideScheduleEnd is the last hour slideSchedule feeds.
-const slideScheduleEnd = 231
+const slideScheduleEnd = 262 + slideReach
 
 // checkSlideRead reads win through the cache and checks the fold path
 // taken and the result against a rebuild of the same frame.
@@ -212,6 +228,8 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 		got = "slide"
 	case after.Rebuilds == before.Rebuilds+1 && after.Slides == before.Slides && after.Hits == before.Hits:
 		got = "rebuild"
+	case after.Hits == before.Hits+1 && after.Slides == before.Slides && after.Rebuilds == before.Rebuilds:
+		got = "hit"
 	}
 	if got != want {
 		t.Fatalf("%s (end %d): fold path %+v → %+v, want one %s", step, win.End(), before, after, want)
@@ -242,18 +260,39 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 	if !reflect.DeepEqual(cc.Scanners(3), refCC.Scanners(3)) || !reflect.DeepEqual(cc.Curve(windowThresholds), refCC.Curve(windowThresholds)) {
 		t.Fatalf("%s (end %d): scanners or curve differ from a rebuild", step, win.End())
 	}
+
+	// The lent fold is the one Merged copied, and lending copies nothing.
+	before = win.FoldStats()
+	wantStart, wantEnd := win.Span()
+	win.View(func(vcc *ContactCounter, vcol *Collector, start, end time.Time) {
+		if !start.Equal(wantStart) || !end.Equal(wantEnd) {
+			t.Fatalf("%s: View frame %v–%v, want %v–%v", step, start, end, wantStart, wantEnd)
+		}
+		if !reflect.DeepEqual(named(vcol.Study()), refNamed) {
+			t.Fatalf("%s (end %d): View study differs from a rebuild", step, win.End())
+		}
+		if !reflect.DeepEqual(vcc.contactSets(), refCC.contactSets()) {
+			t.Fatalf("%s (end %d): View contact sets differ from a rebuild", step, win.End())
+		}
+	})
+	if after := win.FoldStats(); after.Hits != before.Hits+1 || after.Copies != before.Copies {
+		t.Fatalf("%s: View fold path %+v → %+v, want one hit and no copy", step, before, after)
+	}
 }
 
-// TestWindowSlideMatchesRebuild: every read, slid or rebuilt line by
-// line, equals the hour-major fold of the surviving rows (rebuiltFold)
-// on every comparison surface, through slides of 1, 2 and 23 hours,
-// hours some shard got no rows in, late rows, a flush recycling its own
-// bucket, long jumps, a read gap, a line that leaves the frame and comes
-// back, and a snapshot restored midway. The fold-path counts pin which
-// reads slide and which rebuild, and every cell rebuilds at least once
-// while a shard parks retired buckets. The 48-hour window keeps each
-// hour bitset in one word; the 168-hour one, the daemon's whole-study
-// default, spans three, so its slides carry bits across words.
+// TestWindowSlideMatchesRebuild: every read, slid, caught up or rebuilt
+// line by line, copied by Merged and Study or lent by View, equals the
+// hour-major fold of the surviving rows (rebuiltFold) on every
+// comparison surface, through slides of 1, 2 and 23 hours, hours some
+// shard got no rows in, rows into the newest and into older in-frame
+// hours between reads of an unmoved frame, late rows in a leaving hour,
+// a flush recycling its own bucket, long jumps, read gaps, a line that
+// leaves the frame and comes back, and a snapshot restored midway. The
+// fold-path counts pin which reads hit, slide and rebuild, and every
+// cell rebuilds at least once while a shard parks retired buckets. The
+// 48-hour window keeps each hour bitset in one word; the 168-hour one,
+// the daemon's whole-study default, spans three, so its slides carry
+// bits across words.
 func TestWindowSlideMatchesRebuild(t *testing.T) {
 	for _, c := range []struct {
 		hours  int64
@@ -307,6 +346,11 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		}
 		for h := int64(slideScheduleEnd + 1); h <= slideScheduleEnd+5; h++ {
 			flushRecords(restored, sf.hour(h))
+			if h == slideScheduleEnd+2 {
+				// Late rows the first slide after the rebuild must not
+				// count before it folds them.
+				flushRecords(restored, sf.hour(h-10))
+			}
 			want := "slide"
 			if h == slideScheduleEnd+1 {
 				want = "rebuild"
@@ -348,7 +392,7 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 			case 30:
 				flush(20, a, b) // late rows in both shards
 				flush(20, b, a)
-				checkSlideRead(t, win, "late rows", "rebuild")
+				checkSlideRead(t, win, "late rows", "slide")
 			default:
 				checkSlideRead(t, win, "hourly read", "slide")
 			}
@@ -399,7 +443,7 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		reads := func() uint64 { fs := win.FoldStats(); return fs.Hits + fs.Slides + fs.Rebuilds }
 		stop := make(chan struct{})
 		var readers sync.WaitGroup
-		for r := 0; r < 2; r++ {
+		for r := 0; r < 3; r++ {
 			readers.Add(1)
 			go func(r int) {
 				defer readers.Done()
@@ -409,11 +453,14 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 						return
 					default:
 					}
-					if r == 0 {
+					switch r {
+					case 0:
 						win.Merged()
-					} else {
+					case 1:
 						_, s := win.Study()
 						_ = readStudy(s)
+					default:
+						win.View(func(_ *ContactCounter, col *Collector, _, _ time.Time) { _ = readStudy(col.Study()) })
 					}
 				}
 			}(r)
@@ -436,10 +483,54 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 	})
 }
 
+// TestWindowViewLendsFrame: View lends the fold of the frame it brought
+// current, with that frame's bounds, while ingest runs beside it. Rows
+// that advance the window and rows into an older in-frame hour land
+// during the view without reaching the lent fold, which keeps equal to
+// a rebuild of the frame before them; the next read folds them in and
+// equals a rebuild again.
+func TestWindowViewLendsFrame(t *testing.T) {
+	f := buildDenseFixture(59)
+	opts := f.opts
+	opts.ScannerThreshold = 3
+	win, err := NewWindow(f.idx, f.days[0], 48, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win.setShards(2)
+	sf := newSlideFeed(f, 59)
+	for h := int64(0); h < 60; h++ {
+		flushRecords(win, sf.hour(h))
+	}
+	refCC, refCol := win.rebuiltFold()
+	refNamed := named(refCol.Study())
+	wantStart, wantEnd := win.Span()
+	win.View(func(cc *ContactCounter, col *Collector, start, end time.Time) {
+		flushRecords(win, sf.hour(60))
+		flushRecords(win, sf.hour(45))
+		if s, _ := win.Span(); s.Equal(wantStart) {
+			t.Fatal("a flush during the view did not move the window")
+		}
+		if !start.Equal(wantStart) || !end.Equal(wantEnd) {
+			t.Fatalf("View frame %v–%v, want the folded frame %v–%v", start, end, wantStart, wantEnd)
+		}
+		if !reflect.DeepEqual(named(col.Study()), refNamed) {
+			t.Fatal("lent study differs from a rebuild of the folded frame")
+		}
+		if !reflect.DeepEqual(cc.contactSets(), refCC.contactSets()) {
+			t.Fatal("lent contact sets differ from a rebuild of the folded frame")
+		}
+	})
+	checkSlideRead(t, win, "after the view", "slide")
+	if fs := win.FoldStats(); fs.Rebuilds != 1 {
+		t.Fatalf("fold %+v, want the first read's rebuild only", fs)
+	}
+}
+
 // BenchmarkWindowSlide is the daemon's read pattern: a 30-day
 // hour-major feed through a 7-day window with one Merged() per hour
 // once the window has filled. `slide` advances the cached fold; in
-// `rebuild` the cache is marked stale before every read, so each read
+// `rebuild` the cache is dropped before every read, so each read
 // re-folds the whole frame. ns/read is the mean read latency.
 func BenchmarkWindowSlide(b *testing.B) {
 	days := make([]time.Time, 30)
@@ -490,7 +581,7 @@ func BenchmarkWindowSlide(b *testing.B) {
 						continue
 					}
 					if mode == "rebuild" {
-						win.foldStale.Store(true)
+						win.stable = nil
 					}
 					t0 := time.Now()
 					win.Merged()
@@ -506,7 +597,7 @@ func BenchmarkWindowSlide(b *testing.B) {
 // BenchmarkWindowRebuild is a cold read of a full week in isolation: a
 // line-major week (seed 11, 20 000 lines, one flush per line, as the
 // simulator emits it) in a 7-day window on one shard, then Merged()
-// with the cache marked stale, so every read rebuilds the frame.
+// with the cache dropped, so every read rebuilds the frame.
 // ns/row is per row the read folds.
 func BenchmarkWindowRebuild(b *testing.B) {
 	w, err := world.Build(world.Config{Seed: 11, Scale: 0.05})
@@ -540,7 +631,7 @@ func BenchmarkWindowRebuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		win.foldStale.Store(true)
+		win.stable = nil
 		win.Merged()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")

@@ -28,21 +28,22 @@ import (
 // hour, on a retired list until the next read), so steady-state
 // eviction allocates nothing.
 //
-// Study()/Merged() fold the live buckets into a full-frame
+// Study()/Merged()/View() fold the live buckets into a full-frame
 // ContactCounter+Collector by replaying rows: every row sets its
 // contact bit, kept rows go through Collector.ingestDense — the batch
 // engine's own ingest core — at hour offset (bucket hour − frame start).
 // A fold of the whole frame (a rebuild) replays line by line: it
 // counting-sorts each shard's rows by line first, so a line's aggregates
-// are loaded once for the frame instead of once per hour it appears in;
-// slides and the newest hour replay bucket by bucket (foldRange).
-// The fold is incremental: the last fold over [ws, end) is cached and
-// revalidated against per-bucket write versions. An unchanged frame
-// costs one copy plus a re-fold of the newest hour's buckets; a frame
-// that moved less than a day slides the cached fold instead of
-// re-folding it, subtracting the rows of the hours it left (exact, as
-// volumes are integer-valued and set members are row-counted), so a
-// read after an hour boundary folds only a few thousand rows. Because
+// are loaded once for the frame instead of once per hour it appears in.
+// The fold is incremental: the last fold of the frame is cached, and
+// each bucket records how many of its rows the fold holds. Buckets are
+// append-only until released, so a read folds only the rows that
+// arrived since the last one (late rows below the newest hour
+// included), bucket by bucket; a frame that moved less than a day
+// slides the cached fold first, subtracting the rows of the hours it
+// left (exact, as volumes are integer-valued and set members are
+// row-counted). View lends the cached fold to a renderer without
+// copying it; Merged and Study hand out private copies. Because
 // the window and the batch pipeline share one aggregation core and
 // every aggregate is order-independent and exact (integer-valued
 // float64 volumes, see Collector.Merge), a window that never evicted is
@@ -93,7 +94,7 @@ const maxWindowShards = 8
 // Window is an hour-granular sliding study over the dense aggregation
 // core. It is safe for concurrent use: many collector streams may
 // flush into one Window (each stream lands on one ingest shard) while
-// Study/Merged/Snapshot/Stats readers run.
+// Study/Merged/View/Snapshot/Stats readers run.
 type Window struct {
 	idx  *BackendIndex
 	opts Options
@@ -110,8 +111,8 @@ type Window struct {
 	preWindow atomic.Uint64
 	late      atomic.Uint64
 
-	// writeVer stamps every completed flush; fold caches revalidate
-	// against the per-bucket copies of it.
+	// writeVer stamps every completed flush; the Study cache revalidates
+	// against it.
 	writeVer atomic.Uint64
 
 	// frameMu guards the frame ledger: end, the per-hour liveness and
@@ -129,16 +130,14 @@ type Window struct {
 	// rr round-robins producers' tables onto shards.
 	rr atomic.Uint32
 
-	// foldMu serializes Merged/Study and guards the fold caches. stable
-	// is written only under foldMu plus every shard lock, so recycle may
-	// read it under its one shard lock.
-	foldMu sync.Mutex
-	stable *windowFold
-	study  *winStudyCache
-	// foldStale bars the stable fold from sliding: a shard recycled a
-	// bucket the fold holds without keeping its rows for the next read.
-	foldStale              atomic.Bool
-	hits, slides, rebuilds atomic.Uint64
+	// foldMu serializes Merged/Study/View and guards the fold caches.
+	// stable is written only under foldMu plus every shard lock, so
+	// recycle may read it under its one shard lock, and a holder of
+	// foldMu alone may read it while ingest runs.
+	foldMu                         sync.Mutex
+	stable                         *windowFold
+	study                          *winStudyCache
+	hits, slides, rebuilds, copies atomic.Uint64
 }
 
 // winShard is one ingest shard: its own line intern table, its own ring
@@ -177,11 +176,13 @@ type winBucket struct {
 	ah int64
 	// records counts the bucket's kept rows.
 	records uint64
-	// ver is the writeVer of the last flush that touched the bucket;
 	// mark/inFlush track the in-progress flush for the frame ledger.
-	ver     uint64
 	mark    uint64
 	inFlush bool
+	// folded counts the leading rows the stable fold holds. Rows are
+	// append-only until release, so a read folds only [folded, len), and
+	// a slide subtracts [0, folded).
+	folded int
 
 	line    []int32 // shard line ID
 	backend []int32 // dense backend ID
@@ -213,17 +214,21 @@ type WindowStats struct {
 	EvictedRecords uint64
 }
 
-// FoldStats counts how Merged and Study reached their fold of the
+// FoldStats counts how Merged, Study and View reached their fold of the
 // trailing frame; a Study served from its own cache counts nothing.
+// Every path except a rebuild also folds the rows that arrived since the
+// previous read.
 type FoldStats struct {
-	// Hits reused the cached fold as it was.
+	// Hits found the cached fold's frame unmoved.
 	Hits uint64 `json:"hits"`
 	// Slides advanced the cached fold in place to a later frame.
 	Slides uint64 `json:"slides"`
-	// Rebuilds folded the whole frame afresh: the first read, rows that
-	// landed below the newest hour after a read, or a read a day or more
-	// behind the previous one.
+	// Rebuilds folded the whole frame afresh: the first read, or a read a
+	// day or more behind the previous one.
 	Rebuilds uint64 `json:"rebuilds"`
+	// Copies counts the reads that deep-copied the fold (Merged, and a
+	// Study its cache did not serve); View lends it instead.
+	Copies uint64 `json:"copies"`
 }
 
 // BucketStat is one live hour bucket's fill, for the service's /window
@@ -307,7 +312,11 @@ func (w *Window) startHour(end int64) int64 {
 // oldest retained hour and the end of the newest. Before the window has
 // filled once it spans the first `hours` hours after the epoch.
 func (w *Window) Span() (start, end time.Time) {
-	ws := w.startHour(w.endA.Load())
+	return w.span(w.startHour(w.endA.Load()))
+}
+
+// span returns the wall-clock bounds of the frame starting at hour ws.
+func (w *Window) span(ws int64) (start, end time.Time) {
 	return w.epoch.Add(time.Duration(ws) * time.Hour),
 		w.epoch.Add(time.Duration(ws+int64(w.hours)) * time.Hour)
 }
@@ -326,7 +335,7 @@ func (w *Window) Stats() WindowStats {
 
 // FoldStats returns the fold-path counts.
 func (w *Window) FoldStats() FoldStats {
-	return FoldStats{Hits: w.hits.Load(), Slides: w.slides.Load(), Rebuilds: w.rebuilds.Load()}
+	return FoldStats{Hits: w.hits.Load(), Slides: w.slides.Load(), Rebuilds: w.rebuilds.Load(), Copies: w.copies.Load()}
 }
 
 // BucketStats returns the live hours' fill, oldest first.
@@ -432,15 +441,15 @@ func (sh *winShard) route(ah int64) *winBucket {
 }
 
 // endFlush completes the in-progress flush: stamp a fresh write
-// version on every touched bucket and credit its new records to the
-// frame ledger (or straight to EvictedRecords if the flush itself
-// advanced the window past the bucket's hour).
+// version and credit every touched bucket's new records to the frame
+// ledger (or straight to EvictedRecords if the flush itself advanced the
+// window past the bucket's hour).
 func (sh *winShard) endFlush() {
 	if len(sh.touched) == 0 {
 		return
 	}
 	w := sh.w
-	ver := w.writeVer.Add(1)
+	w.writeVer.Add(1)
 	w.frameMu.Lock()
 	for i, bk := range sh.touched {
 		sh.touched[i] = nil
@@ -448,7 +457,6 @@ func (sh *winShard) endFlush() {
 			continue // recycled mid-flush; recycle() already credited it
 		}
 		bk.inFlush = false
-		bk.ver = ver
 		if n := len(bk.line); n > sh.rowHint {
 			sh.rowHint = n
 		}
@@ -494,27 +502,22 @@ func (sh *winShard) takeBucket(ah int64) *winBucket {
 // recycle takes a bucket whose ring slot a later hour claims. If the
 // bucket is mid-flush its un-ledgered records are credited to
 // EvictedRecords (the flush jumped the window past its own hour). A
-// bucket whose hour the stable fold holds is parked on the retired list
-// for the next read to subtract; one the fold cannot slide past (rows
-// newer than the fold, or an hour a day or more past its start) marks
-// the fold stale instead, which also caps the retired list at a day.
-// Every other bucket goes to the free list.
+// bucket whose hour the stable fold holds, less than a day past the
+// fold's start, is parked on the retired list, rows intact, for the next
+// read to subtract its folded rows. Every other bucket goes to the free
+// list: the next read rebuilds if the fold held it, because the frame
+// has then moved a day or more, so the retired list holds at most a day.
 func (sh *winShard) recycle(bk *winBucket) {
 	w := sh.w
-	midFlush := bk.inFlush
-	if midFlush {
+	if bk.inFlush {
 		w.frameMu.Lock()
 		w.evictedRecords += bk.records - bk.mark
 		w.frameMu.Unlock()
 		bk.inFlush = false
 	}
-	if st := w.stable; st != nil && bk.ah >= st.ws && bk.ah < st.end {
-		if !midFlush && bk.ah-st.ws < slideReach && !w.foldStale.Load() {
-			sh.retired = append(sh.retired, bk)
-			return
-		}
-		w.foldStale.Store(true)
-		sh.releaseRetired()
+	if st := w.stable; st != nil && bk.ah >= st.ws && bk.ah < st.end && bk.ah-st.ws < slideReach {
+		sh.retired = append(sh.retired, bk)
+		return
 	}
 	sh.release(bk)
 }
@@ -535,7 +538,7 @@ func (sh *winShard) release(bk *winBucket) {
 	bk.port = bk.port[:0]
 	bk.flags = bk.flags[:0]
 	bk.bytes = bk.bytes[:0]
-	bk.records, bk.mark, bk.ver = 0, 0, 0
+	bk.records, bk.mark, bk.folded = 0, 0, 0
 	sh.free = append(sh.free, bk)
 }
 
@@ -605,16 +608,14 @@ func (w *Window) NewWireTables() *WireTables {
 // so each shard parks at most a day of retired buckets.
 const slideReach = 24
 
-// windowFold is one materialized trailing-frame fold: the full-frame
-// ContactCounter+Collector plus the per-shard line ID remap memos that
-// let later buckets fold in without re-interning addresses.
+// windowFold is one materialized trailing-frame fold of the hours
+// [ws, end): the full-frame ContactCounter+Collector plus the per-shard
+// line ID remap memos that let later rows fold in without re-interning
+// addresses.
 type windowFold struct {
 	ws, end int64
-	// ver is the writeVer the fold is current to (only meaningful on
-	// the cached stable fold).
-	ver uint64
-	cc  *ContactCounter
-	col *Collector
+	cc      *ContactCounter
+	col     *Collector
 	// cnt counts the rows behind the fold's set members; nil until the
 	// stable fold first slides its start.
 	cnt *rowCounts
@@ -654,20 +655,6 @@ func (w *Window) newFoldFrame(ws, end int64) *windowFold {
 	}
 }
 
-// cloneFold deep-copies a fold so the stable cache survives the caller
-// mutating (or keeping) the returned aggregates.
-func cloneFold(f *windowFold) *windowFold {
-	return &windowFold{
-		ws:       f.ws,
-		end:      f.end,
-		ver:      f.ver,
-		cc:       f.cc.clone(),
-		col:      f.col.clone(),
-		ccRemap:  cloneNested(f.ccRemap),
-		colRemap: cloneNested(f.colRemap),
-	}
-}
-
 // eachBucket calls fn with every bucket, in the rings or on the retired
 // lists, whose hour is in [lo, hi). Caller holds all shard locks.
 func (w *Window) eachBucket(lo, hi int64, fn func(si int, sh *winShard, bk *winBucket)) {
@@ -682,18 +669,15 @@ func (w *Window) eachBucket(lo, hi int64, fn func(si int, sh *winShard, bk *winB
 	}
 }
 
-// dirtySince reports whether any bucket with hour in [lo, hi) was
-// flushed into after write version ver. Caller holds all shard locks.
-func (w *Window) dirtySince(lo, hi int64, ver uint64) bool {
-	dirty := false
-	w.eachBucket(lo, hi, func(_ int, _ *winShard, bk *winBucket) { dirty = dirty || bk.ver > ver })
-	return dirty
-}
-
-// foldRange folds every bucket with hour in [lo, hi) into f. Caller
-// holds all shard locks.
-func (w *Window) foldRange(f *windowFold, lo, hi int64) {
-	w.eachBucket(lo, hi, func(si int, sh *winShard, bk *winBucket) { w.foldBucketInto(f, si, sh, bk) })
+// catchUp folds into f the rows every bucket with hour in [lo, hi)
+// gained since f last read it. Caller holds all shard locks.
+func (w *Window) catchUp(f *windowFold, lo, hi int64) {
+	w.eachBucket(lo, hi, func(si int, sh *winShard, bk *winBucket) {
+		if bk.folded < len(bk.line) {
+			w.foldBucketInto(f, si, sh, bk, bk.folded)
+			bk.folded = len(bk.line)
+		}
+	})
 }
 
 // rowPort is a row's backend-side port key.
@@ -705,18 +689,19 @@ func rowPort(flags uint8, port uint16) proto.PortKey {
 	return k
 }
 
-// foldBucketInto replays one bucket's rows into the fold at hour offset
-// bk.ah-f.ws: every row is contact evidence, kept rows go through the
-// batch engine's ingest core. A fold that keeps row counts counts them.
-func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBucket) {
+// foldBucketInto replays one bucket's rows from index from on into the
+// fold at hour offset bk.ah-f.ws: every row is contact evidence, kept
+// rows go through the batch engine's ingest core. A fold that keeps row
+// counts counts them.
+func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBucket, from int) {
 	hourOff := int(bk.ah - f.ws)
 	cc, col, cnt := f.cc, f.col, f.cnt
 	f.ccRemap[si] = grown(f.ccRemap[si], len(sh.lines.addrs))
 	f.colRemap[si] = grown(f.colRemap[si], len(sh.lines.addrs))
 	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
 
-	for i, lid := range bk.line {
-		be := bk.backend[i]
+	for i := from; i < len(bk.line); i++ {
+		lid, be := bk.line[i], bk.backend[i]
 		cid := ccRemap[lid]
 		if cid == 0 {
 			cid = cc.lineID(sh.lines.addrs[lid]) + 1
@@ -749,11 +734,15 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 // columns, so every line's aggregates are loaded once for all its hours
 // instead of once per hour. A line's rows keep their hour-major order
 // and every aggregate is an exact sum or a set union, so the result
-// equals foldRange's. Caller holds all shard locks.
+// equals a bucket-by-bucket fold's, and the fold holds every row of the
+// frame's buckets. Caller holds all shard locks.
 func (w *Window) rebuild(ws, end int64) *windowFold {
 	f := w.newFoldFrame(ws, end)
 	parts := make([]shardRows, len(w.shards))
-	w.eachBucket(ws, end, func(si int, _ *winShard, bk *winBucket) { parts[si].bks = append(parts[si].bks, bk) })
+	w.eachBucket(ws, end, func(si int, _ *winShard, bk *winBucket) {
+		parts[si].bks = append(parts[si].bks, bk)
+		bk.folded = len(bk.line)
+	})
 	lines, rows := 0, 0
 	for si, sh := range w.shards {
 		if p := &parts[si]; len(p.bks) > 0 {
@@ -893,7 +882,7 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 // countBucket counts the rows of a bucket already folded into f.
 func countBucket(f *windowFold, si int, bk *winBucket) {
 	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
-	for i, lid := range bk.line {
+	for i, lid := range bk.line[:bk.folded] {
 		fl := bk.flags[i]
 		f.cnt.countContact(int(ccRemap[lid])-1, bk.backend[i], fl&rowKept != 0)
 		if fl&rowKept != 0 {
@@ -902,9 +891,10 @@ func countBucket(f *windowFold, si int, bk *winBucket) {
 	}
 }
 
-// slideBucket applies a move of f's start to ws to one bucket f holds:
-// an hour below ws leaves the fold, an hour whose frame day changes
-// moves its daily volumes. The hour-indexed columns shift separately.
+// slideBucket applies a move of f's start to ws to the folded rows of
+// one bucket f holds: an hour below ws leaves the fold, an hour whose
+// frame day changes moves its daily volumes. The hour-indexed columns
+// shift separately.
 func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 	from, to := int(bk.ah-f.ws)/24, -1
 	if bk.ah >= ws {
@@ -914,7 +904,7 @@ func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 	}
 	cc, col := f.cc, f.col
 	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
-	for i, lid := range bk.line {
+	for i, lid := range bk.line[:bk.folded] {
 		be, fl := bk.backend[i], bk.flags[i]
 		kept := fl&rowKept != 0
 		line, down, port := int(colRemap[lid])-1, fl&rowDown != 0, rowPort(fl, bk.port[i])
@@ -939,15 +929,15 @@ func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 }
 
 // slide advances the stable fold st from [st.ws, st.end) to [ws, end)
-// in place. The rows of hours below ws are subtracted at their old day
-// (they sit in ring buckets not yet reclaimed or on the retired lists),
+// in place and folds the rows that arrived since the last read. The
+// folded rows of hours below ws are subtracted at their old day (they
+// sit in ring buckets not yet reclaimed or on the retired lists),
 // in-frame hours whose frame day changes move their daily volumes,
-// hour-indexed columns shift left, the hours from st.end (or ws, if
-// later) on fold in, and what the slide emptied is dropped. Row counts
-// are taken on the first slide after a rebuild, so a fold that never
-// slides never pays for them. Caller holds foldMu and all shard locks,
-// and has checked that no bucket the fold holds changed since it was
-// built.
+// hour-indexed columns shift left, every bucket in the new frame folds
+// its rows past its folded mark, and what the slide emptied is dropped.
+// Row counts are taken on the first slide of the start after a rebuild,
+// so a fold that never slides never pays for them. A frame that did not
+// move only catches up. Caller holds foldMu and all shard locks.
 func (w *Window) slide(st *windowFold, ws, end int64) {
 	k := int(ws - st.ws)
 	if k > 0 {
@@ -962,7 +952,7 @@ func (w *Window) slide(st *windowFold, ws, end int64) {
 			sh.releaseRetired()
 		}
 	}
-	w.foldRange(st, max(st.end, ws), end)
+	w.catchUp(st, ws, end)
 	st.end = end
 	if k > 0 {
 		st.compact()
@@ -995,68 +985,73 @@ func remapMemos(memos [][]int32, remap []int32) {
 	}
 }
 
-// currentFoldLocked returns a private fold of the current trailing
-// frame. The stable cache covers [ws, end): it is reused untouched when
-// nothing below the newest hour changed, slid in place when the frame
-// moved less than slideReach hours and the hours it keeps are
-// unchanged, and rebuilt otherwise; the newest (still-hot) hour is
-// overlaid onto a copy every call. Caller holds foldMu and all shard
-// locks.
-func (w *Window) currentFoldLocked() *windowFold {
-	end := w.endA.Load()
-	ws := w.startHour(end)
-	ver := w.writeVer.Load()
+// foldLocked brings the stable fold to the current trailing frame, the
+// newest hour included, and returns it. It is slid in place (or only
+// caught up, when the frame did not move) unless the frame moved
+// slideReach hours or more, and rebuilt then. Caller holds foldMu and
+// all shard locks.
+func (w *Window) foldLocked() *windowFold {
+	end := w.endA.Load() + 1
+	ws := w.startHour(end - 1)
 	st := w.stable
 	switch {
-	case st == nil || w.foldStale.Load() || ws-st.ws >= slideReach || w.dirtySince(st.ws, st.end, st.ver):
-		// Cold start, rows that landed below the newest hour since the
-		// last read, or a read too far behind the last one.
+	case st == nil || ws-st.ws >= slideReach:
+		// Cold start, or a read too far behind the last one.
 		st = w.rebuild(ws, end)
-		st.ver = ver
 		w.stable = st
-		w.foldStale.Store(false)
 		for _, sh := range w.shards {
 			sh.releaseRetired()
 		}
 		w.rebuilds.Add(1)
+		return st
 	case st.ws == ws && st.end == end:
 		w.hits.Add(1)
 	default:
-		w.slide(st, ws, end)
-		st.ver = ver
 		w.slides.Add(1)
 	}
-	out := cloneFold(st)
-	if end >= 0 {
-		w.foldRange(out, end, end+1)
-	}
-	return out
+	w.slide(st, ws, end)
+	return st
+}
+
+// View brings the cached fold of the current trailing frame up to date
+// and lends it to fn with the frame's wall-clock bounds, without
+// copying it. The shard locks are released first, so ingest continues
+// while fn runs; other reads wait. fn must treat cc and col as
+// read-only and must not retain them, nor a Study it takes of col, past
+// its return: the next read folds into them. col.Study() is allowed
+// (View clears the finalization afterwards).
+func (w *Window) View(fn func(cc *ContactCounter, col *Collector, start, end time.Time)) {
+	w.foldMu.Lock()
+	defer w.foldMu.Unlock()
+	w.lockShards()
+	st := w.foldLocked()
+	w.unlockShards()
+	defer func() { st.col.finalized = false }()
+	start, end := w.span(st.ws)
+	fn(st.cc, st.col, start, end)
 }
 
 // Merged folds the surviving hour buckets into one ContactCounter and
 // Collector over the current trailing frame (the last `hours` hours —
 // anchored at the epoch until the window has filled once). The fold is
-// served from the incremental cache — reused, or slid forward past the
-// hours the frame left — plus a re-fold of the newest hour's buckets;
-// the returned aggregates are private copies, so the window stays live
-// and repeated calls are independent.
-func (w *Window) Merged() (*ContactCounter, *Collector) {
-	w.foldMu.Lock()
-	defer w.foldMu.Unlock()
-	w.lockShards()
-	f := w.currentFoldLocked()
-	w.unlockShards()
-	return f.cc, f.col
+// served from the incremental cache; the returned aggregates are
+// private copies of it, so the window stays live and repeated calls are
+// independent.
+func (w *Window) Merged() (cc *ContactCounter, col *Collector) {
+	w.View(func(vcc *ContactCounter, vcol *Collector, _, _ time.Time) {
+		cc, col = vcc.clone(), vcol.clone()
+	})
+	w.copies.Add(1)
+	return cc, col
 }
 
 // Study returns the finalized trailing-window analysis: the merged
 // ContactCounter (Figure 5's evidence) and the Study over the surviving
-// hours, a view over a private fold's columns (the fold's collector is
+// hours, a view over a private copy of the fold (its collector is
 // finalized here and never written again). The result is cached until
 // the next completed flush and handed to every caller, so repeated
-// calls on an idle window cost nothing. (The daemon's /figures reads
-// Merged, which copies the fold per call.) The Study keeps no lazy
-// state and is safe for concurrent readers, who must treat the returned
+// calls on an idle window cost nothing. The Study keeps no lazy state
+// and is safe for concurrent readers, who must treat the returned
 // values, and the series the accessors return, as read-only.
 func (w *Window) Study() (*ContactCounter, *Study) {
 	w.foldMu.Lock()
@@ -1068,9 +1063,10 @@ func (w *Window) Study() (*ContactCounter, *Study) {
 		w.unlockShards()
 		return sc.cc, sc.st
 	}
-	f := w.currentFoldLocked()
+	f := w.foldLocked()
 	w.unlockShards()
-	st := f.col.Study()
-	w.study = &winStudyCache{ver: ver, end: end, cc: f.cc, st: st}
-	return f.cc, st
+	w.copies.Add(1)
+	cc, st := f.cc.clone(), f.col.clone().Study()
+	w.study = &winStudyCache{ver: ver, end: end, cc: cc, st: st}
+	return cc, st
 }

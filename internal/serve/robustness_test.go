@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"iotmap/internal/collector"
@@ -451,5 +455,100 @@ func TestCheckpointRacesRestoredFeed(t *testing.T) {
 	}
 	if resumed != ref {
 		t.Fatalf("resumed figures differ from the uninterrupted run:\n--- uninterrupted\n%s\n--- resumed\n%s", ref, resumed)
+	}
+}
+
+// TestFiguresRaceFeedAndCheckpoint: GET /figures, as text and as JSON,
+// runs beside a chronological feed that advances a 24-hour window hour
+// by hour and beside POST /checkpoint; run it under -race. Every hour
+// waits for a read to finish, so reads land on every frame. After the
+// feed, /figures and the JSON summary equal a fresh window fed the same
+// flushes, and so does a service restored from a final checkpoint.
+func TestFiguresRaceFeedAndCheckpoint(t *testing.T) {
+	f := buildFixture(t)
+	hourly := hourlyFeed(t, f.days)
+	cfg := Config{
+		Index: f.idx, Days: f.days, Opts: f.opts, WindowHours: 24,
+		Policy: collector.DropFrame, RenderFigures: renderFigures,
+		CheckpointPath: filepath.Join(t.TempDir(), "ckpt"),
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	var reads atomic.Uint64
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	for _, req := range []struct{ method, path string }{
+		{"GET", "/figures"}, {"GET", "/figures?format=json"}, {"POST", "/checkpoint"},
+	} {
+		go func() {
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				hr, err := http.NewRequest(req.method, srv.URL+req.path, nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp, err := srv.Client().Do(hr)
+				if err == nil {
+					_, err = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if err == nil && resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("%s %s: %d", req.method, req.path, resp.StatusCode)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if req.method == "GET" {
+					reads.Add(1)
+				}
+			}
+		}()
+	}
+	win := s.Window()
+	tables := win.NewWireTables()
+	for _, recs := range hourly {
+		feedHour(win, tables, recs)
+		for n := reads.Load(); reads.Load() == n; {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ref := refWindow(t, f, 24, hourly)
+	want := renderFigures(ref.Merged())
+	if got := get(t, srv, "/figures"); got != want {
+		t.Fatalf("figures after the feed differ from a fresh window:\n--- fresh\n%s\n--- served\n%s", want, got)
+	}
+	var got figuresJSON
+	if err := json.Unmarshal([]byte(get(t, srv, "/figures?format=json")), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, summaryOf(t, ref)) {
+		t.Fatal("JSON summary after the feed differs from a fresh window's")
+	}
+	postCheckpoint(t, srv)
+	restored, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderFigures(restored.Window().Merged()); !restored.Restored || got != want {
+		t.Fatalf("restored (%v) figures differ from a fresh window:\n%s", restored.Restored, got)
 	}
 }

@@ -66,7 +66,10 @@ type Config struct {
 	// timer (checkpoints still happen on shutdown and on demand).
 	CheckpointEvery time.Duration
 	// RenderFigures renders the study as text for GET /figures. Nil
-	// falls back to the JSON summary.
+	// falls back to the JSON summary. It is lent the window's cached
+	// fold (flows.Window.View): it must treat cc and col as read-only
+	// and must not retain them, nor the Study it takes of col, past its
+	// return. Two calls never overlap.
 	RenderFigures func(cc *flows.ContactCounter, col *flows.Collector) string
 	// ReconnectSeed drives the seeded redial jitter of dial feeds
 	// (AttachDial routes through collector.IngestReconnecting): with
@@ -105,6 +108,10 @@ type Service struct {
 	// ".prev" keep because the newest checkpoint was torn or corrupt
 	// (0 or 1 per process; surfaced in GET /stats).
 	CheckpointFallbacks uint64
+
+	// viewed, when set, runs inside GET /figures?format=json's fold
+	// view before the summary is built; tests move the window there.
+	viewed func()
 }
 
 // Feed is one registry entry: an attached stream's identity and
@@ -625,15 +632,31 @@ type aliasJSON struct {
 	ActiveLineSum float64 `json:"activeLineSum"`
 }
 
+// handleFigures renders from the window's cached fold without copying
+// it; the JSON frame is the fold's, not the window's span at some later
+// moment.
 func (s *Service) handleFigures(w http.ResponseWriter, r *http.Request) {
-	cc, col := s.col.Finalize()
 	if r.URL.Query().Get("format") != "json" && s.cfg.RenderFigures != nil {
+		var text string
+		s.win.View(func(cc *flows.ContactCounter, col *flows.Collector, _, _ time.Time) {
+			text = s.cfg.RenderFigures(cc, col)
+		})
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, s.cfg.RenderFigures(cc, col))
+		fmt.Fprint(w, text)
 		return
 	}
-	study := col.Study()
-	start, end := s.win.Span()
+	var out figuresJSON
+	s.win.View(func(cc *flows.ContactCounter, col *flows.Collector, start, end time.Time) {
+		if s.viewed != nil {
+			s.viewed()
+		}
+		out = summarize(cc, col.Study(), start, end)
+	})
+	writeJSON(w, out)
+}
+
+// summarize builds the JSON study summary of the frame [start, end).
+func summarize(cc *flows.ContactCounter, study *flows.Study, start, end time.Time) figuresJSON {
 	out := figuresJSON{
 		Start: start, End: end, Hours: study.Hours(),
 		ScannerCurve: cc.Curve([]int{10, 50, 100, 500, 1000}),
@@ -649,7 +672,7 @@ func (s *Service) handleFigures(w http.ResponseWriter, r *http.Request) {
 			ActiveLineSum: study.ActiveLines(alias).Total(),
 		})
 	}
-	writeJSON(w, out)
+	return out
 }
 
 func (s *Service) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

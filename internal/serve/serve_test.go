@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -435,10 +436,10 @@ func TestServiceKillResume(t *testing.T) {
 	}
 }
 
-// TestWindowFoldStats: GET /window reports how reads reached the fold.
-// A chronological feed polled on /figures once per hour after a 24-hour
-// window has filled rebuilds once and slides on every later poll.
-func TestWindowFoldStats(t *testing.T) {
+// hourlyFeed simulates the fixture world's week and groups its records
+// by study hour, so a test can feed a window chronologically.
+func hourlyFeed(t testing.TB, days []time.Time) [][]netflow.Record {
+	t.Helper()
 	w, err := world.Build(world.Config{Seed: 23, Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
@@ -447,6 +448,101 @@ func TestWindowFoldStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hourly := make([][]netflow.Record, len(days)*24)
+	for day := range days {
+		n.SimulateDay(day, func(r netflow.Record) {
+			if h := int(r.Start.Sub(days[0]) / time.Hour); h >= 0 && h < len(hourly) {
+				hourly[h] = append(hourly[h], r)
+			}
+		})
+	}
+	return hourly
+}
+
+// feedHour ingests one hour's records into win as one flush.
+func feedHour(win *flows.Window, tables *flows.WireTables, recs []netflow.Record) {
+	var batch netflow.RecordBatch
+	for _, r := range recs {
+		tables.AppendRecord(&batch, r)
+	}
+	win.IngestBatch(tables, &batch)
+}
+
+// refWindow is a fresh in-process window over the service's frame,
+// fed the same hours.
+func refWindow(t testing.TB, f *fixture, hours int, hourly [][]netflow.Record) *flows.Window {
+	t.Helper()
+	opts := f.opts
+	opts.SamplingRate = 1
+	win, err := flows.NewWindow(f.idx, f.days[0], hours, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := win.NewWireTables()
+	for _, recs := range hourly {
+		feedHour(win, tables, recs)
+	}
+	return win
+}
+
+// summaryOf is the JSON summary of win's current fold, as a client
+// decodes it.
+func summaryOf(t testing.TB, win *flows.Window) figuresJSON {
+	t.Helper()
+	var out figuresJSON
+	win.View(func(cc *flows.ContactCounter, col *flows.Collector, start, end time.Time) {
+		out = summarize(cc, col.Study(), start, end)
+	})
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = figuresJSON{}
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFiguresJSONFrameIsTheFolds: GET /figures?format=json reports the
+// frame of the fold its study came from, even when a flush advances the
+// window while the summary is built.
+func TestFiguresJSONFrameIsTheFolds(t *testing.T) {
+	f := buildFixture(t)
+	hourly := hourlyFeed(t, f.days)
+	s, err := New(Config{
+		Index: f.idx, Days: f.days, Opts: f.opts, WindowHours: 24,
+		Policy: collector.DropFrame,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	win := s.Window()
+	tables := win.NewWireTables()
+	const last = 40
+	for _, recs := range hourly[:last+1] {
+		feedHour(win, tables, recs)
+	}
+	s.viewed = func() { feedHour(win, tables, hourly[last+1]) }
+	var got figuresJSON
+	if err := json.Unmarshal([]byte(get(t, srv, "/figures?format=json")), &got); err != nil {
+		t.Fatal(err)
+	}
+	if win.End() != last+1 {
+		t.Fatalf("window ends at hour %d after the read, want %d", win.End(), last+1)
+	}
+	if want := summaryOf(t, refWindow(t, f, 24, hourly[:last+1])); !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary of %v–%v, want the folded frame's %v–%v, or its study differs", got.Start, got.End, want.Start, want.End)
+	}
+}
+
+// TestWindowFoldStats: GET /window reports how reads reached the fold.
+// A chronological feed polled on /figures once per hour after a 24-hour
+// window has filled rebuilds once, slides on every later poll, and
+// copies the fold on none.
+func TestWindowFoldStats(t *testing.T) {
 	f := buildFixture(t)
 	s, err := New(Config{
 		Index: f.idx, Days: f.days, Opts: f.opts, WindowHours: 24,
@@ -458,24 +554,11 @@ func TestWindowFoldStats(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	hourly := make([][]netflow.Record, len(f.days)*24)
-	for day := range f.days {
-		n.SimulateDay(day, func(r netflow.Record) {
-			if h := int(r.Start.Sub(f.days[0]) / time.Hour); h >= 0 && h < len(hourly) {
-				hourly[h] = append(hourly[h], r)
-			}
-		})
-	}
 	win := s.Window()
 	tables := win.NewWireTables()
-	var batch netflow.RecordBatch
 	polls := 0
-	for h, recs := range hourly {
-		batch.Reset()
-		for _, r := range recs {
-			tables.AppendRecord(&batch, r)
-		}
-		win.IngestBatch(tables, &batch)
+	for h, recs := range hourlyFeed(t, f.days) {
+		feedHour(win, tables, recs)
 		if h >= 24 {
 			get(t, srv, "/figures")
 			polls++
@@ -487,7 +570,7 @@ func TestWindowFoldStats(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, srv, "/window")), &out); err != nil {
 		t.Fatal(err)
 	}
-	if fs := out.Fold; fs.Rebuilds != 1 || fs.Slides != uint64(polls-1) {
-		t.Fatalf("%d hourly polls: fold %+v, want 1 rebuild and %d slides", polls, fs, polls-1)
+	if fs := out.Fold; fs.Rebuilds != 1 || fs.Slides != uint64(polls-1) || fs.Copies != 0 {
+		t.Fatalf("%d hourly polls: fold %+v, want 1 rebuild, %d slides and no copy", polls, fs, polls-1)
 	}
 }
