@@ -436,17 +436,22 @@ func (p *ShardPartial) FoldKept(t *WireTables, b *netflow.RecordBatch) {
 	col := p.col
 	col.checkWritable()
 	t.colID = grown(t.colID, len(t.lines))
-	for i, li := range b.Line {
+	for lo, n := 0, len(b.Line); lo < n; {
+		li := b.Line[lo]
 		id := t.colID[li] - 1
 		if id < 0 {
 			id = col.lineID(t.lines[li].addr)
 			t.colID[li] = id + 1
 		}
-		port := proto.PortKey{Port: b.Port[i]}
-		if b.Proto[i] == netflow.ProtoUDP {
-			port.Transport = proto.UDP
+		run := col.beginRun(int(id))
+		for ; lo < n && b.Line[lo] == li; lo++ {
+			port := proto.PortKey{Port: b.Port[lo]}
+			if b.Proto[lo] == netflow.ProtoUDP {
+				port.Transport = proto.UDP
+			}
+			run.add(int32(b.Backend[lo]), b.Down[lo], int(b.Hour[lo]), port, float64(b.Bytes[lo])*col.rate)
 		}
-		col.ingestDense(int(id), int32(b.Backend[i]), b.Down[i], int(b.Hour[i]), port, float64(b.Bytes[i])*col.rate)
+		run.end()
 	}
 }
 

@@ -125,7 +125,7 @@ func (t *lineTab) clone() lineTab {
 }
 
 // portTab interns (transport, port) pairs into local IDs through a
-// lazily paged direct table — ingestDense resolves one per record, and
+// lazily paged direct table — the fold resolves one per row, and
 // it is the window's read path too, so the lookup must not hash.
 type portTab struct {
 	// pages maps [transport][port>>8] to a page of local ID+1 (0 = not
@@ -180,6 +180,15 @@ func grown[T any](s []T, n int) []T {
 	ns := make([]T, n, c)
 	copy(ns, s)
 	return ns
+}
+
+// extend returns *col grown to length n at least, storing the header
+// back only when it grew.
+func extend[T any](col *[]T, n int) []T {
+	if n > len(*col) {
+		*col = grown(*col, n)
+	}
+	return *col
 }
 
 // reserve returns s with capacity for at least n elements, its length

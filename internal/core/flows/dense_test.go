@@ -76,36 +76,58 @@ func countRecord(c *ContactCounter, r netflow.Record) {
 	setBit(c.bits[int(id)*c.words:], int(backendID))
 }
 
-// ingestRecord folds r into c unless its line is in skip (a prior
-// countRecord pass's scanners) or it falls outside the study hours.
+// ingestRecord folds r into c as a one-row run unless its line is in
+// skip (a prior countRecord pass's scanners) or it falls outside the
+// study hours.
 func ingestRecord(c *Collector, r netflow.Record, skip map[netip.Addr]struct{}) {
-	lineAddr, backendID, down, ok := c.idx.lineSide(r)
-	if !ok {
-		return
+	foldRecords(c, []netflow.Record{r}, skip)
+}
+
+// foldRecords folds recs into c through the line-run kernel, one run
+// per stretch of consecutive records on one line, dropping the records
+// ingestRecord drops.
+func foldRecords(c *Collector, recs []netflow.Record, skip map[netip.Addr]struct{}) {
+	var run lineRun
+	var cur netip.Addr
+	open := false
+	for _, r := range recs {
+		lineAddr, backendID, down, ok := c.idx.lineSide(r)
+		if !ok {
+			continue
+		}
+		if _, s := skip[lineAddr]; s {
+			continue
+		}
+		// Integer nanosecond division, and pre-study records rejected
+		// before dividing: truncation toward zero would bucket the
+		// sub-hour before days[0] into hour 0.
+		sinceStart := r.Start.Sub(c.days[0])
+		if sinceStart < 0 {
+			continue
+		}
+		hour := int(sinceStart / time.Hour)
+		if hour >= c.hours {
+			continue
+		}
+		// The backend-side port identifies the service.
+		port := proto.PortKey{Port: r.SrcPort}
+		if !down {
+			port = proto.PortKey{Port: r.DstPort}
+		}
+		if r.Proto == netflow.ProtoUDP {
+			port.Transport = proto.UDP
+		}
+		if !open || lineAddr != cur {
+			if open {
+				run.end()
+			}
+			run, cur, open = c.beginRun(int(c.lineID(lineAddr))), lineAddr, true
+		}
+		run.add(backendID, down, hour, port, float64(r.Bytes)*c.rate)
 	}
-	if _, s := skip[lineAddr]; s {
-		return
+	if open {
+		run.end()
 	}
-	// Integer nanosecond division, and pre-study records rejected
-	// before dividing: truncation toward zero would bucket the sub-hour
-	// before days[0] into hour 0.
-	sinceStart := r.Start.Sub(c.days[0])
-	if sinceStart < 0 {
-		return
-	}
-	hour := int(sinceStart / time.Hour)
-	if hour >= c.hours {
-		return
-	}
-	// The backend-side port identifies the service.
-	port := proto.PortKey{Port: r.SrcPort}
-	if !down {
-		port = proto.PortKey{Port: r.DstPort}
-	}
-	if r.Proto == netflow.ProtoUDP {
-		port.Transport = proto.UDP
-	}
-	c.ingestDense(int(c.lineID(lineAddr)), backendID, down, hour, port, float64(r.Bytes)*c.rate)
 }
 
 // simulate feeds net's week into sink as records, one worker.
@@ -561,6 +583,119 @@ func TestDenseCollectorMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestLineRunFoldMatchesRowFold: the line-run kernel folds runs of
+// one line's rows exactly as one-row runs do, and both equal the
+// map-keyed reference, on shapes aimed at the state a run carries:
+//   - one line's rows split over non-adjacent runs;
+//   - fully interleaved lines, every run one row long;
+//   - runs whose last row brings a new alias, a new port, or a (line,
+//     port) slot on a line past the port's line table;
+//   - focus-alias rows in the focus region, in Europe and elsewhere;
+//   - cert and non-cert backends, of one alias and of two, on one line.
+func TestLineRunFoldMatchesRowFold(t *testing.T) {
+	type backend struct {
+		alias  string
+		cont   geo.Continent
+		region string
+		cert   bool
+	}
+	backends := []backend{
+		{"T1", geo.NorthAmerica, "us-east-1", true}, // focus region
+		{"T1", geo.Europe, "eu-central-1", false},   // focus EU
+		{"T1", geo.Asia, "ap-south-1", true},        // focus elsewhere
+		{"T2", geo.Europe, "eu-central-1", true},
+		{"D3", geo.NorthAmerica, "us-east-1", false},
+		{"O1", geo.Asia, "ap-south-1", true},
+		{"O1", geo.SouthAmerica, "sa-east-1", false},
+	}
+	idx := NewBackendIndex()
+	infos := map[netip.Addr]refInfo{}
+	addrs := make([]netip.Addr, len(backends))
+	for i, b := range backends {
+		addrs[i] = netip.AddrFrom4([4]byte{16, 0, 0, byte(1 + i)})
+		idx.Add(addrs[i], b.alias, b.cont, b.region, b.cert)
+		infos[addrs[i]] = refInfo{alias: b.alias, cont: b.cont, region: b.region, certFound: b.cert}
+	}
+	lines := make([]netip.Addr, 6)
+	for i := range lines {
+		lines[i] = isp.LineV4Addr(0, 10+i)
+	}
+	days := make([]time.Time, 3)
+	for i := range days {
+		days[i] = time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC).AddDate(0, 0, i)
+	}
+	opts := Options{SamplingRate: 100, FocusAlias: "T1", FocusRegion: "us-east-1"}
+
+	// row is one record: line, backend, direction, hour, backend port.
+	var recs []netflow.Record
+	row := func(l, b int, down bool, hour int, port uint16) {
+		r := netflow.Record{
+			Src: addrs[b], Dst: lines[l], SrcPort: port, DstPort: 40000 + uint16(hour),
+			Bytes: uint64(1000 + 37*len(recs)), Packets: 1, Proto: netflow.ProtoTCP,
+			Start: days[0].Add(time.Duration(hour)*time.Hour + time.Minute),
+		}
+		if port == 53 {
+			r.Proto = netflow.ProtoUDP
+		}
+		if !down {
+			r.Src, r.Dst, r.SrcPort, r.DstPort = r.Dst, r.Src, r.DstPort, r.SrcPort
+		}
+		recs = append(recs, r)
+	}
+	// Line 0 in three runs, with lines 1 and 2 between them.
+	row(0, 3, true, 1, 443)
+	row(0, 3, false, 1, 443)
+	row(0, 4, true, 2, 443)
+	row(1, 3, true, 2, 443)
+	row(0, 3, true, 30, 443)
+	row(0, 4, true, 31, 8883)
+	row(2, 4, true, 5, 443)
+	row(0, 3, true, 60, 443)
+	// Lines 1, 2 and 3 fully interleaved.
+	for h := 3; h < 9; h++ {
+		for l := 1; l <= 3; l++ {
+			row(l, (l+h)%5, h%2 == 0, h, 443)
+		}
+	}
+	// Runs whose last row is new to the collector: alias O1 with port
+	// 53/udp, a first O1 row on line 4, port 8883 on line 5 (past that
+	// port's line table), and a new (line, alias) slot.
+	row(4, 3, true, 10, 443)
+	row(4, 3, true, 11, 443)
+	row(4, 5, true, 12, 53)
+	row(3, 3, false, 13, 443)
+	row(3, 6, true, 13, 443)
+	row(5, 4, false, 14, 443)
+	row(5, 4, true, 15, 8883)
+	row(2, 0, false, 16, 443)
+	row(2, 0, true, 16, 443)
+	// Focus rows: region, Europe and elsewhere, both directions, on one
+	// line, beside cert and non-cert backends of one alias (T1) and of
+	// two (T2, D3).
+	for h := 40; h < 44; h++ {
+		for b := 0; b < 5; b++ {
+			row(5, b, true, h, 443)
+			row(5, b, false, h, 443)
+		}
+	}
+
+	ref := newRefCollector(infos, days, opts)
+	rows := NewCollector(idx, days, opts)
+	for _, r := range recs {
+		ref.ingest(r)
+		ingestRecord(rows, r, nil)
+	}
+	runs := NewCollector(idx, days, opts)
+	foldRecords(runs, recs, nil)
+	want := ref.study(idx)
+	if got := named(rows.Study()); !reflect.DeepEqual(got, want) {
+		t.Fatal("one-row runs diverge from the map reference")
+	}
+	if got := named(runs.Study()); !reflect.DeepEqual(got, want) {
+		t.Fatal("line runs diverge from the map reference")
+	}
+}
+
 // TestContinentVolumesDerivedFromBackends: Study() regroups per-backend
 // volumes into Figure 14's per-continent volumes instead of summing per
 // record. The result must equal the per-record sum exactly, and a
@@ -657,7 +792,7 @@ func TestFinalizedCollectorRejectsWrites(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("ingestDense", func() { ingestRecord(col, f.recs[0], nil) })
+	mustPanic("beginRun", func() { ingestRecord(col, f.recs[0], nil) })
 	mustPanic("Merge into", func() { col.Merge(NewCollector(f.idx, f.days, f.opts)) })
 	mustPanic("Merge from", func() { NewCollector(f.idx, f.days, f.opts).Merge(col) })
 	mustPanic("IngestBatch", func() {

@@ -375,6 +375,11 @@ type Collector struct {
 	focusDownAll, focusDownRegion, focusDownEU    *analysis.Series
 	focusHoursAll, focusHoursRegion, focusHoursEU []uint64 // per line, stride hw
 
+	// backends is what a row's fold reads per backend ID (clones share
+	// it); runBits holds a run's alias and cert bits, zero between runs.
+	backends []backendRun
+	runBits  []uint64
+
 	finalized bool // by Study(), whose view shares the columns above
 }
 
@@ -452,6 +457,21 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 		c.focusDownRegion = analysis.NewSeries(c.focusAlias+": "+c.focusRegion, hours)
 		c.focusDownEU = analysis.NewSeries(c.focusAlias+": EU", hours)
 	}
+	c.backends = make([]backendRun, len(idx.infos))
+	c.runBits = make([]uint64, 2*c.aw)
+	for i, bi := range idx.infos {
+		be := backendRun{alias: bi.aliasID, cont: contBit(bi.cont), cert: bi.certFound}
+		switch {
+		case bi.aliasID != c.focusAliasID:
+		case bi.region == c.focusRegion:
+			be.focus = focusRegion
+		case bi.cont == geo.Europe:
+			be.focus = focusEU
+		default:
+			be.focus = focusOther
+		}
+		c.backends[i] = be
+	}
 	return c
 }
 
@@ -483,15 +503,6 @@ func (c *Collector) reserveLines(n int, like *lineTab) {
 	c.lineCertBits = reserve(c.lineCertBits, n*c.aw)
 	c.laIdx = reserve(c.laIdx, n*c.nAliases)
 	c.lineHint = max(c.lineHint, n)
-}
-
-// hoursCol returns a per-line hour bitset column, sized for lineHint
-// lines when it is about to be created.
-func (c *Collector) hoursCol(s []uint64) []uint64 {
-	if s == nil && c.lineHint > 0 {
-		return make([]uint64, 0, c.lineHint*c.hw)
-	}
-	return s
 }
 
 func contBit(c geo.Continent) uint8 {
@@ -527,8 +538,7 @@ func (c *Collector) lpSlotBase(line, port int) int {
 	for len(c.lpIdx) <= port {
 		c.lpIdx = append(c.lpIdx, nil)
 	}
-	arr := grown(c.lpIdx[port], line+1)
-	c.lpIdx[port] = arr
+	arr := extend(&c.lpIdx[port], line+1)
 	slot := arr[line]
 	if slot == 0 {
 		slot = int32(len(c.lpKeys)) + 1
@@ -539,98 +549,140 @@ func (c *Collector) lpSlotBase(line, port int) int {
 	return (int(slot) - 1) * c.ds
 }
 
-// ingestDense is the fully resolved ingest core: line already interned,
-// hour already in-window, bytes already scaled. ShardPartial.FoldKept
-// and the window's fold both land here, so they produce byte-identical
-// aggregates.
-func (c *Collector) ingestDense(line int, backendID int32, down bool, hour int, port proto.PortKey, bytes float64) {
+// Focus classes of a backend: not the focus alias, or the focus alias
+// elsewhere, in the focus region, or in Europe.
+const (
+	focusNone uint8 = iota
+	focusOther
+	focusRegion
+	focusEU
+)
+
+// backendRun is what a row's fold reads of its backend: alias ID,
+// continent bit, cert flag and focus class.
+type backendRun struct {
+	alias int32
+	cont  uint8
+	cert  bool
+	focus uint8
+}
+
+// lineRun is the ingest core: it folds one line's consecutive rows
+// (line interned, hours in-window, bytes scaled) into a Collector.
+// beginRun resolves the line once, add stores a column header back only
+// when the column grew, and end ORs the run's alias, cert and continent
+// bits into the line. ShardPartial.FoldKept and the window's folds all
+// fold through it, so they produce byte-identical aggregates.
+type lineRun struct {
+	c              *Collector
+	line, daily    int      // daily: the line's lineDaily base, [day][down,up]
+	prev           int32    // the previous row's backend ID
+	aliases, certs []uint64 // c.runBits
+	conts          uint8
+}
+
+func (c *Collector) beginRun(line int) lineRun {
 	c.checkWritable()
+	return lineRun{c: c, line: line, daily: line * 2 * c.ds, prev: -1, aliases: c.runBits[:c.aw], certs: c.runBits[c.aw:]}
+}
+
+func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, bytes float64) {
+	c := r.c
 	setBit(c.coverBits, hour)
 	day := hour / 24
-	bi := &c.idx.infos[backendID]
-	a := int(bi.aliasID)
-
-	// Visibility.
-	vs := c.visible[a]
-	if vs == nil {
-		vs = make([]uint64, c.idx.words)
-		c.visible[a] = vs
+	be := c.backends[backendID]
+	a := int(be.alias)
+	if backendID != r.prev {
+		// Visibility and the line's sets: idempotent per backend.
+		r.prev = backendID
+		vs := c.visible[a]
+		if vs == nil {
+			vs = make([]uint64, c.idx.words)
+			c.visible[a] = vs
+		}
+		setBit(vs, int(backendID))
+		setBit(c.backendSeen, int(backendID))
+		setBit(r.aliases, a)
+		if be.cert {
+			setBit(r.certs, a)
+		}
+		r.conts |= be.cont
 	}
-	setBit(vs, int(backendID))
-
-	// Hourly activity.
-	lh := grown(c.hoursCol(c.lineHours[a]), (line+1)*c.hw)
-	c.lineHours[a] = lh
-	setBit(lh[line*c.hw:], hour)
+	r.setHour(&c.lineHours[a], hour)
 
 	// Hourly volumes.
+	ser := c.upHour
 	if down {
-		s := c.downHour[a]
-		if s == nil {
-			s = analysis.NewSeries(bi.alias, c.hours)
-			c.downHour[a] = s
-		}
-		s.Add(hour, bytes)
-	} else {
-		s := c.upHour[a]
-		if s == nil {
-			s = analysis.NewSeries(bi.alias, c.hours)
-			c.upHour[a] = s
-		}
-		s.Add(hour, bytes)
+		ser = c.downHour
 	}
+	s := ser[a]
+	if s == nil {
+		s = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
+		ser[a] = s
+	}
+	s.Add(hour, bytes)
 
 	pid := int(c.ports.id(port))
-	pv := grown(c.portVol[a], pid+1)
-	c.portVol[a] = pv
-	pv[pid] += bytes
-	ps := grown(c.portSeen[a], pid>>6+1)
-	c.portSeen[a] = ps
-	setBit(ps, pid)
+	extend(&c.portVol[a], pid+1)[pid] += bytes
+	setBit(extend(&c.portSeen[a], pid>>6+1), pid)
 
 	// Per-line dailies.
-	base := line*2*c.ds + 2*day
 	if down {
-		c.lineDaily[base] += bytes
+		c.lineDaily[r.daily+2*day] += bytes
+		c.laDaily[c.laSlotBase(r.line, a)+day] += bytes
+		c.lpDaily[c.lpSlotBase(r.line, pid)+day] += bytes
 	} else {
-		c.lineDaily[base+1] += bytes
-	}
-	setBit(c.lineAliasBits[line*c.aw:], a)
-	if bi.certFound {
-		setBit(c.lineCertBits[line*c.aw:], a)
-	}
-	if down {
-		c.laDaily[c.laSlotBase(line, a)+day] += bytes
-		c.lpDaily[c.lpSlotBase(line, pid)+day] += bytes
+		c.lineDaily[r.daily+2*day+1] += bytes
 	}
 
 	c.backendVol[backendID] += bytes
-	setBit(c.backendSeen, int(backendID))
-
-	// Continent bookkeeping.
-	cont := bi.cont
-	c.lineConts[line] |= contBit(cont)
 
 	// Outage focus.
-	if int32(a) == c.focusAliasID {
-		if down {
-			c.focusDownAll.Add(hour, bytes)
-		}
-		c.focusHoursAll = grown(c.hoursCol(c.focusHoursAll), (line+1)*c.hw)
-		setBit(c.focusHoursAll[line*c.hw:], hour)
-		switch {
-		case bi.region == c.focusRegion:
-			if down {
-				c.focusDownRegion.Add(hour, bytes)
-			}
-			c.focusHoursRegion = grown(c.hoursCol(c.focusHoursRegion), (line+1)*c.hw)
-			setBit(c.focusHoursRegion[line*c.hw:], hour)
-		case cont == geo.Europe:
-			if down {
-				c.focusDownEU.Add(hour, bytes)
-			}
-			c.focusHoursEU = grown(c.hoursCol(c.focusHoursEU), (line+1)*c.hw)
-			setBit(c.focusHoursEU[line*c.hw:], hour)
-		}
+	if be.focus == focusNone {
+		return
 	}
+	r.focus(c.focusDownAll, &c.focusHoursAll, down, hour, bytes)
+	switch be.focus {
+	case focusRegion:
+		r.focus(c.focusDownRegion, &c.focusHoursRegion, down, hour, bytes)
+	case focusEU:
+		r.focus(c.focusDownEU, &c.focusHoursEU, down, hour, bytes)
+	}
+}
+
+// setHour marks hour in the run line's row of a per-line hour bitset
+// column, growing the column (and storing it back) only when it is too
+// short. A new column is sized for lineHint lines.
+func (r *lineRun) setHour(col *[]uint64, hour int) {
+	if need := (r.line + 1) * r.c.hw; len(*col) < need {
+		if *col == nil && r.c.lineHint > 0 {
+			*col = make([]uint64, 0, r.c.lineHint*r.c.hw)
+		}
+		*col = grown(*col, need)
+	}
+	setBit((*col)[r.line*r.c.hw:], hour)
+}
+
+// focus folds a focus-alias row into one focus series and its per-line
+// hour bitset column.
+func (r *lineRun) focus(s *analysis.Series, col *[]uint64, down bool, hour int, bytes float64) {
+	if down {
+		s.Add(hour, bytes)
+	}
+	r.setHour(col, hour)
+}
+
+func (r *lineRun) end() {
+	c := r.c
+	if c == nil {
+		return // no row began the run
+	}
+	aliases := c.lineAliasBits[r.line*c.aw : (r.line+1)*c.aw]
+	certs := c.lineCertBits[r.line*c.aw : (r.line+1)*c.aw]
+	for i := range aliases {
+		aliases[i] |= r.aliases[i]
+		certs[i] |= r.certs[i]
+	}
+	clearBits(c.runBits)
+	c.lineConts[r.line] |= r.conts
 }

@@ -99,12 +99,8 @@ func (c *Collector) Merge(o *Collector) {
 		if src := o.portVol[a]; len(src) > 0 {
 			forEachBit(o.portSeen[a], func(pid int) {
 				t := int(portRemap[pid])
-				pv := grown(c.portVol[a], t+1)
-				c.portVol[a] = pv
-				pv[t] += src[pid]
-				ps := grown(c.portSeen[a], t>>6+1)
-				c.portSeen[a] = ps
-				setBit(ps, t)
+				extend(&c.portVol[a], t+1)[t] += src[pid]
+				setBit(extend(&c.portSeen[a], t>>6+1), t)
 			})
 		}
 	}
@@ -237,6 +233,9 @@ func (c *Collector) clone() *Collector {
 		focusHoursAll:    cloneSlice(c.focusHoursAll),
 		focusHoursRegion: cloneSlice(c.focusHoursRegion),
 		focusHoursEU:     cloneSlice(c.focusHoursEU),
+
+		backends: c.backends,
+		runBits:  make([]uint64, len(c.runBits)),
 	}
 	return out
 }
@@ -344,10 +343,9 @@ func newRowCounts(c *Collector) *rowCounts {
 	}
 }
 
-// count records one kept row that ingestDense has just folded into c.
+// count records one kept row that lineRun.add has just folded into c.
 func (n *rowCounts) count(c *Collector, line int, backendID int32, down bool, port proto.PortKey) {
-	bi := &c.idx.infos[backendID]
-	a := int(bi.aliasID)
+	a := int(c.backends[backendID].alias)
 	la := line*c.nAliases + a
 	n.backend[backendID]++
 	pid := int(c.ports.id(port))
@@ -367,14 +365,13 @@ func (n *rowCounts) count(c *Collector, line int, backendID int32, down bool, po
 }
 
 // subtract removes one kept row, folded into day `day`, from c: the
-// inverse of ingestDense for every aggregate not indexed by hour
+// inverse of lineRun.add for every aggregate not indexed by hour
 // (shiftHours drops those) or by line (relink re-derives those). A set
 // member whose count reaches zero leaves its set; a slot, port, line or
 // alias left empty stays until compact drops it.
 func (c *Collector) subtract(n *rowCounts, line int, backendID int32, down bool, day int, port proto.PortKey, bytes float64) {
 	c.checkWritable()
-	bi := &c.idx.infos[backendID]
-	a := int(bi.aliasID)
+	a := int(c.backends[backendID].alias)
 	la := line*c.nAliases + a
 	pid := int(c.ports.id(port))
 	c.portVol[a][pid] -= bytes
@@ -415,12 +412,12 @@ func (c *Collector) relink(line int, contacts []pairCount) {
 		if p.kept == 0 {
 			continue
 		}
-		bi := &c.idx.infos[p.backend]
-		setBit(aliases, int(bi.aliasID))
-		if bi.certFound {
-			setBit(certs, int(bi.aliasID))
+		be := c.backends[p.backend]
+		setBit(aliases, int(be.alias))
+		if be.cert {
+			setBit(certs, int(be.alias))
 		}
-		c.lineConts[line] |= contBit(bi.cont)
+		c.lineConts[line] |= be.cont
 	}
 }
 
@@ -436,7 +433,7 @@ func (c *Collector) moveDay(line int, backendID int32, down bool, port proto.Por
 	}
 	c.lineDaily[base+2*from] -= bytes
 	c.lineDaily[base+2*to] += bytes
-	a := int(c.idx.infos[backendID].aliasID)
+	a := int(c.backends[backendID].alias)
 	s := (int(c.laIdx[line*c.nAliases+a]) - 1) * c.ds
 	c.laDaily[s+from] -= bytes
 	c.laDaily[s+to] += bytes

@@ -527,6 +527,57 @@ func TestWindowViewLendsFrame(t *testing.T) {
 	}
 }
 
+// TestWindowViewPanicReleasesLocks: a fold that panics inside View
+// (here a write into a cached collector left finalized) releases every
+// shard lock and drops the half-folded cache, so ingest on another
+// goroutine completes and the next read equals a rebuild of the frame.
+func TestWindowViewPanicReleasesLocks(t *testing.T) {
+	f := buildDenseFixture(61)
+	opts := f.opts
+	opts.ScannerThreshold = 3
+	win, err := NewWindow(f.idx, f.days[0], 48, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win.setShards(2)
+	sf := newSlideFeed(f, 61)
+	for h := int64(0); h < 30; h++ {
+		flushRecords(win, sf.hour(h))
+	}
+	noop := func(*ContactCounter, *Collector, time.Time, time.Time) {}
+	win.View(noop)
+	win.stable.col.finalized = true
+	flushRecords(win, sf.hour(29))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("View folded into a finalized collector without panicking")
+			}
+		}()
+		win.View(noop)
+	}()
+
+	done := make(chan struct{})
+	go func() {
+		flushRecords(win, sf.hour(30))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ingest still blocked after a read panicked: the shard locks stayed held")
+	}
+	refCC, refCol := win.rebuiltFold()
+	win.View(func(cc *ContactCounter, col *Collector, _, _ time.Time) {
+		if !reflect.DeepEqual(named(col.Study()), named(refCol.Study())) {
+			t.Error("the read after the panic differs from a rebuild of the frame")
+		}
+		if !reflect.DeepEqual(cc.contactSets(), refCC.contactSets()) {
+			t.Error("the contact sets after the panic differ from a rebuild of the frame")
+		}
+	})
+}
+
 // BenchmarkWindowSlide is the daemon's read pattern: a 30-day
 // hour-major feed through a 7-day window with one Merged() per hour
 // once the window has filled. `slide` advances the cached fold; in

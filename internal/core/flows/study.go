@@ -65,7 +65,7 @@ type Study struct {
 // collector's aggregate columns by reference and copies none of them; it
 // derives only the active-line series. So the collector must not be
 // ingested into or merged afterwards: the same rule Merge documents for
-// its donor, which ingestDense, Merge and IngestBatch enforce with a
+// its donor, which beginRun, Merge and IngestBatch enforce with a
 // panic. The fold-only tables (per-line hour bitsets, slot indexes,
 // line and port intern tables) are not retained and die with the
 // collector.
@@ -280,7 +280,7 @@ func (s *Study) PortShares(alias string) []PortShare {
 
 // TopPorts returns the ports carrying the most total traffic.
 func (s *Study) TopPorts(n int) []proto.PortKey {
-	// The port table is the key set: ingestDense and Merge intern a port
+	// The port table is the key set: lineRun.add and Merge intern a port
 	// and mark its presence together, so every port ID was seen under
 	// some alias. Share holds the port's absolute volume here.
 	all := make([]PortShare, len(s.portKeys))

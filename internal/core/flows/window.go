@@ -30,8 +30,9 @@ import (
 //
 // Study()/Merged()/View() fold the live buckets into a full-frame
 // ContactCounter+Collector by replaying rows: every row sets its
-// contact bit, kept rows go through Collector.ingestDense — the batch
-// engine's own ingest core — at hour offset (bucket hour − frame start).
+// contact bit, and kept rows go through the Collector's line-run kernel
+// (lineRun, the batch engine's own ingest core) at hour offset (bucket
+// hour − frame start).
 // A fold of the whole frame (a rebuild) replays line by line: it
 // counting-sorts each shard's rows by line first, so a line's aggregates
 // are loaded once for the frame instead of once per hour it appears in.
@@ -696,10 +697,10 @@ func rowPort(flags uint8, port uint16) proto.PortKey {
 func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBucket, from int) {
 	hourOff := int(bk.ah - f.ws)
 	cc, col, cnt := f.cc, f.col, f.cnt
-	f.ccRemap[si] = grown(f.ccRemap[si], len(sh.lines.addrs))
-	f.colRemap[si] = grown(f.colRemap[si], len(sh.lines.addrs))
-	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
+	ccRemap, colRemap := extend(&f.ccRemap[si], len(sh.lines.addrs)), extend(&f.colRemap[si], len(sh.lines.addrs))
 
+	var run lineRun // folds the kept rows of line runLid
+	runLid := int32(-1)
 	for i := from; i < len(bk.line); i++ {
 		lid, be := bk.line[i], bk.backend[i]
 		cid := ccRemap[lid]
@@ -721,12 +722,17 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 			tid = col.lineID(sh.lines.addrs[lid]) + 1
 			colRemap[lid] = tid
 		}
+		if lid != runLid {
+			run.end()
+			run, runLid = col.beginRun(int(tid)-1), lid
+		}
 		port := rowPort(fl, bk.port[i])
-		col.ingestDense(int(tid)-1, be, fl&rowDown != 0, hourOff, port, bk.bytes[i])
+		run.add(be, fl&rowDown != 0, hourOff, port, bk.bytes[i])
 		if cnt != nil {
 			cnt.count(col, int(tid)-1, be, fl&rowDown != 0, port)
 		}
 	}
+	run.end()
 }
 
 // rebuild folds the frame [ws, end) afresh, line by line: each shard's
@@ -849,8 +855,7 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 
 	cc, col := f.cc, f.col
 	n := len(pos) - 1
-	ccRemap, colRemap := grown(f.ccRemap[si], n), grown(f.colRemap[si], n)
-	f.ccRemap[si], f.colRemap[si] = ccRemap, colRemap
+	ccRemap, colRemap := extend(&f.ccRemap[si], n), extend(&f.colRemap[si], n)
 	lo := 0
 	for lid, hi := range pos[:n] {
 		if lo == hi {
@@ -861,9 +866,9 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 		ccRemap[lid] = cid + 1
 		bits := cc.lineBits(int(cid))
 		tid := int32(-1)
-		run := rows[lo:hi]
+		var run lineRun
 		fls, prs := flags[lo:hi], port[lo:hi]
-		for i, r := range run {
+		for i, r := range rows[lo:hi] {
 			setBit(bits, int(r.backend))
 			fl := fls[i]
 			if fl&rowKept == 0 {
@@ -871,9 +876,11 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 			}
 			if tid < 0 {
 				tid = col.lineID(addr)
+				run = col.beginRun(int(tid))
 			}
-			col.ingestDense(int(tid), r.backend, fl&rowDown != 0, int(r.hour), rowPort(fl, prs[i]), r.bytes)
+			run.add(r.backend, fl&rowDown != 0, int(r.hour), rowPort(fl, prs[i]), r.bytes)
 		}
+		run.end()
 		colRemap[lid] = tid + 1
 		lo = hi
 	}
@@ -1013,6 +1020,20 @@ func (w *Window) foldLocked() *windowFold {
 	return st
 }
 
+// foldShards runs foldLocked under all shard locks and releases them on
+// every exit. A fold that panics part-way is dropped, so the next read
+// rebuilds instead of reading it. Caller holds foldMu.
+func (w *Window) foldShards() (st *windowFold) {
+	w.lockShards()
+	defer w.unlockShards()
+	defer func() {
+		if st == nil {
+			w.stable = nil
+		}
+	}()
+	return w.foldLocked()
+}
+
 // View brings the cached fold of the current trailing frame up to date
 // and lends it to fn with the frame's wall-clock bounds, without
 // copying it. The shard locks are released first, so ingest continues
@@ -1023,9 +1044,7 @@ func (w *Window) foldLocked() *windowFold {
 func (w *Window) View(fn func(cc *ContactCounter, col *Collector, start, end time.Time)) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()
-	w.lockShards()
-	st := w.foldLocked()
-	w.unlockShards()
+	st := w.foldShards()
 	defer func() { st.col.finalized = false }()
 	start, end := w.span(st.ws)
 	fn(st.cc, st.col, start, end)
@@ -1056,15 +1075,13 @@ func (w *Window) Merged() (cc *ContactCounter, col *Collector) {
 func (w *Window) Study() (*ContactCounter, *Study) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()
-	w.lockShards()
+	// A flush completing after these loads only costs the next call a refold.
 	end := w.endA.Load()
 	ver := w.writeVer.Load()
 	if sc := w.study; sc != nil && sc.ver == ver && sc.end == end {
-		w.unlockShards()
 		return sc.cc, sc.st
 	}
-	f := w.foldLocked()
-	w.unlockShards()
+	f := w.foldShards()
 	w.copies.Add(1)
 	cc, st := f.cc.clone(), f.col.clone().Study()
 	w.study = &winStudyCache{ver: ver, end: end, cc: cc, st: st}

@@ -1,7 +1,7 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation from a completed iotmap.System run, as plain-text artifacts
-// (the repository's equivalent of the paper's plots; see EXPERIMENTS.md
-// for paper-vs-measured commentary).
+// (the repository's equivalent of the paper's plots; docs/architecture.md,
+// "Layer 7 — figures", describes how they read the study).
 package figures
 
 import (

@@ -7,8 +7,9 @@
 // at them.
 //
 // The specs below encode the paper's published per-provider
-// characteristics; the pipeline never reads them directly. See DESIGN.md
-// for the substitution argument.
+// characteristics; the pipeline never reads them directly. The README's
+// opening states the substitution: this synthetic Internet stands in for
+// the paper's proprietary vantage points.
 package world
 
 import (
