@@ -20,24 +20,28 @@ type backendEntry struct {
 }
 
 // eachBackendFromUnion is the historical builder, kept as the oracle: it
-// recomputes every provider's Union() only to ask the dedicated
-// addresses for their certificate bit.
+// rebuilds every provider's week union as an address-keyed map only to
+// ask the dedicated addresses for their certificate bit.
 func eachBackendFromUnion(s *System, add func(netip.Addr, string, geo.Continent, string, bool)) {
 	for _, p := range s.Patterns {
 		id := p.ProviderID()
 		alias := s.World.AliasOf(id)
-		union := s.Discovery[id].Union()
+		res := s.Discovery[id]
+		union := map[netip.Addr]discovery.Source{}
+		for aid, a := range res.Addrs() {
+			union[a] = res.Sources(uint32(aid))
+		}
 		located := s.Located[id]
 		for _, a := range s.Dedicated[id] {
 			loc := located[a]
-			certFound := union[a] != nil && union[a].Sources.Has(discovery.SrcCert)
+			certFound := union[a].Has(discovery.SrcCert)
 			add(a, alias, loc.Location.Continent, loc.Location.Region, certFound)
 		}
 	}
 }
 
 // TestBackendIndexMatchesUnionOracle: the index ValidateAndLocate built
-// from the certificate bits it recorded is the index the Union()-based
+// from the certificate bits it recorded is the index the union-map
 // builder makes. The index exports little beyond Size, so the
 // comparison is a deep one: the same address → (alias, continent,
 // region, certFound) entries and the same dense ID assignment.

@@ -40,20 +40,19 @@ func main() {
 	if res == nil {
 		log.Fatalf("unknown provider %q (see Table 1 for IDs)", providerID)
 	}
-	union := res.Union()
 	fmt.Printf("provider %s: %d addresses discovered over %d days\n",
-		providerID, len(union), len(res.Days))
+		providerID, len(res.Addrs()), len(res.Days))
 
 	perSource := map[string]int{}
-	for _, info := range union {
-		switch {
-		case info.Sources.Count() > 1:
+	for id := range res.Addrs() {
+		switch src := res.Sources(uint32(id)); {
+		case src.Count() > 1:
 			perSource["multiple sources"]++
-		case info.Sources.Has(discovery.SrcCert):
+		case src.Has(discovery.SrcCert):
 			perSource["certificates only"]++
-		case info.Sources.Has(discovery.SrcPDNS):
+		case src.Has(discovery.SrcPDNS):
 			perSource["passive DNS only"]++
-		case info.Sources.Has(discovery.SrcActive):
+		case src.Has(discovery.SrcActive):
 			perSource["active DNS only"]++
 		}
 	}

@@ -28,7 +28,7 @@ func TestFigure3FusionFindsMore(t *testing.T) {
 			}
 			n := 0
 			for _, r := range res {
-				n += len(r.Union())
+				n += len(r.Addrs())
 			}
 			return n
 		}

@@ -6,6 +6,7 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -233,21 +234,27 @@ func (d SetDiff) Fractions() (both, onlyRef, onlyCur float64) {
 	return float64(d.Both) / total, float64(d.OnlyRef) / total, float64(d.OnlyCur) / total
 }
 
-// Compare computes the diff between a reference and a current set.
-func Compare[K comparable](ref, cur map[K]struct{}) SetDiff {
+// Compare computes the diff between a reference and a current set, each
+// given as an ascending list without duplicates.
+func Compare[T cmp.Ordered](ref, cur []T) SetDiff {
 	var d SetDiff
-	for k := range ref {
-		if _, ok := cur[k]; ok {
-			d.Both++
-		} else {
+	i, j := 0, 0
+	for i < len(ref) && j < len(cur) {
+		switch {
+		case ref[i] < cur[j]:
 			d.OnlyRef++
-		}
-	}
-	for k := range cur {
-		if _, ok := ref[k]; !ok {
+			i++
+		case ref[i] > cur[j]:
 			d.OnlyCur++
+			j++
+		default:
+			d.Both++
+			i++
+			j++
 		}
 	}
+	d.OnlyRef += len(ref) - i
+	d.OnlyCur += len(cur) - j
 	return d
 }
 

@@ -100,11 +100,16 @@ func TestShares(t *testing.T) {
 }
 
 func TestCompareSets(t *testing.T) {
-	ref := map[string]struct{}{"a": {}, "b": {}, "c": {}}
-	cur := map[string]struct{}{"b": {}, "c": {}, "d": {}}
-	d := Compare(ref, cur)
+	d := Compare([]string{"a", "b", "c"}, []string{"b", "c", "d"})
 	if d.Both != 2 || d.OnlyRef != 1 || d.OnlyCur != 1 {
 		t.Fatalf("diff = %+v", d)
+	}
+	// Either list may run out first; the other's tail is its own.
+	if tail := Compare([]uint32{1, 5, 9, 12}, []uint32{2, 5}); tail != (SetDiff{Both: 1, OnlyRef: 3, OnlyCur: 1}) {
+		t.Fatalf("diff = %+v", tail)
+	}
+	if tail := Compare(nil, []uint32{2, 5}); tail != (SetDiff{OnlyCur: 2}) {
+		t.Fatalf("diff = %+v", tail)
 	}
 	both, onlyRef, onlyCur := d.Fractions()
 	if math.Abs(both-0.5) > 1e-9 || math.Abs(onlyRef-0.25) > 1e-9 || math.Abs(onlyCur-0.25) > 1e-9 {

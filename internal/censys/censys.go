@@ -74,8 +74,8 @@ type Catalog struct {
 	byDomain map[string][]int32
 
 	// matches memoizes the anchored search's regex verdicts. Snapshots of
-	// one catalog are searched from concurrent day workers, so the table
-	// is locked and each entry is filled under its own Once.
+	// one catalog are searched from concurrent workers, so the table is
+	// locked and each entry is filled under its own Once.
 	mu      sync.Mutex
 	matches map[matchKey]*matchEntry
 }

@@ -44,16 +44,15 @@ func TestRunDeterministic(t *testing.T) {
 	// Sanity: the pipeline actually discovered something.
 	total := 0
 	for _, r := range first {
-		total += len(r.Union())
+		total += len(r.Addrs())
 	}
 	if total == 0 {
 		t.Fatal("discovery found nothing; determinism test is vacuous")
 	}
 }
 
-// TestRunErrorNotMaskedByPoolCancel: the first failing day cancels the
-// worker pool, but the caller must still see the underlying error, not
-// the pool's own context.Canceled.
+// TestRunErrorNotMaskedByPoolCancel: a day without a scan snapshot fails
+// the run, and the caller sees that error, not a context.Canceled.
 func TestRunErrorNotMaskedByPoolCancel(t *testing.T) {
 	w, err := world.Build(world.Config{Seed: 33, Scale: 0.05})
 	if err != nil {

@@ -13,21 +13,24 @@
 // the week makes one Pack -> HandleWire -> Unpack round trip, so every
 // answer set the week contains still crosses the dnsmsg wire codec, and
 // nothing is learned about an active-DNS answer any other way. Computed
-// per day, on the worker pool: the certificate search over the day's
-// snapshot (the regex verdicts themselves are the scan catalog's, shared
-// by all days; each certificate's names are canonicalized once), the
-// day's passive-DNS sightings (the whole-period observations whose
-// window overlaps the day), and the fusion of the day's sources from the
-// decoded answers.
+// per provider, on the worker pool: the week's certificate searches over
+// the day snapshots (the regex verdicts themselves are the scan catalog's,
+// shared by all days; each certificate's names are canonicalized once per
+// run), each day's passive-DNS sightings (the whole-period observations
+// whose window overlaps the day), and the fusion of each day's sources
+// from the decoded answers, into the dense Result: one address ID space
+// per provider, a column pair per day, and the names and ports of the
+// week union in ID-indexed arenas.
 package discovery
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,98 +88,70 @@ func (s Source) String() string {
 	}
 }
 
-// AddrInfo aggregates what discovery learned about one address.
-type AddrInfo struct {
-	Sources Source
-	// Names observed mapping to the address (certificate SANs, DNSDB
-	// rrnames, actively resolved names).
-	Names map[string]struct{}
-	// Ports seen open with their protocol fingerprints (scan channels).
-	Ports map[proto.PortKey]proto.Protocol
+// Port is one open port seen at an address, with its protocol
+// fingerprint.
+type Port struct {
+	Key      proto.PortKey
+	Protocol proto.Protocol
 }
 
-func newAddrInfo() *AddrInfo {
-	// Names and Ports are created lazily by addName/addPort: a nil map
-	// reads and ranges as empty, and many addresses only ever carry a
-	// source bit, so eager maps tripled the allocation count for nothing.
-	return &AddrInfo{}
-}
-
-// addName records an observed name, creating the map on first use.
-func (ai *AddrInfo) addName(n string) {
-	if ai.Names == nil {
-		ai.Names = make(map[string]struct{}, 2)
-	}
-	ai.Names[n] = struct{}{}
-}
-
-// addPort records an open port, creating the map on first use.
-func (ai *AddrInfo) addPort(k proto.PortKey, p proto.Protocol) {
-	if ai.Ports == nil {
-		ai.Ports = make(map[proto.PortKey]proto.Protocol, 2)
-	}
-	ai.Ports[k] = p
-}
-
-// DayResult is one provider's discovery set for one day.
+// DayResult is one provider's discovery set for one day: two columns over
+// the Result's address IDs.
 type DayResult struct {
-	Provider string
-	Day      time.Time
-	Addrs    map[netip.Addr]*AddrInfo
-}
-
-func (d *DayResult) info(a netip.Addr) *AddrInfo {
-	ai, ok := d.Addrs[a]
-	if !ok {
-		ai = newAddrInfo()
-		d.Addrs[a] = ai
-	}
-	return ai
-}
-
-// All returns the discovered addresses sorted.
-func (d *DayResult) All() []netip.Addr { return SortedAddrs(d.Addrs) }
-
-// SortedAddrs returns the keys of an address set in address order.
-func SortedAddrs(set map[netip.Addr]*AddrInfo) []netip.Addr {
-	out := make([]netip.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	Day time.Time
+	// IDs are the day's addresses, ascending; Sources[i] tags IDs[i].
+	IDs     []uint32
+	Sources []Source
 }
 
 // Result is one provider's discovery across the whole study period.
+//
+// Every address the provider's sources yield on any study day has an ID:
+// its rank in address order among those addresses, so an ID is a
+// function of the week's discoveries and never of scheduling. A day is a
+// column over the IDs. The names and open ports seen at an address are
+// needed only for the week union (geolocation, Table 1), so they are kept
+// once per address, in ID-indexed arenas over one name table.
 type Result struct {
 	Provider string
-	Days     []*DayResult
+	Days     []DayResult
 	// VPGain is the coverage gain of using all three DNS vantage points
 	// versus the first (Section 3.3's ≈17%).
 	VPGain float64
+
+	addrs   []netip.Addr // ID -> address, ascending
+	sources []Source     // ID -> sources fused over every day
+	// names is the name table, ascending: a name's ID is its rank. The
+	// name IDs of address id, ascending, are nameIDs[nameOff[id]:
+	// nameOff[id+1]]; its ports, ascending, ports[portOff[id]:
+	// portOff[id+1]].
+	names            []string
+	nameOff, nameIDs []uint32
+	portOff          []uint32
+	ports            []Port
 }
 
-// Union merges every day's addresses with fused source tags and names.
-func (r *Result) Union() map[netip.Addr]*AddrInfo {
-	out := map[netip.Addr]*AddrInfo{}
-	for _, d := range r.Days {
-		for a, ai := range d.Addrs {
-			dst, ok := out[a]
-			if !ok {
-				dst = newAddrInfo()
-				out[a] = dst
-			}
-			dst.Sources |= ai.Sources
-			for n := range ai.Names {
-				dst.addName(n)
-			}
-			for k, v := range ai.Ports {
-				dst.addPort(k, v)
-			}
-		}
-	}
-	return out
-}
+// Addrs returns every address discovered on any day, ascending; an
+// address's index is its ID (shared slice; callers must not mutate).
+func (r *Result) Addrs() []netip.Addr { return r.addrs }
+
+// Sources returns the sources that found address id on any day.
+func (r *Result) Sources(id uint32) Source { return r.sources[id] }
+
+// NameIDs returns the IDs of the names observed mapping to address id
+// (certificate SANs, DNSDB rrnames, actively resolved names) on any day,
+// ascending, which is the names' sorted order (shared slice).
+func (r *Result) NameIDs(id uint32) []uint32 { return r.nameIDs[r.nameOff[id]:r.nameOff[id+1]] }
+
+// Name returns the name with ID nid.
+func (r *Result) Name(nid uint32) string { return r.names[nid] }
+
+// NameCount returns the size of the name table: name IDs are below it.
+func (r *Result) NameCount() int { return len(r.names) }
+
+// Ports returns the open ports the scan channels saw at address id on any
+// day, ascending (shared slice).
+func (r *Result) Ports(id uint32) []Port { return r.ports[r.portOff[id]:r.portOff[id+1]] }
 
 // Inputs wires the observation channels into the pipeline.
 type Inputs struct {
@@ -219,19 +194,14 @@ type compiled struct {
 	wholeNames []string
 }
 
-// dayOutput is one day's discovery for every pattern, produced by a
-// worker and merged in day order.
-type dayOutput struct {
-	drs   []*DayResult // parallel to in.Patterns
-	gains []float64    // per-pattern VP gain contribution (0 when none)
-	err   error
-}
-
-// Run executes discovery for every provider pattern. Study days are
-// independent given the precomputed per-pattern state, so they run on a
-// bounded worker pool; results are merged in day order, making the output
-// deterministic regardless of scheduling. Inputs must be safe for
-// concurrent reads (the stock censys/dnsdb/world implementations are).
+// Run executes discovery for every provider pattern. Providers are
+// independent given the precomputed state (scan snapshots, IPv6 hits,
+// passive-DNS observations, decoded active answers), so each provider's
+// week runs as one job on a bounded worker pool and interns its own
+// addresses and names; nothing is shared between jobs but read-only
+// inputs, and the output does not depend on scheduling. Inputs must be
+// safe for concurrent reads (the stock censys/dnsdb/world implementations
+// are).
 func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 	if len(in.Days) == 0 {
 		return nil, fmt.Errorf("discovery: no study days")
@@ -239,9 +209,17 @@ func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 	if in.Zones != nil && len(in.Zones) != len(in.Days) {
 		return nil, fmt.Errorf("discovery: %d zone stores for %d study days", len(in.Zones), len(in.Days))
 	}
-	results := map[string]*Result{}
-	for _, p := range in.Patterns {
-		results[p.ProviderID()] = &Result{Provider: p.ProviderID()}
+	// A day without a scan snapshot fails the run before any work.
+	var snaps []*censys.Snapshot
+	if in.Censys != nil {
+		snaps = make([]*censys.Snapshot, len(in.Days))
+		for di, day := range in.Days {
+			snap, err := in.Censys.Get(day)
+			if err != nil {
+				return nil, err
+			}
+			snaps[di] = snap
+		}
 	}
 
 	// The custom IPv6 scan runs once for the study period.
@@ -265,46 +243,16 @@ func Run(ctx context.Context, in Inputs) (map[string]*Result, error) {
 		}
 	}
 
-	outs := make([]dayOutput, len(in.Days))
-	// The first failing day cancels the rest of the pool, so an error on
-	// day 0 of a long study does not pay for the remaining days.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	analysis.ForEach(len(in.Days), func(di int) {
-		outs[di] = runDay(runCtx, in, cps, v6ByProvider, active, di)
-		if outs[di].err != nil {
-			cancel()
-		}
+	out := make([]*Result, len(cps))
+	analysis.ForEach(len(cps), func(pi int) {
+		out[pi] = discoverProvider(ctx, in, snaps, v6ByProvider[cps[pi].p.ProviderID()], cps[pi], active, pi)
 	})
-
-	// Prefer the first real failure in day order; cancellation errors in
-	// other days are just the pool shutting down behind it.
-	var firstCancel error
-	for di := range in.Days {
-		err := outs[di].err
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if firstCancel != nil {
-		return nil, firstCancel
-	}
-
-	// Deterministic merge: day order, then pattern order — the exact
-	// sequence the sequential loop produced.
-	for di := range in.Days {
-		for pi, p := range in.Patterns {
-			res := results[p.ProviderID()]
-			res.Days = append(res.Days, outs[di].drs[pi])
-			res.VPGain += outs[di].gains[pi]
-		}
+	results := make(map[string]*Result, len(cps))
+	for _, r := range out {
+		results[r.Provider] = r
 	}
 	return results, nil
 }
@@ -340,97 +288,112 @@ func compileAll(in Inputs) ([]*compiled, error) {
 	return cps, nil
 }
 
-// runDay performs one study day's discovery across every pattern.
-func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[string][]v6Hit, active *activeDNS, di int) dayOutput {
-	day := in.Days[di]
-	out := dayOutput{drs: make([]*DayResult, len(cps)), gains: make([]float64, len(cps))}
-	if err := ctx.Err(); err != nil {
-		out.err = err
-		return out
-	}
-	var snap *censys.Snapshot
-	if in.Censys != nil {
-		var err error
-		snap, err = in.Censys.Get(day)
-		if err != nil {
-			out.err = err
-			return out
+// discoverProvider performs one provider's discovery over the study
+// period, day by day, and returns its dense Result. A cancelled ctx stops
+// it between days; Run then reports the error.
+func discoverProvider(ctx context.Context, in Inputs, snaps []*censys.Snapshot, v6 []v6Hit, cp *compiled, active *activeDNS, pi int) *Result {
+	p := cp.p
+	wb := newWeekBuilder()
+	// Everything that is the same on every day is interned once: the
+	// IPv6 scan's hits (with their names and ports, which hold all week),
+	// the passive-DNS sightings, the active-resolution targets and the
+	// addresses of each of the pattern's round trips.
+	v6IDs := make([]uint32, len(v6))
+	for i, hit := range v6 {
+		id := wb.addr(hit.addr)
+		v6IDs[i] = id
+		wb.addPort(id, Port{hit.port, hit.protocol})
+		for _, n := range hit.names {
+			wb.addName(id, wb.name(n))
 		}
 	}
-	// A server's endpoints share one certificate (and a certificate may
-	// match several patterns): canonicalize its names once per day.
-	certNames := map[*certmodel.Spec][]string{}
-	for pi, cp := range cps {
-		if err := ctx.Err(); err != nil {
-			out.err = err
-			return out
+	sightAddr := make([]uint32, len(cp.sightings))
+	sightName := make([]uint32, len(cp.sightings))
+	for i := range cp.sightings {
+		sightAddr[i] = wb.addr(cp.sightingAddrs[i])
+		sightName[i] = wb.name(cp.sightings[i].RRName)
+	}
+	// sightNamed[i]: sighting i's name is recorded at its address.
+	sightNamed := make([]bool, len(cp.sightings))
+	var targets []uint32
+	var trips roundTrips
+	if active != nil {
+		targets = make([]uint32, len(cp.wholeNames))
+		for ni, n := range cp.wholeNames {
+			targets[ni] = wb.name(n)
 		}
-		p := cp.p
-		dr := &DayResult{Provider: p.ProviderID(), Day: day, Addrs: map[netip.Addr]*AddrInfo{}}
+		trips = wb.roundTrips(active, pi)
+	}
 
-		// (1) Certificates from the IPv4 snapshots.
-		if snap != nil {
+	for di, day := range in.Days {
+		if ctx.Err() != nil {
+			return nil
+		}
+		// (1) Certificates from the IPv4 snapshots. A certificate's names
+		// are canonicalized once per run, and recorded at an address once
+		// per certificate; the address's open ports are those of the
+		// endpoints up on the day, taken once per address and day.
+		if snaps != nil {
+			var prev netip.Addr
+			snap := snaps[di]
 			for _, rec := range snap.SearchCertsAnchored(p.Regex, p.Anchors()) {
-				ai := dr.info(rec.Addr)
-				ai.Sources |= SrcCert
-				ai.addPort(proto.PortKey{Transport: rec.Transport, Port: rec.Port}, rec.Protocol)
-				names, ok := certNames[rec.Cert]
-				if !ok {
-					for _, n := range rec.Cert.AllNames() {
-						names = append(names, dnsmsg.CanonicalName(n))
+				id := wb.addr(rec.Addr)
+				wb.hit(id, SrcCert)
+				if wb.certNamed[id] != rec.Cert {
+					wb.certNamed[id] = rec.Cert
+					for _, nid := range wb.certNames(rec.Cert) {
+						wb.addName(id, nid)
 					}
-					certNames[rec.Cert] = names
 				}
-				for _, n := range names {
-					ai.addName(n)
-				}
-				// Harvest co-located open ports for the protocol
-				// column (the scan saw the whole endpoint).
-				for _, sib := range snap.ByAddr(rec.Addr) {
-					ai.addPort(proto.PortKey{Transport: sib.Transport, Port: sib.Port}, sib.Protocol)
+				if rec.Addr != prev {
+					prev = rec.Addr
+					for _, sib := range snap.ByAddr(rec.Addr) {
+						wb.addPort(id, Port{proto.PortKey{Transport: sib.Transport, Port: sib.Port}, sib.Protocol})
+					}
 				}
 			}
 		}
 		// (2) Custom IPv6 scan results apply to every day.
-		for _, hit := range v6ByProvider[p.ProviderID()] {
-			ai := dr.info(hit.addr)
-			ai.Sources |= SrcCert
-			ai.addPort(hit.port, hit.protocol)
-			for _, n := range hit.names {
-				ai.addName(n)
-			}
+		for _, id := range v6IDs {
+			wb.hit(id, SrcCert)
 		}
 		// (3) Passive DNS: the day's query, as a filter over the
 		// whole-period one.
 		tr := dnsdb.TimeRange{From: day, To: day.Add(24 * time.Hour)}
 		for i := range cp.sightings {
-			if o := &cp.sightings[i]; tr.Contains(o) {
-				ai := dr.info(cp.sightingAddrs[i])
-				ai.Sources |= SrcPDNS
-				ai.addName(o.RRName)
+			if tr.Contains(&cp.sightings[i]) {
+				wb.hit(sightAddr[i], SrcPDNS)
+				if !sightNamed[i] {
+					sightNamed[i] = true
+					wb.addName(sightAddr[i], sightName[i])
+				}
 			}
 		}
 		// (4) Daily active resolution from every vantage point. The
 		// targets are cp.wholeNames: the day's own sightings are a subset
 		// of the unbounded query by TimeRange's definition.
-		if active != nil && len(cp.wholeNames) > 0 {
+		var gain float64
+		if active != nil && len(targets) > 0 {
 			slots := active.slots[di][pi]
 			firstVP, allVP := 0, 0
 			for vi := range in.Views {
-				for ni, name := range cp.wholeNames {
-					k := (vi*len(cp.wholeNames) + ni) * len(addrTypes)
+				for ni, nid := range targets {
+					k := (vi*len(targets) + ni) * len(addrTypes)
 					for _, t := range slots[k : k+len(addrTypes)] {
-						for _, a := range active.answers[t] {
-							ai := dr.info(a)
-							if !ai.Sources.Has(SrcActive) {
+						i := t - trips.first
+						for _, id := range trips.ids[trips.off[i]:trips.off[i+1]] {
+							if !wb.day[id].Has(SrcActive) {
 								// First sighting by any vantage point;
 								// view 0 goes first, so its share of
 								// these is the single-VP baseline.
-								ai.Sources |= SrcActive
 								allVP++
 							}
-							ai.addName(name)
+							wb.hit(id, SrcActive)
+							if !trips.named[i] {
+								wb.addName(id, nid)
+							}
 						}
+						trips.named[i] = true
 					}
 				}
 				if vi == 0 {
@@ -438,14 +401,229 @@ func runDay(ctx context.Context, in Inputs, cps []*compiled, v6ByProvider map[st
 				}
 			}
 			if firstVP > 0 {
-				gain := float64(allVP)/float64(firstVP) - 1
-				// Contribution to the mean daily gain.
-				out.gains[pi] = gain / float64(len(in.Days))
+				gain = float64(allVP)/float64(firstVP) - 1
 			}
 		}
-		out.drs[pi] = dr
+		wb.endDay(day, gain/float64(len(in.Days)))
 	}
-	return out
+	return wb.build(p.ProviderID())
+}
+
+// roundTrips is one pattern's share of the week's active resolution, its
+// decoded answers interned: round trip t answered ids[off[t-first]:
+// off[t-first+1]]. A round trip recurs on every day its answer set
+// holds, but its name need be recorded at its answers only once:
+// named[t-first] says that is done.
+type roundTrips struct {
+	first int32
+	off   []uint32
+	ids   []uint32
+	named []bool
+}
+
+// weekBuilder gathers one provider's study period. Addresses and names
+// get provisional IDs in the order they are first seen; build ranks them.
+type weekBuilder struct {
+	addrID map[netip.Addr]uint32
+	addrs  []netip.Addr
+	nameID map[string]uint32
+	names  []string
+	// certIDs holds each certificate's canonical name IDs.
+	certIDs map[*certmodel.Spec][]uint32
+	// certNamed[id] is the certificate whose names are recorded at id.
+	certNamed []*certmodel.Spec
+
+	day     []Source // provisional ID -> the current day's sources
+	touched []uint32 // provisional IDs the current day found, in order
+	week    []Source // provisional ID -> sources over every day so far
+	days    []DayResult
+	vpGain  float64
+
+	// namePairs and portPairs pack (provisional address ID << 32 |
+	// provisional name ID) and (provisional address ID << 32 | port),
+	// duplicates included.
+	namePairs, portPairs []uint64
+}
+
+func newWeekBuilder() *weekBuilder {
+	return &weekBuilder{
+		addrID:  map[netip.Addr]uint32{},
+		nameID:  map[string]uint32{},
+		certIDs: map[*certmodel.Spec][]uint32{},
+	}
+}
+
+// addr interns an address.
+func (wb *weekBuilder) addr(a netip.Addr) uint32 {
+	id, ok := wb.addrID[a]
+	if !ok {
+		id = uint32(len(wb.addrs))
+		wb.addrID[a] = id
+		wb.addrs = append(wb.addrs, a)
+		wb.day = append(wb.day, 0)
+		wb.week = append(wb.week, 0)
+		wb.certNamed = append(wb.certNamed, nil)
+	}
+	return id
+}
+
+// name interns a name.
+func (wb *weekBuilder) name(n string) uint32 {
+	id, ok := wb.nameID[n]
+	if !ok {
+		id = uint32(len(wb.names))
+		wb.nameID[n] = id
+		wb.names = append(wb.names, n)
+	}
+	return id
+}
+
+// certNames returns the name IDs of a certificate's canonical names.
+func (wb *weekBuilder) certNames(c *certmodel.Spec) []uint32 {
+	ids, ok := wb.certIDs[c]
+	if !ok {
+		for _, n := range c.AllNames() {
+			ids = append(ids, wb.name(dnsmsg.CanonicalName(n)))
+		}
+		wb.certIDs[c] = ids
+	}
+	return ids
+}
+
+// roundTrips interns the addresses of pattern pi's round trips.
+func (wb *weekBuilder) roundTrips(act *activeDNS, pi int) roundTrips {
+	lo, hi := act.first[pi], act.first[pi+1]
+	rt := roundTrips{first: lo, off: make([]uint32, 1, hi-lo+1), named: make([]bool, hi-lo)}
+	for _, ans := range act.answers[lo:hi] {
+		for _, a := range ans {
+			rt.ids = append(rt.ids, wb.addr(a))
+		}
+		rt.off = append(rt.off, uint32(len(rt.ids)))
+	}
+	return rt
+}
+
+// hit tags address id with a source for the current day.
+func (wb *weekBuilder) hit(id uint32, s Source) {
+	if wb.day[id] == 0 {
+		wb.touched = append(wb.touched, id)
+	}
+	wb.day[id] |= s
+}
+
+func (wb *weekBuilder) addName(id, nid uint32) {
+	wb.namePairs = append(wb.namePairs, uint64(id)<<32|uint64(nid))
+}
+
+func (wb *weekBuilder) addPort(id uint32, pt Port) {
+	v := uint64(pt.Key.Transport)<<24 | uint64(pt.Key.Port)<<8 | uint64(pt.Protocol)
+	wb.portPairs = append(wb.portPairs, uint64(id)<<32|v)
+}
+
+// endDay closes the current day; the column keeps provisional IDs until
+// build.
+func (wb *weekBuilder) endDay(day time.Time, gain float64) {
+	dr := DayResult{Day: day, IDs: make([]uint32, len(wb.touched)), Sources: make([]Source, len(wb.touched))}
+	for i, id := range wb.touched {
+		dr.IDs[i], dr.Sources[i] = id, wb.day[id]
+		wb.week[id] |= wb.day[id]
+		wb.day[id] = 0
+	}
+	wb.touched = wb.touched[:0]
+	wb.days = append(wb.days, dr)
+	wb.vpGain += gain
+}
+
+// build ranks the discovered addresses and the names recorded at them,
+// and lays the week out as ID columns and arenas.
+func (wb *weekBuilder) build(provider string) *Result {
+	res := &Result{Provider: provider, Days: wb.days, VPGain: wb.vpGain}
+	// Interned addresses no day found (a sighting outside every day) get
+	// no ID.
+	order := make([]uint32, 0, len(wb.addrs))
+	for id, s := range wb.week {
+		if s != 0 {
+			order = append(order, uint32(id))
+		}
+	}
+	slices.SortFunc(order, func(x, y uint32) int { return wb.addrs[x].Compare(wb.addrs[y]) })
+	rank := make([]uint32, len(wb.addrs))
+	res.addrs = make([]netip.Addr, len(order))
+	res.sources = make([]Source, len(order))
+	for r, id := range order {
+		rank[id] = uint32(r)
+		res.addrs[r], res.sources[r] = wb.addrs[id], wb.week[id]
+	}
+
+	// Day columns in ID order: scatter by rank, gather ascending.
+	scatter := make([]Source, len(order))
+	for d := range res.Days {
+		dr := &res.Days[d]
+		for i, id := range dr.IDs {
+			scatter[rank[id]] = dr.Sources[i]
+		}
+		i := 0
+		for r, s := range scatter {
+			if s != 0 {
+				dr.IDs[i], dr.Sources[i] = uint32(r), s
+				scatter[r] = 0
+				i++
+			}
+		}
+	}
+
+	// The name table holds the names recorded at some address, ranked.
+	seen := make([]bool, len(wb.names))
+	var used []uint32
+	for _, pr := range wb.namePairs {
+		if n := uint32(pr); !seen[n] {
+			seen[n] = true
+			used = append(used, n)
+		}
+	}
+	slices.SortFunc(used, func(x, y uint32) int { return strings.Compare(wb.names[x], wb.names[y]) })
+	nameRank := make([]uint32, len(wb.names))
+	res.names = make([]string, len(used))
+	for r, n := range used {
+		nameRank[n] = uint32(r)
+		res.names[r] = wb.names[n]
+	}
+	// A name or port is only ever recorded at an address some day found
+	// (the IPv6 hits' before the first day, but they are found on every
+	// day), so every pair's address has a rank.
+	for i, pr := range wb.namePairs {
+		wb.namePairs[i] = uint64(rank[pr>>32])<<32 | uint64(nameRank[uint32(pr)])
+	}
+	res.nameOff, res.nameIDs = arena(wb.namePairs, len(order))
+
+	for i, pr := range wb.portPairs {
+		wb.portPairs[i] = uint64(rank[pr>>32])<<32 | pr&0xffffffff
+	}
+	var packed []uint32
+	res.portOff, packed = arena(wb.portPairs, len(order))
+	res.ports = make([]Port, len(packed))
+	for i, v := range packed {
+		res.ports[i] = Port{proto.PortKey{Transport: proto.Transport(v >> 24), Port: uint16(v >> 8)}, proto.Protocol(v)}
+	}
+	return res
+}
+
+// arena sorts and deduplicates (key << 32 | value) pairs and returns them
+// as offsets over n keys and the values: key k's distinct values,
+// ascending, are vals[off[k]:off[k+1]].
+func arena(pairs []uint64, n int) (off, vals []uint32) {
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	off = make([]uint32, n+1)
+	vals = make([]uint32, len(pairs))
+	for i, pr := range pairs {
+		off[pr>>32+1]++
+		vals[i] = uint32(pr)
+	}
+	for k := 1; k <= n; k++ {
+		off[k] += off[k-1]
+	}
+	return off, vals
 }
 
 // queryPDNS runs the provider's documented query style: Basic Search for
@@ -483,6 +661,9 @@ type activeDNS struct {
 	// (view vi, name ni of the pattern's wholeNames, type ti) sits at
 	// (vi*len(wholeNames)+ni)*len(addrTypes)+ti.
 	slots [][][]int32
+	// first[pi] is pattern pi's first round trip; its round trips are
+	// [first[pi], first[pi+1]).
+	first []int32
 	// roundTrips counts the HandleWire calls made.
 	roundTrips atomic.Int64
 }
@@ -522,6 +703,7 @@ func resolveWeek(ctx context.Context, in Inputs, cps []*compiled) (*activeDNS, e
 	var queries []wireQuery
 	var seen []version
 	for pi, cp := range cps {
+		act.first = append(act.first, int32(len(queries)))
 		for di := range in.Days {
 			act.slots[di][pi] = make([]int32, len(in.Views)*len(cp.wholeNames)*len(addrTypes))
 		}
@@ -554,6 +736,7 @@ func resolveWeek(ctx context.Context, in Inputs, cps []*compiled) (*activeDNS, e
 		}
 	}
 
+	act.first = append(act.first, int32(len(queries)))
 	act.answers = make([][]netip.Addr, len(queries))
 	workers := runtime.GOMAXPROCS(0)
 	const chunk = 64 // queries a worker claims at a time
@@ -568,6 +751,9 @@ func resolveWeek(ctx context.Context, in Inputs, cps []*compiled) (*activeDNS, e
 				Questions: make([]dnsmsg.Question, 1),
 			}
 			var buf []byte
+			// The worker's decoded answers share one arena; each round
+			// trip's slice is capped, so later appends never overlap it.
+			var arena []netip.Addr
 			trips := 0
 			defer func() { act.roundTrips.Add(int64(trips)) }()
 			for ctx.Err() == nil {
@@ -585,7 +771,9 @@ func resolveWeek(ctx context.Context, in Inputs, cps []*compiled) (*activeDNS, e
 					}
 					buf = wire
 					trips++
-					act.answers[t] = decodeAddrs(wq.srv.HandleWire(wire))
+					start := len(arena)
+					arena = decodeAddrs(arena, wq.srv.HandleWire(wire))
+					act.answers[t] = arena[start:len(arena):len(arena)]
 				}
 			}
 		}()
@@ -597,17 +785,16 @@ func resolveWeek(ctx context.Context, in Inputs, cps []*compiled) (*activeDNS, e
 	return act, nil
 }
 
-// decodeAddrs unpacks one response datagram and returns the addresses of
-// a successful answer; a dropped query or a failure yields none.
-func decodeAddrs(resp []byte) []netip.Addr {
+// decodeAddrs unpacks one response datagram and appends the addresses of
+// a successful answer to addrs; a dropped query or a failure adds none.
+func decodeAddrs(addrs []netip.Addr, resp []byte) []netip.Addr {
 	if resp == nil {
-		return nil
+		return addrs
 	}
 	m, err := dnsmsg.Unpack(resp)
 	if err != nil || m.Header.RCode != dnsmsg.RCodeSuccess {
-		return nil
+		return addrs
 	}
-	var addrs []netip.Addr
 	for _, rr := range m.Answers {
 		if rr.Type == dnsmsg.TypeA || rr.Type == dnsmsg.TypeAAAA {
 			addrs = append(addrs, rr.Addr)

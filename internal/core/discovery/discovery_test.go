@@ -70,7 +70,7 @@ func TestDiscoveryFindsEveryProvider(t *testing.T) {
 		if r == nil || len(r.Days) != len(w.Days) {
 			t.Fatalf("provider %s: missing result", id)
 		}
-		if len(r.Union()) == 0 {
+		if len(r.Addrs()) == 0 {
 			t.Errorf("provider %s: nothing discovered", id)
 		}
 	}
@@ -79,7 +79,7 @@ func TestDiscoveryFindsEveryProvider(t *testing.T) {
 func TestNoFalsePositives(t *testing.T) {
 	w, res := runPipeline(t)
 	for id, r := range res {
-		for addr := range r.Union() {
+		for _, addr := range r.Addrs() {
 			srv, ok := w.ServerAt(addr)
 			if !ok {
 				t.Errorf("%s discovered non-existent address %v", id, addr)
@@ -109,7 +109,7 @@ func TestFigure3SourceMix(t *testing.T) {
 	}
 
 	g := res["google"].Days[0]
-	gAll := len(g.All())
+	gAll := len(g.IDs)
 	gCert := countSource(g, SrcCert)
 	if gAll == 0 {
 		t.Fatal("google: nothing discovered")
@@ -130,8 +130,8 @@ func TestActiveDNSContributes(t *testing.T) {
 	_, res := runPipeline(t)
 	activeOnlyOf := func(id string) int {
 		n := 0
-		for _, info := range res[id].Union() {
-			if info.Sources == SrcActive {
+		for i := range res[id].Addrs() {
+			if res[id].Sources(uint32(i)) == SrcActive {
 				n++
 			}
 		}
@@ -140,7 +140,7 @@ func TestActiveDNSContributes(t *testing.T) {
 	// Amazon's fleet is large even at test scale: its mTLS-only MQTT
 	// servers that passive DNS missed are discoverable solely by the
 	// daily resolutions, so the sole-source count must be substantial.
-	amazonUnion := len(res["amazon"].Union())
+	amazonUnion := len(res["amazon"].Addrs())
 	if ao := activeOnlyOf("amazon"); ao == 0 || float64(ao)/float64(amazonUnion) < 0.02 {
 		t.Errorf("amazon active-DNS-only = %d of %d, want a visible share", ao, amazonUnion)
 	}
@@ -162,7 +162,7 @@ func TestIPv6ScanAndVPGain(t *testing.T) {
 	w, res := runPipeline(t)
 	foundV6 := false
 	for _, id := range []string{"tencent", "siemens", "sierra", "amazon"} {
-		for addr := range res[id].Union() {
+		for _, addr := range res[id].Addrs() {
 			if s, ok := w.ServerAt(addr); ok && s.IsV6() {
 				foundV6 = true
 			}
@@ -186,12 +186,12 @@ func TestIPv6ScanAndVPGain(t *testing.T) {
 // find it (Figure 3's active-DNS-only v6 bar).
 func TestAlibabaV6ActiveOnly(t *testing.T) {
 	w, res := runPipeline(t)
-	for addr, info := range res["alibaba"].Union() {
+	for i, addr := range res["alibaba"].Addrs() {
 		s, ok := w.ServerAt(addr)
 		if !ok || !s.IsV6() {
 			continue
 		}
-		if info.Sources.Has(SrcCert) {
+		if res["alibaba"].Sources(uint32(i)).Has(SrcCert) {
 			t.Errorf("alibaba v6 %v discovered via certificates", addr)
 		}
 	}
@@ -203,12 +203,12 @@ func TestDailySetsReflectChurn(t *testing.T) {
 	w, res := runPipeline(t)
 	r := res["sap"]
 	first := map[string]bool{}
-	for _, a := range r.Days[0].All() {
-		first[a.String()] = true
+	for _, id := range r.Days[0].IDs {
+		first[r.Addrs()[id].String()] = true
 	}
 	last := map[string]bool{}
-	for _, a := range r.Days[len(r.Days)-1].All() {
-		last[a.String()] = true
+	for _, id := range r.Days[len(r.Days)-1].IDs {
+		last[r.Addrs()[id].String()] = true
 	}
 	if len(first) == 0 || len(last) == 0 {
 		t.Skip("sap set too small at this scale")
@@ -241,10 +241,10 @@ func TestRunValidation(t *testing.T) {
 }
 
 // countSource counts the addresses carrying source s.
-func countSource(d *DayResult, s Source) int {
+func countSource(d DayResult, s Source) int {
 	n := 0
-	for _, ai := range d.Addrs {
-		if ai.Sources.Has(s) {
+	for _, src := range d.Sources {
+		if src.Has(s) {
 			n++
 		}
 	}

@@ -44,20 +44,33 @@ type Located struct {
 // VoteFunc supplies the independent location opinions for an address.
 type VoteFunc func(netip.Addr) []geo.Vote
 
-// Geolocate locates every discovered address of one provider. Hints win
-// when a mapped region code appears in any name; otherwise the majority
-// vote decides (Section 4.2: disagreement <7%, majority vote).
-func Geolocate(p *patterns.Pattern, union map[netip.Addr]*discovery.AddrInfo, db *geo.DB, votes VoteFunc) map[netip.Addr]Located {
-	out := make(map[netip.Addr]Located, len(union))
-	for addr, info := range union {
+// Geolocate locates every address of one provider's week union. Hints
+// win when a mapped region code appears in any name; otherwise the
+// majority vote decides (Section 4.2: disagreement <7%, majority vote).
+// An address's names are read in name-ID order, which is their sorted
+// order, so of two names with conflicting hints the first in that order
+// wins on every call. A name's hint is evaluated once per call, however
+// many addresses carry it.
+func Geolocate(p *patterns.Pattern, res *discovery.Result, db *geo.DB, votes VoteFunc) map[netip.Addr]Located {
+	type nameHint struct {
+		done, ok bool
+		loc      geo.Location
+	}
+	hints := make([]nameHint, res.NameCount())
+	addrs := res.Addrs()
+	out := make(map[netip.Addr]Located, len(addrs))
+	for id, addr := range addrs {
 		loc := Located{Addr: addr, Source: LocUnknown}
-		for name := range info.Names {
-			hint := p.RegionHint(name)
-			if hint == "" {
-				continue
+		for _, nid := range res.NameIDs(uint32(id)) {
+			h := &hints[nid]
+			if !h.done {
+				h.done = true
+				if hint := p.RegionHint(res.Name(nid)); hint != "" {
+					h.loc, h.ok = db.FromHint(hint)
+				}
 			}
-			if l, ok := db.FromHint(hint); ok {
-				loc.Location = l
+			if h.ok {
+				loc.Location = h.loc
 				loc.Source = LocHint
 				break
 			}
@@ -89,17 +102,19 @@ type Row struct {
 	V4Addrs, V6Addrs int
 }
 
-// Characterize aggregates one provider's discovery into its Table 1 row.
-// The AS table is the public RouteViews-style mapping; providerOrg maps
-// AS organizations to provider IDs for the DI/PR call.
-func Characterize(providerID string, union map[netip.Addr]*discovery.AddrInfo, located map[netip.Addr]Located, table *asdb.Table) Row {
+// Characterize aggregates the addresses ids of one provider's week union
+// into its Table 1 row. The AS table is the public RouteViews-style
+// mapping; an AS whose organization is the provider counts as its own
+// for the DI/PR call.
+func Characterize(providerID string, res *discovery.Result, ids []uint32, located map[netip.Addr]Located, table *asdb.Table) Row {
 	row := Row{Provider: providerID}
-	var addrs []netip.Addr
+	addrs := make([]netip.Addr, 0, len(ids))
 	var locs []geo.Location
 	asSet := map[asdb.ASN]struct{}{}
 	own, foreign := 0, 0
 	portSet := map[proto.PortKey]struct{}{}
-	for a, info := range union {
+	for _, id := range ids {
+		a := res.Addrs()[id]
 		addrs = append(addrs, a)
 		if l, ok := located[a]; ok && l.Source != LocUnknown {
 			locs = append(locs, l.Location)
@@ -114,8 +129,8 @@ func Characterize(providerID string, union map[netip.Addr]*discovery.AddrInfo, l
 				}
 			}
 		}
-		for pk := range info.Ports {
-			portSet[pk] = struct{}{}
+		for _, pt := range res.Ports(id) {
+			portSet[pt.Key] = struct{}{}
 		}
 	}
 	row.ASes = len(asSet)
@@ -166,13 +181,5 @@ func Stability(res *discovery.Result, refDay, cmpDay int) (analysis.SetDiff, err
 	if refDay < 0 || refDay >= len(res.Days) || cmpDay < 0 || cmpDay >= len(res.Days) {
 		return analysis.SetDiff{}, fmt.Errorf("footprint: day index out of range")
 	}
-	ref := map[netip.Addr]struct{}{}
-	for a := range res.Days[refDay].Addrs {
-		ref[a] = struct{}{}
-	}
-	cur := map[netip.Addr]struct{}{}
-	for a := range res.Days[cmpDay].Addrs {
-		cur[a] = struct{}{}
-	}
-	return analysis.Compare(ref, cur), nil
+	return analysis.Compare(res.Days[refDay].IDs, res.Days[cmpDay].IDs), nil
 }

@@ -4,10 +4,14 @@ import (
 	"context"
 	"net/netip"
 	"testing"
+	"time"
 
+	"iotmap/internal/censys"
+	"iotmap/internal/certmodel"
 	"iotmap/internal/core/discovery"
 	"iotmap/internal/core/patterns"
 	"iotmap/internal/geo"
+	"iotmap/internal/proto"
 	"iotmap/internal/world"
 )
 
@@ -45,8 +49,7 @@ func TestGeolocateHintsAndVotes(t *testing.T) {
 	w, res := pipeline(t)
 	byID := patterns.ByProvider()
 	// Amazon names carry region hints; locations must be near-perfect.
-	union := res["amazon"].Union()
-	located := Geolocate(byID["amazon"], union, w.Geo, w.GeoVotes)
+	located := Geolocate(byID["amazon"], res["amazon"], w.Geo, w.GeoVotes)
 	if len(located) == 0 {
 		t.Fatal("nothing located")
 	}
@@ -67,8 +70,7 @@ func TestGeolocateHintsAndVotes(t *testing.T) {
 		t.Errorf("wrong-country fraction = %.2f", frac)
 	}
 	// Microsoft names carry no region: everything comes from votes.
-	msUnion := res["microsoft"].Union()
-	msLocated := Geolocate(byID["microsoft"], msUnion, w.Geo, w.GeoVotes)
+	msLocated := Geolocate(byID["microsoft"], res["microsoft"], w.Geo, w.GeoVotes)
 	for _, l := range msLocated {
 		if l.Source == LocHint {
 			t.Error("microsoft produced a hint-based location")
@@ -77,13 +79,68 @@ func TestGeolocateHintsAndVotes(t *testing.T) {
 	}
 }
 
+// allIDs lists every address ID of a provider's week union.
+func allIDs(res *discovery.Result) []uint32 {
+	ids := make([]uint32, len(res.Addrs()))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
+}
+
+// TestGeolocateConflictingHintsIsStable: an address whose names carry
+// two different region hints is located by the first hinted name in
+// name order, the same on every call. The address is hand-built: one
+// scan record whose certificate names a Frankfurt and an Ashburn
+// endpoint.
+func TestGeolocateConflictingHintsIsStable(t *testing.T) {
+	day := time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC)
+	addr := netip.MustParseAddr("203.0.113.7")
+	cert := &certmodel.Spec{
+		SubjectCN: "dev7.iot.us-east-1.amazonaws.com",
+		DNSNames:  []string{"dev7.iot.us-east-1.amazonaws.com", "dev7.iot.eu-central-1.amazonaws.com"},
+		NotBefore: day.AddDate(0, -1, 0),
+		NotAfter:  day.AddDate(1, 0, 0),
+	}
+	svc := censys.NewService()
+	svc.Put(censys.NewCatalog([]censys.Record{{
+		Addr: addr, Port: 8883, Transport: proto.TCP, Protocol: proto.MQTTS, Cert: cert,
+	}}).Snapshot(day, nil))
+	amazon := patterns.ByProvider()["amazon"]
+	res, err := discovery.Run(context.Background(), discovery.Inputs{
+		Patterns: []*patterns.Pattern{amazon},
+		Censys:   svc,
+		Days:     []time.Time{day},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := res["amazon"]
+	if len(union.Addrs()) != 1 || len(union.NameIDs(0)) != 2 {
+		t.Fatalf("want one address carrying two names, got %d addresses", len(union.Addrs()))
+	}
+	db := geo.World()
+	for _, region := range []string{"us-east-1", "eu-central-1"} {
+		if _, ok := db.FromHint(region); !ok {
+			t.Fatalf("the geo table does not know %s; the hints do not conflict", region)
+		}
+	}
+	// "dev7.iot.eu-central-1..." sorts before "dev7.iot.us-east-1...".
+	want, _ := db.FromHint("eu-central-1")
+	for i := 0; i < 50; i++ {
+		l := Geolocate(amazon, union, db, nil)[addr]
+		if l.Source != LocHint || l.Location != want {
+			t.Fatalf("call %d: located %+v via %v, want the first hinted name's %+v", i, l.Location, l.Source, want)
+		}
+	}
+}
+
 func TestCharacterizeRows(t *testing.T) {
 	w, res := pipeline(t)
 	byID := patterns.ByProvider()
 	for _, id := range []string{"amazon", "microsoft", "bosch", "oracle"} {
-		union := res[id].Union()
-		located := Geolocate(byID[id], union, w.Geo, w.GeoVotes)
-		row := Characterize(id, union, located, w.AS)
+		located := Geolocate(byID[id], res[id], w.Geo, w.GeoVotes)
+		row := Characterize(id, res[id], allIDs(res[id]), located, w.AS)
 		if row.V4Addrs == 0 {
 			t.Errorf("%s: no v4 addrs", id)
 		}
@@ -112,18 +169,17 @@ func TestStrategyInference(t *testing.T) {
 		"sap":       "PR",
 	}
 	for id, want := range expect {
-		union := res[id].Union()
-		located := Geolocate(byID[id], union, w.Geo, w.GeoVotes)
-		row := Characterize(id, union, located, w.AS)
+		located := Geolocate(byID[id], res[id], w.Geo, w.GeoVotes)
+		row := Characterize(id, res[id], allIDs(res[id]), located, w.AS)
 		if row.Strategy != want {
 			t.Errorf("%s strategy = %s, want %s", id, row.Strategy, want)
 		}
 	}
 	// Oracle mixes its own network with a CDN (DI+PR) — require at
 	// least that both kinds of servers were discovered before asserting.
-	union := res["oracle"].Union()
+	oracle := res["oracle"]
 	ownSeen, cdnSeen := false, false
-	for a := range union {
+	for _, a := range oracle.Addrs() {
 		if s, ok := w.ServerAt(a); ok {
 			if s.CloudHost == "" {
 				ownSeen = true
@@ -133,8 +189,8 @@ func TestStrategyInference(t *testing.T) {
 		}
 	}
 	if ownSeen && cdnSeen {
-		located := Geolocate(byID["oracle"], union, w.Geo, w.GeoVotes)
-		row := Characterize("oracle", union, located, w.AS)
+		located := Geolocate(byID["oracle"], oracle, w.Geo, w.GeoVotes)
+		row := Characterize("oracle", oracle, allIDs(oracle), located, w.AS)
 		if row.Strategy != "DI+PR" {
 			t.Errorf("oracle strategy = %s, want DI+PR", row.Strategy)
 		}

@@ -411,9 +411,19 @@ func Unpack(wire []byte) (*Message, error) {
 
 	off := 12
 	var err error
+	// Sections are sized from their counts, capped by what the remaining
+	// bytes could hold (a question takes at least 5, a record 11), so a
+	// forged count cannot make a short datagram allocate much.
+	if qd > 0 {
+		m.Questions = make([]Question, 0, min(qd, (len(wire)-off)/5))
+	}
+	// last is the previous name decoded: the records of one answer
+	// mostly carry the question's name, and reuse its string.
+	var last string
 	for i := 0; i < qd; i++ {
 		var q Question
-		q.Name, off, err = readName(wire, off)
+		q.Name, off, err = readName(wire, off, last)
+		last = q.Name
 		if err != nil {
 			return nil, err
 		}
@@ -429,12 +439,16 @@ func Unpack(wire []byte) (*Message, error) {
 		n   int
 		dst *[]RR
 	}{{an, &m.Answers}, {ns, &m.Authority}, {ar, &m.Additional}} {
+		if sec.n > 0 {
+			*sec.dst = make([]RR, 0, min(sec.n, (len(wire)-off)/11))
+		}
 		for i := 0; i < sec.n; i++ {
 			var rr RR
-			rr, off, err = readRR(wire, off)
+			rr, off, err = readRR(wire, off, last)
 			if err != nil {
 				return nil, err
 			}
+			last = rr.Name
 			*sec.dst = append(*sec.dst, rr)
 		}
 	}
@@ -444,10 +458,11 @@ func Unpack(wire []byte) (*Message, error) {
 	return &m, nil
 }
 
-func readRR(wire []byte, off int) (RR, int, error) {
+// readRR decodes the record at off; prev is the name decoded before it.
+func readRR(wire []byte, off int, prev string) (RR, int, error) {
 	var rr RR
 	var err error
-	rr.Name, off, err = readName(wire, off)
+	rr.Name, off, err = readName(wire, off, prev)
 	if err != nil {
 		return rr, off, err
 	}
@@ -476,7 +491,7 @@ func readRR(wire []byte, off int) (RR, int, error) {
 		rr.Addr = netip.AddrFrom16([16]byte(wire[off:end]))
 	case TypeCNAME, TypeNS, TypePTR:
 		var n int
-		rr.Target, n, err = readName(wire, off)
+		rr.Target, n, err = readName(wire, off, "")
 		if err != nil {
 			return rr, off, err
 		}
@@ -497,11 +512,11 @@ func readRR(wire []byte, off int) (RR, int, error) {
 	case TypeSOA:
 		var soa SOAData
 		p := off
-		soa.MName, p, err = readName(wire, p)
+		soa.MName, p, err = readName(wire, p, "")
 		if err != nil {
 			return rr, off, err
 		}
-		soa.RName, p, err = readName(wire, p)
+		soa.RName, p, err = readName(wire, p, "")
 		if err != nil {
 			return rr, off, err
 		}
@@ -523,8 +538,9 @@ func readRR(wire []byte, off int) (RR, int, error) {
 
 // readName decodes a (possibly compressed) name starting at off and
 // returns the canonical name plus the offset just past the name in the
-// original stream.
-func readName(wire []byte, off int) (string, int, error) {
+// original stream. A name equal to prev is returned as prev, without a
+// new string.
+func readName(wire []byte, off int, prev string) (string, int, error) {
 	// Names are capped at 255 presentation octets, so a stack buffer
 	// covers every legal name and the only heap allocation is the final
 	// string. Lowercasing happens as labels are copied in.
@@ -545,6 +561,9 @@ func readName(wire []byte, off int) (string, int, error) {
 			}
 			if ln == 0 {
 				return ".", ret, nil
+			}
+			if string(nb[:ln]) == prev {
+				return prev, ret, nil
 			}
 			return string(nb[:ln]), ret, nil
 		case b&0xC0 == 0xC0:

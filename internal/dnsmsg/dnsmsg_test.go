@@ -90,6 +90,18 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	if len(txt) != 2 || txt[0] != "v=iot1" {
 		t.Fatalf("TXT = %v", txt)
 	}
+	// Every record keeps its own owner name, whether or not it repeats
+	// the name decoded before it.
+	for _, sec := range [][2][]RR{{got.Answers, m.Answers}, {got.Authority, m.Authority}, {got.Additional, m.Additional}} {
+		if len(sec[0]) != len(sec[1]) {
+			t.Fatalf("section of %d records, want %d", len(sec[0]), len(sec[1]))
+		}
+		for i := range sec[1] {
+			if sec[0][i].Name != sec[1][i].Name {
+				t.Fatalf("record %d named %q, want %q", i, sec[0][i].Name, sec[1][i].Name)
+			}
+		}
+	}
 }
 
 func TestCompressionShrinksMessages(t *testing.T) {

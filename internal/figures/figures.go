@@ -68,9 +68,9 @@ func Figure3(sys *iotmap.System) string {
 		var v4, v6 int
 		counts := map[string]int{}
 		v6counts := map[string]int{}
-		for a, info := range day.Addrs {
-			cat := exclusiveSource(info.Sources)
-			if a.Is4() || a.Is4In6() {
+		for i, id := range day.IDs {
+			cat := exclusiveSource(day.Sources[i])
+			if a := res.Addrs()[id]; a.Is4() || a.Is4In6() {
 				v4++
 				counts[cat]++
 			} else {

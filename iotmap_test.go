@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"iotmap"
-	"iotmap/internal/core/discovery"
 	"iotmap/internal/core/flows"
 	"iotmap/internal/figures"
 	"iotmap/internal/geo"
@@ -294,7 +293,7 @@ func TestDeterministicRuns(t *testing.T) {
 	b := run()
 	defer b.Close()
 	for _, id := range a.ProviderIDs() {
-		ua, ub := discovery.SortedAddrs(a.Discovery[id].Union()), discovery.SortedAddrs(b.Discovery[id].Union())
+		ua, ub := a.Discovery[id].Addrs(), b.Discovery[id].Addrs()
 		if len(ua) != len(ub) {
 			t.Fatalf("%s: union sizes differ (%d vs %d)", id, len(ua), len(ub))
 		}
@@ -343,7 +342,7 @@ func TestSkipLiveScanStillDiscoversV6(t *testing.T) {
 	}
 	v6 := 0
 	for _, id := range sys.ProviderIDs() {
-		for a := range sys.Discovery[id].Union() {
+		for _, a := range sys.Discovery[id].Addrs() {
 			if a.Is6() && !a.Is4In6() {
 				v6++
 			}

@@ -29,20 +29,23 @@ type providerValidation struct {
 // and characterization, and the ground-truth checks for one provider.
 func (s *System) validateProvider(p *patterns.Pattern, period dnsdb.TimeRange) providerValidation {
 	id := p.ProviderID()
-	union := s.Discovery[id].Union()
-	v := providerValidation{addrs: discovery.SortedAddrs(union)}
-	v.ded, v.shared, _ = validate.FilterShared(v.addrs, s.Patterns, s.PDNS, period, validate.DefaultSharedThreshold)
-	v.located = footprint.Geolocate(p, union, s.World.Geo, s.World.GeoVotes)
+	res := s.Discovery[id]
+	v := providerValidation{addrs: res.Addrs()}
+	var detail []validate.Classification
+	v.ded, v.shared, detail = validate.FilterShared(v.addrs, s.Patterns, s.PDNS, period, validate.DefaultSharedThreshold)
+	v.located = footprint.Geolocate(p, res, s.World.Geo, s.World.GeoVotes)
 	// Characterize over the dedicated set only (Section 5 uses only
-	// exclusively-IoT infrastructure).
-	dedUnion := map[netip.Addr]*discovery.AddrInfo{}
-	v.certFound = make([]bool, len(v.ded))
-	for i, a := range v.ded {
-		info := union[a]
-		dedUnion[a] = info
-		v.certFound[i] = info != nil && info.Sources.Has(discovery.SrcCert)
+	// exclusively-IoT infrastructure). detail is parallel to v.addrs, so
+	// an address's index there is its discovery ID.
+	dedIDs := make([]uint32, 0, len(v.ded))
+	v.certFound = make([]bool, 0, len(v.ded))
+	for i, c := range detail {
+		if !c.Shared {
+			dedIDs = append(dedIDs, uint32(i))
+			v.certFound = append(v.certFound, res.Sources(uint32(i)).Has(discovery.SrcCert))
+		}
 	}
-	v.row = footprint.Characterize(id, dedUnion, v.located, s.World.AS)
+	v.row = footprint.Characterize(id, res, dedIDs, v.located, s.World.AS)
 	if disclosed := s.World.DisclosedIPs(id); disclosed != nil {
 		rep := validate.AgainstIPs(v.addrs, disclosed)
 		v.ips = &rep
