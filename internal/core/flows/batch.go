@@ -394,7 +394,7 @@ func (p *ShardPartial) Classify(t *WireTables, b *netflow.RecordBatch) {
 			t.ccID[li] = id + 1
 		}
 		if e := t.entSlot[li]; e < 0 {
-			orBits(cc.lineBits(int(id)), t.ents[-e-1].bits)
+			cc.orContacts(int(id), t.ents[-e-1].bits)
 		}
 	}
 
@@ -408,7 +408,7 @@ func (p *ShardPartial) Classify(t *WireTables, b *netflow.RecordBatch) {
 		li := b.Line[i]
 		if t.entSlot[li] > 0 {
 			// A light line pooled no evidence: it goes in row by row.
-			setBit(cc.bits[int(t.ccID[li]-1)*cc.words:], int(be))
+			cc.setContact(int(t.ccID[li]-1), be)
 		}
 		if t.over(li) {
 			continue

@@ -1,0 +1,231 @@
+package flows
+
+import (
+	"bytes"
+	"fmt"
+	"net/netip"
+	"reflect"
+	"testing"
+	"time"
+
+	"iotmap/internal/analysis"
+	"iotmap/internal/isp"
+	"iotmap/internal/netflow"
+)
+
+// hoursToSeries counts, per hour, the lines whose hour bit is set: the
+// active-line series recounted from the bits, the oracle of the counts
+// the fold keeps current.
+func hoursToSeries(label string, lineHours []uint64, hw, hours int) *analysis.Series {
+	ser := analysis.NewSeries(label, hours)
+	for i := 0; i+hw <= len(lineHours); i += hw {
+		forEachBit(lineHours[i:i+hw], func(h int) { ser.Values[h]++ })
+	}
+	return ser
+}
+
+// checkCounts recounts what the fold keeps counted from the bits behind
+// it: every alias's and every focus column's active-line series, and
+// every counter line's distinct-backend count.
+func checkCounts(t *testing.T, what string, cc *ContactCounter, col *Collector) {
+	t.Helper()
+	for a, lh := range col.lineHours {
+		got := col.activeLines[a]
+		if lh == nil {
+			if got != nil {
+				t.Fatalf("%s: alias %s has an active-line series and no hour bits", what, col.idx.aliasNames[a])
+			}
+			continue
+		}
+		if want := hoursToSeries(col.idx.aliasNames[a], lh, col.hw, col.hours); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: alias %s active lines\n got  %v\n want %v", what, col.idx.aliasNames[a], got, want)
+		}
+	}
+	if col.focusAlias != "" {
+		for _, f := range []struct {
+			label string
+			got   *analysis.Series
+			bits  []uint64
+		}{
+			{": All lines", col.focusLinesAll, col.focusHoursAll},
+			{": region lines", col.focusLinesRegion, col.focusHoursRegion},
+			{": EU lines", col.focusLinesEU, col.focusHoursEU},
+		} {
+			if want := hoursToSeries(col.focusAlias+f.label, f.bits, col.hw, col.hours); !reflect.DeepEqual(f.got, want) {
+				t.Fatalf("%s: focus%s\n got  %v\n want %v", what, f.label, f.got, want)
+			}
+		}
+	}
+	if len(cc.n) != len(cc.lines.addrs) {
+		t.Fatalf("%s: %d contact counts for %d lines", what, len(cc.n), len(cc.lines.addrs))
+	}
+	for l, n := range cc.n {
+		if want := popcount(cc.lineBits(l)); int(n) != want {
+			t.Fatalf("%s: line %v counts %d contacts, its bitset holds %d", what, cc.lines.addrs[l], n, want)
+		}
+	}
+}
+
+// checkFoldRead reads win the way /figures does and checks the lent
+// fold's counts against its bits, and its lines, slots and ports
+// against a rebuild of the same frame: a slide must leave nothing
+// emptied behind, whichever drop passes it ran.
+func checkFoldRead(t *testing.T, win *Window, what string) {
+	t.Helper()
+	refCC, refCol := win.rebuiltFold()
+	checkCounts(t, what+" (rebuilt)", refCC, refCol)
+	win.View(func(cc *ContactCounter, col *Collector, _, _ time.Time) {
+		checkCounts(t, what, cc, col)
+		got := []int{len(cc.lines.addrs), len(col.lines.addrs), len(col.laKeys), len(col.lpKeys), len(col.ports.keys)}
+		want := []int{len(refCC.lines.addrs), len(refCol.lines.addrs), len(refCol.laKeys), len(refCol.lpKeys), len(refCol.ports.keys)}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: fold holds [counter lines, lines, alias slots, port slots, ports] %v, a rebuild %v", what, got, want)
+		}
+	})
+	if cnt := win.stable.cnt; cnt != nil && cnt.emptied != 0 {
+		t.Fatalf("%s: a read left emptied %b uncompacted", what, cnt.emptied)
+	}
+	cc, col := win.Merged()
+	checkCounts(t, what+" (Merged copy)", cc, col)
+}
+
+// TestFoldCountsMatchBits: the counts the fold keeps current (each
+// alias's and focus column's active lines per hour, each line's
+// distinct backends) equal a recount of the bits after every step of
+// the slide schedule (slides, catch-ups, rebuilds, the restored leg, a
+// line under two shard IDs) and after the batch two-pass drive at one
+// shard and at several, which reach them through Merge. Every slide
+// compacts exactly what a rebuild would not hold.
+func TestFoldCountsMatchBits(t *testing.T) {
+	for _, c := range []struct {
+		hours  int64
+		shards int
+	}{{48, 1}, {48, 3}, {168, 1}, {168, 3}} {
+		cell := fmt.Sprintf("%d hours, %d shards", c.hours, c.shards)
+		t.Run(cell, func(t *testing.T) {
+			f := buildDenseFixture(41)
+			opts := f.opts
+			opts.ScannerThreshold = 3
+			win, err := NewWindow(f.idx, f.days[0], int(c.hours), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			win.setShards(c.shards)
+			sf := newSlideFeed(f, int64(c.shards))
+			for _, step := range slideSchedule(sf, c.hours) {
+				for _, fl := range step.flushes {
+					flushRecords(win, fl)
+				}
+				if step.want != "" {
+					checkFoldRead(t, win, step.name)
+				}
+			}
+			if fs := win.FoldStats(); fs.Compactions == 0 || fs.Compactions > fs.Slides {
+				t.Fatalf("fold %+v: want compactions on some slides and on no more than slid", fs)
+			}
+
+			var buf bytes.Buffer
+			if err := Snapshot(&buf, win); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Restore(&buf, f.idx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := int64(slideScheduleEnd + 1); h <= slideScheduleEnd+5; h++ {
+				flushRecords(restored, sf.hour(h))
+				if h == slideScheduleEnd+2 {
+					flushRecords(restored, sf.hour(h-10))
+				}
+				checkFoldRead(t, restored, fmt.Sprintf("restored, hour %d", h))
+			}
+		})
+	}
+
+	t.Run("one line under several shard IDs", func(t *testing.T) {
+		f := buildDenseFixture(53)
+		opts := f.opts
+		opts.ScannerThreshold = 3
+		win, err := NewWindow(f.idx, f.days[0], 48, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.setShards(2)
+		sf := newSlideFeed(f, 53)
+		a, b := sf.lines[2], sf.lines[3]
+		flush := func(h int64, first, second netip.Addr) {
+			var recs []netflow.Record
+			for _, line := range []netip.Addr{first, first, second, second} {
+				recs = append(recs, sf.record(line, h))
+			}
+			flushRecords(win, append(recs, sf.hour(h)...))
+		}
+		for h := int64(0); h < 60; h++ {
+			flush(h, a, b)
+			flush(h, b, a)
+			if h == 30 {
+				flush(20, a, b)
+				flush(20, b, a)
+			}
+			checkFoldRead(t, win, fmt.Sprintf("hour %d", h))
+		}
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		w, refCC, refCol := twoPass(t)
+		checkCounts(t, "two-pass reference", refCC, refCol)
+		for _, shards := range []int{1, testShards} {
+			cc, col := runPipeline(cachedNet, cachedIdx, w, shards)
+			checkCounts(t, fmt.Sprintf("%d shards", shards), cc, col)
+		}
+	})
+}
+
+// TestWindowHourlyPollBudget: an hourly-polled window whose leaving
+// hours empty no line, slot, port or alias direction (every line sends
+// the same rows every hour) slides on every poll without compacting
+// once, and a repeat read with no new rows is a hit that folds nothing.
+func TestWindowHourlyPollBudget(t *testing.T) {
+	f := buildDenseFixture(67)
+	win, err := NewWindow(f.idx, f.days[0], 48, f.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win.setShards(2)
+	hourRows := func(h int64) []netflow.Record {
+		var recs []netflow.Record
+		for l := 0; l < 12; l++ {
+			line, be := isp.LineV4Addr(0, 300+l), f.idx.addrs[l%len(f.idx.addrs)]
+			at := f.days[0].Add(time.Duration(h)*time.Hour + time.Minute)
+			recs = append(recs,
+				netflow.Record{Src: be, Dst: line, SrcPort: 443, DstPort: 40000, Bytes: 1500, Packets: 1, Start: at},
+				netflow.Record{Src: line, Dst: be, SrcPort: 40000, DstPort: 443, Bytes: 300, Packets: 1, Start: at})
+		}
+		return recs
+	}
+	noop := func(*ContactCounter, *Collector, time.Time, time.Time) {}
+	const hours = 120
+	for h := int64(0); h < hours; h++ {
+		flushRecords(win, hourRows(h))
+		win.View(noop)
+	}
+	fs := win.FoldStats()
+	if fs.Rebuilds != 1 || fs.Slides != hours-1 || fs.Compactions != 0 {
+		t.Fatalf("%d hourly polls of rows that never empty: fold %+v, want 1 rebuild, %d slides and no compaction", hours, fs, hours-1)
+	}
+
+	cc, col := win.stable.cc.clone(), win.stable.col.clone()
+	win.View(noop)
+	after := win.FoldStats()
+	if want := fs; after.Hits != want.Hits+1 || after.Slides != want.Slides || after.Rebuilds != want.Rebuilds || after.Compactions != 0 {
+		t.Fatalf("repeat read with no new rows: fold %+v → %+v, want one hit", want, after)
+	}
+	if !reflect.DeepEqual(win.stable.cc.clone(), cc) || !reflect.DeepEqual(win.stable.col.clone(), col) {
+		t.Fatal("a repeat read with no new rows changed the fold")
+	}
+	win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) {
+		if bk.folded != len(bk.line) {
+			t.Fatalf("hour %d: the fold holds %d of %d rows", bk.ah, bk.folded, len(bk.line))
+		}
+	})
+}

@@ -73,7 +73,7 @@ func countRecord(c *ContactCounter, r netflow.Record) {
 		return
 	}
 	id := c.lineID(line)
-	setBit(c.bits[int(id)*c.words:], int(backendID))
+	c.setContact(int(id), backendID)
 }
 
 // ingestRecord folds r into c as a one-row run unless its line is in

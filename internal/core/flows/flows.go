@@ -35,6 +35,7 @@
 package flows
 
 import (
+	"math/bits"
 	"net/netip"
 	"sort"
 	"sync"
@@ -208,8 +209,11 @@ type ContactCounter struct {
 	gen   int
 	words int
 	lines lineTab
-	// bits holds one idx.words-stride backend bitset per line ID.
+	// bits holds one idx.words-stride backend bitset per line ID, and
+	// n each line's distinct-backend count (its bitset's popcount), which
+	// setContact, orContacts and clearContact keep current.
 	bits []uint64
+	n    []int32
 }
 
 // NewContactCounter returns a counter over idx (building idx's dense ID
@@ -221,10 +225,12 @@ func NewContactCounter(idx *BackendIndex) *ContactCounter {
 	return &ContactCounter{idx: idx, gen: idx.gen, words: idx.words}
 }
 
-// lineID interns a line address, growing the bitset arena for new lines.
+// lineID interns a line address, growing the bitset arena and the
+// counts for new lines.
 func (c *ContactCounter) lineID(a netip.Addr) int32 {
 	id := c.lines.id(a)
 	c.bits = grown(c.bits, (int(id)+1)*c.words)
+	c.n = grown(c.n, int(id)+1)
 	return id
 }
 
@@ -232,6 +238,7 @@ func (c *ContactCounter) lineID(a netip.Addr) int32 {
 func (c *ContactCounter) reserveLines(n int, like *lineTab) {
 	c.lines.reserve(n, like)
 	c.bits = reserve(c.bits, n*c.words)
+	c.n = reserve(c.n, n)
 }
 
 // lineBits returns line ID i's backend bitset.
@@ -239,12 +246,41 @@ func (c *ContactCounter) lineBits(i int) []uint64 {
 	return c.bits[i*c.words : (i+1)*c.words]
 }
 
+// setContact marks line's contact with backend, counting it when it is
+// new.
+func (c *ContactCounter) setContact(line int, backend int32) {
+	w := &c.bits[line*c.words+int(backend>>6)]
+	sh := uint(backend) & 63
+	c.n[line] += int32(^*w >> sh & 1)
+	*w |= 1 << sh
+}
+
+// orContacts adds the contacts of src, a backend bitset, to line's,
+// counting the new ones.
+func (c *ContactCounter) orContacts(line int, src []uint64) {
+	dst := c.lineBits(line)
+	added := 0
+	for k, w := range src {
+		added += bits.OnesCount64(w &^ dst[k])
+		dst[k] |= w
+	}
+	c.n[line] += int32(added)
+}
+
+// clearContact removes line's contact with backend, which must be set,
+// and reports whether the line has no contact left.
+func (c *ContactCounter) clearContact(line int, backend int32) bool {
+	clearBit(c.bits[line*c.words:], int(backend))
+	c.n[line]--
+	return c.n[line] == 0
+}
+
 // Scanners returns the lines contacting more than threshold backend IPs.
 func (c *ContactCounter) Scanners(threshold int) map[netip.Addr]struct{} {
 	c.idx.checkGen(c.gen)
 	out := map[netip.Addr]struct{}{}
 	for i, a := range c.lines.addrs {
-		if popcount(c.lineBits(i)) > threshold {
+		if int(c.n[i]) > threshold {
 			out[a] = struct{}{}
 		}
 	}
@@ -261,24 +297,42 @@ type CurvePoint struct {
 	CoveragePct float64
 }
 
-// Curve sweeps scanner thresholds (Figure 5's two axes). Lines are
-// sorted by distinct-backend count once and the thresholds sweep
-// incrementally over that order — each line's bitset is folded into the
-// visible set exactly once, instead of the historical
-// O(thresholds × lines × set-size) rescan.
+// Curve sweeps scanner thresholds (Figure 5's two axes). The lines a
+// threshold can keep are counting-sorted by their distinct-backend
+// counts once and the thresholds sweep incrementally over that order —
+// each kept line's bitset is folded into the visible set exactly once,
+// instead of the historical O(thresholds × lines × set-size) rescan.
 func (c *ContactCounter) Curve(thresholds []int) []CurvePoint {
 	c.idx.checkGen(c.gen)
 	n := len(c.lines.addrs)
-	counts := make([]int, n)
-	order := make([]int32, n)
-	for i := range counts {
-		counts[i] = popcount(c.lineBits(i))
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool { return counts[order[i]] < counts[order[j]] })
-
 	ts := append([]int(nil), thresholds...)
 	sort.Ints(ts)
+	// A line above the largest threshold is never kept, so only the
+	// counts up to it (and up to the most a line can reach) sort.
+	top := -1
+	if len(ts) > 0 {
+		top = min(ts[len(ts)-1], c.words*64)
+	}
+	var order []int32
+	if top >= 0 {
+		start := make([]int32, top+2)
+		for _, v := range c.n {
+			if int(v) <= top {
+				start[v+1]++
+			}
+		}
+		for i := 1; i < len(start); i++ {
+			start[i] += start[i-1]
+		}
+		order = make([]int32, start[top+1])
+		for l, v := range c.n {
+			if int(v) <= top {
+				order[start[v]] = int32(l)
+				start[v]++
+			}
+		}
+	}
+
 	visible := make([]uint64, c.words)
 	byThreshold := make(map[int]CurvePoint, len(ts))
 	p := 0
@@ -288,7 +342,7 @@ func (c *ContactCounter) Curve(thresholds []int) []CurvePoint {
 		}
 		// Lines at or below the threshold are kept; their IPv4 contacts
 		// join the visible set (the union is order-independent).
-		for p < n && counts[order[p]] <= t {
+		for p < len(order) && int(c.n[order[p]]) <= t {
 			row := c.lineBits(int(order[p]))
 			for k, w := range row {
 				visible[k] |= w & c.idx.v4Mask[k]
@@ -349,13 +403,16 @@ type Collector struct {
 	lineCertBits  []uint64 // stride aw
 	laIdx         []int32  // stride nAliases: slot+1 into laDaily
 
-	// Per-alias aggregates, indexed by alias ID.
-	visible   [][]uint64 // backend bitset
-	lineHours [][]uint64 // per line: stride-hw active-hour bitset
-	downHour  []*analysis.Series
-	upHour    []*analysis.Series
-	portVol   [][]float64 // per port ID
-	portSeen  [][]uint64  // port-ID presence bitset
+	// Per-alias aggregates, indexed by alias ID. activeLines counts,
+	// per hour, the lines whose lineHours bit is set: every write that
+	// sets or drops a bit keeps it current, so Study() derives nothing.
+	visible     [][]uint64 // backend bitset
+	lineHours   [][]uint64 // per line: stride-hw active-hour bitset
+	activeLines []*analysis.Series
+	downHour    []*analysis.Series
+	upHour      []*analysis.Series
+	portVol     [][]float64 // per port ID
+	portSeen    [][]uint64  // port-ID presence bitset
 
 	// lineAliasDaily/linePortDaily slot arenas: slot s owns
 	// laDaily[s*ds:(s+1)*ds] with its (line, alias) key in laKeys[s].
@@ -371,9 +428,11 @@ type Collector struct {
 	backendVol  []float64
 	backendSeen []uint64
 
-	// Focus series (Figures 15/16).
+	// Focus series (Figures 15/16); the focusLines series count the set
+	// bits of the focusHours columns per hour, as activeLines does.
 	focusDownAll, focusDownRegion, focusDownEU    *analysis.Series
 	focusHoursAll, focusHoursRegion, focusHoursEU []uint64 // per line, stride hw
+	focusLinesAll, focusLinesRegion, focusLinesEU *analysis.Series
 
 	// backends is what a row's fold reads per backend ID (clones share
 	// it); runBits holds a run's alias and cert bits, zero between runs.
@@ -437,6 +496,7 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 		coverBits:    make([]uint64, (hours+63)/64),
 		visible:      make([][]uint64, nAliases),
 		lineHours:    make([][]uint64, nAliases),
+		activeLines:  make([]*analysis.Series, nAliases),
 		downHour:     make([]*analysis.Series, nAliases),
 		upHour:       make([]*analysis.Series, nAliases),
 		portVol:      make([][]float64, nAliases),
@@ -456,6 +516,9 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 		c.focusDownAll = analysis.NewSeries(c.focusAlias+": All", hours)
 		c.focusDownRegion = analysis.NewSeries(c.focusAlias+": "+c.focusRegion, hours)
 		c.focusDownEU = analysis.NewSeries(c.focusAlias+": EU", hours)
+		c.focusLinesAll = analysis.NewSeries(c.focusAlias+": All lines", hours)
+		c.focusLinesRegion = analysis.NewSeries(c.focusAlias+": region lines", hours)
+		c.focusLinesEU = analysis.NewSeries(c.focusAlias+": EU lines", hours)
 	}
 	c.backends = make([]backendRun, len(idx.infos))
 	c.runBits = make([]uint64, 2*c.aw)
@@ -597,8 +660,11 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 		r.prev = backendID
 		vs := c.visible[a]
 		if vs == nil {
+			// An alias's visible set, hour bitsets and active-line series
+			// appear, and leave in compact, together.
 			vs = make([]uint64, c.idx.words)
 			c.visible[a] = vs
+			c.activeLines[a] = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
 		}
 		setBit(vs, int(backendID))
 		setBit(c.backendSeen, int(backendID))
@@ -608,7 +674,7 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 		}
 		r.conts |= be.cont
 	}
-	r.setHour(&c.lineHours[a], hour)
+	r.setHour(&c.lineHours[a], c.activeLines[a], hour)
 
 	// Hourly volumes.
 	ser := c.upHour
@@ -641,35 +707,39 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 	if be.focus == focusNone {
 		return
 	}
-	r.focus(c.focusDownAll, &c.focusHoursAll, down, hour, bytes)
+	r.focus(c.focusDownAll, c.focusLinesAll, &c.focusHoursAll, down, hour, bytes)
 	switch be.focus {
 	case focusRegion:
-		r.focus(c.focusDownRegion, &c.focusHoursRegion, down, hour, bytes)
+		r.focus(c.focusDownRegion, c.focusLinesRegion, &c.focusHoursRegion, down, hour, bytes)
 	case focusEU:
-		r.focus(c.focusDownEU, &c.focusHoursEU, down, hour, bytes)
+		r.focus(c.focusDownEU, c.focusLinesEU, &c.focusHoursEU, down, hour, bytes)
 	}
 }
 
 // setHour marks hour in the run line's row of a per-line hour bitset
-// column, growing the column (and storing it back) only when it is too
-// short. A new column is sized for lineHint lines.
-func (r *lineRun) setHour(col *[]uint64, hour int) {
+// column and, when the bit was clear, counts the line into the column's
+// active-line series. It grows the column (and stores it back) only when
+// it is too short; a new column is sized for lineHint lines.
+func (r *lineRun) setHour(col *[]uint64, active *analysis.Series, hour int) {
 	if need := (r.line + 1) * r.c.hw; len(*col) < need {
 		if *col == nil && r.c.lineHint > 0 {
 			*col = make([]uint64, 0, r.c.lineHint*r.c.hw)
 		}
 		*col = grown(*col, need)
 	}
-	setBit((*col)[r.line*r.c.hw:], hour)
+	w := &(*col)[r.line*r.c.hw+hour>>6]
+	sh := uint(hour) & 63
+	active.Values[hour] += float64(^*w >> sh & 1)
+	*w |= 1 << sh
 }
 
 // focus folds a focus-alias row into one focus series and its per-line
-// hour bitset column.
-func (r *lineRun) focus(s *analysis.Series, col *[]uint64, down bool, hour int, bytes float64) {
+// hour bitset column and active-line series.
+func (r *lineRun) focus(s, active *analysis.Series, col *[]uint64, down bool, hour int, bytes float64) {
 	if down {
 		s.Add(hour, bytes)
 	}
-	r.setHour(col, hour)
+	r.setHour(col, active, hour)
 }
 
 func (r *lineRun) end() {

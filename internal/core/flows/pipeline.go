@@ -3,6 +3,7 @@ package flows
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"time"
@@ -39,7 +40,7 @@ func (c *ContactCounter) Merge(o *ContactCounter) {
 	c.idx.checkGen(c.gen)
 	c.idx.checkGen(o.gen)
 	for i, a := range o.lines.addrs {
-		orBits(c.lineBits(int(c.lineID(a))), o.lineBits(i))
+		c.orContacts(int(c.lineID(a)), o.lineBits(i))
 	}
 }
 
@@ -93,7 +94,10 @@ func (c *Collector) Merge(o *Collector) {
 				orBits(c.visible[a], src)
 			}
 		}
-		c.lineHours[a] = mergeLineHours(c.lineHours[a], o.lineHours[a], remap, c.hw, len(c.lines.addrs))
+		if len(o.lineHours[a]) > 0 && c.activeLines[a] == nil {
+			c.activeLines[a] = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
+		}
+		c.lineHours[a] = mergeLineHours(c.lineHours[a], c.activeLines[a], o.lineHours[a], remap, c.hw, len(c.lines.addrs))
 		mergeSeriesAt(c.downHour, o.downHour, a)
 		mergeSeriesAt(c.upHour, o.upHour, a)
 		if src := o.portVol[a]; len(src) > 0 {
@@ -126,21 +130,27 @@ func (c *Collector) Merge(o *Collector) {
 		addValues(c.focusDownAll, o.focusDownAll)
 		addValues(c.focusDownRegion, o.focusDownRegion)
 		addValues(c.focusDownEU, o.focusDownEU)
-		c.focusHoursAll = mergeLineHours(c.focusHoursAll, o.focusHoursAll, remap, c.hw, len(c.lines.addrs))
-		c.focusHoursRegion = mergeLineHours(c.focusHoursRegion, o.focusHoursRegion, remap, c.hw, len(c.lines.addrs))
-		c.focusHoursEU = mergeLineHours(c.focusHoursEU, o.focusHoursEU, remap, c.hw, len(c.lines.addrs))
+		c.focusHoursAll = mergeLineHours(c.focusHoursAll, c.focusLinesAll, o.focusHoursAll, remap, c.hw, len(c.lines.addrs))
+		c.focusHoursRegion = mergeLineHours(c.focusHoursRegion, c.focusLinesRegion, o.focusHoursRegion, remap, c.hw, len(c.lines.addrs))
+		c.focusHoursEU = mergeLineHours(c.focusHoursEU, c.focusLinesEU, o.focusHoursEU, remap, c.hw, len(c.lines.addrs))
 	}
 }
 
 // mergeLineHours ORs a donor's per-line hour bitsets into dst at the
-// remapped line IDs.
-func mergeLineHours(dst, src []uint64, remap []int32, hw, nLines int) []uint64 {
+// remapped line IDs, counting each bit new to dst into active.
+func mergeLineHours(dst []uint64, active *analysis.Series, src []uint64, remap []int32, hw, nLines int) []uint64 {
 	if len(src) == 0 {
 		return dst
 	}
 	dst = grown(dst, nLines*hw)
 	for i := 0; i < len(src)/hw; i++ {
-		orBits(dst[int(remap[i])*hw:(int(remap[i])+1)*hw], src[i*hw:(i+1)*hw])
+		d := dst[int(remap[i])*hw : (int(remap[i])+1)*hw]
+		for k, w := range src[i*hw : (i+1)*hw] {
+			for added := w &^ d[k]; added != 0; added &= added - 1 {
+				active.Values[k<<6+bits.TrailingZeros64(added)]++
+			}
+			d[k] |= w
+		}
 	}
 	return dst
 }
@@ -181,6 +191,7 @@ func (c *ContactCounter) clone() *ContactCounter {
 		words: c.words,
 		lines: c.lines.clone(),
 		bits:  cloneSlice(c.bits),
+		n:     cloneSlice(c.n),
 	}
 }
 
@@ -211,12 +222,13 @@ func (c *Collector) clone() *Collector {
 		lineCertBits:  cloneSlice(c.lineCertBits),
 		laIdx:         cloneSlice(c.laIdx),
 
-		visible:   cloneNested(c.visible),
-		lineHours: cloneNested(c.lineHours),
-		downHour:  cloneSeriesSlice(c.downHour),
-		upHour:    cloneSeriesSlice(c.upHour),
-		portVol:   cloneNested(c.portVol),
-		portSeen:  cloneNested(c.portSeen),
+		visible:     cloneNested(c.visible),
+		lineHours:   cloneNested(c.lineHours),
+		activeLines: cloneSeriesSlice(c.activeLines),
+		downHour:    cloneSeriesSlice(c.downHour),
+		upHour:      cloneSeriesSlice(c.upHour),
+		portVol:     cloneNested(c.portVol),
+		portSeen:    cloneNested(c.portSeen),
 
 		laDaily: cloneSlice(c.laDaily),
 		laKeys:  append([]laKey(nil), c.laKeys...),
@@ -233,6 +245,9 @@ func (c *Collector) clone() *Collector {
 		focusHoursAll:    cloneSlice(c.focusHoursAll),
 		focusHoursRegion: cloneSlice(c.focusHoursRegion),
 		focusHoursEU:     cloneSlice(c.focusHoursEU),
+		focusLinesAll:    cloneSeries(c.focusLinesAll),
+		focusLinesRegion: cloneSeries(c.focusLinesRegion),
+		focusLinesEU:     cloneSeries(c.focusLinesEU),
 
 		backends: c.backends,
 		runBits:  make([]uint64, len(c.runBits)),
@@ -296,9 +311,25 @@ type rowCounts struct {
 	backend   []int32   // per backend ID: visible, backendSeen
 	aliasDir  []int32   // per (alias, up), stride 2: downHour, upHour
 	aliasPort [][]int32 // per alias, per port ID: portSeen
+	port      []int32   // per port ID: the port table
 	laSlot    []int32   // per lineAliasDaily slot (down rows)
 	lpSlot    []int32   // per linePortDaily slot (down rows)
+
+	// emptied notes what a slide emptied since the last compaction, so
+	// compaction runs only the drop passes that have something to drop.
+	emptied uint8
 }
+
+// rowCounts.emptied bits: a counter line lost its last contact, a
+// collector line its last kept row, a daily slot, a port or an (alias,
+// direction) its last row.
+const (
+	emptiedContacts uint8 = 1 << iota
+	emptiedLines
+	emptiedSlots
+	emptiedPorts
+	emptiedAliases
+)
 
 type pairCount struct{ backend, rows, kept int32 }
 
@@ -351,6 +382,8 @@ func (n *rowCounts) count(c *Collector, line int, backendID int32, down bool, po
 	pid := int(c.ports.id(port))
 	n.aliasPort[a] = grown(n.aliasPort[a], pid+1)
 	n.aliasPort[a][pid]++
+	n.port = grown(n.port, pid+1)
+	n.port[pid]++
 	if !down {
 		n.aliasDir[2*a+1]++
 		return
@@ -367,8 +400,8 @@ func (n *rowCounts) count(c *Collector, line int, backendID int32, down bool, po
 // subtract removes one kept row, folded into day `day`, from c: the
 // inverse of lineRun.add for every aggregate not indexed by hour
 // (shiftHours drops those) or by line (relink re-derives those). A set
-// member whose count reaches zero leaves its set; a slot, port, line or
-// alias left empty stays until compact drops it.
+// member whose count reaches zero leaves its set; a slot, port or alias
+// left empty stays, noted in n.emptied, until compact drops it.
 func (c *Collector) subtract(n *rowCounts, line int, backendID int32, down bool, day int, port proto.PortKey, bytes float64) {
 	c.checkWritable()
 	a := int(c.backends[backendID].alias)
@@ -383,26 +416,39 @@ func (c *Collector) subtract(n *rowCounts, line int, backendID int32, down bool,
 	if n.aliasPort[a][pid]--; n.aliasPort[a][pid] == 0 {
 		clearBit(c.portSeen[a], pid)
 	}
+	if n.port[pid]--; n.port[pid] == 0 {
+		n.emptied |= emptiedPorts
+	}
+	dir := 2 * a
+	if !down {
+		dir++
+	}
+	if n.aliasDir[dir]--; n.aliasDir[dir] == 0 {
+		n.emptied |= emptiedAliases
+	}
 	base := line*2*c.ds + 2*day
 	if !down {
 		c.lineDaily[base+1] -= bytes
-		n.aliasDir[2*a+1]--
 		return
 	}
 	c.lineDaily[base] -= bytes
-	n.aliasDir[2*a]--
 	s := int(c.laIdx[la]) - 1
 	c.laDaily[s*c.ds+day] -= bytes
 	n.laSlot[s]--
+	empty := n.laSlot[s] == 0
 	s = int(c.lpIdx[pid][line]) - 1
 	c.lpDaily[s*c.ds+day] -= bytes
 	n.lpSlot[s]--
+	if empty || n.lpSlot[s] == 0 {
+		n.emptied |= emptiedSlots
+	}
 }
 
 // relink re-derives line's alias, cert and continent sets from the
 // backends its kept rows still reach (the line's contacts with kept
-// rows), after one of them lost its last kept row.
-func (c *Collector) relink(line int, contacts []pairCount) {
+// rows), after one of them lost its last kept row, and notes in n a line
+// left with none.
+func (c *Collector) relink(n *rowCounts, line int, contacts []pairCount) {
 	aliases := c.lineAliasBits[line*c.aw : (line+1)*c.aw]
 	certs := c.lineCertBits[line*c.aw : (line+1)*c.aw]
 	clearBits(aliases)
@@ -418,6 +464,9 @@ func (c *Collector) relink(line int, contacts []pairCount) {
 			setBit(certs, int(be.alias))
 		}
 		c.lineConts[line] |= be.cont
+	}
+	if c.lineConts[line] == 0 { // every backend has a continent bit
+		n.emptied |= emptiedLines
 	}
 }
 
@@ -450,10 +499,14 @@ func (c *Collector) shiftHours(k int, days []time.Time) {
 	shiftBits(c.coverBits, k)
 	for a := range c.lineHours {
 		shiftLineBits(c.lineHours[a], c.hw, k)
+		shiftSeries(c.activeLines[a], k)
 		shiftSeries(c.downHour[a], k)
 		shiftSeries(c.upHour[a], k)
 	}
-	for _, s := range []*analysis.Series{c.focusDownAll, c.focusDownRegion, c.focusDownEU} {
+	for _, s := range []*analysis.Series{
+		c.focusDownAll, c.focusDownRegion, c.focusDownEU,
+		c.focusLinesAll, c.focusLinesRegion, c.focusLinesEU,
+	} {
 		shiftSeries(s, k)
 	}
 	for _, lh := range [][]uint64{c.focusHoursAll, c.focusHoursRegion, c.focusHoursEU} {
@@ -494,25 +547,38 @@ func shiftSeries(s *analysis.Series, k int) {
 // compact drops every line, slot, port and per-alias aggregate whose
 // kept rows n counts none of, renumbering what stays in order (and n's
 // slot and port counts with it), so c holds exactly what a fold of the
-// surviving rows would. It returns the line renumbering (old ID → new
-// ID, -1 dropped), nil when no line was dropped.
+// surviving rows would. Only the passes n.emptied names run: a pass
+// over members that all still have rows would renumber nothing. It
+// returns the line renumbering (old ID → new ID, -1 dropped), nil when
+// no line was dropped.
 func (c *Collector) compact(n *rowCounts) []int32 {
 	c.checkWritable()
-	for a := 0; a < c.nAliases; a++ {
-		down, up := n.aliasDir[2*a], n.aliasDir[2*a+1]
-		if down == 0 {
-			c.downHour[a] = nil
-		}
-		if up == 0 {
-			c.upHour[a] = nil
-		}
-		if down+up == 0 {
-			c.visible[a], c.lineHours[a], c.portVol[a], c.portSeen[a] = nil, nil, nil, nil
+	if n.emptied&emptiedAliases != 0 {
+		for a := 0; a < c.nAliases; a++ {
+			down, up := n.aliasDir[2*a], n.aliasDir[2*a+1]
+			if down == 0 {
+				c.downHour[a] = nil
+			}
+			if up == 0 {
+				c.upHour[a] = nil
+			}
+			if down+up == 0 {
+				c.visible[a], c.lineHours[a], c.activeLines[a], c.portVol[a], c.portSeen[a] = nil, nil, nil, nil, nil
+			}
 		}
 	}
-	c.dropSlots(n)
-	c.dropPorts(n)
-	return c.dropLines()
+	// A dropped port or line has no slot left, once dropSlots has run:
+	// its slots emptied too, and said so.
+	if n.emptied&emptiedSlots != 0 {
+		c.dropSlots(n)
+	}
+	if n.emptied&emptiedPorts != 0 {
+		c.dropPorts(n)
+	}
+	if n.emptied&emptiedLines != 0 {
+		return c.dropLines()
+	}
+	return nil
 }
 
 // dropSlots drops the daily slots no row is left in.
@@ -550,17 +616,15 @@ func (c *Collector) dropPorts(n *rowCounts) {
 	var ports portTab
 	for pid, k := range c.ports.keys {
 		remap[pid] = -1
-		for _, counts := range n.aliasPort {
-			if pid < len(counts) && counts[pid] > 0 {
-				remap[pid] = ports.id(k)
-				break
-			}
+		if n.port[pid] > 0 {
+			remap[pid] = ports.id(k)
 		}
 	}
 	if len(ports.keys) == len(c.ports.keys) {
 		return
 	}
 	c.ports = ports
+	n.port = compactStride(n.port, 1, remap)
 	for a, seen := range c.portSeen {
 		if seen == nil {
 			continue
@@ -668,7 +732,7 @@ func (c *ContactCounter) compact() []int32 {
 	remap, live := make([]int32, len(c.lines.addrs)), int32(0)
 	for l := range remap {
 		remap[l] = -1
-		if popcount(c.lineBits(l)) > 0 {
+		if c.n[l] > 0 {
 			remap[l] = live
 			live++
 		}
@@ -677,6 +741,7 @@ func (c *ContactCounter) compact() []int32 {
 		return nil
 	}
 	c.bits = compactStride(c.bits, c.words, remap)
+	c.n = compactStride(c.n, 1, remap)
 	c.lines.drop(remap)
 	return remap
 }

@@ -579,10 +579,12 @@ func TestWindowViewPanicReleasesLocks(t *testing.T) {
 }
 
 // BenchmarkWindowSlide is the daemon's read pattern: a 30-day
-// hour-major feed through a 7-day window with one Merged() per hour
-// once the window has filled. `slide` advances the cached fold; in
-// `rebuild` the cache is dropped before every read, so each read
-// re-folds the whole frame. ns/read is the mean read latency.
+// hour-major feed through a 7-day window with one read per hour once
+// the window has filled. `slide` reads through Merged(), advancing the
+// cached fold; in `rebuild` the cache is dropped before every Merged(),
+// so each read re-folds the whole frame; `view` reads what /figures
+// reads before it formats: View, then Study() and Figure 5's curve of
+// the lent fold. ns/read is the mean read latency.
 func BenchmarkWindowSlide(b *testing.B) {
 	days := make([]time.Time, 30)
 	start := world.StudyDays()[0]
@@ -611,7 +613,8 @@ func BenchmarkWindowSlide(b *testing.B) {
 	}
 	opts := Options{ScannerThreshold: 100, SamplingRate: 100}
 	const windowHours = 7 * 24
-	for _, mode := range []string{"slide", "rebuild"} {
+	figure5 := []int{10, 20, 50, 100, 200, 500, 1000}
+	for _, mode := range []string{"slide", "rebuild", "view"} {
 		b.Run(mode, func(b *testing.B) {
 			var reads int
 			var readTime time.Duration
@@ -635,7 +638,13 @@ func BenchmarkWindowSlide(b *testing.B) {
 						win.stable = nil
 					}
 					t0 := time.Now()
-					win.Merged()
+					if mode == "view" {
+						win.View(func(cc *ContactCounter, col *Collector, _, _ time.Time) {
+							studySink += float64(col.Study().Hours() + len(cc.Curve(figure5)))
+						})
+					} else {
+						win.Merged()
+					}
 					readTime += time.Since(t0)
 					reads++
 				}

@@ -43,8 +43,8 @@ type Study struct {
 	lpKeys  []lpKey
 	lpDaily []float64
 
-	// Per-alias columns, by alias ID. activeLines is the one derived
-	// aggregate; it is nil for an alias without traffic.
+	// Per-alias columns, by alias ID. activeLines is nil for an alias
+	// without traffic.
 	visible     [][]uint64
 	activeLines []*analysis.Series
 	downHour    []*analysis.Series
@@ -62,8 +62,9 @@ type Study struct {
 }
 
 // Study finalizes the collector. The returned Study adopts the
-// collector's aggregate columns by reference and copies none of them; it
-// derives only the active-line series. So the collector must not be
+// collector's aggregate columns by reference, the active-line series the
+// fold keeps current among them; it copies and derives nothing, so its
+// cost does not grow with the lines held. The collector must not be
 // ingested into or merged afterwards: the same rule Merge documents for
 // its donor, which beginRun, Merge and IngestBatch enforce with a
 // panic. The fold-only tables (per-line hour bitsets, slot indexes,
@@ -87,7 +88,7 @@ func (c *Collector) Study() *Study {
 		lpKeys:        c.lpKeys,
 		lpDaily:       c.lpDaily,
 		visible:       c.visible,
-		activeLines:   make([]*analysis.Series, c.nAliases),
+		activeLines:   c.activeLines,
 		downHour:      c.downHour,
 		upHour:        c.upHour,
 		portVol:       c.portVol,
@@ -96,29 +97,15 @@ func (c *Collector) Study() *Study {
 		backendVol:    c.backendVol,
 		backendSeen:   c.backendSeen,
 	}
-	for a, lh := range c.lineHours {
-		if lh != nil {
-			s.activeLines[a] = hoursToSeries(c.idx.aliasNames[a], lh, c.hw, c.hours)
-		}
-	}
 	if c.focusAlias != "" {
 		s.FocusDownAll = c.focusDownAll
 		s.FocusDownRegion = c.focusDownRegion
 		s.FocusDownEU = c.focusDownEU
-		s.FocusLinesAll = hoursToSeries(c.focusAlias+": All lines", c.focusHoursAll, c.hw, c.hours)
-		s.FocusLinesRegion = hoursToSeries(c.focusAlias+": region lines", c.focusHoursRegion, c.hw, c.hours)
-		s.FocusLinesEU = hoursToSeries(c.focusAlias+": EU lines", c.focusHoursEU, c.hw, c.hours)
+		s.FocusLinesAll = c.focusLinesAll
+		s.FocusLinesRegion = c.focusLinesRegion
+		s.FocusLinesEU = c.focusLinesEU
 	}
 	return s
-}
-
-// hoursToSeries counts, per hour, the lines whose hour bit is set.
-func hoursToSeries(label string, lineHours []uint64, hw, hours int) *analysis.Series {
-	ser := analysis.NewSeries(label, hours)
-	for i := 0; i+hw <= len(lineHours); i += hw {
-		forEachBit(lineHours[i:i+hw], func(h int) { ser.Values[h]++ })
-	}
-	return ser
 }
 
 // aliasID resolves an alias to its dense ID, -1 when the index has no

@@ -135,10 +135,10 @@ type Window struct {
 	// stable is written only under foldMu plus every shard lock, so
 	// recycle may read it under its one shard lock, and a holder of
 	// foldMu alone may read it while ingest runs.
-	foldMu                         sync.Mutex
-	stable                         *windowFold
-	study                          *winStudyCache
-	hits, slides, rebuilds, copies atomic.Uint64
+	foldMu                                      sync.Mutex
+	stable                                      *windowFold
+	study                                       *winStudyCache
+	hits, slides, rebuilds, copies, compactions atomic.Uint64
 }
 
 // winShard is one ingest shard: its own line intern table, its own ring
@@ -230,6 +230,10 @@ type FoldStats struct {
 	// Copies counts the reads that deep-copied the fold (Merged, and a
 	// Study its cache did not serve); View lends it instead.
 	Copies uint64 `json:"copies"`
+	// Compactions counts the slides that emptied a line, daily slot,
+	// port or alias direction and so dropped it from the fold; every
+	// other slide skips the drop passes.
+	Compactions uint64 `json:"compactions"`
 }
 
 // BucketStat is one live hour bucket's fill, for the service's /window
@@ -336,7 +340,10 @@ func (w *Window) Stats() WindowStats {
 
 // FoldStats returns the fold-path counts.
 func (w *Window) FoldStats() FoldStats {
-	return FoldStats{Hits: w.hits.Load(), Slides: w.slides.Load(), Rebuilds: w.rebuilds.Load(), Copies: w.copies.Load()}
+	return FoldStats{
+		Hits: w.hits.Load(), Slides: w.slides.Load(), Rebuilds: w.rebuilds.Load(),
+		Copies: w.copies.Load(), Compactions: w.compactions.Load(),
+	}
 }
 
 // BucketStats returns the live hours' fill, oldest first.
@@ -708,7 +715,7 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 			cid = cc.lineID(sh.lines.addrs[lid]) + 1
 			ccRemap[lid] = cid
 		}
-		setBit(cc.bits[int(cid-1)*cc.words:], int(be))
+		cc.setContact(int(cid-1), be)
 
 		fl := bk.flags[i]
 		if cnt != nil {
@@ -864,12 +871,15 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 		addr := sh.lines.addrs[lid]
 		cid := cc.lineID(addr)
 		ccRemap[lid] = cid + 1
-		bits := cc.lineBits(int(cid))
+		bits, added := cc.lineBits(int(cid)), int32(0)
 		tid := int32(-1)
 		var run lineRun
 		fls, prs := flags[lo:hi], port[lo:hi]
 		for i, r := range rows[lo:hi] {
-			setBit(bits, int(r.backend))
+			// setContact, with the line's count kept in a register.
+			w, sh := &bits[r.backend>>6], uint(r.backend)&63
+			added += int32(^*w >> sh & 1)
+			*w |= 1 << sh
 			fl := fls[i]
 			if fl&rowKept == 0 {
 				continue // scanner row
@@ -881,6 +891,7 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 			run.add(r.backend, fl&rowDown != 0, int(r.hour), rowPort(fl, prs[i]), r.bytes)
 		}
 		run.end()
+		cc.n[cid] += added
 		colRemap[lid] = tid + 1
 		lo = hi
 	}
@@ -923,14 +934,14 @@ func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 		}
 		cid := int(ccRemap[lid]) - 1
 		lastRow, lastKept := f.cnt.uncountContact(cid, be, kept)
-		if lastRow {
-			clearBit(cc.bits[cid*cc.words:], int(be))
+		if lastRow && cc.clearContact(cid, be) {
+			f.cnt.emptied |= emptiedContacts
 		}
 		if kept {
 			col.subtract(f.cnt, line, be, down, from, port, bk.bytes[i])
 		}
 		if lastKept {
-			col.relink(line, f.cnt.contacts[cid])
+			col.relink(f.cnt, line, f.cnt.contacts[cid])
 		}
 	}
 }
@@ -961,23 +972,32 @@ func (w *Window) slide(st *windowFold, ws, end int64) {
 	}
 	w.catchUp(st, ws, end)
 	st.end = end
-	if k > 0 {
-		st.compact()
+	if k > 0 && st.compact() {
+		w.compactions.Add(1)
 	}
 }
 
 // compact drops the lines, slots, ports and per-alias aggregates a
 // slide left without rows, so the fold holds exactly what a rebuild of
 // its frame would, and renumbers the line memos (a dropped line's
-// address re-interns if its rows come back).
-func (f *windowFold) compact() {
-	if remap := f.cc.compact(); remap != nil {
-		f.cnt.contacts = compactStride(f.cnt.contacts, 1, remap)
-		remapMemos(f.ccRemap, remap)
+// address re-interns if its rows come back). It runs only the passes
+// for what the slide emptied, and reports whether anything had.
+func (f *windowFold) compact() bool {
+	emptied := f.cnt.emptied
+	if emptied == 0 {
+		return false
+	}
+	if emptied&emptiedContacts != 0 {
+		if remap := f.cc.compact(); remap != nil {
+			f.cnt.contacts = compactStride(f.cnt.contacts, 1, remap)
+			remapMemos(f.ccRemap, remap)
+		}
 	}
 	if remap := f.col.compact(f.cnt); remap != nil {
 		remapMemos(f.colRemap, remap)
 	}
+	f.cnt.emptied = 0
+	return true
 }
 
 // remapMemos renumbers per-shard line memos (fold line ID+1, 0 =

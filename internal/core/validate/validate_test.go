@@ -14,17 +14,24 @@ import (
 
 func t0() time.Time { return time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC) }
 
+// recordAddr records a sighting of name→addr under the rdata
+// dnsdb.AddrRData formats.
+func recordAddr(db *dnsdb.DB, name string, addr netip.Addr, t time.Time) {
+	typ, rdata := dnsdb.AddrRData(addr)
+	db.Record(name, typ, rdata, t)
+}
+
 func TestFilterShared(t *testing.T) {
 	db := dnsdb.New()
 	dedicated := netip.MustParseAddr("52.0.0.1")
 	shared := netip.MustParseAddr("52.0.0.2")
-	db.RecordAddr("a1.iot.us-east-1.amazonaws.com", dedicated, t0())
-	db.RecordAddr("a2.iot.us-east-1.amazonaws.com", shared, t0())
+	recordAddr(db, "a1.iot.us-east-1.amazonaws.com", dedicated, t0())
+	recordAddr(db, "a2.iot.us-east-1.amazonaws.com", shared, t0())
 	for i := 0; i < 10; i++ {
-		db.RecordAddr("www.site"+string(rune('a'+i))+".example", shared, t0())
+		recordAddr(db, "www.site"+string(rune('a'+i))+".example", shared, t0())
 	}
 	// One stray vanity name on the dedicated IP must not flip it.
-	db.RecordAddr("vanity.example.org", dedicated, t0())
+	recordAddr(db, "vanity.example.org", dedicated, t0())
 
 	ded, sh, detail := FilterShared(
 		[]netip.Addr{dedicated, shared}, patterns.All(), db, dnsdb.TimeRange{}, DefaultSharedThreshold)
@@ -114,9 +121,9 @@ func TestFilterSharedMatchesReference(t *testing.T) {
 func TestFilterSharedThresholdSensitivity(t *testing.T) {
 	db := dnsdb.New()
 	a := netip.MustParseAddr("10.0.0.1")
-	db.RecordAddr("x.iot.us-east-1.amazonaws.com", a, t0())
+	recordAddr(db, "x.iot.us-east-1.amazonaws.com", a, t0())
 	for i := 0; i < 3; i++ {
-		db.RecordAddr("other"+string(rune('a'+i))+".example", a, t0())
+		recordAddr(db, "other"+string(rune('a'+i))+".example", a, t0())
 	}
 	// 3 non-IoT names: dedicated at threshold 5, shared at threshold 2.
 	ded, _, _ := FilterShared([]netip.Addr{a}, patterns.All(), db, dnsdb.TimeRange{}, 5)

@@ -61,7 +61,13 @@ type DB struct {
 	// byRData indexes observations by rdata string, the reverse index
 	// behind the shared-vs-dedicated IP analysis (Section 3.4).
 	byRData map[string][]*Observation
+	// slab is the unused tail of the chunk new observations are carved
+	// from, one allocation per obsChunk of them.
+	slab []Observation
 }
+
+// obsChunk is how many observations one slab allocation holds.
+const obsChunk = 256
 
 // New returns an empty database.
 func New() *DB {
@@ -75,7 +81,8 @@ func New() *DB {
 
 // Record registers a sighting of name→rdata at time t. Counts and the
 // sighting window aggregate over repeated calls, like a passive sensor
-// dedupe stage.
+// dedupe stage. A name already in canonical form (dnsmsg.CanonicalName)
+// is stored as it is, without a copy.
 func (db *DB) Record(name string, typ RRType, rdata string, t time.Time) {
 	name = dnsmsg.CanonicalName(name)
 	k := obsKey{name: name, typ: typ, rdata: rdata}
@@ -91,7 +98,12 @@ func (db *DB) Record(name string, typ RRType, rdata string, t time.Time) {
 		o.Count++
 		return
 	}
-	o := &Observation{RRName: name, RRType: typ, RData: rdata, FirstSeen: t, LastSeen: t, Count: 1}
+	if len(db.slab) == 0 {
+		db.slab = make([]Observation, obsChunk)
+	}
+	o := &db.slab[0]
+	db.slab = db.slab[1:]
+	*o = Observation{RRName: name, RRType: typ, RData: rdata, FirstSeen: t, LastSeen: t, Count: 1}
 	db.obs[k] = o
 	if _, seen := db.byName[name]; !seen {
 		rd := dnsmsg.RegisteredDomain(name)
@@ -101,14 +113,15 @@ func (db *DB) Record(name string, typ RRType, rdata string, t time.Time) {
 	db.byRData[rdata] = append(db.byRData[rdata], o)
 }
 
-// RecordAddr is Record for address rdata.
-func (db *DB) RecordAddr(name string, addr netip.Addr, t time.Time) {
-	typ := dnsmsg.TypeAAAA
+// AddrRData returns the record type and rdata under which Record stores
+// an answer of address addr: A with the dotted quad for IPv4 and
+// 4-in-6 addresses, AAAA otherwise. A caller recording one address many
+// times formats it once here.
+func AddrRData(addr netip.Addr) (RRType, string) {
 	if addr.Unmap().Is4() {
-		typ = dnsmsg.TypeA
-		addr = addr.Unmap()
+		return dnsmsg.TypeA, addr.Unmap().String()
 	}
-	db.Record(name, typ, addr.String(), t)
+	return dnsmsg.TypeAAAA, addr.String()
 }
 
 // Size returns the number of stored observations.

@@ -8,6 +8,13 @@ import (
 	"iotmap/internal/dnsmsg"
 )
 
+// recordAddr records a sighting of name→addr under the rdata
+// AddrRData formats.
+func recordAddr(db *DB, name string, addr netip.Addr, t time.Time) {
+	typ, rdata := AddrRData(addr)
+	db.Record(name, typ, rdata, t)
+}
+
 var (
 	t0 = time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC)
 	t1 = t0.Add(24 * time.Hour)
@@ -16,11 +23,11 @@ var (
 
 func seeded() *DB {
 	db := New()
-	db.RecordAddr("a1.iot.us-east-1.amazonaws.com", netip.MustParseAddr("52.0.0.1"), t0)
-	db.RecordAddr("a1.iot.us-east-1.amazonaws.com", netip.MustParseAddr("52.0.0.1"), t1)
-	db.RecordAddr("a2.iot.eu-west-1.amazonaws.com", netip.MustParseAddr("52.0.1.1"), t1)
-	db.RecordAddr("mqtt.googleapis.com", netip.MustParseAddr("74.125.0.5"), t0)
-	db.RecordAddr("mqtt.googleapis.com", netip.MustParseAddr("2a00:1450::5"), t0)
+	recordAddr(db, "a1.iot.us-east-1.amazonaws.com", netip.MustParseAddr("52.0.0.1"), t0)
+	recordAddr(db, "a1.iot.us-east-1.amazonaws.com", netip.MustParseAddr("52.0.0.1"), t1)
+	recordAddr(db, "a2.iot.eu-west-1.amazonaws.com", netip.MustParseAddr("52.0.1.1"), t1)
+	recordAddr(db, "mqtt.googleapis.com", netip.MustParseAddr("74.125.0.5"), t0)
+	recordAddr(db, "mqtt.googleapis.com", netip.MustParseAddr("2a00:1450::5"), t0)
 	db.Record("cdn.shared.example.com", dnsmsg.TypeA, "52.0.0.1", t0)
 	db.Record("www.shared.example.com", dnsmsg.TypeA, "52.0.0.1", t2)
 	db.Record("alias.amazonaws.com", dnsmsg.TypeCNAME, "a1.iot.us-east-1.amazonaws.com.", t0)
@@ -106,7 +113,7 @@ func TestBasicSearchExactAndWildcard(t *testing.T) {
 		t.Fatalf("wildcard names = %v", names)
 	}
 	// The wildcard must not match the bare suffix itself.
-	db.RecordAddr("amazonaws.com", netip.MustParseAddr("52.9.9.9"), t0)
+	recordAddr(db, "amazonaws.com", netip.MustParseAddr("52.9.9.9"), t0)
 	wild = db.BasicSearch("*.amazonaws.com.", dnsmsg.TypeA, TimeRange{})
 	for _, o := range wild {
 		if o.RRName == "amazonaws.com." {
@@ -165,7 +172,7 @@ func TestConcurrentAccess(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			db.RecordAddr("w.example.org", netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), t0)
+			recordAddr(db, "w.example.org", netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), t0)
 		}
 	}()
 	for i := 0; i < 100; i++ {
@@ -181,7 +188,7 @@ func TestConcurrentAccess(t *testing.T) {
 func BenchmarkFlexibleSearch(b *testing.B) {
 	db := New()
 	for i := 0; i < 5000; i++ {
-		db.RecordAddr(
+		recordAddr(db,
 			string(rune('a'+i%26))+"x.iot.eu-central-1.amazonaws.com",
 			netip.AddrFrom4([4]byte{52, byte(i >> 8), byte(i), 1}), t0)
 	}

@@ -42,7 +42,7 @@ func randomDB(seed int64, n int) *DB {
 		at := t0.Add(time.Duration(rng.Intn(7*24)) * time.Hour)
 		if rng.Bool(0.7) {
 			addr := netip.AddrFrom4([4]byte{52, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1 + rng.Intn(250))})
-			db.RecordAddr(name, addr, at)
+			recordAddr(db, name, addr, at)
 		} else {
 			db.Record(name, dnsmsg.TypeCNAME, fmt.Sprintf("t%d.example.net.", rng.Intn(100)), at)
 		}

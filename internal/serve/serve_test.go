@@ -564,13 +564,23 @@ func TestWindowFoldStats(t *testing.T) {
 			polls++
 		}
 	}
+	body := get(t, srv, "/window")
 	var out struct {
 		Fold flows.FoldStats `json:"fold"`
 	}
-	if err := json.Unmarshal([]byte(get(t, srv, "/window")), &out); err != nil {
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
 	}
 	if fs := out.Fold; fs.Rebuilds != 1 || fs.Slides != uint64(polls-1) || fs.Copies != 0 {
 		t.Fatalf("%d hourly polls: fold %+v, want 1 rebuild, %d slides and no copy", polls, fs, polls-1)
+	}
+	var raw struct {
+		Fold map[string]uint64 `json:"fold"`
+	}
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := raw.Fold["compactions"]; !ok || n > out.Fold.Slides {
+		t.Fatalf("fold %v: want fold.compactions, at most one per slide", raw.Fold)
 	}
 }

@@ -100,11 +100,18 @@ func fnvU64(h uint64, v uint64) uint64 {
 // yields the same stream, which lets subsystems (DNS churn, traffic, scan
 // jitter) evolve independently without sharing one fragile sequence.
 func Derive(seed int64, labels ...string) *Source {
+	return New(Seed(seed, labels...))
+}
+
+// Seed derives a child seed from a parent seed and labels: the
+// allocation-free core of Derive, so Reset(Seed(...)) ≡ Derive(...)
+// for loops that derive a stream per element.
+func Seed(seed int64, labels ...string) int64 {
 	h := fnvU64(fnvOffset64, uint64(seed))
 	for _, l := range labels {
 		h = fnvString(fnvByte(h, 0), l)
 	}
-	return New(int64(h))
+	return int64(h)
 }
 
 // SeedN derives a child seed from a parent seed, one label, and integer

@@ -159,18 +159,37 @@ const sharedNonIoTNames = 12
 // Sensor coverage is partial per provider (PDNSNameFrac / PDNSAddrFrac);
 // shared servers accumulate many non-IoT names; a few dedicated servers
 // get one or two stray names to exercise threshold robustness.
+//
+// Each server's address is formatted once per build, for its seed labels
+// and its rdata alike, each name is canonicalized once, not once per
+// sighting, and one Source is re-seeded for every derived stream.
 func (w *World) BuildDNSDB() *dnsdb.DB {
 	db := dnsdb.New()
+	var rng simrand.Source
+	addrs := map[*Server]serverRData{}
+	rdataOf := func(s *Server) serverRData {
+		r, ok := addrs[s]
+		if !ok {
+			r.typ, r.rdata = dnsdb.AddrRData(s.Addr)
+			r.label = r.rdata
+			if s.Addr.Is4In6() {
+				r.label = s.Addr.String()
+			}
+			addrs[s] = r
+		}
+		return r
+	}
 	for _, id := range w.Order {
 		p := w.Providers[id]
 		spec := p.Spec
 		for _, name := range p.Names() {
-			nameRng := simrand.Derive(w.Cfg.Seed, "pdns-name", name)
-			if !nameRng.Bool(spec.PDNSNameFrac) {
+			rng.Reset(simrand.Seed(w.Cfg.Seed, "pdns-name", name))
+			if !rng.Bool(spec.PDNSNameFrac) {
 				continue // the sensors never saw this FQDN
 			}
+			canonical := dnsmsg.CanonicalName(name)
 			recorded := 0
-			record := func(s *Server, rng *simrand.Source) {
+			record := func(s *Server, r serverRData) {
 				// The sensors witness popular mappings most days they
 				// are live: record a sighting on ~80% of the server's
 				// active days (per-day coverage is what Figure 3's
@@ -180,16 +199,17 @@ func (w *World) BuildDNSDB() *dnsdb.DB {
 						continue
 					}
 					at := w.Days[di].Add(time.Duration(rng.Intn(24)) * time.Hour)
-					db.RecordAddr(name, s.Addr, at)
+					db.Record(canonical, r.typ, r.rdata, at)
 				}
 				recorded++
 			}
 			for _, s := range p.names[name] {
-				addrRng := simrand.Derive(w.Cfg.Seed, "pdns-addr", name, s.Addr.String())
-				if !addrRng.Bool(spec.PDNSAddrFrac) {
+				r := rdataOf(s)
+				rng.Reset(simrand.Seed(w.Cfg.Seed, "pdns-addr", name, r.label))
+				if !rng.Bool(spec.PDNSAddrFrac) {
 					continue
 				}
-				record(s, addrRng)
+				record(s, r)
 			}
 			// A sensor that observed the FQDN at all saw at least one
 			// answer: never leave an observed name without rdata, or
@@ -197,27 +217,37 @@ func (w *World) BuildDNSDB() *dnsdb.DB {
 			// whole shards.
 			if recorded == 0 && len(p.names[name]) > 0 {
 				s := p.names[name][0]
-				record(s, simrand.Derive(w.Cfg.Seed, "pdns-addr-floor", name))
+				rng.Reset(simrand.Seed(w.Cfg.Seed, "pdns-addr-floor", name))
+				record(s, rdataOf(s))
 			}
 		}
 		// Non-IoT names over shared IPs, plus occasional strays on
-		// dedicated ones.
+		// dedicated ones, formatted in canonical form.
 		for _, s := range p.Servers {
-			rng := simrand.Derive(w.Cfg.Seed, "pdns-shared", s.Addr.String())
+			r := rdataOf(s)
+			rng.Reset(simrand.Seed(w.Cfg.Seed, "pdns-shared", r.label))
 			if !s.Dedicated() {
 				for k := 0; k < sharedNonIoTNames+rng.Intn(8); k++ {
-					n := fmt.Sprintf("www.site%d.shared-web.example", rng.Intn(100000))
+					n := fmt.Sprintf("www.site%d.shared-web.example.", rng.Intn(100000))
 					at := w.Days[rng.Intn(len(w.Days))].Add(time.Duration(rng.Intn(24)) * time.Hour)
-					db.RecordAddr(n, s.Addr, at)
+					db.Record(n, r.typ, r.rdata, at)
 				}
 			} else if rng.Bool(0.05) {
-				n := fmt.Sprintf("vanity%d.example.org", rng.Intn(100000))
+				n := fmt.Sprintf("vanity%d.example.org.", rng.Intn(100000))
 				at := w.Days[rng.Intn(len(w.Days))].Add(time.Duration(rng.Intn(24)) * time.Hour)
-				db.RecordAddr(n, s.Addr, at)
+				db.Record(n, r.typ, r.rdata, at)
 			}
 		}
 	}
 	return db
+}
+
+// serverRData is one server's address as BuildDNSDB uses it: the seed
+// label (its address string) and the record type and rdata it is stored
+// under.
+type serverRData struct {
+	label, rdata string
+	typ          dnsdb.RRType
 }
 
 // Vantage points for the active-DNS campaign: two in Europe, one in the
