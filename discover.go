@@ -6,14 +6,23 @@ import (
 	"iotmap/internal/analysis"
 	"iotmap/internal/certmodel"
 	"iotmap/internal/core/discovery"
+	"iotmap/internal/dnsdb"
 	"iotmap/internal/vnet"
 	"iotmap/internal/world"
 )
 
+// Discovered is the Discover stage's result.
+type Discovered struct {
+	// Discovery holds each provider's fused address sets, by provider ID.
+	Discovery map[string]*discovery.Result
+	// PDNS is the passive-DNS database the validation filter queries.
+	PDNS *dnsdb.DB
+}
+
 // Discover runs the Section 3.3 source fusion.
 func (s *System) Discover(ctx context.Context) error {
 	// The scan catalog and the week of zone stores live for this call
-	// only: discovery.Run reads them, s.Discovery keeps none of it. The
+	// only: discovery.Run reads them, the result keeps none of it. The
 	// three are independent read-only passes over the World, so they are
 	// built concurrently.
 	in := discovery.Inputs{
@@ -32,7 +41,6 @@ func (s *System) Discover(ctx context.Context) error {
 			in.PDNS = s.World.BuildDNSDB()
 		}
 	})
-	s.PDNS = in.PDNS
 	if !s.Cfg.SkipLiveScan {
 		s.fabric = vnet.New()
 		ca, err := certmodel.NewCA("IoT Backend Study CA")
@@ -49,7 +57,7 @@ func (s *System) Discover(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.Discovery = res
+	s.Discovered = Discovered{Discovery: res, PDNS: in.PDNS}
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"iotmap/internal/analysis"
 	"iotmap/internal/bgpstream"
-	"iotmap/internal/collector"
 	"iotmap/internal/core/flows"
 	"iotmap/internal/faultwire"
 	"iotmap/internal/isp"
@@ -14,23 +13,12 @@ import (
 	"iotmap/internal/simrand"
 )
 
-// VantageResult is one vantage's slice of a federated run.
+// VantageResult is one vantage's slice of a federated run: the
+// normalized spec the vantage ran with, and its Traffic — exactly what
+// a single-vantage TrafficStudy over this world would produce.
 type VantageResult struct {
-	// Spec is the normalized spec the vantage ran with.
 	Spec VantageSpec
-	// Net is the vantage's subscriber world.
-	Net *isp.Network
-	// Contacts and Study are the vantage's own Figure 5 counter and
-	// Section 5 analysis — exactly what a single-vantage TrafficStudy
-	// over this world would produce.
-	Contacts *flows.ContactCounter
-	Study    *flows.Study
-	// WireExport/WireIngest/WireStreams are the wire-mode transfer
-	// counters (nil/empty in memory mode); WireStreams breaks the
-	// ingest down per stream with vantage attribution.
-	WireExport  *isp.WireStats
-	WireIngest  *collector.Stats
-	WireStreams []collector.StreamStat
+	Traffic
 }
 
 // FederationResult is FederationStudy's output: per-vantage studies,
@@ -97,23 +85,24 @@ func (s *System) vantageSpecs() ([]VantageSpec, error) {
 // vantage whose study is byte-identical to TrafficStudy's. Requires
 // ValidateAndLocate.
 func (s *System) FederationStudy() error {
-	fed, err := s.federate(nil, nil)
+	if s.Index == nil {
+		return errNotValidated
+	}
+	fed, err := s.federate(&s.Discovered, &s.Validated, nil, nil)
 	if err != nil {
 		return err
 	}
 	s.Federation = fed
-	// §3.4 traffic cross-check over the federated union — with one
-	// vantage this is exactly TrafficStudy's per-backend evidence.
-	s.trafficCrossCheck(fed.Union.BackendVolumes())
 	return nil
 }
 
-// federate runs the configured federation with the given wire-fault
-// schedule (nil: clean wire) and per-vantage traffic modifiers (nil:
-// none), and returns the result without storing anything in the System.
-// FederationStudy and every DisruptionSuite scenario run go through it,
-// so a scenario differs from its baseline only by what it passes here.
-func (s *System) federate(faults *faultwire.Scenario, modifierFor func(vantage string) isp.FlowModifier) (*FederationResult, error) {
+// federate runs the configured federation over the given stage results
+// with the given wire-fault schedule (nil: clean wire) and per-vantage
+// traffic modifiers (nil: none), and returns the result without storing
+// anything in the System. FederationStudy and every DisruptionSuite
+// scenario run go through it, so a scenario differs from its baseline
+// only by what it passes here.
+func (s *System) federate(d *Discovered, v *Validated, faults *faultwire.Scenario, modifierFor func(vantage string) isp.FlowModifier) (*FederationResult, error) {
 	specs, err := s.vantageSpecs()
 	if err != nil {
 		return nil, err
@@ -126,7 +115,7 @@ func (s *System) federate(faults *faultwire.Scenario, modifierFor func(vantage s
 	runs := make([]pipelineRun, len(specs))
 	errs := make([]error, len(specs))
 	analysis.ForEach(len(specs), func(i int) {
-		runs[i], errs[i] = s.vantage(i, specs[i], modifierFor, faults)
+		runs[i], errs[i] = s.vantage(v.Index, i, specs[i], modifierFor, faults)
 	})
 	var parts []*flows.ShardPartial
 	for i, sp := range specs {
@@ -139,15 +128,10 @@ func (s *System) federate(faults *faultwire.Scenario, modifierFor func(vantage s
 	fed := flows.FederatedMerge(parts)
 	results := make([]*VantageResult, len(specs))
 	for i, sp := range specs {
-		results[i] = &VantageResult{
-			Spec:        sp,
-			Net:         runs[i].net,
-			Contacts:    fed.CC[sp.Name],
-			Study:       fed.Col[sp.Name].Study(),
-			WireExport:  runs[i].wireExport,
-			WireIngest:  runs[i].wireIngest,
-			WireStreams: runs[i].streamStats,
-		}
+		t := runs[i].Traffic
+		t.Contacts, t.Study = fed.CC[sp.Name], fed.Col[sp.Name].Study()
+		t.CrossCheck = s.trafficCrossCheck(d, v, t.Study)
+		results[i] = &VantageResult{Spec: sp, Traffic: t}
 	}
 	return &FederationResult{
 		Vantages:      results,
@@ -281,7 +265,7 @@ func (s *System) DisruptionSuite(suite scenario.Suite) (*SuiteStudyResult, error
 
 	out := &SuiteStudyResult{Suite: suite.Name, Baseline: base}
 	for _, c := range compiled {
-		fed, err := s.federate(c.Faults, c.ModifierFor)
+		fed, err := s.federate(&s.Discovered, &s.Validated, c.Faults, c.ModifierFor)
 		if err != nil {
 			return nil, fmt.Errorf("iotmap: scenario %q: %w", c.Name, err)
 		}

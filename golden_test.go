@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"iotmap"
-	"iotmap/internal/core/flows"
 	"iotmap/internal/figures"
 )
 
@@ -292,17 +291,17 @@ func TestGoldenFederationSingleVantage(t *testing.T) {
 	if sp := fed.Vantages[0].Spec; sp.Seed != sys.Cfg.Seed || sp.Lines != sys.Cfg.Lines {
 		t.Fatalf("default vantage spec %+v does not inherit the run config", sp)
 	}
-	for variant, view := range map[string]struct {
-		study    *iotmap.Study
-		contacts *flows.ContactCounter
-	}{
-		"vantage": {fed.Vantages[0].Study, fed.Vantages[0].Contacts},
-		"union":   {fed.Union, fed.UnionContacts},
+	// The union is no vantage's Traffic and carries no §3.4 cross-check
+	// of its own: its view keeps the System's.
+	union := sys.Traffic
+	union.Study, union.Contacts = fed.Union, fed.UnionContacts
+	for variant, view := range map[string]iotmap.Traffic{
+		"vantage": fed.Vantages[0].Traffic,
+		"union":   union,
 	} {
 		t.Run(variant, func(t *testing.T) {
 			fsys := *sys
-			fsys.Study = view.study
-			fsys.Contacts = view.contacts
+			fsys.Traffic = view
 			for name, render := range goldenSection5 {
 				checkGolden(t, name, render(&fsys))
 			}
@@ -350,8 +349,7 @@ func TestGoldenFederationWire(t *testing.T) {
 		t.Fatalf("per-stream records sum to %d, exporter framed %d", streamRecords, want)
 	}
 	fsys := *sys
-	fsys.Study = vr.Study
-	fsys.Contacts = vr.Contacts
+	fsys.Traffic = vr.Traffic
 	for name, render := range goldenSection5 {
 		checkGolden(t, name, render(&fsys))
 	}

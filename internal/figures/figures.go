@@ -498,8 +498,8 @@ func ValidationReport(sys *iotmap.System) string {
 		fmt.Fprintf(&b, "  %-10s prefixes=%d (~%d addrs) found=%d inside=%d outside=%d\n",
 			id, rep.Prefixes, rep.CoveredAddrs, rep.Found, rep.Inside, len(rep.Outside))
 	}
-	for _, id := range sortedKeys(sys.Validation.Traffic) {
-		rep := sys.Validation.Traffic[id]
+	for _, id := range sortedKeys(sys.CrossCheck) {
+		rep := sys.CrossCheck[id]
 		fmt.Fprintf(&b, "  %-10s traffic-active=%d found=%d missed=%d volumeMiss=%.2f%%\n",
 			id, rep.Active, rep.FoundActive, len(rep.Missed), 100*rep.VolumeMissFrac)
 	}

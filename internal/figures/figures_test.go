@@ -135,7 +135,7 @@ func TestValidationCoverage(t *testing.T) {
 	}
 	// Traffic cross-check: misses must be a tiny volume share (<5% at
 	// simulation scale; the paper reports <1%).
-	if tr, ok := sys.Validation.Traffic["microsoft"]; ok && tr.Active > 0 {
+	if tr, ok := sys.CrossCheck["microsoft"]; ok && tr.Active > 0 {
 		if tr.VolumeMissFrac > 0.05 {
 			t.Errorf("volume miss fraction = %.3f", tr.VolumeMissFrac)
 		}

@@ -289,19 +289,6 @@ func TestPropertyStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkV5Encode(b *testing.B) {
-	records := make([]Record, V5MaxRecords)
-	for i := range records {
-		records[i] = rec("95.1.2.3", "52.0.0.9", 40123, 8883, 5000, 12)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeV5(V5Header{}, records); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // EncodeV5 serializes records into one v5 packet.
 func EncodeV5(h V5Header, records []Record) ([]byte, error) {
 	pkt, _, err := EncodeV5Clamped(h, records)

@@ -13,13 +13,14 @@
 //	sys.TrafficStudy()         // ISP NetFlow simulation + Figures 5-14
 //	sys.Disrupt()              // outage + BGP + blocklist, Figures 15-16
 //
-// Each stage fills the corresponding exported fields; internal/figures
-// renders them as the paper's tables and figures.
+// The first three stages each produce one value (Discovered, Validated,
+// Traffic) from the earlier stages' values. The System embeds each one,
+// so their fields read as the System's own; internal/figures renders
+// them as the paper's tables and figures.
 package iotmap
 
 import (
 	"context"
-	"net/netip"
 	"time"
 
 	"iotmap/internal/collector"
@@ -28,11 +29,8 @@ import (
 	"iotmap/internal/core/flows"
 	"iotmap/internal/core/footprint"
 	"iotmap/internal/core/patterns"
-	"iotmap/internal/core/validate"
-	"iotmap/internal/dnsdb"
 	"iotmap/internal/faultwire"
 	"iotmap/internal/geo"
-	"iotmap/internal/isp"
 	"iotmap/internal/outage"
 	"iotmap/internal/vnet"
 	"iotmap/internal/world"
@@ -180,54 +178,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validation bundles the Section 3.4 ground-truth reports.
-type Validation struct {
-	// IPs holds per-provider reports for full-disclosure providers.
-	IPs map[string]validate.IPReport
-	// Prefixes holds the prefix-level report (Microsoft).
-	Prefixes map[string]validate.PrefixReport
-	// Traffic holds the active-traffic cross-check (set by TrafficStudy
-	// and FederationStudy).
-	Traffic map[string]validate.TrafficReport
-}
-
-// System is a staged reproduction run.
+// System is a staged reproduction run. Discover, ValidateAndLocate and
+// TrafficStudy each set one embedded result from the results before it;
+// no stage rewrites an earlier stage's result.
 type System struct {
 	Cfg      Config
 	World    *world.World
 	Patterns []*patterns.Pattern
 
-	// Discover outputs.
-	Discovery map[string]*discovery.Result
-	PDNS      *dnsdb.DB
-
-	// ValidateAndLocate outputs.
-	Dedicated  map[string][]netip.Addr
-	Shared     map[string][]netip.Addr
-	Located    map[string]map[netip.Addr]footprint.Located
-	Rows       map[string]footprint.Row
-	Validation Validation
-	// Index is the collector's backend index over the dedicated sets,
-	// built once: TrafficStudy, TrafficInputs and every vantage of a
-	// federated run classify against it (discovery is global; only the
-	// observation points differ).
-	Index *flows.BackendIndex
-	// prefixAddrs keeps the sorted discovered addresses of each
-	// prefix-disclosing provider for trafficCrossCheck.
-	prefixAddrs map[string][]netip.Addr
-
-	// TrafficStudy outputs.
-	Net      *isp.Network
-	Contacts *flows.ContactCounter
-	Study    *flows.Study
-	// WireExport/WireIngest are the wire-mode transfer counters (nil in
-	// memory mode): what the border routers framed onto the streams, and
-	// what the collector decoded, scaled, and folded back out of them.
-	// WireStreams breaks the ingest down per stream, so anomalies point
-	// at the feed that produced them.
-	WireExport  *isp.WireStats
-	WireIngest  *collector.Stats
-	WireStreams []collector.StreamStat
+	Discovered
+	Validated
+	Traffic
 
 	// FederationStudy outputs.
 	Federation *FederationResult

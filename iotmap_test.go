@@ -3,6 +3,8 @@ package iotmap_test
 import (
 	"context"
 	"fmt"
+	"maps"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"iotmap/internal/core/flows"
 	"iotmap/internal/figures"
 	"iotmap/internal/geo"
+	"iotmap/internal/scenario"
 )
 
 // TestStageOrdering: stages must refuse to run out of order.
@@ -49,6 +52,53 @@ func TestStageOrdering(t *testing.T) {
 	}
 	if sys.Cascade != nil {
 		t.Fatal("cascade entries without an outage scenario")
+	}
+}
+
+// TestStageIsolation: a stage sets its own result and never rewrites an
+// earlier stage's. After TrafficStudy, FederationStudy and a one-step
+// DisruptionSuite leave the System's Validated and Traffic results as
+// they were, down to the §3.4 traffic cross-check, which a federated
+// union over more vantages would count differently.
+func TestStageIsolation(t *testing.T) {
+	sys, err := iotmap.New(federationConfig(iotmap.TrafficModeMemory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Discover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ValidateAndLocate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.TrafficStudy(); err != nil {
+		t.Fatal(err)
+	}
+	// The maps are cloned so that a write through the System's shared
+	// maps shows as a difference.
+	val, tr := sys.Validated, sys.Traffic
+	val.Dedicated, val.Shared = maps.Clone(val.Dedicated), maps.Clone(val.Shared)
+	val.Located, val.Rows = maps.Clone(val.Located), maps.Clone(val.Rows)
+	val.Validation.IPs, val.Validation.Prefixes = maps.Clone(val.Validation.IPs), maps.Clone(val.Validation.Prefixes)
+	tr.CrossCheck = maps.Clone(tr.CrossCheck)
+	if tr.CrossCheck["microsoft"].Active == 0 {
+		t.Fatal("no active microsoft backends: the traffic cross-check guards nothing")
+	}
+
+	if err := sys.FederationStudy(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DisruptionSuite(scenario.Suite{Name: "aws", Seed: 5, Steps: []scenario.Step{
+		{Name: "aws-outage", Outage: iotmap.AWSOutageScenario()},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sys.Validated, val) {
+		t.Error("a later stage rewrote the Validated result")
+	}
+	if !reflect.DeepEqual(sys.Traffic, tr) {
+		t.Errorf("a later stage rewrote the Traffic result; cross-check %+v, was %+v", sys.CrossCheck, tr.CrossCheck)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"iotmap"
 	"iotmap/internal/asdb"
 	"iotmap/internal/bgpstream"
+	"iotmap/internal/core/validate"
 	"iotmap/internal/figures"
 	"iotmap/internal/scenario"
 )
@@ -232,7 +233,10 @@ func TestDisruptionSuiteOutageOnly(t *testing.T) {
 	}
 	baseline := sys.Federation
 	baselineCov := figures.FederationCoverage(baseline)
-	baselineTraffic := maps.Clone(sys.Validation.Traffic)
+	baselineCheck := map[string]map[string]validate.TrafficReport{}
+	for _, vr := range baseline.Vantages {
+		baselineCheck[vr.Spec.Name] = maps.Clone(vr.CrossCheck)
+	}
 	res, err := sys.DisruptionSuite(scenario.Suite{Name: "aws", Seed: 5, Steps: []scenario.Step{
 		{Name: "aws-outage", Outage: iotmap.AWSOutageScenario()},
 	}})
@@ -267,8 +271,10 @@ func TestDisruptionSuiteOutageOnly(t *testing.T) {
 	if got := figures.FederationCoverage(sys.Federation); got != baselineCov {
 		t.Fatal("DisruptionSuite mutated the baseline coverage")
 	}
-	if !reflect.DeepEqual(sys.Validation.Traffic, baselineTraffic) {
-		t.Fatal("DisruptionSuite rewrote the baseline's traffic cross-check")
+	for _, vr := range sys.Federation.Vantages {
+		if !reflect.DeepEqual(vr.CrossCheck, baselineCheck[vr.Spec.Name]) {
+			t.Fatalf("DisruptionSuite rewrote %s's traffic cross-check", vr.Spec.Name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package iotmap
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -13,6 +14,33 @@ import (
 	"iotmap/internal/isp"
 )
 
+// Traffic is the traffic stage's result for one vantage world: the
+// System's own, from TrafficStudy, or one vantage's of a federated run.
+type Traffic struct {
+	// Net is the vantage's subscriber world.
+	Net *isp.Network
+	// Contacts and Study are the Figure 5 counter and the Section 5
+	// analysis.
+	Contacts *flows.ContactCounter
+	Study    *flows.Study
+	// WireExport/WireIngest are the wire-mode transfer counters (nil in
+	// memory mode): what the border routers framed onto the streams, and
+	// what the collector decoded, scaled, and folded back out of them.
+	// WireStreams breaks the ingest down per stream, with vantage
+	// attribution, so anomalies point at the feed that produced them.
+	WireExport  *isp.WireStats
+	WireIngest  *collector.Stats
+	WireStreams []collector.StreamStat
+	// CrossCheck is the Section 3.4 active-traffic validation of each
+	// prefix-disclosing provider against this Study's per-backend
+	// volumes ("52 active IPs, 4 missed, <1% volume").
+	CrossCheck map[string]validate.TrafficReport
+}
+
+// errNotValidated is the order check of the stages that read the
+// Validated result.
+var errNotValidated = errors.New("iotmap: ValidateAndLocate must run first")
+
 // TrafficStudy runs the single-pass sharded simulate→aggregate pipeline
 // over the validated backend sets: line-major workers each simulate
 // their lines' whole week straight into a worker-local aggregate,
@@ -24,37 +52,36 @@ import (
 // is the run's own vantage: Config.Seed and Config.Lines with the ISP
 // model defaults.
 func (s *System) TrafficStudy() error {
-	s.WireExport, s.WireIngest, s.WireStreams = nil, nil, nil
-	run, err := s.vantage(0, VantageSpec{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, nil, nil)
+	if s.Index == nil {
+		return errNotValidated
+	}
+	run, err := s.vantage(s.Index, 0, VantageSpec{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, nil, nil)
 	if err != nil {
 		return err
 	}
-	s.Net = run.net
 	cc, col := flows.MergePartials(run.parts)
-	s.Contacts = cc
-	s.Study = col.Study()
-	s.WireExport = run.wireExport
-	s.WireIngest = run.wireIngest
-	s.WireStreams = run.streamStats
-
-	// Traffic cross-check for the prefix-disclosing providers
-	// (Section 3.4's "52 active IPs, 4 missed, <1% volume").
-	s.trafficCrossCheck(s.Study.BackendVolumes())
+	run.Contacts, run.Study = cc, col.Study()
+	run.CrossCheck = s.trafficCrossCheck(&s.Discovered, &s.Validated, run.Study)
+	s.Traffic = run.Traffic
 	return nil
 }
 
-// trafficCrossCheck fills the §3.4 active-traffic validation from the
-// per-backend volume evidence of a completed study.
-func (s *System) trafficCrossCheck(volumes map[netip.Addr]float64) {
-	for id := range s.Validation.Prefixes {
+// trafficCrossCheck checks each prefix-disclosing provider's discovered
+// addresses against the per-backend volume evidence of a completed
+// study (Section 3.4's active-traffic validation).
+func (s *System) trafficCrossCheck(d *Discovered, v *Validated, st *flows.Study) map[string]validate.TrafficReport {
+	volumes := st.BackendVolumes()
+	out := map[string]validate.TrafficReport{}
+	for id := range v.Validation.Prefixes {
 		perProvider := map[netip.Addr]float64{}
-		for a, v := range volumes {
+		for a, vol := range volumes {
 			if srv, ok := s.World.ServerAt(a); ok && srv.Provider == id {
-				perProvider[a] = v
+				perProvider[a] = vol
 			}
 		}
-		s.Validation.Traffic[id] = validate.AgainstTraffic(s.prefixAddrs[id], perProvider)
+		out[id] = validate.AgainstTraffic(d.Discovery[id].Addrs(), perProvider)
 	}
+	return out
 }
 
 // TrafficInputs returns the traffic stage's raw material — the network
@@ -63,6 +90,9 @@ func (s *System) trafficCrossCheck(volumes map[netip.Addr]float64) {
 // exporter/collector frontends (cmd/iotcollect) use it to drive the
 // wire path by hand. Requires ValidateAndLocate.
 func (s *System) TrafficInputs() (*isp.Network, *flows.BackendIndex, error) {
+	if s.Index == nil {
+		return nil, nil, errNotValidated
+	}
 	net, err := s.vantageNetwork(0, VantageSpec{Seed: s.Cfg.Seed, Lines: s.Cfg.Lines}, nil)
 	if err != nil {
 		return nil, nil, err
@@ -74,12 +104,8 @@ func (s *System) TrafficInputs() (*isp.Network, *flows.BackendIndex, error) {
 // backend-side outage (Config.Outage) is visible from every vantage, so
 // it comes first and the vantage's own modifier (modifierFor, nil: none)
 // after it: first drop wins, so flows the vantage modifier leaves alone
-// stay bit-identical to a modifier-less baseline. Requires
-// ValidateAndLocate.
+// stay bit-identical to a modifier-less baseline.
 func (s *System) vantageNetwork(i int, sp VantageSpec, modifierFor func(vantage string) isp.FlowModifier) (*isp.Network, error) {
-	if s.Index == nil {
-		return nil, fmt.Errorf("iotmap: ValidateAndLocate must run first")
-	}
 	net, err := isp.NewNetwork(isp.Config{
 		Seed:            sp.Seed,
 		Lines:           sp.Lines,
@@ -105,10 +131,11 @@ func (s *System) vantageNetwork(i int, sp VantageSpec, modifierFor func(vantage 
 }
 
 // vantage builds vantage i's world and drives it through the
-// Config.TrafficMode data path, splicing faults (nil: clean wire) into
-// every wire stream. It is the one per-vantage path: TrafficStudy runs
-// it once for the run's own network, the federation once per spec.
-func (s *System) vantage(i int, sp VantageSpec, modifierFor func(vantage string) isp.FlowModifier, faults *faultwire.Scenario) (pipelineRun, error) {
+// Config.TrafficMode data path against the backend index idx, splicing
+// faults (nil: clean wire) into every wire stream. It is the one
+// per-vantage path: TrafficStudy runs it once for the run's own network,
+// the federation once per spec.
+func (s *System) vantage(idx *flows.BackendIndex, i int, sp VantageSpec, modifierFor func(vantage string) isp.FlowModifier, faults *faultwire.Scenario) (pipelineRun, error) {
 	net, err := s.vantageNetwork(i, sp, modifierFor)
 	if err != nil {
 		return pipelineRun{}, err
@@ -117,52 +144,47 @@ func (s *System) vantage(i int, sp VantageSpec, modifierFor func(vantage string)
 	if s.Cfg.Outage != nil {
 		focusRegion = s.Cfg.Outage.Region
 	}
-	run, err := s.runPipeline(net, flows.Options{
+	return s.runPipeline(idx, net, flows.Options{
 		ScannerThreshold: s.Cfg.ScannerThreshold,
 		SamplingRate:     net.Cfg.SamplingRate,
 		FocusAlias:       "T1",
 		FocusRegion:      focusRegion,
 		Vantage:          sp.Name,
 	}, faults)
-	run.net = net
-	return run, err
 }
 
 // pipelineRun is one vantage world pushed through the configured
-// traffic data path: the network, its vantage-tagged shard partials,
-// plus the wire transfer stats when the feed crossed the wire (nil in
-// memory mode).
+// traffic data path: its Traffic, whose analyses (Contacts, Study,
+// CrossCheck) wait for the merge, and the vantage-tagged shard partials
+// the merge folds.
 type pipelineRun struct {
-	net         *isp.Network
-	parts       []*flows.ShardPartial
-	wireExport  *isp.WireStats
-	wireIngest  *collector.Stats
-	streamStats []collector.StreamStat
+	Traffic
+	parts []*flows.ShardPartial
 }
 
 // runPipeline drives one network through the Config.TrafficMode data
-// path into shard partials. Memory mode folds the simulator's rows into
-// them; wire mode exports every line shard as a dictionary stream over
-// an in-process pipe (synchronous — collector backpressure throttles
-// the exporter), splices faults (nil: clean wire) into every stream,
-// and decodes, validates, and rescales it back.
+// path into shard partials classified against idx. Memory mode folds the
+// simulator's rows into them; wire mode exports every line shard as a
+// dictionary stream over an in-process pipe (synchronous — collector
+// backpressure throttles the exporter), splices faults (nil: clean wire)
+// into every stream, and decodes, validates, and rescales it back.
 // Merging the partials yields byte-identical results either way.
-func (s *System) runPipeline(net *isp.Network, opts flows.Options, faults *faultwire.Scenario) (pipelineRun, error) {
+func (s *System) runPipeline(idx *flows.BackendIndex, net *isp.Network, opts flows.Options, faults *faultwire.Scenario) (pipelineRun, error) {
 	switch s.Cfg.TrafficMode {
 	case TrafficModeMemory, "":
-		agg := flows.NewShardedAggregator(s.Index, s.World.Days, opts, runtime.GOMAXPROCS(0))
+		agg := flows.NewShardedAggregator(idx, s.World.Days, opts, runtime.GOMAXPROCS(0))
 		agg.Simulate(net)
 		parts := make([]*flows.ShardPartial, agg.Shards())
 		for i := range parts {
 			parts[i] = agg.Shard(i)
 		}
-		return pipelineRun{parts: parts}, nil
+		return pipelineRun{Traffic: Traffic{Net: net}, parts: parts}, nil
 	case TrafficModeWire:
 		streams := s.Cfg.WireStreams
 		if streams <= 0 {
 			streams = runtime.GOMAXPROCS(0)
 		}
-		ccfg := collector.Config{Index: s.Index, Days: s.World.Days, Opts: opts, Policy: s.Cfg.WirePolicy}
+		ccfg := collector.Config{Index: idx, Days: s.World.Days, Opts: opts, Policy: s.Cfg.WirePolicy}
 		if faults != nil {
 			vantage := opts.Vantage
 			ccfg.Tap = func(stream int, _ string, r io.Reader) io.Reader {
@@ -182,12 +204,12 @@ func (s *System) runPipeline(net *isp.Network, opts flows.Options, faults *fault
 			return pipelineRun{}, exportErr
 		}
 		ingestStats := col.Stats()
-		return pipelineRun{
-			parts:       col.Partials(),
-			wireExport:  &wireStats,
-			wireIngest:  &ingestStats,
-			streamStats: col.StreamStats(),
-		}, nil
+		return pipelineRun{Traffic: Traffic{
+			Net:         net,
+			WireExport:  &wireStats,
+			WireIngest:  &ingestStats,
+			WireStreams: col.StreamStats(),
+		}, parts: col.Partials()}, nil
 	default:
 		return pipelineRun{}, fmt.Errorf("iotmap: unknown TrafficMode %q", s.Cfg.TrafficMode)
 	}
