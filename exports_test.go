@@ -1,11 +1,18 @@
 package iotmap_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -13,42 +20,43 @@ import (
 )
 
 // unusedExports lists the exports of internal/ that no product code
-// names but that must stay exported, each with the reason. The list may
+// uses but that must stay exported, each with the reason. The list may
 // only shrink: TestExportsHaveProductCallers fails on an unused export
 // missing from it, and on an entry that gained a caller or is gone.
 var unusedExports = map[string]string{
-	"internal/core/patterns.ByProvider":     "footprint and patterns tests look patterns up by provider with it",
-	"internal/dnszone.Store.AddAddr":        "world's zone-store oracle builds its reference stores one record at a time with it",
-	"internal/netflow.AppendV9Packet":       "collector tests build the NetFlow v9 datagrams ServeUDP decodes with it",
-	"internal/netflow.EncodeV5Clamped":      "collector tests build the v5 datagrams ServeUDP decodes with it; the pipeline only decodes v5",
-	"internal/world.Provider.ActiveServers": "isp and discovery tests pick a provider's live servers with it",
+	"internal/censys.Snapshot.Records":            "world's censys oracle compares each day's catalog view with a from-scratch snapshot with it",
+	"internal/core/flows.BackendIndex.Size":       "the root package's backend-index test checks the index's address count against its oracle with it",
+	"internal/core/flows.ContactCounter.Scanners": "collector tests and the root package's stage benchmark compare scanner sets with it; product code reads Curve",
+	"internal/core/flows.WireTables.Lines":        "collector's window resume test checks that a resumed stream kept its dictionary with it",
+	"internal/core/patterns.ByProvider":           "footprint and patterns tests look patterns up by provider with it",
+	"internal/dnszone.Store.AddAddr":              "world's zone-store oracle builds its reference stores one record at a time with it",
+	"internal/dnszone.Store.Names":                "world's zone-store oracle compares derived and from-scratch stores' owner names with it",
+	"internal/hitlist.Hitlist.Entries":            "world's hitlist test checks every entry against the world's servers with it",
+	"internal/netflow.AppendV9Packet":             "collector tests build the NetFlow v9 datagrams ServeUDP decodes with it",
+	"internal/netflow.EncodeV5Clamped":            "collector tests build the v5 datagrams ServeUDP decodes with it; the pipeline only decodes v5",
+	"internal/world.Provider.ActiveServers":       "isp and discovery tests pick a provider's live servers with it",
 }
 
 // TestExportsHaveProductCallers fails when an exported function,
 // method, type, field, constant or variable declared in a non-test file
-// under internal/ is named by no non-test file of the module tree: the
+// under internal/ is used by no non-test file of the module tree: the
 // root package, cmd/, examples/, internal/ itself and the separate
-// benchmark/ module all count as callers.
+// benchmark/ module all count as users.
 //
-// It matches by name only. Any identifier with the export's name, in
-// any package, counts as a use, so the scan is a conservative lower
-// bound: it never reports a name some product code spells, and it needs
-// no type checker and no subprocess. An export whose only uses are by
-// name elsewhere (a method reached only through an interface, a field
-// only a codec reads) shows up here and is either removed or listed in
-// unusedExports with its reason.
+// A use is an identifier the type checker resolves to the export's own
+// object, so an unrelated identifier that happens to share its name
+// (os.FileInfo.Size for an internal Size method) does not count. A
+// selection x.f uses f wherever it was promoted from; embedded fields
+// are not keyed, since naming their type is their use. A method also
+// counts as used when its type satisfies an interface that product code
+// mentions, and fmt.Stringer and error always count, since fmt calls
+// String and Error through reflection. An export with no use is either
+// removed or listed in unusedExports with its reason.
 func TestExportsHaveProductCallers(t *testing.T) {
-	decls, uses := scanModuleTree(t, ".")
-	var unused []string
-	for key, name := range decls {
-		if !uses[name] {
-			unused = append(unused, key)
-		}
-	}
-	sort.Strings(unused)
+	unused := unusedExportsIn(t, ".", "benchmark")
 	for _, key := range unused {
 		if _, ok := unusedExports[key]; !ok {
-			t.Errorf("%s: exported but named by no product code; delete it, move it into a _test.go file, or unexport it", key)
+			t.Errorf("%s: exported but used by no product code; delete it, move it into a _test.go file, or unexport it", key)
 		}
 	}
 	listed := make([]string, 0, len(unusedExports))
@@ -57,63 +65,202 @@ func TestExportsHaveProductCallers(t *testing.T) {
 	}
 	sort.Strings(listed)
 	for _, key := range listed {
-		if name, ok := decls[key]; !ok || uses[name] {
+		if i := sort.SearchStrings(unused, key); i == len(unused) || unused[i] != key {
 			t.Errorf("%s: allowlisted as unused, but it has a product caller or is gone; take it off unusedExports", key)
 		}
 	}
 }
 
-// scanModuleTree parses every non-test .go file under root. It returns
-// the exports declared under internal/, keyed "dir.Name" (methods and
-// fields "dir.Type.Name") and mapped to their bare name, and the set of
-// identifier names the files use anywhere but in a declaring position.
-func scanModuleTree(t *testing.T, root string) (decls map[string]string, uses map[string]bool) {
+// TestExportsScanResolvesByType runs the scan over a fixture module in
+// which internal/lib.Size is called only by lib's own test while the
+// product code calls os.FileInfo.Size, and lib.Item.String is reached
+// only through fmt. A scan that matched by name would take the
+// os.FileInfo call for a use of lib.Size and report nothing.
+func TestExportsScanResolvesByType(t *testing.T) {
+	got := unusedExportsIn(t, filepath.Join("testdata", "exportsfixture"))
+	want := []string{"internal/lib.Size"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("unused exports = %v, want %v", got, want)
+	}
+}
+
+// listedPackage is the part of `go list -json` output the scan reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+}
+
+// unusedExportsIn type-checks every non-test package that
+// `go list -export -deps ./...` lists in the given module directories
+// (the first is the module whose internal/ is scanned; the rest only
+// add users) and returns the keys of the internal/ exports nothing
+// uses, sorted. Keys are "dir.Name", methods and fields "dir.Type.Name",
+// with dir relative to the first module. Module packages are checked
+// from source in dependency order, so every use resolves to the very
+// object its declaration defined; the standard library is read from the
+// compiler's export data.
+func unusedExportsIn(t *testing.T, modules ...string) []string {
 	t.Helper()
-	decls = map[string]string{}
-	uses = map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		declIdents := map[*ast.Ident]bool{}
-		collectDecls(f, func(id *ast.Ident, key string) {
-			declIdents[id] = true
-			if strings.HasPrefix(dir, "internal/") && id.IsExported() {
-				decls[dir+"."+key] = id.Name
-			}
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declIdents[id] {
-				uses[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
+	root, err := filepath.Abs(modules[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls, uses
+	exports := map[string]string{}
+	var source []listedPackage
+	seen := map[string]bool{}
+	for _, dir := range modules {
+		for _, p := range goListExport(t, dir) {
+			switch {
+			case p.Standard:
+				exports[p.ImportPath] = p.Export
+			case !seen[p.ImportPath]:
+				seen[p.ImportPath] = true
+				source = append(source, p)
+			}
+		}
+	}
+
+	fset := token.NewFileSet()
+	stdlib := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if file := exports[path]; file != "" {
+			return os.Open(file)
+		}
+		return nil, fmt.Errorf("no export data for %q", path)
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return stdlib.Import(path)
+	})}
+
+	decls := map[types.Object]string{}
+	used := map[types.Object]bool{}
+	ifaces := map[*types.Interface]bool{
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true,
+		stringer(): true,
+	}
+	for _, p := range source {
+		files := make([]*ast.File, 0, len(p.GoFiles))
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+
+		rel, err := filepath.Rel(root, p.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel = filepath.ToSlash(rel); strings.HasPrefix(rel, "internal/") {
+			for _, f := range files {
+				collectDecls(f, func(id *ast.Ident, key string) {
+					if id.IsExported() {
+						decls[info.Defs[id]] = rel + "." + key
+					}
+				})
+			}
+		}
+		for _, obj := range info.Uses {
+			used[obj] = true
+		}
+		for _, tv := range info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces[it] = true
+			}
+		}
+	}
+
+	var unused []string
+	for obj, key := range decls {
+		if !used[obj] && !satisfiesUsedInterface(obj, ifaces) {
+			unused = append(unused, key)
+		}
+	}
+	sort.Strings(unused)
+	return unused
+}
+
+// goListExport runs `go list -export -deps -json ./...` in dir, which
+// builds every listed package's export data, and decodes its output:
+// dependencies come before the packages that import them.
+func goListExport(t *testing.T, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listedPackage
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			return pkgs
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// stringer is fmt.Stringer's method set.
+func stringer() *types.Interface {
+	str := types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false)
+	return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "String", str)}, nil).Complete()
+}
+
+// satisfiesUsedInterface reports whether obj is a method whose receiver
+// type, or a pointer to it, implements one of ifaces that has a method
+// of obj's name: a call through that interface can reach obj.
+func satisfiesUsedInterface(obj types.Object, ifaces map[*types.Interface]bool) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	for it := range ifaces {
+		if !types.Implements(typ, it) && !types.Implements(types.NewPointer(typ), it) {
+			continue
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // collectDecls calls add for every package-level declaring identifier

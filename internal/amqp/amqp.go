@@ -72,15 +72,6 @@ type Frame struct {
 // MaxFrameSize is the cap this implementation accepts.
 const MaxFrameSize = 1 << 20
 
-// Marshal encodes the frame with the minimum doff of 2.
-func (f Frame) Marshal() []byte {
-	size := 8 + len(f.Body)
-	out := make([]byte, 0, size)
-	out = append(out, byte(size>>24), byte(size>>16), byte(size>>8), byte(size))
-	out = append(out, 2, byte(f.Type), byte(f.Channel>>8), byte(f.Channel))
-	return append(out, f.Body...)
-}
-
 // ReadFrame reads one frame from r.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [8]byte

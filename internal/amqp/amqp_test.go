@@ -158,3 +158,12 @@ const (
 	FrameAMQP FrameType = 0
 	FrameSASL FrameType = 1
 )
+
+// Marshal encodes the frame with the minimum doff of 2.
+func (f Frame) Marshal() []byte {
+	size := 8 + len(f.Body)
+	out := make([]byte, 0, size)
+	out = append(out, byte(size>>24), byte(size>>16), byte(size>>8), byte(size))
+	out = append(out, 2, byte(f.Type), byte(f.Channel>>8), byte(f.Channel))
+	return append(out, f.Body...)
+}

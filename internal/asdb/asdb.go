@@ -38,9 +38,8 @@ type Announcement struct {
 // the classic unibit-trie bound. asdb_test.go keeps a linear-scan
 // matcher as the trie's reference oracle and benchmarks the two.
 type Table struct {
-	v4, v6   *trieNode
-	ases     map[ASN]AS
-	prefixes int
+	v4, v6 *trieNode
+	ases   map[ASN]AS
 }
 
 type trieNode struct {
@@ -74,9 +73,6 @@ func (t *Table) ASes() []AS {
 	return out
 }
 
-// Len reports the number of installed announcements.
-func (t *Table) Len() int { return t.prefixes }
-
 // Announce installs a prefix announcement, replacing any previous origin
 // for the exact same prefix (as a newer BGP update would).
 func (t *Table) Announce(pfx netip.Prefix, origin ASN) error {
@@ -96,9 +92,6 @@ func (t *Table) Announce(pfx netip.Prefix, origin ASN) error {
 			n.child[b] = &trieNode{}
 		}
 		n = n.child[b]
-	}
-	if n.ann == nil {
-		t.prefixes++
 	}
 	n.ann = &Announcement{Prefix: pfx, Origin: origin}
 	return nil

@@ -63,9 +63,6 @@ func NewFeed(events []Event) *Feed {
 	return &Feed{events: cp}
 }
 
-// Events returns all events in time order.
-func (f *Feed) Events() []Event { return f.events }
-
 // Count tallies events per kind.
 func (f *Feed) Count() map[Kind]int {
 	out := map[Kind]int{}

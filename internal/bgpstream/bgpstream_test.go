@@ -20,11 +20,11 @@ func TestGenerateCounts(t *testing.T) {
 	if c[Leak] != 10 || c[Hijack] != 40 || c[ASOutage] != 166 {
 		t.Fatalf("counts = %v", c)
 	}
-	if len(feed.Events()) != 216 {
-		t.Fatalf("events = %d", len(feed.Events()))
+	if len(feed.events) != 216 {
+		t.Fatalf("events = %d", len(feed.events))
 	}
 	// Time-ordered.
-	evs := feed.Events()
+	evs := feed.events
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At.Before(evs[i-1].At) {
 			t.Fatal("events not time ordered")
@@ -113,7 +113,7 @@ func TestCheckImpactMatchesCheckImpactAt(t *testing.T) {
 		addrs = append(addrs, s.Addr)
 		hosted[s.ASN] = struct{}{}
 	}
-	events := feed.Events()
+	events := feed.events
 	injected := 0
 	for asn := range hosted {
 		events = append(events,

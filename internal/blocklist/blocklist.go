@@ -55,9 +55,6 @@ func (a *Aggregate) Size() int { return len(a.reasons) }
 // Lists returns the number of source lists.
 func (a *Aggregate) Lists() int { return len(a.lists) }
 
-// Reasons returns why an address is listed (nil if not listed).
-func (a *Aggregate) Reasons(addr netip.Addr) []Reason { return a.reasons[addr] }
-
 // Hit is one backend address found on the aggregate.
 type Hit struct {
 	Addr     netip.Addr

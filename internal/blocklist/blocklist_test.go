@@ -17,10 +17,10 @@ func TestAggregateMerge(t *testing.T) {
 	if agg.Size() != 2 || agg.Lists() != 2 {
 		t.Fatalf("size=%d lists=%d", agg.Size(), agg.Lists())
 	}
-	if rs := agg.Reasons(a1); len(rs) != 2 {
+	if rs := agg.reasons[a1]; len(rs) != 2 {
 		t.Fatalf("a1 reasons = %v", rs)
 	}
-	if rs := agg.Reasons(netip.MustParseAddr("192.0.2.9")); rs != nil {
+	if rs := agg.reasons[netip.MustParseAddr("192.0.2.9")]; rs != nil {
 		t.Fatal("unlisted address has reasons")
 	}
 }

@@ -47,9 +47,6 @@ type Record struct {
 	Location geo.Location
 }
 
-// Endpoint returns the record's addr:port.
-func (r Record) Endpoint() netip.AddrPort { return netip.AddrPortFrom(r.Addr, r.Port) }
-
 // recRange is a [start, end) span of indices into Catalog.records.
 // Records are sorted by (Addr, Port), so one address's records are
 // always contiguous — a range costs one map value per address instead
@@ -216,9 +213,6 @@ type Snapshot struct {
 
 func (s *Snapshot) has(i int32) bool { return s.active == nil || s.active[i] }
 
-// Len returns the record count.
-func (s *Snapshot) Len() int { return s.n }
-
 // Records returns all records in (Addr, Port) order (callers must not
 // mutate: a snapshot holding the whole catalog returns the shared slice,
 // a day subset builds a fresh one per call).
@@ -319,20 +313,6 @@ func (s *Snapshot) SearchCertsAnchored(re *regexp.Regexp, anchors []string) []Re
 	return out
 }
 
-// Addrs extracts the unique addresses in records.
-func Addrs(records []Record) []netip.Addr {
-	seen := map[netip.Addr]struct{}{}
-	var out []netip.Addr
-	for _, r := range records {
-		if _, dup := seen[r.Addr]; !dup {
-			seen[r.Addr] = struct{}{}
-			out = append(out, r.Addr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
 // Service stores the daily snapshots of a study period, keyed by UTC day.
 type Service struct {
 	snaps map[string]*Snapshot
@@ -353,14 +333,4 @@ func (sv *Service) Get(day time.Time) (*Snapshot, error) {
 		return nil, fmt.Errorf("censys: no snapshot for %s", dayKey(day))
 	}
 	return s, nil
-}
-
-// Days lists the stored snapshot dates in order.
-func (sv *Service) Days() []time.Time {
-	var out []time.Time
-	for _, s := range sv.snaps {
-		out = append(out, s.Date)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }

@@ -33,8 +33,8 @@ func sampleSnapshot() *Snapshot {
 
 func TestSnapshotOrderingAndIndex(t *testing.T) {
 	s := sampleSnapshot()
-	if s.Len() != 4 {
-		t.Fatalf("len = %d", s.Len())
+	if s.n != 4 {
+		t.Fatalf("len = %d", s.n)
 	}
 	recs := s.Records()
 	for i := 1; i < len(recs); i++ {
@@ -62,9 +62,8 @@ func TestSearchCerts(t *testing.T) {
 	if len(hits) != 2 {
 		t.Fatalf("hits = %d", len(hits))
 	}
-	addrs := Addrs(hits)
-	if len(addrs) != 2 || addrs[0] != netip.MustParseAddr("52.0.0.1") {
-		t.Fatalf("addrs = %v", addrs)
+	if hits[0].Addr != netip.MustParseAddr("52.0.0.1") || hits[1].Addr == hits[0].Addr {
+		t.Fatalf("hits = %v", hits)
 	}
 }
 
@@ -85,23 +84,15 @@ func TestServiceDays(t *testing.T) {
 	d2 := day.AddDate(0, 0, 1)
 	svc.Put(newSnapshot(d2, nil))
 	svc.Put(sampleSnapshot())
-	days := svc.Days()
-	if len(days) != 2 || !days[0].Equal(day) {
-		t.Fatalf("days = %v", days)
-	}
 	got, err := svc.Get(day.Add(13 * time.Hour)) // same UTC day
-	if err != nil || got.Len() != 4 {
+	if err != nil || got.n != 4 {
 		t.Fatalf("Get same-day: %v", err)
+	}
+	if got, err := svc.Get(d2); err != nil || got.n != 0 {
+		t.Fatalf("Get next day: %v", err)
 	}
 	if _, err := svc.Get(day.AddDate(0, 0, 9)); err == nil {
 		t.Fatal("missing day returned a snapshot")
-	}
-}
-
-func TestRecordEndpoint(t *testing.T) {
-	r := Record{Addr: netip.MustParseAddr("1.2.3.4"), Port: 8883}
-	if r.Endpoint().String() != "1.2.3.4:8883" {
-		t.Fatalf("endpoint = %v", r.Endpoint())
 	}
 }
 

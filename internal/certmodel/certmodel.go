@@ -17,7 +17,6 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"fmt"
 	"math/big"
 	"regexp"
 	"strings"
@@ -187,16 +186,4 @@ func SpecFromX509(c *x509.Certificate) Spec {
 		NotAfter:   c.NotAfter,
 		SelfSigned: c.Subject.String() == c.Issuer.String(),
 	}
-}
-
-// Validate performs basic sanity checks on a Spec before it enters a
-// snapshot.
-func (s Spec) Validate() error {
-	if s.SubjectCN == "" && len(s.DNSNames) == 0 {
-		return fmt.Errorf("certmodel: spec has no names")
-	}
-	if !s.NotBefore.IsZero() && !s.NotAfter.IsZero() && s.NotAfter.Before(s.NotBefore) {
-		return fmt.Errorf("certmodel: NotAfter precedes NotBefore")
-	}
-	return nil
 }

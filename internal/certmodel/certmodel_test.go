@@ -42,19 +42,6 @@ func TestMatchesRegexp(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := (Spec{}).Validate(); err == nil {
-		t.Fatal("nameless spec validated")
-	}
-	bad := Spec{SubjectCN: "x", NotBefore: time.Now(), NotAfter: time.Now().Add(-time.Hour)}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("inverted validity accepted")
-	}
-	if err := (Spec{SubjectCN: "x"}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIssueAndHandshake(t *testing.T) {
 	ca, err := NewCA("IoT Study")
 	if err != nil {

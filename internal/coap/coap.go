@@ -20,7 +20,6 @@ const (
 	Confirmable     MsgType = 0
 	NonConfirmable  MsgType = 1
 	Acknowledgement MsgType = 2
-	Reset           MsgType = 3
 )
 
 // Code is the CoAP code byte: class in the top 3 bits, detail below.

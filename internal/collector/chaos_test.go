@@ -485,7 +485,7 @@ func TestIngestReconnecting(t *testing.T) {
 		}
 	}
 	err = col.IngestReconnecting("flaky-feed", dial, ReconnectConfig{
-		Seed: 7, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond,
+		Seed:  7,
 		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	if err != nil {
@@ -499,7 +499,7 @@ func TestIngestReconnecting(t *testing.T) {
 		t.Fatalf("backoff sleeps = %d, want 2 (dead transport, then refused dial)", len(slept))
 	}
 	for i, d := range slept {
-		base := 10 * time.Millisecond << i
+		base := 100 * time.Millisecond << i
 		if d < base/2 || d > base*3/2 {
 			t.Fatalf("sleep %d = %v outside jitter window [%v, %v]", i, d, base/2, base*3/2)
 		}
@@ -511,8 +511,9 @@ func TestIngestReconnecting(t *testing.T) {
 	}
 }
 
-// TestReconnectGivesUp: once MaxAttempts is exhausted the last error
-// surfaces through the normal policy handling — Abort propagates it.
+// TestReconnectGivesUp: once the five redials are exhausted the last
+// error surfaces through the normal policy handling — Abort propagates
+// it.
 func TestReconnectGivesUp(t *testing.T) {
 	f := buildFixture(t, 50)
 	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
@@ -524,13 +525,12 @@ func TestReconnectGivesUp(t *testing.T) {
 		return nil, fmt.Errorf("no route to host")
 	}
 	err = col.IngestReconnecting("dead-feed", dial, ReconnectConfig{
-		MaxAttempts: 3, BaseDelay: time.Millisecond,
 		Sleep: func(time.Duration) { sleeps++ },
 	})
 	if err == nil || !strings.Contains(err.Error(), "no route to host") {
 		t.Fatalf("err = %v, want the dial error", err)
 	}
-	if sleeps != 3 {
-		t.Fatalf("backoff sleeps = %d, want MaxAttempts = 3", sleeps)
+	if sleeps != 5 {
+		t.Fatalf("backoff sleeps = %d, want 5", sleeps)
 	}
 }

@@ -189,17 +189,18 @@ func (c *Collector) IngestPipes(streams int) (writers []io.Writer, wait func() e
 	return writers, wait
 }
 
-// ReconnectConfig tunes IngestReconnecting's redial behavior.
+// IngestReconnecting's backoff: after the initial connect it redials at
+// most reconnectAttempts times, the i-th (from 0) after sleeping
+// reconnectBase<<i (100ms, 200ms, … 1.6s) times a seeded jitter factor
+// in [0.5, 1.5), so a fleet of reconnecting collectors does not thunder
+// back in lockstep, and a replayed study reconnects identically.
+const (
+	reconnectAttempts = 5
+	reconnectBase     = 100 * time.Millisecond
+)
+
+// ReconnectConfig seeds IngestReconnecting's backoff jitter.
 type ReconnectConfig struct {
-	// MaxAttempts caps redials after the initial connect; <= 0 means 5.
-	MaxAttempts int
-	// BaseDelay is the first backoff step (default 100ms); each further
-	// attempt doubles it, capped at MaxDelay (default 30s). Every delay
-	// is jittered by a seeded factor in [0.5, 1.5) so a fleet of
-	// reconnecting collectors does not thunder back in lockstep —
-	// seeded, so a replayed study reconnects identically.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Seed drives the jitter draws.
 	Seed int64
 	// Sleep replaces time.Sleep in tests; nil means time.Sleep.
@@ -208,23 +209,14 @@ type ReconnectConfig struct {
 
 // IngestReconnecting ingests one stream whose transport can die and
 // come back: dial opens (or reopens) the feed, and any mid-stream
-// transport error triggers a redial with capped exponential backoff +
-// jitter instead of ending the stream. Successful redials count in
+// transport error triggers a redial with exponential backoff + jitter
+// instead of ending the stream. Successful redials count in
 // Stats.Reconnects. A clean EOF ends the stream normally; exhausting
-// MaxAttempts surfaces the last error to the usual policy handling.
+// the redials surfaces the last error to the usual policy handling.
 // Frame desync across a reconnect boundary is healed by the DropFrame
 // resync path, so pair this with a non-Abort policy for long-lived
 // feeds.
 func (c *Collector) IngestReconnecting(name string, dial func(attempt int) (io.Reader, error), rc ReconnectConfig) error {
-	if rc.MaxAttempts <= 0 {
-		rc.MaxAttempts = 5
-	}
-	if rc.BaseDelay <= 0 {
-		rc.BaseDelay = 100 * time.Millisecond
-	}
-	if rc.MaxDelay <= 0 {
-		rc.MaxDelay = 30 * time.Second
-	}
 	if rc.Sleep == nil {
 		rc.Sleep = time.Sleep
 	}
@@ -306,19 +298,15 @@ func (r *reconnectReader) Read(p []byte) (int, error) {
 	}
 }
 
-// backoff sleeps the next capped-exponential jittered delay, or records
-// cause as the sticky error once MaxAttempts is exhausted.
+// backoff sleeps the next exponential jittered delay, or records cause
+// as the sticky error once the redials are exhausted.
 func (r *reconnectReader) backoff(cause error) bool {
-	if r.retries >= r.rc.MaxAttempts {
+	if r.retries >= reconnectAttempts {
 		r.err = cause
 		return false
 	}
-	d := r.rc.BaseDelay << r.retries
-	if d > r.rc.MaxDelay || d <= 0 {
-		d = r.rc.MaxDelay
-	}
 	jitter := 0.5 + r.rng.Float64()
-	r.rc.Sleep(time.Duration(float64(d) * jitter))
+	r.rc.Sleep(time.Duration(float64(reconnectBase<<r.retries) * jitter))
 	r.retries++
 	return true
 }

@@ -192,13 +192,6 @@ func (b *BackendIndex) build() {
 // Size returns the number of indexed addresses.
 func (b *BackendIndex) Size() int { return len(b.info) }
 
-// Aliases returns the sorted alias list (cached at Build, not rescanned
-// per call).
-func (b *BackendIndex) Aliases() []string {
-	b.ensureBuilt()
-	return append([]string(nil), b.aliasNames...)
-}
-
 // --- Scanner identification --------------------------------------------
 
 // ContactCounter tallies how many distinct backend IPs each subscriber

@@ -472,7 +472,8 @@ func TestBackendIndexHelpers(t *testing.T) {
 	if totals[0] != 1 || totals[1] != 1 {
 		t.Fatalf("totals = %v", totals)
 	}
-	if al := idx.Aliases(); len(al) != 1 || al[0] != "T1" {
+	idx.ensureBuilt()
+	if al := idx.aliasNames; len(al) != 1 || al[0] != "T1" {
 		t.Fatalf("aliases = %v", al)
 	}
 }

@@ -67,7 +67,7 @@ func TestStudyAccessorsMatchReference(t *testing.T) {
 
 	eq("Aliases", got.Aliases(), want.Aliases())
 	eq("Hours", got.Hours(), want.hours)
-	aliases := append(f.idx.Aliases(), "nope")
+	aliases := append(append([]string(nil), f.idx.aliasNames...), "nope")
 	if len(got.Aliases()) != len(aliases)-2 {
 		t.Fatalf("fixture must leave exactly Z9 and the unknown alias without traffic, got %v of %v", got.Aliases(), aliases)
 	}
@@ -187,13 +187,12 @@ func readStudy(s *Study) float64 {
 	return sum
 }
 
-// TestWindowStudyConcurrentReaders: Window.Study() hands one cached
-// *Study to every caller, so its accessors must be safe for concurrent
-// readers while the window keeps ingesting (each flush makes the next
-// Study() a fresh view over a fresh fold; the old one stays valid for
-// whoever still holds it). Under -race this is the check that the view
-// keeps no unsynchronized lazy state; afterwards the window's study
-// must still equal the batch study of the same feed.
+// TestWindowStudyConcurrentReaders: every Window.Study() call hands out
+// a *Study over its own copy of the fold, which must stay valid and
+// unchanged for whoever holds it while the window keeps ingesting and
+// folding. Under -race this is the check that the view keeps no
+// unsynchronized lazy state; afterwards the window's study must still
+// equal the batch study of the same feed.
 func TestWindowStudyConcurrentReaders(t *testing.T) {
 	f := buildDenseFixture(31)
 	opts := f.opts

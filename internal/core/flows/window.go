@@ -43,14 +43,14 @@ import (
 // included), bucket by bucket; a frame that moved less than a day
 // slides the cached fold first, subtracting the rows of the hours it
 // left (exact, as volumes are integer-valued and set members are
-// row-counted). View lends the cached fold to a renderer without
-// copying it; Merged and Study hand out private copies. Because
-// the window and the batch pipeline share one aggregation core and
-// every aggregate is order-independent and exact (integer-valued
-// float64 volumes, see Collector.Merge), a window that never evicted is
-// byte-identical to a batch run over the same feed, and an evicted
-// window matches a batch run over only the surviving hours' flushes
-// (TestWindowEvictionMatchesBatch).
+// row-counted). The cached fold is the window's only read cache: View
+// lends it to a renderer without copying it, and every Merged or Study
+// call copies it afresh. Because the window and the batch pipeline
+// share one aggregation core and every aggregate is order-independent
+// and exact (integer-valued float64 volumes, see Collector.Merge), a
+// window that never evicted is byte-identical to a batch run over the
+// same feed, and an evicted window matches a batch run over only the
+// surviving hours' flushes (TestWindowEvictionMatchesBatch).
 //
 // Eviction granularity caveat: scanner classification stays per-flush,
 // exactly like the batch pipeline (ShardPartial.IngestBatch shares
@@ -112,10 +112,6 @@ type Window struct {
 	preWindow atomic.Uint64
 	late      atomic.Uint64
 
-	// writeVer stamps every completed flush; the Study cache revalidates
-	// against it.
-	writeVer atomic.Uint64
-
 	// frameMu guards the frame ledger: end, the per-hour liveness and
 	// record totals, and the eviction counters. Every mutation happens
 	// inside some shard's critical section, so a reader holding all
@@ -131,13 +127,12 @@ type Window struct {
 	// rr round-robins producers' tables onto shards.
 	rr atomic.Uint32
 
-	// foldMu serializes Merged/Study/View and guards the fold caches.
+	// foldMu serializes Merged/Study/View and guards the fold cache.
 	// stable is written only under foldMu plus every shard lock, so
 	// recycle may read it under its one shard lock, and a holder of
 	// foldMu alone may read it while ingest runs.
 	foldMu                                      sync.Mutex
 	stable                                      *windowFold
-	study                                       *winStudyCache
 	hits, slides, rebuilds, copies, compactions atomic.Uint64
 }
 
@@ -216,9 +211,8 @@ type WindowStats struct {
 }
 
 // FoldStats counts how Merged, Study and View reached their fold of the
-// trailing frame; a Study served from its own cache counts nothing.
-// Every path except a rebuild also folds the rows that arrived since the
-// previous read.
+// trailing frame; every call counts once. Every path except a rebuild
+// also folds the rows that arrived since the previous read.
 type FoldStats struct {
 	// Hits found the cached fold's frame unmoved.
 	Hits uint64 `json:"hits"`
@@ -227,8 +221,8 @@ type FoldStats struct {
 	// Rebuilds folded the whole frame afresh: the first read, or a read a
 	// day or more behind the previous one.
 	Rebuilds uint64 `json:"rebuilds"`
-	// Copies counts the reads that deep-copied the fold (Merged, and a
-	// Study its cache did not serve); View lends it instead.
+	// Copies counts the reads that deep-copied the fold (Merged, and
+	// Study through it); View lends it instead.
 	Copies uint64 `json:"copies"`
 	// Compactions counts the slides that emptied a line, daily slot,
 	// port or alias direction and so dropped it from the fold; every
@@ -448,16 +442,15 @@ func (sh *winShard) route(ah int64) *winBucket {
 	return bk
 }
 
-// endFlush completes the in-progress flush: stamp a fresh write
-// version and credit every touched bucket's new records to the frame
-// ledger (or straight to EvictedRecords if the flush itself advanced the
-// window past the bucket's hour).
+// endFlush completes the in-progress flush: credit every touched
+// bucket's new records to the frame ledger (or straight to
+// EvictedRecords if the flush itself advanced the window past the
+// bucket's hour).
 func (sh *winShard) endFlush() {
 	if len(sh.touched) == 0 {
 		return
 	}
 	w := sh.w
-	w.writeVer.Add(1)
 	w.frameMu.Lock()
 	for i, bk := range sh.touched {
 		sh.touched[i] = nil
@@ -629,15 +622,6 @@ type windowFold struct {
 	cnt *rowCounts
 	// Per-shard memos: shard line ID → fold line ID+1 (0 = unmapped).
 	ccRemap, colRemap [][]int32
-}
-
-// winStudyCache memoizes the last Study() result for an unchanged
-// window state.
-type winStudyCache struct {
-	ver uint64
-	end int64
-	cc  *ContactCounter
-	st  *Study
 }
 
 // frameDays returns the day starts of the frame beginning at hour ws.
@@ -1086,24 +1070,12 @@ func (w *Window) Merged() (cc *ContactCounter, col *Collector) {
 
 // Study returns the finalized trailing-window analysis: the merged
 // ContactCounter (Figure 5's evidence) and the Study over the surviving
-// hours, a view over a private copy of the fold (its collector is
-// finalized here and never written again). The result is cached until
-// the next completed flush and handed to every caller, so repeated
-// calls on an idle window cost nothing. The Study keeps no lazy state
-// and is safe for concurrent readers, who must treat the returned
-// values, and the series the accessors return, as read-only.
+// hours, taken of a Merged copy (its collector is finalized here and
+// never written again). Every call copies the cached fold afresh; a
+// reader that needs no copy of its own uses View. The Study keeps no
+// lazy state and is safe for concurrent readers, who must treat the
+// returned values, and the series the accessors return, as read-only.
 func (w *Window) Study() (*ContactCounter, *Study) {
-	w.foldMu.Lock()
-	defer w.foldMu.Unlock()
-	// A flush completing after these loads only costs the next call a refold.
-	end := w.endA.Load()
-	ver := w.writeVer.Load()
-	if sc := w.study; sc != nil && sc.ver == ver && sc.end == end {
-		return sc.cc, sc.st
-	}
-	f := w.foldShards()
-	w.copies.Add(1)
-	cc, st := f.cc.clone(), f.col.clone().Study()
-	w.study = &winStudyCache{ver: ver, end: end, cc: cc, st: st}
-	return cc, st
+	cc, col := w.Merged()
+	return cc, col.Study()
 }

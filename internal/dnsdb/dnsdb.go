@@ -124,13 +124,6 @@ func AddrRData(addr netip.Addr) (RRType, string) {
 	return dnsmsg.TypeAAAA, addr.String()
 }
 
-// Size returns the number of stored observations.
-func (db *DB) Size() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.obs)
-}
-
 // TimeRange restricts queries to observations whose sighting window
 // overlaps [From, To]. Zero values disable the corresponding bound,
 // matching DNSDB's time_first_after / time_last_before parameters.
@@ -278,36 +271,6 @@ func (db *DB) NamesForAddr(addr netip.Addr, tr TimeRange) []string {
 	out := make([]string, 0, len(seen))
 	for n := range seen {
 		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Addrs extracts the unique addresses from a result set.
-func Addrs(obs []Observation) []netip.Addr {
-	seen := map[netip.Addr]struct{}{}
-	var out []netip.Addr
-	for _, o := range obs {
-		if a, ok := o.Addr(); ok {
-			if _, dup := seen[a]; !dup {
-				seen[a] = struct{}{}
-				out = append(out, a)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// Names extracts the unique rrnames from a result set.
-func Names(obs []Observation) []string {
-	seen := map[string]struct{}{}
-	var out []string
-	for _, o := range obs {
-		if _, dup := seen[o.RRName]; !dup {
-			seen[o.RRName] = struct{}{}
-			out = append(out, o.RRName)
-		}
 	}
 	sort.Strings(out)
 	return out

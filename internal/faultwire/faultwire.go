@@ -385,9 +385,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Counts returns the faults this stream has suffered so far.
-func (r *Reader) Counts() Counts { return r.inj.counts }
-
 // finish folds the stream's fault counts into the scenario totals,
 // once, when the stream ends.
 func (r *Reader) finish() {

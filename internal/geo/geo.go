@@ -285,33 +285,3 @@ func CountDistinct(locs []Location) (locations, countries int) {
 	}
 	return len(seenLoc), len(seenCty)
 }
-
-// ContinentShare aggregates a weight per continent and returns the share
-// of the total carried by each, sorted by descending share.
-type ContinentShare struct {
-	Continent Continent
-	Share     float64
-}
-
-// Shares computes normalized continent shares from absolute weights.
-func Shares(weights map[Continent]float64) []ContinentShare {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	out := make([]ContinentShare, 0, len(weights))
-	for c, w := range weights {
-		s := 0.0
-		if total > 0 {
-			s = w / total
-		}
-		out = append(out, ContinentShare{Continent: c, Share: s})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
-		}
-		return out[i].Continent < out[j].Continent
-	})
-	return out
-}

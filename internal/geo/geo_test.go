@@ -117,23 +117,6 @@ func TestCountDistinct(t *testing.T) {
 	}
 }
 
-func TestShares(t *testing.T) {
-	s := Shares(map[Continent]float64{Europe: 62, NorthAmerica: 35, Asia: 3})
-	if s[0].Continent != Europe || s[1].Continent != NorthAmerica {
-		t.Fatalf("share order wrong: %v", s)
-	}
-	total := 0.0
-	for _, e := range s {
-		total += e.Share
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Fatalf("shares do not sum to 1: %f", total)
-	}
-	if z := Shares(map[Continent]float64{Europe: 0}); z[0].Share != 0 {
-		t.Fatalf("zero-weight share = %f", z[0].Share)
-	}
-}
-
 func TestLocationString(t *testing.T) {
 	l := Location{City: "Frankfurt", Country: "DE", Region: "eu-central-1"}
 	if got := l.String(); got != "Frankfurt, DE (eu-central-1)" {

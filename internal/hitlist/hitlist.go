@@ -39,28 +39,24 @@ func (e Entry) HasPort(port uint16) bool {
 // Hitlist is an ordered, deduplicated set of entries.
 type Hitlist struct {
 	entries []Entry
-	index   map[netip.Addr]int
 }
 
 // New builds a hitlist from entries, merging duplicates.
 func New(entries []Entry) *Hitlist {
-	h := &Hitlist{index: map[netip.Addr]int{}}
+	h := &Hitlist{}
+	index := map[netip.Addr]int{}
 	for _, e := range entries {
 		if !e.Addr.IsValid() || e.Addr.Unmap().Is4() {
 			continue // IPv6 only
 		}
-		if i, ok := h.index[e.Addr]; ok {
+		if i, ok := index[e.Addr]; ok {
 			h.entries[i].Ports = mergePorts(h.entries[i].Ports, e.Ports)
 			continue
 		}
-		h.index[e.Addr] = len(h.entries)
+		index[e.Addr] = len(h.entries)
 		h.entries = append(h.entries, Entry{Addr: e.Addr, Ports: mergePorts(nil, e.Ports)})
 	}
 	sort.Slice(h.entries, func(i, j int) bool { return h.entries[i].Addr.Less(h.entries[j].Addr) })
-	h.index = map[netip.Addr]int{}
-	for i, e := range h.entries {
-		h.index[e.Addr] = i
-	}
 	return h
 }
 
@@ -84,12 +80,6 @@ func (h *Hitlist) Len() int { return len(h.entries) }
 
 // Entries returns all entries in address order.
 func (h *Hitlist) Entries() []Entry { return h.entries }
-
-// Contains reports membership.
-func (h *Hitlist) Contains(a netip.Addr) bool {
-	_, ok := h.index[a]
-	return ok
-}
 
 // WithIoTPorts filters to entries active on at least one IoT port —
 // the scan-input selection of Section 3.3.

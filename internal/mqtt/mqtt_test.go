@@ -358,3 +358,39 @@ func DecodeSuback(raw Raw) (*Suback, error) {
 		Codes:    append([]byte(nil), raw.Body[2:]...),
 	}, nil
 }
+
+// Append serializes a PUBLISH packet.
+func (p *Publish) Append(b []byte) ([]byte, error) {
+	if p.QoS > 2 {
+		return nil, ErrMalformed
+	}
+	var body []byte
+	body = appendString(body, p.Topic)
+	if p.QoS > 0 {
+		body = appendU16(body, p.PacketID)
+	}
+	body = append(body, p.Payload...)
+	var flags byte
+	if p.Dup {
+		flags |= 0x08
+	}
+	flags |= p.QoS << 1
+	if p.Retain {
+		flags |= 0x01
+	}
+	return appendPacket(b, PUBLISH, flags, body)
+}
+
+// Append serializes a SUBSCRIBE packet.
+func (s *Subscribe) Append(b []byte) ([]byte, error) {
+	if len(s.Topics) == 0 {
+		return nil, ErrMalformed
+	}
+	var body []byte
+	body = appendU16(body, s.PacketID)
+	for _, tf := range s.Topics {
+		body = appendString(body, tf.Filter)
+		body = append(body, tf.QoS&0x3)
+	}
+	return appendPacket(b, SUBSCRIBE, 0x02, body) // reserved flags 0010
+}

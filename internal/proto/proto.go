@@ -12,9 +12,8 @@ type Protocol uint8
 
 // Application protocols observed across the 16 providers.
 const (
-	Unknown Protocol = iota
-	MQTT             // plaintext MQTT
-	MQTTS            // MQTT over TLS
+	MQTT  Protocol = iota + 1 // plaintext MQTT; the zero Protocol is unidentified
+	MQTTS                     // MQTT over TLS
 	HTTP
 	HTTPS
 	AMQPS // AMQP 1.0 over TLS

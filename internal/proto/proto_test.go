@@ -6,7 +6,7 @@ func TestProtocolStrings(t *testing.T) {
 	cases := map[Protocol]string{
 		MQTT: "MQTT", MQTTS: "MQTTS", HTTP: "HTTP", HTTPS: "HTTPS",
 		AMQPS: "AMQPS", CoAP: "CoAP", CoAPS: "CoAPS", OPCUA: "OPC-UA",
-		ActiveMQ: "ActiveMQ", Agnostic: "Agnostic", Unknown: "Unknown",
+		ActiveMQ: "ActiveMQ", Agnostic: "Agnostic", Protocol(0): "Unknown",
 		Protocol(99): "Unknown",
 	}
 	for p, want := range cases {

@@ -157,12 +157,6 @@ func (s *Source) Intn(n int) int { return s.r.IntN(n) }
 // Float64 returns a float64 in [0, 1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
-// NormFloat64 returns a standard normal variate.
-func (s *Source) NormFloat64() float64 { return s.r.NormFloat64() }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
