@@ -182,9 +182,9 @@ func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	hourly(87, 88, "slide")
 	// Late rows into the oldest hour, which the next read retires.
 	steps = append(steps, slideStep{name: "late rows in a leaving hour", flushes: [][]netflow.Record{sf.hour(41), sf.hour(89)}, want: "slide"})
-	// A flush into a sealed in-frame hour that then jumps a lap ahead
-	// recycles its own in-flush bucket, which the fold holds.
-	steps = append(steps, slideStep{name: "recycled in-flush bucket", flushes: [][]netflow.Record{append(sf.hour(50), sf.hour(98)...)}, want: "slide"})
+	// A flush into a sealed in-frame hour that then moves the frame past
+	// it: the rows it added there are evicted, never folded.
+	steps = append(steps, slideStep{name: "flush past its own hour", flushes: [][]netflow.Record{append(sf.hour(50), sf.hour(98)...)}, want: "slide"})
 	hourly(99, 101, "slide")
 	steps = append(steps, slideStep{name: "jump 30", flushes: [][]netflow.Record{sf.hour(131)}, want: jump(101, 131)})
 	hourly(132, 133, "slide")
@@ -193,18 +193,20 @@ func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	steps = append(steps, slideStep{name: "read gap", flushes: [][]netflow.Record{sf.hour(168)}, want: jump(133, 168)})
 	hourly(169, 230, "slide")
 	// Thirty more hours with nobody reading, over a frame whose every hour
-	// has rows at 48 hours: the retired lists keep only the first day.
+	// has rows at 48 hours: the rings keep only the last day of the hours
+	// the frame left.
 	hourly(231, 259, "")
 	steps = append(steps, slideStep{name: "read gap over a full frame", flushes: [][]netflow.Record{sf.hour(260)}, want: jump(230, 260)})
 	// Late rows into the frame's oldest hour, then the next hour on
-	// every shard: whichever shard took the late rows retires its bucket
-	// for that hour, and the slide subtracts it from the retired list.
+	// every shard: the frame leaves the hour whose bucket took the late
+	// rows, and the slide subtracts it from its ring slot.
 	last := int64(261)
 	steps = append(steps, slideStep{name: "late rows, then the hour that retires them", flushes: [][]netflow.Record{
 		sf.hour(last - hours), sf.hour(last), sf.hour(last), sf.hour(last),
 	}, want: "slide"})
 	// The same into the next oldest hour, read once, then a jump of a
-	// day: the rebuild finds the retired bucket, at any window length.
+	// day: the rebuild finds buckets below the frame in the rings, at any
+	// window length.
 	steps = append(steps, slideStep{name: "late rows in the oldest hour", flushes: [][]netflow.Record{sf.hour(last + 1 - hours)}, want: "hit"})
 	steps = append(steps, slideStep{name: "retiring hour, then a day's jump", flushes: [][]netflow.Record{
 		sf.hour(last + 1), sf.hour(last + 1), sf.hour(last + 1), sf.hour(slideScheduleEnd),
@@ -289,10 +291,10 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 // a flush recycling its own bucket, long jumps, read gaps, a line that
 // leaves the frame and comes back, and a snapshot restored midway. The
 // fold-path counts pin which reads hit, slide and rebuild, and every
-// cell rebuilds at least once while a shard parks retired buckets. The
-// 48-hour window keeps each hour bitset in one word; the 168-hour one,
-// the daemon's whole-study default, spans three, so its slides carry
-// bits across words.
+// cell rebuilds at least once while a ring holds buckets below the
+// frame. The 48-hour window keeps each hour bitset in one word; the
+// 168-hour one, the daemon's whole-study default, spans three, so its
+// slides carry bits across words.
 func TestWindowSlideMatchesRebuild(t *testing.T) {
 	for _, c := range []struct {
 		hours  int64
@@ -309,20 +311,22 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		}
 		win.setShards(shards)
 		sf := newSlideFeed(f, int64(shards))
-		retiredRebuilds := 0
+		belowRebuilds := 0
 		for _, step := range slideSchedule(sf, c.hours) {
 			for _, fl := range step.flushes {
 				flushRecords(win, fl)
 			}
-			retired := 0
-			for si, sh := range win.shards {
-				if len(sh.retired) > slideReach {
-					t.Fatalf("%s, %s: shard %d parks %d retired buckets", cell, step.name, si, len(sh.retired))
+			below := 0
+			ws := win.startHour(win.End())
+			for _, sh := range win.shards {
+				for _, bk := range sh.ring {
+					if bk != nil && bk.ah < ws {
+						below++
+					}
 				}
-				retired += len(sh.retired)
 			}
-			if step.want == "rebuild" && retired > 0 {
-				retiredRebuilds++
+			if step.want == "rebuild" && below > 0 {
+				belowRebuilds++
 			}
 			if step.want != "" {
 				checkSlideRead(t, win, cell+", "+step.name, step.want)
@@ -331,8 +335,8 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		if st := win.Stats(); st.EvictedHours == 0 || st.LateRecords != 0 {
 			t.Fatalf("%s: schedule stats %+v, want evictions and no late rows", cell, st)
 		}
-		if retiredRebuilds == 0 {
-			t.Fatalf("%s: no rebuild read found a retired bucket", cell)
+		if belowRebuilds == 0 {
+			t.Fatalf("%s: no rebuild read found a bucket below the frame", cell)
 		}
 
 		// Restore a snapshot and keep sliding the restored window.
@@ -431,6 +435,51 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		checkSlideRead(t, win, "after departed lines", "slide")
 	})
 
+	t.Run("recycled in-flush bucket", func(t *testing.T) {
+		// A flush into an in-frame hour that jumps a ring lap ahead
+		// reclaims its own in-flush bucket, which the fold holds: the
+		// bucket's new rows are evicted, the next read rebuilds, and every
+		// kept record is live, evicted or late, as a window that never
+		// evicts counts it.
+		f := buildDenseFixture(71)
+		opts := f.opts
+		opts.ScannerThreshold = 3
+		win, err := NewWindow(f.idx, f.days[0], 48, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.setShards(1)
+		whole, err := NewWindow(f.idx, f.days[0], 240, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf := newSlideFeed(f, 71)
+		feed := func(recs []netflow.Record) {
+			flushRecords(win, recs)
+			flushRecords(whole, recs)
+		}
+		for h := int64(0); h < 60; h++ {
+			feed(sf.hour(h))
+			want := "slide"
+			if h == 0 {
+				want = "rebuild"
+			}
+			checkSlideRead(t, win, "hourly read", want)
+		}
+		feed(append(sf.hour(50), sf.hour(50+48+slideReach)...))
+		checkSlideRead(t, win, "recycled in-flush bucket", "rebuild")
+		live := func(w *Window) (n uint64) {
+			for _, b := range w.BucketStats() {
+				n += b.Records
+			}
+			return n
+		}
+		st := win.Stats()
+		if got, want := live(win)+st.EvictedRecords+st.LateRecords, live(whole); got != want {
+			t.Fatalf("live+evicted+late records %d (%+v), want the %d a window that never evicts holds", got, st, want)
+		}
+	})
+
 	t.Run("concurrent readers", func(t *testing.T) {
 		f := buildDenseFixture(43)
 		opts := f.opts
@@ -524,6 +573,66 @@ func TestWindowViewLendsFrame(t *testing.T) {
 	checkSlideRead(t, win, "after the view", "slide")
 	if fs := win.FoldStats(); fs.Rebuilds != 1 {
 		t.Fatalf("fold %+v, want the first read's rebuild only", fs)
+	}
+}
+
+// TestWindowBucketBudget pins the bucket budget the runbook's regression
+// signal watches. A 48-hour window is fed every hour on every shard for
+// five days, and takes no bucket fresh after hour hours+slideReach. With
+// a View after each hour each shard holds at most hours+1 buckets: the
+// frame's, and the one a read released for the next hour. One that
+// nobody reads holds at most hours+slideReach buckets per shard.
+func TestWindowBucketBudget(t *testing.T) {
+	const hours = 48
+	f := buildDenseFixture(67)
+	opts := f.opts
+	opts.ScannerThreshold = 3
+	noop := func(*ContactCounter, *Collector, time.Time, time.Time) {}
+	for _, shards := range []int{1, 3} {
+		for _, read := range []bool{true, false} {
+			cell := fmt.Sprintf("%d shards, read %v", shards, read)
+			budget := hours + slideReach
+			if read {
+				budget = hours + 1
+			}
+			win, err := NewWindow(f.idx, f.days[0], hours, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			win.setShards(shards)
+			sf := newSlideFeed(f, 67)
+			seen := make([]map[*winBucket]bool, shards)
+			for si := range seen {
+				seen[si] = map[*winBucket]bool{}
+			}
+			taken := 0
+			for h := int64(0); h < 5*24; h++ {
+				for range shards {
+					flushRecords(win, sf.hour(h))
+				}
+				if read {
+					win.View(noop)
+				}
+				for si, sh := range win.shards {
+					for _, bk := range append(slices.Clone(sh.ring), sh.free...) {
+						if bk != nil {
+							seen[si][bk] = true
+						}
+					}
+					if n := len(seen[si]); n > budget {
+						t.Fatalf("%s, hour %d: shard %d took %d buckets, want at most %d", cell, h, si, n, budget)
+					}
+				}
+				n := 0
+				for _, s := range seen {
+					n += len(s)
+				}
+				if h > hours+slideReach && n > taken {
+					t.Fatalf("%s, hour %d: %d buckets taken, %d an hour earlier", cell, h, n, taken)
+				}
+				taken = n
+			}
+		}
 	}
 }
 

@@ -282,10 +282,9 @@ func Snapshot(dst io.Writer, w *Window) error {
 	var rows []snapRow
 	var enc []byte
 	for _, h := range hours {
-		slot := int(h.Hour % int64(w.hours))
 		rows = rows[:0]
 		for si, sh := range w.shards {
-			bk := sh.ring[slot]
+			bk := sh.ring[h.Hour%int64(len(sh.ring))]
 			if bk == nil || bk.ah != h.Hour {
 				continue
 			}
@@ -415,8 +414,7 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 		}
 		lastHour = ah
 		bk := sh.takeBucket(ah)
-		slot := int(ah % int64(hours))
-		sh.ring[slot] = bk
+		sh.ring[ah%int64(len(sh.ring))] = bk
 		var last snapRow
 		for left := nRows; left > 0; {
 			n := min(left, snapRowChunk)
@@ -464,6 +462,7 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 			return nil, fmt.Errorf("flows: snapshot hour %d claims %d records, its rows keep %d", ah, records, bk.records)
 		}
 		sh.rowHint = max(sh.rowHint, nRows)
+		slot := int(ah % int64(hours))
 		w.hourLive[slot] = true
 		w.hourRecs[slot] = records
 	}

@@ -18,15 +18,15 @@ import (
 // trailing N hours" at any moment.
 //
 // The window keeps no aggregates of its own. Each ingest shard owns a
-// ring of hour buckets (absolute hour mod window hours), and a bucket is
-// an append-only columnar row log: five parallel columns — shard line
-// ID, dense backend ID, backend-side port, row flags (kept, down, udp)
-// and the already-scaled byte volume — one row per routed record.
-// Ingest classifies each flush interval's lines against the scanner
-// threshold and appends; eviction truncates the columns and parks them
-// on the shard's free list (or, while the cached fold still holds their
-// hour, on a retired list until the next read), so steady-state
-// eviction allocates nothing.
+// ring of hour buckets, a day longer than the window (absolute hour mod
+// window hours + slideReach), and a bucket is an append-only columnar
+// row log: five parallel columns — shard line ID, dense backend ID,
+// backend-side port, row flags (kept, down, udp) and the already-scaled
+// byte volume — one row per routed record. Ingest classifies each flush
+// interval's lines against the scanner threshold and appends. A bucket
+// keeps its rows until a read's frame passes its hour or a later hour
+// claims its slot; then its columns are truncated and parked on the
+// shard's free list, so steady-state eviction allocates nothing.
 //
 // Study()/Merged()/View() fold the live buckets into a full-frame
 // ContactCounter+Collector by replaying rows: every row sets its
@@ -127,17 +127,15 @@ type Window struct {
 	// rr round-robins producers' tables onto shards.
 	rr atomic.Uint32
 
-	// foldMu serializes Merged/Study/View and guards the fold cache.
-	// stable is written only under foldMu plus every shard lock, so
-	// recycle may read it under its one shard lock, and a holder of
-	// foldMu alone may read it while ingest runs.
+	// foldMu serializes Merged/Study/View and guards the fold cache,
+	// stable.
 	foldMu                                      sync.Mutex
 	stable                                      *windowFold
 	hits, slides, rebuilds, copies, compactions atomic.Uint64
 }
 
 // winShard is one ingest shard: its own line intern table, its own ring
-// of hour buckets, a free list of retired buckets, and the recycled
+// of hour buckets, a free list of released buckets, and the recycled
 // per-flush line entries. All fields are guarded by mu.
 type winShard struct {
 	w  *Window
@@ -147,9 +145,6 @@ type winShard struct {
 
 	ring []*winBucket
 	free []*winBucket
-	// retired holds recycled buckets whose hour the stable fold still
-	// holds, rows intact, until a read subtracts them from the fold.
-	retired []*winBucket
 	// rowHint is the row high-water mark across the shard's buckets;
 	// fresh buckets presize their columns from it so a chronological
 	// feed's row appends stay inside capacity.
@@ -201,8 +196,10 @@ type WindowStats struct {
 	// PreWindowRecords counts records timestamped before the window
 	// epoch — there is no hour to attribute them to.
 	PreWindowRecords uint64
-	// LateRecords counts records older than the trailing window at
-	// arrival time: their hour was already evicted (or never lived).
+	// LateRecords counts the kept records (rows of lines under the
+	// scanner threshold) older than the trailing window at arrival time:
+	// their hour was already evicted (or never lived). Like
+	// EvictedRecords, it leaves scanner rows out.
 	LateRecords uint64
 	// EvictedHours counts hour buckets retired as the window advanced.
 	EvictedHours uint64
@@ -280,7 +277,7 @@ func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Wi
 func (w *Window) setShards(n int) {
 	w.shards = make([]*winShard, n)
 	for i := range w.shards {
-		w.shards[i] = &winShard{w: w, ring: make([]*winBucket, w.hours)}
+		w.shards[i] = &winShard{w: w, ring: make([]*winBucket, w.hours+slideReach)}
 	}
 }
 
@@ -377,8 +374,8 @@ func (w *Window) unlockShards() {
 // falls out of the trailing window. Walking only the slots the new
 // hours claim keeps eviction amortized O(1) per hour of progress: the
 // hour in slot (end+1+k) mod hours is exactly the one hour end+1+k
-// evicts. Shard buckets for evicted hours are recycled lazily, when
-// their ring slot is next claimed.
+// evicts. Shard buckets for evicted hours are released by the next read,
+// or when a later hour claims their ring slot.
 func (w *Window) advanceTo(ah int64) {
 	w.frameMu.Lock()
 	defer w.frameMu.Unlock()
@@ -405,9 +402,10 @@ func (w *Window) advanceTo(ah int64) {
 }
 
 // route resolves one row's absolute hour to this shard's live bucket,
-// advancing (and evicting) as needed. nil means the row was refused
-// (pre-epoch — negative — or older than the trailing window) and counted.
-func (sh *winShard) route(ah int64) *winBucket {
+// advancing (and evicting) as needed. nil means the row was refused:
+// pre-epoch (negative) rows are counted, and rows older than the
+// trailing window are counted if kept.
+func (sh *winShard) route(ah int64, kept bool) *winBucket {
 	w := sh.w
 	if ah < 0 {
 		w.preWindow.Add(1)
@@ -419,14 +417,16 @@ func (sh *winShard) route(ah int64) *winBucket {
 		end = w.endA.Load()
 	}
 	if end-ah >= int64(w.hours) {
-		w.late.Add(1)
+		if kept {
+			w.late.Add(1)
+		}
 		return nil
 	}
-	slot := int(ah % int64(w.hours))
+	slot := int(ah % int64(len(sh.ring)))
 	bk := sh.ring[slot]
 	if bk != nil && bk.ah != ah {
 		// The slot's occupant is from a lap the window already left
-		// (bk.ah ≤ ah-hours: same residue, and ah is in-window).
+		// (bk.ah ≤ ah-len(ring): same residue, and ah is in-window).
 		sh.recycle(bk)
 		bk = nil
 	}
@@ -474,7 +474,7 @@ func (sh *winShard) endFlush() {
 	sh.touched = sh.touched[:0]
 }
 
-// takeBucket pops a retired bucket (its columns keep their capacity) or
+// takeBucket pops a released bucket (its columns keep their capacity) or
 // allocates one presized past the shard's row high-water mark: bucket
 // fills creep, and a hint that lags by one row would re-grow every
 // column on every bucket.
@@ -500,36 +500,21 @@ func (sh *winShard) takeBucket(ah int64) *winBucket {
 	}
 }
 
-// recycle takes a bucket whose ring slot a later hour claims. If the
-// bucket is mid-flush its un-ledgered records are credited to
-// EvictedRecords (the flush jumped the window past its own hour). A
-// bucket whose hour the stable fold holds, less than a day past the
-// fold's start, is parked on the retired list, rows intact, for the next
-// read to subtract its folded rows. Every other bucket goes to the free
-// list: the next read rebuilds if the fold held it, because the frame
-// has then moved a day or more, so the retired list holds at most a day.
+// recycle releases a bucket whose ring slot a later hour claims. That
+// hour is hours+slideReach or more past the bucket's, so a fold that
+// still holds the bucket starts slideReach or more hours before the
+// current frame, and the next read rebuilds rather than subtract it. If
+// the bucket is mid-flush its un-ledgered records are credited to
+// EvictedRecords (the flush jumped the window past its own hour).
 func (sh *winShard) recycle(bk *winBucket) {
-	w := sh.w
 	if bk.inFlush {
+		w := sh.w
 		w.frameMu.Lock()
 		w.evictedRecords += bk.records - bk.mark
 		w.frameMu.Unlock()
 		bk.inFlush = false
 	}
-	if st := w.stable; st != nil && bk.ah >= st.ws && bk.ah < st.end && bk.ah-st.ws < slideReach {
-		sh.retired = append(sh.retired, bk)
-		return
-	}
 	sh.release(bk)
-}
-
-// releaseRetired empties the retired list onto the free list.
-func (sh *winShard) releaseRetired() {
-	for i, bk := range sh.retired {
-		sh.release(bk)
-		sh.retired[i] = nil
-	}
-	sh.retired = sh.retired[:0]
 }
 
 // release empties the bucket and parks it on the shard free list.
@@ -567,11 +552,12 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		if be < 0 {
 			continue
 		}
-		bk := sh.route(int64(b.Hour[i]))
+		li := b.Line[i]
+		kept := !t.over(li)
+		bk := sh.route(int64(b.Hour[i]), kept)
 		if bk == nil {
 			continue
 		}
-		li := b.Line[i]
 		lid := t.winID[li] - 1
 		if lid < 0 {
 			lid = sh.lines.id(t.lines[li].addr)
@@ -584,7 +570,7 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		if b.Proto[i] == netflow.ProtoUDP {
 			flags |= rowUDP
 		}
-		if !t.over(li) {
+		if kept {
 			flags |= rowKept
 			bk.records++
 		}
@@ -605,8 +591,9 @@ func (w *Window) NewWireTables() *WireTables {
 // --- Incremental fold ----------------------------------------------------
 
 // slideReach bounds how far the stable fold slides in one read: a read
-// whose frame starts slideReach or more hours after the fold's rebuilds,
-// so each shard parks at most a day of retired buckets.
+// whose frame starts slideReach or more hours after the fold's rebuilds.
+// Each ring has slideReach slots past the window length, so every bucket
+// a slide subtracts is still in its slot.
 const slideReach = 24
 
 // windowFold is one materialized trailing-frame fold of the hours
@@ -647,15 +634,26 @@ func (w *Window) newFoldFrame(ws, end int64) *windowFold {
 	}
 }
 
-// eachBucket calls fn with every bucket, in the rings or on the retired
-// lists, whose hour is in [lo, hi). Caller holds all shard locks.
+// eachBucket calls fn with every ring bucket whose hour is in [lo, hi).
+// Caller holds all shard locks.
 func (w *Window) eachBucket(lo, hi int64, fn func(si int, sh *winShard, bk *winBucket)) {
 	for si, sh := range w.shards {
-		for _, bks := range [][]*winBucket{sh.ring, sh.retired} {
-			for _, bk := range bks {
-				if bk != nil && bk.ah >= lo && bk.ah < hi {
-					fn(si, sh, bk)
-				}
+		for _, bk := range sh.ring {
+			if bk != nil && bk.ah >= lo && bk.ah < hi {
+				fn(si, sh, bk)
+			}
+		}
+	}
+}
+
+// releaseBelow releases every ring bucket whose hour is below ws, which
+// no later frame reaches. Caller holds all shard locks.
+func (w *Window) releaseBelow(ws int64) {
+	for _, sh := range w.shards {
+		for i, bk := range sh.ring {
+			if bk != nil && bk.ah < ws {
+				sh.release(bk)
+				sh.ring[i] = nil
 			}
 		}
 	}
@@ -932,8 +930,9 @@ func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 
 // slide advances the stable fold st from [st.ws, st.end) to [ws, end)
 // in place and folds the rows that arrived since the last read. The
-// folded rows of hours below ws are subtracted at their old day (they
-// sit in ring buckets not yet reclaimed or on the retired lists),
+// folded rows of hours below ws are subtracted at their old day (their
+// buckets keep their ring slots: a later hour claims one only
+// hours+slideReach hours on, and a fold that far behind rebuilds),
 // in-frame hours whose frame day changes move their daily volumes,
 // hour-indexed columns shift left, every bucket in the new frame folds
 // its rows past its folded mark, and what the slide emptied is dropped.
@@ -950,9 +949,6 @@ func (w *Window) slide(st *windowFold, ws, end int64) {
 		w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { slideBucket(st, si, bk, ws) })
 		st.col.shiftHours(k, w.frameDays(ws))
 		st.ws = ws
-		for _, sh := range w.shards {
-			sh.releaseRetired()
-		}
 	}
 	w.catchUp(st, ws, end)
 	st.end = end
@@ -999,8 +995,8 @@ func remapMemos(memos [][]int32, remap []int32) {
 // foldLocked brings the stable fold to the current trailing frame, the
 // newest hour included, and returns it. It is slid in place (or only
 // caught up, when the frame did not move) unless the frame moved
-// slideReach hours or more, and rebuilt then. Caller holds foldMu and
-// all shard locks.
+// slideReach hours or more, and rebuilt then. The buckets the frame
+// left are released. Caller holds foldMu and all shard locks.
 func (w *Window) foldLocked() *windowFold {
 	end := w.endA.Load() + 1
 	ws := w.startHour(end - 1)
@@ -1010,17 +1006,15 @@ func (w *Window) foldLocked() *windowFold {
 		// Cold start, or a read too far behind the last one.
 		st = w.rebuild(ws, end)
 		w.stable = st
-		for _, sh := range w.shards {
-			sh.releaseRetired()
-		}
 		w.rebuilds.Add(1)
-		return st
 	case st.ws == ws && st.end == end:
 		w.hits.Add(1)
+		w.slide(st, ws, end)
 	default:
 		w.slides.Add(1)
+		w.slide(st, ws, end)
 	}
-	w.slide(st, ws, end)
+	w.releaseBelow(ws)
 	return st
 }
 

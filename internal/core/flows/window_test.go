@@ -158,6 +158,50 @@ func TestWindowEvictionMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestWindowLateCountsKeptRows: LateRecords, like EvictedRecords, counts
+// only kept rows, so their sum does not depend on the order flushes
+// arrive in. Seed 5's hour-12 flush holds a scanner line; fed in hour
+// order, its kept rows are evicted later, and fed after the hour-72
+// flush, its rows are late. Either way its scanner rows count nowhere.
+func TestWindowLateCountsKeptRows(t *testing.T) {
+	f := buildDenseFixture(5)
+	opts := f.opts
+	opts.ScannerThreshold = 3
+	epoch := f.days[0]
+	var inOrder, h12Last [][]netflow.Record
+	var h12 []netflow.Record
+	for _, flush := range hourFlushes(f.recs, epoch) {
+		inOrder = append(inOrder, flush)
+		switch flushHour(flush, epoch) {
+		case 12:
+			h12 = flush
+			continue
+		case 72:
+			h12Last = append(h12Last, flush, h12)
+			continue
+		}
+		h12Last = append(h12Last, flush)
+	}
+	var stats []WindowStats
+	for _, order := range [][][]netflow.Record{inOrder, h12Last} {
+		win, err := NewWindow(f.idx, epoch, 48, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.setShards(1)
+		for _, flush := range order {
+			flushRecords(win, flush)
+		}
+		stats = append(stats, win.Stats())
+	}
+	if stats[0].LateRecords != 0 || stats[1].LateRecords == 0 {
+		t.Fatalf("late records %d in hour order and %d with hour 12 after hour 72, want 0 and some", stats[0].LateRecords, stats[1].LateRecords)
+	}
+	if a, b := stats[0].LateRecords+stats[0].EvictedRecords, stats[1].LateRecords+stats[1].EvictedRecords; a != b {
+		t.Fatalf("late+evicted records %d in hour order, %d with hour 12 after hour 72", a, b)
+	}
+}
+
 // TestWindowBatchPathMatchesRecordPath: WireTables.AppendRecord makes,
 // record for record, the rows a dictionary exporter would have sent —
 // pinned against a hand-built record→batch conversion over hand-built

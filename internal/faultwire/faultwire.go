@@ -2,7 +2,7 @@
 // NetFlow wire path: a seeded io.Reader wrapper that damages a clean
 // frame stream the way production feeds are damaged — corrupted bytes,
 // dropped and duplicated frames, frames cut short mid-payload, reads
-// that dribble or stall, and transports that die mid-week — plus a
+// that dribble, and transports that die mid-week — plus a
 // Scenario type that schedules which faults hit which stream during
 // which study hours ("vantage B's feed dies Wednesday 14:00").
 //
@@ -17,9 +17,9 @@
 // (Scenario.Seed, vantage, stream index) at frame granularity, so the
 // damaged byte stream is a pure function of the seed and the clean
 // feed: two runs with the same fault seed produce byte-identical
-// damage, hence byte-identical collector Stats and figures. Stalls and
-// short reads only shape the timing of delivery, never its content, so
-// enabling them cannot move a figure.
+// damage, hence byte-identical collector Stats and figures. Short reads
+// only shape the timing of delivery, never its content, so enabling
+// them cannot move a figure.
 package faultwire
 
 import (
@@ -55,10 +55,6 @@ type Faults struct {
 	// ShortReads caps each Read at a few bytes (reader side only);
 	// content-neutral.
 	ShortReads bool
-	// StallEvery, when > 0, sleeps StallFor before every StallEvery-th
-	// frame; content-neutral.
-	StallEvery int
-	StallFor   time.Duration
 	// Kill hard-stops the stream at the first frame the rule is active
 	// for (with an hour window, the first row inside it): the transport
 	// dies with ErrInjectedDisconnect (or a clean EOF when KillClean is
@@ -111,7 +107,6 @@ type Counts struct {
 	Dropped    int64
 	Duplicated int64
 	Truncated  int64
-	Stalls     int64
 	Killed     bool
 }
 
@@ -120,7 +115,6 @@ func (c *Counts) add(o Counts) {
 	c.Dropped += o.Dropped
 	c.Duplicated += o.Duplicated
 	c.Truncated += o.Truncated
-	c.Stalls += o.Stalls
 	c.Killed = c.Killed || o.Killed
 }
 
@@ -208,7 +202,6 @@ type injector struct {
 	startUnix int64
 	haveStart bool
 	off, hour int
-	frames    int64
 	counts    Counts
 	// buf holds the frame being damaged, batch a timed stream's decoded
 	// batch frame.
@@ -268,12 +261,10 @@ func (in *injector) sameRules(a, b int) bool {
 }
 
 // process applies the rules active at hour to one clean frame
-// (envelope+payload as raw bytes; process may mutate it), sleeps any
-// scheduled stall, and appends the damaged output to dst. It returns
+// (envelope+payload as raw bytes; process may mutate it) and appends
+// the damaged output to dst. It returns
 // the kill error once the stream is scheduled dead.
 func (in *injector) process(dst []byte, frame []byte, hour int) ([]byte, error) {
-	in.frames++
-	var stall time.Duration
 	drop, dup, truncAt := false, false, -1
 	for _, r := range in.rules {
 		if !r.active(hour) {
@@ -307,13 +298,6 @@ func (in *injector) process(dst []byte, frame []byte, hour int) ([]byte, error) 
 		if f.DupProb > 0 && in.rng.Bool(f.DupProb) {
 			dup = true
 		}
-		if f.StallEvery > 0 && in.frames%int64(f.StallEvery) == 0 {
-			stall = f.StallFor
-			in.counts.Stalls++
-		}
-	}
-	if stall > 0 {
-		time.Sleep(stall)
 	}
 	switch {
 	case drop:

@@ -579,8 +579,8 @@ func SuiteDeltas(res *iotmap.SuiteStudyResult) string {
 		fmt.Fprintf(&b, "  %-12s %9s %10d %9.1f%%\n", "union", "-",
 			sc.UnionBackendsDelta, sc.UnionDownDeltaPct)
 		if ft := sc.FaultTotals; ft != nil {
-			fmt.Fprintf(&b, "  fault ledger: %d corrupted, %d dropped, %d duplicated, %d truncated, %d stalls, killed=%v\n",
-				ft.Corrupted, ft.Dropped, ft.Duplicated, ft.Truncated, ft.Stalls, ft.Killed)
+			fmt.Fprintf(&b, "  fault ledger: %d corrupted, %d dropped, %d duplicated, %d truncated, killed=%v\n",
+				ft.Corrupted, ft.Dropped, ft.Duplicated, ft.Truncated, ft.Killed)
 		}
 	}
 	if len(res.Events) > 0 {

@@ -42,6 +42,13 @@ import (
 	"iotmap/internal/world"
 )
 
+// v6Fraction of lines also hold an IPv6 prefix.
+const v6Fraction = 0.3
+
+// localUTCOffset shifts activity shapes to the ISP's local time (central
+// Europe).
+const localUTCOffset = 1
+
 // Config sizes the ISP model.
 type Config struct {
 	// Seed derives all stochastic structure.
@@ -51,14 +58,10 @@ type Config struct {
 	Lines int
 	// IoTPenetration is the fraction of lines hosting IoT devices.
 	IoTPenetration float64
-	// V6Fraction of lines also hold an IPv6 prefix.
-	V6Fraction float64
 	// ScannerFraction of lines run Internet-wide scanners (Figure 5).
 	ScannerFraction float64
 	// SamplingRate is the NetFlow packet sampling denominator.
 	SamplingRate uint32
-	// LocalUTCOffset shifts activity shapes to the ISP's local time.
-	LocalUTCOffset int
 	// VantageID distinguishes federated vantage-point worlds: it is
 	// folded into subscriber address derivation (v4 first octet, v6
 	// prefix) so lines of different vantages never alias in a union
@@ -80,9 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.IoTPenetration <= 0 {
 		c.IoTPenetration = 0.2
 	}
-	if c.V6Fraction <= 0 {
-		c.V6Fraction = 0.3
-	}
 	if c.ScannerFraction < 0 {
 		c.ScannerFraction = 0
 	} else if c.ScannerFraction == 0 {
@@ -90,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SamplingRate == 0 {
 		c.SamplingRate = 100
-	}
-	if c.LocalUTCOffset == 0 {
-		c.LocalUTCOffset = 1 // central Europe
 	}
 	return c
 }
@@ -267,7 +264,7 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 			ID: i,
 			V4: LineV4Addr(cfg.VantageID, i),
 		}
-		if rng.Bool(cfg.V6Fraction) {
+		if rng.Bool(v6Fraction) {
 			line.V6 = LineV6Addr(cfg.VantageID, i)
 		}
 		if rng.Bool(cfg.IoTPenetration) {
@@ -575,7 +572,7 @@ func (n *Network) deviceDay(st *simState, line *Line, dev *Device, devIdx, day i
 		}
 	}
 	for hour := 0; hour < 24; hour++ {
-		localHour := (hour + n.Cfg.LocalUTCOffset + 24) % 24
+		localHour := (hour + localUTCOffset + 24) % 24
 		active := prof.ActiveThisHour(rng, localHour)
 		heavy := dev.Heavy && heavyHours[hour]
 		if !active && !heavy {

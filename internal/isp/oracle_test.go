@@ -106,7 +106,7 @@ func (o *oracle) deviceDay(line *Line, dev *Device, srv *world.Server, devIdx, d
 		}
 	}
 	for hour := 0; hour < 24; hour++ {
-		localHour := (hour + o.n.Cfg.LocalUTCOffset + 24) % 24
+		localHour := (hour + localUTCOffset + 24) % 24
 		active := rng.Bool(prof.ActiveHourProb * prof.Shape.HourWeight(localHour))
 		heavy := dev.Heavy && heavyHours[hour]
 		if !active && !heavy {

@@ -144,10 +144,6 @@ type VantageSpec struct {
 	// scanners; zero keeps the ISP default, negative means none (an IXP
 	// sees transit, not subscriber scanners).
 	ScannerFraction float64
-	// IoTPenetration and V6Fraction override the ISP model defaults
-	// when positive.
-	IoTPenetration float64
-	V6Fraction     float64
 	// ContinentMix reweights device backend homing per continent (an
 	// ISP in another market). Nil keeps each provider's profile mix.
 	ContinentMix map[geo.Continent]float64

@@ -111,8 +111,6 @@ func (s *System) vantageNetwork(i int, sp VantageSpec, modifierFor func(vantage 
 		Lines:           sp.Lines,
 		SamplingRate:    sp.SamplingRate,
 		ScannerFraction: sp.ScannerFraction,
-		IoTPenetration:  sp.IoTPenetration,
-		V6Fraction:      sp.V6Fraction,
 		VantageID:       i,
 		ContinentBias:   sp.ContinentMix,
 	}, s.World)
