@@ -156,7 +156,7 @@ func hourMajorFeed(tb testing.TB, f *fixture) ([]byte, int) {
 	var lines []netip.Addr
 	f.net.EmitLines(1, func(_ int, line *isp.Line, rows *netflow.RecordBatch) {
 		base := uint32(len(lines))
-		lines = append(lines, line.Addrs()...)
+		lines = line.AppendAddrs(lines)
 		for i, h := range rows.Hour {
 			if h >= 0 && int(h) < hours {
 				byHour[h].Append(base+rows.Line[i], rows.Backend[i], rows.Down[i], h, rows.Port[i], rows.Proto[i], rows.Bytes[i], rows.Packets[i])

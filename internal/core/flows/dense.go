@@ -99,12 +99,16 @@ func (t *lineTab) drop(remap []int32) {
 	t.addrs = truncZero(t.addrs, n)
 }
 
-// reserve makes room for n addresses and for every plan slot like's
+// reserve makes room for n addresses and for every plan slot likes'
 // tables reach.
-func (t *lineTab) reserve(n int, like *lineTab) {
+func (t *lineTab) reserve(n int, likes ...*lineTab) {
 	t.addrs = reserve(t.addrs, n)
-	for v, s := range like.plan {
-		t.plan[v] = reserve(t.plan[v], len(s))
+	for v := range t.plan {
+		slots := 0
+		for _, like := range likes {
+			slots = max(slots, len(like.plan[v]))
+		}
+		t.plan[v] = reserve(t.plan[v], slots)
 	}
 }
 

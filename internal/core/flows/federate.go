@@ -59,18 +59,14 @@ func FederatedMerge(parts []*ShardPartial) *Federation {
 		CC:    make(map[string]*ContactCounter, len(names)),
 		Col:   make(map[string]*Collector, len(names)),
 	}
-	for _, name := range names {
+	ccs, cols := make([]*ContactCounter, len(names)), make([]*Collector, len(names))
+	for i, name := range names {
 		f.CC[name], f.Col[name] = MergePartials(groups[name])
+		ccs[i], cols[i] = f.CC[name].clone(), f.Col[name].clone()
 	}
-	for _, name := range names {
-		if f.UnionCC == nil {
-			f.UnionCC = f.CC[name].clone()
-			f.UnionCol = f.Col[name].clone()
-			continue
-		}
-		f.UnionCC.Merge(f.CC[name].clone())
-		f.UnionCol.Merge(f.Col[name].clone())
-	}
+	f.UnionCC, f.UnionCol = ccs[0], cols[0]
+	f.UnionCC.Merge(ccs[1:]...)
+	f.UnionCol.Merge(cols[1:]...)
 	return f
 }
 

@@ -227,9 +227,9 @@ func (c *ContactCounter) lineID(a netip.Addr) int32 {
 	return id
 }
 
-// reserveLines makes room for n lines, interned from like's addresses.
-func (c *ContactCounter) reserveLines(n int, like *lineTab) {
-	c.lines.reserve(n, like)
+// reserveLines makes room for n lines, interned from likes' addresses.
+func (c *ContactCounter) reserveLines(n int, likes ...*lineTab) {
+	c.lines.reserve(n, likes...)
 	c.bits = reserve(c.bits, n*c.words)
 	c.n = reserve(c.n, n)
 }
@@ -548,11 +548,11 @@ func (c *Collector) lineID(a netip.Addr) int32 {
 	return id
 }
 
-// reserveLines makes room for n lines, interned from like's addresses,
+// reserveLines makes room for n lines, interned from likes' addresses,
 // in every column lineID grows, and in the hour bitset columns ingest
 // creates from now on.
-func (c *Collector) reserveLines(n int, like *lineTab) {
-	c.lines.reserve(n, like)
+func (c *Collector) reserveLines(n int, likes ...*lineTab) {
+	c.lines.reserve(n, likes...)
 	c.lineDaily = reserve(c.lineDaily, n*2*c.ds)
 	c.lineConts = reserve(c.lineConts, n)
 	c.lineAliasBits = reserve(c.lineAliasBits, n*c.aw)

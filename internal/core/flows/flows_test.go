@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -402,6 +403,74 @@ func TestIngestLineMatchesRecordPath(t *testing.T) {
 	}
 }
 
+// TestMergeSizesColumnsOnce: merging three shard partials, whose lines
+// are disjoint, sizes every per-line column once, so each ends with
+// cap == len, and the merged study still equals the two-pass reference.
+// An hour or port-line column that no donor holds is the receiver's own,
+// grown by its ingest, and the merge leaves it alone.
+func TestMergeSizesColumnsOnce(t *testing.T) {
+	w, refCC, refCol := twoPass(t)
+	agg := pipelineAggregator(cachedNet, cachedIdx, w, 3)
+	agg.Simulate(cachedNet)
+	donorHours := map[int]bool{}
+	donorPorts := map[proto.PortKey]bool{}
+	donorFocus := [3]bool{}
+	for i := 1; i < agg.Shards(); i++ {
+		d := agg.Shard(i).col
+		for a, h := range d.lineHours {
+			donorHours[a] = donorHours[a] || len(h) > 0
+		}
+		for _, k := range d.lpKeys {
+			donorPorts[d.ports.keys[k.port]] = true
+		}
+		for f, h := range [][]uint64{d.focusHoursAll, d.focusHoursRegion, d.focusHoursEU} {
+			donorFocus[f] = donorFocus[f] || len(h) > 0
+		}
+	}
+	cc, col := agg.Merge()
+	assertWindowEquals(t, cc, col, refCC, refCol, 100)
+
+	exact := func(name string, column any) {
+		t.Helper()
+		if v := reflect.ValueOf(column); v.Len() != v.Cap() {
+			t.Errorf("%s: len %d, cap %d", name, v.Len(), v.Cap())
+		}
+	}
+	exact("cc.lines.addrs", cc.lines.addrs)
+	exact("cc.lines.plan", cc.lines.plan[0])
+	exact("cc.bits", cc.bits)
+	exact("cc.n", cc.n)
+	exact("lines.addrs", col.lines.addrs)
+	exact("lines.plan", col.lines.plan[0])
+	exact("lineDaily", col.lineDaily)
+	exact("lineConts", col.lineConts)
+	exact("lineAliasBits", col.lineAliasBits)
+	exact("lineCertBits", col.lineCertBits)
+	exact("laIdx", col.laIdx)
+	exact("laKeys", col.laKeys)
+	exact("laDaily", col.laDaily)
+	exact("lpKeys", col.lpKeys)
+	exact("lpDaily", col.lpDaily)
+	if len(donorHours) == 0 || len(donorPorts) == 0 {
+		t.Fatal("the donors hold no hour or port-line column")
+	}
+	for a, held := range donorHours {
+		if held {
+			exact("lineHours["+col.idx.aliasNames[a]+"]", col.lineHours[a])
+		}
+	}
+	for p, k := range col.ports.keys {
+		if donorPorts[k] {
+			exact(fmt.Sprintf("lpIdx[%v]", k), col.lpIdx[p])
+		}
+	}
+	for f, h := range [][]uint64{col.focusHoursAll, col.focusHoursRegion, col.focusHoursEU} {
+		if donorFocus[f] {
+			exact(fmt.Sprintf("focus hours %d", f), h)
+		}
+	}
+}
+
 // TestCollectorMergeEquivalence: Collector.Merge over an arbitrary
 // partition of a record stream equals one sequential collector. The
 // partition here is round-robin — deliberately not line-contiguous —
@@ -424,9 +493,7 @@ func TestCollectorMergeEquivalence(t *testing.T) {
 		i++
 	})
 	merged := parts[0]
-	for _, p := range parts[1:] {
-		merged.Merge(p)
-	}
+	merged.Merge(parts[1:]...)
 	if !reflect.DeepEqual(named(merged.Study()), named(seq.Study())) {
 		t.Error("merged round-robin shards differ from sequential collector")
 	}

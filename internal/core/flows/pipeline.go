@@ -32,19 +32,30 @@ func (b *BackendIndex) lineSide(r netflow.Record) (line netip.Addr, backendID in
 	return line, -1, false, false
 }
 
-// Merge folds another counter's contact sets into c, remapping the
+// Merge folds the donors' contact sets into c, in order, remapping each
 // donor's line IDs through its reverse table. Merging shard partials in
 // any order yields the same counter as a sequential pass over the
 // concatenated streams.
-func (c *ContactCounter) Merge(o *ContactCounter) {
+func (c *ContactCounter) Merge(donors ...*ContactCounter) {
 	c.idx.checkGen(c.gen)
-	c.idx.checkGen(o.gen)
-	for i, a := range o.lines.addrs {
-		c.orContacts(int(c.lineID(a)), o.lineBits(i))
+	if len(donors) == 0 {
+		return
+	}
+	lines, tabs := len(c.lines.addrs), make([]*lineTab, len(donors))
+	for i, o := range donors {
+		c.idx.checkGen(o.gen)
+		lines += len(o.lines.addrs)
+		tabs[i] = &o.lines
+	}
+	c.reserveLines(lines, tabs...)
+	for _, o := range donors {
+		for i, a := range o.lines.addrs {
+			c.orContacts(int(c.lineID(a)), o.lineBits(i))
+		}
 	}
 }
 
-// Merge folds another collector's aggregates into c. Both collectors
+// Merge folds the donors' aggregates into c, in order. All collectors
 // must have been built over the same index, study period, and Options
 // (in particular the same focus alias — a donor with a different focus
 // has its focus series dropped). All aggregates are sums, sets, or
@@ -56,26 +67,71 @@ func (c *ContactCounter) Merge(o *ContactCounter) {
 // the merge is exact and order-independent: merging shard partials
 // reproduces a sequential ingest byte-for-byte regardless of shard
 // count. Backend and alias IDs are global (assigned by the shared
-// index), so bitsets OR directly; the donor's line and port IDs are
-// local and remap through its reverse tables.
+// index), so bitsets OR directly; the donors' line and port IDs are
+// local and remap through their reverse tables.
 //
-// Merge consumes o: missing aggregates are adopted by reference, not
-// copied, so the donor must not be ingested into or merged again.
-func (c *Collector) Merge(o *Collector) {
+// Every column is sized once for all donors: the per-line columns and
+// slot arenas for the sum of the line and slot counts (exact when the
+// donors hold disjoint lines, as shards and vantages do), and, since
+// every donor line is interned before any row folds, the hour and
+// port-line columns for the merged line count.
+//
+// Merge consumes the donors: missing aggregates are adopted by
+// reference, not copied, so a donor must not be ingested into or merged
+// again.
+func (c *Collector) Merge(donors ...*Collector) {
 	c.idx.checkGen(c.gen)
-	c.idx.checkGen(o.gen)
 	c.checkWritable()
-	o.checkWritable()
-	// Remap donor line/port IDs into c's spaces (interning as needed).
-	remap := make([]int32, len(o.lines.addrs))
-	for i, a := range o.lines.addrs {
-		remap[i] = c.lineID(a)
+	if len(donors) == 0 {
+		return
 	}
-	portRemap := make([]int32, len(o.ports.keys))
-	for i, k := range o.ports.keys {
-		portRemap[i] = c.ports.id(k)
+	lines, la, lp := len(c.lines.addrs), len(c.laKeys), len(c.lpKeys)
+	tabs := make([]*lineTab, len(donors))
+	for i, o := range donors {
+		c.idx.checkGen(o.gen)
+		o.checkWritable()
+		lines += len(o.lines.addrs)
+		la += len(o.laKeys)
+		lp += len(o.lpKeys)
+		tabs[i] = &o.lines
 	}
+	c.reserveLines(lines, tabs...)
+	c.laKeys, c.laDaily = reserve(c.laKeys, la), reserve(c.laDaily, la*c.ds)
+	c.lpKeys, c.lpDaily = reserve(c.lpKeys, lp), reserve(c.lpDaily, lp*c.ds)
 
+	// Remap donor line/port IDs into c's spaces (interning as needed).
+	remaps, portRemaps := make([][]int32, len(donors)), make([][]int32, len(donors))
+	var lpLen []int // per port ID: the length its line table reaches
+	for i, o := range donors {
+		remaps[i] = make([]int32, len(o.lines.addrs))
+		for l, a := range o.lines.addrs {
+			remaps[i][l] = c.lineID(a)
+		}
+		portRemaps[i] = make([]int32, len(o.ports.keys))
+		for p, k := range o.ports.keys {
+			portRemaps[i][p] = c.ports.id(k)
+		}
+		lpLen = grown(lpLen, len(c.ports.keys))
+		for _, k := range o.lpKeys {
+			p := portRemaps[i][k.port]
+			lpLen[p] = max(lpLen[p], int(remaps[i][k.line])+1)
+		}
+	}
+	for p, n := range lpLen {
+		if n > 0 {
+			for len(c.lpIdx) <= p {
+				c.lpIdx = append(c.lpIdx, nil)
+			}
+			c.lpIdx[p] = reserve(c.lpIdx[p], n)
+		}
+	}
+	for i, o := range donors {
+		c.merge(o, remaps[i], portRemaps[i])
+	}
+}
+
+// merge folds one donor whose lines and ports are interned in c.
+func (c *Collector) merge(o *Collector, remap, portRemap []int32) {
 	ds2 := 2 * c.ds
 	for i, t := range remap {
 		for d := 0; d < ds2; d++ {
@@ -137,12 +193,14 @@ func (c *Collector) Merge(o *Collector) {
 }
 
 // mergeLineHours ORs a donor's per-line hour bitsets into dst at the
-// remapped line IDs, counting each bit new to dst into active.
+// remapped line IDs, counting each bit new to dst into active. dst grows
+// to nLines, the merged line count, at the first donor that touches it,
+// and exactly: no later donor grows it again.
 func mergeLineHours(dst []uint64, active *analysis.Series, src []uint64, remap []int32, hw, nLines int) []uint64 {
 	if len(src) == 0 {
 		return dst
 	}
-	dst = grown(dst, nLines*hw)
+	dst = grown(reserve(dst, nLines*hw), nLines*hw)
 	for i := 0; i < len(src)/hw; i++ {
 		d := dst[int(remap[i])*hw : (int(remap[i])+1)*hw]
 		for k, w := range src[i*hw : (i+1)*hw] {
@@ -815,12 +873,13 @@ func NewShardPartial(idx *BackendIndex, days []time.Time, opts Options) *ShardPa
 // stable partition of the feed yields byte-identical results. parts
 // must be non-empty.
 func MergePartials(parts []*ShardPartial) (*ContactCounter, *Collector) {
-	cc, col := parts[0].cc, parts[0].col
-	for _, p := range parts[1:] {
-		cc.Merge(p.cc)
-		col.Merge(p.col)
+	ccs, cols := make([]*ContactCounter, len(parts)), make([]*Collector, len(parts))
+	for i, p := range parts {
+		ccs[i], cols[i] = p.cc, p.col
 	}
-	return cc, col
+	ccs[0].Merge(ccs[1:]...)
+	cols[0].Merge(cols[1:]...)
+	return ccs[0], cols[0]
 }
 
 // Ingest resolves one record of the line currently being simulated
@@ -877,7 +936,8 @@ func (a *ShardedAggregator) Shards() int { return len(a.parts) }
 func (a *ShardedAggregator) Simulate(net *isp.Network) {
 	backends := net.BackendAddrs()
 	net.EmitLines(len(a.parts), func(shard int, line *isp.Line, rows *netflow.RecordBatch) {
-		a.parts[shard].IngestLine(backends, line.Addrs(), rows)
+		var buf [2]netip.Addr
+		a.parts[shard].IngestLine(backends, line.AppendAddrs(buf[:0]), rows)
 	})
 }
 

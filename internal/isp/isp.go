@@ -94,17 +94,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Device is one IoT device on a line.
+// Device is one IoT device on a line: its class, its homing ordinal and
+// its heavy flag, 16 bytes. Its provider and continent are its class's.
 type Device struct {
-	Provider  string
-	Continent geo.Continent
-	Heavy     bool
-	// class is what NewNetwork resolved for (Provider, Continent): the
-	// traffic profile and the per-day homing table.
+	// class is what NewNetwork resolved for the device's (provider,
+	// continent) pair: the traffic profile and the per-day homing table.
 	class *deviceClass
 	// cur is the ordinal+1 of the device's current backend server, 0
 	// while it is not homed (daily re-resolution may move it).
-	cur uint32
+	cur   uint32
+	Heavy bool
 }
 
 // deviceClass is everything the devices of one (provider, continent)
@@ -113,6 +112,7 @@ type Device struct {
 // Networks over one World — read it without a lock.
 type deviceClass struct {
 	prof *traffic.Profile
+	cont geo.Continent
 	// days[d] is where a device of this class may home on study day d.
 	days []homingCell
 }
@@ -127,35 +127,50 @@ type homingCell struct {
 	weights []float64
 }
 
-// Line is one subscriber line.
+// Line is one subscriber line, 48 bytes. Its addresses are not stored:
+// the address plan derives them from the vantage and the ID (plan.go).
 type Line struct {
-	ID int
-	V4 netip.Addr
-	// V6 is invalid when the line is IPv4-only.
-	V6      netip.Addr
+	ID      int
 	Devices []Device
 	// ScanBreadth is the number of backend IPs a scanner line probes
 	// over the week (0 = not a scanner).
 	ScanBreadth int
+	vantage     uint8
+	v6          bool
+}
+
+// V4 is the line's IPv4 address.
+func (l *Line) V4() netip.Addr { return LineV4Addr(int(l.vantage), l.ID) }
+
+// V6 is the line's IPv6 address, invalid when the line is IPv4-only.
+func (l *Line) V6() netip.Addr {
+	if !l.v6 {
+		return netip.Addr{}
+	}
+	return LineV6Addr(int(l.vantage), l.ID)
 }
 
 // HasV6 reports whether the line holds an IPv6 prefix.
-func (l *Line) HasV6() bool { return l.V6.IsValid() }
+func (l *Line) HasV6() bool { return l.v6 }
 
-// Addrs returns the addresses an EmitLines row's line column indexes:
-// V4, then V6 when the line holds one.
-func (l *Line) Addrs() []netip.Addr {
-	if l.HasV6() {
-		return []netip.Addr{l.V4, l.V6}
+// AppendAddrs appends the addresses an EmitLines row's line column
+// indexes: V4, then V6 when the line holds one. A caller that appends
+// to a two-address array of its own allocates nothing.
+func (l *Line) AppendAddrs(dst []netip.Addr) []netip.Addr {
+	dst = append(dst, l.V4())
+	if l.v6 {
+		dst = append(dst, l.V6())
 	}
-	return []netip.Addr{l.V4}
+	return dst
 }
 
 // Network is the built ISP model.
 type Network struct {
 	Cfg   Config
 	World *world.World
-	Lines []*Line
+	// Lines is the population, held contiguously: callbacks get
+	// &Lines[i].
+	Lines []Line
 	// Modifier, when set, adjusts or suppresses flows (outage injection).
 	Modifier FlowModifier
 
@@ -259,30 +274,25 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 	classes := map[classKey]*deviceClass{}
 
 	rng := simrand.Derive(cfg.Seed, "isp")
-	for i := 0; i < cfg.Lines; i++ {
-		line := &Line{
-			ID: i,
-			V4: LineV4Addr(cfg.VantageID, i),
-		}
-		if rng.Bool(v6Fraction) {
-			line.V6 = LineV6Addr(cfg.VantageID, i)
-		}
+	n.Lines = make([]Line, cfg.Lines)
+	for i := range n.Lines {
+		line := &n.Lines[i]
+		line.ID, line.vantage = i, uint8(cfg.VantageID)
+		line.v6 = rng.Bool(v6Fraction)
 		if rng.Bool(cfg.IoTPenetration) {
 			nDev := 1 + rng.Zipf(1.6, 4) // 1..4, mostly 1
-			for d := 0; d < nDev; d++ {
+			line.Devices = make([]Device, nDev)
+			for d := range line.Devices {
 				pi := rng.WeightedChoice(shareWeights)
 				prof := profs[pi]
-				dev := Device{
-					Provider:  ids[pi],
-					Continent: prof.PickContinentBiased(rng, cfg.ContinentBias),
-					Heavy:     prof.HeavyFrac > 0 && rng.Bool(prof.HeavyFrac),
-				}
-				key := classKey{pi, dev.Continent}
+				key := classKey{pi, prof.PickContinentBiased(rng, cfg.ContinentBias)}
 				if classes[key] == nil {
-					classes[key] = newDeviceClass(w, ordOf, prof, dev.Continent)
+					classes[key] = newDeviceClass(w, ordOf, prof, key.cont)
 				}
-				dev.class = classes[key]
-				line.Devices = append(line.Devices, dev)
+				line.Devices[d] = Device{
+					class: classes[key],
+					Heavy: prof.HeavyFrac > 0 && rng.Bool(prof.HeavyFrac),
+				}
 			}
 		}
 		if rng.Bool(cfg.ScannerFraction) {
@@ -292,10 +302,6 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 			}
 			line.ScanBreadth = b
 		}
-		n.Lines = append(n.Lines, line)
-	}
-	if len(n.Lines) == 0 {
-		return nil, fmt.Errorf("isp: no lines")
 	}
 	return n, nil
 }
@@ -303,8 +309,8 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 // IoTLines counts lines hosting at least one device.
 func (n *Network) IoTLines() int {
 	c := 0
-	for _, l := range n.Lines {
-		if len(l.Devices) > 0 {
+	for i := range n.Lines {
+		if len(n.Lines[i].Devices) > 0 {
 			c++
 		}
 	}
@@ -319,7 +325,7 @@ func (n *Network) BackendAddrs() []netip.Addr { return n.addrs }
 // cont: one cell per study day, naming servers by their ordinal in
 // ordOf.
 func newDeviceClass(w *world.World, ordOf map[*world.Server]uint32, prof *traffic.Profile, cont geo.Continent) *deviceClass {
-	c := &deviceClass{prof: prof, days: make([]homingCell, len(w.Days))}
+	c := &deviceClass{prof: prof, cont: cont, days: make([]homingCell, len(w.Days))}
 	p := w.Providers[prof.ProviderID]
 	if p == nil {
 		return c // no such fleet: every cell stays empty, devices never home
@@ -424,7 +430,8 @@ func (n *Network) run(workers int, worker func(shard int) func(*simState, *Line)
 	shard := func(w int) {
 		st := n.newSimState()
 		done := worker(w)
-		for _, line := range n.Lines[w*per : min((w+1)*per, len(n.Lines))] {
+		for i := w * per; i < min((w+1)*per, len(n.Lines)); i++ {
+			line := &n.Lines[i]
 			n.lineWeek(st, line)
 			done(st, line)
 		}
@@ -460,7 +467,8 @@ func (n *Network) SimulateLines(workers int, sinkFor func(shard int) func(netflo
 // between days, so day d follows days 0..d-1 on the same Network.
 func (n *Network) SimulateDay(day int, sink func(netflow.Record)) {
 	st := n.newSimState()
-	for _, line := range n.Lines {
+	for i := range n.Lines {
+		line := &n.Lines[i]
 		st.rows.Reset()
 		st.client = st.client[:0]
 		n.lineDay(st, line, day)
@@ -470,7 +478,8 @@ func (n *Network) SimulateDay(day int, sink func(netflow.Record)) {
 
 // records materializes line's rows in st as netflow.Records.
 func (n *Network) records(st *simState, line *Line, sink func(netflow.Record)) {
-	b, addrs := &st.rows, line.Addrs()
+	var buf [2]netip.Addr
+	b, addrs := &st.rows, line.AppendAddrs(buf[:0])
 	for i, slot := range b.Line {
 		lineAddr, srv := addrs[slot], n.addrs[b.Backend[i]]
 		r := netflow.Record{

@@ -2,6 +2,7 @@ package isp
 
 import (
 	"net/netip"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -72,12 +73,12 @@ func TestDeterministicPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Lines {
-		la, lb := a.Lines[i], b.Lines[i]
+		la, lb := &a.Lines[i], &b.Lines[i]
 		if len(la.Devices) != len(lb.Devices) || la.ScanBreadth != lb.ScanBreadth {
 			t.Fatalf("line %d differs", i)
 		}
 		for d := range la.Devices {
-			if la.Devices[d].Provider != lb.Devices[d].Provider {
+			if la.Devices[d].Provider() != lb.Devices[d].Provider() {
 				t.Fatalf("line %d device %d differs", i, d)
 			}
 		}
@@ -90,7 +91,7 @@ func TestDeviceProvidersFollowShares(t *testing.T) {
 	total := 0
 	for _, l := range n.Lines {
 		for _, d := range l.Devices {
-			counts[d.Provider]++
+			counts[d.Provider()]++
 			total++
 		}
 	}
@@ -355,9 +356,9 @@ func TestHomingTablesMatchScan(t *testing.T) {
 	classes := map[pair]*deviceClass{}
 	for _, l := range n.Lines {
 		for _, d := range l.Devices {
-			key := pair{d.Provider, d.Continent}
-			if d.class == nil || d.class.prof.ProviderID != d.Provider {
-				t.Fatalf("line %d: %s device carries class %+v", l.ID, d.Provider, d.class)
+			key := pair{d.Provider(), d.Continent()}
+			if d.class == nil {
+				t.Fatalf("line %d: device %+v carries no class", l.ID, d)
 			}
 			if c, ok := classes[key]; ok && c != d.class {
 				t.Fatalf("%v resolved twice", key)
@@ -429,13 +430,14 @@ func TestHomingTablesMatchScan(t *testing.T) {
 func TestLineByAddrRejections(t *testing.T) {
 	_, n := testNetwork(t)
 	var v4Only *Line
-	for _, l := range n.Lines {
-		if got, ok := n.LineByAddr(l.V4); !ok || got != l {
-			t.Fatalf("line %d: v4 %v resolved to %v, %v", l.ID, l.V4, got, ok)
+	for i := range n.Lines {
+		l := &n.Lines[i]
+		if got, ok := n.LineByAddr(l.V4()); !ok || got != l {
+			t.Fatalf("line %d: v4 %v resolved to %v, %v", l.ID, l.V4(), got, ok)
 		}
 		if l.HasV6() {
-			if got, ok := n.LineByAddr(l.V6); !ok || got != l {
-				t.Fatalf("line %d: v6 %v resolved to %v, %v", l.ID, l.V6, got, ok)
+			if got, ok := n.LineByAddr(l.V6()); !ok || got != l {
+				t.Fatalf("line %d: v6 %v resolved to %v, %v", l.ID, l.V6(), got, ok)
 			}
 		} else if v4Only == nil {
 			v4Only = l
@@ -498,6 +500,37 @@ func BenchmarkSimulateWeek(b *testing.B) {
 	})
 }
 
+// BenchmarkNewNetwork is the population layer alone: NewNetwork at
+// 20 000 lines on a pre-built world. Besides B/op and allocs/op it
+// reports bytes/line, the heap the last network keeps live after a
+// collection (lines, devices and device classes), per line.
+func BenchmarkNewNetwork(b *testing.B) {
+	w, err := world.Build(world.Config{Seed: 11, Scale: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const lines = 20000
+	var n *Network
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err = NewNetwork(Config{Seed: 11, Lines: lines}, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	with := heap()
+	runtime.KeepAlive(n)
+	n = nil
+	b.ReportMetric(float64(with-heap())/lines, "bytes/line")
+}
+
 func TestV6DevicesNeedV6Lines(t *testing.T) {
 	w, n := testNetwork(t)
 	for d := range w.Days {
@@ -529,18 +562,18 @@ func TestVantageAddressPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, l := range base.Lines {
-		if l.V4.As4()[0] != 95 {
-			t.Fatalf("vantage 0 line %d v4 = %v, want 95/8", i, l.V4)
+		if l.V4().As4()[0] != 95 {
+			t.Fatalf("vantage 0 line %d v4 = %v, want 95/8", i, l.V4())
 		}
-		o := v1.Lines[i]
-		if o.V4.As4()[0] != 96 {
-			t.Fatalf("vantage 1 line %d v4 = %v, want 96/8", i, o.V4)
+		o := &v1.Lines[i]
+		if o.V4().As4()[0] != 96 {
+			t.Fatalf("vantage 1 line %d v4 = %v, want 96/8", i, o.V4())
 		}
-		if l.V4 == o.V4 {
-			t.Fatalf("line %d aliases across vantages: %v", i, l.V4)
+		if l.V4() == o.V4() {
+			t.Fatalf("line %d aliases across vantages: %v", i, l.V4())
 		}
-		if l.HasV6() && o.HasV6() && l.V6 == o.V6 {
-			t.Fatalf("line %d v6 aliases across vantages: %v", i, l.V6)
+		if l.HasV6() && o.HasV6() && l.V6() == o.V6() {
+			t.Fatalf("line %d v6 aliases across vantages: %v", i, l.V6())
 		}
 	}
 	// Same seed => same structure, different addresses only.
@@ -569,7 +602,7 @@ func TestContinentBias(t *testing.T) {
 		total := 0
 		for _, l := range n.Lines {
 			for _, d := range l.Devices {
-				if d.Continent == c {
+				if d.Continent() == c {
 					total++
 				}
 			}
@@ -588,12 +621,12 @@ func TestContinentBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, l := range base.Lines {
-		p := plain.Lines[i]
+		p := &plain.Lines[i]
 		if len(l.Devices) != len(p.Devices) || l.ScanBreadth != p.ScanBreadth {
 			t.Fatalf("line %d structure drifted", i)
 		}
 		for d := range l.Devices {
-			if l.Devices[d].Provider != p.Devices[d].Provider || l.Devices[d].Continent != p.Devices[d].Continent {
+			if l.Devices[d].Provider() != p.Devices[d].Provider() || l.Devices[d].Continent() != p.Devices[d].Continent() {
 				t.Fatalf("line %d device %d drifted", i, d)
 			}
 		}
@@ -609,7 +642,7 @@ func (n *Network) LineByAddr(a netip.Addr) (*Line, bool) {
 	if !ok || vantage != n.Cfg.VantageID || int(slot>>1) >= len(n.Lines) {
 		return nil, false
 	}
-	l := n.Lines[slot>>1]
+	l := &n.Lines[slot>>1]
 	if slot&1 == 1 && !l.HasV6() {
 		return nil, false
 	}

@@ -35,7 +35,8 @@ type oracle struct {
 // exp table.
 func oracleSimulate(n *Network, sink func(day int, r netflow.Record), lineDone func(*Line)) int {
 	o := &oracle{n: n, cur: map[[2]int]*world.Server{}, rate: n.Cfg.SamplingRate}
-	for _, line := range n.Lines {
+	for i := range n.Lines {
+		line := &n.Lines[i]
 		for day, dayStart := range n.World.Days {
 			o.lineDay(line, day, dayStart, func(r netflow.Record) { sink(day, r) })
 		}
@@ -92,12 +93,12 @@ func (o *oracle) resolveDevice(dev *Device, line *Line, devIdx, day int) *world.
 func (o *oracle) deviceDay(line *Line, dev *Device, srv *world.Server, devIdx, day int, dayStart time.Time, sink func(netflow.Record)) {
 	prof := dev.class.prof
 	rng := o.lineRng
-	lineAddr := line.V4
+	lineAddr := line.V4()
 	if srv.IsV6() {
 		if !line.HasV6() {
 			return
 		}
-		lineAddr = line.V6
+		lineAddr = line.V6()
 	}
 	var heavyHours [24]bool
 	if dev.Heavy {
@@ -180,7 +181,7 @@ func (o *oracle) scannerDay(line *Line, day int, dayStart time.Time, sink func(n
 		target := targets[(start+offset+i)%len(targets)].Addr
 		at := dayStart.Add(time.Duration(o.lineRng.Intn(24)) * time.Hour)
 		o.emitSampled(sink, netflow.Record{
-			Src: line.V4, Dst: target,
+			Src: line.V4(), Dst: target,
 			SrcPort: uint16(50000 + i%10000), DstPort: 8883,
 			Proto: netflow.ProtoTCP, Bytes: 250 * 60, Packets: 250,
 			Start: at,
@@ -267,9 +268,9 @@ func TestRowEmitterMatchesOracle(t *testing.T) {
 			n.EmitLines(workers, func(shard int, line *Line, b *netflow.RecordBatch) {
 				lines[shard] = append(lines[shard], line.ID)
 				for i := 0; i < b.Len(); i++ {
-					la := line.V4
+					la := line.V4()
 					if b.Line[i] == 1 {
-						la = line.V6
+						la = line.V6()
 					}
 					rows[shard] = append(rows[shard], wireRow{
 						la, n.BackendAddrs()[b.Backend[i]], b.Down[i],

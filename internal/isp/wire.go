@@ -123,7 +123,8 @@ func (ws *wireShard) endLine(line *Line, b *netflow.RecordBatch) {
 		ws.Frames++
 	}
 	var lineIDs [2]uint32 // ID+1 per line column; 0 = not shipped
-	addrs := line.Addrs()
+	var buf [2]netip.Addr
+	addrs := line.AppendAddrs(buf[:0])
 	for i, slot := range b.Line {
 		if lineIDs[slot] == 0 {
 			ws.pendLines = append(ws.pendLines, addrs[slot])
