@@ -85,9 +85,39 @@ func BenchmarkIngestFile(b *testing.B) {
 				ns := float64(time.Since(start).Nanoseconds()) / float64(b.N) / fd.records
 				b.ReportMetric(ns, "ns/record")
 				b.ReportMetric(1e9/ns, "records/s")
+				if fd.name == "line-major" && sink == "batch" {
+					b.ReportMetric(retainedPerLine(b, f, fd.path), "retained-B/line")
+				}
 			})
 		}
 	}
+}
+
+// retainedPerLine folds the recorded week at path into a batch collector
+// once more, outside the timed loop, and returns the heap the finalized
+// flows.Collector keeps live after a collection, per line it folded.
+func retainedPerLine(b *testing.B, f *fixture, path string) float64 {
+	var before, after runtime.MemStats
+	collect := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC() // a second cycle empties the pools the first one aged
+		runtime.ReadMemStats(ms)
+	}
+	collect(&before)
+	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := col.IngestFile(path); err != nil {
+		b.Fatal(err)
+	}
+	cc, fcol := col.Finalize()
+	// A line-major week is one flush a line, so the collector folds
+	// exactly the lines at or below the scanner threshold.
+	lines := len(cc.Scanners(-1)) - len(cc.Scanners(f.opts.ScannerThreshold))
+	collect(&after)
+	runtime.KeepAlive(fcol)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(lines)
 }
 
 // BenchmarkIngestStream is the daemon's catch-up shape: a writer

@@ -13,45 +13,56 @@ import (
 	"iotmap/internal/netflow"
 )
 
-// hoursToSeries counts, per hour, the lines whose hour bit is set: the
-// active-line series recounted from the bits, the oracle of the counts
-// the fold keeps current.
-func hoursToSeries(label string, lineHours []uint64, hw, hours int) *analysis.Series {
+// hoursToSeries counts, per hour, the stride-hw hour bitsets of bits
+// that have the hour's bit set, among the blocks keep selects (nil:
+// every block): an active-line series recounted from the bits, the
+// oracle of the counts the fold keeps current.
+func hoursToSeries(label string, bits []uint64, hw, hours int, keep func(block int) bool) *analysis.Series {
 	ser := analysis.NewSeries(label, hours)
-	for i := 0; i+hw <= len(lineHours); i += hw {
-		forEachBit(lineHours[i:i+hw], func(h int) { ser.Values[h]++ })
+	for i := 0; i+hw <= len(bits); i += hw {
+		if keep == nil || keep(i/hw) {
+			forEachBit(bits[i:i+hw], func(h int) { ser.Values[h]++ })
+		}
 	}
 	return ser
 }
 
 // checkCounts recounts what the fold keeps counted from the bits behind
-// it: every alias's and every focus column's active-line series, and
-// every counter line's distinct-backend count.
+// it: every alias's active-line series from its (line, alias) slots'
+// hour bits, the focus series likewise (all of the focus alias's lines
+// from its slots, the region's and Europe's from their per-line
+// columns), and every counter line's distinct-backend count.
 func checkCounts(t *testing.T, what string, cc *ContactCounter, col *Collector) {
 	t.Helper()
-	for a, lh := range col.lineHours {
-		got := col.activeLines[a]
-		if lh == nil {
-			if got != nil {
-				t.Fatalf("%s: alias %s has an active-line series and no hour bits", what, col.idx.aliasNames[a])
+	slots := make([]int, col.nAliases)
+	for _, k := range col.laKeys {
+		slots[k.alias]++
+	}
+	for a, got := range col.activeLines {
+		if got == nil {
+			if slots[a] > 0 {
+				t.Fatalf("%s: alias %s has %d hour slots and no active-line series", what, col.idx.aliasNames[a], slots[a])
 			}
 			continue
 		}
-		if want := hoursToSeries(col.idx.aliasNames[a], lh, col.hw, col.hours); !reflect.DeepEqual(got, want) {
+		want := hoursToSeries(col.idx.aliasNames[a], col.laHours, col.hw, col.hours, func(s int) bool { return int(col.laKeys[s].alias) == a })
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: alias %s active lines\n got  %v\n want %v", what, col.idx.aliasNames[a], got, want)
 		}
 	}
 	if col.focusAlias != "" {
+		focus := func(s int) bool { return col.laKeys[s].alias == col.focusAliasID }
 		for _, f := range []struct {
 			label string
 			got   *analysis.Series
 			bits  []uint64
+			keep  func(int) bool
 		}{
-			{": All lines", col.focusLinesAll, col.focusHoursAll},
-			{": region lines", col.focusLinesRegion, col.focusHoursRegion},
-			{": EU lines", col.focusLinesEU, col.focusHoursEU},
+			{": All lines", col.focusSeries(col.activeLines, col.focusAlias+": All lines"), col.laHours, focus},
+			{": region lines", col.focusLinesRegion, col.focusHoursRegion, nil},
+			{": EU lines", col.focusLinesEU, col.focusHoursEU, nil},
 		} {
-			if want := hoursToSeries(col.focusAlias+f.label, f.bits, col.hw, col.hours); !reflect.DeepEqual(f.got, want) {
+			if want := hoursToSeries(col.focusAlias+f.label, f.bits, col.hw, col.hours, f.keep); !reflect.DeepEqual(f.got, want) {
 				t.Fatalf("%s: focus%s\n got  %v\n want %v", what, f.label, f.got, want)
 			}
 		}
@@ -90,7 +101,7 @@ func checkFoldRead(t *testing.T, win *Window, what string) {
 }
 
 // TestFoldCountsMatchBits: the counts the fold keeps current (each
-// alias's and focus column's active lines per hour, each line's
+// alias's and focus series' active lines per hour, each line's
 // distinct backends) equal a recount of the bits after every step of
 // the slide schedule (slides, catch-ups, rebuilds, the restored leg, a
 // line under two shard IDs) and after the batch two-pass drive at one
@@ -226,6 +237,71 @@ func TestWindowHourlyPollBudget(t *testing.T) {
 	win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) {
 		if bk.folded != len(bk.line) {
 			t.Fatalf("hour %d: the fold holds %d of %d rows", bk.ah, bk.folded, len(bk.line))
+		}
+	})
+}
+
+// checkHourSlots checks that a fold keeps its hour bits in the (line,
+// alias) slot table: exactly hw words a slot, one slot, indexed by
+// laIdx, for each line and alias the line has a kept row with (up rows
+// as well as down rows), and an hour bit set in every slot.
+func checkHourSlots(t *testing.T, what string, col *Collector) {
+	t.Helper()
+	if got, want := len(col.laHours), len(col.laKeys)*col.hw; got != want {
+		t.Fatalf("%s: %d hour-bit words, %d slots of %d words hold %d", what, got, len(col.laKeys), col.hw, want)
+	}
+	pairs := 0
+	for l, addr := range col.lines.addrs {
+		forEachBit(col.lineAliasBits[l*col.aw:(l+1)*col.aw], func(a int) {
+			pairs++
+			s := int(col.laIdx[l*col.nAliases+a]) - 1
+			if s < 0 || col.laKeys[s] != (laKey{line: int32(l), alias: int32(a)}) {
+				t.Fatalf("%s: line %v has kept rows with alias %s and no slot", what, addr, col.idx.aliasNames[a])
+			}
+			if popcount(col.laHours[s*col.hw:(s+1)*col.hw]) == 0 {
+				t.Fatalf("%s: the slot of line %v, alias %s holds no hour", what, addr, col.idx.aliasNames[a])
+			}
+		})
+	}
+	if pairs != len(col.laKeys) {
+		t.Fatalf("%s: %d slots for %d (line, alias) pairs with kept rows", what, len(col.laKeys), pairs)
+	}
+}
+
+// TestHourBitsPerSlot: a fold keeps its hour bits per (line, alias)
+// slot, not in per-line columns, and the active-line and focus series
+// recount from the slot bits: after a batch fold, a three-shard merge,
+// and every step of the slide schedule.
+func TestHourBitsPerSlot(t *testing.T) {
+	check := func(t *testing.T, what string, cc *ContactCounter, col *Collector) {
+		t.Helper()
+		checkHourSlots(t, what, col)
+		checkCounts(t, what, cc, col)
+	}
+	t.Run("batch", func(t *testing.T) {
+		w, _, _ := buildStudy(t)
+		for _, shards := range []int{1, 3} {
+			cc, col := runPipeline(cachedNet, cachedIdx, w, shards)
+			check(t, fmt.Sprintf("%d shards", shards), cc, col)
+		}
+	})
+	t.Run("slide", func(t *testing.T) {
+		f := buildDenseFixture(41)
+		opts := f.opts
+		opts.ScannerThreshold = 3
+		win, err := NewWindow(f.idx, f.days[0], 48, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.setShards(3)
+		sf := newSlideFeed(f, 3)
+		for _, step := range slideSchedule(sf, 48) {
+			for _, fl := range step.flushes {
+				flushRecords(win, fl)
+			}
+			if step.want != "" {
+				win.View(func(cc *ContactCounter, col *Collector, _, _ time.Time) { check(t, step.name, cc, col) })
+			}
 		}
 	})
 }

@@ -326,12 +326,14 @@ func (c *refCollector) ingest(r netflow.Record) {
 	if bi.certFound {
 		c.lineCertSeen[lak] = struct{}{}
 	}
+	// Every (line, alias) pair with a row has a daily entry, which only
+	// downstream bytes fill.
+	lad, ok := c.lineAliasDaily[lak]
+	if !ok {
+		lad = make([]float64, len(c.days))
+		c.lineAliasDaily[lak] = lad
+	}
 	if downstream {
-		lad, ok := c.lineAliasDaily[lak]
-		if !ok {
-			lad = make([]float64, len(c.days))
-			c.lineAliasDaily[lak] = lad
-		}
 		lad[day] += bytes
 		lpk := linePortKey{line: line, port: port}
 		lpd, ok := c.linePortDaily[lpk]

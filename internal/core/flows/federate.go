@@ -22,7 +22,7 @@ import (
 // Federation is FederatedMerge's result: the per-vantage aggregates
 // plus their union. Per-vantage values are the exact collectors a
 // single-vantage pipeline over the same feed would produce; the union
-// is a deep-copied merge, so finalizing one never disturbs another.
+// shares no storage with them, so finalizing one never disturbs another.
 type Federation struct {
 	// Names lists the vantage labels, sorted.
 	Names []string
@@ -62,9 +62,15 @@ func FederatedMerge(parts []*ShardPartial) *Federation {
 	ccs, cols := make([]*ContactCounter, len(names)), make([]*Collector, len(names))
 	for i, name := range names {
 		f.CC[name], f.Col[name] = MergePartials(groups[name])
-		ccs[i], cols[i] = f.CC[name].clone(), f.Col[name].clone()
+		ccs[i], cols[i] = f.CC[name], f.Col[name]
+		if i > 0 {
+			cols[i] = cols[i].donor()
+		}
 	}
-	f.UnionCC, f.UnionCol = ccs[0], cols[0]
+	// The union starts from a copy of the first vantage's aggregates and
+	// merges the others, which ContactCounter.Merge only reads and the
+	// collector donors keep untouched.
+	f.UnionCC, f.UnionCol = ccs[0].clone(), cols[0].clone()
 	f.UnionCC.Merge(ccs[1:]...)
 	f.UnionCol.Merge(cols[1:]...)
 	return f

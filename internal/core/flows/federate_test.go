@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"iotmap/internal/analysis"
 	"iotmap/internal/geo"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
@@ -256,8 +257,9 @@ func TestFederatedSingleVantageTransparent(t *testing.T) {
 // TestCollectorCloneComplete guards the hand-enumerated deep copies in
 // clone(): a populated collector and its clone must be deeply equal (a
 // future Collector aggregate missing from clone fails here, loudly,
-// instead of silently vanishing from union studies), and consuming the
-// clone in a merge must leave the original untouched (no shared maps).
+// instead of silently vanishing from union studies). Merging into the
+// clone, with a donor() copy of the original as the donor, must leave
+// the original untouched: neither copy shares what the merge writes.
 func TestCollectorCloneComplete(t *testing.T) {
 	w, pipeStudy, pipeCC := buildStudy(t)
 	cc, col := runPipeline(cachedNet, cachedIdx, w, 1)
@@ -271,11 +273,23 @@ func TestCollectorCloneComplete(t *testing.T) {
 	}
 
 	// Merges consume their donors and mutate the receiver in place; the
-	// originals behind the clones must not move.
-	colClone.Merge(col.clone())
+	// originals behind the copies must not move.
+	colClone.Merge(col.donor())
 	ccClone.Merge(cc.clone())
+	// An empty receiver adopts what a donor lends by reference; writing
+	// through it must not reach the original either.
+	fresh := NewCollector(col.idx, col.days, studyOpts(cachedNet))
+	fresh.Merge(col.donor())
+	for a := range fresh.visible {
+		clearBits(fresh.visible[a])
+		for _, s := range []*analysis.Series{fresh.downHour[a], fresh.upHour[a]} {
+			if s != nil {
+				clear(s.Values)
+			}
+		}
+	}
 	if !reflect.DeepEqual(named(col.Study()), named(pipeStudy)) {
-		t.Error("merging a clone mutated the original collector (aliased aggregate)")
+		t.Error("a merge mutated the original collector through a copy (aliased aggregate)")
 	}
 	if !reflect.DeepEqual(cc.contactSets(), pipeCC.contactSets()) {
 		t.Error("merging a clone mutated the original contact counter")

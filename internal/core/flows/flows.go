@@ -374,9 +374,6 @@ type Collector struct {
 
 	// Stride bookkeeping: ds = len(days), hw/aw = hour/alias bitset words.
 	ds, hw, aw, nAliases int
-	// lineHint is the line count reserveLines expects (0: none): a
-	// per-alias or focus hour bitset is sized for it when it appears.
-	lineHint int
 
 	// coverBits (stride hw) marks study hours with at least one analyzed
 	// record — the feed-liveness signal behind degraded-vantage
@@ -389,27 +386,32 @@ type Collector struct {
 
 	// Per-line aggregates, stride-packed by line ID (grown on intern):
 	// daily [down, up] volumes, contacted-continent masks, alias-seen and
-	// cert-seen alias bitsets, and the lineAliasDaily slot table.
+	// cert-seen alias bitsets, and the (line, alias) slot table.
 	lineDaily     []float64 // stride 2*ds: [day][down,up]
 	lineConts     []uint8
 	lineAliasBits []uint64 // stride aw
 	lineCertBits  []uint64 // stride aw
-	laIdx         []int32  // stride nAliases: slot+1 into laDaily
+	laIdx         []int32  // stride nAliases: slot+1 into the la arenas
 
 	// Per-alias aggregates, indexed by alias ID. activeLines counts,
-	// per hour, the lines whose lineHours bit is set: every write that
-	// sets or drops a bit keeps it current, so Study() derives nothing.
+	// per hour, the alias's slots whose laHours bit is set: every write
+	// that sets or drops a bit keeps it current, so Study() derives
+	// nothing.
 	visible     [][]uint64 // backend bitset
-	lineHours   [][]uint64 // per line: stride-hw active-hour bitset
 	activeLines []*analysis.Series
 	downHour    []*analysis.Series
 	upHour      []*analysis.Series
 	portVol     [][]float64 // per port ID
 	portSeen    [][]uint64  // port-ID presence bitset
 
-	// lineAliasDaily/linePortDaily slot arenas: slot s owns
-	// laDaily[s*ds:(s+1)*ds] with its (line, alias) key in laKeys[s].
+	// (line, alias) and (line, port) slot arenas. Every (line, alias)
+	// pair with a kept row has a slot s, keyed laKeys[s], which owns the
+	// pair's downstream volume per day, laDaily[s*ds:(s+1)*ds] (zero for
+	// a pair of upstream rows only), and its active-hour bitset,
+	// laHours[s*hw:(s+1)*hw]. A (line, port) slot exists per downstream
+	// pair.
 	laDaily []float64
+	laHours []uint64
 	laKeys  []laKey
 	lpIdx   [][]int32 // per port ID: per line slot+1
 	lpDaily []float64
@@ -421,11 +423,14 @@ type Collector struct {
 	backendVol  []float64
 	backendSeen []uint64
 
-	// Focus series (Figures 15/16); the focusLines series count the set
-	// bits of the focusHours columns per hour, as activeLines does.
-	focusDownAll, focusDownRegion, focusDownEU    *analysis.Series
-	focusHoursAll, focusHoursRegion, focusHoursEU []uint64 // per line, stride hw
-	focusLinesAll, focusLinesRegion, focusLinesEU *analysis.Series
+	// Focus series (Figures 15/16) of the focus alias's rows with a
+	// backend in the focus region or in Europe; its series over all its
+	// backends are the alias's own downHour and activeLines. The
+	// focusLines series count the set bits of the per-line focusHours
+	// columns per hour, as activeLines does for the slots.
+	focusDownRegion, focusDownEU   *analysis.Series
+	focusHoursRegion, focusHoursEU []uint64 // per line, stride hw
+	focusLinesRegion, focusLinesEU *analysis.Series
 
 	// backends is what a row's fold reads per backend ID (clones share
 	// it); runBits holds a run's alias and cert bits, zero between runs.
@@ -488,7 +493,6 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 		nAliases:     nAliases,
 		coverBits:    make([]uint64, (hours+63)/64),
 		visible:      make([][]uint64, nAliases),
-		lineHours:    make([][]uint64, nAliases),
 		activeLines:  make([]*analysis.Series, nAliases),
 		downHour:     make([]*analysis.Series, nAliases),
 		upHour:       make([]*analysis.Series, nAliases),
@@ -506,10 +510,8 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 				c.focusAliasID = int32(i)
 			}
 		}
-		c.focusDownAll = analysis.NewSeries(c.focusAlias+": All", hours)
 		c.focusDownRegion = analysis.NewSeries(c.focusAlias+": "+c.focusRegion, hours)
 		c.focusDownEU = analysis.NewSeries(c.focusAlias+": EU", hours)
-		c.focusLinesAll = analysis.NewSeries(c.focusAlias+": All lines", hours)
 		c.focusLinesRegion = analysis.NewSeries(c.focusAlias+": region lines", hours)
 		c.focusLinesEU = analysis.NewSeries(c.focusAlias+": EU lines", hours)
 	}
@@ -523,8 +525,6 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 			be.focus = focusRegion
 		case bi.cont == geo.Europe:
 			be.focus = focusEU
-		default:
-			be.focus = focusOther
 		}
 		c.backends[i] = be
 	}
@@ -549,8 +549,7 @@ func (c *Collector) lineID(a netip.Addr) int32 {
 }
 
 // reserveLines makes room for n lines, interned from likes' addresses,
-// in every column lineID grows, and in the hour bitset columns ingest
-// creates from now on.
+// in every column lineID grows.
 func (c *Collector) reserveLines(n int, likes ...*lineTab) {
 	c.lines.reserve(n, likes...)
 	c.lineDaily = reserve(c.lineDaily, n*2*c.ds)
@@ -558,7 +557,6 @@ func (c *Collector) reserveLines(n int, likes ...*lineTab) {
 	c.lineAliasBits = reserve(c.lineAliasBits, n*c.aw)
 	c.lineCertBits = reserve(c.lineCertBits, n*c.aw)
 	c.laIdx = reserve(c.laIdx, n*c.nAliases)
-	c.lineHint = max(c.lineHint, n)
 }
 
 func contBit(c geo.Continent) uint8 {
@@ -574,18 +572,18 @@ func contBit(c geo.Continent) uint8 {
 	}
 }
 
-// laSlotBase finds or creates the lineAliasDaily slot for (line, alias)
-// and returns its base offset into laDaily.
-func (c *Collector) laSlotBase(line, alias int) int {
+// laSlot finds or creates the (line, alias) slot and returns it.
+func (c *Collector) laSlot(line, alias int) int {
 	si := line*c.nAliases + alias
 	slot := c.laIdx[si]
 	if slot == 0 {
 		slot = int32(len(c.laKeys)) + 1
 		c.laKeys = append(c.laKeys, laKey{line: int32(line), alias: int32(alias)})
 		c.laDaily = grown(c.laDaily, int(slot)*c.ds)
+		c.laHours = grown(c.laHours, int(slot)*c.hw)
 		c.laIdx[si] = slot
 	}
-	return (int(slot) - 1) * c.ds
+	return int(slot) - 1
 }
 
 // lpSlotBase finds or creates the linePortDaily slot for (line, port)
@@ -605,11 +603,10 @@ func (c *Collector) lpSlotBase(line, port int) int {
 	return (int(slot) - 1) * c.ds
 }
 
-// Focus classes of a backend: not the focus alias, or the focus alias
-// elsewhere, in the focus region, or in Europe.
+// Focus classes of a backend: none (another alias, or the focus alias
+// elsewhere), or the focus alias in the focus region or in Europe.
 const (
 	focusNone uint8 = iota
-	focusOther
 	focusRegion
 	focusEU
 )
@@ -630,9 +627,11 @@ type backendRun struct {
 // bits into the line. ShardPartial.FoldKept and the window's folds all
 // fold through it, so they produce byte-identical aggregates.
 type lineRun struct {
-	c              *Collector
-	line, daily    int      // daily: the line's lineDaily base, [day][down,up]
-	prev           int32    // the previous row's backend ID
+	c           *Collector
+	line, daily int   // daily: the line's lineDaily base, [day][down,up]
+	prev        int32 // the previous row's backend ID
+	// slot is the (line, alias) slot of prev's alias.
+	slot           int
 	aliases, certs []uint64 // c.runBits
 	conts          uint8
 }
@@ -653,8 +652,8 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 		r.prev = backendID
 		vs := c.visible[a]
 		if vs == nil {
-			// An alias's visible set, hour bitsets and active-line series
-			// appear, and leave in compact, together.
+			// An alias's visible set and active-line series appear, and
+			// leave in compact, together.
 			vs = make([]uint64, c.idx.words)
 			c.visible[a] = vs
 			c.activeLines[a] = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
@@ -666,8 +665,9 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 			setBit(r.certs, a)
 		}
 		r.conts |= be.cont
+		r.slot = c.laSlot(r.line, a)
 	}
-	r.setHour(&c.lineHours[a], c.activeLines[a], hour)
+	setHour(c.laHours[r.slot*c.hw:], c.activeLines[a], hour)
 
 	// Hourly volumes.
 	ser := c.upHour
@@ -688,7 +688,7 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 	// Per-line dailies.
 	if down {
 		c.lineDaily[r.daily+2*day] += bytes
-		c.laDaily[c.laSlotBase(r.line, a)+day] += bytes
+		c.laDaily[r.slot*c.ds+day] += bytes
 		c.lpDaily[c.lpSlotBase(r.line, pid)+day] += bytes
 	} else {
 		c.lineDaily[r.daily+2*day+1] += bytes
@@ -697,10 +697,6 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 	c.backendVol[backendID] += bytes
 
 	// Outage focus.
-	if be.focus == focusNone {
-		return
-	}
-	r.focus(c.focusDownAll, c.focusLinesAll, &c.focusHoursAll, down, hour, bytes)
 	switch be.focus {
 	case focusRegion:
 		r.focus(c.focusDownRegion, c.focusLinesRegion, &c.focusHoursRegion, down, hour, bytes)
@@ -709,30 +705,24 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 	}
 }
 
-// setHour marks hour in the run line's row of a per-line hour bitset
-// column and, when the bit was clear, counts the line into the column's
-// active-line series. It grows the column (and stores it back) only when
-// it is too short; a new column is sized for lineHint lines.
-func (r *lineRun) setHour(col *[]uint64, active *analysis.Series, hour int) {
-	if need := (r.line + 1) * r.c.hw; len(*col) < need {
-		if *col == nil && r.c.lineHint > 0 {
-			*col = make([]uint64, 0, r.c.lineHint*r.c.hw)
-		}
-		*col = grown(*col, need)
-	}
-	w := &(*col)[r.line*r.c.hw+hour>>6]
+// setHour marks hour in one hour bitset and, when the bit was clear,
+// counts it into the bitset's active-line series.
+func setHour(bits []uint64, active *analysis.Series, hour int) {
+	w := &bits[hour>>6]
 	sh := uint(hour) & 63
 	active.Values[hour] += float64(^*w >> sh & 1)
 	*w |= 1 << sh
 }
 
-// focus folds a focus-alias row into one focus series and its per-line
-// hour bitset column and active-line series.
+// focus folds a focus-alias row into one focus series and the run
+// line's hour bitset of a per-line focus column, which it grows (and
+// stores back) only when it is too short.
 func (r *lineRun) focus(s, active *analysis.Series, col *[]uint64, down bool, hour int, bytes float64) {
 	if down {
 		s.Add(hour, bytes)
 	}
-	r.setHour(col, active, hour)
+	hw := r.c.hw
+	setHour(extend(col, (r.line+1)*hw)[r.line*hw:], active, hour)
 }
 
 func (r *lineRun) end() {

@@ -404,26 +404,25 @@ func TestIngestLineMatchesRecordPath(t *testing.T) {
 }
 
 // TestMergeSizesColumnsOnce: merging three shard partials, whose lines
-// are disjoint, sizes every per-line column once, so each ends with
-// cap == len, and the merged study still equals the two-pass reference.
-// An hour or port-line column that no donor holds is the receiver's own,
-// grown by its ingest, and the merge leaves it alone.
+// are disjoint, sizes every per-line column and slot arena once, the
+// slots' hour bits included, so each ends with cap == len, and the
+// merged study still equals the two-pass reference. A focus hour or
+// port-line column that no donor holds is the receiver's own, grown by
+// its ingest, and the merge leaves it alone.
 func TestMergeSizesColumnsOnce(t *testing.T) {
 	w, refCC, refCol := twoPass(t)
 	agg := pipelineAggregator(cachedNet, cachedIdx, w, 3)
 	agg.Simulate(cachedNet)
-	donorHours := map[int]bool{}
+	donorSlots := 0
 	donorPorts := map[proto.PortKey]bool{}
-	donorFocus := [3]bool{}
+	donorFocus := [2]bool{}
 	for i := 1; i < agg.Shards(); i++ {
 		d := agg.Shard(i).col
-		for a, h := range d.lineHours {
-			donorHours[a] = donorHours[a] || len(h) > 0
-		}
+		donorSlots += len(d.laKeys)
 		for _, k := range d.lpKeys {
 			donorPorts[d.ports.keys[k.port]] = true
 		}
-		for f, h := range [][]uint64{d.focusHoursAll, d.focusHoursRegion, d.focusHoursEU} {
+		for f, h := range [][]uint64{d.focusHoursRegion, d.focusHoursEU} {
 			donorFocus[f] = donorFocus[f] || len(h) > 0
 		}
 	}
@@ -449,22 +448,18 @@ func TestMergeSizesColumnsOnce(t *testing.T) {
 	exact("laIdx", col.laIdx)
 	exact("laKeys", col.laKeys)
 	exact("laDaily", col.laDaily)
+	exact("laHours", col.laHours)
 	exact("lpKeys", col.lpKeys)
 	exact("lpDaily", col.lpDaily)
-	if len(donorHours) == 0 || len(donorPorts) == 0 {
-		t.Fatal("the donors hold no hour or port-line column")
-	}
-	for a, held := range donorHours {
-		if held {
-			exact("lineHours["+col.idx.aliasNames[a]+"]", col.lineHours[a])
-		}
+	if donorSlots == 0 || len(donorPorts) == 0 || donorFocus == [2]bool{} {
+		t.Fatal("the donors hold no hour slot, port-line or focus hour column")
 	}
 	for p, k := range col.ports.keys {
 		if donorPorts[k] {
 			exact(fmt.Sprintf("lpIdx[%v]", k), col.lpIdx[p])
 		}
 	}
-	for f, h := range [][]uint64{col.focusHoursAll, col.focusHoursRegion, col.focusHoursEU} {
+	for f, h := range [][]uint64{col.focusHoursRegion, col.focusHoursEU} {
 		if donorFocus[f] {
 			exact(fmt.Sprintf("focus hours %d", f), h)
 		}

@@ -73,12 +73,13 @@ func (c *ContactCounter) Merge(donors ...*ContactCounter) {
 // Every column is sized once for all donors: the per-line columns and
 // slot arenas for the sum of the line and slot counts (exact when the
 // donors hold disjoint lines, as shards and vantages do), and, since
-// every donor line is interned before any row folds, the hour and
+// every donor line is interned before any row folds, the focus hour and
 // port-line columns for the merged line count.
 //
-// Merge consumes the donors: missing aggregates are adopted by
-// reference, not copied, so a donor must not be ingested into or merged
-// again.
+// Merge consumes the donors: a donor's visible sets and hourly volume
+// series are adopted by reference where c has none, not copied, so a
+// donor must not be ingested into or merged again. Everything else of a
+// donor is only read.
 func (c *Collector) Merge(donors ...*Collector) {
 	c.idx.checkGen(c.gen)
 	c.checkWritable()
@@ -96,7 +97,7 @@ func (c *Collector) Merge(donors ...*Collector) {
 		tabs[i] = &o.lines
 	}
 	c.reserveLines(lines, tabs...)
-	c.laKeys, c.laDaily = reserve(c.laKeys, la), reserve(c.laDaily, la*c.ds)
+	c.laKeys, c.laDaily, c.laHours = reserve(c.laKeys, la), reserve(c.laDaily, la*c.ds), reserve(c.laHours, la*c.hw)
 	c.lpKeys, c.lpDaily = reserve(c.lpKeys, lp), reserve(c.lpDaily, lp*c.ds)
 
 	// Remap donor line/port IDs into c's spaces (interning as needed).
@@ -150,10 +151,9 @@ func (c *Collector) merge(o *Collector, remap, portRemap []int32) {
 				orBits(c.visible[a], src)
 			}
 		}
-		if len(o.lineHours[a]) > 0 && c.activeLines[a] == nil {
+		if o.activeLines[a] != nil && c.activeLines[a] == nil {
 			c.activeLines[a] = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
 		}
-		c.lineHours[a] = mergeLineHours(c.lineHours[a], c.activeLines[a], o.lineHours[a], remap, c.hw, len(c.lines.addrs))
 		mergeSeriesAt(c.downHour, o.downHour, a)
 		mergeSeriesAt(c.upHour, o.upHour, a)
 		if src := o.portVol[a]; len(src) > 0 {
@@ -166,10 +166,11 @@ func (c *Collector) merge(o *Collector, remap, portRemap []int32) {
 	}
 
 	for s, k := range o.laKeys {
-		base := c.laSlotBase(int(remap[k.line]), int(k.alias))
+		t := c.laSlot(int(remap[k.line]), int(k.alias))
 		for d := 0; d < c.ds; d++ {
-			c.laDaily[base+d] += o.laDaily[s*c.ds+d]
+			c.laDaily[t*c.ds+d] += o.laDaily[s*c.ds+d]
 		}
+		orHours(c.laHours[t*c.hw:(t+1)*c.hw], o.laHours[s*c.hw:(s+1)*c.hw], c.activeLines[k.alias])
 	}
 	for s, k := range o.lpKeys {
 		base := c.lpSlotBase(int(remap[k.line]), int(portRemap[k.port]))
@@ -183,10 +184,8 @@ func (c *Collector) merge(o *Collector, remap, portRemap []int32) {
 	orBits(c.coverBits, o.coverBits)
 
 	if c.focusAlias != "" && o.focusAlias == c.focusAlias {
-		addValues(c.focusDownAll, o.focusDownAll)
 		addValues(c.focusDownRegion, o.focusDownRegion)
 		addValues(c.focusDownEU, o.focusDownEU)
-		c.focusHoursAll = mergeLineHours(c.focusHoursAll, c.focusLinesAll, o.focusHoursAll, remap, c.hw, len(c.lines.addrs))
 		c.focusHoursRegion = mergeLineHours(c.focusHoursRegion, c.focusLinesRegion, o.focusHoursRegion, remap, c.hw, len(c.lines.addrs))
 		c.focusHoursEU = mergeLineHours(c.focusHoursEU, c.focusLinesEU, o.focusHoursEU, remap, c.hw, len(c.lines.addrs))
 	}
@@ -202,15 +201,21 @@ func mergeLineHours(dst []uint64, active *analysis.Series, src []uint64, remap [
 	}
 	dst = grown(reserve(dst, nLines*hw), nLines*hw)
 	for i := 0; i < len(src)/hw; i++ {
-		d := dst[int(remap[i])*hw : (int(remap[i])+1)*hw]
-		for k, w := range src[i*hw : (i+1)*hw] {
-			for added := w &^ d[k]; added != 0; added &= added - 1 {
-				active.Values[k<<6+bits.TrailingZeros64(added)]++
-			}
-			d[k] |= w
-		}
+		t := int(remap[i])
+		orHours(dst[t*hw:(t+1)*hw], src[i*hw:(i+1)*hw], active)
 	}
 	return dst
+}
+
+// orHours ORs the hour bitset src into dst, counting each bit new to dst
+// into active.
+func orHours(dst, src []uint64, active *analysis.Series) {
+	for k, w := range src {
+		for added := w &^ dst[k]; added != 0; added &= added - 1 {
+			active.Values[k<<6+bits.TrailingZeros64(added)]++
+		}
+		dst[k] |= w
+	}
 }
 
 // mergeSeriesAt folds src[a] into dst[a], adopting the donor series
@@ -281,7 +286,6 @@ func (c *Collector) clone() *Collector {
 		laIdx:         cloneSlice(c.laIdx),
 
 		visible:     cloneNested(c.visible),
-		lineHours:   cloneNested(c.lineHours),
 		activeLines: cloneSeriesSlice(c.activeLines),
 		downHour:    cloneSeriesSlice(c.downHour),
 		upHour:      cloneSeriesSlice(c.upHour),
@@ -289,6 +293,7 @@ func (c *Collector) clone() *Collector {
 		portSeen:    cloneNested(c.portSeen),
 
 		laDaily: cloneSlice(c.laDaily),
+		laHours: cloneSlice(c.laHours),
 		laKeys:  append([]laKey(nil), c.laKeys...),
 		lpIdx:   cloneNested(c.lpIdx),
 		lpDaily: cloneSlice(c.lpDaily),
@@ -297,13 +302,10 @@ func (c *Collector) clone() *Collector {
 		backendVol:  cloneSlice(c.backendVol),
 		backendSeen: cloneSlice(c.backendSeen),
 
-		focusDownAll:     cloneSeries(c.focusDownAll),
 		focusDownRegion:  cloneSeries(c.focusDownRegion),
 		focusDownEU:      cloneSeries(c.focusDownEU),
-		focusHoursAll:    cloneSlice(c.focusHoursAll),
 		focusHoursRegion: cloneSlice(c.focusHoursRegion),
 		focusHoursEU:     cloneSlice(c.focusHoursEU),
-		focusLinesAll:    cloneSeries(c.focusLinesAll),
 		focusLinesRegion: cloneSeries(c.focusLinesRegion),
 		focusLinesEU:     cloneSeries(c.focusLinesEU),
 
@@ -311,6 +313,17 @@ func (c *Collector) clone() *Collector {
 		runBits:  make([]uint64, len(c.runBits)),
 	}
 	return out
+}
+
+// donor returns a copy of c for Merge to consume that leaves c as it
+// is: it shares the columns Merge only reads of a donor and copies the
+// ones Merge adopts by reference, the visible sets and the hourly volume
+// series.
+func (c *Collector) donor() *Collector {
+	d := *c
+	d.visible = cloneNested(c.visible)
+	d.downHour, d.upHour = cloneSeriesSlice(c.downHour), cloneSeriesSlice(c.upHour)
+	return &d
 }
 
 func cloneSlice[T int32 | uint8 | uint64 | float64](s []T) []T {
@@ -370,8 +383,8 @@ type rowCounts struct {
 	aliasDir  []int32   // per (alias, up), stride 2: downHour, upHour
 	aliasPort [][]int32 // per alias, per port ID: portSeen
 	port      []int32   // per port ID: the port table
-	laSlot    []int32   // per lineAliasDaily slot (down rows)
-	lpSlot    []int32   // per linePortDaily slot (down rows)
+	laSlot    []int32   // per (line, alias) slot
+	lpSlot    []int32   // per (line, port) slot (down rows)
 
 	// emptied notes what a slide emptied since the last compaction, so
 	// compaction runs only the drop passes that have something to drop.
@@ -379,7 +392,7 @@ type rowCounts struct {
 }
 
 // rowCounts.emptied bits: a counter line lost its last contact, a
-// collector line its last kept row, a daily slot, a port or an (alias,
+// collector line its last kept row, a slot, a port or an (alias,
 // direction) its last row.
 const (
 	emptiedContacts uint8 = 1 << iota
@@ -442,14 +455,14 @@ func (n *rowCounts) count(c *Collector, line int, backendID int32, down bool, po
 	n.aliasPort[a][pid]++
 	n.port = grown(n.port, pid+1)
 	n.port[pid]++
+	s := int(c.laIdx[la])
+	n.laSlot = grown(n.laSlot, s)
+	n.laSlot[s-1]++
 	if !down {
 		n.aliasDir[2*a+1]++
 		return
 	}
 	n.aliasDir[2*a]++
-	s := int(c.laIdx[la])
-	n.laSlot = grown(n.laSlot, s)
-	n.laSlot[s-1]++
 	s = int(c.lpIdx[pid][line])
 	n.lpSlot = grown(n.lpSlot, s)
 	n.lpSlot[s-1]++
@@ -484,20 +497,20 @@ func (c *Collector) subtract(n *rowCounts, line int, backendID int32, down bool,
 	if n.aliasDir[dir]--; n.aliasDir[dir] == 0 {
 		n.emptied |= emptiedAliases
 	}
+	s := int(c.laIdx[la]) - 1
+	if n.laSlot[s]--; n.laSlot[s] == 0 {
+		n.emptied |= emptiedSlots
+	}
 	base := line*2*c.ds + 2*day
 	if !down {
 		c.lineDaily[base+1] -= bytes
 		return
 	}
 	c.lineDaily[base] -= bytes
-	s := int(c.laIdx[la]) - 1
 	c.laDaily[s*c.ds+day] -= bytes
-	n.laSlot[s]--
-	empty := n.laSlot[s] == 0
 	s = int(c.lpIdx[pid][line]) - 1
 	c.lpDaily[s*c.ds+day] -= bytes
-	n.lpSlot[s]--
-	if empty || n.lpSlot[s] == 0 {
+	if n.lpSlot[s]--; n.lpSlot[s] == 0 {
 		n.emptied |= emptiedSlots
 	}
 }
@@ -555,21 +568,19 @@ func (c *Collector) shiftHours(k int, days []time.Time) {
 	c.checkWritable()
 	c.days = days
 	shiftBits(c.coverBits, k)
-	for a := range c.lineHours {
-		shiftLineBits(c.lineHours[a], c.hw, k)
+	shiftLineBits(c.laHours, c.hw, k)
+	for a := range c.activeLines {
 		shiftSeries(c.activeLines[a], k)
 		shiftSeries(c.downHour[a], k)
 		shiftSeries(c.upHour[a], k)
 	}
 	for _, s := range []*analysis.Series{
-		c.focusDownAll, c.focusDownRegion, c.focusDownEU,
-		c.focusLinesAll, c.focusLinesRegion, c.focusLinesEU,
+		c.focusDownRegion, c.focusDownEU, c.focusLinesRegion, c.focusLinesEU,
 	} {
 		shiftSeries(s, k)
 	}
-	for _, lh := range [][]uint64{c.focusHoursAll, c.focusHoursRegion, c.focusHoursEU} {
-		shiftLineBits(lh, c.hw, k)
-	}
+	shiftLineBits(c.focusHoursRegion, c.hw, k)
+	shiftLineBits(c.focusHoursEU, c.hw, k)
 }
 
 // shiftBits moves every bit of s k places down: bit i+k becomes bit i.
@@ -621,7 +632,7 @@ func (c *Collector) compact(n *rowCounts) []int32 {
 				c.upHour[a] = nil
 			}
 			if down+up == 0 {
-				c.visible[a], c.lineHours[a], c.activeLines[a], c.portVol[a], c.portSeen[a] = nil, nil, nil, nil, nil
+				c.visible[a], c.activeLines[a], c.portVol[a], c.portSeen[a] = nil, nil, nil, nil
 			}
 		}
 	}
@@ -639,7 +650,7 @@ func (c *Collector) compact(n *rowCounts) []int32 {
 	return nil
 }
 
-// dropSlots drops the daily slots no row is left in.
+// dropSlots drops the slots no row is left in.
 func (c *Collector) dropSlots(n *rowCounts) {
 	remap, j := make([]int32, len(c.laKeys)), int32(0)
 	for s, k := range c.laKeys {
@@ -652,6 +663,7 @@ func (c *Collector) dropSlots(n *rowCounts) {
 	}
 	c.laKeys = c.laKeys[:j]
 	c.laDaily = compactStride(c.laDaily, c.ds, remap)
+	c.laHours = compactStride(c.laHours, c.hw, remap)
 	n.laSlot = compactStride(n.laSlot, 1, remap)
 
 	remap, j = make([]int32, len(c.lpKeys)), 0
@@ -738,10 +750,6 @@ func (c *Collector) dropLines() []int32 {
 	c.lineAliasBits = compactStride(c.lineAliasBits, c.aw, remap)
 	c.lineCertBits = compactStride(c.lineCertBits, c.aw, remap)
 	c.laIdx = compactStride(c.laIdx, c.nAliases, remap)
-	for a := range c.lineHours {
-		c.lineHours[a] = compactStride(c.lineHours[a], c.hw, remap)
-	}
-	c.focusHoursAll = compactStride(c.focusHoursAll, c.hw, remap)
 	c.focusHoursRegion = compactStride(c.focusHoursRegion, c.hw, remap)
 	c.focusHoursEU = compactStride(c.focusHoursEU, c.hw, remap)
 	for p := range c.lpIdx {

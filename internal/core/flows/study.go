@@ -67,9 +67,8 @@ type Study struct {
 // cost does not grow with the lines held. The collector must not be
 // ingested into or merged afterwards: the same rule Merge documents for
 // its donor, which beginRun, Merge and IngestBatch enforce with a
-// panic. The fold-only tables (per-line hour bitsets, slot indexes,
-// line and port intern tables) are not retained and die with the
-// collector.
+// panic. The fold-only tables (hour bitsets, slot indexes, line and
+// port intern tables) are not retained and die with the collector.
 func (c *Collector) Study() *Study {
 	c.idx.checkGen(c.gen)
 	c.finalized = true
@@ -98,14 +97,23 @@ func (c *Collector) Study() *Study {
 		backendSeen:   c.backendSeen,
 	}
 	if c.focusAlias != "" {
-		s.FocusDownAll = c.focusDownAll
+		s.FocusDownAll = c.focusSeries(c.downHour, c.focusAlias+": All")
 		s.FocusDownRegion = c.focusDownRegion
 		s.FocusDownEU = c.focusDownEU
-		s.FocusLinesAll = c.focusLinesAll
+		s.FocusLinesAll = c.focusSeries(c.activeLines, c.focusAlias+": All lines")
 		s.FocusLinesRegion = c.focusLinesRegion
 		s.FocusLinesEU = c.focusLinesEU
 	}
 	return s
+}
+
+// focusSeries returns the focus alias's series in col under label,
+// sharing its values, or a zero series when the alias has none.
+func (c *Collector) focusSeries(col []*analysis.Series, label string) *analysis.Series {
+	if a := c.focusAliasID; a >= 0 && col[a] != nil {
+		return &analysis.Series{Label: label, Values: col[a].Values}
+	}
+	return analysis.NewSeries(label, c.hours)
 }
 
 // aliasID resolves an alias to its dense ID, -1 when the index has no

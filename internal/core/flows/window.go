@@ -221,7 +221,7 @@ type FoldStats struct {
 	// Copies counts the reads that deep-copied the fold (Merged, and
 	// Study through it); View lends it instead.
 	Copies uint64 `json:"copies"`
-	// Compactions counts the slides that emptied a line, daily slot,
+	// Compactions counts the slides that emptied a line, slot,
 	// port or alias direction and so dropped it from the fold; every
 	// other slide skips the drop passes.
 	Compactions uint64 `json:"compactions"`
