@@ -88,22 +88,28 @@ func BenchmarkIngestFile(b *testing.B) {
 				if fd.name == "line-major" && sink == "batch" {
 					b.ReportMetric(retainedPerLine(b, f, fd.path), "retained-B/line")
 				}
+				if fd.name == "line-major" && sink == "window" {
+					b.ReportMetric(retainedPerRow(b, f, fd.path, fd.records), "retained-B/row")
+				}
 			})
 		}
 	}
+}
+
+// liveHeap returns the live heap after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // a second cycle empties the pools the first one aged
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // retainedPerLine folds the recorded week at path into a batch collector
 // once more, outside the timed loop, and returns the heap the finalized
 // flows.Collector keeps live after a collection, per line it folded.
 func retainedPerLine(b *testing.B, f *fixture, path string) float64 {
-	var before, after runtime.MemStats
-	collect := func(ms *runtime.MemStats) {
-		runtime.GC()
-		runtime.GC() // a second cycle empties the pools the first one aged
-		runtime.ReadMemStats(ms)
-	}
-	collect(&before)
+	before := liveHeap()
 	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts})
 	if err != nil {
 		b.Fatal(err)
@@ -115,9 +121,35 @@ func retainedPerLine(b *testing.B, f *fixture, path string) float64 {
 	// A line-major week is one flush a line, so the collector folds
 	// exactly the lines at or below the scanner threshold.
 	lines := len(cc.Scanners(-1)) - len(cc.Scanners(f.opts.ScannerThreshold))
-	collect(&after)
+	after := liveHeap()
 	runtime.KeepAlive(fcol)
-	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(lines)
+	return float64(after-before) / float64(lines)
+}
+
+// retainedPerRow ingests the recorded week at path into a full-study
+// window once more, outside the timed loop, and returns the heap the
+// window keeps live after a collection, before any read folds it, per
+// row it holds. Every record of the week routes to a row: the index
+// holds every server, and the window refuses nothing.
+func retainedPerRow(b *testing.B, f *fixture, path string, records float64) float64 {
+	before := liveHeap()
+	win, err := flows.NewWindow(f.idx, f.w.Days[0], len(f.w.Days)*24, f.windowOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	col, err := New(Config{Index: f.idx, Days: f.w.Days, Opts: f.opts, Window: win})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := col.IngestFile(path); err != nil {
+		b.Fatal(err)
+	}
+	if st := win.Stats(); st != (flows.WindowStats{}) {
+		b.Fatalf("window refused records: %+v", st)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(win)
+	return float64(after-before) / records
 }
 
 // BenchmarkIngestStream is the daemon's catch-up shape: a writer

@@ -763,12 +763,10 @@ func BenchmarkWindowSlide(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowRebuild is a cold read of a full week in isolation: a
-// line-major week (seed 11, 20 000 lines, one flush per line, as the
-// simulator emits it) in a 7-day window on one shard, then Merged()
-// with the cache dropped, so every read rebuilds the frame.
-// ns/row is per row the read folds.
-func BenchmarkWindowRebuild(b *testing.B) {
+// lineMajorWeek is a line-major week (seed 11, 20 000 lines, one flush
+// per line, as the simulator emits it) in a 7-day window on one shard,
+// with the number of rows it routed.
+func lineMajorWeek(b *testing.B) (win *Window, opts Options, rows int) {
 	w, err := world.Build(world.Config{Seed: 11, Scale: 0.05})
 	if err != nil {
 		b.Fatal(err)
@@ -781,7 +779,8 @@ func BenchmarkWindowRebuild(b *testing.B) {
 	for _, s := range w.AllServers() {
 		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
 	}
-	win, err := NewWindow(idx, w.Days[0], len(w.Days)*24, studyOpts(net))
+	opts = studyOpts(net)
+	win, err = NewWindow(idx, w.Days[0], len(w.Days)*24, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -792,16 +791,39 @@ func BenchmarkWindowRebuild(b *testing.B) {
 		func(int) func(netflow.Record) { return func(r netflow.Record) { tables.AppendRecord(&batch, r) } },
 		func(int, *isp.Line) { win.IngestBatch(tables, &batch); batch.Reset() },
 	)
-	rows := 0
 	win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) { rows += len(bk.line) })
 	if rows == 0 {
 		b.Fatal("simulated week routed no row")
 	}
+	return win, opts, rows
+}
+
+// BenchmarkWindowRebuild is a cold read of lineMajorWeek's window in
+// isolation: Merged() with the cache dropped, so every read rebuilds
+// the frame. ns/row is per row the read folds.
+func BenchmarkWindowRebuild(b *testing.B) {
+	win, _, rows := lineMajorWeek(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		win.stable = nil
 		win.Merged()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// BenchmarkWindowRestore restores a checkpoint of lineMajorWeek's
+// window, decoding, checking and appending every row. ns/row is per row
+// the checkpoint holds.
+func BenchmarkWindowRestore(b *testing.B) {
+	win, opts, rows := lineMajorWeek(b)
+	data := snapshotBytes(b, win)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Restore(bytes.NewReader(data), win.idx, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }

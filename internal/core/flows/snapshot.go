@@ -294,7 +294,7 @@ func Snapshot(dst io.Writer, w *Window) error {
 					backend: uint32(bk.backend[i]),
 					port:    bk.port[i],
 					flags:   bk.flags[i],
-					bytes:   bk.bytes[i],
+					bytes:   bk.vol(i, w.rate),
 				})
 			}
 		}
@@ -368,6 +368,9 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 	w.evictedHours = stats.EvictedHours
 	w.evictedRecords = stats.EvictedRecords
 	sh := w.shards[0]
+	// A division per row would slow Restore; the forward check below
+	// keeps the multiply exact.
+	inv := 1 / w.rate
 
 	// Strictly sorted addresses are distinct, so entry i interns as
 	// shard line ID i.
@@ -455,7 +458,13 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 				if r.flags&rowKept != 0 {
 					bk.records++
 				}
-				bk.add(int32(r.line), int32(r.backend), r.port, r.flags, r.bytes)
+				// A row keeps a counter only if the counter scales back to
+				// its volume bit for bit; the rest keep their volume.
+				q := uint32(wideRow)
+				if x := r.bytes*inv + 0.5; x < wideRow && math.Float64bits(float64(uint32(x))*w.rate) == vol {
+					q = uint32(x)
+				}
+				bk.add(int32(r.line), int32(r.backend), r.port, r.flags, q, r.bytes)
 			}
 		}
 		if bk.records != records {

@@ -141,6 +141,22 @@ func validSnapDoc() snapDoc {
 	}
 }
 
+// wideSnapDoc is validSnapDoc with hour 50 holding six kept rows whose
+// volumes test the row escape at the given rate: 0.5, (2^32-1)·rate,
+// 3·2^32 and 1e300 keep their volume, 42·rate and (2^32-2)·rate a
+// counter.
+func wideSnapDoc(rate float64) snapDoc {
+	d := validSnapDoc()
+	h := &d.hourly[1]
+	h.rows = h.rows[:0]
+	for _, v := range []float64{0.5, 42 * rate, (1<<32 - 2) * rate, (1<<32 - 1) * rate, 3 << 32, 1e300} {
+		h.rows = append(h.rows, snapRow{line: 0, backend: 1, port: 443, flags: rowKept, bytes: v})
+	}
+	slices.SortFunc(h.rows, cmpSnapRow)
+	h.records = uint64(len(h.rows))
+	return d
+}
+
 func (d snapDoc) encode(idx *BackendIndex, opts Options) []byte {
 	var buf bytes.Buffer
 	s := &snapWriter{w: &buf}
@@ -313,6 +329,7 @@ func FuzzWindowRestore(f *testing.F) {
 		f.Add(snapshotBytes(f, fedWindow(f, fx, opts, 0, upto)))
 	}
 	f.Add(validSnapDoc().encode(fx.idx, opts))
+	f.Add(wideSnapDoc(float64(opts.SamplingRate)).encode(fx.idx, opts))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		win, err := Restore(bytes.NewReader(data), fx.idx, opts)
 		if err != nil {

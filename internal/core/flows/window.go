@@ -1,9 +1,11 @@
 package flows
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +23,12 @@ import (
 // ring of hour buckets, a day longer than the window (absolute hour mod
 // window hours + slideReach), and a bucket is an append-only columnar
 // row log: five parallel columns — shard line ID, dense backend ID,
-// backend-side port, row flags (kept, down, udp) and the already-scaled
-// byte volume — one row per routed record. Ingest classifies each flush
-// interval's lines against the scanner threshold and appends. A bucket
+// backend-side port, row flags (kept, down, udp) and the raw byte
+// counter, 15 bytes — one row per routed record. Every read scales the
+// counter by the sampling rate, the same product the batch engine
+// folds; a row whose counter does not fit below 2^32-1 keeps its volume
+// in a per-bucket side list. Ingest classifies each flush interval's
+// lines against the scanner threshold and appends. A bucket
 // keeps its rows until a read's frame passes its hour or a later hour
 // claims its slot; then its columns are truncated and parked on the
 // shard's free list, so steady-state eviction allocates nothing.
@@ -179,16 +184,52 @@ type winBucket struct {
 	backend []int32 // dense backend ID
 	port    []uint16
 	flags   []uint8
-	bytes   []float64 // scaled volume
+	// bytes is the raw byte counter, and the row's volume is
+	// float64(bytes[i]) * rate, the product the batch engine folds. A row
+	// whose volume no counter below wideRow reproduces holds wideRow, and
+	// its exact volume waits in wide.
+	bytes []uint32
+	wide  []wideVol
 }
 
-// add appends one row.
-func (bk *winBucket) add(line, backend int32, port uint16, flags uint8, bytes float64) {
+// wideRow marks a row whose volume is kept in its bucket's wide list.
+const wideRow = math.MaxUint32
+
+// wideVol is an escaped row's exact volume. Rows only append, so a
+// bucket's wide list is sorted by row.
+type wideVol struct {
+	row int
+	vol float64
+}
+
+// add appends one row whose volume is float64(q) * rate, or vol when q
+// is wideRow.
+func (bk *winBucket) add(line, backend int32, port uint16, flags uint8, q uint32, vol float64) {
+	if q == wideRow {
+		bk.wide = append(bk.wide, wideVol{row: len(bk.line), vol: vol})
+	}
 	bk.line = append(bk.line, line)
 	bk.backend = append(bk.backend, backend)
 	bk.port = append(bk.port, port)
 	bk.flags = append(bk.flags, flags)
-	bk.bytes = append(bk.bytes, bytes)
+	bk.bytes = append(bk.bytes, q)
+}
+
+// vol returns row i's volume at the window's rate.
+func (bk *winBucket) vol(i int, rate float64) float64 {
+	if q := bk.bytes[i]; q != wideRow {
+		return float64(q) * rate
+	}
+	return bk.escapedVol(i)
+}
+
+// escapedVol looks up escaped row i's volume. It stays out of line, so
+// vol, which every fold path calls per row, inlines.
+//
+//go:noinline
+func (bk *winBucket) escapedVol(i int) float64 {
+	j, _ := slices.BinarySearchFunc(bk.wide, i, func(e wideVol, i int) int { return cmp.Compare(e.row, i) })
+	return bk.wide[j].vol
 }
 
 // WindowStats counts what the window refused or retired.
@@ -496,7 +537,7 @@ func (sh *winShard) takeBucket(ah int64) *winBucket {
 		backend: make([]int32, 0, n),
 		port:    make([]uint16, 0, n),
 		flags:   make([]uint8, 0, n),
-		bytes:   make([]float64, 0, n),
+		bytes:   make([]uint32, 0, n),
 	}
 }
 
@@ -524,6 +565,7 @@ func (sh *winShard) release(bk *winBucket) {
 	bk.port = bk.port[:0]
 	bk.flags = bk.flags[:0]
 	bk.bytes = bk.bytes[:0]
+	bk.wide = bk.wide[:0]
 	bk.records, bk.mark, bk.folded = 0, 0, 0
 	sh.free = append(sh.free, bk)
 }
@@ -574,7 +616,8 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 			flags |= rowKept
 			bk.records++
 		}
-		bk.add(lid, be, b.Port[i], flags, float64(b.Bytes[i])*w.rate)
+		raw := b.Bytes[i]
+		bk.add(lid, be, b.Port[i], flags, uint32(min(raw, wideRow)), float64(raw)*w.rate)
 	}
 
 	t.releaseEnts()
@@ -716,7 +759,7 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 			run, runLid = col.beginRun(int(tid)-1), lid
 		}
 		port := rowPort(fl, bk.port[i])
-		run.add(be, fl&rowDown != 0, hourOff, port, bk.bytes[i])
+		run.add(be, fl&rowDown != 0, hourOff, port, bk.vol(i, w.rate))
 		if cnt != nil {
 			cnt.count(col, int(tid)-1, be, fl&rowDown != 0, port)
 		}
@@ -789,11 +832,12 @@ func (p *shardRows) count(n int) {
 	p.pos = pos
 }
 
-// rowCols are the scratch columns a shard's rows are scattered into,
-// sized for the largest shard. A row's volume, backend and hour share
-// one 16-byte element, so the scatter writes three cache lines a row,
-// not five; port and flags keep columns of their own, so a row takes
-// 19 bytes, not a padded 24.
+// rowCols are a rebuild's scratch columns, which a shard's rows are
+// scattered into, sized for the largest shard. A scratch row carries its
+// scaled volume, so its volume, backend and hour share one 16-byte
+// element and the scatter writes three cache lines a row, not five;
+// port and flags keep columns of their own, so a scratch row takes 19
+// bytes, not a padded 24.
 type rowCols struct {
 	row   []lineRow
 	port  []uint16
@@ -828,16 +872,16 @@ func getRowCols(n int) *rowCols {
 // line's run into f: every row is contact evidence, kept rows go through
 // the batch engine's ingest core.
 func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
-	pos := p.pos
+	pos, rate := p.pos, sh.w.rate
 	rows, port, flags := cols.row, cols.port, cols.flags
 	for _, bk := range p.bks {
 		h := int32(bk.ah - f.ws)
 		n := len(bk.line)
-		bb, bp, bf, by := bk.backend[:n], bk.port[:n], bk.flags[:n], bk.bytes[:n]
+		bb, bp, bf := bk.backend[:n], bk.port[:n], bk.flags[:n]
 		for i, lid := range bk.line {
 			r := pos[lid]
 			pos[lid] = r + 1
-			rows[r] = lineRow{bytes: by[i], backend: bb[i], hour: h}
+			rows[r] = lineRow{bytes: bk.vol(i, rate), backend: bb[i], hour: h}
 			port[r], flags[r] = bp[i], bf[i]
 		}
 	}
@@ -895,7 +939,7 @@ func countBucket(f *windowFold, si int, bk *winBucket) {
 // one bucket f holds: an hour below ws leaves the fold, an hour whose
 // frame day changes moves its daily volumes. The hour-indexed columns
 // shift separately.
-func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
+func (w *Window) slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 	from, to := int(bk.ah-f.ws)/24, -1
 	if bk.ah >= ws {
 		if to = int(bk.ah-ws) / 24; to == from {
@@ -910,7 +954,7 @@ func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 		line, down, port := int(colRemap[lid])-1, fl&rowDown != 0, rowPort(fl, bk.port[i])
 		if to >= 0 {
 			if kept {
-				col.moveDay(line, be, down, port, from, to, bk.bytes[i])
+				col.moveDay(line, be, down, port, from, to, bk.vol(i, w.rate))
 			}
 			continue
 		}
@@ -920,7 +964,7 @@ func slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 			f.cnt.emptied |= emptiedContacts
 		}
 		if kept {
-			col.subtract(f.cnt, line, be, down, from, port, bk.bytes[i])
+			col.subtract(f.cnt, line, be, down, from, port, bk.vol(i, w.rate))
 		}
 		if lastKept {
 			col.relink(f.cnt, line, f.cnt.contacts[cid])
@@ -946,7 +990,7 @@ func (w *Window) slide(st *windowFold, ws, end int64) {
 			st.cnt = newRowCounts(st.col)
 			w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { countBucket(st, si, bk) })
 		}
-		w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { slideBucket(st, si, bk, ws) })
+		w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { w.slideBucket(st, si, bk, ws) })
 		st.col.shiftHours(k, w.frameDays(ws))
 		st.ws = ws
 	}

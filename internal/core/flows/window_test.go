@@ -3,6 +3,7 @@ package flows
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/netip"
 	"reflect"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"iotmap/internal/geo"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 )
@@ -547,5 +549,155 @@ func TestWireTablesSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := RestoreWireTables(bytes.NewReader([]byte("JUNKJUNK")), win); err == nil {
 		t.Error("restore of garbage wire tables must fail")
+	}
+}
+
+// TestWindowRowBytes pins a bucket row at 15 bytes: the element sizes
+// of the bucket's row columns. The wide list holds escaped rows only.
+func TestWindowRowBytes(t *testing.T) {
+	typ := reflect.TypeOf(winBucket{})
+	var size uintptr
+	for i := range typ.NumField() {
+		if fl := typ.Field(i); fl.Type.Kind() == reflect.Slice && fl.Name != "wide" {
+			size += fl.Type.Elem().Size()
+		}
+	}
+	if size != 15 {
+		t.Fatalf("a bucket row takes %d bytes, want 15", size)
+	}
+}
+
+// TestWindowWideRows: rows whose raw counter is wideRow or more keep
+// their exact volume on every path that reads a row (the rebuild's
+// scatter, a catch-up, a slide that evicts their hour, and snapshot →
+// restore → continue), at rate 1 and rate 100. Every read equals the
+// map reference over the records of the frame's hours. A hand-built
+// checkpoint of volumes no counter reproduces restores and re-snapshots
+// byte-identically.
+//
+// A 2^53+1 counter scales past float64's exact integers, so sums that
+// mix it with other volumes round, and no engine subtracts it exactly.
+// Those rows therefore run between one dedicated line and one backend
+// whose alias and continent nothing else has, so every aggregate that
+// holds them holds only multiples of one volume. The counters around
+// 2^32 ride on the fixture's own lines.
+func TestWindowWideRows(t *testing.T) {
+	counters := []uint64{1<<32 - 2, 1<<32 - 1, 1 << 32}
+	for _, rate := range []uint32{1, 100} {
+		f := buildDenseFixture(31)
+		opts := f.opts
+		opts.SamplingRate = rate
+		epoch := f.days[0]
+		backend, line := netip.MustParseAddr("102.0.0.9"), isp.LineV4Addr(2, 77)
+		f.idx.Add(backend, "W9", geo.Africa, "af-south-1", true)
+		f.infos[backend] = refInfo{alias: "W9", cont: geo.Africa, region: "af-south-1", certFound: true}
+		for i := range f.recs {
+			if i%29 == 0 {
+				f.recs[i].Bytes = counters[(i/29)%len(counters)]
+			}
+		}
+		huge := func(h int64, down bool) netflow.Record {
+			r := netflow.Record{
+				Src: line, Dst: backend, SrcPort: 50000, DstPort: 8883, Proto: netflow.ProtoTCP,
+				Bytes: 1<<53 + 1, Start: epoch.Add(time.Duration(h)*time.Hour + time.Minute),
+			}
+			if down {
+				r.Src, r.Dst, r.SrcPort, r.DstPort = r.Dst, r.Src, r.DstPort, r.SrcPort
+			}
+			return r
+		}
+		for _, h := range []int64{0, 1, 2, 30, 45, 55, 70} {
+			f.recs = append(f.recs, huge(h, true), huge(h, h%2 == 0))
+		}
+		// The catch-up flush: late rows for hour 20, read before they came.
+		late := []netflow.Record{huge(20, true), huge(20, false)}
+		for i, r := range f.recs[:600] {
+			if r.Start.Sub(epoch)/time.Hour == 20 {
+				r.Bytes = counters[i%len(counters)]
+				late = append(late, r)
+			}
+		}
+		flushes := hourFlushes(f.recs, epoch)
+
+		var fed []netflow.Record
+		feed := func(wins []*Window, recs []netflow.Record) {
+			for _, w := range wins {
+				flushRecords(w, recs)
+			}
+			fed = append(fed, recs...)
+		}
+		feedTo := func(wins []*Window, last int64) {
+			for len(flushes) > 0 && flushHour(flushes[0], epoch) <= last {
+				feed(wins, flushes[0])
+				flushes = flushes[1:]
+			}
+		}
+		check := func(win *Window, step string) {
+			t.Helper()
+			ws := win.startHour(win.End())
+			ref := newRefCollector(f.infos, win.frameDays(ws), opts)
+			for _, r := range fed {
+				ref.ingest(r)
+			}
+			if _, st := win.Study(); !reflect.DeepEqual(named(st), ref.study(f.idx)) {
+				t.Fatalf("rate %d, %s: window study differs from the map reference", rate, step)
+			}
+		}
+
+		win, err := NewWindow(f.idx, epoch, 48, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.setShards(2)
+		feedTo([]*Window{win}, 40)
+		wide := 0
+		win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) { wide += len(bk.wide) })
+		if wide == 0 {
+			t.Fatalf("rate %d: no row took the escape", rate)
+		}
+		check(win, "rebuild")
+		feed([]*Window{win}, late)
+		check(win, "catch-up")
+		feedTo([]*Window{win}, 50)
+		check(win, "slide past hours 0-2")
+		if fs := win.FoldStats(); fs.Rebuilds != 1 || fs.Hits != 1 || fs.Slides != 1 {
+			t.Fatalf("rate %d: fold stats %+v, want a rebuild, a hit and a slide", rate, fs)
+		}
+
+		data := snapshotBytes(t, win)
+		restored, err := Restore(bytes.NewReader(data), f.idx, opts)
+		if err != nil {
+			t.Fatalf("rate %d: %v", rate, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, restored), data) {
+			t.Fatalf("rate %d: restored window does not re-snapshot byte-identically", rate)
+		}
+		both := []*Window{win, restored}
+		feedTo(both, 60)
+		check(restored, "restored, rebuild")
+		check(win, "continued, slide")
+		feedTo(both, math.MaxInt64)
+		check(restored, "restored, slide")
+		check(win, "continued, rebuild")
+
+		// Volumes no counter reproduces at the rate restore through the
+		// escape, and the stream re-snapshots to its own bytes, before and
+		// after a read folds it.
+		data = wideSnapDoc(float64(rate)).encode(f.idx, opts)
+		if restored, err = Restore(bytes.NewReader(data), f.idx, opts); err != nil {
+			t.Fatalf("rate %d: wide stream refused: %v", rate, err)
+		}
+		bk := restored.shards[0].ring[50%len(restored.shards[0].ring)]
+		if len(bk.wide) != 4 || len(bk.line) != 6 {
+			t.Fatalf("rate %d: hour 50 holds %d rows, %d escaped; want 6 and 4", rate, len(bk.line), len(bk.wide))
+		}
+		for _, read := range []bool{false, true} {
+			if read {
+				restored.Study()
+			}
+			if !bytes.Equal(snapshotBytes(t, restored), data) {
+				t.Fatalf("rate %d: wide stream does not re-snapshot byte-identically (read %v)", rate, read)
+			}
+		}
 	}
 }
