@@ -115,10 +115,10 @@ func (st *stream) flush() {
 // counts their contacts and compacts them to the rows its fold half
 // takes, so the fold goroutine only aggregates. A window stream leaves
 // the whole flush to Window.IngestBatch on the fold goroutine, which
-// classifies under the shard lock: the window has no ingest-time
-// ContactCounter to feed here, and a live daemon's decoder is already
-// as busy as its fold, so moving the classifier over would only make
-// the decoder the bottleneck.
+// classifies before it takes the window's lock: the window has no
+// ingest-time ContactCounter to feed here, and a live daemon's decoder
+// is already as busy as its fold, so moving the classifier over would
+// only make the decoder the bottleneck.
 func (st *stream) closeRows(t *flows.WireTables) {
 	b, from := &st.cur.rows, st.rowsFrom
 	call := foldCall{sink: st.sink, view: t.View(), lo: from}

@@ -62,17 +62,15 @@ type wireLineEnt struct {
 //     goroutine;
 //   - a Window's IngestBatch classifies and interns on the tables it is
 //     handed (the fold side, in a collector), writing entSlot, touched,
-//     ents and winID.
+//     ents and winID; only the rows' append into the window takes the
+//     window's lock.
 //
-// One goroutine may do all of it on one set of tables. No locking
-// either way.
+// One goroutine may do all of it on one set of tables. The tables
+// themselves take no lock either way.
 type WireTables struct {
 	idx *BackendIndex
 	// start is hour 0 of the rows AppendRecord makes.
-	start time.Time
-	// shard is the window ingest shard the tables are bound to (nil for
-	// ShardPartial-fed tables); memo.win IDs are IDs in its line table.
-	shard    *winShard
+	start    time.Time
 	lines    []wireLineEnt
 	backends []int32 // dense backend ID, unknownBackend, or lostBackend
 	// recIDs interns the line addresses AppendRecord sees (its IDs index
@@ -85,7 +83,7 @@ type WireTables struct {
 	// first View).
 	fold *WireTables
 	// ccID, colID and winID are each line's lazily interned sink IDs
-	// (ContactCounter, Collector, window-shard line table), stored +1 so
+	// (ContactCounter, Collector, window line table), stored +1 so
 	// 0 means "not interned yet".
 	ccID, colID, winID []int32
 	// entSlot/touched/ents scratch one classifyFlush call: a line's
@@ -116,7 +114,7 @@ type WireView struct {
 // fold-side tables.
 func (t *WireTables) View() WireView {
 	if t.fold == nil {
-		t.fold = &WireTables{idx: t.idx, start: t.start, shard: t.shard}
+		t.fold = &WireTables{idx: t.idx, start: t.start}
 	}
 	return WireView{fold: t.fold, lines: t.lines, backends: t.backends}
 }
@@ -141,7 +139,7 @@ func (p *ShardPartial) NewWireTables() *WireTables {
 // restored tables.
 func (t *WireTables) Clone() *WireTables {
 	return &WireTables{
-		idx: t.idx, start: t.start, shard: t.shard,
+		idx: t.idx, start: t.start,
 		lines:    append([]wireLineEnt(nil), t.lines...),
 		backends: append([]int32(nil), t.backends...),
 		recIDs:   t.recIDs.clone(),

@@ -3,7 +3,6 @@ package flows
 import (
 	"bytes"
 	"fmt"
-	"net/netip"
 	"reflect"
 	"testing"
 	"time"
@@ -103,27 +102,22 @@ func checkFoldRead(t *testing.T, win *Window, what string) {
 // TestFoldCountsMatchBits: the counts the fold keeps current (each
 // alias's and focus series' active lines per hour, each line's
 // distinct backends) equal a recount of the bits after every step of
-// the slide schedule (slides, catch-ups, rebuilds, the restored leg, a
-// line under two shard IDs) and after the batch two-pass drive at one
-// shard and at several, which reach them through Merge. Every slide
-// compacts exactly what a rebuild would not hold.
+// the slide schedule (slides, catch-ups, rebuilds, the restored leg)
+// and after the batch two-pass drive at one shard and at several, which
+// reach them through Merge. Every slide compacts exactly what a rebuild
+// would not hold.
 func TestFoldCountsMatchBits(t *testing.T) {
-	for _, c := range []struct {
-		hours  int64
-		shards int
-	}{{48, 1}, {48, 3}, {168, 1}, {168, 3}} {
-		cell := fmt.Sprintf("%d hours, %d shards", c.hours, c.shards)
-		t.Run(cell, func(t *testing.T) {
+	for _, hours := range []int64{48, 168} {
+		t.Run(fmt.Sprintf("%d hours", hours), func(t *testing.T) {
 			f := buildDenseFixture(41)
 			opts := f.opts
 			opts.ScannerThreshold = 3
-			win, err := NewWindow(f.idx, f.days[0], int(c.hours), opts)
+			win, err := NewWindow(f.idx, f.days[0], int(hours), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			win.setShards(c.shards)
-			sf := newSlideFeed(f, int64(c.shards))
-			for _, step := range slideSchedule(sf, c.hours) {
+			sf := newSlideFeed(f, 1)
+			for _, step := range slideSchedule(sf, hours) {
 				for _, fl := range step.flushes {
 					flushRecords(win, fl)
 				}
@@ -153,35 +147,6 @@ func TestFoldCountsMatchBits(t *testing.T) {
 		})
 	}
 
-	t.Run("one line under several shard IDs", func(t *testing.T) {
-		f := buildDenseFixture(53)
-		opts := f.opts
-		opts.ScannerThreshold = 3
-		win, err := NewWindow(f.idx, f.days[0], 48, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		win.setShards(2)
-		sf := newSlideFeed(f, 53)
-		a, b := sf.lines[2], sf.lines[3]
-		flush := func(h int64, first, second netip.Addr) {
-			var recs []netflow.Record
-			for _, line := range []netip.Addr{first, first, second, second} {
-				recs = append(recs, sf.record(line, h))
-			}
-			flushRecords(win, append(recs, sf.hour(h)...))
-		}
-		for h := int64(0); h < 60; h++ {
-			flush(h, a, b)
-			flush(h, b, a)
-			if h == 30 {
-				flush(20, a, b)
-				flush(20, b, a)
-			}
-			checkFoldRead(t, win, fmt.Sprintf("hour %d", h))
-		}
-	})
-
 	t.Run("batch", func(t *testing.T) {
 		w, refCC, refCol := twoPass(t)
 		checkCounts(t, "two-pass reference", refCC, refCol)
@@ -202,7 +167,6 @@ func TestWindowHourlyPollBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win.setShards(2)
 	hourRows := func(h int64) []netflow.Record {
 		var recs []netflow.Record
 		for l := 0; l < 12; l++ {
@@ -234,7 +198,7 @@ func TestWindowHourlyPollBudget(t *testing.T) {
 	if !reflect.DeepEqual(win.stable.cc.clone(), cc) || !reflect.DeepEqual(win.stable.col.clone(), col) {
 		t.Fatal("a repeat read with no new rows changed the fold")
 	}
-	win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) {
+	win.eachBucket(0, win.End()+1, func(bk *winBucket) {
 		if bk.folded != len(bk.line) {
 			t.Fatalf("hour %d: the fold holds %d of %d rows", bk.ah, bk.folded, len(bk.line))
 		}
@@ -293,7 +257,6 @@ func TestHourBitsPerSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		win.setShards(3)
 		sf := newSlideFeed(f, 3)
 		for _, step := range slideSchedule(sf, 48) {
 			for _, fl := range step.flushes {

@@ -25,12 +25,12 @@ import (
 func (w *Window) rebuiltFold() (*ContactCounter, *Collector) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()
-	w.lockShards()
-	defer w.unlockShards()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	end := w.endA.Load() + 1
 	ws := w.startHour(end - 1)
 	f := w.newFoldFrame(ws, end)
-	w.eachBucket(ws, end, func(si int, sh *winShard, bk *winBucket) { w.foldBucketInto(f, si, sh, bk, 0) })
+	w.eachBucket(ws, end, func(bk *winBucket) { w.foldBucketInto(f, bk, 0) })
 	return f.cc, f.col
 }
 
@@ -193,19 +193,19 @@ func slideSchedule(sf *slideFeed, hours int64) []slideStep {
 	steps = append(steps, slideStep{name: "read gap", flushes: [][]netflow.Record{sf.hour(168)}, want: jump(133, 168)})
 	hourly(169, 230, "slide")
 	// Thirty more hours with nobody reading, over a frame whose every hour
-	// has rows at 48 hours: the rings keep only the last day of the hours
+	// has rows at 48 hours: the ring keeps only the last day of the hours
 	// the frame left.
 	hourly(231, 259, "")
 	steps = append(steps, slideStep{name: "read gap over a full frame", flushes: [][]netflow.Record{sf.hour(260)}, want: jump(230, 260)})
-	// Late rows into the frame's oldest hour, then the next hour on
-	// every shard: the frame leaves the hour whose bucket took the late
-	// rows, and the slide subtracts it from its ring slot.
+	// Late rows into the frame's oldest hour, then the next hour in three
+	// flushes: the frame leaves the hour whose bucket took the late rows,
+	// and the slide subtracts it from its ring slot.
 	last := int64(261)
 	steps = append(steps, slideStep{name: "late rows, then the hour that retires them", flushes: [][]netflow.Record{
 		sf.hour(last - hours), sf.hour(last), sf.hour(last), sf.hour(last),
 	}, want: "slide"})
 	// The same into the next oldest hour, read once, then a jump of a
-	// day: the rebuild finds buckets below the frame in the rings, at any
+	// day: the rebuild finds buckets below the frame in the ring, at any
 	// window length.
 	steps = append(steps, slideStep{name: "late rows in the oldest hour", flushes: [][]netflow.Record{sf.hour(last + 1 - hours)}, want: "hit"})
 	steps = append(steps, slideStep{name: "retiring hour, then a day's jump", flushes: [][]netflow.Record{
@@ -285,44 +285,37 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 // TestWindowSlideMatchesRebuild: every read, slid, caught up or rebuilt
 // line by line, copied by Merged and Study or lent by View, equals the
 // hour-major fold of the surviving rows (rebuiltFold) on every
-// comparison surface, through slides of 1, 2 and 23 hours, hours some
-// shard got no rows in, rows into the newest and into older in-frame
-// hours between reads of an unmoved frame, late rows in a leaving hour,
-// a flush recycling its own bucket, long jumps, read gaps, a line that
-// leaves the frame and comes back, and a snapshot restored midway. The
+// comparison surface, through slides of 1, 2 and 23 hours, rows into
+// the newest and into older in-frame hours between reads of an unmoved
+// frame, late rows in a leaving hour, a flush recycling its own bucket,
+// long jumps, read gaps, a line that leaves the frame and comes back,
+// and a snapshot restored midway. The
 // fold-path counts pin which reads hit, slide and rebuild, and every
-// cell rebuilds at least once while a ring holds buckets below the
+// cell rebuilds at least once while the ring holds buckets below the
 // frame. The 48-hour window keeps each hour bitset in one word; the
 // 168-hour one, the daemon's whole-study default, spans three, so its
 // slides carry bits across words.
 func TestWindowSlideMatchesRebuild(t *testing.T) {
-	for _, c := range []struct {
-		hours  int64
-		shards int
-	}{{48, 1}, {48, 3}, {168, 1}, {168, 3}} {
-		shards := c.shards
-		cell := fmt.Sprintf("%d hours, %d shards", c.hours, shards)
+	for _, hours := range []int64{48, 168} {
+		cell := fmt.Sprintf("%d hours", hours)
 		f := buildDenseFixture(41)
 		opts := f.opts
 		opts.ScannerThreshold = 3
-		win, err := NewWindow(f.idx, f.days[0], int(c.hours), opts)
+		win, err := NewWindow(f.idx, f.days[0], int(hours), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		win.setShards(shards)
-		sf := newSlideFeed(f, int64(shards))
+		sf := newSlideFeed(f, 1)
 		belowRebuilds := 0
-		for _, step := range slideSchedule(sf, c.hours) {
+		for _, step := range slideSchedule(sf, hours) {
 			for _, fl := range step.flushes {
 				flushRecords(win, fl)
 			}
 			below := 0
 			ws := win.startHour(win.End())
-			for _, sh := range win.shards {
-				for _, bk := range sh.ring {
-					if bk != nil && bk.ah < ws {
-						below++
-					}
+			for _, bk := range win.ring {
+				if bk != nil && bk.ah < ws {
+					below++
 				}
 			}
 			if step.want == "rebuild" && below > 0 {
@@ -362,46 +355,6 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 			checkSlideRead(t, restored, cell+", restored", want)
 		}
 	}
-
-	t.Run("one line under several shard IDs", func(t *testing.T) {
-		// Two shards meet the same two lines in opposite order, so each
-		// address has a different line ID in each shard, and the rebuild
-		// folds both shards' runs of a line into one fold line.
-		f := buildDenseFixture(53)
-		opts := f.opts
-		opts.ScannerThreshold = 3
-		win, err := NewWindow(f.idx, f.days[0], 48, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		win.setShards(2)
-		sf := newSlideFeed(f, 53)
-		a, b := sf.lines[2], sf.lines[3]
-		flush := func(h int64, first, second netip.Addr) {
-			var recs []netflow.Record
-			for _, line := range []netip.Addr{first, first, second, second} {
-				recs = append(recs, sf.record(line, h))
-			}
-			flushRecords(win, append(recs, sf.hour(h)...))
-		}
-		for h := int64(0); h < 60; h++ {
-			flush(h, a, b) // shard 0
-			flush(h, b, a) // shard 1
-			switch h {
-			case 0:
-				if s0, s1 := win.shards[0].lines.addrs, win.shards[1].lines.addrs; s0[0] != a || s1[0] != b {
-					t.Fatalf("first line IDs %v / %v, want %v / %v", s0[0], s1[0], a, b)
-				}
-				checkSlideRead(t, win, "first read", "rebuild")
-			case 30:
-				flush(20, a, b) // late rows in both shards
-				flush(20, b, a)
-				checkSlideRead(t, win, "late rows", "slide")
-			default:
-				checkSlideRead(t, win, "hourly read", "slide")
-			}
-		}
-	})
 
 	t.Run("departed lines", func(t *testing.T) {
 		// Lines that left the frame leave the cached fold too: replacing
@@ -448,7 +401,6 @@ func TestWindowSlideMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		win.setShards(1)
 		whole, err := NewWindow(f.idx, f.days[0], 240, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -546,7 +498,6 @@ func TestWindowViewLendsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win.setShards(2)
 	sf := newSlideFeed(f, 59)
 	for h := int64(0); h < 60; h++ {
 		flushRecords(win, sf.hour(h))
@@ -577,68 +528,54 @@ func TestWindowViewLendsFrame(t *testing.T) {
 }
 
 // TestWindowBucketBudget pins the bucket budget the runbook's regression
-// signal watches. A 48-hour window is fed every hour on every shard for
-// five days, and takes no bucket fresh after hour hours+slideReach. With
-// a View after each hour each shard holds at most hours+1 buckets: the
-// frame's, and the one a read released for the next hour. One that
-// nobody reads holds at most hours+slideReach buckets per shard.
+// signal watches. A 48-hour window is fed every hour for five days, and
+// takes no bucket fresh after hour hours+slideReach. With a View after
+// each hour it holds at most hours+1 buckets: the frame's, and the one a
+// read released for the next hour. One that nobody reads holds at most
+// hours+slideReach buckets.
 func TestWindowBucketBudget(t *testing.T) {
 	const hours = 48
 	f := buildDenseFixture(67)
 	opts := f.opts
 	opts.ScannerThreshold = 3
 	noop := func(*ContactCounter, *Collector, time.Time, time.Time) {}
-	for _, shards := range []int{1, 3} {
-		for _, read := range []bool{true, false} {
-			cell := fmt.Sprintf("%d shards, read %v", shards, read)
-			budget := hours + slideReach
+	for _, read := range []bool{true, false} {
+		budget := hours + slideReach
+		if read {
+			budget = hours + 1
+		}
+		win, err := NewWindow(f.idx, f.days[0], hours, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf := newSlideFeed(f, 67)
+		seen := map[*winBucket]bool{}
+		taken := 0
+		for h := int64(0); h < 5*24; h++ {
+			flushRecords(win, sf.hour(h))
 			if read {
-				budget = hours + 1
+				win.View(noop)
 			}
-			win, err := NewWindow(f.idx, f.days[0], hours, opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, bk := range append(slices.Clone(win.ring), win.free...) {
+				if bk != nil {
+					seen[bk] = true
+				}
 			}
-			win.setShards(shards)
-			sf := newSlideFeed(f, 67)
-			seen := make([]map[*winBucket]bool, shards)
-			for si := range seen {
-				seen[si] = map[*winBucket]bool{}
+			n := len(seen)
+			if n > budget {
+				t.Fatalf("read %v, hour %d: took %d buckets, want at most %d", read, h, n, budget)
 			}
-			taken := 0
-			for h := int64(0); h < 5*24; h++ {
-				for range shards {
-					flushRecords(win, sf.hour(h))
-				}
-				if read {
-					win.View(noop)
-				}
-				for si, sh := range win.shards {
-					for _, bk := range append(slices.Clone(sh.ring), sh.free...) {
-						if bk != nil {
-							seen[si][bk] = true
-						}
-					}
-					if n := len(seen[si]); n > budget {
-						t.Fatalf("%s, hour %d: shard %d took %d buckets, want at most %d", cell, h, si, n, budget)
-					}
-				}
-				n := 0
-				for _, s := range seen {
-					n += len(s)
-				}
-				if h > hours+slideReach && n > taken {
-					t.Fatalf("%s, hour %d: %d buckets taken, %d an hour earlier", cell, h, n, taken)
-				}
-				taken = n
+			if h > hours+slideReach && n > taken {
+				t.Fatalf("read %v, hour %d: %d buckets taken, %d an hour earlier", read, h, n, taken)
 			}
+			taken = n
 		}
 	}
 }
 
 // TestWindowViewPanicReleasesLocks: a fold that panics inside View
-// (here a write into a cached collector left finalized) releases every
-// shard lock and drops the half-folded cache, so ingest on another
+// (here a write into a cached collector left finalized) releases the
+// ingest lock and drops the half-folded cache, so ingest on another
 // goroutine completes and the next read equals a rebuild of the frame.
 func TestWindowViewPanicReleasesLocks(t *testing.T) {
 	f := buildDenseFixture(61)
@@ -648,7 +585,6 @@ func TestWindowViewPanicReleasesLocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win.setShards(2)
 	sf := newSlideFeed(f, 61)
 	for h := int64(0); h < 30; h++ {
 		flushRecords(win, sf.hour(h))
@@ -674,7 +610,7 @@ func TestWindowViewPanicReleasesLocks(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("ingest still blocked after a read panicked: the shard locks stayed held")
+		t.Fatal("ingest still blocked after a read panicked: the ingest lock stayed held")
 	}
 	refCC, refCol := win.rebuiltFold()
 	win.View(func(cc *ContactCounter, col *Collector, _, _ time.Time) {
@@ -764,8 +700,8 @@ func BenchmarkWindowSlide(b *testing.B) {
 }
 
 // lineMajorWeek is a line-major week (seed 11, 20 000 lines, one flush
-// per line, as the simulator emits it) in a 7-day window on one shard,
-// with the number of rows it routed.
+// per line, as the simulator emits it) in a 7-day window, with the
+// number of rows it routed.
 func lineMajorWeek(b *testing.B) (win *Window, opts Options, rows int) {
 	w, err := world.Build(world.Config{Seed: 11, Scale: 0.05})
 	if err != nil {
@@ -784,14 +720,13 @@ func lineMajorWeek(b *testing.B) (win *Window, opts Options, rows int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	win.setShards(1)
 	tables := win.NewWireTables()
 	var batch netflow.RecordBatch
 	net.SimulateLines(1,
 		func(int) func(netflow.Record) { return func(r netflow.Record) { tables.AppendRecord(&batch, r) } },
 		func(int, *isp.Line) { win.IngestBatch(tables, &batch); batch.Reset() },
 	)
-	win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) { rows += len(bk.line) })
+	win.eachBucket(0, win.End()+1, func(bk *winBucket) { rows += len(bk.line) })
 	if rows == 0 {
 		b.Fatal("simulated week routed no row")
 	}

@@ -181,7 +181,7 @@ func optionsFingerprint(o Options) uint64 {
 // --- Window snapshot -----------------------------------------------------
 
 // snapRow is one row in the snapshot's canonical form: the line is a
-// dictionary ID, not a shard line ID.
+// dictionary ID, not a window line ID.
 type snapRow struct {
 	line, backend uint32
 	port          uint16
@@ -218,15 +218,15 @@ func cmpSnapRow(a, b snapRow) int {
 // strictly sorted); the live hour count, then per hour, ascending: the
 // hour, its kept-record count, its row count, and the rows sorted by
 // (line, backend, port, flags, bytes). The encoding is canonical: two
-// windows holding the same rows serialize byte-identically however the
-// rows are spread over ingest shards or ordered within them (an
-// original and its restored twin, say).
+// windows holding the same rows serialize byte-identically whatever
+// order the rows arrived in and whatever line IDs the windows gave
+// their addresses (an original and its restored twin, say).
 func Snapshot(dst io.Writer, w *Window) error {
-	w.lockShards()
-	defer w.unlockShards()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	end := w.endA.Load()
 	ws := w.startHour(end)
-	stats := w.Stats()
+	stats := w.stats()
 	s := &snapWriter{w: dst}
 	s.write([]byte(snapshotMagic))
 	s.u16(snapshotVersion)
@@ -240,57 +240,38 @@ func Snapshot(dst io.Writer, w *Window) error {
 	s.u64(stats.EvictedHours)
 	s.u64(stats.EvictedRecords)
 
-	// The dictionary is the sorted set of addresses live rows reference;
-	// remap[shard][line ID] becomes the address's dictionary ID.
-	remap := make([][]int32, len(w.shards))
-	var dict []netip.Addr
-	for si, sh := range w.shards {
-		used := make([]int32, len(sh.lines.addrs))
-		for _, bk := range sh.ring {
-			if bk == nil || bk.ah < ws || bk.ah > end {
-				continue
-			}
-			for _, lid := range bk.line {
-				if used[lid] == 0 {
-					used[lid] = 1
-					dict = append(dict, sh.lines.addrs[lid])
-				}
+	// The dictionary is the line IDs live rows reference, sorted by
+	// address; remap[line ID] becomes the address's dictionary ID.
+	addrs := w.lines.addrs
+	remap := make([]int32, len(addrs))
+	var dict []int32
+	w.eachBucket(ws, end+1, func(bk *winBucket) {
+		for _, lid := range bk.line {
+			if remap[lid] == 0 {
+				remap[lid] = 1
+				dict = append(dict, lid)
 			}
 		}
-		remap[si] = used
-	}
-	slices.SortFunc(dict, netip.Addr.Compare)
-	dict = slices.Compact(dict)
-	var canon lineTab
+	})
+	slices.SortFunc(dict, func(a, b int32) int { return addrs[a].Compare(addrs[b]) })
 	s.u32(uint32(len(dict)))
-	for _, a := range dict {
-		canon.id(a)
-		s.addr(a)
-	}
-	for si, sh := range w.shards {
-		for lid, u := range remap[si] {
-			if u != 0 {
-				remap[si][lid] = canon.id(sh.lines.addrs[lid])
-			}
-		}
+	for i, lid := range dict {
+		remap[lid] = int32(i)
+		s.addr(addrs[lid])
 	}
 
 	// The frame ledger already lists the live hours, ascending, with
-	// their record totals across shards.
-	hours := w.BucketStats()
+	// their record totals.
+	hours := w.bucketStats()
 	s.u32(uint32(len(hours)))
 	var rows []snapRow
 	var enc []byte
 	for _, h := range hours {
 		rows = rows[:0]
-		for si, sh := range w.shards {
-			bk := sh.ring[h.Hour%int64(len(sh.ring))]
-			if bk == nil || bk.ah != h.Hour {
-				continue
-			}
+		if bk := w.ring[h.Hour%int64(len(w.ring))]; bk != nil && bk.ah == h.Hour {
 			for i, lid := range bk.line {
 				rows = append(rows, snapRow{
-					line:    uint32(remap[si][lid]),
+					line:    uint32(remap[lid]),
 					backend: uint32(bk.backend[i]),
 					port:    bk.port[i],
 					flags:   bk.flags[i],
@@ -315,8 +296,8 @@ func Snapshot(dst io.Writer, w *Window) error {
 	return s.err
 }
 
-// Restore reads a Snapshot-written checkpoint and rebuilds the window
-// (every row lands on ingest shard 0). idx and opts must match the
+// Restore reads a Snapshot-written checkpoint and rebuilds the window.
+// idx and opts must match the
 // snapshotting process's, enforced via fingerprints: dense backend IDs
 // are deterministic for one built index, so the restored rows mean what
 // they meant. Anything Restore accepts re-snapshots byte-identically.
@@ -361,19 +342,17 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.end = end
 	w.endA.Store(end)
-	w.preWindow.Store(stats.PreWindowRecords)
-	w.late.Store(stats.LateRecords)
+	w.preWindow = stats.PreWindowRecords
+	w.late = stats.LateRecords
 	w.evictedHours = stats.EvictedHours
 	w.evictedRecords = stats.EvictedRecords
-	sh := w.shards[0]
 	// A division per row would slow Restore; the forward check below
 	// keeps the multiply exact.
 	inv := 1 / w.rate
 
 	// Strictly sorted addresses are distinct, so entry i interns as
-	// shard line ID i.
+	// window line ID i.
 	nLines := s.count("line")
 	var prev netip.Addr
 	for i := 0; i < nLines && s.err == nil; i++ {
@@ -385,7 +364,7 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 			return nil, fmt.Errorf("flows: snapshot line dictionary is not strictly sorted at entry %d", i)
 		}
 		prev = a
-		sh.lines.id(a)
+		w.lines.id(a)
 	}
 	if s.err != nil {
 		return nil, s.err
@@ -416,8 +395,8 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 			return nil, fmt.Errorf("flows: snapshot hour %d claims %d records in %d rows", ah, records, nRows)
 		}
 		lastHour = ah
-		bk := sh.takeBucket(ah)
-		sh.ring[ah%int64(len(sh.ring))] = bk
+		bk := w.takeBucket(ah)
+		w.ring[ah%int64(len(w.ring))] = bk
 		var last snapRow
 		for left := nRows; left > 0; {
 			n := min(left, snapRowChunk)
@@ -470,7 +449,7 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 		if bk.records != records {
 			return nil, fmt.Errorf("flows: snapshot hour %d claims %d records, its rows keep %d", ah, records, bk.records)
 		}
-		sh.rowHint = max(sh.rowHint, nRows)
+		w.rowHint = max(w.rowHint, nRows)
 		slot := int(ah % int64(hours))
 		w.hourLive[slot] = true
 		w.hourRecs[slot] = records

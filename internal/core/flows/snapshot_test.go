@@ -28,16 +28,12 @@ func snapshotBytes(t testing.TB, w *Window) []byte {
 }
 
 // fedWindow feeds the fixture's hour-aligned flushes [0, upto) into a
-// fresh 48-hour window with the given ingest shard count (0 keeps
-// NewWindow's choice).
-func fedWindow(t testing.TB, f denseFixture, opts Options, shards, upto int) *Window {
+// fresh 48-hour window.
+func fedWindow(t testing.TB, f denseFixture, opts Options, upto int) *Window {
 	t.Helper()
 	win, err := NewWindow(f.idx, f.days[0], 48, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shards > 0 {
-		win.setShards(shards)
 	}
 	flushes := hourFlushes(f.recs, f.days[0])
 	if upto > len(flushes) {
@@ -57,48 +53,13 @@ func fedWindow(t testing.TB, f denseFixture, opts Options, shards, upto int) *Wi
 func TestWindowSnapshotBytesPinned(t *testing.T) {
 	f := buildDenseFixture(5)
 	opts := Options{ScannerThreshold: 3, SamplingRate: 100, FocusAlias: "T1", FocusRegion: "us-east-1", Vantage: "isp-a"}
-	data := snapshotBytes(t, fedWindow(t, f, opts, 0, 1<<30))
+	data := snapshotBytes(t, fedWindow(t, f, opts, 1<<30))
 	const want = "77b37b4e1521a72493c6267a225ace03062a4654d9b113f3a162967d539dec5d"
 	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
 		t.Fatalf("window snapshot sha256 %x, want %s", sum, want)
 	}
 	if _, err := Restore(bytes.NewReader(data), f.idx, opts); err != nil {
 		t.Fatalf("pinned snapshot does not restore: %v", err)
-	}
-}
-
-// TestWindowSnapshotShardIndependent: the snapshot encodes the rows the
-// window holds, not where they sit — the same flushes through one
-// ingest shard and round-robin over maxWindowShards serialize
-// byte-identically and study identically.
-func TestWindowSnapshotShardIndependent(t *testing.T) {
-	f := buildDenseFixture(19)
-	opts := f.opts
-	opts.ScannerThreshold = 3
-	one := fedWindow(t, f, opts, 1, math.MaxInt)
-	many := fedWindow(t, f, opts, maxWindowShards, math.MaxInt)
-	if one.Stats().EvictedHours == 0 {
-		t.Fatal("5-day feed through a 2-day window must evict")
-	}
-	spread := 0
-	for _, sh := range many.shards {
-		if len(sh.lines.addrs) > 0 {
-			spread++
-		}
-	}
-	if spread != maxWindowShards {
-		t.Fatalf("round-robin feed reached %d of %d shards", spread, maxWindowShards)
-	}
-	if !bytes.Equal(snapshotBytes(t, one), snapshotBytes(t, many)) {
-		t.Error("snapshot bytes depend on how rows are spread over ingest shards")
-	}
-	ccA, stA := one.Study()
-	ccB, stB := many.Study()
-	if !reflect.DeepEqual(named(stA), named(stB)) {
-		t.Error("study depends on how rows are spread over ingest shards")
-	}
-	if !reflect.DeepEqual(ccA.contactSets(), ccB.contactSets()) {
-		t.Error("contact sets depend on how rows are spread over ingest shards")
 	}
 }
 
@@ -326,7 +287,7 @@ func FuzzWindowRestore(f *testing.F) {
 	opts.ScannerThreshold = 3
 	flushes := len(hourFlushes(fx.recs, fx.days[0]))
 	for _, upto := range []int{0, 1, flushes / 2, flushes} {
-		f.Add(snapshotBytes(f, fedWindow(f, fx, opts, 0, upto)))
+		f.Add(snapshotBytes(f, fedWindow(f, fx, opts, upto)))
 	}
 	f.Add(validSnapDoc().encode(fx.idx, opts))
 	f.Add(wideSnapDoc(float64(opts.SamplingRate)).encode(fx.idx, opts))

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,19 +18,21 @@ import (
 // shape — it ingests endless feeds and must answer "figures for the
 // trailing N hours" at any moment.
 //
-// The window keeps no aggregates of its own. Each ingest shard owns a
-// ring of hour buckets, a day longer than the window (absolute hour mod
-// window hours + slideReach), and a bucket is an append-only columnar
-// row log: five parallel columns — shard line ID, dense backend ID,
-// backend-side port, row flags (kept, down, udp) and the raw byte
-// counter, 15 bytes — one row per routed record. Every read scales the
-// counter by the sampling rate, the same product the batch engine
-// folds; a row whose counter does not fit below 2^32-1 keeps its volume
-// in a per-bucket side list. Ingest classifies each flush interval's
-// lines against the scanner threshold and appends. A bucket
-// keeps its rows until a read's frame passes its hour or a later hour
-// claims its slot; then its columns are truncated and parked on the
-// shard's free list, so steady-state eviction allocates nothing.
+// The window keeps no aggregates of its own. It owns one line intern
+// table and one ring of hour buckets, a day longer than the window
+// (absolute hour mod window hours + slideReach), and a bucket is an
+// append-only columnar row log: five parallel columns — window line ID,
+// dense backend ID, backend-side port, row flags (kept, down, udp) and
+// the raw byte counter, 15 bytes — one row per routed record. Every read
+// scales the counter by the sampling rate, the same product the batch
+// engine folds; a row whose counter does not fit below 2^32-1 keeps its
+// volume in a per-bucket side list. A stream classifies each flush
+// interval's lines against the scanner threshold on its own WireTables,
+// then routes and appends the rows under the window's ingest lock, so
+// concurrent streams classify in parallel and queue only to append. A
+// bucket keeps its rows until a read's frame passes its hour or a later
+// hour claims its slot; then its columns are truncated and parked on the
+// free list, so steady-state eviction allocates nothing.
 //
 // Study()/Merged()/View() fold the live buckets into a full-frame
 // ContactCounter+Collector by replaying rows: every row sets its
@@ -39,7 +40,7 @@ import (
 // (lineRun, the batch engine's own ingest core) at hour offset (bucket
 // hour − frame start).
 // A fold of the whole frame (a rebuild) replays line by line: it
-// counting-sorts each shard's rows by line first, so a line's aggregates
+// counting-sorts the frame's rows by line first, so a line's aggregates
 // are loaded once for the frame instead of once per hour it appears in.
 // The fold is incremental: the last fold of the frame is cached, and
 // each bucket records how many of its rows the fold holds. Buckets are
@@ -48,7 +49,10 @@ import (
 // included), bucket by bucket; a frame that moved less than a day
 // slides the cached fold first, subtracting the rows of the hours it
 // left (exact, as volumes are integer-valued and set members are
-// row-counted). The cached fold is the window's only read cache: View
+// row-counted). A row volume of 2^53 or more is an integer float64 sums
+// do not add exactly, so while the cached fold or the frame holds one,
+// every read rebuilds, and the figures do not depend on when reads ran.
+// The cached fold is the window's only read cache: View
 // lends it to a renderer without copying it, and every Merged or Study
 // call copies it afresh. Because the window and the batch pipeline
 // share one aggregation core and every aggregate is order-independent
@@ -92,15 +96,11 @@ var (
 	_ Sink = (*Window)(nil)
 )
 
-// maxWindowShards caps the ingest shard fan-out; past a handful of
-// shards the fold/snapshot cost of walking every shard's ring dominates
-// any additional ingest parallelism.
-const maxWindowShards = 8
-
 // Window is an hour-granular sliding study over the dense aggregation
 // core. It is safe for concurrent use: many collector streams may
-// flush into one Window (each stream lands on one ingest shard) while
-// Study/Merged/View/Snapshot/Stats readers run.
+// flush into one Window while Study/Merged/View/Snapshot/Stats readers
+// run. Each stream classifies its flushes on its own WireTables; one
+// lock serializes what every stream shares, the routing and appending.
 type Window struct {
 	idx  *BackendIndex
 	opts Options
@@ -110,52 +110,34 @@ type Window struct {
 	threshold int
 	rate      float64
 
-	// endA mirrors end for lock-free reads on the ingest fast path and
-	// the End()/Span() accessors.
+	// endA is the newest hour ever ingested (-1 before any record
+	// arrived). It changes under mu; End and Span read it without a lock.
 	endA atomic.Int64
 
-	preWindow atomic.Uint64
-	late      atomic.Uint64
-
-	// frameMu guards the frame ledger: end, the per-hour liveness and
-	// record totals, and the eviction counters. Every mutation happens
-	// inside some shard's critical section, so a reader holding all
-	// shard locks may read these fields without frameMu.
-	frameMu        sync.Mutex
-	end            int64
-	hourLive       []bool
-	hourRecs       []uint64
-	evictedHours   uint64
-	evictedRecords uint64
-
-	shards []*winShard
-	// rr round-robins producers' tables onto shards.
-	rr atomic.Uint32
-
-	// foldMu serializes Merged/Study/View and guards the fold cache,
-	// stable.
-	foldMu                                      sync.Mutex
-	stable                                      *windowFold
-	hits, slides, rebuilds, copies, compactions atomic.Uint64
-}
-
-// winShard is one ingest shard: its own line intern table, its own ring
-// of hour buckets, a free list of released buckets, and the recycled
-// per-flush line entries. All fields are guarded by mu.
-type winShard struct {
-	w  *Window
-	mu sync.Mutex
-
+	// mu guards the ingest state (the line table, the ring of hour
+	// buckets, the free list, rowHint and the in-progress flush) and the
+	// frame ledger (the per-hour liveness and record totals, and the
+	// refusal and eviction counters).
+	mu    sync.Mutex
 	lines lineTab
-
-	ring []*winBucket
-	free []*winBucket
-	// rowHint is the row high-water mark across the shard's buckets;
-	// fresh buckets presize their columns from it so a chronological
-	// feed's row appends stay inside capacity.
+	ring  []*winBucket
+	free  []*winBucket
+	// rowHint is the row high-water mark across the buckets; fresh
+	// buckets presize their columns from it so a chronological feed's
+	// row appends stay inside capacity.
 	rowHint int
 	// touched lists the buckets the in-progress flush wrote to.
 	touched []*winBucket
+
+	hourLive                                      []bool
+	hourRecs                                      []uint64
+	preWindow, late, evictedHours, evictedRecords uint64
+
+	// foldMu serializes Merged/Study/View and guards the fold cache,
+	// stable. The lock order is foldMu → mu.
+	foldMu                                      sync.Mutex
+	stable                                      *windowFold
+	hits, slides, rebuilds, copies, compactions atomic.Uint64
 }
 
 // Row flag bits (winBucket.flags, and the IWIN row encoding).
@@ -179,8 +161,10 @@ type winBucket struct {
 	// append-only until release, so a read folds only [folded, len), and
 	// a slide subtracts [0, folded).
 	folded int
+	// huge says a row's volume is exactVol or more.
+	huge bool
 
-	line    []int32 // shard line ID
+	line    []int32 // window line ID
 	backend []int32 // dense backend ID
 	port    []uint16
 	flags   []uint8
@@ -195,6 +179,11 @@ type winBucket struct {
 // wideRow marks a row whose volume is kept in its bucket's wide list.
 const wideRow = math.MaxUint32
 
+// exactVol bounds the volumes float64 sums add exactly: every integer
+// below 2^53 is a float64, and past it sums round, so subtracting a row
+// no longer undoes adding it.
+const exactVol = 1 << 53
+
 // wideVol is an escaped row's exact volume. Rows only append, so a
 // bucket's wide list is sorted by row.
 type wideVol struct {
@@ -207,6 +196,9 @@ type wideVol struct {
 func (bk *winBucket) add(line, backend int32, port uint16, flags uint8, q uint32, vol float64) {
 	if q == wideRow {
 		bk.wide = append(bk.wide, wideVol{row: len(bk.line), vol: vol})
+	}
+	if vol >= exactVol {
+		bk.huge = true
 	}
 	bk.line = append(bk.line, line)
 	bk.backend = append(bk.backend, backend)
@@ -305,21 +297,12 @@ func NewWindow(idx *BackendIndex, epoch time.Time, hours int, opts Options) (*Wi
 		hours:     hours,
 		threshold: threshold,
 		rate:      rate,
-		end:       -1,
+		ring:      make([]*winBucket, hours+slideReach),
 		hourLive:  make([]bool, hours),
 		hourRecs:  make([]uint64, hours),
 	}
 	w.endA.Store(-1)
-	w.setShards(min(max(runtime.GOMAXPROCS(0), 1), maxWindowShards))
 	return w, nil
-}
-
-// setShards builds the window's n empty ingest shards.
-func (w *Window) setShards(n int) {
-	w.shards = make([]*winShard, n)
-	for i := range w.shards {
-		w.shards[i] = &winShard{w: w, ring: make([]*winBucket, w.hours+slideReach)}
-	}
 }
 
 // Epoch returns the wall-clock anchor of absolute hour 0.
@@ -360,11 +343,16 @@ func (w *Window) span(ws int64) (start, end time.Time) {
 
 // Stats returns a snapshot of the window's refusal/eviction counters.
 func (w *Window) Stats() WindowStats {
-	w.frameMu.Lock()
-	defer w.frameMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stats()
+}
+
+// stats is Stats for a caller that holds mu.
+func (w *Window) stats() WindowStats {
 	return WindowStats{
-		PreWindowRecords: w.preWindow.Load(),
-		LateRecords:      w.late.Load(),
+		PreWindowRecords: w.preWindow,
+		LateRecords:      w.late,
 		EvictedHours:     w.evictedHours,
 		EvictedRecords:   w.evictedRecords,
 	}
@@ -380,10 +368,16 @@ func (w *Window) FoldStats() FoldStats {
 
 // BucketStats returns the live hours' fill, oldest first.
 func (w *Window) BucketStats() []BucketStat {
-	w.frameMu.Lock()
-	defer w.frameMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.bucketStats()
+}
+
+// bucketStats is BucketStats for a caller that holds mu.
+func (w *Window) bucketStats() []BucketStat {
+	end := w.endA.Load()
 	out := make([]BucketStat, 0, w.hours)
-	for ah := w.startHour(w.end); ah <= w.end; ah++ {
+	for ah := w.startHour(end); ah <= end; ah++ {
 		slot := int(ah % int64(w.hours))
 		if !w.hourLive[slot] {
 			continue
@@ -397,39 +391,18 @@ func (w *Window) BucketStats() []BucketStat {
 	return out
 }
 
-// lockShards/unlockShards take every shard's ingest lock in index
-// order (the global lock order is foldMu → shard locks → frameMu).
-func (w *Window) lockShards() {
-	for _, sh := range w.shards {
-		sh.mu.Lock()
-	}
-}
-
-func (w *Window) unlockShards() {
-	for i := len(w.shards) - 1; i >= 0; i-- {
-		w.shards[i].mu.Unlock()
-	}
-}
-
-// advanceTo moves the newest hour to ah, retiring every live hour that
-// falls out of the trailing window. Walking only the slots the new
-// hours claim keeps eviction amortized O(1) per hour of progress: the
-// hour in slot (end+1+k) mod hours is exactly the one hour end+1+k
-// evicts. Shard buckets for evicted hours are released by the next read,
-// or when a later hour claims their ring slot.
+// advanceTo moves the newest hour to ah, past the current one, retiring
+// every live hour that falls out of the trailing window. Walking only
+// the slots the new hours claim keeps eviction amortized O(1) per hour
+// of progress: the hour in slot (end+1+k) mod hours is exactly the one
+// hour end+1+k evicts. The buckets of evicted hours are released by the
+// next read, or when a later hour claims their ring slot. Caller holds
+// mu.
 func (w *Window) advanceTo(ah int64) {
-	w.frameMu.Lock()
-	defer w.frameMu.Unlock()
-	if ah <= w.end {
-		return
-	}
-	if w.end >= 0 {
-		steps := ah - w.end
-		if steps > int64(w.hours) {
-			steps = int64(w.hours)
-		}
+	if end := w.endA.Load(); end >= 0 {
+		steps := min(ah-end, int64(w.hours))
 		for k := int64(0); k < steps; k++ {
-			i := int((w.end + 1 + k) % int64(w.hours))
+			i := int((end + 1 + k) % int64(w.hours))
 			if w.hourLive[i] {
 				w.evictedHours++
 				w.evictedRecords += w.hourRecs[i]
@@ -438,47 +411,45 @@ func (w *Window) advanceTo(ah int64) {
 			}
 		}
 	}
-	w.end = ah
 	w.endA.Store(ah)
 }
 
-// route resolves one row's absolute hour to this shard's live bucket,
-// advancing (and evicting) as needed. nil means the row was refused:
-// pre-epoch (negative) rows are counted, and rows older than the
-// trailing window are counted if kept.
-func (sh *winShard) route(ah int64, kept bool) *winBucket {
-	w := sh.w
+// route resolves one row's absolute hour to its live bucket, advancing
+// (and evicting) as needed. nil means the row was refused: pre-epoch
+// (negative) rows are counted, and rows older than the trailing window
+// are counted if kept. Caller holds mu.
+func (w *Window) route(ah int64, kept bool) *winBucket {
 	if ah < 0 {
-		w.preWindow.Add(1)
+		w.preWindow++
 		return nil
 	}
 	end := w.endA.Load()
 	if ah > end {
 		w.advanceTo(ah)
-		end = w.endA.Load()
+		end = ah
 	}
 	if end-ah >= int64(w.hours) {
 		if kept {
-			w.late.Add(1)
+			w.late++
 		}
 		return nil
 	}
-	slot := int(ah % int64(len(sh.ring)))
-	bk := sh.ring[slot]
+	slot := int(ah % int64(len(w.ring)))
+	bk := w.ring[slot]
 	if bk != nil && bk.ah != ah {
 		// The slot's occupant is from a lap the window already left
 		// (bk.ah ≤ ah-len(ring): same residue, and ah is in-window).
-		sh.recycle(bk)
+		w.recycle(bk)
 		bk = nil
 	}
 	if bk == nil {
-		bk = sh.takeBucket(ah)
-		sh.ring[slot] = bk
+		bk = w.takeBucket(ah)
+		w.ring[slot] = bk
 	}
 	if !bk.inFlush {
 		bk.inFlush = true
 		bk.mark = bk.records
-		sh.touched = append(sh.touched, bk)
+		w.touched = append(w.touched, bk)
 	}
 	return bk
 }
@@ -486,24 +457,18 @@ func (sh *winShard) route(ah int64, kept bool) *winBucket {
 // endFlush completes the in-progress flush: credit every touched
 // bucket's new records to the frame ledger (or straight to
 // EvictedRecords if the flush itself advanced the window past the
-// bucket's hour).
-func (sh *winShard) endFlush() {
-	if len(sh.touched) == 0 {
-		return
-	}
-	w := sh.w
-	w.frameMu.Lock()
-	for i, bk := range sh.touched {
-		sh.touched[i] = nil
+// bucket's hour). Caller holds mu.
+func (w *Window) endFlush() {
+	end := w.endA.Load()
+	for i, bk := range w.touched {
+		w.touched[i] = nil
 		if !bk.inFlush {
 			continue // recycled mid-flush; recycle() already credited it
 		}
 		bk.inFlush = false
-		if n := len(bk.line); n > sh.rowHint {
-			sh.rowHint = n
-		}
+		w.rowHint = max(w.rowHint, len(bk.line))
 		delta := bk.records - bk.mark
-		if w.end-bk.ah < int64(w.hours) {
+		if end-bk.ah < int64(w.hours) {
 			slot := int(bk.ah % int64(w.hours))
 			w.hourLive[slot] = true
 			w.hourRecs[slot] += delta
@@ -511,26 +476,25 @@ func (sh *winShard) endFlush() {
 			w.evictedRecords += delta
 		}
 	}
-	w.frameMu.Unlock()
-	sh.touched = sh.touched[:0]
+	w.touched = w.touched[:0]
 }
 
 // takeBucket pops a released bucket (its columns keep their capacity) or
-// allocates one presized past the shard's row high-water mark: bucket
-// fills creep, and a hint that lags by one row would re-grow every
-// column on every bucket.
-func (sh *winShard) takeBucket(ah int64) *winBucket {
-	if n := len(sh.free); n > 0 {
-		bk := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
+// allocates one presized past the row high-water mark: bucket fills
+// creep, and a hint that lags by one row would re-grow every column on
+// every bucket. Caller holds mu.
+func (w *Window) takeBucket(ah int64) *winBucket {
+	if n := len(w.free); n > 0 {
+		bk := w.free[n-1]
+		w.free[n-1] = nil
+		w.free = w.free[:n-1]
 		bk.ah = ah
 		return bk
 	}
 	// The cold-start floor covers feeds that are not hour-ordered
 	// (per-line simulation, replays): they open every ring hour before
 	// any high-water mark is learned.
-	n := max(sh.rowHint+sh.rowHint/4+16, 256)
+	n := max(w.rowHint+w.rowHint/4+16, 256)
 	return &winBucket{
 		ah:      ah,
 		line:    make([]int32, 0, n),
@@ -547,27 +511,24 @@ func (sh *winShard) takeBucket(ah int64) *winBucket {
 // current frame, and the next read rebuilds rather than subtract it. If
 // the bucket is mid-flush its un-ledgered records are credited to
 // EvictedRecords (the flush jumped the window past its own hour).
-func (sh *winShard) recycle(bk *winBucket) {
+func (w *Window) recycle(bk *winBucket) {
 	if bk.inFlush {
-		w := sh.w
-		w.frameMu.Lock()
 		w.evictedRecords += bk.records - bk.mark
-		w.frameMu.Unlock()
 		bk.inFlush = false
 	}
-	sh.release(bk)
+	w.release(bk)
 }
 
-// release empties the bucket and parks it on the shard free list.
-func (sh *winShard) release(bk *winBucket) {
+// release empties the bucket and parks it on the free list.
+func (w *Window) release(bk *winBucket) {
 	bk.line = bk.line[:0]
 	bk.backend = bk.backend[:0]
 	bk.port = bk.port[:0]
 	bk.flags = bk.flags[:0]
 	bk.bytes = bk.bytes[:0]
 	bk.wide = bk.wide[:0]
-	bk.records, bk.mark, bk.folded = 0, 0, 0
-	sh.free = append(sh.free, bk)
+	bk.records, bk.mark, bk.folded, bk.huge = 0, 0, 0, false
+	w.free = append(w.free, bk)
 }
 
 // IngestBatch implements Sink. Row hours are epoch-relative study hours
@@ -577,18 +538,22 @@ func (sh *winShard) release(bk *winBucket) {
 // matter which hour they land in — then every row with an indexed
 // backend is appended to its own hour bucket: all of them are contact
 // evidence, rows of kept lines also reach the Collector at fold time.
-// The tables stay bound to one ingest shard (their window memos are its
-// line IDs), which is the per-stream parallelism unit.
+// Classification touches only t, the stream's own tables, so it runs
+// before the ingest lock is taken.
 func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 	if b.Len() == 0 {
 		return
 	}
-	sh := t.shard
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	classifyFlush(t, b, w.threshold)
 	t.winID = grown(t.winID, len(t.lines))
+	w.appendFlush(t, b)
+	t.releaseEnts()
+}
 
+// appendFlush routes and appends one classified flush under mu.
+func (w *Window) appendFlush(t *WireTables, b *netflow.RecordBatch) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for i, bid := range b.Backend {
 		be := t.backends[bid]
 		if be < 0 {
@@ -596,13 +561,13 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		}
 		li := b.Line[i]
 		kept := !t.over(li)
-		bk := sh.route(int64(b.Hour[i]), kept)
+		bk := w.route(int64(b.Hour[i]), kept)
 		if bk == nil {
 			continue
 		}
 		lid := t.winID[li] - 1
 		if lid < 0 {
-			lid = sh.lines.id(t.lines[li].addr)
+			lid = w.lines.id(t.lines[li].addr)
 			t.winID[li] = lid + 1
 		}
 		var flags uint8
@@ -619,16 +584,13 @@ func (w *Window) IngestBatch(t *WireTables, b *netflow.RecordBatch) {
 		raw := b.Bytes[i]
 		bk.add(lid, be, b.Port[i], flags, uint32(min(raw, wideRow)), float64(raw)*w.rate)
 	}
-
-	t.releaseEnts()
-	sh.endFlush()
+	w.endFlush()
 }
 
 // NewWireTables implements Sink: fresh tables resolved against the
-// window's index and epoch, bound round-robin to one ingest shard.
+// window's index and epoch.
 func (w *Window) NewWireTables() *WireTables {
-	sh := w.shards[int((w.rr.Add(1)-1)%uint32(len(w.shards)))]
-	return &WireTables{idx: w.idx, start: w.epoch, shard: sh}
+	return &WireTables{idx: w.idx, start: w.epoch}
 }
 
 // --- Incremental fold ----------------------------------------------------
@@ -640,8 +602,8 @@ func (w *Window) NewWireTables() *WireTables {
 const slideReach = 24
 
 // windowFold is one materialized trailing-frame fold of the hours
-// [ws, end): the full-frame ContactCounter+Collector plus the per-shard
-// line ID remap memos that let later rows fold in without re-interning
+// [ws, end): the full-frame ContactCounter+Collector plus the line ID
+// remap memos that let later rows fold in without re-interning
 // addresses.
 type windowFold struct {
 	ws, end int64
@@ -650,8 +612,8 @@ type windowFold struct {
 	// cnt counts the rows behind the fold's set members; nil until the
 	// stable fold first slides its start.
 	cnt *rowCounts
-	// Per-shard memos: shard line ID → fold line ID+1 (0 = unmapped).
-	ccRemap, colRemap [][]int32
+	// Memos: window line ID → fold line ID+1 (0 = unmapped).
+	ccRemap, colRemap []int32
 }
 
 // frameDays returns the day starts of the frame beginning at hour ws.
@@ -666,48 +628,52 @@ func (w *Window) frameDays(ws int64) []time.Time {
 
 // newFoldFrame builds an empty fold over the frame [ws, ws+hours).
 func (w *Window) newFoldFrame(ws, end int64) *windowFold {
-	n := len(w.shards)
 	return &windowFold{
-		ws:       ws,
-		end:      end,
-		cc:       NewContactCounter(w.idx),
-		col:      NewCollector(w.idx, w.frameDays(ws), w.opts),
-		ccRemap:  make([][]int32, n),
-		colRemap: make([][]int32, n),
+		ws:  ws,
+		end: end,
+		cc:  NewContactCounter(w.idx),
+		col: NewCollector(w.idx, w.frameDays(ws), w.opts),
 	}
 }
 
 // eachBucket calls fn with every ring bucket whose hour is in [lo, hi).
-// Caller holds all shard locks.
-func (w *Window) eachBucket(lo, hi int64, fn func(si int, sh *winShard, bk *winBucket)) {
-	for si, sh := range w.shards {
-		for _, bk := range sh.ring {
-			if bk != nil && bk.ah >= lo && bk.ah < hi {
-				fn(si, sh, bk)
-			}
+// Caller holds mu.
+func (w *Window) eachBucket(lo, hi int64, fn func(bk *winBucket)) {
+	for _, bk := range w.ring {
+		if bk != nil && bk.ah >= lo && bk.ah < hi {
+			fn(bk)
 		}
 	}
 }
 
+// holdsHuge reports whether a ring bucket with hour in [lo, hi) holds a
+// row of exactVol or more. Caller holds mu.
+func (w *Window) holdsHuge(lo, hi int64) bool {
+	for _, bk := range w.ring {
+		if bk != nil && bk.huge && bk.ah >= lo && bk.ah < hi {
+			return true
+		}
+	}
+	return false
+}
+
 // releaseBelow releases every ring bucket whose hour is below ws, which
-// no later frame reaches. Caller holds all shard locks.
+// no later frame reaches. Caller holds mu.
 func (w *Window) releaseBelow(ws int64) {
-	for _, sh := range w.shards {
-		for i, bk := range sh.ring {
-			if bk != nil && bk.ah < ws {
-				sh.release(bk)
-				sh.ring[i] = nil
-			}
+	for i, bk := range w.ring {
+		if bk != nil && bk.ah < ws {
+			w.release(bk)
+			w.ring[i] = nil
 		}
 	}
 }
 
 // catchUp folds into f the rows every bucket with hour in [lo, hi)
-// gained since f last read it. Caller holds all shard locks.
+// gained since f last read it. Caller holds mu.
 func (w *Window) catchUp(f *windowFold, lo, hi int64) {
-	w.eachBucket(lo, hi, func(si int, sh *winShard, bk *winBucket) {
+	w.eachBucket(lo, hi, func(bk *winBucket) {
 		if bk.folded < len(bk.line) {
-			w.foldBucketInto(f, si, sh, bk, bk.folded)
+			w.foldBucketInto(f, bk, bk.folded)
 			bk.folded = len(bk.line)
 		}
 	})
@@ -725,11 +691,12 @@ func rowPort(flags uint8, port uint16) proto.PortKey {
 // foldBucketInto replays one bucket's rows from index from on into the
 // fold at hour offset bk.ah-f.ws: every row is contact evidence, kept
 // rows go through the batch engine's ingest core. A fold that keeps row
-// counts counts them.
-func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBucket, from int) {
+// counts counts them. Caller holds mu.
+func (w *Window) foldBucketInto(f *windowFold, bk *winBucket, from int) {
 	hourOff := int(bk.ah - f.ws)
 	cc, col, cnt := f.cc, f.col, f.cnt
-	ccRemap, colRemap := extend(&f.ccRemap[si], len(sh.lines.addrs)), extend(&f.colRemap[si], len(sh.lines.addrs))
+	addrs := w.lines.addrs
+	ccRemap, colRemap := extend(&f.ccRemap, len(addrs)), extend(&f.colRemap, len(addrs))
 
 	var run lineRun // folds the kept rows of line runLid
 	runLid := int32(-1)
@@ -737,7 +704,7 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 		lid, be := bk.line[i], bk.backend[i]
 		cid := ccRemap[lid]
 		if cid == 0 {
-			cid = cc.lineID(sh.lines.addrs[lid]) + 1
+			cid = cc.lineID(addrs[lid]) + 1
 			ccRemap[lid] = cid
 		}
 		cc.setContact(int(cid-1), be)
@@ -751,7 +718,7 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 		}
 		tid := colRemap[lid]
 		if tid == 0 {
-			tid = col.lineID(sh.lines.addrs[lid]) + 1
+			tid = col.lineID(addrs[lid]) + 1
 			colRemap[lid] = tid
 		}
 		if lid != runLid {
@@ -767,77 +734,52 @@ func (w *Window) foldBucketInto(f *windowFold, si int, sh *winShard, bk *winBuck
 	run.end()
 }
 
-// rebuild folds the frame [ws, end) afresh, line by line: each shard's
-// rows in the frame are counting-sorted by shard line ID into scratch
-// columns, so every line's aggregates are loaded once for all its hours
-// instead of once per hour. A line's rows keep their hour-major order
-// and every aggregate is an exact sum or a set union, so the result
-// equals a bucket-by-bucket fold's, and the fold holds every row of the
-// frame's buckets. Caller holds all shard locks.
+// rebuild folds the frame [ws, end) afresh, line by line: the frame's
+// rows are counting-sorted by window line ID into scratch columns, so
+// every line's aggregates are loaded once for all its hours instead of
+// once per hour. A line's rows keep their hour-major order and every
+// aggregate is an exact sum or a set union, so the result equals a
+// bucket-by-bucket fold's, and the fold holds every row of the frame's
+// buckets. Caller holds mu.
 func (w *Window) rebuild(ws, end int64) *windowFold {
 	f := w.newFoldFrame(ws, end)
-	parts := make([]shardRows, len(w.shards))
-	w.eachBucket(ws, end, func(si int, _ *winShard, bk *winBucket) {
-		parts[si].bks = append(parts[si].bks, bk)
+	var bks []*winBucket
+	w.eachBucket(ws, end, func(bk *winBucket) {
+		bks = append(bks, bk)
 		bk.folded = len(bk.line)
 	})
-	lines, rows := 0, 0
-	for si, sh := range w.shards {
-		if p := &parts[si]; len(p.bks) > 0 {
-			p.count(len(sh.lines.addrs))
-			lines += p.lines
-			rows = max(rows, p.pos[len(p.pos)-1])
-		}
+	if len(bks) == 0 {
+		return f
 	}
-	cols := getRowCols(rows)
-	defer rowColsPool.Put(cols)
-	for si, sh := range w.shards {
-		if p := &parts[si]; len(p.bks) > 0 {
-			// lines bounds the fold's lines (a line two shards share
-			// counts twice); later shards can only lengthen plan tables.
-			f.cc.reserveLines(lines, &sh.lines)
-			f.col.reserveLines(lines, &sh.lines)
-			p.fold(f, si, sh, cols)
-		}
-	}
-	return f
-}
-
-// shardRows is one shard's share of a rebuild: its buckets in the frame
-// and the scratch offset of each shard line ID's rows.
-type shardRows struct {
-	bks []*winBucket
 	// pos[l] is where line l's rows start, until the scatter advances it
 	// to where they end; pos[n] is the row count.
-	pos []int
-	// lines counts the line IDs with rows.
-	lines int
-}
-
-// count counts the rows of each of the shard's n line IDs and takes the
-// prefix sums.
-func (p *shardRows) count(n int) {
+	n := len(w.lines.addrs)
 	pos := make([]int, n+1)
-	for _, bk := range p.bks {
+	for _, bk := range bks {
 		for _, lid := range bk.line {
 			pos[lid+1]++
 		}
 	}
+	lines := 0
 	for l := 1; l <= n; l++ {
 		if pos[l] != 0 {
-			p.lines++
+			lines++
 		}
 		pos[l] += pos[l-1]
 	}
-	p.pos = pos
+	cols := getRowCols(pos[n])
+	defer rowColsPool.Put(cols)
+	f.cc.reserveLines(lines, &w.lines)
+	f.col.reserveLines(lines, &w.lines)
+	w.foldLines(f, bks, pos, cols)
+	return f
 }
 
-// rowCols are a rebuild's scratch columns, which a shard's rows are
-// scattered into, sized for the largest shard. A scratch row carries its
-// scaled volume, so its volume, backend and hour share one 16-byte
-// element and the scatter writes three cache lines a row, not five;
-// port and flags keep columns of their own, so a scratch row takes 19
-// bytes, not a padded 24.
+// rowCols are a rebuild's scratch columns, which the frame's rows are
+// scattered into. A scratch row carries its scaled volume, so its
+// volume, backend and hour share one 16-byte element and the scatter
+// writes three cache lines a row, not five; port and flags keep columns
+// of their own, so a scratch row takes 19 bytes, not a padded 24.
 type rowCols struct {
 	row   []lineRow
 	port  []uint16
@@ -868,33 +810,32 @@ func getRowCols(n int) *rowCols {
 	return &rowCols{row: make([]lineRow, n), port: make([]uint16, n), flags: make([]uint8, n)}
 }
 
-// fold scatters the shard's rows into cols by line ID and folds each
-// line's run into f: every row is contact evidence, kept rows go through
-// the batch engine's ingest core.
-func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
-	pos, rate := p.pos, sh.w.rate
+// foldLines scatters the rows of bks into cols by line ID, at the
+// offsets pos counted, and folds each line's run into f: every row is
+// contact evidence, kept rows go through the batch engine's ingest core.
+func (w *Window) foldLines(f *windowFold, bks []*winBucket, pos []int, cols *rowCols) {
 	rows, port, flags := cols.row, cols.port, cols.flags
-	for _, bk := range p.bks {
+	for _, bk := range bks {
 		h := int32(bk.ah - f.ws)
 		n := len(bk.line)
 		bb, bp, bf := bk.backend[:n], bk.port[:n], bk.flags[:n]
 		for i, lid := range bk.line {
 			r := pos[lid]
 			pos[lid] = r + 1
-			rows[r] = lineRow{bytes: bk.vol(i, rate), backend: bb[i], hour: h}
+			rows[r] = lineRow{bytes: bk.vol(i, w.rate), backend: bb[i], hour: h}
 			port[r], flags[r] = bp[i], bf[i]
 		}
 	}
 
-	cc, col := f.cc, f.col
+	cc, col, addrs := f.cc, f.col, w.lines.addrs
 	n := len(pos) - 1
-	ccRemap, colRemap := extend(&f.ccRemap[si], n), extend(&f.colRemap[si], n)
+	ccRemap, colRemap := extend(&f.ccRemap, n), extend(&f.colRemap, n)
 	lo := 0
 	for lid, hi := range pos[:n] {
 		if lo == hi {
 			continue
 		}
-		addr := sh.lines.addrs[lid]
+		addr := addrs[lid]
 		cid := cc.lineID(addr)
 		ccRemap[lid] = cid + 1
 		bits, added := cc.lineBits(int(cid)), int32(0)
@@ -903,9 +844,9 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 		fls, prs := flags[lo:hi], port[lo:hi]
 		for i, r := range rows[lo:hi] {
 			// setContact, with the line's count kept in a register.
-			w, sh := &bits[r.backend>>6], uint(r.backend)&63
-			added += int32(^*w >> sh & 1)
-			*w |= 1 << sh
+			word, bit := &bits[r.backend>>6], uint(r.backend)&63
+			added += int32(^*word >> bit & 1)
+			*word |= 1 << bit
 			fl := fls[i]
 			if fl&rowKept == 0 {
 				continue // scanner row
@@ -924,13 +865,12 @@ func (p *shardRows) fold(f *windowFold, si int, sh *winShard, cols *rowCols) {
 }
 
 // countBucket counts the rows of a bucket already folded into f.
-func countBucket(f *windowFold, si int, bk *winBucket) {
-	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
+func countBucket(f *windowFold, bk *winBucket) {
 	for i, lid := range bk.line[:bk.folded] {
 		fl := bk.flags[i]
-		f.cnt.countContact(int(ccRemap[lid])-1, bk.backend[i], fl&rowKept != 0)
+		f.cnt.countContact(int(f.ccRemap[lid])-1, bk.backend[i], fl&rowKept != 0)
 		if fl&rowKept != 0 {
-			f.cnt.count(f.col, int(colRemap[lid])-1, bk.backend[i], fl&rowDown != 0, rowPort(fl, bk.port[i]))
+			f.cnt.count(f.col, int(f.colRemap[lid])-1, bk.backend[i], fl&rowDown != 0, rowPort(fl, bk.port[i]))
 		}
 	}
 }
@@ -939,7 +879,7 @@ func countBucket(f *windowFold, si int, bk *winBucket) {
 // one bucket f holds: an hour below ws leaves the fold, an hour whose
 // frame day changes moves its daily volumes. The hour-indexed columns
 // shift separately.
-func (w *Window) slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
+func (w *Window) slideBucket(f *windowFold, bk *winBucket, ws int64) {
 	from, to := int(bk.ah-f.ws)/24, -1
 	if bk.ah >= ws {
 		if to = int(bk.ah-ws) / 24; to == from {
@@ -947,18 +887,17 @@ func (w *Window) slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 		}
 	}
 	cc, col := f.cc, f.col
-	ccRemap, colRemap := f.ccRemap[si], f.colRemap[si]
 	for i, lid := range bk.line[:bk.folded] {
 		be, fl := bk.backend[i], bk.flags[i]
 		kept := fl&rowKept != 0
-		line, down, port := int(colRemap[lid])-1, fl&rowDown != 0, rowPort(fl, bk.port[i])
+		line, down, port := int(f.colRemap[lid])-1, fl&rowDown != 0, rowPort(fl, bk.port[i])
 		if to >= 0 {
 			if kept {
 				col.moveDay(line, be, down, port, from, to, bk.vol(i, w.rate))
 			}
 			continue
 		}
-		cid := int(ccRemap[lid]) - 1
+		cid := int(f.ccRemap[lid]) - 1
 		lastRow, lastKept := f.cnt.uncountContact(cid, be, kept)
 		if lastRow && cc.clearContact(cid, be) {
 			f.cnt.emptied |= emptiedContacts
@@ -982,15 +921,15 @@ func (w *Window) slideBucket(f *windowFold, si int, bk *winBucket, ws int64) {
 // its rows past its folded mark, and what the slide emptied is dropped.
 // Row counts are taken on the first slide of the start after a rebuild,
 // so a fold that never slides never pays for them. A frame that did not
-// move only catches up. Caller holds foldMu and all shard locks.
+// move only catches up. Caller holds foldMu and mu.
 func (w *Window) slide(st *windowFold, ws, end int64) {
 	k := int(ws - st.ws)
 	if k > 0 {
 		if st.cnt == nil {
 			st.cnt = newRowCounts(st.col)
-			w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { countBucket(st, si, bk) })
+			w.eachBucket(st.ws, st.end, func(bk *winBucket) { countBucket(st, bk) })
 		}
-		w.eachBucket(st.ws, st.end, func(si int, _ *winShard, bk *winBucket) { w.slideBucket(st, si, bk, ws) })
+		w.eachBucket(st.ws, st.end, func(bk *winBucket) { w.slideBucket(st, bk, ws) })
 		st.col.shiftHours(k, w.frameDays(ws))
 		st.ws = ws
 	}
@@ -1014,24 +953,22 @@ func (f *windowFold) compact() bool {
 	if emptied&emptiedContacts != 0 {
 		if remap := f.cc.compact(); remap != nil {
 			f.cnt.contacts = compactStride(f.cnt.contacts, 1, remap)
-			remapMemos(f.ccRemap, remap)
+			remapMemo(f.ccRemap, remap)
 		}
 	}
 	if remap := f.col.compact(f.cnt); remap != nil {
-		remapMemos(f.colRemap, remap)
+		remapMemo(f.colRemap, remap)
 	}
 	f.cnt.emptied = 0
 	return true
 }
 
-// remapMemos renumbers per-shard line memos (fold line ID+1, 0 =
-// unmapped) through a compaction's renumbering.
-func remapMemos(memos [][]int32, remap []int32) {
-	for _, m := range memos {
-		for lid, id := range m {
-			if id != 0 {
-				m[lid] = remap[id-1] + 1
-			}
+// remapMemo renumbers a line memo (fold line ID+1, 0 = unmapped)
+// through a compaction's renumbering.
+func remapMemo(memo []int32, remap []int32) {
+	for lid, id := range memo {
+		if id != 0 {
+			memo[lid] = remap[id-1] + 1
 		}
 	}
 }
@@ -1039,15 +976,18 @@ func remapMemos(memos [][]int32, remap []int32) {
 // foldLocked brings the stable fold to the current trailing frame, the
 // newest hour included, and returns it. It is slid in place (or only
 // caught up, when the frame did not move) unless the frame moved
-// slideReach hours or more, and rebuilt then. The buckets the frame
-// left are released. Caller holds foldMu and all shard locks.
+// slideReach hours or more, or the cached fold or the frame holds a row
+// of exactVol or more, and rebuilt then. The buckets the frame left are
+// released. Caller holds foldMu and mu.
 func (w *Window) foldLocked() *windowFold {
 	end := w.endA.Load() + 1
 	ws := w.startHour(end - 1)
 	st := w.stable
 	switch {
-	case st == nil || ws-st.ws >= slideReach:
-		// Cold start, or a read too far behind the last one.
+	case st == nil || ws-st.ws >= slideReach || w.holdsHuge(st.ws, end):
+		// Cold start, a read too far behind the last one, or a volume a
+		// subtraction or a catch-up would round differently from a
+		// rebuild.
 		st = w.rebuild(ws, end)
 		w.stable = st
 		w.rebuilds.Add(1)
@@ -1062,12 +1002,12 @@ func (w *Window) foldLocked() *windowFold {
 	return st
 }
 
-// foldShards runs foldLocked under all shard locks and releases them on
-// every exit. A fold that panics part-way is dropped, so the next read
-// rebuilds instead of reading it. Caller holds foldMu.
-func (w *Window) foldShards() (st *windowFold) {
-	w.lockShards()
-	defer w.unlockShards()
+// fold runs foldLocked under mu and releases it on every exit. A fold
+// that panics part-way is dropped, so the next read rebuilds instead of
+// reading it. Caller holds foldMu.
+func (w *Window) fold() (st *windowFold) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	defer func() {
 		if st == nil {
 			w.stable = nil
@@ -1078,7 +1018,7 @@ func (w *Window) foldShards() (st *windowFold) {
 
 // View brings the cached fold of the current trailing frame up to date
 // and lends it to fn with the frame's wall-clock bounds, without
-// copying it. The shard locks are released first, so ingest continues
+// copying it. The ingest lock is released first, so ingest continues
 // while fn runs; other reads wait. fn must treat cc and col as
 // read-only and must not retain them, nor a Study it takes of col, past
 // its return: the next read folds into them. col.Study() is allowed
@@ -1086,7 +1026,7 @@ func (w *Window) foldShards() (st *windowFold) {
 func (w *Window) View(fn func(cc *ContactCounter, col *Collector, start, end time.Time)) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()
-	st := w.foldShards()
+	st := w.fold()
 	defer func() { st.col.finalized = false }()
 	start, end := w.span(st.ws)
 	fn(st.cc, st.col, start, end)

@@ -2,6 +2,7 @@ package flows
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"net/netip"
@@ -40,9 +41,8 @@ func assertWindowEquals(t *testing.T, cc *ContactCounter, col *Collector, refCC 
 }
 
 // flushRecords feeds sink one flush interval of records the way a
-// record producer does, as rows resolved through AppendRecord. Tables
-// are fresh per flush, so successive flushes into a Window land on
-// successive ingest shards.
+// record producer does, as rows resolved through AppendRecord, on
+// tables fresh per flush.
 func flushRecords(sink Sink, recs []netflow.Record) {
 	t := sink.NewWireTables()
 	var b netflow.RecordBatch
@@ -190,7 +190,6 @@ func TestWindowLateCountsKeptRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		win.setShards(1)
 		for _, flush := range order {
 			flushRecords(win, flush)
 		}
@@ -343,10 +342,13 @@ func TestWindowBatchPathMatchesRecordPath(t *testing.T) {
 // of the same feed into one Window while readers hammer Study, Snapshot,
 // and BucketStats the whole time; the final figures must be identical on
 // every comparison surface to a sequential feed of the same records.
-// The feed span fits inside the window, so nothing evicts and fold
-// order cannot matter — any divergence is a real data race or a lost
-// update. Under -race this doubles as the lock-order property test for
-// the foldMu → shard → frame hierarchy.
+// Each writer keeps one WireTables across its flushes, as a collector
+// stream does, so under -race the classification each stream runs
+// outside the window's lock, on its own reused scratch, meets other
+// streams' appends and the readers' folds and snapshots. The feed span
+// fits inside the window, so nothing evicts and fold order cannot
+// matter — any divergence is a real data race or a lost update. Under
+// -race this doubles as the lock-order property test for foldMu → mu.
 func TestWindowConcurrentIngest(t *testing.T) {
 	f := buildDenseFixture(13)
 	opts := f.opts
@@ -404,8 +406,14 @@ func TestWindowConcurrentIngest(t *testing.T) {
 		writers.Add(1)
 		go func(wk int) {
 			defer writers.Done()
+			tables := con.NewWireTables()
+			var b netflow.RecordBatch
 			for i := wk; i < len(flushes); i += workers {
-				flushRecords(con, flushes[i])
+				b.Reset()
+				for _, r := range flushes[i] {
+					tables.AppendRecord(&b, r)
+				}
+				con.IngestBatch(tables, &b)
 			}
 		}(wk)
 	}
@@ -573,14 +581,15 @@ func TestWindowRowBytes(t *testing.T) {
 // restore → continue), at rate 1 and rate 100. Every read equals the
 // map reference over the records of the frame's hours. A hand-built
 // checkpoint of volumes no counter reproduces restores and re-snapshots
-// byte-identically.
+// byte-identically. The 2^40+1 counters run between one dedicated line
+// and one backend whose alias and continent nothing else has; the
+// counters around 2^32 ride on the fixture's own lines.
 //
-// A 2^53+1 counter scales past float64's exact integers, so sums that
-// mix it with other volumes round, and no engine subtracts it exactly.
-// Those rows therefore run between one dedicated line and one backend
-// whose alias and continent nothing else has, so every aggregate that
-// holds them holds only multiples of one volume. The counters around
-// 2^32 ride on the fixture's own lines.
+// A volume of 2^53 or more is past float64's exact integers: sums that
+// hold it round, so a slide's subtraction and a catch-up's addition need
+// not land where a rebuild's sum does. A window read every hour over a
+// feed whose every 50th record carries a 2^53+1 counter must end with
+// the bits of a twin read once.
 func TestWindowWideRows(t *testing.T) {
 	counters := []uint64{1<<32 - 2, 1<<32 - 1, 1 << 32}
 	for _, rate := range []uint32{1, 100} {
@@ -599,7 +608,7 @@ func TestWindowWideRows(t *testing.T) {
 		huge := func(h int64, down bool) netflow.Record {
 			r := netflow.Record{
 				Src: line, Dst: backend, SrcPort: 50000, DstPort: 8883, Proto: netflow.ProtoTCP,
-				Bytes: 1<<53 + 1, Start: epoch.Add(time.Duration(h)*time.Hour + time.Minute),
+				Bytes: 1<<40 + 1, Start: epoch.Add(time.Duration(h)*time.Hour + time.Minute),
 			}
 			if down {
 				r.Src, r.Dst, r.SrcPort, r.DstPort = r.Dst, r.Src, r.DstPort, r.SrcPort
@@ -648,10 +657,9 @@ func TestWindowWideRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		win.setShards(2)
 		feedTo([]*Window{win}, 40)
 		wide := 0
-		win.eachBucket(0, win.End()+1, func(_ int, _ *winShard, bk *winBucket) { wide += len(bk.wide) })
+		win.eachBucket(0, win.End()+1, func(bk *winBucket) { wide += len(bk.wide) })
 		if wide == 0 {
 			t.Fatalf("rate %d: no row took the escape", rate)
 		}
@@ -687,7 +695,7 @@ func TestWindowWideRows(t *testing.T) {
 		if restored, err = Restore(bytes.NewReader(data), f.idx, opts); err != nil {
 			t.Fatalf("rate %d: wide stream refused: %v", rate, err)
 		}
-		bk := restored.shards[0].ring[50%len(restored.shards[0].ring)]
+		bk := restored.ring[50%len(restored.ring)]
 		if len(bk.wide) != 4 || len(bk.line) != 6 {
 			t.Fatalf("rate %d: hour 50 holds %d rows, %d escaped; want 6 and 4", rate, len(bk.line), len(bk.wide))
 		}
@@ -700,4 +708,81 @@ func TestWindowWideRows(t *testing.T) {
 			}
 		}
 	}
+
+	t.Run("2^53 volumes read hourly", func(t *testing.T) {
+		// Huge counters throughout, then only before hour 72, so the frame
+		// later leaves them while the cached fold still holds them, and
+		// the reads after that slide again.
+		for _, c := range []struct {
+			name  string
+			until time.Duration
+		}{{"throughout", math.MaxInt64}, {"before hour 72", 72 * time.Hour}} {
+			f := buildDenseFixture(31)
+			opts := f.opts
+			opts.SamplingRate = 100
+			for i := range f.recs {
+				if i%50 == 0 && f.recs[i].Start.Sub(f.days[0]) < c.until {
+					f.recs[i].Bytes = 1<<53 + 1
+				}
+			}
+			var wins [2]*Window // read every hour, read once
+			for i := range wins {
+				win, err := NewWindow(f.idx, f.days[0], 48, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wins[i] = win
+			}
+			hourly, once := wins[0], wins[1]
+			var prev FoldStats
+			for _, flush := range hourFlushes(f.recs, f.days[0]) {
+				flushRecords(hourly, flush)
+				flushRecords(once, flush)
+				prev = hourly.FoldStats()
+				hourly.Merged()
+			}
+			_, got := hourly.Study()
+			_, want := once.Study()
+			if g, w := named(got), named(want); !reflect.DeepEqual(g, w) || !reflect.DeepEqual(volumeBits(g), volumeBits(w)) {
+				t.Fatalf("huge counters %s: hourly reads (fold %+v) end on other figures than one read", c.name, hourly.FoldStats())
+			}
+			if slid := hourly.FoldStats().Slides > prev.Slides; slid != (c.until != math.MaxInt64) {
+				t.Fatalf("huge counters %s: the last hourly read slid = %v", c.name, slid)
+			}
+		}
+	})
+}
+
+// volumeBits lists the bits of every volume s holds, by what it is the
+// volume of.
+func volumeBits(s *namedStudy) map[string][]uint64 {
+	out := map[string][]uint64{}
+	put := func(key string, vs ...float64) {
+		for _, v := range vs {
+			out[key] = append(out[key], math.Float64bits(v))
+		}
+	}
+	for line, days := range s.lineDaily {
+		for _, d := range days {
+			put(fmt.Sprint("line ", line), d[0], d[1])
+		}
+	}
+	for k, days := range s.lineAliasDaily {
+		put(fmt.Sprint("line alias ", k), days...)
+	}
+	for k, days := range s.linePortDaily {
+		put(fmt.Sprint("line port ", k), days...)
+	}
+	for alias, ports := range s.portVol {
+		for port, v := range ports {
+			put(fmt.Sprint("port ", alias, port), v)
+		}
+	}
+	for c, v := range s.contVol {
+		put(fmt.Sprint("continent ", c), v)
+	}
+	for be, v := range s.backendVol {
+		put(fmt.Sprint("backend ", be), v)
+	}
+	return out
 }
