@@ -12,6 +12,7 @@ import (
 	"context"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"iotmap/internal/collector"
 	"iotmap/internal/core/flows"
 	"iotmap/internal/faultwire"
+	"iotmap/internal/iotserver"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 	"iotmap/internal/scenario"
@@ -35,7 +37,7 @@ func benchWorld(b *testing.B, cfg world.Config) (*world.World, *flows.BackendInd
 	}
 	idx := flows.NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	return w, idx
 }
@@ -298,4 +300,12 @@ func BenchmarkStageDisruptionSuite(b *testing.B) {
 			b.Fatalf("scenarios = %d", len(res.Scenarios))
 		}
 	}
+}
+
+// certVisible is the ground-truth index's cert flag: whether a certless
+// IPv4-wide scan can pull a default certificate from a server of class c.
+func certVisible(c *world.ServerClass) bool {
+	return slices.ContainsFunc(c.Endpoints, func(ep world.EndpointSpec) bool {
+		return ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert
+	})
 }

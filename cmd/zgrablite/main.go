@@ -14,10 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"iotmap/internal/certmodel"
-	"iotmap/internal/hitlist"
-	"iotmap/internal/proto"
 	"iotmap/internal/vnet"
 	"iotmap/internal/world"
 	"iotmap/internal/zgrab"
@@ -57,28 +56,10 @@ func main() {
 	}
 
 	hl := w.BuildHitlist(*coverage)
-	var targets []zgrab.Target
-	for _, e := range hl.WithIoTPorts() {
-		if srv, ok := w.ServerAt(e.Addr); !ok || (*providerID != "" && srv.Provider != *providerID) {
-			continue
-		}
-		for _, port := range e.Ports {
-			var pr proto.Protocol
-			switch port {
-			case 443:
-				pr = proto.HTTPS
-			case 8883:
-				pr = proto.MQTTS
-			case 1883:
-				pr = proto.MQTT
-			case 5671:
-				pr = proto.AMQPS
-			default:
-				continue
-			}
-			targets = append(targets, zgrab.Target{Addr: e.Addr, Port: port, Protocol: pr})
-		}
-	}
+	targets := slices.DeleteFunc(zgrab.IoTTargets(hl.WithIoTPorts()), func(t zgrab.Target) bool {
+		srv, ok := w.ServerAt(t.Addr)
+		return !ok || (*providerID != "" && srv.Provider != *providerID)
+	})
 	fmt.Printf("hitlist entries: %d, probe targets: %d, rate limit: %.0f/s\n",
 		hl.Len(), len(targets), *rate)
 
@@ -105,6 +86,4 @@ func main() {
 			r.Target.Addr, r.Target.Port, r.Target.Protocol, status, detail, certInfo)
 	}
 	fmt.Printf("\n%d/%d probes harvested certificates\n", withCert, len(results))
-
-	_ = hitlist.IoTPorts // documented scan-port set
 }

@@ -40,8 +40,8 @@ var unusedExports = map[string]string{
 // TestExportsHaveProductCallers fails when an exported function,
 // method, type, field, constant or variable declared in a non-test file
 // under internal/ is used by no non-test file of the module tree: the
-// root package, cmd/, examples/, internal/ itself and the separate
-// benchmark/ module all count as users.
+// root package, cmd/, internal/ itself and the separate benchmark/
+// module all count as users.
 //
 // A use is an identifier the type checker resolves to the export's own
 // object, so an unrelated identifier that happens to share its name

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"iotmap/internal/core/flows"
+	"iotmap/internal/iotserver"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 	"iotmap/internal/world"
@@ -41,7 +42,7 @@ func buildFixture(t testing.TB, lines int) *fixture {
 	}
 	idx := flows.NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	return &fixture{w: w, net: n, idx: idx, opts: flows.Options{
 		ScannerThreshold: 100,
@@ -897,4 +898,12 @@ func (c *Collector) IngestNamedStreams(names []string, readers []io.Reader) erro
 // IngestFiles does for each of its paths.
 func (c *Collector) IngestFile(path string) error {
 	return c.ingestFileAt(c.reserveStreams(1), path)
+}
+
+// certVisible is the ground-truth index's cert flag: whether a certless
+// IPv4-wide scan can pull a default certificate from a server of class c.
+func certVisible(c *world.ServerClass) bool {
+	return slices.ContainsFunc(c.Endpoints, func(ep world.EndpointSpec) bool {
+		return ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert
+	})
 }

@@ -818,27 +818,8 @@ func runV6Scan(ctx context.Context, in Inputs) (map[string][]v6Hit, error) {
 	if in.Hitlist == nil || in.Fabric == nil {
 		return out, nil
 	}
-	var targets []zgrab.Target
-	for _, e := range in.Hitlist.WithIoTPorts() {
-		for _, port := range e.Ports {
-			var pr proto.Protocol
-			switch port {
-			case 443:
-				pr = proto.HTTPS
-			case 8883:
-				pr = proto.MQTTS
-			case 1883:
-				pr = proto.MQTT
-			case 5671:
-				pr = proto.AMQPS
-			default:
-				continue
-			}
-			targets = append(targets, zgrab.Target{Addr: e.Addr, Port: port, Protocol: pr})
-		}
-	}
 	sc := &zgrab.Scanner{Dialer: in.Fabric, Timeout: 3 * time.Second, Concurrency: 8, Seed: in.Seed}
-	results := sc.Scan(ctx, targets)
+	results := sc.Scan(ctx, zgrab.IoTTargets(in.Hitlist.WithIoTPorts()))
 	for _, r := range zgrab.WithCerts(results) {
 		for _, p := range in.Patterns {
 			if !r.Cert.MatchesRegexp(p.Regex) {

@@ -2,12 +2,14 @@ package disrupt
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"iotmap/internal/asdb"
 	"iotmap/internal/bgpstream"
 	"iotmap/internal/blocklist"
 	"iotmap/internal/core/flows"
+	"iotmap/internal/iotserver"
 	"iotmap/internal/isp"
 	"iotmap/internal/outage"
 	"iotmap/internal/world"
@@ -38,7 +40,7 @@ func runOutageStudy(t *testing.T) (*world.World, OutageReport) {
 
 	idx := flows.NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	rep, err := AnalyzeOutage(simulateStudy(net, idx, w, flows.Options{
 		ScannerThreshold: 100,
@@ -200,7 +202,7 @@ func TestCascadeWhatIfEUOutage(t *testing.T) {
 
 	idx := flows.NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	entries := AnalyzeCascade(simulateStudy(net, idx, w, flows.Options{SamplingRate: net.Cfg.SamplingRate}), sc)
 	affected := map[string]bool{}
@@ -224,7 +226,15 @@ func cachedStudyForCascade(t *testing.T) *flows.Study {
 	net.Modifier = sc.Modifier()
 	idx := flows.NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	return simulateStudy(net, idx, w, flows.Options{SamplingRate: net.Cfg.SamplingRate})
+}
+
+// certVisible is the ground-truth index's cert flag: whether a certless
+// IPv4-wide scan can pull a default certificate from a server of class c.
+func certVisible(c *world.ServerClass) bool {
+	return slices.ContainsFunc(c.Endpoints, func(ep world.EndpointSpec) bool {
+		return ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert
+	})
 }

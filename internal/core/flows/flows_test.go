@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"iotmap/internal/geo"
+	"iotmap/internal/iotserver"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 	"iotmap/internal/proto"
@@ -44,7 +46,7 @@ func buildStudy(t *testing.T) (*world.World, *Study, *ContactCounter) {
 	}
 	idx := NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	cc, col := runPipeline(net, idx, w, testShards)
 	cachedWorld, cachedStudy, cachedCC, cachedIdx, cachedNet = w, col.Study(), cc, idx, net
@@ -538,4 +540,12 @@ func TestBackendIndexHelpers(t *testing.T) {
 	if al := idx.aliasNames; len(al) != 1 || al[0] != "T1" {
 		t.Fatalf("aliases = %v", al)
 	}
+}
+
+// certVisible is the ground-truth index's cert flag: whether a certless
+// IPv4-wide scan can pull a default certificate from a server of class c.
+func certVisible(c *world.ServerClass) bool {
+	return slices.ContainsFunc(c.Endpoints, func(ep world.EndpointSpec) bool {
+		return ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert
+	})
 }

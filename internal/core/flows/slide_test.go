@@ -646,7 +646,7 @@ func BenchmarkWindowSlide(b *testing.B) {
 	}
 	idx := NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	hourly := make([][]netflow.Record, len(days)*24)
 	for day := range days {
@@ -713,7 +713,7 @@ func lineMajorWeek(b *testing.B) (win *Window, opts Options, rows int) {
 	}
 	idx := NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	opts = studyOpts(net)
 	win, err = NewWindow(idx, w.Days[0], len(w.Days)*24, opts)

@@ -278,7 +278,7 @@ func BenchmarkStudyWeek(b *testing.B) {
 	}
 	idx := NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	_, col := runPipeline(net, idx, w, 1)
 	lines := len(col.lines.addrs)

@@ -306,17 +306,6 @@ func NewNetwork(cfg Config, w *world.World) (*Network, error) {
 	return n, nil
 }
 
-// IoTLines counts lines hosting at least one device.
-func (n *Network) IoTLines() int {
-	c := 0
-	for i := range n.Lines {
-		if len(n.Lines[i].Devices) > 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // BackendAddrs is the server table's addresses: the backend column of
 // an EmitLines row indexes it. Callers must not modify it.
 func (n *Network) BackendAddrs() []netip.Addr { return n.addrs }

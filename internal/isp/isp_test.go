@@ -35,6 +35,17 @@ func testNetwork(t *testing.T) (*world.World, *Network) {
 	return w, n
 }
 
+// IoTLines counts lines hosting at least one device.
+func (n *Network) IoTLines() int {
+	c := 0
+	for i := range n.Lines {
+		if len(n.Lines[i].Devices) > 0 {
+			c++
+		}
+	}
+	return c
+}
+
 func TestPopulationShape(t *testing.T) {
 	_, n := testNetwork(t)
 	if len(n.Lines) != 4000 {

@@ -12,12 +12,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"iotmap/internal/collector"
 	"iotmap/internal/core/flows"
+	"iotmap/internal/iotserver"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 	"iotmap/internal/world"
@@ -44,7 +46,7 @@ func buildFixture(t testing.TB) *fixture {
 	}
 	idx := flows.NewBackendIndex()
 	for _, s := range w.AllServers() {
-		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, s.Class.CertVisible())
+		idx.Add(s.Addr, w.AliasOf(s.Provider), s.Region.Continent, s.Region.Region, certVisible(s.Class))
 	}
 	var rec bytes.Buffer
 	if _, err := n.SimulateLinesToWire([]io.Writer{&rec}, 0); err != nil {
@@ -583,4 +585,12 @@ func TestWindowFoldStats(t *testing.T) {
 	if n, ok := raw.Fold["compactions"]; !ok || n > out.Fold.Slides {
 		t.Fatalf("fold %v: want fold.compactions, at most one per slide", raw.Fold)
 	}
+}
+
+// certVisible is the ground-truth index's cert flag: whether a certless
+// IPv4-wide scan can pull a default certificate from a server of class c.
+func certVisible(c *world.ServerClass) bool {
+	return slices.ContainsFunc(c.Endpoints, func(ep world.EndpointSpec) bool {
+		return ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert
+	})
 }

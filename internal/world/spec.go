@@ -66,17 +66,6 @@ type ServerClass struct {
 	Shared bool
 }
 
-// CertVisible reports whether a certless IPv4-wide scan can pull a
-// certificate from this class.
-func (c ServerClass) CertVisible() bool {
-	for _, ep := range c.Endpoints {
-		if ep.Protocol.TLSCapable() && ep.Policy == iotserver.PolicyDefaultCert {
-			return true
-		}
-	}
-	return false
-}
-
 // Footprint selects where a provider's gateways sit.
 type Footprint struct {
 	// Explicit region codes; when set, Locations/Mix are ignored.

@@ -29,6 +29,7 @@ import (
 	"iotmap/internal/amqp"
 	"iotmap/internal/certmodel"
 	"iotmap/internal/coap"
+	"iotmap/internal/hitlist"
 	"iotmap/internal/mqtt"
 	"iotmap/internal/proto"
 	"iotmap/internal/simrand"
@@ -48,6 +49,33 @@ type Target struct {
 	// leave it empty — exactly why SNI-required backends stay dark to
 	// them.
 	ServerName string
+}
+
+// IoTTargets turns hitlist entries into the custom IPv6 scan's probes
+// (Section 3.3): 443 as HTTPS, 8883 as MQTTS, 1883 as MQTT and 5671 as
+// AMQPS, in entry order and, within an entry, port order. Other ports
+// are skipped.
+func IoTTargets(entries []hitlist.Entry) []Target {
+	var targets []Target
+	for _, e := range entries {
+		for _, port := range e.Ports {
+			var pr proto.Protocol
+			switch port {
+			case 443:
+				pr = proto.HTTPS
+			case 8883:
+				pr = proto.MQTTS
+			case 1883:
+				pr = proto.MQTT
+			case 5671:
+				pr = proto.AMQPS
+			default:
+				continue
+			}
+			targets = append(targets, Target{Addr: e.Addr, Port: port, Protocol: pr})
+		}
+	}
+	return targets
 }
 
 // Endpoint returns the dialable address.

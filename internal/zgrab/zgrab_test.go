@@ -3,11 +3,13 @@ package zgrab
 import (
 	"context"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"iotmap/internal/certmodel"
+	"iotmap/internal/hitlist"
 	"iotmap/internal/iotserver"
 	"iotmap/internal/proto"
 	"iotmap/internal/vnet"
@@ -189,13 +191,27 @@ func TestScanCampaign(t *testing.T) {
 	f, _ := testWorld(t)
 	s := scanner(f)
 	s.Concurrency = 4
-	targets := []Target{
+	// The campaign probes hitlist entries: each IoT port is probed with
+	// its protocol, and any other port (CoAP's 5683 here) is skipped.
+	targets := IoTTargets([]hitlist.Entry{
+		{Addr: netip.MustParseAddr("20.0.0.1"), Ports: []uint16{443, 8883}},
+		{Addr: netip.MustParseAddr("74.125.0.1"), Ports: []uint16{8883}},
+		{Addr: netip.MustParseAddr("52.0.0.1"), Ports: []uint16{8883}},
+		{Addr: netip.MustParseAddr("111.0.0.1"), Ports: []uint16{1883, 5683}},
+		{Addr: netip.MustParseAddr("20.0.0.2"), Ports: []uint16{5671}},
+		{Addr: netip.MustParseAddr("203.0.113.99"), Ports: []uint16{443}}, // dead
+	})
+	want := []Target{
 		{Addr: netip.MustParseAddr("20.0.0.1"), Port: 443, Protocol: proto.HTTPS},
 		{Addr: netip.MustParseAddr("20.0.0.1"), Port: 8883, Protocol: proto.MQTTS},
 		{Addr: netip.MustParseAddr("74.125.0.1"), Port: 8883, Protocol: proto.MQTTS},
 		{Addr: netip.MustParseAddr("52.0.0.1"), Port: 8883, Protocol: proto.MQTTS},
+		{Addr: netip.MustParseAddr("111.0.0.1"), Port: 1883, Protocol: proto.MQTT},
 		{Addr: netip.MustParseAddr("20.0.0.2"), Port: 5671, Protocol: proto.AMQPS},
-		{Addr: netip.MustParseAddr("203.0.113.99"), Port: 443, Protocol: proto.HTTPS}, // dead
+		{Addr: netip.MustParseAddr("203.0.113.99"), Port: 443, Protocol: proto.HTTPS},
+	}
+	if !reflect.DeepEqual(targets, want) {
+		t.Fatalf("targets = %v, want %v", targets, want)
 	}
 	results := s.Scan(context.Background(), targets)
 	if len(results) != len(targets) {
@@ -209,7 +225,8 @@ func TestScanCampaign(t *testing.T) {
 		}
 	}
 	certs := WithCerts(results)
-	// Default-cert HTTPS + MQTTS + AMQPS harvest certs; SNI and mTLS do not.
+	// Default-cert HTTPS + MQTTS + AMQPS harvest certs; SNI, mTLS and
+	// plain MQTT do not.
 	if len(certs) != 3 {
 		t.Fatalf("certs = %d, want 3", len(certs))
 	}
