@@ -490,8 +490,9 @@ func (c *Collector) finish(st *stream) {
 // call after all ingestion has completed. With zero streams it returns
 // empty aggregates. The merge consumes the partials; repeated calls
 // return the cached result. In window mode it returns the trailing
-// window's merged view (Window.Merged) — non-destructive, callable
-// while ingestion continues.
+// window's fold as Window.Merged lends it — finalized and read-only,
+// never changed by later ingest (the window copies it on write), and
+// callable while ingestion continues.
 func (c *Collector) Finalize() (*flows.ContactCounter, *flows.Collector) {
 	if c.cfg.Window != nil {
 		return c.cfg.Window.Merged()

@@ -96,7 +96,7 @@ func checkFoldRead(t *testing.T, win *Window, what string) {
 		t.Fatalf("%s: a read left emptied %b uncompacted", what, cnt.emptied)
 	}
 	cc, col := win.Merged()
-	checkCounts(t, what+" (Merged copy)", cc, col)
+	checkCounts(t, what+" (Merged lend)", cc, col)
 }
 
 // TestFoldCountsMatchBits: the counts the fold keeps current (each

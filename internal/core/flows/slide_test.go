@@ -263,7 +263,7 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 		t.Fatalf("%s (end %d): scanners or curve differ from a rebuild", step, win.End())
 	}
 
-	// The lent fold is the one Merged copied, and lending copies nothing.
+	// View lends the fold Merged and Study lent, and copies nothing.
 	before = win.FoldStats()
 	wantStart, wantEnd := win.Span()
 	win.View(func(vcc *ContactCounter, vcol *Collector, start, end time.Time) {
@@ -283,7 +283,7 @@ func checkSlideRead(t *testing.T, win *Window, step string, want string) {
 }
 
 // TestWindowSlideMatchesRebuild: every read, slid, caught up or rebuilt
-// line by line, copied by Merged and Study or lent by View, equals the
+// line by line, lent by Merged, Study and View, equals the
 // hour-major fold of the surviving rows (rebuiltFold) on every
 // comparison surface, through slides of 1, 2 and 23 hours, rows into
 // the newest and into older in-frame hours between reads of an unmoved
@@ -525,6 +525,169 @@ func TestWindowViewLendsFrame(t *testing.T) {
 	if fs := win.FoldStats(); fs.Rebuilds != 1 {
 		t.Fatalf("fold %+v, want the first read's rebuild only", fs)
 	}
+}
+
+// copiedStudy is Study as it was before the window lent its fold: a
+// private deep copy of the cached fold per call, finalized on its own.
+// It is the oracle a lent study is held to.
+func copiedStudy(w *Window) (cc *ContactCounter, st *Study) {
+	w.View(func(vcc *ContactCounter, vcol *Collector, _, _ time.Time) {
+		cc, st = vcc.clone(), vcol.clone().Study()
+	})
+	return cc, st
+}
+
+// TestWindowLendCopyOnWrite: Merged and Study lend the cached fold, and
+// a lent fold never changes. Every study taken renders byte-identically
+// to a private copy taken beside it (copiedStudy), before and after rows
+// into an older in-frame hour, slides, a compaction, a rebuild and reads
+// racing on an idle window. FoldStats.Copies counts exactly the reads
+// that changed a lent fold: none for repeated reads of an idle window or
+// for a rebuild, one for the first read after new rows.
+func TestWindowLendCopyOnWrite(t *testing.T) {
+	f := buildDenseFixture(53)
+	opts := f.opts
+	opts.ScannerThreshold = 3
+	win, err := NewWindow(f.idx, f.days[0], 48, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf := newSlideFeed(f, 53)
+	for h := int64(0); h < 50; h++ {
+		flushRecords(win, sf.hour(h))
+		if h < 10 {
+			flushRecords(win, sf.wander(h, true))
+		}
+	}
+
+	type held struct {
+		step     string
+		cc       *ContactCounter
+		col      *Collector
+		st       *Study
+		want     *namedStudy
+		contacts map[netip.Addr]map[netip.Addr]struct{}
+	}
+	var holds []held
+	lend := func(step string) {
+		t.Helper()
+		cc, st := win.Study()
+		mcc, col := win.Merged()
+		if mcc != cc {
+			t.Fatalf("%s: Merged after Study lent another counter", step)
+		}
+		copyCC, copySt := copiedStudy(win)
+		want, contacts := named(copySt), copyCC.contactSets()
+		if !reflect.DeepEqual(named(st), want) || !reflect.DeepEqual(named(col.Study()), want) ||
+			!reflect.DeepEqual(cc.contactSets(), contacts) {
+			t.Fatalf("%s: lent fold differs from a private copy", step)
+		}
+		refCC, refCol := win.rebuiltFold()
+		if !reflect.DeepEqual(named(refCol.Study()), want) || !reflect.DeepEqual(refCC.contactSets(), contacts) {
+			t.Fatalf("%s: lent fold differs from a rebuild of its frame", step)
+		}
+		holds = append(holds, held{step, cc, col, st, want, contacts})
+	}
+	// check holds every lent study to what it rendered when lent, and
+	// wants exactly `copies` copy-on-write copies so far.
+	check := func(step string, copies uint64) {
+		t.Helper()
+		if got := win.FoldStats().Copies; got != copies {
+			t.Fatalf("%s: %d copies, want %d", step, got, copies)
+		}
+		for _, h := range holds {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: the collector lent at %q accepts a merge", step, h.step)
+					}
+				}()
+				h.col.Merge()
+			}()
+			if !reflect.DeepEqual(named(h.st), h.want) || !reflect.DeepEqual(named(h.col.Study()), h.want) {
+				t.Fatalf("%s: the study lent at %q changed", step, h.step)
+			}
+			if !reflect.DeepEqual(h.cc.contactSets(), h.contacts) {
+				t.Fatalf("%s: the contacts lent at %q changed", step, h.step)
+			}
+		}
+	}
+
+	lend("first read")
+	for i := 0; i < 3; i++ {
+		win.Study()
+		win.Merged()
+		win.View(func(_ *ContactCounter, col *Collector, _, _ time.Time) { col.Study() })
+	}
+	check("idle reads", 0)
+	if fs := win.FoldStats(); fs.Rebuilds != 1 || fs.Slides != 0 {
+		t.Fatalf("idle reads: fold %+v, want one rebuild and hits", fs)
+	}
+
+	// Rows into an older in-frame hour leave the frame where it is: the
+	// next read folds them into a copy.
+	flushRecords(win, sf.hour(40))
+	check("rows past the folded mark, unread", 0)
+	lend("caught up")
+	check("caught up", 1)
+	if fs := win.FoldStats(); fs.Slides != 0 {
+		t.Fatalf("caught up: fold %+v, want no slide", fs)
+	}
+
+	// A View that changes a lent fold copies it too, once.
+	flushRecords(win, sf.hour(50))
+	win.View(func(*ContactCounter, *Collector, time.Time, time.Time) {})
+	check("slid by View", 2)
+	win.View(func(*ContactCounter, *Collector, time.Time, time.Time) {})
+	lend("after View")
+	check("after View", 2)
+
+	// Hourly slides until the wanderer's hours leave the frame and the
+	// slide compacts its alias, port and slots out of the fold.
+	copies := uint64(2)
+	for h := int64(51); win.FoldStats().Compactions == 0; h++ {
+		if h > 60 {
+			t.Fatal("no slide compacted the fold")
+		}
+		flushRecords(win, sf.hour(h))
+		lend(fmt.Sprintf("slide to hour %d", h))
+		copies++
+		check(fmt.Sprintf("slide to hour %d", h), copies)
+	}
+
+	// A read a day or more ahead rebuilds, and the rebuild replaces the
+	// lent fold without copying it.
+	rebuilds := win.FoldStats().Rebuilds
+	flushRecords(win, sf.hour(win.End()+slideReach+1))
+	lend("rebuild")
+	check("rebuild", copies)
+	if got := win.FoldStats().Rebuilds; got != rebuilds+1 {
+		t.Fatalf("rebuild: %d rebuilds, want %d", got, rebuilds+1)
+	}
+
+	// Readers racing on an idle window share one lent fold and write
+	// nothing to it.
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; i < 20; i++ {
+				switch r {
+				case 0:
+					_, st := win.Study()
+					_ = readStudy(st)
+				case 1:
+					_, col := win.Merged()
+					_ = readStudy(col.Study())
+				default:
+					win.View(func(_ *ContactCounter, col *Collector, _, _ time.Time) { _ = readStudy(col.Study()) })
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	check("concurrent idle reads", copies)
 }
 
 // TestWindowBucketBudget pins the bucket budget the runbook's regression

@@ -395,7 +395,10 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 			return nil, fmt.Errorf("flows: snapshot hour %d claims %d records in %d rows", ah, records, nRows)
 		}
 		lastHour = ah
-		bk := w.takeBucket(ah)
+		// The bucket's columns grow with the rows read, so each hour holds
+		// what it read and a claimed count allocates nothing until its
+		// bytes arrive.
+		bk := &winBucket{ah: ah}
 		w.ring[ah%int64(len(w.ring))] = bk
 		var last snapRow
 		for left := nRows; left > 0; {
@@ -406,6 +409,7 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 			if s.err != nil {
 				return nil, s.err
 			}
+			bk.grow(n, nRows)
 			for b := chunk; len(b) > 0; b = b[snapRowBytes:] {
 				r := snapRow{
 					line:    binary.LittleEndian.Uint32(b),

@@ -69,9 +69,13 @@ type Study struct {
 // its donor, which beginRun, Merge and IngestBatch enforce with a
 // panic. The fold-only tables (hour bitsets, slot indexes, line and
 // port intern tables) are not retained and die with the collector.
+// Study writes nothing to a collector already finalized, so the many
+// holders of one the window lent (Window.Merged) may call it at once.
 func (c *Collector) Study() *Study {
 	c.idx.checkGen(c.gen)
-	c.finalized = true
+	if !c.finalized {
+		c.finalized = true
+	}
 	s := &Study{
 		idx:           c.idx,
 		days:          c.ds,

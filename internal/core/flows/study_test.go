@@ -188,9 +188,9 @@ func readStudy(s *Study) float64 {
 }
 
 // TestWindowStudyConcurrentReaders: every Window.Study() call hands out
-// a *Study over its own copy of the fold, which must stay valid and
+// a *Study over the fold the window lends, which must stay valid and
 // unchanged for whoever holds it while the window keeps ingesting and
-// folding. Under -race this is the check that the view keeps no
+// folding (into a copy of it). Under -race this is the check that the view keeps no
 // unsynchronized lazy state; afterwards the window's study must still
 // equal the batch study of the same feed.
 func TestWindowStudyConcurrentReaders(t *testing.T) {

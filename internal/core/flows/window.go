@@ -52,14 +52,18 @@ import (
 // row-counted). A row volume of 2^53 or more is an integer float64 sums
 // do not add exactly, so while the cached fold or the frame holds one,
 // every read rebuilds, and the figures do not depend on when reads ran.
-// The cached fold is the window's only read cache: View
-// lends it to a renderer without copying it, and every Merged or Study
-// call copies it afresh. Because the window and the batch pipeline
-// share one aggregation core and every aggregate is order-independent
-// and exact (integer-valued float64 volumes, see Collector.Merge), a
-// window that never evicted is byte-identical to a batch run over the
-// same feed, and an evicted window matches a batch run over only the
-// surviving hours' flushes (TestWindowEvictionMatchesBatch).
+// The cached fold is the window's only read cache, and every read lends
+// it out without copying it: View to a callback, Merged and Study to
+// callers who may keep it. A fold Merged or Study lent is finalized and
+// never written again; the first read that would change it (the frame
+// moved, or rows arrived since) folds into a copy that replaces it
+// (copy-on-write), and a rebuild simply replaces it. Because the window
+// and the batch pipeline share one aggregation core and every aggregate
+// is order-independent and exact (integer-valued float64 volumes, see
+// Collector.Merge), a window that never evicted is byte-identical to a
+// batch run over the same feed, and an evicted window matches a batch
+// run over only the surviving hours' flushes
+// (TestWindowEvictionMatchesBatch).
 //
 // Eviction granularity caveat: scanner classification stays per-flush,
 // exactly like the batch pipeline (ShardPartial.IngestBatch shares
@@ -207,6 +211,18 @@ func (bk *winBucket) add(line, backend int32, port uint16, flags uint8, q uint32
 	bk.bytes = append(bk.bytes, q)
 }
 
+// grow makes room for n more rows in the bucket's columns, at most
+// doubling them and never past total rows.
+func (bk *winBucket) grow(n, total int) {
+	l := len(bk.line)
+	if l+n <= cap(bk.line) {
+		return
+	}
+	c := min(total, max(l+n, 2*l))
+	bk.line, bk.backend = reserve(bk.line, c), reserve(bk.backend, c)
+	bk.port, bk.flags, bk.bytes = reserve(bk.port, c), reserve(bk.flags, c), reserve(bk.bytes, c)
+}
+
 // vol returns row i's volume at the window's rate.
 func (bk *winBucket) vol(i int, rate float64) float64 {
 	if q := bk.bytes[i]; q != wideRow {
@@ -251,8 +267,9 @@ type FoldStats struct {
 	// Rebuilds folded the whole frame afresh: the first read, or a read a
 	// day or more behind the previous one.
 	Rebuilds uint64 `json:"rebuilds"`
-	// Copies counts the reads that deep-copied the fold (Merged, and
-	// Study through it); View lends it instead.
+	// Copies counts the reads that deep-copied a fold Merged or Study
+	// had lent before changing it (copy-on-write); a read that changes
+	// nothing, or rebuilds, copies nothing.
 	Copies uint64 `json:"copies"`
 	// Compactions counts the slides that emptied a line, slot,
 	// port or alias direction and so dropped it from the fold; every
@@ -609,6 +626,9 @@ type windowFold struct {
 	ws, end int64
 	cc      *ContactCounter
 	col     *Collector
+	// lent says Merged or Study handed cc and col out: col is finalized,
+	// and neither is written again (own copies them first).
+	lent bool
 	// cnt counts the rows behind the fold's set members; nil until the
 	// stable fold first slides its start.
 	cnt *rowCounts
@@ -973,11 +993,39 @@ func remapMemo(memo []int32, remap []int32) {
 	}
 }
 
+// unfolded reports whether a ring bucket with hour in [lo, hi) holds
+// rows past its folded mark. Caller holds mu.
+func (w *Window) unfolded(lo, hi int64) bool {
+	for _, bk := range w.ring {
+		if bk != nil && bk.folded < len(bk.line) && bk.ah >= lo && bk.ah < hi {
+			return true
+		}
+	}
+	return false
+}
+
+// own returns st for a read that writes to it: st itself, or, when
+// Merged or Study lent it out, a copy of its aggregates that replaces it
+// as the stable fold. The row counts and line memos move to the copy,
+// since only the window reads them. Caller holds foldMu and mu.
+func (w *Window) own(st *windowFold) *windowFold {
+	if !st.lent {
+		return st
+	}
+	cp := *st
+	cp.cc, cp.col, cp.lent = st.cc.clone(), st.col.clone(), false
+	w.stable = &cp
+	w.copies.Add(1)
+	return &cp
+}
+
 // foldLocked brings the stable fold to the current trailing frame, the
 // newest hour included, and returns it. It is slid in place (or only
 // caught up, when the frame did not move) unless the frame moved
 // slideReach hours or more, or the cached fold or the frame holds a row
-// of exactVol or more, and rebuilt then. The buckets the frame left are
+// of exactVol or more, and rebuilt then. A lent fold is copied before
+// a slide or a catch-up writes to it; a read of an unmoved frame
+// without new rows writes nothing. The buckets the frame left are
 // released. Caller holds foldMu and mu.
 func (w *Window) foldLocked() *windowFold {
 	end := w.endA.Load() + 1
@@ -993,9 +1041,13 @@ func (w *Window) foldLocked() *windowFold {
 		w.rebuilds.Add(1)
 	case st.ws == ws && st.end == end:
 		w.hits.Add(1)
-		w.slide(st, ws, end)
+		if w.unfolded(ws, end) {
+			st = w.own(st)
+			w.catchUp(st, ws, end)
+		}
 	default:
 		w.slides.Add(1)
+		st = w.own(st)
 		w.slide(st, ws, end)
 	}
 	w.releaseBelow(ws)
@@ -1021,38 +1073,47 @@ func (w *Window) fold() (st *windowFold) {
 // copying it. The ingest lock is released first, so ingest continues
 // while fn runs; other reads wait. fn must treat cc and col as
 // read-only and must not retain them, nor a Study it takes of col, past
-// its return: the next read folds into them. col.Study() is allowed
-// (View clears the finalization afterwards).
+// its return: unless Merged or Study lent the same fold, the next read
+// folds into them. col.Study() is allowed (View clears the finalization
+// afterwards, except on a fold Merged or Study lent, which stays
+// finalized for the callers that keep it).
 func (w *Window) View(fn func(cc *ContactCounter, col *Collector, start, end time.Time)) {
 	w.foldMu.Lock()
 	defer w.foldMu.Unlock()
 	st := w.fold()
-	defer func() { st.col.finalized = false }()
+	if !st.lent {
+		defer func() { st.col.finalized = false }()
+	}
 	start, end := w.span(st.ws)
 	fn(st.cc, st.col, start, end)
 }
 
 // Merged folds the surviving hour buckets into one ContactCounter and
 // Collector over the current trailing frame (the last `hours` hours —
-// anchored at the epoch until the window has filled once). The fold is
-// served from the incremental cache; the returned aggregates are
-// private copies of it, so the window stays live and repeated calls are
-// independent.
+// anchored at the epoch until the window has filled once). It lends the
+// window's cached fold, finalized, without copying it: the caller may
+// keep both, must treat them as read-only (the Collector refuses
+// ingest and merges), and may take col.Study(). The window never writes
+// to a lent fold again: the first read that would change it copies it
+// (FoldStats.Copies), so what the caller holds stays the frame it was
+// lent, and repeated calls on an idle window return the same values.
 func (w *Window) Merged() (cc *ContactCounter, col *Collector) {
-	w.View(func(vcc *ContactCounter, vcol *Collector, _, _ time.Time) {
-		cc, col = vcc.clone(), vcol.clone()
-	})
-	w.copies.Add(1)
-	return cc, col
+	w.foldMu.Lock()
+	defer w.foldMu.Unlock()
+	st := w.fold()
+	if !st.lent {
+		st.col.finalized, st.lent = true, true
+	}
+	return st.cc, st.col
 }
 
 // Study returns the finalized trailing-window analysis: the merged
 // ContactCounter (Figure 5's evidence) and the Study over the surviving
-// hours, taken of a Merged copy (its collector is finalized here and
-// never written again). Every call copies the cached fold afresh; a
-// reader that needs no copy of its own uses View. The Study keeps no
-// lazy state and is safe for concurrent readers, who must treat the
-// returned values, and the series the accessors return, as read-only.
+// hours, taken of the fold Merged lends (finalized once, and never
+// written again; the window copies it before a later read changes it).
+// The Study keeps no lazy state and is safe for concurrent readers, who
+// must treat the returned values, and the series the accessors return,
+// as read-only.
 func (w *Window) Study() (*ContactCounter, *Study) {
 	cc, col := w.Merged()
 	return cc, col.Study()
