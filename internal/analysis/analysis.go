@@ -145,13 +145,6 @@ func NewSeries(label string, n int) *Series {
 	return &Series{Label: label, Values: make([]float64, n)}
 }
 
-// Add accumulates v at hour index i (out-of-range is ignored).
-func (s *Series) Add(i int, v float64) {
-	if i >= 0 && i < len(s.Values) {
-		s.Values[i] += v
-	}
-}
-
 // Max returns the series maximum.
 func (s *Series) Max() float64 {
 	m := 0.0
@@ -203,15 +196,17 @@ func (s *Series) Sum(lo, hi int) float64 {
 func (s *Series) Total() float64 { return s.Sum(0, len(s.Values)) }
 
 // Shares normalizes a weighted map into fractions summing to 1.
-func Shares[K comparable](weights map[K]float64) map[K]float64 {
-	total := 0.0
+// The total is summed in the weights' own type, so uint64 weights
+// (volumes) total exactly whatever order the map yields them in.
+func Shares[K comparable, V uint64 | float64](weights map[K]V) map[K]float64 {
+	var total V
 	for _, v := range weights {
 		total += v
 	}
 	out := make(map[K]float64, len(weights))
 	for k, v := range weights {
 		if total > 0 {
-			out[k] = v / total
+			out[k] = float64(v) / float64(total)
 		} else {
 			out[k] = 0
 		}

@@ -447,7 +447,7 @@ func (p *ShardPartial) FoldKept(t *WireTables, b *netflow.RecordBatch) {
 			if b.Proto[lo] == netflow.ProtoUDP {
 				port.Transport = proto.UDP
 			}
-			run.add(int32(b.Backend[lo]), b.Down[lo], int(b.Hour[lo]), port, float64(b.Bytes[lo])*col.rate)
+			run.add(int32(b.Backend[lo]), b.Down[lo], int(b.Hour[lo]), port, rowVol(b.Bytes[lo], col.rate))
 		}
 		run.end()
 	}

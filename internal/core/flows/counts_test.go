@@ -7,23 +7,22 @@ import (
 	"testing"
 	"time"
 
-	"iotmap/internal/analysis"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 )
 
-// hoursToSeries counts, per hour, the stride-hw hour bitsets of bits
-// that have the hour's bit set, among the blocks keep selects (nil:
-// every block): an active-line series recounted from the bits, the
-// oracle of the counts the fold keeps current.
-func hoursToSeries(label string, bits []uint64, hw, hours int, keep func(block int) bool) *analysis.Series {
-	ser := analysis.NewSeries(label, hours)
+// hourCounts counts, per hour, the stride-hw hour bitsets of bits that
+// have the hour's bit set, among the blocks keep selects (nil: every
+// block): active-line counts recounted from the bits, the oracle of the
+// counts the fold keeps current.
+func hourCounts(bits []uint64, hw, hours int, keep func(block int) bool) []uint64 {
+	counts := make([]uint64, hours)
 	for i := 0; i+hw <= len(bits); i += hw {
 		if keep == nil || keep(i/hw) {
-			forEachBit(bits[i:i+hw], func(h int) { ser.Values[h]++ })
+			forEachBit(bits[i:i+hw], func(h int) { counts[h]++ })
 		}
 	}
-	return ser
+	return counts
 }
 
 // checkCounts recounts what the fold keeps counted from the bits behind
@@ -44,24 +43,28 @@ func checkCounts(t *testing.T, what string, cc *ContactCounter, col *Collector) 
 			}
 			continue
 		}
-		want := hoursToSeries(col.idx.aliasNames[a], col.laHours, col.hw, col.hours, func(s int) bool { return int(col.laKeys[s].alias) == a })
+		want := hourCounts(col.laHours, col.hw, col.hours, func(s int) bool { return int(col.laKeys[s].alias) == a })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: alias %s active lines\n got  %v\n want %v", what, col.idx.aliasNames[a], got, want)
 		}
 	}
 	if col.focusAlias != "" {
 		focus := func(s int) bool { return col.laKeys[s].alias == col.focusAliasID }
+		all := make([]uint64, col.hours) // the focus alias's, when it has rows
+		if a := col.focusAliasID; a >= 0 && col.activeLines[a] != nil {
+			all = col.activeLines[a]
+		}
 		for _, f := range []struct {
 			label string
-			got   *analysis.Series
+			got   []uint64
 			bits  []uint64
 			keep  func(int) bool
 		}{
-			{": All lines", col.focusSeries(col.activeLines, col.focusAlias+": All lines"), col.laHours, focus},
+			{": All lines", all, col.laHours, focus},
 			{": region lines", col.focusLinesRegion, col.focusHoursRegion, nil},
 			{": EU lines", col.focusLinesEU, col.focusHoursEU, nil},
 		} {
-			if want := hoursToSeries(col.focusAlias+f.label, f.bits, col.hw, col.hours, f.keep); !reflect.DeepEqual(f.got, want) {
+			if want := hourCounts(f.bits, col.hw, col.hours, f.keep); !reflect.DeepEqual(f.got, want) {
 				t.Fatalf("%s: focus%s\n got  %v\n want %v", what, f.label, f.got, want)
 			}
 		}

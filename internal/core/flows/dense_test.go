@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"iotmap/internal/analysis"
 	"iotmap/internal/geo"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
@@ -123,7 +122,7 @@ func foldRecords(c *Collector, recs []netflow.Record, skip map[netip.Addr]struct
 			}
 			run, cur, open = c.beginRun(int(c.lineID(lineAddr))), lineAddr, true
 		}
-		run.add(backendID, down, hour, port, float64(r.Bytes)*c.rate)
+		run.add(backendID, down, hour, port, rowVol(r.Bytes, c.rate))
 	}
 	if open {
 		run.end()
@@ -188,19 +187,19 @@ type refCollector struct {
 
 	visible        map[string]map[netip.Addr]struct{}
 	linesHour      map[string][]map[netip.Addr]struct{}
-	downHour       map[string]*analysis.Series
-	upHour         map[string]*analysis.Series
-	portVol        map[string]map[proto.PortKey]float64
-	lineDaily      map[netip.Addr][][2]float64
-	lineAliasDaily map[lineAliasKey][]float64
-	linePortDaily  map[linePortKey][]float64
+	downHour       map[string][]uint64
+	upHour         map[string][]uint64
+	portVol        map[string]map[proto.PortKey]uint64
+	lineDaily      map[netip.Addr][][2]uint64
+	lineAliasDaily map[lineAliasKey][]uint64
+	linePortDaily  map[linePortKey][]uint64
 	lineAliases    map[lineAliasKey]struct{}
 	lineCertSeen   map[lineAliasKey]struct{}
 	lineConts      map[netip.Addr]uint8
-	contVol        map[geo.Continent]float64
-	backendVol     map[netip.Addr]float64
+	contVol        map[geo.Continent]uint64
+	backendVol     map[netip.Addr]uint64
 
-	focusDownAll, focusDownRegion, focusDownEU    *analysis.Series
+	focusDownAll, focusDownRegion, focusDownEU    []uint64
 	focusLinesAll, focusLinesRegion, focusLinesEU []map[netip.Addr]struct{}
 }
 
@@ -223,25 +222,25 @@ func newRefCollector(infos map[netip.Addr]refInfo, days []time.Time, opts Option
 		focusRegion:    opts.FocusRegion,
 		visible:        map[string]map[netip.Addr]struct{}{},
 		linesHour:      map[string][]map[netip.Addr]struct{}{},
-		downHour:       map[string]*analysis.Series{},
-		upHour:         map[string]*analysis.Series{},
-		portVol:        map[string]map[proto.PortKey]float64{},
-		lineDaily:      map[netip.Addr][][2]float64{},
-		lineAliasDaily: map[lineAliasKey][]float64{},
-		linePortDaily:  map[linePortKey][]float64{},
+		downHour:       map[string][]uint64{},
+		upHour:         map[string][]uint64{},
+		portVol:        map[string]map[proto.PortKey]uint64{},
+		lineDaily:      map[netip.Addr][][2]uint64{},
+		lineAliasDaily: map[lineAliasKey][]uint64{},
+		linePortDaily:  map[linePortKey][]uint64{},
 		lineAliases:    map[lineAliasKey]struct{}{},
 		lineCertSeen:   map[lineAliasKey]struct{}{},
 		lineConts:      map[netip.Addr]uint8{},
-		contVol:        map[geo.Continent]float64{},
-		backendVol:     map[netip.Addr]float64{},
+		contVol:        map[geo.Continent]uint64{},
+		backendVol:     map[netip.Addr]uint64{},
 	}
 	if c.rate <= 0 {
 		c.rate = 1
 	}
 	if c.focusAlias != "" {
-		c.focusDownAll = analysis.NewSeries(c.focusAlias+": All", hours)
-		c.focusDownRegion = analysis.NewSeries(c.focusAlias+": "+c.focusRegion, hours)
-		c.focusDownEU = analysis.NewSeries(c.focusAlias+": EU", hours)
+		c.focusDownAll = make([]uint64, hours)
+		c.focusDownRegion = make([]uint64, hours)
+		c.focusDownEU = make([]uint64, hours)
 		c.focusLinesAll = refHourSets(hours)
 		c.focusLinesRegion = refHourSets(hours)
 		c.focusLinesEU = refHourSets(hours)
@@ -265,7 +264,7 @@ func (c *refCollector) ingest(r netflow.Record) {
 		return
 	}
 	day := hour / 24
-	bytes := float64(r.Bytes) * c.rate
+	bytes := rowVol(r.Bytes, c.rate)
 
 	vs, ok := c.visible[alias]
 	if !ok {
@@ -281,21 +280,14 @@ func (c *refCollector) ingest(r netflow.Record) {
 	}
 	lh[hour][line] = struct{}{}
 
+	dir := c.upHour
 	if downstream {
-		s, ok := c.downHour[alias]
-		if !ok {
-			s = analysis.NewSeries(alias, c.hours)
-			c.downHour[alias] = s
-		}
-		s.Add(hour, bytes)
-	} else {
-		s, ok := c.upHour[alias]
-		if !ok {
-			s = analysis.NewSeries(alias, c.hours)
-			c.upHour[alias] = s
-		}
-		s.Add(hour, bytes)
+		dir = c.downHour
 	}
+	if _, ok := dir[alias]; !ok {
+		dir[alias] = make([]uint64, c.hours)
+	}
+	dir[alias][hour] += bytes
 
 	port := proto.PortKey{Port: r.SrcPort}
 	if !downstream {
@@ -306,14 +298,14 @@ func (c *refCollector) ingest(r netflow.Record) {
 	}
 	pv, ok := c.portVol[alias]
 	if !ok {
-		pv = map[proto.PortKey]float64{}
+		pv = map[proto.PortKey]uint64{}
 		c.portVol[alias] = pv
 	}
 	pv[port] += bytes
 
 	ld, ok := c.lineDaily[line]
 	if !ok {
-		ld = make([][2]float64, len(c.days))
+		ld = make([][2]uint64, len(c.days))
 		c.lineDaily[line] = ld
 	}
 	if downstream {
@@ -330,7 +322,7 @@ func (c *refCollector) ingest(r netflow.Record) {
 	// downstream bytes fill.
 	lad, ok := c.lineAliasDaily[lak]
 	if !ok {
-		lad = make([]float64, len(c.days))
+		lad = make([]uint64, len(c.days))
 		c.lineAliasDaily[lak] = lad
 	}
 	if downstream {
@@ -338,7 +330,7 @@ func (c *refCollector) ingest(r netflow.Record) {
 		lpk := linePortKey{line: line, port: port}
 		lpd, ok := c.linePortDaily[lpk]
 		if !ok {
-			lpd = make([]float64, len(c.days))
+			lpd = make([]uint64, len(c.days))
 			c.linePortDaily[lpk] = lpd
 		}
 		lpd[day] += bytes
@@ -352,30 +344,31 @@ func (c *refCollector) ingest(r netflow.Record) {
 
 	if c.focusAlias != "" && alias == c.focusAlias {
 		if downstream {
-			c.focusDownAll.Add(hour, bytes)
+			c.focusDownAll[hour] += bytes
 		}
 		c.focusLinesAll[hour][line] = struct{}{}
 		switch {
 		case bi.region == c.focusRegion:
 			if downstream {
-				c.focusDownRegion.Add(hour, bytes)
+				c.focusDownRegion[hour] += bytes
 			}
 			c.focusLinesRegion[hour][line] = struct{}{}
 		case cont == geo.Europe:
 			if downstream {
-				c.focusDownEU.Add(hour, bytes)
+				c.focusDownEU[hour] += bytes
 			}
 			c.focusLinesEU[hour][line] = struct{}{}
 		}
 	}
 }
 
-func refSetsToSeries(label string, sets []map[netip.Addr]struct{}) *analysis.Series {
-	ser := analysis.NewSeries(label, len(sets))
+// refSetCounts counts each hour's line set.
+func refSetCounts(sets []map[netip.Addr]struct{}) []uint64 {
+	counts := make([]uint64, len(sets))
 	for h, set := range sets {
-		ser.Add(h, float64(len(set)))
+		counts[h] = uint64(len(set))
 	}
-	return ser
+	return counts
 }
 
 // study materializes the reference aggregates in the canonical form the
@@ -386,7 +379,7 @@ func (c *refCollector) study(idx *BackendIndex) *namedStudy {
 		days:           len(c.days),
 		hours:          c.hours,
 		visible:        c.visible,
-		activeLines:    map[string]*analysis.Series{},
+		activeLines:    map[string][]uint64{},
 		downHour:       c.downHour,
 		upHour:         c.upHour,
 		portVol:        c.portVol,
@@ -400,19 +393,15 @@ func (c *refCollector) study(idx *BackendIndex) *namedStudy {
 		backendVol:     c.backendVol,
 	}
 	for alias, sets := range c.linesHour {
-		ser := analysis.NewSeries(alias, c.hours)
-		for h, set := range sets {
-			ser.Add(h, float64(len(set)))
-		}
-		s.activeLines[alias] = ser
+		s.activeLines[alias] = refSetCounts(sets)
 	}
 	if c.focusAlias != "" {
-		s.FocusDownAll = c.focusDownAll
-		s.FocusDownRegion = c.focusDownRegion
-		s.FocusDownEU = c.focusDownEU
-		s.FocusLinesAll = refSetsToSeries(c.focusAlias+": All lines", c.focusLinesAll)
-		s.FocusLinesRegion = refSetsToSeries(c.focusAlias+": region lines", c.focusLinesRegion)
-		s.FocusLinesEU = refSetsToSeries(c.focusAlias+": EU lines", c.focusLinesEU)
+		s.FocusDownAll = hourSeries(c.focusAlias+": All", c.focusDownAll, c.hours)
+		s.FocusDownRegion = hourSeries(c.focusAlias+": "+c.focusRegion, c.focusDownRegion, c.hours)
+		s.FocusDownEU = hourSeries(c.focusAlias+": EU", c.focusDownEU, c.hours)
+		s.FocusLinesAll = hourSeries(c.focusAlias+": All lines", refSetCounts(c.focusLinesAll), c.hours)
+		s.FocusLinesRegion = hourSeries(c.focusAlias+": region lines", refSetCounts(c.focusLinesRegion), c.hours)
+		s.FocusLinesEU = hourSeries(c.focusAlias+": EU lines", refSetCounts(c.focusLinesEU), c.hours)
 	}
 	return s
 }
@@ -717,7 +706,7 @@ func TestContinentVolumesDerivedFromBackends(t *testing.T) {
 	}
 	days := []time.Time{time.Date(2022, 2, 28, 0, 0, 0, 0, time.UTC)}
 	col := NewCollector(idx, days, Options{SamplingRate: 100})
-	want := map[geo.Continent]float64{}
+	want := map[geo.Continent]uint64{}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
 		cont := []geo.Continent{geo.Europe, geo.NorthAmerica, geo.Africa}[rng.Intn(3)]
@@ -729,7 +718,7 @@ func TestContinentVolumesDerivedFromBackends(t *testing.T) {
 			Src: backends[cont][rng.Intn(len(backends[cont]))], Dst: isp.LineV4Addr(0, rng.Intn(50)),
 			SrcPort: 443, DstPort: 40000, Bytes: bytes, Start: days[0].Add(time.Duration(rng.Intn(24)) * time.Hour),
 		}, nil)
-		want[cont] += float64(bytes) * 100
+		want[cont] += bytes * 100
 	}
 	if got := col.Study().continentVolumes(); !reflect.DeepEqual(got, want) {
 		t.Errorf("derived continent volumes %v, per-record sum %v", got, want)

@@ -12,10 +12,10 @@ import (
 // with the vantage that observed them (ShardPartial.Vantage), merge
 // into one ContactCounter/Collector per vantage exactly as the
 // single-vantage pipeline would, and additionally fold into an exact
-// union across vantages. Everything is built from the PR-2 merge
-// algebra (sums, sets, integer-valued float64 additions), so the result
+// union across vantages. Everything is built from the merge algebra
+// (sets and uint64 volume sums, exact for every counter), so the result
 // is independent of both shard order and vantage order, and union
-// volumes equal the per-vantage sums bit for bit. Backend IDs are
+// volumes equal the per-vantage sums exactly. Backend IDs are
 // global to the shared index, so the cross-vantage set comparisons in
 // Coverage are plain bitset algebra.
 
@@ -30,7 +30,7 @@ type Federation struct {
 	CC  map[string]*ContactCounter
 	Col map[string]*Collector
 	// UnionCC and UnionCol merge every vantage's aggregates: contact
-	// sets union, volumes add exactly (integer-valued float64), line
+	// sets union, volumes add exactly (uint64 sums), line
 	// sets union (vantage address plans are disjoint, so no aliasing).
 	UnionCC  *ContactCounter
 	UnionCol *Collector

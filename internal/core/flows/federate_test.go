@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"iotmap/internal/analysis"
 	"iotmap/internal/geo"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
@@ -111,9 +110,8 @@ func TestFederatedMergeOrderInvariance(t *testing.T) {
 }
 
 // TestFederatedUnionExact: union volumes equal the sum of the
-// per-vantage volumes exactly — volumes are integer-valued float64s
-// (sampled bytes × rate, far below 2^53), so merged addition is exact,
-// not approximately equal.
+// per-vantage volumes exactly — volumes are uint64 sums, so merged
+// addition is exact, not approximately equal.
 func TestFederatedUnionExact(t *testing.T) {
 	w, _, _ := buildStudy(t)
 	nets := fedVantages(t, w)
@@ -125,19 +123,19 @@ func TestFederatedUnionExact(t *testing.T) {
 		perV = append(perV, fed.Col[name].Study())
 	}
 	for _, alias := range union.Aliases() {
-		var down, up float64
+		var down, up uint64
 		for _, st := range perV {
-			down += st.Downstream(alias).Total()
-			up += st.Upstream(alias).Total()
+			down += sum(st.hourly(st.downHour, alias))
+			up += sum(st.hourly(st.upHour, alias))
 		}
-		if got := union.Downstream(alias).Total(); got != down {
+		if got := sum(union.hourly(union.downHour, alias)); got != down {
 			t.Errorf("%s: union downstream %v != sum %v", alias, got, down)
 		}
-		if got := union.Upstream(alias).Total(); got != up {
+		if got := sum(union.hourly(union.upHour, alias)); got != up {
 			t.Errorf("%s: union upstream %v != sum %v", alias, got, up)
 		}
 	}
-	sumB := map[string]float64{}
+	sumB := map[string]uint64{}
 	for _, st := range perV {
 		for a, v := range st.BackendVolumes() {
 			sumB[a.String()] += v
@@ -282,11 +280,8 @@ func TestCollectorCloneComplete(t *testing.T) {
 	fresh.Merge(col.donor())
 	for a := range fresh.visible {
 		clearBits(fresh.visible[a])
-		for _, s := range []*analysis.Series{fresh.downHour[a], fresh.upHour[a]} {
-			if s != nil {
-				clear(s.Values)
-			}
-		}
+		clear(fresh.downHour[a])
+		clear(fresh.upHour[a])
 	}
 	if !reflect.DeepEqual(named(col.Study()), named(pipeStudy)) {
 		t.Error("a merge mutated the original collector through a copy (aliased aggregate)")

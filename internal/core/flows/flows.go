@@ -25,9 +25,10 @@
 //
 // Both ContactCounter and Collector are shard-mergeable: every
 // aggregate is a sum, set, or series whose merge is order-independent
-// (volumes are integer-valued float64s well under 2^53, so addition is
-// exact), and finalization sorts wherever order could leak — a merged
-// N-shard run is byte-identical to a sequential one.
+// (volumes are uint64 sums of rowVol, so addition is exact for every
+// counter), and finalization sorts wherever order could leak — a merged
+// N-shard run is byte-identical to a sequential one. Floats appear only
+// where a Study divides or hands out a series.
 //
 // Provider identities are anonymized to their aliases (T1..T4, D1..D6,
 // O1..O6) before anything enters the collector, mirroring the paper's
@@ -42,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"iotmap/internal/analysis"
 	"iotmap/internal/geo"
 	"iotmap/internal/proto"
 )
@@ -387,22 +387,23 @@ type Collector struct {
 	// Per-line aggregates, stride-packed by line ID (grown on intern):
 	// daily [down, up] volumes, contacted-continent masks, alias-seen and
 	// cert-seen alias bitsets, and the (line, alias) slot table.
-	lineDaily     []float64 // stride 2*ds: [day][down,up]
+	lineDaily     []uint64 // stride 2*ds: [day][down,up]
 	lineConts     []uint8
 	lineAliasBits []uint64 // stride aw
 	lineCertBits  []uint64 // stride aw
 	laIdx         []int32  // stride nAliases: slot+1 into the la arenas
 
-	// Per-alias aggregates, indexed by alias ID. activeLines counts,
-	// per hour, the alias's slots whose laHours bit is set: every write
-	// that sets or drops a bit keeps it current, so Study() derives
-	// nothing.
+	// Per-alias aggregates, indexed by alias ID. The hour columns
+	// (activeLines, downHour, upHour) are nil for an alias without rows
+	// (of that direction). activeLines counts, per hour, the alias's
+	// slots whose laHours bit is set: every write that sets or drops a
+	// bit keeps it current, so Study() derives nothing.
 	visible     [][]uint64 // backend bitset
-	activeLines []*analysis.Series
-	downHour    []*analysis.Series
-	upHour      []*analysis.Series
-	portVol     [][]float64 // per port ID
-	portSeen    [][]uint64  // port-ID presence bitset
+	activeLines [][]uint64
+	downHour    [][]uint64
+	upHour      [][]uint64
+	portVol     [][]uint64 // per port ID
+	portSeen    [][]uint64 // port-ID presence bitset
 
 	// (line, alias) and (line, port) slot arenas. Every (line, alias)
 	// pair with a kept row has a slot s, keyed laKeys[s], which owns the
@@ -410,27 +411,27 @@ type Collector struct {
 	// a pair of upstream rows only), and its active-hour bitset,
 	// laHours[s*hw:(s+1)*hw]. A (line, port) slot exists per downstream
 	// pair.
-	laDaily []float64
+	laDaily []uint64
 	laHours []uint64
 	laKeys  []laKey
 	lpIdx   [][]int32 // per port ID: per line slot+1
-	lpDaily []float64
+	lpDaily []uint64
 	lpKeys  []lpKey
 
 	// Per-backend traffic (the §3.4 traffic cross-check) with presence
 	// bits (a touched backend with zero bytes is still "active"). The
 	// per-continent volumes (Figure 14) are derived from these on demand.
-	backendVol  []float64
+	backendVol  []uint64
 	backendSeen []uint64
 
-	// Focus series (Figures 15/16) of the focus alias's rows with a
-	// backend in the focus region or in Europe; its series over all its
-	// backends are the alias's own downHour and activeLines. The
-	// focusLines series count the set bits of the per-line focusHours
+	// Focus hour columns (Figures 15/16) of the focus alias's rows with
+	// a backend in the focus region or in Europe; its columns over all
+	// its backends are the alias's own downHour and activeLines. The
+	// focusLines columns count the set bits of the per-line focusHours
 	// columns per hour, as activeLines does for the slots.
-	focusDownRegion, focusDownEU   *analysis.Series
+	focusDownRegion, focusDownEU   []uint64 // hourly volumes
 	focusHoursRegion, focusHoursEU []uint64 // per line, stride hw
-	focusLinesRegion, focusLinesEU *analysis.Series
+	focusLinesRegion, focusLinesEU []uint64
 
 	// backends is what a row's fold reads per backend ID (clones share
 	// it); runBits holds a run's alias and cert bits, zero between runs.
@@ -493,12 +494,12 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 		nAliases:     nAliases,
 		coverBits:    make([]uint64, (hours+63)/64),
 		visible:      make([][]uint64, nAliases),
-		activeLines:  make([]*analysis.Series, nAliases),
-		downHour:     make([]*analysis.Series, nAliases),
-		upHour:       make([]*analysis.Series, nAliases),
-		portVol:      make([][]float64, nAliases),
+		activeLines:  make([][]uint64, nAliases),
+		downHour:     make([][]uint64, nAliases),
+		upHour:       make([][]uint64, nAliases),
+		portVol:      make([][]uint64, nAliases),
 		portSeen:     make([][]uint64, nAliases),
-		backendVol:   make([]float64, len(idx.addrs)),
+		backendVol:   make([]uint64, len(idx.addrs)),
 		backendSeen:  make([]uint64, idx.words),
 	}
 	if c.rate <= 0 {
@@ -510,10 +511,10 @@ func NewCollector(idx *BackendIndex, days []time.Time, opts Options) *Collector 
 				c.focusAliasID = int32(i)
 			}
 		}
-		c.focusDownRegion = analysis.NewSeries(c.focusAlias+": "+c.focusRegion, hours)
-		c.focusDownEU = analysis.NewSeries(c.focusAlias+": EU", hours)
-		c.focusLinesRegion = analysis.NewSeries(c.focusAlias+": region lines", hours)
-		c.focusLinesEU = analysis.NewSeries(c.focusAlias+": EU lines", hours)
+		c.focusDownRegion = make([]uint64, hours)
+		c.focusDownEU = make([]uint64, hours)
+		c.focusLinesRegion = make([]uint64, hours)
+		c.focusLinesEU = make([]uint64, hours)
 	}
 	c.backends = make([]backendRun, len(idx.infos))
 	c.runBits = make([]uint64, 2*c.aw)
@@ -620,12 +621,27 @@ type backendRun struct {
 	focus uint8
 }
 
+// maxVol is the largest float64 below 2^64, where rowVol saturates.
+const maxVol = 1<<64 - 1<<11
+
+// rowVol is a row's volume, the one definition every engine folds: its
+// raw byte counter scaled by the sampling rate, float64(raw)·rate taken
+// as an integer, saturating at maxVol. Below 2^53 the product is exact;
+// above it only this per-row rounding remains, and the result is still a
+// float64 (which is what a checkpoint row stores). Every aggregate sums
+// rowVols as uint64, so adds, merges and subtractions are exact and
+// order-independent for every counter; a cell past 2^64 bytes wraps, the
+// same way in any order.
+func rowVol(raw uint64, rate float64) uint64 {
+	return uint64(min(float64(raw)*rate, maxVol))
+}
+
 // lineRun is the ingest core: it folds one line's consecutive rows
-// (line interned, hours in-window, bytes scaled) into a Collector.
-// beginRun resolves the line once, add stores a column header back only
-// when the column grew, and end ORs the run's alias, cert and continent
-// bits into the line. ShardPartial.FoldKept and the window's folds all
-// fold through it, so they produce byte-identical aggregates.
+// (line interned, hours in-window, volumes scaled by rowVol) into a
+// Collector. beginRun resolves the line once, add stores a column header
+// back only when the column grew, and end ORs the run's alias, cert and
+// continent bits into the line. ShardPartial.FoldKept and the window's
+// folds all fold through it, so they produce byte-identical aggregates.
 type lineRun struct {
 	c           *Collector
 	line, daily int   // daily: the line's lineDaily base, [day][down,up]
@@ -641,7 +657,7 @@ func (c *Collector) beginRun(line int) lineRun {
 	return lineRun{c: c, line: line, daily: line * 2 * c.ds, prev: -1, aliases: c.runBits[:c.aw], certs: c.runBits[c.aw:]}
 }
 
-func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, bytes float64) {
+func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, bytes uint64) {
 	c := r.c
 	setBit(c.coverBits, hour)
 	day := hour / 24
@@ -652,11 +668,11 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 		r.prev = backendID
 		vs := c.visible[a]
 		if vs == nil {
-			// An alias's visible set and active-line series appear, and
+			// An alias's visible set and active-line counts appear, and
 			// leave in compact, together.
 			vs = make([]uint64, c.idx.words)
 			c.visible[a] = vs
-			c.activeLines[a] = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
+			c.activeLines[a] = make([]uint64, c.hours)
 		}
 		setBit(vs, int(backendID))
 		setBit(c.backendSeen, int(backendID))
@@ -670,16 +686,14 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 	setHour(c.laHours[r.slot*c.hw:], c.activeLines[a], hour)
 
 	// Hourly volumes.
-	ser := c.upHour
+	col := c.upHour
 	if down {
-		ser = c.downHour
+		col = c.downHour
 	}
-	s := ser[a]
-	if s == nil {
-		s = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
-		ser[a] = s
+	if col[a] == nil {
+		col[a] = make([]uint64, c.hours)
 	}
-	s.Add(hour, bytes)
+	col[a][hour] += bytes
 
 	pid := int(c.ports.id(port))
 	extend(&c.portVol[a], pid+1)[pid] += bytes
@@ -706,20 +720,20 @@ func (r *lineRun) add(backendID int32, down bool, hour int, port proto.PortKey, 
 }
 
 // setHour marks hour in one hour bitset and, when the bit was clear,
-// counts it into the bitset's active-line series.
-func setHour(bits []uint64, active *analysis.Series, hour int) {
+// counts it into the bitset's active-line counts.
+func setHour(bits, active []uint64, hour int) {
 	w := &bits[hour>>6]
 	sh := uint(hour) & 63
-	active.Values[hour] += float64(^*w >> sh & 1)
+	active[hour] += ^*w >> sh & 1
 	*w |= 1 << sh
 }
 
-// focus folds a focus-alias row into one focus series and the run
-// line's hour bitset of a per-line focus column, which it grows (and
-// stores back) only when it is too short.
-func (r *lineRun) focus(s, active *analysis.Series, col *[]uint64, down bool, hour int, bytes float64) {
-	if down {
-		s.Add(hour, bytes)
+// focus folds a focus-alias row into one focus volume column, its
+// active-line counts and the run line's hour bitset of a per-line focus
+// column, which it grows (and stores back) only when it is too short.
+func (r *lineRun) focus(down, active []uint64, col *[]uint64, isDown bool, hour int, bytes uint64) {
+	if isDown {
+		down[hour] += bytes
 	}
 	hw := r.c.hw
 	setHour(extend(col, (r.line+1)*hw)[r.line*hw:], active, hour)

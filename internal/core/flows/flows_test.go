@@ -2,10 +2,12 @@ package flows
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"iotmap/internal/geo"
 	"iotmap/internal/iotserver"
@@ -469,30 +471,114 @@ func TestMergeSizesColumnsOnce(t *testing.T) {
 }
 
 // TestCollectorMergeEquivalence: Collector.Merge over an arbitrary
-// partition of a record stream equals one sequential collector. The
-// partition here is round-robin — deliberately not line-contiguous —
-// because the merge itself must be order- and grouping-independent.
+// partition of a record stream equals one sequential collector, at 2, 3
+// and 5 shards. The partition here is round-robin — deliberately not
+// line-contiguous — because the merge itself must be order- and
+// grouping-independent. The feeds are the simulator's week and, at rates
+// 1 and 100, the dense fixture with counters whose volumes pass 2^53:
+// counters of 2^53+1 beside counters of 3, counters of 2^64-1 (whose
+// volumes saturate and whose sums wrap), and thousands of 2^40 counters
+// between one line and one backend, whose sums pass 2^53 where no single
+// row does.
 func TestCollectorMergeEquivalence(t *testing.T) {
 	w, _, _ := buildStudy(t)
-	net := cachedNet
-
-	const shards = 5
-	mk := func() *Collector { return NewCollector(cachedIdx, w.Days, studyOpts(net)) }
-	seq := mk()
-	parts := make([]*Collector, shards)
-	for i := range parts {
-		parts[i] = mk()
+	type feed struct {
+		name string
+		idx  *BackendIndex
+		days []time.Time
+		opts Options
+		recs []netflow.Record
 	}
-	i := 0
-	simulate(net, func(r netflow.Record) {
-		ingestRecord(seq, r, nil)
-		ingestRecord(parts[i%shards], r, nil)
-		i++
-	})
-	merged := parts[0]
-	merged.Merge(parts[1:]...)
-	if !reflect.DeepEqual(named(merged.Study()), named(seq.Study())) {
-		t.Error("merged round-robin shards differ from sequential collector")
+	var sim []netflow.Record
+	simulate(cachedNet, func(r netflow.Record) { sim = append(sim, r) })
+	feeds := []feed{{"simulator", cachedIdx, w.Days, studyOpts(cachedNet), sim}}
+
+	sevenths := func(big uint64) func(*denseFixture) {
+		return func(f *denseFixture) {
+			for i := range f.recs {
+				switch i % 7 {
+				case 0:
+					f.recs[i].Bytes = big
+				case 3:
+					f.recs[i].Bytes = 3
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*denseFixture)
+	}{
+		{"2^53+1 counters", sevenths(1<<53 + 1)},
+		{"2^64-1 counters", sevenths(math.MaxUint64)},
+		{"many 2^40 counters", func(f *denseFixture) {
+			f.idx.Build()
+			backend, line := f.idx.addrs[0], isp.LineV4Addr(0, 5)
+			for i := 0; i < 9000; i++ {
+				r := netflow.Record{
+					Src: line, Dst: backend, SrcPort: 50000, DstPort: 8883, Proto: netflow.ProtoTCP,
+					Bytes: 1<<40 + uint64(i%3), Start: f.days[0].Add(time.Duration(i%120) * time.Hour),
+				}
+				if i%2 == 0 {
+					r.Src, r.Dst, r.SrcPort, r.DstPort = r.Dst, r.Src, r.DstPort, r.SrcPort
+				}
+				f.recs = append(f.recs, r)
+			}
+		}},
+	} {
+		for _, rate := range []uint32{1, 100} {
+			f := buildDenseFixture(31)
+			c.edit(&f)
+			f.opts.SamplingRate = rate
+			feeds = append(feeds, feed{fmt.Sprintf("%s at rate %d", c.name, rate), f.idx, f.days, f.opts, f.recs})
+		}
+	}
+
+	for _, fd := range feeds {
+		seq := NewCollector(fd.idx, fd.days, fd.opts)
+		for _, r := range fd.recs {
+			ingestRecord(seq, r, nil)
+		}
+		want := named(seq.Study())
+		for _, shards := range []int{2, 3, 5} {
+			parts := make([]*Collector, shards)
+			for i := range parts {
+				parts[i] = NewCollector(fd.idx, fd.days, fd.opts)
+			}
+			for i, r := range fd.recs {
+				ingestRecord(parts[i%shards], r, nil)
+			}
+			merged := parts[0]
+			merged.Merge(parts[1:]...)
+			if !reflect.DeepEqual(named(merged.Study()), want) {
+				t.Errorf("%s: %d merged round-robin shards differ from the sequential collector", fd.name, shards)
+			}
+		}
+	}
+}
+
+// TestRowVol: a row's volume is float64(counter)·rate taken as an
+// integer: exact below 2^53, rounded once above it, and saturating at
+// the largest float64 below 2^64.
+func TestRowVol(t *testing.T) {
+	for _, c := range []struct {
+		raw  uint64
+		rate float64
+		want uint64
+	}{
+		{0, 100, 0},
+		{3, 100, 300},
+		{1<<32 - 1, 1<<32 - 1, 1<<64 - 1<<33}, // (2^32-1)^2 = 2^64-2^33+1, rounded
+		{1<<53 + 1, 1, 1 << 53},
+		{1<<53 + 1, 100, 100 << 53},
+		{1<<63 + 1<<12, 1, 1<<63 + 1<<12},
+		{math.MaxUint64, 1, maxVol},
+		{math.MaxUint64, 100, maxVol},
+		{1 << 58, 100, maxVol},
+	} {
+		if got := rowVol(c.raw, c.rate); got != c.want {
+			t.Errorf("rowVol(%d, %v) = %d, want %d", c.raw, c.rate, got, c.want)
+		}
 	}
 }
 

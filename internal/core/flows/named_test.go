@@ -33,18 +33,18 @@ type namedStudy struct {
 	hours int
 
 	visible        map[string]map[netip.Addr]struct{}
-	activeLines    map[string]*analysis.Series
-	downHour       map[string]*analysis.Series
-	upHour         map[string]*analysis.Series
-	portVol        map[string]map[proto.PortKey]float64
-	lineDaily      map[netip.Addr][][2]float64
-	lineAliasDaily map[lineAliasKey][]float64
-	linePortDaily  map[linePortKey][]float64
+	activeLines    map[string][]uint64
+	downHour       map[string][]uint64
+	upHour         map[string][]uint64
+	portVol        map[string]map[proto.PortKey]uint64
+	lineDaily      map[netip.Addr][][2]uint64
+	lineAliasDaily map[lineAliasKey][]uint64
+	linePortDaily  map[linePortKey][]uint64
 	lineAliases    map[lineAliasKey]struct{}
 	lineCertSeen   map[lineAliasKey]struct{}
 	lineConts      map[netip.Addr]uint8
-	contVol        map[geo.Continent]float64
-	backendVol     map[netip.Addr]float64
+	contVol        map[geo.Continent]uint64
+	backendVol     map[netip.Addr]uint64
 
 	FocusDownAll, FocusDownRegion, FocusDownEU    *analysis.Series
 	FocusLinesAll, FocusLinesRegion, FocusLinesEU *analysis.Series
@@ -58,13 +58,13 @@ func named(st *Study) *namedStudy {
 		days:           st.days,
 		hours:          st.hours,
 		visible:        map[string]map[netip.Addr]struct{}{},
-		activeLines:    map[string]*analysis.Series{},
-		downHour:       map[string]*analysis.Series{},
-		upHour:         map[string]*analysis.Series{},
-		portVol:        map[string]map[proto.PortKey]float64{},
-		lineDaily:      map[netip.Addr][][2]float64{},
-		lineAliasDaily: map[lineAliasKey][]float64{},
-		linePortDaily:  map[linePortKey][]float64{},
+		activeLines:    map[string][]uint64{},
+		downHour:       map[string][]uint64{},
+		upHour:         map[string][]uint64{},
+		portVol:        map[string]map[proto.PortKey]uint64{},
+		lineDaily:      map[netip.Addr][][2]uint64{},
+		lineAliasDaily: map[lineAliasKey][]uint64{},
+		linePortDaily:  map[linePortKey][]uint64{},
 		lineAliases:    map[lineAliasKey]struct{}{},
 		lineCertSeen:   map[lineAliasKey]struct{}{},
 		lineConts:      map[netip.Addr]uint8{},
@@ -80,8 +80,8 @@ func named(st *Study) *namedStudy {
 			forEachBit(vs, func(b int) { set[idx.addrs[b]] = struct{}{} })
 			s.visible[name] = set
 		}
-		if ser := st.activeLines[a]; ser != nil {
-			s.activeLines[name] = ser
+		if counts := st.activeLines[a]; counts != nil {
+			s.activeLines[name] = counts
 		}
 		if ser := st.downHour[a]; ser != nil {
 			s.downHour[name] = ser
@@ -90,15 +90,15 @@ func named(st *Study) *namedStudy {
 			s.upHour[name] = ser
 		}
 		if pv := st.portVol[a]; pv != nil {
-			m := map[proto.PortKey]float64{}
+			m := map[proto.PortKey]uint64{}
 			forEachBit(st.portSeen[a], func(pid int) { m[st.portKeys[pid]] = pv[pid] })
 			s.portVol[name] = m
 		}
 	}
 	for i, addr := range st.lineAddrs {
-		days := make([][2]float64, st.days)
+		days := make([][2]uint64, st.days)
 		for d := range days {
-			days[d] = [2]float64{st.lineDaily[(i*st.days+d)*2], st.lineDaily[(i*st.days+d)*2+1]}
+			days[d] = [2]uint64{st.lineDaily[(i*st.days+d)*2], st.lineDaily[(i*st.days+d)*2+1]}
 		}
 		s.lineDaily[addr] = days
 		s.lineConts[addr] = st.lineConts[i]
@@ -222,24 +222,17 @@ func (s *namedStudy) CertOnlyDecrease(alias string) (v4Pct, v6Pct float64) {
 	return v4Pct, v6Pct
 }
 
-func (s *namedStudy) series(m map[string]*analysis.Series, alias string) *analysis.Series {
-	if ser, ok := m[alias]; ok {
-		return ser
-	}
-	return analysis.NewSeries(alias, s.hours)
-}
-
 func (s *namedStudy) OverallRatio(alias string) float64 {
-	up := s.series(s.upHour, alias).Total()
+	up := sum(s.upHour[alias])
 	if up == 0 {
 		return 0
 	}
-	return s.series(s.downHour, alias).Total() / up
+	return float64(sum(s.downHour[alias])) / float64(up)
 }
 
 func (s *namedStudy) PortShares(alias string) []PortShare {
 	vols := s.portVol[alias]
-	total := 0.0
+	var total uint64
 	for _, v := range vols {
 		total += v
 	}
@@ -247,7 +240,7 @@ func (s *namedStudy) PortShares(alias string) []PortShare {
 	for p, v := range vols {
 		share := 0.0
 		if total > 0 {
-			share = v / total
+			share = float64(v) / float64(total)
 		}
 		out = append(out, PortShare{Port: p, Share: share})
 	}
@@ -261,7 +254,7 @@ func (s *namedStudy) PortShares(alias string) []PortShare {
 }
 
 func (s *namedStudy) TopPorts(n int) []proto.PortKey {
-	agg := map[proto.PortKey]float64{}
+	agg := map[proto.PortKey]uint64{}
 	for _, vols := range s.portVol {
 		for p, v := range vols {
 			agg[p] += v
@@ -273,7 +266,7 @@ func (s *namedStudy) TopPorts(n int) []proto.PortKey {
 	}
 	all := make([]pv, 0, len(agg))
 	for p, v := range agg {
-		all = append(all, pv{p, v})
+		all = append(all, pv{p, float64(v)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].v != all[j].v {
@@ -296,10 +289,10 @@ func (s *namedStudy) DailyECDFs() (down, up *analysis.ECDF) {
 	for _, days := range s.lineDaily {
 		for _, v := range days {
 			if v[0] > 0 {
-				d = append(d, v[0])
+				d = append(d, float64(v[0]))
 			}
 			if v[1] > 0 {
-				u = append(u, v[1])
+				u = append(u, float64(v[1]))
 			}
 		}
 	}
@@ -314,7 +307,7 @@ func (s *namedStudy) AliasDailyECDF(alias string) *analysis.ECDF {
 		}
 		for _, v := range days {
 			if v > 0 {
-				samples = append(samples, v)
+				samples = append(samples, float64(v))
 			}
 		}
 	}
@@ -329,7 +322,7 @@ func (s *namedStudy) PortDailyECDF(port proto.PortKey) *analysis.ECDF {
 		}
 		for _, v := range days {
 			if v > 0 {
-				samples = append(samples, v)
+				samples = append(samples, float64(v))
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"iotmap/internal/analysis"
 	"iotmap/internal/isp"
 	"iotmap/internal/netflow"
 	"iotmap/internal/proto"
@@ -58,13 +57,10 @@ func (c *ContactCounter) Merge(donors ...*ContactCounter) {
 // Merge folds the donors' aggregates into c, in order. All collectors
 // must have been built over the same index, study period, and Options
 // (in particular the same focus alias — a donor with a different focus
-// has its focus series dropped). All aggregates are sums, sets, or
-// element-wise series additions, and the summed volumes are
-// integer-valued float64s (sampled bytes × rate), so as long as no
-// accumulated total exceeds 2^53 (≈9 PB of scaled volume — three to
-// five orders of magnitude above the paper-calibrated 1:100..1:1000
-// simulation scales; only approachable near isp's 2^24-line ceiling)
-// the merge is exact and order-independent: merging shard partials
+// has its focus columns dropped). All aggregates are sums, sets, or
+// element-wise hour-column additions, and every volume is a uint64 sum
+// of rowVols, whose addition is exact for every counter IPFIX carries.
+// The merge is therefore order-independent: merging shard partials
 // reproduces a sequential ingest byte-for-byte regardless of shard
 // count. Backend and alias IDs are global (assigned by the shared
 // index), so bitsets OR directly; the donors' line and port IDs are
@@ -77,7 +73,7 @@ func (c *ContactCounter) Merge(donors ...*ContactCounter) {
 // port-line columns for the merged line count.
 //
 // Merge consumes the donors: a donor's visible sets and hourly volume
-// series are adopted by reference where c has none, not copied, so a
+// columns are adopted by reference where c has none, not copied, so a
 // donor must not be ingested into or merged again. Everything else of a
 // donor is only read.
 func (c *Collector) Merge(donors ...*Collector) {
@@ -152,10 +148,10 @@ func (c *Collector) merge(o *Collector, remap, portRemap []int32) {
 			}
 		}
 		if o.activeLines[a] != nil && c.activeLines[a] == nil {
-			c.activeLines[a] = analysis.NewSeries(c.idx.aliasNames[a], c.hours)
+			c.activeLines[a] = make([]uint64, c.hours)
 		}
-		mergeSeriesAt(c.downHour, o.downHour, a)
-		mergeSeriesAt(c.upHour, o.upHour, a)
+		mergeVolsAt(c.downHour, o.downHour, a)
+		mergeVolsAt(c.upHour, o.upHour, a)
 		if src := o.portVol[a]; len(src) > 0 {
 			forEachBit(o.portSeen[a], func(pid int) {
 				t := int(portRemap[pid])
@@ -184,8 +180,8 @@ func (c *Collector) merge(o *Collector, remap, portRemap []int32) {
 	orBits(c.coverBits, o.coverBits)
 
 	if c.focusAlias != "" && o.focusAlias == c.focusAlias {
-		addValues(c.focusDownRegion, o.focusDownRegion)
-		addValues(c.focusDownEU, o.focusDownEU)
+		addVols(c.focusDownRegion, o.focusDownRegion)
+		addVols(c.focusDownEU, o.focusDownEU)
 		c.focusHoursRegion = mergeLineHours(c.focusHoursRegion, c.focusLinesRegion, o.focusHoursRegion, remap, c.hw, len(c.lines.addrs))
 		c.focusHoursEU = mergeLineHours(c.focusHoursEU, c.focusLinesEU, o.focusHoursEU, remap, c.hw, len(c.lines.addrs))
 	}
@@ -195,7 +191,7 @@ func (c *Collector) merge(o *Collector, remap, portRemap []int32) {
 // remapped line IDs, counting each bit new to dst into active. dst grows
 // to nLines, the merged line count, at the first donor that touches it,
 // and exactly: no later donor grows it again.
-func mergeLineHours(dst []uint64, active *analysis.Series, src []uint64, remap []int32, hw, nLines int) []uint64 {
+func mergeLineHours(dst, active, src []uint64, remap []int32, hw, nLines int) []uint64 {
 	if len(src) == 0 {
 		return dst
 	}
@@ -209,18 +205,18 @@ func mergeLineHours(dst []uint64, active *analysis.Series, src []uint64, remap [
 
 // orHours ORs the hour bitset src into dst, counting each bit new to dst
 // into active.
-func orHours(dst, src []uint64, active *analysis.Series) {
+func orHours(dst, src, active []uint64) {
 	for k, w := range src {
 		for added := w &^ dst[k]; added != 0; added &= added - 1 {
-			active.Values[k<<6+bits.TrailingZeros64(added)]++
+			active[k<<6+bits.TrailingZeros64(added)]++
 		}
 		dst[k] |= w
 	}
 }
 
-// mergeSeriesAt folds src[a] into dst[a], adopting the donor series
-// when the receiver has none.
-func mergeSeriesAt(dst, src []*analysis.Series, a int) {
+// mergeVolsAt folds the hourly volumes src[a] into dst[a], adopting the
+// donor's column when the receiver has none.
+func mergeVolsAt(dst, src [][]uint64, a int) {
 	s := src[a]
 	if s == nil {
 		return
@@ -229,12 +225,12 @@ func mergeSeriesAt(dst, src []*analysis.Series, a int) {
 		dst[a] = s
 		return
 	}
-	addValues(dst[a], s)
+	addVols(dst[a], s)
 }
 
-func addValues(dst, src *analysis.Series) {
-	for h, v := range src.Values {
-		dst.Values[h] += v
+func addVols(dst, src []uint64) {
+	for h, v := range src {
+		dst[h] += v
 	}
 }
 
@@ -286,9 +282,9 @@ func (c *Collector) clone() *Collector {
 		laIdx:         cloneSlice(c.laIdx),
 
 		visible:     cloneNested(c.visible),
-		activeLines: cloneSeriesSlice(c.activeLines),
-		downHour:    cloneSeriesSlice(c.downHour),
-		upHour:      cloneSeriesSlice(c.upHour),
+		activeLines: cloneNested(c.activeLines),
+		downHour:    cloneNested(c.downHour),
+		upHour:      cloneNested(c.upHour),
 		portVol:     cloneNested(c.portVol),
 		portSeen:    cloneNested(c.portSeen),
 
@@ -302,12 +298,12 @@ func (c *Collector) clone() *Collector {
 		backendVol:  cloneSlice(c.backendVol),
 		backendSeen: cloneSlice(c.backendSeen),
 
-		focusDownRegion:  cloneSeries(c.focusDownRegion),
-		focusDownEU:      cloneSeries(c.focusDownEU),
+		focusDownRegion:  cloneSlice(c.focusDownRegion),
+		focusDownEU:      cloneSlice(c.focusDownEU),
 		focusHoursRegion: cloneSlice(c.focusHoursRegion),
 		focusHoursEU:     cloneSlice(c.focusHoursEU),
-		focusLinesRegion: cloneSeries(c.focusLinesRegion),
-		focusLinesEU:     cloneSeries(c.focusLinesEU),
+		focusLinesRegion: cloneSlice(c.focusLinesRegion),
+		focusLinesEU:     cloneSlice(c.focusLinesEU),
 
 		backends: c.backends,
 		runBits:  make([]uint64, len(c.runBits)),
@@ -318,22 +314,22 @@ func (c *Collector) clone() *Collector {
 // donor returns a copy of c for Merge to consume that leaves c as it
 // is: it shares the columns Merge only reads of a donor and copies the
 // ones Merge adopts by reference, the visible sets and the hourly volume
-// series.
+// columns.
 func (c *Collector) donor() *Collector {
 	d := *c
 	d.visible = cloneNested(c.visible)
-	d.downHour, d.upHour = cloneSeriesSlice(c.downHour), cloneSeriesSlice(c.upHour)
+	d.downHour, d.upHour = cloneNested(c.downHour), cloneNested(c.upHour)
 	return &d
 }
 
-func cloneSlice[T int32 | uint8 | uint64 | float64](s []T) []T {
+func cloneSlice[T int32 | uint8 | uint64](s []T) []T {
 	if s == nil {
 		return nil
 	}
 	return append([]T(nil), s...)
 }
 
-func cloneNested[T int32 | uint8 | uint64 | float64](s [][]T) [][]T {
+func cloneNested[T int32 | uint8 | uint64](s [][]T) [][]T {
 	if s == nil {
 		return nil
 	}
@@ -344,29 +340,14 @@ func cloneNested[T int32 | uint8 | uint64 | float64](s [][]T) [][]T {
 	return out
 }
 
-func cloneSeries(s *analysis.Series) *analysis.Series {
-	if s == nil {
-		return nil
-	}
-	return &analysis.Series{Label: s.Label, Values: append([]float64(nil), s.Values...)}
-}
-
-func cloneSeriesSlice(s []*analysis.Series) []*analysis.Series {
-	out := make([]*analysis.Series, len(s))
-	for i, ser := range s {
-		out[i] = cloneSeries(ser)
-	}
-	return out
-}
-
 // --- Sliding a fold -----------------------------------------------------
 //
 // A Window's cached fold slides to a later frame instead of being
 // re-folded: the rows of the hours it leaves are subtracted, and every
 // hour-indexed column shifts. Volumes subtract exactly for the reason
-// Merge adds exactly. Set members cannot be subtracted, so rowCounts
-// counts the rows behind every member, and a member leaves its set when
-// its count reaches zero. Like clone, these helpers enumerate the
+// Merge adds exactly: they are uint64 sums. Set members cannot be
+// subtracted, so rowCounts counts the rows behind every member, and a
+// member leaves its set when its count reaches zero. Like clone, these helpers enumerate the
 // Collector's aggregates, so they live here.
 
 // rowCounts counts the rows behind every set member of a fold.
@@ -473,7 +454,7 @@ func (n *rowCounts) count(c *Collector, line int, backendID int32, down bool, po
 // (shiftHours drops those) or by line (relink re-derives those). A set
 // member whose count reaches zero leaves its set; a slot, port or alias
 // left empty stays, noted in n.emptied, until compact drops it.
-func (c *Collector) subtract(n *rowCounts, line int, backendID int32, down bool, day int, port proto.PortKey, bytes float64) {
+func (c *Collector) subtract(n *rowCounts, line int, backendID int32, down bool, day int, port proto.PortKey, bytes uint64) {
 	c.checkWritable()
 	a := int(c.backends[backendID].alias)
 	la := line*c.nAliases + a
@@ -543,7 +524,7 @@ func (c *Collector) relink(n *rowCounts, line int, contacts []pairCount) {
 
 // moveDay moves one kept row's volume from day `from` to day `to` of
 // c's per-day columns.
-func (c *Collector) moveDay(line int, backendID int32, down bool, port proto.PortKey, from, to int, bytes float64) {
+func (c *Collector) moveDay(line int, backendID int32, down bool, port proto.PortKey, from, to int, bytes uint64) {
 	c.checkWritable()
 	base := line * 2 * c.ds
 	if !down {
@@ -570,15 +551,14 @@ func (c *Collector) shiftHours(k int, days []time.Time) {
 	shiftBits(c.coverBits, k)
 	shiftLineBits(c.laHours, c.hw, k)
 	for a := range c.activeLines {
-		shiftSeries(c.activeLines[a], k)
-		shiftSeries(c.downHour[a], k)
-		shiftSeries(c.upHour[a], k)
+		shiftHourly(c.activeLines[a], k)
+		shiftHourly(c.downHour[a], k)
+		shiftHourly(c.upHour[a], k)
 	}
-	for _, s := range []*analysis.Series{
-		c.focusDownRegion, c.focusDownEU, c.focusLinesRegion, c.focusLinesEU,
-	} {
-		shiftSeries(s, k)
-	}
+	shiftHourly(c.focusLinesRegion, k)
+	shiftHourly(c.focusLinesEU, k)
+	shiftHourly(c.focusDownRegion, k)
+	shiftHourly(c.focusDownEU, k)
 	shiftLineBits(c.focusHoursRegion, c.hw, k)
 	shiftLineBits(c.focusHoursEU, c.hw, k)
 }
@@ -605,12 +585,11 @@ func shiftLineBits(s []uint64, hw, k int) {
 	}
 }
 
-func shiftSeries(s *analysis.Series, k int) {
-	if s == nil {
-		return
-	}
-	n := copy(s.Values, s.Values[k:])
-	clear(s.Values[n:])
+// shiftHourly moves every hour of an hour column (nil for none) k hours
+// earlier, zeroing the k hours it frees at the end.
+func shiftHourly(s []uint64, k int) {
+	n := copy(s, s[min(k, len(s)):])
+	clear(s[n:])
 }
 
 // compact drops every line, slot, port and per-alias aggregate whose
@@ -699,7 +678,7 @@ func (c *Collector) dropPorts(n *rowCounts) {
 		if seen == nil {
 			continue
 		}
-		vol := make([]float64, len(ports.keys))
+		vol := make([]uint64, len(ports.keys))
 		live := make([]uint64, (len(ports.keys)+63)/64)
 		forEachBit(seen, func(pid int) {
 			vol[remap[pid]] = c.portVol[a][pid]

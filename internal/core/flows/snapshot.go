@@ -50,7 +50,9 @@ const maxSnapshotEntries = 1 << 26
 const maxSnapshotHours = 1 << 16
 
 // snapRowBytes is one encoded row: line u32, backend u32, port u16,
-// flags u8, bytes f64. snapRowChunk is how many Restore reads at a time.
+// flags u8, volume f64. A row volume is rowVol's integer, which is a
+// float64 (a wide row's restored volume is one too), so the f64 carries
+// it exactly. snapRowChunk is how many Restore reads at a time.
 const (
 	snapRowBytes = 19
 	snapRowChunk = 4096
@@ -181,7 +183,8 @@ func optionsFingerprint(o Options) uint64 {
 // --- Window snapshot -----------------------------------------------------
 
 // snapRow is one row in the snapshot's canonical form: the line is a
-// dictionary ID, not a window line ID.
+// dictionary ID, not a window line ID, and the volume is the float64 the
+// row encodes.
 type snapRow struct {
 	line, backend uint32
 	port          uint16
@@ -275,7 +278,7 @@ func Snapshot(dst io.Writer, w *Window) error {
 					backend: uint32(bk.backend[i]),
 					port:    bk.port[i],
 					flags:   bk.flags[i],
-					bytes:   bk.vol(i, w.rate),
+					bytes:   float64(bk.vol(i, w.rate)),
 				})
 			}
 		}
@@ -426,10 +429,10 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 					return nil, fmt.Errorf("flows: snapshot row references backend %d of %d", r.backend, len(idx.addrs))
 				case r.flags&^rowFlagMask != 0:
 					return nil, fmt.Errorf("flows: snapshot row has unknown flag bits %#x", r.flags)
-				case vol >= math.Float64bits(math.Inf(1)):
-					// One unsigned compare rejects NaN, ±Inf and every
-					// negative value, -0 included.
-					return nil, fmt.Errorf("flows: snapshot row volume %v is not a finite non-negative number", r.bytes)
+				case vol >= math.Float64bits(0x1p64) || r.bytes != math.Trunc(r.bytes):
+					// The unsigned compare rejects NaN, ±Inf, 2^64 and up,
+					// and every negative value, -0 included.
+					return nil, fmt.Errorf("flows: snapshot row volume %v is not an integer in [0, 2^64)", r.bytes)
 				case cmpSnapRow(last, r) > 0:
 					return nil, fmt.Errorf("flows: snapshot hour %d rows are not sorted", ah)
 				}
@@ -441,13 +444,15 @@ func Restore(src io.Reader, idx *BackendIndex, opts Options) (*Window, error) {
 				if r.flags&rowKept != 0 {
 					bk.records++
 				}
-				// A row keeps a counter only if the counter scales back to
-				// its volume bit for bit; the rest keep their volume.
+				// A row keeps a counter q only if rowVol(q, rate) is its
+				// volume; the rest keep their volume. Below 2^32 at a
+				// uint32 rate, q·rate stays below 2^64, so rowVol(q, rate)
+				// is float64(q)·rate, compared here bit for bit.
 				q := uint32(wideRow)
 				if x := r.bytes*inv + 0.5; x < wideRow && math.Float64bits(float64(uint32(x))*w.rate) == vol {
 					q = uint32(x)
 				}
-				bk.add(int32(r.line), int32(r.backend), r.port, r.flags, q, r.bytes)
+				bk.add(int32(r.line), int32(r.backend), r.port, r.flags, q, uint64(r.bytes))
 			}
 		}
 		if bk.records != records {

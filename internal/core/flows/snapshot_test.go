@@ -102,15 +102,15 @@ func validSnapDoc() snapDoc {
 	}
 }
 
-// wideSnapDoc is validSnapDoc with hour 50 holding six kept rows whose
-// volumes test the row escape at the given rate: 0.5, (2^32-1)·rate,
-// 3·2^32 and 1e300 keep their volume, 42·rate and (2^32-2)·rate a
-// counter.
+// wideSnapDoc is validSnapDoc with hour 50 holding five kept rows whose
+// volumes test the row escape at the given rate: (2^32-1)·rate, 3·2^32
+// and maxVol, the largest volume a row holds, keep their volume, 42·rate
+// and (2^32-2)·rate a counter.
 func wideSnapDoc(rate float64) snapDoc {
 	d := validSnapDoc()
 	h := &d.hourly[1]
 	h.rows = h.rows[:0]
-	for _, v := range []float64{0.5, 42 * rate, (1<<32 - 2) * rate, (1<<32 - 1) * rate, 3 << 32, 1e300} {
+	for _, v := range []float64{42 * rate, (1<<32 - 2) * rate, (1<<32 - 1) * rate, 3 << 32, maxVol} {
 		h.rows = append(h.rows, snapRow{line: 0, backend: 1, port: 443, flags: rowKept, bytes: v})
 	}
 	slices.SortFunc(h.rows, cmpSnapRow)
@@ -190,10 +190,13 @@ func TestWindowRestoreRejects(t *testing.T) {
 		{"line ID out of range", "references line", func(d *snapDoc) { d.hourly[0].rows[1].line = 2 }},
 		{"backend ID out of range", "references backend", func(d *snapDoc) { d.hourly[0].rows[1].backend = uint32(len(f.idx.addrs)) }},
 		{"unknown flag bits", "flag bits", func(d *snapDoc) { d.hourly[0].rows[1].flags = rowFlagMask + 1 }},
-		{"NaN volume", "finite non-negative", func(d *snapDoc) { d.hourly[0].rows[0].bytes = math.NaN() }},
-		{"infinite volume", "finite non-negative", func(d *snapDoc) { d.hourly[0].rows[0].bytes = math.Inf(1) }},
-		{"negative volume", "finite non-negative", func(d *snapDoc) { d.hourly[0].rows[0].bytes = -1 }},
-		{"negative zero volume", "finite non-negative", func(d *snapDoc) { d.hourly[0].rows[1].bytes = math.Copysign(0, -1) }},
+		{"NaN volume", "not an integer", func(d *snapDoc) { d.hourly[0].rows[0].bytes = math.NaN() }},
+		{"infinite volume", "not an integer", func(d *snapDoc) { d.hourly[0].rows[0].bytes = math.Inf(1) }},
+		{"negative volume", "not an integer", func(d *snapDoc) { d.hourly[0].rows[0].bytes = -1 }},
+		{"negative zero volume", "not an integer", func(d *snapDoc) { d.hourly[0].rows[1].bytes = math.Copysign(0, -1) }},
+		{"fractional volume", "not an integer", func(d *snapDoc) { d.hourly[0].rows[0].bytes = 0.5 }},
+		{"volume of 2^64", "not an integer", func(d *snapDoc) { d.hourly[0].rows[0].bytes = 0x1p64 }},
+		{"volume of 1e300", "not an integer", func(d *snapDoc) { d.hourly[0].rows[0].bytes = 1e300 }},
 		{"rows out of order", "not sorted", func(d *snapDoc) { r := d.hourly[0].rows; r[0], r[1] = r[1], r[0] }},
 		{"records above rows", "records in", func(d *snapDoc) { d.hourly[0].records = 3 }},
 		{"records not the kept rows", "rows keep", func(d *snapDoc) { d.hourly[0].records = 2 }},

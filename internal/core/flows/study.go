@@ -17,13 +17,15 @@ import (
 // it is asked about to its dense ID and answers from the columns in one
 // pass. Nothing the figures print depends on line- or port-ID order
 // (ECDFs sort their samples, shares and counts are order-free, volumes
-// are exact integer-valued sums), so every figure renders
-// byte-identically to the historical map-keyed implementation.
+// are exact uint64 sums), so every figure renders byte-identically to
+// the historical map-keyed implementation. Floats appear only where an
+// accessor divides or hands out a series: every hour column is a uint64
+// count or sum, converted once per series.
 //
 // A Study shares storage with the collector it came from (see
 // Collector.Study) and keeps no lazy state: it is safe for any number of
-// concurrent readers, and the series it returns (Downstream, Upstream,
-// ActiveLines, the Focus fields) are shared and read-only.
+// concurrent readers. The Focus series are its own, and every accessor
+// that returns a series converts a fresh one.
 type Study struct {
 	idx   *BackendIndex
 	days  int
@@ -32,29 +34,29 @@ type Study struct {
 
 	// Per-line columns, by line ID (strides as in Collector).
 	lineAddrs     []netip.Addr
-	lineDaily     []float64
+	lineDaily     []uint64
 	lineConts     []uint8
 	lineAliasBits []uint64
 	lineCertBits  []uint64
 
 	// (line, alias) and (line, port) daily slot arenas.
 	laKeys  []laKey
-	laDaily []float64
+	laDaily []uint64
 	lpKeys  []lpKey
-	lpDaily []float64
+	lpDaily []uint64
 
 	// Per-alias columns, by alias ID. activeLines is nil for an alias
 	// without traffic.
 	visible     [][]uint64
-	activeLines []*analysis.Series
-	downHour    []*analysis.Series
-	upHour      []*analysis.Series
-	portVol     [][]float64
+	activeLines [][]uint64
+	downHour    [][]uint64
+	upHour      [][]uint64
+	portVol     [][]uint64
 	portSeen    [][]uint64
 	// portKeys is the port ID → (transport, port) table.
 	portKeys []proto.PortKey
 
-	backendVol  []float64
+	backendVol  []uint64
 	backendSeen []uint64
 
 	FocusDownAll, FocusDownRegion, FocusDownEU    *analysis.Series
@@ -62,10 +64,10 @@ type Study struct {
 }
 
 // Study finalizes the collector. The returned Study adopts the
-// collector's aggregate columns by reference, the active-line series the
-// fold keeps current among them; it copies and derives nothing, so its
-// cost does not grow with the lines held. The collector must not be
-// ingested into or merged afterwards: the same rule Merge documents for
+// collector's aggregate columns by reference, the active-line counts the
+// fold keeps current among them; it derives only the six focus series,
+// so its cost does not grow with the lines held. The collector must not
+// be ingested into or merged afterwards: the same rule Merge documents for
 // its donor, which beginRun, Merge and IngestBatch enforce with a
 // panic. The fold-only tables (hour bitsets, slot indexes, line and
 // port intern tables) are not retained and die with the collector.
@@ -100,24 +102,29 @@ func (c *Collector) Study() *Study {
 		backendVol:    c.backendVol,
 		backendSeen:   c.backendSeen,
 	}
-	if c.focusAlias != "" {
-		s.FocusDownAll = c.focusSeries(c.downHour, c.focusAlias+": All")
-		s.FocusDownRegion = c.focusDownRegion
-		s.FocusDownEU = c.focusDownEU
-		s.FocusLinesAll = c.focusSeries(c.activeLines, c.focusAlias+": All lines")
-		s.FocusLinesRegion = c.focusLinesRegion
-		s.FocusLinesEU = c.focusLinesEU
+	if name := c.focusAlias; name != "" {
+		var down, lines []uint64
+		if a := c.focusAliasID; a >= 0 {
+			down, lines = c.downHour[a], c.activeLines[a]
+		}
+		s.FocusDownAll = hourSeries(name+": All", down, c.hours)
+		s.FocusDownRegion = hourSeries(name+": "+c.focusRegion, c.focusDownRegion, c.hours)
+		s.FocusDownEU = hourSeries(name+": EU", c.focusDownEU, c.hours)
+		s.FocusLinesAll = hourSeries(name+": All lines", lines, c.hours)
+		s.FocusLinesRegion = hourSeries(name+": region lines", c.focusLinesRegion, c.hours)
+		s.FocusLinesEU = hourSeries(name+": EU lines", c.focusLinesEU, c.hours)
 	}
 	return s
 }
 
-// focusSeries returns the focus alias's series in col under label,
-// sharing its values, or a zero series when the alias has none.
-func (c *Collector) focusSeries(col []*analysis.Series, label string) *analysis.Series {
-	if a := c.focusAliasID; a >= 0 && col[a] != nil {
-		return &analysis.Series{Label: label, Values: col[a].Values}
+// hourSeries converts an hour column (nil for none) into a series of
+// hours values.
+func hourSeries(label string, col []uint64, hours int) *analysis.Series {
+	s := analysis.NewSeries(label, hours)
+	for h, v := range col {
+		s.Values[h] = float64(v)
 	}
-	return analysis.NewSeries(label, c.hours)
+	return s
 }
 
 // aliasID resolves an alias to its dense ID, -1 when the index has no
@@ -205,37 +212,46 @@ func (s *Study) CertOnlyDecrease(alias string) (v4Pct, v6Pct float64) {
 	return v4Pct, v6Pct
 }
 
-// seriesOr returns col[alias's ID], or an empty series when the alias
-// is unknown or has no such traffic.
-func (s *Study) seriesOr(col []*analysis.Series, alias string) *analysis.Series {
-	if a := s.aliasID(alias); a >= 0 && col[a] != nil {
+// hourly returns col[alias's ID], an alias's hour column, nil when the
+// alias is unknown or has no such traffic.
+func (s *Study) hourly(col [][]uint64, alias string) []uint64 {
+	if a := s.aliasID(alias); a >= 0 {
 		return col[a]
 	}
-	return analysis.NewSeries(alias, s.hours)
+	return nil
 }
 
 // ActiveLines returns the hourly active-line series (Figure 8).
 func (s *Study) ActiveLines(alias string) *analysis.Series {
-	return s.seriesOr(s.activeLines, alias)
+	return hourSeries(alias, s.hourly(s.activeLines, alias), s.hours)
 }
 
 // Downstream returns the hourly downstream volume series (Figure 9).
 func (s *Study) Downstream(alias string) *analysis.Series {
-	return s.seriesOr(s.downHour, alias)
+	return hourSeries(alias, s.hourly(s.downHour, alias), s.hours)
 }
 
 // Upstream returns the hourly upstream volume series.
 func (s *Study) Upstream(alias string) *analysis.Series {
-	return s.seriesOr(s.upHour, alias)
+	return hourSeries(alias, s.hourly(s.upHour, alias), s.hours)
+}
+
+// sum totals volumes exactly.
+func sum(vols []uint64) uint64 {
+	var t uint64
+	for _, v := range vols {
+		t += v
+	}
+	return t
 }
 
 // OverallRatio is the whole-week down/up ratio.
 func (s *Study) OverallRatio(alias string) float64 {
-	up := s.Upstream(alias).Total()
+	up := sum(s.hourly(s.upHour, alias))
 	if up == 0 {
 		return 0
 	}
-	return s.Downstream(alias).Total() / up
+	return float64(sum(s.hourly(s.downHour, alias))) / float64(up)
 }
 
 // PortShare is one Figure 11 cell.
@@ -256,20 +272,16 @@ func sortPortShares(out []PortShare) {
 
 // PortShares returns an alias's normalized port mix, descending.
 func (s *Study) PortShares(alias string) []PortShare {
-	var vols []float64
-	var seen []uint64
+	var vols, seen []uint64
 	if a := s.aliasID(alias); a >= 0 {
 		vols, seen = s.portVol[a], s.portSeen[a]
 	}
-	total := 0.0
-	for _, v := range vols {
-		total += v
-	}
+	total := sum(vols)
 	out := make([]PortShare, 0, popcount(seen))
 	forEachBit(seen, func(pid int) {
 		share := 0.0
 		if total > 0 {
-			share = vols[pid] / total
+			share = float64(vols[pid]) / float64(total)
 		}
 		out = append(out, PortShare{Port: s.portKeys[pid], Share: share})
 	})
@@ -282,14 +294,15 @@ func (s *Study) TopPorts(n int) []proto.PortKey {
 	// The port table is the key set: lineRun.add and Merge intern a port
 	// and mark its presence together, so every port ID was seen under
 	// some alias. Share holds the port's absolute volume here.
+	vols := make([]uint64, len(s.portKeys))
+	for _, pv := range s.portVol {
+		for pid, v := range pv {
+			vols[pid] += v
+		}
+	}
 	all := make([]PortShare, len(s.portKeys))
 	for pid, k := range s.portKeys {
-		all[pid].Port = k
-	}
-	for _, vols := range s.portVol {
-		for pid, v := range vols {
-			all[pid].Share += v
-		}
+		all[pid] = PortShare{Port: k, Share: float64(vols[pid])}
 	}
 	sortPortShares(all)
 	if n > len(all) {
@@ -303,10 +316,10 @@ func (s *Study) TopPorts(n int) []proto.PortKey {
 }
 
 // positives appends the values above zero to dst.
-func positives(dst, vals []float64) []float64 {
+func positives(dst []float64, vals []uint64) []float64 {
 	for _, v := range vals {
 		if v > 0 {
-			dst = append(dst, v)
+			dst = append(dst, float64(v))
 		}
 	}
 	return dst
@@ -318,10 +331,10 @@ func (s *Study) DailyECDFs() (down, up *analysis.ECDF) {
 	var d, u []float64
 	for i := 0; i+1 < len(s.lineDaily); i += 2 {
 		if v := s.lineDaily[i]; v > 0 {
-			d = append(d, v)
+			d = append(d, float64(v))
 		}
 		if v := s.lineDaily[i+1]; v > 0 {
-			u = append(u, v)
+			u = append(u, float64(v))
 		}
 	}
 	return analysis.NewECDF(d), analysis.NewECDF(u)
@@ -356,8 +369,8 @@ func (s *Study) PortDailyECDF(port proto.PortKey) *analysis.ECDF {
 // BackendVolumes returns the estimated exchanged volume per contacted
 // backend address — the §3.4 traffic cross-check input ("we only
 // identify 52 IPs that are active").
-func (s *Study) BackendVolumes() map[netip.Addr]float64 {
-	out := make(map[netip.Addr]float64, popcount(s.backendSeen))
+func (s *Study) BackendVolumes() map[netip.Addr]uint64 {
+	out := make(map[netip.Addr]uint64, popcount(s.backendSeen))
 	forEachBit(s.backendSeen, func(b int) { out[s.idx.addrs[b]] = s.backendVol[b] })
 	return out
 }
@@ -407,10 +420,10 @@ func (s *Study) ServerContinentShares() map[geo.Continent]float64 {
 }
 
 // continentVolumes regroups the per-backend volumes by server continent:
-// exact, because volumes are integer-valued (see Collector.Merge), and a
-// zero-byte backend still creates its continent's key.
-func (s *Study) continentVolumes() map[geo.Continent]float64 {
-	out := map[geo.Continent]float64{}
+// exact, because volumes are uint64 sums, and a zero-byte backend still
+// creates its continent's key.
+func (s *Study) continentVolumes() map[geo.Continent]uint64 {
+	out := map[geo.Continent]uint64{}
 	forEachBit(s.backendSeen, func(b int) { out[s.idx.infos[b].cont] += s.backendVol[b] })
 	return out
 }

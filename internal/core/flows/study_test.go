@@ -75,9 +75,9 @@ func TestStudyAccessorsMatchReference(t *testing.T) {
 		eq(alias+" Visibility", pair(got.Visibility(alias)), pair(want.Visibility(alias)))
 		eq(alias+" LineCount", pair(got.LineCount(alias)), pair(want.LineCount(alias)))
 		eq(alias+" CertOnlyDecrease", pair(got.CertOnlyDecrease(alias)), pair(want.CertOnlyDecrease(alias)))
-		eq(alias+" ActiveLines", got.ActiveLines(alias), want.series(want.activeLines, alias))
-		eq(alias+" Downstream", got.Downstream(alias), want.series(want.downHour, alias))
-		eq(alias+" Upstream", got.Upstream(alias), want.series(want.upHour, alias))
+		eq(alias+" ActiveLines", got.ActiveLines(alias), hourSeries(alias, want.activeLines[alias], want.hours))
+		eq(alias+" Downstream", got.Downstream(alias), hourSeries(alias, want.downHour[alias], want.hours))
+		eq(alias+" Upstream", got.Upstream(alias), hourSeries(alias, want.upHour[alias], want.hours))
 		eq(alias+" OverallRatio", got.OverallRatio(alias), want.OverallRatio(alias))
 		eq(alias+" PortShares", got.PortShares(alias), want.PortShares(alias))
 		eq(alias+" AliasDailyECDF", got.AliasDailyECDF(alias), want.AliasDailyECDF(alias))

@@ -1,10 +1,8 @@
 package flows
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,9 +22,9 @@ import (
 // append-only columnar row log: five parallel columns — window line ID,
 // dense backend ID, backend-side port, row flags (kept, down, udp) and
 // the raw byte counter, 15 bytes — one row per routed record. Every read
-// scales the counter by the sampling rate, the same product the batch
-// engine folds; a row whose counter does not fit below 2^32-1 keeps its
-// volume in a per-bucket side list. A stream classifies each flush
+// scales the counter by the sampling rate through rowVol, the volume the
+// batch engine folds; a row whose counter does not fit below 2^32-1 keeps
+// its volume in a per-bucket side map. A stream classifies each flush
 // interval's lines against the scanner threshold on its own WireTables,
 // then routes and appends the rows under the window's ingest lock, so
 // concurrent streams classify in parallel and queue only to append. A
@@ -48,22 +46,19 @@ import (
 // arrived since the last one (late rows below the newest hour
 // included), bucket by bucket; a frame that moved less than a day
 // slides the cached fold first, subtracting the rows of the hours it
-// left (exact, as volumes are integer-valued and set members are
-// row-counted). A row volume of 2^53 or more is an integer float64 sums
-// do not add exactly, so while the cached fold or the frame holds one,
-// every read rebuilds, and the figures do not depend on when reads ran.
-// The cached fold is the window's only read cache, and every read lends
-// it out without copying it: View to a callback, Merged and Study to
+// left (exact, as volumes are uint64 sums and set members are
+// row-counted), so the figures do not depend on when reads ran. The
+// cached fold is the window's only read cache, and every read lends it
+// out without copying it: View to a callback, Merged and Study to
 // callers who may keep it. A fold Merged or Study lent is finalized and
 // never written again; the first read that would change it (the frame
 // moved, or rows arrived since) folds into a copy that replaces it
 // (copy-on-write), and a rebuild simply replaces it. Because the window
 // and the batch pipeline share one aggregation core and every aggregate
-// is order-independent and exact (integer-valued float64 volumes, see
-// Collector.Merge), a window that never evicted is byte-identical to a
-// batch run over the same feed, and an evicted window matches a batch
-// run over only the surviving hours' flushes
-// (TestWindowEvictionMatchesBatch).
+// is order-independent and exact (uint64 volume sums, see rowVol), a
+// window that never evicted is byte-identical to a batch run over the
+// same feed, and an evicted window matches a batch run over only the
+// surviving hours' flushes (TestWindowEvictionMatchesBatch).
 //
 // Eviction granularity caveat: scanner classification stays per-flush,
 // exactly like the batch pipeline (ShardPartial.IngestBatch shares
@@ -165,44 +160,31 @@ type winBucket struct {
 	// append-only until release, so a read folds only [folded, len), and
 	// a slide subtracts [0, folded).
 	folded int
-	// huge says a row's volume is exactVol or more.
-	huge bool
 
 	line    []int32 // window line ID
 	backend []int32 // dense backend ID
 	port    []uint16
 	flags   []uint8
 	// bytes is the raw byte counter, and the row's volume is
-	// float64(bytes[i]) * rate, the product the batch engine folds. A row
+	// rowVol(bytes[i], rate), the volume the batch engine folds. A row
 	// whose volume no counter below wideRow reproduces holds wideRow, and
-	// its exact volume waits in wide.
+	// its volume waits in wide, by row. A map read is no call, so vol,
+	// which every fold path calls per row, inlines.
 	bytes []uint32
-	wide  []wideVol
+	wide  map[int]uint64
 }
 
-// wideRow marks a row whose volume is kept in its bucket's wide list.
+// wideRow marks a row whose volume is kept in its bucket's wide map.
 const wideRow = math.MaxUint32
 
-// exactVol bounds the volumes float64 sums add exactly: every integer
-// below 2^53 is a float64, and past it sums round, so subtracting a row
-// no longer undoes adding it.
-const exactVol = 1 << 53
-
-// wideVol is an escaped row's exact volume. Rows only append, so a
-// bucket's wide list is sorted by row.
-type wideVol struct {
-	row int
-	vol float64
-}
-
-// add appends one row whose volume is float64(q) * rate, or vol when q
-// is wideRow.
-func (bk *winBucket) add(line, backend int32, port uint16, flags uint8, q uint32, vol float64) {
+// add appends one row whose volume is rowVol(q, rate), or vol when q is
+// wideRow.
+func (bk *winBucket) add(line, backend int32, port uint16, flags uint8, q uint32, vol uint64) {
 	if q == wideRow {
-		bk.wide = append(bk.wide, wideVol{row: len(bk.line), vol: vol})
-	}
-	if vol >= exactVol {
-		bk.huge = true
+		if bk.wide == nil {
+			bk.wide = map[int]uint64{}
+		}
+		bk.wide[len(bk.line)] = vol
 	}
 	bk.line = append(bk.line, line)
 	bk.backend = append(bk.backend, backend)
@@ -224,20 +206,11 @@ func (bk *winBucket) grow(n, total int) {
 }
 
 // vol returns row i's volume at the window's rate.
-func (bk *winBucket) vol(i int, rate float64) float64 {
+func (bk *winBucket) vol(i int, rate float64) uint64 {
 	if q := bk.bytes[i]; q != wideRow {
-		return float64(q) * rate
+		return rowVol(uint64(q), rate)
 	}
-	return bk.escapedVol(i)
-}
-
-// escapedVol looks up escaped row i's volume. It stays out of line, so
-// vol, which every fold path calls per row, inlines.
-//
-//go:noinline
-func (bk *winBucket) escapedVol(i int) float64 {
-	j, _ := slices.BinarySearchFunc(bk.wide, i, func(e wideVol, i int) int { return cmp.Compare(e.row, i) })
-	return bk.wide[j].vol
+	return bk.wide[i]
 }
 
 // WindowStats counts what the window refused or retired.
@@ -543,8 +516,8 @@ func (w *Window) release(bk *winBucket) {
 	bk.port = bk.port[:0]
 	bk.flags = bk.flags[:0]
 	bk.bytes = bk.bytes[:0]
-	bk.wide = bk.wide[:0]
-	bk.records, bk.mark, bk.folded, bk.huge = 0, 0, 0, false
+	clear(bk.wide)
+	bk.records, bk.mark, bk.folded = 0, 0, 0
 	w.free = append(w.free, bk)
 }
 
@@ -599,7 +572,7 @@ func (w *Window) appendFlush(t *WireTables, b *netflow.RecordBatch) {
 			bk.records++
 		}
 		raw := b.Bytes[i]
-		bk.add(lid, be, b.Port[i], flags, uint32(min(raw, wideRow)), float64(raw)*w.rate)
+		bk.add(lid, be, b.Port[i], flags, uint32(min(raw, wideRow)), rowVol(raw, w.rate))
 	}
 	w.endFlush()
 }
@@ -664,17 +637,6 @@ func (w *Window) eachBucket(lo, hi int64, fn func(bk *winBucket)) {
 			fn(bk)
 		}
 	}
-}
-
-// holdsHuge reports whether a ring bucket with hour in [lo, hi) holds a
-// row of exactVol or more. Caller holds mu.
-func (w *Window) holdsHuge(lo, hi int64) bool {
-	for _, bk := range w.ring {
-		if bk != nil && bk.huge && bk.ah >= lo && bk.ah < hi {
-			return true
-		}
-	}
-	return false
 }
 
 // releaseBelow releases every ring bucket whose hour is below ws, which
@@ -807,7 +769,7 @@ type rowCols struct {
 }
 
 type lineRow struct {
-	bytes   float64
+	bytes   uint64
 	backend int32
 	// hour is the row's offset from the frame start, which is below
 	// both the row's absolute hour (an int32 at ingest) and the window
@@ -1022,8 +984,7 @@ func (w *Window) own(st *windowFold) *windowFold {
 // foldLocked brings the stable fold to the current trailing frame, the
 // newest hour included, and returns it. It is slid in place (or only
 // caught up, when the frame did not move) unless the frame moved
-// slideReach hours or more, or the cached fold or the frame holds a row
-// of exactVol or more, and rebuilt then. A lent fold is copied before
+// slideReach hours or more, and rebuilt then. A lent fold is copied before
 // a slide or a catch-up writes to it; a read of an unmoved frame
 // without new rows writes nothing. The buckets the frame left are
 // released. Caller holds foldMu and mu.
@@ -1032,10 +993,8 @@ func (w *Window) foldLocked() *windowFold {
 	ws := w.startHour(end - 1)
 	st := w.stable
 	switch {
-	case st == nil || ws-st.ws >= slideReach || w.holdsHuge(st.ws, end):
-		// Cold start, a read too far behind the last one, or a volume a
-		// subtraction or a catch-up would round differently from a
-		// rebuild.
+	case st == nil || ws-st.ws >= slideReach:
+		// Cold start, or a read too far behind the last one.
 		st = w.rebuild(ws, end)
 		w.stable = st
 		w.rebuilds.Add(1)
@@ -1112,8 +1071,7 @@ func (w *Window) Merged() (cc *ContactCounter, col *Collector) {
 // hours, taken of the fold Merged lends (finalized once, and never
 // written again; the window copies it before a later read changes it).
 // The Study keeps no lazy state and is safe for concurrent readers, who
-// must treat the returned values, and the series the accessors return,
-// as read-only.
+// must treat the returned values as read-only.
 func (w *Window) Study() (*ContactCounter, *Study) {
 	cc, col := w.Merged()
 	return cc, col.Study()

@@ -2,7 +2,6 @@ package flows
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math"
 	"net/netip"
@@ -561,12 +560,12 @@ func TestWireTablesSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestWindowRowBytes pins a bucket row at 15 bytes: the element sizes
-// of the bucket's row columns. The wide list holds escaped rows only.
+// of the bucket's row columns. The wide map holds escaped rows only.
 func TestWindowRowBytes(t *testing.T) {
 	typ := reflect.TypeOf(winBucket{})
 	var size uintptr
 	for i := range typ.NumField() {
-		if fl := typ.Field(i); fl.Type.Kind() == reflect.Slice && fl.Name != "wide" {
+		if fl := typ.Field(i); fl.Type.Kind() == reflect.Slice {
 			size += fl.Type.Elem().Size()
 		}
 	}
@@ -585,11 +584,11 @@ func TestWindowRowBytes(t *testing.T) {
 // and one backend whose alias and continent nothing else has; the
 // counters around 2^32 ride on the fixture's own lines.
 //
-// A volume of 2^53 or more is past float64's exact integers: sums that
-// hold it round, so a slide's subtraction and a catch-up's addition need
-// not land where a rebuild's sum does. A window read every hour over a
-// feed whose every 50th record carries a 2^53+1 counter must end with
-// the bits of a twin read once.
+// Volumes of 2^53 or more are past float64's exact integers, but not
+// past uint64's: a window read every hour over a feed whose every 50th
+// record carries a 2^53+1 counter rebuilds once and slides ever after,
+// and ends on the figures of a twin read once, of the map reference and
+// of a twin restored from a checkpoint taken mid-feed.
 func TestWindowWideRows(t *testing.T) {
 	counters := []uint64{1<<32 - 2, 1<<32 - 1, 1 << 32}
 	for _, rate := range []uint32{1, 100} {
@@ -643,12 +642,7 @@ func TestWindowWideRows(t *testing.T) {
 		}
 		check := func(win *Window, step string) {
 			t.Helper()
-			ws := win.startHour(win.End())
-			ref := newRefCollector(f.infos, win.frameDays(ws), opts)
-			for _, r := range fed {
-				ref.ingest(r)
-			}
-			if _, st := win.Study(); !reflect.DeepEqual(named(st), ref.study(f.idx)) {
+			if _, st := win.Study(); !reflect.DeepEqual(named(st), refFrameStudy(f, opts, win, fed)) {
 				t.Fatalf("rate %d, %s: window study differs from the map reference", rate, step)
 			}
 		}
@@ -696,8 +690,8 @@ func TestWindowWideRows(t *testing.T) {
 			t.Fatalf("rate %d: wide stream refused: %v", rate, err)
 		}
 		bk := restored.ring[50%len(restored.ring)]
-		if len(bk.wide) != 4 || len(bk.line) != 6 {
-			t.Fatalf("rate %d: hour 50 holds %d rows, %d escaped; want 6 and 4", rate, len(bk.line), len(bk.wide))
+		if len(bk.wide) != 3 || len(bk.line) != 5 {
+			t.Fatalf("rate %d: hour 50 holds %d rows, %d escaped; want 5 and 3", rate, len(bk.line), len(bk.wide))
 		}
 		for _, read := range []bool{false, true} {
 			if read {
@@ -711,8 +705,7 @@ func TestWindowWideRows(t *testing.T) {
 
 	t.Run("2^53 volumes read hourly", func(t *testing.T) {
 		// Huge counters throughout, then only before hour 72, so the frame
-		// later leaves them while the cached fold still holds them, and
-		// the reads after that slide again.
+		// later leaves them while the cached fold still holds them.
 		for _, c := range []struct {
 			name  string
 			until time.Duration
@@ -734,55 +727,48 @@ func TestWindowWideRows(t *testing.T) {
 				wins[i] = win
 			}
 			hourly, once := wins[0], wins[1]
-			var prev FoldStats
-			for _, flush := range hourFlushes(f.recs, f.days[0]) {
-				flushRecords(hourly, flush)
-				flushRecords(once, flush)
-				prev = hourly.FoldStats()
+			var restored *Window // from hourly's checkpoint, then read every hour
+			var fed []netflow.Record
+			flushes := hourFlushes(f.recs, f.days[0])
+			for i, flush := range flushes {
+				for _, win := range []*Window{hourly, once, restored} {
+					if win != nil {
+						flushRecords(win, flush)
+					}
+				}
+				fed = append(fed, flush...)
 				hourly.Merged()
+				if restored != nil {
+					restored.Merged()
+				}
+				if i == len(flushes)/2 {
+					var err error
+					if restored, err = Restore(bytes.NewReader(snapshotBytes(t, hourly)), f.idx, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			_, got := hourly.Study()
-			_, want := once.Study()
-			if g, w := named(got), named(want); !reflect.DeepEqual(g, w) || !reflect.DeepEqual(volumeBits(g), volumeBits(w)) {
-				t.Fatalf("huge counters %s: hourly reads (fold %+v) end on other figures than one read", c.name, hourly.FoldStats())
+			for name, win := range map[string]*Window{"hourly": hourly, "restored": restored} {
+				if fs := win.FoldStats(); fs.Rebuilds != 1 || fs.Slides == 0 {
+					t.Errorf("huge counters %s: the %s window's fold stats %+v, want one rebuild and then slides", c.name, name, fs)
+				}
 			}
-			if slid := hourly.FoldStats().Slides > prev.Slides; slid != (c.until != math.MaxInt64) {
-				t.Fatalf("huge counters %s: the last hourly read slid = %v", c.name, slid)
+			want := refFrameStudy(f, opts, hourly, fed)
+			for name, win := range map[string]*Window{"hourly": hourly, "once": once, "restored": restored} {
+				if _, st := win.Study(); !reflect.DeepEqual(named(st), want) {
+					t.Errorf("huge counters %s: the %s window's study differs from the map reference", c.name, name)
+				}
 			}
 		}
 	})
 }
 
-// volumeBits lists the bits of every volume s holds, by what it is the
-// volume of.
-func volumeBits(s *namedStudy) map[string][]uint64 {
-	out := map[string][]uint64{}
-	put := func(key string, vs ...float64) {
-		for _, v := range vs {
-			out[key] = append(out[key], math.Float64bits(v))
-		}
+// refFrameStudy is the map reference over the records of fed that fall
+// in win's current frame.
+func refFrameStudy(f denseFixture, opts Options, win *Window, fed []netflow.Record) *namedStudy {
+	ref := newRefCollector(f.infos, win.frameDays(win.startHour(win.End())), opts)
+	for _, r := range fed {
+		ref.ingest(r)
 	}
-	for line, days := range s.lineDaily {
-		for _, d := range days {
-			put(fmt.Sprint("line ", line), d[0], d[1])
-		}
-	}
-	for k, days := range s.lineAliasDaily {
-		put(fmt.Sprint("line alias ", k), days...)
-	}
-	for k, days := range s.linePortDaily {
-		put(fmt.Sprint("line port ", k), days...)
-	}
-	for alias, ports := range s.portVol {
-		for port, v := range ports {
-			put(fmt.Sprint("port ", alias, port), v)
-		}
-	}
-	for c, v := range s.contVol {
-		put(fmt.Sprint("continent ", c), v)
-	}
-	for be, v := range s.backendVol {
-		put(fmt.Sprint("backend ", be), v)
-	}
-	return out
+	return ref.study(f.idx)
 }

@@ -158,13 +158,15 @@ type TrafficReport struct {
 }
 
 // AgainstTraffic builds the report from per-address traffic volumes.
-func AgainstTraffic(found []netip.Addr, activeVolume map[netip.Addr]float64) TrafficReport {
+// The volumes sum exactly as integers and divide once, so the miss
+// fraction does not depend on the map's iteration order.
+func AgainstTraffic(found []netip.Addr, activeVolume map[netip.Addr]uint64) TrafficReport {
 	set := map[netip.Addr]struct{}{}
 	for _, a := range found {
 		set[a] = struct{}{}
 	}
 	var r TrafficReport
-	var total, missed float64
+	var total, missed uint64
 	for a, v := range activeVolume {
 		r.Active++
 		total += v
@@ -176,7 +178,7 @@ func AgainstTraffic(found []netip.Addr, activeVolume map[netip.Addr]float64) Tra
 		}
 	}
 	if total > 0 {
-		r.VolumeMissFrac = missed / total
+		r.VolumeMissFrac = float64(missed) / float64(total)
 	}
 	sort.Slice(r.Missed, func(i, j int) bool { return r.Missed[i].Less(r.Missed[j]) })
 	return r

@@ -177,7 +177,7 @@ func TestAgainstPrefixes(t *testing.T) {
 
 func TestAgainstTraffic(t *testing.T) {
 	found := []netip.Addr{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")}
-	active := map[netip.Addr]float64{
+	active := map[netip.Addr]uint64{
 		netip.MustParseAddr("10.0.0.1"): 500,
 		netip.MustParseAddr("10.0.0.2"): 490,
 		netip.MustParseAddr("10.0.0.3"): 10, // missed, tiny volume
@@ -188,5 +188,20 @@ func TestAgainstTraffic(t *testing.T) {
 	}
 	if r.VolumeMissFrac < 0.009 || r.VolumeMissFrac > 0.011 {
 		t.Fatalf("volume miss = %v, want 1%%", r.VolumeMissFrac)
+	}
+
+	// A volume of 2^53 absorbs a float64 1 added after it, so a float
+	// total would depend on which order the map yields the volumes in.
+	// The fraction must be exact on every one of many iterations.
+	active = map[netip.Addr]uint64{
+		netip.MustParseAddr("10.0.0.1"): 1 << 53,
+		netip.MustParseAddr("10.0.0.3"): 1, // missed
+		netip.MustParseAddr("10.0.0.4"): 1, // missed
+	}
+	want := 2 / float64(1<<53+2)
+	for i := 0; i < 200; i++ {
+		if r := AgainstTraffic(found, active); r.VolumeMissFrac != want {
+			t.Fatalf("run %d: volume miss = %v, want exactly 2/(2^53+2) = %v", i, r.VolumeMissFrac, want)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func (s *System) trafficCrossCheck(d *Discovered, v *Validated, st *flows.Study)
 	volumes := st.BackendVolumes()
 	out := map[string]validate.TrafficReport{}
 	for id := range v.Validation.Prefixes {
-		perProvider := map[netip.Addr]float64{}
+		perProvider := map[netip.Addr]uint64{}
 		for a, vol := range volumes {
 			if srv, ok := s.World.ServerAt(a); ok && srv.Provider == id {
 				perProvider[a] = vol
